@@ -73,7 +73,7 @@ check-trace:
 check-capacity:
 	$(GO) test -v -run TestCapacityE2E ./cmd/fidrd
 
-# check-doctor boots a fidrd with the flight recorder armed and a tight
+# check-doctor boots a fidrd with the snapshot recorder armed and a tight
 # watchdog, injects an async-worker stall through the -debug-hooks test
 # endpoint, and asserts the watchdog trips (watchdog_stall event), the
 # recorder captures an on-disk snapshot served at /debug/bundle, and
@@ -93,8 +93,9 @@ bench-archival:
 	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench archival
 
 # bench-tracing writes only BENCH_tracing.json: each Table 3 workload
-# run with the span plane off vs. head-sampled on, recording the
-# throughput overhead (acceptance: <= ~5% on write workloads).
+# run with a trace collector attached and head sampling off vs. on,
+# recording the throughput overhead (acceptance: <= ~5% on write
+# workloads).
 bench-tracing:
 	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench tracing
 

@@ -175,7 +175,7 @@ func (a *Async) InjectStall(d time.Duration) error {
 // async.writes / async.reads counters, the async.queue_wait.ns
 // histogram, and the async.inflight gauge. Call before submitting
 // traffic. The queue wait also reaches the back-end's stage histograms
-// and request traces via TraceContext, when the store has
+// and request traces via TraceContext.QueueWait, when the store has
 // observability enabled too.
 func (a *Async) EnableObservability(reg *metrics.Registry) {
 	a.writes = reg.Counter("async.writes")
@@ -191,6 +191,9 @@ func (a *Async) SetSpanCollector(col *span.Collector) { a.col = col }
 func (a *Async) worker(s Store, q chan asyncReq, hb *health.Heartbeat) {
 	defer a.wg.Done()
 	ts, traced := s.(tracedStore)
+	// One context per worker, refilled per request: the back-end reads
+	// it during the call and never retains it.
+	tc := new(TraceContext)
 	for req := range q {
 		if req.fn != nil {
 			// Maintenance op: runs with the worker between requests, so
@@ -214,10 +217,7 @@ func (a *Async) worker(s Store, q chan asyncReq, hb *health.Heartbeat) {
 		var res AsyncResult
 		res.LBA = req.lba
 		if traced {
-			tc := &TraceContext{
-				Start: req.submit,
-				Spans: []Span{{Stage: StageQueueWait, Dur: wait}},
-			}
+			*tc = TraceContext{Start: req.submit, QueueWait: wait}
 			if req.ctx.Valid() {
 				// The queue gets its own tree span between the caller's
 				// span and the core request, so the rendered trace shows
@@ -231,9 +231,7 @@ func (a *Async) worker(s Store, q chan asyncReq, hb *health.Heartbeat) {
 						QueueDepth: len(q) + 1, LBA: req.lba,
 					})
 				}
-				tc.Trace = req.ctx.Trace
-				tc.Parent = queueID
-				tc.Sampled = req.ctx.Sampled
+				tc.Context = req.ctx.Child(queueID)
 			}
 			if req.write {
 				tc.Op = "awrite"
@@ -266,14 +264,10 @@ func (a *Async) worker(s Store, q chan asyncReq, hb *health.Heartbeat) {
 }
 
 // WriteAsync submits a write; the returned channel delivers one result.
-// The data slice is copied before submission.
-func (a *Async) WriteAsync(lba uint64, data []byte) <-chan AsyncResult {
-	return a.WriteCtx(lba, data, span.Context{})
-}
-
-// WriteCtx is WriteAsync carrying a wire trace context through the
-// queue into the back-end pipeline.
-func (a *Async) WriteCtx(lba uint64, data []byte, sc span.Context) <-chan AsyncResult {
+// The data slice is copied before submission. tc, when it carries a
+// wire trace context, rides through the queue into the back-end
+// pipeline; untraced callers pass nil.
+func (a *Async) WriteAsync(lba uint64, data []byte, tc *TraceContext) <-chan AsyncResult {
 	done := make(chan AsyncResult, 1)
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -289,17 +283,13 @@ func (a *Async) WriteCtx(lba uint64, data []byte, sc span.Context) <-chan AsyncR
 		a.writes.Inc()
 		a.inflight.Add(1)
 	}
-	q <- asyncReq{write: true, lba: lba, data: cp, submit: time.Now(), ctx: sc, done: done}
+	q <- asyncReq{write: true, lba: lba, data: cp, submit: time.Now(), ctx: tc.Wire(), done: done}
 	return done
 }
 
 // ReadAsync submits a read; the returned channel delivers the payload.
-func (a *Async) ReadAsync(lba uint64) <-chan AsyncResult {
-	return a.ReadCtx(lba, span.Context{})
-}
-
-// ReadCtx is ReadAsync carrying a wire trace context.
-func (a *Async) ReadCtx(lba uint64, sc span.Context) <-chan AsyncResult {
+// tc is as for WriteAsync.
+func (a *Async) ReadAsync(lba uint64, tc *TraceContext) <-chan AsyncResult {
 	done := make(chan AsyncResult, 1)
 	a.mu.Lock()
 	if a.closed {
@@ -313,18 +303,18 @@ func (a *Async) ReadCtx(lba uint64, sc span.Context) <-chan AsyncResult {
 		a.reads.Inc()
 		a.inflight.Add(1)
 	}
-	q <- asyncReq{lba: lba, submit: time.Now(), ctx: sc, done: done}
+	q <- asyncReq{lba: lba, submit: time.Now(), ctx: tc.Wire(), done: done}
 	return done
 }
 
 // Write submits and waits (synchronous convenience).
 func (a *Async) Write(lba uint64, data []byte) error {
-	return (<-a.WriteAsync(lba, data)).Err
+	return (<-a.WriteAsync(lba, data, nil)).Err
 }
 
 // Read submits and waits.
 func (a *Async) Read(lba uint64) ([]byte, error) {
-	r := <-a.ReadAsync(lba)
+	r := <-a.ReadAsync(lba, nil)
 	return r.Data, r.Err
 }
 

@@ -57,7 +57,7 @@ func TestAsyncPipelinedSubmission(t *testing.T) {
 	// Fire a burst of writes, then collect all completions.
 	var chans []<-chan fidr.AsyncResult
 	for i := uint64(0); i < 128; i++ {
-		chans = append(chans, a.WriteAsync(i, fidr.MakeChunk(i, 0.5)))
+		chans = append(chans, a.WriteAsync(i, fidr.MakeChunk(i, 0.5), nil))
 	}
 	for i, ch := range chans {
 		if res := <-ch; res.Err != nil {
@@ -65,8 +65,8 @@ func TestAsyncPipelinedSubmission(t *testing.T) {
 		}
 	}
 	// Same-LBA ordering: a queued overwrite lands before a later read.
-	<-a.WriteAsync(5, fidr.MakeChunk(777, 0.5))
-	res := <-a.ReadAsync(5)
+	<-a.WriteAsync(5, fidr.MakeChunk(777, 0.5), nil)
+	res := <-a.ReadAsync(5, nil)
 	if res.Err != nil || !bytes.Equal(res.Data, fidr.MakeChunk(777, 0.5)) {
 		t.Fatal("read did not observe earlier queued write")
 	}
@@ -77,7 +77,7 @@ func TestAsyncDataCopiedOnSubmit(t *testing.T) {
 	a, _ := fidr.NewAsync(srv, 8)
 	defer a.Close()
 	buf := fidr.MakeChunk(1, 0.5)
-	ch := a.WriteAsync(9, buf)
+	ch := a.WriteAsync(9, buf, nil)
 	buf[0] ^= 0xFF // mutate after submit
 	if res := <-ch; res.Err != nil {
 		t.Fatal(res.Err)

@@ -1,10 +1,12 @@
 package fidr_test
 
 import (
+	"strings"
 	"testing"
 
 	"fidr"
 	"fidr/internal/metrics"
+	"fidr/internal/trace/span"
 )
 
 // TestAsyncQueueWaitObserved checks the front-end's own metrics and the
@@ -15,7 +17,9 @@ func TestAsyncQueueWaitObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := c.EnableObservability(64)
+	view := c.EnableObservability()
+	col := span.NewCollector(512, 0, 0)
+	c.SetSpanCollector(col)
 	a, err := fidr.NewAsync(c, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +30,10 @@ func TestAsyncQueueWaitObserved(t *testing.T) {
 	const n = 200
 	results := make([]<-chan fidr.AsyncResult, 0, n)
 	for i := uint64(0); i < n; i++ {
-		results = append(results, a.WriteAsync(i, fidr.MakeChunk(i%20, 0.5)))
+		results = append(results, a.WriteAsync(i, fidr.MakeChunk(i%20, 0.5), nil))
 	}
 	for i := uint64(0); i < n/2; i++ {
-		results = append(results, a.ReadAsync(i))
+		results = append(results, a.ReadAsync(i, nil))
 	}
 	for _, ch := range results[:n] {
 		if r := <-ch; r.Err != nil {
@@ -70,16 +74,26 @@ func TestAsyncQueueWaitObserved(t *testing.T) {
 	if queueWait.Count != n+n/2 {
 		t.Errorf("stage.queue_wait.ns count = %d, want %d", queueWait.Count, n+n/2)
 	}
+	// Every queued request carries its wait as a queue_wait stage: none
+	// came with a wire context, so no queue span stands in for it.
 	var awrites, areads int
-	for _, tr := range c.RecentTraces() {
-		switch tr.Op {
+	for _, q := range col.Recent() {
+		switch q.Op() {
 		case "awrite":
 			awrites++
 		case "aread":
 			areads++
+		default:
+			continue
+		}
+		if q.Stages[0].Name != "queue_wait" {
+			t.Fatalf("%s first stage is %q, want queue_wait", q.Op(), q.Stages[0].Name)
 		}
 	}
 	if awrites == 0 || areads == 0 {
 		t.Errorf("traces: %d awrite, %d aread; queue ops not tagged", awrites, areads)
+	}
+	if out := col.RenderRecent(); !strings.Contains(out, "queue_wait=") {
+		t.Errorf("rendered recent view missing queue_wait stages:\n%.300s", out)
 	}
 }

@@ -1,10 +1,6 @@
 package fidr
 
-import (
-	"fmt"
-
-	"fidr/internal/trace/span"
-)
+import "fmt"
 
 // AsyncStore adapts an Async front-end to the chunk-store surface the
 // protocol listener serves (proto.Store plus its traced extension).
@@ -30,41 +26,40 @@ func (s *AsyncStore) ChunkSize() int { return s.chunkSize }
 
 // Write submits through the queue and waits.
 func (s *AsyncStore) Write(lba uint64, data []byte) error {
-	return (<-s.a.WriteCtx(lba, data, span.Context{})).Err
+	return s.WriteTraced(lba, data, nil)
 }
 
 // Read submits through the queue and waits.
 func (s *AsyncStore) Read(lba uint64) ([]byte, error) {
-	r := <-s.a.ReadCtx(lba, span.Context{})
-	return r.Data, r.Err
+	return s.ReadTraced(lba, nil)
 }
 
 // ReadRange fans the chunk reads through the queues (they may resolve
 // on different groups) and concatenates in LBA order.
 func (s *AsyncStore) ReadRange(lba uint64, n int) ([]byte, error) {
-	return s.ReadRangeSpan(lba, n, span.Context{})
+	return s.ReadRangeTraced(lba, n, nil)
 }
 
-// WriteSpan is Write with a wire trace context.
-func (s *AsyncStore) WriteSpan(lba uint64, data []byte, sc span.Context) error {
-	return (<-s.a.WriteCtx(lba, data, sc)).Err
+// WriteTraced is Write with a wire trace context (nil: untraced).
+func (s *AsyncStore) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
+	return (<-s.a.WriteAsync(lba, data, tc)).Err
 }
 
-// ReadSpan is Read with a wire trace context.
-func (s *AsyncStore) ReadSpan(lba uint64, sc span.Context) ([]byte, error) {
-	r := <-s.a.ReadCtx(lba, sc)
+// ReadTraced is Read with a wire trace context.
+func (s *AsyncStore) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
+	r := <-s.a.ReadAsync(lba, tc)
 	return r.Data, r.Err
 }
 
-// ReadRangeSpan is ReadRange with a wire trace context shared by every
-// chunk read.
-func (s *AsyncStore) ReadRangeSpan(lba uint64, n int, sc span.Context) ([]byte, error) {
+// ReadRangeTraced is ReadRange with a wire trace context shared by
+// every chunk read.
+func (s *AsyncStore) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fidr: read of %d chunks", n)
 	}
 	chans := make([]<-chan AsyncResult, n)
 	for i := 0; i < n; i++ {
-		chans[i] = s.a.ReadCtx(lba+uint64(i), sc)
+		chans[i] = s.a.ReadAsync(lba+uint64(i), tc)
 	}
 	out := make([]byte, 0, n*s.chunkSize)
 	for i, ch := range chans {

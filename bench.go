@@ -109,8 +109,8 @@ type BenchArtifact struct {
 	WALDurableBytes    int64                `json:"wal_durable_bytes,omitempty"`
 	RecoveryPoints     []BenchRecoveryPoint `json:"recovery_points,omitempty"`
 
-	// Tracing runs only: per-workload throughput with the span plane off
-	// vs. head-sampled on, and the worst write-workload overhead.
+	// Tracing runs only: per-workload throughput with head sampling off
+	// vs. on, and the worst write-workload overhead.
 	// Acceptance: sampled tracing should cost <= ~5% write throughput.
 	TracePoints           []BenchTracePoint `json:"trace_points,omitempty"`
 	TraceWriteOverheadPct float64           `json:"trace_write_overhead_pct,omitempty"`
@@ -216,8 +216,8 @@ type benchSpec struct {
 	laneSweep bool
 	// archival attaches a WAL and appends the crash-recovery sweep.
 	archival bool
-	// tracing runs every Table 3 workload twice — span plane off, then
-	// head-sampled on — and records the throughput deltas.
+	// tracing runs every Table 3 workload twice — head sampling off,
+	// then on — and records the throughput deltas.
 	tracing bool
 	// capacity appends an overwrite phase and a measured GC pass,
 	// recording the attribution ledger (see BenchCapacity).
@@ -346,13 +346,14 @@ func runBenchLaneSweep(cfg Config, wp Workload, art *BenchArtifact) error {
 	return nil
 }
 
-// runBenchTracing measures the cost of the distributed-tracing plane.
-// Each Table 3 workload runs twice on identically configured servers —
-// span plane off, then head-sampled tracing on (every 16th request
-// feeds a span collector) — and the throughput delta lands in
-// TracePoints. The traced Write-H run fills the artifact body, and
-// TraceWriteOverheadPct records the worst write-workload overhead
-// against the <= ~5% acceptance bar.
+// runBenchTracing measures the cost of sampled tracing. Each Table 3
+// workload runs twice on identically configured servers, both handing
+// every request's span tree to a collector (the always-on recent and
+// slow views) — head sampling off, then on (every 16th request gets
+// histogram exemplars and by-ID retention) — and the throughput delta
+// lands in TracePoints. The sampled Write-H run fills the artifact
+// body, and TraceWriteOverheadPct records the worst write-workload
+// overhead against the <= ~5% acceptance bar.
 func runBenchTracing(cfg Config, ios int, art *BenchArtifact) error {
 	for _, name := range []string{"Write-H", "Write-M", "Write-L", "Read-Mixed"} {
 		wp, err := experiments.WorkloadParams(name, ios, cfg.CacheLines)
@@ -382,16 +383,16 @@ func runBenchTracing(cfg Config, ios int, art *BenchArtifact) error {
 	return nil
 }
 
-// benchTracingPass is runBenchSingle with the span plane optionally
-// armed before traffic.
-func benchTracingPass(cfg Config, wp Workload, traced bool, art *BenchArtifact) error {
+// benchTracingPass is runBenchSingle with a trace collector attached
+// and head sampling optionally armed before traffic.
+func benchTracingPass(cfg Config, wp Workload, sampled bool, art *BenchArtifact) error {
 	srv, err := NewServer(cfg)
 	if err != nil {
 		return err
 	}
-	view := srv.EnableObservability(nil, 64)
-	if traced {
-		srv.SetSpanCollector(span.NewCollector(512), 0)
+	view := srv.EnableObservability(nil)
+	srv.SetSpanCollector(span.NewCollector(0, 0, 0), 0)
+	if sampled {
 		srv.SetTraceSampling(16)
 	}
 	wall, err := driveBench(srv, wp, cfg.ChunkSize, cfg.Chunking.Mode == chunk.ModeCDC)
@@ -407,7 +408,7 @@ func runBenchSingle(cfg Config, wp Workload, art *BenchArtifact) error {
 	if err != nil {
 		return err
 	}
-	view := srv.EnableObservability(nil, 64)
+	view := srv.EnableObservability(nil)
 	wall, err := driveBench(srv, wp, cfg.ChunkSize, cfg.Chunking.Mode == chunk.ModeCDC)
 	if err != nil {
 		return err
@@ -520,7 +521,7 @@ func runBenchCDC(cfg Config, wp Workload, art *BenchArtifact) error {
 	if err != nil {
 		return err
 	}
-	view := cdcSrv.EnableObservability(nil, 64)
+	view := cdcSrv.EnableObservability(nil)
 	start = time.Now()
 	for g, gen := range gens {
 		if err := cdcSrv.Write(uint64(g)<<40, gen); err != nil {
@@ -588,7 +589,7 @@ func runBenchCapacity(cfg Config, wp Workload, art *BenchArtifact) error {
 	}
 	journal := NewEventJournal(256)
 	srv.SetEventJournal(journal, 0)
-	view := srv.EnableObservability(nil, 64)
+	view := srv.EnableObservability(nil)
 
 	gen, err := trace.NewGenerator(wp)
 	if err != nil {
@@ -680,7 +681,7 @@ func runBenchCluster(cfg Config, wp Workload, groups int, art *BenchArtifact) er
 	if err != nil {
 		return err
 	}
-	view := cl.EnableObservability(64)
+	view := cl.EnableObservability()
 	wall, err := driveBench(cl, wp, cfg.ChunkSize, cfg.Chunking.Mode == chunk.ModeCDC)
 	if err != nil {
 		return err
@@ -736,7 +737,7 @@ func runBenchArchival(cfg Config, wp Workload, art *BenchArtifact) error {
 	if err != nil {
 		return err
 	}
-	view := srv.EnableObservability(nil, 64)
+	view := srv.EnableObservability(nil)
 	wall, err := driveBench(srv, wp, cfg.ChunkSize, false)
 	if err != nil {
 		return err

@@ -48,7 +48,7 @@ func TestClusterCapacityMergedCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := c.EnableObservability(8)
+	view := c.EnableObservability()
 	driveClusterOverwrites(t, c, 384)
 
 	ms := view.Snapshot()

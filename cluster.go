@@ -147,12 +147,18 @@ func startOr(tc *TraceContext) time.Time {
 // ReadRange returns n consecutive chunks starting at lba, concatenated,
 // fanning out to each LBA's shard (same contract as Server.ReadRange).
 func (c *Cluster) ReadRange(lba uint64, n int) ([]byte, error) {
+	return c.ReadRangeTraced(lba, n, nil)
+}
+
+// ReadRangeTraced is ReadRange with a trace context shared by every
+// chunk read (each resolves on its own shard, all in one trace).
+func (c *Cluster) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fidr: range read of %d chunks", n)
 	}
 	out := make([]byte, 0, n*c.ChunkSize())
 	for i := 0; i < n; i++ {
-		chunk, err := c.Read(lba + uint64(i))
+		chunk, err := c.ReadTraced(lba+uint64(i), tc)
 		if err != nil {
 			return nil, fmt.Errorf("fidr: range chunk %d: %w", i, err)
 		}
@@ -164,8 +170,9 @@ func (c *Cluster) ReadRange(lba uint64, n int) ([]byte, error) {
 // ChunkSize returns the cluster's chunk size (uniform across groups).
 func (c *Cluster) ChunkSize() int { return c.groups[0].ChunkSize() }
 
-// SetSpanCollector shares one span collector across every group, each
-// tagging its spans with its group index. Call after
+// SetSpanCollector shares one trace collector across every group, each
+// tagging its spans with its group index: the collector's views are
+// cluster-wide by construction, with no per-group merge. Call after
 // EnableObservability.
 func (c *Cluster) SetSpanCollector(col *span.Collector) {
 	for i, g := range c.groups {
@@ -179,43 +186,6 @@ func (c *Cluster) SetTraceSampling(every int) {
 	for _, g := range c.groups {
 		g.SetTraceSampling(every)
 	}
-}
-
-// clusterTC lifts a wire span context into a front-end TraceContext
-// (nil when untraced), mirroring the unexported core adapter.
-func clusterTC(sc span.Context) *TraceContext {
-	if !sc.Valid() {
-		return nil
-	}
-	return &TraceContext{Trace: sc.Trace, Parent: sc.Parent, Sampled: sc.Sampled}
-}
-
-// WriteSpan is Write carrying a wire trace context to the shard.
-func (c *Cluster) WriteSpan(lba uint64, data []byte, sc span.Context) error {
-	return c.WriteTraced(lba, data, clusterTC(sc))
-}
-
-// ReadSpan is Read carrying a wire trace context.
-func (c *Cluster) ReadSpan(lba uint64, sc span.Context) ([]byte, error) {
-	return c.ReadTraced(lba, clusterTC(sc))
-}
-
-// ReadRangeSpan is ReadRange with a wire trace context shared by every
-// chunk read (each resolves on its own shard, all in one trace).
-func (c *Cluster) ReadRangeSpan(lba uint64, n int, sc span.Context) ([]byte, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fidr: range read of %d chunks", n)
-	}
-	tc := clusterTC(sc)
-	out := make([]byte, 0, n*c.ChunkSize())
-	for i := 0; i < n; i++ {
-		chunk, err := c.ReadTraced(lba+uint64(i), tc)
-		if err != nil {
-			return nil, fmt.Errorf("fidr: range chunk %d: %w", i, err)
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
 }
 
 // Flush drains every group.

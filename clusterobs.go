@@ -42,9 +42,8 @@ type clusterObs struct {
 // EnableObservability attaches a live metrics plane to every group and
 // returns the cluster-wide gatherer: merged series, "group<N>."-prefixed
 // per-group series, cluster.{write,read}.ns routing histograms, and the
-// derived shard-balance series. recentTraces sizes each group's trace
-// ring (<= 0 selects 256). Call once, before serving traffic.
-func (c *Cluster) EnableObservability(recentTraces int) metrics.Gatherer {
+// derived shard-balance series. Call once, before serving traffic.
+func (c *Cluster) EnableObservability() metrics.Gatherer {
 	o := &clusterObs{
 		groupRegs: make([]*metrics.Registry, len(c.groups)),
 		own:       metrics.NewRegistry(),
@@ -54,7 +53,7 @@ func (c *Cluster) EnableObservability(recentTraces int) metrics.Gatherer {
 	merged := make([]metrics.Gatherer, len(c.groups))
 	for i, g := range c.groups {
 		reg := metrics.NewRegistry()
-		g.EnableObservability(reg, recentTraces)
+		g.EnableObservability(reg)
 		o.groupRegs[i] = reg
 		merged[i] = reg
 	}
@@ -85,51 +84,6 @@ func (c *Cluster) MetricsView() metrics.Gatherer {
 		return nil
 	}
 	return c.obs.view
-}
-
-// RecentTraces merges every group's recent request traces, newest first.
-func (c *Cluster) RecentTraces() []Trace {
-	var out []Trace
-	for _, g := range c.groups {
-		out = append(out, g.RecentTraces()...)
-	}
-	sortTracesNewestFirst(out)
-	return out
-}
-
-// ConfigureFlightRecorder tunes every group's slow-request gate (see
-// core.Server.ConfigureFlightRecorder). Call after EnableObservability
-// and before serving traffic.
-func (c *Cluster) ConfigureFlightRecorder(quantile float64, min time.Duration, capacity int) {
-	for _, g := range c.groups {
-		g.ConfigureFlightRecorder(quantile, min, capacity)
-	}
-}
-
-// SlowTraces merges every group's flight-recorder captures, newest
-// first (empty when observability is disabled).
-func (c *Cluster) SlowTraces() []SlowTrace {
-	var out []SlowTrace
-	for _, g := range c.groups {
-		out = append(out, g.SlowTraces()...)
-	}
-	// Same nearly-sorted merge as RecentTraces.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Start.After(out[j-1].Start); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func sortTracesNewestFirst(ts []Trace) {
-	// Insertion sort by Start descending: rings are already
-	// newest-first, so the merged slice is nearly sorted.
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Start.After(ts[j-1].Start); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 func groupPrefix(i int) string {
@@ -230,19 +184,7 @@ func (o *clusterObs) observeRead(start time.Time) {
 	o.readNS.Observe(float64(time.Since(start).Nanoseconds()))
 }
 
-// Re-exported observability types so front-ends above core (Cluster,
-// Async) and their callers share one vocabulary.
-type (
-	// Trace is one completed request with its stage spans.
-	Trace = core.Trace
-	// Span is one timed pipeline stage within a trace.
-	Span = core.Span
-	// TraceContext carries front-end-measured spans into a server's
-	// per-request trace.
-	TraceContext = core.TraceContext
-	// SlowTrace is one slow-request flight-recorder capture.
-	SlowTrace = core.SlowTrace
-)
-
-// StageQueueWait re-exports the async front-end queue-wait stage.
-const StageQueueWait = core.StageQueueWait
+// TraceContext is the one trace context every traced entry point takes
+// (see span.TraceContext); re-exported so front-ends above core and
+// their callers share one spelling.
+type TraceContext = core.TraceContext

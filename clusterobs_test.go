@@ -6,10 +6,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"fidr"
-	"fidr/internal/core"
 	"fidr/internal/metrics"
+	"fidr/internal/trace/span"
 )
 
 // TestGroupForUniformity bounds the sharding function's skew with a
@@ -113,7 +114,7 @@ func driveObservedCluster(t *testing.T, groups int) (*fidr.Cluster, metrics.Gath
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := c.EnableObservability(32)
+	view := c.EnableObservability()
 	for i := uint64(0); i < 400; i++ {
 		if err := c.Write(i, fidr.MakeChunk(i%10, 0.5)); err != nil {
 			t.Fatal(err)
@@ -209,9 +210,12 @@ func TestClusterDerivedGauges(t *testing.T) {
 // text exposition carrying per-group and merged series.
 func TestClusterPromExposition(t *testing.T) {
 	c, view := driveObservedCluster(t, 4)
-	srv := httptest.NewServer(metrics.HTTPHandler(view, func() string {
-		return core.RenderTraces(c.RecentTraces())
-	}))
+	col := span.NewCollector(0, 0, 0)
+	c.SetSpanCollector(col)
+	if err := c.Write(1, fidr.MakeChunk(1, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(metrics.HTTPHandler(view, col.RenderRecent))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics?format=prom")
@@ -229,7 +233,7 @@ func TestClusterPromExposition(t *testing.T) {
 	prom := string(body)
 	for _, want := range []string{
 		"# TYPE core_writes counter",
-		"core_writes 400",
+		"core_writes 401",
 		"group0_core_writes ",
 		"group3_core_writes ",
 		"cluster_groups 4",
@@ -243,7 +247,7 @@ func TestClusterPromExposition(t *testing.T) {
 		}
 	}
 
-	// The trace endpoint serves merged cluster traces.
+	// The trace endpoint serves the cluster's shared collector.
 	tresp, err := http.Get(srv.URL + "/traces")
 	if err != nil {
 		t.Fatal(err)
@@ -255,15 +259,56 @@ func TestClusterPromExposition(t *testing.T) {
 	}
 }
 
+// TestClusterRecentTracesMergedNewestFirst: a 2-group cluster sharing
+// one collector serves the recent view cluster-wide — requests of both
+// groups interleaved in completion order, each labelled with its group —
+// with nothing merged or sorted per group at read time.
 func TestClusterRecentTracesMergedNewestFirst(t *testing.T) {
-	c, _ := driveObservedCluster(t, 2)
-	ts := c.RecentTraces()
-	if len(ts) == 0 {
-		t.Fatal("no traces")
+	c, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(ts); i++ {
-		if ts[i].Start.After(ts[i-1].Start) {
-			t.Fatalf("traces not newest-first at %d", i)
+	c.EnableObservability()
+	col := span.NewCollector(1024, 0, 0)
+	c.SetSpanCollector(col)
+	for i := uint64(0); i < 400; i++ {
+		if err := c.Write(i, fidr.MakeChunk(i%10, 0.5)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reqs := col.Recent()
+	// 400 writes, 3 full batches per group (64 chunks each), and per
+	// group one flush-time batch plus the flush itself.
+	if len(reqs) != 400+6+4 {
+		t.Fatalf("recent view holds %d requests, want 410", len(reqs))
+	}
+	end := func(q *span.Request) time.Time { return q.Root.Start.Add(q.Root.Dur) }
+	perGroup := make([]int, 2)
+	switches := 0
+	for i, q := range reqs {
+		if i > 0 && end(q).After(end(reqs[i-1])) {
+			t.Fatalf("recent view not newest-first at %d", i)
+		}
+		if i > 0 && q.Root.Group != reqs[i-1].Root.Group {
+			switches++
+		}
+		if q.Op() == "write" && q.Root.Group != c.GroupFor(q.Root.LBA) {
+			t.Fatalf("write lba %d labelled group %d, sharded to %d", q.Root.LBA, q.Root.Group, c.GroupFor(q.Root.LBA))
+		}
+		perGroup[q.Root.Group]++
+	}
+	if perGroup[0] == 0 || perGroup[1] == 0 {
+		t.Fatalf("requests per group = %v; one group missing from the shared view", perGroup)
+	}
+	// A per-group merge would show two runs; the shared ring interleaves.
+	if switches < 50 {
+		t.Fatalf("only %d group switches across %d requests; view is not globally ordered", switches, len(reqs))
+	}
+	out := col.RenderRecent()
+	if !strings.Contains(out, "group") || !strings.Contains(out, "410 traces") {
+		t.Fatalf("rendered view missing group column or count:\n%.400s", out)
 	}
 }

@@ -25,7 +25,7 @@
 // prints the most recent request traces; trace resolves one distributed
 // trace ID (as printed by `put -traced` or scraped from a histogram
 // exemplar) to its span tree (/traces/spans); slow prints the
-// slow-request flight recorder (/traces/slow); slo renders the latency
+// slow-trace retention (/traces/slow); slo renders the latency
 // objectives' error budgets and burn rates (/slo); top polls
 // /metrics/series and renders a live view of device utilization, queue
 // depths, throughput and data reduction (-n bounds the number of
@@ -40,7 +40,7 @@
 // checkpoint on a live server.
 //
 // doctor pulls the live health evidence — /metrics, /metrics/series,
-// the event journal tail, and the flight-recorder bundle inventory —
+// the event journal tail, and the snapshot-recorder bundle inventory —
 // runs the local checks from internal/metrics/health over it and
 // prints a pass/warn/fail report. It exits non-zero when any check
 // FAILs, so it drops straight into scripts and CI gates; -fsync-p99
@@ -356,7 +356,7 @@ func traces(addr string) error {
 	return nil
 }
 
-// slow fetches the slow-request flight recorder and prints it.
+// slow fetches the slow-trace retention and prints it.
 func slow(addr string) error {
 	body, err := fetch(addr, "/traces/slow")
 	if err != nil {
@@ -548,7 +548,7 @@ func renderEvent(ev fidr.Event) string {
 
 // doctor gathers the live health evidence and renders the check
 // report. /metrics is mandatory — without it there is nothing to
-// diagnose — while the series window, event journal and flight-recorder
+// diagnose — while the series window, event journal and snapshot-recorder
 // bundle degrade to SKIP/WARN verdicts when unavailable, so the doctor
 // still works against a daemon that predates those endpoints. Any FAIL
 // verdict surfaces as a non-nil error, which main turns into a non-zero
@@ -586,7 +586,7 @@ func doctor(addr string, fsyncP99 time.Duration) error {
 
 	if body, err := fetch(addr, "/debug/bundle"); err == nil {
 		in.Snapshots, in.BundleErr = bundleSnapshots([]byte(body))
-	} else if strings.Contains(err.Error(), "flight recorder disabled") {
+	} else if strings.Contains(err.Error(), "snapshot recorder disabled") {
 		in.BundleErr = "disabled"
 	} else {
 		in.BundleErr = err.Error()
@@ -600,7 +600,7 @@ func doctor(addr string, fsyncP99 time.Duration) error {
 }
 
 // bundleSnapshots lists the snapshot directories inside a
-// flight-recorder bundle (a tar.gz whose entries are
+// snapshot-recorder bundle (a tar.gz whose entries are
 // <snapshot>/<artifact> paths) without unpacking it to disk.
 func bundleSnapshots(bundle []byte) (names []string, errText string) {
 	gz, err := gzip.NewReader(bytes.NewReader(bundle))

@@ -21,11 +21,21 @@ import (
 // checkpoint, WAL truncation and recovery must land in /events. CI's
 // check-capacity step runs this test.
 
+// looseSLOSpec keeps the stock objective names but moves every threshold
+// to a minute. SLOs are evaluated on wall-clock latency, so under the
+// stock 2ms write objective a healthy daemon on a contended box
+// breaches, and `fidrcli doctor` fails for a reason no test injected.
+// Every e2e daemon runs with this spec; tests that need a failing
+// doctor get one through the watchdog.
+const looseSLOSpec = "write-h:req.write.ns:1m:99.9,write-m:req.write.ns:1m:99," +
+	"write-l:req.write.ns:1m:95,read:req.read.ns:1m:99"
+
 // startDaemonWith launches fidrd with extra flags and waits for /readyz.
 func startDaemonWith(t *testing.T, bin string, extra ...string) (addr, maddr string, cmd *exec.Cmd) {
 	t.Helper()
 	addr, maddr = freePort(t), freePort(t)
-	args := append([]string{"-addr", addr, "-metrics-addr", maddr, "-series-interval", "50ms"}, extra...)
+	args := append([]string{"-addr", addr, "-metrics-addr", maddr, "-series-interval", "50ms",
+		"-slo-spec", looseSLOSpec}, extra...)
 	cmd = exec.Command(bin, args...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

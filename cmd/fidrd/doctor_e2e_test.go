@@ -15,7 +15,7 @@ import (
 )
 
 // End-to-end exercise of the runtime health plane, run by CI's
-// check-doctor step: boot a fidrd with the flight recorder armed and a
+// check-doctor step: boot a fidrd with the snapshot recorder armed and a
 // tight watchdog, wedge async worker 0 through the -debug-hooks
 // endpoint, and assert the full chain fires — watchdog_stall event with
 // the probe name, an on-disk snapshot served through /debug/bundle, a
@@ -103,7 +103,7 @@ func TestDoctorE2E(t *testing.T) {
 		t.Errorf("stall event detail %q does not name the stalled worker", detail)
 	}
 
-	// The stall must also have tripped the flight recorder: an on-disk
+	// The stall must also have tripped the snapshot recorder: an on-disk
 	// snapshot under -health-dir, served through /debug/bundle with the
 	// core artifacts inside. Capture runs off the watchdog goroutine, so
 	// poll briefly.
@@ -115,7 +115,7 @@ func TestDoctorE2E(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if len(entries) == 0 {
-		t.Fatal("/debug/bundle empty: flight recorder captured nothing")
+		t.Fatal("/debug/bundle empty: snapshot recorder captured nothing")
 	}
 	joined := strings.Join(entries, "\n")
 	for _, want := range []string{"async_worker_g0", "meta.json", "goroutines.txt", "metrics.txt", "events.jsonl"} {

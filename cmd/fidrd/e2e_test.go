@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -53,33 +52,12 @@ func freePort(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// startDaemon launches fidrd and waits until /readyz answers 200.
+// startDaemon launches fidrd for one architecture with a 1ns slow-trace
+// floor (every early request is retained as slow) and waits for /readyz.
 func startDaemon(t *testing.T, bin, arch string) (addr, maddr string) {
 	t.Helper()
-	addr, maddr = freePort(t), freePort(t)
-	cmd := exec.Command(bin,
-		"-addr", addr, "-metrics-addr", maddr, "-arch", arch,
-		"-series-interval", "50ms", "-slow-min", "1ns")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Signal(syscall.SIGTERM)
-		cmd.Wait()
-	})
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + maddr + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return addr, maddr
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("fidrd (%s) did not become ready", arch)
-	return "", ""
+	addr, maddr, _ = startDaemonWith(t, bin, "-arch", arch, "-slow-min", "1ns")
+	return addr, maddr
 }
 
 func get(t *testing.T, maddr, path string) (int, string) {
@@ -166,7 +144,7 @@ func TestMetricsEndpointE2E(t *testing.T) {
 		t.Errorf("FIDR moved no P2P bytes (pcie.p2p_bytes = %v)", last["pcie.p2p_bytes"])
 	}
 
-	// Trace ring and flight recorder (1ns floor => every early request
+	// Recent and slow-retained views (1ns floor => every early request
 	// was captured).
 	if code, body := get(t, maddr, "/traces"); code != http.StatusOK || !strings.Contains(body, "write") {
 		t.Errorf("/traces: status %d, body %.80q", code, body)

@@ -32,8 +32,13 @@
 // The daemon traces requests end to end. Wire requests carrying a
 // trace context (fidrcli put -trace, the traced client API) are always
 // traced; -trace-sample N additionally head-samples every Nth
-// untraced request. Completed span trees land in a ring served at
-// /traces/spans?id=<trace-id>, and sampled requests tag latency-
+// untraced request. Every finished request is one span tree in one
+// collector with three retention classes: the last -traces requests
+// (/traces), the last -slow-traces requests above the -slow-quantile
+// of total latency and never below -slow-min (/traces/slow, kept past
+// their eviction from /traces), and the last -trace-ring sampled
+// traces with the proto and queue spans of their upstream layers
+// (/traces/spans?id=<trace-id>). Sampled requests tag latency-
 // histogram buckets with their trace ID (OpenMetrics exemplars on
 // /metrics?format=prom). -slo-spec declares latency objectives
 // (name:hist:threshold:target,...) evaluated into error budgets and
@@ -52,7 +57,7 @@
 // exposition, GET /metrics/series serves sampled time series (windowed
 // min/mean/max, counter rates, device duty cycles) as JSON, GET /traces
 // dumps the most recent request traces, GET /traces/slow dumps the
-// slow-request flight recorder, and GET /healthz and /readyz serve
+// slow-trace retention, and GET /healthz and /readyz serve
 // liveness/readiness probes. The capacity plane adds GET /capacity (the
 // reduction-attribution ledger, garbage debt and GC advice as JSON,
 // with ?threshold= overriding -gc-threshold), GET /capacity/containers
@@ -76,8 +81,8 @@
 // per-worker async heartbeats and stuck queues, in-flight WAL fsyncs,
 // and the protocol accept loop; a probe past -watchdog-deadline emits a
 // watchdog_stall event into /events (with the stalled request's trace
-// ID when sampled) and, when -health-dir is set, trips the black-box
-// flight recorder — a bounded ring of -health-snapshots on-disk
+// ID when sampled) and, when -health-dir is set, trips the snapshot
+// recorder — a bounded ring of -health-snapshots on-disk
 // diagnostic snapshots (goroutine dump, metrics, event tail, slow
 // traces, and a CPU+mutex profile of -health-profile length when > 0),
 // captured on watchdog trips and SLO breach edges and served as a
@@ -141,17 +146,17 @@ func main() {
 	traces := flag.Int("traces", 256, "recent request traces kept for /traces")
 	seriesInterval := flag.Duration("series-interval", time.Second, "sampling interval for /metrics/series")
 	seriesSamples := flag.Int("series-samples", 300, "samples retained per series for /metrics/series")
-	slowQuantile := flag.Float64("slow-quantile", 0.99, "flight recorder captures requests above this total-latency quantile")
-	slowMin := flag.Duration("slow-min", time.Millisecond, "flight recorder never flags requests faster than this")
-	slowTraces := flag.Int("slow-traces", 64, "slow request captures kept for /traces/slow")
+	slowQuantile := flag.Float64("slow-quantile", 0.99, "slow-trace retention keeps requests above this total-latency quantile")
+	slowMin := flag.Duration("slow-min", time.Millisecond, "slow-trace retention never keeps requests faster than this")
+	slowTraces := flag.Int("slow-traces", 64, "slow requests kept for /traces/slow")
 	queueDepth := flag.Int("queue-depth", 64, "async front-end per-group queue depth")
-	traceSample := flag.Int("trace-sample", 0, "head-sample every Nth untraced request into the span ring; 0 = wire-traced requests only")
-	traceRing := flag.Int("trace-ring", 512, "distinct traces kept for /traces/spans")
+	traceSample := flag.Int("trace-sample", 0, "head-sample every Nth untraced request into /traces/spans; 0 = wire-traced requests only")
+	sampledTraces := flag.Int("trace-ring", 512, "distinct sampled traces kept for /traces/spans")
 	sloSpec := flag.String("slo-spec", "", "latency objectives as name:hist:threshold:target,...; empty = built-in write/read objectives")
 	eventsCap := flag.Int("events", 1024, "structured events kept for /events")
 	gcThreshold := flag.Float64("gc-threshold", 0.25, "default dead-fraction threshold for /capacity GC advice (override per scrape with ?threshold=)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on -metrics-addr")
-	healthDir := flag.String("health-dir", "", "flight-recorder snapshot directory; empty = recorder disabled")
+	healthDir := flag.String("health-dir", "", "snapshot-recorder directory; empty = recorder disabled")
 	healthSnapshots := flag.Int("health-snapshots", 8, "diagnostic snapshots retained in -health-dir")
 	healthProfile := flag.Duration("health-profile", 0, "CPU+mutex profile length captured into each snapshot; 0 = no profiles")
 	watchdogInterval := flag.Duration("watchdog-interval", 250*time.Millisecond, "liveness probe cadence")
@@ -203,10 +208,12 @@ func main() {
 	}
 
 	// The store behind the listener, plus its observability surface.
-	// col collects completed span trees from every layer; front holds
-	// the front-end's own series (async queue, proto listener, SLO
-	// gauges) alongside the back-end view.
-	col := span.NewCollector(*traceRing)
+	// col is the one trace store: every layer and every group hands it
+	// finished spans, and it backs /traces, /traces/slow and
+	// /traces/spans. front holds the front-end's own series (async
+	// queue, proto listener, SLO gauges) alongside the back-end view.
+	col := span.NewCollector(*traces, *slowTraces, *sampledTraces)
+	col.SetSlowGate(*slowQuantile, *slowMin)
 	front := metrics.NewRegistry()
 	// One journal across all groups: GC runs, checkpoints, WAL
 	// truncation, recovery and SLO breaches interleave in one sequence.
@@ -214,8 +221,6 @@ func main() {
 	var (
 		backend  fidr.Store
 		view     metrics.Gatherer
-		traceFn  func() string
-		slowFn   func() string
 		shutdown func()
 		// wals collects every group-local log so the health watchdog can
 		// probe in-flight fsyncs (one entry per group, or one total in
@@ -249,13 +254,10 @@ func main() {
 		if err != nil {
 			log.Fatalf("fidrd: %v", err)
 		}
-		view = cl.EnableObservability(*traces)
-		cl.ConfigureFlightRecorder(*slowQuantile, *slowMin, *slowTraces)
+		view = cl.EnableObservability()
 		cl.SetSpanCollector(col)
 		cl.SetTraceSampling(*traceSample)
 		cl.SetEventJournal(journal)
-		traceFn = func() string { return core.RenderTraces(cl.RecentTraces()) }
-		slowFn = func() string { return core.RenderSlowTraces(cl.SlowTraces()) }
 		backend = cl
 		shutdown = func() {
 			report(cl.Stats(), cl.Snapshot(), -1)
@@ -306,16 +308,13 @@ func main() {
 		// Attach the live registry before serving: the HTTP endpoint and
 		// the interval logger read only registry atomics, so they are
 		// safe alongside the protocol listener.
-		view = srv.EnableObservability(nil, *traces)
+		view = srv.EnableObservability(nil)
 		// Single-server views derive the capacity ratios here; the
 		// cluster view already appends them over its merged counters.
 		view = metrics.Multi(view, metrics.CapacityRatios(view))
-		srv.ConfigureFlightRecorder(*slowQuantile, *slowMin, *slowTraces)
 		srv.SetSpanCollector(col, 0)
 		srv.SetTraceSampling(*traceSample)
 		srv.SetEventJournal(journal, 0)
-		traceFn = func() string { return core.RenderTraces(srv.RecentTraces()) }
-		slowFn = func() string { return core.RenderSlowTraces(srv.SlowTraces()) }
 		backend = srv
 		shutdown = func() {
 			if durable {
@@ -380,7 +379,7 @@ func main() {
 			}))
 	}
 
-	// Health plane, part 3: the black-box flight recorder, armed when
+	// Health plane, part 3: the on-disk snapshot recorder, armed when
 	// -health-dir names a snapshot directory. Captures run off the
 	// watchdog/SLO goroutines so probe cadence never blocks on disk.
 	var recorder *health.Recorder
@@ -392,7 +391,7 @@ func main() {
 			ProfileDuration: *healthProfile,
 			Gatherer:        view,
 			Journal:         journal,
-			Slow:            slowFn,
+			Slow:            col.RenderSlow,
 			Build: map[string]string{
 				"version": buildVersion, "commit": buildCommit,
 			},
@@ -424,7 +423,7 @@ func main() {
 	slo.Instrument(front)
 	slo.SetEventJournal(journal)
 	if recorder != nil {
-		// An SLO breach is the other flight-recorder trigger: capture the
+		// An SLO breach is the other snapshot-recorder trigger: capture the
 		// evidence while the burn is still visible in the histograms.
 		slo.OnBreach(func(objective string) {
 			go func() {
@@ -510,14 +509,14 @@ func main() {
 		bundleHandler := http.Handler(recorder)
 		if recorder == nil {
 			bundleHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				http.Error(w, "flight recorder disabled; restart fidrd with -health-dir",
+				http.Error(w, "snapshot recorder disabled; restart fidrd with -health-dir",
 					http.StatusServiceUnavailable)
 			})
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/", metrics.Handler(view, metrics.HandlerOptions{
-			Traces:             traceFn,
-			SlowTraces:         slowFn,
+			Traces:             col.RenderRecent,
+			Slow:               col.RenderSlow,
 			Sampler:            sampler,
 			Spans:              col,
 			SLO:                slo,

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -22,37 +21,6 @@ import (
 // cover every layer — proto listener, async queue, core request, batch
 // pipeline, WAL fsync. CI's check-trace step runs this test.
 
-// startDaemonArgs is startDaemon with extra daemon flags.
-func startDaemonArgs(t *testing.T, bin string, extra ...string) (addr, maddr string) {
-	t.Helper()
-	addr, maddr = freePort(t), freePort(t)
-	args := append([]string{
-		"-addr", addr, "-metrics-addr", maddr,
-		"-series-interval", "50ms", "-slow-min", "1ns",
-	}, extra...)
-	cmd := exec.Command(bin, args...)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Signal(syscall.SIGTERM)
-		cmd.Wait()
-	})
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + maddr + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return addr, maddr
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("fidrd %v did not become ready", extra)
-	return "", ""
-}
-
 var traceLineRe = regexp.MustCompile(`(?m)^trace ([0-9a-f]{16})\b`)
 
 func TestTraceE2E(t *testing.T) {
@@ -60,7 +28,7 @@ func TestTraceE2E(t *testing.T) {
 	fidrdBin, fidrcliBin := buildBinaries(t, dir)
 	// Small batches so every CLI put batch tips several accelerator
 	// batches, putting hash/compress/WAL spans inside the wire trace.
-	addr, maddr := startDaemonArgs(t, fidrdBin, "-arch", "fidr",
+	addr, maddr, _ := startDaemonWith(t, fidrdBin, "-arch", "fidr", "-slow-min", "1ns",
 		"-groups", "2", "-batch", "4", "-wal-file", filepath.Join(dir, "wal"))
 
 	// The daemon opened one WAL per group.
@@ -159,7 +127,7 @@ func TestTraceE2E(t *testing.T) {
 		t.Fatalf("/slo JSON: %v", err)
 	}
 	if len(d.Objectives) != 4 {
-		t.Errorf("/slo has %d objectives, want 4 defaults", len(d.Objectives))
+		t.Errorf("/slo has %d objectives, want the 4 of the test spec", len(d.Objectives))
 	}
 	for _, o := range d.Objectives {
 		if o.BurnFast < 0 || o.BudgetRemaining > 1 {

@@ -179,7 +179,7 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 			for op := 0; op < 56; op++ {
 				lba := uint64(k)*rangeSize + uint64(sub.Intn(40))
 				if sub.Intn(8) == 0 { // occasional read
-					res := <-a.ReadAsync(lba)
+					res := <-a.ReadAsync(lba, nil)
 					if res.Err == nil && len(h[lba]) > 0 && !h.contains(lba, res.Data) {
 						panic(fmt.Sprintf("live read of lba %d returned un-written content", lba))
 					}
@@ -193,7 +193,7 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 					cs = 1_000 + uint64(sub.Intn(4096))
 				}
 				h.note(lba, cs)
-				<-a.WriteAsync(lba, fidr.MakeChunk(cs, 0.5))
+				<-a.WriteAsync(lba, fidr.MakeChunk(cs, 0.5), nil)
 			}
 		}()
 	}

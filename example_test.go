@@ -60,7 +60,7 @@ func ExampleNewAsync() {
 	// Submit a burst without waiting, then collect.
 	var pending []<-chan fidr.AsyncResult
 	for lba := uint64(0); lba < 8; lba++ {
-		pending = append(pending, a.WriteAsync(lba, fidr.MakeChunk(lba, 0.5)))
+		pending = append(pending, a.WriteAsync(lba, fidr.MakeChunk(lba, 0.5), nil))
 	}
 	for _, ch := range pending {
 		if res := <-ch; res.Err != nil {

@@ -54,9 +54,6 @@ type Server = core.Server
 // Stats aggregates server counters.
 type Stats = core.Stats
 
-// TenantStats counts one tenant's requests (multi-tenant mode).
-type TenantStats = core.TenantStats
-
 // SnapshotID names a point-in-time snapshot.
 type SnapshotID = core.SnapshotID
 

@@ -186,7 +186,7 @@ func TestCompactAccountingInvariantProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := gcServer(t, FIDRFull)
-		reg := s.EnableObservability(nil, 4)
+		reg := s.EnableObservability(nil)
 		sh := blockcomp.NewShaper(0.3 + rng.Float64()*0.5)
 		lbas := 64 + rng.Intn(128)
 		writes := lbas * (2 + rng.Intn(3))

@@ -105,10 +105,6 @@ type Config struct {
 	// (decompressed) chunks in host memory to absorb skewed read
 	// traffic — the §8 extension for imbalanced data-SSD reads.
 	ReadCacheChunks int
-	// MultiTenant enables tenant-aware table-cache replacement (§8's
-	// prioritized LRU); tag requests with SetTenant and assign shares
-	// with SetTenantWeight.
-	MultiTenant bool
 	// TableSSD / DataSSD inject existing devices (recovery and tests);
 	// nil creates fresh ones. A recovered server must be given the
 	// devices of the server that wrote the checkpoint, with the same
@@ -211,10 +207,6 @@ const (
 type pending struct {
 	lba  uint64
 	data []byte
-	// tenant tags the request for multi-tenant cache attribution:
-	// batching defers table lookups, so the tenant at *submission*
-	// time must travel with the request.
-	tenant string
 	// predictedUnique is the baseline predictor's guess.
 	predictedUnique bool
 }
@@ -332,13 +324,6 @@ type Server struct {
 	// snapshots holds point-in-time mapping copies (snapshot.go).
 	snapshots  map[SnapshotID]*snapshotState
 	nextSnapID uint64
-
-	// Multi-tenant accounting (§8). fidrTenants aligns with the NIC's
-	// buffered entries so deferred batch processing attributes each
-	// request's cache work to its submitting tenant.
-	tenant      string
-	fidrTenants []string
-	tenantStats map[string]TenantStats
 }
 
 // New builds a server.
@@ -400,7 +385,6 @@ func New(cfg Config) (*Server, error) {
 		TableSSD:    tableSSD,
 		Ledger:      ledger,
 		Costs:       costs,
-		MultiTenant: cfg.MultiTenant,
 	})
 	if err != nil {
 		return nil, err
@@ -457,48 +441,6 @@ func New(cfg Config) (*Server, error) {
 // ReadCacheHitRate reports the hot-block read cache's hit rate (0 when
 // the cache is disabled).
 func (s *Server) ReadCacheHitRate() float64 { return s.rcache.hitRate() }
-
-// SetTenant tags subsequent requests with a tenant for multi-tenant
-// cache management and per-tenant accounting (§8).
-func (s *Server) SetTenant(tenant string) {
-	s.tenant = tenant
-	s.cache.SetTenant(tenant)
-}
-
-// SetTenantWeight assigns a tenant's table-cache share weight
-// (multi-tenant mode only).
-func (s *Server) SetTenantWeight(tenant string, w float64) {
-	s.cache.SetTenantWeight(tenant, w)
-}
-
-// TenantStats returns per-tenant request counters (empty tenant tag
-// accumulates under "").
-func (s *Server) TenantStats() map[string]TenantStats {
-	out := make(map[string]TenantStats, len(s.tenantStats))
-	for k, v := range s.tenantStats {
-		out[k] = v
-	}
-	return out
-}
-
-// TenantStats counts one tenant's activity.
-type TenantStats struct {
-	Writes uint64
-	Reads  uint64
-}
-
-func (s *Server) chargeTenant(write bool) {
-	if s.tenantStats == nil {
-		s.tenantStats = make(map[string]TenantStats)
-	}
-	ts := s.tenantStats[s.tenant]
-	if write {
-		ts.Writes++
-	} else {
-		ts.Reads++
-	}
-	s.tenantStats[s.tenant] = ts
-}
 
 // Arch returns the server's architecture.
 func (s *Server) Arch() Arch { return s.cfg.Arch }

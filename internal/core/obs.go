@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,9 +14,11 @@ import (
 // stages the paper argues about — NIC buffering, hashing, dedup lookup,
 // compression, table-cache probes, SSD IO, decompression — with one
 // wall-clock span per stage recorded into per-stage histograms in a
-// metrics.Registry, and whole-request traces kept in a bounded ring for
-// inspection. cmd/fidrd exposes both over HTTP (-metrics-addr); the
-// "observe" experiment emits the same metric names from bench runs.
+// metrics.Registry, and, when a span.Collector is attached, the whole
+// request kept as one span tree (a "core.<op>" root plus one child per
+// stage) in the collector's recent, slow and by-ID views. cmd/fidrd
+// exposes both over HTTP (-metrics-addr); the "observe" experiment emits
+// the same metric names from bench runs.
 
 // Stage identifies one pipeline hop of the write/read paths.
 type Stage int
@@ -77,93 +77,13 @@ func (st Stage) String() string {
 	}
 }
 
-// Span is one timed pipeline stage within a request trace. When the
-// trace is sampled into the distributed-tracing plane, the span also
-// carries its tree identity (ID/Parent), its start time and a payload
-// byte annotation; unsampled traces leave those zero and pay nothing.
-type Span struct {
-	Stage Stage
-	Dur   time.Duration
-
-	ID     span.SpanID
-	Parent span.SpanID
-	Start  time.Time
-	Bytes  uint64
-}
-
-// Trace is one completed request (or batch) with its stage spans.
-type Trace struct {
-	// Op is "write", "read", "batch", "flush", "gc", "snapshot",
-	// "snapshot_read" or "verify"; front-ends may override it via
-	// TraceContext (the async pipeline tags "awrite"/"aread").
-	Op    string
-	LBA   uint64
-	Start time.Time
-	Total time.Duration
-	Spans []Span
-	// DroppedSpans counts spans beyond the per-trace cap (bulk ops like
-	// gc and verify touch thousands of chunks; every span still feeds
-	// its stage histogram, only the trace's span list is bounded).
-	DroppedSpans int
-
-	// Distributed-tracing identity: TraceID names the end-to-end tree
-	// this request belongs to, Root is this request's own span, Parent
-	// is the upstream span (proto root, async queue span, or the
-	// triggering request for a deferred batch). Sampled gates span
-	// publication and histogram exemplars.
-	TraceID span.TraceID
-	Root    span.SpanID
-	Parent  span.SpanID
-	Sampled bool
-}
-
-// traceRing keeps the most recent traces in a fixed-size ring.
-type traceRing struct {
-	mu   sync.Mutex
-	buf  []Trace
-	next int
-	full bool
-}
-
-func newTraceRing(n int) *traceRing {
-	return &traceRing{buf: make([]Trace, n)}
-}
-
-func (r *traceRing) push(t Trace) {
-	r.mu.Lock()
-	r.buf[r.next] = t
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// recent returns the stored traces, newest first.
-func (r *traceRing) recent() []Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]Trace, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
-}
-
 // Observer binds a server's hot paths to a metrics.Registry. All fields
 // are resolved once at EnableObservability so per-request work is atomic
 // increments and histogram observes only. A nil *Observer is valid and
 // disables everything (the hooks are nil-safe), so un-instrumented
 // servers pay a single pointer test per hook.
 type Observer struct {
-	reg    *metrics.Registry
-	ring   *traceRing
-	flight *flightRecorder
+	reg *metrics.Registry
 
 	stage [numStages]*metrics.Histogram
 
@@ -194,21 +114,43 @@ type Observer struct {
 	capContainers, capRetired *metrics.Gauge
 	capOpenBytes              *metrics.Gauge
 
-	// Distributed-tracing sink. col is nil until SetSpanCollector;
-	// group labels published spans with the owning cluster shard.
-	// sampleEvery > 0 head-samples every Nth request that arrives
-	// without an upstream trace context (wire contexts carry their own
-	// sampling decision).
+	// Trace sink. col is nil until SetSpanCollector (stage histograms
+	// are still fed, no request trees are built); group labels every
+	// span with the owning cluster shard. sampleEvery > 0 head-samples
+	// every Nth request that arrives without an upstream trace context
+	// (wire contexts carry their own sampling decision).
 	col         *span.Collector
 	group       int
 	sampleEvery uint32
 	sampleCtr   atomic.Uint32
+
+	// Slow-trace retention gate: every finished request's total feeds
+	// totals; a request at or above slowBar is flagged slow and retained
+	// with a queue snapshot. The bar starts at the collector's floor and,
+	// once slowWarmup requests have been seen, follows the collector's
+	// quantile of totals (never below the floor).
+	totals       *metrics.Histogram
+	slowCount    *metrics.Counter
+	threshold    *metrics.Gauge
+	slowQuantile float64
+	slowMin      time.Duration
+	slowBar      time.Duration
 }
 
-func newObserver(reg *metrics.Registry, ringSize int) *Observer {
+const (
+	// slowWarmup is how many requests the gate observes before the
+	// quantile replaces the floor as the slow bar.
+	slowWarmup = 100
+	// slowRefresh is how often (in requests) the bar is re-read from the
+	// histogram. The quantile walk costs about as much as tracing the
+	// rest of the request, and the tail of thousands of requests moves
+	// slowly.
+	slowRefresh = 32
+)
+
+func newObserver(reg *metrics.Registry) *Observer {
 	o := &Observer{
 		reg:            reg,
-		ring:           newTraceRing(ringSize),
 		writes:         reg.Counter("core.writes"),
 		reads:          reg.Counter("core.reads"),
 		batches:        reg.Counter("core.batches"),
@@ -222,6 +164,9 @@ func newObserver(reg *metrics.Registry, ringSize int) *Observer {
 		mispredictions: reg.Counter("core.mispredictions"),
 		reqWrite:       reg.Histogram("req.write.ns"),
 		reqRead:        reg.Histogram("req.read.ns"),
+		totals:         reg.Histogram("core.request_total_ns"),
+		slowCount:      reg.Counter("core.slow_traces"),
+		threshold:      reg.Gauge("core.slow_threshold_ns"),
 
 		capLogical:       reg.Counter("capacity.logical_bytes"),
 		capDedupSaved:    reg.Counter("capacity.dedup_saved_bytes"),
@@ -240,7 +185,6 @@ func newObserver(reg *metrics.Registry, ringSize int) *Observer {
 	for st := Stage(0); st < numStages; st++ {
 		o.stage[st] = reg.Histogram("stage." + st.String() + ".ns")
 	}
-	o.flight = newFlightRecorder(reg, defaultSlowQuantile, defaultSlowMin, defaultSlowCap)
 	return o
 }
 
@@ -332,18 +276,21 @@ func (o *Observer) onMisprediction() {
 
 // begin opens a request trace, or returns nil when observability is off;
 // every ReqTrace method is nil-safe so call sites stay unconditional.
-// Requests arriving without an upstream trace context are head-sampled
-// every sampleEvery-th call; adopt overrides the decision when a
-// context carries one.
+// The request gets a locally minted trace ID; requests arriving without
+// an upstream trace context are head-sampled every sampleEvery-th call,
+// and adopt overrides both when a context carries a trace.
 func (o *Observer) begin(op string, lba uint64) *ReqTrace {
 	if o == nil {
 		return nil
 	}
-	tr := &ReqTrace{obs: o, t: Trace{Op: op, LBA: lba, Start: time.Now()}}
+	tr := &ReqTrace{obs: o, op: op}
+	tr.req.Root = span.Span{
+		Trace: span.NewTraceID(), ID: span.NewSpanID(),
+		Start: time.Now(), LBA: lba, Group: o.group,
+	}
+	tr.req.Stages = tr.inline[:0]
 	if n := o.sampleEvery; n > 0 && o.sampleCtr.Add(1)%n == 0 {
-		tr.t.TraceID = span.NewTraceID()
-		tr.t.Root = span.NewSpanID()
-		tr.t.Sampled = true
+		tr.req.Sampled = true
 	}
 	return tr
 }
@@ -351,33 +298,42 @@ func (o *Observer) begin(op string, lba uint64) *ReqTrace {
 // beginLinked opens a trace for deferred work (a batch flush) under the
 // trace of the request that triggered it, so one wire trace covers the
 // hash/compress/WAL/SSD spans its tipping write caused. A nil or
-// unsampled parent leaves begin's own sampling decision in place.
+// unsampled parent leaves begin's own identity and sampling in place.
 func (o *Observer) beginLinked(op string, lba uint64, parent *ReqTrace) *ReqTrace {
 	tr := o.begin(op, lba)
-	if tr != nil && parent != nil && parent.t.Sampled {
-		tr.t.TraceID = parent.t.TraceID
-		tr.t.Parent = parent.t.Root
-		tr.t.Sampled = true
-		if tr.t.Root == 0 {
-			tr.t.Root = span.NewSpanID()
-		}
+	if tr != nil && parent != nil && parent.req.Sampled {
+		tr.req.Root.Trace = parent.req.Root.Trace
+		tr.req.Root.Parent = parent.req.Root.ID
+		tr.req.Sampled = true
 	}
 	return tr
 }
 
-// ReqTrace accumulates one request's stage spans.
+// ReqTrace builds one request's span tree: the root span and, while a
+// collector is attached, one child span per stage. The finished
+// span.Request inside it is what the collector retains.
 type ReqTrace struct {
 	obs *Observer
-	t   Trace
+	op  string
+	req span.Request
+	// inline backs req.Stages for the common request (a handful of
+	// stages), so a request costs one allocation.
+	inline [2]span.Span
+	// exemplar caches traceID's rendering across stage observations.
+	exemplar string
 }
 
-// traceID returns the distributed trace ID when this request is
-// sampled, "" otherwise (event records carry it where available).
+// traceID returns the trace ID when this request is sampled, ""
+// otherwise (histogram exemplars and event records carry it where
+// available).
 func (tr *ReqTrace) traceID() string {
-	if tr == nil || !tr.t.Sampled {
+	if tr == nil || !tr.req.Sampled {
 		return ""
 	}
-	return tr.t.TraceID.String()
+	if tr.exemplar == "" {
+		tr.exemplar = tr.req.Root.Trace.String()
+	}
+	return tr.exemplar
 }
 
 // start marks the beginning of a stage.
@@ -403,13 +359,13 @@ func (tr *ReqTrace) span(st Stage, from time.Time) {
 	if tr == nil {
 		return
 	}
-	tr.add(st, time.Since(from))
+	tr.record(st, from, time.Since(from), 0)
 }
 
-// maxTraceSpans bounds one trace's span list. Bulk operations (gc,
+// maxTraceSpans bounds one request's stage list. Bulk operations (gc,
 // verify, snapshot reads over large volumes) emit a span per chunk; the
-// histograms absorb them all, the trace keeps the first cap and counts
-// the rest, so ring memory stays bounded.
+// histograms absorb them all, the request keeps the first cap and counts
+// the rest, so collector memory stays bounded.
 const maxTraceSpans = 64
 
 // add records an already-measured stage duration.
@@ -422,130 +378,118 @@ func (tr *ReqTrace) addBytes(st Stage, d time.Duration, bytes uint64) {
 	if tr == nil {
 		return
 	}
-	if len(tr.t.Spans) < maxTraceSpans {
-		sp := Span{Stage: st, Dur: d, Bytes: bytes}
-		if tr.t.Sampled {
-			sp.ID = span.NewSpanID()
-			sp.Parent = tr.t.Root
-			sp.Start = time.Now().Add(-d)
-		}
-		tr.t.Spans = append(tr.t.Spans, sp)
-	} else {
-		tr.t.DroppedSpans++
-	}
-	tr.observeStage(st, d)
+	tr.record(st, time.Time{}, d, bytes)
 }
 
-// addPre records a stage measured by an upstream layer: it feeds the
-// stage histogram and the flat span list but never the span collector
-// (the upstream layer publishes its own tree span with its real
-// parentage, so publishing here would double-count it).
-func (tr *ReqTrace) addPre(st Stage, d time.Duration) {
-	if tr == nil {
+// record feeds the stage histogram (with this trace's ID as a bucket
+// exemplar when sampled) and appends the stage's child span; a zero
+// start means the stage ended just now.
+func (tr *ReqTrace) record(st Stage, start time.Time, d time.Duration, bytes uint64) {
+	tr.obs.stage[st].ObserveExemplar(float64(d.Nanoseconds()), tr.traceID())
+	if tr.obs.col == nil {
 		return
 	}
-	if len(tr.t.Spans) < maxTraceSpans {
-		tr.t.Spans = append(tr.t.Spans, Span{Stage: st, Dur: d})
-	} else {
-		tr.t.DroppedSpans++
+	if len(tr.req.Stages) == maxTraceSpans {
+		tr.req.Dropped++
+		return
 	}
-	tr.observeStage(st, d)
+	if start.IsZero() {
+		start = time.Now().Add(-d)
+	}
+	root := &tr.req.Root
+	tr.req.Stages = append(tr.req.Stages, span.Span{
+		Trace: root.Trace, ID: span.NewSpanID(), Parent: root.ID,
+		Name: st.String(), Start: start, Dur: d, Bytes: bytes, Group: root.Group,
+	})
 }
 
-// observeStage feeds the stage histogram, attaching this trace's ID as
-// a bucket exemplar when the trace is sampled.
-func (tr *ReqTrace) observeStage(st Stage, d time.Duration) {
-	h := tr.obs.stage[st]
-	if tr.t.Sampled {
-		h.ObserveExemplar(float64(d.Nanoseconds()), tr.t.TraceID.String())
-	} else {
-		h.Observe(float64(d.Nanoseconds()))
-	}
-}
-
-// adopt merges a front-end trace context into this trace: pre-measured
-// spans (queue wait, routing) are recorded as if they were the trace's
-// own opening stages, the op label is overridden when the front-end set
-// one, and the trace's start moves back to the front-end submission
-// time so Total covers the whole request lifetime.
+// adopt merges a front-end trace context into this trace: the op label
+// is overridden when the front-end set one, the trace's start moves back
+// to the front-end submission time so the total covers the whole request
+// lifetime, and a wire trace identity replaces the minted one and head
+// sampling (the caller decided whether this request is traced and who
+// the parent span is). A measured queue wait feeds its stage histogram;
+// it becomes a queue_wait child only without a wire identity, because
+// with one the queue published its own "async.queue" span as this
+// request's parent.
 func (tr *ReqTrace) adopt(tc *TraceContext) {
 	if tr == nil || tc == nil {
 		return
 	}
 	if tc.Op != "" {
-		tr.t.Op = tc.Op
+		tr.op = tc.Op
 	}
+	root := &tr.req.Root
 	if !tc.Start.IsZero() {
-		tr.t.Start = tc.Start
+		root.Start = tc.Start
 	}
-	// Wire/front-end trace identity overrides head sampling: the caller
-	// decided whether this request is traced and who the parent span is.
 	if tc.Trace != 0 {
-		tr.t.TraceID = tc.Trace
-		tr.t.Parent = tc.Parent
-		tr.t.Sampled = tc.Sampled
-		if tr.t.Root == 0 {
-			tr.t.Root = span.NewSpanID()
+		root.Trace = tc.Trace
+		root.Parent = tc.Parent
+		tr.req.Sampled = tc.Sampled
+	}
+	if tc.QueueWait > 0 {
+		if tc.Trace != 0 {
+			tr.obs.stage[StageQueueWait].ObserveExemplar(float64(tc.QueueWait.Nanoseconds()), tr.traceID())
+		} else {
+			tr.record(StageQueueWait, root.Start, tc.QueueWait, 0)
 		}
 	}
-	for _, sp := range tc.Spans {
-		tr.addPre(sp.Stage, sp.Dur)
-	}
 }
 
-// TraceContext carries trace state accumulated by a layer above the
-// server — the async pipeline's queue wait, the cluster's routing — into
-// the server's per-request trace. PR 2 could only trace what the Server
-// itself observed; front-ends now hand their spans down instead of the
-// observability plane relying on Server-internal state.
-type TraceContext struct {
-	// Op overrides the trace's op label when non-empty.
-	Op string
-	// Start, when set, is the front-end submission time; the trace's
-	// Total then includes queueing and routing.
-	Start time.Time
-	// Spans are stages the front-end already measured (e.g.
-	// StageQueueWait); they are recorded into the stage histograms.
-	Spans []Span
+// TraceContext is the one trace context every layer takes; see
+// span.TraceContext.
+type TraceContext = span.TraceContext
 
-	// Distributed-tracing propagation: when Trace is non-zero the
-	// request joins that trace, parented under Parent (the caller's
-	// active span), and Sampled decides span-collector publication.
-	Trace   span.TraceID
-	Parent  span.SpanID
-	Sampled bool
-}
-
-// SpanContext extracts the propagation half of the context.
-func (tc *TraceContext) SpanContext() span.Context {
-	if tc == nil {
-		return span.Context{}
-	}
-	return span.Context{Trace: tc.Trace, Parent: tc.Parent, Sampled: tc.Sampled}
-}
-
-// done completes the trace, publishes it to the ring, the slow-request
-// flight recorder, the op-class request histograms and (when sampled)
-// the span collector.
+// done completes the trace: the total feeds the request-class and
+// slow-gate histograms, and the finished tree goes to the collector in
+// one call, flagged slow (with a queue-gauge snapshot) when it crossed
+// the gate.
 func (tr *ReqTrace) done() {
 	if tr == nil {
 		return
 	}
-	tr.t.Total = time.Since(tr.t.Start)
-	tr.obs.ring.push(tr.t)
-	if tr.obs.flight != nil {
-		tr.obs.flight.observe(tr.t)
+	o, root := tr.obs, &tr.req.Root
+	root.Dur = time.Since(root.Start)
+	ns := float64(root.Dur.Nanoseconds())
+	o.totals.ObserveExemplar(ns, tr.traceID())
+	if h := o.reqClass(tr.op); h != nil {
+		h.ObserveExemplar(ns, tr.traceID())
 	}
-	if h := tr.obs.reqClass(tr.t.Op); h != nil {
-		if tr.t.Sampled {
-			h.ObserveExemplar(float64(tr.t.Total.Nanoseconds()), tr.t.TraceID.String())
-		} else {
-			h.Observe(float64(tr.t.Total.Nanoseconds()))
+	if o.col == nil {
+		return
+	}
+	root.Name = "core." + tr.op
+	if n := o.totals.Count(); n >= slowWarmup && n%slowRefresh == 0 {
+		o.setSlowBar(time.Duration(o.totals.Quantile(o.slowQuantile)))
+	}
+	if root.Dur >= o.slowBar {
+		tr.req.Threshold = o.slowBar
+		tr.req.Queues = o.queueSnapshot()
+		o.slowCount.Inc()
+	}
+	o.col.Finish(&tr.req)
+}
+
+// setSlowBar moves the slow bar to th, floored at the gate's minimum.
+func (o *Observer) setSlowBar(th time.Duration) {
+	if th < o.slowMin {
+		th = o.slowMin
+	}
+	o.slowBar = th
+	o.threshold.Set(float64(th.Nanoseconds()))
+}
+
+// queueSnapshot captures every registry gauge whose name contains
+// "queue" (device queue depths, NIC buffer occupancy) at this instant.
+func (o *Observer) queueSnapshot() map[string]float64 {
+	out := make(map[string]float64)
+	for _, m := range o.reg.Snapshot() {
+		if m.Kind == "gauge" && strings.Contains(m.Name, "queue") {
+			out[m.Name] = m.Value
 		}
 	}
-	if tr.t.Sampled && tr.obs.col != nil {
-		tr.publish()
-	}
+	return out
 }
 
 // reqClass maps an op label to its request-class histogram (nil for
@@ -560,44 +504,19 @@ func (o *Observer) reqClass(op string) *metrics.Histogram {
 	return nil
 }
 
-// publish converts the completed trace into tree spans in the shared
-// collector: one root span for the request, one child per stage span
-// that carries a tree identity (adopted upstream spans publish
-// themselves at their own layer).
-func (tr *ReqTrace) publish() {
-	t := &tr.t
-	tr.obs.col.Add(span.Span{
-		Trace: t.TraceID, ID: t.Root, Parent: t.Parent,
-		Name: "core." + t.Op, Start: t.Start, Dur: t.Total,
-		LBA: t.LBA, Group: tr.obs.group,
-	})
-	for _, sp := range t.Spans {
-		if sp.ID == 0 {
-			continue
-		}
-		tr.obs.col.Add(span.Span{
-			Trace: t.TraceID, ID: sp.ID, Parent: sp.Parent,
-			Name: sp.Stage.String(), Start: sp.Start, Dur: sp.Dur,
-			Bytes: sp.Bytes, Group: tr.obs.group,
-		})
-	}
-}
-
 // EnableObservability attaches a live metrics registry to the server:
 // per-stage span histograms ("stage.<name>.ns"), request/latency-kind
 // histograms ("latency.<kind>.ns"), server counters ("core.*") and
 // substrate counters (tablecache.*, nic.*, engine.*, ssd.<name>.*), plus
-// a ring of the most recent request traces (recentTraces entries; <= 0
-// selects 256). Call once, before serving traffic. Registry reads are
-// concurrent-safe; the server itself remains single-writer.
-func (s *Server) EnableObservability(reg *metrics.Registry, recentTraces int) *metrics.Registry {
+// the slow-gate series (core.request_total_ns, core.slow_threshold_ns,
+// core.slow_traces). Request trees are kept only once SetSpanCollector
+// attaches a collector. Call once, before serving traffic. Registry
+// reads are concurrent-safe; the server itself remains single-writer.
+func (s *Server) EnableObservability(reg *metrics.Registry) *metrics.Registry {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	if recentTraces <= 0 {
-		recentTraces = 256
-	}
-	s.obs = newObserver(reg, recentTraces)
+	s.obs = newObserver(reg)
 	for k := LatencyKind(0); k < numLatencyKinds; k++ {
 		s.latency.hist[k] = reg.Histogram("latency." + k.slug() + ".ns")
 	}
@@ -621,9 +540,10 @@ func (s *Server) EnableObservability(reg *metrics.Registry, recentTraces int) *m
 	return reg
 }
 
-// SetSpanCollector attaches the shared distributed-tracing sink.
-// Sampled request traces publish their span trees there; group labels
-// the spans with this server's cluster shard index. Call after
+// SetSpanCollector attaches the shared trace store: every finished
+// request hands its span tree there, and the collector's slow gate
+// decides which ones this server flags slow. group labels the spans
+// with this server's cluster shard index. Call after
 // EnableObservability and before serving traffic; no-op when
 // observability is disabled.
 func (s *Server) SetSpanCollector(col *span.Collector, group int) {
@@ -632,6 +552,8 @@ func (s *Server) SetSpanCollector(col *span.Collector, group int) {
 	}
 	s.obs.col = col
 	s.obs.group = group
+	s.obs.slowQuantile, s.obs.slowMin = col.SlowGate()
+	s.obs.setSlowBar(0)
 }
 
 // SetTraceSampling head-samples every Nth request that arrives without
@@ -655,34 +577,4 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 		return nil
 	}
 	return s.obs.reg
-}
-
-// RecentTraces returns the most recent request traces, newest first
-// (empty when observability is disabled).
-func (s *Server) RecentTraces() []Trace {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.ring.recent()
-}
-
-// RenderTraces renders traces with the harness table renderer.
-func RenderTraces(traces []Trace) string {
-	tab := metrics.NewTable("recent request traces (newest first)",
-		"op", "lba", "total", "stages")
-	for _, t := range traces {
-		var sb strings.Builder
-		for i, sp := range t.Spans {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%s=%s", sp.Stage, sp.Dur.Round(time.Nanosecond))
-		}
-		if t.DroppedSpans > 0 {
-			fmt.Fprintf(&sb, " (+%d spans)", t.DroppedSpans)
-		}
-		tab.Row(t.Op, t.LBA, t.Total.String(), sb.String())
-	}
-	tab.Note("%d traces", len(traces))
-	return tab.String()
 }

@@ -1,29 +1,44 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"fidr/internal/blockcomp"
+	"fidr/internal/metrics"
+	"fidr/internal/trace/span"
 )
 
-// hasOp reports whether any trace in ts carries the op.
-func hasOp(ts []Trace, op string) bool {
-	for _, tr := range ts {
-		if tr.Op == op {
-			return true
+// opReq returns the newest request in reqs carrying the op, or nil.
+func opReq(reqs []*span.Request, op string) *span.Request {
+	for _, q := range reqs {
+		if q.Op() == op {
+			return q
 		}
 	}
-	return false
+	return nil
+}
+
+// stageSamples sums the sample counts of every stage histogram.
+func stageSamples(reg *metrics.Registry) uint64 {
+	var n uint64
+	for st := Stage(0); st < numStages; st++ {
+		n += reg.Histogram("stage." + st.String() + ".ns").Count()
+	}
+	return n
 }
 
 func TestMaintenanceOpsTraced(t *testing.T) {
 	s := newServer(t, FIDRFull)
-	// Ring big enough that the later overwrites don't evict the
+	// Recent view big enough that the later overwrites don't evict the
 	// maintenance-op traces.
-	reg := s.EnableObservability(nil, 1024)
+	reg := s.EnableObservability(nil)
+	col := span.NewCollector(4096, 0, 0)
+	s.SetSpanCollector(col, 0)
 	sh := blockcomp.NewShaper(0.5)
-	const n = 120
+	const n = 1100
 	for i := 0; i < n; i++ {
 		if err := s.Write(uint64(i), sh.Make(uint64(i), 4096)); err != nil {
 			t.Fatal(err)
@@ -39,10 +54,12 @@ func TestMaintenanceOpsTraced(t *testing.T) {
 	if _, err := s.ReadSnapshot(id, 0); err != nil {
 		t.Fatal(err)
 	}
+	beforeVerify := stageSamples(reg)
 	rep, err := s.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifySpans := int(stageSamples(reg) - beforeVerify)
 	if !rep.OK() {
 		t.Fatalf("verify: %v", rep.Problems)
 	}
@@ -67,20 +84,31 @@ func TestMaintenanceOpsTraced(t *testing.T) {
 		t.Fatal("compaction found nothing; test setup broken")
 	}
 
-	ts := s.RecentTraces()
+	reqs := col.Recent()
 	for _, op := range []string{"snapshot", "snapshot_read", "verify", "gc"} {
-		if !hasOp(ts, op) {
-			t.Errorf("no %q trace in ring", op)
+		if opReq(reqs, op) == nil {
+			t.Errorf("no %q trace in the recent view", op)
 		}
 	}
 	// Bulk ops keep a bounded span list; the histograms get everything.
-	for _, tr := range ts {
-		if len(tr.Spans) > 64 {
-			t.Errorf("%s trace has %d spans; cap broken", tr.Op, len(tr.Spans))
+	for _, q := range reqs {
+		if len(q.Stages) > maxTraceSpans {
+			t.Errorf("%s trace has %d spans; cap broken", q.Op(), len(q.Stages))
 		}
-		if tr.DroppedSpans < 0 {
-			t.Errorf("%s trace dropped %d spans", tr.Op, tr.DroppedSpans)
-		}
+	}
+	// The verify pass touched every live chunk several stages each; the
+	// trace kept the first cap of those spans and counted the rest
+	// exactly, and the rendered row says so.
+	verify := opReq(reqs, "verify")
+	if verifySpans < 3*n {
+		t.Fatalf("verify emitted %d stage spans over %d chunks; test setup broken", verifySpans, n)
+	}
+	if len(verify.Stages) != maxTraceSpans || verify.Dropped != verifySpans-maxTraceSpans {
+		t.Errorf("verify trace: %d spans kept, %d dropped; want %d kept, %d dropped",
+			len(verify.Stages), verify.Dropped, maxTraceSpans, verifySpans-maxTraceSpans)
+	}
+	if want := fmt.Sprintf("(+%d spans)", verify.Dropped); !strings.Contains(col.RenderRecent(), want) {
+		t.Errorf("rendered recent view missing %q", want)
 	}
 	// The verify pass rehashes every live chunk, so the hash stage saw
 	// at least n more samples than the writes alone.
@@ -91,38 +119,55 @@ func TestMaintenanceOpsTraced(t *testing.T) {
 
 func TestTraceContextAdopt(t *testing.T) {
 	s := newServer(t, FIDRFull)
-	reg := s.EnableObservability(nil, 8)
+	reg := s.EnableObservability(nil)
+	col := span.NewCollector(0, 0, 0)
+	s.SetSpanCollector(col, 0)
 	sh := blockcomp.NewShaper(0.5)
 	wait := 5 * time.Millisecond
-	tc := &TraceContext{
-		Op:    "awrite",
-		Start: time.Now().Add(-wait),
-		Spans: []Span{{Stage: StageQueueWait, Dur: wait}},
-	}
+
+	// A front-end context without a wire identity: op label, start and
+	// queue wait join the request; the wait becomes a queue_wait child.
+	tc := &TraceContext{Op: "awrite", Start: time.Now().Add(-wait), QueueWait: wait}
 	if err := s.WriteTraced(7, sh.Make(1, 4096), tc); err != nil {
 		t.Fatal(err)
 	}
-	ts := s.RecentTraces()
-	if len(ts) == 0 {
-		t.Fatal("no traces")
+	q := col.Recent()[0]
+	if q.Op() != "awrite" {
+		t.Fatalf("op = %q, want awrite", q.Op())
 	}
-	tr := ts[0]
-	if tr.Op != "awrite" {
-		t.Fatalf("op = %q, want awrite", tr.Op)
+	if q.Root.Dur < wait {
+		t.Fatalf("total %v does not include the %v queue wait", q.Root.Dur, wait)
 	}
-	if tr.Total < wait {
-		t.Fatalf("total %v does not include the %v queue wait", tr.Total, wait)
+	if q.Sampled || q.Root.Trace == 0 {
+		t.Fatalf("context without a wire identity: sampled=%v trace=%s", q.Sampled, q.Root.Trace)
 	}
-	found := false
-	for _, sp := range tr.Spans {
-		if sp.Stage == StageQueueWait && sp.Dur == wait {
-			found = true
+	if sp := q.Stages[0]; sp.Name != "queue_wait" || sp.Dur != wait || !sp.Start.Equal(tc.Start) {
+		t.Fatalf("first stage = %+v, want the adopted queue_wait", sp)
+	}
+
+	// With a wire identity the request joins that trace under the given
+	// parent; the queue wait still feeds its histogram but is no child
+	// (the queue published its own span as the parent).
+	tc = &TraceContext{
+		Context: span.Context{Trace: span.NewTraceID(), Parent: span.NewSpanID(), Sampled: true},
+		Op:      "awrite", Start: time.Now().Add(-wait), QueueWait: wait,
+	}
+	if err := s.WriteTraced(8, sh.Make(2, 4096), tc); err != nil {
+		t.Fatal(err)
+	}
+	q = col.Recent()[0]
+	if !q.Sampled || q.Root.Trace != tc.Trace || q.Root.Parent != tc.Parent {
+		t.Fatalf("wire identity not adopted: %+v", q.Root)
+	}
+	for _, sp := range q.Stages {
+		if sp.Name == "queue_wait" {
+			t.Fatal("queue_wait child duplicated under a wire-traced request")
 		}
 	}
-	if !found {
-		t.Fatal("queue_wait span not adopted into the trace")
+	if spans := col.Trace(tc.Trace); len(spans) != 1+len(q.Stages) {
+		t.Fatalf("wire trace resolves to %d spans, want %d", len(spans), 1+len(q.Stages))
 	}
-	if got := reg.Histogram("stage.queue_wait.ns").Count(); got != 1 {
-		t.Fatalf("stage.queue_wait.ns count = %d, want 1", got)
+	if got := reg.Histogram("stage.queue_wait.ns").Count(); got != 2 {
+		t.Fatalf("stage.queue_wait.ns count = %d, want 2", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"fidr/internal/blockcomp"
 	"fidr/internal/metrics"
+	"fidr/internal/trace/span"
 )
 
 // driveObserved writes nWrites chunks (half duplicates) and reads them
@@ -13,7 +14,7 @@ import (
 func driveObserved(t *testing.T, arch Arch) *metrics.Registry {
 	t.Helper()
 	s := newServer(t, arch)
-	reg := s.EnableObservability(nil, 16)
+	reg := s.EnableObservability(nil)
 	sh := blockcomp.NewShaper(0.5)
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -82,9 +83,14 @@ func TestObservabilityCountersAndStages(t *testing.T) {
 	}
 }
 
+// TestObservabilityTraceRing: every observed request reaches the
+// collector's recent view as one span tree under a locally minted ID —
+// root "core.<op>", one child per stage — bounded and newest first.
 func TestObservabilityTraceRing(t *testing.T) {
 	s := newServer(t, FIDRFull)
-	s.EnableObservability(nil, 8)
+	reg := s.EnableObservability(nil)
+	col := span.NewCollector(8, 0, 0)
+	s.SetSpanCollector(col, 3)
 	sh := blockcomp.NewShaper(0.5)
 	for i := 0; i < 100; i++ {
 		if err := s.Write(uint64(i), sh.Make(uint64(i), 4096)); err != nil {
@@ -94,20 +100,43 @@ func TestObservabilityTraceRing(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	traces := s.RecentTraces()
-	if len(traces) != 8 {
-		t.Fatalf("ring holds %d traces, want 8", len(traces))
+	reqs := col.Recent()
+	if len(reqs) != 8 {
+		t.Fatalf("recent view holds %d requests, want 8", len(reqs))
 	}
 	// Newest first: the flush trace is the most recent op.
-	if traces[0].Op != "flush" {
-		t.Errorf("newest trace op = %q, want flush", traces[0].Op)
+	if reqs[0].Op() != "flush" || reqs[0].Root.Name != "core.flush" {
+		t.Errorf("newest request = %q (%q), want flush", reqs[0].Op(), reqs[0].Root.Name)
 	}
-	for _, tr := range traces {
-		if tr.Total < 0 {
-			t.Errorf("trace %s: negative total %v", tr.Op, tr.Total)
+	ids := make(map[span.TraceID]bool)
+	for _, q := range reqs {
+		root := q.Root
+		if root.Dur < 0 || root.Trace == 0 || root.ID == 0 || root.Group != 3 {
+			t.Errorf("%s root span malformed: %+v", q.Op(), root)
+		}
+		if q.Sampled || root.Parent != 0 {
+			t.Errorf("%s: untraced request is sampled=%v parent=%s", q.Op(), q.Sampled, root.Parent)
+		}
+		ids[root.Trace] = true
+		if len(q.Stages) == 0 {
+			t.Errorf("%s has no stage spans", q.Op())
+		}
+		for _, sp := range q.Stages {
+			if sp.Trace != root.Trace || sp.Parent != root.ID || sp.ID == 0 || sp.Group != 3 {
+				t.Errorf("%s stage %s not a child of its root: %+v", q.Op(), sp.Name, sp)
+			}
 		}
 	}
-	out := RenderTraces(traces)
+	if len(ids) != len(reqs) {
+		t.Errorf("%d distinct minted IDs across %d unsampled requests", len(ids), len(reqs))
+	}
+	// Unsampled requests leave no exemplars behind.
+	var sb strings.Builder
+	metrics.WriteProm(&sb, reg.Snapshot())
+	if strings.Contains(sb.String(), "trace_id") {
+		t.Error("unsampled traffic produced histogram exemplars")
+	}
+	out := col.RenderRecent()
 	if !strings.Contains(out, "flush") || !strings.Contains(out, "recent request traces") {
 		t.Errorf("rendered traces missing content:\n%s", out)
 	}
@@ -130,9 +159,6 @@ func TestObservabilityDisabledIsNilSafe(t *testing.T) {
 	}
 	if s.MetricsRegistry() != nil {
 		t.Error("registry present without EnableObservability")
-	}
-	if s.RecentTraces() != nil {
-		t.Error("traces present without EnableObservability")
 	}
 }
 

@@ -32,7 +32,6 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 		s.obs.onRead(s.cfg.ChunkSize)
 	}
 	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolReadNs)
-	s.chargeTenant(false)
 	tr := s.obs.begin("read", lba)
 	tr.adopt(tc)
 	defer tr.done()
@@ -61,6 +60,12 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 // storage protocol carries block ranges); the server resolves each chunk
 // independently because compressed placements are unrelated.
 func (s *Server) ReadRange(lba uint64, n int) ([]byte, error) {
+	return s.ReadRangeTraced(lba, n, nil)
+}
+
+// ReadRangeTraced is ReadRange with a front-end trace context; each
+// chunk read joins the same trace. tc may be nil.
+func (s *Server) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: read of %d chunks", n)
 	}
@@ -69,7 +74,7 @@ func (s *Server) ReadRange(lba uint64, n int) ([]byte, error) {
 	}
 	out := make([]byte, 0, n*s.cfg.ChunkSize)
 	for i := 0; i < n; i++ {
-		chunk, err := s.Read(lba + uint64(i))
+		chunk, err := s.ReadTraced(lba+uint64(i), tc)
 		if err != nil {
 			return nil, fmt.Errorf("core: range chunk %d: %w", i, err)
 		}

@@ -288,7 +288,7 @@ func (w *WAL) Instrument(reg *metrics.Registry) {
 // for how long. Lock-free (one atomic load), so the health watchdog can
 // probe it on every tick without touching the commit path: a Sync that
 // has been in flight past the probe deadline means the WAL device is
-// hung, the stall the flight recorder most wants evidence of.
+// hung, the stall the snapshot recorder most wants evidence of.
 func (w *WAL) FsyncInFlight(now time.Time) (time.Duration, bool) {
 	start := w.fsyncStartNS.Load()
 	if start == 0 {

@@ -43,7 +43,6 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolWriteNs)
 	s.rcache.invalidate(lba)
 	s.latency.observe(LatWriteAck, s.cfg.Arch, 0)
-	s.chargeTenant(true)
 	s.obs.onWrite(len(data))
 	tr := s.obs.begin("write", lba)
 	tr.adopt(tc)
@@ -98,7 +97,7 @@ func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
 
 	cp := bufpool.Get(len(data))
 	copy(cp, data)
-	s.batch = append(s.batch, pending{lba: lba, data: cp, tenant: s.tenant})
+	s.batch = append(s.batch, pending{lba: lba, data: cp})
 	tr.span(StageNICBuffer, from)
 	if len(s.batch) >= s.cfg.BatchChunks {
 		return s.processBaselineBatch()
@@ -196,7 +195,6 @@ func (s *Server) processBaselineBatch() error {
 	for i := range batch {
 		p := &batch[i]
 		r := &results[i]
-		s.cache.SetTenant(p.tenant)
 		pbn, found, err := s.cache.Lookup(r.fp)
 		if err != nil {
 			return err
@@ -273,7 +271,6 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	} else {
 		tr.span(StageNICBuffer, from)
 	}
-	s.fidrTenants = append(s.fidrTenants, s.tenant)
 	if s.fnic.Buffered() >= s.cfg.BatchChunks {
 		return s.processFIDRBatch()
 	}
@@ -292,9 +289,6 @@ func (s *Server) fidrStreamWrite(offset uint64, data []byte, tr *ReqTrace) error
 		from := tr.start()
 		before := s.fnic.Buffered()
 		n, err := s.fnic.BufferStream(offset, data)
-		for i := before; i < s.fnic.Buffered(); i++ {
-			s.fidrTenants = append(s.fidrTenants, s.tenant)
-		}
 		tr.span(StageNICBuffer, from)
 		offset += uint64(n)
 		data = data[n:]
@@ -370,14 +364,6 @@ func (s *Server) processFIDRBatch() error {
 
 	// Steps 4-5: host software scans the cached buckets and determines
 	// uniqueness; duplicates update only the LBA-PBA table.
-	tenants := s.fidrTenants
-	s.fidrTenants = nil
-	tenantAt := func(i int) string {
-		if i < len(tenants) {
-			return tenants[i]
-		}
-		return ""
-	}
 	from = bt.start()
 	flags := make([]bool, len(entries))
 	dupPBN := make([]uint64, len(entries))
@@ -386,7 +372,6 @@ func (s *Server) processFIDRBatch() error {
 	// fingerprints so the scan stays O(batch) instead of O(batch²).
 	firstClaim := make(map[fingerprint.FP]struct{}, len(entries))
 	for i, e := range entries {
-		s.cache.SetTenant(tenantAt(i))
 		pbn, found, err := s.cache.Lookup(e.FP)
 		if err != nil {
 			return err
@@ -423,14 +408,7 @@ func (s *Server) processFIDRBatch() error {
 	s.transfer(devNIC, devComp, uniqueBytes)
 
 	// Step 8: the engine compresses and packs; only metadata reaches
-	// the host. uniqueTenants aligns with unique (ScheduleBatch
-	// preserves buffer order).
-	var uniqueTenants []string
-	for i, isUnique := range flags {
-		if isUnique {
-			uniqueTenants = append(uniqueTenants, tenantAt(i))
-		}
-	}
+	// the host.
 	from = bt.start()
 	fpToPBN := make(map[fingerprint.FP]uint64, len(unique))
 	if len(unique) > 0 {
@@ -450,7 +428,6 @@ func (s *Server) processFIDRBatch() error {
 			return err
 		}
 		for ui, u := range unique {
-			s.cache.SetTenant(uniqueTenants[ui])
 			meta, err := s.comp.Pack(u.LBA, u.FP, rs[ui].Data, len(u.Data))
 			if err != nil {
 				return err

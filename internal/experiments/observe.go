@@ -21,7 +21,7 @@ func Observe(sc Scale) (string, *metrics.Table, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	reg := srv.EnableObservability(nil, 64)
+	reg := srv.EnableObservability(nil)
 	wp, err := workloadFor("Read-Mixed", sc.IOs, cfg.CacheLines)
 	if err != nil {
 		return "", nil, err

@@ -31,7 +31,7 @@ const (
 	TypeSLORecover  = "slo_breach_end"
 
 	// Health-plane types: a watchdog probe crossing its deadline, the
-	// matching recovery edge, and a flight-recorder snapshot landing on
+	// matching recovery edge, and a recorder snapshot landing on
 	// disk.
 	TypeWatchdogStall   = "watchdog_stall"
 	TypeWatchdogRecover = "watchdog_recover"

@@ -9,7 +9,7 @@ import (
 
 // BuildInfo is the conventional info-style gauge: a constant 1 whose
 // labels carry the build identity (version, commit, Go toolchain), so
-// a Prometheus scrape — or a flight-recorder snapshot — pins exactly
+// a Prometheus scrape — or a recorder snapshot — pins exactly
 // which binary produced the numbers around it. Version and commit are
 // stamped by the Makefile via -ldflags; the Go version comes from the
 // running toolchain.

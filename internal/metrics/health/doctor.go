@@ -12,7 +12,7 @@ import (
 )
 
 // Doctor: the `fidrcli doctor` checks, factored here so they run the
-// same against a live daemon's scrapes and against a flight-recorder
+// same against a live daemon's scrapes and against a snapshot-recorder
 // bundle read offline. Diagnose takes pre-fetched inputs (no I/O, fully
 // testable) and returns one CheckResult per check; RenderDoctor prints
 // the pass/warn/fail report with an actionable hint per finding.
@@ -27,7 +27,7 @@ type DoctorInput struct {
 	Series metrics.SeriesDump
 	// Events is the /events journal tail, oldest first.
 	Events []events.Event
-	// Snapshots names the flight-recorder snapshots in the bundle.
+	// Snapshots names the recorder snapshots in the bundle.
 	Snapshots []string
 	// BundleErr records why the bundle could not be fetched ("" = ok;
 	// "disabled" when the daemon runs without -health-dir).
@@ -329,13 +329,13 @@ func checkJournalDrops(in DoctorInput) CheckResult {
 	return r
 }
 
-// checkSnapshots reports the flight-recorder inventory.
+// checkSnapshots reports the snapshot-recorder inventory.
 func checkSnapshots(in DoctorInput) CheckResult {
 	r := CheckResult{Name: "snapshots"}
 	switch {
 	case in.BundleErr == "disabled":
 		r.Status = StatusWarn
-		r.Detail = "flight recorder disabled (-health-dir unset)"
+		r.Detail = "snapshot recorder disabled (-health-dir unset)"
 		r.Hint = "restart fidrd with -health-dir to retain stall evidence"
 	case in.BundleErr != "":
 		r.Status = StatusWarn
@@ -343,7 +343,7 @@ func checkSnapshots(in DoctorInput) CheckResult {
 		r.Hint = "check the daemon's /debug/bundle endpoint"
 	case len(in.Snapshots) == 0:
 		r.Status = StatusPass
-		r.Detail = "flight recorder armed, no snapshots captured"
+		r.Detail = "snapshot recorder armed, no snapshots captured"
 	default:
 		r.Status = StatusPass
 		r.Detail = fmt.Sprintf("%d snapshot(s) retained, newest %s",

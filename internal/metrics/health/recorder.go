@@ -22,7 +22,7 @@ import (
 	"fidr/internal/metrics/events"
 )
 
-// Recorder is the black-box flight recorder. When a watchdog trips or
+// Recorder is the snapshot recorder. When a watchdog trips or
 // an SLO breaches, Trigger captures a diagnostic snapshot — goroutine
 // dump, metrics snapshot, event-journal tail, recent slow traces, and
 // optionally a short CPU+mutex profile — into a bounded on-disk ring
@@ -64,7 +64,7 @@ type RecorderOptions struct {
 
 	Gatherer metrics.Gatherer // metrics view to snapshot (may be nil)
 	Journal  *events.Journal  // event journal to tail (may be nil)
-	Slow     func() string    // slow-trace flight recorder dump (may be nil)
+	Slow     func() string    // slow-trace retention dump (may be nil)
 	Build    map[string]string
 }
 

@@ -9,7 +9,7 @@
 //   - Watchdog runs per-subsystem liveness probes (worker heartbeats,
 //     fsync deadlines, accept-loop liveness, stuck-queue detection) and
 //     emits watchdog_stall / watchdog_recover events on transitions.
-//   - Recorder is the black-box flight recorder: a bounded on-disk ring
+//   - Recorder is the snapshot recorder: a bounded on-disk ring
 //     of diagnostic snapshots captured when a watchdog trips or an SLO
 //     breaches, served as a tarball at /debug/bundle.
 //   - Diagnose runs the `fidrcli doctor` checks over scraped inputs and
@@ -190,7 +190,7 @@ type probeState struct {
 // stall transitions: a watchdog_stall event (with the probe name,
 // deadline and in-flight trace when available) on the healthy→stalled
 // edge, a watchdog_recover event on the way back, and an optional
-// OnStall callback (the flight-recorder trigger). Probes are registered
+// OnStall callback (the snapshot-recorder trigger). Probes are registered
 // before Run; the evaluation loop is single-goroutine, so probe Check
 // closures may keep private state.
 type Watchdog struct {

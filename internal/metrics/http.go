@@ -8,11 +8,12 @@ import (
 // HandlerOptions configures the optional endpoints of Handler. Any nil
 // field disables its endpoint.
 type HandlerOptions struct {
-	// Traces renders the recent-request trace ring (GET /traces).
+	// Traces renders the recent request traces (GET /traces); usually
+	// (*span.Collector).RenderRecent.
 	Traces func() string
-	// SlowTraces renders the slow-request flight recorder
-	// (GET /traces/slow).
-	SlowTraces func() string
+	// Slow renders the slow-trace retention (GET /traces/slow);
+	// usually (*span.Collector).RenderSlow.
+	Slow func() string
 	// Sampler serves the sampled time series (GET /metrics/series).
 	Sampler *Sampler
 	// Spans serves the distributed-trace span trees
@@ -29,7 +30,7 @@ type HandlerOptions struct {
 	// Events serves the structured event journal (GET /events, JSONL);
 	// usually an *events.Journal.
 	Events http.Handler
-	// DebugBundle serves the flight-recorder snapshot ring as a tarball
+	// DebugBundle serves the snapshot recorder's ring as a tarball
 	// (GET /debug/bundle); usually a *health.Recorder.
 	DebugBundle http.Handler
 	// Ready reports readiness for GET /readyz: 200 when true, 503
@@ -44,7 +45,7 @@ type HandlerOptions struct {
 //	GET /metrics?format=prom Prometheus text exposition (see WriteProm)
 //	GET /metrics/series      sampled time series as JSON (with Sampler)
 //	GET /traces              recent request traces (with Traces)
-//	GET /traces/slow         slow-request flight recorder (with SlowTraces)
+//	GET /traces/slow         slow-trace retention (with Slow)
 //	GET /healthz             liveness: always 200 "ok" while serving
 //	GET /readyz              readiness: 200 "ready" / 503 "not ready"
 //	GET /                    index of the above
@@ -74,10 +75,10 @@ func Handler(g Gatherer, opt HandlerOptions) http.Handler {
 			fmt.Fprint(w, opt.Traces())
 		})
 	}
-	if opt.SlowTraces != nil {
+	if opt.Slow != nil {
 		mux.HandleFunc("/traces/slow", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, opt.SlowTraces())
+			fmt.Fprint(w, opt.Slow())
 		})
 	}
 	if opt.Spans != nil {
@@ -126,8 +127,8 @@ func Handler(g Gatherer, opt HandlerOptions) http.Handler {
 		if opt.Traces != nil {
 			fmt.Fprintln(w, "  /traces               recent request traces")
 		}
-		if opt.SlowTraces != nil {
-			fmt.Fprintln(w, "  /traces/slow          slow-request flight recorder")
+		if opt.Slow != nil {
+			fmt.Fprintln(w, "  /traces/slow          slow-trace retention")
 		}
 		if opt.Spans != nil {
 			fmt.Fprintln(w, "  /traces/spans         distributed-trace span trees (?id=<trace-id>)")
@@ -145,7 +146,7 @@ func Handler(g Gatherer, opt HandlerOptions) http.Handler {
 			fmt.Fprintln(w, "  /events               structured event journal (JSONL; ?since= ?type= ?n=)")
 		}
 		if opt.DebugBundle != nil {
-			fmt.Fprintln(w, "  /debug/bundle         flight-recorder snapshot bundle (tar.gz; ?n=)")
+			fmt.Fprintln(w, "  /debug/bundle         snapshot-recorder bundle (tar.gz; ?n=)")
 		}
 		fmt.Fprintln(w, "  /healthz              liveness probe")
 		fmt.Fprintln(w, "  /readyz               readiness probe")

@@ -1,16 +1,14 @@
-// Package metrics provides counters, gauges, bounded histograms,
-// distribution summaries, a live Registry with a plain-text HTTP
-// surface, and plain-text table/figure rendering for the experiment
-// harness. All output of cmd/fidrbench flows through Table so every
-// reproduced paper artifact has a uniform, diffable format; all live
-// telemetry of cmd/fidrd flows through Registry so daemon and bench
-// runs emit the same metric names.
+// Package metrics provides counters, gauges, bounded histograms, a
+// live Registry with a plain-text HTTP surface, and plain-text
+// table/figure rendering for the experiment harness. All output of
+// cmd/fidrbench flows through Table so every reproduced paper artifact
+// has a uniform, diffable format; all live telemetry of cmd/fidrd flows
+// through Registry so daemon and bench runs emit the same metric names.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -31,153 +29,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Reset sets the counter to zero.
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// SummaryReservoir caps the samples a Summary retains. Count, Mean, Min
-// and Max stay exact via running accumulators; percentiles come from a
-// uniform reservoir sample once the cap is exceeded, so memory stays
-// bounded over arbitrarily long runs. Below the cap percentiles are
-// exact.
-const SummaryReservoir = 8192
-
-// Summary accumulates a stream of float64 observations and reports count,
-// mean, min, max and percentiles. Count/mean/min/max are exact (running
-// accumulators); percentiles use nearest-rank over at most
-// SummaryReservoir retained samples (reservoir sampling, deterministic
-// xorshift RNG), exact until the cap is reached.
-//
-// Concurrency contract: a Summary is NOT safe for concurrent use. Each
-// goroutine must own its Summary and fold results with Merge under the
-// owner's serialization, or use Histogram, which is concurrent-safe and
-// bounded by construction.
-type Summary struct {
-	count    uint64
-	sum      float64
-	min, max float64
-	samples  []float64
-	sorted   bool
-	rng      uint64
-}
-
-// xorshift64 steps the deterministic reservoir RNG.
-func (s *Summary) next() uint64 {
-	if s.rng == 0 {
-		s.rng = 0x9e3779b97f4a7c15
-	}
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	return s.rng
-}
-
-// Observe records one sample.
-func (s *Summary) Observe(v float64) {
-	if s.count == 0 || v < s.min {
-		s.min = v
-	}
-	if s.count == 0 || v > s.max {
-		s.max = v
-	}
-	s.count++
-	s.sum += v
-	if len(s.samples) < SummaryReservoir {
-		s.samples = append(s.samples, v)
-		s.sorted = false
-		return
-	}
-	// Reservoir: keep v with probability cap/count, evicting a uniform
-	// victim, so retained samples stay a uniform sample of the stream.
-	if j := s.next() % s.count; j < SummaryReservoir {
-		s.samples[j] = v
-		s.sorted = false
-	}
-}
-
-// Merge folds other into s. Exact accumulators combine exactly; the
-// retained samples are concatenated and, if over the cap, uniformly
-// down-sampled (an approximation when either side already overflowed its
-// reservoir).
-func (s *Summary) Merge(other *Summary) {
-	if other.count == 0 {
-		return
-	}
-	if s.count == 0 || other.min < s.min {
-		s.min = other.min
-	}
-	if s.count == 0 || other.max > s.max {
-		s.max = other.max
-	}
-	s.count += other.count
-	s.sum += other.sum
-	s.samples = append(s.samples, other.samples...)
-	for len(s.samples) > SummaryReservoir {
-		n := uint64(len(s.samples))
-		j := s.next() % n
-		s.samples[j] = s.samples[n-1]
-		s.samples = s.samples[:n-1]
-	}
-	s.sorted = false
-}
-
-// Count returns the number of samples observed (not retained).
-func (s *Summary) Count() int { return int(s.count) }
-
-// Mean returns the exact arithmetic mean, or 0 with no samples.
-func (s *Summary) Mean() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.sum / float64(s.count)
-}
-
-// Min returns the smallest sample, or 0 with no samples. Exact.
-func (s *Summary) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest sample, or 0 with no samples. Exact.
-func (s *Summary) Max() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on the retained samples, clamped into [Min, Max].
-func (s *Summary) Percentile(p float64) float64 {
-	if s.count == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return s.min
-	}
-	if p >= 100 {
-		return s.max
-	}
-	s.ensureSorted()
-	rank := int(math.Ceil(p/100*float64(len(s.samples)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	v := s.samples[rank]
-	if v < s.min {
-		v = s.min
-	}
-	if v > s.max {
-		v = s.max
-	}
-	return v
-}
-
-func (s *Summary) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
-	}
-}
 
 // Table renders aligned plain-text tables in the style the paper's tables
 // and figure data series are reported by the harness.

@@ -8,7 +8,7 @@ import (
 
 // ParseMetricsText is the inverse of WriteMetricsText: it parses the
 // plain-text dump format back into a metric set so offline consumers —
-// fidrcli doctor reading a live /metrics scrape or a flight-recorder
+// fidrcli doctor reading a live /metrics scrape or a snapshot-recorder
 // metrics.txt — can run checks against the same names and kinds the
 // daemon exported. Histogram lines carry only the summary statistics
 // (count/mean/min/quantiles/max), so the returned snapshots have no

@@ -122,7 +122,7 @@ type SLO struct {
 	// journal receives breach-transition events when SetEventJournal was
 	// called; prevBreached tracks per-objective state so only edges emit.
 	// onBreach, when set, fires once per healthy→breached edge (the
-	// health plane's flight-recorder trigger).
+	// health plane's snapshot-recorder trigger).
 	journal      *events.Journal
 	onBreach     func(objective string)
 	prevBreached []bool
@@ -250,7 +250,7 @@ func (s *SLO) Sample(at time.Time) {
 
 // OnBreach registers a callback fired (on the Sample goroutine) once
 // per healthy→breached transition; the health plane uses it to capture
-// a flight-recorder snapshot while the breach evidence is still live.
+// a snapshot-recorder snapshot while the breach evidence is still live.
 // Long work must be handed off so sampling keeps its cadence.
 func (s *SLO) OnBreach(fn func(objective string)) { s.onBreach = fn }
 

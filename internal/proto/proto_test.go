@@ -283,8 +283,8 @@ func TestTracedWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.EnableObservability(nil, 16)
-	col := span.NewCollector(16)
+	srv.EnableObservability(nil)
+	col := span.NewCollector(0, 0, 16)
 	srv.SetSpanCollector(col, 0)
 	reg := metrics.NewRegistry()
 	l, err := Serve(srv, "127.0.0.1:0", WithSpanCollector(col), WithMetrics(reg))
@@ -360,8 +360,8 @@ func TestTracedBatchAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.EnableObservability(nil, 16)
-	col := span.NewCollector(16)
+	srv.EnableObservability(nil)
+	col := span.NewCollector(0, 0, 16)
 	srv.SetSpanCollector(col, 0)
 	reg := metrics.NewRegistry()
 	l, err := Serve(srv, "127.0.0.1:0", WithSpanCollector(col), WithMetrics(reg))

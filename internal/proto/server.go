@@ -29,9 +29,9 @@ type Store interface {
 // hand a wire trace context down into the storage pipeline. Server,
 // Cluster and the async front-end adapter all implement it.
 type TracedStore interface {
-	WriteSpan(lba uint64, data []byte, sc span.Context) error
-	ReadSpan(lba uint64, sc span.Context) ([]byte, error)
-	ReadRangeSpan(lba uint64, n int, sc span.Context) ([]byte, error)
+	WriteTraced(lba uint64, data []byte, tc *span.TraceContext) error
+	ReadTraced(lba uint64, tc *span.TraceContext) ([]byte, error)
+	ReadRangeTraced(lba uint64, n int, tc *span.TraceContext) ([]byte, error)
 }
 
 // CompactSummary is the wire form of a GC pass result (one row per
@@ -198,13 +198,15 @@ func (l *Listener) handle(f Frame) Frame {
 	// the request context so the client can verify the round trip.
 	var rootID span.SpanID
 	var start time.Time
-	child := f.Ctx
+	var tc *span.TraceContext
 	if f.Ctx.Valid() {
 		rootID = span.NewSpanID()
-		child.Parent = rootID
 		start = time.Now()
+		if l.traced != nil {
+			tc = &span.TraceContext{Context: f.Ctx.Child(rootID)}
+		}
 	}
-	resp := l.dispatch(f, child)
+	resp := l.dispatch(f, tc)
 	resp.Ctx = f.Ctx
 	if resp.Op == OpError && l.errLogs != nil {
 		l.errLogs.Inc()
@@ -236,20 +238,35 @@ func opSlug(op Op) string {
 	}
 }
 
-func (l *Listener) dispatch(f Frame, sc span.Context) Frame {
-	traced := l.traced
-	if !sc.Valid() {
-		traced = nil
+// write, read and readRange hand a request to the store, through its
+// traced surface when the request carries a trace context.
+func (l *Listener) write(lba uint64, data []byte, tc *span.TraceContext) error {
+	if tc != nil {
+		return l.traced.WriteTraced(lba, data, tc)
 	}
+	return l.srv.Write(lba, data)
+}
+
+func (l *Listener) read(lba uint64, tc *span.TraceContext) ([]byte, error) {
+	if tc != nil {
+		return l.traced.ReadTraced(lba, tc)
+	}
+	return l.srv.Read(lba)
+}
+
+func (l *Listener) readRange(lba uint64, n int, tc *span.TraceContext) ([]byte, error) {
+	if tc != nil {
+		return l.traced.ReadRangeTraced(lba, n, tc)
+	}
+	return l.srv.ReadRange(lba, n)
+}
+
+// dispatch serves one request; tc is non-nil only for a traced request
+// on a store with a traced surface.
+func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
 	switch f.Op {
 	case OpWrite:
-		var err error
-		if traced != nil {
-			err = traced.WriteSpan(f.LBA, f.Payload, sc)
-		} else {
-			err = l.srv.Write(f.LBA, f.Payload)
-		}
-		if err != nil {
+		if err := l.write(f.LBA, f.Payload, tc); err != nil {
 			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(err.Error())}
 		}
 		return Frame{Op: OpAck, LBA: f.LBA}
@@ -260,25 +277,13 @@ func (l *Listener) dispatch(f Frame, sc span.Context) Frame {
 				Payload: []byte(fmt.Sprintf("batch payload %d not a multiple of chunk size %d", len(f.Payload), cs))}
 		}
 		for i := 0; i*cs < len(f.Payload); i++ {
-			var err error
-			if traced != nil {
-				err = traced.WriteSpan(f.LBA+uint64(i), f.Payload[i*cs:(i+1)*cs], sc)
-			} else {
-				err = l.srv.Write(f.LBA+uint64(i), f.Payload[i*cs:(i+1)*cs])
-			}
-			if err != nil {
+			if err := l.write(f.LBA+uint64(i), f.Payload[i*cs:(i+1)*cs], tc); err != nil {
 				return Frame{Op: OpError, LBA: f.LBA + uint64(i), Payload: []byte(err.Error())}
 			}
 		}
 		return Frame{Op: OpAck, LBA: f.LBA}
 	case OpRead:
-		var data []byte
-		var err error
-		if traced != nil {
-			data, err = traced.ReadSpan(f.LBA, sc)
-		} else {
-			data, err = l.srv.Read(f.LBA)
-		}
+		data, err := l.read(f.LBA, tc)
 		if err != nil {
 			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(err.Error())}
 		}
@@ -293,13 +298,7 @@ func (l *Listener) dispatch(f Frame, sc span.Context) Frame {
 			return Frame{Op: OpError, LBA: f.LBA,
 				Payload: []byte(fmt.Sprintf("read-batch count %d out of range", count))}
 		}
-		var data []byte
-		var err error
-		if traced != nil {
-			data, err = traced.ReadRangeSpan(f.LBA, count, sc)
-		} else {
-			data, err = l.srv.ReadRange(f.LBA, count)
-		}
+		data, err := l.readRange(f.LBA, count, tc)
 		if err != nil {
 			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(err.Error())}
 		}
@@ -367,68 +366,64 @@ func (c *Client) roundTrip(f Frame) (Frame, error) {
 	return Read(c.conn)
 }
 
-// WriteChunk stores one chunk at lba (write -> wait -> ack, §6.2).
-func (c *Client) WriteChunk(lba uint64, data []byte) error {
-	resp, err := c.roundTrip(Frame{Op: OpWrite, LBA: lba, Payload: data})
+// do runs one verb: send f, surface a server error, and require the
+// wantOp response (zero: the caller checks). A traced verb mints a
+// sampled trace context, rides it on the request, and verifies the
+// server echoed it back — proof the context survived the wire both
+// ways; its trace ID is returned (resolvable at the server's
+// /traces/spans endpoint).
+func (c *Client) do(f Frame, wantOp Op, traced bool) (Frame, span.TraceID, error) {
+	if traced {
+		f.Ctx = span.Context{Trace: span.NewTraceID(), Parent: span.NewSpanID(), Sampled: true}
+	}
+	resp, err := c.roundTrip(f)
 	if err != nil {
-		return err
+		return Frame{}, 0, err
 	}
 	if resp.Op == OpError {
-		return fmt.Errorf("proto: server: %s", resp.Payload)
+		return Frame{}, 0, fmt.Errorf("proto: server: %s", resp.Payload)
 	}
-	if resp.Op != OpAck {
-		return fmt.Errorf("proto: unexpected response %v", resp.Op)
+	if traced && resp.Ctx.Trace != f.Ctx.Trace {
+		return Frame{}, 0, fmt.Errorf("proto: trace context lost in round trip (sent %s, got %s)",
+			f.Ctx.Trace, resp.Ctx.Trace)
 	}
-	return nil
+	if wantOp != 0 && resp.Op != wantOp {
+		return Frame{}, 0, fmt.Errorf("proto: unexpected response %v", resp.Op)
+	}
+	return resp, f.Ctx.Trace, nil
+}
+
+// readBatchFrame builds the OpReadBatch request for count chunks.
+func readBatchFrame(lba uint64, count int) Frame {
+	payload := make([]byte, 4)
+	binary.LittleEndian.PutUint32(payload, uint32(count))
+	return Frame{Op: OpReadBatch, LBA: lba, Payload: payload}
+}
+
+// WriteChunk stores one chunk at lba (write -> wait -> ack, §6.2).
+func (c *Client) WriteChunk(lba uint64, data []byte) error {
+	_, _, err := c.do(Frame{Op: OpWrite, LBA: lba, Payload: data}, OpAck, false)
+	return err
 }
 
 // WriteBatch stores len(data)/chunkSize consecutive chunks starting at
 // lba in one round trip.
 func (c *Client) WriteBatch(lba uint64, data []byte) error {
-	resp, err := c.roundTrip(Frame{Op: OpWriteBatch, LBA: lba, Payload: data})
-	if err != nil {
-		return err
-	}
-	if resp.Op == OpError {
-		return fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpAck {
-		return fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return nil
+	_, _, err := c.do(Frame{Op: OpWriteBatch, LBA: lba, Payload: data}, OpAck, false)
+	return err
 }
 
 // ReadChunk fetches the chunk at lba (read -> wait -> ack with data).
 func (c *Client) ReadChunk(lba uint64) ([]byte, error) {
-	resp, err := c.roundTrip(Frame{Op: OpRead, LBA: lba})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Op == OpError {
-		return nil, fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpData {
-		return nil, fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return resp.Payload, nil
+	resp, _, err := c.do(Frame{Op: OpRead, LBA: lba}, OpData, false)
+	return resp.Payload, err
 }
 
 // ReadBatch fetches count consecutive chunks starting at lba in one
 // round trip.
 func (c *Client) ReadBatch(lba uint64, count int) ([]byte, error) {
-	var payload [4]byte
-	binary.LittleEndian.PutUint32(payload[:], uint32(count))
-	resp, err := c.roundTrip(Frame{Op: OpReadBatch, LBA: lba, Payload: payload[:]})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Op == OpError {
-		return nil, fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpData {
-		return nil, fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return resp.Payload, nil
+	resp, _, err := c.do(readBatchFrame(lba, count), OpData, false)
+	return resp.Payload, err
 }
 
 // Compact asks the server for one GC pass at the given dead-fraction
@@ -436,12 +431,9 @@ func (c *Client) ReadBatch(lba uint64, count int) ([]byte, error) {
 func (c *Client) Compact(minDeadFraction float64) (CompactSummary, error) {
 	var payload [8]byte
 	binary.LittleEndian.PutUint64(payload[:], math.Float64bits(minDeadFraction))
-	resp, err := c.roundTrip(Frame{Op: OpCompact, Payload: payload[:]})
+	resp, _, err := c.do(Frame{Op: OpCompact, Payload: payload[:]}, 0, false)
 	if err != nil {
 		return CompactSummary{}, err
-	}
-	if resp.Op == OpError {
-		return CompactSummary{}, fmt.Errorf("proto: server: %s", resp.Payload)
 	}
 	if resp.Op != OpAck || len(resp.Payload) != 40 {
 		return CompactSummary{}, fmt.Errorf("proto: unexpected compact response %v (%d bytes)", resp.Op, len(resp.Payload))
@@ -459,97 +451,32 @@ func (c *Client) Compact(minDeadFraction float64) (CompactSummary, error) {
 // Checkpoint asks the server to persist its metadata checkpoint and
 // truncate the WAL.
 func (c *Client) Checkpoint() error {
-	resp, err := c.roundTrip(Frame{Op: OpCheckpoint})
-	if err != nil {
-		return err
-	}
-	if resp.Op == OpError {
-		return fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpAck {
-		return fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return nil
-}
-
-// tracedTrip mints a sampled trace context, rides it on the request,
-// and verifies the server echoed it back — proof the context survived
-// the wire both ways. Returns the response and the trace ID.
-func (c *Client) tracedTrip(f Frame) (Frame, span.TraceID, error) {
-	ctx := span.Context{Trace: span.NewTraceID(), Parent: span.NewSpanID(), Sampled: true}
-	f.Ctx = ctx
-	resp, err := c.roundTrip(f)
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	if resp.Op != OpError && resp.Ctx.Trace != ctx.Trace {
-		return Frame{}, 0, fmt.Errorf("proto: trace context lost in round trip (sent %s, got %s)",
-			ctx.Trace, resp.Ctx.Trace)
-	}
-	return resp, ctx.Trace, nil
+	_, _, err := c.do(Frame{Op: OpCheckpoint}, OpAck, false)
+	return err
 }
 
 // WriteChunkTraced is WriteChunk with a fresh sampled trace context
-// riding the frame; it returns the trace ID, resolvable at the
-// server's /traces/spans endpoint.
+// riding the frame; it returns the trace ID.
 func (c *Client) WriteChunkTraced(lba uint64, data []byte) (span.TraceID, error) {
-	resp, id, err := c.tracedTrip(Frame{Op: OpWrite, LBA: lba, Payload: data})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Op == OpError {
-		return 0, fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpAck {
-		return 0, fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return id, nil
+	_, id, err := c.do(Frame{Op: OpWrite, LBA: lba, Payload: data}, OpAck, true)
+	return id, err
 }
 
 // WriteBatchTraced is WriteBatch with a trace context; one trace ID
 // covers the whole batch.
 func (c *Client) WriteBatchTraced(lba uint64, data []byte) (span.TraceID, error) {
-	resp, id, err := c.tracedTrip(Frame{Op: OpWriteBatch, LBA: lba, Payload: data})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Op == OpError {
-		return 0, fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpAck {
-		return 0, fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return id, nil
+	_, id, err := c.do(Frame{Op: OpWriteBatch, LBA: lba, Payload: data}, OpAck, true)
+	return id, err
 }
 
 // ReadChunkTraced is ReadChunk with a trace context.
 func (c *Client) ReadChunkTraced(lba uint64) ([]byte, span.TraceID, error) {
-	resp, id, err := c.tracedTrip(Frame{Op: OpRead, LBA: lba})
-	if err != nil {
-		return nil, 0, err
-	}
-	if resp.Op == OpError {
-		return nil, 0, fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpData {
-		return nil, 0, fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return resp.Payload, id, nil
+	resp, id, err := c.do(Frame{Op: OpRead, LBA: lba}, OpData, true)
+	return resp.Payload, id, err
 }
 
 // ReadBatchTraced is ReadBatch with a trace context.
 func (c *Client) ReadBatchTraced(lba uint64, count int) ([]byte, span.TraceID, error) {
-	var payload [4]byte
-	binary.LittleEndian.PutUint32(payload[:], uint32(count))
-	resp, id, err := c.tracedTrip(Frame{Op: OpReadBatch, LBA: lba, Payload: payload[:]})
-	if err != nil {
-		return nil, 0, err
-	}
-	if resp.Op == OpError {
-		return nil, 0, fmt.Errorf("proto: server: %s", resp.Payload)
-	}
-	if resp.Op != OpData {
-		return nil, 0, fmt.Errorf("proto: unexpected response %v", resp.Op)
-	}
-	return resp.Payload, id, nil
+	resp, id, err := c.do(readBatchFrame(lba, count), OpData, true)
+	return resp.Payload, id, err
 }

@@ -68,10 +68,6 @@ type Config struct {
 	Ledger *hostmodel.Ledger
 	// Costs is the CPU cost table.
 	Costs hostmodel.CostParams
-	// MultiTenant switches replacement to the weighted PriorityLRU
-	// (§8's differentiated caching): tag requests with SetTenant and
-	// assign shares with SetTenantWeight.
-	MultiTenant bool
 }
 
 // Stats reports cache activity.
@@ -119,10 +115,6 @@ type Cache struct {
 	freeList   []uint64
 	lru        *list.List               // front = most recent; values are line numbers
 	lruElem    map[uint64]*list.Element // line -> element
-
-	// Multi-tenant replacement (§8): nil unless Config.MultiTenant.
-	prio   *PriorityLRU
-	tenant string
 
 	stats Stats
 
@@ -184,10 +176,6 @@ func New(cfg Config) (*Cache, error) {
 		c.lines[i] = make([]byte, hashpbn.BucketSize)
 		c.freeList = append(c.freeList, uint64(i))
 	}
-	if cfg.MultiTenant {
-		c.prio = NewPriorityLRU(cfg.CacheLines)
-		c.tenant = "default"
-	}
 	switch cfg.Mode {
 	case Software:
 		c.idx = newSWIndex(cfg.Ledger, cfg.Costs)
@@ -209,20 +197,6 @@ func New(cfg Config) (*Cache, error) {
 
 // Mode returns the management mode.
 func (c *Cache) Mode() Mode { return c.cfg.Mode }
-
-// SetTenant tags subsequent accesses with a tenant (multi-tenant mode).
-func (c *Cache) SetTenant(tenant string) {
-	if c.prio != nil && tenant != "" {
-		c.tenant = tenant
-	}
-}
-
-// SetTenantWeight assigns a tenant's cache share weight.
-func (c *Cache) SetTenantWeight(tenant string, w float64) {
-	if c.prio != nil {
-		c.prio.SetWeight(tenant, w)
-	}
-}
 
 // Stats returns a snapshot of cache statistics.
 func (c *Cache) Stats() Stats {
@@ -349,22 +323,13 @@ func (c *Cache) allocLine() (uint64, error) {
 		c.freeList = c.freeList[:n-1]
 		return line, nil
 	}
-	var line uint64
-	if c.prio != nil {
-		l, ok := c.prio.Evict()
-		if !ok {
-			return 0, fmt.Errorf("tablecache: no line to evict")
-		}
-		line = l
-	} else {
-		back := c.lru.Back()
-		if back == nil {
-			return 0, fmt.Errorf("tablecache: no line to evict")
-		}
-		line = back.Value.(uint64)
-		c.lru.Remove(back)
-		delete(c.lruElem, line)
+	back := c.lru.Back()
+	if back == nil {
+		return 0, fmt.Errorf("tablecache: no line to evict")
 	}
+	line := back.Value.(uint64)
+	c.lru.Remove(back)
+	delete(c.lruElem, line)
 	c.stats.Evictions++
 	if c.obsEvictions != nil {
 		c.obsEvictions.Inc()
@@ -387,10 +352,6 @@ func (c *Cache) allocLine() (uint64, error) {
 // host in both modes (§5.5), so the small bookkeeping cost is host CPU.
 func (c *Cache) touchLRU(line uint64) {
 	c.cfg.Ledger.CPU(hostmodel.CompTableReplace, c.cfg.Costs.LRUPerAccessNs)
-	if c.prio != nil {
-		c.prio.Touch(line, c.tenant)
-		return
-	}
 	if el, ok := c.lruElem[line]; ok {
 		c.lru.MoveToFront(el)
 		return

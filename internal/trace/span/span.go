@@ -1,15 +1,17 @@
-// Package span is the distributed-tracing span model: typed trace and
-// span identifiers, a propagation context small enough to ride in a
-// wire header, and the Span record every layer (proto listener, async
-// queue, core pipeline stages, WAL commit) emits into a shared
-// Collector. It upgrades the flat per-request stage lists of the node
-// observability plane (internal/core's Trace) into a parented tree
-// that survives process and wire boundaries, so one client-issued
+// Package span is the one trace model: typed trace and span
+// identifiers, the propagation context that rides in a wire header, the
+// TraceContext every traced entry point takes, the Span record every
+// layer emits (proto listener, async queue, core request and pipeline
+// stages, WAL commit), and the Collector that retains finished request
+// trees and serves them three ways — recent (/traces), slow-retained
+// (/traces/slow) and by trace ID (/traces/spans). One client-issued
 // trace ID resolves to the full proto -> queue -> core -> lanes -> WAL
-// -> SSD story.
+// -> SSD story, and an untraced request is the same tree under a
+// locally minted ID.
 //
-// The package is dependency-free (stdlib only) and imported by every
-// layer; nothing in it imports the rest of the module.
+// Besides the standard library the package imports only
+// internal/metrics, for the text-table renderer the views share with
+// the rest of the daemon's endpoints.
 package span
 
 import (
@@ -100,6 +102,32 @@ func (c Context) Valid() bool { return c.Trace != 0 }
 func (c Context) Child(id SpanID) Context {
 	c.Parent = id
 	return c
+}
+
+// TraceContext is what a layer hands the layer below with a request:
+// the propagation Context (zero when the request carries no trace)
+// plus what the front-end already knows about it. A nil *TraceContext
+// means "nothing to hand down". Callees read it during the call and
+// never retain it, so a caller may reuse one value across requests.
+type TraceContext struct {
+	Context
+	// Op overrides the request's op label when non-empty (the async
+	// pipeline tags "awrite"/"aread").
+	Op string
+	// Start, when set, is the front-end submission time; the request's
+	// total then includes queueing and routing.
+	Start time.Time
+	// QueueWait is the time the request sat in a front-end queue before
+	// a server accepted it; it feeds the queue_wait stage histogram.
+	QueueWait time.Duration
+}
+
+// Wire returns the propagation half of tc (zero for a nil tc).
+func (tc *TraceContext) Wire() Context {
+	if tc == nil {
+		return Context{}
+	}
+	return tc.Context
 }
 
 // WireSize is the encoded size of a Context: trace ID (8) + parent

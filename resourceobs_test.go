@@ -27,7 +27,7 @@ func writeThrough(t *testing.T, arch fidr.Arch, n uint64) []metrics.Metric {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := srv.EnableObservability(nil, 16)
+	view := srv.EnableObservability(nil)
 	for i := uint64(0); i < n; i++ {
 		if err := srv.Write(i, fidr.MakeChunk(i%16, 0.5)); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,13 @@
 package fidr_test
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"fidr"
 	"fidr/internal/core"
@@ -27,8 +32,8 @@ func TestAsyncTraceTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.EnableObservability(nil, 16)
-	col := span.NewCollector(64)
+	srv.EnableObservability(nil)
+	col := span.NewCollector(0, 0, 64)
 	srv.SetSpanCollector(col, 0)
 
 	a, err := fidr.NewAsync(srv, 8)
@@ -40,7 +45,7 @@ func TestAsyncTraceTree(t *testing.T) {
 
 	sc := span.Context{Trace: span.NewTraceID(), Parent: span.NewSpanID(), Sampled: true}
 	for i := uint64(0); i < 4; i++ {
-		if r := <-a.WriteCtx(i, fidr.MakeChunk(i, 0.5), sc); r.Err != nil {
+		if r := <-a.WriteAsync(i, fidr.MakeChunk(i, 0.5), &fidr.TraceContext{Context: sc}); r.Err != nil {
 			t.Fatalf("write %d: %v", i, r.Err)
 		}
 	}
@@ -167,5 +172,122 @@ func TestAsyncStoreRange(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollectorSharedByWorkersAndReaders is the collector's concurrency
+// case (run it under -race): two async workers, each owning one cluster
+// group, finish requests into one shared collector while an HTTP client
+// reads all three views. Afterwards the store holds exactly what the
+// workers finished.
+func TestCollectorSharedByWorkersAndReaders(t *testing.T) {
+	cfg := fidr.DefaultConfig(fidr.FIDRFull)
+	cfg.BatchChunks = 8
+	cl, err := fidr.NewCluster(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := cl.EnableObservability()
+	col := span.NewCollector(4096, 4096, 1024)
+	col.SetSlowGate(0.5, time.Nanosecond)
+	cl.SetSpanCollector(col)
+	cl.SetTraceSampling(4)
+	a, err := fidr.NewAsync(cl, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetSpanCollector(col)
+	if a.Workers() != 2 {
+		t.Fatalf("%d async workers, want 2", a.Workers())
+	}
+	srv := httptest.NewServer(metrics.Handler(view, metrics.HandlerOptions{
+		Traces: col.RenderRecent, Slow: col.RenderSlow, Spans: col,
+	}))
+	defer srv.Close()
+
+	const writes = 600
+	wire := &fidr.TraceContext{Context: span.Context{Trace: span.NewTraceID(), Parent: span.NewSpanID(), Sampled: true}}
+	writersDone := make(chan struct{})
+	readerDone := make(chan error, 1)
+	go func() {
+		paths := []string{"/traces", "/traces/slow", "/traces/spans", "/traces/spans?id=" + wire.Trace.String()}
+		for i := 0; ; i++ {
+			resp, err := http.Get(srv.URL + paths[i%len(paths)])
+			if err != nil {
+				readerDone <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			select {
+			case <-writersDone:
+				if i >= len(paths) {
+					readerDone <- nil
+					return
+				}
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < writes; i += 2 {
+				tc := wire
+				if i%10 != 0 {
+					tc = nil
+				}
+				if r := <-a.WriteAsync(uint64(i), fidr.MakeChunk(uint64(i%50), 0.5), tc); r.Err != nil {
+					t.Errorf("write %d: %v", i, r.Err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(writersDone)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	awrites := 0
+	groups := make(map[int]bool)
+	for _, q := range col.Recent() {
+		if q.Op() == "awrite" {
+			awrites++
+			groups[q.Root.Group] = true
+		}
+	}
+	if awrites != writes || len(groups) != 2 {
+		t.Fatalf("recent view holds %d awrite requests from %d groups, want %d from 2", awrites, len(groups), writes)
+	}
+	var finished, slow float64
+	for _, m := range view.Snapshot() {
+		switch m.Name {
+		case "core.request_total_ns":
+			finished = float64(m.Hist.Count)
+		case "core.slow_traces":
+			slow = m.Value
+		}
+	}
+	if got := len(col.Recent()); float64(got) != finished {
+		t.Fatalf("recent view holds %d requests, servers finished %v", got, finished)
+	}
+	if got := len(col.Slow()); got == 0 || float64(got) != slow {
+		t.Fatalf("slow view holds %d requests, core.slow_traces = %v", got, slow)
+	}
+	// The wire trace gathered its 60 requests (and their queue spans)
+	// from both groups under one ID.
+	count := map[string]int{}
+	for _, sp := range col.Trace(wire.Trace) {
+		count[sp.Name]++
+	}
+	if count["core.awrite"] != writes/10 || count["async.queue"] != writes/10 {
+		t.Fatalf("wire trace spans = %v, want %d core.awrite and async.queue", count, writes/10)
 	}
 }
