@@ -687,8 +687,6 @@ func runBenchCluster(cfg Config, wp Workload, groups int, art *BenchArtifact) er
 		return err
 	}
 	st := cl.Stats()
-	// Post-run the cluster is quiescent: per-group stats and the cache
-	// counters can be read directly.
 	var hits, lookups uint64
 	writes := make([]float64, groups)
 	for i := 0; i < groups; i++ {
@@ -715,7 +713,7 @@ func runBenchCluster(cfg Config, wp Workload, groups int, art *BenchArtifact) er
 		hitRate = float64(hits) / float64(lookups)
 	}
 	art.ShardImbalance = imbalance(writes)
-	art.CrossShardDupChunks = cl.obs.crossShardDupChunks()
+	art.CrossShardDupChunks = uint64(cl.obs.crossDupChunks.Value())
 	fillBenchArtifact(art, st, hitRate, wall, view.Snapshot())
 	return nil
 }
@@ -952,13 +950,6 @@ func fillBenchArtifact(art *BenchArtifact, st Stats, cacheHit float64, wall time
 			art.RequestLatencyNS[name] = lat
 		}
 	}
-}
-
-// crossShardDupChunks reads the tracked cross-shard duplicate count.
-func (o *clusterObs) crossShardDupChunks() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.extra
 }
 
 // WriteBenchArtifact writes art to dir/BENCH_<experiment>.json and

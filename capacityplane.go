@@ -46,7 +46,7 @@ func (c *Cluster) SetEventJournal(j *EventJournal) {
 
 // CapacityReport merges every group's report. Call from a quiesced
 // context (no concurrent writers) or route through Async.Maintenance —
-// the ledger fields are single-writer per group.
+// open container and fingerprint occupancy are single-writer per group.
 func (c *Cluster) CapacityReport(threshold float64) CapacityReport {
 	rs := make([]CapacityReport, len(c.groups))
 	for i, g := range c.groups {

@@ -198,7 +198,8 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// Stats aggregates all groups' counters.
+// Stats aggregates all groups' counters; safe while the groups serve
+// traffic (each group's Stats() reads atomics).
 func (c *Cluster) Stats() Stats {
 	var total Stats
 	for _, g := range c.groups {

@@ -24,7 +24,6 @@ import (
 type clusterObs struct {
 	groupRegs []*metrics.Registry
 	own       *metrics.Registry
-	view      metrics.Gatherer
 
 	writeNS, readNS *metrics.Histogram
 	crossDupChunks  *metrics.Gauge
@@ -33,10 +32,10 @@ type clusterObs struct {
 	// fingerprint maps to a bitmask of groups that stored it. Content
 	// seen by a second (third, ...) group is a duplicate a single dedup
 	// domain would have stored once — the scale-out trade-off made
-	// measurable. Tracked for clusters of up to 64 groups.
+	// measurable (crossDupChunks counts the copies beyond each content's
+	// first shard). Tracked for clusters of up to 64 groups.
 	mu        sync.Mutex
 	contentAt map[fingerprint.FP]uint64
-	extra     uint64 // copies beyond each content's first shard
 }
 
 // EnableObservability attaches a live metrics plane to every group and
@@ -72,18 +71,8 @@ func (c *Cluster) EnableObservability() metrics.Gatherer {
 	gatherers = append(gatherers, o.own, metrics.GathererFunc(func() []metrics.Metric {
 		return o.derived()
 	}))
-	o.view = metrics.Multi(gatherers...)
 	c.obs = o
-	return o.view
-}
-
-// MetricsView returns the cluster-wide gatherer, or nil when
-// observability is disabled.
-func (c *Cluster) MetricsView() metrics.Gatherer {
-	if c.obs == nil {
-		return nil
-	}
-	return c.obs.view
+	return metrics.Multi(gatherers...)
 }
 
 func groupPrefix(i int) string {
@@ -110,8 +99,7 @@ func (o *clusterObs) noteContent(g int, data []byte) {
 			// A second (or later) shard now stores content another
 			// shard already holds: one more copy than a global dedup
 			// domain would keep.
-			o.extra++
-			o.crossDupChunks.Set(float64(o.extra))
+			o.crossDupChunks.Add(1)
 		}
 		o.contentAt[fp] = mask | bit
 	}

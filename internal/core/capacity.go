@@ -55,30 +55,23 @@ func (s *Server) emitEvent(ev events.Event) {
 	s.journal.Append(ev)
 }
 
-// syncCapacityGauges pushes the derived capacity gauges into the
-// registry. It is called from the write path (batch seal, flush, GC,
-// checkpoint), so it reads Server state under the single-writer
-// discipline; scrapes see only the resulting registry atomics.
+// syncCapacityGauges refreshes the capacity state gauges from the write
+// path (batch seal, flush, GC, checkpoint), where reading Server state is
+// safe; scrapes see only the resulting atomics.
 func (s *Server) syncCapacityGauges() {
-	if s.obs == nil {
-		return
-	}
-	var totalDead uint64
-	for _, b := range s.lba.DeadBytes() {
-		totalDead += b
-	}
-	live := s.stats.StoredBytes
-	if drop := totalDead + s.stats.ReclaimedDeadBytes; drop < live {
+	totalDead := s.lba.TotalDeadBytes()
+	live := s.ctr.storedBytes.Value()
+	if drop := totalDead + s.ctr.reclaimedDead.Value(); drop < live {
 		live -= drop
 	} else {
 		live = 0
 	}
-	s.obs.capGarbage.Set(float64(totalDead))
-	s.obs.capLive.Set(float64(live))
-	s.obs.capFPLive.Set(float64(s.fpLive))
-	s.obs.capContainers.Set(float64(s.lba.NextContainer()))
-	s.obs.capRetired.Set(float64(s.lba.RetiredContainers()))
-	s.obs.capOpenBytes.Set(float64(s.comp.OpenBytes()))
+	s.ctr.garbage.Set(float64(totalDead))
+	s.ctr.live.Set(float64(live))
+	s.ctr.fpLive.Set(float64(s.fpLive))
+	s.ctr.containers.Set(float64(s.lba.NextContainer()))
+	s.ctr.retired.Set(float64(s.lba.RetiredContainers()))
+	s.ctr.openBytes.Set(float64(s.comp.OpenBytes()))
 }
 
 // GCAdvice is the compaction recommendation derived from the garbage
@@ -125,17 +118,18 @@ type CapacityReport struct {
 
 // CapacityReport builds the capacity view using threshold as the GC
 // dead-fraction reference. Must run on the goroutine that owns the
-// server (the async worker routes maintenance ops there); the lbatable
-// reads are lock-protected but the ledger fields are single-writer.
+// server (the async worker routes maintenance ops there): the engine's
+// open container and the fingerprint occupancy are single-writer state.
 func (s *Server) CapacityReport(threshold float64) CapacityReport {
+	st := s.Stats()
 	r := CapacityReport{
-		LogicalWriteBytes:     s.stats.LogicalWriteBytes,
-		DedupSavedBytes:       s.stats.DedupSavedBytes,
-		CompressionSavedBytes: s.stats.CompressionSavedBytes,
-		StoredBytes:           s.stats.StoredBytes,
+		LogicalWriteBytes:     st.LogicalWriteBytes,
+		DedupSavedBytes:       st.DedupSavedBytes,
+		CompressionSavedBytes: st.CompressionSavedBytes,
+		StoredBytes:           st.StoredBytes,
 		OpenContainerBytes:    uint64(s.comp.OpenBytes()),
-		ReclaimedDeadBytes:    s.stats.ReclaimedDeadBytes,
-		DeletedFingerprints:   s.stats.DeletedFingerprints,
+		ReclaimedDeadBytes:    st.ReclaimedDeadBytes,
+		DeletedFingerprints:   st.DeletedFingerprints,
 		FPLive:                s.fpLive,
 		FPCapacity:            s.cfg.UniqueChunkCapacity,
 		Containers:            s.lba.NextContainer(),
@@ -150,9 +144,7 @@ func (s *Server) CapacityReport(threshold float64) CapacityReport {
 	if r.FPCapacity > 0 {
 		r.FPOccupancy = float64(r.FPLive) / float64(r.FPCapacity)
 	}
-	for _, b := range s.lba.DeadBytes() {
-		r.GarbageBytes += b
-	}
+	r.GarbageBytes = s.lba.TotalDeadBytes()
 	if drop := r.GarbageBytes + r.ReclaimedDeadBytes; drop < r.StoredBytes {
 		r.LiveBytes = r.StoredBytes - drop
 	}

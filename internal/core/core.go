@@ -19,6 +19,7 @@ import (
 	"fidr/internal/hostmodel"
 	"fidr/internal/lanes"
 	"fidr/internal/lbatable"
+	"fidr/internal/metrics"
 	"fidr/internal/metrics/events"
 	"fidr/internal/nic"
 	"fidr/internal/pcie"
@@ -220,7 +221,7 @@ type Stats struct {
 	UniqueChunks     uint64
 	StoredBytes      uint64 // compressed bytes written to data SSDs
 	NICReadHits      uint64
-	ReadCacheHits    uint64 // §8 hot-block read cache hits
+	ReadCacheHits    uint64 // host-memory read hits: §8 hot-block cache, baseline request buffer
 	PendingReads     uint64 // reads served from the open container
 	BatchesProcessed uint64
 	Mispredictions   uint64 // baseline: predicted-dup chunks that were unique
@@ -250,8 +251,60 @@ func (s Stats) ReductionRatio() float64 {
 	return float64(s.StoredBytes) / float64(s.ClientBytes)
 }
 
-// Server is one storage server instance. Not safe for concurrent use;
-// wrap with external serialization for network frontends.
+// counters is the server's only storage of its activity: Stats() reads it
+// and EnableObservability attaches the same instances as "core.*" and
+// "capacity.*", so both are safe to read while the owner is writing.
+type counters struct {
+	writes, reads, batches       metrics.Counter
+	clientBytes, storedBytes     metrics.Counter
+	dupChunks, uniqueChunks      metrics.Counter
+	nicReadHits, readCacheHits   metrics.Counter
+	pendingReads, mispredictions metrics.Counter
+
+	// Reduction-attribution ledger (see Stats).
+	logicalBytes, dedupSaved, compSaved metrics.Counter
+	deletedFPs, reclaimedDead           metrics.Counter
+
+	// Capacity state, pushed by syncCapacityGauges (a scrape must not touch
+	// its engine and table sources). Ratios are derived at scrape time
+	// (metrics.CapacityRatios) because Merged sums gauges.
+	garbage, live       metrics.Gauge
+	fpLive, fpCapacity  metrics.Gauge
+	containers, retired metrics.Gauge
+	openBytes           metrics.Gauge
+}
+
+// attach publishes the counters through reg; stored bytes has two names.
+func (c *counters) attach(reg *metrics.Registry) {
+	reg.AttachCounter("core.writes", &c.writes)
+	reg.AttachCounter("core.reads", &c.reads)
+	reg.AttachCounter("core.batches", &c.batches)
+	reg.AttachCounter("core.client_bytes", &c.clientBytes)
+	reg.AttachCounter("core.stored_bytes", &c.storedBytes)
+	reg.AttachCounter("core.dup_chunks", &c.dupChunks)
+	reg.AttachCounter("core.unique_chunks", &c.uniqueChunks)
+	reg.AttachCounter("core.nic_read_hits", &c.nicReadHits)
+	reg.AttachCounter("core.read_cache_hits", &c.readCacheHits)
+	reg.AttachCounter("core.pending_reads", &c.pendingReads)
+	reg.AttachCounter("core.mispredictions", &c.mispredictions)
+	reg.AttachCounter("capacity.logical_bytes", &c.logicalBytes)
+	reg.AttachCounter("capacity.dedup_saved_bytes", &c.dedupSaved)
+	reg.AttachCounter("capacity.compression_saved_bytes", &c.compSaved)
+	reg.AttachCounter("capacity.stored_bytes", &c.storedBytes)
+	reg.AttachCounter("capacity.deleted_fingerprints", &c.deletedFPs)
+	reg.AttachCounter("capacity.reclaimed_dead_bytes", &c.reclaimedDead)
+	reg.AttachGauge("capacity.garbage_bytes", &c.garbage)
+	reg.AttachGauge("capacity.live_bytes", &c.live)
+	reg.AttachGauge("capacity.fp_live", &c.fpLive)
+	reg.AttachGauge("capacity.fp_capacity", &c.fpCapacity)
+	reg.AttachGauge("capacity.containers", &c.containers)
+	reg.AttachGauge("capacity.containers_retired", &c.retired)
+	reg.AttachGauge("capacity.open_container_bytes", &c.openBytes)
+}
+
+// Server is one storage server instance. Not safe for concurrent use
+// (wrap with external serialization for network frontends), except for
+// the Stats read-outs.
 type Server struct {
 	cfg    Config
 	geom   hashpbn.Geometry
@@ -275,15 +328,16 @@ type Server struct {
 	batch   []pending
 	rcache  *readCache
 	latency latencyTracker
-	stats   Stats
+	ctr     counters
+	tl      tally // the open batch's share of ctr, see commitTally
 	// wal is the group-local write-ahead log (nil disables logging).
 	wal *WAL
 	// crash is the injection state for the crash-recovery harness.
 	crash crashState
 	// recovery reports what the last RecoverServer pass did.
 	recovery RecoveryReport
-	// obs is the live observability hookup; nil (disabled) unless
-	// EnableObservability was called. All hooks are nil-safe.
+	// obs is the request-tracing and stage-timing hookup; nil (disabled)
+	// unless EnableObservability was called. All hooks are nil-safe.
 	obs *Observer
 	// activeReq is the request trace currently on the stack (the server
 	// is single-writer), so batch flushes triggered mid-request can link
@@ -435,6 +489,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.rcache = newReadCache(cfg.ReadCacheChunks)
 	s.latency = newLatencyTracker(DefaultLatency())
+	s.ctr.fpCapacity.Set(float64(cfg.UniqueChunkCapacity))
 	return s, nil
 }
 
@@ -472,7 +527,27 @@ func (s *Server) Ledger() *hostmodel.Ledger { return s.ledger }
 func (s *Server) Topology() *pcie.Topology { return s.topo }
 
 // Stats returns server-level counters.
-func (s *Server) Stats() Stats { return s.stats }
+func (s *Server) Stats() Stats {
+	c := &s.ctr
+	return Stats{
+		ClientWrites:          c.writes.Value(),
+		ClientReads:           c.reads.Value(),
+		ClientBytes:           c.clientBytes.Value(),
+		DuplicateChunks:       c.dupChunks.Value(),
+		UniqueChunks:          c.uniqueChunks.Value(),
+		StoredBytes:           c.storedBytes.Value(),
+		NICReadHits:           c.nicReadHits.Value(),
+		ReadCacheHits:         c.readCacheHits.Value(),
+		PendingReads:          c.pendingReads.Value(),
+		BatchesProcessed:      c.batches.Value(),
+		Mispredictions:        c.mispredictions.Value(),
+		LogicalWriteBytes:     c.logicalBytes.Value(),
+		DedupSavedBytes:       c.dedupSaved.Value(),
+		CompressionSavedBytes: c.compSaved.Value(),
+		DeletedFingerprints:   c.deletedFPs.Value(),
+		ReclaimedDeadBytes:    c.reclaimedDead.Value(),
+	}
+}
 
 // CacheStats returns table-cache statistics.
 func (s *Server) CacheStats() tablecache.Stats { return s.cache.Stats() }

@@ -28,11 +28,10 @@ type GarbageStats struct {
 
 // Garbage reports current dead-space accounting.
 func (s *Server) Garbage() GarbageStats {
-	g := GarbageStats{DeadBytesByContainer: s.lba.DeadBytes()}
-	for _, b := range g.DeadBytesByContainer {
-		g.TotalDeadBytes += b
+	return GarbageStats{
+		DeadBytesByContainer: s.lba.DeadBytes(),
+		TotalDeadBytes:       s.lba.TotalDeadBytes(),
 	}
-	return g
 }
 
 // CompactResult reports one compaction pass.
@@ -114,7 +113,7 @@ func (s *Server) Compact(minDeadFraction float64) (CompactResult, error) {
 func (s *Server) compactOne(c uint64, res *CompactResult, tr *ReqTrace) error {
 	// Capture the container's dead bytes before retirement wipes the
 	// entry: once retired they are reclaimed, not garbage.
-	deadHere := s.lba.DeadBytes()[c]
+	deadHere := s.lba.DeadBytesIn(c)
 	// Drop dead fingerprints first so their table entries cannot match
 	// new writes mid-compaction.
 	from := tr.start()
@@ -130,8 +129,7 @@ func (s *Server) compactOne(c uint64, res *CompactResult, tr *ReqTrace) error {
 		if s.fpLive > 0 {
 			s.fpLive--
 		}
-		s.stats.DeletedFingerprints++
-		s.obs.onDeletedFP(1)
+		s.ctr.deletedFPs.Inc()
 		res.ChunksDropped++
 	}
 	tr.span(StageDedupLookup, from)
@@ -174,8 +172,7 @@ func (s *Server) compactOne(c uint64, res *CompactResult, tr *ReqTrace) error {
 	s.lba.RetireContainer(c)
 	s.walRetire(c)
 	s.reclaimed = append(s.reclaimed, c)
-	s.stats.ReclaimedDeadBytes += deadHere
-	s.obs.onReclaimedDead(deadHere)
+	s.ctr.reclaimedDead.Add(deadHere)
 	res.ContainersCompacted++
 	res.BytesReclaimed += uint64(s.cfg.ContainerSize)
 	return nil

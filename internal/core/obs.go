@@ -77,11 +77,10 @@ func (st Stage) String() string {
 	}
 }
 
-// Observer binds a server's hot paths to a metrics.Registry. All fields
-// are resolved once at EnableObservability so per-request work is atomic
-// increments and histogram observes only. A nil *Observer is valid and
-// disables everything (the hooks are nil-safe), so un-instrumented
-// servers pay a single pointer test per hook.
+// Observer is the gated part of observability, the part that costs
+// something per request: clock reads around every stage and a span tree.
+// A nil *Observer disables it (the ReqTrace methods are nil-safe).
+// Counters are not here: their owners count unconditionally (see counters).
 type Observer struct {
 	reg *metrics.Registry
 
@@ -90,29 +89,6 @@ type Observer struct {
 	// Op-class request-total histograms: the SLO plane's latency inputs
 	// and the primary exemplar carriers.
 	reqWrite, reqRead *metrics.Histogram
-
-	writes, reads, batches   *metrics.Counter
-	clientBytes, storedBytes *metrics.Counter
-	dupChunks, uniqueChunks  *metrics.Counter
-	nicReadHits              *metrics.Counter
-	readCacheHits            *metrics.Counter
-	pendingReads             *metrics.Counter
-	mispredictions           *metrics.Counter
-
-	// Capacity plane: the reduction-attribution ledger as counters
-	// (write-path increments) plus state gauges pushed by
-	// syncCapacityGauges from the single-writer paths. Counters sum
-	// correctly under metrics.Merged; ratio gauges are derived at scrape
-	// time (metrics.CapacityRatios) precisely because Merged sums gauges.
-	capLogical, capDedupSaved *metrics.Counter
-	capCompSaved, capStored   *metrics.Counter
-	capDeletedFPs             *metrics.Counter
-	capReclaimedDead          *metrics.Counter
-	capGarbage                *metrics.Gauge
-	capLive                   *metrics.Gauge
-	capFPLive, capFPCapacity  *metrics.Gauge
-	capContainers, capRetired *metrics.Gauge
-	capOpenBytes              *metrics.Gauge
 
 	// Trace sink. col is nil until SetSpanCollector (stage histograms
 	// are still fed, no request trees are built); group labels every
@@ -150,128 +126,17 @@ const (
 
 func newObserver(reg *metrics.Registry) *Observer {
 	o := &Observer{
-		reg:            reg,
-		writes:         reg.Counter("core.writes"),
-		reads:          reg.Counter("core.reads"),
-		batches:        reg.Counter("core.batches"),
-		clientBytes:    reg.Counter("core.client_bytes"),
-		storedBytes:    reg.Counter("core.stored_bytes"),
-		dupChunks:      reg.Counter("core.dup_chunks"),
-		uniqueChunks:   reg.Counter("core.unique_chunks"),
-		nicReadHits:    reg.Counter("core.nic_read_hits"),
-		readCacheHits:  reg.Counter("core.read_cache_hits"),
-		pendingReads:   reg.Counter("core.pending_reads"),
-		mispredictions: reg.Counter("core.mispredictions"),
-		reqWrite:       reg.Histogram("req.write.ns"),
-		reqRead:        reg.Histogram("req.read.ns"),
-		totals:         reg.Histogram("core.request_total_ns"),
-		slowCount:      reg.Counter("core.slow_traces"),
-		threshold:      reg.Gauge("core.slow_threshold_ns"),
-
-		capLogical:       reg.Counter("capacity.logical_bytes"),
-		capDedupSaved:    reg.Counter("capacity.dedup_saved_bytes"),
-		capCompSaved:     reg.Counter("capacity.compression_saved_bytes"),
-		capStored:        reg.Counter("capacity.stored_bytes"),
-		capDeletedFPs:    reg.Counter("capacity.deleted_fingerprints"),
-		capReclaimedDead: reg.Counter("capacity.reclaimed_dead_bytes"),
-		capGarbage:       reg.Gauge("capacity.garbage_bytes"),
-		capLive:          reg.Gauge("capacity.live_bytes"),
-		capFPLive:        reg.Gauge("capacity.fp_live"),
-		capFPCapacity:    reg.Gauge("capacity.fp_capacity"),
-		capContainers:    reg.Gauge("capacity.containers"),
-		capRetired:       reg.Gauge("capacity.containers_retired"),
-		capOpenBytes:     reg.Gauge("capacity.open_container_bytes"),
+		reg:       reg,
+		reqWrite:  reg.Histogram("req.write.ns"),
+		reqRead:   reg.Histogram("req.read.ns"),
+		totals:    reg.Histogram("core.request_total_ns"),
+		slowCount: reg.Counter("core.slow_traces"),
+		threshold: reg.Gauge("core.slow_threshold_ns"),
 	}
 	for st := Stage(0); st < numStages; st++ {
 		o.stage[st] = reg.Histogram("stage." + st.String() + ".ns")
 	}
 	return o
-}
-
-// Counter hooks; each is a no-op on a nil Observer.
-
-func (o *Observer) onWrite(bytes int) {
-	if o == nil {
-		return
-	}
-	o.writes.Inc()
-	o.clientBytes.Add(uint64(bytes))
-	o.capLogical.Add(uint64(bytes))
-}
-
-func (o *Observer) onRead(bytes int) {
-	if o == nil {
-		return
-	}
-	o.reads.Inc()
-	o.clientBytes.Add(uint64(bytes))
-}
-
-func (o *Observer) onBatch() {
-	if o == nil {
-		return
-	}
-	o.batches.Inc()
-}
-
-func (o *Observer) onDup(savedBytes uint64) {
-	if o == nil {
-		return
-	}
-	o.dupChunks.Inc()
-	o.capDedupSaved.Add(savedBytes)
-}
-
-func (o *Observer) onUnique(storedBytes, compSavedBytes uint64) {
-	if o == nil {
-		return
-	}
-	o.uniqueChunks.Inc()
-	o.storedBytes.Add(storedBytes)
-	o.capStored.Add(storedBytes)
-	o.capCompSaved.Add(compSavedBytes)
-}
-
-func (o *Observer) onDeletedFP(n uint64) {
-	if o == nil {
-		return
-	}
-	o.capDeletedFPs.Add(n)
-}
-
-func (o *Observer) onReclaimedDead(bytes uint64) {
-	if o == nil {
-		return
-	}
-	o.capReclaimedDead.Add(bytes)
-}
-
-func (o *Observer) onNICReadHit() {
-	if o == nil {
-		return
-	}
-	o.nicReadHits.Inc()
-}
-
-func (o *Observer) onReadCacheHit() {
-	if o == nil {
-		return
-	}
-	o.readCacheHits.Inc()
-}
-
-func (o *Observer) onPendingRead() {
-	if o == nil {
-		return
-	}
-	o.pendingReads.Inc()
-}
-
-func (o *Observer) onMisprediction() {
-	if o == nil {
-		return
-	}
-	o.mispredictions.Inc()
 }
 
 // begin opens a request trace, or returns nil when observability is off;
@@ -504,19 +369,21 @@ func (o *Observer) reqClass(op string) *metrics.Histogram {
 	return nil
 }
 
-// EnableObservability attaches a live metrics registry to the server:
-// per-stage span histograms ("stage.<name>.ns"), request/latency-kind
-// histograms ("latency.<kind>.ns"), server counters ("core.*") and
-// substrate counters (tablecache.*, nic.*, engine.*, ssd.<name>.*), plus
-// the slow-gate series (core.request_total_ns, core.slow_threshold_ns,
-// core.slow_traces). Request trees are kept only once SetSpanCollector
-// attaches a collector. Call once, before serving traffic. Registry
-// reads are concurrent-safe; the server itself remains single-writer.
+// EnableObservability attaches a live metrics registry to the server.
+// The server's and every substrate's own counters are published by name
+// (core.*, capacity.*, tablecache.*, nic.*, engine.*, ssd.<name>.*,
+// hostmodel.*, pcie.*, wal.*) and include everything since construction
+// (recovery replay, scrub). What starts here is the timing side: stage,
+// request and latency-kind histograms, device access times and the
+// slow-gate series. Request trees are kept only once SetSpanCollector
+// attaches a collector. Call once, from the goroutine that owns the
+// server; registry reads are concurrent-safe.
 func (s *Server) EnableObservability(reg *metrics.Registry) *metrics.Registry {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	s.obs = newObserver(reg)
+	s.ctr.attach(reg)
 	for k := LatencyKind(0); k < numLatencyKinds; k++ {
 		s.latency.hist[k] = reg.Histogram("latency." + k.slug() + ".ns")
 	}
@@ -535,7 +402,6 @@ func (s *Server) EnableObservability(reg *metrics.Registry) *metrics.Registry {
 	if s.wal != nil {
 		s.wal.Instrument(reg)
 	}
-	s.obs.capFPCapacity.Set(float64(s.cfg.UniqueChunkCapacity))
 	s.syncCapacityGauges()
 	return reg
 }

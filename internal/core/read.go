@@ -24,12 +24,11 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 	if err := s.failIfCrashed(); err != nil {
 		return nil, err
 	}
-	s.stats.ClientReads++
+	s.ctr.reads.Inc()
 	if s.chunker == nil {
 		// Fixed chunking: the payload size is known upfront.
-		s.stats.ClientBytes += uint64(s.cfg.ChunkSize)
+		s.ctr.clientBytes.Add(uint64(s.cfg.ChunkSize))
 		s.ledger.Client(uint64(s.cfg.ChunkSize))
-		s.obs.onRead(s.cfg.ChunkSize)
 	}
 	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolReadNs)
 	tr := s.obs.begin("read", lba)
@@ -48,9 +47,8 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 	if err == nil && s.chunker != nil {
 		// CDC: an extent's size is whatever the chunker cut; charge the
 		// bytes actually served.
-		s.stats.ClientBytes += uint64(len(out))
+		s.ctr.clientBytes.Add(uint64(len(out)))
 		s.ledger.Client(uint64(len(out)))
-		s.obs.onRead(len(out))
 	}
 	return out, err
 }
@@ -93,7 +91,7 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 			out := make([]byte, len(s.batch[i].data))
 			copy(out, s.batch[i].data)
 			tr.span(StageNICBuffer, from)
-			s.obs.onReadCacheHit()
+			s.ctr.readCacheHits.Inc()
 			// Buffer scan plus NIC send of the hit.
 			s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(out)))
 			s.transfer(pcie.HostMemory, devNIC, uint64(len(out)))
@@ -148,9 +146,8 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	// Step 2: the NIC searches its in-NIC write buffer first.
 	from := tr.start()
 	if data, ok := s.fnic.LookupRead(lba); ok {
-		s.stats.NICReadHits++
+		s.ctr.nicReadHits.Inc()
 		tr.span(StageNICBuffer, from)
-		s.obs.onNICReadHit()
 		out := make([]byte, len(data))
 		copy(out, data)
 		s.latency.observe(LatReadNICHit, s.cfg.Arch, 0)
@@ -159,8 +156,7 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	tr.span(StageNICBuffer, from)
 	// §8 extension: hot-block read cache in host memory.
 	if data, ok := s.rcache.get(lba); ok {
-		s.stats.ReadCacheHits++
-		s.obs.onReadCacheHit()
+		s.ctr.readCacheHits.Inc()
 		s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
 		s.transfer(pcie.HostMemory, devNIC, uint64(len(data)))
 		s.latency.observe(LatReadCacheHit, s.cfg.Arch, 0)
@@ -230,8 +226,7 @@ func (s *Server) resolve(lba uint64) (lbatable.PBA, uint64, error) {
 // engine's open container (not yet on an SSD) or from the data SSD.
 func (s *Server) fetchCompressed(pba lbatable.PBA, tr *ReqTrace) (data []byte, fromSSD bool, err error) {
 	if data, ok := s.comp.ReadPending(pba.Container, pba.Offset, pba.CSize); ok {
-		s.stats.PendingReads++
-		s.obs.onPendingRead()
+		s.ctr.pendingReads.Inc()
 		return data, false, nil
 	}
 	off := pba.ByteOffset(s.cfg.ContainerSize)

@@ -184,8 +184,8 @@ type stagedRec struct {
 }
 
 // WAL is one group-local write-ahead log. Like Server, it is
-// single-owner: the server goroutine stages and commits; Stats is safe
-// to read concurrently only after the owner is quiesced.
+// single-owner: the server goroutine stages and commits; Stats reads
+// only the log's atomic counters and is safe from any goroutine.
 type WAL struct {
 	dev    WALDevice
 	closer io.Closer
@@ -199,12 +199,12 @@ type WAL struct {
 	group []stagedRec
 	inGrp bool
 
-	mu    sync.Mutex // guards stats against concurrent Stats() readers
-	stats WALStats
-
-	obsAppended, obsReplayed *metrics.Counter
-	obsFsync                 *metrics.Histogram
-	obsPending, obsBytes     *metrics.Gauge
+	// Activity counters: read by Stats and, once attached, by "wal.*".
+	// pending and durableBytes follow len(staged)+len(group) and size.
+	appended, replayed, syncs metrics.Counter
+	pending, durableBytes     metrics.Gauge
+	// obsFsync records each commit's fsync time; nil until Instrument.
+	obsFsync *metrics.Histogram
 
 	// fsyncStartNS is the wall-clock start of the in-flight device Sync,
 	// 0 when none is running. The health plane's fsync-deadline watchdog
@@ -238,7 +238,7 @@ func NewWAL(dev WALDevice) (*WAL, error) {
 		}
 	}
 	w.size = off
-	w.stats.DurableBytes = off
+	w.publishGauges()
 	return w, nil
 }
 
@@ -266,22 +266,15 @@ func (w *WAL) Close() error {
 	return nil
 }
 
-// Instrument mirrors WAL activity into reg: "wal.appended_records" and
-// "wal.replayed_records" counters, a "wal.fsync_ns" histogram of commit
-// fsync times, and "wal.pending_records" / "wal.durable_bytes" gauges.
-// Counters are seeded with activity that predates the call (recovery
-// replays before observability attaches).
+// Instrument publishes the log's counters and gauges through reg as
+// "wal.*" (recovery's replay, which runs before observability can attach,
+// is in them) and starts a "wal.fsync_ns" histogram of commit fsync times.
 func (w *WAL) Instrument(reg *metrics.Registry) {
-	w.obsAppended = reg.Counter("wal.appended_records")
-	w.obsReplayed = reg.Counter("wal.replayed_records")
+	reg.AttachCounter("wal.appended_records", &w.appended)
+	reg.AttachCounter("wal.replayed_records", &w.replayed)
+	reg.AttachGauge("wal.pending_records", &w.pending)
+	reg.AttachGauge("wal.durable_bytes", &w.durableBytes)
 	w.obsFsync = reg.Histogram("wal.fsync_ns")
-	w.obsPending = reg.Gauge("wal.pending_records")
-	w.obsBytes = reg.Gauge("wal.durable_bytes")
-	st := w.Stats()
-	w.obsAppended.Add(st.AppendedRecords)
-	w.obsReplayed.Add(st.ReplayedRecords)
-	w.obsPending.Set(float64(st.PendingRecords))
-	w.obsBytes.Set(float64(st.DurableBytes))
 }
 
 // FsyncInFlight reports whether a device Sync is running right now and
@@ -303,12 +296,13 @@ func (w *WAL) FsyncInFlight(now time.Time) (time.Duration, bool) {
 
 // Stats snapshots log counters.
 func (w *WAL) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st := w.stats
-	st.PendingRecords = len(w.staged) + len(w.group)
-	st.DurableBytes = w.size
-	return st
+	return WALStats{
+		AppendedRecords: w.appended.Value(),
+		ReplayedRecords: w.replayed.Value(),
+		Syncs:           w.syncs.Value(),
+		PendingRecords:  int(w.pending.Value()),
+		DurableBytes:    int64(w.durableBytes.Value()),
+	}
 }
 
 // LastSeq returns the highest sequence number assigned so far (0 when
@@ -334,9 +328,10 @@ func (w *WAL) stage(rec WALRecord, barrier uint64) {
 	sr := stagedRec{rec: rec, barrier: barrier}
 	if w.inGrp {
 		w.group = append(w.group, sr)
-		return
+	} else {
+		w.staged = append(w.staged, sr)
 	}
-	w.staged = append(w.staged, sr)
+	w.pending.Set(float64(len(w.staged) + len(w.group)))
 }
 
 // BeginGroup opens an atomic record group: records staged until EndGroup
@@ -400,12 +395,9 @@ func (w *WAL) commit(durableContainers uint64) error {
 
 	w.size += int64(len(buf))
 	w.staged = append(w.staged[:0], w.staged[n:]...)
-	w.mu.Lock()
-	w.stats.AppendedRecords += uint64(n)
-	w.stats.Syncs++
-	w.mu.Unlock()
-	if w.obsAppended != nil {
-		w.obsAppended.Add(uint64(n))
+	w.appended.Add(uint64(n))
+	w.syncs.Inc()
+	if w.obsFsync != nil {
 		w.obsFsync.Observe(float64(syncNS))
 	}
 	w.publishGauges()
@@ -413,11 +405,8 @@ func (w *WAL) commit(durableContainers uint64) error {
 }
 
 func (w *WAL) publishGauges() {
-	if w.obsPending == nil {
-		return
-	}
-	w.obsPending.Set(float64(len(w.staged) + len(w.group)))
-	w.obsBytes.Set(float64(w.size))
+	w.pending.Set(float64(len(w.staged) + len(w.group)))
+	w.durableBytes.Set(float64(w.size))
 }
 
 // Replay walks the durable log from the beginning, applying every valid
@@ -447,12 +436,7 @@ func (w *WAL) Replay(afterSeq uint64, apply func(WALRecord) error) (int, error) 
 		}
 		applied++
 	}
-	w.mu.Lock()
-	w.stats.ReplayedRecords += uint64(applied)
-	w.mu.Unlock()
-	if w.obsReplayed != nil {
-		w.obsReplayed.Add(uint64(applied))
-	}
+	w.replayed.Add(uint64(applied))
 	return applied, nil
 }
 

@@ -36,14 +36,13 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	if s.chunker != nil && len(data) == 0 {
 		return fmt.Errorf("core: empty stream write")
 	}
-	s.stats.ClientWrites++
-	s.stats.ClientBytes += uint64(len(data))
-	s.stats.LogicalWriteBytes += uint64(len(data))
+	s.ctr.writes.Inc()
+	s.ctr.clientBytes.Add(uint64(len(data)))
+	s.ctr.logicalBytes.Add(uint64(len(data)))
 	s.ledger.Client(uint64(len(data)))
 	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolWriteNs)
 	s.rcache.invalidate(lba)
 	s.latency.observe(LatWriteAck, s.cfg.Arch, 0)
-	s.obs.onWrite(len(data))
 	tr := s.obs.begin("write", lba)
 	tr.adopt(tc)
 	defer tr.done()
@@ -112,8 +111,7 @@ func (s *Server) processBaselineBatch() error {
 	}
 	batch := s.batch
 	s.batch = nil
-	s.stats.BatchesProcessed++
-	s.obs.onBatch()
+	s.ctr.batches.Inc()
 	bt := s.obs.beginLinked("batch", batch[0].lba, s.activeReq)
 	defer bt.done()
 
@@ -133,9 +131,7 @@ func (s *Server) processBaselineBatch() error {
 	}
 	s.transfer(pcie.HostMemory, devFPGA, total)
 	s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
-	for range batch {
-		s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerChunkNs)
-	}
+	s.ledger.CPU(hostmodel.CompDMAMgmt, uint64(len(batch))*s.costs.DMAMgmtPerChunkNs)
 
 	// 3. FPGA: the hash-core array fingerprints every chunk, fanning the
 	// batch across the configured hash lanes; the compression-pipeline
@@ -208,17 +204,14 @@ func (s *Server) processBaselineBatch() error {
 				return err
 			}
 			s.walMapLBA(p.lba, pbn)
-			s.stats.DuplicateChunks++
-			s.stats.DedupSavedBytes += uint64(len(p.data))
-			s.obs.onDup(uint64(len(p.data)))
+			s.tl.dup(uint64(len(p.data)))
 			continue
 		}
 		if r.cdata == nil {
 			// Misprediction: a unique chunk was predicted duplicate
 			// and skipped compression; it takes another round trip
 			// through the FPGA array.
-			s.stats.Mispredictions++
-			s.obs.onMisprediction()
+			s.ctr.mispredictions.Inc()
 			s.transfer(pcie.HostMemory, devFPGA, uint64(len(p.data)))
 			s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(len(p.data)))
 			t0 := bt.start()
@@ -333,8 +326,7 @@ func (s *Server) processFIDRBatch() error {
 	if s.fnic.Buffered() == 0 {
 		return nil
 	}
-	s.stats.BatchesProcessed++
-	s.obs.onBatch()
+	s.ctr.batches.Inc()
 	bt := s.obs.beginLinked("batch", 0, s.activeReq)
 	defer bt.done()
 
@@ -350,9 +342,7 @@ func (s *Server) processFIDRBatch() error {
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)
 	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
 	s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerBatchNs)
-	for range entries {
-		s.ledger.CPU(hostmodel.CompDeviceMgr, s.costs.DeviceMgrPerChunkNs)
-	}
+	s.ledger.CPU(hostmodel.CompDeviceMgr, uint64(len(entries))*s.costs.DeviceMgrPerChunkNs)
 
 	// Step 3: the device manager sends bucket indexes to the Cache
 	// HW-Engine (full FIDR only; with software caching this stays on
@@ -467,14 +457,10 @@ func (s *Server) processFIDRBatch() error {
 				return fmt.Errorf("core: within-batch duplicate of %v lost its unique twin", e.FP)
 			}
 			pbn = p
-			s.stats.DuplicateChunks++
-			s.stats.DedupSavedBytes += uint64(e.Size)
-			s.obs.onDup(uint64(e.Size))
+			s.tl.dup(uint64(e.Size))
 		default:
 			pbn = dupPBN[i]
-			s.stats.DuplicateChunks++
-			s.stats.DedupSavedBytes += uint64(e.Size)
-			s.obs.onDup(uint64(e.Size))
+			s.tl.dup(uint64(e.Size))
 		}
 		s.ledger.CPU(hostmodel.CompLBATable, s.costs.LBATablePerOpNs)
 		if err := s.lba.MapLBA(e.LBA, pbn); err != nil {
@@ -494,6 +480,28 @@ func (s *Server) processFIDRBatch() error {
 // provisionalPBN marks a within-batch duplicate whose unique twin has not
 // been admitted yet.
 const provisionalPBN = ^uint64(0)
+
+// tally accumulates a batch's dup/unique outcomes so the commit loops pay
+// no atomic per chunk; writeSealed, where every batch ends, adds it to the
+// server counters (a batch that failed first is counted with the next).
+type tally struct {
+	dups, dedupSaved           uint64
+	uniques, stored, compSaved uint64
+}
+
+func (t *tally) dup(savedBytes uint64) {
+	t.dups++
+	t.dedupSaved += savedBytes
+}
+
+func (s *Server) commitTally() {
+	s.ctr.dupChunks.Add(s.tl.dups)
+	s.ctr.dedupSaved.Add(s.tl.dedupSaved)
+	s.ctr.uniqueChunks.Add(s.tl.uniques)
+	s.ctr.storedBytes.Add(s.tl.stored)
+	s.ctr.compSaved.Add(s.tl.compSaved)
+	s.tl = tally{}
+}
 
 // admitUnique packs an already-compressed unique chunk (baseline path:
 // compressed data sits in host memory) and records its metadata.
@@ -527,11 +535,9 @@ func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 	s.pbnRaw[pbn] = uint32(meta.RawSize)
 	s.walAppend(meta, pbn)
 	s.fpLive++
-	s.stats.UniqueChunks++
-	s.stats.StoredBytes += uint64(meta.CSize)
-	compSaved := uint64(meta.RawSize - meta.CSize)
-	s.stats.CompressionSavedBytes += compSaved
-	s.obs.onUnique(uint64(meta.CSize), compSaved)
+	s.tl.uniques++
+	s.tl.stored += uint64(meta.CSize)
+	s.tl.compSaved += uint64(meta.RawSize - meta.CSize)
 	return pbn, nil
 }
 
@@ -539,6 +545,7 @@ func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 // holds container data in host memory (the SSD DMA-reads it out); FIDR
 // transfers engine -> SSD peer-to-peer under the switch.
 func (s *Server) writeSealed(tr *ReqTrace) error {
+	s.commitTally()
 	defer s.syncCapacityGauges()
 	sealed := s.comp.TakeSealed()
 	if len(sealed) > 0 {

@@ -69,7 +69,6 @@ type Compression struct {
 	builder *lbatable.Builder
 	// sealed containers wait in engine memory for P2P pickup.
 	sealed []SealedContainer
-	stats  Stats
 
 	// compressLanes is the modeled LZ77-pipeline count: CompressMany
 	// fans a batch across this many worker goroutines (1 = serial).
@@ -79,33 +78,28 @@ type Compression struct {
 	// buffers stay valid until the next CompressMany call.
 	scratch [][]byte
 
-	// Live observability: nil unless Instrument attached a registry.
-	obsChunksIn, obsBytesIn *metrics.Counter
-	obsBytesCompressed      *metrics.Counter
-	obsRawStored, obsSealed *metrics.Counter
-	// obsBusyNS accumulates compression-section wall time (duty-cycle
-	// source); obsLaneBusyNS sums per-lane busy time across the
-	// pipeline array; obsQueueDepth tracks sealed containers awaiting
-	// P2P pickup by the data SSD.
-	obsBusyNS     *metrics.Counter
-	obsLaneBusyNS *metrics.Counter
-	obsLanesG     *metrics.Gauge
-	obsQueueDepth *metrics.Gauge
+	// Activity counters: read by Stats and, once attached, by "engine.*".
+	chunksIn, bytesIn, bytesCompressed metrics.Counter
+	rawStored, nSealed                 metrics.Counter
+	// busyNS accumulates compression-section wall time (duty-cycle
+	// source); laneBusyNS sums per-lane busy time across the pipeline
+	// array; queueDepth tracks sealed containers awaiting P2P pickup by
+	// the data SSD.
+	busyNS, laneBusyNS metrics.Counter
+	lanesG, queueDepth metrics.Gauge
 }
 
-// Instrument mirrors engine activity into reg under "engine.*". Call
-// once, before serving traffic.
+// Instrument publishes the engine's counters through reg as "engine.*".
 func (e *Compression) Instrument(reg *metrics.Registry) {
-	e.obsChunksIn = reg.Counter("engine.chunks_in")
-	e.obsBytesIn = reg.Counter("engine.bytes_in")
-	e.obsBytesCompressed = reg.Counter("engine.bytes_compressed")
-	e.obsRawStored = reg.Counter("engine.raw_stored")
-	e.obsSealed = reg.Counter("engine.containers_sealed")
-	e.obsBusyNS = reg.Counter("engine.busy_ns")
-	e.obsLaneBusyNS = reg.Counter("engine.compress_lane_busy_ns")
-	e.obsLanesG = reg.Gauge("engine.compress_lanes")
-	e.obsLanesG.Set(float64(e.compressLanes))
-	e.obsQueueDepth = reg.Gauge("engine.queue_depth")
+	reg.AttachCounter("engine.chunks_in", &e.chunksIn)
+	reg.AttachCounter("engine.bytes_in", &e.bytesIn)
+	reg.AttachCounter("engine.bytes_compressed", &e.bytesCompressed)
+	reg.AttachCounter("engine.raw_stored", &e.rawStored)
+	reg.AttachCounter("engine.containers_sealed", &e.nSealed)
+	reg.AttachCounter("engine.busy_ns", &e.busyNS)
+	reg.AttachCounter("engine.compress_lane_busy_ns", &e.laneBusyNS)
+	reg.AttachGauge("engine.compress_lanes", &e.lanesG)
+	reg.AttachGauge("engine.queue_depth", &e.queueDepth)
 }
 
 // SetCompressLanes sets the modeled compression-pipeline count that
@@ -113,9 +107,7 @@ func (e *Compression) Instrument(reg *metrics.Registry) {
 // default. Results are byte-identical at any lane count.
 func (e *Compression) SetCompressLanes(count int) {
 	e.compressLanes = lanes.Normalize(count)
-	if e.obsLanesG != nil {
-		e.obsLanesG.Set(float64(e.compressLanes))
-	}
+	e.lanesG.Set(float64(e.compressLanes))
 }
 
 // CompressLanes returns the configured compression-lane count.
@@ -135,7 +127,9 @@ func NewCompressionAt(comp blockcomp.Compressor, containerSize int, firstContain
 	if err != nil {
 		return nil, err
 	}
-	return &Compression{comp: comp, builder: b, compressLanes: 1}, nil
+	e := &Compression{comp: comp, builder: b}
+	e.SetCompressLanes(1)
+	return e, nil
 }
 
 // In is one chunk entering the engine.
@@ -157,33 +151,20 @@ func (e *Compression) Compress(data []byte) (cdata []byte, raw bool, err error) 
 	}
 	start := time.Now()
 	cdata, err = e.comp.Compress(data)
-	elapsed := time.Since(start)
-	if e.obsBusyNS != nil {
-		e.obsBusyNS.Add(uint64(elapsed))
-		e.obsLaneBusyNS.Add(uint64(elapsed))
-	}
+	elapsed := uint64(time.Since(start))
+	e.busyNS.Add(elapsed)
+	e.laneBusyNS.Add(elapsed)
 	if err != nil {
 		return nil, false, fmt.Errorf("engine: compress: %w", err)
 	}
-	e.stats.ChunksIn++
-	e.stats.BytesIn += uint64(len(data))
-	if e.obsChunksIn != nil {
-		e.obsChunksIn.Inc()
-		e.obsBytesIn.Add(uint64(len(data)))
-	}
+	e.chunksIn.Inc()
+	e.bytesIn.Add(uint64(len(data)))
 	if len(cdata) >= len(data) {
-		e.stats.RawStored++
-		e.stats.BytesCompressed += uint64(len(data))
-		if e.obsRawStored != nil {
-			e.obsRawStored.Inc()
-			e.obsBytesCompressed.Add(uint64(len(data)))
-		}
+		e.rawStored.Inc()
+		e.bytesCompressed.Add(uint64(len(data)))
 		return data, true, nil
 	}
-	e.stats.BytesCompressed += uint64(len(cdata))
-	if e.obsBytesCompressed != nil {
-		e.obsBytesCompressed.Add(uint64(len(cdata)))
-	}
+	e.bytesCompressed.Add(uint64(len(cdata)))
 	return cdata, false, nil
 }
 
@@ -232,33 +213,25 @@ func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
 		}
 	})
 	wall := time.Since(start)
-	// In-order commit: identical counter evolution to the serial path,
-	// and the error for the lowest failing index wins deterministically.
+	e.busyNS.Add(uint64(wall))
+	e.laneBusyNS.Add(uint64(lanes.Total(busy)))
+	// Counters commit once per batch, after the join; the lowest failing
+	// index wins and the chunks before it still count, as on the serial path.
 	var bytesIn, bytesOut, rawStored uint64
-	for i := range datas {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		e.stats.ChunksIn++
-		e.stats.BytesIn += uint64(len(datas[i]))
-		bytesIn += uint64(len(datas[i]))
-		out := uint64(len(results[i].Data))
-		e.stats.BytesCompressed += out
-		bytesOut += out
-		if results[i].Raw {
-			e.stats.RawStored++
+	n := 0
+	for ; n < len(datas) && errs[n] == nil; n++ {
+		bytesIn += uint64(len(datas[n]))
+		bytesOut += uint64(len(results[n].Data))
+		if results[n].Raw {
 			rawStored++
 		}
 	}
-	if e.obsChunksIn != nil {
-		e.obsChunksIn.Add(uint64(len(datas)))
-		e.obsBytesIn.Add(bytesIn)
-		e.obsBytesCompressed.Add(bytesOut)
-		e.obsRawStored.Add(rawStored)
-	}
-	if e.obsBusyNS != nil {
-		e.obsBusyNS.Add(uint64(wall))
-		e.obsLaneBusyNS.Add(uint64(lanes.Total(busy)))
+	e.chunksIn.Add(uint64(n))
+	e.bytesIn.Add(bytesIn)
+	e.bytesCompressed.Add(bytesOut)
+	e.rawStored.Add(rawStored)
+	if n < len(datas) {
+		return nil, errs[n]
 	}
 	return results, nil
 }
@@ -327,11 +300,8 @@ func (e *Compression) ReadPending(container uint64, off uint32, n uint32) ([]byt
 func (e *Compression) seal() {
 	if idx, data, ok := e.builder.Seal(); ok {
 		e.sealed = append(e.sealed, SealedContainer{Index: idx, Data: data})
-		e.stats.ContainersSealed++
-		if e.obsSealed != nil {
-			e.obsSealed.Inc()
-			e.obsQueueDepth.Set(float64(len(e.sealed)))
-		}
+		e.nSealed.Inc()
+		e.queueDepth.Set(float64(len(e.sealed)))
 	}
 }
 
@@ -344,9 +314,7 @@ func (e *Compression) Flush() { e.seal() }
 func (e *Compression) TakeSealed() []SealedContainer {
 	out := e.sealed
 	e.sealed = nil
-	if e.obsQueueDepth != nil {
-		e.obsQueueDepth.Set(0)
-	}
+	e.queueDepth.Set(0)
 	return out
 }
 
@@ -358,7 +326,15 @@ func (e *Compression) OpenContainer() uint64 { return e.builder.Container() }
 func (e *Compression) OpenBytes() int { return e.builder.Used() }
 
 // Stats returns a snapshot.
-func (e *Compression) Stats() Stats { return e.stats }
+func (e *Compression) Stats() Stats {
+	return Stats{
+		ChunksIn:         e.chunksIn.Value(),
+		BytesIn:          e.bytesIn.Value(),
+		BytesCompressed:  e.bytesCompressed.Value(),
+		RawStored:        e.rawStored.Value(),
+		ContainersSealed: e.nSealed.Value(),
+	}
+}
 
 // Decompression is one Decompression Engine.
 type Decompression struct {

@@ -14,7 +14,6 @@ package hostmodel
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"fidr/internal/metrics"
 )
@@ -199,100 +198,59 @@ func (c Component) IsManagementOverhead() bool {
 
 // Ledger accumulates charges. Safe for concurrent use.
 type Ledger struct {
-	mem          [numPaths]atomic.Uint64
-	cpu          [numComponents]atomic.Uint64
-	clientBytes  atomic.Uint64
-	payloadBytes atomic.Uint64
-
-	// Registry mirrors, nil until Instrument (match the substrate idiom:
-	// bind once before serving traffic, nil-checked on the hot path).
-	obsMem     [numPaths]*metrics.Counter
-	obsMemTot  *metrics.Counter
-	obsPayload *metrics.Counter
-	obsCPU     [numComponents]*metrics.Counter
-	obsCPUTot  *metrics.Counter
-	obsClient  *metrics.Counter
+	mem                       [numPaths]metrics.Counter
+	cpu                       [numComponents]metrics.Counter
+	clientBytes, payloadBytes metrics.Counter
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// Instrument mirrors the ledger into reg:
+// Instrument publishes the ledger's own counters through reg:
 //
-//	hostmodel.dram_bytes            total host-DRAM traffic, all paths
+//	hostmodel.dram_bytes            total host-DRAM traffic, all paths (summed on read)
 //	hostmodel.dram_payload_bytes    the client-payload share of it
 //	hostmodel.dram.<path>.bytes     per-datapath traffic (Table 1 rows)
-//	hostmodel.cpu_ns                total modeled host CPU time
+//	hostmodel.cpu_ns                total modeled host CPU time (summed on read)
 //	hostmodel.cpu.<component>.ns    per-component CPU time (Table 2 rows)
 //	hostmodel.client_bytes          client-visible IO (normalization base)
 //
-// Call once, before serving traffic; mirrors do not backfill existing
-// totals. dram_payload_bytes turns the paper's headline claim into a
-// scrapeable invariant: a FIDR-mode server moving client data
-// NIC→engine→SSD peer-to-peer keeps it at zero while the baseline
-// charges every payload byte (twice or more) to host DRAM.
+// dram_payload_bytes turns the paper's headline claim into a scrapeable
+// invariant: a FIDR-mode server moving client data NIC→engine→SSD
+// peer-to-peer keeps it at zero while the baseline charges every payload
+// byte (twice or more) to host DRAM.
 func (l *Ledger) Instrument(reg *metrics.Registry) {
 	for _, p := range Paths() {
-		l.obsMem[p] = reg.Counter("hostmodel.dram." + p.Slug() + ".bytes")
+		reg.AttachCounter("hostmodel.dram."+p.Slug()+".bytes", &l.mem[p])
 	}
 	for _, c := range Components() {
-		l.obsCPU[c] = reg.Counter("hostmodel.cpu." + c.Slug() + ".ns")
+		reg.AttachCounter("hostmodel.cpu."+c.Slug()+".ns", &l.cpu[c])
 	}
-	l.obsMemTot = reg.Counter("hostmodel.dram_bytes")
-	l.obsPayload = reg.Counter("hostmodel.dram_payload_bytes")
-	l.obsCPUTot = reg.Counter("hostmodel.cpu_ns")
-	l.obsClient = reg.Counter("hostmodel.client_bytes")
+	reg.AttachCounter("hostmodel.dram_payload_bytes", &l.payloadBytes)
+	reg.AttachCounter("hostmodel.client_bytes", &l.clientBytes)
+	reg.AttachDerived(func(emit func(name string, v uint64)) {
+		s := l.Snapshot()
+		emit("hostmodel.dram_bytes", s.TotalMemBytes())
+		emit("hostmodel.cpu_ns", s.TotalCPUNanos())
+	})
 }
 
 // Mem charges n bytes of host-memory traffic to path p.
-func (l *Ledger) Mem(p Path, n uint64) {
-	l.mem[p].Add(n)
-	if l.obsMem[p] != nil {
-		l.obsMem[p].Add(n)
-		l.obsMemTot.Add(n)
-	}
-}
+func (l *Ledger) Mem(p Path, n uint64) { l.mem[p].Add(n) }
 
 // MemPayload charges n bytes of host-memory traffic to path p and
 // additionally classifies it as client payload (the data itself moving
 // through host DRAM, as opposed to hashes, flags and table metadata).
 func (l *Ledger) MemPayload(p Path, n uint64) {
-	l.Mem(p, n)
+	l.mem[p].Add(n)
 	l.payloadBytes.Add(n)
-	if l.obsPayload != nil {
-		l.obsPayload.Add(n)
-	}
 }
 
 // CPU charges ns nanoseconds of CPU time to component c.
-func (l *Ledger) CPU(c Component, ns uint64) {
-	l.cpu[c].Add(ns)
-	if l.obsCPU[c] != nil {
-		l.obsCPU[c].Add(ns)
-		l.obsCPUTot.Add(ns)
-	}
-}
+func (l *Ledger) CPU(c Component, ns uint64) { l.cpu[c].Add(ns) }
 
 // Client records n bytes of client-visible IO (the normalization base).
-func (l *Ledger) Client(n uint64) {
-	l.clientBytes.Add(n)
-	if l.obsClient != nil {
-		l.obsClient.Add(n)
-	}
-}
-
-// Reset zeroes the ledger (registry mirrors, being monotonic counters,
-// are left alone).
-func (l *Ledger) Reset() {
-	for i := range l.mem {
-		l.mem[i].Store(0)
-	}
-	for i := range l.cpu {
-		l.cpu[i].Store(0)
-	}
-	l.clientBytes.Store(0)
-	l.payloadBytes.Store(0)
-}
+func (l *Ledger) Client(n uint64) { l.clientBytes.Add(n) }
 
 // Snapshot is an immutable copy of ledger totals.
 type Snapshot struct {
@@ -308,13 +266,13 @@ type Snapshot struct {
 func (l *Ledger) Snapshot() Snapshot {
 	var s Snapshot
 	for i := range l.mem {
-		s.MemBytes[i] = l.mem[i].Load()
+		s.MemBytes[i] = l.mem[i].Value()
 	}
 	for i := range l.cpu {
-		s.CPUNanos[i] = l.cpu[i].Load()
+		s.CPUNanos[i] = l.cpu[i].Value()
 	}
-	s.ClientBytes = l.clientBytes.Load()
-	s.PayloadBytes = l.payloadBytes.Load()
+	s.ClientBytes = l.clientBytes.Value()
+	s.PayloadBytes = l.payloadBytes.Value()
 	return s
 }
 

@@ -25,10 +25,6 @@ func TestLedgerBasics(t *testing.T) {
 	if s.CPUNanosPerClientByte() != 20 {
 		t.Errorf("cpu ns/byte = %v", s.CPUNanosPerClientByte())
 	}
-	l.Reset()
-	if l.Snapshot().TotalMemBytes() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestEmptySnapshotSafe(t *testing.T) {

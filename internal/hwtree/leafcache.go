@@ -1,6 +1,10 @@
 package hwtree
 
-import "container/list"
+import (
+	"container/list"
+
+	"fidr/internal/metrics"
+)
 
 // LeafCacheSim measures the on-chip leaf-cache hit rate of a lookup
 // stream: the Cache HW-Engine keeps a small BRAM cache over the DRAM-
@@ -12,7 +16,8 @@ type LeafCacheSim struct {
 	order    *list.List
 	index    map[NodeID]*list.Element
 
-	hits, misses uint64
+	// Counters, so HitRate may be read while another goroutine drives Access.
+	hits, misses metrics.Counter
 }
 
 // NewLeafCacheSim creates an LRU leaf-cache simulator holding up to
@@ -32,10 +37,10 @@ func NewLeafCacheSim(capacity int) *LeafCacheSim {
 func (c *LeafCacheSim) Access(id NodeID) bool {
 	if el, ok := c.index[id]; ok {
 		c.order.MoveToFront(el)
-		c.hits++
+		c.hits.Inc()
 		return true
 	}
-	c.misses++
+	c.misses.Inc()
 	el := c.order.PushFront(id)
 	c.index[id] = el
 	if c.order.Len() > c.capacity {
@@ -56,12 +61,12 @@ func (c *LeafCacheSim) Invalidate(id NodeID) {
 
 // HitRate returns hits / (hits + misses).
 func (c *LeafCacheSim) HitRate() float64 {
-	total := c.hits + c.misses
+	hits, total := c.hits.Value(), c.Accesses()
 	if total == 0 {
 		return 0
 	}
-	return float64(c.hits) / float64(total)
+	return float64(hits) / float64(total)
 }
 
 // Accesses returns the total access count.
-func (c *LeafCacheSim) Accesses() uint64 { return c.hits + c.misses }
+func (c *LeafCacheSim) Accesses() uint64 { return c.hits.Value() + c.misses.Value() }

@@ -1,6 +1,10 @@
 package hwtree
 
-import "fmt"
+import (
+	"fmt"
+
+	"fidr/internal/metrics"
+)
 
 // Speculative concurrent-update execution (§5.5.1, Algorithms 1 and 2).
 //
@@ -57,8 +61,9 @@ func (s ExecStats) CrashRate() float64 {
 type SpecExecutor struct {
 	t *Tree
 	// W is the number of concurrent in-flight updates (paper: up to 4).
-	W     int
-	stats ExecStats
+	W int
+	// Counters, so Stats may be read while another goroutine drives Drain.
+	issued, committed, crashes, windows metrics.Counter
 
 	queue []Update
 }
@@ -75,7 +80,14 @@ func NewSpecExecutor(t *Tree, w int) (*SpecExecutor, error) {
 func (e *SpecExecutor) Tree() *Tree { return e.t }
 
 // Stats returns execution statistics.
-func (e *SpecExecutor) Stats() ExecStats { return e.stats }
+func (e *SpecExecutor) Stats() ExecStats {
+	return ExecStats{
+		Issued:    e.issued.Value(),
+		Committed: e.committed.Value(),
+		Crashes:   e.crashes.Value(),
+		Windows:   e.windows.Value(),
+	}
+}
 
 // Enqueue adds update requests to the command queue.
 func (e *SpecExecutor) Enqueue(ups ...Update) {
@@ -104,12 +116,12 @@ func (e *SpecExecutor) window() {
 	}
 	batch := e.queue[:w]
 	rest := e.queue[w:]
-	e.stats.Windows++
+	e.windows.Inc()
 
 	specUpdated := make(map[NodeID]bool)
 	var replay []Update
 	for _, req := range batch {
-		e.stats.Issued++
+		e.issued.Inc()
 		// Search phase: record traversed nodes and leaf neighbors.
 		path, neighbors := e.t.PathTo(req.Key)
 		crash := false
@@ -129,7 +141,7 @@ func (e *SpecExecutor) window() {
 		}
 		if crash {
 			// Wrong speculation: discard and replay (Algorithm 2 line 2).
-			e.stats.Crashes++
+			e.crashes.Inc()
 			replay = append(replay, req)
 			continue
 		}
@@ -144,7 +156,7 @@ func (e *SpecExecutor) window() {
 		case UpdateDelete:
 			_, tc = e.t.Delete(req.Key)
 		}
-		e.stats.Committed++
+		e.committed.Inc()
 		// Only nodes the request *modified* enter the speculative set
 		// (Algorithm 1 line 5); read-sharing of upper levels is safe.
 		for _, id := range tc.IDs {

@@ -76,6 +76,8 @@ type Table struct {
 	// garbage — ContainerUsage must not re-count them).
 	refs      []uint32
 	deadBytes map[uint64]uint64
+	// deadTotal is the maintained sum of deadBytes (read on every batch).
+	deadTotal uint64
 	relocated map[uint64]pbnLoc
 	retired   map[uint64]struct{}
 

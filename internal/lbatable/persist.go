@@ -167,6 +167,7 @@ func RestoreTable(data []byte) (*Table, error) {
 		if err := rd(&b); err != nil {
 			return nil, fmt.Errorf("lbatable: dead bytes truncated: %w", err)
 		}
+		t.deadTotal += b - t.deadBytes[c] // a repeated container replaces its entry
 		t.deadBytes[c] = b
 	}
 	// Optional retired-container section: absent in older snapshots, so

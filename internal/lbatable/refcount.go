@@ -49,6 +49,7 @@ func (t *Table) decRef(pbn uint64) {
 			t.deadBytes = make(map[uint64]uint64)
 		}
 		t.deadBytes[loc.container] += uint64(t.entries[pbn].csize)
+		t.deadTotal += uint64(t.entries[pbn].csize)
 	}
 }
 
@@ -61,6 +62,7 @@ func (t *Table) reviveRef(pbn uint64) {
 	size := uint64(t.entries[pbn].csize)
 	if dead >= size {
 		t.deadBytes[loc.container] = dead - size
+		t.deadTotal -= size
 	}
 }
 
@@ -136,6 +138,20 @@ func (t *Table) DeadBytes() map[uint64]uint64 {
 	return out
 }
 
+// TotalDeadBytes returns the sum of DeadBytes() without building the map.
+func (t *Table) TotalDeadBytes() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.deadTotal
+}
+
+// DeadBytesIn returns the dead compressed bytes recorded for container c.
+func (t *Table) DeadBytesIn(c uint64) uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.deadBytes[c]
+}
+
 // LiveChunks returns the PBNs with nonzero references located in the
 // given container, in ascending PBN order.
 func (t *Table) LiveChunks(container uint64) []uint64 {
@@ -206,6 +222,7 @@ func (t *Table) Relocate(pbn, newContainer uint64, newOff uint32) error {
 func (t *Table) RetireContainer(container uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.deadTotal -= t.deadBytes[container]
 	delete(t.deadBytes, container)
 	if t.retired == nil {
 		t.retired = make(map[uint64]struct{})

@@ -213,3 +213,88 @@ func TestRelocateAdvancesFrontier(t *testing.T) {
 		t.Fatalf("append after relocated frontier: %v", err)
 	}
 }
+
+// TestDeadTotalMatchesMap drives random append / remap (which kills and
+// revives chunks) / retain / release / retire sequences and checks after
+// every step that the maintained TotalDeadBytes equals the sum of the
+// DeadBytes() map and DeadBytesIn matches each entry — including across
+// a snapshot/restore cycle.
+func TestDeadTotalMatchesMap(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		seed       int64
+		lbas       int
+		retireEach int // retire a container every N steps (0 = never)
+	}{
+		{"overwrite-heavy", 1, 20, 0},
+		{"wide-lba-space", 2, 500, 0},
+		{"with-retire", 3, 40, 97},
+		{"retire-often", 4, 10, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, _ := New(1 << 14)
+			rng := rand.New(rand.NewSource(tc.seed))
+			var pbns, retained []uint64
+			off, container := uint32(0), uint64(0)
+			check := func(tb *Table, step int) {
+				t.Helper()
+				var sum uint64
+				for c, b := range tb.DeadBytes() {
+					sum += b
+					if got := tb.DeadBytesIn(c); got != b {
+						t.Fatalf("step %d: DeadBytesIn(%d) = %d, map says %d", step, c, got, b)
+					}
+				}
+				if got := tb.TotalDeadBytes(); got != sum {
+					t.Fatalf("step %d: TotalDeadBytes = %d, map sums to %d", step, got, sum)
+				}
+			}
+			for i := 0; i < 1500; i++ {
+				lba := uint64(rng.Intn(tc.lbas))
+				switch op := rng.Intn(10); {
+				case len(pbns) == 0 || op < 3:
+					csize := uint32(rng.Intn(900) + 64)
+					if int(off)+int(csize) > 1<<14 {
+						container++
+						off = 0
+					}
+					p, err := tb.AppendChunk(lba, container, off, csize)
+					if err != nil {
+						t.Fatal(err)
+					}
+					off += (csize + OffsetUnit - 1) / OffsetUnit * OffsetUnit
+					pbns = append(pbns, p)
+				case op < 8:
+					// Remap: may kill the old chunk and revive a dead one.
+					if err := tb.MapLBA(lba, pbns[rng.Intn(len(pbns))]); err != nil {
+						t.Fatal(err)
+					}
+				case op == 8:
+					p := pbns[rng.Intn(len(pbns))]
+					if err := tb.Retain(p); err != nil {
+						t.Fatal(err)
+					}
+					retained = append(retained, p)
+				case len(retained) > 0:
+					j := rng.Intn(len(retained))
+					if err := tb.Release(retained[j]); err != nil {
+						t.Fatal(err)
+					}
+					retained = append(retained[:j], retained[j+1:]...)
+				}
+				if tc.retireEach > 0 && i%tc.retireEach == tc.retireEach-1 && container > 0 {
+					tb.RetireContainer(uint64(rng.Intn(int(container))))
+				}
+				check(tb, i)
+			}
+			restored, err := RestoreTable(tb.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(restored, -1)
+			if restored.TotalDeadBytes() != tb.TotalDeadBytes() {
+				t.Fatalf("restored total %d != live total %d", restored.TotalDeadBytes(), tb.TotalDeadBytes())
+			}
+		})
+	}
+}

@@ -27,9 +27,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current value.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Reset sets the counter to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Table renders aligned plain-text tables in the style the paper's tables
 // and figure data series are reported by the harness.
 type Table struct {

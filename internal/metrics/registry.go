@@ -36,12 +36,15 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // histograms. Accessors are get-or-create: the first call for a name
 // allocates the metric, later calls return the same instance, so
 // producers can bind metrics once at startup and update them lock-free
-// on hot paths. Names are dotted lowercase ("stage.hash.ns").
+// on hot paths. A component that owns its counters attaches them
+// (AttachCounter / AttachGauge); functions of other counters are computed
+// at snapshot time (AttachDerived). Names are dotted lowercase.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	derived  []func(emit func(name string, v uint64))
 }
 
 // NewRegistry returns an empty registry.
@@ -53,55 +56,60 @@ func NewRegistry() *Registry {
 	}
 }
 
+// AttachCounter publishes an existing counter under name: the series is
+// the owner's instance, so it includes what was counted before the call.
+// One instance may have several names; a name in use is replaced.
+func (r *Registry) AttachCounter(name string, c *Counter) {
+	r.mu.Lock()
+	r.counters[name] = c
+	r.mu.Unlock()
+}
+
+// AttachGauge is AttachCounter for a gauge.
+func (r *Registry) AttachGauge(name string, g *Gauge) {
+	r.mu.Lock()
+	r.gauges[name] = g
+	r.mu.Unlock()
+}
+
+// AttachDerived publishes counter-kind series computed when the registry
+// is read (totals over a family, or a family that grows with traffic): f
+// emits each (name, value) and must not call back into the registry.
+func (r *Registry) AttachDerived(f func(emit func(name string, v uint64))) {
+	r.mu.Lock()
+	r.derived = append(r.derived, f)
+	r.mu.Unlock()
+}
+
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrCreate(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	return getOrCreate(r, r.hists, name, NewHistogram)
+}
+
+func getOrCreate[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h := r.hists[name]
+	v := m[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = NewHistogram()
-		r.hists[name] = h
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // Metric is one registry entry's point-in-time value.
@@ -136,10 +144,17 @@ func (m Metric) fullName() string {
 func (r *Registry) Snapshot() []Metric {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for _, name := range sortedKeys(r.counters) {
-		out = append(out, Metric{Kind: "counter", Name: name, Value: float64(r.counters[name].Value())})
+	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.derived))
+	emit := func(name string, v uint64) {
+		out = append(out, Metric{Kind: "counter", Name: name, Value: float64(v)})
 	}
+	for _, f := range r.derived {
+		f(emit)
+	}
+	for name, c := range r.counters {
+		emit(name, c.Value())
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	for _, name := range sortedKeys(r.gauges) {
 		out = append(out, Metric{Kind: "gauge", Name: name, Value: r.gauges[name].Value()})
 	}

@@ -90,3 +90,39 @@ func TestRegistryDumpFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryAttach pins the attach contract: the registry serves the
+// owner's instance (so earlier counts are in the series and later ones
+// need no second increment), one instance can carry two names, derived
+// series sort in with the counters, and get-or-create on an attached
+// name returns the attached instance.
+func TestRegistryAttach(t *testing.T) {
+	var stored, other Counter
+	var depth Gauge
+	stored.Add(7) // counted before the registry exists
+	r := NewRegistry()
+	r.AttachCounter("core.stored_bytes", &stored)
+	r.AttachCounter("capacity.stored_bytes", &stored)
+	r.AttachCounter("core.other", &other)
+	r.AttachGauge("nic.queue_depth", &depth)
+	r.AttachDerived(func(emit func(string, uint64)) {
+		emit("core.total", stored.Value()+other.Value())
+		emit("a.first", 1)
+	})
+	stored.Add(3)
+	other.Inc()
+	depth.Set(4)
+
+	if r.Counter("core.stored_bytes") != &stored {
+		t.Error("get-or-create on an attached name made a second counter")
+	}
+	want := "counter a.first 1\n" +
+		"counter capacity.stored_bytes 10\n" +
+		"counter core.other 1\n" +
+		"counter core.stored_bytes 10\n" +
+		"counter core.total 11\n" +
+		"gauge nic.queue_depth 4\n"
+	if got := r.Dump(); got != want {
+		t.Errorf("dump:\n%s\nwant:\n%s", got, want)
+	}
+}

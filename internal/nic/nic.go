@@ -72,6 +72,54 @@ type Stats struct {
 	DuplicateDrops uint64
 }
 
+// counters is a NIC's only storage of its activity, embedded by both
+// variants and read by Stats and, once attached, by "nic.*". The baseline
+// NIC moves the two write counters only.
+type counters struct {
+	writes, bytes                 metrics.Counter
+	hashOps, hashBytes            metrics.Counter
+	readLookups, readHits         metrics.Counter
+	batches, uniqueSent, dupDrops metrics.Counter
+	// busyNS accumulates hash-section wall time; its windowed rate is the
+	// NIC's duty cycle in the sampler. hashLaneBusyNS sums per-lane busy
+	// time across the SHA-core array (exceeds busyNS when lanes overlap).
+	busyNS, hashLaneBusyNS metrics.Counter
+	// Configured lane count and in-NIC buffer occupancy.
+	hashLanesG, queueDepth, bufferedBytes metrics.Gauge
+}
+
+// Stats returns a snapshot of NIC counters.
+func (c *counters) Stats() Stats {
+	return Stats{
+		WritesBuffered: c.writes.Value(),
+		BytesBuffered:  c.bytes.Value(),
+		HashOps:        c.hashOps.Value(),
+		HashBytes:      c.hashBytes.Value(),
+		ReadLookups:    c.readLookups.Value(),
+		ReadHits:       c.readHits.Value(),
+		BatchesMade:    c.batches.Value(),
+		UniqueSent:     c.uniqueSent.Value(),
+		DuplicateDrops: c.dupDrops.Value(),
+	}
+}
+
+// Instrument publishes the NIC's counters through reg under "nic.*".
+func (c *counters) Instrument(reg *metrics.Registry) {
+	reg.AttachCounter("nic.writes_buffered", &c.writes)
+	reg.AttachCounter("nic.bytes_buffered", &c.bytes)
+	reg.AttachCounter("nic.hash_ops", &c.hashOps)
+	reg.AttachCounter("nic.read_lookups", &c.readLookups)
+	reg.AttachCounter("nic.read_hits", &c.readHits)
+	reg.AttachCounter("nic.batches_made", &c.batches)
+	reg.AttachCounter("nic.unique_sent", &c.uniqueSent)
+	reg.AttachCounter("nic.duplicate_drops", &c.dupDrops)
+	reg.AttachCounter("nic.busy_ns", &c.busyNS)
+	reg.AttachCounter("nic.hash_lane_busy_ns", &c.hashLaneBusyNS)
+	reg.AttachGauge("nic.hash_lanes", &c.hashLanesG)
+	reg.AttachGauge("nic.queue_depth", &c.queueDepth)
+	reg.AttachGauge("nic.buffered_bytes", &c.bufferedBytes)
+}
+
 // FIDR is the data-reduction NIC.
 type FIDR struct {
 	// bufferCap bounds the in-NIC chunk buffer in bytes (the NIC's
@@ -91,51 +139,7 @@ type FIDR struct {
 	chunker *chunk.CDC
 	bounds  []int
 
-	stats Stats
-	obs   *nicObs
-}
-
-// nicObs mirrors NIC counters into a live registry; nil disables it.
-type nicObs struct {
-	writes, bytes, hashOps *metrics.Counter
-	readLookups, readHits  *metrics.Counter
-	batches, uniqueSent    *metrics.Counter
-	dupDrops               *metrics.Counter
-	// busyNS accumulates hash-section wall time; its windowed rate is
-	// the NIC's duty cycle in the sampler. hashLaneBusyNS sums per-lane
-	// busy time across the SHA-core array (exceeds busyNS when lanes
-	// overlap); hashLanesG reports the configured lane count.
-	busyNS         *metrics.Counter
-	hashLaneBusyNS *metrics.Counter
-	hashLanesG     *metrics.Gauge
-	// queueDepth / bufferedBytes track in-NIC buffer occupancy live.
-	queueDepth    *metrics.Gauge
-	bufferedBytes *metrics.Gauge
-}
-
-func newNICObs(reg *metrics.Registry) *nicObs {
-	return &nicObs{
-		writes:         reg.Counter("nic.writes_buffered"),
-		bytes:          reg.Counter("nic.bytes_buffered"),
-		hashOps:        reg.Counter("nic.hash_ops"),
-		readLookups:    reg.Counter("nic.read_lookups"),
-		readHits:       reg.Counter("nic.read_hits"),
-		batches:        reg.Counter("nic.batches_made"),
-		uniqueSent:     reg.Counter("nic.unique_sent"),
-		dupDrops:       reg.Counter("nic.duplicate_drops"),
-		busyNS:         reg.Counter("nic.busy_ns"),
-		hashLaneBusyNS: reg.Counter("nic.hash_lane_busy_ns"),
-		hashLanesG:     reg.Gauge("nic.hash_lanes"),
-		queueDepth:     reg.Gauge("nic.queue_depth"),
-		bufferedBytes:  reg.Gauge("nic.buffered_bytes"),
-	}
-}
-
-// Instrument mirrors NIC activity into reg under "nic.*". Call once,
-// before serving traffic.
-func (n *FIDR) Instrument(reg *metrics.Registry) {
-	n.obs = newNICObs(reg)
-	n.obs.hashLanesG.Set(float64(n.hashLanes))
+	counters
 }
 
 // New creates a FIDR NIC from cfg.
@@ -143,10 +147,12 @@ func New(cfg Config) (*FIDR, error) {
 	if cfg.BufferBytes < 4096 {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
-	n := &FIDR{bufferCap: cfg.BufferBytes, lbaIndex: make(map[uint64]int), hashLanes: 1}
+	n := &FIDR{bufferCap: cfg.BufferBytes, lbaIndex: make(map[uint64]int)}
+	hl := 1
 	if cfg.HashLanes != 0 {
-		n.hashLanes = lanes.Normalize(cfg.HashLanes)
+		hl = cfg.HashLanes
 	}
+	n.SetHashLanes(hl)
 	if cfg.Chunking.Mode == chunk.ModeCDC {
 		ck := cfg.Chunking
 		if err := ck.Normalize(); err != nil {
@@ -176,9 +182,7 @@ func NewFIDR(bufferCap int) (*FIDR, error) {
 // byte-identical at any lane count; only wall time changes.
 func (n *FIDR) SetHashLanes(count int) {
 	n.hashLanes = lanes.Normalize(count)
-	if n.obs != nil {
-		n.obs.hashLanesG.Set(float64(n.hashLanes))
-	}
+	n.hashLanesG.Set(float64(n.hashLanes))
 }
 
 // HashLanes returns the configured SHA-core lane count.
@@ -196,14 +200,10 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	n.buffer = append(n.buffer, WriteEntry{LBA: lba, Data: cp, Size: len(data)})
 	n.lbaIndex[lba] = len(n.buffer) - 1
 	n.buffered += len(data)
-	n.stats.WritesBuffered++
-	n.stats.BytesBuffered += uint64(len(data))
-	if n.obs != nil {
-		n.obs.writes.Inc()
-		n.obs.bytes.Add(uint64(len(data)))
-		n.obs.queueDepth.Set(float64(len(n.buffer)))
-		n.obs.bufferedBytes.Set(float64(n.buffered))
-	}
+	n.writes.Inc()
+	n.bytes.Add(uint64(len(data)))
+	n.queueDepth.Set(float64(len(n.buffer)))
+	n.bufferedBytes.Set(float64(n.buffered))
 	return nil
 }
 
@@ -272,17 +272,15 @@ func (n *FIDR) HashAll() []WriteEntry {
 			e.FP = fingerprint.Of(e.Data)
 			e.Hashed = true
 		})
-		// In-order commit: counters advance in buffer order regardless
-		// of which lane hashed which chunk.
+		// Counters commit once per batch, after the join.
+		var hashBytes uint64
 		for _, i := range pending {
-			n.stats.HashOps++
-			n.stats.HashBytes += uint64(len(n.buffer[i].Data))
+			hashBytes += uint64(len(n.buffer[i].Data))
 		}
-		if n.obs != nil {
-			n.obs.hashOps.Add(uint64(len(pending)))
-			n.obs.busyNS.Add(uint64(time.Since(start)))
-			n.obs.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
-		}
+		n.hashOps.Add(uint64(len(pending)))
+		n.hashBytes.Add(hashBytes)
+		n.busyNS.Add(uint64(time.Since(start)))
+		n.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
 	}
 	out := make([]WriteEntry, len(n.buffer))
 	for i := range n.buffer {
@@ -296,18 +294,12 @@ func (n *FIDR) HashAll() []WriteEntry {
 // LookupRead serves a read from the in-NIC write buffer if the LBA is
 // still buffered, returning the freshest data for that LBA.
 func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
-	n.stats.ReadLookups++
-	if n.obs != nil {
-		n.obs.readLookups.Inc()
-	}
+	n.readLookups.Inc()
 	i, ok := n.lbaIndex[lba]
 	if !ok {
 		return nil, false
 	}
-	n.stats.ReadHits++
-	if n.obs != nil {
-		n.obs.readHits.Inc()
-	}
+	n.readHits.Inc()
 	return n.buffer[i].Data, true
 }
 
@@ -324,61 +316,33 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	for i, isUnique := range flags {
 		if isUnique {
 			unique = append(unique, n.buffer[i])
-			n.stats.UniqueSent++
-			if n.obs != nil {
-				n.obs.uniqueSent.Inc()
-			}
 		} else {
 			// Duplicates never leave the NIC; their buffer memory is
 			// recycled immediately. Unique chunks transfer ownership to
 			// the caller, who releases them after container packing.
 			bufpool.Put(n.buffer[i].Data)
-			n.stats.DuplicateDrops++
-			if n.obs != nil {
-				n.obs.dupDrops.Inc()
-			}
 		}
 	}
-	n.stats.BatchesMade++
-	if n.obs != nil {
-		n.obs.batches.Inc()
-	}
+	n.uniqueSent.Add(uint64(len(unique)))
+	n.dupDrops.Add(uint64(len(flags) - len(unique)))
+	n.batches.Inc()
 	n.buffer = n.buffer[:0]
 	n.buffered = 0
 	n.lbaIndex = make(map[uint64]int)
-	if n.obs != nil {
-		n.obs.queueDepth.Set(0)
-		n.obs.bufferedBytes.Set(0)
-	}
+	n.queueDepth.Set(0)
+	n.bufferedBytes.Set(0)
 	return unique, nil
 }
 
-// Stats returns a snapshot of NIC counters.
-func (n *FIDR) Stats() Stats { return n.stats }
-
 // Plain is the baseline NIC: no buffering or hashing support; it only
 // counts traffic it DMA-writes toward host memory.
-type Plain struct {
-	stats Stats
-	obs   *nicObs
-}
+type Plain struct{ counters }
 
 // NewPlain creates a baseline NIC.
 func NewPlain() *Plain { return &Plain{} }
 
-// Instrument mirrors NIC activity into reg under "nic.*". Call once,
-// before serving traffic.
-func (n *Plain) Instrument(reg *metrics.Registry) { n.obs = newNICObs(reg) }
-
 // ReceiveWrite counts one client chunk DMA'd to host memory.
 func (n *Plain) ReceiveWrite(data []byte) {
-	n.stats.WritesBuffered++
-	n.stats.BytesBuffered += uint64(len(data))
-	if n.obs != nil {
-		n.obs.writes.Inc()
-		n.obs.bytes.Add(uint64(len(data)))
-	}
+	n.writes.Inc()
+	n.bytes.Add(uint64(len(data)))
 }
-
-// Stats returns a snapshot of NIC counters.
-func (n *Plain) Stats() Stats { return n.stats }

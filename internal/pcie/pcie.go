@@ -45,32 +45,32 @@ func canonical(a, b string) Link {
 // String implements fmt.Stringer.
 func (l Link) String() string { return l.From + "<->" + l.To }
 
+// route is the resolved path of one directed (src, dst) device pair and
+// the only byte counter the fabric keeps: per-link and P2P/root totals
+// are sums over routes, taken when read.
+type route struct {
+	series  string // pcie.route.<src>_to_<dst>.bytes
+	links   []Link
+	viaRoot bool
+	bytes   uint64 // guarded by Topology.mu
+}
+
 // Topology is the PCIe fabric. Safe for concurrent Transfer calls.
 type Topology struct {
 	mu       sync.Mutex
 	switches map[string]bool
 	parent   map[string]string // device or switch -> parent (switch or root)
-	bytes    map[Link]uint64
-	p2p      uint64 // bytes moved without crossing the root complex
-	viaRoot  uint64 // bytes that crossed the root complex
-
-	// Registry mirrors, nil until Instrument. routeCtr is keyed by the
-	// directed (src, dst) pair — direction matters for accounting even
-	// though link charging is bidirectional.
-	reg      *metrics.Registry
-	obsP2P   *metrics.Counter
-	obsRoot  *metrics.Counter
-	routeCtr map[Link]*metrics.Counter
+	// routes: one record per directed pair, resolved on first use.
+	routes map[[2]DeviceID]*route
 }
 
 // NewTopology returns a fabric with only the root complex and host memory.
 func NewTopology() *Topology {
-	t := &Topology{
+	return &Topology{
 		switches: map[string]bool{rootName: true},
 		parent:   map[string]string{string(HostMemory): rootName},
-		bytes:    make(map[Link]uint64),
+		routes:   make(map[[2]DeviceID]*route),
 	}
-	return t
 }
 
 // AddSwitch adds a PCIe switch under the root complex.
@@ -142,48 +142,43 @@ func (t *Topology) routeLocked(src, dst DeviceID) ([]string, error) {
 	return path, nil
 }
 
-// Transfer moves n bytes from src to dst, charging every traversed link.
-// It reports whether the transfer was peer-to-peer (did not cross the
-// root complex).
+// Transfer moves n bytes from src to dst, charging the pair's route. It
+// reports whether the transfer was peer-to-peer (did not cross the root
+// complex).
 func (t *Topology) Transfer(src, dst DeviceID, n uint64) (p2p bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	key := [2]DeviceID{src, dst}
+	r := t.routes[key]
+	if r == nil {
+		if r, err = t.resolveLocked(src, dst); err != nil {
+			return false, err
+		}
+		t.routes[key] = r
+	}
+	r.bytes += n
+	return !r.viaRoot, nil
+}
+
+// resolveLocked builds the route of a pair seen for the first time.
+func (t *Topology) resolveLocked(src, dst DeviceID) (*route, error) {
 	path, err := t.routeLocked(src, dst)
 	if err != nil {
-		return false, err
-	}
-	crossesRoot := false
-	for i := 1; i < len(path); i++ {
-		t.bytes[canonical(path[i-1], path[i])] += n
-		if path[i] == rootName {
-			crossesRoot = true
-		}
+		return nil, err
 	}
 	// A transfer terminating at host memory crosses the root by
 	// definition (host memory hangs off the root complex).
-	if src == HostMemory || dst == HostMemory {
-		crossesRoot = true
+	r := &route{
+		series:  "pcie.route." + routeSlug(string(src)) + "_to_" + routeSlug(string(dst)) + ".bytes",
+		viaRoot: src == HostMemory || dst == HostMemory,
 	}
-	if crossesRoot {
-		t.viaRoot += n
-	} else {
-		t.p2p += n
-	}
-	if t.reg != nil {
-		if crossesRoot {
-			t.obsRoot.Add(n)
-		} else {
-			t.obsP2P.Add(n)
+	for i := 1; i < len(path); i++ {
+		r.links = append(r.links, canonical(path[i-1], path[i]))
+		if path[i] == rootName {
+			r.viaRoot = true
 		}
-		key := Link{From: string(src), To: string(dst)}
-		c := t.routeCtr[key]
-		if c == nil {
-			c = t.reg.Counter("pcie.route." + routeSlug(string(src)) + "_to_" + routeSlug(string(dst)) + ".bytes")
-			t.routeCtr[key] = c
-		}
-		c.Add(n)
 	}
-	return !crossesRoot, nil
+	return r, nil
 }
 
 // routeSlug makes a device name safe inside a dotted metric name.
@@ -198,24 +193,27 @@ func routeSlug(s string) string {
 	}, s)
 }
 
-// Instrument mirrors the fabric's ledgers into reg:
+// Instrument publishes the fabric's ledgers through reg, each derived
+// from the per-route counters when reg is read:
 //
 //	pcie.p2p_bytes                       bytes moved peer-to-peer under switches
 //	pcie.root_bytes                      bytes that crossed the root complex
-//	pcie.route.<src>_to_<dst>.bytes      bytes per directed device pair
+//	pcie.route.<src>_to_<dst>.bytes      bytes per directed device pair (from first use)
 //
-// Call once, before serving traffic: mirrors count transfers from the
-// call onward and do not backfill earlier totals. The FIDR datapath
-// claim (§5.6) is then scrapeable: under FIDR architectures the
-// nic→engine→SSD payload routes accumulate in p2p_bytes while
-// root_bytes stays metadata-only.
+// The FIDR datapath claim (§5.6) is then scrapeable: under FIDR
+// architectures the nic→engine→SSD payload routes accumulate in
+// p2p_bytes while root_bytes stays metadata-only.
 func (t *Topology) Instrument(reg *metrics.Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg = reg
-	t.obsP2P = reg.Counter("pcie.p2p_bytes")
-	t.obsRoot = reg.Counter("pcie.root_bytes")
-	t.routeCtr = make(map[Link]*metrics.Counter)
+	reg.AttachDerived(func(emit func(name string, v uint64)) {
+		_, p2p, root := t.Report()
+		emit("pcie.p2p_bytes", p2p)
+		emit("pcie.root_bytes", root)
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		for _, r := range t.routes {
+			emit(r.series, r.bytes)
+		}
+	})
 }
 
 // LinkBytes returns bytes carried by each link, sorted by link name.
@@ -228,7 +226,19 @@ type LinkBytes struct {
 func (t *Topology) Report() (links []LinkBytes, p2pBytes, rootBytes uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for l, b := range t.bytes {
+	perLink := make(map[Link]uint64)
+	for _, r := range t.routes {
+		b := r.bytes
+		for _, l := range r.links {
+			perLink[l] += b
+		}
+		if r.viaRoot {
+			rootBytes += b
+		} else {
+			p2pBytes += b
+		}
+	}
+	for l, b := range perLink {
 		links = append(links, LinkBytes{Link: l, Bytes: b})
 	}
 	sort.Slice(links, func(i, j int) bool {
@@ -237,27 +247,17 @@ func (t *Topology) Report() (links []LinkBytes, p2pBytes, rootBytes uint64) {
 		}
 		return links[i].Link.To < links[j].Link.To
 	})
-	return links, t.p2p, t.viaRoot
+	return links, p2pBytes, rootBytes
 }
 
 // RootComplexBytes returns bytes that crossed the root complex.
 func (t *Topology) RootComplexBytes() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.viaRoot
+	_, _, root := t.Report()
+	return root
 }
 
 // P2PBytes returns bytes moved peer-to-peer under switches.
 func (t *Topology) P2PBytes() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.p2p
-}
-
-// Reset zeroes all ledgers (topology preserved).
-func (t *Topology) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.bytes = make(map[Link]uint64)
-	t.p2p, t.viaRoot = 0, 0
+	_, p2p, _ := t.Report()
+	return p2p
 }

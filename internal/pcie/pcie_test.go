@@ -151,19 +151,16 @@ func TestLinkLedger(t *testing.T) {
 	if nicLink != 100 || compLink != 150 || ssdLink != 50 {
 		t.Fatalf("link bytes nic=%d comp=%d ssd=%d", nicLink, compLink, ssdLink)
 	}
-}
-
-func TestReset(t *testing.T) {
-	top := buildFIDRGroup(t)
-	top.Transfer("nic0", "comp0", 100)
-	top.Reset()
-	links, p2p, root := top.Report()
-	if len(links) != 0 || p2p != 0 || root != 0 {
-		t.Fatal("reset did not clear ledgers")
-	}
-	// Topology survives.
+	// Reading the ledger does not disturb it: a transfer on an already
+	// resolved route keeps accumulating, in the opposite direction too.
 	if _, err := top.Transfer("nic0", "comp0", 1); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := top.Transfer("comp0", "nic0", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, p2p, root = top.Report(); p2p != 152 || root != 0 {
+		t.Fatalf("totals after report: p2p=%d root=%d", p2p, root)
 	}
 }
 

@@ -105,7 +105,7 @@ func (q *QueuePair) Submit(cmd Command) error {
 	}
 	q.sq = append(q.sq, cmd)
 	q.submitted++
-	q.dev.setQueueDepth(q.Pending())
+	q.dev.queueDepth.Set(float64(q.Pending()))
 	return nil
 }
 
@@ -138,7 +138,7 @@ func (q *QueuePair) Reap(max int) []Completion {
 	copy(out, q.cq[:max])
 	q.cq = q.cq[:copy(q.cq, q.cq[max:])]
 	q.completed += uint64(max)
-	q.dev.setQueueDepth(q.Pending())
+	q.dev.queueDepth.Set(float64(q.Pending()))
 	return out
 }
 

@@ -86,17 +86,13 @@ type SSD struct {
 
 	reads, writes         metrics.Counter
 	readBytes, writeBytes metrics.Counter
-	busyNanos             metrics.Counter
-
-	// Live observability: nil unless Instrument attached a registry.
-	obsReads, obsWrites         *metrics.Counter
-	obsReadBytes, obsWriteBytes *metrics.Counter
-	obsAccess                   *metrics.Histogram
-	// obsBusy mirrors modeled device busy time; its windowed rate is the
-	// device's duty cycle. obsQueue tracks NVMe queue occupancy (driven
+	// busyNanos is modeled device busy time; its windowed rate is the
+	// device's duty cycle. queueDepth tracks NVMe queue occupancy (driven
 	// by QueuePair Submit/Reap on devices fronted by queues).
-	obsBusy  *metrics.Counter
-	obsQueue *metrics.Gauge
+	busyNanos  metrics.Counter
+	queueDepth metrics.Gauge
+	// obsAccess is the access_ns histogram; nil until Instrument.
+	obsAccess *metrics.Histogram
 
 	// fault injection (tests): remaining IOs to fail and the error.
 	faultMu    sync.Mutex
@@ -145,18 +141,18 @@ func MustNew(cfg Config) *SSD {
 // Config returns the device configuration.
 func (s *SSD) Config() Config { return s.cfg }
 
-// Instrument mirrors device activity into reg: "ssd.<name>.*" IO and
-// byte counters plus an "ssd.<name>.access_ns" histogram of modeled
-// per-command access times. Call once, before serving traffic.
+// Instrument publishes the device's counters through reg as
+// "ssd.<name>.*" and starts an "ssd.<name>.access_ns" histogram of
+// modeled per-command access times. Call once.
 func (s *SSD) Instrument(reg *metrics.Registry) {
 	p := "ssd." + s.cfg.Name + "."
-	s.obsReads = reg.Counter(p + "read_ios")
-	s.obsWrites = reg.Counter(p + "write_ios")
-	s.obsReadBytes = reg.Counter(p + "read_bytes")
-	s.obsWriteBytes = reg.Counter(p + "write_bytes")
+	reg.AttachCounter(p+"read_ios", &s.reads)
+	reg.AttachCounter(p+"write_ios", &s.writes)
+	reg.AttachCounter(p+"read_bytes", &s.readBytes)
+	reg.AttachCounter(p+"write_bytes", &s.writeBytes)
+	reg.AttachCounter(p+"busy_ns", &s.busyNanos)
+	reg.AttachGauge(p+"queue_depth", &s.queueDepth)
 	s.obsAccess = reg.Histogram(p + "access_ns")
-	s.obsBusy = reg.Counter(p + "busy_ns")
-	s.obsQueue = reg.Gauge(p + "queue_depth")
 }
 
 // InjectFaults makes the next nReads read commands and nWrites write
@@ -199,17 +195,18 @@ func (s *SSD) Write(off uint64, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("ssd %q: %w", s.cfg.Name, err)
 	}
-	at := s.AccessTime(true, len(data))
-	s.writes.Inc()
-	s.writeBytes.Add(uint64(len(data)))
-	s.busyNanos.Add(uint64(at.Nanoseconds()))
-	if s.obsWrites != nil {
-		s.obsWrites.Inc()
-		s.obsWriteBytes.Add(uint64(len(data)))
-		s.obsAccess.Observe(float64(at.Nanoseconds()))
-		s.obsBusy.Add(uint64(at.Nanoseconds()))
-	}
+	s.account(&s.writes, &s.writeBytes, len(data), s.AccessTime(true, len(data)))
 	return nil
+}
+
+// account books one completed command of n bytes and modeled time at.
+func (s *SSD) account(ios, bytes *metrics.Counter, n int, at time.Duration) {
+	ios.Inc()
+	bytes.Add(uint64(n))
+	s.busyNanos.Add(uint64(at.Nanoseconds()))
+	if s.obsAccess != nil {
+		s.obsAccess.Observe(float64(at.Nanoseconds()))
+	}
 }
 
 // Read returns n bytes at byte offset off. Never-written regions read as
@@ -229,24 +226,8 @@ func (s *SSD) Read(off uint64, n int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ssd %q: %w", s.cfg.Name, err)
 	}
-	at := s.AccessTime(false, n)
-	s.reads.Inc()
-	s.readBytes.Add(uint64(n))
-	s.busyNanos.Add(uint64(at.Nanoseconds()))
-	if s.obsReads != nil {
-		s.obsReads.Inc()
-		s.obsReadBytes.Add(uint64(n))
-		s.obsAccess.Observe(float64(at.Nanoseconds()))
-		s.obsBusy.Add(uint64(at.Nanoseconds()))
-	}
+	s.account(&s.reads, &s.readBytes, n, s.AccessTime(false, n))
 	return out, nil
-}
-
-// setQueueDepth publishes NVMe queue occupancy; no-op until Instrument.
-func (s *SSD) setQueueDepth(n int) {
-	if s.obsQueue != nil {
-		s.obsQueue.Set(float64(n))
-	}
 }
 
 // AccessTime models one command's device time: fixed command latency plus
@@ -271,15 +252,6 @@ func (s *SSD) Stats() Stats {
 		WriteBytes:   s.writeBytes.Value(),
 		BusyDuration: time.Duration(s.busyNanos.Value()),
 	}
-}
-
-// ResetStats zeroes the counters (contents unaffected).
-func (s *SSD) ResetStats() {
-	s.reads.Reset()
-	s.writes.Reset()
-	s.readBytes.Reset()
-	s.writeBytes.Reset()
-	s.busyNanos.Reset()
 }
 
 // StoredPages reports how many pages hold data (memory footprint of the

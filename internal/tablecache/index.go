@@ -34,9 +34,6 @@ func (s *swIndex) remove(bucket uint64) {
 	s.tree.Delete(bucket)
 }
 
-func (s *swIndex) crashRate() float64        { return 0 }
-func (s *swIndex) leafCacheHitRate() float64 { return 0 }
-
 // hwIndex is FIDR's Cache HW-Engine tree: the pipelined hardware tree
 // with W-way speculative updates. Index operations cost no host CPU; the
 // executor's crash rate and the leaf-cache hit rate are measured for the
@@ -87,10 +84,3 @@ func (h *hwIndex) drainIfFull() {
 		h.exec.Drain()
 	}
 }
-
-func (h *hwIndex) crashRate() float64 {
-	h.exec.Drain()
-	return h.exec.Stats().CrashRate()
-}
-
-func (h *hwIndex) leafCacheHitRate() float64 { return h.leafSim.HitRate() }

@@ -96,8 +96,6 @@ type index interface {
 	lookup(bucket uint64) (line uint64, ok bool)
 	insert(bucket, line uint64)
 	remove(bucket uint64)
-	crashRate() float64
-	leafCacheHitRate() float64
 }
 
 // Cache is a bucket cache. Not safe for concurrent use: both the baseline
@@ -116,23 +114,22 @@ type Cache struct {
 	lru        *list.List               // front = most recent; values are line numbers
 	lruElem    map[uint64]*list.Element // line -> element
 
-	stats Stats
-
-	// Live observability: nil unless Instrument attached a registry.
-	obsLookups, obsHits, obsMisses *metrics.Counter
-	obsEvictions, obsFlushes       *metrics.Counter
-	obsProbe                       *metrics.Histogram
+	// Activity counters: read by Stats and, once attached, by "tablecache.*".
+	lookups, hits, misses metrics.Counter
+	evictions, flushes    metrics.Counter
+	// obsProbe times every Lookup (two clock reads); nil until Instrument.
+	obsProbe *metrics.Histogram
 }
 
-// Instrument mirrors cache activity into reg: "tablecache.*" counters
-// and a "stage.table_cache.ns" histogram of wall-clock Lookup probe
-// times. Call once, before serving traffic.
+// Instrument publishes the cache's counters through reg as
+// "tablecache.*" and starts a "stage.table_cache.ns" histogram of
+// wall-clock Lookup probe times. Call once.
 func (c *Cache) Instrument(reg *metrics.Registry) {
-	c.obsLookups = reg.Counter("tablecache.lookups")
-	c.obsHits = reg.Counter("tablecache.hits")
-	c.obsMisses = reg.Counter("tablecache.misses")
-	c.obsEvictions = reg.Counter("tablecache.evictions")
-	c.obsFlushes = reg.Counter("tablecache.flushes")
+	reg.AttachCounter("tablecache.lookups", &c.lookups)
+	reg.AttachCounter("tablecache.hits", &c.hits)
+	reg.AttachCounter("tablecache.misses", &c.misses)
+	reg.AttachCounter("tablecache.evictions", &c.evictions)
+	reg.AttachCounter("tablecache.flushes", &c.flushes)
 	c.obsProbe = reg.Histogram("stage.table_cache.ns")
 }
 
@@ -200,9 +197,19 @@ func (c *Cache) Mode() Mode { return c.cfg.Mode }
 
 // Stats returns a snapshot of cache statistics.
 func (c *Cache) Stats() Stats {
-	s := c.stats
-	s.CrashRate = c.idx.crashRate()
-	s.LeafCacheHitRate = c.idx.leafCacheHitRate()
+	s := Stats{
+		Lookups:   c.lookups.Value(),
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		Evictions: c.evictions.Value(),
+		Flushes:   c.flushes.Value(),
+	}
+	if h, ok := c.idx.(*hwIndex); ok {
+		// Counter reads only (safe from any goroutine); the few updates
+		// still queued enter the crash rate when a lookup drains them.
+		s.CrashRate = h.exec.Stats().CrashRate()
+		s.LeafCacheHitRate = h.leafSim.HitRate()
+	}
 	return s
 }
 
@@ -277,26 +284,17 @@ func (c *Cache) chargeScan(entries int) {
 // count selects whether the access enters the hit/miss statistics.
 func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 	if count {
-		c.stats.Lookups++
-		if c.obsLookups != nil {
-			c.obsLookups.Inc()
-		}
+		c.lookups.Inc()
 	}
 	if line, ok := c.idx.lookup(bucket); ok {
 		if count {
-			c.stats.Hits++
-			if c.obsHits != nil {
-				c.obsHits.Inc()
-			}
+			c.hits.Inc()
 		}
 		c.touchLRU(line)
 		return line, nil
 	}
 	if count {
-		c.stats.Misses++
-		if c.obsMisses != nil {
-			c.obsMisses.Inc()
-		}
+		c.misses.Inc()
 	}
 	line, err := c.allocLine()
 	if err != nil {
@@ -330,19 +328,13 @@ func (c *Cache) allocLine() (uint64, error) {
 	line := back.Value.(uint64)
 	c.lru.Remove(back)
 	delete(c.lruElem, line)
-	c.stats.Evictions++
-	if c.obsEvictions != nil {
-		c.obsEvictions.Inc()
-	}
+	c.evictions.Inc()
 	c.idx.remove(c.lineBucket[line])
 	if c.dirty[line] {
 		if err := c.ssdWrite(c.lineBucket[line], line); err != nil {
 			return 0, err
 		}
-		c.stats.Flushes++
-		if c.obsFlushes != nil {
-			c.obsFlushes.Inc()
-		}
+		c.flushes.Inc()
 	}
 	c.lineValid[line] = false
 	return line, nil
@@ -461,10 +453,7 @@ func (c *Cache) FlushAll() error {
 				return err
 			}
 			c.dirty[line] = false
-			c.stats.Flushes++
-			if c.obsFlushes != nil {
-				c.obsFlushes.Inc()
-			}
+			c.flushes.Inc()
 		}
 	}
 	return nil

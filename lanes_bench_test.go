@@ -4,76 +4,14 @@ import (
 	"fmt"
 	"testing"
 
-	"fidr"
 	"fidr/internal/blockcomp"
 	"fidr/internal/bufpool"
-	"fidr/internal/core"
 	"fidr/internal/engine"
-	"fidr/internal/experiments"
 	"fidr/internal/nic"
-	"fidr/internal/trace"
 )
 
-// benchWorkload streams one experiment-standard workload through a fresh
-// FIDRFull server per iteration. Compare lane scaling with
-// BenchmarkHashLanes / BenchmarkCompressLanes; these fix the server to
-// the GOMAXPROCS-derived lane default.
-func benchWorkload(b *testing.B, workload string) {
-	const ios = 4000
-	cfg, err := experiments.ConfigFor(core.FIDRFull, ios)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wp, err := experiments.WorkloadParams(workload, ios, cfg.CacheLines)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(ios * cfg.ChunkSize))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv, err := fidr.NewServer(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		driveWorkload(b, srv, wp, cfg.ChunkSize)
-	}
-}
-
-func driveWorkload(b *testing.B, srv *fidr.Server, wp fidr.Workload, chunkSize int) {
-	b.Helper()
-	gen, err := trace.NewGenerator(wp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sh := blockcomp.NewShaper(wp.CompressRatio)
-	buf := make([]byte, chunkSize)
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		switch req.Op {
-		case trace.OpWrite:
-			sh.Block(req.ContentSeed, buf)
-			if err := srv.Write(req.LBA, buf); err != nil {
-				b.Fatal(err)
-			}
-		case trace.OpRead:
-			if _, err := srv.Read(req.LBA); err != nil && err != core.ErrNotFound {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := srv.Flush(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkWriteH(b *testing.B)    { benchWorkload(b, "Write-H") }
-func BenchmarkWriteM(b *testing.B)    { benchWorkload(b, "Write-M") }
-func BenchmarkWriteL(b *testing.B)    { benchWorkload(b, "Write-L") }
-func BenchmarkReadMixed(b *testing.B) { benchWorkload(b, "Read-Mixed") }
+// The four Table 3 workloads are measured by benchmark/ (harness outside
+// the clock); only the lane-array microbenchmarks live here.
 
 // BenchmarkHashLanes isolates the NIC SHA-core array: buffer a batch,
 // fan HashAll across the lane array, drain. Scaling tracks the host's
