@@ -49,7 +49,8 @@ check-metrics:
 
 # check-crash runs the durability suite under the race detector: the
 # randomized crash-injection harness (240 seeded crash/recover cycles
-# across four pipeline stages; seeds are fixed inside the test), the
+# across four pipeline stages, once with fixed 4-KB chunks and once with
+# CDC stream segments; seeds are fixed inside the test), the
 # checkpoint-vs-concurrent-writes regression, the group-local WAL
 # recovery test, and the WAL unit + fault matrix in internal/core.
 # CRASH_COUNT repeats the whole sweep.
@@ -112,13 +113,17 @@ bench-capacity:
 bench-cdc:
 	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench cdc
 
-# fuzz runs the chunker equivalence fuzzer for a bounded slice of CI
-# time: the fast skip-ahead path must cut byte-identical boundaries to
-# the reference scalar on every input the fuzzer invents. FUZZ_TIME
-# extends the budget locally.
+# fuzz runs three fuzzers for a bounded slice of CI time each: the fast
+# skip-ahead chunker must cut byte-identical boundaries to the reference
+# scalar on every input; WAL replay and recovery must survive any log
+# (torn, corrupt, reordered frames) applying a clean prefix or failing
+# typed; the LBA-snapshot decoder must never panic and must round-trip.
+# FUZZ_TIME extends the per-fuzzer budget locally.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreTable$$' -fuzztime $(FUZZ_TIME) ./internal/lbatable
 
 # bench-go runs the accelerator-lane microbenchmarks with
 # benchstat-compatible output (pipe COUNT>=10 runs into benchstat to

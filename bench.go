@@ -258,10 +258,7 @@ func RunBenchExperiment(name string, ios int) (BenchArtifact, error) {
 // RunBenchExperimentChunker is RunBenchExperiment with an explicit
 // chunking mode (the -chunker flag): ModeCDC reruns the experiment's
 // workload over a content-defined-chunking server, with each trace write
-// ingested as a stream segment at its byte-offset extent. Experiments
-// that need metadata persistence (archival, capacity's GC bookkeeping is
-// fine, but the WAL and Checkpoint are not available under CDC) reject
-// ModeCDC.
+// ingested as a stream segment at its byte-offset extent.
 func RunBenchExperimentChunker(name string, ios int, chunking chunk.Config) (BenchArtifact, error) {
 	spec, ok := benchSpecs[name]
 	if !ok {
@@ -269,9 +266,6 @@ func RunBenchExperimentChunker(name string, ios int, chunking chunk.Config) (Ben
 	}
 	if err := chunking.Normalize(); err != nil {
 		return BenchArtifact{}, fmt.Errorf("fidr: %w", err)
-	}
-	if chunking.Mode == chunk.ModeCDC && (spec.archival || spec.capacity) {
-		return BenchArtifact{}, fmt.Errorf("fidr: bench experiment %q requires fixed chunking (WAL/checkpoint are unavailable under CDC)", name)
 	}
 	if ios <= 0 {
 		ios = experiments.DefaultScale().IOs
@@ -395,7 +389,7 @@ func benchTracingPass(cfg Config, wp Workload, sampled bool, art *BenchArtifact)
 	if sampled {
 		srv.SetTraceSampling(16)
 	}
-	wall, err := driveBench(srv, wp, cfg.ChunkSize, cfg.Chunking.Mode == chunk.ModeCDC)
+	wall, err := driveBench(srv, wp, cfg)
 	if err != nil {
 		return err
 	}
@@ -409,7 +403,7 @@ func runBenchSingle(cfg Config, wp Workload, art *BenchArtifact) error {
 		return err
 	}
 	view := srv.EnableObservability(nil)
-	wall, err := driveBench(srv, wp, cfg.ChunkSize, cfg.Chunking.Mode == chunk.ModeCDC)
+	wall, err := driveBench(srv, wp, cfg)
 	if err != nil {
 		return err
 	}
@@ -608,7 +602,7 @@ func runBenchCapacity(cfg Config, wp Workload, art *BenchArtifact) error {
 		switch req.Op {
 		case trace.OpWrite:
 			sh.Block(req.ContentSeed, buf)
-			if err := srv.Write(req.LBA, buf); err != nil {
+			if err := srv.Write(benchAddr(c, req.LBA), buf); err != nil {
 				return fmt.Errorf("fidr: bench capacity write: %w", err)
 			}
 			if !seen[req.LBA] {
@@ -616,7 +610,7 @@ func runBenchCapacity(cfg Config, wp Workload, art *BenchArtifact) error {
 				lbas = append(lbas, req.LBA)
 			}
 		case trace.OpRead:
-			if _, err := srv.Read(req.LBA); err != nil && err != core.ErrNotFound {
+			if _, err := srv.Read(benchAddr(c, req.LBA)); err != nil && err != core.ErrNotFound {
 				return fmt.Errorf("fidr: bench capacity read: %w", err)
 			}
 		}
@@ -636,7 +630,7 @@ func runBenchCapacity(cfg Config, wp Workload, art *BenchArtifact) error {
 			continue
 		}
 		sh.Block(uint64(1<<40)+uint64(i), buf)
-		if err := srv.Write(lba, buf); err != nil {
+		if err := srv.Write(benchAddr(c, lba), buf); err != nil {
 			return fmt.Errorf("fidr: bench capacity overwrite: %w", err)
 		}
 	}
@@ -682,7 +676,7 @@ func runBenchCluster(cfg Config, wp Workload, groups int, art *BenchArtifact) er
 		return err
 	}
 	view := cl.EnableObservability()
-	wall, err := driveBench(cl, wp, cfg.ChunkSize, cfg.Chunking.Mode == chunk.ModeCDC)
+	wall, err := driveBench(cl, wp, cfg)
 	if err != nil {
 		return err
 	}
@@ -736,7 +730,7 @@ func runBenchArchival(cfg Config, wp Workload, art *BenchArtifact) error {
 		return err
 	}
 	view := srv.EnableObservability(nil)
-	wall, err := driveBench(srv, wp, cfg.ChunkSize, false)
+	wall, err := driveBench(srv, wp, cfg)
 	if err != nil {
 		return err
 	}
@@ -787,14 +781,14 @@ func benchRecoveryPoint(cfg Config, wp Workload, frac float64) (BenchRecoveryPoi
 	sh := blockcomp.NewShaper(wp.CompressRatio)
 	buf := make([]byte, cfg.ChunkSize)
 	base := wp.TotalIOs / 2
-	if err := driveBenchN(srv, gen, sh, buf, base); err != nil {
+	if err := driveBenchN(srv, cfg, gen, sh, buf, base); err != nil {
 		return BenchRecoveryPoint{}, err
 	}
 	if err := srv.Checkpoint(); err != nil {
 		return BenchRecoveryPoint{}, err
 	}
 	extra := int(frac * float64(wp.TotalIOs-base))
-	if err := driveBenchN(srv, gen, sh, buf, extra); err != nil {
+	if err := driveBenchN(srv, cfg, gen, sh, buf, extra); err != nil {
 		return BenchRecoveryPoint{}, err
 	}
 	if err := srv.Flush(); err != nil {
@@ -818,9 +812,22 @@ func benchRecoveryPoint(cfg Config, wp Workload, frac float64) (BenchRecoveryPoi
 	return pt, nil
 }
 
-// driveBenchN consumes up to n requests from gen against srv.
-func driveBenchN(srv *Server, gen *trace.Generator, sh *blockcomp.Shaper, buf []byte, n int) error {
-	for i := 0; i < n; i++ {
+// benchAddr is the address a server in cfg's chunking mode takes for a
+// trace's chunk-index LBA: the index itself under fixed chunking; under
+// CDC the byte offset (lba * ChunkSize) of the stream segment the write is
+// ingested as, so identical content still dedups while extent addresses
+// never collide.
+func benchAddr(cfg Config, lba uint64) uint64 {
+	if cfg.Chunking.Mode == chunk.ModeCDC {
+		return lba * uint64(cfg.ChunkSize)
+	}
+	return lba
+}
+
+// driveBenchN consumes up to n requests from gen against s (all of them
+// when n is negative).
+func driveBenchN(s Store, cfg Config, gen *trace.Generator, sh *blockcomp.Shaper, buf []byte, n int) error {
+	for i := 0; i != n; i++ {
 		req, ok := gen.Next()
 		if !ok {
 			return nil
@@ -828,12 +835,12 @@ func driveBenchN(srv *Server, gen *trace.Generator, sh *blockcomp.Shaper, buf []
 		switch req.Op {
 		case trace.OpWrite:
 			sh.Block(req.ContentSeed, buf)
-			if err := srv.Write(req.LBA, buf); err != nil {
-				return fmt.Errorf("fidr: bench recovery write: %w", err)
+			if err := s.Write(benchAddr(cfg, req.LBA), buf); err != nil {
+				return fmt.Errorf("fidr: bench write: %w", err)
 			}
 		case trace.OpRead:
-			if _, err := srv.Read(req.LBA); err != nil && err != core.ErrNotFound {
-				return fmt.Errorf("fidr: bench recovery read: %w", err)
+			if _, err := s.Read(benchAddr(cfg, req.LBA)); err != nil && err != core.ErrNotFound {
+				return fmt.Errorf("fidr: bench read: %w", err)
 			}
 		}
 	}
@@ -841,40 +848,17 @@ func driveBenchN(srv *Server, gen *trace.Generator, sh *blockcomp.Shaper, buf []
 }
 
 // driveBench streams the workload synchronously and returns the wall
-// time including the final flush. Under CDC the trace's chunk-index LBAs
-// become byte-offset extents (lba * chunkSize): each write is ingested
-// as a stream segment at its byte position, so identical content still
-// dedups while extent addresses never collide.
-func driveBench(s Store, wp Workload, chunkSize int, cdcExtents bool) (time.Duration, error) {
+// time including the final flush.
+func driveBench(s Store, wp Workload, cfg Config) (time.Duration, error) {
 	gen, err := trace.NewGenerator(wp)
 	if err != nil {
 		return 0, err
 	}
 	sh := blockcomp.NewShaper(wp.CompressRatio)
-	buf := make([]byte, chunkSize)
-	addr := func(lba uint64) uint64 {
-		if cdcExtents {
-			return lba * uint64(chunkSize)
-		}
-		return lba
-	}
+	buf := make([]byte, cfg.ChunkSize)
 	start := time.Now()
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		switch req.Op {
-		case trace.OpWrite:
-			sh.Block(req.ContentSeed, buf)
-			if err := s.Write(addr(req.LBA), buf); err != nil {
-				return 0, fmt.Errorf("fidr: bench %s write: %w", wp.Name, err)
-			}
-		case trace.OpRead:
-			if _, err := s.Read(addr(req.LBA)); err != nil && err != core.ErrNotFound {
-				return 0, fmt.Errorf("fidr: bench %s read: %w", wp.Name, err)
-			}
-		}
+	if err := driveBenchN(s, cfg, gen, sh, buf, -1); err != nil {
+		return 0, fmt.Errorf("%s: %w", wp.Name, err)
 	}
 	if err := s.Flush(); err != nil {
 		return 0, err

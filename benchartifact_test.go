@@ -313,9 +313,27 @@ func TestBenchChunkerOverride(t *testing.T) {
 	if art.ThroughputMBps <= 0 || art.DedupRatio <= 0 {
 		t.Fatalf("throughput %v dedup %v", art.ThroughputMBps, art.DedupRatio)
 	}
-	// WAL-dependent experiments cannot run under CDC and must say so.
-	if _, err := fidr.RunBenchExperimentChunker("archival", 500, chunk.Config{Mode: chunk.ModeCDC}); err == nil {
-		t.Fatal("archival under CDC was accepted; WAL cannot persist raw chunk sizes")
+	// The WAL-, checkpoint- and GC-dependent experiments run under CDC
+	// too: archival crashes and recovers a CDC volume at every sweep
+	// point, capacity balances the ledger and compacts variable-size
+	// chunks.
+	art, err = fidr.RunBenchExperimentChunker("archival", 500, chunk.Config{Mode: chunk.ModeCDC})
+	if err != nil {
+		t.Fatalf("archival under CDC: %v", err)
+	}
+	if art.Chunker != "cdc" || art.WALAppendedRecords == 0 || len(art.RecoveryPoints) != 4 {
+		t.Fatalf("archival under CDC: chunker %q, %d WAL records, %d recovery points",
+			art.Chunker, art.WALAppendedRecords, len(art.RecoveryPoints))
+	}
+	if last := art.RecoveryPoints[3]; last.ReplayedRecords == 0 {
+		t.Fatalf("archival under CDC replayed nothing at the full-log point: %+v", last)
+	}
+	art, err = fidr.RunBenchExperimentChunker("capacity", 1500, chunk.Config{Mode: chunk.ModeCDC})
+	if err != nil {
+		t.Fatalf("capacity under CDC: %v", err)
+	}
+	if c := art.Capacity; c == nil || c.LogicalWriteBytes != c.DedupSavedBytes+c.CompressionSavedBytes+c.StoredBytes {
+		t.Fatalf("capacity under CDC: ledger %+v", c)
 	}
 }
 

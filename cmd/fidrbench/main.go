@@ -21,9 +21,9 @@
 // -chunker selects the write chunking mode for bench runs: "fixed"
 // (default) or "cdc" (content-defined, variable-size chunks cut by the
 // skip-ahead gear chunker; -cdc-min/-cdc-avg/-cdc-max size the chunks).
-// CDC runs the same workloads end to end — variable chunks through NIC
-// buffering, dedup, compression and container packing — but is rejected
-// for WAL-dependent experiments (archival, capacity).
+// CDC runs the same experiments end to end — variable chunks through NIC
+// buffering, dedup, compression, container packing, and (archival,
+// capacity) the WAL, checkpoint, recovery and GC.
 package main
 
 import (

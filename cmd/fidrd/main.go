@@ -13,9 +13,12 @@
 // -chunker=cdc switches writes to content-defined, variable-size
 // chunking: each Write is a stream segment at an absolute byte offset,
 // cut into extents by the skip-ahead gear chunker; reads address the
-// extent start offsets. Per-chunk raw sizes live only in memory, so CDC
-// is in-memory single-group only (no -wal-file, -data-file, -recover,
-// or -groups > 1).
+// extent start offsets. Every stored chunk's metadata records its own
+// uncompressed length, so CDC volumes take -data-file, -table-file,
+// -wal-file and -recover like fixed ones (restart with the same
+// -chunker flags). The one thing CDC does not take is -groups > 1: the
+// router shards by address ahead of the chunker, so a segment's interior
+// extents would land on a group that never saw them.
 //
 // With -groups N > 1 the daemon serves a §5.6 scale-out cluster: N
 // device groups, each a full server, with client LBAs sharded across
@@ -162,7 +165,7 @@ func main() {
 	watchdogInterval := flag.Duration("watchdog-interval", 250*time.Millisecond, "liveness probe cadence")
 	watchdogDeadline := flag.Duration("watchdog-deadline", 2*time.Second, "liveness deadline before a probe reports a stall")
 	debugHooks := flag.Bool("debug-hooks", false, "mount fault-injection hooks (POST /debug/stall) on -metrics-addr; test harnesses only")
-	chunker := flag.String("chunker", "fixed", "write chunking mode: fixed or cdc (content-defined, variable-size extents; in-memory single group only)")
+	chunker := flag.String("chunker", "fixed", "write chunking mode: fixed or cdc (content-defined, variable-size extents; single group only)")
 	cdcMin := flag.Int("cdc-min", 0, "CDC minimum chunk bytes; 0 = default")
 	cdcAvg := flag.Int("cdc-avg", 0, "CDC average (target) chunk bytes; 0 = default")
 	cdcMax := flag.Int("cdc-max", 0, "CDC maximum chunk bytes; 0 = default")
@@ -195,12 +198,8 @@ func main() {
 		log.Fatalf("fidrd: -chunker: %v", err)
 	}
 	if mode == chunk.ModeCDC {
-		// CDC servers keep per-chunk raw sizes in memory only: no WAL, no
-		// checkpoint, no shutdown persistence — so no durable volumes or
-		// recovery, and no cluster (extent sharding is fixed-index).
-		if *walFile != "" || *dataFile != "" || *tableFile != "" || *recover {
-			log.Fatal("fidrd: -chunker=cdc is in-memory only (per-chunk raw sizes are not persisted); drop -wal-file/-data-file/-table-file/-recover")
-		}
+		// Addressing, not persistence: the cluster router shards by
+		// address before any chunker runs.
 		if *groups > 1 {
 			log.Fatal("fidrd: -chunker=cdc requires -groups 1")
 		}

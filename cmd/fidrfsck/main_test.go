@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fidr"
+	"fidr/internal/chunk"
 	"fidr/internal/core"
 	"fidr/internal/hashpbn"
 	"fidr/internal/ssd"
@@ -199,6 +200,56 @@ func TestRunExitCodes(t *testing.T) {
 				// The same post-checkpoint writes that are damage without
 				// a WAL are recoverable with one.
 				writeMore(t, srv, 5000, 50_000, 600)
+				dev.Close()
+				tdev.Close()
+				w.Close()
+				return []string{"-wal-file", walPath}
+			},
+			wantExit: 0,
+			wantText: "volume is consistent",
+		},
+		{
+			// A content-defined-chunking volume needs no flag of its own:
+			// every chunk's record says how long it is, in the checkpoint
+			// and in the log replayed over it.
+			name: "cdc volume",
+			setup: func(t *testing.T, dir string) []string {
+				walPath := filepath.Join(dir, "vol.wal")
+				w, err := core.OpenWALFile(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dev, tdev := openVolumes(t, dir)
+				cfg := fidr.DefaultConfig(fidr.FIDRFull)
+				cfg.DataSSD, cfg.TableSSD, cfg.WAL = dev, tdev, w
+				cfg.Chunking = chunk.Config{Mode: chunk.ModeCDC}
+				srv, err := fidr.NewServer(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segment := func(gen uint64) []byte { // 40 blocks, ~160 KB, ragged
+					var seg []byte
+					for i := uint64(0); i < 40; i++ {
+						seg = append(seg, fidr.MakeChunk(gen*25+i, 0.5)...)
+					}
+					return seg[:len(seg)-777]
+				}
+				for gen := uint64(0); gen < 4; gen++ {
+					if err := srv.Write(gen<<32, segment(gen)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := srv.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				for gen := uint64(4); gen < 12; gen++ { // lives only in the log
+					if err := srv.Write(gen<<32, segment(gen)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := srv.Flush(); err != nil {
+					t.Fatal(err)
+				}
 				dev.Close()
 				tdev.Close()
 				w.Close()

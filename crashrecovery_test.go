@@ -4,9 +4,11 @@ package fidr_test
 // crash injection at named pipeline stages, under concurrent multi-lane
 // writes through the async front-end. Every cycle kills the server at an
 // armed crash point, reopens the devices, recovers via checkpoint + WAL
-// replay, and holds recovery to the fsck invariants plus a per-LBA value
-// oracle. Run with -race; the harness is the regression net for the
-// WAL's commit-ordering rules.
+// replay, and holds recovery to the fsck invariants plus a per-extent
+// value oracle. Every stage runs in both chunking modes: fixed 4-KB
+// chunks at chunk indexes, and CDC, where each write is a multi-KB stream
+// segment the server cuts into extents. Run with -race; the harness is
+// the regression net for the WAL's commit-ordering rules.
 
 import (
 	"bytes"
@@ -17,6 +19,7 @@ import (
 	"testing"
 
 	"fidr"
+	"fidr/internal/chunk"
 	"fidr/internal/core"
 	"fidr/internal/ssd"
 )
@@ -45,15 +48,75 @@ func crashDevices() (*ssd.SSD, *ssd.SSD) {
 	return tssd, dssd
 }
 
-// lbaHistory records every content seed ever submitted for an LBA; a
-// recovered value must be one of them.
-type lbaHistory map[uint64][]uint64
+// crashMode is the chunking mode as an input to the crash cycle: how a
+// slot is addressed, what a content seed's payload is, and which extents
+// a write of it leaves behind. Fixed: slot = chunk index, one 4-KB chunk,
+// one extent. CDC: a ragged multi-KB stream segment at byte offset
+// slot<<20 (neighbouring seeds share 4-KB blocks), cut client-side by the
+// same chunker configuration the server runs.
+type crashMode struct {
+	name     string
+	chunking chunk.Config
+}
 
-func (h lbaHistory) note(lba, seed uint64) { h[lba] = append(h[lba], seed) }
+var crashModes = []crashMode{
+	{name: "fixed"},
+	{name: "cdc", chunking: chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384}},
+}
 
-func (h lbaHistory) contains(lba uint64, data []byte) bool {
-	for _, seed := range h[lba] {
-		if bytes.Equal(data, fidr.MakeChunk(seed, 0.5)) {
+func (m crashMode) addr(slot uint64) uint64 {
+	if m.chunking.Mode == chunk.ModeCDC {
+		return slot << 20
+	}
+	return slot
+}
+
+func (m crashMode) payload(seed uint64) []byte {
+	if m.chunking.Mode == chunk.ModeFixed {
+		return fidr.MakeChunk(seed, 0.5)
+	}
+	var out []byte
+	for k := uint64(0); k < 2+seed%4; k++ {
+		out = append(out, fidr.MakeChunk(seed+k, 0.5)...)
+	}
+	return out[:len(out)-int(seed%7)*100]
+}
+
+// extent is one chunk a write leaves behind: its address and content.
+type extent struct {
+	addr uint64
+	data []byte
+}
+
+func (m crashMode) extents(slot, seed uint64) []extent {
+	c, err := m.chunking.NewChunker()
+	if err != nil {
+		panic(err)
+	}
+	data := m.payload(seed)
+	var out []extent
+	prev := 0
+	for _, b := range c.Boundaries(data) {
+		out = append(out, extent{m.addr(slot) + uint64(prev), data[prev:b]})
+		prev = b
+	}
+	return out
+}
+
+// extentHistory records every content ever submitted at an extent address
+// (interior extents of an overwritten CDC segment stay mapped, so they
+// keep their history too); a recovered value must be one of them.
+type extentHistory map[uint64][][]byte
+
+func (h extentHistory) note(exts []extent) {
+	for _, e := range exts {
+		h[e.addr] = append(h[e.addr], e.data)
+	}
+}
+
+func (h extentHistory) contains(addr uint64, data []byte) bool {
+	for _, d := range h[addr] {
+		if bytes.Equal(data, d) {
 			return true
 		}
 	}
@@ -68,8 +131,8 @@ func (h lbaHistory) contains(lba uint64, data []byte) bool {
 //   - Verify() holds every fsck invariant (refcounts, LBA map,
 //     container index, stale table entries, orphaned containers);
 //   - the pre-crash durable floor (drained + flushed phase-1 writes)
-//     reads back a value from its write history;
-//   - any other readable LBA returns a value from its write history
+//     reads back, every extent, a value from its write history;
+//   - any other readable extent returns a value from its write history
 //     (never invented or cross-wired data);
 //   - the dedup domain survived: re-writing durable content stores no
 //     new unique chunk.
@@ -87,10 +150,14 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 	for _, stage := range stages {
 		stage := stage
 		t.Run(stage.String(), func(t *testing.T) {
-			for seed := 0; seed < perStage; seed++ {
-				if err := runCrashCycle(stage, int64(seed)); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+			for _, m := range crashModes {
+				t.Run(m.name, func(t *testing.T) {
+					for seed := 0; seed < perStage; seed++ {
+						if err := runCrashCycle(m, stage, int64(seed)); err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -99,7 +166,7 @@ func TestCrashRecoveryRandomized(t *testing.T) {
 // runCrashCycle is one seeded crash/recover cycle. Returning an error
 // (rather than calling t.Fatal) keeps it usable from subtests and
 // benchmarks alike.
-func runCrashCycle(stage core.CrashStage, seed int64) error {
+func runCrashCycle(m crashMode, stage core.CrashStage, seed int64) error {
 	rng := rand.New(rand.NewSource(seed<<8 | int64(stage)))
 	arch := fidr.FIDRFull
 	if seed%5 == 4 {
@@ -112,6 +179,7 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 		return err
 	}
 	cfg := crashCfg(arch, tssd, dssd, w)
+	cfg.Chunking = m.chunking
 	srv, err := fidr.NewServer(cfg)
 	if err != nil {
 		return err
@@ -121,24 +189,30 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 		return err
 	}
 
-	// Two submitters with disjoint LBA ranges; each tracks its own
-	// write history (merged after the join point).
+	// Two submitters with disjoint slot ranges; each tracks its own
+	// write history and the seed it last wrote per slot (merged after
+	// the join point).
 	const rangeSize = 1000
-	histories := []lbaHistory{make(lbaHistory), make(lbaHistory)}
+	histories := []extentHistory{make(extentHistory), make(extentHistory)}
+	finals := []map[uint64]uint64{{}, {}}
 
 	// Phase 1: a durable floor. Written through the front-end, drained,
 	// flushed — committed to the WAL (and sometimes checkpointed), so it
 	// must survive any later crash.
-	floor := make([]uint64, 0, 48)
+	var floor []uint64 // extent addresses
 	for k := 0; k < 2; k++ {
 		for i := uint64(0); i < 24; i++ {
-			lba := uint64(k)*rangeSize + i
+			slot := uint64(k)*rangeSize + i
 			cs := uint64(rng.Intn(64)) // small seed space: duplicates
-			if err := a.Write(lba, fidr.MakeChunk(cs, 0.5)); err != nil {
+			if err := a.Write(m.addr(slot), m.payload(cs)); err != nil {
 				return fmt.Errorf("phase-1 write: %w", err)
 			}
-			histories[k].note(lba, cs)
-			floor = append(floor, lba)
+			exts := m.extents(slot, cs)
+			histories[k].note(exts)
+			finals[k][slot] = cs
+			for _, e := range exts {
+				floor = append(floor, e.addr)
+			}
 		}
 	}
 	// The front-end is drained (every done channel received), so the
@@ -177,11 +251,11 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 			defer wg.Done()
 			h := histories[k]
 			for op := 0; op < 56; op++ {
-				lba := uint64(k)*rangeSize + uint64(sub.Intn(40))
+				slot := uint64(k)*rangeSize + uint64(sub.Intn(40))
 				if sub.Intn(8) == 0 { // occasional read
-					res := <-a.ReadAsync(lba, nil)
-					if res.Err == nil && len(h[lba]) > 0 && !h.contains(lba, res.Data) {
-						panic(fmt.Sprintf("live read of lba %d returned un-written content", lba))
+					res := <-a.ReadAsync(m.addr(slot), nil)
+					if res.Err == nil && len(h[m.addr(slot)]) > 0 && !h.contains(m.addr(slot), res.Data) {
+						panic(fmt.Sprintf("live read of slot %d returned un-written content", slot))
 					}
 					continue
 				}
@@ -192,8 +266,9 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 				if sub.Intn(4) != 0 {
 					cs = 1_000 + uint64(sub.Intn(4096))
 				}
-				h.note(lba, cs)
-				<-a.WriteAsync(lba, fidr.MakeChunk(cs, 0.5), nil)
+				h.note(m.extents(slot, cs))
+				finals[k][slot] = cs
+				<-a.WriteAsync(m.addr(slot), m.payload(cs), nil)
 			}
 		}()
 	}
@@ -228,46 +303,51 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 	if !rep.OK() {
 		return fmt.Errorf("fsck invariants violated after recovery: %v", rep.Problems)
 	}
-	history := histories[0]
-	for lba, seeds := range histories[1] {
-		history[lba] = seeds
+	history, final := histories[0], finals[0]
+	for addr, contents := range histories[1] {
+		history[addr] = contents
 	}
-	// Durable floor: phase-1 LBAs must exist and carry a historic value.
-	for _, lba := range floor {
-		data, err := rec.Read(lba)
+	for slot, cs := range finals[1] {
+		final[slot] = cs
+	}
+	// Durable floor: phase-1 extents must exist and carry a historic value.
+	for _, addr := range floor {
+		data, err := rec.Read(addr)
 		if err != nil {
-			return fmt.Errorf("floor lba %d unreadable after recovery: %w", lba, err)
+			return fmt.Errorf("floor extent %d unreadable after recovery: %w", addr, err)
 		}
-		if !history.contains(lba, data) {
-			return fmt.Errorf("floor lba %d recovered to un-written content", lba)
+		if !history.contains(addr, data) {
+			return fmt.Errorf("floor extent %d recovered to un-written content", addr)
 		}
 	}
-	// Any other mapped LBA must also resolve to a historic value; LBAs
-	// first written after the last commit may be lost, nothing else.
-	for lba := range history {
-		data, err := rec.Read(lba)
+	// Any other mapped extent must also resolve to a historic value;
+	// extents first written after the last commit may be lost, nothing
+	// else.
+	for addr := range history {
+		data, err := rec.Read(addr)
 		if err != nil {
 			if errors.Is(err, core.ErrNotFound) {
 				continue
 			}
-			return fmt.Errorf("lba %d: recovered volume returned %w", lba, err)
+			return fmt.Errorf("extent %d: recovered volume returned %w", addr, err)
 		}
-		if !history.contains(lba, data) {
-			return fmt.Errorf("lba %d recovered to un-written content", lba)
+		if !history.contains(addr, data) {
+			return fmt.Errorf("extent %d recovered to un-written content", addr)
 		}
 	}
 	// The mid-checkpoint stage crashes after everything was flushed, so
 	// nothing at all may be lost — and the checkpoint floor holds
 	// whichever of the two images (old or new) survived.
 	if stage == core.CrashMidCheckpoint {
-		for lba, seeds := range history {
-			data, err := rec.Read(lba)
-			if err != nil {
-				return fmt.Errorf("mid-checkpoint crash lost lba %d: %w", lba, err)
-			}
-			want := fidr.MakeChunk(seeds[len(seeds)-1], 0.5)
-			if !bytes.Equal(data, want) {
-				return fmt.Errorf("lba %d not at its final value after mid-checkpoint crash", lba)
+		for slot, cs := range final {
+			for _, e := range m.extents(slot, cs) {
+				data, err := rec.Read(e.addr)
+				if err != nil {
+					return fmt.Errorf("mid-checkpoint crash lost extent %d: %w", e.addr, err)
+				}
+				if !bytes.Equal(data, e.data) {
+					return fmt.Errorf("extent %d not at its final value after mid-checkpoint crash", e.addr)
+				}
 			}
 		}
 	}
@@ -277,7 +357,7 @@ func runCrashCycle(stage core.CrashStage, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if err := rec.Write(999_999, floorData); err != nil {
+	if err := rec.Write(m.addr(999_999), floorData); err != nil {
 		return err
 	}
 	if err := rec.Flush(); err != nil {
@@ -394,13 +474,14 @@ func TestGroupLocalWALRecovery(t *testing.T) {
 		dev        *core.MemWALDevice
 		cfg        fidr.Config
 		srv        *fidr.Server
-		history    lbaHistory
+		history    extentHistory
 		floor      []uint64
 	}
 	stages := []core.CrashStage{core.CrashPostHash, core.CrashMidContainerFlush}
+	fixed := crashModes[0]
 	groups := make([]*group, 2)
 	for i := range groups {
-		g := &group{history: make(lbaHistory)}
+		g := &group{history: make(extentHistory)}
 		g.tssd, g.dssd = crashDevices()
 		g.dev = core.NewMemWALDevice()
 		w, err := core.NewWAL(g.dev)
@@ -428,7 +509,7 @@ func TestGroupLocalWALRecovery(t *testing.T) {
 				if err := g.srv.Write(n, fidr.MakeChunk(cs, 0.5)); err != nil {
 					panic(err)
 				}
-				g.history.note(n, cs)
+				g.history.note(fixed.extents(n, cs))
 				g.floor = append(g.floor, n)
 			}
 			if err := g.srv.Flush(); err != nil {
@@ -438,7 +519,7 @@ func TestGroupLocalWALRecovery(t *testing.T) {
 			for n := uint64(0); n < 200 && !g.srv.Crashed(); n++ {
 				lba := uint64(rng.Intn(60))
 				cs := uint64(rng.Intn(40))
-				g.history.note(lba, cs)
+				g.history.note(fixed.extents(lba, cs))
 				g.srv.Write(lba, fidr.MakeChunk(cs, 0.5))
 			}
 		}()

@@ -128,8 +128,13 @@ type CDC struct {
 // min and max. Boundary probability per scanned position is
 // 2^-(maskBits+7): 1/avg for avg >= 256; smaller averages clamp to
 // 1/256 (the anchor byte's rate) and run long.
+//
+// min == max is fixed-size chunking: no position lies between Min and
+// Max, so the content is never consulted, every cut lands at a multiple
+// of the size (the tail of the input may be short), and avg need not be
+// a power of two.
 func NewCDC(min, avg, max int) *CDC {
-	if min <= 0 || avg < min || max < avg || avg&(avg-1) != 0 {
+	if min <= 0 || avg < min || max < avg || (avg&(avg-1) != 0 && min != max) {
 		panic("chunk: invalid CDC parameters")
 	}
 	maskBits := bits.Len(uint(avg)) - 1 - 7

@@ -14,6 +14,7 @@ var cdcCornerConfigs = []struct{ min, avg, max int }{
 	{1, 2, 3},          // minimal nontrivial range
 	{5, 8, 9},          // Min >= Max - epsilon
 	{4096, 4096, 4096}, // Avg = Min = Max: fixed-size degenerate
+	{1536, 1536, 1536}, // degenerate, and not a power of two
 	{512, 512, 8192},   // Avg = Min
 	{7, 64, 64},        // Min below the confirm window, Max = Avg
 	{2048, 8192, 32768},

@@ -3,99 +3,32 @@
 //
 // The paper uses fixed 4-KB chunking: variable-size chunking is too
 // compute-heavy for inline reduction at Tbps rates, and large (32-KB)
-// chunking suffers read-modify-write amplification (§3.1, Figure 3). The
-// package also provides the read-modify-write analysis used to reproduce
-// Figure 3, and — following SeqCDC/VectorCDC (see PAPERS.md) — a
-// skip-ahead, word-at-a-time content-defined chunker (cdc.go) fast
-// enough to make the fixed-vs-CDC trade-off worth measuring live, plus
-// the retained scalar rolling-hash chunker (rolling.go) it is
-// benchmarked against.
+// chunking suffers read-modify-write amplification (§3.1, Figure 3).
+// Following SeqCDC/VectorCDC (see PAPERS.md) the package's one chunker
+// (cdc.go) is a skip-ahead, word-at-a-time content-defined chunker fast
+// enough to make the fixed-vs-CDC trade-off worth measuring live; fixed
+// chunking is that chunker configured with Min = Avg = Max (config.go),
+// where the content is never consulted. The package also provides the
+// read-modify-write analysis used to reproduce Figure 3 and the retained
+// scalar rolling-hash chunker (rolling.go) the fast one is benchmarked
+// against.
 package chunk
-
-import (
-	"errors"
-	"fmt"
-)
 
 // DefaultSize is the paper's chunk size: 4 KiB.
 const DefaultSize = 4096
 
 // Chunk is one piece of a client request.
 //
-// The meaning of LBA depends on the chunker. Fixed chunkers address
-// chunks in units of the chunk size (chunk-aligned block address
-// space). Variable-size chunkers (CDC, Rolling) use extent addressing:
-// LBA is the chunk's absolute byte offset in the client stream, so a
-// chunk is an extent [LBA, LBA+len(Data)) and chunks produced by
-// different Split calls over distinct stream ranges never collide on
-// the same store. Reading a CDC stream back means resolving the extent
-// that *starts* at the requested byte offset.
+// Chunkers use extent addressing: LBA is the chunk's absolute byte
+// offset in the client stream, so a chunk is an extent
+// [LBA, LBA+len(Data)) and chunks produced by different Split calls over
+// distinct stream ranges never collide on the same store. Reading a
+// stream back means resolving the extent that *starts* at the requested
+// byte offset. (A fixed-mode server feeds its chunker one chunk per
+// write and keeps the client's chunk-index address; see Config.)
 type Chunk struct {
-	// LBA is the chunk's logical address: chunk-size units for Fixed,
-	// absolute stream byte offset (extent address) for CDC/Rolling.
+	// LBA is the chunk's extent address (absolute stream byte offset).
 	LBA uint64
-	// Data is the chunk payload; always exactly the chunk size for a
-	// fixed chunker operating on aligned requests, and between 1 and
-	// Max bytes for variable-size chunkers.
+	// Data is the chunk payload, between 1 and Max bytes.
 	Data []byte
-}
-
-// Fixed is a fixed-size chunker.
-type Fixed struct {
-	size int
-}
-
-// NewFixed returns a fixed-size chunker. size must be a positive multiple
-// of 512 (the sector size every request is expressed in).
-func NewFixed(size int) (*Fixed, error) {
-	if size <= 0 || size%512 != 0 {
-		return nil, fmt.Errorf("chunk: invalid chunk size %d", size)
-	}
-	return &Fixed{size: size}, nil
-}
-
-// MustFixed is like NewFixed but panics on invalid size. For use in
-// initialization with constant sizes.
-func MustFixed(size int) *Fixed {
-	c, err := NewFixed(size)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Size returns the chunk size in bytes.
-func (c *Fixed) Size() int { return c.size }
-
-// ErrUnaligned is returned when a request is not chunk-aligned.
-var ErrUnaligned = errors.New("chunk: request not aligned to chunk size")
-
-// Split splits a write request starting at byte offset into chunks.
-// offset and len(data) must both be multiples of the chunk size; inline
-// reduction systems align requests at the ingest buffer before chunking.
-func (c *Fixed) Split(offset uint64, data []byte) ([]Chunk, error) {
-	if offset%uint64(c.size) != 0 || len(data)%c.size != 0 {
-		return nil, ErrUnaligned
-	}
-	n := len(data) / c.size
-	chunks := make([]Chunk, 0, n)
-	base := offset / uint64(c.size)
-	for i := 0; i < n; i++ {
-		chunks = append(chunks, Chunk{
-			LBA:  base + uint64(i),
-			Data: data[i*c.size : (i+1)*c.size],
-		})
-	}
-	return chunks, nil
-}
-
-// Covers returns the number of chunks a request of reqLen bytes at the
-// given byte offset touches (including partially covered chunks).
-func (c *Fixed) Covers(offset uint64, reqLen int) int {
-	if reqLen <= 0 {
-		return 0
-	}
-	first := offset / uint64(c.size)
-	last := (offset + uint64(reqLen) - 1) / uint64(c.size)
-	return int(last - first + 1)
 }

@@ -7,39 +7,52 @@ import (
 	"testing/quick"
 )
 
+// fixed returns the degenerate Min = Avg = Max chunker a ModeFixed
+// configuration builds.
+func fixed(t testing.TB, size int) *CDC {
+	t.Helper()
+	c, err := Config{Mode: ModeFixed, Max: size}.NewChunker()
+	if err != nil {
+		t.Fatalf("fixed chunker of %d: %v", size, err)
+	}
+	return c
+}
+
 func TestNewFixedValidation(t *testing.T) {
-	for _, size := range []int{0, -1, 100, 513} {
-		if _, err := NewFixed(size); err == nil {
-			t.Errorf("NewFixed(%d) accepted invalid size", size)
+	for _, size := range []int{-1, -4096} {
+		if _, err := (Config{Mode: ModeFixed, Max: size}).NewChunker(); err == nil {
+			t.Errorf("fixed chunk size %d accepted", size)
 		}
 	}
-	for _, size := range []int{512, 4096, 32768} {
-		c, err := NewFixed(size)
+	// Any positive size works, power of two or not; Min and Avg are
+	// whatever the caller left there and must be overwritten.
+	for _, size := range []int{512, 1536, 4096, 32768} {
+		c, err := Config{Mode: ModeFixed, Min: 7, Avg: 9, Max: size}.NewChunker()
 		if err != nil {
-			t.Fatalf("NewFixed(%d): %v", size, err)
+			t.Fatalf("fixed chunk size %d: %v", size, err)
 		}
-		if c.Size() != size {
-			t.Errorf("Size() = %d want %d", c.Size(), size)
+		if c.Min != size || c.Avg != size || c.Max != size {
+			t.Errorf("size %d: chunker min/avg/max = %d/%d/%d", size, c.Min, c.Avg, c.Max)
 		}
+	}
+	if c := fixed(t, 0); c.Max != DefaultSize {
+		t.Errorf("zero config chunk size = %d, want %d", c.Max, DefaultSize)
 	}
 }
 
 func TestSplitBasic(t *testing.T) {
-	c := MustFixed(4096)
+	c := fixed(t, 4096)
 	data := make([]byte, 3*4096)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	chunks, err := c.Split(8192, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunks := c.Split(8192, data)
 	if len(chunks) != 3 {
 		t.Fatalf("got %d chunks, want 3", len(chunks))
 	}
 	for i, ch := range chunks {
-		if ch.LBA != uint64(2+i) {
-			t.Errorf("chunk %d LBA = %d, want %d", i, ch.LBA, 2+i)
+		if want := uint64(8192 + i*4096); ch.LBA != want {
+			t.Errorf("chunk %d extent address = %d, want %d", i, ch.LBA, want)
 		}
 		if !bytes.Equal(ch.Data, data[i*4096:(i+1)*4096]) {
 			t.Errorf("chunk %d data mismatch", i)
@@ -47,37 +60,46 @@ func TestSplitBasic(t *testing.T) {
 	}
 }
 
+// TestSplitUnaligned: the degenerate chunker has no alignment rule of
+// its own (the fixed-mode server enforces one chunk per write). A short
+// segment is one short chunk, and cuts are relative to the segment
+// start, wherever that is in the stream.
 func TestSplitUnaligned(t *testing.T) {
-	c := MustFixed(4096)
-	if _, err := c.Split(100, make([]byte, 4096)); err != ErrUnaligned {
-		t.Errorf("unaligned offset: err = %v, want ErrUnaligned", err)
+	c := fixed(t, 4096)
+	if got := c.Boundaries(make([]byte, 100)); !boundsEqual(got, []int{100}) {
+		t.Errorf("100-byte segment cut at %v, want [100]", got)
 	}
-	if _, err := c.Split(0, make([]byte, 100)); err != ErrUnaligned {
-		t.Errorf("unaligned length: err = %v, want ErrUnaligned", err)
+	if got := c.Boundaries(make([]byte, 4096+100)); !boundsEqual(got, []int{4096, 4196}) {
+		t.Errorf("4196-byte segment cut at %v, want [4096 4196]", got)
+	}
+	chunks := c.Split(100, make([]byte, 4096))
+	if len(chunks) != 1 || chunks[0].LBA != 100 || len(chunks[0].Data) != 4096 {
+		t.Errorf("segment at offset 100: %d chunks, first %+v", len(chunks), chunks)
 	}
 }
 
 func TestSplitEmpty(t *testing.T) {
-	c := MustFixed(4096)
-	chunks, err := c.Split(0, nil)
-	if err != nil || len(chunks) != 0 {
-		t.Fatalf("empty split: %v chunks, err %v", len(chunks), err)
+	if chunks := fixed(t, 4096).Split(0, nil); len(chunks) != 0 {
+		t.Fatalf("empty split: %v chunks", len(chunks))
 	}
 }
 
 func TestSplitRoundTrip(t *testing.T) {
-	c := MustFixed(512)
+	c := fixed(t, 512)
 	prop := func(nChunks uint8, seed int64) bool {
 		n := int(nChunks%32) + 1
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, n*512)
 		rng.Read(data)
-		chunks, err := c.Split(0, data)
-		if err != nil || len(chunks) != n {
+		chunks := c.Split(0, data)
+		if len(chunks) != n {
 			return false
 		}
 		var re []byte
-		for _, ch := range chunks {
+		for i, ch := range chunks {
+			if ch.LBA != uint64(i*512) || len(ch.Data) != 512 {
+				return false
+			}
 			re = append(re, ch.Data...)
 		}
 		return bytes.Equal(re, data)
@@ -87,24 +109,21 @@ func TestSplitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCovers: a segment of n bytes is covered by ceil(n/size) chunks,
+// whatever the content (the degenerate chunker never reads it).
 func TestCovers(t *testing.T) {
-	c := MustFixed(4096)
-	tests := []struct {
-		off  uint64
-		n    int
-		want int
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 4096, 1},
-		{0, 4097, 2},
-		{4095, 2, 2},
-		{4096, 4096, 1},
-		{100, 8192, 3},
-	}
-	for _, tt := range tests {
-		if got := c.Covers(tt.off, tt.n); got != tt.want {
-			t.Errorf("Covers(%d,%d) = %d want %d", tt.off, tt.n, got, tt.want)
+	c := fixed(t, 4096)
+	rng := rand.New(rand.NewSource(5))
+	for _, tt := range []struct{ n, want int }{
+		{0, 0}, {1, 1}, {4095, 1}, {4096, 1}, {4097, 2}, {8192, 2}, {8193, 3},
+	} {
+		data := make([]byte, tt.n)
+		rng.Read(data)
+		if got := len(c.Boundaries(data)); got != tt.want {
+			t.Errorf("%d bytes covered by %d chunks, want %d", tt.n, got, tt.want)
+		}
+		if got := len(c.ReferenceBoundaries(nil, data)); got != tt.want {
+			t.Errorf("%d bytes: reference cut %d chunks, want %d", tt.n, got, tt.want)
 		}
 	}
 }
@@ -323,13 +342,12 @@ func TestCDCEmptyInput(t *testing.T) {
 }
 
 func BenchmarkFixedSplit(b *testing.B) {
-	c := MustFixed(4096)
+	c := fixed(b, 4096)
 	data := make([]byte, 1<<20)
+	var bounds []int
 	b.SetBytes(1 << 20)
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Split(0, data); err != nil {
-			b.Fatal(err)
-		}
+		bounds = c.AppendBoundaries(bounds[:0], data)
 	}
 }
 

@@ -8,7 +8,7 @@ type Mode int
 const (
 	// ModeFixed is the paper's fixed 4-KB chunking: block storage is
 	// write-in-place and the chunker must keep up with Tbps line rate
-	// (§2.1.1).
+	// (§2.1.1). Chunks are addressed by chunk index, one per write.
 	ModeFixed Mode = iota
 	// ModeCDC is content-defined chunking: variable-size chunks cut
 	// where the content itself says so, so streams that shift by
@@ -50,45 +50,50 @@ const (
 	DefaultCDCMax = 32768
 )
 
-// Config is the chunking-mode knob carried by nic.Config and
-// core.Config. The zero value selects fixed chunking.
+// Config selects the write-path chunker carried by nic.Config and
+// core.Config. There is one chunker; the modes differ only in how it is
+// sized and how a server addresses its chunks. The zero value is the
+// paper's fixed 4-KB chunking.
 type Config struct {
 	// Mode selects fixed or content-defined chunking.
 	Mode Mode
-	// Min/Avg/Max bound CDC chunk sizes (ignored in fixed mode). Avg
-	// must be a power of two. Zero values select the defaults.
+	// Min/Avg/Max bound chunk sizes. Under ModeCDC Avg must be a power
+	// of two and all-zero selects the defaults. Under ModeFixed the
+	// chunker is the degenerate Min = Avg = Max instance: Max is the
+	// chunk size (zero selects DefaultSize; core.Config sets it from
+	// ChunkSize) and Min/Avg are overwritten with it, so every cut lands
+	// on a multiple of the chunk size.
 	Min, Avg, Max int
 }
 
-// Normalize fills CDC defaults and validates the configuration.
+// Normalize fills defaults and validates the configuration.
 func (c *Config) Normalize() error {
 	switch c.Mode {
 	case ModeFixed:
-		return nil
+		if c.Max == 0 {
+			c.Max = DefaultSize
+		}
+		c.Min, c.Avg = c.Max, c.Max
 	case ModeCDC:
 		if c.Min == 0 && c.Avg == 0 && c.Max == 0 {
 			c.Min, c.Avg, c.Max = DefaultCDCMin, DefaultCDCAvg, DefaultCDCMax
 		}
-		if c.Min <= 0 || c.Avg < c.Min || c.Max < c.Avg {
-			return fmt.Errorf("chunk: CDC sizes min=%d avg=%d max=%d (want 0 < min <= avg <= max)", c.Min, c.Avg, c.Max)
-		}
 		if c.Avg&(c.Avg-1) != 0 {
 			return fmt.Errorf("chunk: CDC average %d must be a power of two", c.Avg)
 		}
-		return nil
 	default:
 		return fmt.Errorf("chunk: unknown chunking mode %d", int(c.Mode))
 	}
+	if c.Min <= 0 || c.Avg < c.Min || c.Max < c.Avg {
+		return fmt.Errorf("chunk: %s sizes min=%d avg=%d max=%d (want 0 < min <= avg <= max)", c.Mode, c.Min, c.Avg, c.Max)
+	}
+	return nil
 }
 
-// NewChunker builds the CDC chunker for a normalized ModeCDC config.
+// NewChunker builds the chunker the configuration describes.
 func (c Config) NewChunker() (*CDC, error) {
-	cfg := c
-	if err := cfg.Normalize(); err != nil {
+	if err := c.Normalize(); err != nil {
 		return nil, err
 	}
-	if cfg.Mode != ModeCDC {
-		return nil, fmt.Errorf("chunk: NewChunker on %s config", cfg.Mode)
-	}
-	return NewCDC(cfg.Min, cfg.Avg, cfg.Max), nil
+	return NewCDC(c.Min, c.Avg, c.Max), nil
 }

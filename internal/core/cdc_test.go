@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"fidr/internal/blockcomp"
 	"fidr/internal/chunk"
 )
 
@@ -14,6 +16,64 @@ func cdcTestConfig(arch Arch) Config {
 	cfg.ContainerSize = 1 << 18
 	cfg.Chunking = chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384}
 	return cfg
+}
+
+// testMode is the chunking mode as a test input: the durability and model
+// tests say "slot i holds content seed s" and the mode decides what that
+// is on the wire. Fixed: chunk index i, one 4-KB chunk. CDC: a ragged
+// multi-KB stream segment at byte offset i<<20, which the server cuts
+// into extents; neighbouring seeds share 4-KB blocks, so segments dedup
+// against each other at shifted offsets.
+type testMode struct {
+	name     string
+	chunking chunk.Config
+}
+
+var testModes = []testMode{
+	{name: "fixed"},
+	{name: "cdc", chunking: chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384}},
+}
+
+func (m testMode) addr(slot uint64) uint64 {
+	if m.chunking.Mode == chunk.ModeCDC {
+		return slot << 20
+	}
+	return slot
+}
+
+func (m testMode) payload(seed uint64) []byte {
+	sh := blockcomp.NewShaper(0.5)
+	if m.chunking.Mode == chunk.ModeFixed {
+		return sh.Make(seed, 4096)
+	}
+	var out []byte
+	for k := uint64(0); k < 2+seed%4; k++ {
+		out = append(out, sh.Make(seed+k, 4096)...)
+	}
+	return out[:len(out)-int(seed%7)*100]
+}
+
+// check reads back every chunk a write of seed's payload at slot left
+// behind — the one chunk in fixed mode, each extent the same chunker
+// configuration cuts client-side under CDC — and compares bit-exact.
+func (m testMode) check(read func(addr uint64) ([]byte, error), slot, seed uint64) error {
+	c, err := m.chunking.NewChunker()
+	if err != nil {
+		return err
+	}
+	data := m.payload(seed)
+	prev := 0
+	for _, b := range c.Boundaries(data) {
+		got, err := read(m.addr(slot) + uint64(prev))
+		if err != nil {
+			return fmt.Errorf("slot %d extent +%d: %w", slot, prev, err)
+		}
+		if !bytes.Equal(got, data[prev:b]) {
+			return fmt.Errorf("slot %d extent +%d: read %d bytes, want the %d written", slot, prev, len(got), b-prev)
+		}
+		prev = b
+	}
+	return nil
 }
 
 // cdcStream builds a duplicate-rich byte stream: a random base segment
@@ -140,10 +200,10 @@ func TestCDCStreamResumesAcrossBufferDrains(t *testing.T) {
 	}
 }
 
-// TestCDCConfigGates pins the unsupported combinations: CDC + WAL and
-// CDC + Checkpoint are rejected (per-chunk raw sizes are not persisted),
-// and oversized Max chunks cannot outgrow the 16-bit compressed-size
-// field.
+// TestCDCConfigGates pins what a CDC configuration refuses — an
+// oversized Max that cannot fit the 16-bit size fields, an empty write,
+// and ReadRange (chunk-index addressing) — and that Checkpoint is not on
+// that list: every chunk's length is in its record.
 func TestCDCConfigGates(t *testing.T) {
 	cfg := cdcTestConfig(FIDRNicP2P)
 	cfg.Chunking.Max = 1 << 16
@@ -157,13 +217,70 @@ func TestCDCConfigGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(); err == nil {
-		t.Error("Checkpoint on a CDC server was accepted")
+	if err := s.Write(0, nil); err == nil {
+		t.Error("empty stream write was accepted")
 	}
 	if _, err := s.ReadRange(0, 2); err == nil {
 		t.Error("ReadRange on a CDC server was accepted")
 	}
-	if err := s.Write(0, nil); err == nil {
-		t.Error("empty stream write was accepted")
+	base, _ := cdcStream(t, 64<<10)
+	if err := s.Write(0, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Errorf("Checkpoint on a CDC server: %v", err)
+	}
+}
+
+// TestCDCOverwriteInvalidatesInteriorExtents is the regression test for
+// the §8 read cache under CDC: an overwrite that keeps a segment's first
+// chunk but changes what follows must drop the cached copies of the
+// interior extents too, not only the one at the segment's start address.
+func TestCDCOverwriteInvalidatesInteriorExtents(t *testing.T) {
+	cfg := cdcTestConfig(FIDRFull)
+	cfg.ReadCacheChunks = 64
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := chunk.NewCDC(1024, 4096, 16384)
+	rng := rand.New(rand.NewSource(41))
+	gen1 := make([]byte, 96<<10)
+	rng.Read(gen1)
+	cuts1 := c.Boundaries(gen1)
+	// Generation 2 repeats the first chunk byte for byte (so the first
+	// cut, and the second extent's address, are the same) and then
+	// diverges.
+	tail := make([]byte, 64<<10)
+	rng.Read(tail)
+	gen2 := append(append([]byte(nil), gen1[:cuts1[0]]...), tail...)
+	cuts2 := c.Boundaries(gen2)
+	if cuts2[0] != cuts1[0] {
+		t.Fatalf("first cut moved: %d vs %d", cuts2[0], cuts1[0])
+	}
+	second := uint64(cuts1[0])
+
+	if err := s.Write(0, gen1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(second); err != nil || !bytes.Equal(got, gen1[cuts1[0]:cuts1[1]]) {
+		t.Fatalf("gen-1 second extent: %v", err)
+	}
+	if err := s.Write(0, gen2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, gen2[cuts2[0]:cuts2[1]]) {
+		t.Fatalf("after the overwrite the second extent read %d bytes (gen-1's were %d), want gen-2's %d",
+			len(got), cuts1[1]-cuts1[0], cuts2[1]-cuts2[0])
 	}
 }

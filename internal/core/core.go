@@ -62,14 +62,16 @@ type Config struct {
 	// Arch picks the architecture.
 	Arch Arch
 	// ChunkSize is the deduplication granularity (4096) under fixed
-	// chunking, and the raw-size fallback for metadata recovered without
-	// per-chunk sizes.
+	// chunking.
 	ChunkSize int
 	// Chunking selects the write-path chunker. The zero value is the
-	// paper's fixed ChunkSize chunking; ModeCDC switches the server to
-	// variable-size content-defined chunks addressed by stream byte
-	// offset (extents). CDC servers do not yet support Checkpoint or a
-	// WAL: per-chunk raw sizes are not persisted.
+	// paper's fixed chunking: the chunker with Min = Avg = Max =
+	// ChunkSize (Validate fills them in), one chunk per write, addressed
+	// by chunk index. ModeCDC cuts variable-size content-defined chunks
+	// addressed by stream byte offset (extents). Everything behind the
+	// chunker — dedup, compression, WAL, checkpoint, recovery, GC, fsck —
+	// is the same path in both modes: each stored chunk's level-2 record
+	// carries its own uncompressed length.
 	Chunking chunk.Config
 	// BatchChunks is the accelerator batch size in chunks.
 	BatchChunks int
@@ -142,9 +144,6 @@ func (c *Config) Validate() error {
 	if c.BatchChunks < 1 {
 		return fmt.Errorf("core: batch size %d", c.BatchChunks)
 	}
-	if c.ContainerSize < c.ChunkSize {
-		return fmt.Errorf("core: container %d smaller than chunk", c.ContainerSize)
-	}
 	if c.UniqueChunkCapacity == 0 {
 		return fmt.Errorf("core: zero unique-chunk capacity")
 	}
@@ -159,40 +158,34 @@ func (c *Config) Validate() error {
 	if c.Compressor == nil {
 		c.Compressor = blockcomp.NewLZ()
 	}
-	if c.NICBufferBytes < c.BatchChunks*c.ChunkSize {
-		c.NICBufferBytes = c.BatchChunks * c.ChunkSize
-	}
 	if c.PredictorCapacity < 1 {
 		c.PredictorCapacity = 1 << 16
+	}
+	if c.Chunking.Mode == chunk.ModeFixed {
+		c.Chunking.Max = c.ChunkSize
 	}
 	if err := c.Chunking.Normalize(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if c.Chunking.Mode == chunk.ModeCDC {
-		if c.WAL != nil {
-			return fmt.Errorf("core: content-defined chunking does not support a WAL (per-chunk raw sizes are not logged)")
-		}
-		if c.ContainerSize < c.Chunking.Max {
-			return fmt.Errorf("core: container %d smaller than max CDC chunk %d", c.ContainerSize, c.Chunking.Max)
-		}
-		// An incompressible Max-size chunk must still fit the LBA table's
-		// 16-bit compressed-size field after the compressor's worst-case
-		// token overhead.
-		if c.Chunking.Max+cdcCompressSlack > lbatable.MaxCSize {
-			return fmt.Errorf("core: max CDC chunk %d + compression slack exceeds storable size %d",
-				c.Chunking.Max, lbatable.MaxCSize)
-		}
-		if c.NICBufferBytes < 4*c.Chunking.Max {
-			c.NICBufferBytes = 4 * c.Chunking.Max
-		}
+	if c.ContainerSize < c.Chunking.Max {
+		return fmt.Errorf("core: container %d smaller than max chunk %d", c.ContainerSize, c.Chunking.Max)
 	}
+	// An incompressible Max-size chunk must still fit the LBA table's
+	// 16-bit size fields after the compressor's worst-case token overhead.
+	if c.Chunking.Max+compressSlack > lbatable.MaxCSize {
+		return fmt.Errorf("core: max chunk %d + compression slack exceeds storable size %d",
+			c.Chunking.Max, lbatable.MaxCSize)
+	}
+	// The NIC buffer holds a full batch of fixed chunks, and always
+	// several Max-size chunks so a stream write makes progress.
+	c.NICBufferBytes = max(c.NICBufferBytes, c.BatchChunks*c.ChunkSize, 4*c.Chunking.Max)
 	return nil
 }
 
-// cdcCompressSlack bounds the compressor's expansion on incompressible
+// compressSlack bounds the compressor's expansion on incompressible
 // input (the LZ engine's token-stream overhead is a few bytes; one
 // container offset unit is a comfortable margin).
-const cdcCompressSlack = lbatable.OffsetUnit
+const compressSlack = lbatable.OffsetUnit
 
 // Device names on the PCIe fabric.
 const (
@@ -344,22 +337,15 @@ type Server struct {
 	// their spans under the tipping request's trace.
 	activeReq *ReqTrace
 
-	// chunker is the server's content-defined chunker: non-nil exactly
-	// when cfg.Chunking.Mode is ModeCDC. FIDR servers chunk inside the
-	// NIC (BufferStream); the baseline chunks here in host software.
-	// cbounds is the baseline path's reusable boundary scratch.
+	// chunker is the baseline's chunker: its NIC DMA-writes raw bytes, so
+	// host software cuts them (FIDR servers chunk inside the NIC, see
+	// nic.BufferStream). cbounds is its reusable boundary scratch.
 	chunker *chunk.CDC
 	cbounds []int
 
 	// pbnFP records each PBN's fingerprint for garbage collection
 	// (real systems keep it in container metadata).
 	pbnFP []fingerprint.FP
-	// pbnRaw records each PBN's uncompressed size so reads know how many
-	// bytes to decompress. Essential under CDC (chunks vary in size);
-	// maintained in fixed mode too, where every entry equals ChunkSize.
-	// Not persisted by Checkpoint — rawSizeOf falls back to ChunkSize for
-	// recovered (always fixed-mode) metadata.
-	pbnRaw []uint32
 	// reclaimed lists containers retired by Compact.
 	reclaimed []uint64
 	// fpLive counts live Hash-PBN table entries. The table cache has no
@@ -468,15 +454,13 @@ func New(cfg Config) (*Server, error) {
 		tableSSD: tableSSD,
 		wal:      cfg.WAL,
 	}
-	if cfg.Chunking.Mode == chunk.ModeCDC {
+	if cfg.Arch == Baseline {
+		s.pnic = nic.NewPlain()
+		s.pred = predictor.New(cfg.PredictorCapacity, ledger, costs)
 		s.chunker, err = cfg.Chunking.NewChunker()
 		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Arch == Baseline {
-		s.pnic = nic.NewPlain()
-		s.pred = predictor.New(cfg.PredictorCapacity, ledger, costs)
 	} else {
 		s.fnic, err = nic.New(nic.Config{
 			BufferBytes: cfg.NICBufferBytes,
@@ -509,16 +493,6 @@ func (s *Server) ChunkSize() int { return s.cfg.ChunkSize }
 
 // Chunking returns the server's chunking configuration.
 func (s *Server) Chunking() chunk.Config { return s.cfg.Chunking }
-
-// rawSizeOf returns a stored chunk's uncompressed size. Metadata
-// recovered from a checkpoint predates per-chunk size tracking in this
-// process; such servers are always fixed-mode, so ChunkSize is exact.
-func (s *Server) rawSizeOf(pbn uint64) int {
-	if pbn < uint64(len(s.pbnRaw)) && s.pbnRaw[pbn] != 0 {
-		return int(s.pbnRaw[pbn])
-	}
-	return s.cfg.ChunkSize
-}
 
 // Ledger exposes the host resource ledger.
 func (s *Server) Ledger() *hostmodel.Ledger { return s.ledger }

@@ -25,11 +25,18 @@ import (
 //
 //	magic "FIDRCKP2"
 //	u64 WAL sequence number covered by this checkpoint (0: no WAL)
-//	u64 lba-snapshot length, snapshot bytes (lbatable format)
+//	u64 lba-snapshot length, snapshot bytes (lbatable format "FIDRLBA2":
+//	    every level-2 entry carries the chunk's uncompressed length)
 //	u64 fingerprint count, 32 B each (PBN order)
 //
 // The v1 layout ("FIDRCKP1", no sequence field) is still read; it
 // implies WAL sequence 0.
+//
+// Old-volume rule: metadata written before uncompressed lengths were
+// recorded — a "FIDRLBA1" snapshot inside either checkpoint layout, or a
+// WAL append frame whose length field is zero — is refused with
+// ErrCorruptCheckpoint. Nothing is guessed from configuration, and a
+// stale log is never silently skipped.
 
 var (
 	ckpMagic   = [8]byte{'F', 'I', 'D', 'R', 'C', 'K', 'P', '2'}
@@ -40,8 +47,9 @@ var (
 // WAL is attached, no log records): not a FIDR volume, or a fresh one.
 var ErrNoCheckpoint = errors.New("core: no checkpoint found on table volume")
 
-// ErrCorruptCheckpoint reports a checkpoint that exists but cannot be
-// restored: damaged bytes, or a geometry/config mismatch. Distinguish
+// ErrCorruptCheckpoint reports durable metadata that exists but cannot be
+// restored: a checkpoint with damaged bytes or a geometry/config mismatch,
+// or a write-ahead log whose records do not apply over it. Distinguish
 // from ErrNoCheckpoint with errors.Is.
 var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint on table volume")
 
@@ -57,9 +65,6 @@ func (s *Server) checkpointOffset() uint64 { return s.geom.TableBytes() }
 func (s *Server) Checkpoint() error {
 	if err := s.failIfCrashed(); err != nil {
 		return err
-	}
-	if s.chunker != nil {
-		return fmt.Errorf("core: checkpoint does not support content-defined chunking (per-chunk raw sizes are not persisted)")
 	}
 	if err := s.Flush(); err != nil {
 		return err
@@ -228,7 +233,7 @@ func RecoverServer(cfg Config) (*Server, error) {
 	if s.wal != nil {
 		n, err := s.wal.Replay(rr.CheckpointSeq, s.applyWALRecord)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%v: %w", err, ErrCorruptCheckpoint)
 		}
 		rr.ReplayedRecords = n
 		s.wal.ensureSeqAfter(rr.CheckpointSeq)
@@ -271,7 +276,8 @@ func RecoverServer(cfg Config) (*Server, error) {
 func (s *Server) applyWALRecord(r WALRecord) error {
 	switch r.Kind {
 	case WALAppend:
-		pbn, err := s.lba.AppendChunk(r.LBA, r.Container, r.Offset, r.CSize)
+		pbn, err := s.lba.Append(r.LBA, lbatable.PBA{
+			Container: r.Container, Offset: r.Offset, CSize: r.CSize, RawSize: r.RawSize})
 		if err != nil {
 			return err
 		}

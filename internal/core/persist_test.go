@@ -67,61 +67,61 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 }
 
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
-	for _, arch := range []Arch{Baseline, FIDRFull} {
-		cfg := DefaultConfig(arch)
-		cfg.ContainerSize = 64 << 10
-		s1, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := blockcomp.NewShaper(0.5)
-		for i := uint64(0); i < 300; i++ {
-			if err := s1.Write(i, sh.Make(i%120, 4096)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s1.Checkpoint(); err != nil {
-			t.Fatalf("%v: checkpoint: %v", arch, err)
-		}
-
-		// Recover over the same devices.
-		rcfg := cfg
-		rcfg.TableSSD = s1.tableSSD
-		rcfg.DataSSD = s1.dataSSD
-		s2, err := RecoverServer(rcfg)
-		if err != nil {
-			t.Fatalf("%v: recover: %v", arch, err)
-		}
-		// All data readable, bit-exact.
-		for i := uint64(0); i < 300; i++ {
-			got, err := s2.Read(i)
+	for _, m := range testModes {
+		for _, arch := range []Arch{Baseline, FIDRFull} {
+			cfg := DefaultConfig(arch)
+			cfg.ContainerSize = 64 << 10
+			cfg.Chunking = m.chunking
+			s1, err := New(cfg)
 			if err != nil {
-				t.Fatalf("%v: recovered read %d: %v", arch, i, err)
-			}
-			if !bytes.Equal(got, sh.Make(i%120, 4096)) {
-				t.Fatalf("%v: recovered chunk %d corrupted", arch, i)
-			}
-		}
-		// Dedup continuity: rewriting known content must not store new
-		// chunks (the Hash-PBN table survived on the table SSD).
-		uniqueBefore := s2.Stats().UniqueChunks
-		for i := uint64(500); i < 520; i++ {
-			if err := s2.Write(i, sh.Make(i%120, 4096)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		s2.Flush()
-		if got := s2.Stats().UniqueChunks; got != uniqueBefore {
-			t.Fatalf("%v: recovered server re-stored %d duplicate chunks", arch, got-uniqueBefore)
-		}
-		// New unique content continues the container sequence safely.
-		if err := s2.Write(999, sh.Make(777777, 4096)); err != nil {
-			t.Fatal(err)
-		}
-		s2.Flush()
-		got, err := s2.Read(999)
-		if err != nil || !bytes.Equal(got, sh.Make(777777, 4096)) {
-			t.Fatalf("%v: post-recovery write broken", arch)
+			for i := uint64(0); i < 300; i++ {
+				if err := s1.Write(m.addr(i), m.payload(i%120)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s1.Checkpoint(); err != nil {
+				t.Fatalf("%s %v: checkpoint: %v", m.name, arch, err)
+			}
+
+			// Recover over the same devices.
+			rcfg := cfg
+			rcfg.TableSSD = s1.tableSSD
+			rcfg.DataSSD = s1.dataSSD
+			s2, err := RecoverServer(rcfg)
+			if err != nil {
+				t.Fatalf("%s %v: recover: %v", m.name, arch, err)
+			}
+			// All data readable, bit-exact, and the volume passes fsck.
+			for i := uint64(0); i < 300; i++ {
+				if err := m.check(s2.Read, i, i%120); err != nil {
+					t.Fatalf("%s %v: recovered: %v", m.name, arch, err)
+				}
+			}
+			if rep, err := s2.Verify(); err != nil || !rep.OK() {
+				t.Fatalf("%s %v: recovered volume: %v %v", m.name, arch, err, rep.Problems)
+			}
+			// Dedup continuity: rewriting known content must not store new
+			// chunks (the Hash-PBN table survived on the table SSD).
+			uniqueBefore := s2.Stats().UniqueChunks
+			for i := uint64(500); i < 520; i++ {
+				if err := s2.Write(m.addr(i), m.payload(i%120)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s2.Flush()
+			if got := s2.Stats().UniqueChunks; got != uniqueBefore {
+				t.Fatalf("%s %v: recovered server re-stored %d duplicate chunks", m.name, arch, got-uniqueBefore)
+			}
+			// New unique content continues the container sequence safely.
+			if err := s2.Write(m.addr(999), m.payload(777777)); err != nil {
+				t.Fatal(err)
+			}
+			s2.Flush()
+			if err := m.check(s2.Read, 999, 777777); err != nil {
+				t.Fatalf("%s %v: post-recovery write broken: %v", m.name, arch, err)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fidr/internal/chunk"
 	"fidr/internal/hostmodel"
 	"fidr/internal/lbatable"
 	"fidr/internal/pcie"
@@ -25,11 +26,6 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 		return nil, err
 	}
 	s.ctr.reads.Inc()
-	if s.chunker == nil {
-		// Fixed chunking: the payload size is known upfront.
-		s.ctr.clientBytes.Add(uint64(s.cfg.ChunkSize))
-		s.ledger.Client(uint64(s.cfg.ChunkSize))
-	}
 	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolReadNs)
 	tr := s.obs.begin("read", lba)
 	tr.adopt(tc)
@@ -44,9 +40,9 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 	} else {
 		out, err = s.fidrRead(lba, tr)
 	}
-	if err == nil && s.chunker != nil {
-		// CDC: an extent's size is whatever the chunker cut; charge the
-		// bytes actually served.
+	if err == nil {
+		// A chunk's size is whatever the chunker cut; charge the bytes
+		// actually served.
 		s.ctr.clientBytes.Add(uint64(len(out)))
 		s.ledger.Client(uint64(len(out)))
 	}
@@ -67,7 +63,9 @@ func (s *Server) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, e
 	if n < 1 {
 		return nil, fmt.Errorf("core: read of %d chunks", n)
 	}
-	if s.chunker != nil {
+	if s.cfg.Chunking.Mode == chunk.ModeCDC {
+		// Addressing, not persistence: lba+i walks chunk indexes, and only
+		// the chunker knows where a CDC stream's next extent starts.
 		return nil, fmt.Errorf("core: ReadRange addresses fixed chunk indexes; CDC extents are read individually")
 	}
 	out := make([]byte, 0, n*s.cfg.ChunkSize)
@@ -101,7 +99,7 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	}
 	tr.span(StageNICBuffer, from)
 	from = tr.start()
-	pba, pbn, err := s.resolve(lba)
+	pba, err := s.resolve(lba)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +109,7 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		return nil, err
 	}
 	csize := uint64(pba.CSize)
-	raw := uint64(s.rawSizeOf(pbn))
+	raw := uint64(pba.RawSize)
 	if fromSSD {
 		// SSD -> host memory.
 		s.transfer(devDataSSD, pcie.HostMemory, csize)
@@ -165,7 +163,7 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	// Steps 3-4: LBA goes to the host, which resolves the PBA.
 	s.transfer(devNIC, pcie.HostMemory, 8)
 	from = tr.start()
-	pba, pbn, err := s.resolve(lba)
+	pba, err := s.resolve(lba)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +177,7 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		return nil, err
 	}
 	csize := uint64(pba.CSize)
-	raw := uint64(s.rawSizeOf(pbn))
+	raw := uint64(pba.RawSize)
 	// Steps 5-7: device manager orchestrates SSD -> Decompression
 	// Engine -> NIC, all peer-to-peer; host memory never sees the data.
 	if fromSSD {
@@ -207,19 +205,15 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	return out, nil
 }
 
-// resolve maps an LBA to its physical address and PBN, charging the
-// LBA-PBA table work. The PBN keys per-chunk metadata (raw size).
-func (s *Server) resolve(lba uint64) (lbatable.PBA, uint64, error) {
+// resolve maps an LBA to its chunk's level-2 record (placement, compressed
+// size, uncompressed length), charging the LBA-PBA table work.
+func (s *Server) resolve(lba uint64) (lbatable.PBA, error) {
 	s.ledger.CPU(hostmodel.CompLBATable, s.costs.LBATablePerOpNs)
-	pbn, err := s.lba.LookupLBA(lba)
+	pba, err := s.lba.ResolveLBA(lba)
 	if err == lbatable.ErrUnmapped {
-		return lbatable.PBA{}, 0, ErrNotFound
+		return lbatable.PBA{}, ErrNotFound
 	}
-	if err != nil {
-		return lbatable.PBA{}, 0, err
-	}
-	pba, err := s.lba.Resolve(pbn)
-	return pba, pbn, err
+	return pba, err
 }
 
 // fetchCompressed returns the chunk's compressed bytes, either from the

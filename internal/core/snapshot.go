@@ -80,7 +80,7 @@ func (s *Server) ReadSnapshot(id SnapshotID, lba uint64) ([]byte, error) {
 		return nil, err
 	}
 	from = tr.start()
-	out, err := s.decomp.Decompress(cdata, s.rawSizeOf(pbn))
+	out, err := s.decomp.Decompress(cdata, int(pba.RawSize))
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func (s *Server) Verify() (VerifyReport, error) {
 			return
 		}
 		from := tr.start()
-		data, err := s.decomp.Decompress(cdata, s.rawSizeOf(pbn))
+		data, err := s.decomp.Decompress(cdata, int(pba.RawSize))
 		if err != nil {
 			rep.problemf("%s lba %d: decompress: %v", origin, lba, err)
 			return

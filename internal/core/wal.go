@@ -46,8 +46,14 @@ import (
 //	u64 pbn
 //	u64 container
 //	u32 offset
-//	u32 csize
+//	u16 csize
+//	u16 uncompressed length (append records; 0 elsewhere)
 //	32B fingerprint
+//
+// csize and the uncompressed length share what used to be one u32 csize
+// field (compressed sizes never exceeded 16 bits), so frames written
+// before the length was logged decode with length 0; applying such an
+// append fails recovery with ErrCorruptCheckpoint (see persist.go).
 //
 // Replay walks frames from offset 0 and stops cleanly at the first
 // invalid frame (bad length, bad CRC, short read): a torn tail is the
@@ -59,7 +65,7 @@ import (
 type WALKind uint8
 
 const (
-	// WALAppend is a unique-chunk admission: AppendChunk + Hash-PBN
+	// WALAppend is a unique-chunk admission: lbatable Append + Hash-PBN
 	// insert + per-PBN fingerprint. PBN records the allocated PBN so
 	// replay can verify it re-derives the same allocation.
 	WALAppend WALKind = iota + 1
@@ -93,7 +99,7 @@ func (k WALKind) String() string {
 
 const (
 	walHeaderSize  = 8 // u32 length + u32 crc
-	walPayloadSize = 1 + 8 + 8 + 8 + 8 + 4 + 4 + fingerprint.Size
+	walPayloadSize = 1 + 8 + 8 + 8 + 8 + 4 + 2 + 2 + fingerprint.Size
 	walFrameSize   = walHeaderSize + walPayloadSize
 )
 
@@ -106,7 +112,10 @@ type WALRecord struct {
 	Container uint64
 	Offset    uint32
 	CSize     uint32
-	FP        fingerprint.FP
+	// RawSize is an appended chunk's uncompressed length. It and CSize
+	// are 16-bit on the log, like the level-2 record they replay into.
+	RawSize uint32
+	FP      fingerprint.FP
 }
 
 func (r WALRecord) encode(dst []byte) {
@@ -117,7 +126,8 @@ func (r WALRecord) encode(dst []byte) {
 	binary.LittleEndian.PutUint64(payload[17:], r.PBN)
 	binary.LittleEndian.PutUint64(payload[25:], r.Container)
 	binary.LittleEndian.PutUint32(payload[33:], r.Offset)
-	binary.LittleEndian.PutUint32(payload[37:], r.CSize)
+	binary.LittleEndian.PutUint16(payload[37:], uint16(r.CSize))
+	binary.LittleEndian.PutUint16(payload[39:], uint16(r.RawSize))
 	copy(payload[41:], r.FP[:])
 	binary.LittleEndian.PutUint32(dst[0:], walPayloadSize)
 	binary.LittleEndian.PutUint32(dst[4:], crc32.ChecksumIEEE(payload))
@@ -144,7 +154,8 @@ func decodeWALRecord(frame []byte) (WALRecord, bool) {
 	r.PBN = binary.LittleEndian.Uint64(payload[17:])
 	r.Container = binary.LittleEndian.Uint64(payload[25:])
 	r.Offset = binary.LittleEndian.Uint32(payload[33:])
-	r.CSize = binary.LittleEndian.Uint32(payload[37:])
+	r.CSize = uint32(binary.LittleEndian.Uint16(payload[37:]))
+	r.RawSize = uint32(binary.LittleEndian.Uint16(payload[39:]))
 	copy(r.FP[:], payload[41:])
 	return r, true
 }

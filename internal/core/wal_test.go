@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"fidr/internal/blockcomp"
@@ -36,7 +37,7 @@ func walTestConfig(arch Arch, tssd, dssd *ssd.SSD, w *WAL) Config {
 func TestWALRecordCodec(t *testing.T) {
 	rec := WALRecord{
 		Kind: WALAppend, Seq: 42, LBA: 7, PBN: 9, Container: 3,
-		Offset: 128, CSize: 2048, FP: fingerprint.Of([]byte("x")),
+		Offset: 128, CSize: 2048, RawSize: 9000, FP: fingerprint.Of([]byte("x")),
 	}
 	var frame [walFrameSize]byte
 	rec.encode(frame[:])
@@ -160,51 +161,51 @@ func TestWALReplaySkipsCheckpointedSeqs(t *testing.T) {
 // rebuild everything from the log alone and satisfy every fsck
 // invariant.
 func TestWALGenesisRecovery(t *testing.T) {
-	tssd, dssd := walTestDevices()
-	dev := NewMemWALDevice()
-	w, _ := NewWAL(dev)
-	s, err := New(walTestConfig(FIDRFull, tssd, dssd, w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := blockcomp.NewShaper(0.5)
-	for i := uint64(0); i < 300; i++ {
-		seed := i % 120 // duplicates included
-		if err := s.Write(i, sh.Make(seed, 4096)); err != nil {
+	for _, m := range testModes {
+		tssd, dssd := walTestDevices()
+		dev := NewMemWALDevice()
+		w, _ := NewWAL(dev)
+		cfg := walTestConfig(FIDRFull, tssd, dssd, w)
+		cfg.Chunking = m.chunking
+		s, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	dev.Crash()
-	w2, err := NewWAL(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RecoverServer(walTestConfig(FIDRFull, tssd, dssd, w2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := r.LastRecovery()
-	if !rr.FromGenesis || rr.ReplayedRecords == 0 {
-		t.Fatalf("expected genesis replay, got %+v", rr)
-	}
-	rep, err := r.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("recovered volume inconsistent: %v", rep.Problems)
-	}
-	for i := uint64(0); i < 300; i++ {
-		got, err := r.Read(i)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
+		for i := uint64(0); i < 300; i++ {
+			seed := i % 120 // duplicates included
+			if err := s.Write(m.addr(i), m.payload(seed)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !bytes.Equal(got, sh.Make(i%120, 4096)) {
-			t.Fatalf("lba %d: recovered wrong content", i)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+
+		dev.Crash()
+		w2, err := NewWAL(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.WAL = w2
+		r, err := RecoverServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := r.LastRecovery()
+		if !rr.FromGenesis || rr.ReplayedRecords == 0 {
+			t.Fatalf("%s: expected genesis replay, got %+v", m.name, rr)
+		}
+		rep, err := r.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%s: recovered volume inconsistent: %v", m.name, rep.Problems)
+		}
+		for i := uint64(0); i < 300; i++ {
+			if err := m.check(r.Read, i, i%120); err != nil {
+				t.Fatalf("%s: recovered wrong content: %v", m.name, err)
+			}
 		}
 	}
 }
@@ -467,6 +468,51 @@ func TestRecoverServerTypedErrors(t *testing.T) {
 		bad := cfg
 		bad.ContainerSize = 128 << 10
 		_, err = RecoverServer(bad)
+		if !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("want ErrCorruptCheckpoint, got %v", err)
+		}
+	})
+	// The old-volume rule: metadata written before chunks recorded their
+	// uncompressed length is refused, typed — never restored with a
+	// guessed length, never skipped.
+	t.Run("pre-length lba snapshot is corrupt", func(t *testing.T) {
+		tssd, dssd := walTestDevices()
+		cfg := walTestConfig(FIDRFull, tssd, dssd, nil)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(0, blockcomp.NewShaper(0.5).Make(1, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// The lbatable snapshot starts right after the 24-byte header.
+		if err := tssd.Write(s.checkpointOffset()+24, []byte("FIDRLBA1")); err != nil {
+			t.Fatal(err)
+		}
+		_, err = RecoverServer(cfg)
+		if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), "FIDRLBA1") {
+			t.Fatalf("want ErrCorruptCheckpoint naming the old format, got %v", err)
+		}
+	})
+	t.Run("pre-length WAL append frame is corrupt", func(t *testing.T) {
+		// An append frame as the old encoder wrote it: a u32 csize, whose
+		// high half the new layout reads as an uncompressed length of 0.
+		dev := NewMemWALDevice()
+		var frame [walFrameSize]byte
+		WALRecord{Kind: WALAppend, Seq: 1, LBA: 5, CSize: 700, FP: fingerprint.Of([]byte("old"))}.encode(frame[:])
+		dev.WriteAt(frame[:], 0)
+		w, err := NewWAL(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.LastSeq() != 1 {
+			t.Fatalf("old frame did not decode: last seq %d", w.LastSeq())
+		}
+		tssd, dssd := walTestDevices()
+		_, err = RecoverServer(walTestConfig(FIDRFull, tssd, dssd, w))
 		if !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("want ErrCorruptCheckpoint, got %v", err)
 		}

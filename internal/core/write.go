@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fidr/internal/bufpool"
+	"fidr/internal/chunk"
 	"fidr/internal/engine"
 	"fidr/internal/fingerprint"
 	"fidr/internal/hostmodel"
@@ -13,12 +14,14 @@ import (
 	"fidr/internal/pcie"
 )
 
-// Write ingests one client write. Under fixed chunking data must be
-// exactly one chunk and lba addresses it; under CDC data is a stream
-// segment beginning at absolute stream byte offset lba, and the server
-// cuts it into content-defined chunks addressed by their extents. Either
-// way the data is buffered (host memory for the baseline, NIC memory for
-// FIDR) and processed when a full accelerator batch accumulates.
+// Write ingests one client write: a stream segment the server's chunker
+// cuts into chunks, each addressed by the segment address plus its byte
+// position. Under fixed chunking data must be exactly one chunk, so the
+// single cut leaves lba — a chunk index — as the chunk's address; under
+// CDC lba is the segment's absolute stream byte offset and the chunks
+// are content-defined extents. The chunks are buffered (host memory for
+// the baseline, NIC memory for FIDR) and processed when a full
+// accelerator batch accumulates.
 func (s *Server) Write(lba uint64, data []byte) error {
 	return s.WriteTraced(lba, data, nil)
 }
@@ -30,10 +33,10 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	if err := s.failIfCrashed(); err != nil {
 		return err
 	}
-	if s.chunker == nil && len(data) != s.cfg.ChunkSize {
+	if s.cfg.Chunking.Mode == chunk.ModeFixed && len(data) != s.cfg.ChunkSize {
 		return fmt.Errorf("core: write of %d bytes, chunk size is %d", len(data), s.cfg.ChunkSize)
 	}
-	if s.chunker != nil && len(data) == 0 {
+	if len(data) == 0 {
 		return fmt.Errorf("core: empty stream write")
 	}
 	s.ctr.writes.Inc()
@@ -41,7 +44,6 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	s.ctr.logicalBytes.Add(uint64(len(data)))
 	s.ledger.Client(uint64(len(data)))
 	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolWriteNs)
-	s.rcache.invalidate(lba)
 	s.latency.observe(LatWriteAck, s.cfg.Arch, 0)
 	tr := s.obs.begin("write", lba)
 	tr.adopt(tc)
@@ -49,16 +51,10 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	s.activeReq = tr
 	defer func() { s.activeReq = nil }()
 
-	if s.chunker != nil {
-		if s.cfg.Arch == Baseline {
-			return s.baselineStreamWrite(lba, data, tr)
-		}
-		return s.fidrStreamWrite(lba, data, tr)
-	}
 	if s.cfg.Arch == Baseline {
-		return s.baselineWrite(lba, data, tr)
+		return s.baselineStreamWrite(lba, data, tr)
 	}
-	return s.fidrWrite(lba, data, tr)
+	return s.fidrStreamWrite(lba, data, tr)
 }
 
 // Flush processes any partial batch and pushes sealed containers to the
@@ -86,6 +82,22 @@ func (s *Server) Flush() error {
 
 // --- Baseline (extended CIDR, §2.3) ---
 
+// baselineStreamWrite chunks the segment in host software (the baseline
+// NIC DMA-writes raw bytes; it has no chunker) and feeds each chunk
+// through the §2.3 write flow under its extent address.
+func (s *Server) baselineStreamWrite(offset uint64, data []byte, tr *ReqTrace) error {
+	s.cbounds = s.chunker.AppendBoundaries(s.cbounds[:0], data)
+	prev := 0
+	for _, b := range s.cbounds {
+		if err := s.baselineWrite(offset+uint64(prev), data[prev:b], tr); err != nil {
+			return err
+		}
+		prev = b
+	}
+	return nil
+}
+
+// baselineWrite buffers one chunk in the host request buffer.
 func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	// NIC DMA-writes the client data into the host request buffer.
 	from := tr.start()
@@ -244,50 +256,33 @@ func (s *Server) processBaselineBatch() error {
 
 // --- FIDR (§5.3) ---
 
-func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
-	// Step 1: buffer in the NIC's battery-backed memory; the client is
-	// acked immediately. No host resources are touched.
-	from := tr.start()
-	if err := s.fnic.BufferWrite(lba, data); err == nic.ErrBufferFull {
-		tr.span(StageNICBuffer, from)
-		if perr := s.processFIDRBatch(); perr != nil {
-			return perr
-		}
-		from = tr.start()
-		err = s.fnic.BufferWrite(lba, data)
-		if err != nil {
-			return err
-		}
-		tr.span(StageNICBuffer, from)
-	} else if err != nil {
-		return err
-	} else {
-		tr.span(StageNICBuffer, from)
-	}
-	if s.fnic.Buffered() >= s.cfg.BatchChunks {
-		return s.processFIDRBatch()
-	}
-	return nil
-}
-
-// fidrStreamWrite runs the CDC write flow (§5.3 with in-NIC chunking):
-// the NIC's skip-ahead chunker cuts the segment into content-defined
-// chunks and buffers each under its extent address (absolute stream byte
-// offset). When the in-NIC buffer fills mid-segment the pending batch is
-// processed and the stream resumes at the last buffered boundary — the
-// chunker's boundary rule depends only on bytes at and after a boundary,
-// so the resumed call reproduces the remaining cuts exactly.
+// fidrStreamWrite runs the §5.3 write flow's first step: the NIC's
+// chunker cuts the segment and buffers each chunk in battery-backed NIC
+// memory under its extent address; the client is acked immediately and no
+// host resources are touched. When the in-NIC buffer fills mid-segment the
+// pending batch is processed and the stream resumes at the last buffered
+// boundary — the chunker's boundary rule depends only on bytes at and
+// after a boundary, so the resumed call reproduces the remaining cuts
+// exactly.
 func (s *Server) fidrStreamWrite(offset uint64, data []byte, tr *ReqTrace) error {
 	for len(data) > 0 {
 		from := tr.start()
-		before := s.fnic.Buffered()
-		n, err := s.fnic.BufferStream(offset, data)
+		empty := s.fnic.Buffered() == 0
+		cuts, err := s.fnic.BufferStream(offset, data)
 		tr.span(StageNICBuffer, from)
+		// Every extent just buffered supersedes what the §8 read cache
+		// holds at its address — interior extents included, not only the
+		// segment's first.
+		n := 0
+		for _, b := range cuts {
+			s.rcache.invalidate(offset + uint64(n))
+			n = b
+		}
 		offset += uint64(n)
 		data = data[n:]
 		switch {
 		case err == nic.ErrBufferFull:
-			if n == 0 && before == 0 {
+			if n == 0 && empty {
 				// Cannot happen: Validate sizes the buffer for several
 				// Max-size chunks. Guard against spinning anyway.
 				return fmt.Errorf("core: chunk exceeds NIC buffer capacity")
@@ -301,22 +296,6 @@ func (s *Server) fidrStreamWrite(offset uint64, data []byte, tr *ReqTrace) error
 	}
 	if s.fnic.Buffered() >= s.cfg.BatchChunks {
 		return s.processFIDRBatch()
-	}
-	return nil
-}
-
-// baselineStreamWrite chunks the segment in host software (the baseline
-// NIC DMA-writes raw bytes; it has no chunker) and feeds each
-// content-defined chunk through the §2.3 write flow under its extent
-// address.
-func (s *Server) baselineStreamWrite(offset uint64, data []byte, tr *ReqTrace) error {
-	s.cbounds = s.chunker.AppendBoundaries(s.cbounds[:0], data)
-	prev := 0
-	for _, b := range s.cbounds {
-		if err := s.baselineWrite(offset+uint64(prev), data[prev:b], tr); err != nil {
-			return err
-		}
-		prev = b
 	}
 	return nil
 }
@@ -518,7 +497,7 @@ func (s *Server) admitUnique(lba uint64, fp fingerprint.FP, cdata []byte, rawSiz
 // newly packed unique chunk, returning its PBN.
 func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 	s.ledger.CPU(hostmodel.CompLBATable, s.costs.LBATablePerOpNs)
-	pbn, err := s.lba.AppendChunk(meta.LBA, meta.Container, meta.Offset, meta.CSize)
+	pbn, err := s.lba.Append(meta.LBA, meta.PBA)
 	if err != nil {
 		return 0, err
 	}
@@ -529,10 +508,6 @@ func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 		s.pbnFP = append(s.pbnFP, fingerprint.FP{})
 	}
 	s.pbnFP[pbn] = meta.FP
-	for uint64(len(s.pbnRaw)) <= pbn {
-		s.pbnRaw = append(s.pbnRaw, 0)
-	}
-	s.pbnRaw[pbn] = uint32(meta.RawSize)
 	s.walAppend(meta, pbn)
 	s.fpLive++
 	s.tl.uniques++
@@ -591,7 +566,7 @@ func (s *Server) walAppend(meta engine.ChunkMeta, pbn uint64) {
 	}
 	s.wal.stage(WALRecord{
 		Kind: WALAppend, LBA: meta.LBA, PBN: pbn,
-		Container: meta.Container, Offset: meta.Offset, CSize: meta.CSize,
+		Container: meta.Container, Offset: meta.Offset, CSize: meta.CSize, RawSize: meta.RawSize,
 		FP: meta.FP,
 	}, meta.Container+1)
 }

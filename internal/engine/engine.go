@@ -27,14 +27,12 @@ import (
 )
 
 // ChunkMeta is the per-chunk metadata an engine reports to the host after
-// compression (§5.3 step 8).
+// compression (§5.3 step 8): whose chunk it is, and the level-2 record
+// (placement, compressed size, uncompressed length) the host stores as is.
 type ChunkMeta struct {
-	LBA       uint64
-	FP        fingerprint.FP
-	Container uint64
-	Offset    uint32
-	CSize     uint32
-	RawSize   uint32
+	LBA uint64
+	FP  fingerprint.FP
+	lbatable.PBA
 }
 
 // IsRaw reports whether the chunk was stored uncompressed.
@@ -247,12 +245,9 @@ func (e *Compression) Pack(lba uint64, fp fingerprint.FP, cdata []byte, rawSize 
 		return ChunkMeta{}, fmt.Errorf("engine: pack LBA %d: %w", lba, err)
 	}
 	return ChunkMeta{
-		LBA:       lba,
-		FP:        fp,
-		Container: container,
-		Offset:    off,
-		CSize:     uint32(len(cdata)),
-		RawSize:   uint32(rawSize),
+		LBA: lba,
+		FP:  fp,
+		PBA: lbatable.PBA{Container: container, Offset: off, CSize: uint32(len(cdata)), RawSize: uint32(rawSize)},
 	}, nil
 }
 

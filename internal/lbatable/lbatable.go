@@ -11,7 +11,11 @@
 //
 // Entry sizes follow the paper: the PBN is 48-bit; offset and compressed
 // size are 16-bit each, with offsets expressed in 64-byte units so a
-// 16-bit offset spans a 4-MiB container.
+// 16-bit offset spans a 4-MiB container. The level-2 record also carries
+// the chunk's uncompressed length (16 bits) — the paper's chunks are all
+// 4 KB so it never needs one, but it is what makes a volume with
+// variable-size chunks self-describing: reads, fsck and recovery learn
+// how many bytes to decompress from the record, not from configuration.
 package lbatable
 
 import (
@@ -28,8 +32,12 @@ const (
 	// OffsetUnit is the alignment of chunks inside a container; 16-bit
 	// stored offsets are in these units.
 	OffsetUnit = 64
-	// MaxCSize is the largest storable compressed chunk.
+	// MaxCSize is the largest storable compressed chunk, and the largest
+	// storable uncompressed length (both are 16-bit fields).
 	MaxCSize = 1<<16 - 1
+	// paperChunkSize is the uncompressed length AppendChunk records: the
+	// paper's fixed 4-KB chunk.
+	paperChunkSize = 4096
 )
 
 // NoPBN is the reserved "unmapped" PBN value.
@@ -43,6 +51,8 @@ type PBA struct {
 	Offset uint32
 	// CSize is the compressed size in bytes.
 	CSize uint32
+	// RawSize is the uncompressed length in bytes.
+	RawSize uint32
 }
 
 // ByteOffset returns the absolute byte address given the container size.
@@ -50,10 +60,12 @@ func (p PBA) ByteOffset(containerSize int) uint64 {
 	return p.Container*uint64(containerSize) + uint64(p.Offset)
 }
 
-// pbnEntry is the compact level-2 record (paper: 2 B offset + 2 B size).
+// pbnEntry is the compact level-2 record (paper: 2 B offset + 2 B size,
+// plus the 2 B uncompressed length).
 type pbnEntry struct {
 	offsetUnits uint16
 	csize       uint16
+	raw         uint16
 }
 
 // Table is the two-level LBA-PBA mapping. Safe for concurrent use.
@@ -142,10 +154,18 @@ func (t *Table) remapLocked(lba, pbn uint64) {
 	t.lbaToPBN[lba] = pbn
 }
 
-// AppendChunk records a new unique chunk: it allocates the next PBN inside
-// container, at byte offset off with compressed size csize, and maps lba
-// to it. Offsets must be OffsetUnit-aligned and inside the container.
+// AppendChunk is Append for a chunk of the paper's fixed 4-KB
+// uncompressed length.
 func (t *Table) AppendChunk(lba uint64, container uint64, off uint32, csize uint32) (pbn uint64, err error) {
+	return t.Append(lba, PBA{Container: container, Offset: off, CSize: csize, RawSize: paperChunkSize})
+}
+
+// Append records a new unique chunk stored at: it allocates the next PBN
+// inside at.Container, at byte offset at.Offset with compressed size
+// at.CSize and uncompressed length at.RawSize, and maps lba to it.
+// Offsets must be OffsetUnit-aligned and inside the container.
+func (t *Table) Append(lba uint64, at PBA) (pbn uint64, err error) {
+	container, off, csize := at.Container, at.Offset, at.CSize
 	if off%OffsetUnit != 0 {
 		return 0, fmt.Errorf("lbatable: offset %d not %d-byte aligned", off, OffsetUnit)
 	}
@@ -154,6 +174,9 @@ func (t *Table) AppendChunk(lba uint64, container uint64, off uint32, csize uint
 	}
 	if csize == 0 || csize > MaxCSize {
 		return 0, fmt.Errorf("lbatable: invalid compressed size %d", csize)
+	}
+	if at.RawSize == 0 || at.RawSize > MaxCSize {
+		return 0, fmt.Errorf("lbatable: invalid uncompressed length %d", at.RawSize)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -174,6 +197,7 @@ func (t *Table) AppendChunk(lba uint64, container uint64, off uint32, csize uint
 	t.entries = append(t.entries, pbnEntry{
 		offsetUnits: uint16(off / OffsetUnit),
 		csize:       uint16(csize),
+		raw:         uint16(at.RawSize),
 	})
 	// The new chunk is born with one reference: its own LBA mapping.
 	t.refsInit()
@@ -213,6 +237,7 @@ func (t *Table) Resolve(pbn uint64) (PBA, error) {
 		Container: loc.container,
 		Offset:    uint32(loc.offsetUnits) * OffsetUnit,
 		CSize:     uint32(t.entries[pbn].csize),
+		RawSize:   uint32(t.entries[pbn].raw),
 	}, nil
 }
 
@@ -240,7 +265,8 @@ func (t *Table) MappedLBAs() int {
 }
 
 // MetadataBytes estimates the table's memory footprint using the paper's
-// entry sizes (6 B per LBA mapping + 4 B per PBN entry).
+// entry sizes (6 B per LBA mapping + 4 B per PBN entry; the paper's
+// fixed-size chunks need no length field, so the model charges none).
 func (t *Table) MetadataBytes() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -35,11 +35,31 @@ func TestAppendResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pba.Container != 0 || pba.Offset != 0 || pba.CSize != 2048 {
+	if pba.Container != 0 || pba.Offset != 0 || pba.CSize != 2048 || pba.RawSize != 4096 {
 		t.Fatalf("pba = %+v", pba)
 	}
 	if got := pba.ByteOffset(DefaultContainerSize); got != 0 {
 		t.Errorf("byte offset = %d", got)
+	}
+	// A variable-size chunk's record carries its own uncompressed length,
+	// through Resolve and through a snapshot.
+	want := PBA{Container: 0, Offset: 2048, CSize: 9000, RawSize: 31000}
+	if _, err := tb.Append(200, want); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreTable(tb.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []*Table{tb, restored} {
+		if got, err := table.ResolveLBA(200); err != nil || got != want {
+			t.Fatalf("variable-size chunk resolved to %+v, %v; want %+v", got, err, want)
+		}
+	}
+	// A snapshot in the format that had no length field is refused.
+	old := append([]byte("FIDRLBA1"), tb.Snapshot()[8:]...)
+	if _, err := RestoreTable(old); err == nil {
+		t.Fatal("pre-length snapshot format accepted")
 	}
 }
 
@@ -78,6 +98,11 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if _, err := tb.AppendChunk(1, 0, 4032, 100); err == nil {
 		t.Error("overflow chunk accepted")
+	}
+	for _, raw := range []uint32{0, MaxCSize + 1} {
+		if _, err := tb.Append(1, PBA{CSize: 100, RawSize: raw}); err == nil {
+			t.Errorf("uncompressed length %d accepted", raw)
+		}
 	}
 	// Appends may skip forward over containers that hold only relocated
 	// chunks (GC packs without appending), but never go back into a

@@ -15,17 +15,25 @@ import (
 //
 // Format (little endian, versioned):
 //
-//	magic "FIDRLBA1"
+//	magic "FIDRLBA2"
 //	u32 containerSize
-//	u64 #entries, then per entry: u16 offsetUnits, u16 csize, u32 refs
+//	u64 #entries, then per entry: u16 offsetUnits, u16 csize,
+//	    u16 uncompressed length, u32 refs
 //	u64 #containers, then u64 startPBN each
 //	u64 #lbaMappings, then u64 lba, u64 pbn each
 //	u64 #relocations, then u64 pbn, u64 container, u16 offsetUnits each
 //	u64 #deadContainers, then u64 container, u64 deadBytes each
 //	u64 #retiredContainers, then u64 container each (optional trailing
 //	    section; snapshots written before it exist end at the dead list)
+//
+// "FIDRLBA1" snapshots have no length field in their entries. They are
+// refused rather than guessed at: the error names the old format, and
+// core reports it as a corrupt checkpoint.
 
-var lbaMagic = [8]byte{'F', 'I', 'D', 'R', 'L', 'B', 'A', '1'}
+var (
+	lbaMagic   = [8]byte{'F', 'I', 'D', 'R', 'L', 'B', 'A', '2'}
+	lbaMagicV1 = [8]byte{'F', 'I', 'D', 'R', 'L', 'B', 'A', '1'}
+)
 
 // Snapshot serializes the table.
 func (t *Table) Snapshot() []byte {
@@ -40,6 +48,7 @@ func (t *Table) Snapshot() []byte {
 	for i, e := range t.entries {
 		w(e.offsetUnits)
 		w(e.csize)
+		w(e.raw)
 		w(t.refs[i])
 	}
 	w(uint64(len(t.startPBN)))
@@ -76,6 +85,9 @@ func RestoreTable(data []byte) (*Table, error) {
 	r := bytes.NewReader(data)
 	var magic [8]byte
 	if _, err := r.Read(magic[:]); err != nil || magic != lbaMagic {
+		if magic == lbaMagicV1 {
+			return nil, fmt.Errorf("lbatable: snapshot format %s records no per-chunk uncompressed length", magic[:])
+		}
 		return nil, fmt.Errorf("lbatable: bad snapshot magic")
 	}
 	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
@@ -87,13 +99,18 @@ func RestoreTable(data []byte) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// count reads a list length and refuses one the remaining bytes
+	// cannot hold at size bytes per element, so a corrupt length can
+	// never size an allocation.
 	var n uint64
-	if err := rd(&n); err != nil {
-		return nil, fmt.Errorf("lbatable: snapshot truncated: %w", err)
+	count := func(what string, size int) error {
+		if err := rd(&n); err != nil || n > uint64(r.Len()/size) {
+			return fmt.Errorf("lbatable: %s list invalid", what)
+		}
+		return nil
 	}
-	const sanity = 1 << 40
-	if n > sanity {
-		return nil, fmt.Errorf("lbatable: implausible entry count %d", n)
+	if err := count("entry", 10); err != nil {
+		return nil, err
 	}
 	t.entries = make([]pbnEntry, n)
 	t.refs = make([]uint32, n)
@@ -104,12 +121,15 @@ func RestoreTable(data []byte) (*Table, error) {
 		if err := rd(&t.entries[i].csize); err != nil {
 			return nil, fmt.Errorf("lbatable: entries truncated: %w", err)
 		}
+		if err := rd(&t.entries[i].raw); err != nil {
+			return nil, fmt.Errorf("lbatable: entries truncated: %w", err)
+		}
 		if err := rd(&t.refs[i]); err != nil {
 			return nil, fmt.Errorf("lbatable: refs truncated: %w", err)
 		}
 	}
-	if err := rd(&n); err != nil || n > sanity {
-		return nil, fmt.Errorf("lbatable: container list invalid")
+	if err := count("container", 8); err != nil {
+		return nil, err
 	}
 	t.startPBN = make([]uint64, n)
 	for i := range t.startPBN {
@@ -117,8 +137,8 @@ func RestoreTable(data []byte) (*Table, error) {
 			return nil, fmt.Errorf("lbatable: containers truncated: %w", err)
 		}
 	}
-	if err := rd(&n); err != nil || n > sanity {
-		return nil, fmt.Errorf("lbatable: mapping list invalid")
+	if err := count("mapping", 16); err != nil {
+		return nil, err
 	}
 	for i := uint64(0); i < n; i++ {
 		var lba, pbn uint64
@@ -130,8 +150,8 @@ func RestoreTable(data []byte) (*Table, error) {
 		}
 		t.lbaToPBN[lba] = pbn
 	}
-	if err := rd(&n); err != nil || n > sanity {
-		return nil, fmt.Errorf("lbatable: relocation list invalid")
+	if err := count("relocation", 18); err != nil {
+		return nil, err
 	}
 	if n > 0 {
 		t.relocated = make(map[uint64]pbnLoc, n)
@@ -153,8 +173,8 @@ func RestoreTable(data []byte) (*Table, error) {
 			t.frontier = container + 1
 		}
 	}
-	if err := rd(&n); err != nil || n > sanity {
-		return nil, fmt.Errorf("lbatable: dead list invalid")
+	if err := count("dead", 16); err != nil {
+		return nil, err
 	}
 	if n > 0 {
 		t.deadBytes = make(map[uint64]uint64, n)
@@ -178,7 +198,7 @@ func RestoreTable(data []byte) (*Table, error) {
 		}
 		return nil, fmt.Errorf("lbatable: retired list truncated: %w", err)
 	}
-	if n > sanity {
+	if n > uint64(r.Len()/8) {
 		return nil, fmt.Errorf("lbatable: retired list invalid")
 	}
 	if n > 0 {

@@ -49,10 +49,10 @@ type Config struct {
 	// HashLanes is the modeled SHA-256 core count; <= 0 selects the
 	// GOMAXPROCS-derived default.
 	HashLanes int
-	// Chunking selects the ingest chunker. ModeFixed (zero value)
-	// leaves chunking to the caller (BufferWrite per chunk); ModeCDC
-	// enables BufferStream, which runs the skip-ahead content-defined
-	// chunker over byte streams inside the NIC.
+	// Chunking sizes the in-NIC chunker BufferStream cuts byte streams
+	// with. The zero value is fixed 4-KB chunking (the chunker with
+	// Min = Avg = Max); ModeCDC cuts content-defined, variable-size
+	// chunks.
 	Chunking chunk.Config
 }
 
@@ -133,9 +133,8 @@ type FIDR struct {
 	// hashLanes is the modeled SHA-256 core count: HashAll fans the
 	// batch across this many worker goroutines (1 = serial).
 	hashLanes int
-	// chunker cuts byte streams into variable-size chunks for
-	// BufferStream; nil outside CDC mode. bounds is its reusable
-	// boundary scratch (no per-call allocation).
+	// chunker cuts byte streams into chunks for BufferStream. bounds is
+	// its reusable boundary scratch (no per-call allocation).
 	chunker *chunk.CDC
 	bounds  []int
 
@@ -153,20 +152,14 @@ func New(cfg Config) (*FIDR, error) {
 		hl = cfg.HashLanes
 	}
 	n.SetHashLanes(hl)
-	if cfg.Chunking.Mode == chunk.ModeCDC {
-		ck := cfg.Chunking
-		if err := ck.Normalize(); err != nil {
-			return nil, fmt.Errorf("nic: %w", err)
-		}
-		if ck.Max > cfg.BufferBytes {
-			return nil, fmt.Errorf("nic: max chunk %d exceeds buffer capacity %d", ck.Max, cfg.BufferBytes)
-		}
-		c, err := ck.NewChunker()
-		if err != nil {
-			return nil, fmt.Errorf("nic: %w", err)
-		}
-		n.chunker = c
+	c, err := cfg.Chunking.NewChunker()
+	if err != nil {
+		return nil, fmt.Errorf("nic: %w", err)
 	}
+	if c.Max > cfg.BufferBytes {
+		return nil, fmt.Errorf("nic: max chunk %d exceeds buffer capacity %d", c.Max, cfg.BufferBytes)
+	}
+	n.chunker = c
 	return n, nil
 }
 
@@ -207,38 +200,33 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	return nil
 }
 
-// ErrNoChunker is returned by BufferStream when the NIC was not
-// configured for content-defined chunking.
-var ErrNoChunker = errors.New("nic: not configured for content-defined chunking")
-
-// BufferStream runs the NIC's content-defined chunker over a stream
-// segment beginning at absolute stream byte offset and buffers the
-// resulting variable-size chunks, each addressed by its extent (stream
-// byte offset of the chunk start). It returns the number of bytes
-// consumed: when the in-NIC buffer fills mid-segment, consumed stops at
-// the last buffered chunk boundary with ErrBufferFull, and the caller
-// resumes with offset+consumed and data[consumed:] after draining a
-// batch — the chunker's boundary rule depends only on bytes at and
-// after a boundary, so the resumed call reproduces the remaining
-// boundaries exactly.
+// BufferStream runs the NIC's chunker over a stream segment beginning
+// at absolute stream byte offset and buffers the resulting chunks, each
+// addressed by its extent (stream byte offset of the chunk start; a
+// fixed-mode caller passes one chunk and its chunk index, which the
+// single cut leaves untouched). It returns the end offsets in data of
+// the chunks it buffered — the last one is the number of bytes consumed
+// — in scratch that stays valid until the next call. When the in-NIC
+// buffer fills mid-segment the cuts stop at the last buffered chunk
+// with ErrBufferFull, and the caller resumes with offset+consumed and
+// data[consumed:] after draining a batch — the chunker's boundary rule
+// depends only on bytes at and after a boundary, so the resumed call
+// reproduces the remaining boundaries exactly.
 //
 // Segmentation is the caller's: the final chunk of each call ends at
 // len(data), so callers should feed segments at their own record or
 // batch boundaries (the bench harness uses the backup-generation
 // segments the trace provides).
-func (n *FIDR) BufferStream(offset uint64, data []byte) (int, error) {
-	if n.chunker == nil {
-		return 0, ErrNoChunker
-	}
+func (n *FIDR) BufferStream(offset uint64, data []byte) (cuts []int, err error) {
 	n.bounds = n.chunker.AppendBoundaries(n.bounds[:0], data)
-	consumed := 0
-	for _, b := range n.bounds {
-		if err := n.BufferWrite(offset+uint64(consumed), data[consumed:b]); err != nil {
-			return consumed, err
+	prev := 0
+	for i, b := range n.bounds {
+		if err := n.BufferWrite(offset+uint64(prev), data[prev:b]); err != nil {
+			return n.bounds[:i], err
 		}
-		consumed = b
+		prev = b
 	}
-	return consumed, nil
+	return n.bounds, nil
 }
 
 // Buffered returns the number of buffered chunks.

@@ -195,14 +195,20 @@ func TestBufferStream(t *testing.T) {
 	var got []WriteEntry
 	off := 0
 	for off < len(data) {
-		consumed, err := n.BufferStream(uint64(off), data[off:])
+		before := n.Buffered()
+		cuts, err := n.BufferStream(uint64(off), data[off:])
 		if err != nil && err != ErrBufferFull {
 			t.Fatal(err)
 		}
-		if err == ErrBufferFull && consumed == 0 && n.Buffered() == 0 {
+		if n.Buffered()-before != len(cuts) {
+			t.Fatalf("%d cuts reported for %d chunks buffered", len(cuts), n.Buffered()-before)
+		}
+		if err == ErrBufferFull && len(cuts) == 0 && n.Buffered() == 0 {
 			t.Fatal("no progress with empty buffer")
 		}
-		off += consumed
+		if len(cuts) > 0 {
+			off += cuts[len(cuts)-1]
+		}
 		// Drain: host marks everything unique; chunks go to the engines.
 		entries := n.HashAll()
 		flags := make([]bool, len(entries))
@@ -241,9 +247,17 @@ func TestBufferStream(t *testing.T) {
 		t.Fatalf("%d chunks via BufferStream, %d via whole-stream chunking", len(got), len(want))
 	}
 
-	// Misconfigured: stream API without CDC mode.
-	plainN, _ := NewFIDR(1 << 20)
-	if _, err := plainN.BufferStream(0, data[:4096]); err != ErrNoChunker {
-		t.Fatalf("BufferStream without chunker: %v, want ErrNoChunker", err)
+	// A NIC built without a chunking config owns the fixed 4-KB chunker:
+	// one chunk in, one cut, addressed exactly as given (chunk index 7
+	// stays 7); a longer segment is cut at every 4 KB.
+	fixedN, _ := NewFIDR(1 << 20)
+	if cuts, err := fixedN.BufferStream(7, data[:4096]); err != nil || len(cuts) != 1 || cuts[0] != 4096 {
+		t.Fatalf("fixed NIC, one chunk: cuts %v, err %v", cuts, err)
+	}
+	if got, ok := fixedN.LookupRead(7); !ok || !bytes.Equal(got, data[:4096]) {
+		t.Fatal("fixed NIC did not buffer the chunk under its chunk index")
+	}
+	if cuts, err := fixedN.BufferStream(1<<20, data[:3*4096+10]); err != nil || len(cuts) != 4 || cuts[3] != 3*4096+10 {
+		t.Fatalf("fixed NIC, 3 chunks and a tail: cuts %v, err %v", cuts, err)
 	}
 }
