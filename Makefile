@@ -1,12 +1,9 @@
 # Tier-1 gate (build + tests) plus the longer checks CI and humans run.
+# Anything clocked end to end is `bash benchmark/run.sh` (BENCHMARK.json);
+# bench-go and microbench are local Go-benchmark conveniences.
 GO ?= go
 
-.PHONY: all build test vet lint race check check-metrics check-crash check-trace check-capacity check-doctor fmt bench bench-archival bench-tracing bench-capacity bench-cdc bench-go fuzz microbench
-
-# Bench artifact knobs: BENCH_IOS sizes the workload, BENCH_OUT is the
-# artifact directory.
-BENCH_IOS ?= 20000
-BENCH_OUT ?= bench-artifacts
+.PHONY: all build test vet lint race check check-metrics check-crash check-trace check-capacity check-doctor fmt bench-go fuzz microbench
 
 # Build stamping for the build_info metric: released binaries carry the
 # tag and commit, dirty trees fall back to dev/none so builds still
@@ -82,36 +79,6 @@ check-capacity:
 # after recovery.
 check-doctor:
 	$(GO) test -v -run TestDoctorE2E ./cmd/fidrd
-
-# bench writes machine-readable BENCH_<experiment>.json artifacts
-# (throughput, reduction ratios, p50/p90/p99 stage latencies).
-bench:
-	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench
-
-# bench-archival writes only BENCH_archival.json: the WAL-attached
-# Archival ingest run plus the recovery-time vs. WAL-length sweep.
-bench-archival:
-	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench archival
-
-# bench-tracing writes only BENCH_tracing.json: each Table 3 workload
-# run with a trace collector attached and head sampling off vs. on,
-# recording the throughput overhead (acceptance: <= ~5% on write
-# workloads).
-bench-tracing:
-	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench tracing
-
-# bench-capacity writes only BENCH_capacity.json: the Write-M run plus
-# an overwrite phase and one measured GC pass, recording the
-# reduction-attribution ledger and garbage reclaimed.
-bench-capacity:
-	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench capacity
-
-# bench-cdc writes only BENCH_cdc.json: single-core chunking GB/s for
-# the skip-ahead chunker vs the reference scalar (acceptance: >= 5x),
-# plus the end-to-end fixed-vs-CDC throughput and dedup-ratio delta on
-# insertion-shifted backup generations.
-bench-cdc:
-	$(GO) run ./cmd/fidrbench -ios $(BENCH_IOS) -out $(BENCH_OUT) bench cdc
 
 # fuzz runs three fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference

@@ -100,7 +100,7 @@ func NewAsync(s Store, depth int) (*Async, error) {
 			a.queues[i] = make(chan asyncReq, depth)
 			a.hbs[i] = &health.Heartbeat{}
 			a.wg.Add(1)
-			go a.worker(c.Group(i), a.queues[i], a.hbs[i])
+			go a.worker(c.serving(i), a.queues[i], a.hbs[i])
 		}
 		return a, nil
 	}

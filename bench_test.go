@@ -12,7 +12,6 @@ package fidr_test
 import (
 	"testing"
 
-	"fidr"
 	"fidr/internal/experiments"
 )
 
@@ -180,51 +179,6 @@ func BenchmarkFig16(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Baseline.Total()/res.FIDR.Total(), "baseline-vs-fidr-cost-x")
-	}
-}
-
-// Data-plane micro-benchmarks: raw write throughput of the functional
-// servers (bytes/s shown as MB/s via SetBytes).
-
-func benchServerWrites(b *testing.B, arch fidr.Arch) {
-	cfg := fidr.DefaultConfig(arch)
-	srv, err := fidr.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fidr.ChunkSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chunk := fidr.MakeChunk(uint64(i%4096), 0.5)
-		if err := srv.Write(uint64(i), chunk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkServerWriteBaseline(b *testing.B) { benchServerWrites(b, fidr.Baseline) }
-func BenchmarkServerWriteFIDR(b *testing.B)     { benchServerWrites(b, fidr.FIDRFull) }
-
-func BenchmarkServerRead(b *testing.B) {
-	srv, err := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 4096
-	for i := uint64(0); i < n; i++ {
-		if err := srv.Write(i, fidr.MakeChunk(i%512, 0.5)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := srv.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fidr.ChunkSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.Read(uint64(i % n)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -83,18 +83,45 @@ func (c *Cluster) Groups() int { return len(c.groups) }
 // Group exposes one underlying server (for per-group inspection).
 func (c *Cluster) Group(i int) *Server { return c.groups[i] }
 
-// GroupFor returns the group index an LBA is sharded to. A
-// splitmix-style mix keeps shard load uniform even for sequential LBA
-// ranges.
-func (c *Cluster) GroupFor(lba uint64) int {
-	z := lba + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int((z ^ (z >> 31)) % uint64(len(c.groups)))
+// GroupFor returns the group index an LBA is sharded to.
+func (c *Cluster) GroupFor(lba uint64) int { return core.ShardOf(lba, len(c.groups)) }
+
+// groupStore is one device group as the cluster serves it: the group's
+// Server, with requests timed into the cluster-level routing series when
+// observability is on. Cluster's own request methods and the async
+// front-end's per-group workers both serve through it, so the series
+// are live whichever way a request arrives.
+type groupStore struct {
+	*Server
+	c *Cluster
 }
 
-func (c *Cluster) shard(lba uint64) *Server {
-	return c.groups[c.GroupFor(lba)]
+func (c *Cluster) serving(g int) groupStore { return groupStore{c.groups[g], c} }
+
+// WriteTraced stores one chunk on the group, adopting tc (front-end
+// spans) into its request trace.
+func (g groupStore) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
+	o := g.c.obs
+	if o == nil {
+		return g.Server.WriteTraced(lba, data, tc)
+	}
+	start := startOr(tc)
+	err := g.Server.WriteTraced(lba, data, tc)
+	o.writeNS.Observe(float64(time.Since(start).Nanoseconds()))
+	return err
+}
+
+// ReadTraced fetches one chunk from the group, adopting tc into its
+// request trace.
+func (g groupStore) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
+	o := g.c.obs
+	if o == nil {
+		return g.Server.ReadTraced(lba, tc)
+	}
+	start := startOr(tc)
+	data, err := g.Server.ReadTraced(lba, tc)
+	o.readNS.Observe(float64(time.Since(start).Nanoseconds()))
+	return data, err
 }
 
 // Write stores one chunk via its shard.
@@ -103,18 +130,9 @@ func (c *Cluster) Write(lba uint64, data []byte) error {
 }
 
 // WriteTraced stores one chunk via its shard, adopting tc (front-end
-// spans) into the shard's request trace. With observability on it also
-// times cluster-level routing and tracks cross-shard duplicates.
+// spans) into the shard's request trace.
 func (c *Cluster) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
-	g := c.GroupFor(lba)
-	if c.obs == nil {
-		return c.groups[g].WriteTraced(lba, data, tc)
-	}
-	start := startOr(tc)
-	c.obs.noteContent(g, data)
-	err := c.groups[g].WriteTraced(lba, data, tc)
-	c.obs.observeWrite(start)
-	return err
+	return c.serving(c.GroupFor(lba)).WriteTraced(lba, data, tc)
 }
 
 // Read fetches one chunk via its shard.
@@ -125,14 +143,7 @@ func (c *Cluster) Read(lba uint64) ([]byte, error) {
 // ReadTraced fetches one chunk via its shard, adopting tc into the
 // shard's request trace.
 func (c *Cluster) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
-	g := c.GroupFor(lba)
-	if c.obs == nil {
-		return c.groups[g].ReadTraced(lba, tc)
-	}
-	start := startOr(tc)
-	data, err := c.groups[g].ReadTraced(lba, tc)
-	c.obs.observeRead(start)
-	return data, err
+	return c.serving(c.GroupFor(lba)).ReadTraced(lba, tc)
 }
 
 // startOr returns tc's front-end start time when set, else now — so the

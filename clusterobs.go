@@ -3,7 +3,6 @@ package fidr
 import (
 	"math"
 	"sync"
-	"time"
 
 	"fidr/internal/core"
 	"fidr/internal/fingerprint"
@@ -28,12 +27,13 @@ type clusterObs struct {
 	writeNS, readNS *metrics.Histogram
 	crossDupChunks  *metrics.Gauge
 
-	// Cross-shard dedup-domain tracking: every written chunk's
-	// fingerprint maps to a bitmask of groups that stored it. Content
-	// seen by a second (third, ...) group is a duplicate a single dedup
-	// domain would have stored once — the scale-out trade-off made
-	// measurable (crossDupChunks counts the copies beyond each content's
-	// first shard). Tracked for clusters of up to 64 groups.
+	// Cross-shard dedup-domain tracking: the fingerprint of every chunk
+	// a group admits as unique maps to a bitmask of groups that stored
+	// it. Content admitted by a second (third, ...) group is a duplicate
+	// a single dedup domain would have stored once — the scale-out
+	// trade-off made measurable (crossDupChunks counts the copies beyond
+	// each content's first shard). Tracked for clusters of up to 64
+	// groups.
 	mu        sync.Mutex
 	contentAt map[fingerprint.FP]uint64
 }
@@ -53,6 +53,7 @@ func (c *Cluster) EnableObservability() metrics.Gatherer {
 	for i, g := range c.groups {
 		reg := metrics.NewRegistry()
 		g.EnableObservability(reg)
+		g.SetUniqueObserver(func(fp fingerprint.FP) { o.noteUnique(i, fp) })
 		o.groupRegs[i] = reg
 		merged[i] = reg
 	}
@@ -84,13 +85,14 @@ func groupPrefix(i int) string {
 	return "group" + digits[i/10:i/10+1] + digits[i%10:i%10+1] + "."
 }
 
-// noteContent records that group g stored content with the given bytes,
-// updating the cross-shard duplicate gauge.
-func (o *clusterObs) noteContent(g int, data []byte) {
+// noteUnique records that group g admitted fp as unique content,
+// updating the cross-shard duplicate gauge. It runs on the goroutine
+// that owns group g, with the fingerprint the group's own hash stage
+// computed.
+func (o *clusterObs) noteUnique(g int, fp fingerprint.FP) {
 	if g >= 64 {
 		return // bitmask tracks the first 64 groups
 	}
-	fp := fingerprint.Of(data)
 	bit := uint64(1) << uint(g)
 	o.mu.Lock()
 	mask := o.contentAt[fp]
@@ -160,16 +162,6 @@ func imbalance(xs []float64) float64 {
 		varsum += d * d
 	}
 	return math.Sqrt(varsum/float64(len(xs))) / mean
-}
-
-// observeWrite and observeRead time cluster-level request routing.
-
-func (o *clusterObs) observeWrite(start time.Time) {
-	o.writeNS.Observe(float64(time.Since(start).Nanoseconds()))
-}
-
-func (o *clusterObs) observeRead(start time.Time) {
-	o.readNS.Observe(float64(time.Since(start).Nanoseconds()))
 }
 
 // TraceContext is the one trace context every traced entry point takes

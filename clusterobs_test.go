@@ -107,24 +107,40 @@ func TestClusterStatsAggregation(t *testing.T) {
 }
 
 // driveObservedCluster writes 400 chunks (10 distinct contents, so most
-// content lands in several shards) through an instrumented cluster.
-func driveObservedCluster(t *testing.T, groups int) (*fidr.Cluster, metrics.Gatherer) {
+// content lands in several shards) through an instrumented cluster and
+// reads 50 back — directly, or through the async front-end's per-group
+// workers, which is how fidrd -groups N drives a cluster.
+func driveObservedCluster(t *testing.T, groups int, viaAsync bool) (*fidr.Cluster, metrics.Gatherer) {
 	t.Helper()
 	c, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	view := c.EnableObservability()
+	var store interface {
+		Write(lba uint64, data []byte) error
+		Read(lba uint64) ([]byte, error)
+	} = c
+	flush := c.Flush
+	if viaAsync {
+		a, err := fidr.NewAsync(c, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		store = a
+		flush = func() error { return a.Maintenance(fidr.Store.Flush) }
+	}
 	for i := uint64(0); i < 400; i++ {
-		if err := c.Write(i, fidr.MakeChunk(i%10, 0.5)); err != nil {
+		if err := store.Write(i, fidr.MakeChunk(i%10, 0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Flush(); err != nil {
+	if err := flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 50; i++ {
-		if _, err := c.Read(i); err != nil {
+		if _, err := store.Read(i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +148,7 @@ func driveObservedCluster(t *testing.T, groups int) (*fidr.Cluster, metrics.Gath
 }
 
 func TestClusterGathererMergedAndPrefixed(t *testing.T) {
-	_, view := driveObservedCluster(t, 4)
+	_, view := driveObservedCluster(t, 4, false)
 	dump := metrics.DumpMetrics(view.Snapshot())
 
 	// Merged series: the unprefixed core.writes must equal the total.
@@ -170,13 +186,25 @@ func TestClusterGathererMergedAndPrefixed(t *testing.T) {
 	}
 }
 
+// TestClusterDerivedGauges checks the cluster-level series both ways a
+// request reaches a group: Cluster.Write, and an async worker serving
+// the group it owns.
 func TestClusterDerivedGauges(t *testing.T) {
-	c, view := driveObservedCluster(t, 4)
+	t.Run("direct", func(t *testing.T) { testClusterDerivedGauges(t, false) })
+	t.Run("async", func(t *testing.T) { testClusterDerivedGauges(t, true) })
+}
+
+func testClusterDerivedGauges(t *testing.T, viaAsync bool) {
+	c, view := driveObservedCluster(t, 4, viaAsync)
 
 	var shareSum, imbalance, crossDup float64
 	haveImbalance := false
 	for _, m := range view.Snapshot() {
 		switch {
+		case m.Name == "cluster.write.ns" && m.Hist.Count != 400:
+			t.Errorf("cluster.write.ns observed %d requests, want 400", m.Hist.Count)
+		case m.Name == "cluster.read.ns" && m.Hist.Count != 50:
+			t.Errorf("cluster.read.ns observed %d requests, want 50", m.Hist.Count)
 		case strings.HasSuffix(m.Name, "derived.write_share"):
 			shareSum += m.Value
 		case m.Name == "cluster.shard_imbalance":
@@ -209,7 +237,7 @@ func TestClusterDerivedGauges(t *testing.T) {
 // gatherer served over HTTP with ?format=prom yields valid Prometheus
 // text exposition carrying per-group and merged series.
 func TestClusterPromExposition(t *testing.T) {
-	c, view := driveObservedCluster(t, 4)
+	c, view := driveObservedCluster(t, 4, false)
 	col := span.NewCollector(0, 0, 0)
 	c.SetSpanCollector(col)
 	if err := c.Write(1, fidr.MakeChunk(1, 0.5)); err != nil {

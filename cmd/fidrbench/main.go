@@ -1,29 +1,17 @@
-// Command fidrbench regenerates the paper's tables and figures, and
-// emits machine-readable benchmark artifacts.
+// Command fidrbench regenerates the paper's tables and figures and the
+// extension studies.
 //
 // Usage:
 //
-//	fidrbench [-ios N] all            # every artifact, paper order
-//	fidrbench [-ios N] fig11 table5   # selected artifacts
-//	fidrbench list                    # artifact names
-//	fidrbench [-ios N] [-out dir] bench [experiment...]
+//	fidrbench [-ios N] all                     # every artifact, paper order
+//	fidrbench [-ios N] fig11 table5            # selected artifacts
+//	fidrbench [-ios N] cdc capacity archival   # chunking, ledger+GC, WAL shapes
+//	fidrbench list                             # artifact names
 //
 // Output is plain-text tables with the paper's reported values quoted in
-// footnotes, suitable for diffing against EXPERIMENTS.md.
-//
-// The bench verb drives instrumented runs and writes one
-// BENCH_<experiment>.json per experiment to -out (default
-// bench-artifacts/): throughput, dedup/reduction ratios, and
-// p50/p90/p99 per-stage latencies distilled from the live metrics
-// registry. With no experiment names it runs them all. The JSON schema
-// is documented in README.md.
-//
-// -chunker selects the write chunking mode for bench runs: "fixed"
-// (default) or "cdc" (content-defined, variable-size chunks cut by the
-// skip-ahead gear chunker; -cdc-min/-cdc-avg/-cdc-max size the chunks).
-// CDC runs the same experiments end to end — variable chunks through NIC
-// buffering, dedup, compression, container packing, and (archival,
-// capacity) the WAL, checkpoint, recovery and GC.
+// footnotes, suitable for diffing against EXPERIMENTS.md. Every table is
+// counts and ratios, identical per seed; anything clocked (throughput,
+// latency, overheads) is measured by benchmark/ (see benchmark/README.md).
 package main
 
 import (
@@ -33,20 +21,14 @@ import (
 	"time"
 
 	"fidr"
-	"fidr/internal/chunk"
 )
 
 func main() {
 	ios := flag.Int("ios", 0, "workload size in IOs per run (0 = default)")
-	out := flag.String("out", "bench-artifacts", "output directory for bench artifacts")
-	chunker := flag.String("chunker", "fixed", "bench chunking mode: fixed or cdc")
-	cdcMin := flag.Int("cdc-min", 0, "CDC minimum chunk bytes; 0 = default")
-	cdcAvg := flag.Int("cdc-avg", 0, "CDC average (target) chunk bytes; 0 = default")
-	cdcMax := flag.Int("cdc-max", 0, "CDC maximum chunk bytes; 0 = default")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fidrbench [-ios N] all | list | <experiment>... | [-out dir] bench [name...]\n")
+		fmt.Fprintf(os.Stderr, "usage: fidrbench [-ios N] all | list | <experiment>...\n")
+		flag.PrintDefaults()
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", fidr.Experiments())
-		fmt.Fprintf(os.Stderr, "bench experiments: %v\n", fidr.BenchExperiments())
 	}
 	flag.Parse()
 	args := flag.Args()
@@ -57,19 +39,6 @@ func main() {
 	if args[0] == "list" {
 		for _, name := range fidr.Experiments() {
 			fmt.Println(name)
-		}
-		return
-	}
-	mode, err := chunk.ParseMode(*chunker)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fidrbench: -chunker: %v\n", err)
-		os.Exit(2)
-	}
-	chunking := chunk.Config{Mode: mode, Min: *cdcMin, Avg: *cdcAvg, Max: *cdcMax}
-	if args[0] == "bench" {
-		if err := runBench(args[1:], *ios, *out, chunking); err != nil {
-			fmt.Fprintf(os.Stderr, "fidrbench: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -92,27 +61,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runBench executes the named bench experiments (all when empty) and
-// writes one BENCH_<name>.json artifact each.
-func runBench(names []string, ios int, outDir string, chunking chunk.Config) error {
-	if len(names) == 0 {
-		names = fidr.BenchExperiments()
-	}
-	for _, name := range names {
-		start := time.Now()
-		art, err := fidr.RunBenchExperimentChunker(name, ios, chunking)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		path, err := fidr.WriteBenchArtifact(outDir, art)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("%s: %.1f MB/s, dedup %.3f, reduction %.3f -> %s (%v)\n",
-			name, art.ThroughputMBps, art.DedupRatio, art.ReductionRatio,
-			path, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
 }

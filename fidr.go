@@ -25,6 +25,7 @@ import (
 	"fidr/internal/blockcomp"
 	"fidr/internal/core"
 	"fidr/internal/experiments"
+	"fidr/internal/metrics"
 	"fidr/internal/trace"
 )
 
@@ -94,127 +95,77 @@ func MakeChunk(seed uint64, compressRatio float64) []byte {
 // runner produces one artifact's rendered table.
 type runner func(experiments.Scale) (string, error)
 
-// experimentOrder lists artifact names in paper order, then extensions.
-var experimentOrder = []string{
-	"fig3", "fig4", "fig5", "table1", "table2", "table3",
-	"fig11", "fig12", "fig13", "fig14", "latency",
-	"table4", "table5", "fig15", "fig16",
-	"ablation-chunk", "ablation-batch", "ablation-cache",
-	"ablation-width", "ablation-readoffload",
-	"ablation-readcache", "ablation-scaleout",
-	"lifetime", "selfperf", "scorecard", "observe",
+// rows adapts an experiment returning (typed rows, table, error).
+func rows[R any](f func(experiments.Scale) (R, *metrics.Table, error)) runner {
+	return func(sc experiments.Scale) (string, error) {
+		_, tab, err := f(sc)
+		return render(tab, err)
+	}
 }
 
-// experimentRegistry maps every artifact name to its runner.
-var experimentRegistry = map[string]runner{
-	"fig3": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig3(sc)
-		return render(tab, err)
-	},
-	"fig4": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig4(sc)
-		return render(tab, err)
-	},
-	"fig5": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig5(sc)
-		return render(tab, err)
-	},
-	"table1": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Table1(sc)
-		return render(tab, err)
-	},
-	"table2": func(sc experiments.Scale) (string, error) {
-		tab, err := experiments.Table2(sc)
-		return render(tab, err)
-	},
-	"table3": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Table3(sc)
-		return render(tab, err)
-	},
-	"fig11": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig11(sc)
-		return render(tab, err)
-	},
-	"fig12": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig12(sc)
-		return render(tab, err)
-	},
-	"fig13": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig13(sc)
-		return render(tab, err)
-	},
-	"fig14": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig14(sc)
-		return render(tab, err)
-	},
-	"latency": func(experiments.Scale) (string, error) {
+// table adapts an experiment returning (table, error).
+func table(f func(experiments.Scale) (*metrics.Table, error)) runner {
+	return func(sc experiments.Scale) (string, error) { return render(f(sc)) }
+}
+
+// experimentRegistry lists every artifact with its runner: paper order,
+// then the extension studies.
+var experimentRegistry = []struct {
+	name string
+	run  runner
+}{
+	{"fig3", rows(experiments.Fig3)},
+	{"fig4", rows(experiments.Fig4)},
+	{"fig5", rows(experiments.Fig5)},
+	{"table1", rows(experiments.Table1)},
+	{"table2", table(experiments.Table2)},
+	{"table3", rows(func(sc experiments.Scale) ([]experiments.Table3Row, *metrics.Table, error) {
+		return experiments.Table3(sc)
+	})},
+	{"fig11", rows(experiments.Fig11)},
+	{"fig12", rows(experiments.Fig12)},
+	{"fig13", rows(experiments.Fig13)},
+	{"fig14", rows(experiments.Fig14)},
+	{"latency", func(experiments.Scale) (string, error) {
 		_, tab := experiments.Latency()
 		return render(tab, nil)
-	},
-	"table4": func(experiments.Scale) (string, error) { return render(experiments.Table4(), nil) },
-	"table5": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Table5(sc)
-		return render(tab, err)
-	},
-	"fig15": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig15(sc)
-		return render(tab, err)
-	},
-	"fig16": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Fig16(sc)
-		return render(tab, err)
-	},
-	"ablation-chunk": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.AblationChunkSize(sc)
-		return render(tab, err)
-	},
-	"ablation-batch": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.AblationBatch(sc)
-		return render(tab, err)
-	},
-	"ablation-cache": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.AblationCache(sc)
-		return render(tab, err)
-	},
-	"ablation-width": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.AblationWidth(sc)
-		return render(tab, err)
-	},
-	"ablation-readoffload": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.AblationReadOffload(sc)
-		return render(tab, err)
-	},
-	"ablation-readcache": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.AblationReadCache(sc)
-		return render(tab, err)
-	},
-	"ablation-scaleout": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.AblationScaleout(sc)
-		return render(tab, err)
-	},
-	"lifetime": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Lifetime(sc)
-		return render(tab, err)
-	},
-	"selfperf": func(experiments.Scale) (string, error) {
+	}},
+	{"table4", func(experiments.Scale) (string, error) { return render(experiments.Table4(), nil) }},
+	{"table5", rows(experiments.Table5)},
+	{"fig15", rows(experiments.Fig15)},
+	{"fig16", rows(experiments.Fig16)},
+	{"ablation-chunk", rows(experiments.AblationChunkSize)},
+	{"ablation-batch", rows(experiments.AblationBatch)},
+	{"ablation-cache", rows(experiments.AblationCache)},
+	{"ablation-width", rows(experiments.AblationWidth)},
+	{"ablation-readoffload", rows(experiments.AblationReadOffload)},
+	{"ablation-readcache", rows(experiments.AblationReadCache)},
+	{"ablation-scaleout", rows(experiments.AblationScaleout)},
+	{"cdc", rows(func(sc experiments.Scale) ([]experiments.CDCRow, *metrics.Table, error) {
+		return experiments.CDC(sc)
+	})},
+	{"capacity", rows(func(sc experiments.Scale) ([]experiments.CapacityRow, *metrics.Table, error) {
+		return experiments.Capacity(sc)
+	})},
+	{"archival", rows(func(sc experiments.Scale) ([]experiments.ArchivalRow, *metrics.Table, error) {
+		return experiments.Archival(sc)
+	})},
+	{"lifetime", rows(experiments.Lifetime)},
+	{"selfperf", func(experiments.Scale) (string, error) {
 		_, tab, err := experiments.SelfPerf()
 		return render(tab, err)
-	},
-	"scorecard": func(sc experiments.Scale) (string, error) {
-		tab, err := experiments.Scorecard(sc)
-		return render(tab, err)
-	},
-	"observe": func(sc experiments.Scale) (string, error) {
-		_, tab, err := experiments.Observe(sc)
-		return render(tab, err)
-	},
+	}},
+	{"scorecard", table(experiments.Scorecard)},
+	{"observe", rows(experiments.Observe)},
 }
 
 // Experiments returns artifact names accepted by RunExperiment, in paper
 // order followed by the extension studies.
 func Experiments() []string {
-	out := make([]string, len(experimentOrder))
-	copy(out, experimentOrder)
+	out := make([]string, len(experimentRegistry))
+	for i, e := range experimentRegistry {
+		out[i] = e.name
+	}
 	return out
 }
 
@@ -225,16 +176,15 @@ func RunExperiment(name string, scaleIOs int) (string, error) {
 	if scaleIOs > 0 {
 		sc.IOs = scaleIOs
 	}
-	run, ok := experimentRegistry[name]
-	if !ok {
-		return "", fmt.Errorf("fidr: unknown experiment %q (see Experiments())", name)
+	for _, e := range experimentRegistry {
+		if e.name == name {
+			return e.run(sc)
+		}
 	}
-	return run(sc)
+	return "", fmt.Errorf("fidr: unknown experiment %q (see Experiments())", name)
 }
 
-type stringer interface{ String() string }
-
-func render(tab stringer, err error) (string, error) {
+func render(tab *metrics.Table, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}

@@ -2,22 +2,17 @@ package fidr
 
 import "testing"
 
-// TestRegistryConsistent guards the experiment registry: every ordered
-// name has a runner and every runner is reachable from the order list.
+// TestRegistryConsistent guards the experiment registry: names are
+// unique (lookup takes the first match) and every entry has a runner.
 func TestRegistryConsistent(t *testing.T) {
-	order := make(map[string]bool, len(experimentOrder))
-	for _, n := range experimentOrder {
-		if order[n] {
-			t.Errorf("duplicate name %q in order list", n)
+	seen := make(map[string]bool, len(experimentRegistry))
+	for _, e := range experimentRegistry {
+		if seen[e.name] {
+			t.Errorf("duplicate experiment name %q", e.name)
 		}
-		order[n] = true
-		if _, ok := experimentRegistry[n]; !ok {
-			t.Errorf("ordered experiment %q has no runner", n)
-		}
-	}
-	for n := range experimentRegistry {
-		if !order[n] {
-			t.Errorf("runner %q missing from the order list", n)
+		seen[e.name] = true
+		if e.run == nil {
+			t.Errorf("experiment %q has no runner", e.name)
 		}
 	}
 }

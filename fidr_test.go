@@ -50,9 +50,10 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	if len(names) < 15 {
 		t.Fatalf("only %d experiments registered", len(names))
 	}
-	// All 15 paper artifacts present.
+	// All 15 paper artifacts present, and the three extension studies.
 	for _, want := range []string{"fig3", "fig4", "fig5", "table1", "table2", "table3",
-		"fig11", "fig12", "fig13", "fig14", "latency", "table4", "table5", "fig15", "fig16"} {
+		"fig11", "fig12", "fig13", "fig14", "latency", "table4", "table5", "fig15", "fig16",
+		"cdc", "capacity", "archival"} {
 		found := false
 		for _, n := range names {
 			if n == want {

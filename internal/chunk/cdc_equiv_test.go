@@ -156,87 +156,6 @@ func TestCDCAppendBoundariesNoAlloc(t *testing.T) {
 	}
 }
 
-// --- Rolling (retained scalar rolling-hash chunker) ---
-
-// rollingOracleCut recomputes the rolling chunker's cut from the window
-// definition alone: at each candidate i the hash is the direct sum of
-// table[data[j]] << (i-j) over j in [max(0, i-47), i]. No incremental
-// state, no priming/eviction split — if nextCut's two paths disagree on
-// the window origin for any candidate, this oracle exposes it.
-func rollingOracleCut(r *Rolling, data []byte) int {
-	n := len(data)
-	if n <= r.Min {
-		return n
-	}
-	limit := r.Max
-	if n < limit {
-		limit = n
-	}
-	for i := r.Min; i < limit; i++ {
-		lo := i - rollingWindow + 1
-		if lo < 0 {
-			lo = 0
-		}
-		var h uint64
-		for j := lo; j <= i; j++ {
-			h = h<<1 + r.table[data[j]]
-		}
-		if h&r.mask == r.mask {
-			return i + 1
-		}
-	}
-	return limit
-}
-
-// TestRollingWindowOracle is the satellite regression test for the
-// window-priming edge case: over configs with Min far below the window
-// size (where priming covers fewer than 48 bytes and the eviction
-// branch starts mid-stream), the incremental hash must agree with the
-// from-scratch windowed hash at every boundary.
-func TestRollingWindowOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	data := make([]byte, 120000)
-	rng.Read(data)
-	configs := []struct{ min, avg, max int }{
-		{1, 64, 256},    // Min far below the 48-byte window
-		{2, 128, 512},   // priming covers 2 bytes
-		{17, 256, 1024}, // priming ends mid-window
-		{47, 256, 1024}, // one byte short of a full window
-		{48, 256, 1024}, // exactly one window
-		{49, 256, 1024}, // first eviction before first candidate
-		{200, 1024, 4096},
-	}
-	for _, cc := range configs {
-		r := NewRolling(cc.min, cc.avg, cc.max)
-		start := 0
-		for start < len(data) {
-			got := r.nextCut(data[start:])
-			want := rollingOracleCut(r, data[start:])
-			if got != want {
-				t.Fatalf("config %+v at offset %d: incremental cut %d, oracle cut %d", cc, start, got, want)
-			}
-			start += got
-		}
-	}
-}
-
-func TestRollingBoundariesCoverInput(t *testing.T) {
-	r := NewRolling(2048, 8192, 65536)
-	data := make([]byte, 300000)
-	rand.New(rand.NewSource(1)).Read(data)
-	bounds := r.Boundaries(data)
-	if len(bounds) == 0 || bounds[len(bounds)-1] != len(data) {
-		t.Fatalf("boundaries do not cover input: %v", head(bounds))
-	}
-	prev := 0
-	for _, b := range bounds {
-		if sz := b - prev; sz <= 0 || sz > r.Max {
-			t.Fatalf("chunk size %d outside (0,%d]", sz, r.Max)
-		}
-		prev = b
-	}
-}
-
 // --- Benchmarks: the acceptance bar is fast >= 5x reference ---
 
 // benchData is 1 MiB of byte-random input: the size of one NIC ingest
@@ -251,13 +170,12 @@ func benchData() []byte {
 }
 
 // BenchmarkCDCBoundaries compares the skip-ahead word-at-a-time fast
-// path against the retained scalar reference and the legacy rolling-
-// hash chunker on identical input. Per-op bytes make the GB/s visible:
-// the fast path must be >= 5x the reference on a single core.
+// path against the retained scalar reference on identical input. Per-op
+// bytes make the GB/s visible: the fast path must be >= 5x the reference
+// on a single core.
 func BenchmarkCDCBoundaries(b *testing.B) {
 	data := benchData()
 	c := NewCDC(2048, 8192, 32768)
-	r := NewRolling(2048, 8192, 32768)
 	var scratch []int
 	b.Run("fast", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
@@ -269,12 +187,6 @@ func BenchmarkCDCBoundaries(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			scratch = c.ReferenceBoundaries(scratch[:0], data)
-		}
-	})
-	b.Run("rolling", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			r.Boundaries(data)
 		}
 	})
 }

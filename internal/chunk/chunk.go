@@ -9,9 +9,7 @@
 // enough to make the fixed-vs-CDC trade-off worth measuring live; fixed
 // chunking is that chunker configured with Min = Avg = Max (config.go),
 // where the content is never consulted. The package also provides the
-// read-modify-write analysis used to reproduce Figure 3 and the retained
-// scalar rolling-hash chunker (rolling.go) the fast one is benchmarked
-// against.
+// read-modify-write analysis used to reproduce Figure 3.
 package chunk
 
 // DefaultSize is the paper's chunk size: 4 KiB.

@@ -263,8 +263,8 @@ func AblationScaleout(sc Scale) ([]AblationScaleoutRow, *metrics.Table, error) {
 	tab := metrics.NewTable("Ablation: device-group scale-out (Write-H, §5.6)",
 		"groups", "stored/client bytes", "host mem B/B")
 	for _, groups := range []int{1, 2, 4} {
-		// Shard the generated stream by LBA hash, exactly as
-		// fidr.Cluster routes, and run each shard on its own server.
+		// Shard the generated stream with fidr.Cluster's routing
+		// function and run each shard on its own server.
 		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028, 4)
 		if err != nil {
 			return nil, nil, err
@@ -294,7 +294,7 @@ func AblationScaleout(sc Scale) ([]AblationScaleoutRow, *metrics.Table, error) {
 				continue
 			}
 			sh.Block(req.ContentSeed, buf)
-			g := shardOf(req.LBA, groups)
+			g := core.ShardOf(req.LBA, groups)
 			if err := servers[g].Write(req.LBA, buf); err != nil {
 				return nil, nil, err
 			}
@@ -319,14 +319,6 @@ func AblationScaleout(sc Scale) ([]AblationScaleoutRow, *metrics.Table, error) {
 	}
 	tab.Note("splitting the dedup domain stores cross-shard duplicates once per shard, which also raises per-byte host work")
 	return rows, tab, nil
-}
-
-// shardOf mirrors fidr.Cluster's LBA routing.
-func shardOf(lba uint64, groups int) int {
-	z := lba + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int((z ^ (z >> 31)) % uint64(groups))
 }
 
 // runWithConfig runs a workload against an explicit server config.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"fidr/internal/core"
@@ -41,8 +42,8 @@ func TestTable3LaneDeterminism(t *testing.T) {
 
 // TestRunLaneDeterminism checks the per-run stats contract Table 3 rests
 // on: identical RunResult server stats and ledger snapshot across lane
-// counts, for both architectures of the Write-L workload the bench lane
-// sweep uses.
+// counts, for both architectures of the low-dedup Write-L workload (the
+// one that keeps the compression lanes busiest).
 func TestRunLaneDeterminism(t *testing.T) {
 	sc := TestScale()
 	for _, arch := range []core.Arch{core.Baseline, core.FIDRFull} {
@@ -67,6 +68,38 @@ func TestRunLaneDeterminism(t *testing.T) {
 			if r.P2PBytes != ref.P2PBytes || r.RootBytes != ref.RootBytes {
 				t.Fatalf("%v lanes=%d PCIe byte counts diverge", arch, n)
 			}
+		}
+	}
+}
+
+// TestExtensionLaneDeterminism holds the three extension studies to the
+// same rule: counts and ratios only, so rows and rendered tables are
+// identical at any lane count (and on any machine).
+func TestExtensionLaneDeterminism(t *testing.T) {
+	sc := Scale{IOs: 1500}
+	render := func(opt func(*runOptions)) (string, []any) {
+		cdc, cdcTab, err := CDC(sc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capRows, capTab, err := Capacity(sc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arch, archTab, err := Archival(sc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cdcTab.String() + capTab.String() + archTab.String(), []any{cdc, capRows, arch}
+	}
+	refOut, refRows := render(WithLanes(1, 1))
+	for _, n := range []int{2, 8} {
+		out, rows := render(WithLanes(n, n))
+		if out != refOut {
+			t.Fatalf("lanes=%d rendered output differs:\n%s\n--- want ---\n%s", n, out, refOut)
+		}
+		if !reflect.DeepEqual(rows, refRows) {
+			t.Fatalf("lanes=%d typed rows differ:\n%+v\n--- want ---\n%+v", n, rows, refRows)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 
+	"fidr/internal/chunk"
 	"fidr/internal/core"
 	"fidr/internal/hashpbn"
 	"fidr/internal/hostmodel"
@@ -96,7 +97,7 @@ func workloadFor(name string, n, cacheLines int) (trace.Params, error) {
 		p.ReadSkew = 1.4
 	case "Archival":
 		// Durability extension: append-heavy backup ingest with long
-		// sequential runs; drives the WAL/recovery benchmarks.
+		// sequential runs; drives the archival experiment.
 		p = trace.Archival(n)
 		p.ReuseWindow = cacheLines / 4
 	case "Profiling-Write", "Profiling-Mixed":
@@ -154,21 +155,30 @@ func defaultRunOptions() runOptions {
 // Run executes workload wl on architecture arch at the given scale and
 // returns the measured result.
 func Run(arch core.Arch, workload string, sc Scale, opts ...func(*runOptions)) (RunResult, error) {
-	o := defaultRunOptions()
-	for _, f := range opts {
-		f(&o)
-	}
-	cfg, err := serverConfig(arch, sc.IOs, o.cacheFrac, o.width)
+	cfg, err := configWith(arch, sc.IOs, opts)
 	if err != nil {
 		return RunResult{}, err
 	}
-	cfg.HashLanes = o.hashLanes
-	cfg.CompressLanes = o.compressLanes
 	wp, err := workloadFor(workload, sc.IOs, cfg.CacheLines)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return runGenerated(cfg, wp)
+}
+
+// configWith sizes a server for n IOs under the run options.
+func configWith(arch core.Arch, n int, opts []func(*runOptions)) (core.Config, error) {
+	o := defaultRunOptions()
+	for _, f := range opts {
+		f(&o)
+	}
+	cfg, err := serverConfig(arch, n, o.cacheFrac, o.width)
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg.HashLanes = o.hashLanes
+	cfg.CompressLanes = o.compressLanes
+	return cfg, nil
 }
 
 // runGenerated drives one server configuration through one generated
@@ -188,24 +198,8 @@ func driveAndCollect(srv *core.Server, wp trace.Params) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	sh := blockcomp.NewShaper(wp.CompressRatio)
-	buf := make([]byte, cfg.ChunkSize)
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		switch req.Op {
-		case trace.OpWrite:
-			sh.Block(req.ContentSeed, buf)
-			if err := srv.Write(req.LBA, buf); err != nil {
-				return RunResult{}, fmt.Errorf("experiments: %s/%s write: %w", cfg.Arch, wp.Name, err)
-			}
-		case trace.OpRead:
-			if _, err := srv.Read(req.LBA); err != nil && err != core.ErrNotFound {
-				return RunResult{}, fmt.Errorf("experiments: %s/%s read: %w", cfg.Arch, wp.Name, err)
-			}
-		}
+	if err := drive(srv, gen, blockcomp.NewShaper(wp.CompressRatio), -1); err != nil {
+		return RunResult{}, err
 	}
 	if err := srv.Flush(); err != nil {
 		return RunResult{}, err
@@ -222,16 +216,52 @@ func driveAndCollect(srv *core.Server, wp trace.Params) (RunResult, error) {
 	}, nil
 }
 
+// drive feeds the next n requests of gen to srv (all that remain when n
+// is negative), so a caller can stop mid-trace — to checkpoint, say —
+// and resume.
+func drive(srv *core.Server, gen *trace.Generator, sh *blockcomp.Shaper, n int) error {
+	cfg := srv.Config()
+	buf := make([]byte, cfg.ChunkSize)
+	for i := 0; i != n; i++ {
+		req, ok := gen.Next()
+		if !ok {
+			return nil
+		}
+		switch req.Op {
+		case trace.OpWrite:
+			sh.Block(req.ContentSeed, buf)
+			if err := srv.Write(traceAddr(cfg, req.LBA), buf); err != nil {
+				return fmt.Errorf("experiments: %s/%s write: %w", cfg.Arch, gen.Params().Name, err)
+			}
+		case trace.OpRead:
+			if _, err := srv.Read(traceAddr(cfg, req.LBA)); err != nil && err != core.ErrNotFound {
+				return fmt.Errorf("experiments: %s/%s read: %w", cfg.Arch, gen.Params().Name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// traceAddr is the address a server in cfg's chunking mode takes for a
+// trace's chunk-index LBA: the index itself under fixed chunking; under
+// CDC the byte offset of the stream segment the write is ingested as, so
+// identical content still dedups while extent addresses never collide.
+func traceAddr(cfg core.Config, lba uint64) uint64 {
+	if cfg.Chunking.Mode == chunk.ModeCDC {
+		return lba * uint64(cfg.ChunkSize)
+	}
+	return lba
+}
+
 // ConfigFor exposes the experiment-standard server sizing (paper cache
-// fraction, default tree width) for external drivers such as the bench
-// artifact pipeline.
+// fraction, default tree width) for external drivers such as benchmark/.
 func ConfigFor(arch core.Arch, n int) (core.Config, error) {
 	o := defaultRunOptions()
 	return serverConfig(arch, n, o.cacheFrac, o.width)
 }
 
 // WorkloadParams exposes the experiment-standard workload tuning for
-// external drivers.
+// external drivers such as benchmark/.
 func WorkloadParams(name string, n, cacheLines int) (trace.Params, error) {
 	return workloadFor(name, n, cacheLines)
 }
