@@ -80,27 +80,39 @@ check-capacity:
 check-doctor:
 	$(GO) test -v -run TestDoctorE2E ./cmd/fidrd
 
-# fuzz runs three fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs five fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
 # scalar on every input; WAL replay and recovery must survive any log
 # (torn, corrupt, reordered frames) applying a clean prefix or failing
-# typed; the LBA-snapshot decoder must never panic and must round-trip.
-# FUZZ_TIME extends the per-fuzzer budget locally.
+# typed; the LBA-snapshot decoder must never panic and must round-trip;
+# the LZ compressor must round-trip any input and its decoder must never
+# panic or overrun the declared size on any stream (the fence for
+# compressor work, beside TestLZOutputGolden). FUZZ_TIME extends the
+# per-fuzzer budget locally.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreTable$$' -fuzztime $(FUZZ_TIME) ./internal/lbatable
+	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
+	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
 
-# bench-go runs the accelerator-lane microbenchmarks with
-# benchstat-compatible output (pipe COUNT>=10 runs into benchstat to
-# compare commits). BENCH_COUNT sets -count. Whole-workload numbers come
-# from `bash benchmark/run.sh`, which keeps its harness outside the clock.
+# bench-go runs the layer microbenchmarks — accelerator lanes, the LZ
+# kernel both ways, the table-cache probe (hit / miss that evicts a dirty
+# line) — with benchstat-compatible output (pipe COUNT>=10 runs into
+# benchstat to compare commits). BENCH_COUNT sets -count. Whole-workload
+# numbers come from `bash benchmark/run.sh`, which keeps its harness
+# outside the clock.
 BENCH_COUNT ?= 5
 bench-go:
 	$(GO) test -run '^$$' \
 		-bench '^(BenchmarkHashLanes|BenchmarkCompressLanes)$$' \
 		-benchmem -count $(BENCH_COUNT) .
+	$(GO) test -run '^$$' \
+		-bench '^(BenchmarkLZCompress4K|BenchmarkLZDecompress4K)$$' \
+		-benchmem -count $(BENCH_COUNT) ./internal/blockcomp
+	$(GO) test -run '^$$' -bench '^BenchmarkTableCacheLookup$$' \
+		-benchmem -count $(BENCH_COUNT) ./internal/tablecache
 
 # microbench runs the Go testing benchmarks.
 microbench:

@@ -8,6 +8,12 @@
 // variant resembling what fits in FPGA compression cores: greedy matching,
 // 64-KB window, no entropy stage). Null passes data through for
 // reduction-disabled configurations.
+//
+// LZ is the write path's hottest kernel: its match table is epoch-tagged
+// (cleared on first use and on 32-bit wrap, not per call) and it scans and
+// extends matches a word at a time. Its token stream is byte-identical to
+// the reference kernel's for every input (TestLZOutputGolden) — that keeps
+// reduction ratios, on-SSD bytes and lane determinism fixed.
 package blockcomp
 
 import (

@@ -3,6 +3,8 @@ package blockcomp
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -19,6 +21,12 @@ import (
 //
 // The format favors decode simplicity over density, matching hardware
 // implementations that decode one token per cycle.
+//
+// Byte-identity contract: the token stream is a pure function of the
+// input (greedy first match per position, 16 384-slot table, every 7th
+// position indexed inside a match), pinned by TestLZOutputGolden. The
+// epoch-tagged table (lzState) and word-at-a-time scanning change how
+// fast the stream is produced, never which stream.
 type LZ struct{}
 
 // NewLZ returns the LZ compressor.
@@ -37,11 +45,14 @@ func lzHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - lzHashBits)
 }
 
-// lzState is the per-call match table. Pooling it keeps the 64-KB table
-// off the stack and out of the allocator when compression lanes run many
-// chunks concurrently; each lane's call checks out its own state.
+// lzState is the pooled match table. A slot holds base + position and
+// base advances by len(src) every call, so an earlier call's slots are
+// below base and read as empty: the 64-KB table is cleared on first use
+// and when base would wrap 32 bits, not once per 4-KB chunk. Each lane's
+// call checks out its own state.
 type lzState struct {
-	table [1 << lzHashBits]int32
+	table [1 << lzHashBits]uint32
+	base  uint32 // 0 = never used
 }
 
 var lzStatePool = sync.Pool{New: func() any { return new(lzState) }}
@@ -61,56 +72,85 @@ func (*LZ) CompressAppend(dst, src []byte) ([]byte, error) {
 		return dst, nil
 	}
 	st := lzStatePool.Get().(*lzState)
-	defer lzStatePool.Put(st)
-	table := &st.table
-	for i := range table {
-		table[i] = -1
+	dst = st.compress(dst, src)
+	lzStatePool.Put(st)
+	return dst, nil
+}
+
+// compress appends src's token stream to dst. Positions are 32-bit: the
+// stream equals the reference one below 2 GiB and still round-trips above
+// (a wrapped slot names an earlier position, whose bytes are compared).
+func (st *lzState) compress(dst, src []byte) []byte {
+	next := uint64(st.base) + uint64(len(src))
+	if st.base == 0 || next > math.MaxUint32 {
+		clear(st.table[:])
+		st.base, next = 1, 1+uint64(len(src))
 	}
+	table, base := &st.table, st.base
+	st.base = uint32(min(next, math.MaxUint32)) // saturated: the next call clears
 	litStart := 0
-	i := 0
-	emitLiterals := func(end int) {
-		if end <= litStart {
-			return
+	for i := 0; i+lzMinMatch <= len(src); {
+		// One 8-byte load serves five positions (the last bytes of src
+		// load four, for one): the scan is the cost.
+		w, n := uint64(0), 1
+		if i+8 <= len(src) {
+			w, n = binary.LittleEndian.Uint64(src[i:]), 5
+		} else {
+			w = uint64(binary.LittleEndian.Uint32(src[i:]))
 		}
-		run := src[litStart:end]
-		var hdr [binary.MaxVarintLen64 + 1]byte
-		hdr[0] = 0x00
-		n := binary.PutUvarint(hdr[1:], uint64(len(run)))
-		dst = append(dst, hdr[:1+n]...)
-		dst = append(dst, run...)
-	}
-	for i+lzMinMatch <= len(src) {
-		v := binary.LittleEndian.Uint32(src[i:])
-		h := lzHash(v)
-		cand := table[h]
-		table[h] = int32(i)
-		if cand >= 0 && i-int(cand) < lzWindow &&
-			binary.LittleEndian.Uint32(src[cand:]) == v {
-			// Extend the match forward.
-			length := lzMinMatch
-			for i+length < len(src) && src[int(cand)+length] == src[i+length] {
-				length++
+		for ; n > 0; n-- {
+			v := uint32(w)
+			w >>= 8
+			h := lzHash(v)
+			e := table[h]
+			table[h] = base + uint32(i)
+			cand := int(e - base)
+			if e < base || i-cand >= lzWindow || binary.LittleEndian.Uint32(src[cand:]) != v {
+				i++
+				continue
 			}
-			emitLiterals(i)
-			var hdr [2*binary.MaxVarintLen64 + 1]byte
-			hdr[0] = 0x01
-			n := binary.PutUvarint(hdr[1:], uint64(length))
-			n += binary.PutUvarint(hdr[1+n:], uint64(i-int(cand)))
-			dst = append(dst, hdr[:1+n]...)
-			// Index a few positions inside the match so later
-			// repeats are found, then skip past it.
+			length := lzMinMatch + lzMatchLen(src, cand+lzMinMatch, i+lzMinMatch)
+			dst = lzAppendLiterals(dst, src[litStart:i])
+			dst = append(dst, 0x01)
+			dst = binary.AppendUvarint(dst, uint64(length))
+			dst = binary.AppendUvarint(dst, uint64(i-cand))
+			// Index a few positions inside the match so later repeats
+			// are found, then skip past it.
 			end := i + length
 			for j := i + 1; j < end && j+lzMinMatch <= len(src); j += 7 {
-				table[lzHash(binary.LittleEndian.Uint32(src[j:]))] = int32(j)
+				table[lzHash(binary.LittleEndian.Uint32(src[j:]))] = base + uint32(j)
 			}
-			i = end
-			litStart = i
-			continue
+			i, litStart = end, end
+			break
 		}
-		i++
 	}
-	emitLiterals(len(src))
-	return dst, nil
+	return lzAppendLiterals(dst, src[litStart:])
+}
+
+// lzMatchLen returns how many bytes src[a:] and src[b:] share before b
+// runs off the end (a < b), eight at a time: the first differing byte is
+// the lowest set byte of the XOR.
+func lzMatchLen(src []byte, a, b int) int {
+	n := 0
+	for ; b+n+8 <= len(src); n += 8 {
+		if x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for b+n < len(src) && src[a+n] == src[b+n] {
+		n++
+	}
+	return n
+}
+
+// lzAppendLiterals appends run as one literal token (nothing if empty).
+func lzAppendLiterals(dst, run []byte) []byte {
+	if len(run) == 0 {
+		return dst
+	}
+	dst = append(dst, 0x00)
+	dst = binary.AppendUvarint(dst, uint64(len(run)))
+	return append(dst, run...)
 }
 
 // Decompress implements Compressor.
@@ -150,10 +190,15 @@ func (*LZ) Decompress(src []byte, dstSize int) ([]byte, error) {
 			if dist == 0 || dist > uint64(len(dst)) {
 				return nil, fmt.Errorf("blockcomp: lz distance %d out of range (have %d)", dist, len(dst))
 			}
-			// Byte-by-byte copy: overlapping copies are the RLE case.
-			start := len(dst) - int(dist)
-			for k := 0; k < int(length); k++ {
-				dst = append(dst, dst[start+k])
+			at, n := len(dst), int(length)
+			if n > dstSize-at {
+				return nil, fmt.Errorf("blockcomp: lz output exceeds expected %d", dstSize)
+			}
+			dst = dst[:at+n]
+			// A copy longer than its distance overlaps itself (the RLE
+			// case): seed one period, then double what is there.
+			for done := copy(dst[at:], dst[at-int(dist):at]); done < n; {
+				done += copy(dst[at+done:], dst[at:at+done])
 			}
 		default:
 			return nil, fmt.Errorf("blockcomp: lz unknown token 0x%02x at %d", tok, p-1)

@@ -203,6 +203,20 @@ type pending struct {
 	data []byte
 	// predictedUnique is the baseline predictor's guess.
 	predictedUnique bool
+	// fp and cdata are what the FPGA array returns for the chunk: its
+	// fingerprint and, if it was predicted unique, its compressed form.
+	fp    fingerprint.FP
+	cdata []byte
+}
+
+// batchScratch is the per-batch working set of processFIDRBatch and
+// processBaselineBatch: re-zeroed at the start of a batch, dead at its end.
+type batchScratch struct {
+	flags      []bool                      // FIDR: chunk i is a first-claim unique
+	dupPBN     []uint64                    // FIDR: chunk i's PBN if it is a duplicate
+	firstClaim map[fingerprint.FP]struct{} // FIDR: fingerprints claimed unique in this batch
+	fpToPBN    map[fingerprint.FP]uint64   // FIDR: PBN each admitted unique got
+	datas      [][]byte                    // both architectures: CompressMany's input
 }
 
 // Stats aggregates server-level counters.
@@ -318,7 +332,11 @@ type Server struct {
 	dataSSD  *ssd.SSD
 	tableSSD *ssd.SSD
 
-	batch   []pending
+	batch []pending
+	// bs is one batch's scratch, cread where fetchCompressed lands a
+	// chunk's compressed bytes; both are reused call after call.
+	bs      batchScratch
+	cread   []byte
 	rcache  *readCache
 	latency latencyTracker
 	ctr     counters
@@ -473,6 +491,8 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.bs.firstClaim = make(map[fingerprint.FP]struct{}, cfg.BatchChunks)
+		s.bs.fpToPBN = make(map[fingerprint.FP]uint64, cfg.BatchChunks)
 	}
 	s.rcache = newReadCache(cfg.ReadCacheChunks)
 	s.latency = newLatencyTracker(DefaultLatency())

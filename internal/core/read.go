@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fidr/internal/chunk"
 	"fidr/internal/hostmodel"
@@ -217,7 +218,10 @@ func (s *Server) resolve(lba uint64) (lbatable.PBA, error) {
 }
 
 // fetchCompressed returns the chunk's compressed bytes, either from the
-// engine's open container (not yet on an SSD) or from the data SSD.
+// engine's open container (not yet on an SSD) or from the data SSD. The
+// result is a view, of that container or of the server's compressed-read
+// scratch, which every caller decompresses or packs (both copy) at once;
+// it is dead at the next fetchCompressed or Pack.
 func (s *Server) fetchCompressed(pba lbatable.PBA, tr *ReqTrace) (data []byte, fromSSD bool, err error) {
 	if data, ok := s.comp.ReadPending(pba.Container, pba.Offset, pba.CSize); ok {
 		s.ctr.pendingReads.Inc()
@@ -225,8 +229,9 @@ func (s *Server) fetchCompressed(pba lbatable.PBA, tr *ReqTrace) (data []byte, f
 	}
 	off := pba.ByteOffset(s.cfg.ContainerSize)
 	from := tr.start()
-	data, err = s.dataSSD.Read(off, int(pba.CSize))
-	if err != nil {
+	s.cread = slices.Grow(s.cread[:0], int(pba.CSize))
+	data = s.cread[:pba.CSize]
+	if err := s.dataSSD.ReadInto(data, off); err != nil {
 		return nil, false, err
 	}
 	tr.span(StageSSDIO, from)

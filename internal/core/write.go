@@ -122,7 +122,7 @@ func (s *Server) processBaselineBatch() error {
 		return nil
 	}
 	batch := s.batch
-	s.batch = nil
+	s.batch = nil // handed back, emptied, once the batch is through
 	s.ctr.batches.Inc()
 	bt := s.obs.beginLinked("batch", batch[0].lba, s.activeReq)
 	defer bt.done()
@@ -150,42 +150,37 @@ func (s *Server) processBaselineBatch() error {
 	// array then compresses the predicted-unique chunks. Compressed
 	// results alias engine scratch, which stays valid until the next
 	// CompressMany call — every Pack in this batch happens before that.
-	type result struct {
-		fp    fingerprint.FP
-		cdata []byte
-	}
-	results := make([]result, len(batch))
 	var backBytes uint64
 	t0 := bt.start()
 	lanes.Run(len(batch), lanes.Clamp(s.cfg.HashLanes, len(batch)), func(_, i int) {
-		results[i].fp = fingerprint.Of(batch[i].data)
+		batch[i].fp = fingerprint.Of(batch[i].data)
 	})
 	bt.add(StageHash, bt.since(t0))
 	if err := s.crashPoint(CrashPostHash); err != nil {
 		return err
 	}
 	backBytes += uint64(len(batch)) * fingerprint.Size
-	var predIdx []int
+	datas := s.bs.datas[:0]
 	for i := range batch {
 		if batch[i].predictedUnique {
-			predIdx = append(predIdx, i)
+			datas = append(datas, batch[i].data)
 		}
 	}
+	s.bs.datas = datas
 	var compDur time.Duration
-	if len(predIdx) > 0 {
-		datas := make([][]byte, len(predIdx))
-		for j, i := range predIdx {
-			datas[j] = batch[i].data
-		}
+	if len(datas) > 0 {
 		t1 := bt.start()
 		rs, err := s.comp.CompressMany(datas)
 		if err != nil {
 			return err
 		}
 		compDur += bt.since(t1)
-		for j, i := range predIdx {
-			results[i].cdata = rs[j].Data
-			backBytes += uint64(len(rs[j].Data))
+		for i := range batch { // rs is in batch order of the predicted-unique chunks
+			if batch[i].predictedUnique {
+				batch[i].cdata = rs[0].Data
+				backBytes += uint64(len(rs[0].Data))
+				rs = rs[1:]
+			}
 		}
 	}
 	// 4. Hashes and compressed predicted-uniques return to host memory.
@@ -202,8 +197,7 @@ func (s *Server) processBaselineBatch() error {
 	compBefore := compDur
 	for i := range batch {
 		p := &batch[i]
-		r := &results[i]
-		pbn, found, err := s.cache.Lookup(r.fp)
+		pbn, found, err := s.cache.Lookup(p.fp)
 		if err != nil {
 			return err
 		}
@@ -219,7 +213,7 @@ func (s *Server) processBaselineBatch() error {
 			s.tl.dup(uint64(len(p.data)))
 			continue
 		}
-		if r.cdata == nil {
+		if p.cdata == nil {
 			// Misprediction: a unique chunk was predicted duplicate
 			// and skipped compression; it takes another round trip
 			// through the FPGA array.
@@ -232,12 +226,12 @@ func (s *Server) processBaselineBatch() error {
 				return err
 			}
 			compDur += bt.since(t0)
-			r.cdata = cdata
+			p.cdata = cdata
 			s.transfer(devFPGA, pcie.HostMemory, uint64(len(cdata)))
 			s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(len(cdata)))
 			s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerChunkNs)
 		}
-		if err := s.admitUnique(p.lba, r.fp, r.cdata, len(p.data)); err != nil {
+		if err := s.admitUnique(p.lba, p.fp, p.cdata, len(p.data)); err != nil {
 			return err
 		}
 	}
@@ -251,6 +245,7 @@ func (s *Server) processBaselineBatch() error {
 	for i := range batch {
 		bufpool.Put(batch[i].data)
 	}
+	s.batch = batch[:0]
 	return nil
 }
 
@@ -334,12 +329,16 @@ func (s *Server) processFIDRBatch() error {
 	// Steps 4-5: host software scans the cached buckets and determines
 	// uniqueness; duplicates update only the LBA-PBA table.
 	from = bt.start()
-	flags := make([]bool, len(entries))
-	dupPBN := make([]uint64, len(entries))
+	bs := &s.bs
+	bs.flags = append(bs.flags[:0], make([]bool, len(entries))...)
+	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, len(entries))...)
+	flags, dupPBN := bs.flags, bs.dupPBN
 	// Within-batch duplicates: the first occurrence claims uniqueness;
 	// later identical chunks must see it. firstClaim indexes claimed
 	// fingerprints so the scan stays O(batch) instead of O(batch²).
-	firstClaim := make(map[fingerprint.FP]struct{}, len(entries))
+	firstClaim, fpToPBN := bs.firstClaim, bs.fpToPBN
+	clear(firstClaim)
+	clear(fpToPBN)
 	for i, e := range entries {
 		pbn, found, err := s.cache.Lookup(e.FP)
 		if err != nil {
@@ -379,17 +378,16 @@ func (s *Server) processFIDRBatch() error {
 	// Step 8: the engine compresses and packs; only metadata reaches
 	// the host.
 	from = bt.start()
-	fpToPBN := make(map[fingerprint.FP]uint64, len(unique))
 	if len(unique) > 0 {
 		// The compression-pipeline array runs the whole unique batch
 		// across the configured lanes; packing and table updates then
 		// commit strictly in batch order, so containers and ledgers are
 		// byte-identical at any lane count.
-		datas := make([][]byte, len(unique))
+		bs.datas = bs.datas[:0]
 		for i := range unique {
-			datas[i] = unique[i].Data
+			bs.datas = append(bs.datas, unique[i].Data)
 		}
-		rs, err := s.comp.CompressMany(datas)
+		rs, err := s.comp.CompressMany(bs.datas)
 		if err != nil {
 			return err
 		}
@@ -549,6 +547,7 @@ func (s *Server) writeSealed(tr *ReqTrace) error {
 			s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
 		}
 		tr.span(StageSSDIO, from)
+		s.comp.Recycle(sealed) // on the SSD, and nothing else holds the buffers
 	}
 	// WAL fsync batching: one commit per batch, after the containers the
 	// staged records reference are on the data SSD.

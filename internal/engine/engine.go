@@ -73,8 +73,11 @@ type Compression struct {
 	compressLanes int
 	// scratch holds one recycled output buffer per batch slot; slot i
 	// is only ever touched by the lane that owns item i, and the
-	// buffers stay valid until the next CompressMany call.
+	// buffers stay valid until the next CompressMany call. results and
+	// errs are the batch's per-slot outcomes, recycled the same way.
 	scratch [][]byte
+	results []Compressed
+	errs    []error
 
 	// Activity counters: read by Stats and, once attached, by "engine.*".
 	chunksIn, bytesIn, bytesCompressed metrics.Counter
@@ -180,16 +183,20 @@ type Compressed struct {
 // chunks: chunk i runs on lane i mod lanes with a recycled per-slot
 // output buffer, and stats are committed strictly in batch order after
 // the join. Output bytes, stats and error selection (lowest failing
-// index) are byte-identical to compressing the batch serially.
+// index) are byte-identical to compressing the batch serially. The
+// returned slice, like the Data it points at, is valid until the next
+// CompressMany call.
 func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
 	if len(datas) == 0 {
 		return nil, nil
 	}
 	for len(e.scratch) < len(datas) {
 		e.scratch = append(e.scratch, nil)
+		e.results = append(e.results, Compressed{})
+		e.errs = append(e.errs, nil)
 	}
-	results := make([]Compressed, len(datas))
-	errs := make([]error, len(datas))
+	results, errs := e.results[:len(datas)], e.errs[:len(datas)]
+	clear(errs)
 	start := time.Now()
 	k := lanes.Clamp(e.compressLanes, len(datas))
 	busy := lanes.Run(len(datas), k, func(_, i int) {
@@ -277,18 +284,14 @@ func (e *Compression) CompressBatch(batch []In) ([]ChunkMeta, error) {
 
 // ReadPending serves a chunk that still sits in the engine's open
 // container (not yet sealed or written to an SSD). Returns false if the
-// requested container is not the open one.
+// requested container is not the open one. The result is a view of the
+// open container for handing to Decompress at once, not a copy: it is
+// valid only until the next Pack, Flush or Recycle.
 func (e *Compression) ReadPending(container uint64, off uint32, n uint32) ([]byte, bool) {
 	if container != e.builder.Container() {
 		return nil, false
 	}
-	data, ok := e.builder.Peek(int(off), int(n))
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, n)
-	copy(out, data)
-	return out, true
+	return e.builder.Peek(int(off), int(n))
 }
 
 // seal closes the open container into the sealed queue.
@@ -305,12 +308,30 @@ func (e *Compression) seal() {
 func (e *Compression) Flush() { e.seal() }
 
 // TakeSealed removes and returns all sealed containers (the data SSDs
-// fetch them straight from engine memory over PCIe P2P).
+// fetch them straight from engine memory over PCIe P2P). The caller owns
+// the slice and the buffers, and may hand both back with Recycle once the
+// bytes are on the SSD.
 func (e *Compression) TakeSealed() []SealedContainer {
+	if len(e.sealed) == 0 {
+		return nil // keep the recycled queue for the next seal
+	}
 	out := e.sealed
 	e.sealed = nil
 	e.queueDepth.Set(0)
 	return out
+}
+
+// Recycle hands back what TakeSealed returned: the buffers go to the
+// builder, the slice becomes the sealed queue again. The caller must not
+// touch either afterwards.
+func (e *Compression) Recycle(sealed []SealedContainer) {
+	for i := range sealed {
+		e.builder.Recycle(sealed[i].Data)
+		sealed[i].Data = nil
+	}
+	if e.sealed == nil {
+		e.sealed = sealed[:0]
+	}
 }
 
 // OpenContainer returns the index of the container currently being packed.

@@ -7,6 +7,7 @@ import (
 
 	"fidr/internal/blockcomp"
 	"fidr/internal/fingerprint"
+	"fidr/internal/ssd"
 )
 
 func newEngine(t *testing.T, containerSize int) *Compression {
@@ -274,5 +275,113 @@ func BenchmarkCompressLanes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// packAndWrite packs chunks whose ratios (and so compressed sizes) vary,
+// flushing part-way so the seals have unequal fill, and writes every
+// sealed container to dev the way core.writeSealed does — handing the
+// buffers back afterwards when recycle is set. It returns how many
+// containers it wrote.
+func packAndWrite(t *testing.T, e *Compression, dev *ssd.SSD, recycle bool) int {
+	t.Helper()
+	written := 0
+	drain := func() {
+		sealed := e.TakeSealed()
+		for _, sc := range sealed {
+			if err := dev.Write(sc.Index*uint64(len(sc.Data)), sc.Data); err != nil {
+				t.Fatal(err)
+			}
+			written++
+		}
+		if recycle {
+			e.Recycle(sealed)
+		}
+	}
+	for i := uint64(0); i < 60; i++ {
+		in := mkIn(i, []float64{0.9, 0.1, 0.5, 0.3}[i%4])
+		rs, err := e.CompressMany([][]byte{in.Data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Pack(in.LBA, in.FP, rs[0].Data, len(in.Data)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 7 || i == 30 || i == 31 {
+			e.Flush() // a nearly empty container between full ones
+		}
+		drain()
+	}
+	e.Flush()
+	drain()
+	return written
+}
+
+// TestRecycleKeepsContainersIdentical: a recycled buffer once held another
+// container's chunks; re-zeroing it must leave every container on the SSD
+// — padding included — byte-identical to one packed into fresh buffers.
+func TestRecycleKeepsContainersIdentical(t *testing.T) {
+	const size = 16 << 10
+	var devs [2]*ssd.SSD
+	var n [2]int
+	for i, recycle := range []bool{false, true} {
+		cfg := ssd.Samsung970Pro("data")
+		devs[i] = ssd.MustNew(cfg)
+		n[i] = packAndWrite(t, newEngine(t, size), devs[i], recycle)
+	}
+	if n[0] != n[1] || n[0] < 6 {
+		t.Fatalf("wrote %d and %d containers, want the same and several", n[0], n[1])
+	}
+	for c := 0; c < n[0]; c++ {
+		fresh, _ := devs[0].Read(uint64(c*size), size)
+		reused, _ := devs[1].Read(uint64(c*size), size)
+		if !bytes.Equal(fresh, reused) {
+			t.Fatalf("container %d differs when its buffer was recycled", c)
+		}
+	}
+}
+
+// TestSealCycleNoAllocs: pack until a container seals, take it, write it,
+// hand it back — once two buffers are in circulation the cycle allocates
+// nothing. (CompressMany is left out: lanes.Run allocates its busy-time
+// slice and closure per batch.)
+func TestSealCycleNoAllocs(t *testing.T) {
+	const size = 16 << 10
+	e := newEngine(t, size)
+	dev := ssd.MustNew(ssd.Samsung970Pro("data"))
+	for c := 0; c < 4; c++ { // every page the cycle will write exists
+		if err := dev.Write(uint64(c*size), make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := mkIn(1, 0.5)
+	cdata, _, err := e.Compress(in.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealedN := 0
+	cycle := func() {
+		for before := e.OpenContainer(); e.OpenContainer() == before; {
+			if _, err := e.Pack(in.LBA, in.FP, cdata, len(in.Data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealed := e.TakeSealed()
+		for _, sc := range sealed {
+			// Containers wrap onto four slots so the device grows no pages.
+			if err := dev.Write(sc.Index%4*size, sc.Data); err != nil {
+				t.Fatal(err)
+			}
+			sealedN++
+		}
+		e.Recycle(sealed)
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("seal cycle: %v allocs/run, want 0", n)
+	}
+	if sealedN < 20 {
+		t.Fatalf("only %d containers sealed", sealedN)
 	}
 }

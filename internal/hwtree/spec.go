@@ -66,6 +66,12 @@ type SpecExecutor struct {
 	issued, committed, crashes, windows metrics.Counter
 
 	queue []Update
+	// Window scratch, owned across windows so a steady-state update
+	// allocates nothing: the request's search path and leaf neighbours,
+	// the window's speculative write set and its crashed requests.
+	path, neighbors []NodeID
+	specUpdated     map[NodeID]bool
+	replay          []Update
 }
 
 // NewSpecExecutor wraps t with a W-way speculative update pipeline.
@@ -73,7 +79,7 @@ func NewSpecExecutor(t *Tree, w int) (*SpecExecutor, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("hwtree: concurrency %d < 1", w)
 	}
-	return &SpecExecutor{t: t, W: w}, nil
+	return &SpecExecutor{t: t, W: w, specUpdated: make(map[NodeID]bool)}, nil
 }
 
 // Tree returns the underlying tree.
@@ -118,31 +124,16 @@ func (e *SpecExecutor) window() {
 	rest := e.queue[w:]
 	e.windows.Inc()
 
-	specUpdated := make(map[NodeID]bool)
-	var replay []Update
+	clear(e.specUpdated)
+	e.replay = e.replay[:0]
 	for _, req := range batch {
 		e.issued.Inc()
 		// Search phase: record traversed nodes and leaf neighbors.
-		path, neighbors := e.t.PathTo(req.Key)
-		crash := false
-		for _, id := range path {
-			if specUpdated[id] {
-				crash = true
-				break
-			}
-		}
-		if !crash {
-			for _, id := range neighbors {
-				if specUpdated[id] {
-					crash = true
-					break
-				}
-			}
-		}
-		if crash {
+		e.path, e.neighbors = e.t.AppendPathTo(e.path[:0], e.neighbors[:0], req.Key)
+		if e.speculated(e.path) || e.speculated(e.neighbors) {
 			// Wrong speculation: discard and replay (Algorithm 2 line 2).
 			e.crashes.Inc()
-			replay = append(replay, req)
+			e.replay = append(e.replay, req)
 			continue
 		}
 		// Correct speculation: apply staged changes (Algorithm 2 lines
@@ -160,10 +151,24 @@ func (e *SpecExecutor) window() {
 		// Only nodes the request *modified* enter the speculative set
 		// (Algorithm 1 line 5); read-sharing of upper levels is safe.
 		for _, id := range tc.IDs {
-			specUpdated[id] = true
+			e.specUpdated[id] = true
 		}
 	}
 	// Replayed requests go to the front so ordering with later requests
-	// on the same key is preserved.
-	e.queue = append(replay, rest...)
+	// on the same key is preserved. There are at most w of them, so they
+	// land in the slots the window vacated and the queue keeps its array.
+	n := copy(e.queue, e.replay)
+	n += copy(e.queue[n:], rest)
+	e.queue = e.queue[:n]
+}
+
+// speculated reports whether an earlier request of this window modified
+// any of ids.
+func (e *SpecExecutor) speculated(ids []NodeID) bool {
+	for _, id := range ids {
+		if e.specUpdated[id] {
+			return true
+		}
+	}
+	return false
 }

@@ -64,6 +64,8 @@ type Tree struct {
 	free []NodeID
 	root NodeID
 	size int
+
+	touched Touched // the last mutation's write set, see Touched
 }
 
 // NewTree returns an empty tree.
@@ -105,22 +107,17 @@ func (t *Tree) Height() int {
 // LiveNodes returns the number of allocated nodes.
 func (t *Tree) LiveNodes() int { return len(t.pool) - len(t.free) }
 
-// Get looks up key, returning its value and the search path (root to
-// leaf). The path length is the pipeline occupancy of one search.
-func (t *Tree) Get(key uint64) (val uint64, ok bool, path []NodeID) {
-	id := t.root
-	for {
-		path = append(path, id)
-		nd := t.nd(id)
-		if nd.leaf {
-			i := nd.find(key)
-			if i < nd.n && nd.keys[i] == key {
-				return nd.vals[i], true, path
-			}
-			return 0, false, path
-		}
-		id = nd.children[nd.route(key)]
+// Get looks up key, returning its value and the leaf that holds (or would
+// hold) it. It records no path; PathTo gives the whole search path.
+func (t *Tree) Get(key uint64) (val uint64, ok bool, leaf NodeID) {
+	nd := t.nd(t.root)
+	for leaf = t.root; !nd.leaf; nd = t.nd(leaf) {
+		leaf = nd.children[nd.route(key)]
 	}
+	if i := nd.find(key); i < nd.n && nd.keys[i] == key {
+		return nd.vals[i], true, leaf
+	}
+	return 0, false, leaf
 }
 
 // find returns the first index with keys[i] >= key.
@@ -139,6 +136,11 @@ func (nd *node) route(key uint64) int {
 // split or merge into an adjacent node, so neighbors are part of the
 // speculative read-write set.
 func (t *Tree) PathTo(key uint64) (path, neighbors []NodeID) {
+	return t.AppendPathTo(nil, nil, key)
+}
+
+// AppendPathTo is PathTo appending to caller-owned slices.
+func (t *Tree) AppendPathTo(path, neighbors []NodeID, key uint64) ([]NodeID, []NodeID) {
 	id := t.root
 	var parent NodeID = noNode
 	var childIdx int
@@ -163,7 +165,8 @@ func (t *Tree) PathTo(key uint64) (path, neighbors []NodeID) {
 	}
 }
 
-// Touched accumulates the slots a mutating operation wrote.
+// Touched accumulates the slots a mutating operation wrote. The tree
+// owns the IDs array: a result is valid until the next Put or Delete.
 type Touched struct {
 	IDs []NodeID
 }
@@ -174,8 +177,9 @@ func (tc *Touched) add(id NodeID) { tc.IDs = append(tc.IDs, id) }
 // (including nodes created by splits and every ancestor whose separator
 // or child list changed).
 func (t *Tree) Put(key, val uint64) Touched {
-	var tc Touched
-	newID, sep, grew := t.insert(t.root, key, val, &tc)
+	tc := &t.touched
+	tc.IDs = tc.IDs[:0]
+	newID, sep, grew := t.insert(t.root, key, val, tc)
 	if newID != noNode {
 		newRoot := t.alloc(false)
 		r := t.nd(newRoot)
@@ -189,7 +193,7 @@ func (t *Tree) Put(key, val uint64) Touched {
 	if grew {
 		t.size++
 	}
-	return tc
+	return *tc
 }
 
 func (t *Tree) insert(id NodeID, key, val uint64, tc *Touched) (newID NodeID, sep uint64, grew bool) {
@@ -281,8 +285,9 @@ func (t *Tree) insert(id NodeID, key, val uint64, tc *Touched) (newID NodeID, se
 // Delete removes key, returning whether it was present and the touched
 // slots.
 func (t *Tree) Delete(key uint64) (bool, Touched) {
-	var tc Touched
-	removed := t.remove(t.root, key, &tc)
+	tc := &t.touched
+	tc.IDs = tc.IDs[:0]
+	removed := t.remove(t.root, key, tc)
 	if removed {
 		t.size--
 	}
@@ -293,7 +298,7 @@ func (t *Tree) Delete(key uint64) (bool, Touched) {
 		t.dealloc(old)
 		tc.add(old)
 	}
-	return removed, tc
+	return removed, *tc
 }
 
 func (t *Tree) minKeys(leaf bool) int {

@@ -11,8 +11,11 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("len=%d height=%d", tr.Len(), tr.Height())
 	}
-	if _, ok, path := tr.Get(5); ok || len(path) != 1 {
-		t.Fatalf("empty get: ok=%v pathlen=%d", ok, len(path))
+	if _, ok, _ := tr.Get(5); ok {
+		t.Fatal("empty get found a key")
+	}
+	if path, _ := tr.PathTo(5); len(path) != 1 {
+		t.Fatalf("empty tree: pathlen=%d", len(path))
 	}
 	if removed, _ := tr.Delete(5); removed {
 		t.Fatal("deleted from empty tree")
@@ -31,12 +34,13 @@ func TestPutGetSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 5000; i++ {
-		v, ok, path := tr.Get(i)
+		v, ok, leaf := tr.Get(i)
 		if !ok || v != i*3 {
 			t.Fatalf("key %d: v=%d ok=%v", i, v, ok)
 		}
-		if len(path) != tr.Height() {
-			t.Fatalf("path length %d != height %d", len(path), tr.Height())
+		path, _ := tr.PathTo(i)
+		if len(path) != tr.Height() || path[len(path)-1] != leaf {
+			t.Fatalf("path %v: want height %d ending in leaf %d", path, tr.Height(), leaf)
 		}
 	}
 	if tr.Len() != 5000 {

@@ -88,13 +88,14 @@ func Run(n, k int, fn func(lane, item int)) []time.Duration {
 		return []time.Duration{time.Since(start)}
 	}
 	busy := make([]time.Duration, k)
+	stride := k // k was reassigned above; a fresh name is captured by value, not moved to the heap
 	var wg sync.WaitGroup
 	wg.Add(k)
 	for l := 0; l < k; l++ {
 		go func(l int) {
 			defer wg.Done()
 			start := time.Now()
-			for i := l; i < n; i += k {
+			for i := l; i < n; i += stride {
 				fn(l, i)
 			}
 			busy[l] = time.Since(start)

@@ -15,6 +15,8 @@ type Builder struct {
 	buf       []byte
 	used      int
 	count     int
+	// spare holds sealed buffers handed back by Recycle, already zeroed.
+	spare [][]byte
 }
 
 // NewBuilder creates a Builder producing containers of the given size.
@@ -74,7 +76,8 @@ func (b *Builder) Container() uint64 { return b.container }
 
 // Seal closes the current container and starts the next one. It returns
 // the sealed container's index and its full-size contents (zero padded),
-// ready for one sequential SSD write. Sealing an empty container returns
+// ready for one sequential SSD write; the caller owns data until it hands
+// it back with Recycle, if ever. Sealing an empty container returns
 // ok=false and advances nothing.
 func (b *Builder) Seal() (container uint64, data []byte, ok bool) {
 	if b.count == 0 {
@@ -83,8 +86,24 @@ func (b *Builder) Seal() (container uint64, data []byte, ok bool) {
 	container = b.container
 	data = b.buf
 	b.container++
-	b.buf = make([]byte, b.size)
+	if n := len(b.spare); n > 0 {
+		b.buf, b.spare = b.spare[n-1], b.spare[:n-1]
+	} else {
+		b.buf = make([]byte, b.size)
+	}
 	b.used = 0
 	b.count = 0
 	return container, data, true
+}
+
+// Recycle takes back a buffer Seal returned, once nothing reads it any
+// more. It is zeroed here, so padding is zero as in a fresh buffer and
+// containers on the SSD are byte-identical either way. The caller must not
+// touch data afterwards; a buffer of the wrong size is dropped.
+func (b *Builder) Recycle(data []byte) {
+	if len(data) != b.size {
+		return
+	}
+	clear(data)
+	b.spare = append(b.spare, data)
 }

@@ -137,6 +137,11 @@ type FIDR struct {
 	// its reusable boundary scratch (no per-call allocation).
 	chunker *chunk.CDC
 	bounds  []int
+	// Batch scratch behind HashAll's and ScheduleBatch's results, each
+	// valid until the next call of the method it serves.
+	pending []int
+	hashed  []WriteEntry
+	unique  []WriteEntry
 
 	counters
 }
@@ -244,15 +249,17 @@ func (n *FIDR) BufferedBytes() int { return n.buffered }
 // Unhashed chunks fan out across the configured hash lanes with a
 // deterministic chunk->lane assignment; fingerprints and stats are
 // committed in buffer order after the join, so the result is
-// byte-identical to the serial path at any lane count.
+// byte-identical to the serial path at any lane count. The returned
+// slice is NIC scratch, valid until the next HashAll.
 func (n *FIDR) HashAll() []WriteEntry {
 	start := time.Now()
-	var pending []int
+	pending := n.pending[:0]
 	for i := range n.buffer {
 		if !n.buffer[i].Hashed {
 			pending = append(pending, i)
 		}
 	}
+	n.pending = pending
 	if len(pending) > 0 {
 		k := lanes.Clamp(n.hashLanes, len(pending))
 		busy := lanes.Run(len(pending), k, func(_, p int) {
@@ -270,13 +277,11 @@ func (n *FIDR) HashAll() []WriteEntry {
 		n.busyNS.Add(uint64(time.Since(start)))
 		n.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
 	}
-	out := make([]WriteEntry, len(n.buffer))
-	for i := range n.buffer {
-		e := n.buffer[i]
-		e.Data = nil
-		out[i] = e
+	n.hashed = append(n.hashed[:0], n.buffer...)
+	for i := range n.hashed {
+		n.hashed[i].Data = nil
 	}
-	return out
+	return n.hashed
 }
 
 // LookupRead serves a read from the in-NIC write buffer if the LBA is
@@ -295,12 +300,14 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 // (computed by the host's table lookup) and returns the batch of unique
 // chunks for the Compression Engines. Duplicate chunks are dropped from
 // the NIC buffer — they never cross PCIe, which is FIDR's bandwidth win.
-// flags must align with the entries returned by HashAll.
+// flags must align with the entries returned by HashAll. The returned
+// slice is NIC scratch, valid until the next ScheduleBatch; the chunk
+// buffers it points at are the caller's.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	if len(flags) != len(n.buffer) {
 		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), len(n.buffer))
 	}
-	var unique []WriteEntry
+	unique := n.unique[:0]
 	for i, isUnique := range flags {
 		if isUnique {
 			unique = append(unique, n.buffer[i])
@@ -314,9 +321,10 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	n.uniqueSent.Add(uint64(len(unique)))
 	n.dupDrops.Add(uint64(len(flags) - len(unique)))
 	n.batches.Inc()
+	n.unique = unique
 	n.buffer = n.buffer[:0]
 	n.buffered = 0
-	n.lbaIndex = make(map[uint64]int)
+	clear(n.lbaIndex)
 	n.queueDepth.Set(0)
 	n.bufferedBytes.Set(0)
 	return unique, nil

@@ -62,9 +62,7 @@ func (b *memBacking) read(dst []byte, off uint64) error {
 		if buf, ok := b.m[page]; ok {
 			copy(dst[i:i+chunk], buf[inPage:inPage+uint64(chunk)])
 		} else {
-			for j := i; j < i+chunk; j++ {
-				dst[j] = 0
-			}
+			clear(dst[i : i+chunk])
 		}
 		i += chunk
 	}
@@ -103,9 +101,7 @@ func (b *fileBacking) read(dst []byte, off uint64) error {
 	n, err := b.f.ReadAt(dst, int64(off))
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		// Beyond the file's high-water mark: zero-fill the tail.
-		for i := n; i < len(dst); i++ {
-			dst[i] = 0
-		}
+		clear(dst[n:])
 		return nil
 	}
 	if err != nil {

@@ -42,25 +42,26 @@ func (o Owner) String() string {
 type OpCode int
 
 const (
-	// OpRead reads Length bytes at Offset.
+	// OpRead fills Data from Offset.
 	OpRead OpCode = iota
 	// OpWrite writes Data at Offset.
 	OpWrite
 )
 
-// Command is one queued NVMe command.
+// Command is one queued NVMe command. Data is the submitter's buffer in
+// both directions, as an NVMe PRP entry names host memory: a write's
+// source, a read's destination (its length is the read length).
 type Command struct {
 	Op     OpCode
 	Offset uint64
-	Length int    // for reads
-	Data   []byte // for writes
+	Data   []byte
 	Tag    uint64 // caller-chosen identifier echoed in the completion
 }
 
 // Completion reports a finished command.
 type Completion struct {
 	Tag  uint64
-	Data []byte // read payload, nil for writes
+	Data []byte // a read's filled destination buffer, nil for writes
 	Err  error
 }
 
@@ -75,6 +76,9 @@ type QueuePair struct {
 	depth int
 	sq    []Command
 	cq    []Completion
+	// reaped counts the head of cq Reap already handed out; the ring
+	// rewinds when empty, so neither queue reallocates in steady state.
+	reaped int
 
 	submitted uint64
 	completed uint64
@@ -95,7 +99,7 @@ func (q *QueuePair) Owner() Owner { return q.owner }
 func (q *QueuePair) Depth() int { return q.depth }
 
 // Pending returns the number of submitted but unreaped commands.
-func (q *QueuePair) Pending() int { return len(q.sq) + len(q.cq) }
+func (q *QueuePair) Pending() int { return len(q.sq) + len(q.cq) - q.reaped }
 
 // Submit enqueues a command. Returns ErrQueueFull if SQ+CQ occupancy
 // reached the ring depth (completions must be reaped to free slots).
@@ -118,7 +122,7 @@ func (q *QueuePair) Process() {
 		comp.Tag = cmd.Tag
 		switch cmd.Op {
 		case OpRead:
-			comp.Data, comp.Err = q.dev.Read(cmd.Offset, cmd.Length)
+			comp.Data, comp.Err = cmd.Data, q.dev.ReadInto(cmd.Data, cmd.Offset)
 		case OpWrite:
 			comp.Err = q.dev.Write(cmd.Offset, cmd.Data)
 		default:
@@ -129,14 +133,16 @@ func (q *QueuePair) Process() {
 	q.sq = q.sq[:0]
 }
 
-// Reap removes and returns up to max completions (all if max <= 0).
+// Reap removes and returns up to max completions (all if max <= 0). The
+// result is a view of the completion ring, valid until the next Process.
 func (q *QueuePair) Reap(max int) []Completion {
-	if max <= 0 || max > len(q.cq) {
-		max = len(q.cq)
+	if n := len(q.cq) - q.reaped; max <= 0 || max > n {
+		max = n
 	}
-	out := make([]Completion, max)
-	copy(out, q.cq[:max])
-	q.cq = q.cq[:copy(q.cq, q.cq[max:])]
+	out := q.cq[q.reaped : q.reaped+max]
+	if q.reaped += max; q.reaped == len(q.cq) {
+		q.cq, q.reaped = q.cq[:0], 0
+	}
 	q.completed += uint64(max)
 	q.dev.queueDepth.Set(float64(q.Pending()))
 	return out

@@ -185,9 +185,8 @@ func (s *SSD) Write(off uint64, data []byte) error {
 	if err := s.takeFault(true); err != nil {
 		return fmt.Errorf("ssd %q: injected write fault: %w", s.cfg.Name, err)
 	}
-	if off+uint64(len(data)) > s.cfg.CapacityBytes {
-		return fmt.Errorf("ssd %q: write [%d,%d) beyond capacity %d",
-			s.cfg.Name, off, off+uint64(len(data)), s.cfg.CapacityBytes)
+	if err := s.checkRange("write", off, len(data)); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	err := s.store.write(off, data)
@@ -209,25 +208,45 @@ func (s *SSD) account(ios, bytes *metrics.Counter, n int, at time.Duration) {
 	}
 }
 
-// Read returns n bytes at byte offset off. Never-written regions read as
-// zeros, matching a trimmed flash device.
-func (s *SSD) Read(off uint64, n int) ([]byte, error) {
-	if err := s.takeFault(false); err != nil {
-		return nil, fmt.Errorf("ssd %q: injected read fault: %w", s.cfg.Name, err)
+// checkRange bounds one command against the device capacity. Offsets come
+// from on-disk bytes (PBAs, bucket numbers): off+n, which wraps, is never formed.
+func (s *SSD) checkRange(verb string, off uint64, n int) error {
+	if c := s.cfg.CapacityBytes; n < 0 || off > c || uint64(n) > c-off {
+		return fmt.Errorf("ssd %q: %s of %d bytes at %d beyond capacity %d", s.cfg.Name, verb, n, off, c)
 	}
-	if n < 0 || off+uint64(n) > s.cfg.CapacityBytes {
-		return nil, fmt.Errorf("ssd %q: read [%d,%d) beyond capacity %d",
-			s.cfg.Name, off, off+uint64(n), s.cfg.CapacityBytes)
+	return nil
+}
+
+// Read returns n bytes at byte offset off in a fresh, caller-owned slice.
+func (s *SSD) Read(off uint64, n int) ([]byte, error) {
+	if err := s.checkRange("read", off, n); err != nil {
+		return nil, err // before make: n is as untrusted as off
 	}
 	out := make([]byte, n)
+	if err := s.ReadInto(out, off); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadInto is the device read: a DMA from byte offset off into a buffer
+// the caller owns (a table-cache line, a server's read scratch).
+// Never-written regions read as zeros, matching a trimmed flash device.
+func (s *SSD) ReadInto(dst []byte, off uint64) error {
+	if err := s.takeFault(false); err != nil {
+		return fmt.Errorf("ssd %q: injected read fault: %w", s.cfg.Name, err)
+	}
+	if err := s.checkRange("read", off, len(dst)); err != nil {
+		return err
+	}
 	s.mu.RLock()
-	err := s.store.read(out, off)
+	err := s.store.read(dst, off)
 	s.mu.RUnlock()
 	if err != nil {
-		return nil, fmt.Errorf("ssd %q: %w", s.cfg.Name, err)
+		return fmt.Errorf("ssd %q: %w", s.cfg.Name, err)
 	}
-	s.account(&s.reads, &s.readBytes, n, s.AccessTime(false, n))
-	return out, nil
+	s.account(&s.reads, &s.readBytes, len(dst), s.AccessTime(false, len(dst)))
+	return nil
 }
 
 // AccessTime models one command's device time: fixed command latency plus

@@ -98,6 +98,66 @@ func TestBoundsChecks(t *testing.T) {
 	}
 }
 
+// TestBoundsChecksDoNotWrap: off+n wrapping past 2^64 used to pass the
+// capacity check — the read returned zeros with a nil error and the write
+// stored pages at a wrapped address. Offsets come from PBAs and bucket
+// numbers, i.e. from bytes a checkpoint or WAL supplied.
+func TestBoundsChecksDoNotWrap(t *testing.T) {
+	s := MustNew(testConfig())
+	for _, off := range []uint64{^uint64(0) - 1, ^uint64(0) - 4095, ^uint64(0), s.Config().CapacityBytes + 1} {
+		if _, err := s.Read(off, 4096); err == nil {
+			t.Errorf("Read at %#x accepted", off)
+		}
+		if err := s.ReadInto(make([]byte, 4096), off); err == nil {
+			t.Errorf("ReadInto at %#x accepted", off)
+		}
+		if err := s.Write(off, make([]byte, 4096)); err == nil {
+			t.Errorf("Write at %#x accepted", off)
+		}
+	}
+	if s.StoredPages() != 0 {
+		t.Errorf("rejected writes stored %d pages", s.StoredPages())
+	}
+	if st := s.Stats(); st.ReadIOs+st.WriteIOs != 0 {
+		t.Errorf("rejected commands were accounted: %+v", st)
+	}
+	// The last byte of the device is still addressable.
+	if err := s.Write(s.Config().CapacityBytes-1, []byte{7}); err != nil {
+		t.Errorf("write of the last byte: %v", err)
+	}
+	if err := s.ReadInto(nil, s.Config().CapacityBytes); err != nil {
+		t.Errorf("empty read at capacity: %v", err)
+	}
+}
+
+// TestReadIntoMatchesRead: Read is make + ReadInto — same bytes, same
+// faults, same accounting — and ReadInto itself allocates nothing.
+func TestReadIntoMatchesRead(t *testing.T) {
+	s := MustNew(testConfig())
+	data := bytes.Repeat([]byte("fidr"), 3000) // unaligned, spans pages
+	if err := s.Write(1000, data); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Read(500, 13000) // leading and trailing holes read as zeros
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bytes.Repeat([]byte{0xFF}, 13000)
+	if err := s.ReadInto(got, 500); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadInto differs from Read (err %v)", err)
+	}
+	if st := s.Stats(); st.ReadIOs != 2 || st.ReadBytes != 26000 {
+		t.Errorf("both forms must account one command each: %+v", st)
+	}
+	s.InjectFaults(1, 0, bytes.ErrTooLarge)
+	if err := s.ReadInto(got, 500); err == nil {
+		t.Error("injected read fault not delivered to ReadInto")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.ReadInto(got, 500) }); n != 0 {
+		t.Errorf("ReadInto: %v allocs/run, want 0", n)
+	}
+}
+
 func TestWriteReadProperty(t *testing.T) {
 	s := MustNew(testConfig())
 	prop := func(off uint32, data []byte) bool {
@@ -187,7 +247,7 @@ func TestQueuePairBasic(t *testing.T) {
 	if err := q.Submit(Command{Op: OpWrite, Offset: 0, Data: payload, Tag: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Submit(Command{Op: OpRead, Offset: 0, Length: len(payload), Tag: 2}); err != nil {
+	if err := q.Submit(Command{Op: OpRead, Offset: 0, Data: make([]byte, len(payload)), Tag: 2}); err != nil {
 		t.Fatal(err)
 	}
 	q.Process()
@@ -210,21 +270,48 @@ func TestQueuePairFull(t *testing.T) {
 	s := MustNew(testConfig())
 	q, _ := NewQueuePair(s, OwnerHost, 2)
 	for i := 0; i < 2; i++ {
-		if err := q.Submit(Command{Op: OpRead, Length: 1}); err != nil {
+		if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := q.Submit(Command{Op: OpRead, Length: 1}); err != ErrQueueFull {
+	if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != ErrQueueFull {
 		t.Fatalf("expected ErrQueueFull, got %v", err)
 	}
 	q.Process()
 	// Ring slots free only after reap.
-	if err := q.Submit(Command{Op: OpRead, Length: 1}); err != ErrQueueFull {
+	if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != ErrQueueFull {
 		t.Fatalf("slots freed before reap: %v", err)
 	}
 	q.Reap(1)
-	if err := q.Submit(Command{Op: OpRead, Length: 1}); err != nil {
+	if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != nil {
 		t.Fatalf("slot not freed after reap: %v", err)
+	}
+}
+
+// TestQueuePairSteadyStateNoAllocs: a submit/process/reap round trip
+// reads into the submitter's buffer and reuses the rings.
+func TestQueuePairSteadyStateNoAllocs(t *testing.T) {
+	s := MustNew(testConfig())
+	q, _ := NewQueuePair(s, OwnerHW, 4)
+	line := make([]byte, 4096)
+	if err := s.Write(8192, bytes.Repeat([]byte{9}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		if err := q.Submit(Command{Op: OpRead, Offset: 8192, Data: line, Tag: 2}); err != nil {
+			t.Fatal(err)
+		}
+		q.Process()
+		if c := q.Reap(1); len(c) != 1 || c[0].Err != nil || &c[0].Data[0] != &line[0] || line[0] != 9 {
+			t.Fatalf("completion %+v: want the submitted buffer, filled", c)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("queue round trip: %v allocs/run, want 0", n)
+	}
+	if q.Pending() != 0 {
+		t.Errorf("pending %d after reaping everything", q.Pending())
 	}
 }
 
@@ -235,7 +322,7 @@ func TestQueuePairErrors(t *testing.T) {
 	}
 	q, _ := NewQueuePair(s, OwnerHost, 4)
 	// Out-of-range read surfaces as completion error, not panic.
-	q.Submit(Command{Op: OpRead, Offset: s.Config().CapacityBytes, Length: 10, Tag: 9})
+	q.Submit(Command{Op: OpRead, Offset: s.Config().CapacityBytes, Data: make([]byte, 10), Tag: 9})
 	q.Process()
 	comps := q.Reap(0)
 	if len(comps) != 1 || comps[0].Err == nil {

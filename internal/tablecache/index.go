@@ -60,10 +60,8 @@ func newHWIndex(width int) (*hwIndex, error) {
 func (h *hwIndex) lookup(bucket uint64) (uint64, bool) {
 	// Updates queued ahead of this lookup must land first.
 	h.exec.Drain()
-	v, ok, path := h.exec.Tree().Get(bucket)
-	if len(path) > 0 {
-		h.leafSim.Access(path[len(path)-1])
-	}
+	v, ok, leaf := h.exec.Tree().Get(bucket)
+	h.leafSim.Access(leaf)
 	return v, ok
 }
 

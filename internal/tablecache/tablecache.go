@@ -21,7 +21,6 @@
 package tablecache
 
 import (
-	"container/list"
 	"fmt"
 	"time"
 
@@ -111,8 +110,12 @@ type Cache struct {
 	lineValid  []bool
 	dirty      []bool
 	freeList   []uint64
-	lru        *list.List               // front = most recent; values are line numbers
-	lruElem    map[uint64]*list.Element // line -> element
+	// The LRU is a circular doubly linked list threaded through the line
+	// numbers: entry i links line i, entry CacheLines is the sentinel
+	// (its next is the most recent line, its prev the eviction victim).
+	// A line that is not on the list points at itself, which makes
+	// unlinking it a no-op.
+	lruPrev, lruNext []uint64
 
 	// Activity counters: read by Stats and, once attached, by "tablecache.*".
 	lookups, hits, misses metrics.Counter
@@ -166,12 +169,15 @@ func New(cfg Config) (*Cache, error) {
 		lineBucket: make([]uint64, cfg.CacheLines),
 		lineValid:  make([]bool, cfg.CacheLines),
 		dirty:      make([]bool, cfg.CacheLines),
-		lru:        list.New(),
-		lruElem:    make(map[uint64]*list.Element, cfg.CacheLines),
+		lruPrev:    make([]uint64, cfg.CacheLines+1),
+		lruNext:    make([]uint64, cfg.CacheLines+1),
 	}
 	for i := range c.lines {
 		c.lines[i] = make([]byte, hashpbn.BucketSize)
 		c.freeList = append(c.freeList, uint64(i))
+	}
+	for i := range c.lruPrev {
+		c.lruPrev[i], c.lruNext[i] = uint64(i), uint64(i)
 	}
 	switch cfg.Mode {
 	case Software:
@@ -301,7 +307,7 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 		return 0, err
 	}
 	// Fetch the bucket from the table SSD into the host-memory line.
-	if err := c.ssdRead(bucket, line); err != nil {
+	if err := c.ssdIO(ssd.OpRead, "read", bucket, line); err != nil {
 		return 0, err
 	}
 	c.lineBucket[line] = bucket
@@ -321,17 +327,16 @@ func (c *Cache) allocLine() (uint64, error) {
 		c.freeList = c.freeList[:n-1]
 		return line, nil
 	}
-	back := c.lru.Back()
-	if back == nil {
+	head := uint64(len(c.lines))
+	line := c.lruPrev[head]
+	if line == head {
 		return 0, fmt.Errorf("tablecache: no line to evict")
 	}
-	line := back.Value.(uint64)
-	c.lru.Remove(back)
-	delete(c.lruElem, line)
+	c.lruUnlink(line)
 	c.evictions.Inc()
 	c.idx.remove(c.lineBucket[line])
 	if c.dirty[line] {
-		if err := c.ssdWrite(c.lineBucket[line], line); err != nil {
+		if err := c.ssdIO(ssd.OpWrite, "write", c.lineBucket[line], line); err != nil {
 			return 0, err
 		}
 		c.flushes.Inc()
@@ -344,50 +349,37 @@ func (c *Cache) allocLine() (uint64, error) {
 // host in both modes (§5.5), so the small bookkeeping cost is host CPU.
 func (c *Cache) touchLRU(line uint64) {
 	c.cfg.Ledger.CPU(hostmodel.CompTableReplace, c.cfg.Costs.LRUPerAccessNs)
-	if el, ok := c.lruElem[line]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.lruElem[line] = c.lru.PushFront(line)
+	c.lruUnlink(line)
+	head := uint64(len(c.lines))
+	first := c.lruNext[head]
+	c.lruPrev[line], c.lruNext[line] = head, first
+	c.lruNext[head], c.lruPrev[first] = line, line
 }
 
-// ssdRead fetches a bucket into a line, charging the right owner.
-func (c *Cache) ssdRead(bucket, line uint64) error {
-	off := bucket * hashpbn.BucketSize
-	if err := c.queue.Submit(ssd.Command{Op: ssd.OpRead, Offset: off, Length: hashpbn.BucketSize, Tag: bucket}); err != nil {
+// lruUnlink takes the line off the LRU list (a no-op if it is not on it).
+func (c *Cache) lruUnlink(line uint64) {
+	p, n := c.lruPrev[line], c.lruNext[line]
+	c.lruNext[p], c.lruPrev[n] = n, p
+	c.lruPrev[line], c.lruNext[line] = line, line
+}
+
+// ssdIO fetches a bucket into a line or flushes a dirty line to its
+// bucket, charging the right owner. The cache line itself is the
+// command's buffer: the device DMAs straight into, or out of, it.
+func (c *Cache) ssdIO(op ssd.OpCode, verb string, bucket, line uint64) error {
+	cmd := ssd.Command{Op: op, Offset: bucket * hashpbn.BucketSize, Data: c.lines[line], Tag: bucket}
+	if err := c.queue.Submit(cmd); err != nil {
 		return err
 	}
 	c.queue.Process()
 	comps := c.queue.Reap(1)
 	if len(comps) != 1 {
-		return fmt.Errorf("tablecache: bucket %d read returned no completion", bucket)
+		return fmt.Errorf("tablecache: bucket %d %s returned no completion", bucket, verb)
 	}
-	if comps[0].Err != nil {
-		return fmt.Errorf("tablecache: bucket %d read failed: %w", bucket, comps[0].Err)
-	}
-	copy(c.lines[line], comps[0].Data)
-	c.chargeSSDIO()
-	// SSD DMA writes the bucket into host memory.
-	c.cfg.Ledger.Mem(hostmodel.PathTableCache, hashpbn.BucketSize)
-	return nil
-}
-
-// ssdWrite flushes a dirty line to its bucket.
-func (c *Cache) ssdWrite(bucket, line uint64) error {
-	off := bucket * hashpbn.BucketSize
-	if err := c.queue.Submit(ssd.Command{Op: ssd.OpWrite, Offset: off, Data: c.lines[line], Tag: bucket}); err != nil {
-		return err
-	}
-	c.queue.Process()
-	comps := c.queue.Reap(1)
-	if len(comps) != 1 {
-		return fmt.Errorf("tablecache: bucket %d write returned no completion", bucket)
-	}
-	if comps[0].Err != nil {
-		return fmt.Errorf("tablecache: bucket %d write failed: %w", bucket, comps[0].Err)
+	if err := comps[0].Err; err != nil {
+		return fmt.Errorf("tablecache: bucket %d %s failed: %w", bucket, verb, err)
 	}
 	c.chargeSSDIO()
-	// SSD DMA reads the dirty line from host memory.
 	c.cfg.Ledger.Mem(hostmodel.PathTableCache, hashpbn.BucketSize)
 	return nil
 }
@@ -449,7 +441,7 @@ func (c *Cache) Scrub(keep func(fp fingerprint.FP, pbn uint64) bool) (int, error
 func (c *Cache) FlushAll() error {
 	for line := range c.lines {
 		if c.lineValid[line] && c.dirty[line] {
-			if err := c.ssdWrite(c.lineBucket[line], uint64(line)); err != nil {
+			if err := c.ssdIO(ssd.OpWrite, "write", c.lineBucket[line], uint64(line)); err != nil {
 				return err
 			}
 			c.dirty[line] = false

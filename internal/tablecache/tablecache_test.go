@@ -10,7 +10,7 @@ import (
 	"fidr/internal/ssd"
 )
 
-func testCache(t *testing.T, mode Mode, lines int) (*Cache, *hostmodel.Ledger) {
+func testCache(t testing.TB, mode Mode, lines int) (*Cache, *hostmodel.Ledger) {
 	t.Helper()
 	geom, err := hashpbn.GeometryFor(100000, 0.5)
 	if err != nil {
@@ -246,19 +246,116 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func BenchmarkCacheLookupHW(b *testing.B) {
-	geom, _ := hashpbn.GeometryFor(100000, 0.5)
-	dev := ssd.MustNew(ssd.Config{Name: "t", CapacityBytes: 1 << 31, PageSize: 4096, ReadBW: 3.5e9, WriteBW: 2.7e9})
-	c, err := New(Config{Geometry: geom, CacheLines: 1024, Mode: HW, UpdateWidth: 4,
-		TableSSD: dev, Ledger: hostmodel.NewLedger(), Costs: hostmodel.DefaultCosts()})
-	if err != nil {
-		b.Fatal(err)
+// missEvictKeys fills a 4-line HW cache with dirty lines and returns
+// fingerprints in distinct buckets: probing them in turn (probeDirty)
+// misses every time, and every miss evicts a dirty line — each bucket has
+// been written back at least once, so the table SSD grows no new pages.
+func missEvictKeys(tb testing.TB, c *Cache) []fingerprint.FP {
+	tb.Helper()
+	seen := map[uint64]bool{}
+	var keys []fingerprint.FP
+	for i := 0; len(keys) < 16; i++ {
+		if b := c.geom.BucketOf(fp(i)); !seen[b] {
+			seen[b] = true
+			keys = append(keys, fp(i))
+		}
 	}
-	for i := 0; i < 5000; i++ {
-		c.Insert(fp(i), uint64(i))
+	for round := 0; round < 2; round++ {
+		for i, k := range keys {
+			// Re-inserting dirties the freshly fetched line.
+			if err := c.Insert(k, uint64(i)); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(fp(i % 5000))
+	return keys
+}
+
+// probeDirty is the dedup flow's pair on one fingerprint: the counted
+// Lookup, then the Insert that lands on the line Lookup made resident and
+// dirties it.
+func probeDirty(tb testing.TB, c *Cache, keys []fingerprint.FP, i int) {
+	k := i % len(keys)
+	if pbn, found, err := c.Lookup(keys[k]); err != nil || !found || pbn != uint64(k) {
+		tb.Fatalf("key %d -> %d,%v,%v", k, pbn, found, err)
 	}
+	if err := c.Insert(keys[k], uint64(k)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestLookupNoAllocs: the uniqueness probe allocates nothing in the
+// steady state — not on a hit (index walk, LRU touch, bucket scan) and
+// not on a miss that evicts a dirty line (index delete + insert through
+// the speculative executor, bucket write-back and bucket fetch through
+// the table-SSD queue, straight out of and into the cache line).
+func TestLookupNoAllocs(t *testing.T) {
+	c, _ := testCache(t, HW, 4)
+	keys := missEvictKeys(t, c)
+	i := 0
+	before := c.Stats()
+	if n := testing.AllocsPerRun(200, func() { probeDirty(t, c, keys, i); i++ }); n != 0 {
+		t.Errorf("miss that evicts a dirty line: %v allocs/run, want 0", n)
+	}
+	after := c.Stats()
+	if d := after.Lookups - before.Lookups; after.Misses-before.Misses != d ||
+		after.Evictions-before.Evictions != d || after.Flushes-before.Flushes != d {
+		t.Fatalf("probes were not all misses evicting a dirty line: %+v -> %+v", before, after)
+	}
+	hit := keys[(i-1)%len(keys)]
+	if n := testing.AllocsPerRun(200, func() { c.Lookup(hit) }); n != 0 {
+		t.Errorf("hit: %v allocs/run, want 0", n)
+	}
+}
+
+// TestLRUOrder pins the replacement order the intrusive list must keep:
+// least recently touched goes first, and a touch rescues a line.
+func TestLRUOrder(t *testing.T) {
+	c, _ := testCache(t, HW, 4)
+	keys := missEvictKeys(t, c)[:6]
+	for _, k := range keys[:4] {
+		c.Lookup(k)
+	}
+	c.Lookup(keys[0]) // order, oldest first: 1 2 3 0
+	c.Lookup(keys[4]) // evicts 1
+	c.Lookup(keys[5]) // evicts 2
+	before := c.Stats().Misses
+	for _, k := range []fingerprint.FP{keys[0], keys[3], keys[4], keys[5]} {
+		c.Lookup(k)
+	}
+	if got := c.Stats().Misses - before; got != 0 {
+		t.Fatalf("%d of the four most recently used lines were evicted", got)
+	}
+	c.Lookup(keys[1])
+	c.Lookup(keys[2])
+	if got := c.Stats().Misses - before; got != 2 {
+		t.Fatalf("the two least recently used buckets should have been evicted, %d misses", got)
+	}
+}
+
+// BenchmarkTableCacheLookup is the probe layer's local number (make
+// bench-go): a resident bucket, and a miss that writes back a dirty
+// victim and fetches the bucket from the table SSD (the loop includes the
+// Insert hit that re-dirties the line, as the dedup flow does).
+func BenchmarkTableCacheLookup(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		c, _ := testCache(b, HW, 1024)
+		for i := 0; i < 500; i++ { // ~500 buckets: all resident
+			c.Insert(fp(i), uint64(i))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Lookup(fp(i % 500))
+		}
+	})
+	b.Run("miss-evict", func(b *testing.B) {
+		c, _ := testCache(b, HW, 4)
+		keys := missEvictKeys(b, c)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			probeDirty(b, c, keys, i)
+		}
+	})
 }
