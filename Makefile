@@ -80,15 +80,19 @@ check-capacity:
 check-doctor:
 	$(GO) test -v -run TestDoctorE2E ./cmd/fidrd
 
-# fuzz runs five fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs eight fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
 # scalar on every input; WAL replay and recovery must survive any log
 # (torn, corrupt, reordered frames) applying a clean prefix or failing
 # typed; the LBA-snapshot decoder must never panic and must round-trip;
 # the LZ compressor must round-trip any input and its decoder must never
 # panic or overrun the declared size on any stream (the fence for
-# compressor work, beside TestLZOutputGolden). FUZZ_TIME extends the
-# per-fuzzer budget locally.
+# compressor work, beside TestLZOutputGolden); the wire frame decoder
+# must reject or round-trip any bytes, any payload must survive framing,
+# and a connection's buffered decoder fed any stream in any fragments
+# must agree with the stateless one frame for frame and error for error
+# (the fence for codec work, beside TestWireBytesGolden). FUZZ_TIME
+# extends the per-fuzzer budget locally.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
@@ -96,23 +100,29 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreTable$$' -fuzztime $(FUZZ_TIME) ./internal/lbatable
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime $(FUZZ_TIME) ./internal/proto
 
-# bench-go runs the layer microbenchmarks — accelerator lanes, the LZ
-# kernel both ways, the table-cache probe (hit / miss that evicts a dirty
-# line) — with benchstat-compatible output (pipe COUNT>=10 runs into
-# benchstat to compare commits). BENCH_COUNT sets -count. Whole-workload
-# numbers come from `bash benchmark/run.sh`, which keeps its harness
-# outside the clock.
+# bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
+# call through the async front-end (idle group / callers meeting on the
+# owner lock), the LZ kernel both ways, the table-cache probe (hit / miss
+# that evicts a dirty line), one 4-KB chunk each way over loopback TCP —
+# with benchstat-compatible output (pipe COUNT>=10 runs into benchstat to
+# compare commits). BENCH_COUNT sets -count. Whole-workload numbers come
+# from `bash benchmark/run.sh`, which keeps its harness outside the clock.
 BENCH_COUNT ?= 5
 bench-go:
 	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkHashLanes|BenchmarkCompressLanes)$$' \
+		-bench '^(BenchmarkHashLanes|BenchmarkCompressLanes|BenchmarkAsyncCall)$$' \
 		-benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run '^$$' \
 		-bench '^(BenchmarkLZCompress4K|BenchmarkLZDecompress4K)$$' \
 		-benchmem -count $(BENCH_COUNT) ./internal/blockcomp
 	$(GO) test -run '^$$' -bench '^BenchmarkTableCacheLookup$$' \
 		-benchmem -count $(BENCH_COUNT) ./internal/tablecache
+	$(GO) test -run '^$$' -bench '^BenchmarkWireRoundTrip$$' \
+		-benchmem -count $(BENCH_COUNT) ./internal/proto
 
 # microbench runs the Go testing benchmarks.
 microbench:

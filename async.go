@@ -1,6 +1,7 @@
 package fidr
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,18 +39,21 @@ var (
 // queues provide backpressure — the software shape of the paper's device
 // manager, which keeps every accelerator busy while requests stream in.
 //
-// A plain Server gets one worker (it is single-owner by design). A
-// Cluster gets one worker per device group, so groups run genuinely in
+// A plain Server gets one group (it is single-owner by design). A
+// Cluster gets one per device group, so groups run genuinely in
 // parallel, matching §5.6's independent per-switch pipelines.
+//
+// A group's owner is whoever holds its owner lock: the group's worker,
+// serving what is queued, or a caller that waits for its result anyway
+// and found nothing queued — it then runs its request itself instead of
+// paying two goroutine hand-offs to have the idle worker do it.
 type Async struct {
-	queues []chan asyncReq
+	groups []*group
 	route  func(lba uint64) int
 	wg     sync.WaitGroup
 
-	// hbs holds one liveness heartbeat per worker; the health plane's
-	// watchdog probes them. completed counts finished requests across
-	// all workers (the progress signal for stuck-queue detection).
-	hbs       []*health.Heartbeat
+	// completed counts finished requests across all groups (the progress
+	// signal for stuck-queue detection).
 	completed atomic.Uint64
 
 	// Front-end metrics; nil until EnableObservability.
@@ -60,8 +64,35 @@ type Async struct {
 	// request (the queue-wait link in the distributed trace tree).
 	col *span.Collector
 
-	mu       sync.Mutex
-	closed   bool
+	// mu orders submissions against Close. Every submission holds the
+	// read lock from its closed check to its queue send or the end of its
+	// inline run; Close sets closed under the write lock before it closes
+	// the queues. So nothing is sent on a closed queue and no inline run
+	// overlaps a worker's final Flush.
+	mu     sync.RWMutex
+	closed bool
+}
+
+// group is one store with its queue, worker and liveness heartbeat.
+type group struct {
+	s  Store
+	ts tracedStore // s's traced surface; nil when it has none
+	q  chan asyncReq
+	// hb brackets every unit of work on the store, whoever runs it; the
+	// health plane's watchdog probes it.
+	hb health.Heartbeat
+	// owner is held while a request, a maintenance closure or the final
+	// Flush runs against s: the store is single-owner.
+	owner sync.Mutex
+	// pending counts submissions queued and not yet finished. A blocking
+	// caller serves itself only when it is zero, so it never overtakes an
+	// earlier submission of its own that it did not wait for.
+	pending atomic.Int64
+	// tc is refilled per request under owner: the back-end reads it
+	// during the call and never retains it.
+	tc TraceContext
+	// flushErr is the worker's final Flush result, read by Close once the
+	// worker has exited.
 	flushErr error
 }
 
@@ -69,12 +100,12 @@ type asyncReq struct {
 	write  bool
 	lba    uint64
 	data   []byte
-	submit time.Time // enqueue time; queue wait = dequeue - submit
+	submit time.Time // submission time; queue wait = service start - submit
 	ctx    span.Context
-	done   chan AsyncResult
-	// fn, when set, is a maintenance closure run on the worker goroutine
-	// against the store it owns (GC, checkpoint, capacity reporting —
-	// anything that must see quiesced single-writer state).
+	done   chan AsyncResult // queued submissions only
+	// fn, when set, is a maintenance closure run as the group's owner
+	// against its store (GC, checkpoint, capacity reporting — anything
+	// that must see quiesced single-writer state).
 	fn func(s Store) error
 }
 
@@ -85,46 +116,46 @@ type AsyncResult struct {
 	Err  error
 }
 
-// NewAsync builds a pipelined front-end. depth is the per-worker queue
+var errAsyncClosed = errors.New("fidr: async store closed")
+
+// NewAsync builds a pipelined front-end. depth is the per-group queue
 // depth (backpressure bound).
 func NewAsync(s Store, depth int) (*Async, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("fidr: queue depth %d", depth)
 	}
-	a := &Async{}
+	a := &Async{route: func(uint64) int { return 0 }}
+	stores := []Store{s}
 	if c, ok := s.(*Cluster); ok {
-		a.queues = make([]chan asyncReq, c.Groups())
-		a.hbs = make([]*health.Heartbeat, c.Groups())
 		a.route = c.GroupFor
-		for i := range a.queues {
-			a.queues[i] = make(chan asyncReq, depth)
-			a.hbs[i] = &health.Heartbeat{}
-			a.wg.Add(1)
-			go a.worker(c.serving(i), a.queues[i], a.hbs[i])
+		stores = stores[:0]
+		for i := 0; i < c.Groups(); i++ {
+			stores = append(stores, c.serving(i))
 		}
-		return a, nil
 	}
-	a.queues = []chan asyncReq{make(chan asyncReq, depth)}
-	a.hbs = []*health.Heartbeat{{}}
-	a.route = func(uint64) int { return 0 }
-	a.wg.Add(1)
-	go a.worker(s, a.queues[0], a.hbs[0])
+	for _, st := range stores {
+		g := &group{s: st, q: make(chan asyncReq, depth)}
+		g.ts, _ = st.(tracedStore)
+		a.groups = append(a.groups, g)
+		a.wg.Add(1)
+		go a.worker(g)
+	}
 	return a, nil
 }
 
 // Workers reports the worker (and queue) count: one for a Server, one
 // per device group for a Cluster.
-func (a *Async) Workers() int { return len(a.queues) }
+func (a *Async) Workers() int { return len(a.groups) }
 
-// WorkerHeartbeat returns worker i's liveness heartbeat for watchdog
+// WorkerHeartbeat returns group i's liveness heartbeat for watchdog
 // probing (health.HeartbeatProbe).
-func (a *Async) WorkerHeartbeat(i int) *health.Heartbeat { return a.hbs[i] }
+func (a *Async) WorkerHeartbeat(i int) *health.Heartbeat { return &a.groups[i].hb }
 
 // QueueDepth reports queue i's current depth (requests waiting plus
 // being picked up), the companion signal for health.ProgressProbe.
-func (a *Async) QueueDepth(i int) int { return len(a.queues[i]) }
+func (a *Async) QueueDepth(i int) int { return len(a.groups[i].q) }
 
-// Completed reports the total requests finished by all workers since
+// Completed reports the total requests finished on all groups since
 // start (monotonic; the progress counter for stuck-queue probes).
 func (a *Async) Completed() uint64 { return a.completed.Load() }
 
@@ -134,39 +165,39 @@ func (a *Async) Completed() uint64 { return a.completed.Load() }
 // view, not inside group registries.
 func (a *Async) DepthGatherer() metrics.Gatherer {
 	return metrics.GathererFunc(func() []metrics.Metric {
-		out := make([]metrics.Metric, len(a.queues))
-		for i := range a.queues {
+		out := make([]metrics.Metric, len(a.groups))
+		for i, g := range a.groups {
 			out[i] = metrics.Metric{
 				Kind: "gauge", Name: fmt.Sprintf("async.queue_depth.g%d", i),
-				Value: float64(len(a.queues[i])),
+				Value: float64(len(g.q)),
 			}
 		}
 		return out
 	})
 }
 
-// InjectStall is a test hook: it enqueues a maintenance op on worker
+// InjectStall is a test hook: it enqueues a maintenance op on group
 // 0's queue that sleeps for d, simulating a wedged worker (the
 // heartbeat stays busy without beating, queued work stops draining).
 // Non-blocking: a full queue returns an error instead of deadlocking
-// the caller. The result channel is drained internally.
+// the caller. Nobody waits for the result.
 //
 // It exists for the watchdog's end-to-end test (fidrd -debug-hooks
 // exposes it as POST /debug/stall) and must never be reachable in
 // production configurations.
 func (a *Async) InjectStall(d time.Duration) error {
-	a.mu.Lock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	if a.closed {
-		a.mu.Unlock()
-		return fmt.Errorf("fidr: async store closed")
+		return errAsyncClosed
 	}
-	q := a.queues[0]
-	a.mu.Unlock()
-	done := make(chan AsyncResult, 1)
+	g := a.groups[0]
+	g.pending.Add(1)
 	select {
-	case q <- asyncReq{fn: func(Store) error { time.Sleep(d); return nil }, done: done}:
+	case g.q <- asyncReq{fn: func(Store) error { time.Sleep(d); return nil }, done: make(chan AsyncResult, 1)}:
 		return nil
 	default:
+		g.pending.Add(-1)
 		return fmt.Errorf("fidr: queue full, stall not injected")
 	}
 }
@@ -188,79 +219,153 @@ func (a *Async) EnableObservability(reg *metrics.Registry) {
 // Call before submitting traffic.
 func (a *Async) SetSpanCollector(col *span.Collector) { a.col = col }
 
-func (a *Async) worker(s Store, q chan asyncReq, hb *health.Heartbeat) {
+// worker serves g's queue until Close, then flushes the store.
+func (a *Async) worker(g *group) {
 	defer a.wg.Done()
-	ts, traced := s.(tracedStore)
-	// One context per worker, refilled per request: the back-end reads
-	// it during the call and never retains it.
-	tc := new(TraceContext)
-	for req := range q {
-		if req.fn != nil {
-			// Maintenance op: runs with the worker between requests, so
-			// it owns the store exactly like a write does. It is bracketed
-			// by the heartbeat too — a hung GC or checkpoint is exactly
-			// the stall the watchdog exists to catch.
-			hb.Begin("")
-			req.done <- AsyncResult{Err: req.fn(s)}
-			hb.End()
-			continue
-		}
-		var traceID string
-		if req.ctx.Valid() {
-			traceID = req.ctx.Trace.String()
-		}
-		hb.Begin(traceID)
-		wait := time.Since(req.submit)
-		if a.queueWaitNS != nil {
-			a.queueWaitNS.Observe(float64(wait.Nanoseconds()))
-		}
-		var res AsyncResult
-		res.LBA = req.lba
-		if traced {
-			*tc = TraceContext{Start: req.submit, QueueWait: wait}
-			if req.ctx.Valid() {
-				// The queue gets its own tree span between the caller's
-				// span and the core request, so the rendered trace shows
-				// where the request sat. The core request then parents
-				// under the queue span.
-				queueID := span.NewSpanID()
-				if req.ctx.Sampled && a.col != nil {
-					a.col.Add(span.Span{
-						Trace: req.ctx.Trace, ID: queueID, Parent: req.ctx.Parent,
-						Name: "async.queue", Start: req.submit, Dur: wait,
-						QueueDepth: len(q) + 1, LBA: req.lba,
-					})
-				}
-				tc.Context = req.ctx.Child(queueID)
-			}
-			if req.write {
-				tc.Op = "awrite"
-				res.Err = ts.WriteTraced(req.lba, req.data, tc)
-			} else {
-				tc.Op = "aread"
-				res.Data, res.Err = ts.ReadTraced(req.lba, tc)
-			}
-		} else if req.write {
-			res.Err = s.Write(req.lba, req.data)
-		} else {
-			res.Data, res.Err = s.Read(req.lba)
-		}
-		if a.inflight != nil {
-			a.inflight.Add(-1)
-		}
-		a.completed.Add(1)
-		hb.End()
+	for req := range g.q {
+		res := a.serve(g, req)
+		g.pending.Add(-1)
 		req.done <- res
 	}
 	// Drain point: each worker flushes its own store on shutdown;
 	// failures surface through Close.
-	if err := s.Flush(); err != nil {
-		a.mu.Lock()
-		if a.flushErr == nil {
-			a.flushErr = err
-		}
-		a.mu.Unlock()
+	g.owner.Lock()
+	g.flushErr = g.s.Flush()
+	g.owner.Unlock()
+}
+
+// serve runs req against g's store as the group's owner. Every request
+// and maintenance closure goes through here, from the worker or from a
+// blocking caller, so the heartbeat, the queue-wait observation (for an
+// inline run: the wait for the owner lock), the queue span and the
+// counters do not depend on who ran it.
+func (a *Async) serve(g *group, req asyncReq) AsyncResult {
+	g.owner.Lock()
+	defer g.owner.Unlock()
+	if req.fn != nil {
+		// Maintenance op: it owns the store exactly like a write does. It
+		// is bracketed by the heartbeat too — a hung GC or checkpoint is
+		// exactly the stall the watchdog exists to catch.
+		g.hb.Begin("")
+		err := req.fn(g.s)
+		g.hb.End()
+		return AsyncResult{Err: err}
 	}
+	var traceID string
+	if req.ctx.Valid() {
+		traceID = req.ctx.Trace.String()
+	}
+	g.hb.Begin(traceID)
+	wait := time.Since(req.submit)
+	if a.queueWaitNS != nil {
+		a.queueWaitNS.Observe(float64(wait.Nanoseconds()))
+	}
+	res := AsyncResult{LBA: req.lba}
+	if g.ts != nil {
+		g.tc = TraceContext{Start: req.submit, QueueWait: wait}
+		if req.ctx.Valid() {
+			// The queue gets its own tree span between the caller's
+			// span and the core request, so the rendered trace shows
+			// where the request sat. The core request then parents
+			// under the queue span.
+			queueID := span.NewSpanID()
+			if req.ctx.Sampled && a.col != nil {
+				a.col.Add(span.Span{
+					Trace: req.ctx.Trace, ID: queueID, Parent: req.ctx.Parent,
+					Name: "async.queue", Start: req.submit, Dur: wait,
+					QueueDepth: len(g.q) + 1, LBA: req.lba,
+				})
+			}
+			g.tc.Context = req.ctx.Child(queueID)
+		}
+		if req.write {
+			g.tc.Op = "awrite"
+			res.Err = g.ts.WriteTraced(req.lba, req.data, &g.tc)
+		} else {
+			g.tc.Op = "aread"
+			res.Data, res.Err = g.ts.ReadTraced(req.lba, &g.tc)
+		}
+	} else if req.write {
+		res.Err = g.s.Write(req.lba, req.data)
+	} else {
+		res.Data, res.Err = g.s.Read(req.lba)
+	}
+	if a.inflight != nil {
+		a.inflight.Add(-1)
+	}
+	a.completed.Add(1)
+	g.hb.End()
+	return res
+}
+
+// admit is the front half of every read or write submission: refuse
+// after Close, count it, stamp it, route it. The caller holds a.mu's
+// read lock and keeps it until req is queued or served.
+func (a *Async) admit(req *asyncReq) (*group, error) {
+	if a.closed {
+		return nil, errAsyncClosed
+	}
+	if a.writes != nil {
+		if req.write {
+			a.writes.Inc()
+		} else {
+			a.reads.Inc()
+		}
+		a.inflight.Add(1)
+	}
+	req.submit = time.Now()
+	return a.groups[a.route(req.lba)], nil
+}
+
+// enqueue puts req on g's queue for the worker; req.done receives the
+// result.
+func (g *group) enqueue(req asyncReq) {
+	g.pending.Add(1)
+	g.q <- req
+}
+
+// submit queues req without waiting for it; the returned channel
+// delivers one result.
+func (a *Async) submit(req asyncReq) <-chan AsyncResult {
+	req.done = make(chan AsyncResult, 1)
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if g, err := a.admit(&req); err != nil {
+		req.done <- AsyncResult{LBA: req.lba, Err: err}
+	} else {
+		g.enqueue(req)
+	}
+	return req.done
+}
+
+// doneChans recycles the result channels of blocking submissions that
+// had to queue: each carries exactly one result, received before it is
+// put back.
+var doneChans = sync.Pool{New: func() any { return make(chan AsyncResult, 1) }}
+
+// call submits req and waits for its result. The caller is blocked for
+// the duration, so req.data is borrowed, not copied. When nothing is
+// queued on the group the caller becomes its owner and runs the request
+// itself; otherwise it queues behind what is there, which keeps a
+// caller's blocking call behind its own earlier un-awaited submissions.
+func (a *Async) call(req asyncReq) AsyncResult {
+	a.mu.RLock()
+	g, err := a.admit(&req)
+	if err != nil {
+		a.mu.RUnlock()
+		return AsyncResult{LBA: req.lba, Err: err}
+	}
+	if g.pending.Load() == 0 {
+		res := a.serve(g, req)
+		a.mu.RUnlock()
+		return res
+	}
+	req.done = doneChans.Get().(chan AsyncResult)
+	g.enqueue(req)
+	a.mu.RUnlock()
+	res := <-req.done
+	doneChans.Put(req.done)
+	return res
 }
 
 // WriteAsync submits a write; the returned channel delivers one result.
@@ -268,74 +373,46 @@ func (a *Async) worker(s Store, q chan asyncReq, hb *health.Heartbeat) {
 // wire trace context, rides through the queue into the back-end
 // pipeline; untraced callers pass nil.
 func (a *Async) WriteAsync(lba uint64, data []byte, tc *TraceContext) <-chan AsyncResult {
-	done := make(chan AsyncResult, 1)
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		done <- AsyncResult{LBA: lba, Err: fmt.Errorf("fidr: async store closed")}
-		return done
-	}
-	q := a.queues[a.route(lba)]
-	a.mu.Unlock()
-	if a.writes != nil {
-		a.writes.Inc()
-		a.inflight.Add(1)
-	}
-	q <- asyncReq{write: true, lba: lba, data: cp, submit: time.Now(), ctx: tc.Wire(), done: done}
-	return done
+	return a.submit(asyncReq{write: true, lba: lba, data: cp, ctx: tc.Wire()})
 }
 
 // ReadAsync submits a read; the returned channel delivers the payload.
 // tc is as for WriteAsync.
 func (a *Async) ReadAsync(lba uint64, tc *TraceContext) <-chan AsyncResult {
-	done := make(chan AsyncResult, 1)
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		done <- AsyncResult{LBA: lba, Err: fmt.Errorf("fidr: async store closed")}
-		return done
-	}
-	q := a.queues[a.route(lba)]
-	a.mu.Unlock()
-	if a.reads != nil {
-		a.reads.Inc()
-		a.inflight.Add(1)
-	}
-	q <- asyncReq{lba: lba, submit: time.Now(), ctx: tc.Wire(), done: done}
-	return done
+	return a.submit(asyncReq{lba: lba, ctx: tc.Wire()})
 }
 
-// Write submits and waits (synchronous convenience).
+// Write submits and waits; data is borrowed until it returns.
 func (a *Async) Write(lba uint64, data []byte) error {
-	return (<-a.WriteAsync(lba, data, nil)).Err
+	return a.call(asyncReq{write: true, lba: lba, data: data}).Err
 }
 
 // Read submits and waits.
 func (a *Async) Read(lba uint64) ([]byte, error) {
-	r := <-a.ReadAsync(lba, nil)
+	r := a.call(asyncReq{lba: lba})
 	return r.Data, r.Err
 }
 
-// Maintenance runs fn once per worker, each invocation on the worker
-// goroutine against the store that worker owns (a single Server, or one
-// cluster group per worker). The call waits for every invocation and
-// returns the first error. This is how GC, checkpointing and capacity
-// reporting reach single-writer server state without racing the write
-// path: the closure runs between queued requests, never beside them.
+// Maintenance runs fn once per group, each invocation as that group's
+// owner against its store (a single Server, or one cluster group). The
+// call waits for every invocation and returns the first error. This is
+// how GC, checkpointing and capacity reporting reach single-writer
+// server state without racing the write path: the closure runs between
+// requests, never beside them.
 func (a *Async) Maintenance(fn func(s Store) error) error {
-	a.mu.Lock()
+	a.mu.RLock()
 	if a.closed {
-		a.mu.Unlock()
-		return fmt.Errorf("fidr: async store closed")
+		a.mu.RUnlock()
+		return errAsyncClosed
 	}
-	chans := make([]chan AsyncResult, len(a.queues))
-	for i, q := range a.queues {
+	chans := make([]chan AsyncResult, len(a.groups))
+	for i, g := range a.groups {
 		chans[i] = make(chan AsyncResult, 1)
-		q <- asyncReq{fn: fn, done: chans[i]}
+		g.enqueue(asyncReq{fn: fn, done: chans[i]})
 	}
-	a.mu.Unlock()
+	a.mu.RUnlock()
 	var first error
 	for _, ch := range chans {
 		if res := <-ch; res.Err != nil && first == nil {
@@ -355,11 +432,14 @@ func (a *Async) Close() error {
 	}
 	a.closed = true
 	a.mu.Unlock()
-	for _, q := range a.queues {
-		close(q)
+	for _, g := range a.groups {
+		close(g.q)
 	}
 	a.wg.Wait()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.flushErr
+	for _, g := range a.groups {
+		if g.flushErr != nil {
+			return g.flushErr
+		}
+	}
+	return nil
 }

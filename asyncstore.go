@@ -5,8 +5,8 @@ import "fmt"
 // AsyncStore adapts an Async front-end to the chunk-store surface the
 // protocol listener serves (proto.Store plus its traced extension).
 // With this front, the listener no longer needs its cross-connection
-// mutex: submissions are queue sends, and the per-group workers own the
-// servers — pass proto.WithConcurrentStore when serving one.
+// mutex: each group has one owner at a time (see Async) — pass
+// proto.WithConcurrentStore when serving one.
 type AsyncStore struct {
 	a         *Async
 	chunkSize int
@@ -24,12 +24,12 @@ func NewAsyncStore(a *Async, chunkSize int) (*AsyncStore, error) {
 // ChunkSize reports the store's chunk size.
 func (s *AsyncStore) ChunkSize() int { return s.chunkSize }
 
-// Write submits through the queue and waits.
+// Write submits and waits; data is borrowed until it returns.
 func (s *AsyncStore) Write(lba uint64, data []byte) error {
 	return s.WriteTraced(lba, data, nil)
 }
 
-// Read submits through the queue and waits.
+// Read submits and waits.
 func (s *AsyncStore) Read(lba uint64) ([]byte, error) {
 	return s.ReadTraced(lba, nil)
 }
@@ -42,12 +42,12 @@ func (s *AsyncStore) ReadRange(lba uint64, n int) ([]byte, error) {
 
 // WriteTraced is Write with a wire trace context (nil: untraced).
 func (s *AsyncStore) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
-	return (<-s.a.WriteAsync(lba, data, tc)).Err
+	return s.a.call(asyncReq{write: true, lba: lba, data: data, ctx: tc.Wire()}).Err
 }
 
 // ReadTraced is Read with a wire trace context.
 func (s *AsyncStore) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
-	r := <-s.a.ReadAsync(lba, tc)
+	r := s.a.call(asyncReq{lba: lba, ctx: tc.Wire()})
 	return r.Data, r.Err
 }
 

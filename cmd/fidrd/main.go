@@ -28,9 +28,11 @@
 // recovery is not implemented yet).
 //
 // All requests flow through an async front-end (the software shape of
-// the paper's device manager): bounded per-group queues feed worker-
-// owned servers, so the protocol listener serves connections
-// concurrently. -queue-depth bounds the per-group queue.
+// the paper's device manager): each group's server has one owner at a
+// time — its queue's worker, or a connection handler that found the
+// group idle and serves its own request — so the protocol listener
+// serves connections concurrently. -queue-depth bounds the per-group
+// queue.
 //
 // The daemon traces requests end to end. Wire requests carrying a
 // trace context (fidrcli put -trace, the traced client API) are always
@@ -569,6 +571,8 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("fidrd: shutting down")
+	// Requests already read are answered; connections with nothing in
+	// flight are dropped, so attached clients cannot hold shutdown up.
 	if err := l.Close(); err != nil {
 		log.Printf("fidrd: close: %v", err)
 	}

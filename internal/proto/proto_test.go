@@ -215,31 +215,6 @@ func TestReadBatchOverTCP(t *testing.T) {
 	}
 }
 
-func BenchmarkWriteReadOverTCP(b *testing.B) {
-	srv, err := core.New(core.DefaultConfig(core.FIDRFull))
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := Serve(srv, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	chunk := blockcomp.NewShaper(0.5).Make(1, 4096)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.WriteChunk(uint64(i), chunk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestFrameTraceContextOnWire: a frame carrying a trace context
 // round-trips it byte-exactly, and untraced frames stay byte-identical
 // to the pre-tracing wire format.

@@ -1,0 +1,7 @@
+//go:build race
+
+package proto
+
+// The race detector's instrumentation allocates on its own account, so
+// allocation pins are not judged under it.
+func init() { raceEnabled = true }

@@ -78,9 +78,15 @@ type Listener struct {
 	requests, errLogs *metrics.Counter
 
 	wg        sync.WaitGroup
-	closed    chan struct{}
 	accepting atomic.Bool // true while the accept loop is running
 	logf      func(format string, args ...any)
+
+	// conns is the open connections Close must wake. closing is set by
+	// Close, under connMu like every change to conns, so a connection is
+	// either tracked before Close walks the set or turned away.
+	connMu  sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing atomic.Bool
 }
 
 // ServeOption configures a Listener at Serve time.
@@ -116,7 +122,7 @@ func Serve(srv Store, addr string, opts ...ServeOption) (*Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proto: listen: %w", err)
 	}
-	l := &Listener{srv: srv, ln: ln, serial: true, closed: make(chan struct{}), logf: log.Printf}
+	l := &Listener{srv: srv, ln: ln, serial: true, conns: make(map[net.Conn]struct{}), logf: log.Printf}
 	l.traced, _ = srv.(TracedStore)
 	l.comp, _ = srv.(Compactor)
 	l.chkpt, _ = srv.(Checkpointer)
@@ -139,47 +145,103 @@ func (l *Listener) Accepting() bool { return l.accepting.Load() }
 // Addr returns the bound address.
 func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 
-// Close stops accepting and waits for in-flight connections.
+// Close stops accepting, lets every request already read finish and be
+// answered, and returns once all handlers have. A handler waiting for
+// its client's next frame is woken by expiring the connection's read
+// deadline, so an idle (or stalled) client cannot hold Close up.
 func (l *Listener) Close() error {
-	close(l.closed)
+	l.connMu.Lock()
+	l.closing.Store(true)
+	for nc := range l.conns {
+		nc.SetReadDeadline(time.Now()) // fails only on a connection already closed
+	}
+	l.connMu.Unlock()
 	err := l.ln.Close()
 	l.wg.Wait()
 	return err
+}
+
+// track registers an accepted connection for Close; false means Close
+// has already begun and the connection must be dropped.
+func (l *Listener) track(nc net.Conn) bool {
+	l.connMu.Lock()
+	defer l.connMu.Unlock()
+	if l.closing.Load() {
+		return false
+	}
+	l.conns[nc] = struct{}{}
+	return true
+}
+
+func (l *Listener) untrack(nc net.Conn) {
+	l.connMu.Lock()
+	delete(l.conns, nc)
+	l.connMu.Unlock()
 }
 
 func (l *Listener) acceptLoop() {
 	defer l.wg.Done()
 	defer l.accepting.Store(false)
 	for {
-		conn, err := l.ln.Accept()
+		nc, err := l.ln.Accept()
 		if err != nil {
-			select {
-			case <-l.closed:
-				return
-			default:
+			if !l.closing.Load() {
 				l.logf("proto: accept: %v", err)
-				return
 			}
+			return
+		}
+		if !l.track(nc) {
+			nc.Close()
+			return
 		}
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
-			defer conn.Close()
-			if err := l.serveConn(conn); err != nil && !errors.Is(err, io.EOF) {
+			defer nc.Close()
+			err := l.serveConn(nc)
+			l.untrack(nc)
+			// After Close began, a failed read is the expected wake-up.
+			if !l.closing.Load() && !errors.Is(err, io.EOF) {
 				l.logf("proto: connection: %v", err)
 			}
 		}()
 	}
 }
 
-func (l *Listener) serveConn(conn net.Conn) error {
+// conn is one connection's frame codec, used by the listener's handler
+// and by Client: the encoder's write buffer and the decoder's read
+// buffer stay resident for the connection's life (2 x residentSize).
+type conn struct {
+	nc  net.Conn
+	enc encoder
+	dec decoder
+}
+
+// newConn wraps nc. view selects whether received payloads alias the
+// read buffer (see decoder.view).
+func newConn(nc net.Conn, view bool) *conn {
+	return &conn{
+		nc:  nc,
+		enc: encoder{buf: make([]byte, 0, residentSize)},
+		dec: decoder{buf: make([]byte, residentSize), view: view},
+	}
+}
+
+func (c *conn) read() (Frame, error) { return c.dec.read(c.nc) }
+func (c *conn) write(f Frame) error  { return c.enc.write(c.nc, f) }
+
+// serveConn answers requests until the connection fails or ends; the
+// error is never nil. A request's payload is a view of the connection's
+// read buffer, valid until the next frame is read: the store must copy
+// what it keeps, as every Store.Write does.
+func (l *Listener) serveConn(nc net.Conn) error {
+	c := newConn(nc, true)
 	for {
-		f, err := Read(conn)
+		f, err := c.read()
 		if err != nil {
 			return err
 		}
-		resp := l.handle(f)
-		if err := Write(conn, resp); err != nil {
+		if err := c.write(l.handle(f)); err != nil {
 			return err
 		}
 	}
@@ -338,32 +400,33 @@ func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
 	}
 }
 
-// Client is a blocking protocol client.
+// Client is a blocking protocol client: one request in flight. Payloads
+// it returns are fresh slices the caller keeps.
 type Client struct {
-	conn net.Conn
+	conn *conn
 	mu   sync.Mutex
 }
 
 // Dial connects to a Listener.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("proto: dial: %w", err)
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: newConn(nc, false)}, nil
 }
 
 // Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.conn.nc.Close() }
 
 // roundTrip sends a frame and reads the response.
 func (c *Client) roundTrip(f Frame) (Frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := Write(c.conn, f); err != nil {
+	if err := c.conn.write(f); err != nil {
 		return Frame{}, err
 	}
-	return Read(c.conn)
+	return c.conn.read()
 }
 
 // do runs one verb: send f, surface a server error, and require the
