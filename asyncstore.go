@@ -1,6 +1,10 @@
 package fidr
 
-import "fmt"
+import (
+	"fmt"
+
+	"fidr/internal/core"
+)
 
 // AsyncStore adapts an Async front-end to the chunk-store surface the
 // protocol listener serves (proto.Store plus its traced extension).
@@ -54,20 +58,27 @@ func (s *AsyncStore) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 // ReadRangeTraced is ReadRange with a wire trace context shared by
 // every chunk read.
 func (s *AsyncStore) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fidr: read of %d chunks", n)
-	}
-	chans := make([]<-chan AsyncResult, n)
-	for i := 0; i < n; i++ {
-		chans[i] = s.a.ReadAsync(lba+uint64(i), tc)
-	}
-	out := make([]byte, 0, n*s.chunkSize)
-	for i, ch := range chans {
-		r := <-ch
-		if r.Err != nil {
-			return nil, fmt.Errorf("fidr: range chunk %d: %w", i, r.Err)
+	// Every read is queued before the first is awaited, so reads on
+	// different groups overlap.
+	var chans []<-chan AsyncResult
+	return core.ReadRange(s, n, func(i int) ([]byte, error) {
+		if chans == nil {
+			chans = make([]<-chan AsyncResult, n)
+			for j := range chans {
+				chans[j] = s.a.ReadAsync(lba+uint64(j), tc)
+			}
 		}
-		out = append(out, r.Data...)
+		r := <-chans[i]
+		return r.Data, r.Err
+	})
+}
+
+// CheckRange is Server.CheckRange for the servers behind the queues
+// (their chunking is uniform). A store that is not a server has no
+// chunker to ask and is taken at its word on chunkSize.
+func (s *AsyncStore) CheckRange() error {
+	if srv := serverOf(s.a.groups[0].s); srv != nil {
+		return srv.CheckRange()
 	}
-	return out, nil
+	return nil
 }

@@ -72,82 +72,79 @@ func (c *Cluster) Compact(minDeadFraction float64) (CompactResult, error) {
 		if err != nil {
 			return total, fmt.Errorf("fidr: group %d compact: %w", i, err)
 		}
-		total.ContainersCompacted += res.ContainersCompacted
-		total.ChunksMoved += res.ChunksMoved
-		total.ChunksDropped += res.ChunksDropped
-		total.BytesReclaimed += res.BytesReclaimed
-		total.BytesMoved += res.BytesMoved
+		total.Add(res)
 	}
 	return total, nil
 }
 
-// compacter / checkpointer / capacitor are the per-store maintenance
-// surfaces the async closures assert for (both Server and the stores a
-// worker owns implement them).
-type compacter interface {
-	Compact(minDeadFraction float64) (CompactResult, error)
-}
-type checkpointer interface {
-	Checkpoint() error
-}
-type capacitor interface {
-	CapacityReport(threshold float64) CapacityReport
-	ContainerHeatmap() ContainerHeatmap
+// serverOf resolves the Server behind a group's store: a bare Server, or
+// one cluster group as the async front end serves it; nil for anything
+// else (a test double, a decorator).
+func serverOf(st Store) *Server {
+	switch s := st.(type) {
+	case *Server:
+		return s
+	case groupStore:
+		return s.Server
+	}
+	return nil
 }
 
-// CompactAll runs one GC pass on every worker-owned store and returns
-// the aggregate (the proto.Compactor surface behind OpCompact).
-func (s *AsyncStore) CompactAll(minDeadFraction float64) (proto.CompactSummary, error) {
+// onServers runs fn on every group's server, each call as that group's
+// owner (Async.Maintenance), and collects what the calls returned.
+func onServers[T any](a *Async, fn func(*Server) (T, error)) ([]T, error) {
 	var mu sync.Mutex
-	var total proto.CompactSummary
-	err := s.a.Maintenance(func(st Store) error {
-		c, ok := st.(compacter)
-		if !ok {
-			return fmt.Errorf("fidr: store %T does not support compaction", st)
+	var out []T
+	err := a.Maintenance(func(st Store) error {
+		srv := serverOf(st)
+		if srv == nil {
+			return fmt.Errorf("fidr: store %T is not a server", st)
 		}
-		res, err := c.Compact(minDeadFraction)
+		v, err := fn(srv)
 		if err != nil {
 			return err
 		}
 		mu.Lock()
-		total.ContainersCompacted += uint64(res.ContainersCompacted)
-		total.ChunksMoved += uint64(res.ChunksMoved)
-		total.ChunksDropped += uint64(res.ChunksDropped)
-		total.BytesReclaimed += res.BytesReclaimed
-		total.BytesMoved += res.BytesMoved
+		out = append(out, v)
 		mu.Unlock()
 		return nil
 	})
-	return total, err
+	return out, err
 }
 
-// CheckpointAll checkpoints every worker-owned durable store (the
+// CompactAll runs one GC pass on every worker-owned server and returns
+// the aggregate (the proto.Compactor surface behind OpCompact).
+func (s *AsyncStore) CompactAll(minDeadFraction float64) (proto.CompactSummary, error) {
+	passes, err := onServers(s.a, func(srv *Server) (CompactResult, error) {
+		return srv.Compact(minDeadFraction)
+	})
+	var total CompactResult
+	for _, res := range passes {
+		total.Add(res)
+	}
+	return proto.CompactSummary{
+		ContainersCompacted: uint64(total.ContainersCompacted),
+		ChunksMoved:         uint64(total.ChunksMoved),
+		ChunksDropped:       uint64(total.ChunksDropped),
+		BytesReclaimed:      total.BytesReclaimed,
+		BytesMoved:          total.BytesMoved,
+	}, err
+}
+
+// CheckpointAll checkpoints every worker-owned durable server (the
 // proto.Checkpointer surface behind OpCheckpoint).
 func (s *AsyncStore) CheckpointAll() error {
-	return s.a.Maintenance(func(st Store) error {
-		c, ok := st.(checkpointer)
-		if !ok {
-			return fmt.Errorf("fidr: store %T does not support checkpointing", st)
-		}
-		return c.Checkpoint()
+	_, err := onServers(s.a, func(srv *Server) (struct{}, error) {
+		return struct{}{}, srv.Checkpoint()
 	})
+	return err
 }
 
 // CapacityReport builds the merged capacity view, each group's share
 // computed on the worker that owns it.
 func (s *AsyncStore) CapacityReport(threshold float64) (CapacityReport, error) {
-	var mu sync.Mutex
-	var reports []CapacityReport
-	err := s.a.Maintenance(func(st Store) error {
-		c, ok := st.(capacitor)
-		if !ok {
-			return fmt.Errorf("fidr: store %T does not report capacity", st)
-		}
-		r := c.CapacityReport(threshold)
-		mu.Lock()
-		reports = append(reports, r)
-		mu.Unlock()
-		return nil
+	reports, err := onServers(s.a, func(srv *Server) (CapacityReport, error) {
+		return srv.CapacityReport(threshold), nil
 	})
 	if err != nil {
 		return CapacityReport{}, err
@@ -157,18 +154,8 @@ func (s *AsyncStore) CapacityReport(threshold float64) (CapacityReport, error) {
 
 // ContainerHeatmap builds the merged container heatmap the same way.
 func (s *AsyncStore) ContainerHeatmap() (ContainerHeatmap, error) {
-	var mu sync.Mutex
-	var maps []ContainerHeatmap
-	err := s.a.Maintenance(func(st Store) error {
-		c, ok := st.(capacitor)
-		if !ok {
-			return fmt.Errorf("fidr: store %T does not report capacity", st)
-		}
-		h := c.ContainerHeatmap()
-		mu.Lock()
-		maps = append(maps, h)
-		mu.Unlock()
-		return nil
+	maps, err := onServers(s.a, func(srv *Server) (ContainerHeatmap, error) {
+		return srv.ContainerHeatmap(), nil
 	})
 	if err != nil {
 		return ContainerHeatmap{}, err

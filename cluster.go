@@ -31,21 +31,10 @@ type Cluster struct {
 // allocation sequences and corrupt every group on replay. Attach a WAL
 // per server via core.Config for durable group setups.
 func NewCluster(cfg Config, n int) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fidr: cluster needs at least one group")
-	}
 	if cfg.WAL != nil && n > 1 {
 		return nil, fmt.Errorf("fidr: a WAL is group-local; cannot share one across %d groups", n)
 	}
-	c := &Cluster{groups: make([]*Server, n)}
-	for i := range c.groups {
-		g, err := NewServer(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fidr: group %d: %w", i, err)
-		}
-		c.groups[i] = g
-	}
-	return c, nil
+	return newCluster(cfg, n, func(int) (*core.WAL, error) { return cfg.WAL, nil })
 }
 
 // NewClusterWAL is NewCluster with a group-local write-ahead log per
@@ -54,21 +43,25 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 // own log); cluster-mode recovery is not implemented yet, so fresh
 // starts should Reset each log before handing it over.
 func NewClusterWAL(cfg Config, n int, walAt func(group int) (*core.WAL, error)) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fidr: cluster needs at least one group")
-	}
 	if cfg.WAL != nil {
 		return nil, fmt.Errorf("fidr: cfg.WAL must be nil when walAt supplies per-group logs")
 	}
+	return newCluster(cfg, n, walAt)
+}
+
+// newCluster builds n groups from cfg, group i logging to walAt(i).
+func newCluster(cfg Config, n int, walAt func(group int) (*core.WAL, error)) (*Cluster, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("fidr: cluster needs at least one group")
+	}
 	c := &Cluster{groups: make([]*Server, n)}
 	for i := range c.groups {
-		gcfg := cfg
 		w, err := walAt(i)
 		if err != nil {
 			return nil, fmt.Errorf("fidr: group %d wal: %w", i, err)
 		}
-		gcfg.WAL = w
-		g, err := NewServer(gcfg)
+		cfg.WAL = w
+		g, err := NewServer(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fidr: group %d: %w", i, err)
 		}
@@ -164,19 +157,12 @@ func (c *Cluster) ReadRange(lba uint64, n int) ([]byte, error) {
 // ReadRangeTraced is ReadRange with a trace context shared by every
 // chunk read (each resolves on its own shard, all in one trace).
 func (c *Cluster) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fidr: range read of %d chunks", n)
-	}
-	out := make([]byte, 0, n*c.ChunkSize())
-	for i := 0; i < n; i++ {
-		chunk, err := c.ReadTraced(lba+uint64(i), tc)
-		if err != nil {
-			return nil, fmt.Errorf("fidr: range chunk %d: %w", i, err)
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
+	return core.ReadRange(c, n, func(i int) ([]byte, error) { return c.ReadTraced(lba+uint64(i), tc) })
 }
+
+// CheckRange is Server.CheckRange for the cluster (chunking is uniform
+// across groups).
+func (c *Cluster) CheckRange() error { return c.groups[0].CheckRange() }
 
 // ChunkSize returns the cluster's chunk size (uniform across groups).
 func (c *Cluster) ChunkSize() int { return c.groups[0].ChunkSize() }

@@ -138,7 +138,6 @@ func main() {
 	arch := flag.String("arch", "fidr", "architecture: fidr, fidr-nic, baseline")
 	batch := flag.Int("batch", 64, "accelerator batch size in chunks")
 	containerSize := flag.Int("container-size", 0, "compressed-chunk container size in bytes; 0 = architecture default")
-	width := flag.Int("width", 4, "HW tree concurrent update width")
 	hashLanes := flag.Int("hash-lanes", 0, "NIC hash-core lanes; 0 = GOMAXPROCS-derived")
 	compressLanes := flag.Int("compress-lanes", 0, "compression-pipeline lanes; 0 = GOMAXPROCS-derived")
 	groups := flag.Int("groups", 1, "device groups; >1 serves a sharded cluster (in-memory only)")
@@ -189,7 +188,6 @@ func main() {
 	if *containerSize > 0 {
 		cfg.ContainerSize = *containerSize
 	}
-	cfg.UpdateWidth = *width
 	cfg.HashLanes = *hashLanes
 	cfg.CompressLanes = *compressLanes
 	if *groups < 1 {

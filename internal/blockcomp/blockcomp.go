@@ -3,11 +3,10 @@
 // target compressibility (the paper pins workloads at a 50% compression
 // ratio by construction, §7.1 factor 4).
 //
-// Two production compressors are provided: Flate (stdlib DEFLATE, the
-// high-ratio reference) and LZ (a dependency-free byte-oriented LZ77
-// variant resembling what fits in FPGA compression cores: greedy matching,
-// 64-KB window, no entropy stage). Null passes data through for
-// reduction-disabled configurations.
+// One compressor is provided: LZ, a dependency-free byte-oriented LZ77
+// variant resembling what fits in FPGA compression cores (greedy matching,
+// 64-KB window, no entropy stage). Compressor is the seam for any other
+// (core.Config.Compressor).
 //
 // LZ is the write path's hottest kernel: its match table is epoch-tagged
 // (cleared on first use and on 32-bit wrap, not per call) and it scans and
@@ -15,14 +14,6 @@
 // the reference kernel's for every input (TestLZOutputGolden) — that keeps
 // reduction ratios, on-SSD bytes and lane determinism fixed.
 package blockcomp
-
-import (
-	"bytes"
-	"compress/flate"
-	"fmt"
-	"io"
-	"sync"
-)
 
 // Compressor compresses and decompresses single chunks. Implementations
 // must be safe for concurrent use by multiple goroutines.
@@ -71,102 +62,4 @@ func Ratio(original, compressed int) float64 {
 		return 1
 	}
 	return float64(compressed) / float64(original)
-}
-
-// --- Null ---
-
-// Null is the identity compressor.
-type Null struct{}
-
-// Name implements Compressor.
-func (Null) Name() string { return "null" }
-
-// Compress implements Compressor.
-func (Null) Compress(src []byte) ([]byte, error) {
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
-}
-
-// CompressAppend implements AppendCompressor.
-func (Null) CompressAppend(dst, src []byte) ([]byte, error) {
-	return append(dst, src...), nil
-}
-
-// Decompress implements Compressor.
-func (Null) Decompress(src []byte, dstSize int) ([]byte, error) {
-	if len(src) != dstSize {
-		return nil, fmt.Errorf("blockcomp: null size mismatch: have %d want %d", len(src), dstSize)
-	}
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
-}
-
-// --- Flate ---
-
-// Flate compresses with stdlib DEFLATE at the given level.
-type Flate struct {
-	Level int
-	// writers recycles flate.Writer state (the dominant allocation:
-	// ~700 KB of match tables per writer). Safe for concurrent use.
-	writers sync.Pool
-}
-
-// NewFlate returns a DEFLATE compressor. Level follows compress/flate
-// (1 fastest .. 9 best, -1 default).
-func NewFlate(level int) *Flate { return &Flate{Level: level} }
-
-// Name implements Compressor.
-func (f *Flate) Name() string { return fmt.Sprintf("flate-%d", f.Level) }
-
-// appendWriter appends written bytes to a slice (io.Writer over dst).
-type appendWriter struct{ b []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// Compress implements Compressor.
-func (f *Flate) Compress(src []byte) ([]byte, error) {
-	return f.CompressAppend(nil, src)
-}
-
-// CompressAppend implements AppendCompressor with a recycled writer.
-func (f *Flate) CompressAppend(dst, src []byte) ([]byte, error) {
-	aw := &appendWriter{b: dst}
-	w, _ := f.writers.Get().(*flate.Writer)
-	if w == nil {
-		var err error
-		if w, err = flate.NewWriter(aw, f.Level); err != nil {
-			return nil, fmt.Errorf("blockcomp: flate writer: %w", err)
-		}
-	} else {
-		w.Reset(aw)
-	}
-	if _, err := w.Write(src); err != nil {
-		return nil, fmt.Errorf("blockcomp: flate compress: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("blockcomp: flate close: %w", err)
-	}
-	f.writers.Put(w)
-	return aw.b, nil
-}
-
-// Decompress implements Compressor.
-func (f *Flate) Decompress(src []byte, dstSize int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	out := make([]byte, dstSize)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("blockcomp: flate decompress: %w", err)
-	}
-	// Require exact size: trailing data means corrupted metadata.
-	var one [1]byte
-	if n, _ := r.Read(one[:]); n != 0 {
-		return nil, fmt.Errorf("blockcomp: flate stream longer than %d", dstSize)
-	}
-	return out, nil
 }

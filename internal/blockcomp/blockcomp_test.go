@@ -8,7 +8,7 @@ import (
 )
 
 func compressors() []Compressor {
-	return []Compressor{Null{}, NewFlate(6), NewFlate(1), NewLZ()}
+	return []Compressor{NewLZ()}
 }
 
 func TestRoundTripAll(t *testing.T) {
@@ -60,7 +60,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestCompressibleShrinks(t *testing.T) {
 	in := bytes.Repeat([]byte("0123456789abcdef"), 256) // 4096 bytes
-	for _, c := range []Compressor{NewFlate(6), NewLZ()} {
+	for _, c := range compressors() {
 		out, err := c.Compress(in)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestCompressibleShrinks(t *testing.T) {
 func TestIncompressibleBounded(t *testing.T) {
 	in := make([]byte, 4096)
 	rand.New(rand.NewSource(5)).Read(in)
-	for _, c := range []Compressor{NewFlate(6), NewLZ()} {
+	for _, c := range compressors() {
 		out, err := c.Compress(in)
 		if err != nil {
 			t.Fatal(err)
@@ -199,17 +199,6 @@ func BenchmarkLZCompress4K(b *testing.B) {
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		if _, err := lz.Compress(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFlateCompress4K(b *testing.B) {
-	in := NewShaper(0.5).Make(1, 4096)
-	fl := NewFlate(1)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		if _, err := fl.Compress(in); err != nil {
 			b.Fatal(err)
 		}
 	}

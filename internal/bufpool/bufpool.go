@@ -64,10 +64,3 @@ func Put(b []byte) {
 	}
 	global.mu.Unlock()
 }
-
-// Held reports the bytes currently retained (tests and introspection).
-func Held() int {
-	global.mu.Lock()
-	defer global.mu.Unlock()
-	return global.held
-}

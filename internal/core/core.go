@@ -82,7 +82,8 @@ type Config struct {
 	// CacheLines is the table-cache size in 4-KB buckets (the paper
 	// caches 2.8% of the table).
 	CacheLines int
-	// UpdateWidth is the HW tree's concurrent update width (FIDRFull).
+	// UpdateWidth is inert: nothing reads it. It stays only because the
+	// frozen benchmark/layers.go names it.
 	UpdateWidth int
 	// HashLanes is the modeled SHA-256 core count: batch hashing (the
 	// FIDR NIC's core array, the baseline's FPGA hash array) fans out
@@ -130,7 +131,6 @@ func DefaultConfig(arch Arch) Config {
 		ContainerSize:       1 << 20,
 		UniqueChunkCapacity: 1 << 20,
 		CacheLines:          4096,
-		UpdateWidth:         4,
 		NICBufferBytes:      16 << 20,
 		PredictorCapacity:   1 << 16,
 	}
@@ -149,9 +149,6 @@ func (c *Config) Validate() error {
 	}
 	if c.CacheLines < 1 {
 		return fmt.Errorf("core: cache lines %d", c.CacheLines)
-	}
-	if c.UpdateWidth < 1 {
-		c.UpdateWidth = 1
 	}
 	c.HashLanes = lanes.Normalize(c.HashLanes)
 	c.CompressLanes = lanes.Normalize(c.CompressLanes)
@@ -433,19 +430,16 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	mode := tablecache.Software
-	width := 1
 	if cfg.Arch == FIDRFull {
 		mode = tablecache.HW
-		width = cfg.UpdateWidth
 	}
 	cache, err := tablecache.New(tablecache.Config{
-		Geometry:    geom,
-		CacheLines:  cfg.CacheLines,
-		Mode:        mode,
-		UpdateWidth: width,
-		TableSSD:    tableSSD,
-		Ledger:      ledger,
-		Costs:       costs,
+		Geometry:   geom,
+		CacheLines: cfg.CacheLines,
+		Mode:       mode,
+		TableSSD:   tableSSD,
+		Ledger:     ledger,
+		Costs:      costs,
 	})
 	if err != nil {
 		return nil, err

@@ -45,6 +45,15 @@ type CompactResult struct {
 	BytesMoved uint64
 }
 
+// Add sums another pass (another group's, say) into r.
+func (r *CompactResult) Add(o CompactResult) {
+	r.ContainersCompacted += o.ContainersCompacted
+	r.ChunksMoved += o.ChunksMoved
+	r.ChunksDropped += o.ChunksDropped
+	r.BytesReclaimed += o.BytesReclaimed
+	r.BytesMoved += o.BytesMoved
+}
+
 // Compact garbage-collects sealed containers whose dead fraction is at
 // least minDeadFraction (0 compacts anything with any dead bytes). The
 // open container is never a candidate. Returns what was reclaimed. The

@@ -90,8 +90,8 @@ func TestMetricsMatchStats(t *testing.T) {
 }
 
 // assertMetricsMatch compares every read-out field that has a series
-// with the series. Fields without one (nic HashBytes, cache CrashRate /
-// LeafCacheHitRate, WAL Syncs) are the only ones skipped.
+// with the series. Fields without one (nic HashBytes, WAL Syncs) are the
+// only ones skipped.
 func assertMetricsMatch(t *testing.T, s *Server, reg *metrics.Registry) {
 	t.Helper()
 	series := make(map[string]float64)

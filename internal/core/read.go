@@ -61,17 +61,38 @@ func (s *Server) ReadRange(lba uint64, n int) ([]byte, error) {
 // ReadRangeTraced is ReadRange with a front-end trace context; each
 // chunk read joins the same trace. tc may be nil.
 func (s *Server) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: read of %d chunks", n)
-	}
+	return ReadRange(s, n, func(i int) ([]byte, error) { return s.ReadTraced(lba+uint64(i), tc) })
+}
+
+// CheckRange reports whether consecutive addresses name consecutive
+// chunks, which is what ReadRange and the wire's batch ops assume: nil
+// under fixed chunking, the error those operations answer under CDC.
+func (s *Server) CheckRange() error {
 	if s.cfg.Chunking.Mode == chunk.ModeCDC {
 		// Addressing, not persistence: lba+i walks chunk indexes, and only
 		// the chunker knows where a CDC stream's next extent starts.
-		return nil, fmt.Errorf("core: ReadRange addresses fixed chunk indexes; CDC extents are read individually")
+		return fmt.Errorf("core: ReadRange and batch ops address fixed chunk indexes; CDC segments and extents are written and read individually")
 	}
-	out := make([]byte, 0, n*s.cfg.ChunkSize)
+	return nil
+}
+
+// ReadRange is the one range loop behind every front end's ReadRange
+// (Server, Cluster, the async adapter): after st's CheckRange gate,
+// read(i) fetches the chunk at the range's i-th address and the n chunks
+// are returned concatenated.
+func ReadRange(st interface {
+	CheckRange() error
+	ChunkSize() int
+}, n int, read func(i int) ([]byte, error)) ([]byte, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("core: read of %d chunks", n)
+	}
+	if err := st.CheckRange(); err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, n*st.ChunkSize())
 	for i := 0; i < n; i++ {
-		chunk, err := s.ReadTraced(lba+uint64(i), tc)
+		chunk, err := read(i)
 		if err != nil {
 			return nil, fmt.Errorf("core: range chunk %d: %w", i, err)
 		}

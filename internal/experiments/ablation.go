@@ -73,7 +73,7 @@ func AblationBatch(sc Scale) ([]AblationBatchRow, *metrics.Table, error) {
 	tab := metrics.NewTable("Ablation: accelerator batch size (FIDR, Write-H)",
 		"batch (chunks)", "host mem B/B", "host CPU ns/B")
 	for _, batch := range []int{16, 64, 256} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028, 4)
+		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -182,7 +182,7 @@ func AblationReadOffload(sc Scale) ([]AblationReadOffloadRow, *metrics.Table, er
 	tab := metrics.NewTable("Ablation: NVMe read-path offload (Read-Mixed, §7.5 future work)",
 		"data-SSD queues", "host CPU ns/B", "projected throughput")
 	for _, offload := range []bool{false, true} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028, 4)
+		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -220,7 +220,7 @@ func AblationReadCache(sc Scale) ([]AblationReadCacheRow, *metrics.Table, error)
 	tab := metrics.NewTable("Ablation: hot-block read cache (Read-Skewed, §8 discussion)",
 		"read cache (chunks)", "reads reaching SSDs", "host CPU ns/B")
 	for _, chunks := range []int{0, 4096} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028, 4)
+		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -265,7 +265,7 @@ func AblationScaleout(sc Scale) ([]AblationScaleoutRow, *metrics.Table, error) {
 	for _, groups := range []int{1, 2, 4} {
 		// Shard the generated stream with fidr.Cluster's routing
 		// function and run each shard on its own server.
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028, 4)
+		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
 		if err != nil {
 			return nil, nil, err
 		}

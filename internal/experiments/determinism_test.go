@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -101,5 +102,25 @@ func TestExtensionLaneDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(rows, refRows) {
 			t.Fatalf("lanes=%d typed rows differ:\n%+v\n--- want ---\n%+v", n, rows, refRows)
 		}
+	}
+}
+
+// TestScorecardGolden pins the reproduction's fixed point: the scorecard
+// at 2000 IOs renders byte for byte what it rendered when the golden file
+// was taken (PR 19's tree). Every number in it is a count, a ratio or a
+// model projection — none is clocked — so a difference is a change in
+// behaviour, never noise. Do not regenerate the file to make a refactor
+// pass.
+func TestScorecardGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/scorecard_ios2000.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Scorecard(Scale{IOs: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.String(); got != string(want) {
+		t.Fatalf("scorecard moved:\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -317,21 +317,19 @@ func Fig14(sc Scale) ([]Fig14Row, *metrics.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		single, err := Run(core.FIDRFull, name, sc, WithWidth(1))
+		// The update width changes the engine model's cap only; the
+		// functional run is the same at every width.
+		full, err := Run(core.FIDRFull, name, sc)
 		if err != nil {
 			return nil, nil, err
 		}
-		multi, err := Run(core.FIDRFull, name, sc, WithWidth(4))
-		if err != nil {
-			return nil, nil, err
-		}
-		cap := func(r RunResult, width int) float64 {
+		cap := func(width int) float64 {
 			crash, err := measuredCrashRate(width)
 			if err != nil {
 				return 0
 			}
 			wl := hwtree.WorkloadPoint{
-				MissRate:     1 - r.Cache.HitRate(),
+				MissRate:     1 - full.Cache.HitRate(),
 				CrashRate:    crash,
 				LeafCacheHit: calibratedLeafHit(name),
 			}
@@ -345,8 +343,8 @@ func Fig14(sc Scale) ([]Fig14Row, *metrics.Table, error) {
 			Workload: name,
 			Baseline: sock.MaxThroughput(base.Snapshot, 0) / 1e9,
 			NicP2P:   sock.MaxThroughput(nic.Snapshot, 0) / 1e9,
-			HWSingle: sock.MaxThroughput(single.Snapshot, cap(single, 1)) / 1e9,
-			HWMulti:  sock.MaxThroughput(multi.Snapshot, cap(multi, 4)) / 1e9,
+			HWSingle: sock.MaxThroughput(full.Snapshot, cap(1)) / 1e9,
+			HWMulti:  sock.MaxThroughput(full.Snapshot, cap(4)) / 1e9,
 		}
 		if row.Baseline > 0 {
 			row.Speedup = row.HWMulti / row.Baseline

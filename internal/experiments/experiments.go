@@ -38,7 +38,7 @@ func TestScale() Scale { return Scale{IOs: 8000} }
 // serverConfig sizes a server for a workload run of n IOs. cacheFrac is
 // the cached share of table buckets (the paper's 2.8%, or a calibration
 // override for the §3.2 profiling runs).
-func serverConfig(arch core.Arch, n int, cacheFrac float64, width int) (core.Config, error) {
+func serverConfig(arch core.Arch, n int, cacheFrac float64) (core.Config, error) {
 	cfg := core.DefaultConfig(arch)
 	// Containers must seal often enough that reads exercise the SSD
 	// path (at paper scale containers turn over constantly).
@@ -51,7 +51,6 @@ func serverConfig(arch core.Arch, n int, cacheFrac float64, width int) (core.Con
 	if cfg.UniqueChunkCapacity < 1<<17 {
 		cfg.UniqueChunkCapacity = 1 << 17
 	}
-	cfg.UpdateWidth = width
 	geom, err := hashpbn.GeometryFor(cfg.UniqueChunkCapacity, 0.5)
 	if err != nil {
 		return core.Config{}, err
@@ -138,7 +137,6 @@ func (r RunResult) CPUNsPerByte() float64 { return r.Snapshot.CPUNanosPerClientB
 // runOptions tweak a run.
 type runOptions struct {
 	cacheFrac float64
-	width     int
 	// hashLanes / compressLanes size the accelerator lane arrays.
 	// Experiments pin both to 1 by default so published artifacts never
 	// depend on the host's core count; results are byte-identical at any
@@ -149,7 +147,7 @@ type runOptions struct {
 
 func defaultRunOptions() runOptions {
 	// The paper caches 2.8% of the table (§7.1 factor 5).
-	return runOptions{cacheFrac: 0.028, width: 4, hashLanes: 1, compressLanes: 1}
+	return runOptions{cacheFrac: 0.028, hashLanes: 1, compressLanes: 1}
 }
 
 // Run executes workload wl on architecture arch at the given scale and
@@ -172,7 +170,7 @@ func configWith(arch core.Arch, n int, opts []func(*runOptions)) (core.Config, e
 	for _, f := range opts {
 		f(&o)
 	}
-	cfg, err := serverConfig(arch, n, o.cacheFrac, o.width)
+	cfg, err := serverConfig(arch, n, o.cacheFrac)
 	if err != nil {
 		return core.Config{}, err
 	}
@@ -254,10 +252,9 @@ func traceAddr(cfg core.Config, lba uint64) uint64 {
 }
 
 // ConfigFor exposes the experiment-standard server sizing (paper cache
-// fraction, default tree width) for external drivers such as benchmark/.
+// fraction) for external drivers such as benchmark/.
 func ConfigFor(arch core.Arch, n int) (core.Config, error) {
-	o := defaultRunOptions()
-	return serverConfig(arch, n, o.cacheFrac, o.width)
+	return serverConfig(arch, n, defaultRunOptions().cacheFrac)
 }
 
 // WorkloadParams exposes the experiment-standard workload tuning for
@@ -269,11 +266,6 @@ func WorkloadParams(name string, n, cacheLines int) (trace.Params, error) {
 // WithCacheFrac overrides the cached table fraction.
 func WithCacheFrac(f float64) func(*runOptions) {
 	return func(o *runOptions) { o.cacheFrac = f }
-}
-
-// WithWidth overrides the HW tree's concurrent update width.
-func WithWidth(w int) func(*runOptions) {
-	return func(o *runOptions) { o.width = w }
 }
 
 // WithLanes overrides the accelerator lane counts (hash cores and

@@ -31,7 +31,7 @@ func Lifetime(sc Scale) ([]LifetimeRow, *metrics.Table, error) {
 	tab := metrics.NewTable("SSD lifetime: flash bytes written per client byte (FIDR)",
 		"workload", "data-SSD WAF", "table-SSD WAF", "data-SSD lifetime multiplier")
 	for _, name := range []string{"Write-H", "Write-M", "Write-L"} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028, 4)
+		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -13,7 +13,7 @@ import (
 // (stage.*, latency.*, core.*, tablecache.*, nic.*, engine.*, ssd.*),
 // so bench output and a live daemon's /metrics dump line up directly.
 func Observe(sc Scale) (string, *metrics.Table, error) {
-	cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028, 4)
+	cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
 	if err != nil {
 		return "", nil, err
 	}

@@ -4,9 +4,9 @@ import (
 	"time"
 
 	"fidr/internal/blockcomp"
-	"fidr/internal/btree"
 	"fidr/internal/fingerprint"
 	"fidr/internal/hashpbn"
+	"fidr/internal/hwtree"
 	"fidr/internal/metrics"
 	"fidr/internal/nic"
 )
@@ -76,8 +76,9 @@ func SelfPerf() ([]SelfPerfRow, *metrics.Table, error) {
 		bucket.Lookup(probe)
 		return 4096
 	}))
-	// Software tree index: one lookup per 4-KB chunk.
-	tr := btree.New()
+	// Software tree index — the engine's own tree, run on this CPU: one
+	// lookup per 4-KB chunk.
+	tr := hwtree.NewTree()
 	for i := uint64(0); i < 1<<18; i++ {
 		tr.Put(i*2654435761%(1<<30), i)
 	}

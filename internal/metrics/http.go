@@ -153,9 +153,3 @@ func Handler(g Gatherer, opt HandlerOptions) http.Handler {
 	})
 	return mux
 }
-
-// HTTPHandler is Handler with only the trace endpoint configured,
-// preserved for callers that predate HandlerOptions.
-func HTTPHandler(g Gatherer, traces func() string) http.Handler {
-	return Handler(g, HandlerOptions{Traces: traces})
-}

@@ -70,9 +70,13 @@ type Listener struct {
 	traced TracedStore  // srv's traced surface, nil when unsupported
 	comp   Compactor    // srv's GC surface, nil when unsupported
 	chkpt  Checkpointer // srv's checkpoint surface, nil when unsupported
-	mu     sync.Mutex
-	serial bool
-	ln     net.Listener
+	// rangeErr is srv's CheckRange answer: why a write batch cannot be
+	// split into pieces at consecutive addresses (a content-defined
+	// volume). A store without the method is taken to be fixed-chunk.
+	rangeErr error
+	mu       sync.Mutex
+	serial   bool
+	ln       net.Listener
 
 	col               *span.Collector
 	requests, errLogs *metrics.Counter
@@ -126,6 +130,9 @@ func Serve(srv Store, addr string, opts ...ServeOption) (*Listener, error) {
 	l.traced, _ = srv.(TracedStore)
 	l.comp, _ = srv.(Compactor)
 	l.chkpt, _ = srv.(Checkpointer)
+	if r, ok := srv.(interface{ CheckRange() error }); ok {
+		l.rangeErr = r.CheckRange()
+	}
 	for _, opt := range opts {
 		opt(l)
 	}
@@ -333,6 +340,9 @@ func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
 		}
 		return Frame{Op: OpAck, LBA: f.LBA}
 	case OpWriteBatch:
+		if l.rangeErr != nil {
+			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(l.rangeErr.Error())}
+		}
 		cs := l.srv.ChunkSize()
 		if len(f.Payload) == 0 || len(f.Payload)%cs != 0 {
 			return Frame{Op: OpError, LBA: f.LBA,

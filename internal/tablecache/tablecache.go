@@ -10,14 +10,18 @@
 //	cache content access     -> host (10-100s of GB of content)
 //	replacement (LRU/free)   -> host or accelerator
 //
-// Two variants implement the same functional cache:
+// Both modes run the same functional cache — lines, an intrusive LRU and
+// one bucket -> line map — and differ only in who is charged:
 //
-//   - Software (baseline): B+-tree index, SSD queues and replacement all
+//   - Software (baseline): tree indexing, SSD queues and replacement all
 //     run on the host CPU, charged per operation to the host ledger.
 //   - HW (FIDR Cache HW-Engine): tree indexing and table-SSD queues run
-//     in the engine (hwtree + device-owned NVMe queues, zero host CPU);
-//     the host keeps the LRU list and scans cached content, exactly the
-//     hybrid split of §5.5.
+//     in the engine (device-owned NVMe queues, zero host CPU); the host
+//     keeps the LRU list and scans cached content, exactly the hybrid
+//     split of §5.5.
+//
+// The engine's tree itself (speculative updates, leaf cache, Fig. 13) is
+// modelled at paper scale in internal/hwtree, off the datapath.
 package tablecache
 
 import (
@@ -58,8 +62,8 @@ type Config struct {
 	CacheLines int
 	// Mode selects software or HW-engine management.
 	Mode Mode
-	// UpdateWidth is the HW tree's concurrent update width (1-4);
-	// ignored in Software mode.
+	// UpdateWidth is inert: nothing reads it. It stays only because the
+	// frozen benchmark/layers.go names it.
 	UpdateWidth int
 	// TableSSD stores the full table. Required.
 	TableSSD *ssd.SSD
@@ -76,10 +80,6 @@ type Stats struct {
 	Misses    uint64
 	Evictions uint64
 	Flushes   uint64
-	// CrashRate is the HW tree's speculative crash rate (HW mode).
-	CrashRate float64
-	// LeafCacheHitRate is the HW tree's on-chip leaf cache hit rate.
-	LeafCacheHitRate float64
 }
 
 // HitRate returns hits/lookups.
@@ -90,19 +90,14 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// index abstracts the bucket->line mapping structure.
-type index interface {
-	lookup(bucket uint64) (line uint64, ok bool)
-	insert(bucket, line uint64)
-	remove(bucket uint64)
-}
-
 // Cache is a bucket cache. Not safe for concurrent use: both the baseline
 // and FIDR serialize table management on one thread/engine.
 type Cache struct {
-	cfg   Config
-	geom  hashpbn.Geometry
-	idx   index
+	cfg  Config
+	geom hashpbn.Geometry
+	// idx maps a cached bucket to its line. It stands in for the tree of
+	// either mode: chargeIndex bills the software tree's host CPU.
+	idx   map[uint64]uint64
 	queue *ssd.QueuePair
 
 	lines      [][]byte
@@ -153,9 +148,14 @@ func New(cfg Config) (*Cache, error) {
 	if need := cfg.Geometry.TableBytes(); need > cfg.TableSSD.Config().CapacityBytes {
 		return nil, fmt.Errorf("tablecache: table needs %d bytes, SSD holds %d", need, cfg.TableSSD.Config().CapacityBytes)
 	}
-	owner := ssd.OwnerHost
-	if cfg.Mode == HW {
+	var owner ssd.Owner
+	switch cfg.Mode {
+	case Software:
+		owner = ssd.OwnerHost
+	case HW:
 		owner = ssd.OwnerHW
+	default:
+		return nil, fmt.Errorf("tablecache: unknown mode %d", cfg.Mode)
 	}
 	queue, err := ssd.NewQueuePair(cfg.TableSSD, owner, 256)
 	if err != nil {
@@ -164,6 +164,7 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:        cfg,
 		geom:       cfg.Geometry,
+		idx:        make(map[uint64]uint64, cfg.CacheLines),
 		queue:      queue,
 		lines:      make([][]byte, cfg.CacheLines),
 		lineBucket: make([]uint64, cfg.CacheLines),
@@ -179,22 +180,6 @@ func New(cfg Config) (*Cache, error) {
 	for i := range c.lruPrev {
 		c.lruPrev[i], c.lruNext[i] = uint64(i), uint64(i)
 	}
-	switch cfg.Mode {
-	case Software:
-		c.idx = newSWIndex(cfg.Ledger, cfg.Costs)
-	case HW:
-		w := cfg.UpdateWidth
-		if w < 1 {
-			w = 1
-		}
-		hw, err := newHWIndex(w)
-		if err != nil {
-			return nil, err
-		}
-		c.idx = hw
-	default:
-		return nil, fmt.Errorf("tablecache: unknown mode %d", cfg.Mode)
-	}
 	return c, nil
 }
 
@@ -203,20 +188,13 @@ func (c *Cache) Mode() Mode { return c.cfg.Mode }
 
 // Stats returns a snapshot of cache statistics.
 func (c *Cache) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Lookups:   c.lookups.Value(),
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),
 		Evictions: c.evictions.Value(),
 		Flushes:   c.flushes.Value(),
 	}
-	if h, ok := c.idx.(*hwIndex); ok {
-		// Counter reads only (safe from any goroutine); the few updates
-		// still queued enter the crash rate when a lookup drains them.
-		s.CrashRate = h.exec.Stats().CrashRate()
-		s.LeafCacheHitRate = h.leafSim.HitRate()
-	}
-	return s
 }
 
 // Lookup searches the table for fp, fetching its bucket through the cache.
@@ -292,7 +270,8 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 	if count {
 		c.lookups.Inc()
 	}
-	if line, ok := c.idx.lookup(bucket); ok {
+	c.chargeIndex(c.cfg.Costs.TreeLookupNs)
+	if line, ok := c.idx[bucket]; ok {
 		if count {
 			c.hits.Inc()
 		}
@@ -313,7 +292,8 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 	c.lineBucket[line] = bucket
 	c.lineValid[line] = true
 	c.dirty[line] = false
-	c.idx.insert(bucket, line)
+	c.chargeIndex(c.cfg.Costs.TreeUpdateNs)
+	c.idx[bucket] = line
 	c.touchLRU(line)
 	return line, nil
 }
@@ -334,7 +314,8 @@ func (c *Cache) allocLine() (uint64, error) {
 	}
 	c.lruUnlink(line)
 	c.evictions.Inc()
-	c.idx.remove(c.lineBucket[line])
+	c.chargeIndex(c.cfg.Costs.TreeUpdateNs)
+	delete(c.idx, c.lineBucket[line])
 	if c.dirty[line] {
 		if err := c.ssdIO(ssd.OpWrite, "write", c.lineBucket[line], line); err != nil {
 			return 0, err
@@ -382,6 +363,16 @@ func (c *Cache) ssdIO(op ssd.OpCode, verb string, bucket, line uint64) error {
 	c.chargeSSDIO()
 	c.cfg.Ledger.Mem(hostmodel.PathTableCache, hashpbn.BucketSize)
 	return nil
+}
+
+// chargeIndex charges one index operation to the host when the tree is
+// software — the "small data structures, big CPU bill" of Observation #4
+// (43.9% of table-caching CPU in Table 2). The engine's tree costs the
+// host nothing.
+func (c *Cache) chargeIndex(ns uint64) {
+	if c.cfg.Mode == Software {
+		c.cfg.Ledger.CPU(hostmodel.CompTreeIndex, ns)
+	}
 }
 
 // chargeSSDIO charges the table-SSD software stack when the host owns the

@@ -175,24 +175,80 @@ func TestMemoryChargedBothModes(t *testing.T) {
 	}
 }
 
-func TestHWStatsExposed(t *testing.T) {
-	// Crash rate scales with tree size: concurrent updates conflict when
-	// they land in the same or adjacent leaves. Use a realistically
-	// sized cache (the paper's is ~100K lines) so the tree is deep
-	// enough for speculation to pay off.
-	c, _ := testCache(t, HW, 8192)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 20000; i++ {
-		k := rng.Intn(16000)
-		c.Insert(fp(k), uint64(k))
-		c.Lookup(fp(k))
+// TestModesDifferOnlyInCharges: Software and HW are one functional cache.
+// The same insert/lookup/delete sequence gives the same answers, the same
+// Stats and the same table-SSD traffic; only the host's bill differs —
+// Software pays for the tree and the SSD stack, HW for neither.
+func TestModesDifferOnlyInCharges(t *testing.T) {
+	type answer struct {
+		pbn   uint64
+		found bool
 	}
-	st := c.Stats()
-	if st.CrashRate > 0.05 {
-		t.Fatalf("crash rate %.4f too high for an 8K-line tree", st.CrashRate)
+	run := func(mode Mode) ([]answer, Stats, ssd.Stats, hostmodel.Snapshot) {
+		c, ledger := testCache(t, mode, 64)
+		rng := rand.New(rand.NewSource(2))
+		var got []answer
+		for i := 0; i < 20000; i++ {
+			k := rng.Intn(4000)
+			// 40% dedup probes (look up, insert when absent), 50% plain
+			// lookups, 10% deletes.
+			if op := rng.Intn(10); op < 9 {
+				pbn, found, err := c.Lookup(fp(k))
+				if err != nil {
+					t.Fatalf("%v lookup %d: %v", mode, k, err)
+				}
+				if !found && op < 4 {
+					if err := c.Insert(fp(k), uint64(i)); err != nil {
+						t.Fatalf("%v insert %d: %v", mode, k, err)
+					}
+				}
+				got = append(got, answer{pbn, found})
+			} else {
+				removed, err := c.Delete(fp(k))
+				if err != nil {
+					t.Fatalf("%v delete %d: %v", mode, k, err)
+				}
+				got = append(got, answer{0, removed})
+			}
+		}
+		dev := c.cfg.TableSSD.Stats()
+		dev.BusyDuration = 0 // modeled time, not a count
+		return got, c.Stats(), dev, ledger.Snapshot()
 	}
-	if st.LeafCacheHitRate <= 0 {
-		t.Fatal("leaf cache hit rate not measured")
+	swGot, swStats, swDev, sw := run(Software)
+	hwGot, hwStats, hwDev, hw := run(HW)
+
+	if swStats != hwStats {
+		t.Errorf("Stats differ: software %+v, hw %+v", swStats, hwStats)
+	}
+	if swStats.Evictions == 0 || swStats.Flushes == 0 || swStats.Hits == 0 {
+		t.Fatalf("sequence did not exercise hits, evictions and write-backs: %+v", swStats)
+	}
+	if swDev != hwDev {
+		t.Errorf("table-SSD traffic differs: software %+v, hw %+v", swDev, hwDev)
+	}
+	for i := range swGot {
+		if swGot[i] != hwGot[i] {
+			t.Fatalf("op %d: software answered %+v, hw %+v", i, swGot[i], hwGot[i])
+		}
+	}
+	for _, comp := range []hostmodel.Component{hostmodel.CompTreeIndex, hostmodel.CompTableSSDIO} {
+		if sw.CPUNanos[comp] == 0 {
+			t.Errorf("software mode charged nothing to %v", comp)
+		}
+		if hw.CPUNanos[comp] != 0 {
+			t.Errorf("HW mode charged %d ns to %v", hw.CPUNanos[comp], comp)
+		}
+	}
+	// Everything else on the bill is the same work in both modes.
+	for _, comp := range []hostmodel.Component{hostmodel.CompTableContent, hostmodel.CompTableReplace} {
+		if sw.CPUNanos[comp] != hw.CPUNanos[comp] {
+			t.Errorf("%v: software %d ns, hw %d ns", comp, sw.CPUNanos[comp], hw.CPUNanos[comp])
+		}
+	}
+	if sw.MemBytes[hostmodel.PathTableCache] != hw.MemBytes[hostmodel.PathTableCache] {
+		t.Errorf("table-cache memory traffic differs: %d vs %d",
+			sw.MemBytes[hostmodel.PathTableCache], hw.MemBytes[hostmodel.PathTableCache])
 	}
 }
 
