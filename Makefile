@@ -3,7 +3,7 @@
 # bench-go and microbench are local Go-benchmark conveniences.
 GO ?= go
 
-.PHONY: all build test vet lint race check check-metrics check-crash check-trace check-capacity check-doctor fmt bench-go fuzz microbench
+.PHONY: all build test vet lint race check check-metrics check-crash check-trace check-capacity check-doctor fmt bench-go fuzz microbench loc
 
 # Build stamping for the build_info metric: released binaries carry the
 # tag and commit, dirty trees fall back to dev/none so builds still
@@ -127,6 +127,13 @@ bench-go:
 # microbench runs the Go testing benchmarks.
 microbench:
 	$(GO) test -bench=. -benchmem ./...
+
+# loc prints the two sizes every ROADMAP re-anchor quotes: non-test Go
+# lines outside benchmark/ (the "code volume" bar) and fidrd's flag count
+# (the lines of the golden TestFlagSetGolden pins).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
+	@echo "$$(wc -l < cmd/fidrd/testdata/fidrd_flags.txt) fidrd flags"
 
 # check is the pre-commit bundle: tier-1 plus static analysis and the
 # race detector over the whole module.

@@ -27,40 +27,18 @@ type Cluster struct {
 
 // NewCluster builds n groups from cfg (each group gets its own devices).
 // A write-ahead log is group-local (like a group's SSDs), so cfg.WAL
-// must be nil: one log shared across groups would interleave unrelated
-// allocation sequences and corrupt every group on replay. Attach a WAL
-// per server via core.Config for durable group setups.
+// must be nil for n > 1: one log shared across groups would interleave
+// unrelated allocation sequences and corrupt every group on replay.
+// NewNode builds groups that each own a log.
 func NewCluster(cfg Config, n int) (*Cluster, error) {
-	if cfg.WAL != nil && n > 1 {
-		return nil, fmt.Errorf("fidr: a WAL is group-local; cannot share one across %d groups", n)
-	}
-	return newCluster(cfg, n, func(int) (*core.WAL, error) { return cfg.WAL, nil })
-}
-
-// NewClusterWAL is NewCluster with a group-local write-ahead log per
-// group: walAt(i) opens (or creates) group i's log. The logs make the
-// groups' commit paths durable and observable (each batch fsyncs its
-// own log); cluster-mode recovery is not implemented yet, so fresh
-// starts should Reset each log before handing it over.
-func NewClusterWAL(cfg Config, n int, walAt func(group int) (*core.WAL, error)) (*Cluster, error) {
-	if cfg.WAL != nil {
-		return nil, fmt.Errorf("fidr: cfg.WAL must be nil when walAt supplies per-group logs")
-	}
-	return newCluster(cfg, n, walAt)
-}
-
-// newCluster builds n groups from cfg, group i logging to walAt(i).
-func newCluster(cfg Config, n int, walAt func(group int) (*core.WAL, error)) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fidr: cluster needs at least one group")
 	}
+	if cfg.WAL != nil && n > 1 {
+		return nil, fmt.Errorf("fidr: a WAL is group-local; cannot share one across %d groups", n)
+	}
 	c := &Cluster{groups: make([]*Server, n)}
 	for i := range c.groups {
-		w, err := walAt(i)
-		if err != nil {
-			return nil, fmt.Errorf("fidr: group %d wal: %w", i, err)
-		}
-		cfg.WAL = w
 		g, err := NewServer(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fidr: group %d: %w", i, err)

@@ -43,6 +43,16 @@ type clusterObs struct {
 // per-group series, cluster.{write,read}.ns routing histograms, and the
 // derived shard-balance series. Call once, before serving traffic.
 func (c *Cluster) EnableObservability() metrics.Gatherer {
+	for _, g := range c.groups {
+		g.EnableObservability(nil)
+	}
+	return c.observe()
+}
+
+// observe composes the cluster-wide view over the groups' registries
+// (every group already has observability on) and starts the cluster's
+// own series.
+func (c *Cluster) observe() metrics.Gatherer {
 	o := &clusterObs{
 		groupRegs: make([]*metrics.Registry, len(c.groups)),
 		own:       metrics.NewRegistry(),
@@ -51,11 +61,9 @@ func (c *Cluster) EnableObservability() metrics.Gatherer {
 	gatherers := make([]metrics.Gatherer, 0, len(c.groups)+3)
 	merged := make([]metrics.Gatherer, len(c.groups))
 	for i, g := range c.groups {
-		reg := metrics.NewRegistry()
-		g.EnableObservability(reg)
 		g.SetUniqueObserver(func(fp fingerprint.FP) { o.noteUnique(i, fp) })
-		o.groupRegs[i] = reg
-		merged[i] = reg
+		o.groupRegs[i] = g.MetricsRegistry()
+		merged[i] = o.groupRegs[i]
 	}
 	mergedView := metrics.Merged(merged...)
 	gatherers = append(gatherers, mergedView)

@@ -321,7 +321,7 @@ func checkJournalDrops(in DoctorInput) CheckResult {
 	if m.Value > 0 {
 		r.Status = StatusWarn
 		r.Detail = fmt.Sprintf("%.0f events overwritten by ring wrap", m.Value)
-		r.Hint = "older evidence is gone; raise -events (journal capacity) if this recurs"
+		r.Hint = "older evidence is gone; the journal is a fixed-size ring, so tail /events?since= more often if this recurs"
 		return r
 	}
 	r.Status = StatusPass

@@ -326,8 +326,8 @@ func (w *Watchdog) Tick(now time.Time) {
 	}
 }
 
-// Run ticks every interval until stop is closed (same contract as
-// metrics.Sampler.Run). Steady-state cost is one Check call per probe
+// Run ticks every interval until stop is closed; call it in a
+// goroutine. Steady-state cost is one Check call per probe
 // per tick — atomic loads and a few comparisons — so the default 250ms
 // cadence stays far under 1% of a busy write path.
 func (w *Watchdog) Run(interval time.Duration, stop <-chan struct{}) {

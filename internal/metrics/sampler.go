@@ -76,27 +76,6 @@ func (s *Sampler) Sample(at time.Time) {
 	s.mu.Unlock()
 }
 
-// Run samples every interval until stop is closed. Call in a goroutine:
-//
-//	stop := make(chan struct{})
-//	go sampler.Run(time.Second, stop)
-func (s *Sampler) Run(interval time.Duration, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	s.Sample(time.Now())
-	for {
-		select {
-		case at := <-t.C:
-			s.Sample(at)
-		case <-stop:
-			return
-		}
-	}
-}
-
 // Point is one sampled value.
 type Point struct {
 	// UnixNS is the sample time in Unix nanoseconds.

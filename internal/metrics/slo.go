@@ -259,25 +259,6 @@ func (s *SLO) OnBreach(fn func(objective string)) { s.onBreach = fn }
 // sustained breach is one event, not one per tick).
 func (s *SLO) SetEventJournal(j *events.Journal) { s.journal = j }
 
-// Run ticks every interval until stop is closed (same contract as
-// Sampler.Run; fidrd drives both from one cadence).
-func (s *SLO) Run(interval time.Duration, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	s.Sample(time.Now())
-	for {
-		select {
-		case at := <-t.C:
-			s.Sample(at)
-		case <-stop:
-			return
-		}
-	}
-}
-
 // ordered returns retained ticks oldest first.
 func (s *SLO) ordered() []sloSample {
 	s.mu.Lock()

@@ -115,8 +115,8 @@ const maxSpansPerTrace = 512
 
 // NewCollector builds a collector retaining the last recent requests,
 // the last slow slow-flagged requests and the last sampled distinct
-// sampled traces (fidrd's -traces, -slow-traces and -trace-ring; a
-// value <= 0 selects 256, 64 and 512). The slow gate starts at the
+// sampled traces (a value <= 0 selects 256, 64 and 512, which is what a
+// node is built with). The slow gate starts at the
 // p99 of observed totals, never below 1ms; see SetSlowGate.
 func NewCollector(recent, slow, sampled int) *Collector {
 	if recent <= 0 {
