@@ -80,7 +80,7 @@ check-capacity:
 check-doctor:
 	$(GO) test -v -run TestDoctorE2E ./cmd/fidrd
 
-# fuzz runs eight fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs ten fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
 # scalar on every input; WAL replay and recovery must survive any log
 # (torn, corrupt, reordered frames) applying a clean prefix or failing
@@ -91,8 +91,12 @@ check-doctor:
 # must reject or round-trip any bytes, any payload must survive framing,
 # and a connection's buffered decoder fed any stream in any fragments
 # must agree with the stateless one frame for frame and error for error
-# (the fence for codec work, beside TestWireBytesGolden). FUZZ_TIME
-# extends the per-fuzzer budget locally.
+# (the fence for codec work, beside TestWireBytesGolden); whatever
+# -slo-spec the objective parser accepts is evaluable (positive
+# threshold, target inside (0, 1), unique non-empty names) and re-parses
+# to itself; and the dump parser doctor reads (live scrape, recorder
+# bundle) keeps only series whose dump parses back to the same series
+# and the same bytes. FUZZ_TIME extends the per-fuzzer budget locally.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
@@ -103,6 +107,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime $(FUZZ_TIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzParseObjectives$$' -fuzztime $(FUZZ_TIME) ./internal/metrics
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsText$$' -fuzztime $(FUZZ_TIME) ./internal/metrics
 
 # bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
 # call through the async front-end (idle group / callers meeting on the

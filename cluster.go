@@ -25,14 +25,22 @@ type Cluster struct {
 	obs *clusterObs
 }
 
-// NewCluster builds n groups from cfg (each group gets its own devices).
-// A write-ahead log is group-local (like a group's SSDs), so cfg.WAL
-// must be nil for n > 1: one log shared across groups would interleave
-// unrelated allocation sequences and corrupt every group on replay.
-// NewNode builds groups that each own a log.
+// maxGroups bounds a cluster: cluster.cross_shard_dup_chunks records the
+// groups holding each content as one bit apiece of a uint64
+// (clusterObs.contentAt), so a 65th group's copies would go uncounted.
+const maxGroups = 64
+
+// NewCluster builds n groups (1 <= n <= 64) from cfg (each group gets
+// its own devices). A write-ahead log is group-local (like a group's
+// SSDs), so cfg.WAL must be nil for n > 1: one log shared across groups
+// would interleave unrelated allocation sequences and corrupt every
+// group on replay. NewNode builds groups that each own a log.
 func NewCluster(cfg Config, n int) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fidr: cluster needs at least one group")
+	}
+	if n > maxGroups {
+		return nil, fmt.Errorf("fidr: cluster of %d groups: the cross-shard duplicate count tracks at most %d", n, maxGroups)
 	}
 	if cfg.WAL != nil && n > 1 {
 		return nil, fmt.Errorf("fidr: a WAL is group-local; cannot share one across %d groups", n)

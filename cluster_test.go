@@ -11,6 +11,10 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 0); err == nil {
 		t.Fatal("zero groups accepted")
 	}
+	// cluster.cross_shard_dup_chunks keeps one bit per group in a uint64.
+	if _, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 65); err == nil {
+		t.Fatal("65 groups accepted: the cross-shard duplicate count would miss the 65th")
+	}
 }
 
 func TestClusterRoundTripAndSharding(t *testing.T) {

@@ -2,6 +2,7 @@ package fidr
 
 import (
 	"math"
+	"strconv"
 	"sync"
 
 	"fidr/internal/core"
@@ -32,8 +33,7 @@ type clusterObs struct {
 	// it. Content admitted by a second (third, ...) group is a duplicate
 	// a single dedup domain would have stored once — the scale-out
 	// trade-off made measurable (crossDupChunks counts the copies beyond
-	// each content's first shard). Tracked for clusters of up to 64
-	// groups.
+	// each content's first shard). One bit per group: maxGroups.
 	mu        sync.Mutex
 	contentAt map[fingerprint.FP]uint64
 }
@@ -84,23 +84,13 @@ func (c *Cluster) observe() metrics.Gatherer {
 	return metrics.Multi(gatherers...)
 }
 
-func groupPrefix(i int) string {
-	// Avoid fmt on the scrape path; group counts are small.
-	digits := "0123456789"
-	if i < 10 {
-		return "group" + digits[i:i+1] + "."
-	}
-	return "group" + digits[i/10:i/10+1] + digits[i%10:i%10+1] + "."
-}
+func groupPrefix(i int) string { return "group" + strconv.Itoa(i) + "." }
 
 // noteUnique records that group g admitted fp as unique content,
 // updating the cross-shard duplicate gauge. It runs on the goroutine
 // that owns group g, with the fingerprint the group's own hash stage
 // computed.
 func (o *clusterObs) noteUnique(g int, fp fingerprint.FP) {
-	if g >= 64 {
-		return // bitmask tracks the first 64 groups
-	}
 	bit := uint64(1) << uint(g)
 	o.mu.Lock()
 	mask := o.contentAt[fp]

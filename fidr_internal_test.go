@@ -16,3 +16,13 @@ func TestRegistryConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupPrefix: per-group series are named group<N>. for every group
+// index a cluster can have (0 .. maxGroups-1).
+func TestGroupPrefix(t *testing.T) {
+	for i, want := range map[int]string{0: "group0.", 9: "group9.", 10: "group10.", maxGroups - 1: "group63."} {
+		if got := groupPrefix(i); got != want {
+			t.Errorf("groupPrefix(%d) = %q, want %q", i, got, want)
+		}
+	}
+}

@@ -332,12 +332,11 @@ type Server struct {
 	batch []pending
 	// bs is one batch's scratch, cread where fetchCompressed lands a
 	// chunk's compressed bytes; both are reused call after call.
-	bs      batchScratch
-	cread   []byte
-	rcache  *readCache
-	latency latencyTracker
-	ctr     counters
-	tl      tally // the open batch's share of ctr, see commitTally
+	bs     batchScratch
+	cread  []byte
+	rcache *readCache
+	ctr    counters
+	tl     tally // the open batch's share of ctr, see commitTally
 	// wal is the group-local write-ahead log (nil disables logging).
 	wal *WAL
 	// crash is the injection state for the crash-recovery harness.
@@ -489,7 +488,6 @@ func New(cfg Config) (*Server, error) {
 		s.bs.fpToPBN = make(map[fingerprint.FP]uint64, cfg.BatchChunks)
 	}
 	s.rcache = newReadCache(cfg.ReadCacheChunks)
-	s.latency = newLatencyTracker(DefaultLatency())
 	s.ctr.fpCapacity.Set(float64(cfg.UniqueChunkCapacity))
 	return s, nil
 }

@@ -92,6 +92,31 @@ func TestReadNotFound(t *testing.T) {
 	}
 }
 
+func TestReadRange(t *testing.T) {
+	s := newServer(t, FIDRFull)
+	sh := blockcomp.NewShaper(0.5)
+	var want []byte
+	for i := uint64(0); i < 8; i++ {
+		data := sh.Make(i, 4096)
+		s.Write(10+i, data)
+		want = append(want, data...)
+	}
+	s.Flush()
+	got, err := s.ReadRange(10, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("range read mismatch")
+	}
+	if _, err := s.ReadRange(10, 0); err == nil {
+		t.Fatal("zero-length range accepted")
+	}
+	if _, err := s.ReadRange(1000, 2); err == nil {
+		t.Fatal("unmapped range succeeded")
+	}
+}
+
 func TestDeduplicationReducesStorage(t *testing.T) {
 	sh := blockcomp.NewShaper(0.5)
 	for _, arch := range allArchs() {

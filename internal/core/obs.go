@@ -373,20 +373,17 @@ func (o *Observer) reqClass(op string) *metrics.Histogram {
 // The server's and every substrate's own counters are published by name
 // (core.*, capacity.*, tablecache.*, nic.*, engine.*, ssd.<name>.*,
 // hostmodel.*, pcie.*, wal.*) and include everything since construction
-// (recovery replay, scrub). What starts here is the timing side: stage,
-// request and latency-kind histograms, device access times and the
-// slow-gate series. Request trees are kept only once SetSpanCollector
-// attaches a collector. Call once, from the goroutine that owns the
-// server; registry reads are concurrent-safe.
+// (recovery replay, scrub). What starts here is the timing side: stage
+// and request histograms, device access times and the slow-gate series.
+// Request trees are kept only once SetSpanCollector attaches a
+// collector. Call once, from the goroutine that owns the server;
+// registry reads are concurrent-safe.
 func (s *Server) EnableObservability(reg *metrics.Registry) *metrics.Registry {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	s.obs = newObserver(reg)
 	s.ctr.attach(reg)
-	for k := LatencyKind(0); k < numLatencyKinds; k++ {
-		s.latency.hist[k] = reg.Histogram("latency." + k.slug() + ".ns")
-	}
 	s.cache.Instrument(reg)
 	s.dataSSD.Instrument(reg)
 	s.tableSSD.Instrument(reg)

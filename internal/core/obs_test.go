@@ -9,19 +9,17 @@ import (
 	"fidr/internal/trace/span"
 )
 
-// driveObserved writes nWrites chunks (half duplicates) and reads them
-// back through an instrumented server, returning the registry.
-func driveObserved(t *testing.T, arch Arch) *metrics.Registry {
+// driveWorkload writes 200 chunks (half duplicates), flushes and reads
+// every chunk back.
+func driveWorkload(t *testing.T, s *Server) {
 	t.Helper()
-	s := newServer(t, arch)
-	reg := s.EnableObservability(nil)
 	sh := blockcomp.NewShaper(0.5)
 	const n = 200
 	for i := 0; i < n; i++ {
 		// Seed collisions make half the stream duplicate content.
 		data := sh.Make(uint64(i%(n/2)), 4096)
 		if err := s.Write(uint64(i), data); err != nil {
-			t.Fatalf("%v write %d: %v", arch, i, err)
+			t.Fatalf("%v write %d: %v", s.cfg.Arch, i, err)
 		}
 	}
 	if err := s.Flush(); err != nil {
@@ -29,9 +27,18 @@ func driveObserved(t *testing.T, arch Arch) *metrics.Registry {
 	}
 	for i := 0; i < n; i++ {
 		if _, err := s.Read(uint64(i)); err != nil {
-			t.Fatalf("%v read %d: %v", arch, i, err)
+			t.Fatalf("%v read %d: %v", s.cfg.Arch, i, err)
 		}
 	}
+}
+
+// driveObserved runs driveWorkload through an instrumented server,
+// returning the registry.
+func driveObserved(t *testing.T, arch Arch) *metrics.Registry {
+	t.Helper()
+	s := newServer(t, arch)
+	reg := s.EnableObservability(nil)
+	driveWorkload(t, s)
 	return reg
 }
 
@@ -75,10 +82,27 @@ func TestObservabilityCountersAndStages(t *testing.T) {
 		if reg.Counter("tablecache.lookups").Value() == 0 {
 			t.Errorf("%v tablecache.lookups = 0", arch)
 		}
-		// Latency kinds feed the registry too.
-		if reg.Histogram("latency.write_ack.ns").Count() != 200 {
-			t.Errorf("%v latency.write_ack.ns count = %d, want 200",
-				arch, reg.Histogram("latency.write_ack.ns").Count())
+	}
+}
+
+// TestNoConstantHistogram: a histogram is for values that vary. One that
+// saw a hundred observations and a single value is a model's constant
+// published as if it had been observed (the §7.6 budget lives in
+// latency.go and is printed by experiments.Latency, not per request).
+//
+// ssd.<name>.access_ns is exempt by name: it is the device model's
+// AccessTime per command, a function of size and direction and no clock,
+// and the table SSD sees only one-page reads here. It moves under
+// model.* with the SSD's other ledgers (ROADMAP item 4).
+func TestNoConstantHistogram(t *testing.T) {
+	for _, arch := range allArchs() {
+		for _, m := range driveObserved(t, arch).Snapshot() {
+			if strings.HasPrefix(m.Name, "ssd.") && strings.HasSuffix(m.Name, ".access_ns") {
+				continue
+			}
+			if m.Kind == "hist" && m.Hist.Count >= 100 && !(m.Hist.Min < m.Hist.Max) {
+				t.Errorf("%v %s: %d observations, all %v", arch, m.Name, m.Hist.Count, m.Hist.Min)
+			}
 		}
 	}
 }
@@ -143,22 +167,17 @@ func TestObservabilityTraceRing(t *testing.T) {
 }
 
 func TestObservabilityDisabledIsNilSafe(t *testing.T) {
-	// No EnableObservability: all hooks must be no-ops, not panics.
-	s := newServer(t, FIDRFull)
-	sh := blockcomp.NewShaper(0.5)
-	for i := 0; i < 50; i++ {
-		if err := s.Write(uint64(i), sh.Make(uint64(i), 4096)); err != nil {
-			t.Fatal(err)
+	// No EnableObservability: every timing hook is a nil test, not a
+	// panic, and the server never comes to own a registry.
+	for _, arch := range allArchs() {
+		s := newServer(t, arch)
+		if s.MetricsRegistry() != nil {
+			t.Fatalf("%v: registry present on a new server", arch)
 		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(3); err != nil {
-		t.Fatal(err)
-	}
-	if s.MetricsRegistry() != nil {
-		t.Error("registry present without EnableObservability")
+		driveWorkload(t, s)
+		if s.MetricsRegistry() != nil {
+			t.Errorf("%v: registry present without EnableObservability", arch)
+		}
 	}
 }
 
@@ -170,7 +189,6 @@ func TestObservabilityDumpFormat(t *testing.T) {
 		"counter nic.hash_ops",
 		"counter engine.chunks_in",
 		"hist stage.hash.ns count=",
-		"hist latency.write_ack.ns count=200",
 		"hist ssd.data-ssd.access_ns",
 	} {
 		if !strings.Contains(dump, want) {

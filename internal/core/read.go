@@ -115,7 +115,6 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 			// Buffer scan plus NIC send of the hit.
 			s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(out)))
 			s.transfer(pcie.HostMemory, devNIC, uint64(len(out)))
-			s.latency.observe(LatReadCacheHit, s.cfg.Arch, 0)
 			return out, nil
 		}
 	}
@@ -137,9 +136,6 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		s.transfer(devDataSSD, pcie.HostMemory, csize)
 		s.ledger.MemPayload(hostmodel.PathHostSSD, csize)
 		s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
-		s.latency.observe(LatReadSSD, s.cfg.Arch, s.dataSSD.AccessTime(false, int(csize)))
-	} else {
-		s.latency.observe(LatReadPending, s.cfg.Arch, 0)
 	}
 	// Host -> decompression FPGA, decompress, FPGA -> host.
 	s.transfer(pcie.HostMemory, devDecomp, csize)
@@ -170,7 +166,6 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		tr.span(StageNICBuffer, from)
 		out := make([]byte, len(data))
 		copy(out, data)
-		s.latency.observe(LatReadNICHit, s.cfg.Arch, 0)
 		return out, nil
 	}
 	tr.span(StageNICBuffer, from)
@@ -179,7 +174,6 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		s.ctr.readCacheHits.Inc()
 		s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
 		s.transfer(pcie.HostMemory, devNIC, uint64(len(data)))
-		s.latency.observe(LatReadCacheHit, s.cfg.Arch, 0)
 		return data, nil
 	}
 	// Steps 3-4: LBA goes to the host, which resolves the PBA.
@@ -209,10 +203,8 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		if !s.cfg.OffloadDataSSDQueues {
 			s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
 		}
-		s.latency.observe(LatReadSSD, s.cfg.Arch, s.dataSSD.AccessTime(false, int(csize)))
 	} else {
 		s.transfer(devComp, devDecomp, csize)
-		s.latency.observe(LatReadPending, s.cfg.Arch, 0)
 	}
 	from = tr.start()
 	out, err := s.decomp.Decompress(cdata, int(raw))

@@ -44,7 +44,6 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	s.ctr.logicalBytes.Add(uint64(len(data)))
 	s.ledger.Client(uint64(len(data)))
 	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolWriteNs)
-	s.latency.observe(LatWriteAck, s.cfg.Arch, 0)
 	tr := s.obs.begin("write", lba)
 	tr.adopt(tc)
 	defer tr.done()

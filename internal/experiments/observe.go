@@ -10,7 +10,7 @@ import (
 // Observe runs the Read-Mixed workload on full FIDR with live
 // observability enabled and renders the resulting metrics registry. The
 // metric names are exactly the ones fidrd serves at -metrics-addr
-// (stage.*, latency.*, core.*, tablecache.*, nic.*, engine.*, ssd.*),
+// (stage.*, req.*, core.*, tablecache.*, nic.*, engine.*, ssd.*),
 // so bench output and a live daemon's /metrics dump line up directly.
 func Observe(sc Scale) (string, *metrics.Table, error) {
 	cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
@@ -45,6 +45,6 @@ func Observe(sc Scale) (string, *metrics.Table, error) {
 			tab.Row(m.Name, metrics.FormatFloat(m.Value), "", "", "", "")
 		}
 	}
-	tab.Note("histogram cells are wall-clock nanosecond distributions; same names as fidrd -metrics-addr")
+	tab.Note("histogram cells are wall-clock nanosecond distributions (ssd.*.access_ns: the device model's time per command); same names as fidrd -metrics-addr")
 	return reg.Dump(), tab, nil
 }

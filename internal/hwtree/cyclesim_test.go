@@ -4,71 +4,6 @@ import (
 	"testing"
 )
 
-func TestFreeListBasics(t *testing.T) {
-	if _, err := NewFreeList(0); err == nil {
-		t.Fatal("zero capacity accepted")
-	}
-	f, err := NewFreeList(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 4 {
-		t.Fatalf("initial len = %d", f.Len())
-	}
-	seen := map[uint64]bool{}
-	for i := 0; i < 4; i++ {
-		l, ok := f.Pop()
-		if !ok || seen[l] {
-			t.Fatalf("pop %d: line %d ok=%v", i, l, ok)
-		}
-		seen[l] = true
-	}
-	if _, ok := f.Pop(); ok {
-		t.Fatal("popped from empty list")
-	}
-	if err := f.PushBatch([]uint64{2, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 2 {
-		t.Fatalf("len after batch = %d", f.Len())
-	}
-	f.Push(1)
-	f.Push(3)
-	if err := f.Push(9); err == nil {
-		t.Fatal("push into full list accepted")
-	}
-}
-
-func TestFreeListBurstAmortization(t *testing.T) {
-	f, _ := NewFreeList(64)
-	for i := 0; i < 64; i++ {
-		if _, ok := f.Pop(); !ok {
-			t.Fatal("pop failed")
-		}
-	}
-	// 64 sequential pops at 8 entries per 512-bit burst = 8 reads.
-	if got := f.DRAMReads(); got != 8 {
-		t.Fatalf("DRAM reads = %d, want 8", got)
-	}
-}
-
-func TestFreeListWrapsAround(t *testing.T) {
-	f, _ := NewFreeList(3)
-	for round := 0; round < 10; round++ {
-		a, _ := f.Pop()
-		b, _ := f.Pop()
-		if err := f.Push(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Push(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Len() != 3 {
-		t.Fatalf("len drifted to %d", f.Len())
-	}
-}
-
 // TestCycleSimMatchesModel cross-validates the analytic per-resource
 // model (perf.go) against the cycle-level replay for the Figure 13
 // operating points. The two must agree within 20% — they share

@@ -502,26 +502,3 @@ func (t *Tree) Check() error {
 	}
 	return nil
 }
-
-// LevelNodeCounts returns the number of live nodes at each level, root
-// first. Used by the area model: levels 0..h-2 map to on-chip memories,
-// the leaf level to FPGA-board DRAM.
-func (t *Tree) LevelNodeCounts() []int {
-	var counts []int
-	var walk func(id NodeID, depth int)
-	walk = func(id NodeID, depth int) {
-		for len(counts) <= depth {
-			counts = append(counts, 0)
-		}
-		counts[depth]++
-		nd := t.nd(id)
-		if nd.leaf {
-			return
-		}
-		for i := 0; i <= nd.n; i++ {
-			walk(nd.children[i], depth+1)
-		}
-	}
-	walk(t.root, 0)
-	return counts
-}

@@ -179,30 +179,6 @@ func TestPathToNeighbors(t *testing.T) {
 	}
 }
 
-func TestLevelNodeCounts(t *testing.T) {
-	tr := NewTree()
-	for i := uint64(0); i < 10000; i++ {
-		tr.Put(i, i)
-	}
-	counts := tr.LevelNodeCounts()
-	if len(counts) != tr.Height() {
-		t.Fatalf("levels %d != height %d", len(counts), tr.Height())
-	}
-	if counts[0] != 1 {
-		t.Fatalf("root level has %d nodes", counts[0])
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] < counts[i-1] {
-			t.Fatalf("level %d smaller than parent level", i)
-		}
-	}
-	// Total leaves should be about 10000 / (8..16 keys per leaf).
-	leaves := counts[len(counts)-1]
-	if leaves < 10000/LeafKeys || leaves > 10000/(LeafKeys/2)+1 {
-		t.Fatalf("%d leaves for 10000 keys", leaves)
-	}
-}
-
 func BenchmarkHWTreePut(b *testing.B) {
 	tr := NewTree()
 	for i := 0; i < b.N; i++ {

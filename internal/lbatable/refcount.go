@@ -29,12 +29,6 @@ func (t *Table) refsInit() {
 	}
 }
 
-// incRef increments pbn's reference count.
-func (t *Table) incRef(pbn uint64) {
-	t.refsInit()
-	t.refs[pbn]++
-}
-
 // decRef decrements pbn's count, recording dead bytes when it hits zero.
 func (t *Table) decRef(pbn uint64) {
 	t.refsInit()

@@ -21,6 +21,7 @@
 package health
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,35 +149,12 @@ func ProgressProbe(name string, deadline time.Duration, depth func() int, comple
 				return false, "", ""
 			}
 			if since := now.Sub(stuckFrom); since > deadline {
-				return true, "queue depth " + itoa(d) + " with no completions for " +
+				return true, "queue depth " + strconv.Itoa(d) + " with no completions for " +
 					since.Round(time.Millisecond).String(), ""
 			}
 			return false, "", ""
 		},
 	}
-}
-
-// itoa avoids strconv on the tick path for the small ints probes print.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // probeState tracks one probe's transition edge.

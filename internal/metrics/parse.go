@@ -16,7 +16,8 @@ import (
 //
 // Unknown line shapes are skipped rather than fatal: a dump from a
 // newer daemon with an extra kind should degrade, not break the
-// doctor.
+// doctor. A series without a name and a counter that is not a decimal
+// uint64 are such shapes: the writer emits neither.
 func ParseMetricsText(text string) []Metric {
 	var out []Metric
 	for _, line := range strings.Split(text, "\n") {
@@ -25,13 +26,23 @@ func ParseMetricsText(text string) []Metric {
 			continue
 		}
 		name, labels := splitNameLabels(fields[1])
+		if name == "" {
+			continue
+		}
 		switch fields[0] {
-		case "counter", "gauge":
+		case "counter":
+			// What the writer prints: a uint64 in decimal.
+			v, err := strconv.ParseUint(fields[2], 10, 64)
+			if err != nil {
+				continue
+			}
+			out = append(out, Metric{Kind: "counter", Name: name, Labels: labels, Value: float64(v)})
+		case "gauge":
 			v, err := strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				continue
 			}
-			out = append(out, Metric{Kind: fields[0], Name: name, Labels: labels, Value: v})
+			out = append(out, Metric{Kind: "gauge", Name: name, Labels: labels, Value: v})
 		case "hist":
 			m := Metric{Kind: "hist", Name: name, Labels: labels}
 			for _, kv := range fields[2:] {
@@ -39,13 +50,17 @@ func ParseMetricsText(text string) []Metric {
 				if !ok {
 					continue
 				}
+				if k == "count" {
+					if n, err := strconv.ParseUint(v, 10, 64); err == nil {
+						m.Hist.Count = n
+					}
+					continue
+				}
 				f, err := strconv.ParseFloat(v, 64)
 				if err != nil {
 					continue
 				}
 				switch k {
-				case "count":
-					m.Hist.Count = uint64(f)
 				case "mean":
 					m.Hist.Mean = f
 				case "min":

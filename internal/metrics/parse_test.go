@@ -4,21 +4,32 @@ import (
 	"testing"
 )
 
+// The two table tests' inputs, which also seed FuzzParseMetricsText.
+var roundTripSet = []Metric{
+	{Kind: "counter", Name: "core.writes", Value: 42},
+	{Kind: "counter", Name: "group0.core.writes", Value: 30},
+	{Kind: "counter", Name: "group1.core.writes", Value: 12},
+	{Kind: "gauge", Name: "async.inflight", Value: 3},
+	{Kind: "gauge", Name: "build_info",
+		Labels: LabelPair("version", "v1.2") + "," + LabelPair("commit", "abc123"), Value: 1},
+	{Kind: "hist", Name: "wal.fsync_ns", Hist: HistogramSnapshot{
+		Count: 10, Mean: 5, Min: 1, P50: 4, P90: 8, P99: 9, Max: 12}},
+}
+
+const garbageDump = "counter a.b 1\n" +
+	"# a comment\n" +
+	"summary weird 5\n" +
+	"gauge\n" +
+	"gauge c.d nan-ish\n" +
+	"\n" +
+	"gauge c.d 2\n"
+
 // TestParseMetricsTextRoundTrip dumps a mixed metric set — including a
 // labeled gauge and a cluster-style group prefix — and parses it back:
 // the inverse the fidrcli doctor relies on to diagnose a live daemon
 // from its /metrics page.
 func TestParseMetricsTextRoundTrip(t *testing.T) {
-	in := []Metric{
-		{Kind: "counter", Name: "core.writes", Value: 42},
-		{Kind: "counter", Name: "group0.core.writes", Value: 30},
-		{Kind: "counter", Name: "group1.core.writes", Value: 12},
-		{Kind: "gauge", Name: "async.inflight", Value: 3},
-		{Kind: "gauge", Name: "build_info",
-			Labels: LabelPair("version", "v1.2") + "," + LabelPair("commit", "abc123"), Value: 1},
-		{Kind: "hist", Name: "wal.fsync_ns", Hist: HistogramSnapshot{
-			Count: 10, Mean: 5, Min: 1, P50: 4, P90: 8, P99: 9, Max: 12}},
-	}
+	in := roundTripSet
 	out := ParseMetricsText(DumpMetrics(in))
 	if len(out) != len(in) {
 		t.Fatalf("parsed %d metrics from %d (out=%+v)", len(out), len(in), out)
@@ -54,14 +65,7 @@ func TestParseMetricsTextRoundTrip(t *testing.T) {
 // and prose pass through silently — the parser must tolerate a dump
 // page that grows new line types.
 func TestParseMetricsTextSkipsGarbage(t *testing.T) {
-	text := "counter a.b 1\n" +
-		"# a comment\n" +
-		"summary weird 5\n" +
-		"gauge\n" +
-		"gauge c.d nan-ish\n" +
-		"\n" +
-		"gauge c.d 2\n"
-	out := ParseMetricsText(text)
+	out := ParseMetricsText(garbageDump)
 	if len(out) != 2 {
 		t.Fatalf("parsed %+v, want just a.b and c.d", out)
 	}

@@ -197,7 +197,7 @@ func WriteMetricsText(w io.Writer, ms []Metric) error {
 		case "hist":
 			h := m.Hist
 			_, err = fmt.Fprintf(w, "hist %s count=%d mean=%s min=%s p50=%s p90=%s p99=%s max=%s\n",
-				m.Name, h.Count, FormatFloat(h.Mean), FormatFloat(h.Min),
+				m.fullName(), h.Count, FormatFloat(h.Mean), FormatFloat(h.Min),
 				FormatFloat(h.P50), FormatFloat(h.P90), FormatFloat(h.P99), FormatFloat(h.Max))
 		case "counter":
 			_, err = fmt.Fprintf(w, "counter %s %d\n", m.fullName(), uint64(m.Value))

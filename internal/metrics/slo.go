@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -63,30 +64,37 @@ func DefaultObjectives() []Objective {
 // ParseObjectives parses a declarative objective spec:
 // "name:hist:threshold:target[,...]", e.g.
 // "write-h:req.write.ns:2ms:99.9,read:req.read.ns:20ms:99".
-// Target accepts a percentage (> 1) or a fraction (< 1).
+// Target accepts a percentage (> 1) or a fraction (< 1). Names are
+// unique: each objective publishes its own slo.<name>.* gauges.
 func ParseObjectives(spec string) ([]Objective, error) {
 	var out []Objective
+	seen := make(map[string]bool)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		f := strings.Split(part, ":")
-		if len(f) != 4 {
+		if len(f) != 4 || f[0] == "" || f[1] == "" {
 			return nil, fmt.Errorf("slo: objective %q: want name:hist:threshold:target", part)
 		}
+		if seen[f[0]] {
+			return nil, fmt.Errorf("slo: objective %q: name %q is already taken", part, f[0])
+		}
+		seen[f[0]] = true
 		th, err := time.ParseDuration(f[2])
 		if err != nil || th <= 0 {
 			return nil, fmt.Errorf("slo: objective %q: bad threshold %q", part, f[2])
 		}
-		var target float64
-		if _, err := fmt.Sscanf(f[3], "%g", &target); err != nil {
+		// strconv, not Sscanf: "99.9x" is an error, not a truncated 99.9.
+		target, err := strconv.ParseFloat(f[3], 64)
+		if err != nil {
 			return nil, fmt.Errorf("slo: objective %q: bad target %q", part, f[3])
 		}
 		if target > 1 {
 			target /= 100
 		}
-		if target <= 0 || target >= 1 {
+		if !(target > 0 && target < 1) {
 			return nil, fmt.Errorf("slo: objective %q: target must be in (0,1) or (0,100)", part)
 		}
 		out = append(out, Objective{Name: f[0], Hist: f[1], Threshold: th, Target: target})

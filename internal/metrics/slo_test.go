@@ -27,8 +27,18 @@ func TestGoodTotalInterpolation(t *testing.T) {
 	}
 }
 
+// The table test's inputs, which also seed FuzzParseObjectives.
+const goodObjectiveSpec = "write-h:req.write.ns:2ms:99.9, read:req.read.ns:20ms:0.99"
+
+var badObjectiveSpecs = []string{"", "x:y:z", "a:h:2ms:150", "a:h:notadur:99", "a:h:2ms:0",
+	"w:req.write.ns:2ms:99.9x", // Sscanf read this as 99.9
+	"a:h:2ms:NaN",
+	":h:2ms:99", "a::2ms:99",
+	"a:h:2ms:99,a:g:1ms:50", // both would publish slo.a.*
+}
+
 func TestParseObjectives(t *testing.T) {
-	objs, err := ParseObjectives("write-h:req.write.ns:2ms:99.9, read:req.read.ns:20ms:0.99")
+	objs, err := ParseObjectives(goodObjectiveSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +51,7 @@ func TestParseObjectives(t *testing.T) {
 	if objs[1].Target != 0.99 {
 		t.Fatalf("objective 1 target = %v", objs[1].Target)
 	}
-	for _, bad := range []string{"", "x:y:z", "a:h:2ms:150", "a:h:notadur:99", "a:h:2ms:0"} {
+	for _, bad := range badObjectiveSpecs {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("ParseObjectives(%q) accepted", bad)
 		}

@@ -110,6 +110,8 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 	switch {
 	case c.Groups < 1:
 		return Config{}, nil, fmt.Errorf("fidr: -groups %d: a node has at least one group", c.Groups)
+	case c.Groups > maxGroups:
+		return Config{}, nil, fmt.Errorf("fidr: -groups %d: the cross-shard duplicate count tracks at most %d groups", c.Groups, maxGroups)
 	case c.QueueDepth < 1:
 		return Config{}, nil, fmt.Errorf("fidr: -queue-depth %d: a group's queue holds at least one request", c.QueueDepth)
 	case (c.DataFile == "") != (c.TableFile == ""):
@@ -125,6 +127,10 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 		return Config{}, nil, errors.New("fidr: -groups > 1 is incompatible with -data-file/-table-file/-recover")
 	case c.Recover && !durable:
 		return Config{}, nil, errors.New("fidr: -recover requires -data-file and -table-file")
+	case c.WatchdogDeadline <= 0:
+		// A worker caught mid-request has been busy for longer than no
+		// time at all: every tick would report a healthy node stalled.
+		return Config{}, nil, fmt.Errorf("fidr: -watchdog-deadline %v: the stall deadline must be positive", c.WatchdogDeadline)
 	}
 	objs := metrics.DefaultObjectives()
 	if c.SLOSpec != "" {

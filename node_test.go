@@ -105,11 +105,22 @@ func TestNodeConfigRefusals(t *testing.T) {
 		{"volumes across groups", func(c *fidr.NodeConfig) { c.Groups, c.DataFile, c.TableFile = 2, file("d"), file("t") },
 			[]string{"-groups", "-data-file", "-table-file"}},
 		{"recover across groups", func(c *fidr.NodeConfig) { c.Groups, c.Recover = 2, true }, []string{"-groups", "-recover"}},
+		// Past 64 groups cluster.cross_shard_dup_chunks under-counted
+		// in silence; at 101 the group<N>. prefix panicked after a
+		// hundred servers were built.
+		{"more groups than the cross-shard count tracks", func(c *fidr.NodeConfig) { c.Groups = 65 }, []string{"-groups", "64"}},
+		{"three-digit group count", func(c *fidr.NodeConfig) { c.Groups = 101 }, []string{"-groups", "64"}},
+		// A zero deadline called every worker caught mid-request stalled.
+		{"no watchdog deadline", func(c *fidr.NodeConfig) { c.WatchdogDeadline = 0 }, []string{"-watchdog-deadline"}},
+		{"slo target with trailing bytes", func(c *fidr.NodeConfig) { c.SLOSpec = "w:req.write.ns:2ms:99.9x,w:nosuch.hist:1ms:50" },
+			[]string{"-slo-spec", "99.9x"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testNodeConfig(t)
 			c.WALFile = file("refused.wal")
 			tc.set(&c)
+			before, fds := runtime.NumGoroutine(), openFDs()
+			defer waitQuiet(t, "after the refusal", before, fds)
 			n, err := fidr.NewNode(c)
 			if err == nil {
 				n.Close()
