@@ -71,16 +71,19 @@ check-trace:
 check-capacity:
 	$(GO) test -v -run TestCapacityE2E ./cmd/fidrd
 
-# check-doctor boots a fidrd with the snapshot recorder armed and a tight
-# watchdog, injects an async-worker stall through the -debug-hooks test
-# endpoint, and asserts the watchdog trips (watchdog_stall event), the
-# recorder captures an on-disk snapshot served at /debug/bundle, and
-# `fidrcli doctor` flags the stall (non-zero exit) then reports healthy
-# after recovery.
+# check-doctor runs the health plane end to end in two halves. In
+# process (fidr.NewNode with the recorder armed and a tight watchdog): a
+# Maintenance closure held by a channel wedges an async worker, and the
+# watchdog must trip (watchdog_stall event), the recorder capture a
+# snapshot served at /debug/bundle, and the real `fidrcli doctor` binary
+# flag the stall (non-zero exit), then report healthy once the closure is
+# released. On the real daemon: boot with -health-dir, `fidrcli doctor`
+# healthy with the recorder armed, and degraded to a warning without it.
 check-doctor:
-	$(GO) test -v -run TestDoctorE2E ./cmd/fidrd
+	$(GO) test -v -run TestDoctorStall .
+	$(GO) test -v -run 'TestDoctorE2E|TestDoctorDisabledRecorderE2E' ./cmd/fidrd
 
-# fuzz runs ten fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs twelve fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
 # scalar on every input; WAL replay and recovery must survive any log
 # (torn, corrupt, reordered frames) applying a clean prefix or failing
@@ -94,9 +97,14 @@ check-doctor:
 # (the fence for codec work, beside TestWireBytesGolden); whatever
 # -slo-spec the objective parser accepts is evaluable (positive
 # threshold, target inside (0, 1), unique non-empty names) and re-parses
-# to itself; and the dump parser doctor reads (live scrape, recorder
-# bundle) keeps only series whose dump parses back to the same series
-# and the same bytes. FUZZ_TIME extends the per-fuzzer budget locally.
+# to itself, and publishes gauges whose names survive the dump; the dump
+# parser stats and doctor read (live scrape, recorder bundle) keeps only
+# series whose dump parses back to the same series and the same bytes;
+# the journal decoder (live /events, a bundle's events.jsonl) returns
+# only events that re-encode to lines decoding to the same events; and
+# the bundle lister doctor hands /debug/bundle to returns sorted,
+# distinct, non-empty names for any bytes. FUZZ_TIME extends the
+# per-fuzzer budget locally.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
@@ -109,6 +117,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime $(FUZZ_TIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjectives$$' -fuzztime $(FUZZ_TIME) ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsText$$' -fuzztime $(FUZZ_TIME) ./internal/metrics
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZ_TIME) ./internal/metrics/events
+	$(GO) test -run '^$$' -fuzz '^FuzzBundleSnapshots$$' -fuzztime $(FUZZ_TIME) ./internal/metrics/health
 
 # bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
 # call through the async front-end (idle group / callers meeting on the

@@ -176,32 +176,6 @@ func (a *Async) DepthGatherer() metrics.Gatherer {
 	})
 }
 
-// InjectStall is a test hook: it enqueues a maintenance op on group
-// 0's queue that sleeps for d, simulating a wedged worker (the
-// heartbeat stays busy without beating, queued work stops draining).
-// Non-blocking: a full queue returns an error instead of deadlocking
-// the caller. Nobody waits for the result.
-//
-// It exists for the watchdog's end-to-end test (fidrd -debug-hooks
-// exposes it as POST /debug/stall) and must never be reachable in
-// production configurations.
-func (a *Async) InjectStall(d time.Duration) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return errAsyncClosed
-	}
-	g := a.groups[0]
-	g.pending.Add(1)
-	select {
-	case g.q <- asyncReq{fn: func(Store) error { time.Sleep(d); return nil }, done: make(chan AsyncResult, 1)}:
-		return nil
-	default:
-		g.pending.Add(-1)
-		return fmt.Errorf("fidr: queue full, stall not injected")
-	}
-}
-
 // EnableObservability registers the front-end's own series on reg:
 // async.writes / async.reads counters, the async.queue_wait.ns
 // histogram, and the async.inflight gauge. Call before submitting

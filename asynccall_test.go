@@ -306,13 +306,6 @@ func TestAsyncSubmitRacesClose(t *testing.T) {
 			func(lba uint64) error { return a.Write(lba, chunk) },
 			func(lba uint64) error { return (<-a.WriteAsync(lba, chunk, nil)).Err },
 			func(uint64) error { return a.Maintenance(func(fidr.Store) error { return nil }) },
-			func(uint64) error {
-				err := a.InjectStall(0)
-				if err != nil && strings.Contains(err.Error(), "queue full") {
-					return nil // refused, not raced
-				}
-				return err
-			},
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 2*len(submit); g++ {

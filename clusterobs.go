@@ -2,7 +2,6 @@ package fidr
 
 import (
 	"math"
-	"strconv"
 	"sync"
 
 	"fidr/internal/core"
@@ -22,8 +21,8 @@ import (
 
 // clusterObs binds a cluster's groups into one observability plane.
 type clusterObs struct {
-	groupRegs []*metrics.Registry
-	own       *metrics.Registry
+	regs []*metrics.Registry // each group's own, by group index
+	own  *metrics.Registry
 
 	writeNS, readNS *metrics.Histogram
 	crossDupChunks  *metrics.Gauge
@@ -54,7 +53,7 @@ func (c *Cluster) EnableObservability() metrics.Gatherer {
 // own series.
 func (c *Cluster) observe() metrics.Gatherer {
 	o := &clusterObs{
-		groupRegs: make([]*metrics.Registry, len(c.groups)),
+		regs:      make([]*metrics.Registry, len(c.groups)),
 		own:       metrics.NewRegistry(),
 		contentAt: make(map[fingerprint.FP]uint64),
 	}
@@ -62,8 +61,8 @@ func (c *Cluster) observe() metrics.Gatherer {
 	merged := make([]metrics.Gatherer, len(c.groups))
 	for i, g := range c.groups {
 		g.SetUniqueObserver(func(fp fingerprint.FP) { o.noteUnique(i, fp) })
-		o.groupRegs[i] = g.MetricsRegistry()
-		merged[i] = o.groupRegs[i]
+		o.regs[i] = g.MetricsRegistry()
+		merged[i] = o.regs[i]
 	}
 	mergedView := metrics.Merged(merged...)
 	gatherers = append(gatherers, mergedView)
@@ -71,7 +70,7 @@ func (c *Cluster) observe() metrics.Gatherer {
 	// merged counters at scrape time.
 	gatherers = append(gatherers, metrics.CapacityRatios(mergedView))
 	for i := range c.groups {
-		gatherers = append(gatherers, metrics.Prefixed(groupPrefix(i), o.groupRegs[i]))
+		gatherers = append(gatherers, metrics.Prefixed(metrics.GroupPrefix(i), o.regs[i]))
 	}
 	o.writeNS = o.own.Histogram("cluster.write.ns")
 	o.readNS = o.own.Histogram("cluster.read.ns")
@@ -83,8 +82,6 @@ func (c *Cluster) observe() metrics.Gatherer {
 	c.obs = o
 	return metrics.Multi(gatherers...)
 }
-
-func groupPrefix(i int) string { return "group" + strconv.Itoa(i) + "." }
 
 // noteUnique records that group g admitted fp as unique content,
 // updating the cross-shard duplicate gauge. It runs on the goroutine
@@ -110,15 +107,15 @@ func (o *clusterObs) noteUnique(g int, fp fingerprint.FP) {
 // group registries' atomics (never from Server state, which concurrent
 // workers own).
 func (o *clusterObs) derived() []metrics.Metric {
-	n := len(o.groupRegs)
+	n := len(o.regs)
 	writes := make([]float64, n)
 	var total float64
-	for i, reg := range o.groupRegs {
+	for i, reg := range o.regs {
 		writes[i] = float64(reg.Counter("core.writes").Value())
 		total += writes[i]
 	}
 	out := make([]metrics.Metric, 0, 2*n+1)
-	for i, reg := range o.groupRegs {
+	for i, reg := range o.regs {
 		share := 0.0
 		if total > 0 {
 			share = writes[i] / total
@@ -130,8 +127,8 @@ func (o *clusterObs) derived() []metrics.Metric {
 			ratio = dups / (dups + uniques)
 		}
 		out = append(out,
-			metrics.Metric{Kind: "gauge", Name: groupPrefix(i) + "derived.write_share", Value: share},
-			metrics.Metric{Kind: "gauge", Name: groupPrefix(i) + "derived.dedup_ratio", Value: ratio},
+			metrics.Metric{Kind: "gauge", Name: metrics.GroupPrefix(i) + "derived.write_share", Value: share},
+			metrics.Metric{Kind: "gauge", Name: metrics.GroupPrefix(i) + "derived.dedup_ratio", Value: ratio},
 		)
 	}
 	out = append(out, metrics.Metric{

@@ -243,7 +243,8 @@ func TestClusterPromExposition(t *testing.T) {
 	if err := c.Write(1, fidr.MakeChunk(1, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(metrics.Handler(view, metrics.HandlerOptions{Traces: col.RenderRecent}))
+	srv := httptest.NewServer(metrics.Handler(view, nil,
+		[]metrics.Route{{Path: "/traces", Handler: metrics.Text(col.RenderRecent)}}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics?format=prom")

@@ -48,9 +48,7 @@
 package main
 
 import (
-	"archive/tar"
-	"bytes"
-	"compress/gzip"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -58,25 +56,40 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
-	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"fidr"
 	"fidr/internal/metrics"
+	"fidr/internal/metrics/events"
 	"fidr/internal/metrics/health"
 	"fidr/internal/proto"
 	"fidr/internal/trace"
 	"fidr/internal/trace/span"
 )
 
+// options are the flag values the HTTP verbs read.
+type options struct {
+	args      []string // what follows the flags (trace: the ID)
+	interval  time.Duration
+	frames    int
+	threshold float64
+	follow    bool
+	evType    string
+	fsyncP99  time.Duration
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
 	cmd := os.Args[1]
+	var o options
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9400", "server address")
 	maddr := fs.String("metrics-addr", "127.0.0.1:9401", "server metrics HTTP address (stats, traces)")
@@ -86,39 +99,21 @@ func main() {
 	count := fs.Int("count", 1, "chunks to read (get)")
 	traceFile := fs.String("trace", "", "trace file (replay)")
 	ratio := fs.Float64("ratio", 0.5, "content compressibility for replayed writes")
-	interval := fs.Duration("interval", 2*time.Second, "refresh interval (top)")
-	frames := fs.Int("n", 0, "frames to render before exiting (top); 0 = until interrupted")
+	fs.DurationVar(&o.interval, "interval", 2*time.Second, "refresh interval (top)")
+	fs.IntVar(&o.frames, "n", 0, "frames to render before exiting (top); 0 = until interrupted")
 	traced := fs.Bool("traced", false, "trace each put batch end to end; prints one trace ID per batch")
-	threshold := fs.Float64("threshold", 0.25, "GC dead-fraction threshold (capacity, gc)")
-	follow := fs.Bool("follow", false, "keep polling for new events (events)")
-	evType := fs.String("type", "", "filter events by type, e.g. gc_run (events)")
-	fsyncP99 := fs.Duration("fsync-p99", 100*time.Millisecond, "WAL fsync p99 objective (doctor)")
+	fs.Float64Var(&o.threshold, "threshold", 0.25, "GC dead-fraction threshold (capacity, gc)")
+	fs.BoolVar(&o.follow, "follow", false, "keep polling for new events (events)")
+	fs.StringVar(&o.evType, "type", "", "filter events by type, e.g. gc_run (events)")
+	fs.DurationVar(&o.fsyncP99, "fsync-p99", 100*time.Millisecond, "WAL fsync p99 objective (doctor)")
 	fs.Parse(os.Args[2:])
+	o.args = fs.Args()
+	if o.interval <= 0 {
+		o.interval = 2 * time.Second
+	}
 
 	var err error
 	switch cmd {
-	case "stats":
-		err = stats(*maddr)
-	case "traces":
-		err = traces(*maddr)
-	case "trace":
-		if fs.NArg() != 1 {
-			err = fmt.Errorf("usage: fidrcli trace [-metrics-addr host:9401] <trace-id>")
-		} else {
-			err = traceByID(*maddr, fs.Arg(0))
-		}
-	case "slow":
-		err = slow(*maddr)
-	case "slo":
-		err = slo(*maddr)
-	case "top":
-		err = top(*maddr, *interval, *frames)
-	case "capacity":
-		err = capacity(*maddr, *threshold)
-	case "events":
-		err = eventsCmd(*maddr, *evType, *follow, *interval)
-	case "doctor":
-		err = doctor(*maddr, *fsyncP99)
 	case "put", "get", "replay", "gc", "checkpoint":
 		var c *proto.Client
 		c, err = proto.Dial(*addr)
@@ -134,12 +129,19 @@ func main() {
 		case "replay":
 			err = replay(c, *traceFile, *ratio)
 		case "gc":
-			err = gc(c, *threshold)
+			err = gc(c, o.threshold)
 		case "checkpoint":
 			err = checkpoint(c)
 		}
 	default:
-		usage()
+		mk, ok := views[cmd]
+		if !ok {
+			usage()
+		}
+		var v view
+		if v, err = mk(&o); err == nil {
+			err = v.run(*maddr, os.Stdout)
+		}
 	}
 	if err != nil {
 		log.Fatalf("fidrcli: %s: %v", cmd, err)
@@ -190,12 +192,9 @@ func fetch(addr, path string) (string, error) {
 // doubling per attempt) for the long-running views: a daemon restart
 // mid `top` or `events -follow` should ride through a few failed
 // polls rather than kill a dashboard that has been up for hours. Only
-// transient failures are retried; the final error names how many
-// attempts were made.
+// transient failures are retried; after several attempts the final
+// error names how many were made.
 func fetchRetry(addr, path string, attempts int) (string, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
 	backoff := 100 * time.Millisecond
 	var err error
 	for i := 0; i < attempts; i++ {
@@ -213,201 +212,221 @@ func fetchRetry(addr, path string, attempts int) (string, error) {
 			return "", err
 		}
 	}
-	return "", fmt.Errorf("giving up after %d attempts: %w", attempts, err)
+	if attempts > 1 {
+		err = fmt.Errorf("giving up after %d attempts: %w", attempts, err)
+	}
+	return "", err
 }
 
-// retryAttempts bounds fetchRetry for the polling commands: worst case
-// ~3s of backoff before giving up with a clear error.
-const retryAttempts = 5
-
-// statLine is one parsed dump line.
-type statLine struct {
-	kind  string // "counter", "gauge" or "hist"
-	scope string // "" for cluster-wide/merged, else "group<N>"
-	name  string // metric name with any group prefix stripped
-	kv    map[string]string
-	value string
+// reply is what one path of a view answered.
+type reply struct {
+	body string
+	err  error
 }
 
-var groupRe = regexp.MustCompile(`^group(\d+)\.`)
-
-// parseStats splits a /metrics dump into lines, stripping "group<N>."
-// prefixes into a scope and returning the sorted scopes seen.
-func parseStats(body string) (lines []statLine, scopes []string) {
-	seen := map[string]bool{}
-	for _, raw := range strings.Split(body, "\n") {
-		f := strings.Fields(raw)
-		if len(f) < 3 {
-			continue
-		}
-		sl := statLine{kind: f[0], name: f[1]}
-		switch sl.kind {
-		case "counter", "gauge":
-			sl.value = f[2]
-		case "hist":
-			// Fields arrive as key=value pairs in dump order:
-			// count= mean= min= p50= p90= p99= max=.
-			sl.kv = make(map[string]string, len(f)-2)
-			for _, pair := range f[2:] {
-				if k, v, ok := strings.Cut(pair, "="); ok {
-					sl.kv[k] = v
-				}
-			}
-		default:
-			continue
-		}
-		if m := groupRe.FindStringSubmatch(sl.name); m != nil {
-			sl.scope = "group" + m[1]
-			sl.name = sl.name[len(m[0]):]
-			if !seen[sl.scope] {
-				seen[sl.scope] = true
-				scopes = append(scopes, sl.scope)
-			}
-		}
-		lines = append(lines, sl)
-	}
-	sort.Slice(scopes, func(i, j int) bool {
-		// Numeric order: group2 before group10.
-		return len(scopes[i]) < len(scopes[j]) ||
-			(len(scopes[i]) == len(scopes[j]) && scopes[i] < scopes[j])
-	})
-	return lines, scopes
+// view is an HTTP verb: the paths it asks the metrics endpoint for and
+// how it renders the answers. Every such verb is one of these.
+type view struct {
+	// paths lists one round's requests; it is asked again before every
+	// round (events -follow moves its ?since= on). The first need of them
+	// must answer; render is handed the error of any other that fails.
+	paths func() []string
+	need  int
+	// render returns what to print, which is printed even beside an error.
+	render func(got []reply) (string, error)
+	// every > 0 makes the view a live one: a round every so often, each
+	// fetch riding out a daemon restart, until rounds of them are done
+	// (0 = until interrupted).
+	every  time.Duration
+	rounds int
 }
 
-// stats fetches /metrics and renders the dump as tables. Against a
-// cluster fidrd, scalar metrics become one column per group next to the
-// merged cluster-wide value, and histograms carry a scope column.
-func stats(addr string) error {
-	body, err := fetch(addr, "/metrics")
-	if err != nil {
-		return err
+// run is fetch -> render -> print, once or every v.every.
+func (v view) run(addr string, w io.Writer) error {
+	attempts := 1
+	if v.every > 0 {
+		attempts = 5 // worst case ~3s of backoff before giving up with a clear error
 	}
-	lines, scopes := parseStats(body)
-	if len(lines) == 0 {
-		return fmt.Errorf("no metrics in response")
-	}
-	if len(scopes) == 0 {
-		scalars := metrics.NewTable("counters and gauges", "name", "value")
-		hists := metrics.NewTable("histograms", "name", "count", "mean", "p50", "p90", "p99", "max")
-		for _, sl := range lines {
-			if sl.kind == "hist" {
-				hists.Row(sl.name, sl.kv["count"], sl.kv["mean"], sl.kv["p50"], sl.kv["p90"], sl.kv["p99"], sl.kv["max"])
-			} else {
-				scalars.Row(sl.name, sl.value)
+	for round := 1; ; round++ {
+		paths := v.paths()
+		got := make([]reply, len(paths))
+		for i, p := range paths {
+			got[i].body, got[i].err = fetchRetry(addr, p, attempts)
+			if got[i].err != nil && i < v.need {
+				return got[i].err
 			}
 		}
-		fmt.Print(scalars.String())
-		fmt.Println()
-		fmt.Print(hists.String())
-		return nil
+		out, err := v.render(got)
+		fmt.Fprint(w, out)
+		if err != nil || v.every <= 0 || round == v.rounds {
+			return err
+		}
+		time.Sleep(v.every)
+	}
+}
+
+// once is a view of fixed paths that must all answer, rendered one time.
+func once(render func([]reply) (string, error), paths ...string) view {
+	return view{paths: func() []string { return paths }, need: len(paths), render: render}
+}
+
+// echo prints a body the daemon already rendered.
+func echo(got []reply) (string, error) { return got[0].body, nil }
+
+// views is the table of HTTP verbs: each row turns the flags into the
+// view main runs.
+var views = map[string]func(o *options) (view, error){
+	"stats":  func(*options) (view, error) { return once(renderStats, "/metrics"), nil },
+	"traces": func(*options) (view, error) { return once(echo, "/traces"), nil },
+	"slow":   func(*options) (view, error) { return once(echo, "/traces/slow"), nil },
+	"slo":    func(*options) (view, error) { return once(renderSLO, "/slo"), nil },
+	"trace": func(o *options) (view, error) {
+		if len(o.args) != 1 {
+			return view{}, fmt.Errorf("usage: fidrcli trace [-metrics-addr host:9401] <trace-id>")
+		}
+		if _, err := span.ParseTraceID(o.args[0]); err != nil {
+			return view{}, fmt.Errorf("bad trace ID %q: %v", o.args[0], err)
+		}
+		return once(echo, "/traces/spans?"+url.Values{"id": {o.args[0]}}.Encode()), nil
+	},
+	"capacity": func(o *options) (view, error) {
+		q := url.Values{"threshold": {fmt.Sprintf("%g", o.threshold)}}
+		return once(renderCapacity, "/capacity?"+q.Encode(), "/capacity/containers"), nil
+	},
+	// One round prints every retained event; -follow keeps asking for
+	// what came after the last one printed.
+	"events": func(o *options) (view, error) {
+		var since uint64
+		v := view{need: 1}
+		v.paths = func() []string {
+			q := url.Values{"since": {strconv.FormatUint(since, 10)}}
+			if o.evType != "" {
+				q.Set("type", o.evType)
+			}
+			return []string{"/events?" + q.Encode()}
+		}
+		v.render = func(got []reply) (string, error) {
+			evs, err := events.Decode(strings.NewReader(got[0].body))
+			var b strings.Builder
+			for _, ev := range evs {
+				b.WriteString(renderEvent(ev) + "\n")
+				since = max(since, ev.Seq)
+			}
+			if err != nil {
+				err = fmt.Errorf("parse /events: %w", err)
+			}
+			return b.String(), err
+		}
+		if o.follow {
+			v.every = o.interval
+		}
+		return v, nil
+	},
+	// A single frame prints without clearing the terminal, so `fidrcli
+	// top -n 1` composes with pipes and scripts.
+	"top": func(o *options) (view, error) {
+		v := once(func(got []reply) (string, error) {
+			var d metrics.SeriesDump
+			if err := json.Unmarshal([]byte(got[0].body), &d); err != nil {
+				return "", fmt.Errorf("parse /metrics/series: %w", err)
+			}
+			if o.frames == 1 {
+				return renderTop(d), nil
+			}
+			return "\x1b[2J\x1b[H" + renderTop(d), nil // clear screen, home cursor
+		}, "/metrics/series")
+		v.every, v.rounds = o.interval, o.frames
+		return v, nil
+	},
+	// doctor cannot diagnose without /metrics; the series window, the
+	// journal and the recorder bundle degrade to SKIP/WARN verdicts when
+	// unavailable, so it still works against a daemon that predates them.
+	"doctor": func(o *options) (view, error) {
+		v := once(func(got []reply) (string, error) { return renderDoctor(got, o.fsyncP99) },
+			"/metrics", "/metrics/series", "/events", "/debug/bundle")
+		v.need = 1
+		return v, nil
+	},
+}
+
+// renderStats renders the /metrics dump as two tables. Counters and
+// gauges pivot into name x scope: a cluster's per-group series
+// (metrics.SplitScope) become one column per group beside the merged
+// value, and a histogram row says whose it is. A single node's dump is
+// the same thing with no scopes.
+func renderStats(got []reply) (string, error) {
+	ms := metrics.ParseMetricsText(got[0].body)
+	if len(ms) == 0 {
+		return "", fmt.Errorf("no metrics in response")
+	}
+	var scopes []string
+	for _, m := range ms {
+		if sc, _ := metrics.SplitScope(m.Name); sc != "" && !slices.Contains(scopes, sc) {
+			scopes = append(scopes, sc)
+		}
+	}
+	// Numeric order: group2 before group10.
+	slices.SortFunc(scopes, func(a, b string) int { return cmp.Or(len(a)-len(b), strings.Compare(a, b)) })
+	cols, hcols := []string{"name", "value"}, []string{"name", "count", "mean", "p50", "p90", "p99", "max"}
+	if len(scopes) > 0 {
+		cols = append([]string{"name", "merged"}, scopes...)
+		hcols = append([]string{"scope"}, hcols...)
 	}
 
-	// Cluster view: pivot scalars into name x (merged, group0, ...).
-	byName := map[string]map[string]string{}
-	var order []string
-	for _, sl := range lines {
-		if sl.kind == "hist" {
+	var names []string                      // scalars, scope stripped, first seen first
+	value := map[string]map[string]string{} // name -> scope -> value; "" is the merged, or only, scope
+	hists := metrics.NewTable("histograms", hcols...)
+	for _, m := range ms {
+		var scope string
+		scope, m.Name = metrics.SplitScope(m.Name)
+		name := m.FullName()
+		if h := m.Hist; m.Kind == "hist" {
+			row := []any{"merged", name, h.Count, h.Mean, h.P50, h.P90, h.P99, h.Max}
+			if scope != "" {
+				row[0] = scope
+			}
+			hists.Row(row[len(row)-len(hcols):]...) // no scopes, no scope column
 			continue
 		}
-		if byName[sl.name] == nil {
-			byName[sl.name] = map[string]string{}
-			order = append(order, sl.name)
+		if value[name] == nil {
+			value[name] = map[string]string{}
+			names = append(names, name)
 		}
-		scope := sl.scope
-		if scope == "" {
-			scope = "merged"
-		}
-		byName[sl.name][scope] = sl.value
+		value[name][scope] = m.ValueText()
 	}
-	cols := append([]string{"name", "merged"}, scopes...)
 	scalars := metrics.NewTable("counters and gauges", cols...)
-	for _, name := range order {
-		row := make([]any, 0, len(cols))
-		row = append(row, name, byName[name]["merged"])
+	for _, name := range names {
+		row := []any{name, value[name][""]}
 		for _, sc := range scopes {
-			row = append(row, byName[name][sc])
+			row = append(row, value[name][sc])
 		}
 		scalars.Row(row...)
 	}
-	hists := metrics.NewTable("histograms", "scope", "name", "count", "mean", "p50", "p90", "p99", "max")
-	for _, sl := range lines {
-		if sl.kind != "hist" {
-			continue
-		}
-		scope := sl.scope
-		if scope == "" {
-			scope = "merged"
-		}
-		hists.Row(scope, sl.name, sl.kv["count"], sl.kv["mean"], sl.kv["p50"], sl.kv["p90"], sl.kv["p99"], sl.kv["max"])
-	}
-	fmt.Print(scalars.String())
-	fmt.Println()
-	fmt.Print(hists.String())
-	return nil
+	return scalars.String() + "\n" + hists.String(), nil
 }
 
-// traces fetches /traces and prints the rendered table.
-func traces(addr string) error {
-	body, err := fetch(addr, "/traces")
-	if err != nil {
-		return err
-	}
-	fmt.Print(body)
-	return nil
-}
-
-// slow fetches the slow-trace retention and prints it.
-func slow(addr string) error {
-	body, err := fetch(addr, "/traces/slow")
-	if err != nil {
-		return err
-	}
-	fmt.Print(body)
-	return nil
-}
-
-// traceByID resolves one distributed trace ID to its rendered span
-// tree. IDs come from `put -traced`, from histogram exemplars on
-// /metrics?format=prom, or from another trace's output.
-func traceByID(addr, id string) error {
-	if _, err := span.ParseTraceID(id); err != nil {
-		return fmt.Errorf("bad trace ID %q: %v", id, err)
-	}
-	body, err := fetch(addr, "/traces/spans?id="+id)
-	if err != nil {
-		return err
-	}
-	fmt.Print(body)
-	return nil
-}
-
-// slo fetches the error-budget dump and renders the objective table.
-func slo(addr string) error {
-	body, err := fetch(addr, "/slo")
-	if err != nil {
-		return err
-	}
+// renderSLO renders the error-budget dump as the objective table.
+func renderSLO(got []reply) (string, error) {
 	var d metrics.SLODump
-	if err := json.Unmarshal([]byte(body), &d); err != nil {
-		return fmt.Errorf("parse /slo: %w", err)
+	if err := json.Unmarshal([]byte(got[0].body), &d); err != nil {
+		return "", fmt.Errorf("parse /slo: %w", err)
 	}
-	fmt.Print(metrics.RenderSLO(d))
-	return nil
+	return metrics.RenderSLO(d), nil
 }
 
-// capacity fetches the reduction-attribution ledger and the container
-// heatmap and renders the dashboard: where every client byte went
+// renderCapacity renders the reduction-attribution ledger and the
+// container heatmap as the dashboard: where every client byte went
 // (dedup, compression, stored), the garbage debt against it, the
 // fingerprint-table occupancy, and whether a GC pass at -threshold
 // would pay off.
-func capacity(addr string, threshold float64) error {
-	body, err := fetch(addr, fmt.Sprintf("/capacity?threshold=%g", threshold))
-	if err != nil {
-		return err
-	}
+func renderCapacity(got []reply) (string, error) {
 	var r fidr.CapacityReport
-	if err := json.Unmarshal([]byte(body), &r); err != nil {
-		return fmt.Errorf("parse /capacity: %w", err)
+	if err := json.Unmarshal([]byte(got[0].body), &r); err != nil {
+		return "", fmt.Errorf("parse /capacity: %w", err)
+	}
+	var hm fidr.ContainerHeatmap
+	if err := json.Unmarshal([]byte(got[1].body), &hm); err != nil {
+		return "", fmt.Errorf("parse /capacity/containers: %w", err)
 	}
 	pct := func(part, whole uint64) string {
 		if whole == 0 {
@@ -425,8 +444,6 @@ func capacity(addr string, threshold float64) error {
 		attr.Row("in flight", metrics.Bytes(r.UnattributedBytes), pct(r.UnattributedBytes, r.LogicalWriteBytes))
 	}
 	attr.Row("reduction ratio", fmt.Sprintf("%.2fx", r.ReductionRatio), "")
-	fmt.Print(attr.String())
-	fmt.Println()
 
 	cap := metrics.NewTable("capacity and garbage", "metric", "value")
 	cap.Row("live bytes", metrics.Bytes(r.LiveBytes))
@@ -436,8 +453,6 @@ func capacity(addr string, threshold float64) error {
 	cap.Row("containers", fmt.Sprintf("%d (%d retired)", r.Containers, r.RetiredContainers))
 	cap.Row("fingerprints live", fmt.Sprintf("%d / %d (%.1f%%)", r.FPLive, r.FPCapacity, r.FPOccupancy*100))
 	cap.Row("fingerprints deleted", fmt.Sprintf("%d", r.DeletedFingerprints))
-	fmt.Print(cap.String())
-	fmt.Println()
 
 	gc := metrics.NewTable("gc advice", "metric", "value")
 	gc.Row("dead-fraction threshold", fmt.Sprintf("%.2f", r.GC.Threshold))
@@ -448,17 +463,7 @@ func capacity(addr string, threshold float64) error {
 	} else {
 		gc.Row("recommendation", "no compaction needed")
 	}
-	fmt.Print(gc.String())
-	fmt.Println()
 
-	hbody, err := fetch(addr, "/capacity/containers")
-	if err != nil {
-		return err
-	}
-	var hm fidr.ContainerHeatmap
-	if err := json.Unmarshal([]byte(hbody), &hm); err != nil {
-		return fmt.Errorf("parse /capacity/containers: %w", err)
-	}
 	heat := metrics.NewTable(
 		fmt.Sprintf("container heatmap — %d containers, %d retired", hm.Containers, hm.Retired),
 		"age band", "dead frac", "containers", "live", "dead")
@@ -474,52 +479,7 @@ func capacity(addr string, threshold float64) error {
 			metrics.Bytes(b.LiveBytes),
 			metrics.Bytes(b.DeadBytes))
 	}
-	fmt.Print(heat.String())
-	return nil
-}
-
-// eventsCmd tails the structured event journal. One shot prints every
-// retained (optionally type-filtered) event; -follow then keeps polling
-// /events?since=<last seq> at the -interval cadence until interrupted.
-func eventsCmd(addr, typ string, follow bool, interval time.Duration) error {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	// One-shot mode fails fast; -follow rides through transient fetch
-	// errors with bounded backoff so a daemon restart doesn't kill the
-	// tail.
-	attempts := 1
-	if follow {
-		attempts = retryAttempts
-	}
-	var since uint64
-	for {
-		path := fmt.Sprintf("/events?since=%d", since)
-		if typ != "" {
-			path += "&type=" + typ
-		}
-		body, err := fetchRetry(addr, path, attempts)
-		if err != nil {
-			return err
-		}
-		for _, line := range strings.Split(body, "\n") {
-			if strings.TrimSpace(line) == "" {
-				continue
-			}
-			var ev fidr.Event
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				return fmt.Errorf("parse /events line: %w", err)
-			}
-			fmt.Println(renderEvent(ev))
-			if ev.Seq > since {
-				since = ev.Seq
-			}
-		}
-		if !follow {
-			return nil
-		}
-		time.Sleep(interval)
-	}
+	return attr.String() + "\n" + cap.String() + "\n" + gc.String() + "\n" + heat.String(), nil
 }
 
 // renderEvent formats one journal record as a single line:
@@ -546,86 +506,40 @@ func renderEvent(ev fidr.Event) string {
 	return b.String()
 }
 
-// doctor gathers the live health evidence and renders the check
-// report. /metrics is mandatory — without it there is nothing to
-// diagnose — while the series window, event journal and snapshot-recorder
-// bundle degrade to SKIP/WARN verdicts when unavailable, so the doctor
-// still works against a daemon that predates those endpoints. Any FAIL
-// verdict surfaces as a non-nil error, which main turns into a non-zero
-// exit for scripts and CI gates.
-func doctor(addr string, fsyncP99 time.Duration) error {
-	in := health.DoctorInput{FsyncP99Max: fsyncP99}
-
-	body, err := fetch(addr, "/metrics")
-	if err != nil {
-		return err
+// renderDoctor turns the health evidence — /metrics, the series window,
+// the journal tail and the recorder bundle — into the check report. Any
+// FAIL verdict is an error, which main turns into a non-zero exit for
+// scripts and CI gates.
+func renderDoctor(got []reply, fsyncP99 time.Duration) (string, error) {
+	in := health.DoctorInput{FsyncP99Max: fsyncP99, Metrics: metrics.ParseMetricsText(got[0].body)}
+	series, journal, bundle := got[1], got[2], got[3]
+	if series.err == nil {
+		series.err = json.Unmarshal([]byte(series.body), &in.Series)
 	}
-	in.Metrics = metrics.ParseMetricsText(body)
-
-	if body, err := fetch(addr, "/metrics/series"); err == nil {
-		if jerr := json.Unmarshal([]byte(body), &in.Series); jerr != nil {
-			fmt.Fprintf(os.Stderr, "doctor: parse /metrics/series: %v\n", jerr)
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "doctor: %v\n", err)
+	if series.err != nil {
+		fmt.Fprintf(os.Stderr, "doctor: /metrics/series: %v\n", series.err)
 	}
-
-	if body, err := fetch(addr, "/events"); err == nil {
-		for _, line := range strings.Split(body, "\n") {
-			if strings.TrimSpace(line) == "" {
-				continue
-			}
-			var ev fidr.Event
-			if jerr := json.Unmarshal([]byte(line), &ev); jerr == nil {
-				in.Events = append(in.Events, ev)
-			}
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "doctor: %v\n", err)
+	if journal.err == nil {
+		in.Events, journal.err = events.Decode(strings.NewReader(journal.body))
 	}
-
-	if body, err := fetch(addr, "/debug/bundle"); err == nil {
-		in.Snapshots, in.BundleErr = bundleSnapshots([]byte(body))
-	} else if strings.Contains(err.Error(), "snapshot recorder disabled") {
-		in.BundleErr = "disabled"
-	} else {
-		in.BundleErr = err.Error()
+	if journal.err != nil {
+		fmt.Fprintf(os.Stderr, "doctor: /events: %v\n", journal.err)
 	}
-
-	fails, _ := health.RenderDoctor(os.Stdout, health.Diagnose(in))
-	if fails > 0 {
-		return fmt.Errorf("%d check(s) failed", fails)
+	if bundle.err == nil {
+		in.Snapshots, bundle.err = health.BundleSnapshots([]byte(bundle.body))
 	}
-	return nil
-}
-
-// bundleSnapshots lists the snapshot directories inside a
-// snapshot-recorder bundle (a tar.gz whose entries are
-// <snapshot>/<artifact> paths) without unpacking it to disk.
-func bundleSnapshots(bundle []byte) (names []string, errText string) {
-	gz, err := gzip.NewReader(bytes.NewReader(bundle))
-	if err != nil {
-		return nil, "bad bundle gzip: " + err.Error()
-	}
-	defer gz.Close()
-	seen := map[string]bool{}
-	tr := tar.NewReader(gz)
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return names, "bad bundle tar: " + err.Error()
-		}
-		dir, _, ok := strings.Cut(strings.TrimPrefix(hdr.Name, "./"), "/")
-		if ok && dir != "" && !seen[dir] {
-			seen[dir] = true
-			names = append(names, dir)
+	if bundle.err != nil {
+		in.BundleErr = bundle.err.Error()
+		if strings.Contains(in.BundleErr, "snapshot recorder disabled") {
+			in.BundleErr = "disabled"
 		}
 	}
-	sort.Strings(names)
-	return names, ""
+
+	var report strings.Builder
+	if fails, _ := health.RenderDoctor(&report, health.Diagnose(in)); fails > 0 {
+		return report.String(), fmt.Errorf("%d check(s) failed", fails)
+	}
+	return report.String(), nil
 }
 
 // gc asks the server to run a compaction pass over every group at the
@@ -651,43 +565,6 @@ func checkpoint(c *proto.Client) error {
 	return nil
 }
 
-// top polls /metrics/series and renders a live device view. frames
-// bounds the number of refreshes (0 = until interrupted); a single
-// frame prints without clearing the terminal, so `fidrcli top -n 1`
-// composes with pipes and scripts.
-func top(addr string, interval time.Duration, frames int) error {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	for i := 0; ; i++ {
-		body, err := fetchRetry(addr, "/metrics/series", retryAttempts)
-		if err != nil {
-			return err
-		}
-		var d metrics.SeriesDump
-		if err := json.Unmarshal([]byte(body), &d); err != nil {
-			return fmt.Errorf("parse /metrics/series: %w", err)
-		}
-		if frames != 1 {
-			fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
-		}
-		fmt.Print(renderTop(d))
-		if frames > 0 && i+1 >= frames {
-			return nil
-		}
-		time.Sleep(interval)
-	}
-}
-
-// topSeries indexes a dump by name for the summary lines.
-func topSeries(d metrics.SeriesDump) map[string]metrics.Series {
-	byName := make(map[string]metrics.Series, len(d.Series))
-	for _, se := range d.Series {
-		byName[se.Name] = se
-	}
-	return byName
-}
-
 // dutyBar renders a 20-cell utilization bar.
 func dutyBar(duty float64) string {
 	const cells = 20
@@ -709,8 +586,10 @@ func renderTop(d metrics.SeriesDump) string {
 	util := metrics.NewTable("device utilization (windowed duty cycle)",
 		"device", "busy", "utilization")
 	queues := metrics.NewTable("queues and buffers", "gauge", "now", "min", "max")
+	s := make(map[string]metrics.Series, len(d.Series)) // by name, for the summary lines
 	for _, se := range d.Series {
-		if strings.HasPrefix(se.Name, "group") {
+		s[se.Name] = se
+		if scope, _ := metrics.SplitScope(se.Name); scope != "" {
 			continue
 		}
 		if se.Duty != nil {
@@ -726,7 +605,6 @@ func renderTop(d metrics.SeriesDump) string {
 	b.WriteString(queues.String())
 	b.WriteByte('\n')
 
-	s := topSeries(d)
 	rate := func(name string) float64 { return s[name].RatePerSec }
 	last := func(name string) float64 { return s[name].Last }
 	sum := metrics.NewTable("throughput and reduction", "metric", "value")

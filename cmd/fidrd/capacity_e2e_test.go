@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"fidr"
+	"fidr/internal/metrics/events"
 )
 
 // End-to-end exercise of the capacity plane: a cluster daemon takes
@@ -30,33 +32,66 @@ import (
 const looseSLOSpec = "write-h:req.write.ns:1m:99.9,write-m:req.write.ns:1m:99," +
 	"write-l:req.write.ns:1m:95,read:req.read.ns:1m:99"
 
-// startDaemonWith launches fidrd with extra flags and waits for /readyz.
+// startDaemonWith launches fidrd with extra flags on ports the daemon
+// picks itself and returns the two addresses it logs once they are
+// bound. NewNode binds both and accepts on the protocol port before
+// either line is printed, so having read both is being ready: there is
+// no port to lose between reserving and binding it, and no poll.
 func startDaemonWith(t *testing.T, bin string, extra ...string) (addr, maddr string, cmd *exec.Cmd) {
 	t.Helper()
-	addr, maddr = freePort(t), freePort(t)
-	args := append([]string{"-addr", addr, "-metrics-addr", maddr, "-series-interval", "50ms",
+	args := append([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0", "-series-interval", "50ms",
 		"-slo-spec", looseSLOSpec}, extra...)
 	cmd = exec.Command(bin, args...)
+	// An *os.File is handed to the child as it is: no copying goroutine
+	// for cmd.Wait to wait on, and the read end sees EOF when fidrd exits.
+	logR, logW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = logW
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	logW.Close()
 	t.Cleanup(func() {
 		cmd.Process.Signal(syscall.SIGTERM)
 		cmd.Wait()
 	})
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + maddr + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return addr, maddr, cmd
+
+	// The reader outlives start-up so the child never blocks on a full
+	// pipe; what it reads before both addresses are known is kept for
+	// the failure message.
+	type started struct{ addr, maddr, log string }
+	up := make(chan started, 1)
+	go func() {
+		defer logR.Close()
+		var s started
+		sc := bufio.NewScanner(logR)
+		for (s.addr == "" || s.maddr == "") && sc.Scan() {
+			line := sc.Text()
+			s.log += line + "\n"
+			if _, after, ok := strings.Cut(line, "listening on "); ok {
+				s.addr = after
+			}
+			if _, after, ok := strings.Cut(line, "metrics on http://"); ok {
+				s.maddr = strings.TrimSuffix(after, "/metrics")
 			}
 		}
-		time.Sleep(50 * time.Millisecond)
+		up <- s
+		io.Copy(io.Discard, logR)
+	}()
+	select {
+	case s := <-up:
+		if s.addr == "" || s.maddr == "" {
+			t.Fatalf("fidrd %v exited before it was listening:\n%s", extra, s.log)
+		}
+		return s.addr, s.maddr, cmd
+	case <-time.After(2 * time.Minute):
+		// A backstop, not a speed limit: the child neither printed its
+		// addresses nor exited.
+		t.Fatalf("fidrd %v is neither up nor gone", extra)
+		return "", "", nil
 	}
-	t.Fatalf("fidrd %v did not become ready", extra)
-	return "", "", nil
 }
 
 // chunkFile writes n chunks to a file, seeded so seedAt(i) repeats make
@@ -93,19 +128,11 @@ func eventsScrape(t *testing.T, maddr, query string) []fidr.Event {
 	if code != http.StatusOK {
 		t.Fatalf("/events%s: status %d", query, code)
 	}
-	var out []fidr.Event
-	sc := bufio.NewScanner(strings.NewReader(body))
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) == "" {
-			continue
-		}
-		var ev fidr.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("/events line %q: %v", sc.Text(), err)
-		}
-		out = append(out, ev)
+	evs, err := events.Decode(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("/events%s: %v", query, err)
 	}
-	return out
+	return evs
 }
 
 func countByType(evs []fidr.Event, typ string) int {

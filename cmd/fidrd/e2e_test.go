@@ -41,7 +41,9 @@ func buildBinaries(t *testing.T, dir string) (fidrdBin, fidrcliBin string) {
 	return fidrdBin, fidrcliBin
 }
 
-// freePort reserves an ephemeral port and releases it for the daemon.
+// freePort returns the address of a listener that has just been closed:
+// an endpoint nothing answers on. (A daemon is never started on it; one
+// picks its own ports, see startDaemonWith.)
 func freePort(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -53,7 +55,7 @@ func freePort(t *testing.T) string {
 }
 
 // startDaemon launches fidrd for one architecture with a 1ns slow-trace
-// floor (every early request is retained as slow) and waits for /readyz.
+// floor (every early request is retained as slow).
 func startDaemon(t *testing.T, bin, arch string) (addr, maddr string) {
 	t.Helper()
 	addr, maddr, _ = startDaemonWith(t, bin, "-arch", arch, "-slow-min", "1ns")

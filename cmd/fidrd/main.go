@@ -27,9 +27,6 @@
 // restart with -recover and the same -chunker flags (fidrfsck -wal-file
 // checks such a volume offline). SIGINT or SIGTERM answers the requests
 // already read, flushes, checkpoints durable volumes and exits.
-//
-// -debug-hooks mounts POST /debug/stall?d=2s (wedge an async worker) for
-// test harnesses; never set it in production.
 package main
 
 import (
@@ -82,7 +79,6 @@ func registerFlags(fs *flag.FlagSet, c *fidr.NodeConfig) (pprof *bool) {
 	fs.DurationVar(&c.HealthProfile, "health-profile", c.HealthProfile, "CPU+mutex profile length captured into each snapshot; 0 = no profiles")
 	fs.DurationVar(&c.WatchdogInterval, "watchdog-interval", c.WatchdogInterval, "liveness probe cadence")
 	fs.DurationVar(&c.WatchdogDeadline, "watchdog-deadline", c.WatchdogDeadline, "liveness deadline before a probe reports a stall")
-	fs.BoolVar(&c.DebugHooks, "debug-hooks", c.DebugHooks, "mount fault-injection hooks (POST /debug/stall) on -metrics-addr; test harnesses only")
 	fs.StringVar(&c.Chunker, "chunker", c.Chunker, "write chunking mode: fixed or cdc (content-defined, variable-size extents; single group only)")
 	fs.IntVar(&c.CDCMin, "cdc-min", c.CDCMin, "CDC minimum chunk bytes; 0 = default")
 	fs.IntVar(&c.CDCAvg, "cdc-avg", c.CDCAvg, "CDC average (target) chunk bytes; 0 = default")

@@ -1,6 +1,10 @@
 package fidr
 
-import "testing"
+import (
+	"testing"
+
+	"fidr/internal/metrics"
+)
 
 // TestRegistryConsistent guards the experiment registry: names are
 // unique (lookup takes the first match) and every entry has a runner.
@@ -21,8 +25,8 @@ func TestRegistryConsistent(t *testing.T) {
 // index a cluster can have (0 .. maxGroups-1).
 func TestGroupPrefix(t *testing.T) {
 	for i, want := range map[int]string{0: "group0.", 9: "group9.", 10: "group10.", maxGroups - 1: "group63."} {
-		if got := groupPrefix(i); got != want {
-			t.Errorf("groupPrefix(%d) = %q, want %q", i, got, want)
+		if got := metrics.GroupPrefix(i); got != want {
+			t.Errorf("GroupPrefix(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

@@ -14,6 +14,8 @@ package events
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -50,6 +52,36 @@ type Event struct {
 	Trace        string           `json:"trace,omitempty"`
 	Detail       string           `json:"detail,omitempty"`
 	Fields       map[string]int64 `json:"fields,omitempty"`
+}
+
+// Encode writes evs as JSONL, one event per line: the framing of
+// /events and of a snapshot's events.jsonl. Decode is its inverse.
+func Encode(w io.Writer, evs []Event) error {
+	enc := json.NewEncoder(w)
+	for _, ev := range evs {
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Decode reads JSONL back into events; blank lines are nothing. Input
+// that is not an event ends it: the events before come back with the
+// error.
+func Decode(r io.Reader) ([]Event, error) {
+	var evs []Event
+	for dec := json.NewDecoder(r); ; {
+		var ev Event
+		switch err := dec.Decode(&ev); err {
+		case nil:
+			evs = append(evs, ev)
+		case io.EOF:
+			return evs, nil
+		default:
+			return evs, fmt.Errorf("event %d: %w", len(evs)+1, err)
+		}
+	}
 }
 
 // Journal is a bounded, concurrency-safe event ring.
@@ -178,8 +210,5 @@ func (j *Journal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, ev := range evs {
-		enc.Encode(ev)
-	}
+	Encode(w, evs) // a failed write is a client that went away
 }

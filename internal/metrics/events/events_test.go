@@ -2,8 +2,10 @@ package events
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -109,4 +111,65 @@ func TestJournalServeHTTP(t *testing.T) {
 			t.Errorf("%s: error body %+v, want param %q", query, body, param)
 		}
 	}
+}
+
+// TestDecodePrefix: Decode reads what Encode wrote, blank lines are
+// nothing, and input that stops being events yields the events before
+// it together with the error.
+func TestDecodePrefix(t *testing.T) {
+	want := []Event{
+		{Seq: 1, TimeUnixNano: 5, Type: TypeGCRun, Group: 2, Detail: "a -> b", Fields: map[string]int64{"n": -1}},
+		{Seq: 2, TimeUnixNano: 6, Type: TypeCheckpoint, Trace: "00ff"},
+	}
+	var b bytes.Buffer
+	if err := Encode(&b, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(bytes.NewReader(b.Bytes())); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Decode(Encode(evs)) = %+v, %v", got, err)
+	}
+	cut := "\n" + b.String() + "  \n{\"seq\": 3}\nnot an event\n{\"seq\": 5}\n"
+	got, err := Decode(strings.NewReader(cut))
+	if err == nil || len(got) != 3 || got[2].Seq != 3 || !reflect.DeepEqual(got[:2], want) {
+		t.Fatalf("Decode of a stream that goes bad after 3 events = %+v, %v", got, err)
+	}
+}
+
+// FuzzDecodeEvents: the journal decoder reads a live /events scrape and
+// a recorder bundle's events.jsonl, so no bytes may panic it, and the
+// events it returns — all of them, or those before the input went bad —
+// are real ones: Encode writes them one per line, and those lines decode
+// to the same events.
+//
+// CI runs this bounded (make fuzz).
+func FuzzDecodeEvents(f *testing.F) {
+	f.Add([]byte(`{"seq":1,"time_unix_nano":5,"type":"gc_run","group":2,"detail":"a -> b","fields":{"n":-1}}` + "\n" +
+		`{"seq":2,"type":"checkpoint","trace":"00ff"}` + "\n"))
+	f.Add([]byte("{\"seq\":1}\n\n  \nnot json\n{\"seq\":2}\n"))
+	f.Add([]byte(`{"seq":1}{"SEQ":2,"fields":{}}` + "\n" + `{"seq":"x"}`))
+	f.Add([]byte("null\n[]\n"))
+	f.Add([]byte("{\"detail\":\"\xff<\\ud800\"}"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, _ := Decode(bytes.NewReader(data))
+		var lines bytes.Buffer
+		if err := Encode(&lines, evs); err != nil {
+			t.Fatalf("decoded events do not encode: %v", err)
+		}
+		if n := bytes.Count(lines.Bytes(), []byte("\n")); n != len(evs) {
+			t.Fatalf("%d events encoded to %d lines:\n%s", len(evs), n, lines.Bytes())
+		}
+		again, err := Decode(bytes.NewReader(lines.Bytes()))
+		if err != nil || len(again) != len(evs) {
+			t.Fatalf("%d events decoded, %d (%v) after Encode:\n%s", len(evs), len(again), err, lines.Bytes())
+		}
+		for i := range evs {
+			// An empty field map is omitted on the wire.
+			if len(evs[i].Fields) == 0 {
+				evs[i].Fields = nil
+			}
+			if !reflect.DeepEqual(again[i], evs[i]) {
+				t.Fatalf("event %d: %+v came back as %+v", i, evs[i], again[i])
+			}
+		}
+	})
 }

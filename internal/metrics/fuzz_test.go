@@ -10,8 +10,9 @@ import (
 // FuzzParseObjectives: no -slo-spec may panic the parser, and whatever
 // it accepts is something the SLO plane can evaluate — a positive
 // threshold, a target strictly inside (0, 1), non-empty names that are
-// unique (each owns its slo.<name>.* gauges) — and says the same thing
-// when written back as a spec.
+// unique (each owns its slo.<name>.* gauges) — says the same thing when
+// written back as a spec, and publishes gauges whose names survive the
+// dump: what Instrument registers is what ParseMetricsText reads back.
 //
 // CI runs this bounded (make fuzz).
 func FuzzParseObjectives(f *testing.F) {
@@ -44,6 +45,18 @@ func FuzzParseObjectives(f *testing.F) {
 		again, err := ParseObjectives(strings.Join(parts, ","))
 		if err != nil || !reflect.DeepEqual(again, objs) {
 			t.Fatalf("%q parsed to %+v; rendered back it parses to %+v (%v)", spec, objs, again, err)
+		}
+		reg := NewRegistry()
+		NewSLO(reg, objs, 1).Instrument(reg)
+		gauges := reg.Snapshot()
+		dumped := ParseMetricsText(DumpMetrics(gauges))
+		if len(dumped) != len(gauges) {
+			t.Fatalf("%q publishes %d gauges, the dump carries %d:\n%s", spec, len(gauges), len(dumped), DumpMetrics(gauges))
+		}
+		for i, m := range gauges {
+			if dumped[i].Name != m.Name {
+				t.Fatalf("%q: gauge %q reads back as %q", spec, m.Name, dumped[i].Name)
+			}
 		}
 	})
 }

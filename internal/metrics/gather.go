@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Gatherer is anything that can produce a point-in-time metric set.
@@ -31,6 +33,29 @@ func Prefixed(prefix string, g Gatherer) Gatherer {
 		}
 		return out
 	})
+}
+
+// GroupPrefix is the prefix a cluster view puts on group i's series
+// ("group3."); SplitScope is its inverse. Nothing else spells the
+// convention.
+func GroupPrefix(i int) string { return "group" + strconv.Itoa(i) + "." }
+
+// SplitScope splits a series name into the group scope GroupPrefix gave
+// it ("group3", without the dot) and the name the group's own registry
+// uses. A merged or node-wide series has no scope: ("", name).
+func SplitScope(name string) (scope, base string) {
+	rest, ok := strings.CutPrefix(name, "group")
+	if !ok {
+		return "", name
+	}
+	n := 0
+	for n < len(rest) && rest[n] >= '0' && rest[n] <= '9' {
+		n++
+	}
+	if n == 0 || n == len(rest) || rest[n] != '.' {
+		return "", name
+	}
+	return name[:len("group")+n], rest[n+1:]
 }
 
 // Multi concatenates gatherers into one deterministic view: the combined

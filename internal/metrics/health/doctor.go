@@ -139,8 +139,7 @@ func checkStuckQueues(in DoctorInput) CheckResult {
 	var rate float64
 	var sampled bool
 	for _, s := range in.Series.Series {
-		if strings.HasSuffix(s.Name, "async.writes") || strings.HasSuffix(s.Name, "async.reads") ||
-			s.Name == "async.writes" || s.Name == "async.reads" {
+		if _, base := metrics.SplitScope(s.Name); base == "async.writes" || base == "async.reads" {
 			sampled = true
 			rate += s.RatePerSec
 		}
@@ -170,7 +169,7 @@ func checkFsync(in DoctorInput) CheckResult {
 	var worstName string
 	var n int
 	for _, m := range in.Metrics {
-		if m.Kind != "hist" || !strings.HasSuffix(m.Name, "wal.fsync_ns") || m.Hist.Count == 0 {
+		if _, base := metrics.SplitScope(m.Name); m.Kind != "hist" || base != "wal.fsync_ns" || m.Hist.Count == 0 {
 			continue
 		}
 		n++

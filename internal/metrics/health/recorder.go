@@ -2,6 +2,7 @@ package health
 
 import (
 	"archive/tar"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -199,16 +200,9 @@ func (r *Recorder) capture(now time.Time, reason, detail, trace string) (string,
 		}
 	}
 	if r.journal != nil {
-		var b strings.Builder
-		for _, ev := range r.journal.Since(0) {
-			line, err := json.Marshal(ev)
-			if err != nil {
-				continue
-			}
-			b.Write(line)
-			b.WriteByte('\n')
-		}
-		if err := os.WriteFile(filepath.Join(tmp, "events.jsonl"), []byte(b.String()), 0o644); err != nil {
+		var b bytes.Buffer
+		events.Encode(&b, r.journal.Since(0))
+		if err := os.WriteFile(filepath.Join(tmp, "events.jsonl"), b.Bytes(), 0o644); err != nil {
 			return "", err
 		}
 	}
@@ -376,6 +370,35 @@ func (r *Recorder) tarSnapshot(tw *tar.Writer, name string) {
 			io.CopyN(tw, f, info.Size())
 		}
 		f.Close()
+	}
+}
+
+// BundleSnapshots lists the snapshots inside a bundle ServeHTTP wrote —
+// a tar.gz of <snapshot>/<artifact> entries, the layout tarSnapshot
+// gives it — sorted, without unpacking anything. A bundle cut short
+// yields the names read so far with the error.
+func BundleSnapshots(bundle []byte) ([]string, error) {
+	gz, err := gzip.NewReader(bytes.NewReader(bundle))
+	if err != nil {
+		return nil, fmt.Errorf("bad bundle gzip: %w", err)
+	}
+	defer gz.Close()
+	var names []string
+	seen := map[string]bool{}
+	for tr := tar.NewReader(gz); ; {
+		hdr, err := tr.Next()
+		if err != nil {
+			sort.Strings(names)
+			if err == io.EOF {
+				return names, nil
+			}
+			return names, fmt.Errorf("bad bundle tar: %w", err)
+		}
+		dir, _, ok := strings.Cut(strings.TrimPrefix(hdr.Name, "./"), "/")
+		if ok && dir != "" && !seen[dir] {
+			seen[dir] = true
+			names = append(names, dir)
+		}
 	}
 }
 

@@ -156,9 +156,7 @@ func bridgeHistogram(h *rtm.Float64Histogram, scale float64) metrics.HistogramSn
 		return s
 	}
 	s.Mean = s.Sum / float64(s.Count)
-	s.P50 = bucketQuantile(s.Buckets, s.Count, 0.50)
-	s.P90 = bucketQuantile(s.Buckets, s.Count, 0.90)
-	s.P99 = bucketQuantile(s.Buckets, s.Count, 0.99)
+	s.FillQuantiles()
 	return s
 }
 
@@ -174,24 +172,4 @@ func bucketEdge(bounds []float64, i int, scale float64) float64 {
 		return float64(math.MaxUint64)
 	}
 	return b
-}
-
-// bucketQuantile is the bucket-midpoint quantile over a converted
-// snapshot (the same estimator metrics.Histogram uses).
-func bucketQuantile(bs []metrics.BucketCount, total uint64, q float64) float64 {
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for _, b := range bs {
-		cum += b.Count
-		if cum >= rank {
-			return (b.Lower + b.Upper) / 2
-		}
-	}
-	if n := len(bs); n > 0 {
-		return (bs[n-1].Lower + bs[n-1].Upper) / 2
-	}
-	return 0
 }

@@ -377,12 +377,20 @@ func MergeHistogramSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
 			j++
 		}
 	}
+	out.FillQuantiles()
+	return out
+}
+
+// FillQuantiles sets P50, P90 and P99 from Buckets, Min and Max with the
+// registry's one estimator (quantileFromBuckets): what a merged snapshot
+// and one bridged from another histogram layout (health.Runtime) share
+// with a live Histogram.
+func (s *HistogramSnapshot) FillQuantiles() {
 	var total uint64
-	for _, bc := range out.Buckets {
+	for _, bc := range s.Buckets {
 		total += bc.Count
 	}
-	out.P50 = quantileFromBuckets(out.Buckets, total, 0.50, out.Min, out.Max)
-	out.P90 = quantileFromBuckets(out.Buckets, total, 0.90, out.Min, out.Max)
-	out.P99 = quantileFromBuckets(out.Buckets, total, 0.99, out.Min, out.Max)
-	return out
+	s.P50 = quantileFromBuckets(s.Buckets, total, 0.50, s.Min, s.Max)
+	s.P90 = quantileFromBuckets(s.Buckets, total, 0.90, s.Min, s.Max)
+	s.P99 = quantileFromBuckets(s.Buckets, total, 0.99, s.Min, s.Max)
 }

@@ -4,48 +4,48 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
-// ParseMetricsText is the inverse of WriteMetricsText: it parses the
-// plain-text dump format back into a metric set so offline consumers —
-// fidrcli doctor reading a live /metrics scrape or a snapshot-recorder
-// metrics.txt — can run checks against the same names and kinds the
-// daemon exported. Histogram lines carry only the summary statistics
-// (count/mean/min/quantiles/max), so the returned snapshots have no
-// buckets; that is all the dump format retains.
+// ParseMetricsText is the inverse of WriteMetricsText, and the one
+// decoder of the dump format: fidrcli stats and doctor reading a live
+// /metrics scrape, and anything reading a snapshot-recorder metrics.txt,
+// get the names, kinds and label blocks the daemon exported. Histogram
+// lines carry only the summary statistics (count/mean/min/quantiles/
+// max), so the returned snapshots have no buckets; that is all the dump
+// format retains.
 //
 // Unknown line shapes are skipped rather than fatal: a dump from a
 // newer daemon with an extra kind should degrade, not break the
-// doctor. A series without a name and a counter that is not a decimal
-// uint64 are such shapes: the writer emits neither.
+// doctor. A series without a name, a label block that does not close
+// before the value and a counter that is not a decimal uint64 are such
+// shapes: the writer emits none of them.
 func ParseMetricsText(text string) []Metric {
 	var out []Metric
 	for _, line := range strings.Split(text, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
+		kind, rest := cutField(line)
+		name, labels, rest, ok := lexNameToken(rest)
+		fields := strings.Fields(rest)
+		if !ok || len(fields) == 0 {
 			continue
 		}
-		name, labels := splitNameLabels(fields[1])
-		if name == "" {
-			continue
-		}
-		switch fields[0] {
+		switch kind {
 		case "counter":
 			// What the writer prints: a uint64 in decimal.
-			v, err := strconv.ParseUint(fields[2], 10, 64)
+			v, err := strconv.ParseUint(fields[0], 10, 64)
 			if err != nil {
 				continue
 			}
 			out = append(out, Metric{Kind: "counter", Name: name, Labels: labels, Value: float64(v)})
 		case "gauge":
-			v, err := strconv.ParseFloat(fields[2], 64)
+			v, err := strconv.ParseFloat(fields[0], 64)
 			if err != nil {
 				continue
 			}
 			out = append(out, Metric{Kind: "gauge", Name: name, Labels: labels, Value: v})
 		case "hist":
 			m := Metric{Kind: "hist", Name: name, Labels: labels}
-			for _, kv := range fields[2:] {
+			for _, kv := range fields {
 				k, v, ok := strings.Cut(kv, "=")
 				if !ok {
 					continue
@@ -81,15 +81,32 @@ func ParseMetricsText(text string) []Metric {
 	return out
 }
 
-// splitNameLabels splits a dump-format name token back into name and
-// label block: `build_info{version="v1"}` -> ("build_info",
-// `version="v1"`).
-func splitNameLabels(tok string) (name, labels string) {
-	i := strings.IndexByte(tok, '{')
-	if i < 0 || !strings.HasSuffix(tok, "}") {
-		return tok, ""
+// cutField takes the first white-space-separated field off s.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
 	}
-	return tok[:i], tok[i+1 : len(tok)-1]
+	return s, ""
+}
+
+// lexNameToken takes a dump line's name token off s: a name, then
+// optionally a label block, `build_info{version="1.0 rc1"}` ->
+// ("build_info", `version="1.0 rc1"`). A quoted label value may hold
+// spaces and braces, so the block ends where lexBraceBlock says it does
+// and not at the first space. Not ok: no name, an unterminated block,
+// or a block that runs into the next field.
+func lexNameToken(s string) (name, labels, rest string, ok bool) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	end := strings.IndexFunc(s, func(r rune) bool { return r == '{' || unicode.IsSpace(r) })
+	if end <= 0 {
+		return "", "", "", false
+	}
+	if name, rest = s[:end], s[end:]; rest[0] != '{' {
+		return name, "", rest, true
+	}
+	labels, rest, err := lexBraceBlock(rest)
+	return name, labels, rest, err == nil && (rest == "" || strings.TrimLeftFunc(rest, unicode.IsSpace) != rest)
 }
 
 // FindMetric returns the first metric with the given name.
@@ -102,13 +119,13 @@ func FindMetric(ms []Metric, name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// SumMetrics sums the values of every metric whose name matches the
-// given suffix or exact name — e.g. SumMetrics(ms, "async.inflight")
-// adds group0.async.inflight and group1.async.inflight in a cluster
-// view. Histograms contribute their count.
+// SumMetrics sums the values of every metric called name in any scope
+// (see SplitScope) — e.g. SumMetrics(ms, "async.inflight") adds
+// async.inflight, group0.async.inflight and group1.async.inflight in a
+// cluster view. Histograms contribute their count.
 func SumMetrics(ms []Metric, name string) (total float64, matches int) {
 	for _, m := range ms {
-		if m.Name != name && !strings.HasSuffix(m.Name, "."+name) {
+		if _, base := SplitScope(m.Name); base != name {
 			continue
 		}
 		matches++
@@ -119,25 +136,6 @@ func SumMetrics(ms []Metric, name string) (total float64, matches int) {
 		total += m.Value
 	}
 	return total, matches
-}
-
-// ParseLabels splits a pre-rendered label block into key/value pairs:
-// `version="v1",commit="abc"` -> {version: v1, commit: abc}. Malformed
-// entries are skipped.
-func ParseLabels(labels string) map[string]string {
-	out := make(map[string]string)
-	for _, part := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			continue
-		}
-		uq, err := strconv.Unquote(v)
-		if err != nil {
-			continue
-		}
-		out[strings.TrimSpace(k)] = uq
-	}
-	return out
 }
 
 // LabelPair quotes one label assignment for a Metric.Labels block.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,13 +131,23 @@ type Metric struct {
 	Hist HistogramSnapshot
 }
 
-// fullName renders the dump-format name token: name{labels} when labels
-// are present (no spaces, so field-splitting parsers keep working).
-func (m Metric) fullName() string {
+// FullName renders the dump-format name token: name{labels} when labels
+// are present. A quoted label value may hold spaces; ParseMetricsText
+// lexes the block, it does not split on them.
+func (m Metric) FullName() string {
 	if m.Labels == "" {
 		return m.Name
 	}
 	return m.Name + "{" + m.Labels + "}"
+}
+
+// ValueText renders a counter's or a gauge's reading the way the dump
+// prints it: a counter as a decimal uint64, a gauge through FormatFloat.
+func (m Metric) ValueText() string {
+	if m.Kind == "counter" {
+		return strconv.FormatUint(uint64(m.Value), 10)
+	}
+	return FormatFloat(m.Value)
 }
 
 // Snapshot captures every metric, counters first, then gauges, then
@@ -197,12 +208,12 @@ func WriteMetricsText(w io.Writer, ms []Metric) error {
 		case "hist":
 			h := m.Hist
 			_, err = fmt.Fprintf(w, "hist %s count=%d mean=%s min=%s p50=%s p90=%s p99=%s max=%s\n",
-				m.fullName(), h.Count, FormatFloat(h.Mean), FormatFloat(h.Min),
+				m.FullName(), h.Count, FormatFloat(h.Mean), FormatFloat(h.Min),
 				FormatFloat(h.P50), FormatFloat(h.P90), FormatFloat(h.P99), FormatFloat(h.Max))
 		case "counter":
-			_, err = fmt.Fprintf(w, "counter %s %d\n", m.fullName(), uint64(m.Value))
+			_, err = fmt.Fprintf(w, "counter %s %s\n", m.FullName(), m.ValueText())
 		default:
-			_, err = fmt.Fprintf(w, "gauge %s %s\n", m.fullName(), FormatFloat(m.Value))
+			_, err = fmt.Fprintf(w, "gauge %s %s\n", m.FullName(), m.ValueText())
 		}
 		if err != nil {
 			return err

@@ -173,7 +173,7 @@ func TestSamplerHTTP(t *testing.T) {
 	s := NewSampler(reg, 8)
 	sampleAt(s, time.Unix(0, 0), 0, 1)
 
-	srv := httptest.NewServer(Handler(reg, HandlerOptions{Sampler: s}))
+	srv := httptest.NewServer(Handler(reg, nil, []Route{{Path: "/metrics/series", Handler: s}}))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics/series?prefix=a.&last=1")
@@ -217,7 +217,7 @@ func TestSamplerWindowParam(t *testing.T) {
 		s.Sample(time.Unix(int64(i), 0))
 	}
 
-	srv := httptest.NewServer(Handler(reg, HandlerOptions{Sampler: s}))
+	srv := httptest.NewServer(Handler(reg, nil, []Route{{Path: "/metrics/series", Handler: s}}))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics/series?window=3s")
@@ -262,7 +262,7 @@ func TestSamplerWindowParam(t *testing.T) {
 func TestHandlerHealthReady(t *testing.T) {
 	reg := NewRegistry()
 	ready := false
-	srv := httptest.NewServer(Handler(reg, HandlerOptions{Ready: func() bool { return ready }}))
+	srv := httptest.NewServer(Handler(reg, func() bool { return ready }, nil))
 	defer srv.Close()
 
 	get := func(path string) int {

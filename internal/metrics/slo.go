@@ -65,7 +65,9 @@ func DefaultObjectives() []Objective {
 // "name:hist:threshold:target[,...]", e.g.
 // "write-h:req.write.ns:2ms:99.9,read:req.read.ns:20ms:99".
 // Target accepts a percentage (> 1) or a fraction (< 1). Names are
-// unique: each objective publishes its own slo.<name>.* gauges.
+// unique and spelled in the registry's alphabet, [A-Za-z0-9_.-]: each
+// objective publishes its own slo.<name>.* gauges, and a name with a
+// space or a brace in it would be a series the dump format cannot carry.
 func ParseObjectives(spec string) ([]Objective, error) {
 	var out []Objective
 	seen := make(map[string]bool)
@@ -77,6 +79,9 @@ func ParseObjectives(spec string) ([]Objective, error) {
 		f := strings.Split(part, ":")
 		if len(f) != 4 || f[0] == "" || f[1] == "" {
 			return nil, fmt.Errorf("slo: objective %q: want name:hist:threshold:target", part)
+		}
+		if strings.IndexFunc(f[0], notNameRune) >= 0 {
+			return nil, fmt.Errorf("slo: objective %q: name %q is a series name, want [A-Za-z0-9_.-]+", part, f[0])
 		}
 		if seen[f[0]] {
 			return nil, fmt.Errorf("slo: objective %q: name %q is already taken", part, f[0])
@@ -103,6 +108,13 @@ func ParseObjectives(spec string) ([]Objective, error) {
 		return nil, fmt.Errorf("slo: empty objective spec")
 	}
 	return out, nil
+}
+
+// notNameRune reports a rune outside the alphabet series names are
+// written in.
+func notNameRune(r rune) bool {
+	return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' ||
+		r == '_' || r == '.' || r == '-')
 }
 
 // Burn-rate windows: the fast window catches an active burn, the slow
@@ -213,7 +225,7 @@ func (s *SLO) Sample(at time.Time) {
 		s.full = true
 	}
 	s.mu.Unlock()
-	if s.budget == nil && s.journal == nil {
+	if s.budget == nil && s.journal == nil && s.onBreach == nil {
 		return
 	}
 	sts := s.Status()

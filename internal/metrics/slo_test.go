@@ -35,6 +35,8 @@ var badObjectiveSpecs = []string{"", "x:y:z", "a:h:2ms:150", "a:h:notadur:99", "
 	"a:h:2ms:NaN",
 	":h:2ms:99", "a::2ms:99",
 	"a:h:2ms:99,a:g:1ms:50", // both would publish slo.a.*
+	// A name is a series name: the dump cannot carry a space or a brace.
+	"my obj:req.write.ns:2ms:99", "a{b:req.read.ns:1ms:99",
 }
 
 func TestParseObjectives(t *testing.T) {
@@ -55,6 +57,30 @@ func TestParseObjectives(t *testing.T) {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("ParseObjectives(%q) accepted", bad)
 		}
+	}
+}
+
+// TestSLOOnBreachAlone: the breach callback is promised once per
+// healthy -> breached edge to whoever registered it, with or without
+// gauges or a journal beside it. Sample used to return before looking
+// for edges unless one of those two was attached.
+func TestSLOOnBreachAlone(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("req.write.ns")
+	s := NewSLO(reg, []Objective{{Name: "w", Hist: "req.write.ns", Threshold: time.Millisecond, Target: 0.99}}, 16)
+	var breached []string
+	s.OnBreach(func(objective string) { breached = append(breached, objective) })
+	for tick := 0; tick < 8; tick++ {
+		for i := 0; i < 10; i++ {
+			h.Observe(float64(50 * time.Millisecond))
+		}
+		s.Sample(time.Unix(int64(tick), 0))
+	}
+	if st := s.Status()[0]; !st.Breached {
+		t.Fatalf("every request 50x over the threshold and not breached: %+v", st)
+	}
+	if len(breached) != 1 || breached[0] != "w" {
+		t.Fatalf("OnBreach calls over one sustained breach: %q, want one for \"w\"", breached)
 	}
 }
 

@@ -53,7 +53,6 @@ type NodeConfig struct {
 	HealthProfile    time.Duration // CPU+mutex profile length per snapshot; 0 = none
 	WatchdogInterval time.Duration // liveness probe cadence
 	WatchdogDeadline time.Duration // liveness deadline before a probe reports a stall
-	DebugHooks       bool          // mount POST /debug/stall; test harnesses only
 
 	// Pprof, when set, is mounted under /debug/pprof/ on MetricsAddr
 	// (fidrd -pprof hands over http.DefaultServeMux; this package never
@@ -449,46 +448,44 @@ func NewNode(c NodeConfig) (n *Node, err error) {
 	}()
 	if n.httpLn != nil {
 		mux := http.NewServeMux()
-		mux.Handle("/", metrics.Handler(view, metrics.HandlerOptions{
-			Traces:  col.RenderRecent,
-			Slow:    col.RenderSlow,
-			Sampler: sampler,
-			Spans:   col,
-			SLO:     slo,
+		// Ready while the protocol listener accepts: 503 again once Close
+		// has begun. The routes are the node's whole HTTP surface beside
+		// what Handler itself serves, in the order GET / lists them.
+		mux.Handle("/", metrics.Handler(view, n.listener.Accepting, []metrics.Route{
+			{Path: "/metrics/series", Help: "sampled time series (JSON)", Handler: sampler},
+			{Path: "/traces", Help: "recent request traces", Handler: metrics.Text(col.RenderRecent)},
+			{Path: "/traces/slow", Help: "slow-trace retention", Handler: metrics.Text(col.RenderSlow)},
+			{Path: "/traces/spans", Help: "distributed-trace span trees (?id=<trace-id>)", Handler: col},
+			{Path: "/slo", Help: "SLO error budgets and burn rates (JSON)", Handler: slo},
 			// Capacity views run on the async workers (a group's ledger is
 			// single-writer), so a scrape queues behind at most a queue's
 			// depth of requests.
-			Capacity: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				th := gcThreshold
-				if q := r.URL.Query(); q.Has("threshold") {
-					// strconv, not Sscanf: "0.5x" must be a 400, not a
-					// silently truncated 0.5.
-					v, err := strconv.ParseFloat(q.Get("threshold"), 64)
-					if err != nil || v < 0 || v > 1 {
-						metrics.HTTPBadParam(w, "threshold", q.Get("threshold"), "fraction in [0,1]")
-						return
+			{Path: "/capacity", Help: "reduction attribution, garbage debt, GC advice (JSON)",
+				Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					th := gcThreshold
+					if q := r.URL.Query(); q.Has("threshold") {
+						// strconv, not Sscanf: "0.5x" must be a 400, not a
+						// silently truncated 0.5.
+						v, err := strconv.ParseFloat(q.Get("threshold"), 64)
+						if err != nil || v < 0 || v > 1 {
+							metrics.HTTPBadParam(w, "threshold", q.Get("threshold"), "fraction in [0,1]")
+							return
+						}
+						th = v
 					}
-					th = v
-				}
-				rep, err := store.CapacityReport(th)
-				serveJSON(w, rep, err)
-			}),
-			CapacityContainers: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				hm, err := store.ContainerHeatmap()
-				serveJSON(w, hm, err)
-			}),
-			Events:      journal,
-			DebugBundle: bundleHandler(recorder),
-			// Ready while the protocol listener accepts: 503 again once
-			// Close has begun.
-			Ready: n.listener.Accepting,
+					rep, err := store.CapacityReport(th)
+					serveJSON(w, rep, err)
+				})},
+			{Path: "/capacity/containers", Help: "container heatmap by dead fraction and age (JSON)",
+				Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					hm, err := store.ContainerHeatmap()
+					serveJSON(w, hm, err)
+				})},
+			{Path: "/events", Help: "structured event journal (JSONL; ?since= ?type= ?n=)", Handler: journal},
+			{Path: "/debug/bundle", Help: "snapshot-recorder bundle (tar.gz; ?n=)", Handler: bundleHandler(recorder)},
 		}))
 		if c.Pprof != nil {
 			mux.Handle("/debug/pprof/", c.Pprof)
-		}
-		if c.DebugHooks {
-			mux.HandleFunc("/debug/stall", n.stallHook)
-			n.logf("-debug-hooks active: /debug/stall is mounted (never use in production)")
 		}
 		n.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: metricsReadHeaderTimeout}
 		n.bg.Add(1)
@@ -524,27 +521,6 @@ func bundleHandler(r *health.Recorder) http.Handler {
 		http.Error(w, "snapshot recorder disabled; restart fidrd with -health-dir",
 			http.StatusServiceUnavailable)
 	})
-}
-
-// stallHook is POST /debug/stall?d=: wedge async worker 0 for d
-// (default 3s). Fault injection for the watchdog's end-to-end test,
-// mounted only under DebugHooks.
-func (n *Node) stallHook(w http.ResponseWriter, r *http.Request) {
-	d := 3 * time.Second
-	if q := r.URL.Query(); q.Has("d") {
-		v, err := time.ParseDuration(q.Get("d"))
-		if err != nil || v <= 0 {
-			metrics.HTTPBadParam(w, "d", q.Get("d"), "positive Go duration (e.g. 3s)")
-			return
-		}
-		d = v
-	}
-	if err := n.async.InjectStall(d); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	n.logf("debug hook: injected %v stall on async worker 0", d)
-	fmt.Fprintf(w, "stalled worker 0 for %v\n", d)
 }
 
 // Addr is the bound protocol address.

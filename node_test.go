@@ -112,6 +112,10 @@ func TestNodeConfigRefusals(t *testing.T) {
 		{"three-digit group count", func(c *fidr.NodeConfig) { c.Groups = 101 }, []string{"-groups", "64"}},
 		// A zero deadline called every worker caught mid-request stalled.
 		{"no watchdog deadline", func(c *fidr.NodeConfig) { c.WatchdogDeadline = 0 }, []string{"-watchdog-deadline"}},
+		// slo.my obj.burn_fast is a series /metrics can print and nothing
+		// can read back.
+		{"slo name outside the series alphabet", func(c *fidr.NodeConfig) { c.SLOSpec = "my obj:req.write.ns:2ms:99" },
+			[]string{"-slo-spec", "my obj"}},
 		{"slo target with trailing bytes", func(c *fidr.NodeConfig) { c.SLOSpec = "w:req.write.ns:2ms:99.9x,w:nosuch.hist:1ms:50" },
 			[]string{"-slo-spec", "99.9x"}},
 	} {
@@ -271,6 +275,13 @@ func nodeCycle(t *testing.T, c fidr.NodeConfig, goldenNames string) {
 	}
 	if code, body := scrape(t, n, "/readyz"); code != http.StatusOK {
 		t.Errorf("/readyz: status %d %q", code, body)
+	}
+	// The route list is written once, in NewNode; the page it makes is
+	// the bytes the daemon served when http.go spelled it three times.
+	if index, err := os.ReadFile("testdata/node_index.txt"); err != nil {
+		t.Fatal(err)
+	} else if _, body := scrape(t, n, "/"); body != string(index) {
+		t.Errorf("GET /:\n%s\nwant:\n%s", body, index)
 	}
 	code, body := scrape(t, n, "/capacity")
 	var r fidr.CapacityReport

@@ -200,8 +200,10 @@ func TestCollectorSharedByWorkersAndReaders(t *testing.T) {
 	if a.Workers() != 2 {
 		t.Fatalf("%d async workers, want 2", a.Workers())
 	}
-	srv := httptest.NewServer(metrics.Handler(view, metrics.HandlerOptions{
-		Traces: col.RenderRecent, Slow: col.RenderSlow, Spans: col,
+	srv := httptest.NewServer(metrics.Handler(view, nil, []metrics.Route{
+		{Path: "/traces", Handler: metrics.Text(col.RenderRecent)},
+		{Path: "/traces/slow", Handler: metrics.Text(col.RenderSlow)},
+		{Path: "/traces/spans", Handler: col},
 	}))
 	defer srv.Close()
 
