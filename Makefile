@@ -123,10 +123,12 @@ fuzz:
 # bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
 # call through the async front-end (idle group / callers meeting on the
 # owner lock), the LZ kernel both ways, the table-cache probe (hit / miss
-# that evicts a dirty line), one 4-KB chunk each way over loopback TCP —
-# with benchstat-compatible output (pipe COUNT>=10 runs into benchstat to
-# compare commits). BENCH_COUNT sets -count. Whole-workload numbers come
-# from `bash benchmark/run.sh`, which keeps its harness outside the clock.
+# that evicts a dirty line), one 4-KB chunk each way over loopback TCP, one
+# 64-chunk batch through Server.Write (unique / duplicate at one lane and
+# two: the tipping path, ns and allocs) — with benchstat-compatible output
+# (pipe COUNT>=10 runs into benchstat to compare commits). BENCH_COUNT sets
+# -count. Whole-workload numbers come from `bash benchmark/run.sh`, which
+# keeps its harness outside the clock.
 BENCH_COUNT ?= 5
 bench-go:
 	$(GO) test -run '^$$' \
@@ -139,6 +141,8 @@ bench-go:
 		-benchmem -count $(BENCH_COUNT) ./internal/tablecache
 	$(GO) test -run '^$$' -bench '^BenchmarkWireRoundTrip$$' \
 		-benchmem -count $(BENCH_COUNT) ./internal/proto
+	$(GO) test -run '^$$' -bench '^BenchmarkWriteBatch$$' \
+		-benchmem -count $(BENCH_COUNT) ./internal/core
 
 # microbench runs the Go testing benchmarks.
 microbench:

@@ -121,6 +121,7 @@ type CapacityReport struct {
 // server (the async worker routes maintenance ops there): the engine's
 // open container and the fingerprint occupancy are single-writer state.
 func (s *Server) CapacityReport(threshold float64) CapacityReport {
+	s.settleQuietly()
 	st := s.Stats()
 	r := CapacityReport{
 		LogicalWriteBytes:     st.LogicalWriteBytes,
@@ -241,6 +242,7 @@ const heatDeadDeciles = 10
 // their space is reclaimed, not garbage. Bucket DeadBytes sum to the
 // garbage ledger total, the invariant check-capacity asserts.
 func (s *Server) ContainerHeatmap() ContainerHeatmap {
+	s.settleQuietly()
 	usage := s.lba.ContainerUsage()
 	hm := ContainerHeatmap{Containers: len(usage)}
 	if len(usage) == 0 {

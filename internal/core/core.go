@@ -206,7 +206,7 @@ type pending struct {
 	cdata []byte
 }
 
-// batchScratch is the per-batch working set of processFIDRBatch and
+// batchScratch is the per-batch working set of commitGeneration and
 // processBaselineBatch: re-zeroed at the start of a batch, dead at its end.
 type batchScratch struct {
 	flags      []bool                      // FIDR: chunk i is a first-claim unique
@@ -235,9 +235,11 @@ type Stats struct {
 	//
 	//	LogicalWriteBytes = DedupSavedBytes + CompressionSavedBytes + StoredBytes
 	//
-	// holds exactly; mid-stream the difference is the chunks still
-	// buffered ahead of batch processing (open-container slack). Note the
-	// ledger is per-process: recovery rebuilds mappings, not history.
+	// holds exactly; mid-stream the difference is the chunks still in NIC
+	// memory ahead of their commit — the filling buffer and, on a
+	// read-free stream, the one hashed generation whose commit waits for
+	// the next tip. Note the ledger is per-process: recovery rebuilds
+	// mappings, not history.
 	LogicalWriteBytes     uint64 // client write payload (reads excluded)
 	DedupSavedBytes       uint64 // chunk-size bytes absorbed by duplicate hits
 	CompressionSavedBytes uint64 // raw-minus-compressed bytes on unique chunks
@@ -260,6 +262,7 @@ func (s Stats) ReductionRatio() float64 {
 // "capacity.*", so both are safe to read while the owner is writing.
 type counters struct {
 	writes, reads, batches       metrics.Counter
+	overlapped                   metrics.Counter // commits that ran under the next batch's hash
 	clientBytes, storedBytes     metrics.Counter
 	dupChunks, uniqueChunks      metrics.Counter
 	nicReadHits, readCacheHits   metrics.Counter
@@ -283,6 +286,7 @@ func (c *counters) attach(reg *metrics.Registry) {
 	reg.AttachCounter("core.writes", &c.writes)
 	reg.AttachCounter("core.reads", &c.reads)
 	reg.AttachCounter("core.batches", &c.batches)
+	reg.AttachCounter("core.batches_overlapped", &c.overlapped)
 	reg.AttachCounter("core.client_bytes", &c.clientBytes)
 	reg.AttachCounter("core.stored_bytes", &c.storedBytes)
 	reg.AttachCounter("core.dup_chunks", &c.dupChunks)
@@ -330,6 +334,12 @@ type Server struct {
 	tableSSD *ssd.SSD
 
 	batch []pending
+	// gens notes each generation waiting in the FIDR NIC, oldest first,
+	// in step with the NIC's own queue. fillSawRead records that a read
+	// went past the NIC while the current buffer was filling, so its batch
+	// commits in its own tipping write (see tipFIDRBatch).
+	gens        []generation
+	fillSawRead bool
 	// bs is one batch's scratch, cread where fetchCompressed lands a
 	// chunk's compressed bytes; both are reused call after call.
 	bs     batchScratch
@@ -521,7 +531,9 @@ func (s *Server) Ledger() *hostmodel.Ledger { return s.ledger }
 // Topology exposes the PCIe fabric ledger.
 func (s *Server) Topology() *pcie.Topology { return s.topo }
 
-// Stats returns server-level counters.
+// Stats returns server-level counters. It is a lock-free read-out of what
+// has been committed and settles nothing: a generation waiting in the NIC
+// shows up once its commit has run.
 func (s *Server) Stats() Stats {
 	c := &s.ctr
 	return Stats{

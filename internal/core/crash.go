@@ -19,8 +19,11 @@ import (
 type CrashStage int
 
 const (
-	// CrashPostHash fires after batch fingerprinting, before dedup
-	// lookups: chunk data is buffered, no metadata was touched.
+	// CrashPostHash fires after batch fingerprinting, before the batch's
+	// dedup lookups: its chunk data is buffered, none of its metadata was
+	// touched. On FIDR the previous batch's commit may have run under this
+	// hash (tipFIDRBatch), so the crash comes after that commit; the hit
+	// count is still one per tipped batch.
 	CrashPostHash CrashStage = iota
 	// CrashPrePack fires after compression, before packing/table
 	// updates: the most work lost without any mutation applied.

@@ -264,3 +264,71 @@ func TestWALTornRecordReplayStopsCleanly(t *testing.T) {
 		t.Fatal("replay applied nothing before the torn record")
 	}
 }
+
+// TestContainerWriteFaultLosesNothing: one transient data-SSD write fault
+// must cost nothing but the error it returns. A sealed container leaves the
+// engine's queue only once it is on the SSD, so the failed write is retried
+// ahead of the next batch's containers, reads in between are served from
+// engine memory, and the WAL never makes a mapping durable before the
+// container it points into.
+func TestContainerWriteFaultLosesNothing(t *testing.T) {
+	sh := blockcomp.NewShaper(0.5)
+	content := func(i uint64) []byte { return sh.Make(i, 4096) }
+	const n = 400
+	// drive writes n unique chunks with the first container write failing
+	// and returns how many writes reported it.
+	drive := func(t *testing.T, s *Server, dssd *ssd.SSD) int {
+		t.Helper()
+		dssd.InjectFaults(0, 1, errMedia)
+		faults := 0
+		for i := uint64(0); i < n; i++ {
+			if err := s.Write(i, content(i)); err != nil {
+				if !errors.Is(err, errMedia) {
+					t.Fatalf("write %d: wrong error: %v", i, err)
+				}
+				faults++
+			}
+		}
+		return faults
+	}
+
+	t.Run("volatile", func(t *testing.T) {
+		s, _, dssd := faultServer(t)
+		if faults := drive(t, s, dssd); faults != 1 {
+			t.Fatalf("%d writes returned the media error, want exactly 1", faults)
+		}
+		// Before anything retries the write, the container is still readable.
+		for i := uint64(0); i < n; i++ {
+			if got, err := s.Read(i); err != nil || !bytes.Equal(got, content(i)) {
+				t.Fatalf("lba %d before flush: err %v, bytes match %v", i, err, err == nil)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < n; i++ {
+			if got, err := s.Read(i); err != nil || !bytes.Equal(got, content(i)) {
+				t.Fatalf("lba %d after flush: err %v, bytes match %v", i, err, err == nil)
+			}
+		}
+		rep, err := s.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%d problems after a transient container-write fault, first: %s", len(rep.Problems), rep.Problems[0])
+		}
+	})
+
+	t.Run("wal", func(t *testing.T) {
+		s, dev, cfg := walFaultServer(t)
+		if faults := drive(t, s, cfg.DataSSD); faults != 1 {
+			t.Fatalf("%d writes returned the media error, want exactly 1", faults)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Crash with no checkpoint: recovery sees only the SSDs and the log.
+		walRecoverAndVerify(t, dev, cfg, n, content)
+	})
+}

@@ -28,6 +28,7 @@ type GarbageStats struct {
 
 // Garbage reports current dead-space accounting.
 func (s *Server) Garbage() GarbageStats {
+	s.settleQuietly()
 	return GarbageStats{
 		DeadBytesByContainer: s.lba.DeadBytes(),
 		TotalDeadBytes:       s.lba.TotalDeadBytes(),
@@ -64,14 +65,20 @@ func (s *Server) Compact(minDeadFraction float64) (CompactResult, error) {
 	if err := s.failIfCrashed(); err != nil {
 		return res, err
 	}
+	if err := s.settle(); err != nil {
+		return res, err
+	}
 	tr := s.obs.begin("gc", 0)
 	defer tr.done()
 	dead := s.lba.DeadBytes()
-	open := s.comp.OpenContainer()
+	// Only containers on the SSD are candidates: not the open one, nor a
+	// sealed one a failed write left queued in the engine (writeSealed
+	// would put it back on the SSD after its retirement).
+	durable := s.comp.DurableContainers()
 	// Deterministic candidate order.
 	var candidates []uint64
 	for c, b := range dead {
-		if c == open {
+		if c >= durable {
 			continue
 		}
 		if float64(b)/float64(s.cfg.ContainerSize) >= minDeadFraction && b > 0 {

@@ -160,6 +160,22 @@ func (o *Observer) begin(op string, lba uint64) *ReqTrace {
 	return tr
 }
 
+// now reads the clock for a span that outlives the function that opens it,
+// or returns the zero time when observability is off (since is its pair).
+func (o *Observer) now() time.Time {
+	if o == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (o *Observer) since(from time.Time) time.Duration {
+	if o == nil {
+		return 0
+	}
+	return time.Since(from)
+}
+
 // beginLinked opens a trace for deferred work (a batch flush) under the
 // trace of the request that triggered it, so one wire trace covers the
 // hash/compress/WAL/SSD spans its tipping write caused. A nil or
@@ -225,6 +241,15 @@ func (tr *ReqTrace) span(st Stage, from time.Time) {
 		return
 	}
 	tr.record(st, from, time.Since(from), 0)
+}
+
+// at records a stage measured earlier, possibly before this trace began
+// (a generation's hash round is reported by the batch trace of its commit).
+func (tr *ReqTrace) at(st Stage, start time.Time, d time.Duration) {
+	if tr == nil {
+		return
+	}
+	tr.record(st, start, d, 0)
 }
 
 // maxTraceSpans bounds one request's stage list. Bulk operations (gc,

@@ -169,6 +169,12 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		return out, nil
 	}
 	tr.span(StageNICBuffer, from)
+	// The read goes past the NIC: whatever waits there is committed first,
+	// and the batch now filling will be committed by the write that tips it.
+	s.fillSawRead = true
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	// §8 extension: hot-block read cache in host memory.
 	if data, ok := s.rcache.get(lba); ok {
 		s.ctr.readCacheHits.Inc()

@@ -67,6 +67,10 @@ func (s *Server) ReadSnapshot(id SnapshotID, lba uint64) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
+	// A waiting commit may seal the container this chunk would be read from.
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	tr := s.obs.begin("snapshot_read", lba)
 	defer tr.done()
 	from := tr.start()
@@ -94,6 +98,9 @@ func (s *Server) DeleteSnapshot(id SnapshotID) error {
 	snap, ok := s.snapshots[id]
 	if !ok {
 		return fmt.Errorf("core: unknown snapshot %d", id)
+	}
+	if err := s.settle(); err != nil {
+		return err
 	}
 	for _, pbn := range snap.mappings {
 		if err := s.lba.Release(pbn); err != nil {

@@ -189,8 +189,8 @@ type WALStats struct {
 type stagedRec struct {
 	rec WALRecord
 	// barrier is the first container index at which the record may be
-	// committed: OpenContainer() >= barrier means every container the
-	// record references is sealed and on the data SSD.
+	// committed: engine.DurableContainers() >= barrier means every
+	// container the record references is sealed and on the data SSD.
 	barrier uint64
 }
 

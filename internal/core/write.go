@@ -68,7 +68,7 @@ func (s *Server) Flush() error {
 	case Baseline:
 		err = s.processBaselineBatch()
 	default:
-		err = s.processFIDRBatch()
+		err = s.tipFIDRBatch(true)
 	}
 	if err != nil {
 		return err
@@ -254,10 +254,9 @@ func (s *Server) processBaselineBatch() error {
 // chunker cuts the segment and buffers each chunk in battery-backed NIC
 // memory under its extent address; the client is acked immediately and no
 // host resources are touched. When the in-NIC buffer fills mid-segment the
-// pending batch is processed and the stream resumes at the last buffered
-// boundary — the chunker's boundary rule depends only on bytes at and
-// after a boundary, so the resumed call reproduces the remaining cuts
-// exactly.
+// batch tips and the stream resumes at the last buffered boundary — the
+// chunker's boundary rule depends only on bytes at and after a boundary,
+// so the resumed call reproduces the remaining cuts exactly.
 func (s *Server) fidrStreamWrite(offset uint64, data []byte, tr *ReqTrace) error {
 	for len(data) > 0 {
 		from := tr.start()
@@ -281,7 +280,7 @@ func (s *Server) fidrStreamWrite(offset uint64, data []byte, tr *ReqTrace) error
 				// Max-size chunks. Guard against spinning anyway.
 				return fmt.Errorf("core: chunk exceeds NIC buffer capacity")
 			}
-			if perr := s.processFIDRBatch(); perr != nil {
+			if perr := s.tipFIDRBatch(false); perr != nil {
 				return perr
 			}
 		case err != nil:
@@ -289,33 +288,113 @@ func (s *Server) fidrStreamWrite(offset uint64, data []byte, tr *ReqTrace) error
 		}
 	}
 	if s.fnic.Buffered() >= s.cfg.BatchChunks {
-		return s.processFIDRBatch()
+		return s.tipFIDRBatch(false)
 	}
 	return nil
 }
 
-// processFIDRBatch runs the §5.3 write flow (steps 2-10).
-func (s *Server) processFIDRBatch() error {
-	if s.fnic.Buffered() == 0 {
-		return nil
+// generation is the server's note on one NIC generation between its tip
+// and its commit: the request that tipped it, under whose trace the commit
+// links whenever it runs, and the hash round's span, which the commit's
+// batch trace reports once.
+type generation struct {
+	tip       *ReqTrace
+	hashStart time.Time
+	hashDur   time.Duration
+}
+
+// tipFIDRBatch runs when the filling buffer holds a batch (and, with now
+// set, from Flush on whatever it holds). §5.3's step 2 — the NIC hashes the
+// batch — is a pure function of bytes already in NIC memory, so it runs
+// beside steps 3-10 of the batch before: the NIC detaches the buffer as a
+// generation and starts its hash cores, this goroutine meanwhile commits
+// the previous generation, then joins the cores. All of it happens inside
+// this call; nothing runs after it returns.
+//
+// The new generation's own commit waits for the next tip, unless this is
+// Flush or its fill saw a read go past the NIC: reads settle what waits, so
+// on read-interleaved traffic deferring would overlap nothing and only move
+// the batch from the tipping write onto the next read.
+func (s *Server) tipFIDRBatch(now bool) error {
+	// A backlog — a generation whose commit failed and the one hashed
+	// beside it — settles serially before a new overlap starts: never two
+	// generations hashing, never a commit out of order.
+	if s.fnic.Waiting() > 1 || s.fnic.Buffered() == 0 {
+		if err := s.settle(); err != nil || s.fnic.Buffered() == 0 {
+			return err
+		}
 	}
-	s.ctr.batches.Inc()
-	bt := s.obs.beginLinked("batch", 0, s.activeReq)
-	defer bt.done()
+	now = now || s.fillSawRead
+	s.fillSawRead = false
 
 	// Step 2: NIC hash cores fingerprint the batch; only the hash
 	// values cross PCIe into host memory.
-	from := bt.start()
-	entries := s.fnic.HashAll()
-	bt.span(StageHash, from)
-	if err := s.crashPoint(CrashPostHash); err != nil {
-		return err
+	overlap := s.fnic.Waiting() > 0
+	s.gens = append(s.gens, generation{tip: s.activeReq, hashStart: s.obs.now()})
+	s.fnic.Tip(overlap)
+	var err error
+	if overlap {
+		s.ctr.overlapped.Inc()
+		err = s.commitGeneration()
 	}
-	hashBytes := uint64(len(entries)) * fingerprint.Size
+	n := uint64(s.fnic.Join())
+	g := &s.gens[len(s.gens)-1]
+	g.hashDur = s.obs.since(g.hashStart)
+	hashBytes := n * fingerprint.Size
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)
 	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
 	s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerBatchNs)
-	s.ledger.CPU(hostmodel.CompDeviceMgr, uint64(len(entries))*s.costs.DeviceMgrPerChunkNs)
+	s.ledger.CPU(hostmodel.CompDeviceMgr, n*s.costs.DeviceMgrPerChunkNs)
+	if err != nil {
+		return err
+	}
+	if err := s.crashPoint(CrashPostHash); err != nil {
+		return err
+	}
+	if now {
+		return s.settle()
+	}
+	return nil
+}
+
+// settle commits every waiting generation, oldest first. Whatever looks at
+// the server past the NIC's filling buffer — a read that missed it, Flush,
+// a maintenance verb — settles first, so it observes the state it would
+// have observed had every batch been committed by the write that tipped it.
+func (s *Server) settle() error {
+	if s.fnic == nil {
+		return nil
+	}
+	for s.fnic.Waiting() > 0 {
+		if err := s.failIfCrashed(); err != nil {
+			return err
+		}
+		if err := s.commitGeneration(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settleQuietly is settle for the read-outs that return no error (Garbage,
+// CapacityReport, ContainerHeatmap): a commit that fails leaves its
+// generation at the head of the queue, the read-out describes the state
+// before it, and the next write, read or Flush returns the error.
+func (s *Server) settleQuietly() { _ = s.settle() }
+
+// commitGeneration runs §5.3 steps 3-10 over the oldest waiting generation.
+// Until ScheduleBatch consumes it (step 7) a failure leaves it at the head
+// of the queue, and the next tip, read or Flush tries again.
+func (s *Server) commitGeneration() error {
+	entries := s.fnic.Head()
+	g := &s.gens[0]
+	s.ctr.batches.Inc()
+	bt := s.obs.beginLinked("batch", 0, g.tip)
+	defer bt.done()
+	if !g.hashStart.IsZero() {
+		bt.at(StageHash, g.hashStart, g.hashDur)
+		g.hashStart = time.Time{}
+	}
 
 	// Step 3: the device manager sends bucket indexes to the Cache
 	// HW-Engine (full FIDR only; with software caching this stays on
@@ -327,7 +406,7 @@ func (s *Server) processFIDRBatch() error {
 
 	// Steps 4-5: host software scans the cached buckets and determines
 	// uniqueness; duplicates update only the LBA-PBA table.
-	from = bt.start()
+	from := bt.start()
 	bs := &s.bs
 	bs.flags = append(bs.flags[:0], make([]bool, len(entries))...)
 	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, len(entries))...)
@@ -368,6 +447,7 @@ func (s *Server) processFIDRBatch() error {
 	if err != nil {
 		return err
 	}
+	s.gens = append(s.gens[:0], s.gens[1:]...)
 	var uniqueBytes uint64
 	for i := range unique {
 		uniqueBytes += uint64(len(unique[i].Data))
@@ -522,10 +602,12 @@ func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 func (s *Server) writeSealed(tr *ReqTrace) error {
 	s.commitTally()
 	defer s.syncCapacityGauges()
-	sealed := s.comp.TakeSealed()
-	if len(sealed) > 0 {
+	if _, ok := s.comp.NextSealed(); ok {
 		from := tr.start()
-		for _, sc := range sealed {
+		// A container leaves the engine's queue only once it is on the
+		// SSD: after a failed write it is still there, readable, and goes
+		// first at the next writeSealed.
+		for sc, ok := s.comp.NextSealed(); ok; sc, ok = s.comp.NextSealed() {
 			off := sc.Index * uint64(len(sc.Data))
 			if err := s.dataSSD.Write(off, sc.Data); err != nil {
 				return err
@@ -544,9 +626,9 @@ func (s *Server) writeSealed(tr *ReqTrace) error {
 			// container writes are sequential and batched, so the stack
 			// cost is per container, not per chunk.
 			s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
+			s.comp.PopSealed()
 		}
 		tr.span(StageSSDIO, from)
-		s.comp.Recycle(sealed) // on the SSD, and nothing else holds the buffers
 	}
 	// WAL fsync batching: one commit per batch, after the containers the
 	// staged records reference are on the data SSD.
@@ -604,5 +686,8 @@ func (s *Server) walCommit() error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.commit(s.comp.OpenContainer())
+	// The barrier is the oldest container not yet on the SSD, not the open
+	// one: after a failed container write the records that point into it
+	// stay staged.
+	return s.wal.commit(s.comp.DurableContainers())
 }

@@ -69,8 +69,11 @@ type Compression struct {
 	sealed []SealedContainer
 
 	// compressLanes is the modeled LZ77-pipeline count: CompressMany
-	// fans a batch across this many worker goroutines (1 = serial).
+	// fans a batch across this many lanes (1 = serial). pipes is the lane
+	// group, bound once to compressOne; datas is the batch it works on.
 	compressLanes int
+	pipes         *lanes.Group
+	datas         [][]byte
 	// scratch holds one recycled output buffer per batch slot; slot i
 	// is only ever touched by the lane that owns item i, and the
 	// buffers stay valid until the next CompressMany call. results and
@@ -129,6 +132,7 @@ func NewCompressionAt(comp blockcomp.Compressor, containerSize int, firstContain
 		return nil, err
 	}
 	e := &Compression{comp: comp, builder: b}
+	e.pipes = lanes.NewGroup(e.compressOne)
 	e.SetCompressLanes(1)
 	return e, nil
 }
@@ -181,11 +185,11 @@ type Compressed struct {
 
 // CompressMany runs the compression-pipeline array over a batch of
 // chunks: chunk i runs on lane i mod lanes with a recycled per-slot
-// output buffer, and stats are committed strictly in batch order after
-// the join. Output bytes, stats and error selection (lowest failing
-// index) are byte-identical to compressing the batch serially. The
-// returned slice, like the Data it points at, is valid until the next
-// CompressMany call.
+// output buffer — lane 0 on the calling goroutine — and stats are
+// committed strictly in batch order after the join. Output bytes, stats
+// and error selection (lowest failing index) are byte-identical to
+// compressing the batch serially. The returned slice, like the Data it
+// points at, is valid until the next CompressMany call.
 func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
 	if len(datas) == 0 {
 		return nil, nil
@@ -198,25 +202,9 @@ func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
 	results, errs := e.results[:len(datas)], e.errs[:len(datas)]
 	clear(errs)
 	start := time.Now()
-	k := lanes.Clamp(e.compressLanes, len(datas))
-	busy := lanes.Run(len(datas), k, func(_, i int) {
-		src := datas[i]
-		if len(src) == 0 {
-			errs[i] = fmt.Errorf("engine: chunk %d: empty chunk", i)
-			return
-		}
-		cdata, err := blockcomp.CompressAppend(e.comp, e.scratch[i][:0], src)
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: chunk %d: compress: %w", i, err)
-			return
-		}
-		e.scratch[i] = cdata
-		if len(cdata) >= len(src) {
-			results[i] = Compressed{Data: src, Raw: true}
-		} else {
-			results[i] = Compressed{Data: cdata}
-		}
-	})
+	e.datas = datas
+	busy := e.pipes.Run(len(datas), lanes.Clamp(e.compressLanes, len(datas)))
+	e.datas = nil
 	wall := time.Since(start)
 	e.busyNS.Add(uint64(wall))
 	e.laneBusyNS.Add(uint64(lanes.Total(busy)))
@@ -239,6 +227,28 @@ func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
 		return nil, errs[n]
 	}
 	return results, nil
+}
+
+// compressOne is the pipelines' item function: it compresses chunk i of
+// the batch CompressMany is running into slot i's scratch, touching that
+// slot's scratch, result and error and nothing else.
+func (e *Compression) compressOne(_, i int) {
+	src := e.datas[i]
+	if len(src) == 0 {
+		e.errs[i] = fmt.Errorf("engine: chunk %d: empty chunk", i)
+		return
+	}
+	cdata, err := blockcomp.CompressAppend(e.comp, e.scratch[i][:0], src)
+	if err != nil {
+		e.errs[i] = fmt.Errorf("engine: chunk %d: compress: %w", i, err)
+		return
+	}
+	e.scratch[i] = cdata
+	if len(cdata) >= len(src) {
+		e.results[i] = Compressed{Data: src, Raw: true}
+	} else {
+		e.results[i] = Compressed{Data: cdata}
+	}
 }
 
 // Pack places an already-compressed chunk into the open container,
@@ -282,16 +292,24 @@ func (e *Compression) CompressBatch(batch []In) ([]ChunkMeta, error) {
 	return metas, nil
 }
 
-// ReadPending serves a chunk that still sits in the engine's open
-// container (not yet sealed or written to an SSD). Returns false if the
-// requested container is not the open one. The result is a view of the
-// open container for handing to Decompress at once, not a copy: it is
-// valid only until the next Pack, Flush or Recycle.
+// ReadPending serves a chunk that still sits in engine memory: in the open
+// container, or in a sealed one not yet written to an SSD. Returns false
+// for any other container. The result is a view of that container for
+// handing to Decompress at once, not a copy: it is valid only until the
+// next Pack, Flush, PopSealed or Recycle.
 func (e *Compression) ReadPending(container uint64, off uint32, n uint32) ([]byte, bool) {
-	if container != e.builder.Container() {
-		return nil, false
+	if container == e.builder.Container() {
+		return e.builder.Peek(int(off), int(n))
 	}
-	return e.builder.Peek(int(off), int(n))
+	for i := range e.sealed {
+		if sc := &e.sealed[i]; sc.Index == container {
+			if end := uint64(off) + uint64(n); end <= uint64(len(sc.Data)) {
+				return sc.Data[off:end], true
+			}
+			return nil, false
+		}
+	}
+	return nil, false
 }
 
 // seal closes the open container into the sealed queue.
@@ -307,10 +325,32 @@ func (e *Compression) seal() {
 // end-of-workload path).
 func (e *Compression) Flush() { e.seal() }
 
-// TakeSealed removes and returns all sealed containers (the data SSDs
-// fetch them straight from engine memory over PCIe P2P). The caller owns
-// the slice and the buffers, and may hand both back with Recycle once the
-// bytes are on the SSD.
+// NextSealed returns the oldest sealed container without removing it (the
+// data SSDs fetch it straight from engine memory over PCIe P2P). It stays
+// queued, and readable through ReadPending, until PopSealed says the write
+// succeeded — a failed write is simply retried by the next caller.
+func (e *Compression) NextSealed() (SealedContainer, bool) {
+	if len(e.sealed) == 0 {
+		return SealedContainer{}, false
+	}
+	return e.sealed[0], true
+}
+
+// PopSealed drops the container NextSealed returned, now that it is on the
+// SSD, and recycles its buffer.
+func (e *Compression) PopSealed() {
+	e.builder.Recycle(e.sealed[0].Data)
+	last := len(e.sealed) - 1
+	copy(e.sealed, e.sealed[1:])
+	e.sealed[last] = SealedContainer{}
+	e.sealed = e.sealed[:last]
+	e.queueDepth.Set(float64(last))
+}
+
+// TakeSealed removes and returns all sealed containers at once, for a
+// caller whose writes cannot fail part-way. The caller owns the slice and
+// the buffers, and may hand both back with Recycle once the bytes are on
+// the SSD.
 func (e *Compression) TakeSealed() []SealedContainer {
 	if len(e.sealed) == 0 {
 		return nil // keep the recycled queue for the next seal
@@ -332,6 +372,16 @@ func (e *Compression) Recycle(sealed []SealedContainer) {
 	if e.sealed == nil {
 		e.sealed = sealed[:0]
 	}
+}
+
+// DurableContainers returns the index of the first container that is not
+// on an SSD yet — the oldest sealed one still queued, else the open one.
+// Every container below it is durable, which is the WAL's commit barrier.
+func (e *Compression) DurableContainers() uint64 {
+	if len(e.sealed) > 0 {
+		return e.sealed[0].Index
+	}
+	return e.builder.Container()
 }
 
 // OpenContainer returns the index of the container currently being packed.

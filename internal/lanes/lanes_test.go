@@ -3,7 +3,10 @@ package lanes
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+var raceEnabled bool // set by race_test.go under -race
 
 func TestNormalizeAndClamp(t *testing.T) {
 	if Normalize(0) != Default() || Normalize(-3) != Default() {
@@ -73,5 +76,59 @@ func TestRunEmptyAndSingle(t *testing.T) {
 	}
 	if Total(busy) < 0 {
 		t.Fatal("negative busy total")
+	}
+}
+
+// TestGroupStartJoinMatchesRun: a held group's Start ... Join round is Run
+// with a gap in the middle — same item -> lane assignment, same results,
+// a busy time per lane — and the group is reusable round after round, at
+// any width, without allocating once it has run at that width.
+func TestGroupStartJoinMatchesRun(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 7, 64} {
+			wantLane := make([]int32, n)
+			wantOut := make([]int64, n)
+			wantBusy := Run(n, k, func(l, i int) {
+				atomic.StoreInt32(&wantLane[i], int32(l))
+				atomic.StoreInt64(&wantOut[i], int64(i*i+1))
+			})
+
+			round := int64(0)
+			lane := make([]int32, n)
+			out := make([]int64, n)
+			g := NewGroup(func(l, i int) {
+				atomic.StoreInt32(&lane[i], int32(l))
+				atomic.AddInt64(&out[i], int64(i*i+1)+atomic.LoadInt64(&round))
+			})
+			for r := 0; r < 1000; r++ {
+				atomic.StoreInt64(&round, int64(r))
+				for i := range out {
+					atomic.StoreInt64(&out[i], 0)
+					atomic.StoreInt32(&lane[i], -1)
+				}
+				var busy []time.Duration
+				if r%2 == 0 {
+					g.Start(n, k)
+					busy = g.Join()
+				} else {
+					busy = g.Run(n, k)
+				}
+				if len(busy) != len(wantBusy) {
+					t.Fatalf("k=%d n=%d round %d: %d busy entries, Run has %d", k, n, r, len(busy), len(wantBusy))
+				}
+				for i := range out {
+					if lane[i] != wantLane[i] || out[i] != wantOut[i]+int64(r) {
+						t.Fatalf("k=%d n=%d round %d: item %d ran on lane %d with result %d, want lane %d and %d",
+							k, n, r, i, lane[i], out[i], wantLane[i], wantOut[i]+int64(r))
+					}
+				}
+			}
+			if raceEnabled {
+				continue
+			}
+			if a := testing.AllocsPerRun(50, func() { g.Start(n, k); g.Join(); g.Run(n, k) }); a != 0 {
+				t.Errorf("k=%d n=%d: %v allocs per warmed round pair, want 0", k, n, a)
+			}
+		}
 	}
 }

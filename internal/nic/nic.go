@@ -120,28 +120,53 @@ func (c *counters) Instrument(reg *metrics.Registry) {
 	reg.AttachGauge("nic.buffered_bytes", &c.bufferedBytes)
 }
 
+// generation is one buffer's worth of chunks: the buffer being filled, or
+// one the server detached when its batch tipped and has not consumed yet.
+type generation struct {
+	entries []WriteEntry
+	bytes   int
+	// view is entries without the chunk bytes — what HashAll and Head hand
+	// the host — rebuilt by each hash round, valid until the generation is
+	// consumed. Every generation has its own, so one batch's view survives
+	// the next batch's hashing.
+	view []WriteEntry
+	// pending lists the entries the current hash round covers.
+	pending []int
+}
+
 // FIDR is the data-reduction NIC.
+//
+// Its chunk memory holds generations: the filling buffer, which takes
+// writes and answers reads, and behind it a queue of detached ones waiting
+// for the server's table lookup and ScheduleBatch, oldest first. Tip
+// detaches the filling buffer and starts the SHA cores on it, so the
+// server can run the previous generation's lookup-to-seal while this one
+// hashes; HashAll hashes the filling buffer in place for a caller that
+// schedules it at once. BufferBytes bounds each generation.
 type FIDR struct {
-	// bufferCap bounds the in-NIC chunk buffer in bytes (the NIC's
+	// bufferCap bounds one generation's chunk bytes (the NIC's
 	// battery-backed DRAM; writes are acked once buffered, §7.6.1).
 	bufferCap int
-	buffer    []WriteEntry
-	buffered  int
-	// lbaIndex finds the most recent buffered entry per LBA for the
-	// read fast path (§5.3 read step 2).
+	fill      *generation
+	waiting   []*generation
+	free      []*generation // consumed generations, reused by Tip
+	// lbaIndex finds the most recent entry per LBA in the filling buffer
+	// for the read fast path (§5.3 read step 2).
 	lbaIndex map[uint64]int
-	// hashLanes is the modeled SHA-256 core count: HashAll fans the
-	// batch across this many worker goroutines (1 = serial).
+	// hashLanes is the modeled SHA-256 core count: a hash round fans the
+	// generation across this many lanes (1 = serial). cores is the lane
+	// group, bound once to hashOne; hashing is the generation the round
+	// between a start and its join works on, hashStart when it began.
 	hashLanes int
+	cores     *lanes.Group
+	hashing   *generation
+	hashStart time.Time
 	// chunker cuts byte streams into chunks for BufferStream. bounds is
 	// its reusable boundary scratch (no per-call allocation).
 	chunker *chunk.CDC
 	bounds  []int
-	// Batch scratch behind HashAll's and ScheduleBatch's results, each
-	// valid until the next call of the method it serves.
-	pending []int
-	hashed  []WriteEntry
-	unique  []WriteEntry
+	// unique backs ScheduleBatch's result, valid until its next call.
+	unique []WriteEntry
 
 	counters
 }
@@ -151,7 +176,8 @@ func New(cfg Config) (*FIDR, error) {
 	if cfg.BufferBytes < 4096 {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
-	n := &FIDR{bufferCap: cfg.BufferBytes, lbaIndex: make(map[uint64]int)}
+	n := &FIDR{bufferCap: cfg.BufferBytes, fill: &generation{}, lbaIndex: make(map[uint64]int)}
+	n.cores = lanes.NewGroup(n.hashOne)
 	hl := 1
 	if cfg.HashLanes != 0 {
 		hl = cfg.HashLanes
@@ -175,7 +201,7 @@ func NewFIDR(bufferCap int) (*FIDR, error) {
 	return New(Config{BufferBytes: bufferCap})
 }
 
-// SetHashLanes sets the modeled SHA-256 core count HashAll fans out
+// SetHashLanes sets the modeled SHA-256 core count a hash round fans out
 // across. n <= 0 selects the GOMAXPROCS-derived default. Results are
 // byte-identical at any lane count; only wall time changes.
 func (n *FIDR) SetHashLanes(count int) {
@@ -186,22 +212,34 @@ func (n *FIDR) SetHashLanes(count int) {
 // HashLanes returns the configured SHA-core lane count.
 func (n *FIDR) HashLanes() int { return n.hashLanes }
 
-// BufferWrite accepts one chunk into the in-NIC buffer. The data is
+// publishOccupancy sets the occupancy gauges: chunks and bytes held in NIC
+// memory, filling and waiting generations together.
+func (n *FIDR) publishOccupancy() {
+	chunks, bytes := len(n.fill.entries), n.fill.bytes
+	for _, g := range n.waiting {
+		chunks += len(g.entries)
+		bytes += g.bytes
+	}
+	n.queueDepth.Set(float64(chunks))
+	n.bufferedBytes.Set(float64(bytes))
+}
+
+// BufferWrite accepts one chunk into the filling buffer. The data is
 // copied (the NIC owns its buffer memory). Returns ErrBufferFull when the
 // buffer cannot hold the chunk; the caller must drain a batch first.
 func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
-	if n.buffered+len(data) > n.bufferCap {
+	g := n.fill
+	if g.bytes+len(data) > n.bufferCap {
 		return ErrBufferFull
 	}
 	cp := bufpool.Get(len(data))
 	copy(cp, data)
-	n.buffer = append(n.buffer, WriteEntry{LBA: lba, Data: cp, Size: len(data)})
-	n.lbaIndex[lba] = len(n.buffer) - 1
-	n.buffered += len(data)
+	g.entries = append(g.entries, WriteEntry{LBA: lba, Data: cp, Size: len(data)})
+	n.lbaIndex[lba] = len(g.entries) - 1
+	g.bytes += len(data)
 	n.writes.Inc()
 	n.bytes.Add(uint64(len(data)))
-	n.queueDepth.Set(float64(len(n.buffer)))
-	n.bufferedBytes.Set(float64(n.buffered))
+	n.publishOccupancy()
 	return nil
 }
 
@@ -211,7 +249,7 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 // fixed-mode caller passes one chunk and its chunk index, which the
 // single cut leaves untouched). It returns the end offsets in data of
 // the chunks it buffered — the last one is the number of bytes consumed
-// — in scratch that stays valid until the next call. When the in-NIC
+// — in scratch that stays valid until the next call. When the filling
 // buffer fills mid-segment the cuts stop at the last buffered chunk
 // with ErrBufferFull, and the caller resumes with offset+consumed and
 // data[consumed:] after draining a batch — the chunker's boundary rule
@@ -234,58 +272,118 @@ func (n *FIDR) BufferStream(offset uint64, data []byte) (cuts []int, err error) 
 	return n.bounds, nil
 }
 
-// Buffered returns the number of buffered chunks.
-func (n *FIDR) Buffered() int { return len(n.buffer) }
+// Buffered returns the number of chunks in the filling buffer.
+func (n *FIDR) Buffered() int { return len(n.fill.entries) }
 
-// BufferedBytes returns the bytes held in the in-NIC buffer.
-func (n *FIDR) BufferedBytes() int { return n.buffered }
+// BufferedBytes returns the bytes held in the filling buffer.
+func (n *FIDR) BufferedBytes() int { return n.fill.bytes }
 
-// HashAll runs the NIC's SHA-256 core array over unhashed buffered
-// chunks and returns the (LBA, fingerprint) pairs to send to the host —
-// the only write-path data that touches host memory in FIDR, so the
-// returned entries carry no chunk bytes (Data is nil; the data itself
-// stays in NIC memory until ScheduleBatch).
-//
-// Unhashed chunks fan out across the configured hash lanes with a
-// deterministic chunk->lane assignment; fingerprints and stats are
-// committed in buffer order after the join, so the result is
-// byte-identical to the serial path at any lane count. The returned
-// slice is NIC scratch, valid until the next HashAll.
-func (n *FIDR) HashAll() []WriteEntry {
-	start := time.Now()
-	pending := n.pending[:0]
-	for i := range n.buffer {
-		if !n.buffer[i].Hashed {
-			pending = append(pending, i)
-		}
-	}
-	n.pending = pending
-	if len(pending) > 0 {
-		k := lanes.Clamp(n.hashLanes, len(pending))
-		busy := lanes.Run(len(pending), k, func(_, p int) {
-			e := &n.buffer[pending[p]]
-			e.FP = fingerprint.Of(e.Data)
-			e.Hashed = true
-		})
-		// Counters commit once per batch, after the join.
-		var hashBytes uint64
-		for _, i := range pending {
-			hashBytes += uint64(len(n.buffer[i].Data))
-		}
-		n.hashOps.Add(uint64(len(pending)))
-		n.hashBytes.Add(hashBytes)
-		n.busyNS.Add(uint64(time.Since(start)))
-		n.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
-	}
-	n.hashed = append(n.hashed[:0], n.buffer...)
-	for i := range n.hashed {
-		n.hashed[i].Data = nil
-	}
-	return n.hashed
+// Waiting returns the number of detached generations not yet consumed.
+func (n *FIDR) Waiting() int { return len(n.waiting) }
+
+// hashOne is the SHA cores' item function: item p of a round is the p-th
+// unhashed entry of the generation being hashed. It touches that entry's
+// FP and Hashed and nothing else.
+func (n *FIDR) hashOne(_, p int) {
+	e := &n.hashing.entries[n.hashing.pending[p]]
+	e.FP = fingerprint.Of(e.Data)
+	e.Hashed = true
 }
 
-// LookupRead serves a read from the in-NIC write buffer if the LBA is
-// still buffered, returning the freshest data for that LBA.
+// startHash begins a hash round over g's unhashed entries, fanned across
+// the configured lanes with a deterministic chunk->lane assignment. In the
+// background the lanes run beside the caller until joinHash; otherwise the
+// round is complete on return (the caller ran lane 0) and joinHash only
+// collects it.
+func (n *FIDR) startHash(g *generation, background bool) {
+	n.hashStart = time.Now()
+	g.pending = g.pending[:0]
+	for i := range g.entries {
+		if !g.entries[i].Hashed {
+			g.pending = append(g.pending, i)
+		}
+	}
+	n.hashing = g
+	k := lanes.Clamp(n.hashLanes, len(g.pending))
+	if background {
+		n.cores.Start(len(g.pending), k)
+	} else {
+		n.cores.Run(len(g.pending), k)
+	}
+}
+
+// joinHash ends the round startHash began: it waits for the lanes, commits
+// the counters once, in buffer order — so the result is byte-identical to
+// the serial path at any lane count — and returns the generation's
+// data-stripped view.
+func (n *FIDR) joinHash() []WriteEntry {
+	g := n.hashing
+	busy := n.cores.Join()
+	n.hashing = nil
+	if len(g.pending) > 0 {
+		var hashBytes uint64
+		for _, i := range g.pending {
+			hashBytes += uint64(len(g.entries[i].Data))
+		}
+		n.hashOps.Add(uint64(len(g.pending)))
+		n.hashBytes.Add(hashBytes)
+		n.busyNS.Add(uint64(time.Since(n.hashStart)))
+		n.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
+	}
+	g.view = append(g.view[:0], g.entries...)
+	for i := range g.view {
+		g.view[i].Data = nil
+	}
+	return g.view
+}
+
+// HashAll runs the NIC's SHA-256 core array over the unhashed chunks of
+// the filling buffer and returns the (LBA, fingerprint) pairs to send to
+// the host — the only write-path data that touches host memory in FIDR,
+// so the returned entries carry no chunk bytes (Data is nil; the data
+// itself stays in NIC memory until ScheduleBatch). The returned slice is
+// NIC scratch, valid until the buffer's next HashAll or its ScheduleBatch.
+func (n *FIDR) HashAll() []WriteEntry {
+	n.startHash(n.fill, false)
+	return n.joinHash()
+}
+
+// Tip detaches the filling buffer as a generation — it joins the tail of
+// the waiting queue and a fresh buffer takes the writes that follow — and
+// starts the SHA cores on it. With background set the lanes run on their
+// own goroutines while the caller does what it likes to everything but
+// this generation's entries; Join must follow before the caller returns
+// to its own caller, so nothing outlives the call that tipped the batch.
+// Reads no longer find the detached chunks: the server settles a waiting
+// generation before a read looks past the filling buffer.
+func (n *FIDR) Tip(background bool) {
+	g := n.fill
+	n.waiting = append(n.waiting, g)
+	if last := len(n.free) - 1; last >= 0 {
+		n.fill, n.free = n.free[last], n.free[:last]
+	} else {
+		n.fill = &generation{}
+	}
+	clear(n.lbaIndex)
+	n.startHash(g, background)
+}
+
+// Join completes the hash round Tip began and returns how many chunks the
+// tipped generation holds. busy_ns covers start to join.
+func (n *FIDR) Join() int { return len(n.joinHash()) }
+
+// Head returns the hashed, data-stripped entries of the oldest waiting
+// generation — what its ScheduleBatch flags must align with — or nil when
+// none waits. Valid until that ScheduleBatch.
+func (n *FIDR) Head() []WriteEntry {
+	if len(n.waiting) == 0 {
+		return nil
+	}
+	return n.waiting[0].view
+}
+
+// LookupRead serves a read from the filling buffer if the LBA is buffered
+// there, returning the freshest data for that LBA.
 func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 	n.readLookups.Inc()
 	i, ok := n.lbaIndex[lba]
@@ -293,40 +391,48 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 		return nil, false
 	}
 	n.readHits.Inc()
-	return n.buffer[i].Data, true
+	return n.fill.entries[i].Data, true
 }
 
-// ScheduleBatch consumes the buffer given per-chunk uniqueness flags
-// (computed by the host's table lookup) and returns the batch of unique
-// chunks for the Compression Engines. Duplicate chunks are dropped from
-// the NIC buffer — they never cross PCIe, which is FIDR's bandwidth win.
-// flags must align with the entries returned by HashAll. The returned
-// slice is NIC scratch, valid until the next ScheduleBatch; the chunk
-// buffers it points at are the caller's.
+// ScheduleBatch consumes the oldest waiting generation — the filling
+// buffer when none waits — given per-chunk uniqueness flags (computed by
+// the host's table lookup) and returns the batch of unique chunks for the
+// Compression Engines. Duplicate chunks are dropped from NIC memory —
+// they never cross PCIe, which is FIDR's bandwidth win. flags must align
+// with the entries HashAll or Head returned. The returned slice is NIC
+// scratch, valid until the next ScheduleBatch; the chunk buffers it
+// points at are the caller's.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
-	if len(flags) != len(n.buffer) {
-		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), len(n.buffer))
+	g := n.fill
+	if len(n.waiting) > 0 {
+		g = n.waiting[0]
+	}
+	if len(flags) != len(g.entries) {
+		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), len(g.entries))
 	}
 	unique := n.unique[:0]
 	for i, isUnique := range flags {
 		if isUnique {
-			unique = append(unique, n.buffer[i])
+			unique = append(unique, g.entries[i])
 		} else {
 			// Duplicates never leave the NIC; their buffer memory is
 			// recycled immediately. Unique chunks transfer ownership to
 			// the caller, who releases them after container packing.
-			bufpool.Put(n.buffer[i].Data)
+			bufpool.Put(g.entries[i].Data)
 		}
 	}
 	n.uniqueSent.Add(uint64(len(unique)))
 	n.dupDrops.Add(uint64(len(flags) - len(unique)))
 	n.batches.Inc()
 	n.unique = unique
-	n.buffer = n.buffer[:0]
-	n.buffered = 0
-	clear(n.lbaIndex)
-	n.queueDepth.Set(0)
-	n.bufferedBytes.Set(0)
+	g.entries, g.bytes = g.entries[:0], 0
+	if g == n.fill {
+		clear(n.lbaIndex)
+	} else {
+		n.waiting = append(n.waiting[:0], n.waiting[1:]...)
+		n.free = append(n.free, g)
+	}
+	n.publishOccupancy()
 	return unique, nil
 }
 
