@@ -83,13 +83,15 @@ check-doctor:
 	$(GO) test -v -run TestDoctorStall .
 	$(GO) test -v -run 'TestDoctorE2E|TestDoctorDisabledRecorderE2E' ./cmd/fidrd
 
-# fuzz runs twelve fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs thirteen fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
 # scalar on every input; WAL replay and recovery must survive any log
 # (torn, corrupt, reordered frames) applying a clean prefix or failing
-# typed; the LBA-snapshot decoder must never panic and must round-trip;
-# the LZ compressor must round-trip any input and its decoder must never
-# panic or overrun the declared size on any stream (the fence for
+# typed; recovery from any checkpoint image must return a server or fail
+# typed, with no length field sizing an allocation past the volume; the
+# LBA-snapshot decoder must never panic and must round-trip; the LZ
+# compressor must round-trip any input and its decoder must never panic
+# or overrun the declared size on any stream (the fence for
 # compressor work, beside TestLZOutputGolden); the wire frame decoder
 # must reject or round-trip any bytes, any payload must survive framing,
 # and a connection's buffered decoder fed any stream in any fragments
@@ -109,6 +111,7 @@ FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointImage$$' -fuzztime $(FUZZ_TIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreTable$$' -fuzztime $(FUZZ_TIME) ./internal/lbatable
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp

@@ -371,7 +371,7 @@ func (o *Observer) setSlowBar(th time.Duration) {
 }
 
 // queueSnapshot captures every registry gauge whose name contains
-// "queue" (device queue depths, NIC buffer occupancy) at this instant.
+// "queue" (nic.queue_depth and engine.queue_depth) at this instant.
 func (o *Observer) queueSnapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, m := range o.reg.Snapshot() {

@@ -192,9 +192,12 @@ func RecoverServer(cfg Config) (*Server, error) {
 		rr.FromGenesis = true
 	}
 	if haveCkp {
-		if snapLen > s.tableSSD.Config().CapacityBytes {
-			return nil, fmt.Errorf("core: implausible snapshot size %d: %w",
-				snapLen, ErrCorruptCheckpoint)
+		// A length is checked against what the volume holds, not what it
+		// could address (1 TiB for fidrd's volumes), before it sizes a read.
+		held := uint64(s.tableSSD.StoredPages()) * uint64(s.tableSSD.Config().PageSize)
+		if snapLen > held {
+			return nil, fmt.Errorf("core: snapshot size %d exceeds the %d bytes the table volume holds: %w",
+				snapLen, held, ErrCorruptCheckpoint)
 		}
 		snap, err := s.tableSSD.Read(bodyOff, int(snapLen))
 		if err != nil {
@@ -213,9 +216,9 @@ func RecoverServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("core: checkpoint fingerprints: %v: %w", err, ErrCorruptCheckpoint)
 		}
 		nFP := binary.LittleEndian.Uint64(fpHdr)
-		if nFP != lba.Chunks() {
-			return nil, fmt.Errorf("core: checkpoint has %d fingerprints for %d chunks: %w",
-				nFP, lba.Chunks(), ErrCorruptCheckpoint)
+		if nFP != lba.Chunks() || nFP > held/fingerprint.Size {
+			return nil, fmt.Errorf("core: checkpoint has %d fingerprints for %d chunks in a %d-byte volume: %w",
+				nFP, lba.Chunks(), held, ErrCorruptCheckpoint)
 		}
 		fpBytes, err := s.tableSSD.Read(bodyOff+8+snapLen, int(nFP)*fingerprint.Size)
 		if err != nil {

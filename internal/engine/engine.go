@@ -137,13 +137,6 @@ func NewCompressionAt(comp blockcomp.Compressor, containerSize int, firstContain
 	return e, nil
 }
 
-// In is one chunk entering the engine.
-type In struct {
-	LBA  uint64
-	FP   fingerprint.FP
-	Data []byte
-}
-
 // Compress runs the compression cores over one chunk without packing it.
 // Incompressible chunks fall back to their raw bytes. The baseline needs
 // this split: it compresses *predicted*-unique chunks speculatively but
@@ -268,30 +261,6 @@ func (e *Compression) Pack(lba uint64, fp fingerprint.FP, cdata []byte, rawSize 
 	}, nil
 }
 
-// CompressBatch compresses a batch of unique chunks across the lane
-// array, packing them into containers strictly in batch order. It
-// returns per-chunk metadata; sealed containers accumulate until
-// TakeSealed.
-func (e *Compression) CompressBatch(batch []In) ([]ChunkMeta, error) {
-	datas := make([][]byte, len(batch))
-	for i := range batch {
-		datas[i] = batch[i].Data
-	}
-	rs, err := e.CompressMany(datas)
-	if err != nil {
-		return nil, err
-	}
-	metas := make([]ChunkMeta, 0, len(batch))
-	for i, in := range batch {
-		m, err := e.Pack(in.LBA, in.FP, rs[i].Data, len(in.Data))
-		if err != nil {
-			return nil, err
-		}
-		metas = append(metas, m)
-	}
-	return metas, nil
-}
-
 // ReadPending serves a chunk that still sits in engine memory: in the open
 // container, or in a sealed one not yet written to an SSD. Returns false
 // for any other container. The result is a view of that container for
@@ -404,9 +373,7 @@ func (e *Compression) Stats() Stats {
 
 // Decompression is one Decompression Engine.
 type Decompression struct {
-	comp   blockcomp.Compressor
-	chunks uint64
-	bytes  uint64
+	comp blockcomp.Compressor
 }
 
 // NewDecompression creates a decompression engine using comp.
@@ -417,8 +384,6 @@ func NewDecompression(comp blockcomp.Compressor) *Decompression {
 // Decompress restores one chunk. Raw-stored chunks (csize == rawSize)
 // pass through.
 func (d *Decompression) Decompress(cdata []byte, rawSize int) ([]byte, error) {
-	d.chunks++
-	d.bytes += uint64(rawSize)
 	if len(cdata) == rawSize {
 		out := make([]byte, rawSize)
 		copy(out, cdata)
@@ -430,6 +395,3 @@ func (d *Decompression) Decompress(cdata []byte, rawSize int) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// Decompressed returns (chunks, bytes) served.
-func (d *Decompression) Decompressed() (uint64, uint64) { return d.chunks, d.bytes }

@@ -111,8 +111,9 @@ type WorkloadPoint struct {
 	// by SpecExecutor; <0.1% for the paper's workloads).
 	CrashRate float64
 	// LeafCacheHit is the fraction of lookups whose leaf node hits the
-	// small on-chip leaf cache (measured; high-locality workloads like
-	// Write-H reuse leaves heavily).
+	// small on-chip leaf cache (high-locality workloads like Write-H reuse
+	// leaves heavily). Nothing here simulates that cache: the Fig. 13
+	// runs pass a per-workload calibrated value.
 	LeafCacheHit float64
 }
 

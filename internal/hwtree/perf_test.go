@@ -6,8 +6,8 @@ import (
 )
 
 // Workload anchor points used by the Figure 13 reproduction: miss rates
-// come from Table 3 hit rates; leaf-cache hits from functional
-// measurement (high-locality Write-H reuses leaves).
+// come from Table 3 hit rates; leaf-cache hits are the calibrated values
+// (high-locality Write-H reuses leaves).
 func writeH() WorkloadPoint {
 	return WorkloadPoint{MissRate: 0.10, CrashRate: 0.001, LeafCacheHit: 0.40}
 }
@@ -138,38 +138,6 @@ func TestZeroMissNoUpdateCap(t *testing.T) {
 	}
 	if !math.IsInf(caps.TableSSD, 1) {
 		t.Error("no SSD path should be unbounded")
-	}
-}
-
-func TestLeafCacheSim(t *testing.T) {
-	c := NewLeafCacheSim(2)
-	if c.Access(1) {
-		t.Error("cold access hit")
-	}
-	if !c.Access(1) {
-		t.Error("warm access missed")
-	}
-	c.Access(2)
-	c.Access(3) // evicts 1 (LRU)
-	if c.Access(1) {
-		t.Error("evicted leaf still cached")
-	}
-	if c.Accesses() != 5 {
-		t.Errorf("accesses = %d", c.Accesses())
-	}
-	if hr := c.HitRate(); hr <= 0 || hr >= 1 {
-		t.Errorf("hit rate = %v", hr)
-	}
-	c.Invalidate(2)
-	if c.Access(2) {
-		t.Error("invalidated leaf hit")
-	}
-}
-
-func TestLeafCacheSimEmpty(t *testing.T) {
-	c := NewLeafCacheSim(0) // clamps to 1
-	if c.HitRate() != 0 {
-		t.Error("empty hit rate nonzero")
 	}
 }
 

@@ -263,12 +263,3 @@ func (t *Table) MappedLBAs() int {
 	defer t.mu.RUnlock()
 	return len(t.lbaToPBN)
 }
-
-// MetadataBytes estimates the table's memory footprint using the paper's
-// entry sizes (6 B per LBA mapping + 4 B per PBN entry; the paper's
-// fixed-size chunks need no length field, so the model charges none).
-func (t *Table) MetadataBytes() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return uint64(len(t.lbaToPBN))*6 + uint64(len(t.entries))*4
-}

@@ -165,16 +165,6 @@ func TestOverwriteLBA(t *testing.T) {
 	}
 }
 
-func TestMetadataBytes(t *testing.T) {
-	tb, _ := New(4096)
-	tb.AppendChunk(1, 0, 0, 100)
-	tb.MapLBA(2, 0)
-	// 2 LBAs * 6 + 1 entry * 4 = 16.
-	if got := tb.MetadataBytes(); got != 16 {
-		t.Errorf("metadata bytes = %d, want 16", got)
-	}
-}
-
 func TestResolveMatchesReferenceProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

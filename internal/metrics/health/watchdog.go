@@ -33,10 +33,10 @@ import (
 // Heartbeat is an atomic liveness pulse owned by one worker goroutine.
 // The worker calls Begin when it picks up a unit of work and End when
 // the unit completes; the watchdog trips when a heartbeat has been busy
-// longer than its probe deadline without a fresh Beat. An idle worker
-// (nothing begun) never trips, so an empty queue is not a stall.
+// longer than its probe deadline since its last Begin or End. An idle
+// worker (nothing begun) never trips, so an empty queue is not a stall.
 type Heartbeat struct {
-	lastNS atomic.Int64 // wall clock of the last Beat/Begin/End
+	lastNS atomic.Int64 // wall clock of the last Begin/End
 	busy   atomic.Int64 // in-flight units of work
 
 	mu    sync.Mutex
@@ -60,10 +60,6 @@ func (h *Heartbeat) End() {
 	h.busy.Add(-1)
 	h.lastNS.Store(time.Now().UnixNano())
 }
-
-// Beat refreshes the pulse without changing the busy count (for workers
-// that make observable progress inside one long unit of work).
-func (h *Heartbeat) Beat() { h.lastNS.Store(time.Now().UnixNano()) }
 
 // Busy reports the in-flight unit count.
 func (h *Heartbeat) Busy() int { return int(h.busy.Load()) }

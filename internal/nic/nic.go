@@ -29,16 +29,14 @@ import (
 type WriteEntry struct {
 	LBA  uint64
 	Data []byte
-	// Size is len(Data) at buffering time. It survives HashAll's
-	// Data-stripping (the host sees hashes and sizes, never bytes), so
-	// dedup accounting can attribute the right byte count per chunk
-	// under variable-size chunking.
+	// Size is len(Data) at buffering time. It survives the Data-stripping
+	// of the view Head returns (the host sees hashes and sizes, never
+	// bytes), so dedup accounting can attribute the right byte count per
+	// chunk under variable-size chunking.
 	Size int
-	// FP is the chunk fingerprint; computed by the NIC hash cores in
-	// FIDR, by the FPGA array in the baseline.
+	// FP is the chunk fingerprint, computed by the NIC hash cores once the
+	// chunk's generation tips.
 	FP fingerprint.FP
-	// Hashed records whether FP is valid.
-	Hashed bool
 }
 
 // Config configures a FIDR NIC.
@@ -125,13 +123,11 @@ func (c *counters) Instrument(reg *metrics.Registry) {
 type generation struct {
 	entries []WriteEntry
 	bytes   int
-	// view is entries without the chunk bytes — what HashAll and Head hand
-	// the host — rebuilt by each hash round, valid until the generation is
+	// view is entries without the chunk bytes — what Head hands the host —
+	// rebuilt by the generation's hash round, valid until the generation is
 	// consumed. Every generation has its own, so one batch's view survives
 	// the next batch's hashing.
 	view []WriteEntry
-	// pending lists the entries the current hash round covers.
-	pending []int
 }
 
 // FIDR is the data-reduction NIC.
@@ -141,8 +137,7 @@ type generation struct {
 // for the server's table lookup and ScheduleBatch, oldest first. Tip
 // detaches the filling buffer and starts the SHA cores on it, so the
 // server can run the previous generation's lookup-to-seal while this one
-// hashes; HashAll hashes the filling buffer in place for a caller that
-// schedules it at once. BufferBytes bounds each generation.
+// hashes. BufferBytes bounds each generation.
 type FIDR struct {
 	// bufferCap bounds one generation's chunk bytes (the NIC's
 	// battery-backed DRAM; writes are acked once buffered, §7.6.1).
@@ -192,13 +187,6 @@ func New(cfg Config) (*FIDR, error) {
 	}
 	n.chunker = c
 	return n, nil
-}
-
-// NewFIDR creates a FIDR NIC with the given buffer capacity in bytes.
-// The NIC starts with one hash lane (serial); SetHashLanes widens the
-// SHA-core array.
-func NewFIDR(bufferCap int) (*FIDR, error) {
-	return New(Config{BufferBytes: bufferCap})
 }
 
 // SetHashLanes sets the modeled SHA-256 core count a hash round fans out
@@ -275,87 +263,28 @@ func (n *FIDR) BufferStream(offset uint64, data []byte) (cuts []int, err error) 
 // Buffered returns the number of chunks in the filling buffer.
 func (n *FIDR) Buffered() int { return len(n.fill.entries) }
 
-// BufferedBytes returns the bytes held in the filling buffer.
-func (n *FIDR) BufferedBytes() int { return n.fill.bytes }
-
 // Waiting returns the number of detached generations not yet consumed.
 func (n *FIDR) Waiting() int { return len(n.waiting) }
 
-// hashOne is the SHA cores' item function: item p of a round is the p-th
-// unhashed entry of the generation being hashed. It touches that entry's
-// FP and Hashed and nothing else.
-func (n *FIDR) hashOne(_, p int) {
-	e := &n.hashing.entries[n.hashing.pending[p]]
+// hashOne is the SHA cores' item function: item i of a round is entry i
+// of the generation being hashed. It touches that entry's FP and nothing
+// else.
+func (n *FIDR) hashOne(_, i int) {
+	e := &n.hashing.entries[i]
 	e.FP = fingerprint.Of(e.Data)
-	e.Hashed = true
-}
-
-// startHash begins a hash round over g's unhashed entries, fanned across
-// the configured lanes with a deterministic chunk->lane assignment. In the
-// background the lanes run beside the caller until joinHash; otherwise the
-// round is complete on return (the caller ran lane 0) and joinHash only
-// collects it.
-func (n *FIDR) startHash(g *generation, background bool) {
-	n.hashStart = time.Now()
-	g.pending = g.pending[:0]
-	for i := range g.entries {
-		if !g.entries[i].Hashed {
-			g.pending = append(g.pending, i)
-		}
-	}
-	n.hashing = g
-	k := lanes.Clamp(n.hashLanes, len(g.pending))
-	if background {
-		n.cores.Start(len(g.pending), k)
-	} else {
-		n.cores.Run(len(g.pending), k)
-	}
-}
-
-// joinHash ends the round startHash began: it waits for the lanes, commits
-// the counters once, in buffer order — so the result is byte-identical to
-// the serial path at any lane count — and returns the generation's
-// data-stripped view.
-func (n *FIDR) joinHash() []WriteEntry {
-	g := n.hashing
-	busy := n.cores.Join()
-	n.hashing = nil
-	if len(g.pending) > 0 {
-		var hashBytes uint64
-		for _, i := range g.pending {
-			hashBytes += uint64(len(g.entries[i].Data))
-		}
-		n.hashOps.Add(uint64(len(g.pending)))
-		n.hashBytes.Add(hashBytes)
-		n.busyNS.Add(uint64(time.Since(n.hashStart)))
-		n.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
-	}
-	g.view = append(g.view[:0], g.entries...)
-	for i := range g.view {
-		g.view[i].Data = nil
-	}
-	return g.view
-}
-
-// HashAll runs the NIC's SHA-256 core array over the unhashed chunks of
-// the filling buffer and returns the (LBA, fingerprint) pairs to send to
-// the host — the only write-path data that touches host memory in FIDR,
-// so the returned entries carry no chunk bytes (Data is nil; the data
-// itself stays in NIC memory until ScheduleBatch). The returned slice is
-// NIC scratch, valid until the buffer's next HashAll or its ScheduleBatch.
-func (n *FIDR) HashAll() []WriteEntry {
-	n.startHash(n.fill, false)
-	return n.joinHash()
 }
 
 // Tip detaches the filling buffer as a generation — it joins the tail of
 // the waiting queue and a fresh buffer takes the writes that follow — and
-// starts the SHA cores on it. With background set the lanes run on their
-// own goroutines while the caller does what it likes to everything but
-// this generation's entries; Join must follow before the caller returns
-// to its own caller, so nothing outlives the call that tipped the batch.
-// Reads no longer find the detached chunks: the server settles a waiting
-// generation before a read looks past the filling buffer.
+// starts the SHA cores on it, fanned across the configured lanes with a
+// deterministic chunk->lane assignment. With background set the lanes run
+// on their own goroutines while the caller does what it likes to
+// everything but this generation's entries; otherwise the round is
+// complete on return (the caller ran lane 0). Either way Join must follow
+// before the caller returns to its own caller, so nothing outlives the
+// call that tipped the batch. Reads no longer find the detached chunks:
+// the server settles a waiting generation before a read looks past the
+// filling buffer.
 func (n *FIDR) Tip(background bool) {
 	g := n.fill
 	n.waiting = append(n.waiting, g)
@@ -365,16 +294,47 @@ func (n *FIDR) Tip(background bool) {
 		n.fill = &generation{}
 	}
 	clear(n.lbaIndex)
-	n.startHash(g, background)
+	n.hashStart = time.Now()
+	n.hashing = g
+	k := lanes.Clamp(n.hashLanes, len(g.entries))
+	if background {
+		n.cores.Start(len(g.entries), k)
+	} else {
+		n.cores.Run(len(g.entries), k)
+	}
 }
 
-// Join completes the hash round Tip began and returns how many chunks the
-// tipped generation holds. busy_ns covers start to join.
-func (n *FIDR) Join() int { return len(n.joinHash()) }
+// Join completes the hash round Tip began: it waits for the lanes, commits
+// the counters once, in buffer order — so the result is byte-identical to
+// the serial path at any lane count — builds the generation's
+// data-stripped view for Head and returns how many chunks the tipped
+// generation holds. busy_ns covers start to join.
+func (n *FIDR) Join() int {
+	g := n.hashing
+	busy := n.cores.Join()
+	n.hashing = nil
+	if len(g.entries) > 0 {
+		var hashBytes uint64
+		for i := range g.entries {
+			hashBytes += uint64(len(g.entries[i].Data))
+		}
+		n.hashOps.Add(uint64(len(g.entries)))
+		n.hashBytes.Add(hashBytes)
+		n.busyNS.Add(uint64(time.Since(n.hashStart)))
+		n.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
+	}
+	g.view = append(g.view[:0], g.entries...)
+	for i := range g.view {
+		g.view[i].Data = nil
+	}
+	return len(g.view)
+}
 
 // Head returns the hashed, data-stripped entries of the oldest waiting
-// generation — what its ScheduleBatch flags must align with — or nil when
-// none waits. Valid until that ScheduleBatch.
+// generation — the (LBA, fingerprint) pairs sent to the host, the only
+// write-path data that touches host memory in FIDR, and what its
+// ScheduleBatch flags must align with — or nil when none waits. Valid
+// until that ScheduleBatch.
 func (n *FIDR) Head() []WriteEntry {
 	if len(n.waiting) == 0 {
 		return nil
@@ -399,7 +359,8 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 // the host's table lookup) and returns the batch of unique chunks for the
 // Compression Engines. Duplicate chunks are dropped from NIC memory —
 // they never cross PCIe, which is FIDR's bandwidth win. flags must align
-// with the entries HashAll or Head returned. The returned slice is NIC
+// with the entries Head returned (or the filling buffer's, when none
+// waits). The returned slice is NIC
 // scratch, valid until the next ScheduleBatch; the chunk buffers it
 // points at are the caller's.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {

@@ -10,16 +10,16 @@ import (
 )
 
 func TestNewFIDRValidation(t *testing.T) {
-	if _, err := NewFIDR(100); err == nil {
+	if _, err := New(Config{BufferBytes: 100}); err == nil {
 		t.Fatal("tiny buffer accepted")
 	}
-	if _, err := NewFIDR(1 << 20); err != nil {
+	if _, err := New(Config{BufferBytes: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBufferWriteAndFull(t *testing.T) {
-	n, _ := NewFIDR(3 * 4096)
+	n, _ := New(Config{BufferBytes: 3 * 4096})
 	chunk := make([]byte, 4096)
 	for i := 0; i < 3; i++ {
 		chunk[0] = byte(i)
@@ -30,13 +30,13 @@ func TestBufferWriteAndFull(t *testing.T) {
 	if err := n.BufferWrite(9, chunk); err != ErrBufferFull {
 		t.Fatalf("expected ErrBufferFull, got %v", err)
 	}
-	if n.Buffered() != 3 || n.BufferedBytes() != 3*4096 {
-		t.Fatalf("buffered %d/%d", n.Buffered(), n.BufferedBytes())
+	if n.Buffered() != 3 || n.bufferedBytes.Value() != 3*4096 {
+		t.Fatalf("buffered %d/%v", n.Buffered(), n.bufferedBytes.Value())
 	}
 }
 
 func TestBufferCopiesData(t *testing.T) {
-	n, _ := NewFIDR(1 << 20)
+	n, _ := New(Config{BufferBytes: 1 << 20})
 	data := []byte("mutable client buffer........................")
 	n.BufferWrite(1, data)
 	data[0] = 'X'
@@ -47,12 +47,16 @@ func TestBufferCopiesData(t *testing.T) {
 }
 
 func TestHashAllComputesSHA(t *testing.T) {
-	n, _ := NewFIDR(1 << 20)
+	n, _ := New(Config{BufferBytes: 1 << 20})
 	a := bytes.Repeat([]byte{1}, 4096)
 	b := bytes.Repeat([]byte{2}, 4096)
 	n.BufferWrite(10, a)
 	n.BufferWrite(20, b)
-	entries := n.HashAll()
+	n.Tip(false)
+	if got := n.Join(); got != 2 {
+		t.Fatalf("join reported %d chunks", got)
+	}
+	entries := n.Head()
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
 	}
@@ -62,15 +66,18 @@ func TestHashAllComputesSHA(t *testing.T) {
 	if st := n.Stats(); st.HashOps != 2 || st.HashBytes != 2*4096 {
 		t.Fatalf("hash stats %+v", st)
 	}
-	// Re-hashing is idempotent (cores skip hashed entries).
-	n.HashAll()
-	if st := n.Stats(); st.HashOps != 2 {
-		t.Fatalf("re-hash not skipped: %d ops", st.HashOps)
+	// No chunk is hashed twice: a tip always detaches the filling buffer,
+	// so the next round covers only what was buffered since the last tip.
+	n.BufferWrite(30, a)
+	n.Tip(false)
+	n.Join()
+	if st := n.Stats(); st.HashOps != 3 || st.HashBytes != 3*4096 {
+		t.Fatalf("hashed chunks re-hashed: %+v", st)
 	}
 }
 
 func TestLookupReadHitAndMiss(t *testing.T) {
-	n, _ := NewFIDR(1 << 20)
+	n, _ := New(Config{BufferBytes: 1 << 20})
 	v1 := bytes.Repeat([]byte{1}, 4096)
 	v2 := bytes.Repeat([]byte{2}, 4096)
 	n.BufferWrite(5, v1)
@@ -89,11 +96,12 @@ func TestLookupReadHitAndMiss(t *testing.T) {
 }
 
 func TestScheduleBatchFiltersUniques(t *testing.T) {
-	n, _ := NewFIDR(1 << 20)
+	n, _ := New(Config{BufferBytes: 1 << 20})
 	for i := 0; i < 4; i++ {
 		n.BufferWrite(uint64(i), bytes.Repeat([]byte{byte(i)}, 4096))
 	}
-	n.HashAll()
+	n.Tip(false)
+	n.Join()
 	batch, err := n.ScheduleBatch([]bool{true, false, true, false})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +114,7 @@ func TestScheduleBatchFiltersUniques(t *testing.T) {
 		t.Fatalf("batch stats %+v", st)
 	}
 	// Buffer drained: LBA lookups now miss, and capacity is reclaimed.
-	if n.Buffered() != 0 || n.BufferedBytes() != 0 {
+	if n.Buffered() != 0 || n.Waiting() != 0 || n.bufferedBytes.Value() != 0 {
 		t.Fatal("buffer not drained")
 	}
 	if _, ok := n.LookupRead(0); ok {
@@ -115,7 +123,7 @@ func TestScheduleBatchFiltersUniques(t *testing.T) {
 }
 
 func TestScheduleBatchFlagMismatch(t *testing.T) {
-	n, _ := NewFIDR(1 << 20)
+	n, _ := New(Config{BufferBytes: 1 << 20})
 	n.BufferWrite(1, make([]byte, 4096))
 	if _, err := n.ScheduleBatch([]bool{true, false}); err == nil {
 		t.Fatal("flag count mismatch accepted")
@@ -210,8 +218,9 @@ func TestBufferStream(t *testing.T) {
 			off += cuts[len(cuts)-1]
 		}
 		// Drain: host marks everything unique; chunks go to the engines.
-		entries := n.HashAll()
-		flags := make([]bool, len(entries))
+		n.Tip(false)
+		n.Join()
+		flags := make([]bool, len(n.Head()))
 		for i := range flags {
 			flags[i] = true
 		}
@@ -250,7 +259,7 @@ func TestBufferStream(t *testing.T) {
 	// A NIC built without a chunking config owns the fixed 4-KB chunker:
 	// one chunk in, one cut, addressed exactly as given (chunk index 7
 	// stays 7); a longer segment is cut at every 4 KB.
-	fixedN, _ := NewFIDR(1 << 20)
+	fixedN, _ := New(Config{BufferBytes: 1 << 20})
 	if cuts, err := fixedN.BufferStream(7, data[:4096]); err != nil || len(cuts) != 1 || cuts[0] != 4096 {
 		t.Fatalf("fixed NIC, one chunk: cuts %v, err %v", cuts, err)
 	}

@@ -1,15 +1,17 @@
 // Package ssd simulates NVMe solid-state drives: a sparse page store with
-// bit-exact contents, an access-time model, IO counters, and NVMe-style
-// submission/completion queues.
+// bit-exact contents, an access-time model and IO counters. A command is
+// one synchronous call (Write, Read, ReadInto) on the caller's buffer.
 //
 // FIDR uses two SSD roles (§2.1.3, §6.1):
 //
 //   - data SSDs, receiving large sequential container writes and serving
-//     random compressed-chunk reads. Their queues stay in host memory and
-//     are managed by software (tolerable overhead per the paper).
+//     random compressed-chunk reads.
 //   - table SSDs, serving random small (4-KB bucket) reads/writes for
-//     table-cache misses. In FIDR their queues live inside the Cache
-//     HW-Engine; in the baseline, the host software stack manages them.
+//     table-cache misses.
+//
+// Where a device's NVMe queues live — host software or the Cache
+// HW-Engine (§6.1) — changes only who pays for each IO, so that placement
+// is the table cache's Mode, not a property of the device.
 package ssd
 
 import (
@@ -87,10 +89,8 @@ type SSD struct {
 	reads, writes         metrics.Counter
 	readBytes, writeBytes metrics.Counter
 	// busyNanos is modeled device busy time; its windowed rate is the
-	// device's duty cycle. queueDepth tracks NVMe queue occupancy (driven
-	// by QueuePair Submit/Reap on devices fronted by queues).
-	busyNanos  metrics.Counter
-	queueDepth metrics.Gauge
+	// device's duty cycle.
+	busyNanos metrics.Counter
 	// obsAccess is the access_ns histogram; nil until Instrument.
 	obsAccess *metrics.Histogram
 
@@ -151,7 +151,6 @@ func (s *SSD) Instrument(reg *metrics.Registry) {
 	reg.AttachCounter(p+"read_bytes", &s.readBytes)
 	reg.AttachCounter(p+"write_bytes", &s.writeBytes)
 	reg.AttachCounter(p+"busy_ns", &s.busyNanos)
-	reg.AttachGauge(p+"queue_depth", &s.queueDepth)
 	s.obsAccess = reg.Histogram(p + "access_ns")
 }
 

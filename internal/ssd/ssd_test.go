@@ -234,111 +234,6 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestQueuePairBasic(t *testing.T) {
-	s := MustNew(testConfig())
-	q, err := NewQueuePair(s, OwnerHW, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Owner() != OwnerHW || q.Depth() != 8 {
-		t.Fatal("queue metadata wrong")
-	}
-	payload := []byte("bucket content")
-	if err := q.Submit(Command{Op: OpWrite, Offset: 0, Data: payload, Tag: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Submit(Command{Op: OpRead, Offset: 0, Data: make([]byte, len(payload)), Tag: 2}); err != nil {
-		t.Fatal(err)
-	}
-	q.Process()
-	comps := q.Reap(0)
-	if len(comps) != 2 {
-		t.Fatalf("got %d completions", len(comps))
-	}
-	if comps[0].Tag != 1 || comps[0].Err != nil {
-		t.Errorf("write completion: %+v", comps[0])
-	}
-	if comps[1].Tag != 2 || !bytes.Equal(comps[1].Data, payload) {
-		t.Errorf("read completion: %+v", comps[1])
-	}
-	if q.Submitted() != 2 || q.Completed() != 2 {
-		t.Errorf("counters: %d/%d", q.Submitted(), q.Completed())
-	}
-}
-
-func TestQueuePairFull(t *testing.T) {
-	s := MustNew(testConfig())
-	q, _ := NewQueuePair(s, OwnerHost, 2)
-	for i := 0; i < 2; i++ {
-		if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != ErrQueueFull {
-		t.Fatalf("expected ErrQueueFull, got %v", err)
-	}
-	q.Process()
-	// Ring slots free only after reap.
-	if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != ErrQueueFull {
-		t.Fatalf("slots freed before reap: %v", err)
-	}
-	q.Reap(1)
-	if err := q.Submit(Command{Op: OpRead, Data: make([]byte, 1)}); err != nil {
-		t.Fatalf("slot not freed after reap: %v", err)
-	}
-}
-
-// TestQueuePairSteadyStateNoAllocs: a submit/process/reap round trip
-// reads into the submitter's buffer and reuses the rings.
-func TestQueuePairSteadyStateNoAllocs(t *testing.T) {
-	s := MustNew(testConfig())
-	q, _ := NewQueuePair(s, OwnerHW, 4)
-	line := make([]byte, 4096)
-	if err := s.Write(8192, bytes.Repeat([]byte{9}, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	round := func() {
-		if err := q.Submit(Command{Op: OpRead, Offset: 8192, Data: line, Tag: 2}); err != nil {
-			t.Fatal(err)
-		}
-		q.Process()
-		if c := q.Reap(1); len(c) != 1 || c[0].Err != nil || &c[0].Data[0] != &line[0] || line[0] != 9 {
-			t.Fatalf("completion %+v: want the submitted buffer, filled", c)
-		}
-	}
-	round()
-	if n := testing.AllocsPerRun(100, round); n != 0 {
-		t.Errorf("queue round trip: %v allocs/run, want 0", n)
-	}
-	if q.Pending() != 0 {
-		t.Errorf("pending %d after reaping everything", q.Pending())
-	}
-}
-
-func TestQueuePairErrors(t *testing.T) {
-	s := MustNew(testConfig())
-	if _, err := NewQueuePair(s, OwnerHost, 0); err == nil {
-		t.Error("zero depth accepted")
-	}
-	q, _ := NewQueuePair(s, OwnerHost, 4)
-	// Out-of-range read surfaces as completion error, not panic.
-	q.Submit(Command{Op: OpRead, Offset: s.Config().CapacityBytes, Data: make([]byte, 10), Tag: 9})
-	q.Process()
-	comps := q.Reap(0)
-	if len(comps) != 1 || comps[0].Err == nil {
-		t.Fatal("device error not propagated through completion")
-	}
-}
-
-func TestOwnerString(t *testing.T) {
-	if OwnerHost.String() != "host" || OwnerHW.String() != "hw-engine" {
-		t.Error("owner strings wrong")
-	}
-	if Owner(9).String() == "" {
-		t.Error("unknown owner renders empty")
-	}
-}
-
 func BenchmarkWrite4K(b *testing.B) {
 	s := MustNew(testConfig())
 	buf := make([]byte, 4096)

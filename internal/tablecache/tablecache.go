@@ -15,10 +15,13 @@
 //
 //   - Software (baseline): tree indexing, SSD queues and replacement all
 //     run on the host CPU, charged per operation to the host ledger.
-//   - HW (FIDR Cache HW-Engine): tree indexing and table-SSD queues run
-//     in the engine (device-owned NVMe queues, zero host CPU); the host
-//     keeps the LRU list and scans cached content, exactly the hybrid
-//     split of §5.5.
+//   - HW (FIDR Cache HW-Engine): tree indexing and table-SSD queue
+//     management run in the engine (§6.1, zero host CPU); the host keeps
+//     the LRU list and scans cached content, exactly the hybrid split of
+//     §5.5.
+//
+// The two charge functions, chargeIndex and chargeSSDIO, are the whole of
+// that placement; the bucket IO itself is one device call either way.
 //
 // The engine's tree itself (speculative updates, leaf cache, Fig. 13) is
 // modelled at paper scale in internal/hwtree, off the datapath.
@@ -97,8 +100,7 @@ type Cache struct {
 	geom hashpbn.Geometry
 	// idx maps a cached bucket to its line. It stands in for the tree of
 	// either mode: chargeIndex bills the software tree's host CPU.
-	idx   map[uint64]uint64
-	queue *ssd.QueuePair
+	idx map[uint64]uint64
 
 	lines      [][]byte
 	lineBucket []uint64
@@ -148,24 +150,13 @@ func New(cfg Config) (*Cache, error) {
 	if need := cfg.Geometry.TableBytes(); need > cfg.TableSSD.Config().CapacityBytes {
 		return nil, fmt.Errorf("tablecache: table needs %d bytes, SSD holds %d", need, cfg.TableSSD.Config().CapacityBytes)
 	}
-	var owner ssd.Owner
-	switch cfg.Mode {
-	case Software:
-		owner = ssd.OwnerHost
-	case HW:
-		owner = ssd.OwnerHW
-	default:
+	if cfg.Mode != Software && cfg.Mode != HW {
 		return nil, fmt.Errorf("tablecache: unknown mode %d", cfg.Mode)
-	}
-	queue, err := ssd.NewQueuePair(cfg.TableSSD, owner, 256)
-	if err != nil {
-		return nil, err
 	}
 	c := &Cache{
 		cfg:        cfg,
 		geom:       cfg.Geometry,
 		idx:        make(map[uint64]uint64, cfg.CacheLines),
-		queue:      queue,
 		lines:      make([][]byte, cfg.CacheLines),
 		lineBucket: make([]uint64, cfg.CacheLines),
 		lineValid:  make([]bool, cfg.CacheLines),
@@ -286,7 +277,7 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 		return 0, err
 	}
 	// Fetch the bucket from the table SSD into the host-memory line.
-	if err := c.ssdIO(ssd.OpRead, "read", bucket, line); err != nil {
+	if err := c.ssdIO(false, bucket, line); err != nil {
 		return 0, err
 	}
 	c.lineBucket[line] = bucket
@@ -317,7 +308,7 @@ func (c *Cache) allocLine() (uint64, error) {
 	c.chargeIndex(c.cfg.Costs.TreeUpdateNs)
 	delete(c.idx, c.lineBucket[line])
 	if c.dirty[line] {
-		if err := c.ssdIO(ssd.OpWrite, "write", c.lineBucket[line], line); err != nil {
+		if err := c.ssdIO(true, c.lineBucket[line], line); err != nil {
 			return 0, err
 		}
 		c.flushes.Inc()
@@ -344,20 +335,19 @@ func (c *Cache) lruUnlink(line uint64) {
 	c.lruPrev[line], c.lruNext[line] = line, line
 }
 
-// ssdIO fetches a bucket into a line or flushes a dirty line to its
-// bucket, charging the right owner. The cache line itself is the
-// command's buffer: the device DMAs straight into, or out of, it.
-func (c *Cache) ssdIO(op ssd.OpCode, verb string, bucket, line uint64) error {
-	cmd := ssd.Command{Op: op, Offset: bucket * hashpbn.BucketSize, Data: c.lines[line], Tag: bucket}
-	if err := c.queue.Submit(cmd); err != nil {
-		return err
+// ssdIO fetches a bucket into a line (write false) or flushes a dirty
+// line to its bucket (write true), charging the right owner. The cache
+// line itself is the command's buffer: the device DMAs straight into, or
+// out of, it.
+func (c *Cache) ssdIO(write bool, bucket, line uint64) error {
+	off, verb := bucket*hashpbn.BucketSize, "read"
+	var err error
+	if write {
+		verb, err = "write", c.cfg.TableSSD.Write(off, c.lines[line])
+	} else {
+		err = c.cfg.TableSSD.ReadInto(c.lines[line], off)
 	}
-	c.queue.Process()
-	comps := c.queue.Reap(1)
-	if len(comps) != 1 {
-		return fmt.Errorf("tablecache: bucket %d %s returned no completion", bucket, verb)
-	}
-	if err := comps[0].Err; err != nil {
+	if err != nil {
 		return fmt.Errorf("tablecache: bucket %d %s failed: %w", bucket, verb, err)
 	}
 	c.chargeSSDIO()
@@ -375,10 +365,11 @@ func (c *Cache) chargeIndex(ns uint64) {
 	}
 }
 
-// chargeSSDIO charges the table-SSD software stack when the host owns the
-// queues; the HW engine's device-owned queues cost no host CPU.
+// chargeSSDIO charges one bucket IO's trip through the table-SSD software
+// stack when the host manages the queues; the engine's queue management
+// (§6.1) costs the host nothing.
 func (c *Cache) chargeSSDIO() {
-	if c.queue.Owner() == ssd.OwnerHost {
+	if c.cfg.Mode == Software {
 		c.cfg.Ledger.CPU(hostmodel.CompTableSSDIO, c.cfg.Costs.TableSSDPerIONs)
 	}
 }
@@ -432,7 +423,7 @@ func (c *Cache) Scrub(keep func(fp fingerprint.FP, pbn uint64) bool) (int, error
 func (c *Cache) FlushAll() error {
 	for line := range c.lines {
 		if c.lineValid[line] && c.dirty[line] {
-			if err := c.ssdIO(ssd.OpWrite, "write", c.lineBucket[line], uint64(line)); err != nil {
+			if err := c.ssdIO(true, c.lineBucket[line], uint64(line)); err != nil {
 				return err
 			}
 			c.dirty[line] = false

@@ -342,9 +342,9 @@ func probeDirty(tb testing.TB, c *Cache, keys []fingerprint.FP, i int) {
 
 // TestLookupNoAllocs: the uniqueness probe allocates nothing in the
 // steady state — not on a hit (index walk, LRU touch, bucket scan) and
-// not on a miss that evicts a dirty line (index delete + insert through
-// the speculative executor, bucket write-back and bucket fetch through
-// the table-SSD queue, straight out of and into the cache line).
+// not on a miss that evicts a dirty line (index delete + insert, bucket
+// write-back and bucket fetch on the table SSD, straight out of and into
+// the cache line).
 func TestLookupNoAllocs(t *testing.T) {
 	c, _ := testCache(t, HW, 4)
 	keys := missEvictKeys(t, c)

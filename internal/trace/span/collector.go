@@ -28,10 +28,14 @@ type Request struct {
 	// spans other layers published for the same trace.
 	Sampled bool
 	// Threshold is the latency bar the request exceeded when the slow
-	// gate flagged it (zero: not slow). Queues then snapshots every
-	// queue-occupancy gauge at completion time — the diagnosis half: a
-	// slow request with a deep data-SSD queue is backlog, one with empty
-	// queues is pipeline overhead.
+	// gate flagged it (zero: not slow). Queues then snapshots the
+	// server's queue-occupancy gauges at completion time — the diagnosis
+	// half. A server publishes two: nic.queue_depth (chunks in NIC memory,
+	// the filling buffer plus any generation waiting for its commit) and
+	// engine.queue_depth (sealed containers not yet on the data SSD). A
+	// slow request behind a full NIC buffer or sealed containers is
+	// batching backlog; one with both low is pipeline overhead. A
+	// front-end queue's wait is the request's own queue_wait stage.
 	Threshold time.Duration
 	Queues    map[string]float64
 }

@@ -14,7 +14,7 @@ import (
 // the clock); only the lane-array microbenchmarks live here.
 
 // BenchmarkHashLanes isolates the NIC SHA-core array: buffer a batch,
-// fan HashAll across the lane array, drain. Scaling tracks the host's
+// tip it across the lane array and join, drain. Scaling tracks the host's
 // core count; results are byte-identical at every width.
 func BenchmarkHashLanes(b *testing.B) {
 	const batch = 64
@@ -25,7 +25,7 @@ func BenchmarkHashLanes(b *testing.B) {
 	}
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
-			fn, err := nic.NewFIDR(batch * 4096 * 2)
+			fn, err := nic.New(nic.Config{BufferBytes: batch * 4096 * 2})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -42,7 +42,8 @@ func BenchmarkHashLanes(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				fn.HashAll()
+				fn.Tip(false)
+				fn.Join()
 				unique, err := fn.ScheduleBatch(flags)
 				if err != nil {
 					b.Fatal(err)

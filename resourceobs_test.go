@@ -1,6 +1,7 @@
 package fidr_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,14 +109,17 @@ func TestDeviceAccountingCounters(t *testing.T) {
 			t.Errorf("%s = %v, want > 0", name, got)
 		}
 	}
-	// Queue-depth gauges exist (zero after flush drains everything).
-	found := 0
+	// The queue-depth gauges are the two accelerator stages' (zero after
+	// flush drains everything); an SSD command is one synchronous call and
+	// publishes none.
+	var found []string
 	for _, m := range ms {
 		if m.Kind == "gauge" && strings.Contains(m.Name, "queue_depth") {
-			found++
+			found = append(found, m.Name)
 		}
 	}
-	if found < 3 {
-		t.Errorf("found %d queue_depth gauges, want >= 3 (nic, engine, ssds)", found)
+	slices.Sort(found)
+	if want := []string{"engine.queue_depth", "nic.queue_depth"}; !slices.Equal(found, want) {
+		t.Errorf("queue_depth gauges %v, want %v", found, want)
 	}
 }
