@@ -13,15 +13,17 @@ import (
 )
 
 // Store is the chunk-store surface shared by Server and Cluster.
+// Cluster is a plain synchronous Store; concurrency across its groups
+// is Async's, which unwraps it into one worker per group.
 type Store interface {
 	Write(lba uint64, data []byte) error
 	Read(lba uint64) ([]byte, error)
 	Flush() error
 }
 
-// tracedStore is the traced variant of Store. Both Server and Cluster
-// implement it; the async front-end uses it to carry the measured queue
-// wait into the back-end's per-request trace.
+// tracedStore is the traced variant of Store. Server implements it; the
+// async front-end uses it to carry the measured queue wait into the
+// back-end's per-request trace.
 type tracedStore interface {
 	WriteTraced(lba uint64, data []byte, tc *TraceContext) error
 	ReadTraced(lba uint64, tc *TraceContext) ([]byte, error)
@@ -31,7 +33,6 @@ var (
 	_ Store       = (*Server)(nil)
 	_ Store       = (*Cluster)(nil)
 	_ tracedStore = (*Server)(nil)
-	_ tracedStore = (*Cluster)(nil)
 )
 
 // Async is a pipelined front-end over a Store: callers submit requests
@@ -129,8 +130,8 @@ func NewAsync(s Store, depth int) (*Async, error) {
 	if c, ok := s.(*Cluster); ok {
 		a.route = c.GroupFor
 		stores = stores[:0]
-		for i := 0; i < c.Groups(); i++ {
-			stores = append(stores, c.serving(i))
+		for _, srv := range c.groups {
+			stores = append(stores, srv)
 		}
 	}
 	for _, st := range stores {
@@ -356,17 +357,6 @@ func (a *Async) WriteAsync(lba uint64, data []byte, tc *TraceContext) <-chan Asy
 // tc is as for WriteAsync.
 func (a *Async) ReadAsync(lba uint64, tc *TraceContext) <-chan AsyncResult {
 	return a.submit(asyncReq{lba: lba, ctx: tc.Wire()})
-}
-
-// Write submits and waits; data is borrowed until it returns.
-func (a *Async) Write(lba uint64, data []byte) error {
-	return a.call(asyncReq{write: true, lba: lba, data: data}).Err
-}
-
-// Read submits and waits.
-func (a *Async) Read(lba uint64) ([]byte, error) {
-	r := a.call(asyncReq{lba: lba})
-	return r.Data, r.Err
 }
 
 // Maintenance runs fn once per group, each invocation as that group's

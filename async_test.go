@@ -8,6 +8,17 @@ import (
 	"fidr"
 )
 
+// blocking is the blocking spelling over a: the AsyncStore the
+// listener serves.
+func blocking(tb testing.TB, a *fidr.Async) *fidr.AsyncStore {
+	tb.Helper()
+	st, err := fidr.NewAsyncStore(a, fidr.ChunkSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
 func TestAsyncValidation(t *testing.T) {
 	srv, _ := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
 	if _, err := fidr.NewAsync(srv, 0); err == nil {
@@ -24,13 +35,14 @@ func TestAsyncRoundTripServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := blocking(t, a)
 	for i := uint64(0); i < 200; i++ {
-		if err := a.Write(i, fidr.MakeChunk(i%50, 0.5)); err != nil {
+		if err := st.Write(i, fidr.MakeChunk(i%50, 0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < 200; i++ {
-		got, err := a.Read(i)
+		got, err := st.Read(i)
 		if err != nil || !bytes.Equal(got, fidr.MakeChunk(i%50, 0.5)) {
 			t.Fatalf("async read %d failed: %v", i, err)
 		}
@@ -39,10 +51,10 @@ func TestAsyncRoundTripServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Submissions after Close fail cleanly.
-	if err := a.Write(1, fidr.MakeChunk(1, 0.5)); err == nil {
+	if err := st.Write(1, fidr.MakeChunk(1, 0.5)); err == nil {
 		t.Fatal("write accepted after close")
 	}
-	if _, err := a.Read(1); err == nil {
+	if _, err := st.Read(1); err == nil {
 		t.Fatal("read accepted after close")
 	}
 	if err := a.Close(); err != nil {
@@ -76,13 +88,14 @@ func TestAsyncDataCopiedOnSubmit(t *testing.T) {
 	srv, _ := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
 	a, _ := fidr.NewAsync(srv, 8)
 	defer a.Close()
+	st := blocking(t, a)
 	buf := fidr.MakeChunk(1, 0.5)
 	ch := a.WriteAsync(9, buf, nil)
 	buf[0] ^= 0xFF // mutate after submit
 	if res := <-ch; res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	got, err := a.Read(9)
+	got, err := st.Read(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +113,7 @@ func TestAsyncClusterParallelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := blocking(t, a)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -108,13 +122,13 @@ func TestAsyncClusterParallelWorkers(t *testing.T) {
 			defer wg.Done()
 			base := uint64(g) * 1000
 			for i := uint64(0); i < 100; i++ {
-				if err := a.Write(base+i, fidr.MakeChunk(base+i, 0.5)); err != nil {
+				if err := st.Write(base+i, fidr.MakeChunk(base+i, 0.5)); err != nil {
 					errs <- err
 					return
 				}
 			}
 			for i := uint64(0); i < 100; i++ {
-				got, err := a.Read(base + i)
+				got, err := st.Read(base + i)
 				if err != nil || !bytes.Equal(got, fidr.MakeChunk(base+i, 0.5)) {
 					errs <- err
 					return
@@ -145,6 +159,7 @@ func BenchmarkAsyncClusterWrites(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer a.Close()
+	st := blocking(b, a)
 	chunk := fidr.MakeChunk(1, 0.5)
 	b.SetBytes(fidr.ChunkSize)
 	b.ResetTimer()
@@ -152,7 +167,7 @@ func BenchmarkAsyncClusterWrites(b *testing.B) {
 		i := uint64(0)
 		for pb.Next() {
 			i++
-			if err := a.Write(i*31, chunk); err != nil {
+			if err := st.Write(i*31, chunk); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -38,11 +38,12 @@ func TestAsyncBlockingAfterAsyncKeepsOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Close()
+			as := blocking(t, a)
 			for i := uint64(0); i < 1000; i++ {
 				lba := i % 37
 				v2 := fidr.MakeChunk(1000+i, 0.5)
 				a.WriteAsync(lba, v2, nil) // not awaited
-				got, err := a.Read(lba)
+				got, err := as.Read(lba)
 				if err != nil {
 					t.Fatalf("iteration %d: %v", i, err)
 				}
@@ -180,6 +181,7 @@ func TestAsyncMaintenanceExcludesBlockingCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := blocking(t, a)
 	const writers, each, passes = 4, 300, 40
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -188,7 +190,7 @@ func TestAsyncMaintenanceExcludesBlockingCalls(t *testing.T) {
 			defer wg.Done()
 			chunk := fidr.MakeChunk(uint64(w), 0.5)
 			for i := 0; i < each; i++ {
-				if err := a.Write(uint64(w*each+i), chunk); err != nil {
+				if err := st.Write(uint64(w*each+i), chunk); err != nil {
 					t.Error(err)
 					return
 				}
@@ -302,8 +304,9 @@ func TestAsyncSubmitRacesClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := blocking(t, a)
 		submit := []func(lba uint64) error{
-			func(lba uint64) error { return a.Write(lba, chunk) },
+			func(lba uint64) error { return st.Write(lba, chunk) },
 			func(lba uint64) error { return (<-a.WriteAsync(lba, chunk, nil)).Err },
 			func(uint64) error { return a.Maintenance(func(fidr.Store) error { return nil }) },
 		}
@@ -342,7 +345,7 @@ func (nopStore) Write(uint64, []byte) error  { return nil }
 func (nopStore) Read(uint64) ([]byte, error) { return nil, nil }
 func (nopStore) Flush() error                { return nil }
 
-// BenchmarkAsyncCall is one blocking write through Async over a store
+// BenchmarkAsyncCall is one blocking write through AsyncStore over a store
 // that does nothing: idle, one caller finds its group free every time;
 // contended, parallel callers meet on the owner lock.
 func BenchmarkAsyncCall(b *testing.B) {
@@ -353,9 +356,10 @@ func BenchmarkAsyncCall(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer a.Close()
+		st := blocking(b, a)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := a.Write(uint64(i), chunk); err != nil {
+			if err := st.Write(uint64(i), chunk); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -366,11 +370,12 @@ func BenchmarkAsyncCall(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer a.Close()
+		st := blocking(b, a)
 		b.ReportAllocs()
 		b.SetParallelism(4)
 		b.RunParallel(func(pb *testing.PB) {
 			for i := uint64(0); pb.Next(); i++ {
-				if err := a.Write(i, chunk); err != nil {
+				if err := st.Write(i, chunk); err != nil {
 					b.Error(err)
 					return
 				}

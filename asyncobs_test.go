@@ -19,7 +19,9 @@ func TestAsyncQueueWaitObserved(t *testing.T) {
 	}
 	view := c.EnableObservability()
 	col := span.NewCollector(512, 0, 0)
-	c.SetSpanCollector(col)
+	for i := 0; i < c.Groups(); i++ {
+		c.Group(i).SetSpanCollector(col, i)
+	}
 	a, err := fidr.NewAsync(c, 16)
 	if err != nil {
 		t.Fatal(err)

@@ -61,14 +61,14 @@ func (s *AsyncStore) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byt
 	// Every read is queued before the first is awaited, so reads on
 	// different groups overlap.
 	var chans []<-chan AsyncResult
-	return core.ReadRange(s, n, func(i int) ([]byte, error) {
+	return core.ReadRange(s, lba, n, func(at uint64) ([]byte, error) {
 		if chans == nil {
 			chans = make([]<-chan AsyncResult, n)
 			for j := range chans {
 				chans[j] = s.a.ReadAsync(lba+uint64(j), tc)
 			}
 		}
-		r := <-chans[i]
+		r := <-chans[at-lba]
 		return r.Data, r.Err
 	})
 }
@@ -77,7 +77,7 @@ func (s *AsyncStore) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byt
 // (their chunking is uniform). A store that is not a server has no
 // chunker to ask and is taken at its word on chunkSize.
 func (s *AsyncStore) CheckRange() error {
-	if srv := serverOf(s.a.groups[0].s); srv != nil {
+	if srv, ok := s.a.groups[0].s.(*Server); ok {
 		return srv.CheckRange()
 	}
 	return nil

@@ -12,8 +12,9 @@ import (
 // Capacity plane surfaces over the front-ends. A single Server exposes
 // CapacityReport / ContainerHeatmap / Compact / Checkpoint directly
 // (fidr.Server is core.Server); this file lifts the same operations
-// over the Cluster and the async front-end, where the per-group workers
-// own the servers and maintenance must route through them.
+// over the async front-end, where the per-group workers own the servers
+// and maintenance must route through them. The merged views are what
+// /capacity and the wire maintenance ops serve.
 
 // Re-exported capacity types so callers above core share one vocabulary.
 type (
@@ -35,69 +36,14 @@ type (
 // selects the default).
 func NewEventJournal(capacity int) *EventJournal { return events.NewJournal(capacity) }
 
-// SetEventJournal shares one journal across every group; group i's
-// events carry Group: i, so a tail of the merged journal shows the
-// cluster-wide interleaving in one sequence.
-func (c *Cluster) SetEventJournal(j *EventJournal) {
-	for i, g := range c.groups {
-		g.SetEventJournal(j, i)
-	}
-}
-
-// CapacityReport merges every group's report. Call from a quiesced
-// context (no concurrent writers) or route through Async.Maintenance —
-// open container and fingerprint occupancy are single-writer per group.
-func (c *Cluster) CapacityReport(threshold float64) CapacityReport {
-	rs := make([]CapacityReport, len(c.groups))
-	for i, g := range c.groups {
-		rs[i] = g.CapacityReport(threshold)
-	}
-	return core.MergeCapacityReports(rs...)
-}
-
-// ContainerHeatmap merges every group's heatmap cell-wise.
-func (c *Cluster) ContainerHeatmap() ContainerHeatmap {
-	hs := make([]ContainerHeatmap, len(c.groups))
-	for i, g := range c.groups {
-		hs[i] = g.ContainerHeatmap()
-	}
-	return core.MergeHeatmaps(hs...)
-}
-
-// Compact runs one GC pass on every group and sums the results.
-func (c *Cluster) Compact(minDeadFraction float64) (CompactResult, error) {
-	var total CompactResult
-	for i, g := range c.groups {
-		res, err := g.Compact(minDeadFraction)
-		if err != nil {
-			return total, fmt.Errorf("fidr: group %d compact: %w", i, err)
-		}
-		total.Add(res)
-	}
-	return total, nil
-}
-
-// serverOf resolves the Server behind a group's store: a bare Server, or
-// one cluster group as the async front end serves it; nil for anything
-// else (a test double, a decorator).
-func serverOf(st Store) *Server {
-	switch s := st.(type) {
-	case *Server:
-		return s
-	case groupStore:
-		return s.Server
-	}
-	return nil
-}
-
 // onServers runs fn on every group's server, each call as that group's
 // owner (Async.Maintenance), and collects what the calls returned.
 func onServers[T any](a *Async, fn func(*Server) (T, error)) ([]T, error) {
 	var mu sync.Mutex
 	var out []T
 	err := a.Maintenance(func(st Store) error {
-		srv := serverOf(st)
-		if srv == nil {
+		srv, ok := st.(*Server)
+		if !ok {
 			return fmt.Errorf("fidr: store %T is not a server", st)
 		}
 		v, err := fn(srv)

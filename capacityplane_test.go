@@ -39,6 +39,18 @@ func driveClusterOverwrites(t *testing.T, c *fidr.Cluster, n uint64) {
 	}
 }
 
+// fronted puts c behind the async front end and returns the store
+// fidrd serves: the owner of every merged maintenance view.
+func fronted(t *testing.T, c *fidr.Cluster) *fidr.AsyncStore {
+	t.Helper()
+	a, err := fidr.NewAsync(c, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return blocking(t, a)
+}
+
 // Satellite: the merged cluster view must carry capacity.* counters that
 // sum the groups, with the ratio gauges re-derived from the sums (never
 // summed themselves — a summed ratio would be meaningless).
@@ -80,6 +92,14 @@ func TestClusterCapacityMergedCounters(t *testing.T) {
 	if g := snapshotValue(ms, "capacity.garbage_bytes"); g == 0 {
 		t.Fatal("merged capacity.garbage_bytes is 0 after overwrites")
 	}
+	// The merged report the async front serves carries the same sums.
+	rep, err := fronted(t, c).CapacityReport(0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(rep.LogicalWriteBytes) != logical || float64(rep.GarbageBytes) != snapshotValue(ms, "capacity.garbage_bytes") {
+		t.Fatalf("merged report logical %d garbage %d != merged gauges", rep.LogicalWriteBytes, rep.GarbageBytes)
+	}
 
 	// Cluster.Stats carries the same ledger sums.
 	st := c.Stats()
@@ -101,11 +121,20 @@ func TestClusterJournalInterleavingAndMergedViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := fidr.NewEventJournal(64)
-	c.SetEventJournal(j)
+	for i := 0; i < groups; i++ {
+		c.Group(i).SetEventJournal(j, i)
+	}
 	driveClusterOverwrites(t, c, 384)
+	store := fronted(t, c)
 
-	rep := c.CapacityReport(0.25)
-	hm := c.ContainerHeatmap()
+	rep, err := store.CapacityReport(0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm, err := store.ContainerHeatmap()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.GarbageBytes == 0 || !rep.GC.Recommended {
 		t.Fatalf("no garbage across %d groups: %+v", groups, rep.GC)
 	}
@@ -113,7 +142,7 @@ func TestClusterJournalInterleavingAndMergedViews(t *testing.T) {
 		t.Fatalf("merged heatmap dead %d != merged report garbage %d", hm.DeadBytes, rep.GarbageBytes)
 	}
 
-	res, err := c.Compact(0.25)
+	res, err := store.CompactAll(0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +176,16 @@ func TestClusterJournalInterleavingAndMergedViews(t *testing.T) {
 
 	// Post-GC the merged views still reconcile; retirement reached the
 	// heatmap header.
-	hm = c.ContainerHeatmap()
-	if hm.Retired != res.ContainersCompacted {
+	if hm, err = store.ContainerHeatmap(); err != nil {
+		t.Fatal(err)
+	}
+	if uint64(hm.Retired) != res.ContainersCompacted {
 		t.Fatalf("merged heatmap retired %d != compacted %d", hm.Retired, res.ContainersCompacted)
 	}
-	if rep = c.CapacityReport(0.25); hm.DeadBytes != rep.GarbageBytes {
+	if rep, err = store.CapacityReport(0.25); err != nil {
+		t.Fatal(err)
+	}
+	if hm.DeadBytes != rep.GarbageBytes {
 		t.Fatalf("post-GC heatmap dead %d != report garbage %d", hm.DeadBytes, rep.GarbageBytes)
 	}
 }
@@ -166,26 +200,25 @@ func TestAsyncStoreCapacitySurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := fidr.NewEventJournal(64)
-	cl.SetEventJournal(j)
+	for i := 0; i < groups; i++ {
+		cl.Group(i).SetEventJournal(j, i)
+	}
 	async, err := fidr.NewAsync(cl, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer async.Close()
-	store, err := fidr.NewAsyncStore(async, cl.ChunkSize())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := blocking(t, async)
 
 	const n = 256
 	for i := uint64(0); i < n; i++ {
-		if err := async.Write(i, fidr.MakeChunk(i%(n/2), 0.5)); err != nil {
+		if err := store.Write(i, fidr.MakeChunk(i%(n/2), 0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
 		if i%4 != 0 {
-			if err := async.Write(i, fidr.MakeChunk(200000+i, 0.5)); err != nil {
+			if err := store.Write(i, fidr.MakeChunk(200000+i, 0.5)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,7 +272,7 @@ func TestAsyncStoreCapacitySurfaces(t *testing.T) {
 		if i%4 != 0 {
 			want = fidr.MakeChunk(200000+i, 0.5)
 		}
-		got, err := async.Read(i)
+		got, err := store.Read(i)
 		if err != nil {
 			t.Fatalf("read %d after async GC: %v", i, err)
 		}

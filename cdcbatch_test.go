@@ -92,32 +92,29 @@ func TestCDCBatchOpsRefused(t *testing.T) {
 		}
 	})
 
-	t.Run("asyncstore", func(t *testing.T) {
-		cl, err := fidr.NewCluster(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := fidr.NewAsync(cl, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-		st, err := fidr.NewAsyncStore(a, cfg.ChunkSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pieces(t, st.Write)
-		got, err := st.ReadRange(0, chunks)
-		refused(t, "AsyncStore.ReadRange", got, err)
-	})
-
-	t.Run("cluster", func(t *testing.T) {
-		cl, err := fidr.NewCluster(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pieces(t, cl.Write)
-		got, err := cl.ReadRange(0, chunks)
-		refused(t, "Cluster.ReadRange", got, err)
-	})
+	// AsyncStore over a bare server, and over a cluster the async front
+	// unwraps into its groups' servers.
+	for _, name := range []string{"asyncstore", "cluster"} {
+		t.Run(name, func(t *testing.T) {
+			var backend fidr.Store
+			var err error
+			if name == "cluster" {
+				backend, err = fidr.NewCluster(cfg, 1)
+			} else {
+				backend, err = fidr.NewServer(cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := fidr.NewAsync(backend, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			st := blocking(t, a)
+			pieces(t, st.Write)
+			got, err := st.ReadRange(0, chunks)
+			refused(t, "AsyncStore.ReadRange", got, err)
+		})
+	}
 }

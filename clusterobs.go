@@ -24,8 +24,7 @@ type clusterObs struct {
 	regs []*metrics.Registry // each group's own, by group index
 	own  *metrics.Registry
 
-	writeNS, readNS *metrics.Histogram
-	crossDupChunks  *metrics.Gauge
+	crossDupChunks *metrics.Gauge
 
 	// Cross-shard dedup-domain tracking: the fingerprint of every chunk
 	// a group admits as unique maps to a bitmask of groups that stored
@@ -39,8 +38,9 @@ type clusterObs struct {
 
 // EnableObservability attaches a live metrics plane to every group and
 // returns the cluster-wide gatherer: merged series, "group<N>."-prefixed
-// per-group series, cluster.{write,read}.ns routing histograms, and the
-// derived shard-balance series. Call once, before serving traffic.
+// per-group series, and the derived shard-balance series. Routing
+// latency is the merged req.{write,read}.ns: a request's root span
+// starts when its front end admitted it. Call once, before serving traffic.
 func (c *Cluster) EnableObservability() metrics.Gatherer {
 	for _, g := range c.groups {
 		g.EnableObservability(nil)
@@ -72,14 +72,11 @@ func (c *Cluster) observe() metrics.Gatherer {
 	for i := range c.groups {
 		gatherers = append(gatherers, metrics.Prefixed(metrics.GroupPrefix(i), o.regs[i]))
 	}
-	o.writeNS = o.own.Histogram("cluster.write.ns")
-	o.readNS = o.own.Histogram("cluster.read.ns")
 	o.own.Gauge("cluster.groups").Set(float64(len(c.groups)))
 	o.crossDupChunks = o.own.Gauge("cluster.cross_shard_dup_chunks")
 	gatherers = append(gatherers, o.own, metrics.GathererFunc(func() []metrics.Metric {
 		return o.derived()
 	}))
-	c.obs = o
 	return metrics.Multi(gatherers...)
 }
 

@@ -4,11 +4,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"fidr"
+	"fidr/internal/hostmodel"
 	"fidr/internal/metrics"
 	"fidr/internal/trace/span"
 )
@@ -48,8 +50,8 @@ func TestGroupForUniformity(t *testing.T) {
 	}
 }
 
-// TestClusterStatsAggregation checks Cluster.Stats and Cluster.Snapshot
-// against a field-by-field sum over the groups.
+// TestClusterStatsAggregation checks Cluster.Stats against a
+// field-by-field sum over the groups.
 func TestClusterStatsAggregation(t *testing.T) {
 	c, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 3)
 	if err != nil {
@@ -70,23 +72,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 	}
 	var want fidr.Stats
 	for i := 0; i < c.Groups(); i++ {
-		s := c.Group(i).Stats()
-		want.ClientWrites += s.ClientWrites
-		want.ClientReads += s.ClientReads
-		want.ClientBytes += s.ClientBytes
-		want.DuplicateChunks += s.DuplicateChunks
-		want.UniqueChunks += s.UniqueChunks
-		want.StoredBytes += s.StoredBytes
-		want.NICReadHits += s.NICReadHits
-		want.ReadCacheHits += s.ReadCacheHits
-		want.PendingReads += s.PendingReads
-		want.BatchesProcessed += s.BatchesProcessed
-		want.Mispredictions += s.Mispredictions
-		want.LogicalWriteBytes += s.LogicalWriteBytes
-		want.DedupSavedBytes += s.DedupSavedBytes
-		want.CompressionSavedBytes += s.CompressionSavedBytes
-		want.DeletedFingerprints += s.DeletedFingerprints
-		want.ReclaimedDeadBytes += s.ReclaimedDeadBytes
+		sumFields(reflect.ValueOf(&want).Elem(), reflect.ValueOf(c.Group(i).Stats()))
 	}
 	got := c.Stats()
 	if got != want {
@@ -103,6 +89,54 @@ func TestClusterStatsAggregation(t *testing.T) {
 	}
 	if snap.ClientBytes != wantClient {
 		t.Fatalf("Snapshot().ClientBytes = %d, want %d", snap.ClientBytes, wantClient)
+	}
+}
+
+// TestClusterSnapshotKeepsPayload: a Baseline cluster's merged ledger
+// is the field-by-field sum of its groups' — host-DRAM payload included,
+// the term that separates the baseline from FIDR.
+func TestClusterSnapshotKeepsPayload(t *testing.T) {
+	c, err := fidr.NewCluster(fidr.DefaultConfig(fidr.Baseline), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 200; i++ {
+		if err := c.Write(i, fidr.MakeChunk(i%50, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var want hostmodel.Snapshot
+	for i := 0; i < c.Groups(); i++ {
+		sumFields(reflect.ValueOf(&want).Elem(), reflect.ValueOf(c.Group(i).Ledger().Snapshot()))
+	}
+	if want.PayloadBytes == 0 {
+		t.Fatal("baseline groups charged no host-DRAM payload")
+	}
+	if got := c.Snapshot(); got != want {
+		t.Fatalf("Snapshot() = %+v, want the groups' sum %+v", got, want)
+	}
+}
+
+// sumFields adds every unsigned field of src into dst, arrays element
+// by element: by reflection, so a field added to the struct is summed
+// without anyone listing it.
+func sumFields(dst, src reflect.Value) {
+	switch src.Kind() {
+	case reflect.Struct:
+		for i := 0; i < src.NumField(); i++ {
+			sumFields(dst.Field(i), src.Field(i))
+		}
+	case reflect.Array:
+		for i := 0; i < src.Len(); i++ {
+			sumFields(dst.Index(i), src.Index(i))
+		}
+	case reflect.Uint64:
+		dst.SetUint(dst.Uint() + src.Uint())
+	default:
+		panic("sumFields: unsummable kind " + src.Kind().String())
 	}
 }
 
@@ -128,7 +162,7 @@ func driveObservedCluster(t *testing.T, groups int, viaAsync bool) (*fidr.Cluste
 			t.Fatal(err)
 		}
 		defer a.Close()
-		store = a
+		store = blocking(t, a)
 		flush = func() error { return a.Maintenance(fidr.Store.Flush) }
 	}
 	for i := uint64(0); i < 400; i++ {
@@ -172,8 +206,8 @@ func TestClusterGathererMergedAndPrefixed(t *testing.T) {
 		"gauge cluster.groups 4",
 		"gauge cluster.shard_imbalance ",
 		"gauge cluster.cross_shard_dup_chunks ",
-		"hist cluster.write.ns ",
-		"hist cluster.read.ns ",
+		"hist req.write.ns count=400 ",
+		"hist req.read.ns count=50 ",
 	} {
 		if !strings.Contains(dump, name) {
 			t.Errorf("%q missing from dump", name)
@@ -201,10 +235,10 @@ func testClusterDerivedGauges(t *testing.T, viaAsync bool) {
 	haveImbalance := false
 	for _, m := range view.Snapshot() {
 		switch {
-		case m.Name == "cluster.write.ns" && m.Hist.Count != 400:
-			t.Errorf("cluster.write.ns observed %d requests, want 400", m.Hist.Count)
-		case m.Name == "cluster.read.ns" && m.Hist.Count != 50:
-			t.Errorf("cluster.read.ns observed %d requests, want 50", m.Hist.Count)
+		case m.Name == "req.write.ns" && m.Hist.Count != 400:
+			t.Errorf("req.write.ns observed %d requests, want 400", m.Hist.Count)
+		case m.Name == "req.read.ns" && m.Hist.Count != 50:
+			t.Errorf("req.read.ns observed %d requests, want 50", m.Hist.Count)
 		case strings.HasSuffix(m.Name, "derived.write_share"):
 			shareSum += m.Value
 		case m.Name == "cluster.shard_imbalance":
@@ -239,7 +273,9 @@ func testClusterDerivedGauges(t *testing.T, viaAsync bool) {
 func TestClusterPromExposition(t *testing.T) {
 	c, view := driveObservedCluster(t, 4, false)
 	col := span.NewCollector(0, 0, 0)
-	c.SetSpanCollector(col)
+	for i := 0; i < c.Groups(); i++ {
+		c.Group(i).SetSpanCollector(col, i)
+	}
 	if err := c.Write(1, fidr.MakeChunk(1, 0.5)); err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +303,9 @@ func TestClusterPromExposition(t *testing.T) {
 		"group3_core_writes ",
 		"cluster_groups 4",
 		"group0_derived_write_share ",
-		"cluster_write_ns_bucket{le=\"+Inf\"}",
-		"cluster_write_ns_sum ",
-		"cluster_write_ns_count ",
+		"req_write_ns_bucket{le=\"+Inf\"}",
+		"req_write_ns_sum ",
+		"req_write_ns_count ",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("prom exposition missing %q", want)
@@ -299,7 +335,9 @@ func TestClusterRecentTracesMergedNewestFirst(t *testing.T) {
 	}
 	c.EnableObservability()
 	col := span.NewCollector(1024, 0, 0)
-	c.SetSpanCollector(col)
+	for i := 0; i < c.Groups(); i++ {
+		c.Group(i).SetSpanCollector(col, i)
+	}
 	for i := uint64(0); i < 400; i++ {
 		if err := c.Write(i, fidr.MakeChunk(i%10, 0.5)); err != nil {
 			t.Fatal(err)

@@ -188,6 +188,10 @@ func runCrashCycle(m crashMode, stage core.CrashStage, seed int64) error {
 	if err != nil {
 		return err
 	}
+	st, err := fidr.NewAsyncStore(a, cfg.ChunkSize)
+	if err != nil {
+		return err
+	}
 
 	// Two submitters with disjoint slot ranges; each tracks its own
 	// write history and the seed it last wrote per slot (merged after
@@ -204,7 +208,7 @@ func runCrashCycle(m crashMode, stage core.CrashStage, seed int64) error {
 		for i := uint64(0); i < 24; i++ {
 			slot := uint64(k)*rangeSize + i
 			cs := uint64(rng.Intn(64)) // small seed space: duplicates
-			if err := a.Write(m.addr(slot), m.payload(cs)); err != nil {
+			if err := st.Write(m.addr(slot), m.payload(cs)); err != nil {
 				return fmt.Errorf("phase-1 write: %w", err)
 			}
 			exts := m.extents(slot, cs)
@@ -390,6 +394,7 @@ func TestCheckpointRacingWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	front := blocking(t, a)
 	last := make(map[uint64]uint64)
 	for round := 0; round < 5; round++ {
 		var wg sync.WaitGroup
@@ -403,7 +408,7 @@ func TestCheckpointRacingWrites(t *testing.T) {
 				for op := 0; op < 40; op++ {
 					lba := uint64(k)*500 + uint64(rng.Intn(60))
 					cs := uint64(rng.Intn(48))
-					if err := a.Write(lba, fidr.MakeChunk(cs, 0.5)); err != nil {
+					if err := front.Write(lba, fidr.MakeChunk(cs, 0.5)); err != nil {
 						panic(err)
 					}
 					mu.Lock()

@@ -247,6 +247,26 @@ type Stats struct {
 	ReclaimedDeadBytes    uint64 // dead compressed bytes in GC-retired containers
 }
 
+// Add sums o into s field by field (a cluster's or a node's groups).
+func (s *Stats) Add(o Stats) {
+	s.ClientWrites += o.ClientWrites
+	s.ClientReads += o.ClientReads
+	s.ClientBytes += o.ClientBytes
+	s.DuplicateChunks += o.DuplicateChunks
+	s.UniqueChunks += o.UniqueChunks
+	s.StoredBytes += o.StoredBytes
+	s.NICReadHits += o.NICReadHits
+	s.ReadCacheHits += o.ReadCacheHits
+	s.PendingReads += o.PendingReads
+	s.BatchesProcessed += o.BatchesProcessed
+	s.Mispredictions += o.Mispredictions
+	s.LogicalWriteBytes += o.LogicalWriteBytes
+	s.DedupSavedBytes += o.DedupSavedBytes
+	s.CompressionSavedBytes += o.CompressionSavedBytes
+	s.DeletedFingerprints += o.DeletedFingerprints
+	s.ReclaimedDeadBytes += o.ReclaimedDeadBytes
+}
+
 // ReductionRatio is stored/client bytes (lower is better). An empty
 // store reports 0 by convention: "no data" must not render as "no
 // reduction achieved" (ratio 1) on dashboards.

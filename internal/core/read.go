@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"fidr/internal/chunk"
@@ -61,7 +62,7 @@ func (s *Server) ReadRange(lba uint64, n int) ([]byte, error) {
 // ReadRangeTraced is ReadRange with a front-end trace context; each
 // chunk read joins the same trace. tc may be nil.
 func (s *Server) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
-	return ReadRange(s, n, func(i int) ([]byte, error) { return s.ReadTraced(lba+uint64(i), tc) })
+	return ReadRange(s, lba, n, func(at uint64) ([]byte, error) { return s.ReadTraced(at, tc) })
 }
 
 // CheckRange reports whether consecutive addresses name consecutive
@@ -77,22 +78,26 @@ func (s *Server) CheckRange() error {
 }
 
 // ReadRange is the one range loop behind every front end's ReadRange
-// (Server, Cluster, the async adapter): after st's CheckRange gate,
-// read(i) fetches the chunk at the range's i-th address and the n chunks
-// are returned concatenated.
+// (Server and the async adapter): after st's CheckRange gate, read(at)
+// fetches the chunk at each address lba, lba+1, ..., lba+n-1 and the n
+// chunks are returned concatenated. A range whose last address would
+// wrap past the top of the address space is refused before any read.
 func ReadRange(st interface {
 	CheckRange() error
 	ChunkSize() int
-}, n int, read func(i int) ([]byte, error)) ([]byte, error) {
+}, lba uint64, n int, read func(at uint64) ([]byte, error)) ([]byte, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: read of %d chunks", n)
+	}
+	if lba > math.MaxUint64-uint64(n-1) {
+		return nil, fmt.Errorf("core: range of %d chunks at LBA %d wraps the address space", n, lba)
 	}
 	if err := st.CheckRange(); err != nil {
 		return nil, err
 	}
 	out := make([]byte, 0, n*st.ChunkSize())
 	for i := 0; i < n; i++ {
-		chunk, err := read(i)
+		chunk, err := read(lba + uint64(i))
 		if err != nil {
 			return nil, fmt.Errorf("core: range chunk %d: %w", i, err)
 		}

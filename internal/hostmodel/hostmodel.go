@@ -262,6 +262,19 @@ type Snapshot struct {
 	PayloadBytes uint64
 }
 
+// Add sums o into s field by field (the ledgers of independent
+// sockets, e.g. a cluster's groups).
+func (s *Snapshot) Add(o Snapshot) {
+	for i := range s.MemBytes {
+		s.MemBytes[i] += o.MemBytes[i]
+	}
+	for i := range s.CPUNanos {
+		s.CPUNanos[i] += o.CPUNanos[i]
+	}
+	s.ClientBytes += o.ClientBytes
+	s.PayloadBytes += o.PayloadBytes
+}
+
 // Snapshot copies the current totals.
 func (l *Ledger) Snapshot() Snapshot {
 	var s Snapshot

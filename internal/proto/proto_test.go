@@ -3,6 +3,8 @@ package proto
 import (
 	"bytes"
 	"io"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -212,6 +214,47 @@ func TestReadBatchOverTCP(t *testing.T) {
 	}
 	if _, err := c.ReadBatch(50, MaxPayload); err == nil {
 		t.Fatal("oversized batch accepted")
+	}
+}
+
+// TestBatchRangeWrapRefused: a batch whose last address would pass the
+// top of the address space is answered with OpError before any chunk
+// is written or read, traced or not — a wrapped tail would land on
+// LBA 0 and up.
+func TestBatchRangeWrapRefused(t *testing.T) {
+	_, c := newTestListener(t)
+	sh := blockcomp.NewShaper(0.5)
+	top := uint64(math.MaxUint64)
+	batch := append(sh.Make(1, 4096), sh.Make(2, 4096)...)
+	wraps := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "wraps the address space") {
+			t.Fatalf("%s across the top of the address space: %v, want the wrap refusal", what, err)
+		}
+	}
+	wraps("WriteBatch", c.WriteBatch(top, batch))
+	_, err := c.WriteBatchTraced(top, batch)
+	wraps("traced WriteBatch", err)
+	for _, lba := range []uint64{top, 0} {
+		if _, err := c.ReadChunk(lba); err == nil {
+			t.Fatalf("LBA %d written by a refused batch", lba)
+		}
+	}
+
+	for _, lba := range []uint64{top, 0} {
+		if err := c.WriteChunk(lba, sh.Make(lba, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.ReadBatch(top, 2)
+	if wraps("ReadBatch", err); got != nil {
+		t.Fatalf("refused ReadBatch returned %d bytes", len(got))
+	}
+	_, _, err = c.ReadBatchTraced(top, 2)
+	wraps("traced ReadBatch", err)
+	// The top address itself is an ordinary one-chunk range.
+	if got, err := c.ReadBatch(top, 1); err != nil || !bytes.Equal(got, sh.Make(top, 4096)) {
+		t.Fatalf("one-chunk batch at the top address: %v", err)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 	"fidr/internal/trace/span"
 )
 
-// Store is the chunk-store surface the listener serves. Both a single
-// core.Server and a cluster of them satisfy it.
+// Store is the chunk-store surface the listener serves: a single
+// core.Server, or the async front-end adapter over one or many.
 type Store interface {
 	Write(lba uint64, data []byte) error
 	Read(lba uint64) ([]byte, error)
@@ -26,8 +26,8 @@ type Store interface {
 }
 
 // TracedStore is the optional Store extension the listener uses to
-// hand a wire trace context down into the storage pipeline. Server,
-// Cluster and the async front-end adapter all implement it.
+// hand a wire trace context down into the storage pipeline. Server and
+// the async front-end adapter implement it.
 type TracedStore interface {
 	WriteTraced(lba uint64, data []byte, tc *span.TraceContext) error
 	ReadTraced(lba uint64, tc *span.TraceContext) ([]byte, error)
@@ -347,6 +347,11 @@ func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
 		if len(f.Payload) == 0 || len(f.Payload)%cs != 0 {
 			return Frame{Op: OpError, LBA: f.LBA,
 				Payload: []byte(fmt.Sprintf("batch payload %d not a multiple of chunk size %d", len(f.Payload), cs))}
+		}
+		if n := uint64(len(f.Payload) / cs); f.LBA > math.MaxUint64-(n-1) {
+			// Refused whole: a wrapped tail would overwrite low addresses.
+			return Frame{Op: OpError, LBA: f.LBA,
+				Payload: []byte(fmt.Sprintf("batch of %d chunks at LBA %d wraps the address space", n, f.LBA))}
 		}
 		for i := 0; i*cs < len(f.Payload); i++ {
 			if err := l.write(f.LBA+uint64(i), f.Payload[i*cs:(i+1)*cs], tc); err != nil {

@@ -12,12 +12,10 @@ import (
 
 // driveNamed runs the op sequence both golden views are pinned over:
 // duplicate-heavy writes, overwrites that strand garbage, a flush, reads
-// from every tier, and one GC pass — enough to touch every PCIe route
-// and every lazily named series the FIDR datapath has.
-func driveNamed(t *testing.T, st interface {
-	fidr.Store
-	Compact(float64) (fidr.CompactResult, error)
-}) {
+// from every tier, and one GC pass on each of st's servers — enough to
+// touch every PCIe route and every lazily named series the FIDR
+// datapath has.
+func driveNamed(t *testing.T, st fidr.Store, servers ...*fidr.Server) {
 	t.Helper()
 	for i := uint64(0); i < 400; i++ {
 		if err := st.Write(i, fidr.MakeChunk(i%10, 0.5)); err != nil {
@@ -37,8 +35,10 @@ func driveNamed(t *testing.T, st interface {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Compact(0); err != nil {
-		t.Fatal(err)
+	for _, srv := range servers {
+		if _, err := srv.Compact(0); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -70,7 +70,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := srv.EnableObservability(nil)
-	driveNamed(t, srv)
+	driveNamed(t, srv, srv)
 	single := metrics.Multi(reg, metrics.CapacityRatios(reg))
 
 	cl, err := fidr.NewCluster(cfg, 2)
@@ -78,7 +78,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	clView := cl.EnableObservability()
-	driveNamed(t, cl)
+	driveNamed(t, cl, cl.Group(0), cl.Group(1))
 
 	for _, tc := range []struct {
 		file string

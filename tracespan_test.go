@@ -143,11 +143,11 @@ func TestAsyncStoreRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := fidr.NewAsyncStore(a, cl.ChunkSize())
+	st, err := fidr.NewAsyncStore(a, cl.Group(0).ChunkSize())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ChunkSize() != cl.ChunkSize() {
+	if st.ChunkSize() != cl.Group(0).ChunkSize() {
 		t.Fatalf("chunk size %d", st.ChunkSize())
 	}
 	want := make([][]byte, 8)
@@ -190,8 +190,10 @@ func TestCollectorSharedByWorkersAndReaders(t *testing.T) {
 	view := cl.EnableObservability()
 	col := span.NewCollector(4096, 4096, 1024)
 	col.SetSlowGate(0.5, time.Nanosecond)
-	cl.SetSpanCollector(col)
-	cl.SetTraceSampling(4)
+	for i := 0; i < cl.Groups(); i++ {
+		cl.Group(i).SetSpanCollector(col, i)
+		cl.Group(i).SetTraceSampling(4)
+	}
 	a, err := fidr.NewAsync(cl, 16)
 	if err != nil {
 		t.Fatal(err)
