@@ -73,14 +73,17 @@ check-capacity:
 
 # check-doctor runs the health plane end to end in two halves. In
 # process (fidr.NewNode with the recorder armed and a tight watchdog): a
-# Maintenance closure held by a channel wedges an async worker, and the
-# watchdog must trip (watchdog_stall event), the recorder capture a
-# snapshot served at /debug/bundle, and the real `fidrcli doctor` binary
+# Maintenance closure held by a channel wedges an async group's owner,
+# and the watchdog must trip (watchdog_stall event), the recorder capture
+# a snapshot served at /debug/bundle, and the real `fidrcli doctor` binary
 # flag the stall (non-zero exit), then report healthy once the closure is
-# released. On the real daemon: boot with -health-dir, `fidrcli doctor`
-# healthy with the recorder armed, and degraded to a warning without it.
+# released. Beside it, the stuck-queue probe's input: blocked callers
+# count in the queue depth and trip the probe, and the front-end starts
+# no goroutine of its own. On the real daemon: boot with -health-dir,
+# `fidrcli doctor` healthy with the recorder armed, and degraded to a
+# warning without it.
 check-doctor:
-	$(GO) test -v -run TestDoctorStall .
+	$(GO) test -v -run 'TestDoctorStall|TestAsyncQueueDepthCountsBlockingCallers|TestAsyncStartsNoGoroutine' .
 	$(GO) test -v -run 'TestDoctorE2E|TestDoctorDisabledRecorderE2E' ./cmd/fidrd
 
 # fuzz runs thirteen fuzzers for a bounded slice of CI time each: the fast

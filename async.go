@@ -14,7 +14,7 @@ import (
 
 // Store is the chunk-store surface shared by Server and Cluster.
 // Cluster is a plain synchronous Store; concurrency across its groups
-// is Async's, which unwraps it into one worker per group.
+// is Async's, which unwraps it into one owner lock per group.
 type Store interface {
 	Write(lba uint64, data []byte) error
 	Read(lba uint64) ([]byte, error)
@@ -35,23 +35,20 @@ var (
 	_ tracedStore = (*Server)(nil)
 )
 
-// Async is a pipelined front-end over a Store: callers submit requests
-// without waiting, a fixed worker pool owns the store(s), and bounded
-// queues provide backpressure — the software shape of the paper's device
-// manager, which keeps every accelerator busy while requests stream in.
+// Async is the concurrent front-end over a Store — the software shape of
+// the paper's device manager, which admits requests to the device
+// pipelines and keeps each one single-owner.
 //
 // A plain Server gets one group (it is single-owner by design). A
 // Cluster gets one per device group, so groups run genuinely in
 // parallel, matching §5.6's independent per-switch pipelines.
 //
-// A group's owner is whoever holds its owner lock: the group's worker,
-// serving what is queued, or a caller that waits for its result anyway
-// and found nothing queued — it then runs its request itself instead of
-// paying two goroutine hand-offs to have the idle worker do it.
+// Async starts no goroutine. Every request runs on its caller, which is
+// admitted to its group (at most depth callers at once) and then serves
+// itself as the group's owner: whoever holds the group's owner lock.
 type Async struct {
 	groups []*group
 	route  func(lba uint64) int
-	wg     sync.WaitGroup
 
 	// completed counts finished requests across all groups (the progress
 	// signal for stuck-queue detection).
@@ -59,68 +56,50 @@ type Async struct {
 
 	// Front-end metrics; nil until EnableObservability.
 	writes, reads *metrics.Counter
-	queueWaitNS   *metrics.Histogram
 	inflight      *metrics.Gauge
 	// col, when set, receives one "async.queue" span per sampled traced
 	// request (the queue-wait link in the distributed trace tree).
 	col *span.Collector
 
-	// mu orders submissions against Close. Every submission holds the
-	// read lock from its closed check to its queue send or the end of its
-	// inline run; Close sets closed under the write lock before it closes
-	// the queues. So nothing is sent on a closed queue and no inline run
-	// overlaps a worker's final Flush.
+	// mu orders requests and maintenance passes against Close. Each holds
+	// the read lock from its closed check to its end; Close sets closed
+	// under the write lock, so it waits them out and nothing reaches a
+	// store after its final Flush.
 	mu     sync.RWMutex
 	closed bool
 }
 
-// group is one store with its queue, worker and liveness heartbeat.
+// group is one store with its admission bound and liveness heartbeat.
 type group struct {
 	s  Store
 	ts tracedStore // s's traced surface; nil when it has none
-	q  chan asyncReq
-	// hb brackets every unit of work on the store, whoever runs it; the
-	// health plane's watchdog probes it.
+	// admitted holds one token per caller admitted to the group, waiting
+	// for its owner lock or holding it; its capacity is the depth bound.
+	admitted chan struct{}
+	// hb brackets every unit of work on the store; the health plane's
+	// watchdog probes it.
 	hb health.Heartbeat
-	// owner is held while a request, a maintenance closure or the final
-	// Flush runs against s: the store is single-owner.
+	// owner is held while a request or a maintenance closure runs against
+	// s: the store is single-owner. Close's final Flush needs no owner:
+	// it holds mu's write lock, which excludes both.
 	owner sync.Mutex
-	// pending counts submissions queued and not yet finished. A blocking
-	// caller serves itself only when it is zero, so it never overtakes an
-	// earlier submission of its own that it did not wait for.
-	pending atomic.Int64
 	// tc is refilled per request under owner: the back-end reads it
 	// during the call and never retains it.
 	tc TraceContext
-	// flushErr is the worker's final Flush result, read by Close once the
-	// worker has exited.
-	flushErr error
 }
 
 type asyncReq struct {
 	write  bool
 	lba    uint64
 	data   []byte
-	submit time.Time // submission time; queue wait = service start - submit
+	submit time.Time // admission time; queue wait = service start - submit
 	ctx    span.Context
-	done   chan AsyncResult // queued submissions only
-	// fn, when set, is a maintenance closure run as the group's owner
-	// against its store (GC, checkpoint, capacity reporting — anything
-	// that must see quiesced single-writer state).
-	fn func(s Store) error
-}
-
-// AsyncResult carries a completed request's outcome.
-type AsyncResult struct {
-	LBA  uint64
-	Data []byte // read payload
-	Err  error
 }
 
 var errAsyncClosed = errors.New("fidr: async store closed")
 
-// NewAsync builds a pipelined front-end. depth is the per-group queue
-// depth (backpressure bound).
+// NewAsync builds the front-end. depth is the per-group admission bound:
+// how many callers may wait for or hold a group's owner at once.
 func NewAsync(s Store, depth int) (*Async, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("fidr: queue depth %d", depth)
@@ -135,42 +114,41 @@ func NewAsync(s Store, depth int) (*Async, error) {
 		}
 	}
 	for _, st := range stores {
-		g := &group{s: st, q: make(chan asyncReq, depth)}
+		g := &group{s: st, admitted: make(chan struct{}, depth)}
 		g.ts, _ = st.(tracedStore)
 		a.groups = append(a.groups, g)
-		a.wg.Add(1)
-		go a.worker(g)
 	}
 	return a, nil
 }
 
-// Workers reports the worker (and queue) count: one for a Server, one
-// per device group for a Cluster.
+// Workers reports the group count: one for a Server, one per device
+// group for a Cluster.
 func (a *Async) Workers() int { return len(a.groups) }
 
 // WorkerHeartbeat returns group i's liveness heartbeat for watchdog
 // probing (health.HeartbeatProbe).
 func (a *Async) WorkerHeartbeat(i int) *health.Heartbeat { return &a.groups[i].hb }
 
-// QueueDepth reports queue i's current depth (requests waiting plus
-// being picked up), the companion signal for health.ProgressProbe.
-func (a *Async) QueueDepth(i int) int { return len(a.groups[i].q) }
+// QueueDepth reports how many callers are admitted to group i, waiting
+// for its owner or holding it — the companion signal for
+// health.ProgressProbe.
+func (a *Async) QueueDepth(i int) int { return len(a.groups[i].admitted) }
 
 // Completed reports the total requests finished on all groups since
 // start (monotonic; the progress counter for stuck-queue probes).
 func (a *Async) Completed() uint64 { return a.completed.Load() }
 
-// DepthGatherer exposes per-worker queue depths as gauges
+// DepthGatherer exposes per-group queue depths as gauges
 // (async.queue_depth.g<i>), derived at scrape time. Like all
 // process-wide health series it belongs once at the top of a composed
 // view, not inside group registries.
 func (a *Async) DepthGatherer() metrics.Gatherer {
 	return metrics.GathererFunc(func() []metrics.Metric {
 		out := make([]metrics.Metric, len(a.groups))
-		for i, g := range a.groups {
+		for i := range a.groups {
 			out[i] = metrics.Metric{
 				Kind: "gauge", Name: fmt.Sprintf("async.queue_depth.g%d", i),
-				Value: float64(len(g.q)),
+				Value: float64(a.QueueDepth(i)),
 			}
 		}
 		return out
@@ -178,15 +156,13 @@ func (a *Async) DepthGatherer() metrics.Gatherer {
 }
 
 // EnableObservability registers the front-end's own series on reg:
-// async.writes / async.reads counters, the async.queue_wait.ns
-// histogram, and the async.inflight gauge. Call before submitting
-// traffic. The queue wait also reaches the back-end's stage histograms
-// and request traces via TraceContext.QueueWait, when the store has
-// observability enabled too.
+// async.writes / async.reads counters and the async.inflight gauge.
+// Call before submitting traffic. The queue wait reaches the back-end's
+// stage histograms and request traces via TraceContext.QueueWait, when
+// the store has observability enabled.
 func (a *Async) EnableObservability(reg *metrics.Registry) {
 	a.writes = reg.Counter("async.writes")
 	a.reads = reg.Counter("async.reads")
-	a.queueWaitNS = reg.Histogram("async.queue_wait.ns")
 	a.inflight = reg.Gauge("async.inflight")
 }
 
@@ -194,49 +170,46 @@ func (a *Async) EnableObservability(reg *metrics.Registry) {
 // Call before submitting traffic.
 func (a *Async) SetSpanCollector(col *span.Collector) { a.col = col }
 
-// worker serves g's queue until Close, then flushes the store.
-func (a *Async) worker(g *group) {
-	defer a.wg.Done()
-	for req := range g.q {
-		res := a.serve(g, req)
-		g.pending.Add(-1)
-		req.done <- res
+// call runs req on the caller: refuse it after Close, admit it to its
+// group (waiting while depth callers are already there), count it, and
+// serve it as the group's owner. The caller is blocked for the duration,
+// so req.data is borrowed, not copied.
+func (a *Async) call(req asyncReq) ([]byte, error) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if a.closed {
+		return nil, errAsyncClosed
 	}
-	// Drain point: each worker flushes its own store on shutdown;
-	// failures surface through Close.
-	g.owner.Lock()
-	g.flushErr = g.s.Flush()
-	g.owner.Unlock()
+	req.submit = time.Now()
+	g := a.groups[a.route(req.lba)]
+	g.admitted <- struct{}{}
+	defer func() { <-g.admitted }()
+	// Counted once admitted, so async.inflight never reads a caller the
+	// queue depths do not.
+	if a.writes != nil {
+		if req.write {
+			a.writes.Inc()
+		} else {
+			a.reads.Inc()
+		}
+		a.inflight.Add(1)
+	}
+	return a.serve(g, req)
 }
 
-// serve runs req against g's store as the group's owner. Every request
-// and maintenance closure goes through here, from the worker or from a
-// blocking caller, so the heartbeat, the queue-wait observation (for an
-// inline run: the wait for the owner lock), the queue span and the
-// counters do not depend on who ran it.
-func (a *Async) serve(g *group, req asyncReq) AsyncResult {
+// serve runs req against g's store as the group's owner: inside the
+// heartbeat, with the queue wait (admission plus the wait for the owner
+// lock) handed to the back-end and, traced, an async.queue span.
+func (a *Async) serve(g *group, req asyncReq) (data []byte, err error) {
 	g.owner.Lock()
 	defer g.owner.Unlock()
-	if req.fn != nil {
-		// Maintenance op: it owns the store exactly like a write does. It
-		// is bracketed by the heartbeat too — a hung GC or checkpoint is
-		// exactly the stall the watchdog exists to catch.
-		g.hb.Begin("")
-		err := req.fn(g.s)
-		g.hb.End()
-		return AsyncResult{Err: err}
-	}
 	var traceID string
 	if req.ctx.Valid() {
 		traceID = req.ctx.Trace.String()
 	}
 	g.hb.Begin(traceID)
-	wait := time.Since(req.submit)
-	if a.queueWaitNS != nil {
-		a.queueWaitNS.Observe(float64(wait.Nanoseconds()))
-	}
-	res := AsyncResult{LBA: req.lba}
 	if g.ts != nil {
+		wait := time.Since(req.submit)
 		g.tc = TraceContext{Start: req.submit, QueueWait: wait}
 		if req.ctx.Valid() {
 			// The queue gets its own tree span between the caller's
@@ -248,162 +221,81 @@ func (a *Async) serve(g *group, req asyncReq) AsyncResult {
 				a.col.Add(span.Span{
 					Trace: req.ctx.Trace, ID: queueID, Parent: req.ctx.Parent,
 					Name: "async.queue", Start: req.submit, Dur: wait,
-					QueueDepth: len(g.q) + 1, LBA: req.lba,
+					QueueDepth: len(g.admitted), LBA: req.lba,
 				})
 			}
 			g.tc.Context = req.ctx.Child(queueID)
 		}
 		if req.write {
 			g.tc.Op = "awrite"
-			res.Err = g.ts.WriteTraced(req.lba, req.data, &g.tc)
+			err = g.ts.WriteTraced(req.lba, req.data, &g.tc)
 		} else {
 			g.tc.Op = "aread"
-			res.Data, res.Err = g.ts.ReadTraced(req.lba, &g.tc)
+			data, err = g.ts.ReadTraced(req.lba, &g.tc)
 		}
 	} else if req.write {
-		res.Err = g.s.Write(req.lba, req.data)
+		err = g.s.Write(req.lba, req.data)
 	} else {
-		res.Data, res.Err = g.s.Read(req.lba)
+		data, err = g.s.Read(req.lba)
 	}
 	if a.inflight != nil {
 		a.inflight.Add(-1)
 	}
 	a.completed.Add(1)
 	g.hb.End()
-	return res
-}
-
-// admit is the front half of every read or write submission: refuse
-// after Close, count it, stamp it, route it. The caller holds a.mu's
-// read lock and keeps it until req is queued or served.
-func (a *Async) admit(req *asyncReq) (*group, error) {
-	if a.closed {
-		return nil, errAsyncClosed
-	}
-	if a.writes != nil {
-		if req.write {
-			a.writes.Inc()
-		} else {
-			a.reads.Inc()
-		}
-		a.inflight.Add(1)
-	}
-	req.submit = time.Now()
-	return a.groups[a.route(req.lba)], nil
-}
-
-// enqueue puts req on g's queue for the worker; req.done receives the
-// result.
-func (g *group) enqueue(req asyncReq) {
-	g.pending.Add(1)
-	g.q <- req
-}
-
-// submit queues req without waiting for it; the returned channel
-// delivers one result.
-func (a *Async) submit(req asyncReq) <-chan AsyncResult {
-	req.done = make(chan AsyncResult, 1)
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if g, err := a.admit(&req); err != nil {
-		req.done <- AsyncResult{LBA: req.lba, Err: err}
-	} else {
-		g.enqueue(req)
-	}
-	return req.done
-}
-
-// doneChans recycles the result channels of blocking submissions that
-// had to queue: each carries exactly one result, received before it is
-// put back.
-var doneChans = sync.Pool{New: func() any { return make(chan AsyncResult, 1) }}
-
-// call submits req and waits for its result. The caller is blocked for
-// the duration, so req.data is borrowed, not copied. When nothing is
-// queued on the group the caller becomes its owner and runs the request
-// itself; otherwise it queues behind what is there, which keeps a
-// caller's blocking call behind its own earlier un-awaited submissions.
-func (a *Async) call(req asyncReq) AsyncResult {
-	a.mu.RLock()
-	g, err := a.admit(&req)
-	if err != nil {
-		a.mu.RUnlock()
-		return AsyncResult{LBA: req.lba, Err: err}
-	}
-	if g.pending.Load() == 0 {
-		res := a.serve(g, req)
-		a.mu.RUnlock()
-		return res
-	}
-	req.done = doneChans.Get().(chan AsyncResult)
-	g.enqueue(req)
-	a.mu.RUnlock()
-	res := <-req.done
-	doneChans.Put(req.done)
-	return res
-}
-
-// WriteAsync submits a write; the returned channel delivers one result.
-// The data slice is copied before submission. tc, when it carries a
-// wire trace context, rides through the queue into the back-end
-// pipeline; untraced callers pass nil.
-func (a *Async) WriteAsync(lba uint64, data []byte, tc *TraceContext) <-chan AsyncResult {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return a.submit(asyncReq{write: true, lba: lba, data: cp, ctx: tc.Wire()})
-}
-
-// ReadAsync submits a read; the returned channel delivers the payload.
-// tc is as for WriteAsync.
-func (a *Async) ReadAsync(lba uint64, tc *TraceContext) <-chan AsyncResult {
-	return a.submit(asyncReq{lba: lba, ctx: tc.Wire()})
+	return data, err
 }
 
 // Maintenance runs fn once per group, each invocation as that group's
-// owner against its store (a single Server, or one cluster group). The
-// call waits for every invocation and returns the first error. This is
-// how GC, checkpointing and capacity reporting reach single-writer
-// server state without racing the write path: the closure runs between
-// requests, never beside them.
+// owner against its store (a single Server, or one cluster group), the
+// groups in parallel. The call waits for every invocation and returns
+// the first error. This is how GC, checkpointing and capacity reporting
+// reach single-writer server state without racing the write path: the
+// closure runs between requests, never beside them. It is bracketed by
+// the group's heartbeat too — a hung GC or checkpoint is exactly the
+// stall the watchdog exists to catch.
 func (a *Async) Maintenance(fn func(s Store) error) error {
 	a.mu.RLock()
+	defer a.mu.RUnlock()
 	if a.closed {
-		a.mu.RUnlock()
 		return errAsyncClosed
 	}
-	chans := make([]chan AsyncResult, len(a.groups))
+	errs := make([]error, len(a.groups))
+	var wg sync.WaitGroup
 	for i, g := range a.groups {
-		chans[i] = make(chan AsyncResult, 1)
-		g.enqueue(asyncReq{fn: fn, done: chans[i]})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.owner.Lock()
+			defer g.owner.Unlock()
+			g.hb.Begin("")
+			defer g.hb.End()
+			errs[i] = fn(g.s)
+		}()
 	}
-	a.mu.RUnlock()
-	var first error
-	for _, ch := range chans {
-		if res := <-ch; res.Err != nil && first == nil {
-			first = res.Err
-		}
-	}
-	return first
-}
-
-// Close stops accepting requests, drains the queues, flushes every
-// underlying store and returns the first flush error.
-func (a *Async) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil
-	}
-	a.closed = true
-	a.mu.Unlock()
-	for _, g := range a.groups {
-		close(g.q)
-	}
-	a.wg.Wait()
-	for _, g := range a.groups {
-		if g.flushErr != nil {
-			return g.flushErr
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// Close stops accepting requests, waits out the ones in flight, flushes
+// every underlying store and returns the first flush error.
+func (a *Async) Close() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return nil
+	}
+	a.closed = true
+	var first error
+	for _, g := range a.groups {
+		if err := g.s.Flush(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

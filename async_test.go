@@ -2,6 +2,7 @@ package fidr_test
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -66,41 +67,58 @@ func TestAsyncPipelinedSubmission(t *testing.T) {
 	srv, _ := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
 	a, _ := fidr.NewAsync(srv, 64)
 	defer a.Close()
-	// Fire a burst of writes, then collect all completions.
-	var chans []<-chan fidr.AsyncResult
-	for i := uint64(0); i < 128; i++ {
-		chans = append(chans, a.WriteAsync(i, fidr.MakeChunk(i, 0.5), nil))
+	st := blocking(t, a)
+	// A burst of concurrent writers, twice the depth bound: the ones
+	// beyond it wait for admission, and every write lands.
+	errs := make([]error, 128)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = st.Write(uint64(i), fidr.MakeChunk(uint64(i), 0.5))
+		}()
 	}
-	for i, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			t.Fatalf("write %d: %v", i, res.Err)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	// Same-LBA ordering: a queued overwrite lands before a later read.
-	<-a.WriteAsync(5, fidr.MakeChunk(777, 0.5), nil)
-	res := <-a.ReadAsync(5, nil)
-	if res.Err != nil || !bytes.Equal(res.Data, fidr.MakeChunk(777, 0.5)) {
-		t.Fatal("read did not observe earlier queued write")
+	for i := range errs {
+		got, err := st.Read(uint64(i))
+		if err != nil || !bytes.Equal(got, fidr.MakeChunk(uint64(i), 0.5)) {
+			t.Fatalf("read %d after the burst: %v", i, err)
+		}
+	}
+	// Same-LBA ordering: an overwrite that returned lands before a later read.
+	if err := st.Write(5, fidr.MakeChunk(777, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Read(5); err != nil || !bytes.Equal(got, fidr.MakeChunk(777, 0.5)) {
+		t.Fatal("read did not observe the earlier write")
 	}
 }
 
+// TestAsyncDataCopiedOnSubmit: the store keeps its own copy of a
+// blocking write's payload, so mutating the buffer after Write returns
+// does not reach it.
 func TestAsyncDataCopiedOnSubmit(t *testing.T) {
 	srv, _ := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
 	a, _ := fidr.NewAsync(srv, 8)
 	defer a.Close()
 	st := blocking(t, a)
 	buf := fidr.MakeChunk(1, 0.5)
-	ch := a.WriteAsync(9, buf, nil)
-	buf[0] ^= 0xFF // mutate after submit
-	if res := <-ch; res.Err != nil {
-		t.Fatal(res.Err)
+	if err := st.Write(9, buf); err != nil {
+		t.Fatal(err)
 	}
+	buf[0] ^= 0xFF // mutate after the write returned
 	got, err := st.Read(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, fidr.MakeChunk(1, 0.5)) {
-		t.Fatal("async store aliased the caller's buffer")
+		t.Fatal("store aliased the caller's buffer")
 	}
 }
 
@@ -146,6 +164,49 @@ func TestAsyncClusterParallelWorkers(t *testing.T) {
 	}
 	if got := c.Stats().ClientWrites; got != 800 {
 		t.Fatalf("cluster saw %d writes", got)
+	}
+}
+
+// TestAsyncStartsNoGoroutine: the front-end runs every request on its
+// caller, so building one over four groups starts nothing, and once
+// its callers have returned and it is closed nothing of it is left.
+func TestAsyncStartsNoGoroutine(t *testing.T) {
+	c, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	a, err := fidr.NewAsync(c, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("NewAsync over %d groups: %d goroutines, %d before", a.Workers(), n, before)
+	}
+	st := blocking(t, a)
+	var wg sync.WaitGroup
+	for i := uint64(0); i < 200; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := st.Write(i, fidr.MakeChunk(i, 0.5)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A writer may still be between its Done and its exit; yielding lets
+	// it finish. The bound counts yields, not time.
+	n := runtime.NumGoroutine()
+	for yields := 0; n > before && yields < 100000; yields++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("after 200 writes and Close: %d goroutines, %d before NewAsync", n, before)
 	}
 }
 

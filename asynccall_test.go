@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fidr"
 	"fidr/internal/metrics"
@@ -17,9 +18,9 @@ import (
 
 var raceEnabled bool // set by race_test.go under -race
 
-// TestAsyncBlockingAfterAsyncKeepsOrder: a caller's blocking call never
-// overtakes its own earlier submission it did not wait for, whether it
-// finds the group idle (and serves itself) or not.
+// TestAsyncBlockingAfterAsyncKeepsOrder: a read never overtakes a write
+// to the same LBA that returned before it was issued, even when the
+// write ran on another goroutine and other callers share the group.
 func TestAsyncBlockingAfterAsyncKeepsOrder(t *testing.T) {
 	for _, groups := range []int{1, 4} {
 		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
@@ -39,18 +40,34 @@ func TestAsyncBlockingAfterAsyncKeepsOrder(t *testing.T) {
 			}
 			defer a.Close()
 			as := blocking(t, a)
-			for i := uint64(0); i < 1000; i++ {
-				lba := i % 37
-				v2 := fidr.MakeChunk(1000+i, 0.5)
-				a.WriteAsync(lba, v2, nil) // not awaited
-				got, err := as.Read(lba)
-				if err != nil {
-					t.Fatalf("iteration %d: %v", i, err)
-				}
-				if !bytes.Equal(got, v2) {
-					t.Fatalf("iteration %d: blocking read overtook the caller's own queued write", i)
-				}
+			const callers = 4
+			var wg sync.WaitGroup
+			for c := uint64(0); c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := uint64(0); i < 250; i++ {
+						lba := 100*c + i%37
+						v2 := fidr.MakeChunk(1000*c+i, 0.5)
+						wrote := make(chan error)
+						go func() { wrote <- as.Write(lba, v2) }()
+						if err := <-wrote; err != nil {
+							t.Errorf("caller %d iteration %d: %v", c, i, err)
+							return
+						}
+						got, err := as.Read(lba)
+						if err != nil {
+							t.Errorf("caller %d iteration %d: %v", c, i, err)
+							return
+						}
+						if !bytes.Equal(got, v2) {
+							t.Errorf("caller %d iteration %d: read overtook the write that returned before it", c, i)
+							return
+						}
+					}
+				}()
 			}
+			wg.Wait()
 		})
 	}
 }
@@ -67,15 +84,16 @@ func (p *probeStore) WriteTraced(lba uint64, data []byte, tc *fidr.TraceContext)
 	return p.Server.WriteTraced(lba, data, tc)
 }
 
-// TestAsyncInlineObserved: a blocking call on an idle group runs on the
-// caller's goroutine and is observed exactly as a queued one: inside the
-// group heartbeat, one async.queue_wait.ns observation, the counters,
-// and, traced, one async.queue span under the caller's span.
+// TestAsyncInlineObserved: a blocking call runs on the caller's
+// goroutine and is observed in full: inside the group heartbeat, one
+// stage.queue_wait.ns observation on the server, the counters, and,
+// traced, one async.queue span under the caller's span.
 func TestAsyncInlineObserved(t *testing.T) {
 	srv, err := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sreg := srv.EnableObservability(nil)
 	var hb *health.Heartbeat
 	var busy []int
 	var inline []bool
@@ -110,13 +128,13 @@ func TestAsyncInlineObserved(t *testing.T) {
 	}
 
 	if len(inline) != 2 || !inline[0] || !inline[1] {
-		t.Fatalf("blocking calls on an idle group served on the caller's goroutine: %v, want [true true]", inline)
+		t.Fatalf("blocking calls served on the caller's goroutine: %v, want [true true]", inline)
 	}
 	if busy[0] != 1 || busy[1] != 1 || hb.Busy() != 0 {
 		t.Errorf("heartbeat busy %v during the calls and %d after, want [1 1] and 0", busy, hb.Busy())
 	}
-	if got := reg.Histogram("async.queue_wait.ns").Count(); got != 2 {
-		t.Errorf("async.queue_wait.ns count = %d, want 2", got)
+	if got := sreg.Histogram("stage.queue_wait.ns").Count(); got != 2 {
+		t.Errorf("stage.queue_wait.ns count = %d, want 2", got)
 	}
 	if w, in, done := reg.Counter("async.writes").Value(), reg.Gauge("async.inflight").Value(), a.Completed(); w != 2 || in != 0 || done != 2 {
 		t.Errorf("async.writes %d, async.inflight %v, completed %d; want 2, 0, 2", w, in, done)
@@ -128,7 +146,7 @@ func TestAsyncInlineObserved(t *testing.T) {
 		}
 	}
 	if len(queue) != 1 || queue[0].Parent != sc.Parent || queue[0].LBA != 2 {
-		t.Fatalf("traced inline call left async.queue spans %+v, want one under %s", queue, sc.Parent)
+		t.Fatalf("traced call left async.queue spans %+v, want one under %s", queue, sc.Parent)
 	}
 }
 
@@ -169,8 +187,8 @@ func (s *soleOwner) Flush() error {
 }
 
 // TestAsyncMaintenanceExcludesBlockingCalls: blocking callers serve
-// themselves on an idle group, yet a Maintenance closure still has the
-// store to itself, and so does every one of them.
+// themselves, yet a Maintenance closure still has the store to itself,
+// and so does every one of them.
 func TestAsyncMaintenanceExcludesBlockingCalls(t *testing.T) {
 	srv, err := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
 	if err != nil {
@@ -218,6 +236,61 @@ func TestAsyncMaintenanceExcludesBlockingCalls(t *testing.T) {
 	}
 	if want := writers*each + passes + 1; so.visits != want {
 		t.Fatalf("store entered %d times, want %d", so.visits, want)
+	}
+}
+
+// gateStore holds every write until gate is closed.
+type gateStore struct {
+	nopStore
+	gate chan struct{}
+}
+
+func (g gateStore) Write(uint64, []byte) error { <-g.gate; return nil }
+
+// TestAsyncQueueDepthCountsBlockingCallers: the queue depth fidrd
+// publishes counts the blocking callers it serves — one holding the
+// group, two waiting for it — and a stuck-queue probe built as NewNode
+// builds it trips on them. The probe is fed synthetic times.
+func TestAsyncQueueDepthCountsBlockingCallers(t *testing.T) {
+	gs := gateStore{gate: make(chan struct{})}
+	a, err := fidr.NewAsync(gs, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	a.EnableObservability(reg)
+	st := blocking(t, a)
+	const callers = 3
+	var wg sync.WaitGroup
+	for i := uint64(0); i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := st.Write(i, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for reg.Gauge("async.inflight").Value() != callers {
+		runtime.Gosched()
+	}
+	const deadline = time.Second
+	probe := health.ProgressProbe("async.queue.g0", deadline,
+		func() int { return a.QueueDepth(0) }, a.Completed)
+	t0 := time.Unix(1_700_000_000, 0)
+	probe.Check(t0)
+	stuck, _, _ := probe.Check(t0.Add(2 * deadline))
+	depth := a.QueueDepth(0)
+	close(gs.gate)
+	wg.Wait()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if depth != callers || !stuck {
+		t.Fatalf("QueueDepth %d, stuck-queue probe tripped %v; want %d, true", depth, stuck, callers)
+	}
+	if a.QueueDepth(0) != 0 {
+		t.Fatalf("QueueDepth %d once every caller returned, want 0", a.QueueDepth(0))
 	}
 }
 
@@ -290,8 +363,8 @@ func (f *flushWatch) Flush() error {
 }
 
 // TestAsyncSubmitRacesClose: every kind of submission racing Close ends
-// in success or the closed error — never a send on a closed queue — and
-// nothing reaches the store once the worker has flushed it.
+// in success or the closed error, and nothing reaches the store once
+// Close has flushed it.
 func TestAsyncSubmitRacesClose(t *testing.T) {
 	chunk := fidr.MakeChunk(1, 0.5)
 	for round := 0; round < 20; round++ {
@@ -307,7 +380,6 @@ func TestAsyncSubmitRacesClose(t *testing.T) {
 		st := blocking(t, a)
 		submit := []func(lba uint64) error{
 			func(lba uint64) error { return st.Write(lba, chunk) },
-			func(lba uint64) error { return (<-a.WriteAsync(lba, chunk, nil)).Err },
 			func(uint64) error { return a.Maintenance(func(fidr.Store) error { return nil }) },
 		}
 		var wg sync.WaitGroup

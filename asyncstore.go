@@ -28,52 +28,40 @@ func NewAsyncStore(a *Async, chunkSize int) (*AsyncStore, error) {
 // ChunkSize reports the store's chunk size.
 func (s *AsyncStore) ChunkSize() int { return s.chunkSize }
 
-// Write submits and waits; data is borrowed until it returns.
+// Write runs the write on the caller; data is borrowed until it returns.
 func (s *AsyncStore) Write(lba uint64, data []byte) error {
 	return s.WriteTraced(lba, data, nil)
 }
 
-// Read submits and waits.
+// Read runs the read on the caller.
 func (s *AsyncStore) Read(lba uint64) ([]byte, error) {
 	return s.ReadTraced(lba, nil)
 }
 
-// ReadRange fans the chunk reads through the queues (they may resolve
-// on different groups) and concatenates in LBA order.
+// ReadRange reads n consecutive chunks in turn, each on the group that
+// owns it, and concatenates them in LBA order.
 func (s *AsyncStore) ReadRange(lba uint64, n int) ([]byte, error) {
 	return s.ReadRangeTraced(lba, n, nil)
 }
 
 // WriteTraced is Write with a wire trace context (nil: untraced).
 func (s *AsyncStore) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
-	return s.a.call(asyncReq{write: true, lba: lba, data: data, ctx: tc.Wire()}).Err
+	_, err := s.a.call(asyncReq{write: true, lba: lba, data: data, ctx: tc.Wire()})
+	return err
 }
 
 // ReadTraced is Read with a wire trace context.
 func (s *AsyncStore) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
-	r := s.a.call(asyncReq{lba: lba, ctx: tc.Wire()})
-	return r.Data, r.Err
+	return s.a.call(asyncReq{lba: lba, ctx: tc.Wire()})
 }
 
 // ReadRangeTraced is ReadRange with a wire trace context shared by
 // every chunk read.
 func (s *AsyncStore) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
-	// Every read is queued before the first is awaited, so reads on
-	// different groups overlap.
-	var chans []<-chan AsyncResult
-	return core.ReadRange(s, lba, n, func(at uint64) ([]byte, error) {
-		if chans == nil {
-			chans = make([]<-chan AsyncResult, n)
-			for j := range chans {
-				chans[j] = s.a.ReadAsync(lba+uint64(j), tc)
-			}
-		}
-		r := <-chans[at-lba]
-		return r.Data, r.Err
-	})
+	return core.ReadRange(s, lba, n, func(at uint64) ([]byte, error) { return s.ReadTraced(at, tc) })
 }
 
-// CheckRange is Server.CheckRange for the servers behind the queues
+// CheckRange is Server.CheckRange for the servers behind the groups
 // (their chunking is uniform). A store that is not a server has no
 // chunker to ask and is taken at its word on chunkSize.
 func (s *AsyncStore) CheckRange() error {

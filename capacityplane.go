@@ -12,9 +12,10 @@ import (
 // Capacity plane surfaces over the front-ends. A single Server exposes
 // CapacityReport / ContainerHeatmap / Compact / Checkpoint directly
 // (fidr.Server is core.Server); this file lifts the same operations
-// over the async front-end, where the per-group workers own the servers
-// and maintenance must route through them. The merged views are what
-// /capacity and the wire maintenance ops serve.
+// over the async front-end, where each server is single-owner and
+// maintenance runs as its group's owner (Async.Maintenance), the groups
+// in parallel. The merged views are what /capacity and the wire
+// maintenance ops serve.
 
 // Re-exported capacity types so callers above core share one vocabulary.
 type (
@@ -58,7 +59,7 @@ func onServers[T any](a *Async, fn func(*Server) (T, error)) ([]T, error) {
 	return out, err
 }
 
-// CompactAll runs one GC pass on every worker-owned server and returns
+// CompactAll runs one GC pass on every group's server and returns
 // the aggregate (the proto.Compactor surface behind OpCompact).
 func (s *AsyncStore) CompactAll(minDeadFraction float64) (proto.CompactSummary, error) {
 	passes, err := onServers(s.a, func(srv *Server) (CompactResult, error) {
@@ -77,7 +78,7 @@ func (s *AsyncStore) CompactAll(minDeadFraction float64) (proto.CompactSummary, 
 	}, err
 }
 
-// CheckpointAll checkpoints every worker-owned durable server (the
+// CheckpointAll checkpoints every group's durable server (the
 // proto.Checkpointer surface behind OpCheckpoint).
 func (s *AsyncStore) CheckpointAll() error {
 	_, err := onServers(s.a, func(srv *Server) (struct{}, error) {
@@ -87,7 +88,7 @@ func (s *AsyncStore) CheckpointAll() error {
 }
 
 // CapacityReport builds the merged capacity view, each group's share
-// computed on the worker that owns it.
+// computed as the owner of that group.
 func (s *AsyncStore) CapacityReport(threshold float64) (CapacityReport, error) {
 	reports, err := onServers(s.a, func(srv *Server) (CapacityReport, error) {
 		return srv.CapacityReport(threshold), nil

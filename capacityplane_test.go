@@ -190,9 +190,8 @@ func TestClusterJournalInterleavingAndMergedViews(t *testing.T) {
 	}
 }
 
-// The async front-end routes the capacity surfaces through the workers
-// that own the stores, so reports, heatmaps and GC work against a
-// cluster behind queues.
+// The async front-end runs the capacity surfaces as the owner of each
+// store, so reports, heatmaps and GC work against a cluster behind it.
 func TestAsyncStoreCapacitySurfaces(t *testing.T) {
 	const groups = 2
 	cl, err := fidr.NewCluster(smallContainers(fidr.FIDRFull), groups)
@@ -266,7 +265,7 @@ func TestAsyncStoreCapacitySurfaces(t *testing.T) {
 		t.Fatalf("journal has %d gc_run events, want %d", len(evs), groups)
 	}
 
-	// Every LBA still reads its freshest content through the queues.
+	// Every LBA still reads its freshest content through the front-end.
 	for i := uint64(0); i < n; i++ {
 		want := fidr.MakeChunk(i%(n/2), 0.5)
 		if i%4 != 0 {

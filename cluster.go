@@ -18,7 +18,7 @@ import (
 // the same trade; global dedup across controllers is rare.)
 //
 // A Cluster is the group set and a plain synchronous Store over it.
-// Serving it concurrently is Async's job (one worker per group), and
+// Serving it concurrently is Async's job (one owner lock per group), and
 // the merged maintenance views are AsyncStore's.
 type Cluster struct {
 	groups []*Server

@@ -101,8 +101,8 @@ func (o *clusterObs) noteUnique(g int, fp fingerprint.FP) {
 }
 
 // derived computes the per-shard balance series at scrape time from the
-// group registries' atomics (never from Server state, which concurrent
-// workers own).
+// group registries' atomics (never from Server state, which each
+// group's owner may be mutating).
 func (o *clusterObs) derived() []metrics.Metric {
 	n := len(o.regs)
 	writes := make([]float64, n)

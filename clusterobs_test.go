@@ -143,7 +143,7 @@ func sumFields(dst, src reflect.Value) {
 // driveObservedCluster writes 400 chunks (10 distinct contents, so most
 // content lands in several shards) through an instrumented cluster and
 // reads 50 back — directly, or through the async front-end's per-group
-// workers, which is how fidrd -groups N drives a cluster.
+// owner locks, which is how fidrd -groups N drives a cluster.
 func driveObservedCluster(t *testing.T, groups int, viaAsync bool) (*fidr.Cluster, metrics.Gatherer) {
 	t.Helper()
 	c, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), groups)
@@ -221,8 +221,8 @@ func TestClusterGathererMergedAndPrefixed(t *testing.T) {
 }
 
 // TestClusterDerivedGauges checks the cluster-level series both ways a
-// request reaches a group: Cluster.Write, and an async worker serving
-// the group it owns.
+// request reaches a group: Cluster.Write, and an async caller serving
+// its request as the group's owner.
 func TestClusterDerivedGauges(t *testing.T) {
 	t.Run("direct", func(t *testing.T) { testClusterDerivedGauges(t, false) })
 	t.Run("async", func(t *testing.T) { testClusterDerivedGauges(t, true) })

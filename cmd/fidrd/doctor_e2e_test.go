@@ -9,7 +9,7 @@ import (
 )
 
 // End-to-end exercise of the runtime health plane on the real binaries,
-// run by CI's check-doctor step. What needs a stalled worker — watchdog
+// run by CI's check-doctor step. What needs a stalled group — watchdog
 // trip, snapshot capture, a failing then recovered doctor — is held by
 // a channel in process (fidr's TestDoctorStall); the daemon has no
 // fault-injection surface. Here: the flags reach the planes, and

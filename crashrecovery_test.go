@@ -219,8 +219,8 @@ func runCrashCycle(m crashMode, stage core.CrashStage, seed int64) error {
 			}
 		}
 	}
-	// The front-end is drained (every done channel received), so the
-	// worker is idle and the test goroutine may touch the server.
+	// Every write above has returned, so no caller owns the server and
+	// the test goroutine may touch it.
 	if err := srv.Flush(); err != nil {
 		return fmt.Errorf("phase-1 flush: %w", err)
 	}
@@ -257,8 +257,8 @@ func runCrashCycle(m crashMode, stage core.CrashStage, seed int64) error {
 			for op := 0; op < 56; op++ {
 				slot := uint64(k)*rangeSize + uint64(sub.Intn(40))
 				if sub.Intn(8) == 0 { // occasional read
-					res := <-a.ReadAsync(m.addr(slot), nil)
-					if res.Err == nil && len(h[m.addr(slot)]) > 0 && !h.contains(m.addr(slot), res.Data) {
+					data, err := st.Read(m.addr(slot))
+					if err == nil && len(h[m.addr(slot)]) > 0 && !h.contains(m.addr(slot), data) {
 						panic(fmt.Sprintf("live read of slot %d returned un-written content", slot))
 					}
 					continue
@@ -272,7 +272,7 @@ func runCrashCycle(m crashMode, stage core.CrashStage, seed int64) error {
 				}
 				h.note(m.extents(slot, cs))
 				finals[k][slot] = cs
-				<-a.WriteAsync(m.addr(slot), m.payload(cs), nil)
+				st.Write(m.addr(slot), m.payload(cs)) // may fail once the crash fires
 			}
 		}()
 	}
@@ -283,7 +283,7 @@ func runCrashCycle(m crashMode, stage core.CrashStage, seed int64) error {
 			return fmt.Errorf("mid-checkpoint crash did not fire: %v", err)
 		}
 	}
-	a.Close() // the worker's shutdown Flush fails on the dead server
+	a.Close() // the shutdown Flush fails on the dead server
 	if !srv.Crashed() {
 		return fmt.Errorf("stage %v never fired under the phase-2 load", stage)
 	}

@@ -15,11 +15,11 @@ import (
 )
 
 // TestDoctorStall is the health plane's whole chain on one wedged
-// worker: the watchdog notices (a watchdog_stall event naming the
+// group owner: the watchdog notices (a watchdog_stall event naming the
 // probe), the recorder captures (a snapshot on disk and in
 // /debug/bundle), the real `fidrcli doctor` fails and names the probe;
-// then the worker comes back, the watchdog says so, and the doctor
-// passes with the stall as history. The worker is wedged by a
+// then the owner lets go, the watchdog says so, and the doctor passes
+// with the stall as history. Group 0's owner lock is held by a
 // Maintenance closure — public API, and what a hung GC pass would be —
 // that waits on a channel the test closes once it has seen all of the
 // first half, so no step races a timer: the durations below set how
@@ -77,7 +77,7 @@ func TestDoctorStall(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	unpark := func() { once.Do(func() { close(release) }) }
-	defer unpark() // before n.Close, which waits for the worker
+	defer unpark() // before n.Close, which waits for the closure
 	parked := make(chan error, 1)
 	go func() {
 		parked <- n.AsyncForTest().Maintenance(func(fidr.Store) error { <-release; return nil })
@@ -100,7 +100,7 @@ func TestDoctorStall(t *testing.T) {
 	}
 	out, err := doctor()
 	if err == nil {
-		t.Errorf("doctor exited 0 against a wedged worker:\n%s", out)
+		t.Errorf("doctor exited 0 against a wedged group owner:\n%s", out)
 	}
 	if !strings.Contains(out, "[FAIL] watchdog") || !strings.Contains(out, "async.worker.g0") {
 		t.Errorf("doctor does not fail the watchdog check naming the probe:\n%s", out)
@@ -112,7 +112,7 @@ func TestDoctorStall(t *testing.T) {
 	}
 	await("a watchdog_recover event for async.worker.g0", journaled(events.TypeWatchdogRecover))
 	if out, err = doctor(); err != nil {
-		t.Errorf("doctor exited non-zero after the worker came back: %v\n%s", err, out)
+		t.Errorf("doctor exited non-zero after the owner let go: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "[WARN] watchdog") {
 		t.Errorf("the recovered report should carry the stall as a warning:\n%s", out)

@@ -79,7 +79,8 @@ func ExampleNewNode() {
 	// writes=20 unique=4
 }
 
-// ExampleNewAsync pipelines requests through a bounded queue.
+// ExampleNewAsync serves concurrent callers over one server, at most
+// depth of them admitted at once.
 func ExampleNewAsync() {
 	srv, err := fidr.NewServer(fidr.DefaultConfig(fidr.FIDRFull))
 	if err != nil {
@@ -89,14 +90,18 @@ func ExampleNewAsync() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Submit a burst without waiting, then collect.
-	var pending []<-chan fidr.AsyncResult
-	for lba := uint64(0); lba < 8; lba++ {
-		pending = append(pending, a.WriteAsync(lba, fidr.MakeChunk(lba, 0.5), nil))
+	st, err := fidr.NewAsyncStore(a, fidr.ChunkSize)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, ch := range pending {
-		if res := <-ch; res.Err != nil {
-			log.Fatal(res.Err)
+	// A burst of concurrent writers; each runs its write itself.
+	errs := make(chan error, 8)
+	for lba := uint64(0); lba < 8; lba++ {
+		go func() { errs <- st.Write(lba, fidr.MakeChunk(lba, 0.5)) }()
+	}
+	for range 8 {
+		if err := <-errs; err != nil {
+			log.Fatal(err)
 		}
 	}
 	if err := a.Close(); err != nil {

@@ -118,7 +118,7 @@ type CapacityReport struct {
 
 // CapacityReport builds the capacity view using threshold as the GC
 // dead-fraction reference. Must run on the goroutine that owns the
-// server (the async worker routes maintenance ops there): the engine's
+// server (the async front-end runs maintenance ops as its owner): the engine's
 // open container and the fingerprint occupancy are single-writer state.
 func (s *Server) CapacityReport(threshold float64) CapacityReport {
 	s.settleQuietly()

@@ -64,7 +64,7 @@ var ErrCrashInjected = errors.New("core: injected crash")
 
 // crashState lives on the Server. countdown is only touched by the
 // owning goroutine; crashed is atomic so harness goroutines can poll
-// Crashed() while the worker runs.
+// Crashed() while the owner runs.
 type crashState struct {
 	stage     CrashStage
 	countdown int

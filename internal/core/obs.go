@@ -41,7 +41,7 @@ const (
 	// StageLBAResolve is read-path LBA-to-PBA resolution.
 	StageLBAResolve
 	// StageQueueWait is time spent queued in a front-end (the async
-	// pipeline's bounded worker queues) before a server accepted the
+	// front-end's admission and group owner lock) before a server accepted the
 	// request. Front-ends inject it via TraceContext.
 	StageQueueWait
 	// StageWALFsync is the group-commit fsync of staged WAL records

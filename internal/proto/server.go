@@ -47,7 +47,7 @@ type CompactSummary struct {
 // Compactor is the optional Store extension behind OpCompact: run one
 // GC pass at the given dead-fraction threshold across every group and
 // return the aggregate. The async front-end adapter implements it by
-// routing the pass through the worker that owns each server.
+// running the pass as the owner of each server.
 type Compactor interface {
 	CompactAll(minDeadFraction float64) (CompactSummary, error)
 }
@@ -63,7 +63,7 @@ type Checkpointer interface {
 // store. The core server is single-writer; by default the listener
 // serializes requests across connections (as the FIDR software's
 // device manager serializes the device pipeline). Fronts that
-// serialize internally (the async queue adapter) can lift that with
+// serialize internally (the async front-end adapter) can lift that with
 // WithConcurrentStore.
 type Listener struct {
 	srv    Store
@@ -114,7 +114,7 @@ func WithMetrics(reg *metrics.Registry) ServeOption {
 
 // WithConcurrentStore lifts the cross-connection serialization mutex.
 // Only safe when the store is concurrent-safe itself (e.g. an async
-// front-end whose per-group workers own the servers).
+// front-end that serializes each group under its owner lock).
 func WithConcurrentStore() ServeOption {
 	return func(l *Listener) { l.serial = false }
 }

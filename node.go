@@ -34,7 +34,7 @@ type NodeConfig struct {
 	HashLanes     int    // NIC hash-core lanes; 0 = GOMAXPROCS-derived
 	CompressLanes int    // compression-pipeline lanes; 0 = GOMAXPROCS-derived
 	Groups        int    // device groups; > 1 shards client LBAs across them (§5.6)
-	QueueDepth    int    // async front-end per-group queue depth
+	QueueDepth    int    // async front-end per-group queue depth: callers admitted at once
 
 	DataFile  string // file-backed data volume; empty = in memory
 	TableFile string // file-backed table volume; empty = in memory
@@ -112,7 +112,7 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 	case c.Groups > maxGroups:
 		return Config{}, nil, fmt.Errorf("fidr: -groups %d: the cross-shard duplicate count tracks at most %d groups", c.Groups, maxGroups)
 	case c.QueueDepth < 1:
-		return Config{}, nil, fmt.Errorf("fidr: -queue-depth %d: a group's queue holds at least one request", c.QueueDepth)
+		return Config{}, nil, fmt.Errorf("fidr: -queue-depth %d: a group admits at least one request", c.QueueDepth)
 	case (c.DataFile == "") != (c.TableFile == ""):
 		return Config{}, nil, errors.New("fidr: set both -data-file and -table-file (or neither)")
 	case c.Groups > 1 && mode == chunk.ModeCDC:
@@ -127,7 +127,7 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 	case c.Recover && !durable:
 		return Config{}, nil, errors.New("fidr: -recover requires -data-file and -table-file")
 	case c.WatchdogDeadline <= 0:
-		// A worker caught mid-request has been busy for longer than no
+		// An owner caught mid-request has been busy for longer than no
 		// time at all: every tick would report a healthy node stalled.
 		return Config{}, nil, fmt.Errorf("fidr: -watchdog-deadline %v: the stall deadline must be positive", c.WatchdogDeadline)
 	}
@@ -317,8 +317,9 @@ func NewNode(c NodeConfig) (n *Node, err error) {
 		backend, view = n.cluster, n.cluster.observe()
 	}
 
-	// The async front-end owns the servers from here on: one worker per
-	// group, bounded queues for backpressure.
+	// The async front-end guards the servers from here on: each request
+	// runs on its caller as its group's owner, at most QueueDepth callers
+	// admitted per group for backpressure.
 	if n.async, err = NewAsync(backend, c.QueueDepth); err != nil {
 		return n, err
 	}
@@ -334,7 +335,7 @@ func NewNode(c NodeConfig) (n *Node, err error) {
 		health.Runtime(), health.BuildInfo(c.BuildVersion, c.BuildCommit),
 		n.async.DepthGatherer())
 
-	// Liveness: a heartbeat and a stuck-queue probe per async worker, an
+	// Liveness: a heartbeat and a stuck-queue probe per async group, an
 	// fsync-deadline probe per log; the accept probe joins once there is
 	// a listener.
 	watchdog := health.NewWatchdog()
@@ -457,9 +458,9 @@ func NewNode(c NodeConfig) (n *Node, err error) {
 			{Path: "/traces/slow", Help: "slow-trace retention", Handler: metrics.Text(col.RenderSlow)},
 			{Path: "/traces/spans", Help: "distributed-trace span trees (?id=<trace-id>)", Handler: col},
 			{Path: "/slo", Help: "SLO error budgets and burn rates (JSON)", Handler: slo},
-			// Capacity views run on the async workers (a group's ledger is
-			// single-writer), so a scrape queues behind at most a queue's
-			// depth of requests.
+			// Capacity views run as each group's owner (a group's ledger
+			// is single-writer), so a scrape waits for at most the
+			// requests already admitted to the group.
 			{Path: "/capacity", Help: "reduction attribution, garbage debt, GC advice (JSON)",
 				Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					th := gcThreshold
@@ -558,7 +559,7 @@ func (n *Node) release() error {
 
 // Close shuts the node down in the order its parts depend on: stop
 // accepting and answer what was already read (attached idle clients
-// are dropped), drain the queues and flush every group, checkpoint the
+// are dropped), let the requests in flight finish and flush every group, checkpoint the
 // durable ones, then close every log and volume, the tickers and the
 // HTTP server. It returns the end-of-run report and the joined errors of
 // those steps; later calls return the same without doing anything.
@@ -576,7 +577,7 @@ func (n *Node) Close() (NodeReport, error) {
 			}
 			n.logf("checkpoint written; restart with -recover to resume")
 		}
-		// The workers have exited; nothing else touches the servers.
+		// The front-end is closed; nothing else touches the servers.
 		n.report = NodeReport{Stats: n.cluster.Stats(), Host: n.cluster.Snapshot()}
 		var cache tablecache.Stats
 		for _, g := range n.groups {

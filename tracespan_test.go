@@ -16,7 +16,7 @@ import (
 )
 
 // TestAsyncTraceTree drives traced writes through the full front-end
-// stack — async queue, worker-owned server, batch pipeline, WAL — and
+// stack — async admission, group-owned server, batch pipeline, WAL — and
 // checks the resulting span tree: async.queue parents the core request,
 // the batch trace links under the tipping request, and the WAL fsync
 // appears as a batch child.
@@ -42,11 +42,12 @@ func TestAsyncTraceTree(t *testing.T) {
 	}
 	a.EnableObservability(metrics.NewRegistry())
 	a.SetSpanCollector(col)
+	st := blocking(t, a)
 
 	sc := span.Context{Trace: span.NewTraceID(), Parent: span.NewSpanID(), Sampled: true}
 	for i := uint64(0); i < 4; i++ {
-		if r := <-a.WriteAsync(i, fidr.MakeChunk(i, 0.5), &fidr.TraceContext{Context: sc}); r.Err != nil {
-			t.Fatalf("write %d: %v", i, r.Err)
+		if err := st.WriteTraced(i, fidr.MakeChunk(i, 0.5), &fidr.TraceContext{Context: sc}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	if err := a.Close(); err != nil {
@@ -133,7 +134,7 @@ func contains(s, sub string) bool {
 }
 
 // TestAsyncStoreRange: the AsyncStore adapter serves the proto.Store
-// surface over the queues, preserving chunk order across groups.
+// surface over the groups, preserving chunk order across them.
 func TestAsyncStoreRange(t *testing.T) {
 	cl, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 2)
 	if err != nil {
@@ -176,10 +177,10 @@ func TestAsyncStoreRange(t *testing.T) {
 }
 
 // TestCollectorSharedByWorkersAndReaders is the collector's concurrency
-// case (run it under -race): two async workers, each owning one cluster
-// group, finish requests into one shared collector while an HTTP client
-// reads all three views. Afterwards the store holds exactly what the
-// workers finished.
+// case (run it under -race): two callers, each serving its writes as the
+// owner of one cluster group at a time, finish requests into one shared
+// collector while an HTTP client reads all three views. Afterwards the
+// store holds exactly what the callers finished.
 func TestCollectorSharedByWorkersAndReaders(t *testing.T) {
 	cfg := fidr.DefaultConfig(fidr.FIDRFull)
 	cfg.BatchChunks = 8
@@ -200,8 +201,9 @@ func TestCollectorSharedByWorkersAndReaders(t *testing.T) {
 	}
 	a.SetSpanCollector(col)
 	if a.Workers() != 2 {
-		t.Fatalf("%d async workers, want 2", a.Workers())
+		t.Fatalf("%d async groups, want 2", a.Workers())
 	}
+	st := blocking(t, a)
 	srv := httptest.NewServer(metrics.Handler(view, nil, []metrics.Route{
 		{Path: "/traces", Handler: metrics.Text(col.RenderRecent)},
 		{Path: "/traces/slow", Handler: metrics.Text(col.RenderSlow)},
@@ -243,8 +245,8 @@ func TestCollectorSharedByWorkersAndReaders(t *testing.T) {
 				if i%10 != 0 {
 					tc = nil
 				}
-				if r := <-a.WriteAsync(uint64(i), fidr.MakeChunk(uint64(i%50), 0.5), tc); r.Err != nil {
-					t.Errorf("write %d: %v", i, r.Err)
+				if err := st.WriteTraced(uint64(i), fidr.MakeChunk(uint64(i%50), 0.5), tc); err != nil {
+					t.Errorf("write %d: %v", i, err)
 					return
 				}
 			}
