@@ -78,15 +78,16 @@ check-capacity:
 # a snapshot served at /debug/bundle, and the real `fidrcli doctor` binary
 # flag the stall (non-zero exit), then report healthy once the closure is
 # released. Beside it, the stuck-queue probe's input: blocked callers
-# count in the queue depth and trip the probe, and the front-end starts
-# no goroutine of its own. On the real daemon: boot with -health-dir,
+# count in the queue depth and trip the probe, a wedged group trips its
+# own probe while another group completes requests, and the front-end
+# starts no goroutine of its own. On the real daemon: boot with -health-dir,
 # `fidrcli doctor` healthy with the recorder armed, and degraded to a
 # warning without it.
 check-doctor:
-	$(GO) test -v -run 'TestDoctorStall|TestAsyncQueueDepthCountsBlockingCallers|TestAsyncStartsNoGoroutine' .
+	$(GO) test -v -run 'TestDoctorStall|TestAsyncQueueDepthCountsBlockingCallers|TestAsyncStuckQueueProbePerGroup|TestAsyncStartsNoGoroutine' .
 	$(GO) test -v -run 'TestDoctorE2E|TestDoctorDisabledRecorderE2E' ./cmd/fidrd
 
-# fuzz runs thirteen fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs fourteen fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
 # scalar on every input; WAL replay and recovery must survive any log
 # (torn, corrupt, reordered frames) applying a clean prefix or failing
@@ -108,8 +109,9 @@ check-doctor:
 # the journal decoder (live /events, a bundle's events.jsonl) returns
 # only events that re-encode to lines decoding to the same events; and
 # the bundle lister doctor hands /debug/bundle to returns sorted,
-# distinct, non-empty names for any bytes. FUZZ_TIME extends the
-# per-fuzzer budget locally.
+# distinct, non-empty names for any bytes; and the wire trace-context
+# decoder refuses short input and round-trips any longer input.
+# FUZZ_TIME extends the per-fuzzer budget locally.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
@@ -125,6 +127,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsText$$' -fuzztime $(FUZZ_TIME) ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZ_TIME) ./internal/metrics/events
 	$(GO) test -run '^$$' -fuzz '^FuzzBundleSnapshots$$' -fuzztime $(FUZZ_TIME) ./internal/metrics/health
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime $(FUZZ_TIME) ./internal/trace/span
 
 # bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
 # call through the async front-end (idle group / callers meeting on the

@@ -50,10 +50,6 @@ type Async struct {
 	groups []*group
 	route  func(lba uint64) int
 
-	// completed counts finished requests across all groups (the progress
-	// signal for stuck-queue detection).
-	completed atomic.Uint64
-
 	// Front-end metrics; nil until EnableObservability.
 	writes, reads *metrics.Counter
 	inflight      *metrics.Gauge
@@ -79,6 +75,9 @@ type group struct {
 	// hb brackets every unit of work on the store; the health plane's
 	// watchdog probes it.
 	hb health.Heartbeat
+	// completed counts the group's finished requests: the progress signal
+	// for its stuck-queue probe, so another group's traffic cannot reset it.
+	completed atomic.Uint64
 	// owner is held while a request or a maintenance closure runs against
 	// s: the store is single-owner. Close's final Flush needs no owner:
 	// it holds mu's write lock, which excludes both.
@@ -134,9 +133,9 @@ func (a *Async) WorkerHeartbeat(i int) *health.Heartbeat { return &a.groups[i].h
 // health.ProgressProbe.
 func (a *Async) QueueDepth(i int) int { return len(a.groups[i].admitted) }
 
-// Completed reports the total requests finished on all groups since
-// start (monotonic; the progress counter for stuck-queue probes).
-func (a *Async) Completed() uint64 { return a.completed.Load() }
+// Completed reports the requests group i finished since start
+// (monotonic; the progress counter for group i's stuck-queue probe).
+func (a *Async) Completed(i int) uint64 { return a.groups[i].completed.Load() }
 
 // DepthGatherer exposes per-group queue depths as gauges
 // (async.queue_depth.g<i>), derived at scrape time. Like all
@@ -241,7 +240,7 @@ func (a *Async) serve(g *group, req asyncReq) (data []byte, err error) {
 	if a.inflight != nil {
 		a.inflight.Add(-1)
 	}
-	a.completed.Add(1)
+	g.completed.Add(1)
 	g.hb.End()
 	return data, err
 }

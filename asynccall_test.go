@@ -136,7 +136,7 @@ func TestAsyncInlineObserved(t *testing.T) {
 	if got := sreg.Histogram("stage.queue_wait.ns").Count(); got != 2 {
 		t.Errorf("stage.queue_wait.ns count = %d, want 2", got)
 	}
-	if w, in, done := reg.Counter("async.writes").Value(), reg.Gauge("async.inflight").Value(), a.Completed(); w != 2 || in != 0 || done != 2 {
+	if w, in, done := reg.Counter("async.writes").Value(), reg.Gauge("async.inflight").Value(), a.Completed(0); w != 2 || in != 0 || done != 2 {
 		t.Errorf("async.writes %d, async.inflight %v, completed %d; want 2, 0, 2", w, in, done)
 	}
 	var queue []span.Span
@@ -276,7 +276,7 @@ func TestAsyncQueueDepthCountsBlockingCallers(t *testing.T) {
 	}
 	const deadline = time.Second
 	probe := health.ProgressProbe("async.queue.g0", deadline,
-		func() int { return a.QueueDepth(0) }, a.Completed)
+		func() int { return a.QueueDepth(0) }, func() uint64 { return a.Completed(0) })
 	t0 := time.Unix(1_700_000_000, 0)
 	probe.Check(t0)
 	stuck, _, _ := probe.Check(t0.Add(2 * deadline))
@@ -291,6 +291,77 @@ func TestAsyncQueueDepthCountsBlockingCallers(t *testing.T) {
 	}
 	if a.QueueDepth(0) != 0 {
 		t.Fatalf("QueueDepth %d once every caller returned, want 0", a.QueueDepth(0))
+	}
+}
+
+// TestAsyncStuckQueueProbePerGroup: a group whose owner is wedged trips
+// its stuck-queue probe even while another group keeps completing
+// requests. The probe is built as NewNode builds it and fed synthetic
+// times.
+func TestAsyncStuckQueueProbePerGroup(t *testing.T) {
+	c, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := fidr.NewAsync(c, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := blocking(t, a)
+	lbaIn := func(group int) uint64 {
+		lba := uint64(0)
+		for c.GroupFor(lba) != group {
+			lba++
+		}
+		return lba
+	}
+	chunk := fidr.MakeChunk(1, 0.5)
+
+	// Wedge group 0's owner inside a maintenance pass.
+	held, release := make(chan struct{}), make(chan struct{})
+	maintained := make(chan error, 1)
+	go func() {
+		maintained <- a.Maintenance(func(s fidr.Store) error {
+			if s == c.Group(0) {
+				close(held)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-held
+	wrote := make(chan error, 1)
+	go func() { wrote <- st.Write(lbaIn(0), chunk) }()
+	for a.QueueDepth(0) != 1 {
+		runtime.Gosched()
+	}
+
+	const deadline = time.Second
+	probe := health.ProgressProbe("async.queue.g0", deadline,
+		func() int { return a.QueueDepth(0) }, func() uint64 { return a.Completed(0) })
+	t0 := time.Unix(1_700_000_000, 0)
+	probe.Check(t0)
+	other := st.Write(lbaIn(1), chunk)
+	stuck, _, _ := probe.Check(t0.Add(2 * deadline))
+
+	close(release)
+	if other != nil {
+		t.Fatal(other)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-maintained; err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !stuck {
+		t.Fatal("async.queue.g0 did not trip while group 1 completed a request")
+	}
+	if a.Completed(0) != 1 || a.Completed(1) != 1 {
+		t.Fatalf("completed per group %d, %d; want 1, 1", a.Completed(0), a.Completed(1))
 	}
 }
 
@@ -396,7 +467,7 @@ func TestAsyncSubmitRacesClose(t *testing.T) {
 				}
 			}(g)
 		}
-		for a.Completed() < uint64(20+10*round) {
+		for a.Completed(0) < uint64(20+10*round) {
 			runtime.Gosched()
 		}
 		if err := a.Close(); err != nil {

@@ -24,9 +24,9 @@ type Cluster struct {
 	groups []*Server
 }
 
-// maxGroups bounds a cluster: cluster.cross_shard_dup_chunks records the
-// groups holding each content as one bit apiece of a uint64
-// (clusterObs.contentAt), so a 65th group's copies would go uncounted.
+// maxGroups bounds a cluster: each group allocates its whole table cache
+// up front (CacheLines x 4 KiB, 16 MiB at the default), so 64 groups
+// already hold about 1 GiB of host DRAM.
 const maxGroups = 64
 
 // NewCluster builds n groups (1 <= n <= 64) from cfg (each group gets
@@ -39,7 +39,7 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 		return nil, fmt.Errorf("fidr: cluster needs at least one group")
 	}
 	if n > maxGroups {
-		return nil, fmt.Errorf("fidr: cluster of %d groups: the cross-shard duplicate count tracks at most %d", n, maxGroups)
+		return nil, fmt.Errorf("fidr: cluster of %d groups: each group's table cache is allocated up front, so at most %d", n, maxGroups)
 	}
 	if cfg.WAL != nil && n > 1 {
 		return nil, fmt.Errorf("fidr: a WAL is group-local; cannot share one across %d groups", n)

@@ -11,9 +11,9 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 0); err == nil {
 		t.Fatal("zero groups accepted")
 	}
-	// cluster.cross_shard_dup_chunks keeps one bit per group in a uint64.
+	// Every group allocates its whole table cache up front.
 	if _, err := fidr.NewCluster(fidr.DefaultConfig(fidr.FIDRFull), 65); err == nil {
-		t.Fatal("65 groups accepted: the cross-shard duplicate count would miss the 65th")
+		t.Fatal("65 groups accepted: 64 table caches already hold about 1 GiB")
 	}
 }
 

@@ -2,39 +2,19 @@ package fidr
 
 import (
 	"math"
-	"sync"
 
 	"fidr/internal/core"
-	"fidr/internal/fingerprint"
 	"fidr/internal/metrics"
 )
 
-// Cluster-wide observability. PR 2's metrics plane stopped at a single
-// Server; the scale-out claims of §5.6 need per-shard visibility. Each
+// Cluster-wide observability. A Server's metrics plane covers one group;
+// the scale-out claims of §5.6 need per-shard visibility. Each
 // group gets its own metrics.Registry, exposed three ways through one
 // Gatherer: merged cluster-wide series (unprefixed, counters summed and
 // histograms bucket-merged), per-group series under a "group<N>."
 // prefix, and cluster-level derived series — per-shard write share and
-// dedup ratio, the shard imbalance coefficient, and the cross-shard
-// duplicate loss (content stored in more than one shard because LBA
-// sharding splits the dedup domain).
-
-// clusterObs binds a cluster's groups into one observability plane.
-type clusterObs struct {
-	regs []*metrics.Registry // each group's own, by group index
-	own  *metrics.Registry
-
-	crossDupChunks *metrics.Gauge
-
-	// Cross-shard dedup-domain tracking: the fingerprint of every chunk
-	// a group admits as unique maps to a bitmask of groups that stored
-	// it. Content admitted by a second (third, ...) group is a duplicate
-	// a single dedup domain would have stored once — the scale-out
-	// trade-off made measurable (crossDupChunks counts the copies beyond
-	// each content's first shard). One bit per group: maxGroups.
-	mu        sync.Mutex
-	contentAt map[fingerprint.FP]uint64
-}
+// dedup ratio and the shard imbalance coefficient. The view is a pure
+// function of the group registries, read at scrape time.
 
 // EnableObservability attaches a live metrics plane to every group and
 // returns the cluster-wide gatherer: merged series, "group<N>."-prefixed
@@ -49,70 +29,43 @@ func (c *Cluster) EnableObservability() metrics.Gatherer {
 }
 
 // observe composes the cluster-wide view over the groups' registries
-// (every group already has observability on) and starts the cluster's
+// (every group already has observability on) and adds the cluster's
 // own series.
 func (c *Cluster) observe() metrics.Gatherer {
-	o := &clusterObs{
-		regs:      make([]*metrics.Registry, len(c.groups)),
-		own:       metrics.NewRegistry(),
-		contentAt: make(map[fingerprint.FP]uint64),
-	}
-	gatherers := make([]metrics.Gatherer, 0, len(c.groups)+3)
+	regs := make([]*metrics.Registry, len(c.groups))
 	merged := make([]metrics.Gatherer, len(c.groups))
 	for i, g := range c.groups {
-		g.SetUniqueObserver(func(fp fingerprint.FP) { o.noteUnique(i, fp) })
-		o.regs[i] = g.MetricsRegistry()
-		merged[i] = o.regs[i]
+		regs[i] = g.MetricsRegistry()
+		merged[i] = regs[i]
 	}
 	mergedView := metrics.Merged(merged...)
-	gatherers = append(gatherers, mergedView)
 	// Ratios cannot be summed across groups; derive them from the
 	// merged counters at scrape time.
-	gatherers = append(gatherers, metrics.CapacityRatios(mergedView))
-	for i := range c.groups {
-		gatherers = append(gatherers, metrics.Prefixed(metrics.GroupPrefix(i), o.regs[i]))
+	gatherers := []metrics.Gatherer{mergedView, metrics.CapacityRatios(mergedView)}
+	for i, reg := range regs {
+		gatherers = append(gatherers, metrics.Prefixed(metrics.GroupPrefix(i), reg))
 	}
-	o.own.Gauge("cluster.groups").Set(float64(len(c.groups)))
-	o.crossDupChunks = o.own.Gauge("cluster.cross_shard_dup_chunks")
-	gatherers = append(gatherers, o.own, metrics.GathererFunc(func() []metrics.Metric {
-		return o.derived()
+	own := metrics.NewRegistry()
+	own.Gauge("cluster.groups").Set(float64(len(c.groups)))
+	gatherers = append(gatherers, own, metrics.GathererFunc(func() []metrics.Metric {
+		return shardBalance(regs)
 	}))
 	return metrics.Multi(gatherers...)
 }
 
-// noteUnique records that group g admitted fp as unique content,
-// updating the cross-shard duplicate gauge. It runs on the goroutine
-// that owns group g, with the fingerprint the group's own hash stage
-// computed.
-func (o *clusterObs) noteUnique(g int, fp fingerprint.FP) {
-	bit := uint64(1) << uint(g)
-	o.mu.Lock()
-	mask := o.contentAt[fp]
-	if mask&bit == 0 {
-		if mask != 0 {
-			// A second (or later) shard now stores content another
-			// shard already holds: one more copy than a global dedup
-			// domain would keep.
-			o.crossDupChunks.Add(1)
-		}
-		o.contentAt[fp] = mask | bit
-	}
-	o.mu.Unlock()
-}
-
-// derived computes the per-shard balance series at scrape time from the
-// group registries' atomics (never from Server state, which each
-// group's owner may be mutating).
-func (o *clusterObs) derived() []metrics.Metric {
-	n := len(o.regs)
+// shardBalance computes the per-shard balance series at scrape time
+// from the group registries' atomics (never from Server state, which
+// each group's owner may be mutating).
+func shardBalance(regs []*metrics.Registry) []metrics.Metric {
+	n := len(regs)
 	writes := make([]float64, n)
 	var total float64
-	for i, reg := range o.regs {
+	for i, reg := range regs {
 		writes[i] = float64(reg.Counter("core.writes").Value())
 		total += writes[i]
 	}
 	out := make([]metrics.Metric, 0, 2*n+1)
-	for i, reg := range o.regs {
+	for i, reg := range regs {
 		share := 0.0
 		if total > 0 {
 			share = writes[i] / total

@@ -61,8 +61,6 @@ func registerFlags(fs *flag.FlagSet, c *fidr.NodeConfig) (pprof *bool) {
 	fs.StringVar(&c.Arch, "arch", c.Arch, "architecture: fidr, fidr-nic, baseline")
 	fs.IntVar(&c.Batch, "batch", c.Batch, "accelerator batch size in chunks")
 	fs.IntVar(&c.ContainerSize, "container-size", c.ContainerSize, "compressed-chunk container size in bytes; 0 = architecture default")
-	fs.IntVar(&c.HashLanes, "hash-lanes", c.HashLanes, "NIC hash-core lanes; 0 = GOMAXPROCS-derived")
-	fs.IntVar(&c.CompressLanes, "compress-lanes", c.CompressLanes, "compression-pipeline lanes; 0 = GOMAXPROCS-derived")
 	fs.IntVar(&c.Groups, "groups", c.Groups, "device groups; >1 serves a sharded cluster (in-memory only)")
 	fs.StringVar(&c.DataFile, "data-file", c.DataFile, "file-backed data volume (durable); empty = in-memory")
 	fs.StringVar(&c.TableFile, "table-file", c.TableFile, "file-backed table volume (durable); empty = in-memory")
@@ -72,11 +70,9 @@ func registerFlags(fs *flag.FlagSet, c *fidr.NodeConfig) (pprof *bool) {
 	fs.DurationVar(&c.SeriesInterval, "series-interval", c.SeriesInterval, "sampling interval for /metrics/series")
 	fs.DurationVar(&c.SlowMin, "slow-min", c.SlowMin, "slow-trace retention never keeps requests faster than this")
 	fs.IntVar(&c.QueueDepth, "queue-depth", c.QueueDepth, "async front-end per-group queue depth")
-	fs.IntVar(&c.TraceSample, "trace-sample", c.TraceSample, "head-sample every Nth untraced request into /traces/spans; 0 = wire-traced requests only")
 	fs.StringVar(&c.SLOSpec, "slo-spec", c.SLOSpec, "latency objectives as name:hist:threshold:target,...; empty = built-in write/read objectives")
 	pprof = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on -metrics-addr")
 	fs.StringVar(&c.HealthDir, "health-dir", c.HealthDir, "snapshot-recorder directory; empty = recorder disabled")
-	fs.DurationVar(&c.HealthProfile, "health-profile", c.HealthProfile, "CPU+mutex profile length captured into each snapshot; 0 = no profiles")
 	fs.DurationVar(&c.WatchdogInterval, "watchdog-interval", c.WatchdogInterval, "liveness probe cadence")
 	fs.DurationVar(&c.WatchdogDeadline, "watchdog-deadline", c.WatchdogDeadline, "liveness deadline before a probe reports a stall")
 	fs.StringVar(&c.Chunker, "chunker", c.Chunker, "write chunking mode: fixed or cdc (content-defined, variable-size extents; single group only)")

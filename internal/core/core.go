@@ -396,9 +396,6 @@ type Server struct {
 	// occupancy counter of its own (Range charges SSD reads), so the
 	// server tracks inserts/deletes at their call sites.
 	fpLive uint64
-	// onUnique, when set, sees the fingerprint of every chunk admitted as
-	// new unique content (see SetUniqueObserver).
-	onUnique func(fingerprint.FP)
 	// journal receives structured capacity events (GC, checkpoint,
 	// recovery); nil disables emission. group labels this server's
 	// events in a shared cluster journal. recovered marks a server built
@@ -538,12 +535,6 @@ func (s *Server) ChunkSize() int { return s.cfg.ChunkSize }
 
 // Chunking returns the server's chunking configuration.
 func (s *Server) Chunking() chunk.Config { return s.cfg.Chunking }
-
-// SetUniqueObserver registers fn to receive the fingerprint the server
-// already computed for each chunk it admits as new unique content. fn
-// runs on the goroutine that owns the server, inside batch processing;
-// a cluster uses it to count content stored by more than one group.
-func (s *Server) SetUniqueObserver(fn func(fingerprint.FP)) { s.onUnique = fn }
 
 // Ledger exposes the host resource ledger.
 func (s *Server) Ledger() *hostmodel.Ledger { return s.ledger }

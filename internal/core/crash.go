@@ -38,8 +38,6 @@ const (
 	// WAL truncates (new checkpoint + stale WAL — replay must skip
 	// already-checkpointed records).
 	CrashMidCheckpoint
-	// NumCrashStages bounds the enum for harness iteration.
-	NumCrashStages
 )
 
 // String implements fmt.Stringer.

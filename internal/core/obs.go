@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"fidr/internal/metrics"
@@ -92,13 +91,9 @@ type Observer struct {
 
 	// Trace sink. col is nil until SetSpanCollector (stage histograms
 	// are still fed, no request trees are built); group labels every
-	// span with the owning cluster shard. sampleEvery > 0 head-samples
-	// every Nth request that arrives without an upstream trace context
-	// (wire contexts carry their own sampling decision).
-	col         *span.Collector
-	group       int
-	sampleEvery uint32
-	sampleCtr   atomic.Uint32
+	// span with the owning cluster shard.
+	col   *span.Collector
+	group int
 
 	// Slow-trace retention gate: every finished request's total feeds
 	// totals; a request at or above slowBar is flagged slow and retained
@@ -141,9 +136,8 @@ func newObserver(reg *metrics.Registry) *Observer {
 
 // begin opens a request trace, or returns nil when observability is off;
 // every ReqTrace method is nil-safe so call sites stay unconditional.
-// The request gets a locally minted trace ID; requests arriving without
-// an upstream trace context are head-sampled every sampleEvery-th call,
-// and adopt overrides both when a context carries a trace.
+// The request gets a locally minted, unsampled trace ID; adopt replaces
+// both when a context carries a trace.
 func (o *Observer) begin(op string, lba uint64) *ReqTrace {
 	if o == nil {
 		return nil
@@ -154,9 +148,6 @@ func (o *Observer) begin(op string, lba uint64) *ReqTrace {
 		Start: time.Now(), LBA: lba, Group: o.group,
 	}
 	tr.req.Stages = tr.inline[:0]
-	if n := o.sampleEvery; n > 0 && o.sampleCtr.Add(1)%n == 0 {
-		tr.req.Sampled = true
-	}
 	return tr
 }
 
@@ -296,12 +287,11 @@ func (tr *ReqTrace) record(st Stage, start time.Time, d time.Duration, bytes uin
 // adopt merges a front-end trace context into this trace: the op label
 // is overridden when the front-end set one, the trace's start moves back
 // to the front-end submission time so the total covers the whole request
-// lifetime, and a wire trace identity replaces the minted one and head
-// sampling (the caller decided whether this request is traced and who
-// the parent span is). A measured queue wait feeds its stage histogram;
-// it becomes a queue_wait child only without a wire identity, because
-// with one the queue published its own "async.queue" span as this
-// request's parent.
+// lifetime, and a wire trace identity replaces the minted one (the
+// caller decided whether this request is traced and who the parent span
+// is). A measured queue wait feeds its stage histogram; it becomes a
+// queue_wait child only without a wire identity, because with one the
+// queue published its own "async.queue" span as this request's parent.
 func (tr *ReqTrace) adopt(tc *TraceContext) {
 	if tr == nil || tc == nil {
 		return
@@ -442,20 +432,6 @@ func (s *Server) SetSpanCollector(col *span.Collector, group int) {
 	s.obs.group = group
 	s.obs.slowQuantile, s.obs.slowMin = col.SlowGate()
 	s.obs.setSlowBar(0)
-}
-
-// SetTraceSampling head-samples every Nth request that arrives without
-// an upstream trace context (N <= 0 disables head sampling; wire
-// contexts always carry their own decision). Call after
-// EnableObservability and before serving traffic.
-func (s *Server) SetTraceSampling(every int) {
-	if s.obs == nil {
-		return
-	}
-	if every < 0 {
-		every = 0
-	}
-	s.obs.sampleEvery = uint32(every)
 }
 
 // MetricsRegistry returns the live registry, or nil when observability

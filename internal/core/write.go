@@ -587,9 +587,6 @@ func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 	s.pbnFP[pbn] = meta.FP
 	s.walAppend(meta, pbn)
 	s.fpLive++
-	if s.onUnique != nil {
-		s.onUnique(meta.FP)
-	}
 	s.tl.uniques++
 	s.tl.stored += uint64(meta.CSize)
 	s.tl.compSaved += uint64(meta.RawSize - meta.CSize)

@@ -40,9 +40,6 @@ const (
 	paperChunkSize = 4096
 )
 
-// NoPBN is the reserved "unmapped" PBN value.
-const NoPBN = ^uint64(0)
-
 // PBA is a resolved physical address of a stored chunk.
 type PBA struct {
 	// Container is the container index on the data SSD array.

@@ -28,7 +28,6 @@ const (
 	TypeCheckpoint  = "checkpoint"
 	TypeWALTruncate = "wal_truncate"
 	TypeRecovery    = "recovery"
-	TypeRebalance   = "rebalance"
 	TypeSLOBreach   = "slo_breach_begin"
 	TypeSLORecover  = "slo_breach_end"
 

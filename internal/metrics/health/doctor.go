@@ -244,7 +244,7 @@ func checkHeap(in DoctorInput) CheckResult {
 	if frac > 0.95 {
 		r.Status = StatusWarn
 		r.Detail = fmt.Sprintf("live heap %.0f MiB is %.0f%% of the GC goal", heap.Value/(1<<20), frac*100)
-		r.Hint = "the process is near continuous GC; capture a bundle with -health-profile for allocation stacks"
+		r.Hint = "the process is near continuous GC; start fidrd with -pprof and read /debug/pprof/heap for allocation stacks"
 		return r
 	}
 	r.Status = StatusPass

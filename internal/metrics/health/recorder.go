@@ -25,17 +25,16 @@ import (
 
 // Recorder is the snapshot recorder. When a watchdog trips or
 // an SLO breaches, Trigger captures a diagnostic snapshot — goroutine
-// dump, metrics snapshot, event-journal tail, recent slow traces, and
-// optionally a short CPU+mutex profile — into a bounded on-disk ring
-// under Dir. Snapshots are written to a temp directory and renamed into
-// place, so a crash mid-capture never leaves a half-readable snapshot,
-// and the ring is pruned oldest-first past MaxSnapshots. /debug/bundle
+// dump, metrics snapshot, event-journal tail and recent slow traces —
+// into a bounded on-disk ring under Dir. Snapshots are written to a
+// temp directory and renamed into place, so a crash mid-capture never
+// leaves a half-readable snapshot, and the ring is pruned oldest-first
+// past MaxSnapshots. /debug/bundle
 // serves the whole ring as one tar.gz for fidrcli doctor.
 type Recorder struct {
 	dir          string
 	maxSnapshots int
 	minInterval  time.Duration
-	profileFor   time.Duration
 
 	gatherer metrics.Gatherer
 	journal  *events.Journal
@@ -59,9 +58,6 @@ type RecorderOptions struct {
 	Dir          string
 	MaxSnapshots int           // ring size; default 8
 	MinInterval  time.Duration // min gap between captures; default 10s
-	// ProfileDuration > 0 adds a CPU + mutex profile of that length to
-	// every snapshot. Capture then takes that long; 0 disables.
-	ProfileDuration time.Duration
 
 	Gatherer metrics.Gatherer // metrics view to snapshot (may be nil)
 	Journal  *events.Journal  // event journal to tail (may be nil)
@@ -89,7 +85,6 @@ func NewRecorder(opt RecorderOptions) (*Recorder, error) {
 		dir:          opt.Dir,
 		maxSnapshots: opt.MaxSnapshots,
 		minInterval:  opt.MinInterval,
-		profileFor:   opt.ProfileDuration,
 		gatherer:     opt.Gatherer,
 		journal:      opt.Journal,
 		slow:         opt.Slow,
@@ -211,11 +206,6 @@ func (r *Recorder) capture(now time.Time, reason, detail, trace string) (string,
 			return "", err
 		}
 	}
-	if r.profileFor > 0 {
-		if err := r.profile(tmp); err != nil {
-			return "", err
-		}
-	}
 
 	final := filepath.Join(r.dir, name)
 	r.mu.Lock()
@@ -225,32 +215,6 @@ func (r *Recorder) capture(now time.Time, reason, detail, trace string) (string,
 	}
 	r.pruneLocked()
 	return final, nil
-}
-
-// profile records CPU and mutex-contention profiles for profileFor.
-func (r *Recorder) profile(dir string) error {
-	cf, err := os.Create(filepath.Join(dir, "cpu.pprof"))
-	if err != nil {
-		return err
-	}
-	defer cf.Close()
-	if err := pprof.StartCPUProfile(cf); err != nil {
-		return err
-	}
-	prev := runtime.SetMutexProfileFraction(5)
-	time.Sleep(r.profileFor)
-	pprof.StopCPUProfile()
-	runtime.SetMutexProfileFraction(prev)
-
-	mf, err := os.Create(filepath.Join(dir, "mutex.pprof"))
-	if err != nil {
-		return err
-	}
-	defer mf.Close()
-	if p := pprof.Lookup("mutex"); p != nil {
-		return p.WriteTo(mf, 0)
-	}
-	return nil
 }
 
 // snapshotDir is one on-disk snapshot as discovered by list.

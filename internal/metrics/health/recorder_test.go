@@ -231,18 +231,3 @@ func TestBundleBadParam(t *testing.T) {
 		}
 	}
 }
-
-// TestRecorderProfile checks ProfileDuration adds the CPU and mutex
-// profiles to the snapshot.
-func TestRecorderProfile(t *testing.T) {
-	rec := testRecorder(t, RecorderOptions{ProfileDuration: 50 * time.Millisecond})
-	dir, err := rec.Trigger("prof", "", "")
-	if err != nil {
-		t.Fatalf("Trigger: %v", err)
-	}
-	for _, f := range []string{"cpu.pprof", "mutex.pprof"} {
-		if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
-			t.Errorf("%s missing or empty (err=%v)", f, err)
-		}
-	}
-}

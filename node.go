@@ -31,8 +31,6 @@ type NodeConfig struct {
 	Arch          string // fidr, fidr-nic or baseline
 	Batch         int    // accelerator batch size in chunks
 	ContainerSize int    // compressed-chunk container bytes; 0 = architecture default
-	HashLanes     int    // NIC hash-core lanes; 0 = GOMAXPROCS-derived
-	CompressLanes int    // compression-pipeline lanes; 0 = GOMAXPROCS-derived
 	Groups        int    // device groups; > 1 shards client LBAs across them (§5.6)
 	QueueDepth    int    // async front-end per-group queue depth: callers admitted at once
 
@@ -47,10 +45,8 @@ type NodeConfig struct {
 	MetricsAddr      string        // HTTP observability address; empty = none
 	SeriesInterval   time.Duration // /metrics/series and SLO sampling cadence
 	SlowMin          time.Duration // slow-trace retention floor
-	TraceSample      int           // head-sample every Nth untraced request; 0 = wire-traced only
 	SLOSpec          string        // name:hist:threshold:target,...; empty = write/read defaults
 	HealthDir        string        // snapshot-recorder directory; empty = recorder off
-	HealthProfile    time.Duration // CPU+mutex profile length per snapshot; 0 = none
 	WatchdogInterval time.Duration // liveness probe cadence
 	WatchdogDeadline time.Duration // liveness deadline before a probe reports a stall
 
@@ -110,7 +106,7 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 	case c.Groups < 1:
 		return Config{}, nil, fmt.Errorf("fidr: -groups %d: a node has at least one group", c.Groups)
 	case c.Groups > maxGroups:
-		return Config{}, nil, fmt.Errorf("fidr: -groups %d: the cross-shard duplicate count tracks at most %d groups", c.Groups, maxGroups)
+		return Config{}, nil, fmt.Errorf("fidr: -groups %d: each group's table cache is allocated up front, so at most %d groups", c.Groups, maxGroups)
 	case c.QueueDepth < 1:
 		return Config{}, nil, fmt.Errorf("fidr: -queue-depth %d: a group admits at least one request", c.QueueDepth)
 	case (c.DataFile == "") != (c.TableFile == ""):
@@ -142,7 +138,6 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 	if c.ContainerSize > 0 {
 		cfg.ContainerSize = c.ContainerSize
 	}
-	cfg.HashLanes, cfg.CompressLanes = c.HashLanes, c.CompressLanes
 	if mode == chunk.ModeCDC {
 		cfg.Chunking = chunk.Config{Mode: mode, Min: c.CDCMin, Avg: c.CDCAvg, Max: c.CDCMax}
 	}
@@ -301,7 +296,6 @@ func NewNode(c NodeConfig) (n *Node, err error) {
 	for i, srv := range servers {
 		srv.EnableObservability(nil)
 		srv.SetSpanCollector(col, i)
-		srv.SetTraceSampling(c.TraceSample)
 		srv.SetEventJournal(journal, i)
 	}
 	// The group count decides two things only: who routes, and how the
@@ -346,7 +340,7 @@ func NewNode(c NodeConfig) (n *Node, err error) {
 			fmt.Sprintf("async.worker.g%d", i), n.async.WorkerHeartbeat(i), c.WatchdogDeadline))
 		watchdog.Add(health.ProgressProbe(
 			fmt.Sprintf("async.queue.g%d", i), c.WatchdogDeadline,
-			func() int { return n.async.QueueDepth(i) }, n.async.Completed))
+			func() int { return n.async.QueueDepth(i) }, func() uint64 { return n.async.Completed(i) }))
 		if w := g.wal; w != nil {
 			watchdog.Add(health.FuncProbe(
 				fmt.Sprintf("wal.fsync.g%d", i), c.WatchdogDeadline, func() (bool, string) {
@@ -369,13 +363,12 @@ func NewNode(c NodeConfig) (n *Node, err error) {
 	var recorder *health.Recorder
 	if c.HealthDir != "" {
 		recorder, err = health.NewRecorder(health.RecorderOptions{
-			Dir:             c.HealthDir,
-			MaxSnapshots:    healthSnapshots,
-			ProfileDuration: c.HealthProfile,
-			Gatherer:        view,
-			Journal:         journal,
-			Slow:            col.RenderSlow,
-			Build:           map[string]string{"version": c.BuildVersion, "commit": c.BuildCommit},
+			Dir:          c.HealthDir,
+			MaxSnapshots: healthSnapshots,
+			Gatherer:     view,
+			Journal:      journal,
+			Slow:         col.RenderSlow,
+			Build:        map[string]string{"version": c.BuildVersion, "commit": c.BuildCommit},
 		})
 		if err != nil {
 			return n, fmt.Errorf("fidr: -health-dir: %w", err)

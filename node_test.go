@@ -105,9 +105,9 @@ func TestNodeConfigRefusals(t *testing.T) {
 		{"volumes across groups", func(c *fidr.NodeConfig) { c.Groups, c.DataFile, c.TableFile = 2, file("d"), file("t") },
 			[]string{"-groups", "-data-file", "-table-file"}},
 		{"recover across groups", func(c *fidr.NodeConfig) { c.Groups, c.Recover = 2, true }, []string{"-groups", "-recover"}},
-		// Past 64 groups cluster.cross_shard_dup_chunks under-counted
-		// in silence; at 101 the group<N>. prefix panicked after a
-		// hundred servers were built.
+		// Each group allocates its whole table cache up front, so 64
+		// groups already hold about 1 GiB; at 101 the group<N>. prefix
+		// panicked after a hundred servers were built.
 		{"more groups than the cross-shard count tracks", func(c *fidr.NodeConfig) { c.Groups = 65 }, []string{"-groups", "64"}},
 		{"three-digit group count", func(c *fidr.NodeConfig) { c.Groups = 101 }, []string{"-groups", "64"}},
 		// A zero deadline called every worker caught mid-request stalled.

@@ -193,7 +193,6 @@ func TestCollectorSharedByWorkersAndReaders(t *testing.T) {
 	col.SetSlowGate(0.5, time.Nanosecond)
 	for i := 0; i < cl.Groups(); i++ {
 		cl.Group(i).SetSpanCollector(col, i)
-		cl.Group(i).SetTraceSampling(4)
 	}
 	a, err := fidr.NewAsync(cl, 16)
 	if err != nil {
