@@ -60,7 +60,8 @@ check-crash:
 # check-trace boots a 2-group fidrd with group-local WALs, drives
 # traced writes through the real CLI, and asserts the returned trace ID
 # resolves to a span tree covering proto, async queue, core, batch and
-# WAL stages — plus exemplar resolution and the SLO endpoints.
+# WAL stages — plus a trace ID taken from /traces/slow resolving at
+# /traces/spans, an exemplar-free Prometheus page and the SLO endpoints.
 check-trace:
 	$(GO) test -v -run TestTraceE2E ./cmd/fidrd
 

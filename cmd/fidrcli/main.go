@@ -23,9 +23,9 @@
 // -metrics-addr HTTP endpoint: stats fetches /metrics and pretty-prints
 // counters, gauges and per-stage latency histograms; traces fetches and
 // prints the most recent request traces; trace resolves one distributed
-// trace ID (as printed by `put -traced` or scraped from a histogram
-// exemplar) to its span tree (/traces/spans); slow prints the
-// slow-trace retention (/traces/slow); slo renders the latency
+// trace ID (as printed by `put -traced`, traces or slow) to its span
+// tree (/traces/spans); slow prints the slow-trace retention
+// (/traces/slow); slo renders the latency
 // objectives' error budgets and burn rates (/slo); top polls
 // /metrics/series and renders a live view of device utilization, queue
 // depths, throughput and data reduction (-n bounds the number of

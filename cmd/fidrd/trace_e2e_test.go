@@ -23,6 +23,9 @@ import (
 
 var traceLineRe = regexp.MustCompile(`(?m)^trace ([0-9a-f]{16})\b`)
 
+// slowTraceRe takes the trace column, the last of a /traces/slow row.
+var slowTraceRe = regexp.MustCompile(`(?m)\b([0-9a-f]{16})\s*$`)
+
 func TestTraceE2E(t *testing.T) {
 	dir := t.TempDir()
 	fidrdBin, fidrcliBin := buildBinaries(t, dir)
@@ -97,23 +100,30 @@ func TestTraceE2E(t *testing.T) {
 		t.Errorf("malformed-ID error lacks explanation:\n%s", out)
 	}
 
-	// Exemplars: the Prometheus page carries trace IDs on latency
-	// buckets, still lexes, and a scraped exemplar resolves to a span
-	// tree — the p99-to-trace jump the issue asks for.
+	// The p99-to-trace jump: with -slow-min 1ns every request is kept on
+	// /traces/slow, and an ID taken from there resolves to a span tree.
+	code, slow := get(t, maddr, "/traces/slow")
+	if code != http.StatusOK {
+		t.Fatalf("/traces/slow: status %d", code)
+	}
+	m := slowTraceRe.FindStringSubmatch(slow)
+	if m == nil {
+		t.Fatalf("no trace ID on /traces/slow:\n%.2000s", slow)
+	}
+	if code, body := get(t, maddr, "/traces/spans?id="+m[1]); code != http.StatusOK {
+		t.Errorf("slow trace %s does not resolve: status %d: %s", m[1], code, body)
+	}
+
+	// The Prometheus page still lexes and carries no trace IDs.
 	code, prom := get(t, maddr, "/metrics?format=prom")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics?format=prom: status %d", code)
 	}
 	if err := metrics.ValidatePromText(strings.NewReader(prom)); err != nil {
-		t.Errorf("exposition with exemplars does not lex: %v", err)
+		t.Errorf("exposition does not lex: %v", err)
 	}
-	exRe := regexp.MustCompile(`# \{trace_id="([0-9a-f]{1,16})"\}`)
-	m := exRe.FindStringSubmatch(prom)
-	if m == nil {
-		t.Fatalf("no exemplar on the Prometheus page:\n%.2000s", prom)
-	}
-	if code, body := get(t, maddr, "/traces/spans?id="+m[1]); code != http.StatusOK {
-		t.Errorf("exemplar trace %s does not resolve: status %d: %s", m[1], code, body)
+	if strings.Contains(prom, " # {") {
+		t.Errorf("exposition carries a sample suffix:\n%.2000s", prom)
 	}
 
 	// SLO plane: JSON endpoint and CLI dashboard.

@@ -6,6 +6,7 @@ import (
 
 	"fidr/internal/blockcomp"
 	"fidr/internal/metrics/events"
+	"fidr/internal/trace/span"
 )
 
 // Satellite: an empty store has no reduction to report. Convention:
@@ -260,6 +261,41 @@ func TestGCRunEventEmitted(t *testing.T) {
 	}
 	if got := ev.Fields["containers_compacted"]; got != int64(res.ContainersCompacted) {
 		t.Fatalf("event containers_compacted = %d, want %d", got, res.ContainersCompacted)
+	}
+}
+
+// With a collector attached, the gc_run event names the trace the
+// pass's request tree is kept under, so the event resolves to its spans.
+func TestGCRunEventTraceResolves(t *testing.T) {
+	s := gcServer(t, FIDRFull)
+	s.EnableObservability(nil)
+	col := span.NewCollector(0, 0, 0)
+	s.SetSpanCollector(col, 0)
+	j := events.NewJournal(16)
+	s.SetEventJournal(j, 0)
+	sh := blockcomp.NewShaper(0.5)
+	for i := uint64(0); i < 128; i++ {
+		s.Write(i, sh.Make(i, 4096))
+	}
+	s.Flush()
+	for i := uint64(0); i < 96; i++ {
+		s.Write(i, sh.Make(40000+i, 4096))
+	}
+	s.Flush()
+	if _, err := s.Compact(0.25); err != nil {
+		t.Fatal(err)
+	}
+	evs := j.Since(0)
+	if len(evs) != 1 || evs[0].Type != events.TypeGCRun {
+		t.Fatalf("journal = %+v, want one gc_run", evs)
+	}
+	id, err := span.ParseTraceID(evs[0].Trace)
+	if err != nil {
+		t.Fatalf("gc_run trace %q: %v", evs[0].Trace, err)
+	}
+	spans := col.Trace(id)
+	if len(spans) == 0 || spans[0].Name != "core.gc" {
+		t.Fatalf("gc_run trace %s resolves to %d spans, want the core.gc tree", id, len(spans))
 	}
 }
 

@@ -112,7 +112,7 @@ func (s *Server) Compact(minDeadFraction float64) (CompactResult, error) {
 	}
 	s.emitEvent(events.Event{
 		Type:   events.TypeGCRun,
-		Trace:  tr.traceID(),
+		Trace:  tr.heldID(),
 		Detail: fmt.Sprintf("threshold=%.2f", minDeadFraction),
 		Fields: map[string]int64{
 			"containers_compacted": int64(res.ContainersCompacted),

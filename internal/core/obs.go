@@ -85,8 +85,7 @@ type Observer struct {
 
 	stage [numStages]*metrics.Histogram
 
-	// Op-class request-total histograms: the SLO plane's latency inputs
-	// and the primary exemplar carriers.
+	// Op-class request-total histograms: the SLO plane's latency inputs.
 	reqWrite, reqRead *metrics.Histogram
 
 	// Trace sink. col is nil until SetSpanCollector (stage histograms
@@ -191,21 +190,15 @@ type ReqTrace struct {
 	// inline backs req.Stages for the common request (a handful of
 	// stages), so a request costs one allocation.
 	inline [2]span.Span
-	// exemplar caches traceID's rendering across stage observations.
-	exemplar string
 }
 
-// traceID returns the trace ID when this request is sampled, ""
-// otherwise (histogram exemplars and event records carry it where
-// available).
-func (tr *ReqTrace) traceID() string {
-	if tr == nil || !tr.req.Sampled {
+// heldID returns the trace ID the collector holds this request's tree
+// under once it is done, or "" when no collector is attached.
+func (tr *ReqTrace) heldID() string {
+	if tr == nil || tr.obs.col == nil {
 		return ""
 	}
-	if tr.exemplar == "" {
-		tr.exemplar = tr.req.Root.Trace.String()
-	}
-	return tr.exemplar
+	return tr.req.Root.Trace.String()
 }
 
 // start marks the beginning of a stage.
@@ -262,11 +255,10 @@ func (tr *ReqTrace) addBytes(st Stage, d time.Duration, bytes uint64) {
 	tr.record(st, time.Time{}, d, bytes)
 }
 
-// record feeds the stage histogram (with this trace's ID as a bucket
-// exemplar when sampled) and appends the stage's child span; a zero
-// start means the stage ended just now.
+// record feeds the stage histogram and appends the stage's child span;
+// a zero start means the stage ended just now.
 func (tr *ReqTrace) record(st Stage, start time.Time, d time.Duration, bytes uint64) {
-	tr.obs.stage[st].ObserveExemplar(float64(d.Nanoseconds()), tr.traceID())
+	tr.obs.stage[st].Observe(float64(d.Nanoseconds()))
 	if tr.obs.col == nil {
 		return
 	}
@@ -310,7 +302,7 @@ func (tr *ReqTrace) adopt(tc *TraceContext) {
 	}
 	if tc.QueueWait > 0 {
 		if tc.Trace != 0 {
-			tr.obs.stage[StageQueueWait].ObserveExemplar(float64(tc.QueueWait.Nanoseconds()), tr.traceID())
+			tr.obs.stage[StageQueueWait].Observe(float64(tc.QueueWait.Nanoseconds()))
 		} else {
 			tr.record(StageQueueWait, root.Start, tc.QueueWait, 0)
 		}
@@ -332,9 +324,9 @@ func (tr *ReqTrace) done() {
 	o, root := tr.obs, &tr.req.Root
 	root.Dur = time.Since(root.Start)
 	ns := float64(root.Dur.Nanoseconds())
-	o.totals.ObserveExemplar(ns, tr.traceID())
+	o.totals.Observe(ns)
 	if h := o.reqClass(tr.op); h != nil {
-		h.ObserveExemplar(ns, tr.traceID())
+		h.Observe(ns)
 	}
 	if o.col == nil {
 		return

@@ -112,7 +112,7 @@ func TestNoConstantHistogram(t *testing.T) {
 // root "core.<op>", one child per stage — bounded and newest first.
 func TestObservabilityTraceRing(t *testing.T) {
 	s := newServer(t, FIDRFull)
-	reg := s.EnableObservability(nil)
+	s.EnableObservability(nil)
 	col := span.NewCollector(8, 0, 0)
 	s.SetSpanCollector(col, 3)
 	sh := blockcomp.NewShaper(0.5)
@@ -153,12 +153,6 @@ func TestObservabilityTraceRing(t *testing.T) {
 	}
 	if len(ids) != len(reqs) {
 		t.Errorf("%d distinct minted IDs across %d unsampled requests", len(ids), len(reqs))
-	}
-	// Unsampled requests leave no exemplars behind.
-	var sb strings.Builder
-	metrics.WriteProm(&sb, reg.Snapshot())
-	if strings.Contains(sb.String(), "trace_id") {
-		t.Error("unsampled traffic produced histogram exemplars")
 	}
 	out := col.RenderRecent()
 	if !strings.Contains(out, "flush") || !strings.Contains(out, "recent request traces") {

@@ -4,8 +4,7 @@
 // a fixed-size ring and served as JSONL. One journal is shared by every
 // group in a cluster: Group labels each record's origin, the monotonic
 // Seq gives the cluster-wide interleaving, and ring overwrite discards
-// the oldest records first (freshest wins), mirroring the exemplar
-// merge semantics of the trace plane.
+// the oldest records first (freshest wins).
 //
 // The package deliberately depends only on the standard library so that
 // every layer (core, metrics, the daemons) can emit into it without
@@ -40,9 +39,9 @@ const (
 )
 
 // Event is one journal record. Fields carries the type-specific
-// numeric payload (e.g. bytes_reclaimed for a gc_run); Trace is the
-// originating distributed trace ID when one was sampled, empty
-// otherwise.
+// numeric payload (e.g. bytes_reclaimed for a gc_run); Trace is the ID
+// of the trace a collector keeps for the originating request (it
+// resolves at /traces/spans), empty otherwise.
 type Event struct {
 	Seq          uint64           `json:"seq"`
 	TimeUnixNano int64            `json:"time_unix_nano"`

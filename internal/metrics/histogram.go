@@ -3,9 +3,7 @@ package metrics
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram layout: log-linear ("HDR-style") buckets. Values are split
@@ -49,7 +47,7 @@ func bucketBounds(idx int) (lower, upper uint64) {
 	return lower, upper
 }
 
-// Histogram is a bounded, concurrent-safe distribution: fixed log-linear
+// Histogram is a bounded, lock-free distribution: fixed log-linear
 // buckets for quantiles plus exact running count/sum/min/max. Memory is
 // constant regardless of how many values are observed, so it is safe on
 // hot paths of long-lived daemons. All methods may be called from any
@@ -65,26 +63,7 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 	minBits atomic.Uint64 // float64 bits; +Inf until first Observe
 	maxBits atomic.Uint64 // float64 bits; -Inf until first Observe
-
-	// Exemplars: a recent sampled trace ID per occupied bucket, so a
-	// scraped p99 bucket resolves to an actual retrievable span tree.
-	// Only ObserveExemplar (sampled requests) touches the map; plain
-	// Observe stays lock-free.
-	exMu sync.Mutex
-	ex   map[int]Exemplar
 }
-
-// Exemplar links one histogram bucket to the trace that last landed in
-// it: the trace ID, the observed value, and the observation time.
-type Exemplar struct {
-	TraceID string
-	Value   float64
-	UnixNS  int64
-}
-
-// maxExemplarBuckets bounds the per-histogram exemplar map; when full,
-// a new bucket's exemplar evicts the stalest one.
-const maxExemplarBuckets = 64
 
 // NewHistogram returns an empty histogram. Always use the constructor:
 // the zero value mis-reports Min.
@@ -135,50 +114,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one value and tags its bucket with the
-// observing trace's ID. Call it for sampled requests only; the
-// exemplar map is mutex-guarded, so unsampled traffic should use the
-// lock-free Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if traceID == "" {
-		return
-	}
-	clamped := v
-	if clamped < 0 || math.IsNaN(clamped) {
-		clamped = 0
-	}
-	u := uint64(math.MaxUint64)
-	if clamped < math.MaxUint64 {
-		u = uint64(clamped)
-	}
-	idx := bucketIndex(u)
-	now := time.Now().UnixNano()
-	h.exMu.Lock()
-	if h.ex == nil {
-		h.ex = make(map[int]Exemplar)
-	}
-	if _, ok := h.ex[idx]; !ok && len(h.ex) >= maxExemplarBuckets {
-		stalest, at := -1, int64(math.MaxInt64)
-		for i, e := range h.ex {
-			if e.UnixNS < at {
-				stalest, at = i, e.UnixNS
-			}
-		}
-		delete(h.ex, stalest)
-	}
-	h.ex[idx] = Exemplar{TraceID: traceID, Value: v, UnixNS: now}
-	h.exMu.Unlock()
-}
-
-// exemplar returns the stored exemplar for a bucket index, if any.
-func (h *Histogram) exemplar(idx int) (Exemplar, bool) {
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	e, ok := h.ex[idx]
-	return e, ok
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
@@ -212,55 +147,30 @@ func (h *Histogram) Max() float64 {
 
 // Quantile returns the q-th quantile estimate (0 <= q <= 1).
 func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min()
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	rank := uint64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
+	bs, total := h.buckets()
+	return quantileFromBuckets(bs, total, q, h.Min(), h.Max())
+}
+
+// buckets reads the occupied buckets in ascending value order, one pass
+// over the array, and the sum of their counts.
+func (h *Histogram) buckets() (bs []BucketCount, total uint64) {
 	for i := 0; i < histBuckets; i++ {
 		c := h.counts[i].Load()
 		if c == 0 {
 			continue
 		}
-		cum += c
-		if cum >= rank {
-			lower, upper := bucketBounds(i)
-			est := (float64(lower) + float64(upper)) / 2
-			// Clamp into the exact observed range so quantiles never
-			// contradict Min/Max.
-			if max := h.Max(); est > max {
-				est = max
-			}
-			if min := h.Min(); est < min {
-				est = min
-			}
-			return est
-		}
+		lower, upper := bucketBounds(i)
+		bs = append(bs, BucketCount{Lower: float64(lower), Upper: float64(upper), Count: c})
+		total += c
 	}
-	return h.Max()
+	return bs, total
 }
-
-// Percentile returns the p-th percentile estimate (0 <= p <= 100).
-func (h *Histogram) Percentile(p float64) float64 { return h.Quantile(p / 100) }
 
 // BucketCount is one occupied histogram bucket: the half-open value
 // range [Lower, Upper) and the number of observations that fell in it.
 type BucketCount struct {
 	Lower, Upper float64
 	Count        uint64
-	// Exemplar is a recent trace that landed in this bucket (nil when
-	// no sampled request has hit it).
-	Exemplar *Exemplar
 }
 
 // HistogramSnapshot is a point-in-time summary of a histogram.
@@ -284,28 +194,15 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Mean:  h.Mean(),
 		Min:   h.Min(),
 		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
 	}
-	for i := 0; i < histBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		lower, upper := bucketBounds(i)
-		bc := BucketCount{Lower: float64(lower), Upper: float64(upper), Count: c}
-		if e, ok := h.exemplar(i); ok {
-			e := e
-			bc.Exemplar = &e
-		}
-		s.Buckets = append(s.Buckets, bc)
-	}
+	s.Buckets, _ = h.buckets()
+	s.FillQuantiles()
 	return s
 }
 
 // quantileFromBuckets estimates the q-th quantile from occupied buckets
-// (bucket-midpoint, like Histogram.Quantile), clamped into [min, max].
+// as the midpoint of the bucket holding the rank, clamped into
+// [min, max]; q <= 0 and q >= 1 are min and max exactly.
 func quantileFromBuckets(bs []BucketCount, total uint64, q, min, max float64) float64 {
 	if total == 0 {
 		return 0
@@ -367,11 +264,6 @@ func MergeHistogramSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
 		default: // same bucket
 			m := a.Buckets[i]
 			m.Count += b.Buckets[j].Count
-			// Keep the freshest exemplar across the merged shards.
-			if eb := b.Buckets[j].Exemplar; eb != nil &&
-				(m.Exemplar == nil || eb.UnixNS > m.Exemplar.UnixNS) {
-				m.Exemplar = eb
-			}
 			out.Buckets = append(out.Buckets, m)
 			i++
 			j++
@@ -382,9 +274,9 @@ func MergeHistogramSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
 }
 
 // FillQuantiles sets P50, P90 and P99 from Buckets, Min and Max with the
-// registry's one estimator (quantileFromBuckets): what a merged snapshot
-// and one bridged from another histogram layout (health.Runtime) share
-// with a live Histogram.
+// registry's one estimator (quantileFromBuckets), which Histogram.Quantile,
+// Snapshot, merged snapshots and snapshots bridged from another
+// histogram layout (health.Runtime) all share.
 func (s *HistogramSnapshot) FillQuantiles() {
 	var total uint64
 	for _, bc := range s.Buckets {

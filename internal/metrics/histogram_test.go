@@ -96,9 +96,25 @@ func TestHistogramPercentileAccuracy(t *testing.T) {
 	}
 	for _, p := range []float64{10, 25, 50, 90, 99} {
 		exact := s.Percentile(p)
-		est := h.Percentile(p)
+		est := h.Quantile(p / 100)
 		if rel := math.Abs(est-exact) / exact; rel > 2.0/histSub {
 			t.Errorf("p%.0f: est %v vs exact %v (rel err %.3f)", p, est, exact, rel)
+		}
+	}
+	// One estimator: the snapshot's quantiles are FillQuantiles over its
+	// own buckets, and Quantile agrees with it at every q.
+	snap := h.Snapshot()
+	refill := snap
+	refill.P50, refill.P90, refill.P99 = 0, 0, 0
+	refill.FillQuantiles()
+	if refill.P50 != snap.P50 || refill.P90 != snap.P90 || refill.P99 != snap.P99 {
+		t.Errorf("snapshot p50/p90/p99 %v/%v/%v, FillQuantiles over its buckets %v/%v/%v",
+			snap.P50, snap.P90, snap.P99, refill.P50, refill.P90, refill.P99)
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		want := quantileFromBuckets(snap.Buckets, snap.Count, q, snap.Min, snap.Max)
+		if got := h.Quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %v, estimator over the snapshot's buckets = %v", q, got, want)
 		}
 	}
 	// Quantiles are monotone and bounded by min/max.

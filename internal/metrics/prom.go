@@ -111,13 +111,7 @@ func writePromScalar(w io.Writer, kind, name, sample string, v float64, typeLine
 // writePromHistogram expands one histogram snapshot. Cumulative bucket
 // counts come from the snapshot's own buckets, so _count always equals
 // the +Inf bucket even if the source histogram is being written
-// concurrently. Buckets with a recorded exemplar append it in
-// OpenMetrics exemplar syntax:
-//
-//	<name>_bucket{le="<upper>"} <cum> # {trace_id="<id>"} <value> <ts>
-//
-// so a scraper (or a human reading the page) can resolve the bucket to
-// a retrievable span tree at /traces/spans?id=<id>.
+// concurrently.
 func writePromHistogram(w io.Writer, name string, h HistogramSnapshot) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
@@ -125,16 +119,7 @@ func writePromHistogram(w io.Writer, name string, h HistogramSnapshot) error {
 	var cum uint64
 	for _, b := range h.Buckets {
 		cum += b.Count
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d", name, promFloat(b.Upper), cum); err != nil {
-			return err
-		}
-		if e := b.Exemplar; e != nil {
-			if _, err := fmt.Fprintf(w, " # {trace_id=%q} %s %.3f",
-				e.TraceID, promFloat(e.Value), float64(e.UnixNS)/1e9); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(b.Upper), cum); err != nil {
 			return err
 		}
 	}

@@ -65,58 +65,6 @@ func TestPromExpositionParses(t *testing.T) {
 	}
 }
 
-// TestPromExemplarExposition: a sampled observation's trace ID rides
-// its bucket into the exposition as an OpenMetrics exemplar, the page
-// still lexes, and merging histogram snapshots keeps the freshest
-// exemplar per bucket.
-func TestPromExemplarExposition(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("req.write.ns")
-	h.Observe(100) // unsampled: no exemplar on this bucket
-	h.ObserveExemplar(5000, "00c0ffee00c0ffee")
-
-	out := DumpProm(r.Snapshot())
-	if !strings.Contains(out, `# {trace_id="00c0ffee00c0ffee"} 5000`) {
-		t.Fatalf("exemplar missing from exposition:\n%s", out)
-	}
-	if err := ValidatePromText(strings.NewReader(out)); err != nil {
-		t.Fatalf("exemplar exposition does not lex: %v\npage:\n%s", err, out)
-	}
-
-	snap := h.Snapshot()
-	var withEx, withoutEx int
-	for _, b := range snap.Buckets {
-		if b.Exemplar != nil {
-			withEx++
-			if b.Exemplar.TraceID != "00c0ffee00c0ffee" || b.Exemplar.Value != 5000 {
-				t.Fatalf("wrong exemplar %+v", *b.Exemplar)
-			}
-		} else {
-			withoutEx++
-		}
-	}
-	if withEx != 1 || withoutEx != 1 {
-		t.Fatalf("exemplar buckets = %d with / %d without, want 1/1", withEx, withoutEx)
-	}
-
-	// Merge: same bucket from another shard with a newer exemplar wins.
-	h2 := NewHistogram()
-	h2.ObserveExemplar(5000, "newer")
-	merged := MergeHistogramSnapshots(snap, h2.Snapshot())
-	found := false
-	for _, b := range merged.Buckets {
-		if b.Exemplar != nil && b.Count == 2 {
-			found = true
-			if b.Exemplar.TraceID != "newer" {
-				t.Fatalf("merge kept stale exemplar %q", b.Exemplar.TraceID)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("merged bucket lost its exemplar")
-	}
-}
-
 func TestPromHistogramBucketsCumulative(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("stage.hash.ns")

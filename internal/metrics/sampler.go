@@ -22,13 +22,38 @@ import (
 // time, and its windowed rate divided by wall time is the device's
 // utilization over the window (clamped to [0, 1]).
 type Sampler struct {
-	g   Gatherer
-	cap int
+	g       Gatherer
+	samples ring[sample]
+}
 
-	mu      sync.Mutex
-	samples []sample // ring, oldest first after wrap
-	next    int
-	full    bool
+// ring keeps the newest cap values pushed into it; the Sampler's scrapes
+// and the SLO evaluator's ticks each live in one.
+type ring[T any] struct {
+	mu   sync.Mutex
+	buf  []T
+	next int // slot the next push overwrites once buf is full
+	cap  int
+}
+
+// push appends v, overwriting the oldest value once the ring is full.
+func (r *ring[T]) push(v T) {
+	r.mu.Lock()
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.next] = v
+		r.next = (r.next + 1) % r.cap
+	}
+	r.mu.Unlock()
+}
+
+// ordered returns a copy of the retained values, oldest first.
+func (r *ring[T]) ordered() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 // sample is one scrape: a timestamp plus every scalar's value.
@@ -50,7 +75,7 @@ func NewSampler(g Gatherer, capacity int) *Sampler {
 	if capacity <= 0 {
 		capacity = 300
 	}
-	return &Sampler{g: g, cap: capacity}
+	return &Sampler{g: g, samples: ring[sample]{cap: capacity}}
 }
 
 // Sample takes one scrape at the given time and appends it to the ring.
@@ -65,15 +90,7 @@ func (s *Sampler) Sample(at time.Time) {
 			vals[m.Name+".count"] = scalar{kind: "counter", v: float64(m.Hist.Count)}
 		}
 	}
-	s.mu.Lock()
-	if len(s.samples) < s.cap {
-		s.samples = append(s.samples, sample{at: at, vals: vals})
-	} else {
-		s.samples[s.next] = sample{at: at, vals: vals}
-		s.next = (s.next + 1) % s.cap
-		s.full = true
-	}
-	s.mu.Unlock()
+	s.samples.push(sample{at: at, vals: vals})
 }
 
 // Point is one sampled value.
@@ -117,21 +134,6 @@ type SeriesDump struct {
 	Series        []Series `json:"series"`
 }
 
-// ordered returns the retained samples oldest first.
-func (s *Sampler) ordered() []sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		out := make([]sample, len(s.samples))
-		copy(out, s.samples)
-		return out
-	}
-	out := make([]sample, 0, s.cap)
-	out = append(out, s.samples[s.next:]...)
-	out = append(out, s.samples[:s.next]...)
-	return out
-}
-
 // Dump assembles the time-series view. prefix filters series by name
 // prefix ("" keeps all); last bounds points per series (<= 0 keeps all
 // retained samples).
@@ -142,7 +144,7 @@ func (s *Sampler) Dump(prefix string, last int) SeriesDump {
 // dump is Dump plus a wall-clock window: window > 0 keeps only samples
 // within that span of the newest retained sample.
 func (s *Sampler) dump(prefix string, last int, window time.Duration) SeriesDump {
-	samples := s.ordered()
+	samples := s.samples.ordered()
 	dump := SeriesDump{Samples: len(samples)}
 	if len(samples) == 0 {
 		return dump

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"fidr/internal/metrics/events"
@@ -134,7 +133,6 @@ type sloSample struct {
 type SLO struct {
 	g    Gatherer
 	objs []Objective
-	cap  int
 
 	// Per-objective gauges, published when Instrument was called.
 	budget, burnFast, burnSlow, errRate []*Gauge
@@ -147,10 +145,7 @@ type SLO struct {
 	onBreach     func(objective string)
 	prevBreached []bool
 
-	mu      sync.Mutex
-	samples []sloSample
-	next    int
-	full    bool
+	samples ring[sloSample]
 }
 
 // NewSLO builds an evaluator over g retaining capacity ticks
@@ -163,7 +158,7 @@ func NewSLO(g Gatherer, objs []Objective, capacity int) *SLO {
 	if len(objs) == 0 {
 		objs = DefaultObjectives()
 	}
-	return &SLO{g: g, objs: append([]Objective(nil), objs...), cap: capacity}
+	return &SLO{g: g, objs: append([]Objective(nil), objs...), samples: ring[sloSample]{cap: capacity}}
 }
 
 // Objectives returns the evaluated objectives.
@@ -216,15 +211,7 @@ func (s *SLO) Sample(at time.Time) {
 			smp.good[i], smp.total[i] = goodTotal(h, float64(o.Threshold.Nanoseconds()))
 		}
 	}
-	s.mu.Lock()
-	if len(s.samples) < s.cap {
-		s.samples = append(s.samples, smp)
-	} else {
-		s.samples[s.next] = smp
-		s.next = (s.next + 1) % s.cap
-		s.full = true
-	}
-	s.mu.Unlock()
+	s.samples.push(smp)
 	if s.budget == nil && s.journal == nil && s.onBreach == nil {
 		return
 	}
@@ -278,21 +265,6 @@ func (s *SLO) OnBreach(fn func(objective string)) { s.onBreach = fn }
 // slo_breach_end events on breach-state transitions (edges only, so a
 // sustained breach is one event, not one per tick).
 func (s *SLO) SetEventJournal(j *events.Journal) { s.journal = j }
-
-// ordered returns retained ticks oldest first.
-func (s *SLO) ordered() []sloSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		out := make([]sloSample, len(s.samples))
-		copy(out, s.samples)
-		return out
-	}
-	out := make([]sloSample, 0, s.cap)
-	out = append(out, s.samples[s.next:]...)
-	out = append(out, s.samples[:s.next]...)
-	return out
-}
 
 // ObjectiveStatus is one objective's evaluated state.
 type ObjectiveStatus struct {
@@ -352,7 +324,7 @@ func errRateOver(samples []sloSample, i int, window time.Duration) float64 {
 
 // Status evaluates every objective over the retained ticks.
 func (s *SLO) Status() []ObjectiveStatus {
-	samples := s.ordered()
+	samples := s.samples.ordered()
 	out := make([]ObjectiveStatus, len(s.objs))
 	var window float64
 	if len(samples) >= 2 {
