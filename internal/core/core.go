@@ -337,7 +337,6 @@ type Server struct {
 	cfg    Config
 	geom   hashpbn.Geometry
 	ledger *hostmodel.Ledger
-	costs  hostmodel.CostParams
 	topo   *pcie.Topology
 
 	fnic *nic.FIDR
@@ -416,7 +415,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	ledger := hostmodel.NewLedger()
-	costs := hostmodel.DefaultCosts()
 
 	topo := pcie.NewTopology()
 	if err := topo.AddSwitch("sw0"); err != nil {
@@ -465,7 +463,6 @@ func New(cfg Config) (*Server, error) {
 		Mode:       mode,
 		TableSSD:   tableSSD,
 		Ledger:     ledger,
-		Costs:      costs,
 	})
 	if err != nil {
 		return nil, err
@@ -485,7 +482,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		geom:     geom,
 		ledger:   ledger,
-		costs:    costs,
 		topo:     topo,
 		comp:     comp,
 		decomp:   engine.NewDecompression(cfg.Compressor),
@@ -497,7 +493,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Arch == Baseline {
 		s.pnic = nic.NewPlain()
-		s.pred = predictor.New(cfg.PredictorCapacity, ledger, costs)
+		s.pred = predictor.New(cfg.PredictorCapacity, ledger)
 		s.chunker, err = cfg.Chunking.NewChunker()
 		if err != nil {
 			return nil, err

@@ -168,7 +168,7 @@ func (s *Server) compactOne(c uint64, res *CompactResult, tr *ReqTrace) error {
 				// SSD -> Compression Engine, peer-to-peer.
 				s.transfer(devDataSSD, devComp, uint64(len(cdata)))
 			}
-			s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
+			s.ledger.Count(hostmodel.EvDataSSDIO, 1)
 		}
 		fp, _ := s.fpOf(pbn)
 		packStart := tr.start()
@@ -181,7 +181,7 @@ func (s *Server) compactOne(c uint64, res *CompactResult, tr *ReqTrace) error {
 			return err
 		}
 		s.walRelocate(pbn, meta.Container, meta.Offset)
-		s.ledger.CPU(hostmodel.CompDeviceMgr, s.costs.DeviceMgrPerChunkNs)
+		s.ledger.Count(hostmodel.EvDeviceMgrChunk, 1)
 		res.ChunksMoved++
 		res.BytesMoved += uint64(len(cdata))
 	}

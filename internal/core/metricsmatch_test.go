@@ -64,6 +64,11 @@ func TestMetricsMatchStats(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The table SSD outlives a crash: a recovered server's
+				// table-SSD IO is compared from the end of its recovery
+				// (which also reads the checkpoint header, uncounted).
+				var tableIO0 uint64
+				var tssd0 ssd.Stats
 				switch when {
 				case late:
 					mixedOps(t, s, 0, 200)
@@ -80,12 +85,42 @@ func TestMetricsMatchStats(t *testing.T) {
 					if s.LastRecovery().ReplayedRecords == 0 {
 						t.Fatal("recovery replayed nothing; the row would not test pre-attach activity")
 					}
+					tableIO0, tssd0 = s.Ledger().Snapshot().Events[hostmodel.EvTableSSDIO], s.TableSSDStats()
 				}
 				reg := s.EnableObservability(nil)
 				mixedOps(t, s, 200, 300)
 				assertMetricsMatch(t, s, reg)
+				assertEventsMatch(t, s, tableIO0, tssd0)
 			})
 		}
+	}
+}
+
+// assertEventsMatch checks the ledger's event counts against the
+// counters that already count the same things: client requests, predictor
+// calls, and table-SSD commands (since tableIO0 and tssd0) under software
+// caching, which FIDR-Full's Cache HW-Engine takes off the host.
+func assertEventsMatch(t *testing.T, s *Server, tableIO0 uint64, tssd0 ssd.Stats) {
+	t.Helper()
+	ev := s.Ledger().Snapshot().Events
+	st := s.Stats()
+	if ev[hostmodel.EvProtocolWrite] != st.ClientWrites || ev[hostmodel.EvProtocolRead] != st.ClientReads {
+		t.Errorf("protocol events %d writes / %d reads, Stats %d / %d",
+			ev[hostmodel.EvProtocolWrite], ev[hostmodel.EvProtocolRead], st.ClientWrites, st.ClientReads)
+	}
+	predictions := s.PredictorStats().Predictions
+	if (s.Arch() == Baseline) != (predictions > 0) || ev[hostmodel.EvPredictorChunk] != predictions {
+		t.Errorf("%d predictor events, %d predictions", ev[hostmodel.EvPredictorChunk], predictions)
+	}
+	tssd := s.TableSSDStats()
+	commands := tssd.ReadIOs + tssd.WriteIOs - tssd0.ReadIOs - tssd0.WriteIOs
+	var want uint64
+	if s.Arch() != FIDRFull {
+		want = commands
+	}
+	if commands == 0 || ev[hostmodel.EvTableSSDIO]-tableIO0 != want {
+		t.Errorf("%d table-SSD IO events for %d device commands, want %d",
+			ev[hostmodel.EvTableSSDIO]-tableIO0, commands, want)
 	}
 }
 

@@ -106,8 +106,12 @@ func keepBytesRun(t *testing.T, p trace.Params, chunking chunk.Config, arch Arch
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(h, "%+v\n%+v\n%+v\n%+v\n%+v\n%+v\n%+v\n", s.Stats(), s.CacheStats(), s.EngineStats(),
-		s.NICStats(), s.DataSSDStats(), s.TableSSDStats(), s.Ledger().Snapshot())
+	// The ledger enters as the fields the digests were taken over, in %+v's
+	// text; its Events are the counts CPUNanos prices.
+	l := s.Ledger().Snapshot()
+	fmt.Fprintf(h, "%+v\n%+v\n%+v\n%+v\n%+v\n%+v\n{MemBytes:%v CPUNanos:%v ClientBytes:%d PayloadBytes:%d}\n",
+		s.Stats(), s.CacheStats(), s.EngineStats(), s.NICStats(), s.DataSSDStats(), s.TableSSDStats(),
+		l.MemBytes, l.CPUNanos, l.ClientBytes, l.PayloadBytes)
 	wal := make([]byte, dev.Len())
 	if _, err := dev.ReadAt(wal, 0); err != nil && len(wal) > 0 {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 		return nil, err
 	}
 	s.ctr.reads.Inc()
-	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolReadNs)
+	s.ledger.Count(hostmodel.EvProtocolRead, 1)
 	tr := s.obs.begin("read", lba)
 	tr.adopt(tc)
 	defer tr.done()
@@ -140,7 +140,7 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		// SSD -> host memory.
 		s.transfer(devDataSSD, pcie.HostMemory, csize)
 		s.ledger.MemPayload(hostmodel.PathHostSSD, csize)
-		s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
+		s.ledger.Count(hostmodel.EvDataSSDIO, 1)
 	}
 	// Host -> decompression FPGA, decompress, FPGA -> host.
 	s.transfer(pcie.HostMemory, devDecomp, csize)
@@ -153,11 +153,11 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	tr.span(StageDecompress, from)
 	s.transfer(devDecomp, pcie.HostMemory, raw)
 	s.ledger.MemPayload(hostmodel.PathHostFPGA, raw)
-	s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerChunkNs)
+	s.ledger.Count(hostmodel.EvDMAChunk, 1)
 	// Host -> NIC -> client.
 	s.transfer(pcie.HostMemory, devNIC, raw)
 	s.ledger.MemPayload(hostmodel.PathNICHost, raw)
-	s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerChunkNs)
+	s.ledger.Count(hostmodel.EvDMAChunk, 1)
 	return out, nil
 }
 
@@ -197,7 +197,7 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	tr.span(StageLBAResolve, from)
 	// The device manager orchestrates two P2P hops per read (SSD ->
 	// engine, engine -> NIC), each a doorbell/completion round.
-	s.ledger.CPU(hostmodel.CompDeviceMgr, 2*s.costs.DeviceMgrPerChunkNs)
+	s.ledger.Count(hostmodel.EvDeviceMgrChunk, 2)
 
 	cdata, fromSSD, err := s.fetchCompressed(pba, tr)
 	if err != nil {
@@ -212,7 +212,7 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		// §7.5 future-work extension: with the data-SSD queues
 		// offloaded to the FPGA, reads cost no host IO-stack time.
 		if !s.cfg.OffloadDataSSDQueues {
-			s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
+			s.ledger.Count(hostmodel.EvDataSSDIO, 1)
 		}
 	} else {
 		s.transfer(devComp, devDecomp, csize)
@@ -233,7 +233,7 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 // resolve maps an LBA to its chunk's level-2 record (placement, compressed
 // size, uncompressed length), charging the LBA-PBA table work.
 func (s *Server) resolve(lba uint64) (lbatable.PBA, error) {
-	s.ledger.CPU(hostmodel.CompLBATable, s.costs.LBATablePerOpNs)
+	s.ledger.Count(hostmodel.EvLBATableOp, 1)
 	pba, err := s.lba.ResolveLBA(lba)
 	if err == lbatable.ErrUnmapped {
 		return lbatable.PBA{}, ErrNotFound

@@ -43,7 +43,7 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	s.ctr.clientBytes.Add(uint64(len(data)))
 	s.ctr.logicalBytes.Add(uint64(len(data)))
 	s.ledger.Client(uint64(len(data)))
-	s.ledger.CPU(hostmodel.CompProtocol, s.costs.ProtocolWriteNs)
+	s.ledger.Count(hostmodel.EvProtocolWrite, 1)
 	tr := s.obs.begin("write", lba)
 	tr.adopt(tc)
 	defer tr.done()
@@ -103,7 +103,7 @@ func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	s.pnic.ReceiveWrite(data)
 	s.transfer(devNIC, pcie.HostMemory, uint64(len(data)))
 	s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
-	s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerChunkNs)
+	s.ledger.Count(hostmodel.EvDMAChunk, 1)
 
 	cp := bufpool.Get(len(data))
 	copy(cp, data)
@@ -131,7 +131,7 @@ func (s *Server) processBaselineBatch() error {
 	from := bt.start()
 	for i := range batch {
 		batch[i].predictedUnique = s.pred.Predict(batch[i].data)
-		s.ledger.CPU(hostmodel.CompBatchSched, s.costs.BatchSchedPerChunkNs)
+		s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
 	}
 	bt.span(StageDedupLookup, from)
 
@@ -142,7 +142,7 @@ func (s *Server) processBaselineBatch() error {
 	}
 	s.transfer(pcie.HostMemory, devFPGA, total)
 	s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
-	s.ledger.CPU(hostmodel.CompDMAMgmt, uint64(len(batch))*s.costs.DMAMgmtPerChunkNs)
+	s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(batch)))
 
 	// 3. FPGA: the hash-core array fingerprints every chunk, fanning the
 	// batch across the configured hash lanes; the compression-pipeline
@@ -204,7 +204,7 @@ func (s *Server) processBaselineBatch() error {
 		if found {
 			// Duplicate: only the LBA-PBA table is updated. A
 			// wastefully compressed copy (false unique) is dropped.
-			s.ledger.CPU(hostmodel.CompLBATable, s.costs.LBATablePerOpNs)
+			s.ledger.Count(hostmodel.EvLBATableOp, 1)
 			if err := s.lba.MapLBA(p.lba, pbn); err != nil {
 				return err
 			}
@@ -228,7 +228,7 @@ func (s *Server) processBaselineBatch() error {
 			p.cdata = cdata
 			s.transfer(devFPGA, pcie.HostMemory, uint64(len(cdata)))
 			s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(len(cdata)))
-			s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerChunkNs)
+			s.ledger.Count(hostmodel.EvDMAChunk, 1)
 		}
 		if err := s.admitUnique(p.lba, p.fp, p.cdata, len(p.data)); err != nil {
 			return err
@@ -343,8 +343,8 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	hashBytes := n * fingerprint.Size
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)
 	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
-	s.ledger.CPU(hostmodel.CompDMAMgmt, s.costs.DMAMgmtPerBatchNs)
-	s.ledger.CPU(hostmodel.CompDeviceMgr, n*s.costs.DeviceMgrPerChunkNs)
+	s.ledger.Count(hostmodel.EvDMABatch, 1)
+	s.ledger.Count(hostmodel.EvDeviceMgrChunk, n)
 	if err != nil {
 		return err
 	}
@@ -518,7 +518,7 @@ func (s *Server) commitGeneration() error {
 			pbn = dupPBN[i]
 			s.tl.dup(uint64(e.Size))
 		}
-		s.ledger.CPU(hostmodel.CompLBATable, s.costs.LBATablePerOpNs)
+		s.ledger.Count(hostmodel.EvLBATableOp, 1)
 		if err := s.lba.MapLBA(e.LBA, pbn); err != nil {
 			return err
 		}
@@ -573,7 +573,7 @@ func (s *Server) admitUnique(lba uint64, fp fingerprint.FP, cdata []byte, rawSiz
 // recordUnique updates the LBA-PBA table and the Hash-PBN cache for a
 // newly packed unique chunk, returning its PBN.
 func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
-	s.ledger.CPU(hostmodel.CompLBATable, s.costs.LBATablePerOpNs)
+	s.ledger.Count(hostmodel.EvLBATableOp, 1)
 	pbn, err := s.lba.Append(meta.LBA, meta.PBA)
 	if err != nil {
 		return 0, err
@@ -622,7 +622,7 @@ func (s *Server) writeSealed(tr *ReqTrace) error {
 			// Data-SSD queues live in host memory in both architectures;
 			// container writes are sequential and batched, so the stack
 			// cost is per container, not per chunk.
-			s.ledger.CPU(hostmodel.CompDataSSDIO, s.costs.DataSSDPerIONs)
+			s.ledger.Count(hostmodel.EvDataSSDIO, 1)
 			s.comp.PopSealed()
 		}
 		tr.span(StageSSDIO, from)

@@ -6,10 +6,12 @@
 // Table 1 (memory-bandwidth breakdown), Table 2 / Figure 5b (CPU
 // breakdown), Figures 4-5 (projected socket limits) and Figures 11-12-14
 // (FIDR vs baseline). The functional servers charge the ledger with
-// *actual byte counts* from their datapaths and with modeled CPU costs per
-// operation (constants in params.go); the projection then normalizes per
-// client byte and scales to a target throughput, exactly as the paper
-// measures at 5 and 6.9 GB/s and projects linearly to 75 GB/s.
+// *actual byte counts* from their datapaths and with counts of CPU events
+// (a tree lookup, a table-SSD command, a client read, ...); a snapshot
+// prices the counts on read with the one calibrated table in params.go.
+// The projection then normalizes per client byte and scales to a target
+// throughput, exactly as the paper measures at 5 and 6.9 GB/s and projects
+// linearly to 75 GB/s.
 package hostmodel
 
 import (
@@ -37,45 +39,29 @@ const (
 	numPaths
 )
 
+// pathRows gives each path its Table 1 label and its metric-name segment.
+var pathRows = [numPaths]struct{ label, slug string }{
+	PathNICHost:    {"NIC <-> host memory", "nic_host"},
+	PathPredictor:  {"Host memory (unique prediction)", "predictor"},
+	PathHostFPGA:   {"Host memory <-> FPGAs", "host_fpga"},
+	PathTableCache: {"Table cache management", "table_cache"},
+	PathHostSSD:    {"Host memory <-> data SSD", "host_ssd"},
+}
+
 // String implements fmt.Stringer, matching Table 1's row labels.
 func (p Path) String() string {
-	switch p {
-	case PathNICHost:
-		return "NIC <-> host memory"
-	case PathPredictor:
-		return "Host memory (unique prediction)"
-	case PathHostFPGA:
-		return "Host memory <-> FPGAs"
-	case PathTableCache:
-		return "Table cache management"
-	case PathHostSSD:
-		return "Host memory <-> data SSD"
-	default:
-		return fmt.Sprintf("Path(%d)", int(p))
+	if uint(p) < uint(numPaths) {
+		return pathRows[p].label
 	}
+	return fmt.Sprintf("Path(%d)", int(p))
 }
+
+// Slug returns the path's metric-name segment.
+func (p Path) Slug() string { return pathRows[p].slug }
 
 // Paths lists all datapaths in Table 1 order.
 func Paths() []Path {
 	return []Path{PathNICHost, PathPredictor, PathHostFPGA, PathTableCache, PathHostSSD}
-}
-
-// Slug returns the path's metric-name segment.
-func (p Path) Slug() string {
-	switch p {
-	case PathNICHost:
-		return "nic_host"
-	case PathPredictor:
-		return "predictor"
-	case PathHostFPGA:
-		return "host_fpga"
-	case PathTableCache:
-		return "table_cache"
-	case PathHostSSD:
-		return "host_ssd"
-	default:
-		return fmt.Sprintf("path_%d", int(p))
-	}
 }
 
 // Component labels CPU time with its software component (Figure 5b and
@@ -113,65 +99,37 @@ const (
 	numComponents
 )
 
+// componentRows gives each component its Figure 5b / Table 2 label, its
+// metric-name segment and its Figure 5b class: memory/IO management and
+// accelerator scheduling, or the "real work" (content access, LBA mapping,
+// request handling) the server must do regardless of architecture.
+var componentRows = [numComponents]struct {
+	label, slug string
+	mgmt        bool
+}{
+	CompPredictor:    {"unique-chunk predictor", "predictor", true},
+	CompBatchSched:   {"batch scheduling", "batch_sched", true},
+	CompDMAMgmt:      {"DMA management", "dma_mgmt", true},
+	CompTreeIndex:    {"table cache tree indexing", "tree_index", true},
+	CompTableSSDIO:   {"table SSD IO stack", "table_ssd_io", true},
+	CompTableContent: {"table cache content access", "table_content", false},
+	CompTableReplace: {"cache replacement (LRU/free lists)", "table_replace", true},
+	CompDataSSDIO:    {"data SSD IO stack", "data_ssd_io", true},
+	CompDeviceMgr:    {"FIDR device manager", "device_mgr", true},
+	CompLBATable:     {"LBA-PBA table", "lba_table", false},
+	CompProtocol:     {"request handling (protocol/block layer)", "protocol", false},
+}
+
 // String implements fmt.Stringer.
 func (c Component) String() string {
-	switch c {
-	case CompPredictor:
-		return "unique-chunk predictor"
-	case CompBatchSched:
-		return "batch scheduling"
-	case CompDMAMgmt:
-		return "DMA management"
-	case CompTreeIndex:
-		return "table cache tree indexing"
-	case CompTableSSDIO:
-		return "table SSD IO stack"
-	case CompTableContent:
-		return "table cache content access"
-	case CompTableReplace:
-		return "cache replacement (LRU/free lists)"
-	case CompDataSSDIO:
-		return "data SSD IO stack"
-	case CompDeviceMgr:
-		return "FIDR device manager"
-	case CompLBATable:
-		return "LBA-PBA table"
-	case CompProtocol:
-		return "request handling (protocol/block layer)"
-	default:
-		return fmt.Sprintf("Component(%d)", int(c))
+	if uint(c) < uint(numComponents) {
+		return componentRows[c].label
 	}
+	return fmt.Sprintf("Component(%d)", int(c))
 }
 
 // Slug returns the component's metric-name segment.
-func (c Component) Slug() string {
-	switch c {
-	case CompPredictor:
-		return "predictor"
-	case CompBatchSched:
-		return "batch_sched"
-	case CompDMAMgmt:
-		return "dma_mgmt"
-	case CompTreeIndex:
-		return "tree_index"
-	case CompTableSSDIO:
-		return "table_ssd_io"
-	case CompTableContent:
-		return "table_content"
-	case CompTableReplace:
-		return "table_replace"
-	case CompDataSSDIO:
-		return "data_ssd_io"
-	case CompDeviceMgr:
-		return "device_mgr"
-	case CompLBATable:
-		return "lba_table"
-	case CompProtocol:
-		return "protocol"
-	default:
-		return fmt.Sprintf("component_%d", int(c))
-	}
-}
+func (c Component) Slug() string { return componentRows[c].slug }
 
 // Components lists all CPU components.
 func Components() []Component {
@@ -182,24 +140,15 @@ func Components() []Component {
 	return out
 }
 
-// MemClass groups components for Figure 5b's two-bar breakdown: memory/IO
-// management + accelerator scheduling vs everything else.
-func (c Component) IsManagementOverhead() bool {
-	switch c {
-	case CompPredictor, CompBatchSched, CompDMAMgmt, CompTreeIndex,
-		CompTableSSDIO, CompTableReplace, CompDataSSDIO, CompDeviceMgr:
-		return true
-	default:
-		// Content access, LBA mapping and request handling are the
-		// "real work" the server must do regardless of architecture.
-		return false
-	}
-}
+// IsManagementOverhead reports whether c counts as memory/IO management
+// or accelerator scheduling in Figure 5b's two-bar breakdown.
+func (c Component) IsManagementOverhead() bool { return componentRows[c].mgmt }
 
-// Ledger accumulates charges. Safe for concurrent use.
+// Ledger accumulates charges: bytes per path and counts per CPU event.
+// Safe for concurrent use.
 type Ledger struct {
 	mem                       [numPaths]metrics.Counter
-	cpu                       [numComponents]metrics.Counter
+	events                    [numEvents]metrics.Counter
 	clientBytes, payloadBytes metrics.Counter
 }
 
@@ -211,8 +160,8 @@ func NewLedger() *Ledger { return &Ledger{} }
 //	hostmodel.dram_bytes            total host-DRAM traffic, all paths (summed on read)
 //	hostmodel.dram_payload_bytes    the client-payload share of it
 //	hostmodel.dram.<path>.bytes     per-datapath traffic (Table 1 rows)
-//	hostmodel.cpu_ns                total modeled host CPU time (summed on read)
-//	hostmodel.cpu.<component>.ns    per-component CPU time (Table 2 rows)
+//	hostmodel.cpu_ns                total modeled host CPU time (priced on read)
+//	hostmodel.cpu.<component>.ns    per-component CPU time (Table 2 rows, priced on read)
 //	hostmodel.client_bytes          client-visible IO (normalization base)
 //
 // dram_payload_bytes turns the paper's headline claim into a scrapeable
@@ -223,15 +172,15 @@ func (l *Ledger) Instrument(reg *metrics.Registry) {
 	for _, p := range Paths() {
 		reg.AttachCounter("hostmodel.dram."+p.Slug()+".bytes", &l.mem[p])
 	}
-	for _, c := range Components() {
-		reg.AttachCounter("hostmodel.cpu."+c.Slug()+".ns", &l.cpu[c])
-	}
 	reg.AttachCounter("hostmodel.dram_payload_bytes", &l.payloadBytes)
 	reg.AttachCounter("hostmodel.client_bytes", &l.clientBytes)
 	reg.AttachDerived(func(emit func(name string, v uint64)) {
 		s := l.Snapshot()
 		emit("hostmodel.dram_bytes", s.TotalMemBytes())
 		emit("hostmodel.cpu_ns", s.TotalCPUNanos())
+		for _, c := range Components() {
+			emit("hostmodel.cpu."+c.Slug()+".ns", s.CPUNanos[c])
+		}
 	})
 }
 
@@ -246,15 +195,19 @@ func (l *Ledger) MemPayload(p Path, n uint64) {
 	l.payloadBytes.Add(n)
 }
 
-// CPU charges ns nanoseconds of CPU time to component c.
-func (l *Ledger) CPU(c Component, ns uint64) { l.cpu[c].Add(ns) }
+// Count records n occurrences of event e. The ledger keeps counts only;
+// a snapshot prices them.
+func (l *Ledger) Count(e Event, n uint64) { l.events[e].Add(n) }
 
 // Client records n bytes of client-visible IO (the normalization base).
 func (l *Ledger) Client(n uint64) { l.clientBytes.Add(n) }
 
 // Snapshot is an immutable copy of ledger totals.
 type Snapshot struct {
-	MemBytes    [numPaths]uint64
+	MemBytes [numPaths]uint64
+	// Events is the raw count of each CPU event.
+	Events [numEvents]uint64
+	// CPUNanos is Events priced and summed per component (see Priced).
 	CPUNanos    [numComponents]uint64
 	ClientBytes uint64
 	// PayloadBytes is the client-payload share of total memory traffic
@@ -263,10 +216,14 @@ type Snapshot struct {
 }
 
 // Add sums o into s field by field (the ledgers of independent
-// sockets, e.g. a cluster's groups).
+// sockets, e.g. a cluster's groups). Pricing is linear, so the summed
+// CPUNanos are the summed Events priced.
 func (s *Snapshot) Add(o Snapshot) {
 	for i := range s.MemBytes {
 		s.MemBytes[i] += o.MemBytes[i]
+	}
+	for i := range s.Events {
+		s.Events[i] += o.Events[i]
 	}
 	for i := range s.CPUNanos {
 		s.CPUNanos[i] += o.CPUNanos[i]
@@ -275,18 +232,28 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.PayloadBytes += o.PayloadBytes
 }
 
-// Snapshot copies the current totals.
+// Priced returns s with CPUNanos recomputed from Events at prices c: each
+// component's time is the sum, over its events, of count × price.
+func (s Snapshot) Priced(c CostParams) Snapshot {
+	s.CPUNanos = [numComponents]uint64{}
+	for e, n := range s.Events {
+		s.CPUNanos[eventRows[e].comp] += n * c[e]
+	}
+	return s
+}
+
+// Snapshot copies the current totals, priced at DefaultCosts.
 func (l *Ledger) Snapshot() Snapshot {
 	var s Snapshot
 	for i := range l.mem {
 		s.MemBytes[i] = l.mem[i].Value()
 	}
-	for i := range l.cpu {
-		s.CPUNanos[i] = l.cpu[i].Value()
+	for i := range l.events {
+		s.Events[i] = l.events[i].Value()
 	}
 	s.ClientBytes = l.clientBytes.Value()
 	s.PayloadBytes = l.payloadBytes.Value()
-	return s
+	return s.Priced(DefaultCosts())
 }
 
 // TotalMemBytes sums memory traffic over all paths.

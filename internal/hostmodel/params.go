@@ -1,75 +1,92 @@
 package hostmodel
 
-// Calibrated model constants.
-//
-// CPU costs are nanoseconds of host-CPU time per operation on a Xeon
-// E5-class core (the paper's E5-2650 v4 testbed). They are calibrated so
-// the baseline's projected totals hit the paper's measured anchors:
-// ~67 cores and 317 GB/s of memory bandwidth for 75 GB/s of write-only
-// data reduction, with the Figure 5b breakdown (52.4% table-cache
-// management, 32.7% predictor) and the Table 2 intra-table-cache split
-// (43.9% tree indexing, 24.7% table-SSD stack, 6.3% content access,
-// 1.0% replacement). EXPERIMENTS.md records paper-vs-model per figure.
-type CostParams struct {
-	// PredictorPerChunkNs: CIDR's software unique-chunk predictor —
-	// sampled fingerprinting plus filter lookup over the request buffer.
-	PredictorPerChunkNs uint64
-	// BatchSchedPerChunkNs: grouping chunks into FPGA batches.
-	BatchSchedPerChunkNs uint64
-	// DMAMgmtPerChunkNs: descriptor setup + completion handling for one
-	// 4-KB chunk bounced through host memory.
-	DMAMgmtPerChunkNs uint64
-	// DMAMgmtPerBatchNs: per-batch cost of device doorbells (FIDR's
-	// metadata-only interactions are charged per batch, not per chunk).
-	DMAMgmtPerBatchNs uint64
-	// TreeLookupNs: one software B+-tree lookup over a multi-GB index
+// Event is one counted unit of host-CPU work. The ledger counts events;
+// eventRows gives each its component and its calibrated price.
+type Event int
+
+const (
+	// EvPredictorChunk: CIDR's software unique-chunk predictor —
+	// sampled fingerprinting plus filter lookup over one buffered chunk.
+	EvPredictorChunk Event = iota
+	// EvBatchSchedChunk: grouping one chunk into an FPGA batch.
+	EvBatchSchedChunk
+	// EvDMAChunk: descriptor setup + completion handling for one 4-KB
+	// chunk bounced through host memory.
+	EvDMAChunk
+	// EvDMABatch: one batch's device doorbells (FIDR's metadata-only
+	// interactions are charged per batch, not per chunk).
+	EvDMABatch
+	// EvTreeLookup: one software B+-tree lookup over a multi-GB index
 	// (cache-missing pointer chases).
-	TreeLookupNs uint64
-	// TreeUpdateNs: one software B+-tree insert or delete.
-	TreeUpdateNs uint64
-	// TableSSDPerIONs: submitting + completing one table-SSD command
-	// through the kernel NVMe stack.
-	TableSSDPerIONs uint64
-	// BucketScanPerEntryNs: comparing one 38-byte table entry during a
+	EvTreeLookup
+	// EvTreeUpdate: one software B+-tree insert or delete.
+	EvTreeUpdate
+	// EvTableSSDIO: submitting + completing one table-SSD command through
+	// the kernel NVMe stack.
+	EvTableSSDIO
+	// EvBucketScanEntry: comparing one 38-byte table entry during a
 	// cached-bucket scan.
-	BucketScanPerEntryNs uint64
-	// LRUPerAccessNs: cache replacement bookkeeping per access.
-	LRUPerAccessNs uint64
-	// DataSSDPerIONs: one data-SSD command through the kernel stack.
-	DataSSDPerIONs uint64
-	// DeviceMgrPerChunkNs: FIDR device-manager work per chunk (bucket
+	EvBucketScanEntry
+	// EvLRUAccess: cache replacement bookkeeping for one access.
+	EvLRUAccess
+	// EvDataSSDIO: one data-SSD command through the kernel stack.
+	EvDataSSDIO
+	// EvDeviceMgrChunk: FIDR device-manager work for one chunk (bucket
 	// index computation, routing status flags between devices).
-	DeviceMgrPerChunkNs uint64
-	// LBATablePerOpNs: LBA-PBA table lookup or update.
-	LBATablePerOpNs uint64
-	// ProtocolWriteNs: request handling per client write — cheap, since
-	// writes batch and ack at the buffer.
-	ProtocolWriteNs uint64
-	// ProtocolReadNs: request handling per client read — synchronous
-	// per-4-KB completion, response assembly and data integrity work,
-	// paid by baseline and FIDR alike (it is why Read-Mixed keeps
-	// substantial CPU in §7.5).
-	ProtocolReadNs uint64
+	EvDeviceMgrChunk
+	// EvLBATableOp: one LBA-PBA table lookup or update.
+	EvLBATableOp
+	// EvProtocolWrite: request handling for one client write — cheap,
+	// since writes batch and ack at the buffer.
+	EvProtocolWrite
+	// EvProtocolRead: request handling for one client read — synchronous
+	// per-4-KB completion, response assembly and data integrity work, paid
+	// by baseline and FIDR alike (it is why Read-Mixed keeps substantial
+	// CPU in §7.5).
+	EvProtocolRead
+
+	numEvents
+)
+
+// CostParams prices each event in nanoseconds of host-CPU time.
+type CostParams [numEvents]uint64
+
+// eventRows is the one price table: each event's component and its
+// calibrated price in nanoseconds of host-CPU time on a Xeon E5-class
+// core (the paper's E5-2650 v4 testbed). The prices are calibrated so the
+// baseline's projected totals hit the paper's measured anchors: ~67 cores
+// and 317 GB/s of memory bandwidth for 75 GB/s of write-only data
+// reduction, with the Figure 5b breakdown (52.4% table-cache management,
+// 32.7% predictor) and the Table 2 intra-table-cache split (43.9% tree
+// indexing, 24.7% table-SSD stack, 6.3% content access, 1.0%
+// replacement). EXPERIMENTS.md records paper-vs-model per figure.
+var eventRows = [numEvents]struct {
+	comp Component
+	ns   uint64
+}{
+	EvPredictorChunk:  {CompPredictor, 1196},
+	EvBatchSchedChunk: {CompBatchSched, 150},
+	EvDMAChunk:        {CompDMAMgmt, 395},
+	EvDMABatch:        {CompDMAMgmt, 2000},
+	EvTreeLookup:      {CompTreeIndex, 620},
+	EvTreeUpdate:      {CompTreeIndex, 1300},
+	EvTableSSDIO:      {CompTableSSDIO, 2200},
+	EvBucketScanEntry: {CompTableContent, 3},
+	EvLRUAccess:       {CompTableReplace, 25},
+	EvDataSSDIO:       {CompDataSSDIO, 2200},
+	EvDeviceMgrChunk:  {CompDeviceMgr, 470},
+	EvLBATableOp:      {CompLBATable, 60},
+	EvProtocolWrite:   {CompProtocol, 500},
+	EvProtocolRead:    {CompProtocol, 1500},
 }
 
-// DefaultCosts returns the calibrated cost table.
+// DefaultCosts returns the calibrated price of every event.
 func DefaultCosts() CostParams {
-	return CostParams{
-		PredictorPerChunkNs:  1196,
-		BatchSchedPerChunkNs: 150,
-		DMAMgmtPerChunkNs:    395,
-		DMAMgmtPerBatchNs:    2000,
-		TreeLookupNs:         620,
-		TreeUpdateNs:         1300,
-		TableSSDPerIONs:      2200,
-		BucketScanPerEntryNs: 3,
-		LRUPerAccessNs:       25,
-		DataSSDPerIONs:       2200,
-		DeviceMgrPerChunkNs:  470,
-		LBATablePerOpNs:      60,
-		ProtocolWriteNs:      500,
-		ProtocolReadNs:       1500,
+	var c CostParams
+	for e, r := range eventRows {
+		c[e] = r.ns
 	}
+	return c
 }
 
 // Socket models one CPU socket of the paper's target platform.

@@ -50,12 +50,11 @@ type Predictor struct {
 	next     int
 
 	ledger *hostmodel.Ledger
-	costs  hostmodel.CostParams
 	stats  Stats
 }
 
 // New creates a predictor remembering up to capacity sketches.
-func New(capacity int, ledger *hostmodel.Ledger, costs hostmodel.CostParams) *Predictor {
+func New(capacity int, ledger *hostmodel.Ledger) *Predictor {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -64,7 +63,6 @@ func New(capacity int, ledger *hostmodel.Ledger, costs hostmodel.CostParams) *Pr
 		sketches: make(map[uint64]bool, capacity),
 		order:    make([]uint64, 0, capacity),
 		ledger:   ledger,
-		costs:    costs,
 	}
 }
 
@@ -94,10 +92,10 @@ func sketch(data []byte) uint64 {
 	return h
 }
 
-// Predict returns true if the chunk is predicted unique. Charges the
-// predictor's CPU time and its read of the chunk from the host buffer.
+// Predict returns true if the chunk is predicted unique. Counts one
+// predictor event and charges its read of the chunk from the host buffer.
 func (p *Predictor) Predict(data []byte) bool {
-	p.ledger.CPU(hostmodel.CompPredictor, p.costs.PredictorPerChunkNs)
+	p.ledger.Count(hostmodel.EvPredictorChunk, 1)
 	p.ledger.MemPayload(hostmodel.PathPredictor, uint64(len(data)))
 	p.stats.Predictions++
 

@@ -9,7 +9,7 @@ import (
 
 func newP(cap int) (*Predictor, *hostmodel.Ledger) {
 	l := hostmodel.NewLedger()
-	return New(cap, l, hostmodel.DefaultCosts()), l
+	return New(cap, l), l
 }
 
 func TestPredictsDuplicates(t *testing.T) {
@@ -36,8 +36,8 @@ func TestChargesLedger(t *testing.T) {
 		p.Predict(data)
 	}
 	s := l.Snapshot()
-	if s.CPUNanos[hostmodel.CompPredictor] == 0 {
-		t.Fatal("no predictor CPU charged")
+	if s.Events[hostmodel.EvPredictorChunk] != 10 || s.CPUNanos[hostmodel.CompPredictor] == 0 {
+		t.Fatalf("predictor: %d events, %d ns", s.Events[hostmodel.EvPredictorChunk], s.CPUNanos[hostmodel.CompPredictor])
 	}
 	if s.MemBytes[hostmodel.PathPredictor] != 10*4096 {
 		t.Fatalf("predictor memory = %d", s.MemBytes[hostmodel.PathPredictor])

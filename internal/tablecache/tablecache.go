@@ -14,7 +14,7 @@
 // one bucket -> line map — and differ only in who is charged:
 //
 //   - Software (baseline): tree indexing, SSD queues and replacement all
-//     run on the host CPU, charged per operation to the host ledger.
+//     run on the host CPU, counted per operation in the host ledger.
 //   - HW (FIDR Cache HW-Engine): tree indexing and table-SSD queue
 //     management run in the engine (§6.1, zero host CPU); the host keeps
 //     the LRU list and scans cached content, exactly the hybrid split of
@@ -72,7 +72,8 @@ type Config struct {
 	TableSSD *ssd.SSD
 	// Ledger receives resource charges. Required.
 	Ledger *hostmodel.Ledger
-	// Costs is the CPU cost table.
+	// Costs is inert: nothing reads it. It stays only because the frozen
+	// benchmark/layers.go names it.
 	Costs hostmodel.CostParams
 }
 
@@ -246,12 +247,12 @@ func (c *Cache) Delete(fp fingerprint.FP) (bool, error) {
 }
 
 // chargeScan accounts a bucket content scan: host CPU (the one component
-// that stays on the CPU in both modes) scales with entries compared,
-// while memory traffic is the full cache line — the scan walks the 4-KB
+// that stays on the CPU in both modes) counts the entries compared, while
+// memory traffic is the full cache line — the scan walks the 4-KB
 // bucket at cache-line granularity, which is why table-cache management
 // is a quarter of baseline memory bandwidth (Table 1).
 func (c *Cache) chargeScan(entries int) {
-	c.cfg.Ledger.CPU(hostmodel.CompTableContent, uint64(entries)*c.cfg.Costs.BucketScanPerEntryNs)
+	c.cfg.Ledger.Count(hostmodel.EvBucketScanEntry, uint64(entries))
 	c.cfg.Ledger.Mem(hostmodel.PathTableCache, hashpbn.BucketSize)
 }
 
@@ -261,7 +262,7 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 	if count {
 		c.lookups.Inc()
 	}
-	c.chargeIndex(c.cfg.Costs.TreeLookupNs)
+	c.chargeIndex(hostmodel.EvTreeLookup)
 	if line, ok := c.idx[bucket]; ok {
 		if count {
 			c.hits.Inc()
@@ -283,7 +284,7 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 	c.lineBucket[line] = bucket
 	c.lineValid[line] = true
 	c.dirty[line] = false
-	c.chargeIndex(c.cfg.Costs.TreeUpdateNs)
+	c.chargeIndex(hostmodel.EvTreeUpdate)
 	c.idx[bucket] = line
 	c.touchLRU(line)
 	return line, nil
@@ -305,7 +306,7 @@ func (c *Cache) allocLine() (uint64, error) {
 	}
 	c.lruUnlink(line)
 	c.evictions.Inc()
-	c.chargeIndex(c.cfg.Costs.TreeUpdateNs)
+	c.chargeIndex(hostmodel.EvTreeUpdate)
 	delete(c.idx, c.lineBucket[line])
 	if c.dirty[line] {
 		if err := c.ssdIO(true, c.lineBucket[line], line); err != nil {
@@ -320,7 +321,7 @@ func (c *Cache) allocLine() (uint64, error) {
 // touchLRU moves the line to the MRU position. The LRU list lives on the
 // host in both modes (§5.5), so the small bookkeeping cost is host CPU.
 func (c *Cache) touchLRU(line uint64) {
-	c.cfg.Ledger.CPU(hostmodel.CompTableReplace, c.cfg.Costs.LRUPerAccessNs)
+	c.cfg.Ledger.Count(hostmodel.EvLRUAccess, 1)
 	c.lruUnlink(line)
 	head := uint64(len(c.lines))
 	first := c.lruNext[head]
@@ -355,22 +356,22 @@ func (c *Cache) ssdIO(write bool, bucket, line uint64) error {
 	return nil
 }
 
-// chargeIndex charges one index operation to the host when the tree is
-// software — the "small data structures, big CPU bill" of Observation #4
+// chargeIndex counts one index operation (a tree lookup or update) on the
+// host when the tree is software — the "small data structures, big CPU bill" of Observation #4
 // (43.9% of table-caching CPU in Table 2). The engine's tree costs the
 // host nothing.
-func (c *Cache) chargeIndex(ns uint64) {
+func (c *Cache) chargeIndex(e hostmodel.Event) {
 	if c.cfg.Mode == Software {
-		c.cfg.Ledger.CPU(hostmodel.CompTreeIndex, ns)
+		c.cfg.Ledger.Count(e, 1)
 	}
 }
 
-// chargeSSDIO charges one bucket IO's trip through the table-SSD software
+// chargeSSDIO counts one bucket IO's trip through the table-SSD software
 // stack when the host manages the queues; the engine's queue management
 // (§6.1) costs the host nothing.
 func (c *Cache) chargeSSDIO() {
 	if c.cfg.Mode == Software {
-		c.cfg.Ledger.CPU(hostmodel.CompTableSSDIO, c.cfg.Costs.TableSSDPerIONs)
+		c.cfg.Ledger.Count(hostmodel.EvTableSSDIO, 1)
 	}
 }
 

@@ -28,7 +28,6 @@ func testCache(t testing.TB, mode Mode, lines int) (*Cache, *hostmodel.Ledger) {
 		UpdateWidth: 4,
 		TableSSD:    dev,
 		Ledger:      ledger,
-		Costs:       hostmodel.DefaultCosts(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +256,7 @@ func TestFlushAllPersists(t *testing.T) {
 	dev := ssd.MustNew(ssd.Config{Name: "t", CapacityBytes: 1 << 30, PageSize: 4096, ReadBW: 1e9, WriteBW: 1e9})
 	l := hostmodel.NewLedger()
 	mk := func() *Cache {
-		c, err := New(Config{Geometry: geom, CacheLines: 32, Mode: Software, TableSSD: dev, Ledger: l, Costs: hostmodel.DefaultCosts()})
+		c, err := New(Config{Geometry: geom, CacheLines: 32, Mode: Software, TableSSD: dev, Ledger: l})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +286,7 @@ func TestCacheLinesClampedToTable(t *testing.T) {
 	geom, _ := hashpbn.GeometryFor(200, 1.0) // tiny table: 2 buckets
 	dev := ssd.MustNew(ssd.Config{Name: "t", CapacityBytes: 1 << 30, PageSize: 4096, ReadBW: 1e9, WriteBW: 1e9})
 	c, err := New(Config{Geometry: geom, CacheLines: 1000, Mode: Software, TableSSD: dev,
-		Ledger: hostmodel.NewLedger(), Costs: hostmodel.DefaultCosts()})
+		Ledger: hostmodel.NewLedger()})
 	if err != nil {
 		t.Fatal(err)
 	}
