@@ -158,12 +158,19 @@ bench-go:
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
-# loc prints the two sizes every ROADMAP re-anchor quotes: non-test Go
-# lines outside benchmark/ (the "code volume" bar) and fidrd's flag count
-# (the lines of the golden TestFlagSetGolden pins).
+# loc prints the sizes every ROADMAP re-anchor quotes: non-test Go lines
+# outside benchmark/ (the "code volume" bar), fidrd's flag count (the
+# lines of the golden TestFlagSetGolden pins), then the non-test lines of
+# each package ROADMAP sizes (its own directory only; "." is the root
+# package).
+LOC_PKGS := internal/core internal/nic internal/chunk internal/lbatable internal/proto \
+	internal/metrics internal/metrics/health internal/experiments .
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 	@echo "$$(wc -l < cmd/fidrd/testdata/fidrd_flags.txt) fidrd flags"
+	@for p in $(LOC_PKGS); do \
+		printf '%6d %s\n' "$$(find $$p -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$p"; \
+	done
 
 # check is the pre-commit bundle: tier-1 plus static analysis and the
 # race detector over the whole module.

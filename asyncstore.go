@@ -3,6 +3,7 @@ package fidr
 import (
 	"fmt"
 
+	"fidr/internal/chunk"
 	"fidr/internal/core"
 )
 
@@ -61,12 +62,13 @@ func (s *AsyncStore) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byt
 	return core.ReadRange(s, lba, n, func(at uint64) ([]byte, error) { return s.ReadTraced(at, tc) })
 }
 
-// CheckRange is Server.CheckRange for the servers behind the groups
-// (their chunking is uniform). A store that is not a server has no
-// chunker to ask and is taken at its word on chunkSize.
-func (s *AsyncStore) CheckRange() error {
+// Chunking is the chunking of the servers behind the groups (it is
+// uniform), whose unit ReadRange and the listener's batch ops walk in. A
+// store that is not a server has no chunker to ask and is taken to hold
+// one chunkSize chunk per address.
+func (s *AsyncStore) Chunking() chunk.Config {
 	if srv, ok := s.a.groups[0].s.(*Server); ok {
-		return srv.CheckRange()
+		return srv.Chunking()
 	}
-	return nil
+	return chunk.Fixed(s.chunkSize)
 }

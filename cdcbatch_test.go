@@ -11,36 +11,32 @@ import (
 	"fidr/internal/proto"
 )
 
-// TestCDCBatchOpsRefused: ReadRange and the wire's batch ops walk
-// consecutive addresses, which name consecutive chunks only under fixed
-// chunking. On a content-defined volume every front end must refuse them
-// with the instructive error — the regression is a success that carries
-// fewer bytes than were written (each 4-KB batch piece re-cut by the
-// chunker, each read returning one first extent). Single segments and
-// extents keep working.
-func TestCDCBatchOpsRefused(t *testing.T) {
+// cdcBatchConfig is a small-extent CDC volume.
+func cdcBatchConfig() fidr.Config {
 	cfg := fidr.DefaultConfig(fidr.FIDRFull)
-	cfg.Chunking = chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384}
+	cfg.Chunking = chunk.Config{Min: 1024, Avg: 4096, Max: 16384}
+	return cfg
+}
+
+// TestCDCBatchOpsRefused: the wire's batch ops count chunk-size blocks at
+// consecutive LBAs (`fidrcli put` / `get` advance their address a chunk at
+// a time), and a content-defined volume addresses bytes. The listener
+// must refuse them with the instructive error — the regression is a
+// success that carries fewer bytes than were written (each 4-KB batch
+// piece re-cut by the chunker at a chunk-index address). Single segments
+// and extents keep working.
+func TestCDCBatchOpsRefused(t *testing.T) {
+	cfg := cdcBatchConfig()
 	const chunks = 32
 	data := make([]byte, chunks*cfg.ChunkSize)
 	rand.New(rand.NewSource(1)).Read(data)
 
-	// pieces writes the batch the way the listener used to split it: one
-	// chunk-size piece per consecutive address, each a legal CDC segment.
-	pieces := func(t *testing.T, write func(lba uint64, data []byte) error) {
-		t.Helper()
-		for i := 0; i < chunks; i++ {
-			if err := write(uint64(i), data[i*cfg.ChunkSize:(i+1)*cfg.ChunkSize]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	refused := func(t *testing.T, what string, got []byte, err error) {
 		t.Helper()
 		if err == nil {
 			t.Fatalf("%s on a CDC volume succeeded (returned %d bytes; the batch is %d)", what, len(got), len(data))
 		}
-		if !strings.Contains(err.Error(), "CDC") {
+		if !strings.Contains(err.Error(), "CDC") || !strings.Contains(err.Error(), "4096-byte chunks") {
 			t.Fatalf("%s: error does not say why: %v", what, err)
 		}
 	}
@@ -91,9 +87,17 @@ func TestCDCBatchOpsRefused(t *testing.T) {
 			t.Fatalf("first extent (%d bytes) is not a prefix of the segment", len(ext))
 		}
 	})
+}
 
-	// AsyncStore over a bare server, and over a cluster the async front
-	// unwraps into its groups' servers.
+// TestCDCReadRangeRoundTrip: in process a range read walks a CDC volume's
+// consecutive extents, so segments written at byte offsets i x ChunkSize
+// come back as one range — through AsyncStore over a bare server, and over
+// a cluster the async front unwraps into its groups' servers.
+func TestCDCReadRangeRoundTrip(t *testing.T) {
+	cfg := cdcBatchConfig()
+	const chunks = 32
+	data := make([]byte, chunks*cfg.ChunkSize)
+	rand.New(rand.NewSource(1)).Read(data)
 	for _, name := range []string{"asyncstore", "cluster"} {
 		t.Run(name, func(t *testing.T) {
 			var backend fidr.Store
@@ -112,9 +116,30 @@ func TestCDCBatchOpsRefused(t *testing.T) {
 			}
 			defer a.Close()
 			st := blocking(t, a)
-			pieces(t, st.Write)
+			for i := 0; i < chunks; i++ {
+				off := i * cfg.ChunkSize
+				if err := st.Write(uint64(off), data[off:off+cfg.ChunkSize]); err != nil {
+					t.Fatal(err)
+				}
+			}
 			got, err := st.ReadRange(0, chunks)
-			refused(t, "AsyncStore.ReadRange", got, err)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("AsyncStore.ReadRange: %d bytes of %d, err %v", len(got), len(data), err)
+			}
 		})
+	}
+}
+
+// TestClusterRefusesCDCAcrossGroups: groups shard by address before any
+// chunker runs, so a CDC segment's interior extents would be stored on a
+// group the cluster never reads them back from. NewCluster refuses the
+// configuration the way a node does.
+func TestClusterRefusesCDCAcrossGroups(t *testing.T) {
+	_, err := fidr.NewCluster(cdcBatchConfig(), 2)
+	if err == nil || !strings.Contains(err.Error(), "-chunker=cdc") {
+		t.Fatalf("NewCluster(cdc, 2): %v, want the -chunker=cdc refusal", err)
+	}
+	if _, err := fidr.NewCluster(cdcBatchConfig(), 1); err != nil {
+		t.Fatalf("NewCluster(cdc, 1): %v", err)
 	}
 }

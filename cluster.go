@@ -1,6 +1,7 @@
 package fidr
 
 import (
+	"errors"
 	"fmt"
 
 	"fidr/internal/core"
@@ -30,16 +31,15 @@ type Cluster struct {
 const maxGroups = 64
 
 // NewCluster builds n groups (1 <= n <= 64) from cfg (each group gets
-// its own devices). A write-ahead log is group-local (like a group's
-// SSDs), so cfg.WAL must be nil for n > 1: one log shared across groups
-// would interleave unrelated allocation sequences and corrupt every
-// group on replay. NewNode builds groups that each own a log.
+// its own devices). Content-defined chunking needs n = 1: groups shard by
+// address, and a segment's interior extents would miss its group. A
+// write-ahead log is group-local (like a group's SSDs), so cfg.WAL must
+// be nil for n > 1: one log shared across groups would interleave
+// unrelated allocation sequences and corrupt every group on replay.
+// NewNode builds groups that each own a log.
 func NewCluster(cfg Config, n int) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fidr: cluster needs at least one group")
-	}
-	if n > maxGroups {
-		return nil, fmt.Errorf("fidr: cluster of %d groups: each group's table cache is allocated up front, so at most %d", n, maxGroups)
+	if err := checkGroups(cfg, n); err != nil {
+		return nil, err
 	}
 	if cfg.WAL != nil && n > 1 {
 		return nil, fmt.Errorf("fidr: a WAL is group-local; cannot share one across %d groups", n)
@@ -53,6 +53,23 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 		c.groups[i] = g
 	}
 	return c, nil
+}
+
+// checkGroups refuses n groups of cfg that cannot form a cluster, before
+// any is built; NewCluster and a node's configuration both ask it.
+func checkGroups(cfg Config, n int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("fidr: -groups %d: a node has at least one group", n)
+	case n > maxGroups:
+		return fmt.Errorf("fidr: -groups %d: each group's table cache is allocated up front, so at most %d groups", n, maxGroups)
+	case n > 1 && cfg.Chunking.Unit() == 1:
+		// Addressing, not persistence: the router shards by address before
+		// any chunker runs, so a segment's interior extents would land on
+		// a group that never saw them.
+		return errors.New("fidr: -chunker=cdc requires -groups 1")
+	}
+	return nil
 }
 
 // Groups returns the number of device groups.

@@ -21,6 +21,13 @@
 // -groups > 1 (volumes do not record the group count that sharded
 // them), and -recover without both volumes.
 //
+// -chunker fixed (the default) cuts each write into one chunk-size chunk
+// at a chunk-index LBA; -chunker cdc runs the same chunker with
+// -cdc-min < -cdc-max, so a write is a stream segment at a byte offset,
+// cut into content-defined extents addressed by their own offsets. A cdc
+// daemon refuses the batch frames (`fidrcli put` / `get -count N`),
+// which count chunk-size blocks at consecutive LBAs.
+//
 // With -data-file/-table-file the volumes are durable; -wal-file adds a
 // group-local write-ahead log (<wal-file>.g<i> per group when there are
 // several) so a crash between checkpoints loses nothing committed:

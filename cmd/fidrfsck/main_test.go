@@ -222,7 +222,7 @@ func TestRunExitCodes(t *testing.T) {
 				dev, tdev := openVolumes(t, dir)
 				cfg := fidr.DefaultConfig(fidr.FIDRFull)
 				cfg.DataSSD, cfg.TableSSD, cfg.WAL = dev, tdev, w
-				cfg.Chunking = chunk.Config{Mode: chunk.ModeCDC}
+				cfg.Chunking = chunk.DefaultCDC
 				srv, err := fidr.NewServer(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -60,19 +60,19 @@ type crashMode struct {
 }
 
 var crashModes = []crashMode{
-	{name: "fixed"},
-	{name: "cdc", chunking: chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384}},
+	{name: "fixed", chunking: chunk.Fixed(4096)},
+	{name: "cdc", chunking: chunk.Config{Min: 1024, Avg: 4096, Max: 16384}},
 }
 
 func (m crashMode) addr(slot uint64) uint64 {
-	if m.chunking.Mode == chunk.ModeCDC {
+	if m.chunking.Unit() == 1 {
 		return slot << 20
 	}
 	return slot
 }
 
 func (m crashMode) payload(seed uint64) []byte {
-	if m.chunking.Mode == chunk.ModeFixed {
+	if m.chunking.Unit() != 1 {
 		return fidr.MakeChunk(seed, 0.5)
 	}
 	var out []byte

@@ -116,5 +116,5 @@ func main() {
 	fmt.Println("CDC resynchronizes within a few chunks and dedups the unshifted tail.")
 	fmt.Println("The paper keeps fixed 4-KB chunks inline (§2.1.1: rolling hashes are too")
 	fmt.Println("expensive at Tbps rates); the skip-ahead chunker revisits that trade-off —")
-	fmt.Println("run fidrbench with -chunker=cdc to measure it end to end.")
+	fmt.Println("`fidrbench cdc` measures it end to end, and `fidrd -chunker cdc` serves it.")
 }

@@ -12,18 +12,15 @@
 // read-modify-write analysis used to reproduce Figure 3.
 package chunk
 
-// DefaultSize is the paper's chunk size: 4 KiB.
-const DefaultSize = 4096
-
 // Chunk is one piece of a client request.
 //
-// Chunkers use extent addressing: LBA is the chunk's absolute byte
-// offset in the client stream, so a chunk is an extent
-// [LBA, LBA+len(Data)) and chunks produced by different Split calls over
-// distinct stream ranges never collide on the same store. Reading a
-// stream back means resolving the extent that *starts* at the requested
-// byte offset. (A fixed-mode server feeds its chunker one chunk per
-// write and keeps the client's chunk-index address; see Config.)
+// Split uses extent addressing: LBA is the chunk's absolute byte offset
+// in the client stream, so a chunk is an extent [LBA, LBA+len(Data)) and
+// chunks produced by different Split calls over distinct stream ranges
+// never collide on the same store. Reading a stream back means resolving
+// the extent that *starts* at the requested byte offset. (A server counts
+// addresses in Config.Unit bytes, so under fixed chunking its addresses
+// are chunk indexes.)
 type Chunk struct {
 	// LBA is the chunk's extent address (absolute stream byte offset).
 	LBA uint64

@@ -7,11 +7,10 @@ import (
 	"testing/quick"
 )
 
-// fixed returns the degenerate Min = Avg = Max chunker a ModeFixed
-// configuration builds.
+// fixed returns the degenerate Min = Avg = Max chunker.
 func fixed(t testing.TB, size int) *CDC {
 	t.Helper()
-	c, err := Config{Mode: ModeFixed, Max: size}.NewChunker()
+	c, err := Fixed(size).NewChunker()
 	if err != nil {
 		t.Fatalf("fixed chunker of %d: %v", size, err)
 	}
@@ -19,24 +18,32 @@ func fixed(t testing.TB, size int) *CDC {
 }
 
 func TestNewFixedValidation(t *testing.T) {
-	for _, size := range []int{-1, -4096} {
-		if _, err := (Config{Mode: ModeFixed, Max: size}).NewChunker(); err == nil {
+	for _, size := range []int{0, -1, -4096} {
+		if _, err := Fixed(size).NewChunker(); err == nil {
 			t.Errorf("fixed chunk size %d accepted", size)
 		}
 	}
-	// Any positive size works, power of two or not; Min and Avg are
-	// whatever the caller left there and must be overwritten.
+	// Any positive size works, power of two or not, and addresses chunks
+	// by index: the unit is the chunk.
 	for _, size := range []int{512, 1536, 4096, 32768} {
-		c, err := Config{Mode: ModeFixed, Min: 7, Avg: 9, Max: size}.NewChunker()
-		if err != nil {
-			t.Fatalf("fixed chunk size %d: %v", size, err)
-		}
+		c := fixed(t, size)
 		if c.Min != size || c.Avg != size || c.Max != size {
 			t.Errorf("size %d: chunker min/avg/max = %d/%d/%d", size, c.Min, c.Avg, c.Max)
 		}
+		if u := Fixed(size).Unit(); u != size {
+			t.Errorf("size %d: unit %d", size, u)
+		}
 	}
-	if c := fixed(t, 0); c.Max != DefaultSize {
-		t.Errorf("zero config chunk size = %d, want %d", c.Max, DefaultSize)
+	// Anything else is content-defined: byte-offset extents, a
+	// power-of-two average.
+	if u := DefaultCDC.Unit(); u != 1 {
+		t.Errorf("CDC unit %d, want 1", u)
+	}
+	if DefaultCDC.Name() != "cdc" || Fixed(4096).Name() != "fixed" {
+		t.Errorf("names %q and %q", DefaultCDC.Name(), Fixed(4096).Name())
+	}
+	if _, err := (Config{Min: 1024, Avg: 3000, Max: 8192}).NewChunker(); err == nil {
+		t.Error("CDC average 3000 accepted")
 	}
 }
 
@@ -61,7 +68,7 @@ func TestSplitBasic(t *testing.T) {
 }
 
 // TestSplitUnaligned: the degenerate chunker has no alignment rule of
-// its own (the fixed-mode server enforces one chunk per write). A short
+// its own (a fixed-chunk server enforces one chunk per write). A short
 // segment is one short chunk, and cuts are relative to the segment
 // start, wherever that is in the stream.
 func TestSplitUnaligned(t *testing.T) {

@@ -2,45 +2,6 @@ package chunk
 
 import "fmt"
 
-// Mode selects the write-path chunking strategy.
-type Mode int
-
-const (
-	// ModeFixed is the paper's fixed 4-KB chunking: block storage is
-	// write-in-place and the chunker must keep up with Tbps line rate
-	// (§2.1.1). Chunks are addressed by chunk index, one per write.
-	ModeFixed Mode = iota
-	// ModeCDC is content-defined chunking: variable-size chunks cut
-	// where the content itself says so, so streams that shift by
-	// insertion still dedup. Chunks are addressed by their absolute
-	// byte offset in the stream (extent addressing, see Chunk).
-	ModeCDC
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeFixed:
-		return "fixed"
-	case ModeCDC:
-		return "cdc"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// ParseMode parses a -chunker flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "fixed":
-		return ModeFixed, nil
-	case "cdc":
-		return ModeCDC, nil
-	default:
-		return 0, fmt.Errorf("chunk: unknown chunking mode %q (want fixed or cdc)", s)
-	}
-}
-
 // Default CDC parameters: 8-KB average chunks in [2 KB, 32 KB]. The max
 // stays well under the LBA table's 16-bit compressed-size field even for
 // incompressible chunks (token-stream overhead included).
@@ -50,49 +11,56 @@ const (
 	DefaultCDCMax = 32768
 )
 
-// Config selects the write-path chunker carried by nic.Config and
-// core.Config. There is one chunker; the modes differ only in how it is
-// sized and how a server addresses its chunks. The zero value is the
-// paper's fixed 4-KB chunking.
+// DefaultCDC is content-defined chunking at the default sizes.
+var DefaultCDC = Config{Min: DefaultCDCMin, Avg: DefaultCDCAvg, Max: DefaultCDCMax}
+
+// Config sizes the write-path chunker carried by core.Config: chunks of
+// Min to Max bytes, cut where the content says so at an Avg-byte mean
+// (Avg a power of two). Min = Avg = Max is the paper's fixed chunking, the
+// degenerate instance that never consults the content (Fixed). The zero
+// value leaves the size to its user: core reads it as fixed chunking at
+// the server's ChunkSize.
 type Config struct {
-	// Mode selects fixed or content-defined chunking.
-	Mode Mode
-	// Min/Avg/Max bound chunk sizes. Under ModeCDC Avg must be a power
-	// of two and all-zero selects the defaults. Under ModeFixed the
-	// chunker is the degenerate Min = Avg = Max instance: Max is the
-	// chunk size (zero selects DefaultSize; core.Config sets it from
-	// ChunkSize) and Min/Avg are overwritten with it, so every cut lands
-	// on a multiple of the chunk size.
 	Min, Avg, Max int
 }
 
-// Normalize fills defaults and validates the configuration.
-func (c *Config) Normalize() error {
-	switch c.Mode {
-	case ModeFixed:
-		if c.Max == 0 {
-			c.Max = DefaultSize
-		}
-		c.Min, c.Avg = c.Max, c.Max
-	case ModeCDC:
-		if c.Min == 0 && c.Avg == 0 && c.Max == 0 {
-			c.Min, c.Avg, c.Max = DefaultCDCMin, DefaultCDCAvg, DefaultCDCMax
-		}
-		if c.Avg&(c.Avg-1) != 0 {
-			return fmt.Errorf("chunk: CDC average %d must be a power of two", c.Avg)
-		}
-	default:
-		return fmt.Errorf("chunk: unknown chunking mode %d", int(c.Mode))
+// Fixed is fixed-size chunking at size bytes.
+func Fixed(size int) Config { return Config{Min: size, Avg: size, Max: size} }
+
+// Unit is the address unit, in bytes, of the chunks cut from one write:
+// a chunk's address is the write's plus its byte position divided by the
+// unit. When Min = Max every cut lands on a multiple of the chunk size, so
+// the unit is the chunk and chunks are addressed by index; otherwise it is
+// one byte and chunks are extents addressed by stream offset.
+func (c Config) Unit() int {
+	if c.Min == c.Max {
+		return c.Max
 	}
+	return 1
+}
+
+// Name is the -chunker value of c's kind: "fixed" or "cdc".
+func (c Config) Name() string {
+	if c.Unit() == 1 {
+		return "cdc"
+	}
+	return "fixed"
+}
+
+// Validate reports whether NewCDC accepts c's sizes.
+func (c Config) Validate() error {
 	if c.Min <= 0 || c.Avg < c.Min || c.Max < c.Avg {
-		return fmt.Errorf("chunk: %s sizes min=%d avg=%d max=%d (want 0 < min <= avg <= max)", c.Mode, c.Min, c.Avg, c.Max)
+		return fmt.Errorf("chunk: %s sizes min=%d avg=%d max=%d (want 0 < min <= avg <= max)", c.Name(), c.Min, c.Avg, c.Max)
+	}
+	if c.Min != c.Max && c.Avg&(c.Avg-1) != 0 {
+		return fmt.Errorf("chunk: CDC average %d must be a power of two", c.Avg)
 	}
 	return nil
 }
 
 // NewChunker builds the chunker the configuration describes.
 func (c Config) NewChunker() (*CDC, error) {
-	if err := c.Normalize(); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	return NewCDC(c.Min, c.Avg, c.Max), nil

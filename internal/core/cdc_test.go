@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 func cdcTestConfig(arch Arch) Config {
 	cfg := DefaultConfig(arch)
 	cfg.ContainerSize = 1 << 18
-	cfg.Chunking = chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384}
+	cfg.Chunking = chunk.Config{Min: 1024, Avg: 4096, Max: 16384}
 	return cfg
 }
 
@@ -30,12 +32,12 @@ type testMode struct {
 }
 
 var testModes = []testMode{
-	{name: "fixed"},
-	{name: "cdc", chunking: chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384}},
+	{name: "fixed", chunking: chunk.Fixed(4096)},
+	{name: "cdc", chunking: chunk.Config{Min: 1024, Avg: 4096, Max: 16384}},
 }
 
 func (m testMode) addr(slot uint64) uint64 {
-	if m.chunking.Mode == chunk.ModeCDC {
+	if m.chunking.Unit() == 1 {
 		return slot << 20
 	}
 	return slot
@@ -43,7 +45,7 @@ func (m testMode) addr(slot uint64) uint64 {
 
 func (m testMode) payload(seed uint64) []byte {
 	sh := blockcomp.NewShaper(0.5)
-	if m.chunking.Mode == chunk.ModeFixed {
+	if m.chunking.Unit() != 1 {
 		return sh.Make(seed, 4096)
 	}
 	var out []byte
@@ -54,7 +56,7 @@ func (m testMode) payload(seed uint64) []byte {
 }
 
 // check reads back every chunk a write of seed's payload at slot left
-// behind — the one chunk in fixed mode, each extent the same chunker
+// behind — the one chunk under fixed chunking, each extent the same chunker
 // configuration cuts client-side under CDC — and compares bit-exact.
 func (m testMode) check(read func(addr uint64) ([]byte, error), slot, seed uint64) error {
 	c, err := m.chunking.NewChunker()
@@ -201,9 +203,9 @@ func TestCDCStreamResumesAcrossBufferDrains(t *testing.T) {
 }
 
 // TestCDCConfigGates pins what a CDC configuration refuses — an
-// oversized Max that cannot fit the 16-bit size fields, an empty write,
-// and ReadRange (chunk-index addressing) — and that Checkpoint is not on
-// that list: every chunk's length is in its record.
+// oversized Max that cannot fit the 16-bit size fields and an empty
+// write — and that ReadRange and Checkpoint are not on that list: a range
+// walks consecutive extents, and every chunk's length is in its record.
 func TestCDCConfigGates(t *testing.T) {
 	cfg := cdcTestConfig(FIDRNicP2P)
 	cfg.Chunking.Max = 1 << 16
@@ -220,12 +222,27 @@ func TestCDCConfigGates(t *testing.T) {
 	if err := s.Write(0, nil); err == nil {
 		t.Error("empty stream write was accepted")
 	}
-	if _, err := s.ReadRange(0, 2); err == nil {
-		t.Error("ReadRange on a CDC server was accepted")
+	if _, err := s.ReadRange(0, 2); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ReadRange of an unwritten CDC range: %v, want ErrNotFound", err)
 	}
 	base, _ := cdcStream(t, 64<<10)
 	if err := s.Write(0, base); err != nil {
 		t.Fatal(err)
+	}
+	// Before and after the batch commits: 16 chunk-size blocks from byte 0
+	// are the segment, whatever extents the chunker cut it into.
+	for _, flush := range []bool{false, true} {
+		if flush {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := s.ReadRange(0, 16); err != nil || !bytes.Equal(got, base) {
+			t.Fatalf("ReadRange over a CDC segment (flushed %v): %d bytes, err %v", flush, len(got), err)
+		}
+		if got, err := s.ReadRange(0, 3); err != nil || !bytes.Equal(got, base[:3*4096]) {
+			t.Fatalf("ReadRange ending inside an extent (flushed %v): %d bytes, err %v", flush, len(got), err)
+		}
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Errorf("Checkpoint on a CDC server: %v", err)
@@ -282,5 +299,47 @@ func TestCDCOverwriteInvalidatesInteriorExtents(t *testing.T) {
 	if !bytes.Equal(got, gen2[cuts2[0]:cuts2[1]]) {
 		t.Fatalf("after the overwrite the second extent read %d bytes (gen-1's were %d), want gen-2's %d",
 			len(got), cuts1[1]-cuts1[0], cuts2[1]-cuts2[0])
+	}
+}
+
+// TestCDCWriteRefusesAddressWrap: a stream segment is refused whole, before
+// anything is buffered, when its last extent's address would pass 2^64-1.
+// Accepted, the extents cut past the top wrapped onto the bottom of the
+// volume, where they overwrote whatever lived at those low addresses.
+func TestCDCWriteRefusesAddressWrap(t *testing.T) {
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(9)).Read(data)
+	for _, arch := range []Arch{Baseline, FIDRFull} {
+		t.Run(arch.String(), func(t *testing.T) {
+			s, err := New(cdcTestConfig(arch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := uint64(math.MaxUint64 - 100)
+			if err := s.Write(top, data); err == nil {
+				t.Fatal("a segment running past the top of the address space was accepted")
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.ClientWrites != 0 || st.UniqueChunks+st.DuplicateChunks != 0 {
+				t.Fatalf("the refused write left %d writes, %d chunks", st.ClientWrites, st.UniqueChunks+st.DuplicateChunks)
+			}
+			// The last byte of the address space still takes a segment.
+			if err := s.Write(top, data[:101]); err != nil {
+				t.Fatalf("segment ending at 2^64-1: %v", err)
+			}
+			if got, err := s.Read(top); err != nil || !bytes.Equal(got, data[:101]) {
+				t.Fatalf("segment ending at 2^64-1 reads back %d bytes, err %v", len(got), err)
+			}
+		})
+	}
+	// Where the unit is the chunk, the one chunk's address is lba itself.
+	s, err := New(DefaultConfig(FIDRFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(math.MaxUint64, data[:4096]); err != nil {
+		t.Fatalf("fixed chunk at the top LBA: %v", err)
 	}
 }

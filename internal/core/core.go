@@ -61,17 +61,18 @@ func (a Arch) String() string {
 type Config struct {
 	// Arch picks the architecture.
 	Arch Arch
-	// ChunkSize is the deduplication granularity (4096) under fixed
-	// chunking.
+	// ChunkSize is the block size clients address in (4096): a range of n
+	// chunks is n x ChunkSize bytes, and fixed chunking cuts chunks of
+	// exactly this size.
 	ChunkSize int
-	// Chunking selects the write-path chunker. The zero value is the
-	// paper's fixed chunking: the chunker with Min = Avg = Max =
-	// ChunkSize (Validate fills them in), one chunk per write, addressed
-	// by chunk index. ModeCDC cuts variable-size content-defined chunks
-	// addressed by stream byte offset (extents). Everything behind the
-	// chunker — dedup, compression, WAL, checkpoint, recovery, GC, fsck —
-	// is the same path in both modes: each stored chunk's level-2 record
-	// carries its own uncompressed length.
+	// Chunking sizes the write-path chunker, and its Unit is the address
+	// unit (see Write). The zero value is the paper's fixed chunking at
+	// ChunkSize (Validate fills it in): one chunk per write, addressed by
+	// chunk index. A content-defined configuration cuts variable-size
+	// chunks addressed by stream byte offset (extents). Everything behind
+	// the chunker — dedup, compression, WAL, checkpoint, recovery, GC,
+	// fsck — is one path: each stored chunk's level-2 record carries its
+	// own uncompressed length.
 	Chunking chunk.Config
 	// BatchChunks is the accelerator batch size in chunks.
 	BatchChunks int
@@ -158,11 +159,15 @@ func (c *Config) Validate() error {
 	if c.PredictorCapacity < 1 {
 		c.PredictorCapacity = 1 << 16
 	}
-	if c.Chunking.Mode == chunk.ModeFixed {
-		c.Chunking.Max = c.ChunkSize
+	if c.Chunking == (chunk.Config{}) {
+		c.Chunking = chunk.Fixed(c.ChunkSize)
 	}
-	if err := c.Chunking.Normalize(); err != nil {
+	if err := c.Chunking.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	// Addresses count chunks or bytes, nothing in between.
+	if u := c.Chunking.Unit(); u != 1 && u != c.ChunkSize {
+		return fmt.Errorf("core: fixed chunks of %d bytes, chunk size is %d", u, c.ChunkSize)
 	}
 	if c.ContainerSize < c.Chunking.Max {
 		return fmt.Errorf("core: container %d smaller than max chunk %d", c.ContainerSize, c.Chunking.Max)
@@ -380,9 +385,8 @@ type Server struct {
 	// their spans under the tipping request's trace.
 	activeReq *ReqTrace
 
-	// chunker is the baseline's chunker: its NIC DMA-writes raw bytes, so
-	// host software cuts them (FIDR servers chunk inside the NIC, see
-	// nic.BufferStream). cbounds is its reusable boundary scratch.
+	// chunker cuts every write into chunks (see Write); cbounds is its
+	// reusable boundary scratch.
 	chunker *chunk.CDC
 	cbounds []int
 
@@ -491,19 +495,14 @@ func New(cfg Config) (*Server, error) {
 		tableSSD: tableSSD,
 		wal:      cfg.WAL,
 	}
+	if s.chunker, err = cfg.Chunking.NewChunker(); err != nil {
+		return nil, err
+	}
 	if cfg.Arch == Baseline {
 		s.pnic = nic.NewPlain()
 		s.pred = predictor.New(cfg.PredictorCapacity, ledger)
-		s.chunker, err = cfg.Chunking.NewChunker()
-		if err != nil {
-			return nil, err
-		}
 	} else {
-		s.fnic, err = nic.New(nic.Config{
-			BufferBytes: cfg.NICBufferBytes,
-			HashLanes:   cfg.HashLanes,
-			Chunking:    cfg.Chunking,
-		})
+		s.fnic, err = nic.New(nic.Config{BufferBytes: cfg.NICBufferBytes, HashLanes: cfg.HashLanes})
 		if err != nil {
 			return nil, err
 		}
@@ -525,8 +524,8 @@ func (s *Server) Arch() Arch { return s.cfg.Arch }
 // Config returns the server's configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// ChunkSize returns the deduplication granularity in bytes (fixed
-// chunking; under CDC, chunk sizes vary per chunk).
+// ChunkSize returns the block size clients address in, in bytes (fixed
+// chunking cuts chunks of this size; under CDC chunk sizes vary).
 func (s *Server) ChunkSize() int { return s.cfg.ChunkSize }
 
 // Chunking returns the server's chunking configuration.

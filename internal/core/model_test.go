@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -12,7 +14,8 @@ import (
 // every fsck must pass. This is the correctness backstop for feature
 // interactions no targeted test enumerates, and it runs in both chunking
 // modes on both architectures: under CDC every "LBA" below is a slot
-// holding a multi-KB stream segment, read back extent by extent.
+// holding a multi-KB stream segment, read back extent by extent and as
+// one range of whole blocks.
 func TestModelBasedServer(t *testing.T) {
 	const (
 		ops      = 4000
@@ -56,10 +59,19 @@ func modelBasedRun(t *testing.T, m testMode, arch Arch, ops, lbaSpace, seeds int
 				if _, err := srv.Read(m.addr(lba)); err != ErrNotFound {
 					t.Fatalf("%v op %d: read of unwritten %d: %v", arch, op, lba, err)
 				}
+				if _, err := srv.ReadRange(m.addr(lba), 1); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%v op %d: range read of unwritten %d: %v", arch, op, lba, err)
+				}
 				continue
 			}
 			if err := m.check(srv.Read, lba, want); err != nil {
 				t.Fatalf("%v op %d: read: %v", arch, op, err)
+			}
+			// The slot's first whole chunk-size blocks, read as one range.
+			payload := m.payload(want)
+			n := len(payload) / cfg.ChunkSize
+			if got, err := srv.ReadRange(m.addr(lba), n); err != nil || !bytes.Equal(got, payload[:n*cfg.ChunkSize]) {
+				t.Fatalf("%v op %d: range read of %d blocks at %d: %d bytes, err %v", arch, op, n, lba, len(got), err)
 			}
 		case r < 80: // flush
 			if err := srv.Flush(); err != nil {

@@ -21,7 +21,9 @@ import (
 // keepBytesGolden holds the digests of everything a run leaves behind —
 // computed at d775cee, the last commit whose write path ran §5.3's steps
 // back to back, by running this test there and copying the digests it
-// reports (the same at 1, 2 and 4 lanes).
+// reports (the same at 1, 2 and 4 lanes). The baseline rows were computed
+// the same way at 62fa749, the last commit whose baseline cut each write
+// in a loop of its own.
 // A different digest means a different program to everything but the clock:
 // never regenerate one to make an overlap change pass.
 var keepBytesGolden = map[string]string{
@@ -33,6 +35,10 @@ var keepBytesGolden = map[string]string{
 	"read-mixed/fixed/fidr-full":    "8b230c4a70e46d2280b6822962aae1da38cd06034710acca8cfc511d87c65b03",
 	"read-mixed/cdc/fidr-nic-p2p":   "295300bcf978b712bc6a6e13fb6d8f87cd866b62fb0ca49c4b4fc9085a8c4e19",
 	"read-mixed/cdc/fidr-full":      "2a70743a9b6dfb927f7a7c4f633b6e80725f574c190d234ec7b2caebf6febc12",
+	"write-l/fixed/baseline":        "ab65ee2700011f333d96aa7b8a0d0e4bce3f6ae61539925a3d887ded3af5803b",
+	"write-l/cdc/baseline":          "9d46d1cb77008d1c69cea43bbd28f0d7d18294505b038f510b11100c86313274",
+	"read-mixed/fixed/baseline":     "1f8ff2bbeb574e60485842d39131bda9b715fa571bf622919f0285d5ebaea74a",
+	"read-mixed/cdc/baseline":       "4890e98cc7fe6fdfd9f300d7431c9069397a3373e8f86ee01163b072e476d5d8",
 }
 
 // keepBytesOps is the length of each stream.
@@ -75,12 +81,9 @@ func keepBytesRun(t *testing.T, p trace.Params, chunking chunk.Config, arch Arch
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := func(lba uint64) uint64 {
-		if chunking.Mode == chunk.ModeCDC {
-			return lba * uint64(cfg.ChunkSize) // a stream segment per trace block
-		}
-		return lba
-	}
+	// A trace block is a chunk index under fixed chunking and a stream
+	// segment at its byte offset under CDC.
+	addr := func(lba uint64) uint64 { return lba * uint64(cfg.ChunkSize/s.Chunking().Unit()) }
 	h := sha256.New()
 	sh := blockcomp.NewShaper(p.CompressRatio)
 	buf := make([]byte, cfg.ChunkSize)
@@ -154,9 +157,9 @@ func digestImage(t *testing.T, h hash.Hash, dev *ssd.SSD, n uint64) {
 }
 
 // TestOverlapKeepsBytes is the fence for overlapping a batch's commit with
-// the next batch's hash: the SSD images, the WAL, every read-out and the
-// read-path counts along the way equal the parent's, byte for byte, at any
-// lane count.
+// the next batch's hash, and for the one cut loop both architectures share:
+// the SSD images, the WAL, every read-out and the read-path counts along
+// the way equal the parent's, byte for byte, at any lane count.
 func TestOverlapKeepsBytes(t *testing.T) {
 	streams := []struct {
 		name string
@@ -170,11 +173,11 @@ func TestOverlapKeepsBytes(t *testing.T) {
 		cfg  chunk.Config
 	}{
 		{"fixed", chunk.Config{}},
-		{"cdc", chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 2048, Max: 8192}},
+		{"cdc", chunk.Config{Min: 1024, Avg: 2048, Max: 8192}},
 	}
 	for _, st := range streams {
 		for _, ck := range chunkers {
-			for _, arch := range []Arch{FIDRNicP2P, FIDRFull} {
+			for _, arch := range []Arch{FIDRNicP2P, FIDRFull, Baseline} {
 				name := st.name + "/" + ck.name + "/" + arch.String()
 				t.Run(name, func(t *testing.T) {
 					for _, lanes := range []int{1, 2, 4} {

@@ -51,7 +51,7 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 	return out, err
 }
 
-// ReadRange returns n consecutive chunks starting at lba, concatenated.
+// ReadRange returns the n x ChunkSize bytes stored from lba on.
 // Requests larger than one chunk are common at the client (the paper's
 // storage protocol carries block ranges); the server resolves each chunk
 // independently because compressed placements are unrelated.
@@ -65,43 +65,32 @@ func (s *Server) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, e
 	return ReadRange(s, lba, n, func(at uint64) ([]byte, error) { return s.ReadTraced(at, tc) })
 }
 
-// CheckRange reports whether consecutive addresses name consecutive
-// chunks, which is what ReadRange and the wire's batch ops assume: nil
-// under fixed chunking, the error those operations answer under CDC.
-func (s *Server) CheckRange() error {
-	if s.cfg.Chunking.Mode == chunk.ModeCDC {
-		// Addressing, not persistence: lba+i walks chunk indexes, and only
-		// the chunker knows where a CDC stream's next extent starts.
-		return fmt.Errorf("core: ReadRange and batch ops address fixed chunk indexes; CDC segments and extents are written and read individually")
-	}
-	return nil
-}
-
 // ReadRange is the one range loop behind every front end's ReadRange
-// (Server and the async adapter): after st's CheckRange gate, read(at)
-// fetches the chunk at each address lba, lba+1, ..., lba+n-1 and the n
-// chunks are returned concatenated. A range whose last address would
-// wrap past the top of the address space is refused before any read.
+// (Server and the async adapter): it returns exactly n x ChunkSize bytes
+// starting at lba. read(at) fetches the chunk at each address, and each
+// chunk advances the address by its length in the chunking's units: under
+// fixed chunking that visits lba, lba+1, ..., lba+n-1; under CDC it walks
+// consecutive extents and truncates the last. A range whose last address
+// would wrap past the top of the address space is refused before any read.
 func ReadRange(st interface {
-	CheckRange() error
 	ChunkSize() int
+	Chunking() chunk.Config
 }, lba uint64, n int, read func(at uint64) ([]byte, error)) ([]byte, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: read of %d chunks", n)
 	}
-	if lba > math.MaxUint64-uint64(n-1) {
+	size, unit := n*st.ChunkSize(), st.Chunking().Unit()
+	if lba > math.MaxUint64-uint64((size-1)/unit) {
 		return nil, fmt.Errorf("core: range of %d chunks at LBA %d wraps the address space", n, lba)
 	}
-	if err := st.CheckRange(); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, n*st.ChunkSize())
-	for i := 0; i < n; i++ {
-		chunk, err := read(lba + uint64(i))
+	out := make([]byte, 0, size)
+	for i, at := 0, lba; len(out) < size; i++ {
+		data, err := read(at)
 		if err != nil {
 			return nil, fmt.Errorf("core: range chunk %d: %w", i, err)
 		}
-		out = append(out, chunk...)
+		out = append(out, data[:min(len(data), size-len(out))]...)
+		at += uint64(len(data) / unit)
 	}
 	return out, nil
 }

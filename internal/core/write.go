@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"fidr/internal/bufpool"
-	"fidr/internal/chunk"
 	"fidr/internal/engine"
 	"fidr/internal/fingerprint"
 	"fidr/internal/hostmodel"
@@ -15,12 +15,13 @@ import (
 )
 
 // Write ingests one client write: a stream segment the server's chunker
-// cuts into chunks, each addressed by the segment address plus its byte
-// position. Under fixed chunking data must be exactly one chunk, so the
-// single cut leaves lba — a chunk index — as the chunk's address; under
-// CDC lba is the segment's absolute stream byte offset and the chunks
-// are content-defined extents. The chunks are buffered (host memory for
-// the baseline, NIC memory for FIDR) and processed when a full
+// cuts into chunks. A chunk's address is lba plus its byte position in
+// data divided by the chunking's Unit: under fixed chunking the unit is
+// the chunk and data must be exactly one, so lba is its chunk index; under
+// CDC the unit is a byte, lba is the segment's stream byte offset and the
+// chunks are content-defined extents. A write whose last chunk's address
+// would pass 2^64-1 is refused whole. The chunks are buffered (host memory
+// for the baseline, NIC memory for FIDR) and processed when a full
 // accelerator batch accumulates.
 func (s *Server) Write(lba uint64, data []byte) error {
 	return s.WriteTraced(lba, data, nil)
@@ -33,11 +34,15 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	if err := s.failIfCrashed(); err != nil {
 		return err
 	}
-	if s.cfg.Chunking.Mode == chunk.ModeFixed && len(data) != s.cfg.ChunkSize {
-		return fmt.Errorf("core: write of %d bytes, chunk size is %d", len(data), s.cfg.ChunkSize)
-	}
-	if len(data) == 0 {
+	unit := s.cfg.Chunking.Unit()
+	switch {
+	case len(data) == 0:
 		return fmt.Errorf("core: empty stream write")
+	case unit == s.cfg.ChunkSize && len(data) != unit:
+		return fmt.Errorf("core: write of %d bytes, chunk size is %d", len(data), s.cfg.ChunkSize)
+	case lba > math.MaxUint64-uint64((len(data)-1)/unit):
+		// A wrapped tail would overwrite the bottom of the volume.
+		return fmt.Errorf("core: write of %d bytes at LBA %d wraps the address space", len(data), lba)
 	}
 	s.ctr.writes.Inc()
 	s.ctr.clientBytes.Add(uint64(len(data)))
@@ -50,10 +55,28 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	s.activeReq = tr
 	defer func() { s.activeReq = nil }()
 
-	if s.cfg.Arch == Baseline {
-		return s.baselineStreamWrite(lba, data, tr)
+	// The one cut loop: the baseline's chunker is host software (its NIC
+	// DMA-writes raw bytes), FIDR's runs in the NIC; either way each chunk
+	// goes to the architecture's buffer under its own address.
+	s.cbounds = s.chunker.AppendBoundaries(s.cbounds[:0], data)
+	prev := 0
+	for _, b := range s.cbounds {
+		at := lba + uint64(prev/unit)
+		var err error
+		if s.cfg.Arch == Baseline {
+			err = s.baselineWrite(at, data[prev:b], tr)
+		} else {
+			err = s.fidrWrite(at, data[prev:b], tr)
+		}
+		if err != nil {
+			return err
+		}
+		prev = b
 	}
-	return s.fidrStreamWrite(lba, data, tr)
+	if s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks {
+		return s.tipFIDRBatch(false)
+	}
+	return nil
 }
 
 // Flush processes any partial batch and pushes sealed containers to the
@@ -80,21 +103,6 @@ func (s *Server) Flush() error {
 }
 
 // --- Baseline (extended CIDR, §2.3) ---
-
-// baselineStreamWrite chunks the segment in host software (the baseline
-// NIC DMA-writes raw bytes; it has no chunker) and feeds each chunk
-// through the §2.3 write flow under its extent address.
-func (s *Server) baselineStreamWrite(offset uint64, data []byte, tr *ReqTrace) error {
-	s.cbounds = s.chunker.AppendBoundaries(s.cbounds[:0], data)
-	prev := 0
-	for _, b := range s.cbounds {
-		if err := s.baselineWrite(offset+uint64(prev), data[prev:b], tr); err != nil {
-			return err
-		}
-		prev = b
-	}
-	return nil
-}
 
 // baselineWrite buffers one chunk in the host request buffer.
 func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
@@ -250,47 +258,29 @@ func (s *Server) processBaselineBatch() error {
 
 // --- FIDR (§5.3) ---
 
-// fidrStreamWrite runs the §5.3 write flow's first step: the NIC's
-// chunker cuts the segment and buffers each chunk in battery-backed NIC
-// memory under its extent address; the client is acked immediately and no
-// host resources are touched. When the in-NIC buffer fills mid-segment the
-// batch tips and the stream resumes at the last buffered boundary — the
-// chunker's boundary rule depends only on bytes at and after a boundary,
-// so the resumed call reproduces the remaining cuts exactly.
-func (s *Server) fidrStreamWrite(offset uint64, data []byte, tr *ReqTrace) error {
-	for len(data) > 0 {
-		from := tr.start()
-		empty := s.fnic.Buffered() == 0
-		cuts, err := s.fnic.BufferStream(offset, data)
-		tr.span(StageNICBuffer, from)
-		// Every extent just buffered supersedes what the §8 read cache
-		// holds at its address — interior extents included, not only the
-		// segment's first.
-		n := 0
-		for _, b := range cuts {
-			s.rcache.invalidate(offset + uint64(n))
-			n = b
-		}
-		offset += uint64(n)
-		data = data[n:]
-		switch {
-		case err == nic.ErrBufferFull:
-			if n == 0 && empty {
-				// Cannot happen: Validate sizes the buffer for several
-				// Max-size chunks. Guard against spinning anyway.
-				return fmt.Errorf("core: chunk exceeds NIC buffer capacity")
-			}
-			if perr := s.tipFIDRBatch(false); perr != nil {
-				return perr
-			}
-		case err != nil:
-			return err
-		}
+// fidrWrite runs the §5.3 write flow's first step for one chunk: the NIC
+// buffers it in battery-backed NIC memory and the client is acked at once;
+// no host resources are touched. When the buffer is full the batch tips
+// and the chunk goes into the fresh one. The chunk supersedes whatever the
+// §8 read cache holds at its address — a segment's interior extents
+// included, not only its first.
+func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
+	s.rcache.invalidate(lba)
+	from := tr.start()
+	err := s.fnic.BufferWrite(lba, data)
+	tr.span(StageNICBuffer, from)
+	if err != nic.ErrBufferFull {
+		return err
 	}
-	if s.fnic.Buffered() >= s.cfg.BatchChunks {
-		return s.tipFIDRBatch(false)
+	// Validate sizes the buffer for several Max-size chunks, so the retry
+	// into an empty buffer fits.
+	if err := s.tipFIDRBatch(false); err != nil {
+		return err
 	}
-	return nil
+	from = tr.start()
+	err = s.fnic.BufferWrite(lba, data)
+	tr.span(StageNICBuffer, from)
+	return err
 }
 
 // generation is the server's note on one NIC generation between its tip

@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 
-	"fidr/internal/chunk"
 	"fidr/internal/core"
 	"fidr/internal/hashpbn"
 	"fidr/internal/hostmodel"
@@ -240,15 +239,13 @@ func drive(srv *core.Server, gen *trace.Generator, sh *blockcomp.Shaper, n int) 
 	return nil
 }
 
-// traceAddr is the address a server in cfg's chunking mode takes for a
-// trace's chunk-index LBA: the index itself under fixed chunking; under
-// CDC the byte offset of the stream segment the write is ingested as, so
-// identical content still dedups while extent addresses never collide.
+// traceAddr is the address a server with cfg's (validated) chunking takes
+// for a trace's chunk-index LBA: the block's byte offset in the chunking's
+// units — the index itself under fixed chunking; under CDC the byte offset
+// of the stream segment the write is ingested as, so identical content
+// still dedups while extent addresses never collide.
 func traceAddr(cfg core.Config, lba uint64) uint64 {
-	if cfg.Chunking.Mode == chunk.ModeCDC {
-		return lba * uint64(cfg.ChunkSize)
-	}
-	return lba
+	return lba * uint64(cfg.ChunkSize/cfg.Chunking.Unit())
 }
 
 // ConfigFor exposes the experiment-standard server sizing (paper cache

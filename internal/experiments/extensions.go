@@ -18,9 +18,9 @@ import (
 // table is identical per seed on any machine; anything clocked is
 // benchmark/'s to measure.
 
-// chunkings is the row dimension of the capacity and archival studies:
-// the paper's fixed 4-KB chunks, then default-sized content-defined ones.
-var chunkings = []chunk.Config{{Mode: chunk.ModeFixed}, {Mode: chunk.ModeCDC}}
+// chunkings is the row dimension of the three studies: the paper's fixed
+// 4-KB chunks (the zero value), then default-sized content-defined ones.
+var chunkings = []chunk.Config{{}, chunk.DefaultCDC}
 
 // balanced reports whether the attribution identity logical = dedup +
 // compression + stored holds exactly.
@@ -79,13 +79,13 @@ func CDC(sc Scale, opts ...func(*runOptions)) ([]CDCRow, *metrics.Table, error) 
 		}
 		for g, gen := range gens {
 			// Each generation has its own address space.
-			if ck.Mode == chunk.ModeCDC {
+			if srv.Chunking().Unit() == 1 {
 				err = srv.Write(uint64(g)<<40, gen)
 			} else {
 				err = writeFixed(srv, uint64(g)<<40, gen)
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: cdc %s generation %d: %w", ck.Mode, g, err)
+				return nil, nil, fmt.Errorf("experiments: cdc %s generation %d: %w", ck.Name(), g, err)
 			}
 		}
 		if err := srv.Flush(); err != nil {
@@ -93,7 +93,7 @@ func CDC(sc Scale, opts ...func(*runOptions)) ([]CDCRow, *metrics.Table, error) 
 		}
 		st, sizes := srv.Stats(), srv.Chunking()
 		row := CDCRow{
-			Chunker: ck.Mode.String(), MinChunk: sizes.Min, MaxChunk: sizes.Max,
+			Chunker: ck.Name(), MinChunk: sizes.Min, MaxChunk: sizes.Max,
 			Chunks:         st.DuplicateChunks + st.UniqueChunks,
 			LedgerBalanced: balanced(st.LogicalWriteBytes, st.DedupSavedBytes, st.CompressionSavedBytes, st.StoredBytes),
 		}
@@ -182,7 +182,7 @@ func Capacity(sc Scale, opts ...func(*runOptions)) ([]CapacityRow, *metrics.Tabl
 		}
 		after := srv.CapacityReport(capacityGCThreshold)
 		row := CapacityRow{
-			Chunker:               ck.Mode.String(),
+			Chunker:               ck.Name(),
 			LogicalWriteBytes:     before.LogicalWriteBytes,
 			DedupSavedBytes:       before.DedupSavedBytes,
 			CompressionSavedBytes: before.CompressionSavedBytes,
@@ -280,10 +280,10 @@ func Archival(sc Scale, opts ...func(*runOptions)) ([]ArchivalRow, *metrics.Tabl
 			return nil, nil, err
 		}
 		ws := ingest.WAL.Stats()
-		row := ArchivalRow{Chunker: ck.Mode.String(), AppendedRecords: ws.AppendedRecords, DurableBytes: ws.DurableBytes}
+		row := ArchivalRow{Chunker: ck.Name(), AppendedRecords: ws.AppendedRecords, DurableBytes: ws.DurableBytes}
 		for i, frac := range []float64{0.25, 0.5, 0.75, 1} {
 			if row.Sweep[i], err = recoveryPoint(cfg, wp, frac); err != nil {
-				return nil, nil, fmt.Errorf("experiments: archival %s recovery at %v: %w", ck.Mode, frac, err)
+				return nil, nil, fmt.Errorf("experiments: archival %s recovery at %v: %w", ck.Name(), frac, err)
 			}
 			pt := row.Sweep[i]
 			tab.Row(row.Chunker, row.AppendedRecords, row.DurableBytes, pt.LogFraction, pt.WALBytes, pt.ReplayedRecords)

@@ -18,14 +18,13 @@ import (
 	"time"
 
 	"fidr/internal/bufpool"
-	"fidr/internal/chunk"
 	"fidr/internal/fingerprint"
 	"fidr/internal/lanes"
 	"fidr/internal/metrics"
 )
 
-// WriteEntry is one buffered chunk with its metadata. Chunks are 4 KB
-// under fixed chunking and 1..Max bytes under CDC.
+// WriteEntry is one buffered chunk with its metadata: whatever the
+// server's chunker cut, 1..Max bytes (exactly the chunk size when Min = Max).
 type WriteEntry struct {
 	LBA  uint64
 	Data []byte
@@ -47,11 +46,6 @@ type Config struct {
 	// HashLanes is the modeled SHA-256 core count; <= 0 selects the
 	// GOMAXPROCS-derived default.
 	HashLanes int
-	// Chunking sizes the in-NIC chunker BufferStream cuts byte streams
-	// with. The zero value is fixed 4-KB chunking (the chunker with
-	// Min = Avg = Max); ModeCDC cuts content-defined, variable-size
-	// chunks.
-	Chunking chunk.Config
 }
 
 // ErrBufferFull is returned when the in-NIC buffer cannot accept a write.
@@ -156,10 +150,6 @@ type FIDR struct {
 	cores     *lanes.Group
 	hashing   *generation
 	hashStart time.Time
-	// chunker cuts byte streams into chunks for BufferStream. bounds is
-	// its reusable boundary scratch (no per-call allocation).
-	chunker *chunk.CDC
-	bounds  []int
 	// unique backs ScheduleBatch's result, valid until its next call.
 	unique []WriteEntry
 
@@ -178,14 +168,6 @@ func New(cfg Config) (*FIDR, error) {
 		hl = cfg.HashLanes
 	}
 	n.SetHashLanes(hl)
-	c, err := cfg.Chunking.NewChunker()
-	if err != nil {
-		return nil, fmt.Errorf("nic: %w", err)
-	}
-	if c.Max > cfg.BufferBytes {
-		return nil, fmt.Errorf("nic: max chunk %d exceeds buffer capacity %d", c.Max, cfg.BufferBytes)
-	}
-	n.chunker = c
 	return n, nil
 }
 
@@ -229,35 +211,6 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	n.bytes.Add(uint64(len(data)))
 	n.publishOccupancy()
 	return nil
-}
-
-// BufferStream runs the NIC's chunker over a stream segment beginning
-// at absolute stream byte offset and buffers the resulting chunks, each
-// addressed by its extent (stream byte offset of the chunk start; a
-// fixed-mode caller passes one chunk and its chunk index, which the
-// single cut leaves untouched). It returns the end offsets in data of
-// the chunks it buffered — the last one is the number of bytes consumed
-// — in scratch that stays valid until the next call. When the filling
-// buffer fills mid-segment the cuts stop at the last buffered chunk
-// with ErrBufferFull, and the caller resumes with offset+consumed and
-// data[consumed:] after draining a batch — the chunker's boundary rule
-// depends only on bytes at and after a boundary, so the resumed call
-// reproduces the remaining boundaries exactly.
-//
-// Segmentation is the caller's: the final chunk of each call ends at
-// len(data), so callers should feed segments at their own record or
-// batch boundaries (the bench harness uses the backup-generation
-// segments the trace provides).
-func (n *FIDR) BufferStream(offset uint64, data []byte) (cuts []int, err error) {
-	n.bounds = n.chunker.AppendBoundaries(n.bounds[:0], data)
-	prev := 0
-	for i, b := range n.bounds {
-		if err := n.BufferWrite(offset+uint64(prev), data[prev:b]); err != nil {
-			return n.bounds[:i], err
-		}
-		prev = b
-	}
-	return n.bounds, nil
 }
 
 // Buffered returns the number of chunks in the filling buffer.

@@ -2,10 +2,8 @@ package nic
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
-	"fidr/internal/chunk"
 	"fidr/internal/fingerprint"
 )
 
@@ -183,90 +181,5 @@ func TestAreaMatchesTable4(t *testing.T) {
 	}
 	if SupportResources(2) != SupportResources(1) {
 		t.Error(">1 fraction not clamped")
-	}
-}
-
-// TestBufferStream exercises the CDC ingest path: variable-size chunks
-// extent-addressed by stream offset, drain-and-resume on ErrBufferFull,
-// and chunk coverage of the whole stream.
-func TestBufferStream(t *testing.T) {
-	n, err := New(Config{
-		BufferBytes: 64 << 10,
-		Chunking:    chunk.Config{Mode: chunk.ModeCDC, Min: 1024, Avg: 4096, Max: 16384},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 300<<10)
-	rand.New(rand.NewSource(77)).Read(data)
-
-	var got []WriteEntry
-	off := 0
-	for off < len(data) {
-		before := n.Buffered()
-		cuts, err := n.BufferStream(uint64(off), data[off:])
-		if err != nil && err != ErrBufferFull {
-			t.Fatal(err)
-		}
-		if n.Buffered()-before != len(cuts) {
-			t.Fatalf("%d cuts reported for %d chunks buffered", len(cuts), n.Buffered()-before)
-		}
-		if err == ErrBufferFull && len(cuts) == 0 && n.Buffered() == 0 {
-			t.Fatal("no progress with empty buffer")
-		}
-		if len(cuts) > 0 {
-			off += cuts[len(cuts)-1]
-		}
-		// Drain: host marks everything unique; chunks go to the engines.
-		n.Tip(false)
-		n.Join()
-		flags := make([]bool, len(n.Head()))
-		for i := range flags {
-			flags[i] = true
-		}
-		batch, err := n.ScheduleBatch(flags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, batch...)
-	}
-
-	// Extents must tile [0, len(data)) exactly and match content.
-	pos := uint64(0)
-	for i, e := range got {
-		if e.LBA != pos {
-			t.Fatalf("chunk %d at extent %d, want %d", i, e.LBA, pos)
-		}
-		if e.Size != len(e.Data) || e.Size <= 0 || e.Size > 16384 {
-			t.Fatalf("chunk %d size %d (len %d) out of range", i, e.Size, len(e.Data))
-		}
-		if !bytes.Equal(e.Data, data[pos:pos+uint64(e.Size)]) {
-			t.Fatalf("chunk %d content mismatch", i)
-		}
-		pos += uint64(e.Size)
-	}
-	if pos != uint64(len(data)) {
-		t.Fatalf("chunks cover %d bytes, want %d", pos, len(data))
-	}
-
-	// Chunking inside the NIC must match chunking the whole stream at
-	// once when drains land on boundaries (resumability).
-	want := chunk.NewCDC(1024, 4096, 16384).Boundaries(data)
-	if len(got) != len(want) {
-		t.Fatalf("%d chunks via BufferStream, %d via whole-stream chunking", len(got), len(want))
-	}
-
-	// A NIC built without a chunking config owns the fixed 4-KB chunker:
-	// one chunk in, one cut, addressed exactly as given (chunk index 7
-	// stays 7); a longer segment is cut at every 4 KB.
-	fixedN, _ := New(Config{BufferBytes: 1 << 20})
-	if cuts, err := fixedN.BufferStream(7, data[:4096]); err != nil || len(cuts) != 1 || cuts[0] != 4096 {
-		t.Fatalf("fixed NIC, one chunk: cuts %v, err %v", cuts, err)
-	}
-	if got, ok := fixedN.LookupRead(7); !ok || !bytes.Equal(got, data[:4096]) {
-		t.Fatal("fixed NIC did not buffer the chunk under its chunk index")
-	}
-	if cuts, err := fixedN.BufferStream(1<<20, data[:3*4096+10]); err != nil || len(cuts) != 4 || cuts[3] != 3*4096+10 {
-		t.Fatalf("fixed NIC, 3 chunks and a tail: cuts %v, err %v", cuts, err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fidr/internal/chunk"
 	"fidr/internal/metrics"
 	"fidr/internal/trace/span"
 )
@@ -70,10 +71,11 @@ type Listener struct {
 	traced TracedStore  // srv's traced surface, nil when unsupported
 	comp   Compactor    // srv's GC surface, nil when unsupported
 	chkpt  Checkpointer // srv's checkpoint surface, nil when unsupported
-	// rangeErr is srv's CheckRange answer: why a write batch cannot be
-	// split into pieces at consecutive addresses (a content-defined
-	// volume). A store without the method is taken to be fixed-chunk.
-	rangeErr error
+	// batchErr is why the batch ops cannot run on srv: they count
+	// chunk-size blocks at consecutive addresses, and srv addresses in
+	// another unit (content-defined chunking addresses bytes). A store
+	// that does not report its chunking holds one chunk per address.
+	batchErr error
 	mu       sync.Mutex
 	serial   bool
 	ln       net.Listener
@@ -130,8 +132,11 @@ func Serve(srv Store, addr string, opts ...ServeOption) (*Listener, error) {
 	l.traced, _ = srv.(TracedStore)
 	l.comp, _ = srv.(Compactor)
 	l.chkpt, _ = srv.(Checkpointer)
-	if r, ok := srv.(interface{ CheckRange() error }); ok {
-		l.rangeErr = r.CheckRange()
+	if c, ok := srv.(interface{ Chunking() chunk.Config }); ok {
+		if u := c.Chunking().Unit(); u != srv.ChunkSize() {
+			l.batchErr = fmt.Errorf("batch ops address %d-byte chunks at consecutive LBAs, and this store addresses %d-byte units (CDC): write segments and read extents one at a time",
+				srv.ChunkSize(), u)
+		}
 	}
 	for _, opt := range opts {
 		opt(l)
@@ -333,6 +338,9 @@ func (l *Listener) readRange(lba uint64, n int, tc *span.TraceContext) ([]byte, 
 // dispatch serves one request; tc is non-nil only for a traced request
 // on a store with a traced surface.
 func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
+	if (f.Op == OpWriteBatch || f.Op == OpReadBatch) && l.batchErr != nil {
+		return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(l.batchErr.Error())}
+	}
 	switch f.Op {
 	case OpWrite:
 		if err := l.write(f.LBA, f.Payload, tc); err != nil {
@@ -340,9 +348,6 @@ func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
 		}
 		return Frame{Op: OpAck, LBA: f.LBA}
 	case OpWriteBatch:
-		if l.rangeErr != nil {
-			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(l.rangeErr.Error())}
-		}
 		cs := l.srv.ChunkSize()
 		if len(f.Payload) == 0 || len(f.Payload)%cs != 0 {
 			return Frame{Op: OpError, LBA: f.LBA,

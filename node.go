@@ -97,25 +97,26 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 	if !ok {
 		return Config{}, nil, fmt.Errorf("fidr: -arch: unknown architecture %q (want fidr, fidr-nic or baseline)", c.Arch)
 	}
-	mode, err := chunk.ParseMode(c.Chunker)
-	if err != nil {
-		return Config{}, nil, fmt.Errorf("fidr: -chunker: %w", err)
+	cfg := DefaultConfig(arch)
+	switch c.Chunker {
+	case "", "fixed":
+	case "cdc":
+		cfg.Chunking = chunk.Config{Min: c.CDCMin, Avg: c.CDCAvg, Max: c.CDCMax}
+		if cfg.Chunking == (chunk.Config{}) {
+			cfg.Chunking = chunk.DefaultCDC
+		}
+	default:
+		return Config{}, nil, fmt.Errorf("fidr: -chunker: unknown chunking %q (want fixed or cdc)", c.Chunker)
+	}
+	if err := checkGroups(cfg, c.Groups); err != nil {
+		return Config{}, nil, err
 	}
 	durable := c.DataFile != "" && c.TableFile != ""
 	switch {
-	case c.Groups < 1:
-		return Config{}, nil, fmt.Errorf("fidr: -groups %d: a node has at least one group", c.Groups)
-	case c.Groups > maxGroups:
-		return Config{}, nil, fmt.Errorf("fidr: -groups %d: each group's table cache is allocated up front, so at most %d groups", c.Groups, maxGroups)
 	case c.QueueDepth < 1:
 		return Config{}, nil, fmt.Errorf("fidr: -queue-depth %d: a group admits at least one request", c.QueueDepth)
 	case (c.DataFile == "") != (c.TableFile == ""):
 		return Config{}, nil, errors.New("fidr: set both -data-file and -table-file (or neither)")
-	case c.Groups > 1 && mode == chunk.ModeCDC:
-		// Addressing, not persistence: the router shards by address before
-		// any chunker runs, so a segment's interior extents would land on
-		// a group that never saw them.
-		return Config{}, nil, errors.New("fidr: -chunker=cdc requires -groups 1")
 	case c.Groups > 1 && (durable || c.Recover):
 		// Volumes do not record how many groups sharded them; a restart
 		// with another -groups would silently misroute every LBA.
@@ -129,17 +130,14 @@ func (c NodeConfig) resolve() (Config, []metrics.Objective, error) {
 	}
 	objs := metrics.DefaultObjectives()
 	if c.SLOSpec != "" {
+		var err error
 		if objs, err = metrics.ParseObjectives(c.SLOSpec); err != nil {
 			return Config{}, nil, fmt.Errorf("fidr: -slo-spec: %w", err)
 		}
 	}
-	cfg := DefaultConfig(arch)
 	cfg.BatchChunks = c.Batch
 	if c.ContainerSize > 0 {
 		cfg.ContainerSize = c.ContainerSize
-	}
-	if mode == chunk.ModeCDC {
-		cfg.Chunking = chunk.Config{Mode: mode, Min: c.CDCMin, Avg: c.CDCAvg, Max: c.CDCMax}
 	}
 	return cfg, objs, nil
 }
