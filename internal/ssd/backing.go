@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sync/atomic"
 )
 
 // backing is the device's content store. Implementations need not be
@@ -20,14 +22,40 @@ type backing interface {
 	close() error
 }
 
-// memBacking keeps pages in a sparse map — fast, gone at process exit.
+// slabSize is the length of one page slab: one huge page where the
+// kernel grants it.
+const slabSize = 2 << 20
+
+// mappedSlabs counts the slabs mapped by every in-memory device and not
+// yet released.
+var mappedSlabs atomic.Int64
+
+// memBacking keeps pages in slabs outside the Go heap (mapSlab), handed
+// out one slot per page on first touch and never reused, so a new slot
+// reads as zeros. The heap holds only the page → slot index, which has
+// no pointers for the collector to scan. Slabs are released by close or,
+// for a device dropped without Close, by the finalizer.
 type memBacking struct {
 	pageSize int
-	m        map[uint64][]byte
+	perSlab  int            // slots per slab
+	index    map[uint64]int // page → slot; slots are handed out in order
+	slabs    [][]byte
 }
 
 func newMemBacking(pageSize int) *memBacking {
-	return &memBacking{pageSize: pageSize, m: make(map[uint64][]byte)}
+	b := &memBacking{
+		pageSize: pageSize,
+		perSlab:  max(1, slabSize/pageSize),
+		index:    make(map[uint64]int),
+	}
+	runtime.SetFinalizer(b, (*memBacking).release)
+	return b
+}
+
+// slot returns the bytes of slot i.
+func (b *memBacking) slot(i int) []byte {
+	at := (i % b.perSlab) * b.pageSize
+	return b.slabs[i/b.perSlab][at : at+b.pageSize]
 }
 
 func (b *memBacking) write(off uint64, data []byte) error {
@@ -35,43 +63,58 @@ func (b *memBacking) write(off uint64, data []byte) error {
 	for n := 0; n < len(data); {
 		page := (off + uint64(n)) / ps
 		inPage := (off + uint64(n)) % ps
-		chunk := int(ps - inPage)
-		if chunk > len(data)-n {
-			chunk = len(data) - n
-		}
-		buf, ok := b.m[page]
+		chunk := min(int(ps-inPage), len(data)-n)
+		i, ok := b.index[page]
 		if !ok {
-			buf = make([]byte, ps)
-			b.m[page] = buf
+			i = len(b.index)
+			if i == len(b.slabs)*b.perSlab {
+				m, err := mapSlab(b.perSlab * b.pageSize)
+				if err != nil {
+					return fmt.Errorf("map page slab: %w", err)
+				}
+				mappedSlabs.Add(1)
+				b.slabs = append(b.slabs, m)
+			}
+			b.index[page] = i
 		}
-		copy(buf[inPage:], data[n:n+chunk])
+		copy(b.slot(i)[inPage:], data[n:n+chunk])
 		n += chunk
 	}
+	runtime.KeepAlive(b) // the slab outlives the copy only while b does
 	return nil
 }
 
 func (b *memBacking) read(dst []byte, off uint64) error {
 	ps := uint64(b.pageSize)
-	for i := 0; i < len(dst); {
-		page := (off + uint64(i)) / ps
-		inPage := (off + uint64(i)) % ps
-		chunk := int(ps - inPage)
-		if chunk > len(dst)-i {
-			chunk = len(dst) - i
-		}
-		if buf, ok := b.m[page]; ok {
-			copy(dst[i:i+chunk], buf[inPage:inPage+uint64(chunk)])
+	for n := 0; n < len(dst); {
+		page := (off + uint64(n)) / ps
+		inPage := (off + uint64(n)) % ps
+		chunk := min(int(ps-inPage), len(dst)-n)
+		if i, ok := b.index[page]; ok {
+			copy(dst[n:n+chunk], b.slot(i)[inPage:])
 		} else {
-			clear(dst[i : i+chunk])
+			clear(dst[n : n+chunk])
 		}
-		i += chunk
+		n += chunk
 	}
+	runtime.KeepAlive(b)
 	return nil
 }
 
-func (b *memBacking) pages() int { return len(b.m) }
+func (b *memBacking) pages() int { return len(b.index) }
+
+// release returns every slab to the system.
+func (b *memBacking) release() {
+	for _, m := range b.slabs {
+		unmapSlab(m)
+		mappedSlabs.Add(-1)
+	}
+	b.slabs, b.index = nil, nil
+}
+
 func (b *memBacking) close() error {
-	b.m = nil
+	runtime.SetFinalizer(b, nil)
+	b.release()
 	return nil
 }
 

@@ -1,6 +1,8 @@
 // Package ssd simulates NVMe solid-state drives: a sparse page store with
 // bit-exact contents, an access-time model and IO counters. A command is
 // one synchronous call (Write, Read, ReadInto) on the caller's buffer.
+// An in-memory device keeps its pages off the Go heap, in 2-MiB slabs
+// mapped on first touch; the heap holds only their index.
 //
 // FIDR uses two SSD roles (§2.1.3, §6.1):
 //
@@ -15,6 +17,7 @@
 package ssd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -70,6 +73,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ErrClosed is returned, wrapped, by every command on a closed device.
+var ErrClosed = errors.New("device closed")
+
 // Stats aggregates device activity.
 type Stats struct {
 	ReadIOs      uint64
@@ -84,7 +90,7 @@ type SSD struct {
 	cfg Config
 
 	mu    sync.RWMutex
-	store backing
+	store backing // nil once closed
 
 	reads, writes         metrics.Counter
 	readBytes, writeBytes metrics.Counter
@@ -121,12 +127,18 @@ func New(cfg Config) (*SSD, error) {
 	return &SSD{cfg: cfg, store: store}, nil
 }
 
-// Close releases the device's backing resources (file handle for
-// file-backed devices; no-op in memory).
+// Close releases the device's backing resources: the file handle of a
+// file-backed device, the page slabs of an in-memory one. Every later
+// command fails with ErrClosed; closing again does nothing.
 func (s *SSD) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.store.close()
+	if s.store == nil {
+		return nil
+	}
+	err := s.store.close()
+	s.store = nil
+	return err
 }
 
 // MustNew is New panicking on error, for constant configs.
@@ -188,7 +200,10 @@ func (s *SSD) Write(off uint64, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	err := s.store.write(off, data)
+	err := ErrClosed
+	if s.store != nil {
+		err = s.store.write(off, data)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("ssd %q: %w", s.cfg.Name, err)
@@ -239,7 +254,10 @@ func (s *SSD) ReadInto(dst []byte, off uint64) error {
 		return err
 	}
 	s.mu.RLock()
-	err := s.store.read(dst, off)
+	err := ErrClosed
+	if s.store != nil {
+		err = s.store.read(dst, off)
+	}
 	s.mu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("ssd %q: %w", s.cfg.Name, err)
@@ -272,11 +290,15 @@ func (s *SSD) Stats() Stats {
 	}
 }
 
-// StoredPages reports how many pages hold data (memory footprint of the
-// simulation for in-memory devices; an allocation upper bound derived
-// from the file size for file-backed ones).
+// StoredPages reports how many pages hold data: for an in-memory device
+// the pages written, whose bytes sit in off-heap slabs; for a file-backed
+// one an upper bound derived from the file size. A closed device holds
+// none.
 func (s *SSD) StoredPages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.store == nil {
+		return 0
+	}
 	return s.store.pages()
 }

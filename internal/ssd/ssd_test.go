@@ -2,7 +2,9 @@ package ssd
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -63,6 +65,36 @@ func TestUnwrittenReadsZero(t *testing.T) {
 			t.Fatal("unwritten region not zero")
 		}
 	}
+
+	// A page that opens a new slab: its unwritten head and tail, and the
+	// never-written page after it, still read as zeros.
+	fillSlots(t, s, slabSize/4096)
+	if err := s.Write(100, []byte("second slab")); err != nil {
+		t.Fatal(err)
+	}
+	got, err = s.Read(0, 2*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 2*4096)
+	copy(want[100:], "second slab")
+	if !bytes.Equal(got, want) {
+		t.Fatal("page opening a slab: unwritten bytes not zero")
+	}
+}
+
+// fillSlots writes n fresh pages far from the low addresses the tests
+// use, each holding its own page number, so that the next fresh page
+// takes slot n.
+func fillSlots(t *testing.T, s *SSD, n int) {
+	t.Helper()
+	page := make([]byte, 4096)
+	for i := 0; i < n; i++ {
+		page[0], page[1] = byte(i), byte(i>>8)
+		if err := s.Write(uint64(256<<20+i*4096), page); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestCrossPageWrite(t *testing.T) {
@@ -82,6 +114,26 @@ func TestCrossPageWrite(t *testing.T) {
 	}
 	if s.StoredPages() < 4 {
 		t.Errorf("expected >=4 pages stored, got %d", s.StoredPages())
+	}
+
+	// The same write once the first slab has two slots left: its pages
+	// straddle the boundary into the second slab.
+	s = MustNew(testConfig())
+	fillSlots(t, s, slabSize/4096-2)
+	if err := s.Write(off, data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(off, len(data)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip across a slab boundary failed: %v", err)
+	}
+	if n := s.StoredPages(); n != slabSize/4096+3 {
+		t.Errorf("stored pages = %d, want %d", n, slabSize/4096+3)
+	}
+	for i := 0; i < slabSize/4096-2; i++ {
+		got, err := s.Read(uint64(256<<20+i*4096), 2)
+		if err != nil || got[0] != byte(i) || got[1] != byte(i>>8) {
+			t.Fatalf("filler page %d changed: %v %v", i, got, err)
+		}
 	}
 }
 
@@ -234,15 +286,149 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
+// TestClosedDeviceRefuses: every command on a closed device fails with
+// ErrClosed, whatever holds its pages, and Close is idempotent.
+func TestClosedDeviceRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		file bool
+	}{{"memory", false}, {"file", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			if tc.file {
+				cfg.BackingFile = t.TempDir() + "/vol.img"
+			}
+			s := MustNew(cfg)
+			page := bytes.Repeat([]byte{7}, 4096)
+			if err := s.Write(0, page); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 4096)
+			if err := s.ReadInto(buf, 0); !errors.Is(err, ErrClosed) {
+				t.Errorf("ReadInto after Close: %v, want ErrClosed", err)
+			}
+			if _, err := s.Read(0, 4096); !errors.Is(err, ErrClosed) {
+				t.Errorf("Read after Close: %v, want ErrClosed", err)
+			}
+			if err := s.Write(8192, page); !errors.Is(err, ErrClosed) {
+				t.Errorf("Write after Close: %v, want ErrClosed", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+			if n := s.StoredPages(); n != 0 {
+				t.Errorf("closed device stores %d pages", n)
+			}
+			if st := s.Stats(); st.WriteIOs != 1 || st.ReadIOs != 0 {
+				t.Errorf("refused commands were accounted: %+v", st)
+			}
+		})
+	}
+}
+
+// TestDevicePagesStayOffHeap: fresh pages land in slabs, so writing 8 MiB
+// of them allocates far less than 8 MiB on the Go heap.
+func TestDevicePagesStayOffHeap(t *testing.T) {
+	s := MustNew(testConfig())
+	defer s.Close()
+	const pages = 2048
+	page := bytes.Repeat([]byte{1}, 4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pages; i++ {
+		if err := s.Write(uint64(i)*4096, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew, wrote := after.TotalAlloc-before.TotalAlloc, uint64(pages*4096); grew >= wrote/16 {
+		t.Errorf("writing %d fresh bytes allocated %d heap bytes, want < %d", wrote, grew, wrote/16)
+	}
+	if s.StoredPages() != pages {
+		t.Errorf("stored pages = %d, want %d", s.StoredPages(), pages)
+	}
+}
+
+// slabsReleasedTo runs collections until at most floor slabs are mapped,
+// for a bounded number of rounds, and reports whether it got there.
+func slabsReleasedTo(floor int64) bool {
+	for i := 0; i < 1000 && mappedSlabs.Load() > floor; i++ {
+		runtime.GC()
+		runtime.Gosched()
+	}
+	return mappedSlabs.Load() <= floor
+}
+
+// TestUnclosedDevicesReleaseSlabs: a device dropped without Close gives
+// its slabs back once collected; Close gives them back at once.
+func TestUnclosedDevicesReleaseSlabs(t *testing.T) {
+	// No device of an earlier test is reachable any more.
+	if !slabsReleasedTo(0) {
+		t.Fatalf("%d slabs of earlier tests never released", mappedSlabs.Load())
+	}
+	for i := 0; i < 64; i++ {
+		if err := MustNew(testConfig()).Write(0, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := mappedSlabs.Load(); n > 64 {
+		t.Fatalf("%d slabs mapped for 64 one-page devices", n)
+	}
+	if !slabsReleasedTo(0) {
+		t.Fatalf("%d slabs still mapped after 64 unclosed devices were dropped", mappedSlabs.Load())
+	}
+
+	s := MustNew(testConfig())
+	if err := s.Write(0, make([]byte, 2*slabSize)); err != nil {
+		t.Fatal(err)
+	}
+	if n := mappedSlabs.Load(); n != 2 {
+		t.Fatalf("%d slabs mapped for 4 MiB of pages, want 2", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mappedSlabs.Load(); n != 0 {
+		t.Errorf("%d slabs still mapped after Close", n)
+	}
+}
+
 func BenchmarkWrite4K(b *testing.B) {
 	s := MustNew(testConfig())
 	buf := make([]byte, 4096)
 	b.SetBytes(4096)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := s.Write(uint64(i%1024)*4096, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWriteFreshPage4K is BenchmarkWrite4K where every write touches
+// a page for the first time: the cost of giving a page its memory. A new
+// device replaces the full one every 64 MiB, outside the timer.
+func BenchmarkWriteFreshPage4K(b *testing.B) {
+	const perDevice = 16384
+	s := MustNew(testConfig())
+	buf := make([]byte, 4096)
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%perDevice == 0 {
+			b.StopTimer()
+			s.Close()
+			s = MustNew(testConfig())
+			b.StartTimer()
+		}
+		if err := s.Write(uint64(i%perDevice)*4096, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.Close()
 }
 
 func TestFileBackedPersistence(t *testing.T) {
