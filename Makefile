@@ -132,7 +132,8 @@ fuzz:
 
 # bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
 # call through the async front-end (idle group / callers meeting on the
-# owner lock), the LZ kernel both ways, the table-cache probe (hit / miss
+# owner lock), the LZ kernel both ways (compression at the workloads'
+# 0.5 ratio and over random bytes), the table-cache probe (hit / miss
 # that evicts a dirty line), one 4-KB chunk each way over loopback TCP, one
 # 64-chunk batch through Server.Write (unique / duplicate at one lane and
 # two: the tipping path, ns and allocs) — with benchstat-compatible output
@@ -145,7 +146,7 @@ bench-go:
 		-bench '^(BenchmarkHashLanes|BenchmarkCompressLanes|BenchmarkAsyncCall)$$' \
 		-benchmem -count $(BENCH_COUNT) .
 	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkLZCompress4K|BenchmarkLZDecompress4K)$$' \
+		-bench '^(BenchmarkLZCompress4K|BenchmarkLZCompress4KRandom|BenchmarkLZDecompress4K)$$' \
 		-benchmem -count $(BENCH_COUNT) ./internal/blockcomp
 	$(GO) test -run '^$$' -bench '^BenchmarkTableCacheLookup$$' \
 		-benchmem -count $(BENCH_COUNT) ./internal/tablecache

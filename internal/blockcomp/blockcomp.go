@@ -9,10 +9,12 @@
 // (core.Config.Compressor).
 //
 // LZ is the write path's hottest kernel: its match table is epoch-tagged
-// (cleared on first use and on 32-bit wrap, not per call) and it scans and
-// extends matches a word at a time. Its token stream is byte-identical to
-// the reference kernel's for every input (TestLZOutputGolden) — that keeps
-// reduction ratios, on-SSD bytes and lane determinism fixed.
+// (cleared on first use and on 32-bit wrap, not per call), its probe step
+// doubles through incompressible runs, and it extends matches a word at a
+// time. Its token stream is a pure function of the input
+// (TestLZOutputGolden) — that keeps reduction ratios, on-SSD bytes and
+// lane determinism fixed — and its decoder reads every stream an earlier
+// kernel wrote (TestLZDecodesParentStreams).
 package blockcomp
 
 // Compressor compresses and decompresses single chunks. Implementations

@@ -2,6 +2,7 @@ package blockcomp
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,30 @@ func TestLZRejectsCorruptStream(t *testing.T) {
 	}
 }
 
+// TestLZDecompressRejectsNegativeSize: a negative declared size is an
+// error from the Compressor contract, not a makeslice panic.
+func TestLZDecompressRejectsNegativeSize(t *testing.T) {
+	lz := NewLZ()
+	good, err := lz.Compress([]byte("some sample data data data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		src  []byte
+		size int
+	}{
+		{"empty stream", nil, -1},
+		{"valid stream", good, -1},
+		{"most negative", good, math.MinInt},
+	} {
+		out, err := lz.Decompress(c.src, c.size)
+		if err == nil {
+			t.Errorf("%s, size %d: accepted, %d bytes out", c.name, c.size, len(out))
+		}
+	}
+}
+
 func TestLZOverlappingCopy(t *testing.T) {
 	// RLE-style data forces overlapping copies (dist < length).
 	lz := NewLZ()
@@ -193,12 +218,29 @@ func TestShaperZeroLength(t *testing.T) {
 	NewShaper(0.5).Block(1, nil) // must not panic
 }
 
-func BenchmarkLZCompress4K(b *testing.B) {
-	in := NewShaper(0.5).Make(1, 4096)
+// BenchmarkLZCompress4K runs the kernel as the compression engine calls
+// it: CompressAppend into a recycled buffer, over 64 4-KB payloads at the
+// workloads' 0.5 ratio whose seeds, like the workloads', are hashes.
+func BenchmarkLZCompress4K(b *testing.B) { benchLZCompress(b, 0.5) }
+
+// BenchmarkLZCompress4KRandom is the same over incompressible payloads:
+// the scan alone, with no match to find.
+func BenchmarkLZCompress4KRandom(b *testing.B) { benchLZCompress(b, 1) }
+
+func benchLZCompress(b *testing.B, ratio float64) {
+	sh, state := NewShaper(ratio), uint64(1)
+	ins := make([][]byte, 64)
+	for k := range ins {
+		ins[k] = sh.Make(splitmix64(&state), 4096)
+	}
 	lz := NewLZ()
+	var dst []byte
 	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lz.Compress(in); err != nil {
+		var err error
+		if dst, err = lz.CompressAppend(dst[:0], ins[i%len(ins)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,16 +27,18 @@ func FuzzLZRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzLZDecompress: arbitrary compressed streams must never panic or
-// produce output beyond the declared size.
+// FuzzLZDecompress: arbitrary compressed streams and declared sizes,
+// negative ones included, must never panic or produce output beyond the
+// declared size.
 func FuzzLZDecompress(f *testing.F) {
 	lz := NewLZ()
 	good, _ := lz.Compress([]byte("some sample data data data"))
 	f.Add(good, 26)
 	f.Add([]byte{0x01, 0xFF, 0xFF}, 100)
 	f.Add([]byte{0x00}, 0)
+	f.Add(good, -1)
 	f.Fuzz(func(t *testing.T, data []byte, size int) {
-		if size < 0 || size > 1<<20 {
+		if size > 1<<20 {
 			return
 		}
 		out, err := lz.Decompress(data, size)

@@ -22,11 +22,14 @@ import (
 // The format favors decode simplicity over density, matching hardware
 // implementations that decode one token per cycle.
 //
-// Byte-identity contract: the token stream is a pure function of the
-// input (greedy first match per position, 16 384-slot table, every 7th
-// position indexed inside a match), pinned by TestLZOutputGolden. The
-// epoch-tagged table (lzState) and word-at-a-time scanning change how
-// fast the stream is produced, never which stream.
+// Stream contract: the token stream is a pure function of the input
+// (first match per probe, probe step doubling through incompressible
+// runs, backward catch-up, 16 384-slot table, every 7th position indexed
+// inside a match), pinned by TestLZOutputGolden; the epoch-tagged table
+// (lzState) and call history never change it, so lane count does not
+// either. The decoder reads every stream an earlier kernel wrote: the
+// greedy byte-by-byte scan's streams are kept in testdata and must decode
+// byte-exact (TestLZDecodesParentStreams).
 type LZ struct{}
 
 // NewLZ returns the LZ compressor.
@@ -39,6 +42,9 @@ const (
 	lzMinMatch = 4
 	lzWindow   = 1 << 16
 	lzHashBits = 14
+
+	lzSkipMisses = 16 // consecutive misses before the probe step doubles
+	lzMaxStep    = 16 // the largest probe step, a power of two
 )
 
 func lzHash(v uint32) uint32 {
@@ -78,8 +84,18 @@ func (*LZ) CompressAppend(dst, src []byte) ([]byte, error) {
 }
 
 // compress appends src's token stream to dst. Positions are 32-bit: the
-// stream equals the reference one below 2 GiB and still round-trips above
-// (a wrapped slot names an earlier position, whose bytes are compared).
+// stream is a pure function of src below 2 GiB and still round-trips
+// above (a wrapped slot names an earlier position, whose bytes are
+// compared).
+//
+// The scan probes with a step that doubles after lzSkipMisses
+// consecutive misses, up to lzMaxStep, and each probe lands on a
+// multiple of its step: an incompressible run costs about one probe per
+// 16 bytes, and since probes a multiple of a repeat's period apart see
+// the same bytes, a repeat whose period divides 16 (the Shaper's tail)
+// is found within 16 bytes of the first probe inside it. A match then
+// extends backwards toward the last literal start, so a copy found late
+// starts where a byte-by-byte scan would have found it.
 func (st *lzState) compress(dst, src []byte) []byte {
 	next := uint64(st.base) + uint64(len(src))
 	if st.base == 0 || next > math.MaxUint32 {
@@ -88,41 +104,35 @@ func (st *lzState) compress(dst, src []byte) []byte {
 	}
 	table, base := &st.table, st.base
 	st.base = uint32(min(next, math.MaxUint32)) // saturated: the next call clears
-	litStart := 0
+	litStart, step, misses := 0, 1, 0
 	for i := 0; i+lzMinMatch <= len(src); {
-		// One 8-byte load serves five positions (the last bytes of src
-		// load four, for one): the scan is the cost.
-		w, n := uint64(0), 1
-		if i+8 <= len(src) {
-			w, n = binary.LittleEndian.Uint64(src[i:]), 5
-		} else {
-			w = uint64(binary.LittleEndian.Uint32(src[i:]))
-		}
-		for ; n > 0; n-- {
-			v := uint32(w)
-			w >>= 8
-			h := lzHash(v)
-			e := table[h]
-			table[h] = base + uint32(i)
-			cand := int(e - base)
-			if e < base || i-cand >= lzWindow || binary.LittleEndian.Uint32(src[cand:]) != v {
-				i++
-				continue
+		v := binary.LittleEndian.Uint32(src[i:])
+		h := lzHash(v)
+		e := table[h]
+		table[h] = base + uint32(i)
+		cand := int(e - base)
+		if e < base || i-cand >= lzWindow || binary.LittleEndian.Uint32(src[cand:]) != v {
+			i = (i + step) &^ (step - 1)
+			if misses++; misses == lzSkipMisses {
+				step, misses = min(step<<1, lzMaxStep), 0
 			}
-			length := lzMinMatch + lzMatchLen(src, cand+lzMinMatch, i+lzMinMatch)
-			dst = lzAppendLiterals(dst, src[litStart:i])
-			dst = append(dst, 0x01)
-			dst = binary.AppendUvarint(dst, uint64(length))
-			dst = binary.AppendUvarint(dst, uint64(i-cand))
-			// Index a few positions inside the match so later repeats
-			// are found, then skip past it.
-			end := i + length
-			for j := i + 1; j < end && j+lzMinMatch <= len(src); j += 7 {
-				table[lzHash(binary.LittleEndian.Uint32(src[j:]))] = base + uint32(j)
-			}
-			i, litStart = end, end
-			break
+			continue
 		}
+		length := lzMinMatch + lzMatchLen(src, cand+lzMinMatch, i+lzMinMatch)
+		for i > litStart && cand > 0 && src[i-1] == src[cand-1] {
+			i, cand, length = i-1, cand-1, length+1
+		}
+		dst = lzAppendLiterals(dst, src[litStart:i])
+		dst = append(dst, 0x01)
+		dst = binary.AppendUvarint(dst, uint64(length))
+		dst = binary.AppendUvarint(dst, uint64(i-cand))
+		// Index a few positions inside the match so later repeats are
+		// found, then skip past it and probe byte by byte again.
+		end := i + length
+		for j := i + 1; j < end && j+lzMinMatch <= len(src); j += 7 {
+			table[lzHash(binary.LittleEndian.Uint32(src[j:]))] = base + uint32(j)
+		}
+		i, litStart, step, misses = end, end, 1, 0
 	}
 	return lzAppendLiterals(dst, src[litStart:])
 }
@@ -155,6 +165,9 @@ func lzAppendLiterals(dst, run []byte) []byte {
 
 // Decompress implements Compressor.
 func (*LZ) Decompress(src []byte, dstSize int) ([]byte, error) {
+	if dstSize < 0 {
+		return nil, fmt.Errorf("blockcomp: lz negative output size %d", dstSize)
+	}
 	dst := make([]byte, 0, dstSize)
 	p := 0
 	for p < len(src) {
