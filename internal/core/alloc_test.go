@@ -74,13 +74,17 @@ func TestDuplicateBatchAllocCeiling(t *testing.T) {
 
 // BenchmarkWriteBatch is the two-second check of the tipping path: ns and
 // allocs per 64-chunk batch through Server.Write, all-unique and
-// all-duplicate, at one lane (everything inline) and two (each commit runs
-// under the next batch's hash). The server is built outside the timer, and
+// all-duplicate, at one lane (everything inline) and two (arrival hashers,
+// and each commit runs under the next batch's hash). The read-interleaved
+// row writes the duplicate batch with a read of a committed LBA — the one
+// the next write overwrites — after every write: every batch is then
+// committed by the write that tips it, so the row measures that tip on the
+// traffic the overlap skips. The server is built outside the timer, and
 // rebuilt there every few hundred unique batches so the in-memory SSD
 // stays small.
 func BenchmarkWriteBatch(b *testing.B) {
 	const rebuildEvery = 256
-	for _, kind := range []string{"unique", "duplicate"} {
+	for _, kind := range []string{"unique", "duplicate", "read-interleaved"} {
 		for _, lanes := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/lanes%d", kind, lanes), func(b *testing.B) {
 				cfg := DefaultConfig(FIDRFull)
@@ -91,13 +95,18 @@ func BenchmarkWriteBatch(b *testing.B) {
 					chunks[i] = sh.Make(uint64(i)+1, cfg.ChunkSize)
 				}
 				var s *Server
-				batch := func(stamp uint64) {
+				batch := func(stamp uint64, reads bool) {
 					for i, c := range chunks {
 						if kind == "unique" { // new content at the cost of one store
 							binary.LittleEndian.PutUint64(c, stamp<<8|uint64(i))
 						}
 						if err := s.Write(uint64(i), c); err != nil {
 							b.Fatal(err)
+						}
+						if reads {
+							if _, err := s.Read(uint64(i+1) % uint64(len(chunks))); err != nil {
+								b.Fatal(err)
+							}
 						}
 					}
 				}
@@ -110,11 +119,11 @@ func BenchmarkWriteBatch(b *testing.B) {
 						if s, err = New(cfg); err != nil {
 							b.Fatal(err)
 						}
-						batch(0) // admits the content the duplicate rows rewrite
-						batch(0)
+						batch(0, false) // admits the content the other rows rewrite
+						batch(0, false)
 						b.StartTimer()
 					}
-					batch(uint64(i) + 1)
+					batch(uint64(i)+1, kind == "read-interleaved")
 				}
 			})
 		}

@@ -309,8 +309,10 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 	})
 }
 
-// TestNothingRunsAfterWrite: every goroutine a tipping write starts has
-// exited by the time the write returns — the server owns no goroutine.
+// TestNothingRunsAfterWrite: no goroutine outlives the hashing of what is
+// buffered. The NIC's arrival hashers exit once they have caught up with
+// the filling buffer, and a tipping write's Join waits for every hash of
+// its batch, so after each write the count returns to where it began.
 func TestNothingRunsAfterWrite(t *testing.T) {
 	s := overlapServer(t)
 	sh := blockcomp.NewShaper(0.5)
@@ -319,8 +321,9 @@ func TestNothingRunsAfterWrite(t *testing.T) {
 		if err := s.Write(i, sh.Make(i, 4096)); err != nil {
 			t.Fatal(err)
 		}
-		// A lane's last instructions after it signalled the join may still
-		// be running on another CPU, or wait for one on a loaded box; the
+		// An arrival hasher may still be hashing chunks this write
+		// buffered, or be running its last instructions after it signalled
+		// its join, on another CPU or waiting for one on a loaded box; the
 		// deadline only bounds how long a leak takes to report.
 		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() != base && time.Now().Before(deadline); {
 			runtime.Gosched()

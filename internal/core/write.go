@@ -285,8 +285,9 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 
 // generation is the server's note on one NIC generation between its tip
 // and its commit: the request that tipped it, under whose trace the commit
-// links whenever it runs, and the hash round's span, which the commit's
-// batch trace reports once.
+// links whenever it runs, and the span the tip waited in the NIC's Join
+// for the fingerprints the arrival hashers had not finished, which the
+// commit's batch trace reports once as its hash stage.
 type generation struct {
 	tip       *ReqTrace
 	hashStart time.Time
@@ -295,11 +296,12 @@ type generation struct {
 
 // tipFIDRBatch runs when the filling buffer holds a batch (and, with now
 // set, from Flush on whatever it holds). §5.3's step 2 — the NIC hashes the
-// batch — is a pure function of bytes already in NIC memory, so it runs
-// beside steps 3-10 of the batch before: the NIC detaches the buffer as a
-// generation and starts its hash cores, this goroutine meanwhile commits
-// the previous generation, then joins the cores. All of it happens inside
-// this call; nothing runs after it returns.
+// batch — is a pure function of bytes already in NIC memory: the NIC's
+// arrival hashers have fingerprinted most of the batch while it filled,
+// and the rest is hashed beside steps 3-10 of the batch before: the NIC
+// detaches the buffer as a generation, this goroutine commits the previous
+// generation, then joins the generation's hashes. Nothing of this batch's
+// hashing runs after the call returns.
 //
 // The new generation's own commit waits for the next tip, unless this is
 // Flush or its fill saw a read go past the NIC: reads settle what waits, so
@@ -320,15 +322,16 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	// Step 2: NIC hash cores fingerprint the batch; only the hash
 	// values cross PCIe into host memory.
 	overlap := s.fnic.Waiting() > 0
-	s.gens = append(s.gens, generation{tip: s.activeReq, hashStart: s.obs.now()})
+	s.gens = append(s.gens, generation{tip: s.activeReq})
 	s.fnic.Tip(overlap)
 	var err error
 	if overlap {
 		s.ctr.overlapped.Inc()
 		err = s.commitGeneration()
 	}
-	n := uint64(s.fnic.Join())
 	g := &s.gens[len(s.gens)-1]
+	g.hashStart = s.obs.now()
+	n := uint64(s.fnic.Join())
 	g.hashDur = s.obs.since(g.hashStart)
 	hashBytes := n * fingerprint.Size
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)

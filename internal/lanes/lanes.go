@@ -1,8 +1,9 @@
 // Package lanes is the fork-join primitive behind the paper's
-// accelerator arrays. The FIDR NIC carries an array of SHA-256 hash
-// cores and the Compression Engine an array of LZ77 pipelines; this
-// package models each array as a pool of worker goroutines ("lanes")
-// that a batch fans out across.
+// accelerator arrays, and the lane count every array is sized by. The
+// Compression Engine's array of LZ77 pipelines (and the baseline's FPGA
+// hash array) is a pool of worker goroutines ("lanes") that a batch fans
+// out across; the FIDR NIC's SHA-256 cores hash chunks as they arrive
+// instead (package nic) and take only their count from here.
 //
 // Two properties make the model faithful and safe:
 //
@@ -12,14 +13,10 @@
 //   - Fork-join scope. A round ends only after every lane finishes, so
 //     callers commit results strictly in item order after the join and
 //     the surrounding code stays single-threaded. Parallelism never
-//     leaks past the accelerator boundary. The scope has two spellings:
-//     Run forks and joins in one call; a Group's Start and Join let the
-//     owner work on something the lanes do not touch in between (the NIC
-//     hashes one batch while the server commits the one before), and no
-//     goroutine outlives the Join.
+//     leaks past the accelerator boundary: no goroutine outlives Run.
 //
 // Per-lane busy time is returned for the duty-cycle accounting plane
-// (nic.hash_lane_busy_ns, engine.compress_lane_busy_ns).
+// (engine.compress_lane_busy_ns).
 package lanes
 
 import (
@@ -86,20 +83,14 @@ func Run(n, k int, fn func(lane, item int)) []time.Duration {
 // Group is an owner-held fork-join scope: the item function is bound at
 // construction and the busy slice, the WaitGroup and the lanes' entry
 // points are reused, so a round allocates nothing once the group has run
-// at its widest. A round is either Run (fork, work, join in one call) or
-// Start ... Join with the owner free to do unrelated work in between —
-// the second spelling of the fork-join scope: the lanes still touch only
-// their items, and every goroutine the round started has exited when Join
-// returns. One round at a time; not safe for concurrent use.
+// at its widest. One round at a time; not safe for concurrent use.
 type Group struct {
 	fn func(lane, item int)
 	// n and k are the current round's item and lane counts; the lane
 	// goroutines read them, so they change only between rounds.
 	n, k int
-	// inline marks a one-lane round Start left for Join to run.
-	inline bool
-	busy   []time.Duration
-	wg     sync.WaitGroup
+	busy []time.Duration
+	wg   sync.WaitGroup
 	// entry[l] is lane l's goroutine body, built once so that a `go`
 	// statement captures nothing.
 	entry []func()
@@ -107,20 +98,6 @@ type Group struct {
 
 // NewGroup binds fn, which must follow Run's rules, to a new group.
 func NewGroup(fn func(lane, item int)) *Group { return &Group{fn: fn} }
-
-// begin sizes a round and returns false when there is nothing to run.
-func (g *Group) begin(n, k int) bool {
-	g.n, g.k, g.inline = 0, 0, false
-	if n <= 0 {
-		return false
-	}
-	k = max(min(k, n), 1)
-	g.n, g.k = n, k
-	if len(g.busy) < k {
-		g.busy = make([]time.Duration, k)
-	}
-	return true
-}
 
 // lane runs lane l's share of the current round on the calling goroutine.
 func (g *Group) lane(l int) {
@@ -131,7 +108,7 @@ func (g *Group) lane(l int) {
 	g.busy[l] = time.Since(start)
 }
 
-// fork starts lanes [from, k) of the current round on goroutines and, if
+// fork starts lanes 1..k-1 of the current round on goroutines and, if
 // it started any, yields once. A goroutine just started sits in this P's
 // run-next slot, and while the caller keeps running an idle P takes it
 // from there too late or never: measured on two CPUs, a caller that runs
@@ -139,8 +116,8 @@ func (g *Group) lane(l int) {
 // (190 of 186 µs), one that yields first in 125-140 µs. The yield puts the
 // caller on the global queue, where a waking P looks first, and this P
 // starts a lane at once.
-func (g *Group) fork(from int) {
-	if from >= g.k {
+func (g *Group) fork() {
+	if g.k == 1 {
 		return
 	}
 	for len(g.entry) < g.k {
@@ -150,46 +127,27 @@ func (g *Group) fork(from int) {
 			g.wg.Done()
 		})
 	}
-	g.wg.Add(g.k - from)
-	for l := from; l < g.k; l++ {
+	g.wg.Add(g.k - 1)
+	for l := 1; l < g.k; l++ {
 		go g.entry[l]()
 	}
 	runtime.Gosched()
 }
 
 // Run is one whole round: lanes 1..k-1 on goroutines, lane 0 on the
-// caller, then the join. The result is valid until the next round.
+// caller, then the join. It returns each lane's busy time (nil for an
+// empty round), valid until the next round.
 func (g *Group) Run(n, k int) []time.Duration {
-	if g.begin(n, k) {
-		g.fork(1)
-		g.lane(0)
-	}
-	return g.Join()
-}
-
-// Start begins a round and returns at once: with more than one lane every
-// lane runs on its own goroutine while the caller does something else;
-// with one lane nothing starts, and Join runs the items on the caller.
-func (g *Group) Start(n, k int) {
-	if !g.begin(n, k) {
-		return
-	}
-	if g.inline = g.k == 1; !g.inline {
-		g.fork(0)
-	}
-}
-
-// Join completes the round Start began and returns each lane's busy time
-// (nil for an empty round), valid until the next round.
-func (g *Group) Join() []time.Duration {
-	if g.inline {
-		g.inline = false
-		g.lane(0)
-	}
-	g.wg.Wait()
-	if g.k == 0 {
+	if n <= 0 {
 		return nil
 	}
+	g.n, g.k = n, max(min(k, n), 1)
+	if len(g.busy) < g.k {
+		g.busy = make([]time.Duration, g.k)
+	}
+	g.fork()
+	g.lane(0)
+	g.wg.Wait()
 	return g.busy[:g.k]
 }
 

@@ -3,7 +3,6 @@ package lanes
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 var raceEnabled bool // set by race_test.go under -race
@@ -79,11 +78,11 @@ func TestRunEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestGroupStartJoinMatchesRun: a held group's Start ... Join round is Run
-// with a gap in the middle — same item -> lane assignment, same results,
-// a busy time per lane — and the group is reusable round after round, at
-// any width, without allocating once it has run at that width.
-func TestGroupStartJoinMatchesRun(t *testing.T) {
+// TestGroupRunReusable: a held group's rounds are the package Run's —
+// same item -> lane assignment, same results, a busy time per lane — and
+// the group is reusable round after round, at any width, without
+// allocating once it has run at that width.
+func TestGroupRunReusable(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 7, 64} {
 			wantLane := make([]int32, n)
@@ -106,13 +105,7 @@ func TestGroupStartJoinMatchesRun(t *testing.T) {
 					atomic.StoreInt64(&out[i], 0)
 					atomic.StoreInt32(&lane[i], -1)
 				}
-				var busy []time.Duration
-				if r%2 == 0 {
-					g.Start(n, k)
-					busy = g.Join()
-				} else {
-					busy = g.Run(n, k)
-				}
+				busy := g.Run(n, k)
 				if len(busy) != len(wantBusy) {
 					t.Fatalf("k=%d n=%d round %d: %d busy entries, Run has %d", k, n, r, len(busy), len(wantBusy))
 				}
@@ -126,8 +119,8 @@ func TestGroupStartJoinMatchesRun(t *testing.T) {
 			if raceEnabled {
 				continue
 			}
-			if a := testing.AllocsPerRun(50, func() { g.Start(n, k); g.Join(); g.Run(n, k) }); a != 0 {
-				t.Errorf("k=%d n=%d: %v allocs per warmed round pair, want 0", k, n, a)
+			if a := testing.AllocsPerRun(50, func() { g.Run(n, k) }); a != 0 {
+				t.Errorf("k=%d n=%d: %v allocs per warmed round, want 0", k, n, a)
 			}
 		}
 	}

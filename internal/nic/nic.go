@@ -6,15 +6,22 @@
 //     hardware but DMA-writes every client byte into host memory, where
 //     software takes over.
 //   - FIDR: the paper's data-reduction NIC. It buffers client writes in
-//     NIC memory, hashes chunks with on-NIC SHA-256 cores, answers reads
-//     that hit the in-NIC write buffer, and schedules batches of unique
-//     chunks for direct P2P transfer to the Compression Engines — host
-//     memory sees only hash values and per-chunk flags.
+//     NIC memory, hashes chunks with on-NIC SHA-256 cores as they arrive,
+//     answers reads that hit the in-NIC write buffer, and schedules
+//     batches of unique chunks for direct P2P transfer to the Compression
+//     Engines — host memory sees only hash values and per-chunk flags.
+//
+// The SHA-core array is lanes 0..k-1. Lanes 1..k-1 are arrival hashers:
+// goroutines that BufferWrite wakes while the filling buffer fills and
+// that exit once they have caught up with it. Lane 0 is the caller of
+// Join, which hashes whatever the arrival hashers had not reached when the
+// batch tipped. With one lane nothing starts and Join hashes the batch.
 package nic
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"fidr/internal/bufpool"
@@ -33,8 +40,9 @@ type WriteEntry struct {
 	// bytes), so dedup accounting can attribute the right byte count per
 	// chunk under variable-size chunking.
 	Size int
-	// FP is the chunk fingerprint, computed by the NIC hash cores once the
-	// chunk's generation tips.
+	// FP is the chunk fingerprint, written by whichever SHA-core lane
+	// claimed the chunk; complete for the whole generation once Join
+	// returns.
 	FP fingerprint.FP
 }
 
@@ -44,7 +52,7 @@ type Config struct {
 	// DRAM; writes are acked once buffered, §7.6.1).
 	BufferBytes int
 	// HashLanes is the modeled SHA-256 core count; <= 0 selects the
-	// GOMAXPROCS-derived default.
+	// GOMAXPROCS-derived default (lanes.Default), as in core.Config.
 	HashLanes int
 }
 
@@ -72,9 +80,10 @@ type counters struct {
 	hashOps, hashBytes            metrics.Counter
 	readLookups, readHits         metrics.Counter
 	batches, uniqueSent, dupDrops metrics.Counter
-	// busyNS accumulates hash-section wall time; its windowed rate is the
-	// NIC's duty cycle in the sampler. hashLaneBusyNS sums per-lane busy
-	// time across the SHA-core array (exceeds busyNS when lanes overlap).
+	// busyNS accumulates tip-to-join wall time; its windowed rate is the
+	// NIC's duty cycle in the sampler. hashLaneBusyNS sums the hashing
+	// time of every lane, arrival hashers included (it can exceed busyNS,
+	// which does not see the hashing done before a tip).
 	busyNS, hashLaneBusyNS metrics.Counter
 	// Configured lane count and in-NIC buffer occupancy.
 	hashLanesG, queueDepth, bufferedBytes metrics.Gauge
@@ -112,26 +121,83 @@ func (c *counters) Instrument(reg *metrics.Registry) {
 	reg.AttachGauge("nic.buffered_bytes", &c.bufferedBytes)
 }
 
+// wakeBacklog is how many unclaimed chunks of a generation wake an
+// arrival hasher: an eighth of the default 64-chunk batch. Waking per
+// chunk would start a goroutine on every write.
+const wakeBacklog = 8
+
 // generation is one buffer's worth of chunks: the buffer being filled, or
 // one the server detached when its batch tipped and has not consumed yet.
 type generation struct {
 	entries []WriteEntry
 	bytes   int
 	// view is entries without the chunk bytes — what Head hands the host —
-	// rebuilt by the generation's hash round, valid until the generation is
-	// consumed. Every generation has its own, so one batch's view survives
-	// the next batch's hashing.
+	// rebuilt by Join, valid until the generation is consumed. Every
+	// generation has its own, so one batch's view survives the next
+	// batch's hashing.
 	view []WriteEntry
+
+	// mu orders the owner's appends to entries with the hashers' claims
+	// and FP writes; a hasher touches entries only under it. Entries
+	// before next are claimed. running counts live arrival hashers, wg
+	// joins them, and busy sums the lanes' hashing time since the last
+	// join.
+	mu      sync.Mutex
+	next    int
+	running int
+	busy    time.Duration
+	wg      sync.WaitGroup
+	// hash is an arrival hasher's body, built once per generation so that
+	// a wake's `go` statement allocates nothing.
+	hash func()
+}
+
+func newGeneration() *generation {
+	g := &generation{}
+	g.hash = func() {
+		g.mu.Lock()
+		g.drain()
+		g.running--
+		g.mu.Unlock()
+		g.wg.Done()
+	}
+	return g
+}
+
+// drain claims entries from next, in order, and hashes each outside the
+// lock until none is left unclaimed. Called and returns with mu held.
+func (g *generation) drain() {
+	start := time.Now()
+	for g.next < len(g.entries) {
+		i := g.next
+		g.next++
+		data := g.entries[i].Data
+		g.mu.Unlock()
+		fp := fingerprint.Of(data)
+		g.mu.Lock()
+		g.entries[i].FP = fp
+	}
+	g.busy += time.Since(start)
+}
+
+// stop claims whatever is unclaimed without hashing it and waits for the
+// hashes in flight: afterwards no hasher reads an entry.
+func (g *generation) stop() {
+	g.mu.Lock()
+	g.next = len(g.entries)
+	g.mu.Unlock()
+	g.wg.Wait()
 }
 
 // FIDR is the data-reduction NIC.
 //
 // Its chunk memory holds generations: the filling buffer, which takes
 // writes and answers reads, and behind it a queue of detached ones waiting
-// for the server's table lookup and ScheduleBatch, oldest first. Tip
-// detaches the filling buffer and starts the SHA cores on it, so the
-// server can run the previous generation's lookup-to-seal while this one
-// hashes. BufferBytes bounds each generation.
+// for the server's table lookup and ScheduleBatch, oldest first. Arrival
+// hashers fingerprint the filling buffer while it fills; Tip detaches it,
+// and Join finishes its hashes, so the server can run the previous
+// generation's lookup-to-seal between the two. BufferBytes bounds each
+// generation.
 type FIDR struct {
 	// bufferCap bounds one generation's chunk bytes (the NIC's
 	// battery-backed DRAM; writes are acked once buffered, §7.6.1).
@@ -142,12 +208,10 @@ type FIDR struct {
 	// lbaIndex finds the most recent entry per LBA in the filling buffer
 	// for the read fast path (§5.3 read step 2).
 	lbaIndex map[uint64]int
-	// hashLanes is the modeled SHA-256 core count: a hash round fans the
-	// generation across this many lanes (1 = serial). cores is the lane
-	// group, bound once to hashOne; hashing is the generation the round
-	// between a start and its join works on, hashStart when it began.
+	// hashLanes is the modeled SHA-256 core count: up to hashLanes-1
+	// arrival hashers per generation, plus Join's caller. hashing is the
+	// generation between its tip and its join, hashStart when it tipped.
 	hashLanes int
-	cores     *lanes.Group
 	hashing   *generation
 	hashStart time.Time
 	// unique backs ScheduleBatch's result, valid until its next call.
@@ -161,19 +225,14 @@ func New(cfg Config) (*FIDR, error) {
 	if cfg.BufferBytes < 4096 {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
-	n := &FIDR{bufferCap: cfg.BufferBytes, fill: &generation{}, lbaIndex: make(map[uint64]int)}
-	n.cores = lanes.NewGroup(n.hashOne)
-	hl := 1
-	if cfg.HashLanes != 0 {
-		hl = cfg.HashLanes
-	}
-	n.SetHashLanes(hl)
+	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newGeneration(), lbaIndex: make(map[uint64]int)}
+	n.SetHashLanes(cfg.HashLanes)
 	return n, nil
 }
 
-// SetHashLanes sets the modeled SHA-256 core count a hash round fans out
-// across. n <= 0 selects the GOMAXPROCS-derived default. Results are
-// byte-identical at any lane count; only wall time changes.
+// SetHashLanes sets the modeled SHA-256 core count. count <= 0 selects
+// the GOMAXPROCS-derived default. Results are byte-identical at any lane
+// count; only wall time changes.
 func (n *FIDR) SetHashLanes(count int) {
 	n.hashLanes = lanes.Normalize(count)
 	n.hashLanesG.Set(float64(n.hashLanes))
@@ -196,7 +255,9 @@ func (n *FIDR) publishOccupancy() {
 
 // BufferWrite accepts one chunk into the filling buffer. The data is
 // copied (the NIC owns its buffer memory). Returns ErrBufferFull when the
-// buffer cannot hold the chunk; the caller must drain a batch first.
+// buffer cannot hold the chunk; the caller must drain a batch first. Once
+// wakeBacklog chunks of the buffer are unclaimed it wakes an arrival
+// hasher, if fewer than HashLanes-1 are running.
 func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	g := n.fill
 	if g.bytes+len(data) > n.bufferCap {
@@ -204,7 +265,10 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	}
 	cp := bufpool.Get(len(data))
 	copy(cp, data)
+	g.mu.Lock()
 	g.entries = append(g.entries, WriteEntry{LBA: lba, Data: cp, Size: len(data)})
+	n.wake(g, wakeBacklog)
+	g.mu.Unlock()
 	n.lbaIndex[lba] = len(g.entries) - 1
 	g.bytes += len(data)
 	n.writes.Inc()
@@ -219,23 +283,24 @@ func (n *FIDR) Buffered() int { return len(n.fill.entries) }
 // Waiting returns the number of detached generations not yet consumed.
 func (n *FIDR) Waiting() int { return len(n.waiting) }
 
-// hashOne is the SHA cores' item function: item i of a round is entry i
-// of the generation being hashed. It touches that entry's FP and nothing
-// else.
-func (n *FIDR) hashOne(_, i int) {
-	e := &n.hashing.entries[i]
-	e.FP = fingerprint.Of(e.Data)
+// wake starts arrival hashers on g while at least backlog of its chunks
+// are unclaimed beyond one per running hasher, and fewer than HashLanes-1
+// run. Called with g.mu held.
+func (n *FIDR) wake(g *generation, backlog int) {
+	for g.running < n.hashLanes-1 && len(g.entries)-g.next-g.running >= backlog {
+		g.running++
+		g.wg.Add(1)
+		go g.hash()
+	}
 }
 
-// Tip detaches the filling buffer as a generation — it joins the tail of
-// the waiting queue and a fresh buffer takes the writes that follow — and
-// starts the SHA cores on it, fanned across the configured lanes with a
-// deterministic chunk->lane assignment. With background set the lanes run
-// on their own goroutines while the caller does what it likes to
-// everything but this generation's entries; otherwise the round is
-// complete on return (the caller ran lane 0). Either way Join must follow
-// before the caller returns to its own caller, so nothing outlives the
-// call that tipped the batch. Reads no longer find the detached chunks:
+// Tip detaches the filling buffer as a generation: it joins the tail of
+// the waiting queue and a fresh buffer takes the writes that follow. The
+// arrival hashers already on it keep hashing; with background set Tip
+// also wakes hashers for the chunks they have not reached, up to
+// HashLanes-1 in all, so the caller can do what it likes to everything
+// but this generation's entries. Join must follow before the caller
+// returns to its own caller. Reads no longer find the detached chunks:
 // the server settles a waiting generation before a read looks past the
 // filling buffer.
 func (n *FIDR) Tip(background bool) {
@@ -244,28 +309,32 @@ func (n *FIDR) Tip(background bool) {
 	if last := len(n.free) - 1; last >= 0 {
 		n.fill, n.free = n.free[last], n.free[:last]
 	} else {
-		n.fill = &generation{}
+		n.fill = newGeneration()
 	}
 	clear(n.lbaIndex)
 	n.hashStart = time.Now()
 	n.hashing = g
-	k := lanes.Clamp(n.hashLanes, len(g.entries))
 	if background {
-		n.cores.Start(len(g.entries), k)
-	} else {
-		n.cores.Run(len(g.entries), k)
+		g.mu.Lock()
+		n.wake(g, 1)
+		g.mu.Unlock()
 	}
 }
 
-// Join completes the hash round Tip began: it waits for the lanes, commits
-// the counters once, in buffer order — so the result is byte-identical to
-// the serial path at any lane count — builds the generation's
-// data-stripped view for Head and returns how many chunks the tipped
-// generation holds. busy_ns covers start to join.
+// Join completes the tipped generation's hashes. The caller is lane 0: it
+// claims and hashes whatever is still unclaimed, then waits for the hashes
+// in flight. Join then commits the counters once, builds the generation's
+// data-stripped view for Head and returns how many chunks the generation
+// holds. Every fingerprint is a pure function of its chunk, so the result
+// is byte-identical at any lane count and any arrival timing. busy_ns
+// covers tip to join.
 func (n *FIDR) Join() int {
 	g := n.hashing
-	busy := n.cores.Join()
 	n.hashing = nil
+	g.mu.Lock()
+	g.drain()
+	g.mu.Unlock()
+	g.wg.Wait()
 	if len(g.entries) > 0 {
 		var hashBytes uint64
 		for i := range g.entries {
@@ -274,8 +343,9 @@ func (n *FIDR) Join() int {
 		n.hashOps.Add(uint64(len(g.entries)))
 		n.hashBytes.Add(hashBytes)
 		n.busyNS.Add(uint64(time.Since(n.hashStart)))
-		n.hashLaneBusyNS.Add(uint64(lanes.Total(busy)))
+		n.hashLaneBusyNS.Add(uint64(g.busy))
 	}
+	g.busy = 0
 	g.view = append(g.view[:0], g.entries...)
 	for i := range g.view {
 		g.view[i].Data = nil
@@ -313,9 +383,10 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 // Compression Engines. Duplicate chunks are dropped from NIC memory —
 // they never cross PCIe, which is FIDR's bandwidth win. flags must align
 // with the entries Head returned (or the filling buffer's, when none
-// waits). The returned slice is NIC
-// scratch, valid until the next ScheduleBatch; the chunk buffers it
-// points at are the caller's.
+// waits); on the filling buffer it first stops the arrival hashers and
+// waits for them, so no chunk is recycled while one is read. The returned
+// slice is NIC scratch, valid until the next ScheduleBatch; the chunk
+// buffers it points at are the caller's.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	g := n.fill
 	if len(n.waiting) > 0 {
@@ -324,6 +395,7 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	if len(flags) != len(g.entries) {
 		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), len(g.entries))
 	}
+	g.stop()
 	unique := n.unique[:0]
 	for i, isUnique := range flags {
 		if isUnique {
@@ -339,7 +411,7 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	n.dupDrops.Add(uint64(len(flags) - len(unique)))
 	n.batches.Inc()
 	n.unique = unique
-	g.entries, g.bytes = g.entries[:0], 0
+	g.entries, g.bytes, g.next, g.busy = g.entries[:0], 0, 0, 0
 	if g == n.fill {
 		clear(n.lbaIndex)
 	} else {

@@ -2,9 +2,14 @@ package nic
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"fidr/internal/fingerprint"
+	"fidr/internal/lanes"
 )
 
 func TestNewFIDRValidation(t *testing.T) {
@@ -13,6 +18,157 @@ func TestNewFIDRValidation(t *testing.T) {
 	}
 	if _, err := New(Config{BufferBytes: 1 << 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHashLanesDefault: a zero or negative HashLanes selects the
+// GOMAXPROCS-derived default, as core.Config's does; a positive one is
+// taken as is.
+func TestHashLanesDefault(t *testing.T) {
+	for _, tc := range []struct{ cfg, want int }{{0, lanes.Default()}, {-2, lanes.Default()}, {1, 1}, {3, 3}} {
+		n, err := New(Config{BufferBytes: 1 << 20, HashLanes: tc.cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.HashLanes(); got != tc.want {
+			t.Errorf("HashLanes %d: NIC runs %d lanes, want %d", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// chunkOf returns a distinct 4-KB chunk for i.
+func chunkOf(i uint64) []byte {
+	c := bytes.Repeat([]byte{byte(i)}, 4096)
+	binary.LittleEndian.PutUint64(c, i)
+	return c
+}
+
+// waitHashersGone waits for the arrival hashers earlier tests woke to
+// exit: a hasher signals its join before its last instructions run.
+func waitHashersGone(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "nic.newGeneration") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("arrival hashers from earlier tests still running")
+		}
+	}
+}
+
+// TestOneLaneStartsNoGoroutine: with one hash lane there are no arrival
+// hashers, so a mixed stream of buffered writes, tips in both modes,
+// reads and schedules leaves the goroutine count exactly where it was
+// after every call.
+func TestOneLaneStartsNoGoroutine(t *testing.T) {
+	waitHashersGone(t)
+	n, err := New(Config{BufferBytes: 1 << 20, HashLanes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	step := 0
+	check := func(call string) {
+		t.Helper()
+		step++
+		if got := runtime.NumGoroutine(); got != base {
+			t.Fatalf("call %d (%s): %d goroutines, %d before the first call", step, call, got, base)
+		}
+	}
+	lba := uint64(0)
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 3*wakeBacklog+round; i++ {
+			if err := n.BufferWrite(lba, chunkOf(lba)); err != nil {
+				t.Fatal(err)
+			}
+			check("BufferWrite")
+			lba++
+			if i%5 == 0 {
+				n.LookupRead(lba - 1)
+				check("LookupRead")
+			}
+		}
+		if round%3 == 2 { // untipped: the filling buffer drains directly
+			if _, err := n.ScheduleBatch(make([]bool, n.Buffered())); err != nil {
+				t.Fatal(err)
+			}
+			check("ScheduleBatch (untipped)")
+			continue
+		}
+		n.Tip(round%2 == 0)
+		check("Tip")
+		n.LookupRead(lba - 1)
+		check("LookupRead")
+		got := n.Join()
+		check("Join")
+		if _, err := n.ScheduleBatch(make([]bool, got)); err != nil {
+			t.Fatal(err)
+		}
+		check("ScheduleBatch")
+	}
+}
+
+// TestUntippedScheduleJoinsHashers: ScheduleBatch on a filling buffer that
+// arrival hashers are working on stops them and waits for them before it
+// recycles a chunk. Every chunk here is a duplicate, so its buffer goes
+// back to the pool and the next BufferWrite overwrites it at once; the
+// race detector reports a hasher still reading one. Tipped rounds in
+// between check the hashes the same hashers write. Two lanes is one
+// hasher beside the caller; four lets hashers contend for the cursor.
+func TestUntippedScheduleJoinsHashers(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		n, err := New(Config{BufferBytes: 1 << 20, HashLanes: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lba := uint64(0)
+		for round := 0; round < 200; round++ {
+			first := lba
+			for i := 0; i < 64; i++ {
+				if err := n.BufferWrite(lba, chunkOf(lba)); err != nil {
+					t.Fatal(err)
+				}
+				lba++
+			}
+			if round%2 == 1 {
+				n.Tip(false)
+				got := n.Join()
+				for i, e := range n.Head() {
+					if e.FP != fingerprint.Of(chunkOf(first+uint64(i))) {
+						t.Fatalf("%d lanes, round %d: chunk %d of %d has a wrong fingerprint", k, round, i, got)
+					}
+				}
+				if _, err := n.ScheduleBatch(make([]bool, got)); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			// Let a hasher claim a chunk first, so the schedule meets one
+			// at work (with one P it runs only when this goroutine yields).
+			g := n.fill
+			for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+				g.mu.Lock()
+				claimed := g.next
+				g.mu.Unlock()
+				if claimed > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d lanes, round %d: no arrival hasher claimed a chunk of 64", k, round)
+				}
+			}
+			if _, err := n.ScheduleBatch(make([]bool, 64)); err != nil {
+				t.Fatal(err)
+			}
+			g.mu.Lock()
+			running := g.running
+			g.mu.Unlock()
+			if running != 0 {
+				t.Fatalf("%d lanes, round %d: %d arrival hashers still running after ScheduleBatch", k, round, running)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // The four Table 3 workloads are measured by benchmark/ (harness outside
 // the clock); only the lane-array microbenchmarks live here.
 
-// BenchmarkHashLanes isolates the NIC SHA-core array: buffer a batch,
-// tip it across the lane array and join, drain. Scaling tracks the host's
-// core count; results are byte-identical at every width.
+// BenchmarkHashLanes isolates the NIC SHA-core array: buffer a batch
+// (arrival hashers hash it as it fills), tip it and join, drain. Scaling
+// tracks the host's core count; results are byte-identical at every width.
 func BenchmarkHashLanes(b *testing.B) {
 	const batch = 64
 	sh := blockcomp.NewShaper(0.5)
