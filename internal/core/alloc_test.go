@@ -8,83 +8,126 @@ import (
 	"fidr/internal/blockcomp"
 )
 
-// dupBatchAllocCeilings are the measured heap allocations of one warmed,
-// all-duplicate 64-chunk batch through Server.Write. They may only be
-// lowered. At one lane nothing forks. At two hash and two compress lanes
-// the NIC's lane group starts two goroutines per batch and the `go`
-// statements are all that is new — they allocate nothing: each runs a
-// closure the group built once, and the runtime reuses the exited
-// goroutines. (The parent measured 2 and 7: a busy slice and a function
-// closure per fork-join, an escaped WaitGroup and a closure per goroutine.)
-var dupBatchAllocCeilings = []struct {
+// batchAllocCeilings are the measured heap allocations of one warmed
+// 64-chunk batch through Server.Write. They may only be lowered. At one
+// lane nothing starts. At two hash and two compress lanes the server's
+// pool keeps a helper resident across batches; a start, when the helper
+// has idled out, runs the entry function the pool built once and reuses
+// an exited goroutine, so it allocates nothing either. unique is how many
+// chunks of each batch carry new content: 0 is all-duplicate, 37 of 64 is
+// write-l's mix, which posts compress batches a helper claims items of.
+var batchAllocCeilings = []struct {
 	hashLanes, compressLanes int
+	unique                   int
 	ceiling                  float64
 }{
-	{1, 1, 0},
-	{2, 2, 0},
+	{1, 1, 0, 0},
+	{2, 2, 0, 0},
+	{1, 1, 37, 0},
+	{2, 2, 37, 0},
 }
 
 var raceEnabled bool // set by race_test.go under -race
 
 // TestDuplicateBatchAllocCeiling: once the buffers a batch needs exist —
 // NIC generations and chunk buffers, hash and flag scratch, claim maps,
-// table-cache lines, LBA-table slots, the lane groups' closures — a batch
-// of duplicates reuses all of them, whether its commit runs under the next
-// batch's hash (a write-only stream, as here) or not.
+// table-cache lines, LBA-table slots, the pool's jobs and entry function —
+// a batch of duplicates reuses all of them, whether its commit runs under
+// the next batch's hash (a write-only stream, as here) or not.
 func TestDuplicateBatchAllocCeiling(t *testing.T) {
-	for _, row := range dupBatchAllocCeilings {
-		cfg := DefaultConfig(FIDRFull)
-		cfg.HashLanes, cfg.CompressLanes = row.hashLanes, row.compressLanes
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := blockcomp.NewShaper(0.5)
-		chunks := make([][]byte, cfg.BatchChunks)
-		for i := range chunks {
-			chunks[i] = sh.Make(uint64(i)+1, cfg.ChunkSize)
-		}
-		batch := func() {
-			for i, c := range chunks {
-				if err := s.Write(uint64(i), c); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		batch() // unique: admits the content
-		batch() // duplicate: first remap of every LBA
-		batch() // every NIC generation in circulation has held a batch
-		before := s.Stats()
-		n := testing.AllocsPerRun(10, batch)
-		after := s.Stats()
-		if after.UniqueChunks != before.UniqueChunks || after.DuplicateChunks-before.DuplicateChunks != 11*uint64(len(chunks)) {
-			t.Fatalf("lanes %d/%d: measured batches were not all-duplicate: %+v -> %+v",
-				row.hashLanes, row.compressLanes, before, after)
-		}
-		if raceEnabled {
-			t.Logf("lanes %d/%d: %v allocs under the race detector; the ceiling is for uninstrumented builds",
-				row.hashLanes, row.compressLanes, n)
-			continue
-		}
-		if n > row.ceiling {
-			t.Errorf("lanes %d/%d: all-duplicate batch: %v allocs, ceiling %v", row.hashLanes, row.compressLanes, n, row.ceiling)
+	for _, row := range batchAllocCeilings {
+		if row.unique == 0 {
+			checkBatchAllocs(t, row.hashLanes, row.compressLanes, row.unique, row.ceiling)
 		}
 	}
 }
 
+// TestUniqueHeavyBatchAllocCeiling: the same holds for a batch that is
+// mostly new content, where every commit compresses and packs a unique
+// batch across the pool and containers seal and recycle their buffers.
+func TestUniqueHeavyBatchAllocCeiling(t *testing.T) {
+	for _, row := range batchAllocCeilings {
+		if row.unique > 0 {
+			checkBatchAllocs(t, row.hashLanes, row.compressLanes, row.unique, row.ceiling)
+		}
+	}
+}
+
+// checkBatchAllocs measures a warmed batch whose first unique chunks (of
+// every seven, the first four) are new content and compares it with the
+// ceiling.
+func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, ceiling float64) {
+	t.Helper()
+	cfg := DefaultConfig(FIDRFull)
+	cfg.HashLanes, cfg.CompressLanes = hashLanes, compressLanes
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := blockcomp.NewShaper(0.5)
+	chunks := make([][]byte, cfg.BatchChunks)
+	fresh := make([]bool, len(chunks))
+	for i, n := 0, 0; i < len(chunks); i++ {
+		chunks[i] = sh.Make(uint64(i)+1, cfg.ChunkSize)
+		if fresh[i] = i%7 < 4 && n < unique; fresh[i] {
+			n++
+		}
+	}
+	stamp := uint64(0)
+	batch := func() {
+		stamp++
+		for i, c := range chunks {
+			if fresh[i] { // new content at the cost of one store
+				binary.LittleEndian.PutUint64(c, stamp<<8|uint64(i))
+			}
+			if err := s.Write(uint64(i), c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm up until every NIC generation in circulation has held a batch
+	// and, with new content, containers have sealed and handed their
+	// buffers back.
+	warm := 3
+	if unique > 0 {
+		warm = 64
+	}
+	for range warm {
+		batch()
+	}
+	before := s.Stats()
+	n := testing.AllocsPerRun(10, batch)
+	after := s.Stats()
+	if after.UniqueChunks-before.UniqueChunks != 11*uint64(unique) ||
+		after.DuplicateChunks-before.DuplicateChunks != 11*uint64(len(chunks)-unique) {
+		t.Fatalf("lanes %d/%d: measured batches were not %d of %d unique: %+v -> %+v",
+			hashLanes, compressLanes, unique, len(chunks), before, after)
+	}
+	if raceEnabled {
+		t.Logf("lanes %d/%d, %d unique: %v allocs under the race detector; the ceiling is for uninstrumented builds",
+			hashLanes, compressLanes, unique, n)
+		return
+	}
+	if n > ceiling {
+		t.Errorf("lanes %d/%d, %d of %d chunks unique: %v allocs per batch, ceiling %v",
+			hashLanes, compressLanes, unique, len(chunks), n, ceiling)
+	}
+}
+
 // BenchmarkWriteBatch is the two-second check of the tipping path: ns and
-// allocs per 64-chunk batch through Server.Write, all-unique and
-// all-duplicate, at one lane (everything inline) and two (arrival hashers,
-// and each commit runs under the next batch's hash). The read-interleaved
-// row writes the duplicate batch with a read of a committed LBA — the one
-// the next write overwrites — after every write: every batch is then
-// committed by the write that tips it, so the row measures that tip on the
-// traffic the overlap skips. The server is built outside the timer, and
-// rebuilt there every few hundred unique batches so the in-memory SSD
-// stays small.
+// allocs per 64-chunk batch through Server.Write — all-unique,
+// unique-heavy (37 of 64 chunks new, write-l's mix) and all-duplicate —
+// at one lane (everything inline) and two (a resident pool helper hashes
+// as chunks arrive and claims compress items, and each commit runs under
+// the next batch's hash). The read-interleaved row writes the duplicate
+// batch with a read of a committed LBA — the one the next write
+// overwrites — after every write: every batch is then committed by the
+// write that tips it, so the row measures that tip on the traffic the
+// overlap skips. The server is built outside the timer, and rebuilt there
+// every few hundred batches so the in-memory SSD stays small.
 func BenchmarkWriteBatch(b *testing.B) {
 	const rebuildEvery = 256
-	for _, kind := range []string{"unique", "duplicate", "read-interleaved"} {
+	for _, kind := range []string{"unique", "unique-heavy", "duplicate", "read-interleaved"} {
 		for _, lanes := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/lanes%d", kind, lanes), func(b *testing.B) {
 				cfg := DefaultConfig(FIDRFull)
@@ -94,10 +137,13 @@ func BenchmarkWriteBatch(b *testing.B) {
 				for i := range chunks {
 					chunks[i] = sh.Make(uint64(i)+1, cfg.ChunkSize)
 				}
+				fresh := func(i int) bool {
+					return kind == "unique" || kind == "unique-heavy" && i%7 < 4
+				}
 				var s *Server
 				batch := func(stamp uint64, reads bool) {
 					for i, c := range chunks {
-						if kind == "unique" { // new content at the cost of one store
+						if fresh(i) { // new content at the cost of one store
 							binary.LittleEndian.PutUint64(c, stamp<<8|uint64(i))
 						}
 						if err := s.Write(uint64(i), c); err != nil {

@@ -219,6 +219,7 @@ type batchScratch struct {
 	firstClaim map[fingerprint.FP]struct{} // FIDR: fingerprints claimed unique in this batch
 	fpToPBN    map[fingerprint.FP]uint64   // FIDR: PBN each admitted unique got
 	datas      [][]byte                    // both architectures: CompressMany's input
+	hashed     []pending                   // baseline: the batch the hash array works on
 }
 
 // Stats aggregates server-level counters.
@@ -347,6 +348,11 @@ type Server struct {
 	fnic *nic.FIDR
 	pnic *nic.Plain
 	pred *predictor.Predictor
+	// pool runs every accelerator array of the server: the NIC's hash
+	// jobs and the engine's compress job, or the baseline's hashes — its
+	// FPGA hash array, over bs.hashed.
+	pool   *lanes.Pool
+	hashes *lanes.Job
 
 	comp   *engine.Compression
 	decomp *engine.Decompression
@@ -481,6 +487,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	comp.SetCompressLanes(cfg.CompressLanes)
+	pool := lanes.NewPool()
+	comp.SetPool(pool)
 
 	s := &Server{
 		cfg:      cfg,
@@ -494,6 +502,7 @@ func New(cfg Config) (*Server, error) {
 		dataSSD:  dataSSD,
 		tableSSD: tableSSD,
 		wal:      cfg.WAL,
+		pool:     pool,
 	}
 	if s.chunker, err = cfg.Chunking.NewChunker(); err != nil {
 		return nil, err
@@ -501,11 +510,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Arch == Baseline {
 		s.pnic = nic.NewPlain()
 		s.pred = predictor.New(cfg.PredictorCapacity, ledger)
+		s.hashes = lanes.NewJob(lanes.Waited, s.hashPending)
 	} else {
 		s.fnic, err = nic.New(nic.Config{BufferBytes: cfg.NICBufferBytes, HashLanes: cfg.HashLanes})
 		if err != nil {
 			return nil, err
 		}
+		s.fnic.SetPool(pool)
 		s.bs.firstClaim = make(map[fingerprint.FP]struct{}, cfg.BatchChunks)
 		s.bs.fpToPBN = make(map[fingerprint.FP]uint64, cfg.BatchChunks)
 	}

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,10 +311,22 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 }
 
 // TestNothingRunsAfterWrite: no goroutine outlives the hashing of what is
-// buffered. The NIC's arrival hashers exit once they have caught up with
-// the filling buffer, and a tipping write's Join waits for every hash of
-// its batch, so after each write the count returns to where it began.
+// buffered by more than a helper's idle spin. The server's pool helpers
+// exit once they have found nothing to claim for that long, and a tipping
+// write's Join waits for every hash of its batch, so after each write the
+// count returns to where it began.
 func TestNothingRunsAfterWrite(t *testing.T) {
+	// Helpers of servers earlier tests built exit after their own idle
+	// spin; with one P they get to run only when this goroutine yields.
+	buf := make([]byte, 1<<20)
+	helpers := func() bool {
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "lanes.(*Pool).helper")
+	}
+	for deadline := time.Now().Add(10 * time.Second); helpers(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("pool helpers from earlier tests still running")
+		}
+	}
 	s := overlapServer(t)
 	sh := blockcomp.NewShaper(0.5)
 	base := runtime.NumGoroutine()
@@ -321,10 +334,10 @@ func TestNothingRunsAfterWrite(t *testing.T) {
 		if err := s.Write(i, sh.Make(i, 4096)); err != nil {
 			t.Fatal(err)
 		}
-		// An arrival hasher may still be hashing chunks this write
-		// buffered, or be running its last instructions after it signalled
-		// its join, on another CPU or waiting for one on a loaded box; the
-		// deadline only bounds how long a leak takes to report.
+		// A helper may still be hashing chunks this write buffered, or
+		// spinning idle before it exits, on another CPU or waiting for one
+		// on a loaded box; the deadline only bounds how long a leak takes
+		// to report.
 		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() != base && time.Now().Before(deadline); {
 			runtime.Gosched()
 		}

@@ -9,7 +9,6 @@ import (
 	"fidr/internal/engine"
 	"fidr/internal/fingerprint"
 	"fidr/internal/hostmodel"
-	"fidr/internal/lanes"
 	"fidr/internal/nic"
 	"fidr/internal/pcie"
 )
@@ -152,16 +151,16 @@ func (s *Server) processBaselineBatch() error {
 	s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
 	s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(batch)))
 
-	// 3. FPGA: the hash-core array fingerprints every chunk, fanning the
-	// batch across the configured hash lanes; the compression-pipeline
+	// 3. FPGA: the hash-core array fingerprints every chunk, on the caller
+	// and up to HashLanes-1 of the pool's helpers; the compression-pipeline
 	// array then compresses the predicted-unique chunks. Compressed
 	// results alias engine scratch, which stays valid until the next
 	// CompressMany call — every Pack in this batch happens before that.
 	var backBytes uint64
 	t0 := bt.start()
-	lanes.Run(len(batch), lanes.Clamp(s.cfg.HashLanes, len(batch)), func(_, i int) {
-		batch[i].fp = fingerprint.Of(batch[i].data)
-	})
+	s.bs.hashed = batch
+	s.pool.Run(s.hashes, len(batch), s.cfg.HashLanes)
+	s.bs.hashed = nil
 	bt.add(StageHash, bt.since(t0))
 	if err := s.crashPoint(CrashPostHash); err != nil {
 		return err
@@ -256,6 +255,13 @@ func (s *Server) processBaselineBatch() error {
 	return nil
 }
 
+// hashPending is the baseline hash array's item function: it fingerprints
+// chunk i of the batch in flight.
+func (s *Server) hashPending(i int) {
+	p := &s.bs.hashed[i]
+	p.fp = fingerprint.Of(p.data)
+}
+
 // --- FIDR (§5.3) ---
 
 // fidrWrite runs the §5.3 write flow's first step for one chunk: the NIC
@@ -286,7 +292,7 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 // generation is the server's note on one NIC generation between its tip
 // and its commit: the request that tipped it, under whose trace the commit
 // links whenever it runs, and the span the tip waited in the NIC's Join
-// for the fingerprints the arrival hashers had not finished, which the
+// for the fingerprints the pool's helpers had not finished, which the
 // commit's batch trace reports once as its hash stage.
 type generation struct {
 	tip       *ReqTrace
@@ -296,8 +302,8 @@ type generation struct {
 
 // tipFIDRBatch runs when the filling buffer holds a batch (and, with now
 // set, from Flush on whatever it holds). §5.3's step 2 — the NIC hashes the
-// batch — is a pure function of bytes already in NIC memory: the NIC's
-// arrival hashers have fingerprinted most of the batch while it filled,
+// batch — is a pure function of bytes already in NIC memory: the pool's
+// helpers have fingerprinted most of the batch while it filled,
 // and the rest is hashed beside steps 3-10 of the batch before: the NIC
 // detaches the buffer as a generation, this goroutine commits the previous
 // generation, then joins the generation's hashes. Nothing of this batch's

@@ -12,7 +12,8 @@
 //
 // The engine is functional: it runs a real compressor and packs real
 // containers. Incompressible chunks are stored raw (CSize == chunk size
-// signals "raw" to the read path).
+// signals "raw" to the read path). The LZ77 pipeline array is a job on the
+// server's lanes.Pool, which helpers serve before any queued hash.
 package engine
 
 import (
@@ -68,16 +69,16 @@ type Compression struct {
 	// sealed containers wait in engine memory for P2P pickup.
 	sealed []SealedContainer
 
-	// compressLanes is the modeled LZ77-pipeline count: CompressMany
-	// fans a batch across this many lanes (1 = serial). pipes is the lane
-	// group, bound once to compressOne; datas is the batch it works on.
+	// compressLanes is the modeled LZ77-pipeline count (1 = serial). job
+	// is the pipelines' job on pool, bound once to compressOne; datas is
+	// the batch it works on.
 	compressLanes int
-	pipes         *lanes.Group
+	pool          *lanes.Pool
+	job           *lanes.Job
 	datas         [][]byte
-	// scratch holds one recycled output buffer per batch slot; slot i
-	// is only ever touched by the lane that owns item i, and the
-	// buffers stay valid until the next CompressMany call. results and
-	// errs are the batch's per-slot outcomes, recycled the same way.
+	// scratch, results and errs are the batch's recycled per-slot output
+	// buffers and outcomes: slot i is touched only by whoever claimed
+	// item i, and they stay valid until the next CompressMany call.
 	scratch [][]byte
 	results []Compressed
 	errs    []error
@@ -86,8 +87,8 @@ type Compression struct {
 	chunksIn, bytesIn, bytesCompressed metrics.Counter
 	rawStored, nSealed                 metrics.Counter
 	// busyNS accumulates compression-section wall time (duty-cycle
-	// source); laneBusyNS sums per-lane busy time across the pipeline
-	// array; queueDepth tracks sealed containers awaiting P2P pickup by
+	// source); laneBusyNS sums every chunk's compression time, whoever
+	// ran it; queueDepth tracks sealed containers awaiting P2P pickup by
 	// the data SSD.
 	busyNS, laneBusyNS metrics.Counter
 	lanesG, queueDepth metrics.Gauge
@@ -106,13 +107,15 @@ func (e *Compression) Instrument(reg *metrics.Registry) {
 	reg.AttachGauge("engine.queue_depth", &e.queueDepth)
 }
 
-// SetCompressLanes sets the modeled compression-pipeline count that
-// CompressMany fans out across. n <= 0 selects the GOMAXPROCS-derived
-// default. Results are byte-identical at any lane count.
+// SetCompressLanes sets the modeled compression-pipeline count; <= 0
+// selects the GOMAXPROCS-derived default. Results are byte-identical.
 func (e *Compression) SetCompressLanes(count int) {
 	e.compressLanes = lanes.Normalize(count)
 	e.lanesG.Set(float64(e.compressLanes))
 }
+
+// SetPool moves the pipelines onto p, their server's pool, between batches.
+func (e *Compression) SetPool(p *lanes.Pool) { e.pool = p }
 
 // CompressLanes returns the configured compression-lane count.
 func (e *Compression) CompressLanes() int { return e.compressLanes }
@@ -131,8 +134,8 @@ func NewCompressionAt(comp blockcomp.Compressor, containerSize int, firstContain
 	if err != nil {
 		return nil, err
 	}
-	e := &Compression{comp: comp, builder: b}
-	e.pipes = lanes.NewGroup(e.compressOne)
+	e := &Compression{comp: comp, builder: b, pool: lanes.NewPool()}
+	e.job = lanes.NewJob(lanes.Waited, e.compressOne)
 	e.SetCompressLanes(1)
 	return e, nil
 }
@@ -177,8 +180,8 @@ type Compressed struct {
 }
 
 // CompressMany runs the compression-pipeline array over a batch of
-// chunks: chunk i runs on lane i mod lanes with a recycled per-slot
-// output buffer — lane 0 on the calling goroutine — and stats are
+// chunks: the caller and the pool's helpers claim chunks in batch order,
+// each compressed into its slot's recycled output buffer, and stats are
 // committed strictly in batch order after the join. Output bytes, stats
 // and error selection (lowest failing index) are byte-identical to
 // compressing the batch serially. The returned slice, like the Data it
@@ -196,11 +199,10 @@ func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
 	clear(errs)
 	start := time.Now()
 	e.datas = datas
-	busy := e.pipes.Run(len(datas), lanes.Clamp(e.compressLanes, len(datas)))
+	busy := e.pool.Run(e.job, len(datas), e.compressLanes)
 	e.datas = nil
-	wall := time.Since(start)
-	e.busyNS.Add(uint64(wall))
-	e.laneBusyNS.Add(uint64(lanes.Total(busy)))
+	e.busyNS.Add(uint64(time.Since(start)))
+	e.laneBusyNS.Add(uint64(busy))
 	// Counters commit once per batch, after the join; the lowest failing
 	// index wins and the chunks before it still count, as on the serial path.
 	var bytesIn, bytesOut, rawStored uint64
@@ -225,7 +227,7 @@ func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
 // compressOne is the pipelines' item function: it compresses chunk i of
 // the batch CompressMany is running into slot i's scratch, touching that
 // slot's scratch, result and error and nothing else.
-func (e *Compression) compressOne(_, i int) {
+func (e *Compression) compressOne(i int) {
 	src := e.datas[i]
 	if len(src) == 0 {
 		e.errs[i] = fmt.Errorf("engine: chunk %d: empty chunk", i)

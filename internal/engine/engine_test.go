@@ -367,8 +367,8 @@ func TestRecycleKeepsContainersIdentical(t *testing.T) {
 
 // TestSealCycleNoAllocs: pack until a container seals, take it, write it,
 // hand it back — once two buffers are in circulation the cycle allocates
-// nothing. (CompressMany is left out: lanes.Run allocates its busy-time
-// slice and closure per batch.)
+// nothing. (A warmed CompressMany round allocates nothing either; the
+// pool's round is pinned in package lanes.)
 func TestSealCycleNoAllocs(t *testing.T) {
 	const size = 16 << 10
 	e := newEngine(t, size)

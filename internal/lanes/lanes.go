@@ -1,27 +1,16 @@
-// Package lanes is the fork-join primitive behind the paper's
-// accelerator arrays, and the lane count every array is sized by. The
-// Compression Engine's array of LZ77 pipelines (and the baseline's FPGA
-// hash array) is a pool of worker goroutines ("lanes") that a batch fans
-// out across; the FIDR NIC's SHA-256 cores hash chunks as they arrive
-// instead (package nic) and take only their count from here.
-//
-// Two properties make the model faithful and safe:
-//
-//   - Deterministic work assignment. Item i always runs on lane
-//     i mod k, so a run's lane schedule is a pure function of the batch,
-//     never of goroutine timing.
-//   - Fork-join scope. A round ends only after every lane finishes, so
-//     callers commit results strictly in item order after the join and
-//     the surrounding code stays single-threaded. Parallelism never
-//     leaks past the accelerator boundary: no goroutine outlives Run.
-//
-// Per-lane busy time is returned for the duty-cycle accounting plane
-// (engine.compress_lane_busy_ns).
+// Package lanes is the work pool behind the paper's accelerator arrays,
+// and the lane count every array is sized by. A server's SHA-256 cores,
+// LZ77 pipelines and baseline hash array are jobs on its one Pool: the
+// job's caller and up to k−1 resident helpers claim items from the job's
+// cursor, each touching only its item's slot, so callers commit in item
+// order after a join that spins instead of parking (DESIGN §9).
 package lanes
 
 import (
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,16 +21,7 @@ const maxDefault = 16
 
 // Default returns the GOMAXPROCS-derived lane count used when a
 // configuration leaves the lane count at zero.
-func Default() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > maxDefault {
-		n = maxDefault
-	}
-	return n
-}
+func Default() int { return min(max(runtime.GOMAXPROCS(0), 1), maxDefault) }
 
 // Normalize resolves a configured lane count: zero or negative selects
 // Default.
@@ -52,111 +32,180 @@ func Normalize(n int) int {
 	return n
 }
 
-// Clamp bounds a lane count by the number of work items (spawning more
-// lanes than items is pure overhead). The result is at least 1.
-func Clamp(lanesN, items int) int {
-	lanesN = Normalize(lanesN)
-	if lanesN > items {
-		lanesN = items
-	}
-	if lanesN < 1 {
-		lanesN = 1
-	}
-	return lanesN
+// idleSpin is how long a helper that finds nothing to claim keeps looking
+// before it exits: long enough to outlast a commit's tail between batches.
+// A spinning P does not poll the network, so it is short: on a 2-vCPU
+// Xeon 50 µs cost loopback traffic a fifth of its throughput, 15 µs a tenth.
+const idleSpin = 15 * time.Microsecond
+
+// Job priorities: a helper takes the oldest queued job of the lowest.
+// Waited work is about to be joined (a compress batch); Ahead work is
+// done before its join is due (the NIC hashing a filling buffer).
+const (
+	Waited = iota
+	Ahead
+)
+
+// Pool is one server's helpers and the queue of jobs they claim from.
+type Pool struct {
+	mu sync.Mutex
+	// queue holds the jobs with unclaimed items in serving order; idle
+	// helpers poll its length, queued, without the lock.
+	queue   []*Job
+	queued  atomic.Int32
+	helpers int // resident, idle ones included
+	// help is a helper's body, built once so that a start allocates nothing.
+	help func()
 }
 
-// Run fans items [0, n) out across k lanes and blocks until all lanes
-// finish. Lane l processes items l, l+k, l+2k, ... in ascending order,
-// so the item->lane assignment is deterministic. fn must only touch
-// state owned by its item (distinct slice elements are fine); cross-item
-// state must wait for Run to return.
-//
-// The returned slice holds each lane's busy time, for accelerator
-// duty-cycle accounting. Lane 0 runs on the calling goroutine, so with
-// k <= 1 (or n <= 1) nothing is spawned. Run is one round of a Group
-// built for the call; a caller that runs rounds repeatedly holds a Group
-// and pays for its closures and busy slice once.
-func Run(n, k int, fn func(lane, item int)) []time.Duration {
-	return NewGroup(fn).Run(n, k)
+// NewPool returns a pool with no helper running.
+func NewPool() *Pool {
+	p := &Pool{}
+	p.help = p.helper
+	return p
 }
 
-// Group is an owner-held fork-join scope: the item function is bound at
-// construction and the busy slice, the WaitGroup and the lanes' entry
-// points are reused, so a round allocates nothing once the group has run
-// at its widest. One round at a time; not safe for concurrent use.
-type Group struct {
-	fn func(lane, item int)
-	// n and k are the current round's item and lane counts; the lane
-	// goroutines read them, so they change only between rounds.
-	n, k int
-	busy []time.Duration
-	wg   sync.WaitGroup
-	// entry[l] is lane l's goroutine body, built once so that a `go`
-	// statement captures nothing.
-	entry []func()
+// Job is a reusable item function with a claim cursor. Its rounds run one
+// at a time: Post opens or extends one, Join or Stop ends it.
+type Job struct {
+	fn   func(i int)
+	prio int
+	// Under the pool's mu: the round's pool, items posted, next unclaimed,
+	// lanes (the caller plus lanes−1 helpers at once), the helpers' busy
+	// time, and whether the job is queued.
+	p        *Pool
+	n, next  int
+	lanes    int
+	busy     time.Duration
+	inQueue  bool
+	inflight atomic.Int32 // items helpers claimed and have not finished
 }
 
-// NewGroup binds fn, which must follow Run's rules, to a new group.
-func NewGroup(fn func(lane, item int)) *Group { return &Group{fn: fn} }
+// NewJob binds fn, which may touch only the state of its item i, to a
+// job of priority prio (Waited or Ahead).
+func NewJob(prio int, fn func(i int)) *Job { return &Job{fn: fn, prio: prio} }
 
-// lane runs lane l's share of the current round on the calling goroutine.
-func (g *Group) lane(l int) {
-	start := time.Now()
-	for i := l; i < g.n; i += g.k {
-		g.fn(l, i)
+// Post makes items [0, n) of j's round claimable on p (n only grows in a
+// round) by at most lanes goroutines at once, the caller included. While
+// fewer than lanes−1 helpers are resident and backlog items are unclaimed
+// beyond one per resident helper, it starts another.
+func (p *Pool) Post(j *Job, n, lanes, backlog int) {
+	p.mu.Lock()
+	j.p, j.n, j.lanes = p, n, lanes
+	if j.next < j.n && !j.inQueue {
+		i := len(p.queue)
+		for i > 0 && p.queue[i-1].prio > j.prio {
+			i--
+		}
+		p.setQueue(slices.Insert(p.queue, i, j))
+		j.inQueue = true
 	}
-	g.busy[l] = time.Since(start)
+	for p.helpers < lanes-1 && j.n-j.next-p.helpers >= backlog {
+		p.helpers++
+		go p.help()
+	}
+	p.mu.Unlock()
 }
 
-// fork starts lanes 1..k-1 of the current round on goroutines and, if
-// it started any, yields once. A goroutine just started sits in this P's
-// run-next slot, and while the caller keeps running an idle P takes it
-// from there too late or never: measured on two CPUs, a caller that runs
-// lane 0 right after the `go` finishes 64 SHA-256 items in the serial time
-// (190 of 186 µs), one that yields first in 125-140 µs. The yield puts the
-// caller on the global queue, where a waking P looks first, and this P
-// starts a lane at once.
-func (g *Group) fork() {
-	if g.k == 1 {
-		return
-	}
-	for len(g.entry) < g.k {
-		l := len(g.entry)
-		g.entry = append(g.entry, func() {
-			g.lane(l)
-			g.wg.Done()
-		})
-	}
-	g.wg.Add(g.k - 1)
-	for l := 1; l < g.k; l++ {
-		go g.entry[l]()
-	}
-	runtime.Gosched()
+// Run is one round of n items: Post, then Join. The caller takes the
+// first item at once, so a helper starts only for a second.
+func (p *Pool) Run(j *Job, n, lanes int) time.Duration {
+	p.Post(j, n, lanes, 2)
+	return j.Join()
 }
 
-// Run is one whole round: lanes 1..k-1 on goroutines, lane 0 on the
-// caller, then the join. It returns each lane's busy time (nil for an
-// empty round), valid until the next round.
-func (g *Group) Run(n, k int) []time.Duration {
-	if n <= 0 {
-		return nil
-	}
-	g.n, g.k = n, max(min(k, n), 1)
-	if len(g.busy) < g.k {
-		g.busy = make([]time.Duration, g.k)
-	}
-	g.fork()
-	g.lane(0)
-	g.wg.Wait()
-	return g.busy[:g.k]
+func (p *Pool) setQueue(q []*Job) {
+	p.queue = q
+	p.queued.Store(int32(len(q)))
 }
 
-// Total sums per-lane busy durations (the accelerator-array busy time;
-// it can exceed wall time when lanes overlap).
-func Total(busy []time.Duration) time.Duration {
-	var t time.Duration
-	for _, d := range busy {
-		t += d
+// take claims j's next item, or with skip every item left, and dequeues j
+// once none is left. Called with mu held.
+func (p *Pool) take(j *Job, skip bool) int {
+	i := j.next
+	if j.next++; skip {
+		j.next = j.n
 	}
-	return t
+	if j.next >= j.n && j.inQueue {
+		k := slices.Index(p.queue, j)
+		p.setQueue(slices.Delete(p.queue, k, k+1))
+		j.inQueue = false
+	}
+	return i
+}
+
+// helper claims items until it has found none for idleSpin, then exits.
+func (p *Pool) helper() {
+	var idle time.Time
+	p.mu.Lock()
+	for {
+		k := slices.IndexFunc(p.queue, (*Job).admits)
+		if k < 0 {
+			if idle.IsZero() {
+				idle = time.Now()
+			} else if time.Since(idle) >= idleSpin {
+				p.helpers--
+				p.mu.Unlock()
+				return
+			}
+			p.mu.Unlock()
+			runtime.Gosched()
+			for p.queued.Load() == 0 && time.Since(idle) < idleSpin {
+				runtime.Gosched()
+			}
+			p.mu.Lock()
+			continue
+		}
+		idle = time.Time{}
+		j := p.queue[k]
+		j.inflight.Add(1)
+		i := p.take(j, false)
+		p.mu.Unlock()
+		start := time.Now()
+		j.fn(i)
+		d := time.Since(start)
+		p.mu.Lock()
+		j.busy += d
+		j.inflight.Add(-1)
+	}
+}
+
+// admits reports whether another helper may work j. Called with mu held.
+func (j *Job) admits() bool { return int(j.inflight.Load()) < j.lanes-1 }
+
+// Join ends j's round: the caller runs what is unclaimed, in order, then
+// spins until the helpers' items in flight are done. It returns the sum of
+// the round's item times.
+func (j *Job) Join() time.Duration { return j.end(false) }
+
+// Stop ends j's round without running what is unclaimed.
+func (j *Job) Stop() { j.end(true) }
+
+func (j *Job) end(skip bool) (busy time.Duration) {
+	p := j.p
+	if p == nil {
+		return 0
+	}
+	p.mu.Lock()
+	for j.next < j.n {
+		i := p.take(j, skip)
+		if skip {
+			break
+		}
+		p.mu.Unlock()
+		start := time.Now()
+		j.fn(i)
+		busy += time.Since(start)
+		p.mu.Lock()
+	}
+	p.mu.Unlock()
+	// At most one item per helper; the yield lets one on this P finish.
+	for j.inflight.Load() > 0 {
+		runtime.Gosched()
+	}
+	p.mu.Lock()
+	busy += j.busy
+	j.n, j.next, j.busy = 0, 0, 0
+	p.mu.Unlock()
+	return busy
 }

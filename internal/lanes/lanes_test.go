@@ -1,27 +1,19 @@
 package lanes
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
 var raceEnabled bool // set by race_test.go under -race
 
-func TestNormalizeAndClamp(t *testing.T) {
+func TestNormalize(t *testing.T) {
 	if Normalize(0) != Default() || Normalize(-3) != Default() {
 		t.Fatal("zero/negative lanes must select the default")
 	}
 	if Normalize(5) != 5 {
 		t.Fatal("explicit lane count not honored")
-	}
-	if got := Clamp(8, 3); got != 3 {
-		t.Fatalf("Clamp(8,3) = %d", got)
-	}
-	if got := Clamp(2, 100); got != 2 {
-		t.Fatalf("Clamp(2,100) = %d", got)
-	}
-	if got := Clamp(4, 0); got != 1 {
-		t.Fatalf("Clamp(4,0) = %d", got)
 	}
 	if Default() < 1 {
 		t.Fatal("default lane count < 1")
@@ -29,98 +21,135 @@ func TestNormalizeAndClamp(t *testing.T) {
 }
 
 func TestRunCoversEveryItemExactlyOnce(t *testing.T) {
+	p := NewPool()
 	for _, k := range []int{1, 2, 3, 8, 100} {
 		const n = 57
 		var hits [n]int32
-		busy := Run(n, k, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
+		j := NewJob(Waited, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		if busy := p.Run(j, n, k); busy < 0 {
+			t.Fatalf("k=%d: negative busy time %v", k, busy)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("k=%d: item %d ran %d times", k, i, h)
 			}
 		}
-		wantLanes := k
-		if wantLanes > n {
-			wantLanes = n
-		}
-		if len(busy) != wantLanes {
-			t.Fatalf("k=%d: %d busy entries", k, len(busy))
-		}
-	}
-}
-
-func TestRunDeterministicLaneAssignment(t *testing.T) {
-	const n, k = 40, 4
-	lane := make([]int32, n)
-	Run(n, k, func(l, i int) { atomic.StoreInt32(&lane[i], int32(l)) })
-	for i := 0; i < n; i++ {
-		if int(lane[i]) != i%k {
-			t.Fatalf("item %d ran on lane %d, want %d", i, lane[i], i%k)
-		}
 	}
 }
 
 func TestRunEmptyAndSingle(t *testing.T) {
-	if got := Run(0, 4, func(_, _ int) { t.Fatal("fn called for n=0") }); got != nil {
-		t.Fatal("n=0 should return nil busy slice")
+	p := NewPool()
+	if got := p.Run(NewJob(Waited, func(int) { t.Fatal("fn called for n=0") }), 0, 4); got != 0 {
+		t.Fatalf("n=0 reported %v busy", got)
 	}
 	ran := 0
-	busy := Run(1, 8, func(l, i int) {
-		if l != 0 || i != 0 {
-			t.Fatalf("single item on lane %d item %d", l, i)
+	p.Run(NewJob(Waited, func(i int) {
+		if i != 0 {
+			t.Fatalf("single-item round ran item %d", i)
 		}
 		ran++
-	})
-	if ran != 1 || len(busy) != 1 {
-		t.Fatalf("single-item run: ran=%d busy=%d", ran, len(busy))
+	}), 1, 8)
+	if ran != 1 {
+		t.Fatalf("single-item round ran %d times", ran)
 	}
-	if Total(busy) < 0 {
-		t.Fatal("negative busy total")
+	// The caller takes a lone item itself: no helper was started for it.
+	p.mu.Lock()
+	helpers := p.helpers
+	p.mu.Unlock()
+	if helpers != 0 {
+		t.Fatalf("single-item round started %d helpers", helpers)
 	}
 }
 
-// TestGroupRunReusable: a held group's rounds are the package Run's —
-// same item -> lane assignment, same results, a busy time per lane — and
-// the group is reusable round after round, at any width, without
-// allocating once it has run at that width.
-func TestGroupRunReusable(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 7, 64} {
-			wantLane := make([]int32, n)
-			wantOut := make([]int64, n)
-			wantBusy := Run(n, k, func(l, i int) {
-				atomic.StoreInt32(&wantLane[i], int32(l))
-				atomic.StoreInt64(&wantOut[i], int64(i*i+1))
-			})
-
-			round := int64(0)
-			lane := make([]int32, n)
-			out := make([]int64, n)
-			g := NewGroup(func(l, i int) {
-				atomic.StoreInt32(&lane[i], int32(l))
-				atomic.AddInt64(&out[i], int64(i*i+1)+atomic.LoadInt64(&round))
-			})
-			for r := 0; r < 1000; r++ {
-				atomic.StoreInt64(&round, int64(r))
-				for i := range out {
-					atomic.StoreInt64(&out[i], 0)
-					atomic.StoreInt32(&lane[i], -1)
-				}
-				busy := g.Run(n, k)
-				if len(busy) != len(wantBusy) {
-					t.Fatalf("k=%d n=%d round %d: %d busy entries, Run has %d", k, n, r, len(busy), len(wantBusy))
-				}
-				for i := range out {
-					if lane[i] != wantLane[i] || out[i] != wantOut[i]+int64(r) {
-						t.Fatalf("k=%d n=%d round %d: item %d ran on lane %d with result %d, want lane %d and %d",
-							k, n, r, i, lane[i], out[i], wantLane[i], wantOut[i]+int64(r))
+// TestPoolCoversEveryItemOnce: on one pool, an Ahead job posted an item
+// at a time (as the NIC posts chunks while a buffer fills) and a Waited
+// job run whole while the Ahead one is open each run every item exactly
+// once, whichever goroutine claims it. A stopped round runs no item after
+// Stop returns. Run it under -race: helpers write per-item slots the
+// caller reads after the join.
+func TestPoolCoversEveryItemOnce(t *testing.T) {
+	for _, k := range []int{1, 2, 4, 8} {
+		p := NewPool()
+		const n = 64
+		var ahead, waited [n]int32
+		var aheadOut, waitedOut [n]int
+		a := NewJob(Ahead, func(i int) {
+			atomic.AddInt32(&ahead[i], 1)
+			aheadOut[i] = i*i + 1
+		})
+		w := NewJob(Waited, func(i int) {
+			atomic.AddInt32(&waited[i], 1)
+			waitedOut[i] = 3*i + 1
+		})
+		for round := 0; round < 200; round++ {
+			clear(ahead[:])
+			clear(waited[:])
+			for m := 1; m <= n; m++ {
+				p.Post(a, m, k, 1)
+				if m == n/2 {
+					p.Run(w, n, k)
+					for i := range waited {
+						if waited[i] != 1 || waitedOut[i] != 3*i+1 {
+							t.Fatalf("k=%d round %d: waited item %d ran %d times, result %d", k, round, i, waited[i], waitedOut[i])
+						}
 					}
 				}
 			}
-			if raceEnabled {
+			if round%4 == 3 {
+				a.Stop()
+				var after [n]int32
+				for i := range ahead {
+					after[i] = atomic.LoadInt32(&ahead[i])
+					if after[i] > 1 {
+						t.Fatalf("k=%d round %d: stopped item %d ran %d times", k, round, i, after[i])
+					}
+				}
+				// Give any helper that survived Stop the chance to run.
+				p.Run(w, n, k)
+				for i := range ahead {
+					if got := atomic.LoadInt32(&ahead[i]); got != after[i] {
+						t.Fatalf("k=%d round %d: item %d ran after Stop returned", k, round, i)
+					}
+				}
 				continue
 			}
-			if a := testing.AllocsPerRun(50, func() { g.Run(n, k) }); a != 0 {
-				t.Errorf("k=%d n=%d: %v allocs per warmed round, want 0", k, n, a)
+			a.Join()
+			for i := range ahead {
+				if ahead[i] != 1 || aheadOut[i] != i*i+1 {
+					t.Fatalf("k=%d round %d: ahead item %d ran %d times, result %d", k, round, i, ahead[i], aheadOut[i])
+				}
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(50, func() { p.Run(w, n, k) }); allocs != 0 {
+			t.Errorf("k=%d: %v allocs per warmed round, want 0", k, allocs)
+		}
+	}
+}
+
+// TestJoinOnOneP: with a single P, a caller spinning in Join on an item a
+// helper claimed must let that helper finish it. Every item yields, so
+// helpers claim items and are descheduled holding them while the caller
+// reaches its join; a livelocked join would hang the test.
+func TestJoinOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := NewPool()
+	const n, k = 32, 4
+	var hits [n]int32
+	j := NewJob(Waited, func(i int) {
+		atomic.AddInt32(&hits[i], 1)
+		runtime.Gosched()
+	})
+	for round := 0; round < 500; round++ {
+		clear(hits[:])
+		p.Post(j, n, k, 1)
+		runtime.Gosched() // let the helpers claim first
+		j.Join()
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("round %d: item %d ran %d times", round, i, h)
 			}
 		}
 	}

@@ -11,11 +11,8 @@
 //     batches of unique chunks for direct P2P transfer to the Compression
 //     Engines — host memory sees only hash values and per-chunk flags.
 //
-// The SHA-core array is lanes 0..k-1. Lanes 1..k-1 are arrival hashers:
-// goroutines that BufferWrite wakes while the filling buffer fills and
-// that exit once they have caught up with it. Lane 0 is the caller of
-// Join, which hashes whatever the arrival hashers had not reached when the
-// batch tipped. With one lane nothing starts and Join hashes the batch.
+// The SHA-core array is a hash job per generation on the server's
+// lanes.Pool: helpers hash chunks as they arrive, Join's caller the rest.
 package nic
 
 import (
@@ -40,9 +37,8 @@ type WriteEntry struct {
 	// bytes), so dedup accounting can attribute the right byte count per
 	// chunk under variable-size chunking.
 	Size int
-	// FP is the chunk fingerprint, written by whichever SHA-core lane
-	// claimed the chunk; complete for the whole generation once Join
-	// returns.
+	// FP is the chunk fingerprint, complete for the whole generation
+	// once Join returns.
 	FP fingerprint.FP
 }
 
@@ -81,9 +77,9 @@ type counters struct {
 	readLookups, readHits         metrics.Counter
 	batches, uniqueSent, dupDrops metrics.Counter
 	// busyNS accumulates tip-to-join wall time; its windowed rate is the
-	// NIC's duty cycle in the sampler. hashLaneBusyNS sums the hashing
-	// time of every lane, arrival hashers included (it can exceed busyNS,
-	// which does not see the hashing done before a tip).
+	// NIC's duty cycle in the sampler. hashLaneBusyNS sums the time of
+	// every hash, whichever goroutine ran it (it can exceed busyNS, which
+	// does not see the hashing done before a tip).
 	busyNS, hashLaneBusyNS metrics.Counter
 	// Configured lane count and in-NIC buffer occupancy.
 	hashLanesG, queueDepth, bufferedBytes metrics.Gauge
@@ -121,9 +117,8 @@ func (c *counters) Instrument(reg *metrics.Registry) {
 	reg.AttachGauge("nic.buffered_bytes", &c.bufferedBytes)
 }
 
-// wakeBacklog is how many unclaimed chunks of a generation wake an
-// arrival hasher: an eighth of the default 64-chunk batch. Waking per
-// chunk would start a goroutine on every write.
+// wakeBacklog is how many unclaimed chunks of a generation start a helper
+// when none is resident: an eighth of the default 64-chunk batch.
 const wakeBacklog = 8
 
 // generation is one buffer's worth of chunks: the buffer being filled, or
@@ -137,64 +132,36 @@ type generation struct {
 	// batch's hashing.
 	view []WriteEntry
 
-	// mu orders the owner's appends to entries with the hashers' claims
-	// and FP writes; a hasher touches entries only under it. Entries
-	// before next are claimed. running counts live arrival hashers, wg
-	// joins them, and busy sums the lanes' hashing time since the last
-	// join.
-	mu      sync.Mutex
-	next    int
-	running int
-	busy    time.Duration
-	wg      sync.WaitGroup
-	// hash is an arrival hasher's body, built once per generation so that
-	// a wake's `go` statement allocates nothing.
-	hash func()
+	// job's item i fingerprints entries[i] on whichever goroutine claimed
+	// it; mu orders the owner's appends with its read of the chunk and
+	// write of the FP (the bytes are hashed outside it).
+	job *lanes.Job
+	mu  sync.Mutex
 }
 
 func newGeneration() *generation {
 	g := &generation{}
-	g.hash = func() {
-		g.mu.Lock()
-		g.drain()
-		g.running--
-		g.mu.Unlock()
-		g.wg.Done()
-	}
+	g.job = lanes.NewJob(lanes.Ahead, g.hashEntry)
 	return g
 }
 
-// drain claims entries from next, in order, and hashes each outside the
-// lock until none is left unclaimed. Called and returns with mu held.
-func (g *generation) drain() {
-	start := time.Now()
-	for g.next < len(g.entries) {
-		i := g.next
-		g.next++
-		data := g.entries[i].Data
-		g.mu.Unlock()
-		fp := fingerprint.Of(data)
-		g.mu.Lock()
-		g.entries[i].FP = fp
-	}
-	g.busy += time.Since(start)
-}
-
-// stop claims whatever is unclaimed without hashing it and waits for the
-// hashes in flight: afterwards no hasher reads an entry.
-func (g *generation) stop() {
+// hashEntry fingerprints entry i.
+func (g *generation) hashEntry(i int) {
 	g.mu.Lock()
-	g.next = len(g.entries)
+	data := g.entries[i].Data
 	g.mu.Unlock()
-	g.wg.Wait()
+	fp := fingerprint.Of(data)
+	g.mu.Lock()
+	g.entries[i].FP = fp
+	g.mu.Unlock()
 }
 
 // FIDR is the data-reduction NIC.
 //
 // Its chunk memory holds generations: the filling buffer, which takes
 // writes and answers reads, and behind it a queue of detached ones waiting
-// for the server's table lookup and ScheduleBatch, oldest first. Arrival
-// hashers fingerprint the filling buffer while it fills; Tip detaches it,
+// for the server's table lookup and ScheduleBatch, oldest first. The
+// pool's helpers hash the filling buffer while it fills; Tip detaches it,
 // and Join finishes its hashes, so the server can run the previous
 // generation's lookup-to-seal between the two. BufferBytes bounds each
 // generation.
@@ -208,10 +175,11 @@ type FIDR struct {
 	// lbaIndex finds the most recent entry per LBA in the filling buffer
 	// for the read fast path (§5.3 read step 2).
 	lbaIndex map[uint64]int
-	// hashLanes is the modeled SHA-256 core count: up to hashLanes-1
-	// arrival hashers per generation, plus Join's caller. hashing is the
+	// hashLanes is the modeled SHA-256 core count: up to hashLanes-1 of
+	// the pool's helpers on a generation, plus Join's caller. hashing is the
 	// generation between its tip and its join, hashStart when it tipped.
 	hashLanes int
+	pool      *lanes.Pool
 	hashing   *generation
 	hashStart time.Time
 	// unique backs ScheduleBatch's result, valid until its next call.
@@ -225,18 +193,20 @@ func New(cfg Config) (*FIDR, error) {
 	if cfg.BufferBytes < 4096 {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
-	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newGeneration(), lbaIndex: make(map[uint64]int)}
+	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newGeneration(), lbaIndex: make(map[uint64]int), pool: lanes.NewPool()}
 	n.SetHashLanes(cfg.HashLanes)
 	return n, nil
 }
 
-// SetHashLanes sets the modeled SHA-256 core count. count <= 0 selects
-// the GOMAXPROCS-derived default. Results are byte-identical at any lane
-// count; only wall time changes.
+// SetHashLanes sets the modeled SHA-256 core count; <= 0 selects the
+// GOMAXPROCS-derived default. Results are byte-identical at any count.
 func (n *FIDR) SetHashLanes(count int) {
 	n.hashLanes = lanes.Normalize(count)
 	n.hashLanesG.Set(float64(n.hashLanes))
 }
+
+// SetPool moves the NIC's hashing onto p, its server's pool, before a write.
+func (n *FIDR) SetPool(p *lanes.Pool) { n.pool = p }
 
 // HashLanes returns the configured SHA-core lane count.
 func (n *FIDR) HashLanes() int { return n.hashLanes }
@@ -255,9 +225,8 @@ func (n *FIDR) publishOccupancy() {
 
 // BufferWrite accepts one chunk into the filling buffer. The data is
 // copied (the NIC owns its buffer memory). Returns ErrBufferFull when the
-// buffer cannot hold the chunk; the caller must drain a batch first. Once
-// wakeBacklog chunks of the buffer are unclaimed it wakes an arrival
-// hasher, if fewer than HashLanes-1 are running.
+// buffer cannot hold the chunk; the caller must drain a batch first. The
+// chunk is posted to the generation's hash job (see wakeBacklog).
 func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	g := n.fill
 	if g.bytes+len(data) > n.bufferCap {
@@ -267,8 +236,8 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	copy(cp, data)
 	g.mu.Lock()
 	g.entries = append(g.entries, WriteEntry{LBA: lba, Data: cp, Size: len(data)})
-	n.wake(g, wakeBacklog)
 	g.mu.Unlock()
+	n.pool.Post(g.job, len(g.entries), n.hashLanes, wakeBacklog)
 	n.lbaIndex[lba] = len(g.entries) - 1
 	g.bytes += len(data)
 	n.writes.Inc()
@@ -283,26 +252,14 @@ func (n *FIDR) Buffered() int { return len(n.fill.entries) }
 // Waiting returns the number of detached generations not yet consumed.
 func (n *FIDR) Waiting() int { return len(n.waiting) }
 
-// wake starts arrival hashers on g while at least backlog of its chunks
-// are unclaimed beyond one per running hasher, and fewer than HashLanes-1
-// run. Called with g.mu held.
-func (n *FIDR) wake(g *generation, backlog int) {
-	for g.running < n.hashLanes-1 && len(g.entries)-g.next-g.running >= backlog {
-		g.running++
-		g.wg.Add(1)
-		go g.hash()
-	}
-}
-
 // Tip detaches the filling buffer as a generation: it joins the tail of
 // the waiting queue and a fresh buffer takes the writes that follow. The
-// arrival hashers already on it keep hashing; with background set Tip
-// also wakes hashers for the chunks they have not reached, up to
-// HashLanes-1 in all, so the caller can do what it likes to everything
-// but this generation's entries. Join must follow before the caller
-// returns to its own caller. Reads no longer find the detached chunks:
-// the server settles a waiting generation before a read looks past the
-// filling buffer.
+// helpers on it keep hashing; with background set Tip also starts helpers
+// for what they have not reached, so the caller can do what it likes to
+// everything but this generation's entries. Join must follow before the
+// caller returns to its own caller. Reads no longer find the detached
+// chunks: the server settles a waiting generation before a read looks past
+// the filling buffer.
 func (n *FIDR) Tip(background bool) {
 	g := n.fill
 	n.waiting = append(n.waiting, g)
@@ -315,26 +272,19 @@ func (n *FIDR) Tip(background bool) {
 	n.hashStart = time.Now()
 	n.hashing = g
 	if background {
-		g.mu.Lock()
-		n.wake(g, 1)
-		g.mu.Unlock()
+		n.pool.Post(g.job, len(g.entries), n.hashLanes, 1)
 	}
 }
 
-// Join completes the tipped generation's hashes. The caller is lane 0: it
-// claims and hashes whatever is still unclaimed, then waits for the hashes
-// in flight. Join then commits the counters once, builds the generation's
-// data-stripped view for Head and returns how many chunks the generation
-// holds. Every fingerprint is a pure function of its chunk, so the result
+// Join completes the tipped generation's hashes (lanes.Job.Join), commits
+// the counters once, builds the generation's data-stripped view for Head
+// and returns how many chunks the generation holds. Every fingerprint is a pure function of its chunk, so the result
 // is byte-identical at any lane count and any arrival timing. busy_ns
 // covers tip to join.
 func (n *FIDR) Join() int {
 	g := n.hashing
 	n.hashing = nil
-	g.mu.Lock()
-	g.drain()
-	g.mu.Unlock()
-	g.wg.Wait()
+	busy := g.job.Join()
 	if len(g.entries) > 0 {
 		var hashBytes uint64
 		for i := range g.entries {
@@ -343,9 +293,8 @@ func (n *FIDR) Join() int {
 		n.hashOps.Add(uint64(len(g.entries)))
 		n.hashBytes.Add(hashBytes)
 		n.busyNS.Add(uint64(time.Since(n.hashStart)))
-		n.hashLaneBusyNS.Add(uint64(g.busy))
+		n.hashLaneBusyNS.Add(uint64(busy))
 	}
-	g.busy = 0
 	g.view = append(g.view[:0], g.entries...)
 	for i := range g.view {
 		g.view[i].Data = nil
@@ -383,8 +332,8 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 // Compression Engines. Duplicate chunks are dropped from NIC memory —
 // they never cross PCIe, which is FIDR's bandwidth win. flags must align
 // with the entries Head returned (or the filling buffer's, when none
-// waits); on the filling buffer it first stops the arrival hashers and
-// waits for them, so no chunk is recycled while one is read. The returned
+// waits); on the filling buffer it first stops its hash job and waits for
+// the hashes in flight, so no chunk is recycled while one is read. The returned
 // slice is NIC scratch, valid until the next ScheduleBatch; the chunk
 // buffers it points at are the caller's.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
@@ -395,7 +344,7 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	if len(flags) != len(g.entries) {
 		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), len(g.entries))
 	}
-	g.stop()
+	g.job.Stop()
 	unique := n.unique[:0]
 	for i, isUnique := range flags {
 		if isUnique {
@@ -411,7 +360,7 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	n.dupDrops.Add(uint64(len(flags) - len(unique)))
 	n.batches.Inc()
 	n.unique = unique
-	g.entries, g.bytes, g.next, g.busy = g.entries[:0], 0, 0, 0
+	g.entries, g.bytes = g.entries[:0], 0
 	if g == n.fill {
 		clear(n.lbaIndex)
 	} else {

@@ -43,27 +43,27 @@ func chunkOf(i uint64) []byte {
 	return c
 }
 
-// waitHashersGone waits for the arrival hashers earlier tests woke to
-// exit: a hasher signals its join before its last instructions run.
-func waitHashersGone(t *testing.T) {
+// waitHelpersGone waits for the pool helpers earlier tests started to
+// exit: a helper stays resident for a short idle spin after its last item.
+func waitHelpersGone(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
-		if !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "nic.newGeneration") {
+		if !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "lanes.(*Pool).helper") {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("arrival hashers from earlier tests still running")
+			t.Fatal("pool helpers from earlier tests still running")
 		}
 	}
 }
 
-// TestOneLaneStartsNoGoroutine: with one hash lane there are no arrival
-// hashers, so a mixed stream of buffered writes, tips in both modes,
+// TestOneLaneStartsNoGoroutine: with one hash lane no pool helper starts,
+// so a mixed stream of buffered writes, tips in both modes,
 // reads and schedules leaves the goroutine count exactly where it was
 // after every call.
 func TestOneLaneStartsNoGoroutine(t *testing.T) {
-	waitHashersGone(t)
+	waitHelpersGone(t)
 	n, err := New(Config{BufferBytes: 1 << 20, HashLanes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +111,12 @@ func TestOneLaneStartsNoGoroutine(t *testing.T) {
 }
 
 // TestUntippedScheduleJoinsHashers: ScheduleBatch on a filling buffer that
-// arrival hashers are working on stops them and waits for them before it
-// recycles a chunk. Every chunk here is a duplicate, so its buffer goes
-// back to the pool and the next BufferWrite overwrites it at once; the
-// race detector reports a hasher still reading one. Tipped rounds in
-// between check the hashes the same hashers write. Two lanes is one
-// hasher beside the caller; four lets hashers contend for the cursor.
+// pool helpers are hashing stops its hash job and waits for the hashes in
+// flight before it recycles a chunk. Every chunk here is a duplicate, so
+// its buffer goes back to the pool and the next BufferWrite overwrites it
+// at once; the race detector reports a helper still reading one. Tipped
+// rounds in between check the hashes the same helpers write. Two lanes is
+// one helper beside the caller; four lets helpers contend for the cursor.
 func TestUntippedScheduleJoinsHashers(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		n, err := New(Config{BufferBytes: 1 << 20, HashLanes: k})
@@ -145,28 +145,23 @@ func TestUntippedScheduleJoinsHashers(t *testing.T) {
 				}
 				continue
 			}
-			// Let a hasher claim a chunk first, so the schedule meets one
-			// at work (with one P it runs only when this goroutine yields).
+			// Let a helper hash a chunk first, so the schedule meets the
+			// job at work (with one P a helper runs only when this
+			// goroutine yields).
 			g := n.fill
 			for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
 				g.mu.Lock()
-				claimed := g.next
+				hashed := g.entries[0].FP != fingerprint.FP{}
 				g.mu.Unlock()
-				if claimed > 0 {
+				if hashed {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("%d lanes, round %d: no arrival hasher claimed a chunk of 64", k, round)
+					t.Fatalf("%d lanes, round %d: no helper hashed a chunk of 64", k, round)
 				}
 			}
 			if _, err := n.ScheduleBatch(make([]bool, 64)); err != nil {
 				t.Fatal(err)
-			}
-			g.mu.Lock()
-			running := g.running
-			g.mu.Unlock()
-			if running != 0 {
-				t.Fatalf("%d lanes, round %d: %d arrival hashers still running after ScheduleBatch", k, round, running)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // the clock); only the lane-array microbenchmarks live here.
 
 // BenchmarkHashLanes isolates the NIC SHA-core array: buffer a batch
-// (arrival hashers hash it as it fills), tip it and join, drain. Scaling
+// (the pool's helpers hash it as it fills), tip it and join, drain. Scaling
 // tracks the host's core count; results are byte-identical at every width.
 func BenchmarkHashLanes(b *testing.B) {
 	const batch = 64
