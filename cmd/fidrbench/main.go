@@ -9,9 +9,10 @@
 //	fidrbench list                             # artifact names
 //
 // Output is plain-text tables with the paper's reported values quoted in
-// footnotes, suitable for diffing against EXPERIMENTS.md. Every table is
-// counts and ratios, identical per seed; anything clocked (throughput,
-// latency, overheads) is measured by benchmark/ (see benchmark/README.md).
+// footnotes, suitable for diffing against EXPERIMENTS.md. Every table but
+// selfperf's (this host's software rates) is counts and ratios, identical
+// per seed; anything clocked (throughput, latency, overheads) is measured
+// by benchmark/ (see benchmark/README.md).
 package main
 
 import (

@@ -156,7 +156,6 @@ var experimentRegistry = []struct {
 		return render(tab, err)
 	}},
 	{"scorecard", table(experiments.Scorecard)},
-	{"observe", rows(experiments.Observe)},
 }
 
 // Experiments returns artifact names accepted by RunExperiment, in paper

@@ -16,8 +16,7 @@ import (
 // metrics.Registry, and, when a span.Collector is attached, the whole
 // request kept as one span tree (a "core.<op>" root plus one child per
 // stage) in the collector's recent, slow and by-ID views. cmd/fidrd
-// exposes both over HTTP (-metrics-addr); the "observe" experiment emits
-// the same metric names from bench runs.
+// exposes both over HTTP (-metrics-addr).
 
 // Stage identifies one pipeline hop of the write/read paths.
 type Stage int

@@ -267,7 +267,7 @@ func (e *Compression) Pack(lba uint64, fp fingerprint.FP, cdata []byte, rawSize 
 // container, or in a sealed one not yet written to an SSD. Returns false
 // for any other container. The result is a view of that container for
 // handing to Decompress at once, not a copy: it is valid only until the
-// next Pack, Flush, PopSealed or Recycle.
+// next Pack, Flush or PopSealed.
 func (e *Compression) ReadPending(container uint64, off uint32, n uint32) ([]byte, bool) {
 	if container == e.builder.Container() {
 		return e.builder.Peek(int(off), int(n))
@@ -320,29 +320,16 @@ func (e *Compression) PopSealed() {
 
 // TakeSealed removes and returns all sealed containers at once, for a
 // caller whose writes cannot fail part-way. The caller owns the slice and
-// the buffers, and may hand both back with Recycle once the bytes are on
-// the SSD.
+// the buffers; nothing comes back to the builder, so a caller that writes
+// in a loop should prefer NextSealed / PopSealed, which recycle.
 func (e *Compression) TakeSealed() []SealedContainer {
 	if len(e.sealed) == 0 {
-		return nil // keep the recycled queue for the next seal
+		return nil
 	}
 	out := e.sealed
 	e.sealed = nil
 	e.queueDepth.Set(0)
 	return out
-}
-
-// Recycle hands back what TakeSealed returned: the buffers go to the
-// builder, the slice becomes the sealed queue again. The caller must not
-// touch either afterwards.
-func (e *Compression) Recycle(sealed []SealedContainer) {
-	for i := range sealed {
-		e.builder.Recycle(sealed[i].Data)
-		sealed[i].Data = nil
-	}
-	if e.sealed == nil {
-		e.sealed = sealed[:0]
-	}
 }
 
 // DurableContainers returns the index of the first container that is not

@@ -304,22 +304,30 @@ func BenchmarkCompressLanes(b *testing.B) {
 
 // packAndWrite packs chunks whose ratios (and so compressed sizes) vary,
 // flushing part-way so the seals have unequal fill, and writes every
-// sealed container to dev the way core.writeSealed does — handing the
-// buffers back afterwards when recycle is set. It returns how many
-// containers it wrote.
+// sealed container to dev. With recycle set it drains the queue the way
+// core.writeSealed does (NextSealed, write, PopSealed, which hands the
+// buffer back to the builder); otherwise it takes fresh containers with
+// TakeSealed and never returns them. It returns how many containers it
+// wrote.
 func packAndWrite(t *testing.T, e *Compression, dev *ssd.SSD, recycle bool) int {
 	t.Helper()
 	written := 0
-	drain := func() {
-		sealed := e.TakeSealed()
-		for _, sc := range sealed {
-			if err := dev.Write(sc.Index*uint64(len(sc.Data)), sc.Data); err != nil {
-				t.Fatal(err)
-			}
-			written++
+	write := func(sc SealedContainer) {
+		if err := dev.Write(sc.Index*uint64(len(sc.Data)), sc.Data); err != nil {
+			t.Fatal(err)
 		}
-		if recycle {
-			e.Recycle(sealed)
+		written++
+	}
+	drain := func() {
+		if !recycle {
+			for _, sc := range e.TakeSealed() {
+				write(sc)
+			}
+			return
+		}
+		for sc, ok := e.NextSealed(); ok; sc, ok = e.NextSealed() {
+			write(sc)
+			e.PopSealed()
 		}
 	}
 	for i := uint64(0); i < 60; i++ {
@@ -365,10 +373,10 @@ func TestRecycleKeepsContainersIdentical(t *testing.T) {
 	}
 }
 
-// TestSealCycleNoAllocs: pack until a container seals, take it, write it,
-// hand it back — once two buffers are in circulation the cycle allocates
-// nothing. (A warmed CompressMany round allocates nothing either; the
-// pool's round is pinned in package lanes.)
+// TestSealCycleNoAllocs: pack until a container seals, write it from the
+// sealed queue and pop it, as core.writeSealed does — once two buffers are
+// in circulation the cycle allocates nothing. (A warmed CompressMany round
+// allocates nothing either; the pool's round is pinned in package lanes.)
 func TestSealCycleNoAllocs(t *testing.T) {
 	const size = 16 << 10
 	e := newEngine(t, size)
@@ -390,15 +398,14 @@ func TestSealCycleNoAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sealed := e.TakeSealed()
-		for _, sc := range sealed {
+		for sc, ok := e.NextSealed(); ok; sc, ok = e.NextSealed() {
 			// Containers wrap onto four slots so the device grows no pages.
 			if err := dev.Write(sc.Index%4*size, sc.Data); err != nil {
 				t.Fatal(err)
 			}
 			sealedN++
+			e.PopSealed()
 		}
-		e.Recycle(sealed)
 	}
 	cycle()
 	cycle()

@@ -69,16 +69,12 @@ type AblationBatchRow struct {
 // AblationBatch sweeps the accelerator batch size on FIDR: larger batches
 // amortize per-batch device interactions but raise NIC buffer residency.
 func AblationBatch(sc Scale) ([]AblationBatchRow, *metrics.Table, error) {
+	m := newMatrix(sc)
 	var rows []AblationBatchRow
 	tab := metrics.NewTable("Ablation: accelerator batch size (FIDR, Write-H)",
 		"batch (chunks)", "host mem B/B", "host CPU ns/B")
 	for _, batch := range []int{16, 64, 256} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.BatchChunks = batch
-		r, err := runWithConfig(cfg, "Write-H", sc)
+		r, err := m.run(core.FIDRFull, "Write-H", withConfig(func(c *core.Config) { c.BatchChunks = batch }))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -102,27 +98,22 @@ type AblationCacheRow struct {
 // AblationCache sweeps the cached fraction of the Hash-PBN table on
 // Write-M, connecting DRAM spend to hit rate to engine throughput.
 func AblationCache(sc Scale) ([]AblationCacheRow, *metrics.Table, error) {
+	m := newMatrix(sc)
 	var rows []AblationCacheRow
 	tab := metrics.NewTable("Ablation: table-cache size (Write-M)",
 		"cached fraction", "hit rate", "HW-engine model @4 updates")
-	p := hwtree.MediumTreeParams()
-	crash, err := measuredCrashRate(4)
-	if err != nil {
-		return nil, nil, err
-	}
 	for _, frac := range []float64{0.01, 0.028, 0.10, 0.30} {
-		r, err := Run(core.FIDRFull, "Write-M", sc, WithCacheFrac(frac))
+		r, err := m.run(core.FIDRFull, "Write-M", WithCacheFrac(frac))
 		if err != nil {
 			return nil, nil, err
 		}
-		wl := hwtree.WorkloadPoint{MissRate: 1 - r.Cache.HitRate(), CrashRate: crash}
-		bps, _, err := p.Throughput(wl, 4)
+		e, err := m.engine(hwtree.MediumTreeParams(), r, 4)
 		if err != nil {
 			return nil, nil, err
 		}
-		row := AblationCacheRow{CacheFrac: frac, HitRate: r.Cache.HitRate(), ModelGBps: bps / 1e9}
+		row := AblationCacheRow{CacheFrac: frac, HitRate: r.Cache.HitRate(), ModelGBps: e.Bps / 1e9}
 		rows = append(rows, row)
-		tab.Row(metrics.Pct(frac), metrics.Pct(row.HitRate), metrics.GBps(bps))
+		tab.Row(metrics.Pct(frac), metrics.Pct(row.HitRate), metrics.GBps(e.Bps))
 	}
 	tab.Note("the paper's 2.8%% operating point buys most of the achievable hit rate for Write-M's locality")
 	return rows, tab, nil
@@ -139,27 +130,22 @@ type AblationWidthRow struct {
 // showing where wider issue stops paying (DRAM port saturation) and how
 // the crash rate grows.
 func AblationWidth(sc Scale) ([]AblationWidthRow, *metrics.Table, error) {
-	r, err := Run(core.FIDRFull, "Write-M", sc)
+	m := newMatrix(sc)
+	r, err := m.run(core.FIDRFull, "Write-M")
 	if err != nil {
 		return nil, nil, err
 	}
-	p := hwtree.MediumTreeParams()
 	var rows []AblationWidthRow
 	tab := metrics.NewTable("Ablation: speculative update width (Write-M)",
 		"width", "crash rate", "modeled throughput")
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		crash, err := measuredCrashRate(w)
+		e, err := m.engine(hwtree.MediumTreeParams(), r, w)
 		if err != nil {
 			return nil, nil, err
 		}
-		wl := hwtree.WorkloadPoint{MissRate: 1 - r.Cache.HitRate(), CrashRate: crash}
-		bps, _, err := p.Throughput(wl, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		row := AblationWidthRow{Width: w, CrashRate: crash, GBps: bps / 1e9}
+		row := AblationWidthRow{Width: w, CrashRate: e.CrashRate, GBps: e.Bps / 1e9}
 		rows = append(rows, row)
-		tab.Row(w, metrics.Pct(crash), metrics.GBps(bps))
+		tab.Row(w, metrics.Pct(e.CrashRate), metrics.GBps(e.Bps))
 	}
 	tab.Note("beyond width 4 the DRAM port binds: the paper's choice is the knee")
 	return rows, tab, nil
@@ -177,17 +163,13 @@ type AblationReadOffloadRow struct {
 // moving the data-SSD read queues into the FPGA lifts Read-Mixed's
 // projected throughput, which §7.5 identifies as the remaining ceiling.
 func AblationReadOffload(sc Scale) ([]AblationReadOffloadRow, *metrics.Table, error) {
+	m := newMatrix(sc)
 	sock := hostmodel.PaperSocket()
 	var rows []AblationReadOffloadRow
 	tab := metrics.NewTable("Ablation: NVMe read-path offload (Read-Mixed, §7.5 future work)",
 		"data-SSD queues", "host CPU ns/B", "projected throughput")
 	for _, offload := range []bool{false, true} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.OffloadDataSSDQueues = offload
-		r, err := runWithConfig(cfg, "Read-Mixed", sc)
+		r, err := m.run(core.FIDRFull, "Read-Mixed", withConfig(func(c *core.Config) { c.OffloadDataSSDQueues = offload }))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -216,16 +198,12 @@ type AblationReadCacheRow struct {
 // reads) with the hot-block cache off and on, measuring how much data-SSD
 // read traffic the cache absorbs.
 func AblationReadCache(sc Scale) ([]AblationReadCacheRow, *metrics.Table, error) {
+	m := newMatrix(sc)
 	var rows []AblationReadCacheRow
 	tab := metrics.NewTable("Ablation: hot-block read cache (Read-Skewed, §8 discussion)",
 		"read cache (chunks)", "reads reaching SSDs", "host CPU ns/B")
 	for _, chunks := range []int{0, 4096} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.ReadCacheChunks = chunks
-		r, err := runWithConfig(cfg, "Read-Skewed", sc)
+		r, err := m.run(core.FIDRFull, "Read-Skewed", withConfig(func(c *core.Config) { c.ReadCacheChunks = chunks }))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -265,7 +243,7 @@ func AblationScaleout(sc Scale) ([]AblationScaleoutRow, *metrics.Table, error) {
 	for _, groups := range []int{1, 2, 4} {
 		// Shard the generated stream with fidr.Cluster's routing
 		// function and run each shard on its own server.
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
+		cfg, err := config(core.FIDRFull, sc.IOs, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -319,13 +297,4 @@ func AblationScaleout(sc Scale) ([]AblationScaleoutRow, *metrics.Table, error) {
 	}
 	tab.Note("splitting the dedup domain stores cross-shard duplicates once per shard, which also raises per-byte host work")
 	return rows, tab, nil
-}
-
-// runWithConfig runs a workload against an explicit server config.
-func runWithConfig(cfg core.Config, workload string, sc Scale) (RunResult, error) {
-	wp, err := workloadFor(workload, sc.IOs, cfg.CacheLines)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return runGenerated(cfg, wp)
 }

@@ -9,12 +9,12 @@ import (
 
 // costWorkloads derives the cost model's host intensities from the §7.8
 // assumption (50% dedup, 50% compression) measured on both architectures.
-func costWorkloads(sc Scale) (fidrW, baseW cost.Workload, err error) {
-	base, err := Run(core.Baseline, "Profiling-Write", sc, WithCacheFrac(profilingCacheFrac))
+func (m *matrix) costWorkloads() (fidrW, baseW cost.Workload, err error) {
+	base, err := m.run(core.Baseline, "Profiling-Write", WithCacheFrac(profilingCacheFrac))
 	if err != nil {
 		return fidrW, baseW, err
 	}
-	fidr, err := Run(core.FIDRFull, "Profiling-Write", sc, WithCacheFrac(profilingCacheFrac))
+	fidr, err := m.run(core.FIDRFull, "Profiling-Write", WithCacheFrac(profilingCacheFrac))
 	if err != nil {
 		return fidrW, baseW, err
 	}
@@ -48,12 +48,14 @@ type Fig15Row struct {
 
 // Fig15 reproduces Figure 15: normalized storage cost versus throughput
 // at three effective capacities.
-func Fig15(sc Scale) ([]Fig15Row, *metrics.Table, error) {
-	fidrW, baseW, err := costWorkloads(sc)
+func Fig15(sc Scale) ([]Fig15Row, *metrics.Table, error) { return newMatrix(sc).fig15() }
+
+func (m *matrix) fig15() ([]Fig15Row, *metrics.Table, error) {
+	fidrW, baseW, err := m.costWorkloads()
 	if err != nil {
 		return nil, nil, err
 	}
-	m := cost.NewModel()
+	model := cost.NewModel()
 	var rows []Fig15Row
 	tab := metrics.NewTable("Figure 15: normalized storage cost vs throughput (lower is better)",
 		"capacity", "throughput", "FIDR cost", "baseline cost", "no-reduction", "FIDR saving")
@@ -61,14 +63,14 @@ func Fig15(sc Scale) ([]Fig15Row, *metrics.Table, error) {
 		capacity := capTB * 1e12
 		for _, gbps := range []float64{25, 50, 75} {
 			bps := gbps * 1e9
-			f := m.FIDR(capacity, bps, fidrW)
-			b := m.Baseline(capacity, bps, baseW)
-			raw := m.NoReduction(capacity).Total()
+			f := model.FIDR(capacity, bps, fidrW)
+			b := model.Baseline(capacity, bps, baseW)
+			raw := model.NoReduction(capacity).Total()
 			row := Fig15Row{
 				GBps: gbps, CapacityTB: capTB,
 				FIDRNormCost:     f.Total() / raw,
 				BaselineNormCost: b.Total() / raw,
-				FIDRSaving:       m.Saving(f, capacity),
+				FIDRSaving:       model.Saving(f, capacity),
 			}
 			rows = append(rows, row)
 			tab.Row(metrics.FormatFloat(capTB)+" TB", metrics.GBps(bps),
@@ -90,7 +92,7 @@ type Fig16Result struct {
 // Fig16 reproduces Figure 16: cost breakdown at 75 GB/s and 500 TB
 // effective capacity.
 func Fig16(sc Scale) (Fig16Result, *metrics.Table, error) {
-	fidrW, baseW, err := costWorkloads(sc)
+	fidrW, baseW, err := newMatrix(sc).costWorkloads()
 	if err != nil {
 		return Fig16Result{}, nil, err
 	}

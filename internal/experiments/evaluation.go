@@ -28,6 +28,10 @@ type Table3Row struct {
 // and reports measured dedup ratio, compression ratio and cache hit rate
 // against the paper's targets.
 func Table3(sc Scale, opts ...func(*runOptions)) ([]Table3Row, *metrics.Table, error) {
+	return newMatrix(sc).table3(opts...)
+}
+
+func (m *matrix) table3(opts ...func(*runOptions)) ([]Table3Row, *metrics.Table, error) {
 	targets := map[string][2]float64{ // dedup, hit
 		"Write-H":    {0.88, 0.90},
 		"Write-M":    {0.84, 0.81},
@@ -39,7 +43,7 @@ func Table3(sc Scale, opts ...func(*runOptions)) ([]Table3Row, *metrics.Table, e
 		"workload", "dedup target", "dedup measured", "comp measured",
 		"hit target", "hit measured")
 	for _, name := range EvalWorkloads() {
-		r, err := Run(core.Baseline, name, sc, opts...)
+		r, err := m.run(core.Baseline, name, opts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -80,16 +84,18 @@ type Fig11Row struct {
 
 // Fig11 reproduces Figure 11: FIDR's host-memory-bandwidth reduction per
 // workload (paper: up to 79.1% write-only, 84.9% mixed).
-func Fig11(sc Scale) ([]Fig11Row, *metrics.Table, error) {
+func Fig11(sc Scale) ([]Fig11Row, *metrics.Table, error) { return newMatrix(sc).fig11() }
+
+func (m *matrix) fig11() ([]Fig11Row, *metrics.Table, error) {
 	var rows []Fig11Row
 	tab := metrics.NewTable("Figure 11: host memory BW utilization (per client byte)",
 		"workload", "baseline B/B", "FIDR B/B", "reduction", "baseline @75GB/s", "FIDR @75GB/s")
 	for _, name := range EvalWorkloads() {
-		base, err := Run(core.Baseline, name, sc)
+		base, err := m.run(core.Baseline, name)
 		if err != nil {
 			return nil, nil, err
 		}
-		fidr, err := Run(core.FIDRFull, name, sc)
+		fidr, err := m.run(core.FIDRFull, name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -128,21 +134,23 @@ type Fig12Row struct {
 // Fig12 reproduces Figure 12 (paper: up to 68% reduction write-only,
 // 39% mixed; 20-37% from removing the predictor, 19-44% points more from
 // HW table-cache management).
-func Fig12(sc Scale) ([]Fig12Row, *metrics.Table, error) {
+func Fig12(sc Scale) ([]Fig12Row, *metrics.Table, error) { return newMatrix(sc).fig12() }
+
+func (m *matrix) fig12() ([]Fig12Row, *metrics.Table, error) {
 	var rows []Fig12Row
 	tab := metrics.NewTable("Figure 12: host CPU utilization (ns per client byte)",
 		"workload", "baseline", "+NIC/P2P", "+HW cache", "total reduction",
 		"from NIC hashing", "from HW cache")
 	for _, name := range EvalWorkloads() {
-		base, err := Run(core.Baseline, name, sc)
+		base, err := m.run(core.Baseline, name)
 		if err != nil {
 			return nil, nil, err
 		}
-		nicOnly, err := Run(core.FIDRNicP2P, name, sc)
+		nicOnly, err := m.run(core.FIDRNicP2P, name)
 		if err != nil {
 			return nil, nil, err
 		}
-		full, err := Run(core.FIDRFull, name, sc)
+		full, err := m.run(core.FIDRFull, name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -176,9 +184,6 @@ type Fig13Row struct {
 	Binding string
 }
 
-// crashRateMemo caches measured speculative crash rates per width.
-var crashRateMemo = map[int]float64{}
-
 // measuredCrashRate runs the speculative executor over a paper-scale tree
 // (the prototype's 410-MB cache indexes ~100K lines) with width-way
 // random updates and returns the observed crash/replay rate. The
@@ -186,9 +191,9 @@ var crashRateMemo = map[int]float64{}
 // table), which would overstate conflicts by orders of magnitude, so the
 // crash rate is measured at the size the device actually runs at. Bucket
 // indexes are uniform hashes, so the update key distribution is the same
-// for every workload.
-func measuredCrashRate(width int) (float64, error) {
-	if r, ok := crashRateMemo[width]; ok {
+// for every workload. A matrix measures each width once.
+func (m *matrix) measuredCrashRate(width int) (float64, error) {
+	if r, ok := m.crash[width]; ok {
 		return r, nil
 	}
 	tree := hwtree.NewTree()
@@ -217,9 +222,33 @@ func measuredCrashRate(width int) (float64, error) {
 		}
 	}
 	exec.Drain()
-	r := exec.Stats().CrashRate()
-	crashRateMemo[width] = r
-	return r, nil
+	m.crash[width] = exec.Stats().CrashRate()
+	return m.crash[width], nil
+}
+
+// engineRun is the Cache HW-Engine model at one update width for a FIDR
+// run: the point it was fed and what it returned.
+type engineRun struct {
+	hwtree.WorkloadPoint
+	Bps  float64
+	Caps hwtree.Caps
+}
+
+// engine runs tree model p at width for r: r's measured table-cache miss
+// rate, the crash rate measured at width, and the leaf-cache hit
+// calibrated for r's workload.
+func (m *matrix) engine(p hwtree.PerfParams, r RunResult, width int) (engineRun, error) {
+	crash, err := m.measuredCrashRate(width)
+	if err != nil {
+		return engineRun{}, err
+	}
+	e := engineRun{WorkloadPoint: hwtree.WorkloadPoint{
+		MissRate:     1 - r.Cache.HitRate(),
+		CrashRate:    crash,
+		LeafCacheHit: calibratedLeafHit(r.Workload),
+	}}
+	e.Bps, e.Caps, err = p.Throughput(e.WorkloadPoint, width)
+	return e, err
 }
 
 // calibratedLeafHit returns the on-chip leaf-cache hit rate used for the
@@ -242,46 +271,42 @@ func calibratedLeafHit(name string) float64 {
 // updates. Workload points (miss rate, crash rate) are measured
 // functionally from the FIDR runs; the leaf-cache hit is calibrated
 // (calibratedLeafHit). The points feed the pipeline throughput model.
-func Fig13(sc Scale) ([]Fig13Row, *metrics.Table, error) {
+func Fig13(sc Scale) ([]Fig13Row, *metrics.Table, error) { return newMatrix(sc).fig13() }
+
+func (m *matrix) fig13() ([]Fig13Row, *metrics.Table, error) {
 	p := hwtree.MediumTreeParams()
 	var rows []Fig13Row
 	tab := metrics.NewTable("Figure 13: Cache HW-Engine throughput (modeled from measured workload points)",
 		"workload", "miss rate", "leaf$ hit", "1 update", "2 updates", "4 updates")
 	for _, name := range []string{"Write-H", "Write-M", "Write-L"} {
-		r, err := Run(core.FIDRFull, name, sc)
+		r, err := m.run(core.FIDRFull, name)
 		if err != nil {
 			return nil, nil, err
 		}
-		wl := hwtree.WorkloadPoint{
-			MissRate:     1 - r.Cache.HitRate(),
-			LeafCacheHit: calibratedLeafHit(name),
-		}
 		var cells []any
-		cells = append(cells, name, metrics.Pct(wl.MissRate), metrics.Pct(wl.LeafCacheHit))
+		cells = append(cells, name, metrics.Pct(1-r.Cache.HitRate()), metrics.Pct(calibratedLeafHit(name)))
 		for _, w := range []int{1, 2, 4} {
-			crash, err := measuredCrashRate(w)
-			if err != nil {
-				return nil, nil, err
-			}
-			wl.CrashRate = crash
-			bps, caps, err := p.Throughput(wl, w)
+			e, err := m.engine(p, r, w)
 			if err != nil {
 				return nil, nil, err
 			}
 			binding := "update"
-			min := caps.Update
-			if caps.DRAMPort < min {
-				binding, min = "dram", caps.DRAMPort
+			min := e.Caps.Update
+			if e.Caps.DRAMPort < min {
+				binding, min = "dram", e.Caps.DRAMPort
 			}
-			if caps.Clock < min {
+			if e.Caps.Clock < min {
 				binding = "clock"
 			}
-			rows = append(rows, Fig13Row{Workload: name, Width: w, GBps: bps / 1e9, Binding: binding})
-			cells = append(cells, metrics.GBps(bps))
+			rows = append(rows, Fig13Row{Workload: name, Width: w, GBps: e.Bps / 1e9, Binding: binding})
+			cells = append(cells, metrics.GBps(e.Bps))
 		}
 		tab.Row(cells...)
 	}
-	c4, _ := measuredCrashRate(4)
+	c4, err := m.measuredCrashRate(4)
+	if err != nil {
+		return nil, nil, err
+	}
 	tab.Note("speculative crash/replay rate at width 4 on a paper-scale (~100K-line) tree: %.3f%% (paper: <0.1%%)", 100*c4)
 	tab.Note("paper anchors: Write-M 27.1 GB/s (1 update) -> 63.8 GB/s (4); Write-H saturates ~127 GB/s at DRAM BW")
 	return rows, tab, nil
@@ -302,49 +327,43 @@ type Fig14Row struct {
 // four configurations. Host intensities come from functional runs; the
 // Cache HW-Engine configurations are additionally capped by the Figure 13
 // device model at the matching update width.
-func Fig14(sc Scale) ([]Fig14Row, *metrics.Table, error) {
+func Fig14(sc Scale) ([]Fig14Row, *metrics.Table, error) { return newMatrix(sc).fig14() }
+
+func (m *matrix) fig14() ([]Fig14Row, *metrics.Table, error) {
 	sock := hostmodel.PaperSocket()
 	tp := hwtree.MediumTreeParams()
 	var rows []Fig14Row
 	tab := metrics.NewTable("Figure 14: overall throughput (projected per socket)",
 		"workload", "baseline", "+NIC/P2P", "+HW$ 1-update", "+HW$ 4-update", "speedup")
 	for _, name := range EvalWorkloads() {
-		base, err := Run(core.Baseline, name, sc)
+		base, err := m.run(core.Baseline, name)
 		if err != nil {
 			return nil, nil, err
 		}
-		nic, err := Run(core.FIDRNicP2P, name, sc)
+		nic, err := m.run(core.FIDRNicP2P, name)
 		if err != nil {
 			return nil, nil, err
 		}
 		// The update width changes the engine model's cap only; the
 		// functional run is the same at every width.
-		full, err := Run(core.FIDRFull, name, sc)
+		full, err := m.run(core.FIDRFull, name)
 		if err != nil {
 			return nil, nil, err
 		}
-		cap := func(width int) float64 {
-			crash, err := measuredCrashRate(width)
-			if err != nil {
-				return 0
-			}
-			wl := hwtree.WorkloadPoint{
-				MissRate:     1 - full.Cache.HitRate(),
-				CrashRate:    crash,
-				LeafCacheHit: calibratedLeafHit(name),
-			}
-			bps, _, err := tp.Throughput(wl, width)
-			if err != nil {
-				return 0
-			}
-			return bps
+		single, err := m.engine(tp, full, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		multi, err := m.engine(tp, full, 4)
+		if err != nil {
+			return nil, nil, err
 		}
 		row := Fig14Row{
 			Workload: name,
 			Baseline: sock.MaxThroughput(base.Snapshot, 0) / 1e9,
 			NicP2P:   sock.MaxThroughput(nic.Snapshot, 0) / 1e9,
-			HWSingle: sock.MaxThroughput(full.Snapshot, cap(1)) / 1e9,
-			HWMulti:  sock.MaxThroughput(full.Snapshot, cap(4)) / 1e9,
+			HWSingle: sock.MaxThroughput(full.Snapshot, single.Bps) / 1e9,
+			HWMulti:  sock.MaxThroughput(full.Snapshot, multi.Bps) / 1e9,
 		}
 		if row.Baseline > 0 {
 			row.Speedup = row.HWMulti / row.Baseline

@@ -34,34 +34,6 @@ func DefaultScale() Scale { return Scale{IOs: 60000} }
 // TestScale suits unit tests.
 func TestScale() Scale { return Scale{IOs: 8000} }
 
-// serverConfig sizes a server for a workload run of n IOs. cacheFrac is
-// the cached share of table buckets (the paper's 2.8%, or a calibration
-// override for the §3.2 profiling runs).
-func serverConfig(arch core.Arch, n int, cacheFrac float64) (core.Config, error) {
-	cfg := core.DefaultConfig(arch)
-	// Containers must seal often enough that reads exercise the SSD
-	// path (at paper scale containers turn over constantly).
-	cfg.ContainerSize = 128 << 10
-	cfg.UniqueChunkCapacity = uint64(n) + 4096
-	// Keep the bucket population large enough that the 64-line cache
-	// floor stays a small fraction of the table; otherwise small-scale
-	// runs inflate hit rates (unique fingerprints land in cached
-	// buckets far more often than at paper scale).
-	if cfg.UniqueChunkCapacity < 1<<17 {
-		cfg.UniqueChunkCapacity = 1 << 17
-	}
-	geom, err := hashpbn.GeometryFor(cfg.UniqueChunkCapacity, 0.5)
-	if err != nil {
-		return core.Config{}, err
-	}
-	lines := int(float64(geom.NumBuckets) * cacheFrac)
-	if lines < 64 {
-		lines = 64
-	}
-	cfg.CacheLines = lines
-	return cfg, nil
-}
-
 // workloadFor builds trace parameters whose reuse window is sized
 // against the cache so the Table 3 hit-rate targets emerge functionally:
 // a window comfortably inside the cache makes nearly every duplicate's
@@ -72,51 +44,43 @@ func workloadFor(name string, n, cacheLines int) (trace.Params, error) {
 	switch name {
 	case "Write-H":
 		p = trace.WriteH(n)
-		p.ReuseWindow = cacheLines / 4
 	case "Write-M":
 		// Write-M's 81% hit target sits below its 84% dedup ratio:
 		// a slice of duplicates reuses content from deep history
 		// whose buckets fell out of the cache.
 		p = trace.WriteM(n)
-		p.ReuseWindow = cacheLines / 4
 		p.FarReuseFraction = 0.05
 	case "Write-L":
 		p = trace.WriteL(n)
-		p.ReuseWindow = cacheLines / 4
 	case "Read-Mixed":
 		p = trace.ReadMixed(n)
-		p.ReuseWindow = cacheLines / 4
 	case "Read-Skewed":
 		// §8's imbalanced-read scenario: Read-Mixed with Zipf-skewed
 		// read addresses hammering a hot set.
 		p = trace.ReadMixed(n)
 		p.Name = "Read-Skewed"
-		p.ReuseWindow = cacheLines / 4
 		p.ReadSkew = 1.4
 	case "Archival":
 		// Durability extension: append-heavy backup ingest with long
 		// sequential runs; drives the archival experiment.
 		p = trace.Archival(n)
-		p.ReuseWindow = cacheLines / 4
 	case "Profiling-Write", "Profiling-Mixed":
 		// §3.2 profiling workloads: dedup and compression both 50%.
 		p = trace.WriteH(n)
 		p.Name = name
 		p.DedupRatio = 0.5
-		p.ReuseWindow = cacheLines / 4
 		if name == "Profiling-Mixed" {
 			p.ReadFraction = 0.5
 		}
 	default:
 		return trace.Params{}, fmt.Errorf("experiments: unknown workload %q", name)
 	}
-	if p.ReuseWindow < 8 {
-		p.ReuseWindow = 8
-	}
+	p.ReuseWindow = max(cacheLines/4, 8)
 	return p, nil
 }
 
-// RunResult captures one (architecture, workload) functional run.
+// RunResult captures one (architecture, workload) functional run. It is a
+// comparable value: the matrix hands out copies.
 type RunResult struct {
 	Arch     core.Arch
 	Workload string
@@ -125,6 +89,10 @@ type RunResult struct {
 	Cache    tablecache.Stats
 	// P2PBytes and RootBytes summarize PCIe routing.
 	P2PBytes, RootBytes uint64
+	// DataSSDWriteBytes and TableSSDWriteBytes are the flash bytes the
+	// data SSDs (containers) and table SSDs (bucket fills and flushes)
+	// took.
+	DataSSDWriteBytes, TableSSDWriteBytes uint64
 }
 
 // MemPerByte is host-memory bytes per client byte.
@@ -142,75 +110,134 @@ type runOptions struct {
 	// lane count regardless (see WithLanes).
 	hashLanes     int
 	compressLanes int
+	// edit sets an ablation's knob on the sized config.
+	edit func(*core.Config)
 }
 
-func defaultRunOptions() runOptions {
+// config is the one way an experiment builds a server config: sized for
+// a workload run of n IOs at the paper's cache fraction with lanes pinned
+// to 1, then the options.
+func config(arch core.Arch, n int, opts []func(*runOptions)) (core.Config, error) {
 	// The paper caches 2.8% of the table (§7.1 factor 5).
-	return runOptions{cacheFrac: 0.028, hashLanes: 1, compressLanes: 1}
+	o := runOptions{cacheFrac: paperCacheFrac, hashLanes: 1, compressLanes: 1}
+	for _, f := range opts {
+		f(&o)
+	}
+	cfg := core.DefaultConfig(arch)
+	// Containers must seal often enough that reads exercise the SSD
+	// path (at paper scale containers turn over constantly).
+	cfg.ContainerSize = 128 << 10
+	// Keep the bucket population large enough that the 64-line cache
+	// floor stays a small fraction of the table; otherwise small-scale
+	// runs inflate hit rates (unique fingerprints land in cached
+	// buckets far more often than at paper scale).
+	cfg.UniqueChunkCapacity = max(uint64(n)+4096, 1<<17)
+	geom, err := hashpbn.GeometryFor(cfg.UniqueChunkCapacity, 0.5)
+	if err != nil {
+		return core.Config{}, err
+	}
+	// The cached share of table buckets: the paper's 2.8%, or a
+	// calibration override for the §3.2 profiling runs.
+	cfg.CacheLines = max(int(float64(geom.NumBuckets)*o.cacheFrac), 64)
+	cfg.HashLanes = o.hashLanes
+	cfg.CompressLanes = o.compressLanes
+	if o.edit != nil {
+		o.edit(&cfg)
+	}
+	return cfg, nil
+}
+
+// withConfig sets an ablation's knob (batch size, read offload, read
+// cache) on the sized config.
+func withConfig(edit func(*core.Config)) func(*runOptions) {
+	return func(o *runOptions) { o.edit = edit }
+}
+
+// matrix is the runs of one top-level call. Each (server config, workload)
+// that a figure asks for is played once; a later ask reads the stored
+// result. The key is the validated config plus the trace parameters —
+// values, never names — so a lane count or an ablation knob is a run of
+// its own, and Fig 11, 12 and 14 and Table 3, which run the same servers
+// over the Table 3 workloads, share them when Scorecard calls them on one
+// matrix. It also keeps the crash rates the Cache HW-Engine model measures
+// per update width.
+type matrix struct {
+	sc     Scale
+	runs   map[runKey]RunResult
+	crash  map[int]float64
+	played int // servers run
+}
+
+type runKey struct {
+	cfg core.Config
+	wp  trace.Params
+}
+
+func newMatrix(sc Scale) *matrix {
+	return &matrix{sc: sc, runs: map[runKey]RunResult{}, crash: map[int]float64{}}
 }
 
 // Run executes workload wl on architecture arch at the given scale and
 // returns the measured result.
 func Run(arch core.Arch, workload string, sc Scale, opts ...func(*runOptions)) (RunResult, error) {
-	cfg, err := configWith(arch, sc.IOs, opts)
+	return newMatrix(sc).run(arch, workload, opts...)
+}
+
+// run returns workload's result on arch under opts, playing it unless an
+// earlier ask on m ran the same config over the same trace.
+func (m *matrix) run(arch core.Arch, workload string, opts ...func(*runOptions)) (RunResult, error) {
+	cfg, err := config(arch, m.sc.IOs, opts)
 	if err != nil {
 		return RunResult{}, err
 	}
-	wp, err := workloadFor(workload, sc.IOs, cfg.CacheLines)
+	wp, err := workloadFor(workload, m.sc.IOs, cfg.CacheLines)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runGenerated(cfg, wp)
-}
-
-// configWith sizes a server for n IOs under the run options.
-func configWith(arch core.Arch, n int, opts []func(*runOptions)) (core.Config, error) {
-	o := defaultRunOptions()
-	for _, f := range opts {
-		f(&o)
+	key := runKey{cfg: cfg, wp: wp}
+	if err := key.cfg.Validate(); err != nil {
+		return RunResult{}, err
 	}
-	cfg, err := serverConfig(arch, n, o.cacheFrac)
-	if err != nil {
-		return core.Config{}, err
+	if cfg.Compressor == nil {
+		key.cfg.Compressor = nil // Validate's fresh LZ engine is the default, not a new run
 	}
-	cfg.HashLanes = o.hashLanes
-	cfg.CompressLanes = o.compressLanes
-	return cfg, nil
-}
-
-// runGenerated drives one server configuration through one generated
-// workload and collects the measurements.
-func runGenerated(cfg core.Config, wp trace.Params) (RunResult, error) {
+	if r, ok := m.runs[key]; ok {
+		return r, nil
+	}
+	m.played++
 	srv, err := core.New(cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return driveAndCollect(srv, wp)
-}
-
-// driveAndCollect streams a workload through an existing server.
-func driveAndCollect(srv *core.Server, wp trace.Params) (RunResult, error) {
-	cfg := srv.Config()
-	gen, err := trace.NewGenerator(wp)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := drive(srv, gen, blockcomp.NewShaper(wp.CompressRatio), -1); err != nil {
-		return RunResult{}, err
-	}
-	if err := srv.Flush(); err != nil {
+	if err := play(srv, wp); err != nil {
 		return RunResult{}, err
 	}
 	_, p2p, root := srv.Topology().Report()
-	return RunResult{
-		Arch:      cfg.Arch,
-		Workload:  wp.Name,
-		Snapshot:  srv.Ledger().Snapshot(),
-		Server:    srv.Stats(),
-		Cache:     srv.CacheStats(),
-		P2PBytes:  p2p,
-		RootBytes: root,
-	}, nil
+	r := RunResult{
+		Arch:               cfg.Arch,
+		Workload:           wp.Name,
+		Snapshot:           srv.Ledger().Snapshot(),
+		Server:             srv.Stats(),
+		Cache:              srv.CacheStats(),
+		P2PBytes:           p2p,
+		RootBytes:          root,
+		DataSSDWriteBytes:  srv.DataSSDStats().WriteBytes,
+		TableSSDWriteBytes: srv.TableSSDStats().WriteBytes,
+	}
+	m.runs[key] = r
+	return r, nil
+}
+
+// play streams a whole generated workload through srv and flushes it.
+func play(srv *core.Server, wp trace.Params) error {
+	gen, err := trace.NewGenerator(wp)
+	if err != nil {
+		return err
+	}
+	if err := drive(srv, gen, blockcomp.NewShaper(wp.CompressRatio), -1); err != nil {
+		return err
+	}
+	return srv.Flush()
 }
 
 // drive feeds the next n requests of gen to srv (all that remain when n
@@ -249,9 +276,10 @@ func traceAddr(cfg core.Config, lba uint64) uint64 {
 }
 
 // ConfigFor exposes the experiment-standard server sizing (paper cache
-// fraction) for external drivers such as benchmark/.
+// fraction) for external drivers such as benchmark/. Its lane counts stay
+// 0, the host-derived default.
 func ConfigFor(arch core.Arch, n int) (core.Config, error) {
-	return serverConfig(arch, n, defaultRunOptions().cacheFrac)
+	return config(arch, n, []func(*runOptions){WithLanes(0, 0)})
 }
 
 // WorkloadParams exposes the experiment-standard workload tuning for
@@ -275,6 +303,9 @@ func WithLanes(hash, compress int) func(*runOptions) {
 		o.compressLanes = compress
 	}
 }
+
+// paperCacheFrac is the cached share of table buckets the paper runs at.
+const paperCacheFrac = 0.028
 
 // profilingCacheFrac calibrates the §3.2 profiling runs: the paper's
 // trace extraction produced ~80% table-cache hit rates on its profiling

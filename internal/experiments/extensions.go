@@ -46,7 +46,7 @@ type CDCRow struct {
 // loses alignment at every insertion; CDC resynchronizes within a few
 // chunks and dedups the unshifted remainder.
 func CDC(sc Scale, opts ...func(*runOptions)) ([]CDCRow, *metrics.Table, error) {
-	cfg, err := configWith(core.FIDRFull, sc.IOs, opts)
+	cfg, err := config(core.FIDRFull, sc.IOs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,7 +149,7 @@ const capacityGCThreshold = 0.25
 // client byte went, and whether GC reclaimed exactly the garbage the
 // ledger lost.
 func Capacity(sc Scale, opts ...func(*runOptions)) ([]CapacityRow, *metrics.Table, error) {
-	cfg, err := configWith(core.FIDRFull, sc.IOs, opts)
+	cfg, err := config(core.FIDRFull, sc.IOs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,7 +169,7 @@ func Capacity(sc Scale, opts ...func(*runOptions)) ([]CapacityRow, *metrics.Tabl
 		}
 		journal := events.NewJournal(0)
 		srv.SetEventJournal(journal, 0)
-		if _, err := driveAndCollect(srv, wp); err != nil {
+		if err := play(srv, wp); err != nil {
 			return nil, nil, err
 		}
 		if err := overwriteMost(srv, wp); err != nil {
@@ -259,7 +259,7 @@ type ArchivalRow struct {
 // lengths: recovery work (records replayed) follows the log written
 // since the checkpoint, not the volume's size.
 func Archival(sc Scale, opts ...func(*runOptions)) ([]ArchivalRow, *metrics.Table, error) {
-	cfg, err := configWith(core.FIDRFull, sc.IOs, opts)
+	cfg, err := config(core.FIDRFull, sc.IOs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,7 +276,11 @@ func Archival(sc Scale, opts ...func(*runOptions)) ([]ArchivalRow, *metrics.Tabl
 		if ingest.WAL, err = core.NewWAL(core.NewMemWALDevice()); err != nil {
 			return nil, nil, err
 		}
-		if _, err := runGenerated(ingest, wp); err != nil {
+		srv, err := core.New(ingest)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := play(srv, wp); err != nil {
 			return nil, nil, err
 		}
 		ws := ingest.WAL.Stats()

@@ -24,31 +24,20 @@ type LifetimeRow struct {
 	LifetimeX float64
 }
 
-// Lifetime runs the write workloads on FIDR and reports flash-write
-// accounting.
+// Lifetime reads flash-write accounting off FIDR's write-workload runs.
 func Lifetime(sc Scale) ([]LifetimeRow, *metrics.Table, error) {
 	var rows []LifetimeRow
 	tab := metrics.NewTable("SSD lifetime: flash bytes written per client byte (FIDR)",
 		"workload", "data-SSD WAF", "table-SSD WAF", "data-SSD lifetime multiplier")
+	m := newMatrix(sc)
 	for _, name := range []string{"Write-H", "Write-M", "Write-L"} {
-		cfg, err := serverConfig(core.FIDRFull, sc.IOs, 0.028)
+		r, err := m.run(core.FIDRFull, name)
 		if err != nil {
 			return nil, nil, err
 		}
-		wp, err := workloadFor(name, sc.IOs, cfg.CacheLines)
-		if err != nil {
-			return nil, nil, err
-		}
-		srv, err := core.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := driveAndCollect(srv, wp); err != nil {
-			return nil, nil, err
-		}
-		clientBytes := float64(srv.Stats().ClientBytes)
-		dataWAF := float64(srv.DataSSDStats().WriteBytes) / clientBytes
-		tableWAF := float64(srv.TableSSDStats().WriteBytes) / clientBytes
+		clientBytes := float64(r.Server.ClientBytes)
+		dataWAF := float64(r.DataSSDWriteBytes) / clientBytes
+		tableWAF := float64(r.TableSSDWriteBytes) / clientBytes
 		row := LifetimeRow{
 			Workload: name,
 			DataWAF:  dataWAF,

@@ -79,11 +79,11 @@ type ProfileResult struct {
 	Snapshot     hostmodel.Snapshot
 }
 
-// profileBaseline runs the §3.2 profiling workloads on the baseline.
-func profileBaseline(sc Scale) ([]ProfileResult, error) {
+// profiles runs the §3.2 profiling workloads on the baseline.
+func (m *matrix) profiles() ([]ProfileResult, error) {
 	var out []ProfileResult
 	for _, wl := range []string{"Profiling-Write", "Profiling-Mixed"} {
-		r, err := Run(core.Baseline, wl, sc, WithCacheFrac(profilingCacheFrac))
+		r, err := m.run(core.Baseline, wl, WithCacheFrac(profilingCacheFrac))
 		if err != nil {
 			return nil, err
 		}
@@ -103,8 +103,10 @@ func profileBaseline(sc Scale) ([]ProfileResult, error) {
 // Fig4 reproduces Figure 4: baseline host memory bandwidth, measured at
 // 5 and 6.9 GB/s and projected linearly to the 75 GB/s target, against
 // the socket's 170 GB/s ceiling.
-func Fig4(sc Scale) ([]ProfileResult, *metrics.Table, error) {
-	profiles, err := profileBaseline(sc)
+func Fig4(sc Scale) ([]ProfileResult, *metrics.Table, error) { return newMatrix(sc).fig4() }
+
+func (m *matrix) fig4() ([]ProfileResult, *metrics.Table, error) {
+	profiles, err := m.profiles()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,7 +128,7 @@ func Fig4(sc Scale) ([]ProfileResult, *metrics.Table, error) {
 // Fig5 reproduces Figure 5: baseline CPU demand at 75 GB/s (a) and the
 // management-overhead breakdown (b).
 func Fig5(sc Scale) ([]ProfileResult, *metrics.Table, error) {
-	profiles, err := profileBaseline(sc)
+	profiles, err := newMatrix(sc).profiles()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,7 +144,7 @@ func Fig5(sc Scale) ([]ProfileResult, *metrics.Table, error) {
 // Table1 reproduces Table 1: memory-bandwidth breakdown by datapath with
 // memory-capacity classes.
 func Table1(sc Scale) ([]ProfileResult, *metrics.Table, error) {
-	profiles, err := profileBaseline(sc)
+	profiles, err := newMatrix(sc).profiles()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,7 +177,7 @@ func Table1(sc Scale) ([]ProfileResult, *metrics.Table, error) {
 // Table2 reproduces Table 2: CPU and memory-capacity split of table-cache
 // management components with their "best place to run".
 func Table2(sc Scale) (*metrics.Table, error) {
-	profiles, err := profileBaseline(sc)
+	profiles, err := newMatrix(sc).profiles()
 	if err != nil {
 		return nil, err
 	}

@@ -52,18 +52,10 @@ type Table5Row struct {
 // resources and estimated Write-M throughput.
 func Table5(sc Scale) ([]Table5Row, *metrics.Table, error) {
 	// Measure Write-M's workload point functionally.
-	r, err := Run(core.FIDRFull, "Write-M", sc)
+	m := newMatrix(sc)
+	r, err := m.run(core.FIDRFull, "Write-M")
 	if err != nil {
 		return nil, nil, err
-	}
-	crash, err := measuredCrashRate(4)
-	if err != nil {
-		return nil, nil, err
-	}
-	wl := hwtree.WorkloadPoint{
-		MissRate:     1 - r.Cache.HitRate(),
-		CrashRate:    crash,
-		LeafCacheHit: calibratedLeafHit("Write-M"),
 	}
 	configs := []struct {
 		name  string
@@ -84,17 +76,17 @@ func Table5(sc Scale) ([]Table5Row, *metrics.Table, error) {
 	var rows []Table5Row
 	tab := metrics.NewTable("Table 5: Cache HW-Engine resources and estimated max throughput (Write-M)",
 		"config", "levels", "LUTs", "FFs", "BRAM", "URAM", "est. max", "paper")
+	var e engineRun
 	for _, c := range configs {
 		res := hwtree.CacheEngineResources(c.eng)
-		bps, _, err := c.perf.Throughput(wl, 4)
-		if err != nil {
+		if e, err = m.engine(c.perf, r, 4); err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, Table5Row{Config: c.name, Resources: res, EstMaxGBps: bps / 1e9})
+		rows = append(rows, Table5Row{Config: c.name, Resources: res, EstMaxGBps: e.Bps / 1e9})
 		tab.Row(c.name, hwtree.HeightFor(c.eng.CacheLines), res.LUTs, res.FFs,
-			res.BRAMs, res.URAMs, metrics.GBps(bps), c.paper)
+			res.BRAMs, res.URAMs, metrics.GBps(e.Bps), c.paper)
 	}
 	tab.Note("measured Write-M point: miss %.1f%%, crash %.3f%%, leaf$ hit %.1f%%",
-		100*wl.MissRate, 100*wl.CrashRate, 100*wl.LeafCacheHit)
+		100*e.MissRate, 100*e.CrashRate, 100*e.LeafCacheHit)
 	return rows, tab, nil
 }

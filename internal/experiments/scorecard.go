@@ -7,8 +7,12 @@ import (
 
 // Scorecard runs the headline experiments and prints a one-page
 // paper-vs-measured summary — the compressed version of EXPERIMENTS.md,
-// regenerated live.
-func Scorecard(sc Scale) (*metrics.Table, error) {
+// regenerated live. The figures read one run matrix, so each server
+// configuration runs once.
+func Scorecard(sc Scale) (*metrics.Table, error) { return newMatrix(sc).scorecard() }
+
+func (m *matrix) scorecard() (*metrics.Table, error) {
+	sc := m.sc
 	tab := metrics.NewTable("Reproduction scorecard (paper vs measured)",
 		"claim", "paper", "measured")
 
@@ -19,7 +23,7 @@ func Scorecard(sc Scale) (*metrics.Table, error) {
 	tab.Row("Fig 3: worst 32-KB/4-KB IO increase", "17.5x",
 		metrics.FormatFloat(f3.MaxIncrease)+"x")
 
-	profiles, _, err := Fig4(sc)
+	profiles, _, err := m.fig4()
 	if err != nil {
 		return nil, err
 	}
@@ -30,44 +34,30 @@ func Scorecard(sc Scale) (*metrics.Table, error) {
 	tab.Row("Fig 5b: management share (write-only)", "85.2%",
 		metrics.Pct(profiles[0].MgmtFraction))
 
-	t3, _, err := Table3(sc)
+	t3, _, err := m.table3()
 	if err != nil {
 		return nil, err
 	}
 	tab.Row("Table 3: Write-H dedup / hit rate", "88% / 90%",
 		metrics.Pct(t3[0].MeasuredDedup)+" / "+metrics.Pct(t3[0].MeasuredHit))
 
-	f11, _, err := Fig11(sc)
+	f11, _, err := m.fig11()
 	if err != nil {
 		return nil, err
 	}
-	var bestMem, mixedMem float64
-	for _, r := range f11 {
-		if r.Workload == "Read-Mixed" {
-			mixedMem = r.Reduction
-		} else if r.Reduction > bestMem {
-			bestMem = r.Reduction
-		}
-	}
+	bestMem, mixedMem := bestAndMixed(f11, func(r Fig11Row) (string, float64) { return r.Workload, r.Reduction })
 	tab.Row("Fig 11: mem-BW cut (best write-only / mixed)", "79.1% / 84.9%",
 		metrics.Pct(bestMem)+" / "+metrics.Pct(mixedMem))
 
-	f12, _, err := Fig12(sc)
+	f12, _, err := m.fig12()
 	if err != nil {
 		return nil, err
 	}
-	var bestCPU, mixedCPU float64
-	for _, r := range f12 {
-		if r.Workload == "Read-Mixed" {
-			mixedCPU = r.TotalReduction
-		} else if r.TotalReduction > bestCPU {
-			bestCPU = r.TotalReduction
-		}
-	}
+	bestCPU, mixedCPU := bestAndMixed(f12, func(r Fig12Row) (string, float64) { return r.Workload, r.TotalReduction })
 	tab.Row("Fig 12: CPU cut (best write-only / mixed)", "68% / 39%",
 		metrics.Pct(bestCPU)+" / "+metrics.Pct(mixedCPU))
 
-	f13, _, err := Fig13(sc)
+	f13, _, err := m.fig13()
 	if err != nil {
 		return nil, err
 	}
@@ -83,18 +73,11 @@ func Scorecard(sc Scale) (*metrics.Table, error) {
 	tab.Row("Fig 13: Write-M 1->4 updates", "27.1 -> 63.8 GB/s",
 		metrics.FormatFloat(m1)+" -> "+metrics.FormatFloat(m4)+" GB/s")
 
-	f14, _, err := Fig14(sc)
+	f14, _, err := m.fig14()
 	if err != nil {
 		return nil, err
 	}
-	var bestSpeed, mixedSpeed float64
-	for _, r := range f14 {
-		if r.Workload == "Read-Mixed" {
-			mixedSpeed = r.Speedup
-		} else if r.Speedup > bestSpeed {
-			bestSpeed = r.Speedup
-		}
-	}
+	bestSpeed, mixedSpeed := bestAndMixed(f14, func(r Fig14Row) (string, float64) { return r.Workload, r.Speedup })
 	tab.Row("Fig 14: speedup (best write-only / mixed)", "3.3x / 1.7x",
 		metrics.FormatFloat(bestSpeed)+"x / "+metrics.FormatFloat(mixedSpeed)+"x")
 
@@ -102,7 +85,7 @@ func Scorecard(sc Scale) (*metrics.Table, error) {
 	tab.Row("7.6: read latency baseline -> FIDR", "700us -> 490us",
 		lat.BaselineRead.String()+" -> "+lat.FIDRRead.String())
 
-	f15, _, err := Fig15(sc)
+	f15, _, err := m.fig15()
 	if err != nil {
 		return nil, err
 	}
@@ -121,4 +104,17 @@ func Scorecard(sc Scale) (*metrics.Table, error) {
 	tab.Note("workload scale: %d IOs per run; architectures: %v/%v/%v",
 		sc.IOs, core.Baseline, core.FIDRNicP2P, core.FIDRFull)
 	return tab, nil
+}
+
+// bestAndMixed returns the largest write-only value of a per-workload
+// figure and Read-Mixed's.
+func bestAndMixed[R any](rows []R, value func(R) (string, float64)) (best, mixed float64) {
+	for _, r := range rows {
+		if name, v := value(r); name == "Read-Mixed" {
+			mixed = v
+		} else if v > best {
+			best = v
+		}
+	}
+	return best, mixed
 }
