@@ -88,7 +88,7 @@ check-doctor:
 	$(GO) test -v -run 'TestDoctorStall|TestAsyncQueueDepthCountsBlockingCallers|TestAsyncStuckQueueProbePerGroup|TestAsyncStartsNoGoroutine' .
 	$(GO) test -v -run 'TestDoctorE2E|TestDoctorDisabledRecorderE2E' ./cmd/fidrd
 
-# fuzz runs fourteen fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs fifteen fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
 # scalar on every input; WAL replay and recovery must survive any log
 # (torn, corrupt, reordered frames) applying a clean prefix or failing
@@ -96,8 +96,9 @@ check-doctor:
 # typed, with no length field sizing an allocation past the volume; the
 # LBA-snapshot decoder must never panic and must round-trip; the LZ
 # compressor must round-trip any input and its decoder must never panic
-# or overrun the declared size on any stream (the fence for
-# compressor work, beside TestLZOutputGolden); the wire frame decoder
+# or overrun the declared size on any stream, and decoding behind any
+# prefix must be the prefix plus that decoding, never reaching into the
+# prefix (the fence for compressor work, beside TestLZOutputGolden); the wire frame decoder
 # must reject or round-trip any bytes, any payload must survive framing,
 # and a connection's buffered decoder fed any stream in any fragments
 # must agree with the stateless one frame for frame and error for error
@@ -121,6 +122,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreTable$$' -fuzztime $(FUZZ_TIME) ./internal/lbatable
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
+	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompressAppend$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime $(FUZZ_TIME) ./internal/proto

@@ -29,10 +29,18 @@ type tracedStore interface {
 	ReadTraced(lba uint64, tc *TraceContext) ([]byte, error)
 }
 
+// readAppender is the optional store surface through which a read lands
+// in the caller's buffer: Server implements it, so a read through Async
+// allocates nothing when the caller passes room for the chunk.
+type readAppender interface {
+	ReadAppend(dst []byte, lba uint64, tc *TraceContext) ([]byte, error)
+}
+
 var (
-	_ Store       = (*Server)(nil)
-	_ Store       = (*Cluster)(nil)
-	_ tracedStore = (*Server)(nil)
+	_ Store        = (*Server)(nil)
+	_ Store        = (*Cluster)(nil)
+	_ tracedStore  = (*Server)(nil)
+	_ readAppender = (*Server)(nil)
 )
 
 // Async is the concurrent front-end over a Store — the software shape of
@@ -68,7 +76,8 @@ type Async struct {
 // group is one store with its admission bound and liveness heartbeat.
 type group struct {
 	s  Store
-	ts tracedStore // s's traced surface; nil when it has none
+	ts tracedStore  // s's traced surface; nil when it has none
+	ra readAppender // s's append-read surface; nil when it has none
 	// admitted holds one token per caller admitted to the group, waiting
 	// for its owner lock or holding it; its capacity is the depth bound.
 	admitted chan struct{}
@@ -88,9 +97,12 @@ type group struct {
 }
 
 type asyncReq struct {
-	write  bool
-	lba    uint64
-	data   []byte
+	write bool
+	lba   uint64
+	data  []byte // a write's chunk
+	// dst is what a read appends its chunk to: the caller's buffer, or
+	// nil for a fresh slice.
+	dst    []byte
 	submit time.Time // admission time; queue wait = service start - submit
 	ctx    span.Context
 }
@@ -115,6 +127,7 @@ func NewAsync(s Store, depth int) (*Async, error) {
 	for _, st := range stores {
 		g := &group{s: st, admitted: make(chan struct{}, depth)}
 		g.ts, _ = st.(tracedStore)
+		g.ra, _ = st.(readAppender)
 		a.groups = append(a.groups, g)
 	}
 	return a, nil
@@ -207,6 +220,7 @@ func (a *Async) serve(g *group, req asyncReq) (data []byte, err error) {
 		traceID = req.ctx.Trace.String()
 	}
 	g.hb.Begin(traceID)
+	var tc *TraceContext
 	if g.ts != nil {
 		wait := time.Since(req.submit)
 		g.tc = TraceContext{Start: req.submit, QueueWait: wait}
@@ -225,17 +239,28 @@ func (a *Async) serve(g *group, req asyncReq) (data []byte, err error) {
 			}
 			g.tc.Context = req.ctx.Child(queueID)
 		}
+		g.tc.Op = "aread"
 		if req.write {
 			g.tc.Op = "awrite"
-			err = g.ts.WriteTraced(req.lba, req.data, &g.tc)
-		} else {
-			g.tc.Op = "aread"
-			data, err = g.ts.ReadTraced(req.lba, &g.tc)
 		}
-	} else if req.write {
+		tc = &g.tc
+	}
+	switch {
+	case req.write && tc != nil:
+		err = g.ts.WriteTraced(req.lba, req.data, tc)
+	case req.write:
 		err = g.s.Write(req.lba, req.data)
-	} else {
-		data, err = g.s.Read(req.lba)
+	case g.ra != nil:
+		data, err = g.ra.ReadAppend(req.dst, req.lba, tc)
+	default:
+		if tc != nil {
+			data, err = g.ts.ReadTraced(req.lba, tc)
+		} else {
+			data, err = g.s.Read(req.lba)
+		}
+		if err == nil && req.dst != nil {
+			data = append(req.dst, data...)
+		}
 	}
 	if a.inflight != nil {
 		a.inflight.Add(-1)

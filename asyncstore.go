@@ -53,13 +53,26 @@ func (s *AsyncStore) WriteTraced(lba uint64, data []byte, tc *TraceContext) erro
 
 // ReadTraced is Read with a wire trace context.
 func (s *AsyncStore) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
-	return s.a.call(asyncReq{lba: lba, ctx: tc.Wire()})
+	return s.ReadAppend(nil, lba, tc)
+}
+
+// ReadAppend runs the read on the caller and appends the chunk to dst:
+// the protocol listener passes its connection's frame buffer, and the
+// server decodes the chunk straight into it. tc may be nil.
+func (s *AsyncStore) ReadAppend(dst []byte, lba uint64, tc *TraceContext) ([]byte, error) {
+	return s.a.call(asyncReq{lba: lba, dst: dst, ctx: tc.Wire()})
 }
 
 // ReadRangeTraced is ReadRange with a wire trace context shared by
 // every chunk read.
 func (s *AsyncStore) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
-	return core.ReadRange(s, lba, n, func(at uint64) ([]byte, error) { return s.ReadTraced(at, tc) })
+	return s.ReadRangeAppend(nil, lba, n, tc)
+}
+
+// ReadRangeAppend is ReadRangeTraced appending to dst, each chunk read
+// on the group that owns it through ReadAppend.
+func (s *AsyncStore) ReadRangeAppend(dst []byte, lba uint64, n int, tc *TraceContext) ([]byte, error) {
+	return core.ReadRange(s, dst, lba, n, func(dst []byte, at uint64) ([]byte, error) { return s.ReadAppend(dst, at, tc) })
 }
 
 // Chunking is the chunking of the servers behind the groups (it is

@@ -58,6 +58,32 @@ func CompressAppend(c Compressor, dst, src []byte) ([]byte, error) {
 	return append(dst, out...), nil
 }
 
+// AppendDecompressor is implemented by compressors that can decompress
+// into a caller-provided buffer. The read path relies on this to decode a
+// chunk straight into the buffer that sends it (a connection's frame
+// buffer) instead of allocating per chunk.
+type AppendDecompressor interface {
+	Compressor
+	// DecompressAppend appends the dstSize decompressed bytes of src to
+	// dst and returns the result. dst's prefix is left unchanged.
+	DecompressAppend(dst, src []byte, dstSize int) ([]byte, error)
+}
+
+// DecompressAppend decompresses src appending to dst, using the
+// compressor's native append support when available and falling back to
+// Decompress otherwise: plus a copy behind dst, or, for a nil dst, the
+// fresh slice itself.
+func DecompressAppend(c Compressor, dst, src []byte, dstSize int) ([]byte, error) {
+	if a, ok := c.(AppendDecompressor); ok {
+		return a.DecompressAppend(dst, src, dstSize)
+	}
+	out, err := c.Decompress(src, dstSize)
+	if err != nil || dst == nil {
+		return out, err
+	}
+	return append(dst, out...), nil
+}
+
 // Ratio returns compressed/original size; 0.5 means "compressed to half".
 func Ratio(original, compressed int) float64 {
 	if original == 0 {

@@ -260,3 +260,38 @@ func BenchmarkLZDecompress4K(b *testing.B) {
 		}
 	}
 }
+
+// plainCompressor hides LZ's append methods, as a custom compressor
+// without them would.
+type plainCompressor struct{ Compressor }
+
+// TestDecompressAppend: the kernel decodes behind a prefix into spare
+// capacity without allocating, and a compressor without append support
+// takes the fallback — a copy behind the prefix, or, with nothing to
+// append to, Decompress's own slice and no second allocation.
+func TestDecompressAppend(t *testing.T) {
+	lz := NewLZ()
+	want := NewShaper(0.5).Make(3, 4096)
+	stream, err := lz.Compress(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("frame header")
+	buf := make([]byte, 0, len(prefix)+len(want))
+	plain := Compressor(plainCompressor{lz})
+	for _, c := range []Compressor{lz, plain} {
+		got, err := DecompressAppend(c, append(buf, prefix...), stream, len(want))
+		if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%T behind a prefix: %d bytes, err %v", c, len(got), err)
+		}
+		got, err = DecompressAppend(c, nil, stream, len(want))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%T into nil: %d bytes, err %v", c, len(got), err)
+		}
+	}
+	inPlace := testing.AllocsPerRun(100, func() { DecompressAppend(lz, append(buf, prefix...), stream, len(want)) })
+	fresh := testing.AllocsPerRun(100, func() { DecompressAppend(plain, nil, stream, len(want)) })
+	if inPlace != 0 || fresh != 1 {
+		t.Fatalf("allocs per call: %v into spare capacity (want 0), %v through the fallback into nil (want 1)", inPlace, fresh)
+	}
+}

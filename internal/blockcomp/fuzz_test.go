@@ -47,3 +47,40 @@ func FuzzLZDecompress(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLZDecompressAppend: for any prefix, stream and declared size,
+// DecompressAppend(prefix, ...) is prefix followed by what Decompress
+// returns, or both fail; the prefix comes back unchanged either way,
+// whether the output fits dst's spare capacity or has to grow it. A copy
+// distance counts from the start of the chunk's own output, so one that
+// reaches into the prefix is refused as Decompress refuses it.
+func FuzzLZDecompressAppend(f *testing.F) {
+	lz := NewLZ()
+	good, _ := lz.Compress([]byte("some sample data data data"))
+	f.Add([]byte("header"), good, 26)
+	f.Add([]byte{}, good, 26)
+	f.Add([]byte("xyz"), good, 25)
+	// "ab", then a copy of 4 at distance 3: one byte into the prefix.
+	f.Add([]byte("xyz"), []byte{0x00, 0x02, 'a', 'b', 0x01, 0x04, 0x03}, 6)
+	f.Add([]byte("xyz"), []byte{0x01, 0xFF, 0xFF}, 100)
+	f.Add([]byte("xyz"), good, -1)
+	f.Fuzz(func(t *testing.T, prefix, data []byte, size int) {
+		if size > 1<<20 {
+			return
+		}
+		want, wantErr := lz.Decompress(data, size)
+		for _, spare := range []int{0, max(size, 0)} {
+			dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+			got, err := lz.DecompressAppend(dst, data, size)
+			if !bytes.Equal(dst, prefix) {
+				t.Fatalf("spare %d: prefix changed", spare)
+			}
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("spare %d: DecompressAppend err %v, Decompress err %v", spare, err, wantErr)
+			}
+			if err == nil && (!bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want)) {
+				t.Fatalf("spare %d: DecompressAppend is not prefix + Decompress", spare)
+			}
+		}
+	})
+}

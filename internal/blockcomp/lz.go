@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -163,12 +164,26 @@ func lzAppendLiterals(dst, run []byte) []byte {
 	return append(dst, run...)
 }
 
-// Decompress implements Compressor.
-func (*LZ) Decompress(src []byte, dstSize int) ([]byte, error) {
+// Decompress implements Compressor: DecompressAppend into a slice sized
+// once for the chunk.
+func (z *LZ) Decompress(src []byte, dstSize int) ([]byte, error) {
 	if dstSize < 0 {
 		return nil, fmt.Errorf("blockcomp: lz negative output size %d", dstSize)
 	}
-	dst := make([]byte, 0, dstSize)
+	return z.DecompressAppend(make([]byte, 0, dstSize), src, dstSize)
+}
+
+// DecompressAppend implements AppendDecompressor: the dstSize decoded
+// bytes are appended to dst. Copy distances count from the start of this
+// chunk's output, so no copy reaches into dst's prefix, and the prefix
+// comes back unchanged whether the stream decodes or not.
+func (*LZ) DecompressAppend(dst, src []byte, dstSize int) ([]byte, error) {
+	if dstSize < 0 {
+		return nil, fmt.Errorf("blockcomp: lz negative output size %d", dstSize)
+	}
+	base := len(dst)
+	end := base + dstSize
+	dst = slices.Grow(dst, dstSize)
 	p := 0
 	for p < len(src) {
 		tok := src[p]
@@ -183,6 +198,9 @@ func (*LZ) Decompress(src []byte, dstSize int) ([]byte, error) {
 			// Compare in uint64: a huge varint must not overflow int.
 			if length > uint64(len(src)-p) {
 				return nil, fmt.Errorf("blockcomp: lz literal run overflows input")
+			}
+			if length > uint64(end-len(dst)) {
+				return nil, fmt.Errorf("blockcomp: lz output exceeds expected %d", dstSize)
 			}
 			dst = append(dst, src[p:p+int(length)]...)
 			p += int(length)
@@ -200,11 +218,11 @@ func (*LZ) Decompress(src []byte, dstSize int) ([]byte, error) {
 				return nil, fmt.Errorf("blockcomp: lz bad copy distance at %d", p)
 			}
 			p += n2
-			if dist == 0 || dist > uint64(len(dst)) {
-				return nil, fmt.Errorf("blockcomp: lz distance %d out of range (have %d)", dist, len(dst))
+			if dist == 0 || dist > uint64(len(dst)-base) {
+				return nil, fmt.Errorf("blockcomp: lz distance %d out of range (have %d)", dist, len(dst)-base)
 			}
 			at, n := len(dst), int(length)
-			if n > dstSize-at {
+			if n > end-at {
 				return nil, fmt.Errorf("blockcomp: lz output exceeds expected %d", dstSize)
 			}
 			dst = dst[:at+n]
@@ -216,12 +234,9 @@ func (*LZ) Decompress(src []byte, dstSize int) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("blockcomp: lz unknown token 0x%02x at %d", tok, p-1)
 		}
-		if len(dst) > dstSize {
-			return nil, fmt.Errorf("blockcomp: lz output exceeds expected %d", dstSize)
-		}
 	}
-	if len(dst) != dstSize {
-		return nil, fmt.Errorf("blockcomp: lz output %d bytes, expected %d", len(dst), dstSize)
+	if len(dst) != end {
+		return nil, fmt.Errorf("blockcomp: lz output %d bytes, expected %d", len(dst)-base, dstSize)
 	}
 	return dst, nil
 }

@@ -15,15 +15,25 @@ import (
 var ErrNotFound = fmt.Errorf("core: LBA not found")
 
 // Read returns the chunk most recently written at lba (§2.2 / §5.3 read
-// flows). Data is served, in priority order, from: the write buffer (NIC
-// buffer in FIDR, host batch buffer in the baseline), the engine's open
-// container, or the data SSDs with decompression.
+// flows) in a fresh slice the caller owns. Data is served, in priority
+// order, from: the write buffer (NIC buffer in FIDR, host batch buffer in
+// the baseline), the engine's open container, or the data SSDs with
+// decompression.
 func (s *Server) Read(lba uint64) ([]byte, error) {
-	return s.ReadTraced(lba, nil)
+	return s.ReadAppend(nil, lba, nil)
 }
 
 // ReadTraced is Read with a front-end trace context (see WriteTraced).
 func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
+	return s.ReadAppend(nil, lba, tc)
+}
+
+// ReadAppend is the one read body: it appends the chunk at lba to dst and
+// returns the extended slice (nil on error). Every source writes straight
+// into dst — the NIC buffer and read cache copy, the decompressor decodes
+// there — so a front end that passes its send buffer (a connection's
+// frame buffer) gets the chunk with no allocation. tc may be nil.
+func (s *Server) ReadAppend(dst []byte, lba uint64, tc *TraceContext) ([]byte, error) {
 	if err := s.failIfCrashed(); err != nil {
 		return nil, err
 	}
@@ -35,20 +45,22 @@ func (s *Server) ReadTraced(lba uint64, tc *TraceContext) ([]byte, error) {
 	s.activeReq = tr
 	defer func() { s.activeReq = nil }()
 
-	var out []byte
+	start := len(dst)
 	var err error
 	if s.cfg.Arch == Baseline {
-		out, err = s.baselineRead(lba, tr)
+		dst, err = s.baselineRead(dst, lba, tr)
 	} else {
-		out, err = s.fidrRead(lba, tr)
+		dst, err = s.fidrRead(dst, lba, tr)
 	}
-	if err == nil {
-		// A chunk's size is whatever the chunker cut; charge the bytes
-		// actually served.
-		s.ctr.clientBytes.Add(uint64(len(out)))
-		s.ledger.Client(uint64(len(out)))
+	if err != nil {
+		return nil, err
 	}
-	return out, err
+	// A chunk's size is whatever the chunker cut; charge the bytes
+	// actually served.
+	n := uint64(len(dst) - start)
+	s.ctr.clientBytes.Add(n)
+	s.ledger.Client(n)
+	return dst, nil
 }
 
 // ReadRange returns the n x ChunkSize bytes stored from lba on.
@@ -62,54 +74,68 @@ func (s *Server) ReadRange(lba uint64, n int) ([]byte, error) {
 // ReadRangeTraced is ReadRange with a front-end trace context; each
 // chunk read joins the same trace. tc may be nil.
 func (s *Server) ReadRangeTraced(lba uint64, n int, tc *TraceContext) ([]byte, error) {
-	return ReadRange(s, lba, n, func(at uint64) ([]byte, error) { return s.ReadTraced(at, tc) })
+	return s.ReadRangeAppend(nil, lba, n, tc)
 }
 
+// ReadRangeAppend is ReadRangeTraced appending to dst, chunk by chunk
+// through ReadAppend.
+func (s *Server) ReadRangeAppend(dst []byte, lba uint64, n int, tc *TraceContext) ([]byte, error) {
+	return ReadRange(s, dst, lba, n, func(dst []byte, at uint64) ([]byte, error) { return s.ReadAppend(dst, at, tc) })
+}
+
+// rangeSizedOnce is the largest range output ReadRange allocates before
+// its first read: the largest wire payload, so a wire batch read is one
+// allocation at most.
+const rangeSizedOnce = 1 << 20
+
 // ReadRange is the one range loop behind every front end's ReadRange
-// (Server and the async adapter): it returns exactly n x ChunkSize bytes
-// starting at lba. read(at) fetches the chunk at each address, and each
-// chunk advances the address by its length in the chunking's units: under
-// fixed chunking that visits lba, lba+1, ..., lba+n-1; under CDC it walks
-// consecutive extents and truncates the last. A range whose last address
-// would wrap past the top of the address space is refused before any read.
+// (Server and the async adapter): it appends exactly n x ChunkSize bytes
+// starting at lba to dst. read(dst, at) appends the chunk at each address
+// to dst, and each chunk advances the address by its length in the
+// chunking's units: under fixed chunking that visits lba, lba+1, ...,
+// lba+n-1; under CDC it walks consecutive extents and truncates the last.
+// The output is sized once for a range of up to rangeSizedOnce bytes; a
+// longer one grows as its chunks resolve, so a range past the written data
+// fails at its first missing chunk having held no more than rangeSizedOnce
+// beyond what it read. A range whose size overflows, or whose last address
+// would wrap past the top of the address space, is refused before any read.
 func ReadRange(st interface {
 	ChunkSize() int
 	Chunking() chunk.Config
-}, lba uint64, n int, read func(at uint64) ([]byte, error)) ([]byte, error) {
-	if n < 1 {
+}, dst []byte, lba uint64, n int, read func(dst []byte, at uint64) ([]byte, error)) ([]byte, error) {
+	if n < 1 || n > (math.MaxInt-len(dst))/st.ChunkSize() {
 		return nil, fmt.Errorf("core: read of %d chunks", n)
 	}
 	size, unit := n*st.ChunkSize(), st.Chunking().Unit()
 	if lba > math.MaxUint64-uint64((size-1)/unit) {
 		return nil, fmt.Errorf("core: range of %d chunks at LBA %d wraps the address space", n, lba)
 	}
-	out := make([]byte, 0, size)
-	for i, at := 0, lba; len(out) < size; i++ {
-		data, err := read(at)
+	end := len(dst) + size
+	dst = slices.Grow(dst, min(size, rangeSizedOnce))
+	for i, at := 0, lba; len(dst) < end; i++ {
+		next, err := read(dst, at)
 		if err != nil {
 			return nil, fmt.Errorf("core: range chunk %d: %w", i, err)
 		}
-		out = append(out, data[:min(len(data), size-len(out))]...)
-		at += uint64(len(data) / unit)
+		at += uint64((len(next) - len(dst)) / unit)
+		dst = next[:min(len(next), end)]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // --- Baseline read (§2.3, Figure 2b) ---
 
-func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
+func (s *Server) baselineRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) {
 	// Freshest data may still sit in the host request buffer.
 	from := tr.start()
 	for i := len(s.batch) - 1; i >= 0; i-- {
-		if s.batch[i].lba == lba {
-			out := make([]byte, len(s.batch[i].data))
-			copy(out, s.batch[i].data)
+		if data := s.batch[i].data; s.batch[i].lba == lba {
 			tr.span(StageNICBuffer, from)
 			s.ctr.readCacheHits.Inc()
 			// Buffer scan plus NIC send of the hit.
-			s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(out)))
-			s.transfer(pcie.HostMemory, devNIC, uint64(len(out)))
-			return out, nil
+			s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
+			s.transfer(pcie.HostMemory, devNIC, uint64(len(data)))
+			return append(dst, data...), nil
 		}
 	}
 	tr.span(StageNICBuffer, from)
@@ -135,7 +161,7 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	s.transfer(pcie.HostMemory, devDecomp, csize)
 	s.ledger.MemPayload(hostmodel.PathHostFPGA, csize)
 	from = tr.start()
-	out, err := s.decomp.Decompress(cdata, int(raw))
+	dst, err = s.decomp.DecompressAppend(dst, cdata, int(raw))
 	if err != nil {
 		return nil, err
 	}
@@ -147,20 +173,18 @@ func (s *Server) baselineRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	s.transfer(pcie.HostMemory, devNIC, raw)
 	s.ledger.MemPayload(hostmodel.PathNICHost, raw)
 	s.ledger.Count(hostmodel.EvDMAChunk, 1)
-	return out, nil
+	return dst, nil
 }
 
 // --- FIDR read (§5.3, Figure 6b) ---
 
-func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
+func (s *Server) fidrRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) {
 	// Step 2: the NIC searches its in-NIC write buffer first.
 	from := tr.start()
 	if data, ok := s.fnic.LookupRead(lba); ok {
 		s.ctr.nicReadHits.Inc()
 		tr.span(StageNICBuffer, from)
-		out := make([]byte, len(data))
-		copy(out, data)
-		return out, nil
+		return append(dst, data...), nil
 	}
 	tr.span(StageNICBuffer, from)
 	// The read goes past the NIC: whatever waits there is committed first,
@@ -170,11 +194,12 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		return nil, err
 	}
 	// §8 extension: hot-block read cache in host memory.
-	if data, ok := s.rcache.get(lba); ok {
+	if out, ok := s.rcache.appendTo(dst, lba); ok {
+		n := uint64(len(out) - len(dst))
 		s.ctr.readCacheHits.Inc()
-		s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
-		s.transfer(pcie.HostMemory, devNIC, uint64(len(data)))
-		return data, nil
+		s.ledger.MemPayload(hostmodel.PathNICHost, n)
+		s.transfer(pcie.HostMemory, devNIC, n)
+		return out, nil
 	}
 	// Steps 3-4: LBA goes to the host, which resolves the PBA.
 	s.transfer(devNIC, pcie.HostMemory, 8)
@@ -207,7 +232,8 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 		s.transfer(devComp, devDecomp, csize)
 	}
 	from = tr.start()
-	out, err := s.decomp.Decompress(cdata, int(raw))
+	start := len(dst)
+	dst, err = s.decomp.DecompressAppend(dst, cdata, int(raw))
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +241,8 @@ func (s *Server) fidrRead(lba uint64, tr *ReqTrace) ([]byte, error) {
 	// Step 8: the host tells the NIC to fetch the decompressed chunk
 	// from the engine (doorbell only; no host-memory data traffic).
 	s.transfer(devDecomp, devNIC, raw)
-	s.rcache.put(lba, out)
-	return out, nil
+	s.rcache.put(lba, dst[start:])
+	return dst, nil
 }
 
 // resolve maps an LBA to its chunk's level-2 record (placement, compressed

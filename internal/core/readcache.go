@@ -34,22 +34,19 @@ func newReadCache(capacity int) *readCache {
 	}
 }
 
-// get returns a copy of the cached chunk, if present.
-func (c *readCache) get(lba uint64) ([]byte, bool) {
+// appendTo appends the cached chunk to dst, if present.
+func (c *readCache) appendTo(dst []byte, lba uint64) ([]byte, bool) {
 	if c == nil {
-		return nil, false
+		return dst, false
 	}
 	el, ok := c.index[lba]
 	if !ok {
 		c.misses++
-		return nil, false
+		return dst, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	src := el.Value.(*readCacheEntry).data
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, true
+	return append(dst, el.Value.(*readCacheEntry).data...), true
 }
 
 // put caches a chunk (copied), evicting the LRU entry when full.

@@ -370,15 +370,18 @@ func NewDecompression(comp blockcomp.Compressor) *Decompression {
 	return &Decompression{comp: comp}
 }
 
-// Decompress restores one chunk. Raw-stored chunks (csize == rawSize)
-// pass through.
+// Decompress restores one chunk into a fresh slice.
 func (d *Decompression) Decompress(cdata []byte, rawSize int) ([]byte, error) {
+	return d.DecompressAppend(nil, cdata, rawSize)
+}
+
+// DecompressAppend restores one chunk, appending it to dst. Raw-stored
+// chunks (csize == rawSize) pass through.
+func (d *Decompression) DecompressAppend(dst, cdata []byte, rawSize int) ([]byte, error) {
 	if len(cdata) == rawSize {
-		out := make([]byte, rawSize)
-		copy(out, cdata)
-		return out, nil
+		return append(dst, cdata...), nil
 	}
-	out, err := d.comp.Decompress(cdata, rawSize)
+	out, err := blockcomp.DecompressAppend(d.comp, dst, cdata, rawSize)
 	if err != nil {
 		return nil, fmt.Errorf("engine: decompress: %w", err)
 	}

@@ -117,33 +117,65 @@ const maxHeader = headerSize + span.WireSize
 // assembled there and leaves in one Write; a larger one goes header
 // first, then the payload straight from the caller's slice. buf holds
 // at least maxHeader bytes: residentSize on a connection, the bare
-// header for the stateless Write.
+// header for the stateless Write. buf is never replaced, so a frame that
+// outgrew it is not retained.
 type encoder struct{ buf []byte }
+
+// headerLen is the length of a header carrying ctx: the bare header, or
+// the header and its trace-context extension.
+func headerLen(ctx span.Context) int {
+	if ctx.Valid() {
+		return maxHeader
+	}
+	return headerSize
+}
+
+// putHeader encodes f's header, for a payload of n bytes, into
+// b[:headerLen(f.Ctx)].
+func putHeader(b []byte, f Frame, n int) {
+	b[0] = byte(f.Op)
+	binary.LittleEndian.PutUint64(b[1:], f.LBA)
+	binary.LittleEndian.PutUint32(b[9:], uint32(n))
+	if f.Ctx.Valid() {
+		b[0] |= opTraceFlag
+		f.Ctx.EncodeWire(b[headerSize:maxHeader])
+	}
+}
 
 func (e *encoder) write(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("proto: payload %d exceeds limit", len(f.Payload))
 	}
-	b := e.buf[:headerSize]
-	b[0] = byte(f.Op)
-	binary.LittleEndian.PutUint64(b[1:], f.LBA)
-	binary.LittleEndian.PutUint32(b[9:], uint32(len(f.Payload)))
-	if f.Ctx.Valid() {
-		b[0] |= opTraceFlag
-		b = b[:maxHeader]
-		f.Ctx.EncodeWire(b[headerSize:])
-	}
+	b := e.reserve(f.Ctx)
 	if len(b)+len(f.Payload) <= cap(b) {
-		if _, err := w.Write(append(b, f.Payload...)); err != nil {
-			return fmt.Errorf("proto: write frame: %w", err)
-		}
-		return nil
+		return e.send(w, append(b, f.Payload...), f)
 	}
+	putHeader(b, f, len(f.Payload))
 	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("proto: write header: %w", err)
 	}
 	if _, err := w.Write(f.Payload); err != nil {
 		return fmt.Errorf("proto: write payload: %w", err)
+	}
+	return nil
+}
+
+// reserve returns the resident buffer holding room for the header of a
+// frame carrying ctx, for a payload to be appended behind it and the
+// frame sent with send.
+func (e *encoder) reserve(ctx span.Context) []byte { return e.buf[:headerLen(ctx)] }
+
+// send fills in the header of frame b — a reserved header with f's
+// payload appended behind it, in the resident buffer or in whatever the
+// append grew it into — and sends the frame in one Write.
+func (e *encoder) send(w io.Writer, b []byte, f Frame) error {
+	n := len(b) - headerLen(f.Ctx)
+	if n > MaxPayload {
+		return fmt.Errorf("proto: payload %d exceeds limit", n)
+	}
+	putHeader(b, f, n)
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"log"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +34,21 @@ type TracedStore interface {
 	WriteTraced(lba uint64, data []byte, tc *span.TraceContext) error
 	ReadTraced(lba uint64, tc *span.TraceContext) ([]byte, error)
 	ReadRangeTraced(lba uint64, n int, tc *span.TraceContext) ([]byte, error)
+}
+
+// ReadAppender is the optional Store extension through which a read
+// lands in the connection's write buffer: ReadAppend appends the chunk at
+// lba to dst, and ReadRangeAppend the n chunks ReadRange would return,
+// each returning the extended slice (tc is nil for an untraced request).
+// The listener passes a reserved response header as dst, so the store's
+// decompressor writes the reply in place and the frame leaves in one
+// Write with nothing allocated per read. Server and the async front-end
+// adapter implement it; for a store without it the listener appends what
+// Read and ReadRange return, the same copy the encoder makes of any
+// payload.
+type ReadAppender interface {
+	ReadAppend(dst []byte, lba uint64, tc *span.TraceContext) ([]byte, error)
+	ReadRangeAppend(dst []byte, lba uint64, n int, tc *span.TraceContext) ([]byte, error)
 }
 
 // CompactSummary is the wire form of a GC pass result (one row per
@@ -69,6 +85,7 @@ type Checkpointer interface {
 type Listener struct {
 	srv    Store
 	traced TracedStore  // srv's traced surface, nil when unsupported
+	ra     ReadAppender // srv's append-read surface, nil when unsupported
 	comp   Compactor    // srv's GC surface, nil when unsupported
 	chkpt  Checkpointer // srv's checkpoint surface, nil when unsupported
 	// batchErr is why the batch ops cannot run on srv: they count
@@ -130,6 +147,7 @@ func Serve(srv Store, addr string, opts ...ServeOption) (*Listener, error) {
 	}
 	l := &Listener{srv: srv, ln: ln, serial: true, conns: make(map[net.Conn]struct{}), logf: log.Printf}
 	l.traced, _ = srv.(TracedStore)
+	l.ra, _ = srv.(ReadAppender)
 	l.comp, _ = srv.(Compactor)
 	l.chkpt, _ = srv.(Checkpointer)
 	if c, ok := srv.(interface{ Chunking() chunk.Config }); ok {
@@ -253,13 +271,22 @@ func (l *Listener) serveConn(nc net.Conn) error {
 		if err != nil {
 			return err
 		}
-		if err := c.write(l.handle(f)); err != nil {
+		if resp, b := l.handle(f, c.enc.reserve(f.Ctx)); b != nil {
+			err = c.enc.send(nc, b, resp)
+		} else {
+			err = c.write(resp)
+		}
+		if err != nil {
 			return err
 		}
 	}
 }
 
-func (l *Listener) handle(f Frame) Frame {
+// handle serves one request; hdr is the response header reserved in the
+// connection's write buffer. A served read comes back as b, the whole
+// frame in that buffer (or what it grew into) with the header still to
+// fill in from resp; otherwise b is nil and resp is the frame to encode.
+func (l *Listener) handle(f Frame, hdr []byte) (resp Frame, b []byte) {
 	if l.serial {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -280,7 +307,11 @@ func (l *Listener) handle(f Frame) Frame {
 			tc = &span.TraceContext{Context: f.Ctx.Child(rootID)}
 		}
 	}
-	resp := l.dispatch(f, tc)
+	if f.Op == OpRead || f.Op == OpReadBatch {
+		resp, b = l.readInPlace(f, tc, hdr)
+	} else {
+		resp = l.dispatch(f, tc)
+	}
 	resp.Ctx = f.Ctx
 	if resp.Op == OpError && l.errLogs != nil {
 		l.errLogs.Inc()
@@ -297,7 +328,7 @@ func (l *Listener) handle(f Frame) Frame {
 			LBA:    f.LBA,
 		})
 	}
-	return resp
+	return resp, b
 }
 
 // opSlug is the span-name form of an opcode ("write-batch" -> "write_batch").
@@ -313,7 +344,9 @@ func opSlug(op Op) string {
 }
 
 // write, read and readRange hand a request to the store, through its
-// traced surface when the request carries a trace context.
+// traced surface when the request carries a trace context. read and
+// readRange append the chunks to dst: the store decodes them there when
+// it has ReadAppend, and otherwise its result is copied there.
 func (l *Listener) write(lba uint64, data []byte, tc *span.TraceContext) error {
 	if tc != nil {
 		return l.traced.WriteTraced(lba, data, tc)
@@ -321,24 +354,80 @@ func (l *Listener) write(lba uint64, data []byte, tc *span.TraceContext) error {
 	return l.srv.Write(lba, data)
 }
 
-func (l *Listener) read(lba uint64, tc *span.TraceContext) ([]byte, error) {
-	if tc != nil {
-		return l.traced.ReadTraced(lba, tc)
+func (l *Listener) read(dst []byte, lba uint64, tc *span.TraceContext) ([]byte, error) {
+	if l.ra != nil {
+		return l.ra.ReadAppend(dst, lba, tc)
 	}
-	return l.srv.Read(lba)
+	var data []byte
+	var err error
+	if tc != nil {
+		data, err = l.traced.ReadTraced(lba, tc)
+	} else {
+		data, err = l.srv.Read(lba)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, data...), nil
 }
 
-func (l *Listener) readRange(lba uint64, n int, tc *span.TraceContext) ([]byte, error) {
-	if tc != nil {
-		return l.traced.ReadRangeTraced(lba, n, tc)
+func (l *Listener) readRange(dst []byte, lba uint64, n int, tc *span.TraceContext) ([]byte, error) {
+	if l.ra != nil {
+		return l.ra.ReadRangeAppend(dst, lba, n, tc)
 	}
-	return l.srv.ReadRange(lba, n)
+	var data []byte
+	var err error
+	if tc != nil {
+		data, err = l.traced.ReadRangeTraced(lba, n, tc)
+	} else {
+		data, err = l.srv.ReadRange(lba, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, data...), nil
+}
+
+// readInPlace serves OpRead and OpReadBatch: the chunks are appended to
+// hdr, the reserved response header, and the frame comes back as b. A
+// batch frame is grown once to its full size before the first chunk, so
+// one larger than the resident buffer costs one allocation. A refused or
+// failed read returns the error frame and a nil b. tc is as for dispatch.
+func (l *Listener) readInPlace(f Frame, tc *span.TraceContext, hdr []byte) (resp Frame, b []byte) {
+	var err error
+	if f.Op == OpRead {
+		b, err = l.read(hdr, f.LBA, tc)
+	} else {
+		var count int
+		if count, err = l.batchCount(f); err == nil {
+			b, err = l.readRange(slices.Grow(hdr, count*l.srv.ChunkSize()), f.LBA, count, tc)
+		}
+	}
+	if err != nil {
+		return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(err.Error())}, nil
+	}
+	return Frame{Op: OpData, LBA: f.LBA}, b
+}
+
+// batchCount validates an OpReadBatch request and returns its count.
+func (l *Listener) batchCount(f Frame) (int, error) {
+	if l.batchErr != nil {
+		return 0, l.batchErr
+	}
+	if len(f.Payload) != 4 {
+		return 0, errors.New("read-batch payload must be a uint32 count")
+	}
+	count := int(binary.LittleEndian.Uint32(f.Payload))
+	if count < 1 || count*l.srv.ChunkSize() > MaxPayload {
+		return 0, fmt.Errorf("read-batch count %d out of range", count)
+	}
+	return count, nil
 }
 
 // dispatch serves one request; tc is non-nil only for a traced request
 // on a store with a traced surface.
 func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
-	if (f.Op == OpWriteBatch || f.Op == OpReadBatch) && l.batchErr != nil {
+	if f.Op == OpWriteBatch && l.batchErr != nil {
 		return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(l.batchErr.Error())}
 	}
 	switch f.Op {
@@ -364,27 +453,6 @@ func (l *Listener) dispatch(f Frame, tc *span.TraceContext) Frame {
 			}
 		}
 		return Frame{Op: OpAck, LBA: f.LBA}
-	case OpRead:
-		data, err := l.read(f.LBA, tc)
-		if err != nil {
-			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(err.Error())}
-		}
-		return Frame{Op: OpData, LBA: f.LBA, Payload: data}
-	case OpReadBatch:
-		if len(f.Payload) != 4 {
-			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte("read-batch payload must be a uint32 count")}
-		}
-		count := int(binary.LittleEndian.Uint32(f.Payload))
-		cs := l.srv.ChunkSize()
-		if count < 1 || count*cs > MaxPayload {
-			return Frame{Op: OpError, LBA: f.LBA,
-				Payload: []byte(fmt.Sprintf("read-batch count %d out of range", count))}
-		}
-		data, err := l.readRange(f.LBA, count, tc)
-		if err != nil {
-			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte(err.Error())}
-		}
-		return Frame{Op: OpData, LBA: f.LBA, Payload: data}
 	case OpCompact:
 		if l.comp == nil {
 			return Frame{Op: OpError, LBA: f.LBA, Payload: []byte("store does not support compaction")}
