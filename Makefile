@@ -166,8 +166,9 @@ microbench:
 # lines of the golden TestFlagSetGolden pins), then the non-test lines of
 # each package ROADMAP sizes (its own directory only; "." is the root
 # package).
-LOC_PKGS := internal/core internal/nic internal/chunk internal/lbatable internal/proto \
-	internal/metrics internal/metrics/health internal/experiments .
+LOC_PKGS := internal/core internal/nic internal/lanes internal/engine internal/chunk \
+	internal/lbatable internal/proto internal/metrics internal/metrics/health \
+	internal/experiments .
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 	@echo "$$(wc -l < cmd/fidrd/testdata/fidrd_flags.txt) fidrd flags"

@@ -30,7 +30,7 @@ var batchAllocCeilings = []struct {
 var raceEnabled bool // set by race_test.go under -race
 
 // TestDuplicateBatchAllocCeiling: once the buffers a batch needs exist —
-// NIC generations and chunk buffers, hash and flag scratch, claim maps,
+// both NIC buffers and the chunk buffers, hash and flag scratch, claim maps,
 // table-cache lines, LBA-table slots, the pool's jobs and entry function —
 // a batch of duplicates reuses all of them, whether its commit runs under
 // the next batch's hash (a write-only stream, as here) or not.
@@ -85,7 +85,7 @@ func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, ceilin
 			}
 		}
 	}
-	// Warm up until every NIC generation in circulation has held a batch
+	// Warm up until both NIC buffers have held a batch
 	// and, with new content, containers have sealed and handed their
 	// buffers back.
 	warm := 3

@@ -121,7 +121,7 @@ type CapacityReport struct {
 // server (the async front-end runs maintenance ops as its owner): the engine's
 // open container and the fingerprint occupancy are single-writer state.
 func (s *Server) CapacityReport(threshold float64) CapacityReport {
-	s.settleQuietly()
+	_ = s.commitHeld() // see commitHeld
 	st := s.Stats()
 	r := CapacityReport{
 		LogicalWriteBytes:     st.LogicalWriteBytes,
@@ -242,7 +242,7 @@ const heatDeadDeciles = 10
 // their space is reclaimed, not garbage. Bucket DeadBytes sum to the
 // garbage ledger total, the invariant check-capacity asserts.
 func (s *Server) ContainerHeatmap() ContainerHeatmap {
-	s.settleQuietly()
+	_ = s.commitHeld() // see commitHeld
 	usage := s.lba.ContainerUsage()
 	hm := ContainerHeatmap{Containers: len(usage)}
 	if len(usage) == 0 {

@@ -211,7 +211,7 @@ type pending struct {
 	cdata []byte
 }
 
-// batchScratch is the per-batch working set of commitGeneration and
+// batchScratch is the per-batch working set of commitBatch and
 // processBaselineBatch: re-zeroed at the start of a batch, dead at its end.
 type batchScratch struct {
 	flags      []bool                      // FIDR: chunk i is a first-claim unique
@@ -243,7 +243,7 @@ type Stats struct {
 	//
 	// holds exactly; mid-stream the difference is the chunks still in NIC
 	// memory ahead of their commit — the filling buffer and, on a
-	// read-free stream, the one hashed generation whose commit waits for
+	// read-free stream, the held batch, hashed, whose commit waits for
 	// the next tip. Note the ledger is per-process: recovery rebuilds
 	// mappings, not history.
 	LogicalWriteBytes     uint64 // client write payload (reads excluded)
@@ -364,11 +364,11 @@ type Server struct {
 	tableSSD *ssd.SSD
 
 	batch []pending
-	// gens notes each generation waiting in the FIDR NIC, oldest first,
-	// in step with the NIC's own queue. fillSawRead records that a read
-	// went past the NIC while the current buffer was filling, so its batch
-	// commits in its own tipping write (see tipFIDRBatch).
-	gens        []generation
+	// held notes the batch the FIDR NIC holds (see heldBatch).
+	// fillSawRead records that a read went past the NIC while the current
+	// buffer was filling, so its batch commits in its own tipping write
+	// (see tipFIDRBatch).
+	held        heldBatch
 	fillSawRead bool
 	// bs is one batch's scratch, cread where fetchCompressed lands a
 	// chunk's compressed bytes; both are reused call after call.
@@ -549,8 +549,8 @@ func (s *Server) Ledger() *hostmodel.Ledger { return s.ledger }
 func (s *Server) Topology() *pcie.Topology { return s.topo }
 
 // Stats returns server-level counters. It is a lock-free read-out of what
-// has been committed and settles nothing: a generation waiting in the NIC
-// shows up once its commit has run.
+// has been committed and commits nothing: a batch the NIC holds shows up
+// once its commit has run.
 func (s *Server) Stats() Stats {
 	c := &s.ctr
 	return Stats{

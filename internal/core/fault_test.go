@@ -14,8 +14,16 @@ var errMedia = errors.New("simulated media error")
 // faultServer builds a FIDR server with injectable devices.
 func faultServer(t *testing.T) (*Server, *ssd.SSD, *ssd.SSD) {
 	t.Helper()
+	return faultServerLanes(t, 0)
+}
+
+// faultServerLanes is faultServer with lanes hash and compress lanes (0:
+// the default).
+func faultServerLanes(t *testing.T, lanes int) (*Server, *ssd.SSD, *ssd.SSD) {
+	t.Helper()
 	cfg := DefaultConfig(FIDRFull)
 	cfg.ContainerSize = 64 << 10
+	cfg.HashLanes, cfg.CompressLanes = lanes, lanes
 	tssd := ssd.MustNew(ssd.Config{Name: "tssd", CapacityBytes: 1 << 32, PageSize: 4096,
 		ReadLatency: 0, WriteLatency: 0, ReadBW: 3.5e9, WriteBW: 2.7e9})
 	dssd := ssd.MustNew(ssd.Config{Name: "dssd", CapacityBytes: 1 << 32, PageSize: 4096,

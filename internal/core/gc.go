@@ -28,7 +28,7 @@ type GarbageStats struct {
 
 // Garbage reports current dead-space accounting.
 func (s *Server) Garbage() GarbageStats {
-	s.settleQuietly()
+	_ = s.commitHeld() // see commitHeld
 	return GarbageStats{
 		DeadBytesByContainer: s.lba.DeadBytes(),
 		TotalDeadBytes:       s.lba.TotalDeadBytes(),
@@ -65,7 +65,7 @@ func (s *Server) Compact(minDeadFraction float64) (CompactResult, error) {
 	if err := s.failIfCrashed(); err != nil {
 		return res, err
 	}
-	if err := s.settle(); err != nil {
+	if err := s.commitHeld(); err != nil {
 		return res, err
 	}
 	tr := s.obs.begin("gc", 0)

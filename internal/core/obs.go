@@ -227,7 +227,7 @@ func (tr *ReqTrace) span(st Stage, from time.Time) {
 }
 
 // at records a stage measured earlier, possibly before this trace began
-// (a generation's wait for its hashes is reported by the batch trace of
+// (a held batch's wait for its hashes is reported by the batch trace of
 // its commit).
 func (tr *ReqTrace) at(st Stage, start time.Time, d time.Duration) {
 	if tr == nil {

@@ -275,8 +275,8 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 		s := overlapServer(t)
 		first := next
 		writeBatch(t, s, 3*batch+2)
-		if st := s.Stats(); st.BatchesProcessed != 2 || s.fnic.Waiting() != 1 {
-			t.Fatalf("%d batches committed, %d waiting; want 2 and 1", st.BatchesProcessed, s.fnic.Waiting())
+		if st := s.Stats(); st.BatchesProcessed != 2 || !s.fnic.Held() {
+			t.Fatalf("%d batches committed, held %v; want 2 and true", st.BatchesProcessed, s.fnic.Held())
 		}
 		// A read the filling buffer answers looks at nothing behind it.
 		if _, err := s.Read(next - 1); err != nil {
@@ -285,24 +285,24 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 		if st := s.Stats(); st.NICReadHits != 1 || st.BatchesProcessed != 2 {
 			t.Fatalf("NIC hit: %d hits, %d batches committed; want 1 and 2", st.NICReadHits, st.BatchesProcessed)
 		}
-		// One that goes past the NIC settles exactly the one generation.
+		// One that goes past the NIC commits exactly the held batch.
 		for i := 0; i < 2; i++ {
 			if _, err := s.Read(first); err != nil {
 				t.Fatal(err)
 			}
-			if st := s.Stats(); st.BatchesProcessed != 3 || s.fnic.Waiting() != 0 {
-				t.Fatalf("read %d: %d batches committed, %d waiting; want 3 and 0", i, st.BatchesProcessed, s.fnic.Waiting())
+			if st := s.Stats(); st.BatchesProcessed != 3 || s.fnic.Held() {
+				t.Fatalf("read %d: %d batches committed, held %v; want 3 and false", i, st.BatchesProcessed, s.fnic.Held())
 			}
 		}
 		// The buffer now filling saw that read: its tip commits it at once,
 		// and the fill after it, which sees none, waits again.
 		writeBatch(t, s, batch-2)
-		if st := s.Stats(); st.BatchesProcessed != 4 || s.fnic.Waiting() != 0 {
-			t.Fatalf("%d batches committed, %d waiting; want 4 and 0", st.BatchesProcessed, s.fnic.Waiting())
+		if st := s.Stats(); st.BatchesProcessed != 4 || s.fnic.Held() {
+			t.Fatalf("%d batches committed, held %v; want 4 and false", st.BatchesProcessed, s.fnic.Held())
 		}
 		writeBatch(t, s, batch)
-		if st := s.Stats(); st.BatchesProcessed != 4 || s.fnic.Waiting() != 1 {
-			t.Fatalf("%d batches committed, %d waiting; want 4 and 1", st.BatchesProcessed, s.fnic.Waiting())
+		if st := s.Stats(); st.BatchesProcessed != 4 || !s.fnic.Held() {
+			t.Fatalf("%d batches committed, held %v; want 4 and true", st.BatchesProcessed, s.fnic.Held())
 		}
 		if got := s.ctr.overlapped.Value(); got != 2 {
 			t.Fatalf("batches_overlapped = %d, want 2", got)
@@ -352,8 +352,9 @@ func TestNothingRunsAfterWrite(t *testing.T) {
 
 // TestFaultDuringOverlappedCommit: a fault that fires in a commit running
 // under the next batch's hash returns from that Write and leaves a server
-// that retries — the failed generation at the head of the queue, the one
-// hashed beside it behind, settled serially and in order by the next tip.
+// that retries — the failed batch still held when it failed before
+// ScheduleBatch, and the full fill attached — and no batch grows past
+// BatchChunks: the next write tips the full fill before it buffers.
 func TestFaultDuringOverlappedCommit(t *testing.T) {
 	sh := blockcomp.NewShaper(0.5)
 	content := func(i uint64) []byte { return sh.Make(i, 4096) }
@@ -375,68 +376,84 @@ func TestFaultDuringOverlappedCommit(t *testing.T) {
 			t.Fatalf("%d problems, first: %s", len(rep.Problems), rep.Problems[0])
 		}
 	}
+	// Every batch the NIC scheduled held exactly BatchChunks chunks.
+	wholeBatches := func(t *testing.T, s *Server, lanes int) {
+		t.Helper()
+		st := s.NICStats()
+		if st.UniqueSent+st.DuplicateDrops != st.BatchesMade*uint64(s.cfg.BatchChunks) {
+			t.Fatalf("%d lanes: %d chunks scheduled in %d batches of %d", lanes,
+				st.UniqueSent+st.DuplicateDrops, st.BatchesMade, s.cfg.BatchChunks)
+		}
+	}
 
 	t.Run("table-SSD read fault in the lookup", func(t *testing.T) {
-		s, tssd, _ := faultServer(t)
-		batch := uint64(s.cfg.BatchChunks)
-		i := uint64(0)
-		for ; i < 3*batch-1; i++ {
-			if err := s.Write(i, content(i)); err != nil {
-				t.Fatal(err)
+		for _, lanes := range []int{1, 2, 4} {
+			s, tssd, _ := faultServerLanes(t, lanes)
+			batch := uint64(s.cfg.BatchChunks)
+			i := uint64(0)
+			for ; i < 3*batch-1; i++ {
+				if err := s.Write(i, content(i)); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		// Generation 2 waits, hashed; the next write tips generation 3 and
-		// commits generation 2 under its hash. Every fingerprint is new, so
-		// the commit's first lookup reads a bucket from the table SSD.
-		tssd.InjectFaults(1, 0, errMedia)
-		err := s.Write(i, content(i))
-		i++
-		if !errors.Is(err, errMedia) {
-			t.Fatalf("tipping write returned %v, want the media error", err)
-		}
-		if s.ctr.overlapped.Value() != 2 || s.fnic.Waiting() != 2 {
-			t.Fatalf("%d commits overlapped, %d generations waiting; want 2 (the failed one counted) and 2",
-				s.ctr.overlapped.Value(), s.fnic.Waiting())
-		}
-		if got := s.Stats().UniqueChunks; got != batch {
-			t.Fatalf("%d chunks committed, want %d: the failed commit must apply nothing", got, batch)
-		}
-		// The next tip settles both serially, oldest first, and only then
-		// starts hashing again — with nothing left to overlap.
-		for ; i < 4*batch; i++ {
-			if err := s.Write(i, content(i)); err != nil {
-				t.Fatalf("write %d after the fault cleared: %v", i, err)
+			// Batch 2 is held, hashed; the next write tips batch 3 and
+			// commits batch 2 under its hash. Every fingerprint is new, so
+			// the commit's first lookup reads a bucket from the table SSD.
+			tssd.InjectFaults(1, 0, errMedia)
+			err := s.Write(i, content(i))
+			i++
+			if !errors.Is(err, errMedia) {
+				t.Fatalf("tipping write returned %v, want the media error", err)
 			}
+			if s.ctr.overlapped.Value() != 2 || !s.fnic.Held() || s.fnic.Buffered() != int(batch) {
+				t.Fatalf("%d lanes: %d commits overlapped, held %v, %d chunks filling; want 2 (the failed one counted), true and %d",
+					lanes, s.ctr.overlapped.Value(), s.fnic.Held(), s.fnic.Buffered(), batch)
+			}
+			if got := s.Stats().UniqueChunks; got != batch {
+				t.Fatalf("%d chunks committed, want %d: the failed commit must apply nothing", got, batch)
+			}
+			// The next write tips the full fill first, retrying batch 2's
+			// commit under batch 3's hash, and only then buffers.
+			for ; i < 4*batch; i++ {
+				if err := s.Write(i, content(i)); err != nil {
+					t.Fatalf("write %d after the fault cleared: %v", i, err)
+				}
+			}
+			if got := s.Stats().UniqueChunks; got != 3*batch || !s.fnic.Held() || s.ctr.overlapped.Value() != 4 {
+				t.Fatalf("%d lanes: %d chunks committed, held %v, %d overlapped; want %d, true, 4",
+					lanes, got, s.fnic.Held(), s.ctr.overlapped.Value(), 3*batch)
+			}
+			wholeBatches(t, s, lanes)
+			check(t, s, i)
 		}
-		if got := s.Stats().UniqueChunks; got != 3*batch || s.fnic.Waiting() != 1 || s.ctr.overlapped.Value() != 2 {
-			t.Fatalf("%d chunks committed, %d waiting, %d overlapped; want %d, 1, 2",
-				got, s.fnic.Waiting(), s.ctr.overlapped.Value(), 3*batch)
-		}
-		check(t, s, i)
 	})
 
 	t.Run("data-SSD write fault in the container write", func(t *testing.T) {
-		s, _, dssd := faultServer(t)
-		dssd.InjectFaults(0, 1, errMedia)
-		faults, i := 0, uint64(0)
-		for ; i < 400; i++ {
-			if err := s.Write(i, content(i)); err != nil {
-				if !errors.Is(err, errMedia) {
-					t.Fatalf("write %d: %v", i, err)
-				}
-				faults++
-				// The commit that failed ran under a hash: its generation
-				// was consumed, the one hashed beside it waits.
-				if s.ctr.overlapped.Value() == 0 || s.fnic.Waiting() != 1 {
-					t.Fatalf("fault outside an overlapped commit: %d overlapped, %d waiting",
-						s.ctr.overlapped.Value(), s.fnic.Waiting())
+		for _, lanes := range []int{1, 2, 4} {
+			s, _, dssd := faultServerLanes(t, lanes)
+			dssd.InjectFaults(0, 1, errMedia)
+			faults, i := 0, uint64(0)
+			for ; i < 400; i++ {
+				if err := s.Write(i, content(i)); err != nil {
+					if !errors.Is(err, errMedia) {
+						t.Fatalf("write %d: %v", i, err)
+					}
+					faults++
+					// The commit that failed ran under a hash, after
+					// ScheduleBatch consumed its batch: nothing is held,
+					// and the full fill waits for the next write to tip it.
+					if s.ctr.overlapped.Value() == 0 || s.fnic.Held() || s.fnic.Buffered() != s.cfg.BatchChunks {
+						t.Fatalf("%d lanes: fault outside an overlapped commit: %d overlapped, held %v, %d chunks filling",
+							lanes, s.ctr.overlapped.Value(), s.fnic.Held(), s.fnic.Buffered())
+					}
 				}
 			}
+			if faults != 1 {
+				t.Fatalf("%d writes returned the media error, want 1", faults)
+			}
+			wholeBatches(t, s, lanes)
+			check(t, s, i)
 		}
-		if faults != 1 {
-			t.Fatalf("%d writes returned the media error, want 1", faults)
-		}
-		check(t, s, i)
 	})
 }
 

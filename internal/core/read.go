@@ -187,10 +187,10 @@ func (s *Server) fidrRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) 
 		return append(dst, data...), nil
 	}
 	tr.span(StageNICBuffer, from)
-	// The read goes past the NIC: whatever waits there is committed first,
+	// The read goes past the NIC: the batch held there is committed first,
 	// and the batch now filling will be committed by the write that tips it.
 	s.fillSawRead = true
-	if err := s.settle(); err != nil {
+	if err := s.commitHeld(); err != nil {
 		return nil, err
 	}
 	// §8 extension: hot-block read cache in host memory.

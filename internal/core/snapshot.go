@@ -59,6 +59,9 @@ func (s *Server) Snapshots() []SnapshotID {
 
 // ReadSnapshot returns the chunk at lba as of the snapshot.
 func (s *Server) ReadSnapshot(id SnapshotID, lba uint64) ([]byte, error) {
+	if err := s.failIfCrashed(); err != nil {
+		return nil, err
+	}
 	snap, ok := s.snapshots[id]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown snapshot %d", id)
@@ -67,8 +70,9 @@ func (s *Server) ReadSnapshot(id SnapshotID, lba uint64) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	// A waiting commit may seal the container this chunk would be read from.
-	if err := s.settle(); err != nil {
+	// The held batch's commit may seal the container this chunk would be
+	// read from.
+	if err := s.commitHeld(); err != nil {
 		return nil, err
 	}
 	tr := s.obs.begin("snapshot_read", lba)
@@ -95,11 +99,14 @@ func (s *Server) ReadSnapshot(id SnapshotID, lba uint64) ([]byte, error) {
 // DeleteSnapshot releases the snapshot's references; chunks it was the
 // last holder of become garbage for the next Compact.
 func (s *Server) DeleteSnapshot(id SnapshotID) error {
+	if err := s.failIfCrashed(); err != nil {
+		return err
+	}
 	snap, ok := s.snapshots[id]
 	if !ok {
 		return fmt.Errorf("core: unknown snapshot %d", id)
 	}
-	if err := s.settle(); err != nil {
+	if err := s.commitHeld(); err != nil {
 		return err
 	}
 	for _, pbn := range snap.mappings {

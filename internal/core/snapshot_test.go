@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"fidr/internal/blockcomp"
@@ -138,5 +139,64 @@ func TestSnapshotDedupEfficiency(t *testing.T) {
 	}
 	if got := s.Stats().UniqueChunks; got != before {
 		t.Fatalf("snapshot stored %d chunks", got-before)
+	}
+}
+
+// TestSnapshotVerbsOnCrashedServer: after an injected crash ReadSnapshot
+// and DeleteSnapshot refuse like every other verb, whether or not the NIC
+// holds a batch — a dead process neither reads nor drops a snapshot.
+func TestSnapshotVerbsOnCrashedServer(t *testing.T) {
+	sh := blockcomp.NewShaper(0.5)
+	for _, tc := range []struct {
+		name  string
+		stage CrashStage
+		crash func(*Server) error // fires the armed crash
+		held  bool
+	}{
+		// The crash fires in a tip, after the join: its batch stays held.
+		{"batch held", CrashPostHash, func(s *Server) error {
+			for i := uint64(0); i < 64; i++ {
+				if err := s.Write(1000+i, sh.Make(1000+i, 4096)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, true},
+		// Flush commits everything before its container write fails.
+		{"nothing held", CrashMidContainerFlush, (*Server).Flush, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := gcServer(t, FIDRFull)
+			for i := uint64(0); i < 64; i++ {
+				if err := s.Write(i, sh.Make(i, 4096)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id, err := s.CreateSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 8; i++ {
+				if err := s.Write(i, sh.Make(500+i, 4096)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.ArmCrash(tc.stage, 1)
+			if err := tc.crash(s); !errors.Is(err, ErrCrashInjected) {
+				t.Fatalf("crash did not fire: %v", err)
+			}
+			if s.fnic.Held() != tc.held {
+				t.Fatalf("held %v after the crash, want %v", s.fnic.Held(), tc.held)
+			}
+			if got, err := s.ReadSnapshot(id, 0); !errors.Is(err, ErrCrashInjected) {
+				t.Fatalf("ReadSnapshot on a crashed server: %d bytes, err %v", len(got), err)
+			}
+			if err := s.DeleteSnapshot(id); !errors.Is(err, ErrCrashInjected) {
+				t.Fatalf("DeleteSnapshot on a crashed server: %v", err)
+			}
+			if got := s.Snapshots(); len(got) != 1 || got[0] != id {
+				t.Fatalf("snapshots after the refused delete: %v", got)
+			}
+		})
 	}
 }

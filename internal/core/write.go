@@ -43,16 +43,24 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 		// A wrapped tail would overwrite the bottom of the volume.
 		return fmt.Errorf("core: write of %d bytes at LBA %d wraps the address space", len(data), lba)
 	}
-	s.ctr.writes.Inc()
-	s.ctr.clientBytes.Add(uint64(len(data)))
-	s.ctr.logicalBytes.Add(uint64(len(data)))
-	s.ledger.Client(uint64(len(data)))
-	s.ledger.Count(hostmodel.EvProtocolWrite, 1)
 	tr := s.obs.begin("write", lba)
 	tr.adopt(tc)
 	defer tr.done()
 	s.activeReq = tr
 	defer func() { s.activeReq = nil }()
+	// A commit that failed left a whole batch in the filling buffer: it
+	// tips before this write's chunks join it, so no batch grows past
+	// BatchChunks, and a write it refuses buffers and counts nothing.
+	if s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks {
+		if err := s.tipFIDRBatch(false); err != nil {
+			return err
+		}
+	}
+	s.ctr.writes.Inc()
+	s.ctr.clientBytes.Add(uint64(len(data)))
+	s.ctr.logicalBytes.Add(uint64(len(data)))
+	s.ledger.Client(uint64(len(data)))
+	s.ledger.Count(hostmodel.EvProtocolWrite, 1)
 
 	// The one cut loop: the baseline's chunker is host software (its NIC
 	// DMA-writes raw bytes), FIDR's runs in the NIC; either way each chunk
@@ -289,12 +297,12 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	return err
 }
 
-// generation is the server's note on one NIC generation between its tip
-// and its commit: the request that tipped it, under whose trace the commit
-// links whenever it runs, and the span the tip waited in the NIC's Join
-// for the fingerprints the pool's helpers had not finished, which the
+// heldBatch is the server's note on the batch the NIC holds between its
+// tip and its commit: the request that tipped it, under whose trace the
+// commit links whenever it runs, and the span the tip waited in the NIC's
+// Join for the fingerprints the pool's helpers had not finished, which the
 // commit's batch trace reports once as its hash stage.
-type generation struct {
+type heldBatch struct {
 	tip       *ReqTrace
 	hashStart time.Time
 	hashDur   time.Duration
@@ -303,96 +311,80 @@ type generation struct {
 // tipFIDRBatch runs when the filling buffer holds a batch (and, with now
 // set, from Flush on whatever it holds). §5.3's step 2 — the NIC hashes the
 // batch — is a pure function of bytes already in NIC memory: the pool's
-// helpers have fingerprinted most of the batch while it filled,
-// and the rest is hashed beside steps 3-10 of the batch before: the NIC
-// detaches the buffer as a generation, this goroutine commits the previous
-// generation, then joins the generation's hashes. Nothing of this batch's
-// hashing runs after the call returns.
+// helpers have fingerprinted most of the batch while it filled, and the
+// rest is hashed beside steps 3-10 of the batch before. The NIC starts the
+// tip, this goroutine commits the held batch, and only then does the NIC
+// detach the fill into the emptied slot and join its hashes. Nothing of
+// this batch's hashing runs after the call returns. A commit that fails
+// returns before the detach: the failed batch stays held, and the fill
+// stays attached and readable.
 //
-// The new generation's own commit waits for the next tip, unless this is
-// Flush or its fill saw a read go past the NIC: reads settle what waits, so
-// on read-interleaved traffic deferring would overlap nothing and only move
+// The new batch's own commit waits for the next tip, unless this is Flush
+// or its fill saw a read go past the NIC: reads commit what is held, so on
+// read-interleaved traffic deferring would overlap nothing and only move
 // the batch from the tipping write onto the next read.
 func (s *Server) tipFIDRBatch(now bool) error {
-	// A backlog — a generation whose commit failed and the one hashed
-	// beside it — settles serially before a new overlap starts: never two
-	// generations hashing, never a commit out of order.
-	if s.fnic.Waiting() > 1 || s.fnic.Buffered() == 0 {
-		if err := s.settle(); err != nil || s.fnic.Buffered() == 0 {
+	if s.fnic.Buffered() == 0 {
+		return s.commitHeld()
+	}
+	// Step 2: NIC hash cores fingerprint the batch; only the hash
+	// values cross PCIe into host memory.
+	s.fnic.Tip()
+	if s.fnic.Held() {
+		s.ctr.overlapped.Inc()
+		if err := s.commitBatch(); err != nil {
 			return err
 		}
 	}
 	now = now || s.fillSawRead
 	s.fillSawRead = false
-
-	// Step 2: NIC hash cores fingerprint the batch; only the hash
-	// values cross PCIe into host memory.
-	overlap := s.fnic.Waiting() > 0
-	s.gens = append(s.gens, generation{tip: s.activeReq})
-	s.fnic.Tip(overlap)
-	var err error
-	if overlap {
-		s.ctr.overlapped.Inc()
-		err = s.commitGeneration()
-	}
-	g := &s.gens[len(s.gens)-1]
-	g.hashStart = s.obs.now()
+	s.held = heldBatch{tip: s.activeReq, hashStart: s.obs.now()}
 	n := uint64(s.fnic.Join())
-	g.hashDur = s.obs.since(g.hashStart)
+	s.held.hashDur = s.obs.since(s.held.hashStart)
 	hashBytes := n * fingerprint.Size
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)
 	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
 	s.ledger.Count(hostmodel.EvDMABatch, 1)
 	s.ledger.Count(hostmodel.EvDeviceMgrChunk, n)
-	if err != nil {
-		return err
-	}
 	if err := s.crashPoint(CrashPostHash); err != nil {
 		return err
 	}
 	if now {
-		return s.settle()
+		return s.commitHeld()
 	}
 	return nil
 }
 
-// settle commits every waiting generation, oldest first. Whatever looks at
+// commitHeld commits the batch the NIC holds, if any. Whatever looks at
 // the server past the NIC's filling buffer — a read that missed it, Flush,
-// a maintenance verb — settles first, so it observes the state it would
-// have observed had every batch been committed by the write that tipped it.
-func (s *Server) settle() error {
-	if s.fnic == nil {
+// a maintenance verb — calls it first, so it observes the state it would
+// have observed had every batch been committed by the write that tipped
+// it. The read-outs that return no error (Garbage, CapacityReport,
+// ContainerHeatmap) drop its error: the failed batch stays held, the
+// read-out describes the state before it, and the next write, read or
+// Flush returns the error.
+func (s *Server) commitHeld() error {
+	if s.fnic == nil || !s.fnic.Held() {
 		return nil
 	}
-	for s.fnic.Waiting() > 0 {
-		if err := s.failIfCrashed(); err != nil {
-			return err
-		}
-		if err := s.commitGeneration(); err != nil {
-			return err
-		}
+	if err := s.failIfCrashed(); err != nil {
+		return err
 	}
-	return nil
+	return s.commitBatch()
 }
 
-// settleQuietly is settle for the read-outs that return no error (Garbage,
-// CapacityReport, ContainerHeatmap): a commit that fails leaves its
-// generation at the head of the queue, the read-out describes the state
-// before it, and the next write, read or Flush returns the error.
-func (s *Server) settleQuietly() { _ = s.settle() }
-
-// commitGeneration runs §5.3 steps 3-10 over the oldest waiting generation.
-// Until ScheduleBatch consumes it (step 7) a failure leaves it at the head
-// of the queue, and the next tip, read or Flush tries again.
-func (s *Server) commitGeneration() error {
+// commitBatch runs §5.3 steps 3-10 over the held batch. Until
+// ScheduleBatch consumes it (step 7) a failure leaves it held, and the
+// next tip, read or Flush tries again.
+func (s *Server) commitBatch() error {
 	entries := s.fnic.Head()
-	g := &s.gens[0]
+	h := &s.held
 	s.ctr.batches.Inc()
-	bt := s.obs.beginLinked("batch", 0, g.tip)
+	bt := s.obs.beginLinked("batch", 0, h.tip)
 	defer bt.done()
-	if !g.hashStart.IsZero() {
-		bt.at(StageHash, g.hashStart, g.hashDur)
-		g.hashStart = time.Time{}
+	if !h.hashStart.IsZero() {
+		bt.at(StageHash, h.hashStart, h.hashDur)
+		h.hashStart = time.Time{}
 	}
 
 	// Step 3: the device manager sends bucket indexes to the Cache
@@ -446,7 +438,6 @@ func (s *Server) commitGeneration() error {
 	if err != nil {
 		return err
 	}
-	s.gens = append(s.gens[:0], s.gens[1:]...)
 	var uniqueBytes uint64
 	for i := range unique {
 		uniqueBytes += uint64(len(unique[i].Data))

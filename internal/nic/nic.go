@@ -11,8 +11,10 @@
 //     batches of unique chunks for direct P2P transfer to the Compression
 //     Engines — host memory sees only hash values and per-chunk flags.
 //
-// The SHA-core array is a hash job per generation on the server's
-// lanes.Pool: helpers hash chunks as they arrive, Join's caller the rest.
+// The FIDR NIC double-buffers: one buffer fills while the other holds the
+// batch tipped before it, hashed and waiting for its commit. The SHA-core
+// array is a hash job per buffer on the server's lanes.Pool: helpers hash
+// chunks as they arrive, Join's caller the rest.
 package nic
 
 import (
@@ -37,8 +39,8 @@ type WriteEntry struct {
 	// bytes), so dedup accounting can attribute the right byte count per
 	// chunk under variable-size chunking.
 	Size int
-	// FP is the chunk fingerprint, complete for the whole generation
-	// once Join returns.
+	// FP is the chunk fingerprint, complete for the whole batch once
+	// Join returns.
 	FP fingerprint.FP
 }
 
@@ -117,19 +119,18 @@ func (c *counters) Instrument(reg *metrics.Registry) {
 	reg.AttachGauge("nic.buffered_bytes", &c.bufferedBytes)
 }
 
-// wakeBacklog is how many unclaimed chunks of a generation start a helper
+// wakeBacklog is how many unclaimed chunks of a buffer start a helper
 // when none is resident: an eighth of the default 64-chunk batch.
 const wakeBacklog = 8
 
-// generation is one buffer's worth of chunks: the buffer being filled, or
-// one the server detached when its batch tipped and has not consumed yet.
-type generation struct {
+// buffer is one half of the NIC's chunk memory: the filling buffer, or the
+// held batch.
+type buffer struct {
 	entries []WriteEntry
 	bytes   int
 	// view is entries without the chunk bytes — what Head hands the host —
-	// rebuilt by Join, valid until the generation is consumed. Every
-	// generation has its own, so one batch's view survives the next
-	// batch's hashing.
+	// rebuilt by Join, valid until the batch is consumed. Each buffer has
+	// its own, so the held batch's view survives the next batch's hashing.
 	view []WriteEntry
 
 	// job's item i fingerprints entries[i] on whichever goroutine claimed
@@ -139,14 +140,14 @@ type generation struct {
 	mu  sync.Mutex
 }
 
-func newGeneration() *generation {
-	g := &generation{}
+func newBuffer() *buffer {
+	g := &buffer{}
 	g.job = lanes.NewJob(lanes.Ahead, g.hashEntry)
 	return g
 }
 
 // hashEntry fingerprints entry i.
-func (g *generation) hashEntry(i int) {
+func (g *buffer) hashEntry(i int) {
 	g.mu.Lock()
 	data := g.entries[i].Data
 	g.mu.Unlock()
@@ -158,29 +159,29 @@ func (g *generation) hashEntry(i int) {
 
 // FIDR is the data-reduction NIC.
 //
-// Its chunk memory holds generations: the filling buffer, which takes
-// writes and answers reads, and behind it a queue of detached ones waiting
-// for the server's table lookup and ScheduleBatch, oldest first. The
-// pool's helpers hash the filling buffer while it fills; Tip detaches it,
-// and Join finishes its hashes, so the server can run the previous
-// generation's lookup-to-seal between the two. BufferBytes bounds each
-// generation.
+// Its chunk memory is two buffers, swapped at each join. The filling
+// buffer takes writes and answers reads; the pool's helpers hash it while
+// it fills. The other holds at most one batch: tipped and hashed, waiting
+// for the server's table lookup and ScheduleBatch. Tip starts a batch's
+// tip, and with a batch held sets helpers on the fill's last chunks while
+// the server commits the held one; Join then detaches the fill into the
+// emptied slot and finishes its hashes. BufferBytes bounds each buffer.
 type FIDR struct {
-	// bufferCap bounds one generation's chunk bytes (the NIC's
-	// battery-backed DRAM; writes are acked once buffered, §7.6.1).
+	// bufferCap bounds one buffer's chunk bytes (the NIC's battery-backed
+	// DRAM; writes are acked once buffered, §7.6.1).
 	bufferCap int
-	fill      *generation
-	waiting   []*generation
-	free      []*generation // consumed generations, reused by Tip
+	// fill takes writes; back is the other buffer: the held batch while
+	// held is set, otherwise the empty spare the next Join swaps in.
+	fill, back *buffer
+	held       bool
 	// lbaIndex finds the most recent entry per LBA in the filling buffer
 	// for the read fast path (§5.3 read step 2).
 	lbaIndex map[uint64]int
 	// hashLanes is the modeled SHA-256 core count: up to hashLanes-1 of
-	// the pool's helpers on a generation, plus Join's caller. hashing is the
-	// generation between its tip and its join, hashStart when it tipped.
+	// the pool's helpers on a buffer, plus Join's caller. hashStart is
+	// when the last tip started.
 	hashLanes int
 	pool      *lanes.Pool
-	hashing   *generation
 	hashStart time.Time
 	// unique backs ScheduleBatch's result, valid until its next call.
 	unique []WriteEntry
@@ -193,7 +194,8 @@ func New(cfg Config) (*FIDR, error) {
 	if cfg.BufferBytes < 4096 {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
-	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newGeneration(), lbaIndex: make(map[uint64]int), pool: lanes.NewPool()}
+	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newBuffer(), back: newBuffer(),
+		lbaIndex: make(map[uint64]int), pool: lanes.NewPool()}
 	n.SetHashLanes(cfg.HashLanes)
 	return n, nil
 }
@@ -211,22 +213,18 @@ func (n *FIDR) SetPool(p *lanes.Pool) { n.pool = p }
 // HashLanes returns the configured SHA-core lane count.
 func (n *FIDR) HashLanes() int { return n.hashLanes }
 
-// publishOccupancy sets the occupancy gauges: chunks and bytes held in NIC
-// memory, filling and waiting generations together.
+// publishOccupancy sets the occupancy gauges: chunks and bytes in NIC
+// memory, the filling buffer and the held batch together (the spare is
+// empty).
 func (n *FIDR) publishOccupancy() {
-	chunks, bytes := len(n.fill.entries), n.fill.bytes
-	for _, g := range n.waiting {
-		chunks += len(g.entries)
-		bytes += g.bytes
-	}
-	n.queueDepth.Set(float64(chunks))
-	n.bufferedBytes.Set(float64(bytes))
+	n.queueDepth.Set(float64(len(n.fill.entries) + len(n.back.entries)))
+	n.bufferedBytes.Set(float64(n.fill.bytes + n.back.bytes))
 }
 
 // BufferWrite accepts one chunk into the filling buffer. The data is
 // copied (the NIC owns its buffer memory). Returns ErrBufferFull when the
 // buffer cannot hold the chunk; the caller must drain a batch first. The
-// chunk is posted to the generation's hash job (see wakeBacklog).
+// chunk is posted to the buffer's hash job (see wakeBacklog).
 func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	g := n.fill
 	if g.bytes+len(data) > n.bufferCap {
@@ -249,41 +247,37 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 // Buffered returns the number of chunks in the filling buffer.
 func (n *FIDR) Buffered() int { return len(n.fill.entries) }
 
-// Waiting returns the number of detached generations not yet consumed.
-func (n *FIDR) Waiting() int { return len(n.waiting) }
+// Held reports whether a batch is held: tipped and hashed, its
+// ScheduleBatch still to run.
+func (n *FIDR) Held() bool { return n.held }
 
-// Tip detaches the filling buffer as a generation: it joins the tail of
-// the waiting queue and a fresh buffer takes the writes that follow. The
-// helpers on it keep hashing; with background set Tip also starts helpers
-// for what they have not reached, so the caller can do what it likes to
-// everything but this generation's entries. Join must follow before the
-// caller returns to its own caller. Reads no longer find the detached
-// chunks: the server settles a waiting generation before a read looks past
-// the filling buffer.
-func (n *FIDR) Tip(background bool) {
-	g := n.fill
-	n.waiting = append(n.waiting, g)
-	if last := len(n.free) - 1; last >= 0 {
-		n.fill, n.free = n.free[last], n.free[:last]
-	} else {
-		n.fill = newGeneration()
-	}
-	clear(n.lbaIndex)
+// Tip starts the filling buffer's tip. With a batch held it also starts
+// helpers for the chunks the resident ones have not reached, so they hash
+// while the caller commits the held batch; Join follows once that batch
+// is consumed. A caller whose commit fails skips Join: the fill stays
+// attached, and the next tip starts over.
+func (n *FIDR) Tip() {
 	n.hashStart = time.Now()
-	n.hashing = g
-	if background {
-		n.pool.Post(g.job, len(g.entries), n.hashLanes, 1)
+	if n.held {
+		n.pool.Post(n.fill.job, len(n.fill.entries), n.hashLanes, 1)
 	}
 }
 
-// Join completes the tipped generation's hashes (lanes.Job.Join), commits
-// the counters once, builds the generation's data-stripped view for Head
-// and returns how many chunks the generation holds. Every fingerprint is a pure function of its chunk, so the result
+// Join detaches the filling buffer into the held slot, which must be
+// empty, and swaps the spare in for the writes that follow. It completes
+// the batch's hashes (lanes.Job.Join), commits the counters once, builds
+// the data-stripped view for Head and returns how many chunks the batch
+// holds. Every fingerprint is a pure function of its chunk, so the result
 // is byte-identical at any lane count and any arrival timing. busy_ns
-// covers tip to join.
+// covers tip to join. Reads no longer find the held chunks: the server
+// commits the held batch before a read looks past the filling buffer.
 func (n *FIDR) Join() int {
-	g := n.hashing
-	n.hashing = nil
+	if n.held {
+		panic("nic: Join with a batch held")
+	}
+	g := n.fill
+	n.fill, n.back, n.held = n.back, g, true
+	clear(n.lbaIndex)
 	busy := g.job.Join()
 	if len(g.entries) > 0 {
 		var hashBytes uint64
@@ -302,16 +296,15 @@ func (n *FIDR) Join() int {
 	return len(g.view)
 }
 
-// Head returns the hashed, data-stripped entries of the oldest waiting
-// generation — the (LBA, fingerprint) pairs sent to the host, the only
-// write-path data that touches host memory in FIDR, and what its
-// ScheduleBatch flags must align with — or nil when none waits. Valid
-// until that ScheduleBatch.
+// Head returns the held batch's hashed, data-stripped entries — the
+// (LBA, fingerprint) pairs sent to the host, the only write-path data that
+// touches host memory in FIDR, and what its ScheduleBatch flags must align
+// with — or nil when none is held. Valid until that ScheduleBatch.
 func (n *FIDR) Head() []WriteEntry {
-	if len(n.waiting) == 0 {
+	if !n.held {
 		return nil
 	}
-	return n.waiting[0].view
+	return n.back.view
 }
 
 // LookupRead serves a read from the filling buffer if the LBA is buffered
@@ -326,20 +319,20 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 	return n.fill.entries[i].Data, true
 }
 
-// ScheduleBatch consumes the oldest waiting generation — the filling
-// buffer when none waits — given per-chunk uniqueness flags (computed by
-// the host's table lookup) and returns the batch of unique chunks for the
-// Compression Engines. Duplicate chunks are dropped from NIC memory —
-// they never cross PCIe, which is FIDR's bandwidth win. flags must align
-// with the entries Head returned (or the filling buffer's, when none
-// waits); on the filling buffer it first stops its hash job and waits for
-// the hashes in flight, so no chunk is recycled while one is read. The returned
-// slice is NIC scratch, valid until the next ScheduleBatch; the chunk
-// buffers it points at are the caller's.
+// ScheduleBatch consumes the held batch — the filling buffer when none is
+// held — given per-chunk uniqueness flags (computed by the host's table
+// lookup) and returns the batch of unique chunks for the Compression
+// Engines. Duplicate chunks are dropped from NIC memory — they never cross
+// PCIe, which is FIDR's bandwidth win. flags must align with the entries
+// Head returned (or the filling buffer's, when none is held); on the
+// filling buffer it first stops its hash job and waits for the hashes in
+// flight, so no chunk is recycled while one is read. The returned slice is
+// NIC scratch, valid until the next ScheduleBatch; the chunk buffers it
+// points at are the caller's.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	g := n.fill
-	if len(n.waiting) > 0 {
-		g = n.waiting[0]
+	if n.held {
+		g = n.back
 	}
 	if len(flags) != len(g.entries) {
 		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), len(g.entries))
@@ -364,8 +357,7 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	if g == n.fill {
 		clear(n.lbaIndex)
 	} else {
-		n.waiting = append(n.waiting[:0], n.waiting[1:]...)
-		n.free = append(n.free, g)
+		n.held = false
 	}
 	n.publishOccupancy()
 	return unique, nil

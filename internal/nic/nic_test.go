@@ -59,7 +59,7 @@ func waitHelpersGone(t *testing.T) {
 }
 
 // TestOneLaneStartsNoGoroutine: with one hash lane no pool helper starts,
-// so a mixed stream of buffered writes, tips in both modes,
+// so a mixed stream of buffered writes, tips,
 // reads and schedules leaves the goroutine count exactly where it was
 // after every call.
 func TestOneLaneStartsNoGoroutine(t *testing.T) {
@@ -97,7 +97,7 @@ func TestOneLaneStartsNoGoroutine(t *testing.T) {
 			check("ScheduleBatch (untipped)")
 			continue
 		}
-		n.Tip(round%2 == 0)
+		n.Tip()
 		check("Tip")
 		n.LookupRead(lba - 1)
 		check("LookupRead")
@@ -133,7 +133,7 @@ func TestUntippedScheduleJoinsHashers(t *testing.T) {
 				lba++
 			}
 			if round%2 == 1 {
-				n.Tip(false)
+				n.Tip()
 				got := n.Join()
 				for i, e := range n.Head() {
 					if e.FP != fingerprint.Of(chunkOf(first+uint64(i))) {
@@ -201,7 +201,7 @@ func TestHashAllComputesSHA(t *testing.T) {
 	b := bytes.Repeat([]byte{2}, 4096)
 	n.BufferWrite(10, a)
 	n.BufferWrite(20, b)
-	n.Tip(false)
+	n.Tip()
 	if got := n.Join(); got != 2 {
 		t.Fatalf("join reported %d chunks", got)
 	}
@@ -217,8 +217,12 @@ func TestHashAllComputesSHA(t *testing.T) {
 	}
 	// No chunk is hashed twice: a tip always detaches the filling buffer,
 	// so the next round covers only what was buffered since the last tip.
+	// The held batch is scheduled first: the NIC holds one.
+	if _, err := n.ScheduleBatch(make([]bool, 2)); err != nil {
+		t.Fatal(err)
+	}
 	n.BufferWrite(30, a)
-	n.Tip(false)
+	n.Tip()
 	n.Join()
 	if st := n.Stats(); st.HashOps != 3 || st.HashBytes != 3*4096 {
 		t.Fatalf("hashed chunks re-hashed: %+v", st)
@@ -249,7 +253,7 @@ func TestScheduleBatchFiltersUniques(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n.BufferWrite(uint64(i), bytes.Repeat([]byte{byte(i)}, 4096))
 	}
-	n.Tip(false)
+	n.Tip()
 	n.Join()
 	batch, err := n.ScheduleBatch([]bool{true, false, true, false})
 	if err != nil {
@@ -263,7 +267,7 @@ func TestScheduleBatchFiltersUniques(t *testing.T) {
 		t.Fatalf("batch stats %+v", st)
 	}
 	// Buffer drained: LBA lookups now miss, and capacity is reclaimed.
-	if n.Buffered() != 0 || n.Waiting() != 0 || n.bufferedBytes.Value() != 0 {
+	if n.Buffered() != 0 || n.Held() || n.bufferedBytes.Value() != 0 {
 		t.Fatal("buffer not drained")
 	}
 	if _, ok := n.LookupRead(0); ok {

@@ -31,7 +31,7 @@ type Request struct {
 	// gate flagged it (zero: not slow). Queues then snapshots the
 	// server's queue-occupancy gauges at completion time — the diagnosis
 	// half. A server publishes two: nic.queue_depth (chunks in NIC memory,
-	// the filling buffer plus any generation waiting for its commit) and
+	// the filling buffer plus the held batch waiting for its commit) and
 	// engine.queue_depth (sealed containers not yet on the data SSD). A
 	// slow request behind a full NIC buffer or sealed containers is
 	// batching backlog; one with both low is pipeline overhead. A

@@ -42,7 +42,7 @@ func BenchmarkHashLanes(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				fn.Tip(false)
+				fn.Tip()
 				fn.Join()
 				unique, err := fn.ScheduleBatch(flags)
 				if err != nil {
