@@ -16,15 +16,20 @@ import (
 // an exited goroutine, so it allocates nothing either. unique is how many
 // chunks of each batch carry new content: 0 is all-duplicate, 37 of 64 is
 // write-l's mix, which posts compress batches a helper claims items of.
+// reads follows every write with a ReadAppend, into a reused buffer, of
+// the LBA the next write overwrites: the held batch answers it.
 var batchAllocCeilings = []struct {
 	hashLanes, compressLanes int
 	unique                   int
+	reads                    bool
 	ceiling                  float64
 }{
-	{1, 1, 0, 0},
-	{2, 2, 0, 0},
-	{1, 1, 37, 0},
-	{2, 2, 37, 0},
+	{1, 1, 0, false, 0},
+	{2, 2, 0, false, 0},
+	{1, 1, 0, true, 0},
+	{2, 2, 0, true, 0},
+	{1, 1, 37, false, 0},
+	{2, 2, 37, false, 0},
 }
 
 var raceEnabled bool // set by race_test.go under -race
@@ -32,12 +37,12 @@ var raceEnabled bool // set by race_test.go under -race
 // TestDuplicateBatchAllocCeiling: once the buffers a batch needs exist —
 // both NIC buffers and the chunk buffers, hash and flag scratch, claim maps,
 // table-cache lines, LBA-table slots, the pool's jobs and entry function —
-// a batch of duplicates reuses all of them, whether its commit runs under
-// the next batch's hash (a write-only stream, as here) or not.
+// a batch of duplicates reuses all of them, with or without a read after
+// every write.
 func TestDuplicateBatchAllocCeiling(t *testing.T) {
 	for _, row := range batchAllocCeilings {
 		if row.unique == 0 {
-			checkBatchAllocs(t, row.hashLanes, row.compressLanes, row.unique, row.ceiling)
+			checkBatchAllocs(t, row.hashLanes, row.compressLanes, row.unique, row.reads, row.ceiling)
 		}
 	}
 }
@@ -48,15 +53,15 @@ func TestDuplicateBatchAllocCeiling(t *testing.T) {
 func TestUniqueHeavyBatchAllocCeiling(t *testing.T) {
 	for _, row := range batchAllocCeilings {
 		if row.unique > 0 {
-			checkBatchAllocs(t, row.hashLanes, row.compressLanes, row.unique, row.ceiling)
+			checkBatchAllocs(t, row.hashLanes, row.compressLanes, row.unique, row.reads, row.ceiling)
 		}
 	}
 }
 
 // checkBatchAllocs measures a warmed batch whose first unique chunks (of
-// every seven, the first four) are new content and compares it with the
-// ceiling.
-func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, ceiling float64) {
+// every seven, the first four) are new content, with a read after every
+// write if reads is set, and compares it with the ceiling.
+func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, reads bool, ceiling float64) {
 	t.Helper()
 	cfg := DefaultConfig(FIDRFull)
 	cfg.HashLanes, cfg.CompressLanes = hashLanes, compressLanes
@@ -74,6 +79,7 @@ func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, ceilin
 		}
 	}
 	stamp := uint64(0)
+	buf := make([]byte, 0, cfg.ChunkSize)
 	batch := func() {
 		stamp++
 		for i, c := range chunks {
@@ -81,6 +87,13 @@ func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, ceilin
 				binary.LittleEndian.PutUint64(c, stamp<<8|uint64(i))
 			}
 			if err := s.Write(uint64(i), c); err != nil {
+				t.Fatal(err)
+			}
+			if !reads {
+				continue
+			}
+			// In the first batch the next LBA is not written yet.
+			if _, err := s.ReadAppend(buf, uint64(i+1)%uint64(len(chunks)), nil); err != nil && !(stamp == 1 && err == ErrNotFound) {
 				t.Fatal(err)
 			}
 		}
@@ -104,13 +117,13 @@ func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, ceilin
 			hashLanes, compressLanes, unique, len(chunks), before, after)
 	}
 	if raceEnabled {
-		t.Logf("lanes %d/%d, %d unique: %v allocs under the race detector; the ceiling is for uninstrumented builds",
-			hashLanes, compressLanes, unique, n)
+		t.Logf("lanes %d/%d, %d unique, reads %v: %v allocs under the race detector; the ceiling is for uninstrumented builds",
+			hashLanes, compressLanes, unique, reads, n)
 		return
 	}
 	if n > ceiling {
-		t.Errorf("lanes %d/%d, %d of %d chunks unique: %v allocs per batch, ceiling %v",
-			hashLanes, compressLanes, unique, len(chunks), n, ceiling)
+		t.Errorf("lanes %d/%d, %d of %d chunks unique, reads %v: %v allocs per batch, ceiling %v",
+			hashLanes, compressLanes, unique, len(chunks), reads, n, ceiling)
 	}
 }
 
@@ -120,10 +133,10 @@ func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, ceilin
 // at one lane (everything inline) and two (a resident pool helper hashes
 // as chunks arrive and claims compress items, and each commit runs under
 // the next batch's hash). The read-interleaved row writes the duplicate
-// batch with a read of a committed LBA — the one the next write
-// overwrites — after every write: every batch is then committed by the
-// write that tips it, so the row measures that tip on the traffic the
-// overlap skips. The server is built outside the timer, and rebuilt there
+// batch with a read of the LBA the next write overwrites after every
+// write: the held batch answers it, and each commit still runs under the
+// next batch's hash, so the row measures the tip with reads beside it. The
+// server is built outside the timer, and rebuilt there
 // every few hundred batches so the in-memory SSD stays small.
 func BenchmarkWriteBatch(b *testing.B) {
 	const rebuildEvery = 256

@@ -230,7 +230,7 @@ type Stats struct {
 	DuplicateChunks  uint64
 	UniqueChunks     uint64
 	StoredBytes      uint64 // compressed bytes written to data SSDs
-	NICReadHits      uint64
+	NICReadHits      uint64 // reads the NIC answered: filling buffer or held batch
 	ReadCacheHits    uint64 // host-memory read hits: §8 hot-block cache, baseline request buffer
 	PendingReads     uint64 // reads served from the open container
 	BatchesProcessed uint64
@@ -242,9 +242,8 @@ type Stats struct {
 	//	LogicalWriteBytes = DedupSavedBytes + CompressionSavedBytes + StoredBytes
 	//
 	// holds exactly; mid-stream the difference is the chunks still in NIC
-	// memory ahead of their commit — the filling buffer and, on a
-	// read-free stream, the held batch, hashed, whose commit waits for
-	// the next tip. Note the ledger is per-process: recovery rebuilds
+	// memory ahead of their commit — the filling buffer and the held
+	// batch, hashed, whose commit waits for the next tip. Note the ledger is per-process: recovery rebuilds
 	// mappings, not history.
 	LogicalWriteBytes     uint64 // client write payload (reads excluded)
 	DedupSavedBytes       uint64 // chunk-size bytes absorbed by duplicate hits
@@ -365,11 +364,7 @@ type Server struct {
 
 	batch []pending
 	// held notes the batch the FIDR NIC holds (see heldBatch).
-	// fillSawRead records that a read went past the NIC while the current
-	// buffer was filling, so its batch commits in its own tipping write
-	// (see tipFIDRBatch).
-	held        heldBatch
-	fillSawRead bool
+	held heldBatch
 	// bs is one batch's scratch, cread where fetchCompressed lands a
 	// chunk's compressed bytes; both are reused call after call.
 	bs     batchScratch
@@ -512,7 +507,8 @@ func New(cfg Config) (*Server, error) {
 		s.pred = predictor.New(cfg.PredictorCapacity, ledger)
 		s.hashes = lanes.NewJob(lanes.Waited, s.hashPending)
 	} else {
-		s.fnic, err = nic.New(nic.Config{BufferBytes: cfg.NICBufferBytes, HashLanes: cfg.HashLanes})
+		s.fnic, err = nic.New(nic.Config{BufferBytes: cfg.NICBufferBytes, HashLanes: cfg.HashLanes,
+			BatchChunks: cfg.BatchChunks})
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,10 @@ import (
 // a change pass. Its three baseline lines that count payload bytes
 // (mem.host_fpga, mem.host_ssd, payload_bytes) were regenerated once, on
 // purpose, when the LZ kernel's probe began to skip through incompressible
-// runs and compressed bytes changed.
+// runs and compressed bytes changed. Its FIDR cpu.data_ssd_io,
+// cpu.device_mgr and cpu.lba_table lines moved once, on purpose, when the
+// NIC began to answer reads from the held batch: those reads stopped
+// resolving their LBA and reading the data SSD.
 const ledgerGoldenPath = "testdata/ledger_golden.txt"
 
 // ledgerRuns renders the host ledger of each architecture, and of

@@ -28,6 +28,11 @@ import (
 // the LZ kernel's probe began to skip through incompressible runs (b53eb4b
 // is the last commit with the greedy byte-by-byte scan): compressed bytes
 // changed, and each new digest came out the same at 1, 2 and 4 lanes.
+// The four read-mixed FIDR digests moved once more, on purpose, when the
+// NIC began to answer reads from the held batch instead of committing it
+// first: the SSD images, the WAL and the LBA table stayed equal to the
+// parent's at every lane count, and only the read-path counts and the
+// ledger moved (reads of the held batch became NIC hits).
 // A different digest means a different program to everything but the clock:
 // never regenerate one to make an overlap change pass.
 var keepBytesGolden = map[string]string{
@@ -35,10 +40,10 @@ var keepBytesGolden = map[string]string{
 	"write-l/fixed/fidr-full":       "8187a3357ef0e657d2c661dba1170a321583b5219eddad67beb9a9e451915d5c",
 	"write-l/cdc/fidr-nic-p2p":      "1763e06ad7946b262309c048c2c524c80d268e0f1aa67572882c0b3ba36f31b1",
 	"write-l/cdc/fidr-full":         "d12f6fcfc146be055e0c5de4d0291de1b29a473ff208e75669592b6496980dce",
-	"read-mixed/fixed/fidr-nic-p2p": "b6f0c043ab4bd8e6e72fd16b576038ae802801e1346b82498c4ede5e2e2f5ecc",
-	"read-mixed/fixed/fidr-full":    "4d586a17fff42149fb5d1aaeb6db58de2192dd59018149552f4ed31c34a168fa",
-	"read-mixed/cdc/fidr-nic-p2p":   "c5e2f1b65da68103e7e1cebdde288caeafebd098b6d4786bbea512c464c9489d",
-	"read-mixed/cdc/fidr-full":      "086eb7be0c7cf5d7d0ca26a02a3188e63c2d917f1cf04e1e0cce205d6570439c",
+	"read-mixed/fixed/fidr-nic-p2p": "327af128026ef61e2f9eee222608483aa36188671216cc58194af4d9e3bc5ebb",
+	"read-mixed/fixed/fidr-full":    "0e4e9cc4120337d0d17c8b293c92fc467d92528c632331438be4e0c1351c5444",
+	"read-mixed/cdc/fidr-nic-p2p":   "7cb4a75bcbea156afcfe161faaacfcd90ebb727bffd2ed96d1a9cea632f9ae69",
+	"read-mixed/cdc/fidr-full":      "fbc70f349e30bc35539aad968b5f55ab8a5c5044918c36e11f92f088d70dc195",
 	"write-l/fixed/baseline":        "226f70bc919d4a95cf506960db7340993670410ce0fd97e3a90d7bc1766aef50",
 	"write-l/cdc/baseline":          "8187f489347c732293d83071f4485c230d6ea1486688243112c1a43cd2a30bcb",
 	"read-mixed/fixed/baseline":     "090dd8172497974776ad4fa111e4854027565ade43aeec1a435ad106b459d581",
@@ -198,12 +203,15 @@ func TestOverlapKeepsBytes(t *testing.T) {
 
 // overlapServer is a small FIDR server for the count-based tests below:
 // 8-chunk batches, four lanes, containers that seal every few batches.
-func overlapServer(t *testing.T) *Server {
+func overlapServer(t *testing.T) *Server { return overlapServerLanes(t, 4) }
+
+// overlapServerLanes is overlapServer at the given hash and compress lanes.
+func overlapServerLanes(t *testing.T, lanes int) *Server {
 	t.Helper()
 	cfg := DefaultConfig(FIDRFull)
 	cfg.BatchChunks = 8
 	cfg.ContainerSize = 64 << 10
-	cfg.HashLanes, cfg.CompressLanes = 4, 4
+	cfg.HashLanes, cfg.CompressLanes = lanes, lanes
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +219,10 @@ func overlapServer(t *testing.T) *Server {
 	return s
 }
 
-// TestDeferOnlyAcrossReadFreeFills pins the rule by counts, no clock: a
-// batch's commit waits for the next tip exactly when no read went past the
-// NIC while the batch filled.
+// TestDeferOnlyAcrossReadFreeFills pins the one tip rule by counts, no
+// clock: a batch's commit waits for the next tip whether or not a read
+// went past the NIC while the batch filled, and only Flush commits early.
+// (Reads committed the held batch once; the name is from then.)
 func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 	sh := blockcomp.NewShaper(0.5)
 	next := uint64(0)
@@ -262,12 +271,12 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 				t.Fatalf("read: %v", err)
 			}
 			writeBatch(t, s, 1)
-			if got := s.Stats().BatchesProcessed; got != k {
-				t.Fatalf("after tip %d: %d batches committed, want %d (today's path)", k, got, k)
+			if got := s.Stats().BatchesProcessed; got != k-1 {
+				t.Fatalf("after tip %d: %d batches committed, want %d (the tipped one waits)", k, got, k-1)
 			}
 		}
-		if got := s.ctr.overlapped.Value(); got != 0 {
-			t.Fatalf("batches_overlapped = %d on read-interleaved traffic, want 0", got)
+		if got := s.ctr.overlapped.Value(); got != batches-1 {
+			t.Fatalf("batches_overlapped = %d on read-interleaved traffic, want %d", got, batches-1)
 		}
 	})
 
@@ -285,29 +294,91 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 		if st := s.Stats(); st.NICReadHits != 1 || st.BatchesProcessed != 2 {
 			t.Fatalf("NIC hit: %d hits, %d batches committed; want 1 and 2", st.NICReadHits, st.BatchesProcessed)
 		}
-		// One that goes past the NIC commits exactly the held batch.
+		// Nor does one that goes past the NIC: the held batch stays held.
 		for i := 0; i < 2; i++ {
 			if _, err := s.Read(first); err != nil {
 				t.Fatal(err)
 			}
-			if st := s.Stats(); st.BatchesProcessed != 3 || s.fnic.Held() {
-				t.Fatalf("read %d: %d batches committed, held %v; want 3 and false", i, st.BatchesProcessed, s.fnic.Held())
+			if st := s.Stats(); st.BatchesProcessed != 2 || !s.fnic.Held() {
+				t.Fatalf("read %d: %d batches committed, held %v; want 2 and true", i, st.BatchesProcessed, s.fnic.Held())
 			}
 		}
-		// The buffer now filling saw that read: its tip commits it at once,
-		// and the fill after it, which sees none, waits again.
+		// The buffer now filling saw that read, and its tip still commits
+		// only the held batch, under its hash; so does the tip after it.
 		writeBatch(t, s, batch-2)
-		if st := s.Stats(); st.BatchesProcessed != 4 || s.fnic.Held() {
-			t.Fatalf("%d batches committed, held %v; want 4 and false", st.BatchesProcessed, s.fnic.Held())
+		if st := s.Stats(); st.BatchesProcessed != 3 || !s.fnic.Held() {
+			t.Fatalf("%d batches committed, held %v; want 3 and true", st.BatchesProcessed, s.fnic.Held())
 		}
 		writeBatch(t, s, batch)
 		if st := s.Stats(); st.BatchesProcessed != 4 || !s.fnic.Held() {
 			t.Fatalf("%d batches committed, held %v; want 4 and true", st.BatchesProcessed, s.fnic.Held())
 		}
-		if got := s.ctr.overlapped.Value(); got != 2 {
-			t.Fatalf("batches_overlapped = %d, want 2", got)
+		if got := s.ctr.overlapped.Value(); got != 4 {
+			t.Fatalf("batches_overlapped = %d, want 4", got)
 		}
 	})
+}
+
+// TestHeldBatchAnswersReads: the NIC answers a read from the held batch —
+// tipped, hashed, its commit still to run — and commits nothing for it;
+// the filling buffer wins for an LBA written in both; and on
+// read-interleaved traffic every commit but the first tip's runs under the
+// next batch's hash, with every read returning the bytes last written.
+// Counts only, at 1, 2 and 4 lanes.
+func TestHeldBatchAnswersReads(t *testing.T) {
+	sh := blockcomp.NewShaper(0.5)
+	const batch, batches = 8, 10
+	for _, lanes := range []int{1, 2, 4} {
+		s := overlapServerLanes(t, lanes)
+		content := map[uint64][]byte{}
+		write := func(lba, seed uint64) {
+			t.Helper()
+			content[lba] = sh.Make(seed, 4096)
+			if err := s.Write(lba, content[lba]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read := func(lba uint64) {
+			t.Helper()
+			got, err := s.Read(lba)
+			if want, ok := content[lba]; !ok && err != ErrNotFound || ok && (err != nil || !bytes.Equal(got, want)) {
+				t.Fatalf("%d lanes: read of LBA %d: err %v, bytes match %v", lanes, lba, err, bytes.Equal(got, content[lba]))
+			}
+		}
+		for lba := uint64(0); lba < batch; lba++ {
+			write(lba, lba)
+		}
+		write(3, 100) // LBA 3 in the fill too
+		if !s.fnic.Held() || s.fnic.Buffered() != 1 {
+			t.Fatalf("%d lanes: held %v, %d chunks filling; want true and 1", lanes, s.fnic.Held(), s.fnic.Buffered())
+		}
+		for _, lba := range []uint64{5, 3} { // the held batch's, then the fill's
+			before := s.Stats()
+			read(lba)
+			after := s.Stats()
+			if after.NICReadHits != before.NICReadHits+1 || after.BatchesProcessed != 0 || !s.fnic.Held() {
+				t.Fatalf("%d lanes: read of LBA %d: %d NIC hits, %d batches committed, held %v; want 1, 0 and true",
+					lanes, lba, after.NICReadHits-before.NICReadHits, after.BatchesProcessed, s.fnic.Held())
+			}
+		}
+
+		// Read-interleaved traffic: after every write a read of the fill,
+		// the held batch, one of the first batch's LBAs or an unwritten one.
+		for lba := uint64(batch + 1); lba < batches*batch; lba++ {
+			write(lba, lba)
+			read([]uint64{lba, lba - batch, lba % batch, 1 << 40}[lba%4])
+		}
+		if st := s.Stats(); st.BatchesProcessed != batches-1 || s.ctr.overlapped.Value() != batches-1 {
+			t.Fatalf("%d lanes: %d batches committed, %d overlapped; want %d and %d",
+				lanes, st.BatchesProcessed, s.ctr.overlapped.Value(), batches-1, batches-1)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for lba := range content {
+			read(lba)
+		}
+	}
 }
 
 // TestNothingRunsAfterWrite: no goroutine outlives the hashing of what is

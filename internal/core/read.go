@@ -179,7 +179,8 @@ func (s *Server) baselineRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, err
 // --- FIDR read (§5.3, Figure 6b) ---
 
 func (s *Server) fidrRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) {
-	// Step 2: the NIC searches its in-NIC write buffer first.
+	// Step 2: the NIC searches its buffers first, the filling one and the
+	// held batch, which commits at the next tip whatever reads come first.
 	from := tr.start()
 	if data, ok := s.fnic.LookupRead(lba); ok {
 		s.ctr.nicReadHits.Inc()
@@ -187,12 +188,6 @@ func (s *Server) fidrRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) 
 		return append(dst, data...), nil
 	}
 	tr.span(StageNICBuffer, from)
-	// The read goes past the NIC: the batch held there is committed first,
-	// and the batch now filling will be committed by the write that tips it.
-	s.fillSawRead = true
-	if err := s.commitHeld(); err != nil {
-		return nil, err
-	}
 	// §8 extension: hot-block read cache in host memory.
 	if out, ok := s.rcache.appendTo(dst, lba); ok {
 		n := uint64(len(out) - len(dst))

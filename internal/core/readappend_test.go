@@ -49,18 +49,15 @@ func readSources() []readSource {
 			return s
 		}
 	}
-	// Filling the batch tips it, and a read that misses the NIC then
-	// commits it to the open container; a flush seals that container onto
-	// the data SSD.
+	// Filling the batch tips it, and the second full batch's tip commits
+	// it to the open container; a flush seals that container onto the
+	// data SSD.
 	commit := func(s *Server) error {
 		sh := blockcomp.NewShaper(0.5)
-		for lba := uint64(2); lba <= uint64(s.cfg.BatchChunks); lba++ {
+		for lba := uint64(2); lba <= uint64(2*s.cfg.BatchChunks); lba++ {
 			if err := s.Write(lba, sh.Make(lba, 4096)); err != nil {
 				return err
 			}
-		}
-		if _, err := s.Read(1 << 20); !errors.Is(err, ErrNotFound) {
-			return errors.Join(errors.New("read of an unwritten LBA did not miss"), err)
 		}
 		return nil
 	}

@@ -319,10 +319,8 @@ type heldBatch struct {
 // returns before the detach: the failed batch stays held, and the fill
 // stays attached and readable.
 //
-// The new batch's own commit waits for the next tip, unless this is Flush
-// or its fill saw a read go past the NIC: reads commit what is held, so on
-// read-interleaved traffic deferring would overlap nothing and only move
-// the batch from the tipping write onto the next read.
+// The new batch's own commit waits for the next tip, reads or not (the NIC
+// answers them from both buffers), unless this is Flush.
 func (s *Server) tipFIDRBatch(now bool) error {
 	if s.fnic.Buffered() == 0 {
 		return s.commitHeld()
@@ -336,8 +334,6 @@ func (s *Server) tipFIDRBatch(now bool) error {
 			return err
 		}
 	}
-	now = now || s.fillSawRead
-	s.fillSawRead = false
 	s.held = heldBatch{tip: s.activeReq, hashStart: s.obs.now()}
 	n := uint64(s.fnic.Join())
 	s.held.hashDur = s.obs.since(s.held.hashStart)
@@ -355,14 +351,14 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	return nil
 }
 
-// commitHeld commits the batch the NIC holds, if any. Whatever looks at
-// the server past the NIC's filling buffer — a read that missed it, Flush,
-// a maintenance verb — calls it first, so it observes the state it would
-// have observed had every batch been committed by the write that tipped
-// it. The read-outs that return no error (Garbage, CapacityReport,
-// ContainerHeatmap) drop its error: the failed batch stays held, the
-// read-out describes the state before it, and the next write, read or
-// Flush returns the error.
+// commitHeld commits the batch the NIC holds, if any. Flush and the
+// maintenance verbs, which look at the server past the NIC, call it first,
+// so they observe the state they would have observed had every batch been
+// committed by the write that tipped it; a read needs none of it, since
+// the NIC answers the held chunks itself. The read-outs that return no
+// error (Garbage, CapacityReport, ContainerHeatmap) drop its error: the
+// failed batch stays held, the read-out describes the state before it, and
+// the next tip, Flush or maintenance verb returns the error.
 func (s *Server) commitHeld() error {
 	if s.fnic == nil || !s.fnic.Held() {
 		return nil
@@ -375,7 +371,7 @@ func (s *Server) commitHeld() error {
 
 // commitBatch runs §5.3 steps 3-10 over the held batch. Until
 // ScheduleBatch consumes it (step 7) a failure leaves it held, and the
-// next tip, read or Flush tries again.
+// next tip, Flush or maintenance verb tries again.
 func (s *Server) commitBatch() error {
 	entries := s.fnic.Head()
 	h := &s.held

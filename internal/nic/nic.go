@@ -7,12 +7,13 @@
 //     software takes over.
 //   - FIDR: the paper's data-reduction NIC. It buffers client writes in
 //     NIC memory, hashes chunks with on-NIC SHA-256 cores as they arrive,
-//     answers reads that hit the in-NIC write buffer, and schedules
+//     answers reads that hit either in-NIC buffer, and schedules
 //     batches of unique chunks for direct P2P transfer to the Compression
 //     Engines — host memory sees only hash values and per-chunk flags.
 //
 // The FIDR NIC double-buffers: one buffer fills while the other holds the
-// batch tipped before it, hashed and waiting for its commit. The SHA-core
+// batch tipped before it, hashed and waiting for its commit; a read looks
+// in both, the filling one first (§5.3 read step 2). The SHA-core
 // array is a hash job per buffer on the server's lanes.Pool: helpers hash
 // chunks as they arrive, Join's caller the rest.
 package nic
@@ -52,6 +53,9 @@ type Config struct {
 	// HashLanes is the modeled SHA-256 core count; <= 0 selects the
 	// GOMAXPROCS-derived default (lanes.Default), as in core.Config.
 	HashLanes int
+	// BatchChunks is the chunk count a batch usually holds: each buffer's
+	// LBA index is sized for it at New. <= 0 leaves the indexes to grow.
+	BatchChunks int
 }
 
 // ErrBufferFull is returned when the in-NIC buffer cannot accept a write.
@@ -132,6 +136,10 @@ type buffer struct {
 	// rebuilt by Join, valid until the batch is consumed. Each buffer has
 	// its own, so the held batch's view survives the next batch's hashing.
 	view []WriteEntry
+	// index finds the most recent entry per LBA for the read fast path
+	// (§5.3 read step 2), from the first write until ScheduleBatch
+	// consumes the buffer.
+	index map[uint64]int
 
 	// job's item i fingerprints entries[i] on whichever goroutine claimed
 	// it; mu orders the owner's appends with its read of the chunk and
@@ -140,8 +148,8 @@ type buffer struct {
 	mu  sync.Mutex
 }
 
-func newBuffer() *buffer {
-	g := &buffer{}
+func newBuffer(chunks int) *buffer {
+	g := &buffer{index: make(map[uint64]int, max(chunks, 0))}
 	g.job = lanes.NewJob(lanes.Ahead, g.hashEntry)
 	return g
 }
@@ -160,12 +168,13 @@ func (g *buffer) hashEntry(i int) {
 // FIDR is the data-reduction NIC.
 //
 // Its chunk memory is two buffers, swapped at each join. The filling
-// buffer takes writes and answers reads; the pool's helpers hash it while
-// it fills. The other holds at most one batch: tipped and hashed, waiting
-// for the server's table lookup and ScheduleBatch. Tip starts a batch's
-// tip, and with a batch held sets helpers on the fill's last chunks while
-// the server commits the held one; Join then detaches the fill into the
-// emptied slot and finishes its hashes. BufferBytes bounds each buffer.
+// buffer takes writes; the pool's helpers hash it while it fills. The
+// other holds at most one batch: tipped and hashed, waiting for the
+// server's table lookup and ScheduleBatch. Both answer reads until
+// ScheduleBatch consumes them. Tip starts a batch's tip, and with a batch
+// held sets helpers on the fill's last chunks while the server commits the
+// held one; Join then detaches the fill into the emptied slot and finishes
+// its hashes. BufferBytes bounds each buffer.
 type FIDR struct {
 	// bufferCap bounds one buffer's chunk bytes (the NIC's battery-backed
 	// DRAM; writes are acked once buffered, §7.6.1).
@@ -174,9 +183,6 @@ type FIDR struct {
 	// held is set, otherwise the empty spare the next Join swaps in.
 	fill, back *buffer
 	held       bool
-	// lbaIndex finds the most recent entry per LBA in the filling buffer
-	// for the read fast path (§5.3 read step 2).
-	lbaIndex map[uint64]int
 	// hashLanes is the modeled SHA-256 core count: up to hashLanes-1 of
 	// the pool's helpers on a buffer, plus Join's caller. hashStart is
 	// when the last tip started.
@@ -194,8 +200,8 @@ func New(cfg Config) (*FIDR, error) {
 	if cfg.BufferBytes < 4096 {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
-	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newBuffer(), back: newBuffer(),
-		lbaIndex: make(map[uint64]int), pool: lanes.NewPool()}
+	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newBuffer(cfg.BatchChunks),
+		back: newBuffer(cfg.BatchChunks), pool: lanes.NewPool()}
 	n.SetHashLanes(cfg.HashLanes)
 	return n, nil
 }
@@ -236,7 +242,7 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	g.entries = append(g.entries, WriteEntry{LBA: lba, Data: cp, Size: len(data)})
 	g.mu.Unlock()
 	n.pool.Post(g.job, len(g.entries), n.hashLanes, wakeBacklog)
-	n.lbaIndex[lba] = len(g.entries) - 1
+	g.index[lba] = len(g.entries) - 1
 	g.bytes += len(data)
 	n.writes.Inc()
 	n.bytes.Add(uint64(len(data)))
@@ -269,15 +275,14 @@ func (n *FIDR) Tip() {
 // the data-stripped view for Head and returns how many chunks the batch
 // holds. Every fingerprint is a pure function of its chunk, so the result
 // is byte-identical at any lane count and any arrival timing. busy_ns
-// covers tip to join. Reads no longer find the held chunks: the server
-// commits the held batch before a read looks past the filling buffer.
+// covers tip to join. The held chunks keep answering reads, behind the
+// filling buffer, until ScheduleBatch consumes them.
 func (n *FIDR) Join() int {
 	if n.held {
 		panic("nic: Join with a batch held")
 	}
 	g := n.fill
 	n.fill, n.back, n.held = n.back, g, true
-	clear(n.lbaIndex)
 	busy := g.job.Join()
 	if len(g.entries) > 0 {
 		var hashBytes uint64
@@ -307,28 +312,35 @@ func (n *FIDR) Head() []WriteEntry {
 	return n.back.view
 }
 
-// LookupRead serves a read from the filling buffer if the LBA is buffered
-// there, returning the freshest data for that LBA.
+// LookupRead serves a read from NIC memory if the LBA is buffered there,
+// returning the freshest data for that LBA: the filling buffer's, else the
+// held batch's.
 func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 	n.readLookups.Inc()
-	i, ok := n.lbaIndex[lba]
+	g := n.fill
+	i, ok := g.index[lba]
+	if !ok && n.held {
+		g = n.back
+		i, ok = g.index[lba]
+	}
 	if !ok {
 		return nil, false
 	}
 	n.readHits.Inc()
-	return n.fill.entries[i].Data, true
+	return g.entries[i].Data, true
 }
 
 // ScheduleBatch consumes the held batch — the filling buffer when none is
 // held — given per-chunk uniqueness flags (computed by the host's table
 // lookup) and returns the batch of unique chunks for the Compression
 // Engines. Duplicate chunks are dropped from NIC memory — they never cross
-// PCIe, which is FIDR's bandwidth win. flags must align with the entries
-// Head returned (or the filling buffer's, when none is held); on the
-// filling buffer it first stops its hash job and waits for the hashes in
-// flight, so no chunk is recycled while one is read. The returned slice is
-// NIC scratch, valid until the next ScheduleBatch; the chunk buffers it
-// points at are the caller's.
+// PCIe, which is FIDR's bandwidth win — and no chunk of the batch answers
+// reads after it. flags must align with the entries Head returned (or the
+// filling buffer's, when none is held); on the filling buffer it first
+// stops its hash job and waits for the hashes in flight, so no chunk is
+// recycled while one is read. The returned slice is NIC scratch, valid
+// until the next ScheduleBatch; the chunk buffers it points at are the
+// caller's.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	g := n.fill
 	if n.held {
@@ -354,11 +366,8 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	n.batches.Inc()
 	n.unique = unique
 	g.entries, g.bytes = g.entries[:0], 0
-	if g == n.fill {
-		clear(n.lbaIndex)
-	} else {
-		n.held = false
-	}
+	clear(g.index)
+	n.held = false
 	n.publishOccupancy()
 	return unique, nil
 }

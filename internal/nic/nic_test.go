@@ -248,6 +248,41 @@ func TestLookupReadHitAndMiss(t *testing.T) {
 	}
 }
 
+// TestHeldBatchAnswersReads: a joined batch keeps answering reads behind
+// the filling buffer, which wins for an LBA in both, until ScheduleBatch
+// consumes it.
+func TestHeldBatchAnswersReads(t *testing.T) {
+	n, _ := New(Config{BufferBytes: 1 << 20, BatchChunks: 4})
+	old := bytes.Repeat([]byte{1}, 4096)
+	fresh := bytes.Repeat([]byte{2}, 4096)
+	for lba := uint64(0); lba < 4; lba++ {
+		n.BufferWrite(lba, old)
+	}
+	n.Tip()
+	n.Join()
+	n.BufferWrite(2, fresh)
+	for _, c := range []struct {
+		lba  uint64
+		want []byte
+	}{{1, old}, {2, fresh}} {
+		if got, ok := n.LookupRead(c.lba); !ok || !bytes.Equal(got, c.want) {
+			t.Fatalf("LBA %d before ScheduleBatch: hit %v, freshest bytes %v", c.lba, ok, bytes.Equal(got, c.want))
+		}
+	}
+	if _, err := n.ScheduleBatch(make([]bool, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := n.LookupRead(1); ok {
+		t.Fatal("a scheduled batch's LBA still hits")
+	}
+	if got, ok := n.LookupRead(2); !ok || !bytes.Equal(got, fresh) {
+		t.Fatal("the filling buffer's LBA stopped hitting when the held batch was scheduled")
+	}
+	if st := n.Stats(); st.ReadLookups != 4 || st.ReadHits != 3 {
+		t.Fatalf("read stats %+v", st)
+	}
+}
+
 func TestScheduleBatchFiltersUniques(t *testing.T) {
 	n, _ := New(Config{BufferBytes: 1 << 20})
 	for i := 0; i < 4; i++ {

@@ -27,17 +27,14 @@ type wireSource struct {
 // nothing. No clock is read.
 func TestWireReadAllocs(t *testing.T) {
 	const runs = 200
-	// Filling the batch tips it, and a read that misses the NIC then
-	// commits it to the open container; a flush seals that container onto
-	// the data SSD, and a first read after it fills the read cache.
+	// Filling the batch tips it, and the second full batch's tip commits
+	// it to the open container; a flush seals that container onto the
+	// data SSD, and a first read after it fills the read cache.
 	commit := func(s *fidr.Server) error {
-		for lba := uint64(2); lba <= 64; lba++ {
+		for lba := uint64(2); lba <= 2*64; lba++ {
 			if err := s.Write(lba, fidr.MakeChunk(lba, 0.5)); err != nil {
 				return err
 			}
-		}
-		if _, err := s.Read(1 << 20); !errors.Is(err, core.ErrNotFound) {
-			return errors.Join(errors.New("read of an unwritten LBA did not miss"), err)
 		}
 		return nil
 	}
