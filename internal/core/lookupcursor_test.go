@@ -1,0 +1,263 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"testing"
+
+	"fidr/internal/blockcomp"
+	"fidr/internal/chunk"
+	"fidr/internal/trace/span"
+)
+
+// cursorServer is overlapServerLanes under the given chunking.
+func cursorServer(t *testing.T, chunking chunk.Config, lanes int) *Server {
+	t.Helper()
+	cfg := DefaultConfig(FIDRFull)
+	cfg.BatchChunks = 8
+	cfg.ContainerSize = 64 << 10
+	cfg.Chunking = chunking
+	cfg.HashLanes, cfg.CompressLanes = lanes, lanes
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// cursorWriter writes one-extent writes: a 4-KB chunk at the next LBA
+// under fixed chunking, a segment shorter than CDC's Min at the next
+// stream offset under CDC, so every batch holds BatchChunks chunks either
+// way. (A CDC segment that carries a fill past BatchChunks makes a longer
+// held batch, and the fill after it leaves its commit the lookups it did
+// not reach.) Seeds repeat, so batches hold duplicates of earlier batches
+// and of their own chunks.
+type cursorWriter struct {
+	s       *Server
+	sh      *blockcomp.Shaper
+	n, addr uint64
+	written uint64 // chunks buffered so far
+}
+
+// write issues the next write and returns how many chunks it buffered.
+func (w *cursorWriter) write(t *testing.T) uint64 {
+	t.Helper()
+	size := 4096
+	if w.s.cfg.Chunking.Unit() == 1 {
+		size = 600 + int(w.n%5)*80
+	}
+	if err := w.s.Write(w.addr, w.sh.Make(w.n%13, size)); err != nil {
+		t.Fatal(err)
+	}
+	w.n++
+	w.addr += uint64(size / w.s.cfg.Chunking.Unit())
+	chunks := uint64(len(w.s.cbounds))
+	w.written += chunks
+	return chunks
+}
+
+func lookups(s *Server) uint64 { return s.CacheStats().Lookups }
+
+func committedChunks(s *Server) uint64 {
+	st := s.Stats()
+	return st.UniqueChunks + st.DuplicateChunks
+}
+
+// TestHeldLookupsRunDuringFill pins where the held batch's table lookups
+// run, by counts, no clock: once a batch is held, every write raises the
+// table cache's lookups by exactly the chunks it buffered — the tipping
+// write too, so the commit of a full fill runs none — and Flush or
+// Compact issued mid-fill run the lookups the fill had not reached. Fixed
+// and CDC chunking, at 1, 2 and 4 lanes.
+func TestHeldLookupsRunDuringFill(t *testing.T) {
+	const batch, batches, partial = 8, 6, 3
+	for _, mode := range testModes {
+		for _, lanes := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/lanes%d", mode.name, lanes), func(t *testing.T) {
+				newWriter := func() *cursorWriter {
+					return &cursorWriter{s: cursorServer(t, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5)}
+				}
+				w := newWriter()
+				s := w.s
+				tips := 0
+				for w.written < batches*batch {
+					held, before, committed := s.fnic.Held(), lookups(s), committedChunks(s)
+					chunks := w.write(t)
+					want := uint64(0)
+					if held {
+						want = chunks
+					}
+					if got := lookups(s) - before; got != want {
+						t.Fatalf("write %d (held %v) buffered %d chunks and ran %d lookups, want %d", w.n, held, chunks, got, want)
+					}
+					if held && committedChunks(s) != committed {
+						tips++
+					}
+				}
+				if tips != batches-1 {
+					t.Fatalf("%d tipping writes committed a batch, want %d", tips, batches-1)
+				}
+				if got := lookups(s); got != committedChunks(s) || got != (batches-1)*batch {
+					t.Fatalf("%d lookups after full fills, %d chunks committed; want %d each", got, committedChunks(s), (batches-1)*batch)
+				}
+
+				// Flush mid-fill: the held batch's remaining lookups and
+				// every one of the partial fill's.
+				for i := 0; i < partial; i++ {
+					w.write(t)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got := lookups(s); got != w.written || committedChunks(s) != w.written {
+					t.Fatalf("after Flush: %d lookups, %d chunks committed; want %d each", got, committedChunks(s), w.written)
+				}
+
+				// Compact mid-fill: the held batch's remaining lookups;
+				// the partial fill's chunks wait in the fill, looked up
+				// by nothing yet.
+				w = newWriter()
+				s = w.s
+				for w.written < 2*batch+partial {
+					w.write(t)
+				}
+				before := lookups(s)
+				if _, err := s.Compact(0); err != nil {
+					t.Fatal(err)
+				}
+				if got := lookups(s) - before; got != batch-partial || s.fnic.Held() {
+					t.Fatalf("Compact ran %d lookups, held %v; want %d and false", got, s.fnic.Held(), batch-partial)
+				}
+				if got := lookups(s); got != committedChunks(s) || got != 2*batch {
+					t.Fatalf("after Compact: %d lookups, %d chunks committed; want %d each", got, committedChunks(s), 2*batch)
+				}
+			})
+		}
+	}
+}
+
+// TestLookupFaultDuringFill: a table-SSD fault met by a lookup during the
+// fill fails no write — the chunk is buffered and acked — and the next tip
+// returns it, commits nothing, and leaves the batch held and the fill
+// full; the write after that retries from the failed lookup and commits.
+// Every LBA then reads back, Verify is clean, and the data SSD holds the
+// bytes a fault-free run leaves.
+func TestLookupFaultDuringFill(t *testing.T) {
+	sh := blockcomp.NewShaper(0.5)
+	content := func(i uint64) []byte { return sh.Make(i, 4096) }
+	run := func(t *testing.T, lanes int, fault bool) string {
+		t.Helper()
+		s, tssd, dssd := faultServerLanes(t, lanes)
+		batch := uint64(s.cfg.BatchChunks)
+		write := func(i uint64) error { return s.Write(i, content(i)) }
+		i := uint64(0)
+		for ; i < batch+batch/2; i++ {
+			if err := write(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fault {
+			// Every fingerprint is new: the held batch's next lookup
+			// reads its bucket from the table SSD.
+			tssd.InjectFaults(1, 0, errMedia)
+			if err := write(i); err != nil {
+				t.Fatalf("write that met the lookup fault returned %v", err)
+			}
+			i++
+			if !errors.Is(s.held.lookupErr, errMedia) {
+				t.Fatalf("the write's lookup did not meet the fault: %v", s.held.lookupErr)
+			}
+			for ; i < 2*batch-1; i++ {
+				if err := write(i); err != nil {
+					t.Fatalf("write %d after the lookup fault: %v", i, err)
+				}
+			}
+			if err := write(i); !errors.Is(err, errMedia) {
+				t.Fatalf("tipping write returned %v, want the media error", err)
+			}
+			i++
+			if committedChunks(s) != 0 || !s.fnic.Held() || s.fnic.Buffered() != int(batch) {
+				t.Fatalf("after the failed tip: %d chunks committed, held %v, %d filling; want 0, true, %d",
+					committedChunks(s), s.fnic.Held(), s.fnic.Buffered(), batch)
+			}
+			if err := write(i); err != nil {
+				t.Fatalf("write after the failed tip: %v", err)
+			}
+			i++
+			if committedChunks(s) != batch || !s.fnic.Held() || s.fnic.Buffered() != 1 {
+				t.Fatalf("after the retried tip: %d chunks committed, held %v, %d filling; want %d, true, 1",
+					committedChunks(s), s.fnic.Held(), s.fnic.Buffered(), batch)
+			}
+		}
+		for ; i < 4*batch+3; i++ {
+			if err := write(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for lba := uint64(0); lba < i; lba++ {
+			if got, err := s.Read(lba); err != nil || !bytes.Equal(got, content(lba)) {
+				t.Fatalf("lba %d: err %v, bytes match %v", lba, err, err == nil)
+			}
+		}
+		rep, err := s.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%d problems, first: %s", len(rep.Problems), rep.Problems[0])
+		}
+		h := sha256.New()
+		st := s.Stats()
+		fmt.Fprintf(h, "%d %d %d\n", st.UniqueChunks, st.DuplicateChunks, st.StoredBytes)
+		digestImage(t, h, dssd, (s.lba.NextContainer()+1)*uint64(s.cfg.ContainerSize))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		if got, want := run(t, lanes, true), run(t, lanes, false); got != want {
+			t.Fatalf("%d lanes: stored state %s after the fault, %s without it", lanes, got, want)
+		}
+	}
+}
+
+// TestBatchTraceKeepsFillLookups: a batch whose lookups all ran while the
+// next batch filled still reports them in its batch trace, as the
+// dedup_lookup stage. Presence only: no duration is asserted.
+func TestBatchTraceKeepsFillLookups(t *testing.T) {
+	s := overlapServer(t)
+	s.EnableObservability(nil)
+	col := span.NewCollector(64, 0, 0)
+	s.SetSpanCollector(col, 0)
+	sh := blockcomp.NewShaper(0.5)
+	const batch = 8
+	for i := uint64(0); i < 3*batch; i++ {
+		if err := s.Write(i, sh.Make(i, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2*batch-2 && lookups(s) != batch-1 {
+			t.Fatalf("%d lookups before the tip, want %d: the fill did not run them", lookups(s), batch-1)
+		}
+	}
+	batches := 0
+	for _, q := range col.Recent() {
+		if q.Op() != "batch" {
+			continue
+		}
+		batches++
+		found := false
+		for _, st := range q.Stages {
+			found = found || st.Name == StageDedupLookup.String()
+		}
+		if !found {
+			t.Errorf("batch trace without a %s stage: %+v", StageDedupLookup, q.Stages)
+		}
+	}
+	if batches != 2 {
+		t.Fatalf("%d batch traces, want the 2 committed batches", batches)
+	}
+}

@@ -273,39 +273,53 @@ func (s *Server) hashPending(i int) {
 // --- FIDR (§5.3) ---
 
 // fidrWrite runs the §5.3 write flow's first step for one chunk: the NIC
-// buffers it in battery-backed NIC memory and the client is acked at once;
-// no host resources are touched. When the buffer is full the batch tips
-// and the chunk goes into the fresh one. The chunk supersedes whatever the
-// §8 read cache holds at its address — a segment's interior extents
-// included, not only its first.
+// buffers it in battery-backed NIC memory and the client is acked at once.
+// When the buffer is full the batch tips and the chunk goes into the fresh
+// one. The chunk supersedes whatever the §8 read cache holds at its
+// address — a segment's interior extents included, not only its first.
+// Once buffered, the chunk pays for the held batch's next table lookup
+// (steps 4-5), so a full fill has run all of them by its tip; a lookup
+// that fails fails no write, it stops the cursor and the next tip returns
+// it.
 func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	s.rcache.invalidate(lba)
 	from := tr.start()
 	err := s.fnic.BufferWrite(lba, data)
 	tr.span(StageNICBuffer, from)
-	if err != nic.ErrBufferFull {
-		return err
+	if err == nic.ErrBufferFull {
+		// Validate sizes the buffer for several Max-size chunks, so the
+		// retry into an empty buffer fits.
+		if err := s.tipFIDRBatch(false); err != nil {
+			return err
+		}
+		from = tr.start()
+		err = s.fnic.BufferWrite(lba, data)
+		tr.span(StageNICBuffer, from)
 	}
-	// Validate sizes the buffer for several Max-size chunks, so the retry
-	// into an empty buffer fits.
-	if err := s.tipFIDRBatch(false); err != nil {
-		return err
+	if err == nil && s.held.lookupErr == nil {
+		s.held.lookupErr = s.lookupHeld(1)
 	}
-	from = tr.start()
-	err = s.fnic.BufferWrite(lba, data)
-	tr.span(StageNICBuffer, from)
 	return err
 }
 
 // heldBatch is the server's note on the batch the NIC holds between its
 // tip and its commit: the request that tipped it, under whose trace the
-// commit links whenever it runs, and the span the tip waited in the NIC's
-// Join for the fingerprints the pool's helpers had not finished, which the
-// commit's batch trace reports once as its hash stage.
+// commit links whenever it runs; the span the tip waited in the NIC's Join
+// for the fingerprints the pool's helpers had not finished, which the
+// commit's batch trace reports once as its hash stage; and the cursor of
+// its table lookups. looked of its entries have been looked up, in batch
+// order, into bs.flags and bs.dupPBN, taking lookupDur from lookupStart
+// on, which the batch trace reports as its dedup_lookup stage; lookupErr
+// is a lookup that failed during the fill, which the commit returns once
+// before it retries that entry.
 type heldBatch struct {
-	tip       *ReqTrace
-	hashStart time.Time
-	hashDur   time.Duration
+	tip         *ReqTrace
+	hashStart   time.Time
+	hashDur     time.Duration
+	looked      int
+	lookupStart time.Time
+	lookupDur   time.Duration
+	lookupErr   error
 }
 
 // tipFIDRBatch runs when the filling buffer holds a batch (and, with now
@@ -313,14 +327,17 @@ type heldBatch struct {
 // batch — is a pure function of bytes already in NIC memory: the pool's
 // helpers have fingerprinted most of the batch while it filled, and the
 // rest is hashed beside steps 3-10 of the batch before. The NIC starts the
-// tip, this goroutine commits the held batch, and only then does the NIC
-// detach the fill into the emptied slot and join its hashes. Nothing of
+// tip, this goroutine commits the held batch — whose table lookups the
+// fill's writes have already run, one per chunk — and only then does the
+// NIC detach the fill into the emptied slot and join its hashes. Nothing of
 // this batch's hashing runs after the call returns. A commit that fails
 // returns before the detach: the failed batch stays held, and the fill
 // stays attached and readable.
 //
-// The new batch's own commit waits for the next tip, reads or not (the NIC
-// answers them from both buffers), unless this is Flush.
+// The new batch's lookup cursor starts at its first entry. Its lookups run
+// as the next fill's writes buffer, and its commit waits for the next tip,
+// reads or not (the NIC answers them from both buffers), unless this is
+// Flush.
 func (s *Server) tipFIDRBatch(now bool) error {
 	if s.fnic.Buffered() == 0 {
 		return s.commitHeld()
@@ -337,6 +354,10 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	s.held = heldBatch{tip: s.activeReq, hashStart: s.obs.now()}
 	n := uint64(s.fnic.Join())
 	s.held.hashDur = s.obs.since(s.held.hashStart)
+	bs := &s.bs
+	bs.flags = append(bs.flags[:0], make([]bool, n)...)
+	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, n)...)
+	clear(bs.firstClaim)
 	hashBytes := n * fingerprint.Size
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)
 	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
@@ -355,7 +376,9 @@ func (s *Server) tipFIDRBatch(now bool) error {
 // maintenance verbs, which look at the server past the NIC, call it first,
 // so they observe the state they would have observed had every batch been
 // committed by the write that tipped it; a read needs none of it, since
-// the NIC answers the held chunks itself. The read-outs that return no
+// the NIC answers the held chunks itself. This is also what keeps the
+// held batch's early lookups exact: nothing else touches the table cache
+// between its hold and its commit. The read-outs that return no
 // error (Garbage, CapacityReport, ContainerHeatmap) drop its error: the
 // failed batch stays held, the read-out describes the state before it, and
 // the next tip, Flush or maintenance verb returns the error.
@@ -369,9 +392,11 @@ func (s *Server) commitHeld() error {
 	return s.commitBatch()
 }
 
-// commitBatch runs §5.3 steps 3-10 over the held batch. Until
+// commitBatch runs §5.3 steps 3-10 over the held batch, of whose steps 4-5
+// it runs only the lookups the fill left (normally none). Until
 // ScheduleBatch consumes it (step 7) a failure leaves it held, and the
-// next tip, Flush or maintenance verb tries again.
+// next tip, Flush or maintenance verb tries again, from the lookup that
+// failed.
 func (s *Server) commitBatch() error {
 	entries := s.fnic.Head()
 	h := &s.held
@@ -391,38 +416,18 @@ func (s *Server) commitBatch() error {
 		s.transfer(devCacheHW, pcie.HostMemory, uint64(len(entries))*8)
 	}
 
-	// Steps 4-5: host software scans the cached buckets and determines
-	// uniqueness; duplicates update only the LBA-PBA table.
-	from := bt.start()
-	bs := &s.bs
-	bs.flags = append(bs.flags[:0], make([]bool, len(entries))...)
-	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, len(entries))...)
-	flags, dupPBN := bs.flags, bs.dupPBN
-	// Within-batch duplicates: the first occurrence claims uniqueness;
-	// later identical chunks must see it. firstClaim indexes claimed
-	// fingerprints so the scan stays O(batch) instead of O(batch²).
-	firstClaim, fpToPBN := bs.firstClaim, bs.fpToPBN
-	clear(firstClaim)
-	clear(fpToPBN)
-	for i, e := range entries {
-		pbn, found, err := s.cache.Lookup(e.FP)
-		if err != nil {
-			return err
-		}
-		switch {
-		case found:
-			dupPBN[i] = pbn
-		default:
-			if _, claimed := firstClaim[e.FP]; claimed {
-				dupPBN[i] = provisionalPBN
-			} else {
-				flags[i] = true
-				firstClaim[e.FP] = struct{}{}
-			}
-		}
+	// Steps 4-5: the lookups the fill left.
+	if err := h.lookupErr; err != nil {
+		h.lookupErr = nil
+		return err
 	}
-
-	bt.span(StageDedupLookup, from)
+	if err := s.lookupHeld(len(entries)); err != nil {
+		return err
+	}
+	bt.at(StageDedupLookup, h.lookupStart, h.lookupDur)
+	bs := &s.bs
+	flags, dupPBN, fpToPBN := bs.flags, bs.dupPBN, bs.fpToPBN
+	clear(fpToPBN)
 
 	// Step 6: uniqueness flags return to the NIC.
 	s.transfer(pcie.HostMemory, devNIC, uint64(len(entries)))
@@ -442,7 +447,7 @@ func (s *Server) commitBatch() error {
 
 	// Step 8: the engine compresses and packs; only metadata reaches
 	// the host.
-	from = bt.start()
+	from := bt.start()
 	if len(unique) > 0 {
 		// The compression-pipeline array runs the whole unique batch
 		// across the configured lanes; packing and table updates then
@@ -517,6 +522,48 @@ func (s *Server) commitBatch() error {
 
 	// Steps 9-10: sealed containers go engine -> data SSD peer-to-peer.
 	return s.writeSealed(bt)
+}
+
+// lookupHeld runs up to n of the held batch's remaining table lookups,
+// §5.3 steps 4-5, in batch order: host software scans the cached buckets
+// and determines uniqueness; duplicates will update only the LBA-PBA
+// table. Within-batch duplicates: the first occurrence claims uniqueness,
+// and later identical chunks must see it. firstClaim indexes claimed
+// fingerprints so the scan stays O(batch) instead of O(batch²). An entry
+// whose lookup fails stays unlooked, for the next call to retry.
+func (s *Server) lookupHeld(n int) error {
+	h, bs := &s.held, &s.bs
+	entries := s.fnic.Head()
+	if h.looked >= len(entries) {
+		return nil
+	}
+	from := s.obs.now()
+	if h.lookupStart.IsZero() {
+		h.lookupStart = from
+	}
+	var err error
+	for end := min(h.looked+n, len(entries)); h.looked < end; h.looked++ {
+		i := h.looked
+		fp := entries[i].FP
+		var pbn uint64
+		var found bool
+		if pbn, found, err = s.cache.Lookup(fp); err != nil {
+			break
+		}
+		switch {
+		case found:
+			bs.dupPBN[i] = pbn
+		default:
+			if _, claimed := bs.firstClaim[fp]; claimed {
+				bs.dupPBN[i] = provisionalPBN
+			} else {
+				bs.flags[i] = true
+				bs.firstClaim[fp] = struct{}{}
+			}
+		}
+	}
+	h.lookupDur += s.obs.since(from)
+	return err
 }
 
 // provisionalPBN marks a within-batch duplicate whose unique twin has not

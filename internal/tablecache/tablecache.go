@@ -277,8 +277,10 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Fetch the bucket from the table SSD into the host-memory line.
+	// Fetch the bucket from the table SSD into the host-memory line; a
+	// line whose fetch failed holds nothing and goes back to the free list.
 	if err := c.ssdIO(false, bucket, line); err != nil {
+		c.freeList = append(c.freeList, line)
 		return 0, err
 	}
 	c.lineBucket[line] = bucket
@@ -292,7 +294,9 @@ func (c *Cache) getLine(bucket uint64, count bool) (uint64, error) {
 
 // allocLine takes a line from the free list, evicting the LRU line when
 // empty (the HW engine keeps the free list non-empty by periodic
-// deletions; functionally we evict on demand).
+// deletions; functionally we evict on demand). A dirty victim is written
+// back before it is detached: if that write fails the victim stays
+// cached, dirty and indexed, and no line is taken.
 func (c *Cache) allocLine() (uint64, error) {
 	if n := len(c.freeList); n > 0 {
 		line := c.freeList[n-1]
@@ -304,16 +308,16 @@ func (c *Cache) allocLine() (uint64, error) {
 	if line == head {
 		return 0, fmt.Errorf("tablecache: no line to evict")
 	}
-	c.lruUnlink(line)
-	c.evictions.Inc()
-	c.chargeIndex(hostmodel.EvTreeUpdate)
-	delete(c.idx, c.lineBucket[line])
 	if c.dirty[line] {
 		if err := c.ssdIO(true, c.lineBucket[line], line); err != nil {
 			return 0, err
 		}
 		c.flushes.Inc()
 	}
+	c.lruUnlink(line)
+	c.evictions.Inc()
+	c.chargeIndex(hostmodel.EvTreeUpdate)
+	delete(c.idx, c.lineBucket[line])
 	c.lineValid[line] = false
 	return line, nil
 }

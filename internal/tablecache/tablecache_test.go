@@ -1,6 +1,7 @@
 package tablecache
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -307,14 +308,7 @@ func TestModeString(t *testing.T) {
 // been written back at least once, so the table SSD grows no new pages.
 func missEvictKeys(tb testing.TB, c *Cache) []fingerprint.FP {
 	tb.Helper()
-	seen := map[uint64]bool{}
-	var keys []fingerprint.FP
-	for i := 0; len(keys) < 16; i++ {
-		if b := c.geom.BucketOf(fp(i)); !seen[b] {
-			seen[b] = true
-			keys = append(keys, fp(i))
-		}
-	}
+	keys := distinctBucketKeys(c, 16)
 	for round := 0; round < 2; round++ {
 		for i, k := range keys {
 			// Re-inserting dirties the freshly fetched line.
@@ -385,6 +379,68 @@ func TestLRUOrder(t *testing.T) {
 	c.Lookup(keys[2])
 	if got := c.Stats().Misses - before; got != 2 {
 		t.Fatalf("the two least recently used buckets should have been evicted, %d misses", got)
+	}
+}
+
+// distinctBucketKeys returns n fingerprints in n distinct buckets.
+func distinctBucketKeys(c *Cache, n int) []fingerprint.FP {
+	seen := map[uint64]bool{}
+	var keys []fingerprint.FP
+	for i := 0; len(keys) < n; i++ {
+		if b := c.geom.BucketOf(fp(i)); !seen[b] {
+			seen[b] = true
+			keys = append(keys, fp(i))
+		}
+	}
+	return keys
+}
+
+// TestFailedFetchKeepsLine: a bucket read that fails hands its line back,
+// so a transient table-SSD fault does not shrink the cache — every line
+// stays indexed or free, and as many buckets fit without eviction as
+// before the fault.
+func TestFailedFetchKeepsLine(t *testing.T) {
+	c, _ := testCache(t, HW, 4)
+	keys := distinctBucketKeys(c, 5)
+	c.cfg.TableSSD.InjectFaults(1, 0, errors.New("media error"))
+	if _, _, err := c.Lookup(keys[4]); err == nil {
+		t.Fatal("lookup over a failed bucket read succeeded")
+	}
+	for _, k := range keys[:4] {
+		if _, _, err := c.Lookup(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(c.idx) + len(c.freeList); got != len(c.lines) {
+		t.Fatalf("%d indexed + %d free != %d lines", len(c.idx), len(c.freeList), len(c.lines))
+	}
+	if ev := c.Stats().Evictions; ev != 0 {
+		t.Fatalf("four buckets in four lines evicted %d", ev)
+	}
+}
+
+// TestFailedWriteBackKeepsVictim: when a dirty victim's write-back fails,
+// the victim stays cached, dirty and indexed — its new entries are not
+// lost and the line is not leaked — and the next miss writes it back.
+func TestFailedWriteBackKeepsVictim(t *testing.T) {
+	c, _ := testCache(t, HW, 1)
+	keys := distinctBucketKeys(c, 2)
+	if err := c.Insert(keys[0], 7); err != nil {
+		t.Fatal(err)
+	}
+	c.cfg.TableSSD.InjectFaults(0, 1, errors.New("media error"))
+	if _, _, err := c.Lookup(keys[1]); err == nil {
+		t.Fatal("lookup over a failed write-back succeeded")
+	}
+	pbn, found, err := c.Lookup(keys[0])
+	if err != nil || !found || pbn != 7 {
+		t.Fatalf("after the failed write-back: pbn %d found %v err %v", pbn, found, err)
+	}
+	if _, _, err := c.Lookup(keys[1]); err != nil {
+		t.Fatal(err)
+	}
+	if pbn, found, err := c.Lookup(keys[0]); err != nil || !found || pbn != 7 {
+		t.Fatalf("after the retried write-back: pbn %d found %v err %v", pbn, found, err)
 	}
 }
 
