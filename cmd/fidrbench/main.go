@@ -8,11 +8,13 @@
 //	fidrbench [-ios N] cdc capacity archival   # chunking, ledger+GC, WAL shapes
 //	fidrbench list                             # artifact names
 //
-// Output is plain-text tables with the paper's reported values quoted in
-// footnotes, suitable for diffing against EXPERIMENTS.md. Every table but
-// selfperf's (this host's software rates) is counts and ratios, identical
-// per seed; anything clocked (throughput, latency, overheads) is measured
-// by benchmark/ (see benchmark/README.md).
+// The artifacts share one run matrix, so each "completed in" line times
+// the runs its artifact was the first to need. Output is plain-text tables
+// with the paper's reported values quoted in footnotes, suitable for
+// diffing against EXPERIMENTS.md. Every table but selfperf's (this host's
+// software rates) is counts and ratios, identical per seed; anything
+// clocked (throughput, latency, overheads) is measured by benchmark/ (see
+// benchmark/README.md).
 package main
 
 import (
@@ -48,16 +50,20 @@ func main() {
 		names = fidr.Experiments()
 	}
 	failed := false
-	for _, name := range names {
-		start := time.Now()
-		out, err := fidr.RunExperiment(name, *ios)
+	start := time.Now()
+	err := fidr.RunExperiments(names, *ios, func(name, table string, err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fidrbench: %s: %v\n", name, err)
 			failed = true
-			continue
+		} else {
+			fmt.Println(table)
+			fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Println(out)
-		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		start = time.Now()
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fidrbench: %v\n", err)
+		os.Exit(2)
 	}
 	if failed {
 		os.Exit(1)

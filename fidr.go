@@ -5,8 +5,8 @@
 // The package is the public facade over the implementation in internal/:
 // it exposes the storage servers (the extended-CIDR baseline and the FIDR
 // architecture), the Table 3 workload generators, the resource ledgers,
-// and a registry of experiment runners that regenerate every table and
-// figure of the paper. See README.md for a tour and DESIGN.md for the
+// and the experiment entry points that regenerate every table and figure
+// of the paper. See README.md for a tour and DESIGN.md for the
 // system inventory.
 //
 // Quick start:
@@ -20,12 +20,9 @@
 package fidr
 
 import (
-	"fmt"
-
 	"fidr/internal/blockcomp"
 	"fidr/internal/core"
 	"fidr/internal/experiments"
-	"fidr/internal/metrics"
 	"fidr/internal/trace"
 )
 
@@ -92,100 +89,27 @@ func MakeChunk(seed uint64, compressRatio float64) []byte {
 	return blockcomp.NewShaper(compressRatio).Make(seed, ChunkSize)
 }
 
-// runner produces one artifact's rendered table.
-type runner func(experiments.Scale) (string, error)
+// Experiments returns the artifact names RunExperiments accepts: the
+// paper's tables and figures in paper order, then the extension studies.
+func Experiments() []string { return experiments.Names() }
 
-// rows adapts an experiment returning (typed rows, table, error).
-func rows[R any](f func(experiments.Scale) (R, *metrics.Table, error)) runner {
-	return func(sc experiments.Scale) (string, error) {
-		_, tab, err := f(sc)
-		return render(tab, err)
-	}
-}
-
-// table adapts an experiment returning (table, error).
-func table(f func(experiments.Scale) (*metrics.Table, error)) runner {
-	return func(sc experiments.Scale) (string, error) { return render(f(sc)) }
-}
-
-// experimentRegistry lists every artifact with its runner: paper order,
-// then the extension studies.
-var experimentRegistry = []struct {
-	name string
-	run  runner
-}{
-	{"fig3", rows(experiments.Fig3)},
-	{"fig4", rows(experiments.Fig4)},
-	{"fig5", rows(experiments.Fig5)},
-	{"table1", rows(experiments.Table1)},
-	{"table2", table(experiments.Table2)},
-	{"table3", rows(func(sc experiments.Scale) ([]experiments.Table3Row, *metrics.Table, error) {
-		return experiments.Table3(sc)
-	})},
-	{"fig11", rows(experiments.Fig11)},
-	{"fig12", rows(experiments.Fig12)},
-	{"fig13", rows(experiments.Fig13)},
-	{"fig14", rows(experiments.Fig14)},
-	{"latency", func(experiments.Scale) (string, error) {
-		_, tab := experiments.Latency()
-		return render(tab, nil)
-	}},
-	{"table4", func(experiments.Scale) (string, error) { return render(experiments.Table4(), nil) }},
-	{"table5", rows(experiments.Table5)},
-	{"fig15", rows(experiments.Fig15)},
-	{"fig16", rows(experiments.Fig16)},
-	{"ablation-chunk", rows(experiments.AblationChunkSize)},
-	{"ablation-batch", rows(experiments.AblationBatch)},
-	{"ablation-cache", rows(experiments.AblationCache)},
-	{"ablation-width", rows(experiments.AblationWidth)},
-	{"ablation-readoffload", rows(experiments.AblationReadOffload)},
-	{"ablation-readcache", rows(experiments.AblationReadCache)},
-	{"ablation-scaleout", rows(experiments.AblationScaleout)},
-	{"cdc", rows(func(sc experiments.Scale) ([]experiments.CDCRow, *metrics.Table, error) {
-		return experiments.CDC(sc)
-	})},
-	{"capacity", rows(func(sc experiments.Scale) ([]experiments.CapacityRow, *metrics.Table, error) {
-		return experiments.Capacity(sc)
-	})},
-	{"archival", rows(func(sc experiments.Scale) ([]experiments.ArchivalRow, *metrics.Table, error) {
-		return experiments.Archival(sc)
-	})},
-	{"lifetime", rows(experiments.Lifetime)},
-	{"selfperf", func(experiments.Scale) (string, error) {
-		_, tab, err := experiments.SelfPerf()
-		return render(tab, err)
-	}},
-	{"scorecard", table(experiments.Scorecard)},
-}
-
-// Experiments returns artifact names accepted by RunExperiment, in paper
-// order followed by the extension studies.
-func Experiments() []string {
-	out := make([]string, len(experimentRegistry))
-	for i, e := range experimentRegistry {
-		out[i] = e.name
-	}
-	return out
-}
-
-// RunExperiment regenerates one paper artifact and returns its rendered
-// table. scaleIOs controls workload size (0 selects the default).
-func RunExperiment(name string, scaleIOs int) (string, error) {
+// RunExperiments regenerates the named artifacts in the order given from
+// one run matrix, so a server run that several of them read is played
+// once, and hands emit each rendered table, or the error that stopped that
+// artifact, as soon as it is done. An unknown name is refused before
+// anything runs. scaleIOs controls workload size (0 selects the default).
+func RunExperiments(names []string, scaleIOs int, emit func(name, table string, err error)) error {
 	sc := experiments.DefaultScale()
 	if scaleIOs > 0 {
 		sc.IOs = scaleIOs
 	}
-	for _, e := range experimentRegistry {
-		if e.name == name {
-			return e.run(sc)
-		}
-	}
-	return "", fmt.Errorf("fidr: unknown experiment %q (see Experiments())", name)
+	return experiments.Render(names, sc, emit)
 }
 
-func render(tab *metrics.Table, err error) (string, error) {
-	if err != nil {
-		return "", err
+// RunExperiment regenerates one artifact and returns its rendered table.
+func RunExperiment(name string, scaleIOs int) (table string, err error) {
+	if rerr := RunExperiments([]string{name}, scaleIOs, func(_, t string, e error) { table, err = t, e }); rerr != nil {
+		return "", rerr
 	}
-	return tab.String(), nil
+	return table, err
 }

@@ -6,18 +6,15 @@ import (
 	"fidr/internal/metrics"
 )
 
-// TestRegistryConsistent guards the experiment registry: names are
-// unique (lookup takes the first match) and every entry has a runner.
+// TestRegistryConsistent guards the artifact list: names are non-empty
+// and unique (lookup takes the first match).
 func TestRegistryConsistent(t *testing.T) {
-	seen := make(map[string]bool, len(experimentRegistry))
-	for _, e := range experimentRegistry {
-		if seen[e.name] {
-			t.Errorf("duplicate experiment name %q", e.name)
+	seen := make(map[string]bool)
+	for _, name := range Experiments() {
+		if name == "" || seen[name] {
+			t.Errorf("empty or duplicate experiment name %q", name)
 		}
-		seen[e.name] = true
-		if e.run == nil {
-			t.Errorf("experiment %q has no runner", e.name)
-		}
+		seen[name] = true
 	}
 }
 

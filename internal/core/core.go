@@ -363,6 +363,8 @@ type Server struct {
 	tableSSD *ssd.SSD
 
 	batch []pending
+	// staged notes that the baseline batch's steps 1-4 have run.
+	staged bool
 	// held notes the batch the FIDR NIC holds (see heldBatch).
 	held heldBatch
 	// bs is one batch's scratch, cread where fetchCompressed lands a

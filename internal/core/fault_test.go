@@ -21,7 +21,13 @@ func faultServer(t *testing.T) (*Server, *ssd.SSD, *ssd.SSD) {
 // the default).
 func faultServerLanes(t *testing.T, lanes int) (*Server, *ssd.SSD, *ssd.SSD) {
 	t.Helper()
-	cfg := DefaultConfig(FIDRFull)
+	return faultServerArch(t, FIDRFull, lanes)
+}
+
+// faultServerArch is faultServerLanes on architecture arch.
+func faultServerArch(t *testing.T, arch Arch, lanes int) (*Server, *ssd.SSD, *ssd.SSD) {
+	t.Helper()
+	cfg := DefaultConfig(arch)
 	cfg.ContainerSize = 64 << 10
 	cfg.HashLanes, cfg.CompressLanes = lanes, lanes
 	tssd := ssd.MustNew(ssd.Config{Name: "tssd", CapacityBytes: 1 << 32, PageSize: 4096,
@@ -35,6 +41,61 @@ func faultServerLanes(t *testing.T, lanes int) (*Server, *ssd.SSD, *ssd.SSD) {
 		t.Fatal(err)
 	}
 	return s, tssd, dssd
+}
+
+// TestFailedCommitKeepsBatch: a batch whose commit fails on a table-SSD
+// read fault stays buffered and readable — in host memory on the baseline,
+// in the NIC on FIDR — and the next write or Flush commits it from the
+// lookup that failed before it buffers anything, so every LBA reads back,
+// the store verifies, and each batch counts once in BatchesProcessed.
+func TestFailedCommitKeepsBatch(t *testing.T) {
+	sh := blockcomp.NewShaper(0.5)
+	content := func(i uint64) []byte { return sh.Make(i, 4096) }
+	readAll := func(t *testing.T, s *Server, n uint64, when string) {
+		t.Helper()
+		for i := uint64(0); i < n; i++ {
+			if got, err := s.Read(i); err != nil || !bytes.Equal(got, content(i)) {
+				t.Fatalf("lba %d %s: err %v, bytes match %v", i, when, err, err == nil)
+			}
+		}
+	}
+	for _, arch := range []Arch{Baseline, FIDRFull} {
+		t.Run(arch.String(), func(t *testing.T) {
+			s, tssd, _ := faultServerArch(t, arch, 0)
+			batch := uint64(s.cfg.BatchChunks)
+			// Every fingerprint is new, so the first batch's first lookup
+			// reads its bucket from the table SSD.
+			tssd.InjectFaults(1, 0, errMedia)
+			faults := 0
+			for i := uint64(0); i < 3*batch; i++ {
+				if err := s.Write(i, content(i)); err != nil {
+					if !errors.Is(err, errMedia) {
+						t.Fatalf("write %d: wrong error: %v", i, err)
+					}
+					faults++
+					readAll(t, s, i+1, "after the failed commit")
+				}
+			}
+			if faults != 1 {
+				t.Fatalf("%d writes returned the media error, want exactly 1", faults)
+			}
+			readAll(t, s, 3*batch, "before flush")
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			readAll(t, s, 3*batch, "after flush")
+			rep, err := s.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("%d problems, first: %s", len(rep.Problems), rep.Problems[0])
+			}
+			if st := s.Stats(); st.UniqueChunks != 3*batch || st.BatchesProcessed != 3 {
+				t.Fatalf("%d unique chunks in %d batches, want %d in 3", st.UniqueChunks, st.BatchesProcessed, 3*batch)
+			}
+		})
+	}
 }
 
 func TestDataSSDReadFaultSurfaces(t *testing.T) {

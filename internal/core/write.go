@@ -48,13 +48,20 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	defer tr.done()
 	s.activeReq = tr
 	defer func() { s.activeReq = nil }()
-	// A commit that failed left a whole batch in the filling buffer: it
-	// tips before this write's chunks join it, so no batch grows past
-	// BatchChunks, and a write it refuses buffers and counts nothing.
-	if s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks {
-		if err := s.tipFIDRBatch(false); err != nil {
-			return err
-		}
+	// A commit that failed left its batch buffered (FIDR's in the full
+	// fill): it commits before this write's chunks join the buffer, and a
+	// write it refuses buffers and counts nothing. Only under fixed
+	// chunking does no batch grow past BatchChunks: a CDC segment's extents
+	// all join FIDR's fill before the tip check after the cut loop.
+	var err error
+	switch {
+	case s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks:
+		err = s.tipFIDRBatch(false)
+	case s.staged || len(s.batch) >= s.cfg.BatchChunks:
+		err = s.processBaselineBatch()
+	}
+	if err != nil {
+		return err
 	}
 	s.ctr.writes.Inc()
 	s.ctr.clientBytes.Add(uint64(len(data)))
@@ -131,86 +138,92 @@ func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
 }
 
 // processBaselineBatch runs the §2.3 write flow over the buffered batch.
+// An entry leaves the buffer once its step 5 is done, so a failure leaves
+// the rest buffered and readable, and the next write or Flush retries it
+// from the entry that failed, without running steps 1-4 again once they
+// have run (staged).
 func (s *Server) processBaselineBatch() error {
 	if len(s.batch) == 0 {
 		return nil
 	}
 	batch := s.batch
-	s.batch = nil // handed back, emptied, once the batch is through
-	s.ctr.batches.Inc()
 	bt := s.obs.beginLinked("batch", batch[0].lba, s.activeReq)
 	defer bt.done()
-
-	// 1. The unique-chunk predictor reads the buffered data and guesses
-	// which chunks are unique; the batch scheduler groups accordingly.
-	from := bt.start()
-	for i := range batch {
-		batch[i].predictedUnique = s.pred.Predict(batch[i].data)
-		s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
-	}
-	bt.span(StageDedupLookup, from)
-
-	// 2. One-time transfer of the whole batch to the FPGA array.
-	var total uint64
-	for i := range batch {
-		total += uint64(len(batch[i].data))
-	}
-	s.transfer(pcie.HostMemory, devFPGA, total)
-	s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
-	s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(batch)))
-
-	// 3. FPGA: the hash-core array fingerprints every chunk, on the caller
-	// and up to HashLanes-1 of the pool's helpers; the compression-pipeline
-	// array then compresses the predicted-unique chunks. Compressed
-	// results alias engine scratch, which stays valid until the next
-	// CompressMany call — every Pack in this batch happens before that.
-	var backBytes uint64
-	t0 := bt.start()
-	s.bs.hashed = batch
-	s.pool.Run(s.hashes, len(batch), s.cfg.HashLanes)
-	s.bs.hashed = nil
-	bt.add(StageHash, bt.since(t0))
-	if err := s.crashPoint(CrashPostHash); err != nil {
-		return err
-	}
-	backBytes += uint64(len(batch)) * fingerprint.Size
-	datas := s.bs.datas[:0]
-	for i := range batch {
-		if batch[i].predictedUnique {
-			datas = append(datas, batch[i].data)
-		}
-	}
-	s.bs.datas = datas
 	var compDur time.Duration
-	if len(datas) > 0 {
-		t1 := bt.start()
-		rs, err := s.comp.CompressMany(datas)
-		if err != nil {
+	if !s.staged {
+		// 1. The unique-chunk predictor reads the buffered data and
+		// guesses which chunks are unique; the batch scheduler groups
+		// accordingly.
+		from := bt.start()
+		for i := range batch {
+			batch[i].predictedUnique = s.pred.Predict(batch[i].data)
+			s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
+		}
+		bt.span(StageDedupLookup, from)
+
+		// 2. One-time transfer of the whole batch to the FPGA array.
+		var total uint64
+		for i := range batch {
+			total += uint64(len(batch[i].data))
+		}
+		s.transfer(pcie.HostMemory, devFPGA, total)
+		s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
+		s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(batch)))
+
+		// 3. FPGA: the hash-core array fingerprints every chunk, on the
+		// caller and up to HashLanes-1 of the pool's helpers; the
+		// compression-pipeline array then compresses the predicted-unique
+		// chunks. Compressed results alias engine scratch, which stays
+		// valid until the next CompressMany call — every Pack in this
+		// batch, a retried commit's included, happens before that.
+		var backBytes uint64
+		t0 := bt.start()
+		s.bs.hashed = batch
+		s.pool.Run(s.hashes, len(batch), s.cfg.HashLanes)
+		s.bs.hashed = nil
+		bt.add(StageHash, bt.since(t0))
+		if err := s.crashPoint(CrashPostHash); err != nil {
 			return err
 		}
-		compDur += bt.since(t1)
-		for i := range batch { // rs is in batch order of the predicted-unique chunks
+		backBytes += uint64(len(batch)) * fingerprint.Size
+		datas := s.bs.datas[:0]
+		for i := range batch {
 			if batch[i].predictedUnique {
-				batch[i].cdata = rs[0].Data
-				backBytes += uint64(len(rs[0].Data))
-				rs = rs[1:]
+				datas = append(datas, batch[i].data)
 			}
 		}
-	}
-	// 4. Hashes and compressed predicted-uniques return to host memory.
-	s.transfer(devFPGA, pcie.HostMemory, backBytes)
-	s.ledger.MemPayload(hostmodel.PathHostFPGA, backBytes)
-	if err := s.crashPoint(CrashPrePack); err != nil {
-		return err
+		s.bs.datas = datas
+		if len(datas) > 0 {
+			t1 := bt.start()
+			rs, err := s.comp.CompressMany(datas)
+			if err != nil {
+				return err
+			}
+			compDur += bt.since(t1)
+			for i := range batch { // rs is in batch order of the predicted-unique chunks
+				if batch[i].predictedUnique {
+					batch[i].cdata = rs[0].Data
+					backBytes += uint64(len(rs[0].Data))
+					rs = rs[1:]
+				}
+			}
+		}
+		// 4. Hashes and compressed predicted-uniques return to host memory.
+		s.transfer(devFPGA, pcie.HostMemory, backBytes)
+		s.ledger.MemPayload(hostmodel.PathHostFPGA, backBytes)
+		if err := s.crashPoint(CrashPrePack); err != nil {
+			return err
+		}
+		s.staged = true
 	}
 
 	// 5. Software table management validates predictions against the
 	// Hash-PBN table cache. Misprediction repair compresses inline; that
 	// time is charged to the compress span, not the lookup span.
-	from = bt.start()
+	from := bt.start()
 	compBefore := compDur
-	for i := range batch {
-		p := &batch[i]
+	for ; len(s.batch) > 0; s.batch = s.batch[1:] {
+		p := &s.batch[0]
 		pbn, found, err := s.cache.Lookup(p.fp)
 		if err != nil {
 			return err
@@ -251,16 +264,14 @@ func (s *Server) processBaselineBatch() error {
 	}
 	bt.add(StageDedupLookup, bt.since(from)-(compDur-compBefore))
 	bt.add(StageCompress, compDur)
-	if err := s.writeSealed(bt); err != nil {
-		return err
-	}
 	// All chunk bytes are packed (containers copy) or dropped; recycle
 	// the batch's host buffers.
 	for i := range batch {
 		bufpool.Put(batch[i].data)
 	}
-	s.batch = batch[:0]
-	return nil
+	s.batch, s.staged = batch[:0], false
+	s.ctr.batches.Inc()
+	return s.writeSealed(bt)
 }
 
 // hashPending is the baseline hash array's item function: it fingerprints
@@ -400,7 +411,6 @@ func (s *Server) commitHeld() error {
 func (s *Server) commitBatch() error {
 	entries := s.fnic.Head()
 	h := &s.held
-	s.ctr.batches.Inc()
 	bt := s.obs.beginLinked("batch", 0, h.tip)
 	defer bt.done()
 	if !h.hashStart.IsZero() {
@@ -439,6 +449,8 @@ func (s *Server) commitBatch() error {
 	if err != nil {
 		return err
 	}
+	// Consumed, the batch is never retried: it counts once, here.
+	s.ctr.batches.Inc()
 	var uniqueBytes uint64
 	for i := range unique {
 		uniqueBytes += uint64(len(unique[i].Data))

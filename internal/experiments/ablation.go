@@ -69,7 +69,10 @@ type AblationBatchRow struct {
 // AblationBatch sweeps the accelerator batch size on FIDR: larger batches
 // amortize per-batch device interactions but raise NIC buffer residency.
 func AblationBatch(sc Scale) ([]AblationBatchRow, *metrics.Table, error) {
-	m := newMatrix(sc)
+	return newMatrix(sc).ablationBatch()
+}
+
+func (m *matrix) ablationBatch() ([]AblationBatchRow, *metrics.Table, error) {
 	var rows []AblationBatchRow
 	tab := metrics.NewTable("Ablation: accelerator batch size (FIDR, Write-H)",
 		"batch (chunks)", "host mem B/B", "host CPU ns/B")
@@ -98,7 +101,10 @@ type AblationCacheRow struct {
 // AblationCache sweeps the cached fraction of the Hash-PBN table on
 // Write-M, connecting DRAM spend to hit rate to engine throughput.
 func AblationCache(sc Scale) ([]AblationCacheRow, *metrics.Table, error) {
-	m := newMatrix(sc)
+	return newMatrix(sc).ablationCache()
+}
+
+func (m *matrix) ablationCache() ([]AblationCacheRow, *metrics.Table, error) {
 	var rows []AblationCacheRow
 	tab := metrics.NewTable("Ablation: table-cache size (Write-M)",
 		"cached fraction", "hit rate", "HW-engine model @4 updates")
@@ -130,7 +136,10 @@ type AblationWidthRow struct {
 // showing where wider issue stops paying (DRAM port saturation) and how
 // the crash rate grows.
 func AblationWidth(sc Scale) ([]AblationWidthRow, *metrics.Table, error) {
-	m := newMatrix(sc)
+	return newMatrix(sc).ablationWidth()
+}
+
+func (m *matrix) ablationWidth() ([]AblationWidthRow, *metrics.Table, error) {
 	r, err := m.run(core.FIDRFull, "Write-M")
 	if err != nil {
 		return nil, nil, err
@@ -163,7 +172,10 @@ type AblationReadOffloadRow struct {
 // moving the data-SSD read queues into the FPGA lifts Read-Mixed's
 // projected throughput, which §7.5 identifies as the remaining ceiling.
 func AblationReadOffload(sc Scale) ([]AblationReadOffloadRow, *metrics.Table, error) {
-	m := newMatrix(sc)
+	return newMatrix(sc).ablationReadOffload()
+}
+
+func (m *matrix) ablationReadOffload() ([]AblationReadOffloadRow, *metrics.Table, error) {
 	sock := hostmodel.PaperSocket()
 	var rows []AblationReadOffloadRow
 	tab := metrics.NewTable("Ablation: NVMe read-path offload (Read-Mixed, §7.5 future work)",
@@ -198,7 +210,10 @@ type AblationReadCacheRow struct {
 // reads) with the hot-block cache off and on, measuring how much data-SSD
 // read traffic the cache absorbs.
 func AblationReadCache(sc Scale) ([]AblationReadCacheRow, *metrics.Table, error) {
-	m := newMatrix(sc)
+	return newMatrix(sc).ablationReadCache()
+}
+
+func (m *matrix) ablationReadCache() ([]AblationReadCacheRow, *metrics.Table, error) {
 	var rows []AblationReadCacheRow
 	tab := metrics.NewTable("Ablation: hot-block read cache (Read-Skewed, §8 discussion)",
 		"read cache (chunks)", "reads reaching SSDs", "host CPU ns/B")

@@ -91,18 +91,20 @@ type Fig16Result struct {
 
 // Fig16 reproduces Figure 16: cost breakdown at 75 GB/s and 500 TB
 // effective capacity.
-func Fig16(sc Scale) (Fig16Result, *metrics.Table, error) {
-	fidrW, baseW, err := newMatrix(sc).costWorkloads()
+func Fig16(sc Scale) (Fig16Result, *metrics.Table, error) { return newMatrix(sc).fig16() }
+
+func (m *matrix) fig16() (Fig16Result, *metrics.Table, error) {
+	fidrW, baseW, err := m.costWorkloads()
 	if err != nil {
 		return Fig16Result{}, nil, err
 	}
-	m := cost.NewModel()
+	model := cost.NewModel()
 	const capacity = 500e12
 	const bps = 75e9
 	res := Fig16Result{
-		FIDR:        m.FIDR(capacity, bps, fidrW),
-		Baseline:    m.Baseline(capacity, bps, baseW),
-		NoReduction: m.NoReduction(capacity).Total(),
+		FIDR:        model.FIDR(capacity, bps, fidrW),
+		Baseline:    model.Baseline(capacity, bps, baseW),
+		NoReduction: model.NoReduction(capacity).Total(),
 	}
 	tab := metrics.NewTable("Figure 16: cost breakdown at 75 GB/s, 500 TB effective",
 		"component", "FIDR ($K)", "baseline ($K)")

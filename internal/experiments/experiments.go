@@ -3,9 +3,9 @@
 // functional servers (internal/core) on synthesized workloads
 // (internal/trace), feeds the measured ledgers through the projection
 // models, and returns both structured results and a rendered table whose
-// rows mirror the paper's artifact. cmd/fidrbench prints them;
-// bench_test.go wraps them as benchmarks; EXPERIMENTS.md records
-// paper-vs-measured.
+// rows mirror the paper's artifact. Render renders any list of them from
+// one run matrix, which is how cmd/fidrbench prints them; bench_test.go
+// wraps them as benchmarks; EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
@@ -158,9 +158,9 @@ func withConfig(edit func(*core.Config)) func(*runOptions) {
 // result. The key is the validated config plus the trace parameters —
 // values, never names — so a lane count or an ablation knob is a run of
 // its own, and Fig 11, 12 and 14 and Table 3, which run the same servers
-// over the Table 3 workloads, share them when Scorecard calls them on one
-// matrix. It also keeps the crash rates the Cache HW-Engine model measures
-// per update width.
+// over the Table 3 workloads, share them when Render or Scorecard renders
+// them from one matrix. It also keeps the crash rates the Cache HW-Engine
+// model measures per update width.
 type matrix struct {
 	sc     Scale
 	runs   map[runKey]RunResult

@@ -25,11 +25,12 @@ type LifetimeRow struct {
 }
 
 // Lifetime reads flash-write accounting off FIDR's write-workload runs.
-func Lifetime(sc Scale) ([]LifetimeRow, *metrics.Table, error) {
+func Lifetime(sc Scale) ([]LifetimeRow, *metrics.Table, error) { return newMatrix(sc).lifetime() }
+
+func (m *matrix) lifetime() ([]LifetimeRow, *metrics.Table, error) {
 	var rows []LifetimeRow
 	tab := metrics.NewTable("SSD lifetime: flash bytes written per client byte (FIDR)",
 		"workload", "data-SSD WAF", "table-SSD WAF", "data-SSD lifetime multiplier")
-	m := newMatrix(sc)
 	for _, name := range []string{"Write-H", "Write-M", "Write-L"} {
 		r, err := m.run(core.FIDRFull, name)
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"fidr/internal/core"
@@ -18,6 +19,64 @@ func TestScorecardRunsEachKeyOnce(t *testing.T) {
 	}
 	if m.played != 15 || len(m.runs) != 15 {
 		t.Fatalf("scorecard played %d runs over %d keys, want 15 and 15", m.played, len(m.runs))
+	}
+}
+
+// renderAll renders names on m and returns each artifact's table.
+func renderAll(t *testing.T, m *matrix, names []string) map[string]string {
+	t.Helper()
+	out := make(map[string]string, len(names))
+	err := m.render(names, func(name, table string, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = table
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRenderAllRunsEachKeyOnce: rendering every artifact from one matrix,
+// as fidrbench all does, plays each distinct (config, workload) once. The
+// scorecard's 15 keys, the batch (16, 256), cache (1%, 10%, 30%) and
+// read-offload ablations' own FIDR-Full configs (6), and the read-cache
+// ablation's two Read-Skewed runs: 23, where rendering each artifact on
+// its own matrix plays 82.
+func TestRenderAllRunsEachKeyOnce(t *testing.T) {
+	m := newMatrix(Scale{IOs: 500}) // the keys do not depend on the scale
+	renderAll(t, m, Names())
+	if m.played != 23 || len(m.runs) != 23 {
+		t.Fatalf("all artifacts played %d runs over %d keys, want 23 and 23", m.played, len(m.runs))
+	}
+}
+
+// TestRenderOrderFree: an artifact's table does not depend on what the
+// shared matrix played before it, so rendering the list reversed gives the
+// same tables. selfperf, which times this host, is left out.
+func TestRenderOrderFree(t *testing.T) {
+	names := slices.DeleteFunc(Names(), func(n string) bool { return n == "selfperf" })
+	sc := Scale{IOs: 1000}
+	fwd := renderAll(t, newMatrix(sc), names)
+	slices.Reverse(names)
+	rev := renderAll(t, newMatrix(sc), names)
+	for _, name := range names {
+		if fwd[name] != rev[name] {
+			t.Errorf("%s differs with the list reversed:\n%s\n--- forward ---\n%s", name, rev[name], fwd[name])
+		}
+	}
+}
+
+// TestRenderRefusesUnknown: an unknown name fails the call before any
+// artifact renders or any run plays.
+func TestRenderRefusesUnknown(t *testing.T) {
+	m := newMatrix(Scale{IOs: 500})
+	err := m.render([]string{"table3", "bogus"}, func(name, _ string, _ error) {
+		t.Errorf("%s rendered", name)
+	})
+	if err == nil || m.played != 0 {
+		t.Fatalf("err %v after %d runs, want an error and none", err, m.played)
 	}
 }
 

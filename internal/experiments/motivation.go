@@ -127,8 +127,10 @@ func (m *matrix) fig4() ([]ProfileResult, *metrics.Table, error) {
 
 // Fig5 reproduces Figure 5: baseline CPU demand at 75 GB/s (a) and the
 // management-overhead breakdown (b).
-func Fig5(sc Scale) ([]ProfileResult, *metrics.Table, error) {
-	profiles, err := newMatrix(sc).profiles()
+func Fig5(sc Scale) ([]ProfileResult, *metrics.Table, error) { return newMatrix(sc).fig5() }
+
+func (m *matrix) fig5() ([]ProfileResult, *metrics.Table, error) {
+	profiles, err := m.profiles()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,8 +145,10 @@ func Fig5(sc Scale) ([]ProfileResult, *metrics.Table, error) {
 
 // Table1 reproduces Table 1: memory-bandwidth breakdown by datapath with
 // memory-capacity classes.
-func Table1(sc Scale) ([]ProfileResult, *metrics.Table, error) {
-	profiles, err := newMatrix(sc).profiles()
+func Table1(sc Scale) ([]ProfileResult, *metrics.Table, error) { return newMatrix(sc).table1() }
+
+func (m *matrix) table1() ([]ProfileResult, *metrics.Table, error) {
+	profiles, err := m.profiles()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,8 +180,10 @@ func Table1(sc Scale) ([]ProfileResult, *metrics.Table, error) {
 
 // Table2 reproduces Table 2: CPU and memory-capacity split of table-cache
 // management components with their "best place to run".
-func Table2(sc Scale) (*metrics.Table, error) {
-	profiles, err := newMatrix(sc).profiles()
+func Table2(sc Scale) (*metrics.Table, error) { return newMatrix(sc).table2() }
+
+func (m *matrix) table2() (*metrics.Table, error) {
+	profiles, err := m.profiles()
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,10 @@ type Table5Row struct {
 
 // Table5 reproduces Table 5: three Cache HW-Engine builds with their
 // resources and estimated Write-M throughput.
-func Table5(sc Scale) ([]Table5Row, *metrics.Table, error) {
+func Table5(sc Scale) ([]Table5Row, *metrics.Table, error) { return newMatrix(sc).table5() }
+
+func (m *matrix) table5() ([]Table5Row, *metrics.Table, error) {
 	// Measure Write-M's workload point functionally.
-	m := newMatrix(sc)
 	r, err := m.run(core.FIDRFull, "Write-M")
 	if err != nil {
 		return nil, nil, err
