@@ -49,13 +49,14 @@ check-metrics:
 # across four pipeline stages, once with fixed 4-KB chunks and once with
 # CDC stream segments; seeds are fixed inside the test), the
 # checkpoint-vs-concurrent-writes regression, the group-local WAL
-# recovery test, and the WAL unit + fault matrix in internal/core.
+# recovery test, the WAL unit + fault matrix in internal/core, and the
+# crash that must drop a container write no pool helper has claimed.
 # CRASH_COUNT repeats the whole sweep.
 CRASH_COUNT ?= 1
 check-crash:
 	$(GO) test -race -count $(CRASH_COUNT) \
 		-run 'TestCrashRecoveryRandomized|TestCheckpointRacingWrites|TestGroupLocalWALRecovery' .
-	$(GO) test -race -count $(CRASH_COUNT) -run 'TestWAL|TestRecoverServerTypedErrors' ./internal/core
+	$(GO) test -race -count $(CRASH_COUNT) -run 'TestWAL|TestRecoverServerTypedErrors|TestCrashHaltsContainerWrites' ./internal/core
 
 # check-trace boots a 2-group fidrd with group-local WALs, drives
 # traced writes through the real CLI, and asserts the returned trace ID

@@ -131,8 +131,8 @@ func checkBatchAllocs(t *testing.T, hashLanes, compressLanes, unique int, reads 
 // allocs per 64-chunk batch through Server.Write — all-unique,
 // unique-heavy (37 of 64 chunks new, write-l's mix) and all-duplicate —
 // at one lane (everything inline) and two (a resident pool helper hashes
-// as chunks arrive and claims compress items, and each commit runs under
-// the next batch's hash). The read-interleaved row writes the duplicate
+// as chunks arrive and writes the sealed containers, and each commit runs
+// under the next batch's hash). The read-interleaved row writes the duplicate
 // batch with a read of the LBA the next write overwrites after every
 // write: the held batch answers it, and each commit still runs under the
 // next batch's hash, so the row measures the tip with reads beside it. The

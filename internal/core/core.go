@@ -218,7 +218,8 @@ type batchScratch struct {
 	dupPBN     []uint64                    // FIDR: chunk i's PBN if it is a duplicate
 	firstClaim map[fingerprint.FP]struct{} // FIDR: fingerprints claimed unique in this batch
 	fpToPBN    map[fingerprint.FP]uint64   // FIDR: PBN each admitted unique got
-	datas      [][]byte                    // both architectures: CompressMany's input
+	datas      [][]byte                    // baseline: CompressMany's input
+	metas      []engine.ChunkMeta          // FIDR: the packed uniques' metadata, in batch order
 	hashed     []pending                   // baseline: the batch the hash array works on
 }
 
@@ -349,9 +350,11 @@ type Server struct {
 	pred *predictor.Predictor
 	// pool runs every accelerator array of the server: the NIC's hash
 	// jobs and the engine's compress job, or the baseline's hashes — its
-	// FPGA hash array, over bs.hashed.
+	// FPGA hash array, over bs.hashed — and the data SSD's container
+	// writes (sw).
 	pool   *lanes.Pool
 	hashes *lanes.Job
+	sw     sealedWrites
 
 	comp   *engine.Compression
 	decomp *engine.Decompression
@@ -501,6 +504,7 @@ func New(cfg Config) (*Server, error) {
 		wal:      cfg.WAL,
 		pool:     pool,
 	}
+	s.sw.job = lanes.NewJob(lanes.Waited, s.writePosted)
 	if s.chunker, err = cfg.Chunking.NewChunker(); err != nil {
 		return nil, err
 	}

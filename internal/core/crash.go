@@ -13,7 +13,8 @@ import (
 // bomb; when the armed stage's N-th hit fires, the server returns
 // ErrCrashInjected and permanently refuses further work, exactly like a
 // dead process: nothing (not even a front-end's shutdown Flush) can
-// mutate state after the crash point.
+// mutate state after the crash point, not even a container write on a
+// pool helper (haltWrites): a recovered server may be using the devices.
 
 // CrashStage names a pipeline point where injection can fire.
 type CrashStage int
@@ -25,12 +26,15 @@ const (
 	// hash (tipFIDRBatch), so the crash comes after that commit; the hit
 	// count is still one per tipped batch.
 	CrashPostHash CrashStage = iota
-	// CrashPrePack fires after compression, before packing/table
-	// updates: the most work lost without any mutation applied.
+	// CrashPrePack fires after compression, before table updates: the
+	// most work lost without any table mutation applied. On FIDR the
+	// next batch's fill has packed the chunks; none is recorded yet.
 	CrashPrePack
 	// CrashMidContainerFlush fires between a sealed container's data-SSD
 	// write and the WAL commit that makes its metadata durable — the
-	// window that leaves an orphaned container on the data SSD.
+	// window that leaves an orphaned container on the data SSD. It fires
+	// once per container where the write is reaped (reapSealed), so the
+	// containers posted with it may be on the SSD too.
 	CrashMidContainerFlush
 	// CrashMidCheckpoint fires inside Checkpoint: on the first hit
 	// before the checkpoint image is written (stale checkpoint + full
@@ -88,6 +92,7 @@ func (s *Server) Crashed() bool { return s.crash.crashed.Load() }
 // crashPoint fires the armed crash if this is its chosen occurrence.
 func (s *Server) crashPoint(stage CrashStage) error {
 	if s.crash.crashed.Load() {
+		s.haltWrites()
 		return fmt.Errorf("core: server is down at %s: %w", stage, ErrCrashInjected)
 	}
 	if !s.crash.armed || s.crash.stage != stage {
@@ -98,13 +103,19 @@ func (s *Server) crashPoint(stage CrashStage) error {
 		return nil
 	}
 	s.crash.crashed.Store(true)
+	s.haltWrites()
 	return fmt.Errorf("core: crash at %s: %w", stage, ErrCrashInjected)
 }
 
 // failIfCrashed guards entry points: a crashed server is a dead process.
 func (s *Server) failIfCrashed() error {
 	if s.crash.crashed.Load() {
+		s.haltWrites()
 		return fmt.Errorf("core: server is down: %w", ErrCrashInjected)
 	}
 	return nil
 }
+
+// haltWrites waits out a helper's container write in progress and drops a
+// round no helper has claimed. Every ErrCrashInjected path runs it first.
+func (s *Server) haltWrites() { s.sw.job.Stop() }

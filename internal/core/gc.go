@@ -107,7 +107,7 @@ func (s *Server) Compact(minDeadFraction float64) (CompactResult, error) {
 		return res, passErr
 	}
 	// Containers sealed during compaction go to the SSDs as usual.
-	if err := s.writeSealed(tr); err != nil {
+	if err := s.writeSealed(tr, true); err != nil {
 		return res, err
 	}
 	s.emitEvent(events.Event{

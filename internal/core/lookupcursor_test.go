@@ -34,12 +34,13 @@ func cursorServer(t *testing.T, chunking chunk.Config, lanes int) *Server {
 // way. (A CDC segment that carries a fill past BatchChunks makes a longer
 // held batch, and the fill after it leaves its commit the lookups it did
 // not reach.) Seeds repeat, so batches hold duplicates of earlier batches
-// and of their own chunks.
+// and of their own chunks, unless unique is set.
 type cursorWriter struct {
 	s       *Server
 	sh      *blockcomp.Shaper
 	n, addr uint64
 	written uint64 // chunks buffered so far
+	unique  bool
 }
 
 // write issues the next write and returns how many chunks it buffered.
@@ -49,7 +50,11 @@ func (w *cursorWriter) write(t *testing.T) uint64 {
 	if w.s.cfg.Chunking.Unit() == 1 {
 		size = 600 + int(w.n%5)*80
 	}
-	if err := w.s.Write(w.addr, w.sh.Make(w.n%13, size)); err != nil {
+	seed := w.n % 13
+	if w.unique {
+		seed = w.n
+	}
+	if err := w.s.Write(w.addr, w.sh.Make(seed, size)); err != nil {
 		t.Fatal(err)
 	}
 	w.n++
@@ -255,6 +260,108 @@ func TestBatchTraceKeepsFillLookups(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("batch trace without a %s stage: %+v", StageDedupLookup, q.Stages)
+		}
+	}
+	if batches != 2 {
+		t.Fatalf("%d batch traces, want the 2 committed batches", batches)
+	}
+}
+
+// flagged counts the held batch's looked-up first-claim uniques.
+func flagged(s *Server) uint64 {
+	var n uint64
+	if s.fnic.Held() {
+		for _, f := range s.bs.flags[:s.held.looked] {
+			if f {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestHeldPacksRunDuringFill pins where step 8's compress and pack run, by
+// counts, no clock: every chunk the engine has compressed is a looked-up
+// first-claim unique, of a committed batch or of the held one, so once a
+// batch is held each write raises EngineStats().ChunksIn by exactly the
+// uniques its own lookups flagged — the tipping write's commit, on a full
+// fill, compresses nothing of its own — and the pack cursor never trails
+// the lookup cursor after a write. Flush mid-fill compresses the rest.
+// Fixed and CDC chunking, at 1, 2 and 4 lanes.
+func TestHeldPacksRunDuringFill(t *testing.T) {
+	const batch, batches, partial = 8, 6, 3
+	for _, mode := range testModes {
+		for _, lanes := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/lanes%d", mode.name, lanes), func(t *testing.T) {
+				w := &cursorWriter{s: cursorServer(t, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5)}
+				s := w.s
+				tips := 0
+				for w.written < batches*batch {
+					held := s.fnic.Held()
+					c0, u0, f0 := s.EngineStats().ChunksIn, s.Stats().UniqueChunks, flagged(s)
+					w.write(t)
+					c1, u1, f1 := s.EngineStats().ChunksIn, s.Stats().UniqueChunks, flagged(s)
+					// What the write's lookups flagged: in the batch it
+					// committed, if it tipped, from the cursor on; and in
+					// the batch held now.
+					if c1-c0 != u1-u0-f0+f1 {
+						t.Fatalf("write %d compressed %d chunks; its lookups flagged %d", w.n, c1-c0, u1-u0-f0+f1)
+					}
+					if s.held.packed != s.held.looked {
+						t.Fatalf("write %d left the pack cursor at %d, the lookup cursor at %d", w.n, s.held.packed, s.held.looked)
+					}
+					if held && u1 != u0 {
+						tips++
+					}
+				}
+				if tips == 0 {
+					t.Fatal("no tipping write committed a unique chunk; the test exercised nothing")
+				}
+				for i := 0; i < partial; i++ {
+					w.write(t)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := s.EngineStats().ChunksIn, s.Stats().UniqueChunks; got != want {
+					t.Fatalf("after Flush: %d chunks compressed, %d unique chunks committed", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestBatchTraceKeepsFillPacks: a batch whose uniques were compressed and
+// packed while the next batch filled still reports that work in its batch
+// trace, as the compress stage, starting before the commit that opened the
+// trace. No duration is asserted.
+func TestBatchTraceKeepsFillPacks(t *testing.T) {
+	s := overlapServer(t)
+	s.EnableObservability(nil)
+	col := span.NewCollector(64, 0, 0)
+	s.SetSpanCollector(col, 0)
+	sh := blockcomp.NewShaper(0.5)
+	const batch = 8
+	for i := uint64(0); i < 3*batch; i++ {
+		if err := s.Write(i, sh.Make(i, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2*batch-2 && s.EngineStats().ChunksIn != batch-1 {
+			t.Fatalf("%d chunks compressed before the tip, want %d: the fill did not pack them", s.EngineStats().ChunksIn, batch-1)
+		}
+	}
+	batches := 0
+	for _, q := range col.Recent() {
+		if q.Op() != "batch" {
+			continue
+		}
+		batches++
+		found := false
+		for _, st := range q.Stages {
+			found = found || st.Name == StageCompress.String() && st.Start.Before(q.Root.Start)
+		}
+		if !found {
+			t.Errorf("batch trace without a %s stage from the fill: %+v", StageCompress, q.Stages)
 		}
 	}
 	if batches != 2 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -251,18 +252,27 @@ func (s *Server) resolve(lba uint64) (lbatable.PBA, error) {
 	return pba, err
 }
 
-// fetchCompressed returns the chunk's compressed bytes, either from the
-// engine's open container (not yet on an SSD) or from the data SSD. The
-// result is a view, of that container or of the server's compressed-read
-// scratch, which every caller decompresses or packs (both copy) at once;
-// it is dead at the next fetchCompressed or Pack.
+// fetchCompressed returns the chunk's compressed bytes, either from engine
+// memory (not yet on an SSD) or from the data SSD — after reaping its
+// container's write if it is in flight (a failed one's error is left for
+// the write path). The result is a view, of that container or of the
+// server's compressed-read scratch, which every caller decompresses or
+// packs (both copy) at once; it is dead at the next fetchCompressed or
+// Pack.
 func (s *Server) fetchCompressed(pba lbatable.PBA, tr *ReqTrace) (data []byte, fromSSD bool, err error) {
+	from := tr.start()
+	if s.sw.inFlight(pba.Container) {
+		if err := s.reapSealed(); errors.Is(err, ErrCrashInjected) {
+			return nil, false, err
+		} else if err != nil {
+			s.sw.err = err
+		}
+	}
 	if data, ok := s.comp.ReadPending(pba.Container, pba.Offset, pba.CSize); ok {
 		s.ctr.pendingReads.Inc()
 		return data, false, nil
 	}
 	off := pba.ByteOffset(s.cfg.ContainerSize)
-	from := tr.start()
 	s.cread = slices.Grow(s.cread[:0], int(pba.CSize))
 	data = s.cread[:pba.CSize]
 	if err := s.dataSSD.ReadInto(data, off); err != nil {

@@ -30,11 +30,14 @@ import (
 // container C is only eligible for flushing once C has been sealed and
 // written to the data SSD. Records are staged in memory in mutation
 // order and committed as the longest FIFO prefix whose container
-// barriers are satisfied, one fsync per batch. Client writes buffered in
-// the open container are acked from the NIC's battery-backed memory
-// (§5.3 step 1), so a crash loses no acknowledged data in the modeled
-// system; the recovered state is the prefix up to the last sealed
-// container.
+// barriers are satisfied, one fsync per batch. A container's write is
+// posted at the commit that seals it and reaped at the next one, so a
+// record whose container was still in flight at its batch's commit waits
+// one more commit. The recovered state is that durable prefix: every
+// write whose records it holds, none after. The paper acks a write from
+// the NIC's battery-backed memory (§5.3 step 1) and loses none of it in a
+// crash; this program keeps no NIC memory, open container or staged
+// record across one, so acknowledged writes past the prefix are lost.
 //
 // Record frame (little-endian):
 //

@@ -9,6 +9,7 @@ import (
 	"fidr/internal/engine"
 	"fidr/internal/fingerprint"
 	"fidr/internal/hostmodel"
+	"fidr/internal/lanes"
 	"fidr/internal/nic"
 	"fidr/internal/pcie"
 )
@@ -94,8 +95,8 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 }
 
 // Flush processes any partial batch and pushes sealed containers to the
-// data SSDs. Call at end of workload (and before relying on SSD-resident
-// state).
+// data SSDs, returning with no container write in flight. Call at end of
+// workload (and before relying on SSD-resident state).
 func (s *Server) Flush() error {
 	if err := s.failIfCrashed(); err != nil {
 		return err
@@ -113,7 +114,7 @@ func (s *Server) Flush() error {
 	s.comp.Flush()
 	tr := s.obs.begin("flush", 0)
 	defer tr.done()
-	return s.writeSealed(tr)
+	return s.writeSealed(tr, true)
 }
 
 // --- Baseline (extended CIDR, §2.3) ---
@@ -240,25 +241,32 @@ func (s *Server) processBaselineBatch() error {
 			s.tl.dup(uint64(len(p.data)))
 			continue
 		}
-		if p.cdata == nil {
-			// Misprediction: a unique chunk was predicted duplicate
-			// and skipped compression; it takes another round trip
-			// through the FPGA array.
-			s.ctr.mispredictions.Inc()
-			s.transfer(pcie.HostMemory, devFPGA, uint64(len(p.data)))
-			s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(len(p.data)))
-			t0 := bt.start()
-			cdata, _, err := s.comp.Compress(p.data)
+		if p.cdata != nil {
+			meta, err := s.comp.Pack(p.lba, p.fp, p.cdata, len(p.data))
+			if err == nil {
+				_, err = s.recordUnique(meta)
+			}
 			if err != nil {
 				return err
 			}
-			compDur += bt.since(t0)
-			p.cdata = cdata
-			s.transfer(devFPGA, pcie.HostMemory, uint64(len(cdata)))
-			s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(len(cdata)))
-			s.ledger.Count(hostmodel.EvDMAChunk, 1)
+			continue
 		}
-		if err := s.admitUnique(p.lba, p.fp, p.cdata, len(p.data)); err != nil {
+		// Misprediction: a unique chunk was predicted duplicate and
+		// skipped compression; it takes another round trip through the
+		// FPGA array, which compresses it and the host packs it.
+		s.ctr.mispredictions.Inc()
+		s.transfer(pcie.HostMemory, devFPGA, uint64(len(p.data)))
+		s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(len(p.data)))
+		t0 := bt.start()
+		meta, err := s.comp.CompressPack(p.lba, p.fp, p.data)
+		if err != nil {
+			return err
+		}
+		compDur += bt.since(t0)
+		s.transfer(devFPGA, pcie.HostMemory, uint64(meta.CSize))
+		s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(meta.CSize))
+		s.ledger.Count(hostmodel.EvDMAChunk, 1)
+		if _, err := s.recordUnique(meta); err != nil {
 			return err
 		}
 	}
@@ -271,7 +279,7 @@ func (s *Server) processBaselineBatch() error {
 	}
 	s.batch, s.staged = batch[:0], false
 	s.ctr.batches.Inc()
-	return s.writeSealed(bt)
+	return s.writeSealed(bt, false)
 }
 
 // hashPending is the baseline hash array's item function: it fingerprints
@@ -289,9 +297,9 @@ func (s *Server) hashPending(i int) {
 // one. The chunk supersedes whatever the §8 read cache holds at its
 // address — a segment's interior extents included, not only its first.
 // Once buffered, the chunk pays for the held batch's next table lookup
-// (steps 4-5), so a full fill has run all of them by its tip; a lookup
-// that fails fails no write, it stops the cursor and the next tip returns
-// it.
+// (steps 4-5) and, if that flags a unique, its compress and pack (step 8),
+// so a full fill has run all of them by its tip; one that fails fails no
+// write, it stops the cursors and the next tip returns it.
 func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	s.rcache.invalidate(lba)
 	from := tr.start()
@@ -308,7 +316,9 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 		tr.span(StageNICBuffer, from)
 	}
 	if err == nil && s.held.lookupErr == nil {
-		s.held.lookupErr = s.lookupHeld(1)
+		if s.held.lookupErr = s.lookupHeld(1); s.held.lookupErr == nil {
+			s.held.lookupErr = s.packHeld()
+		}
 	}
 	return err
 }
@@ -317,12 +327,13 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 // tip and its commit: the request that tipped it, under whose trace the
 // commit links whenever it runs; the span the tip waited in the NIC's Join
 // for the fingerprints the pool's helpers had not finished, which the
-// commit's batch trace reports once as its hash stage; and the cursor of
-// its table lookups. looked of its entries have been looked up, in batch
-// order, into bs.flags and bs.dupPBN, taking lookupDur from lookupStart
-// on, which the batch trace reports as its dedup_lookup stage; lookupErr
-// is a lookup that failed during the fill, which the commit returns once
-// before it retries that entry.
+// commit's batch trace reports once as its hash stage; and the cursors of
+// its table lookups and packs. looked of its entries have been looked up,
+// in batch order, into bs.flags and bs.dupPBN, and packed of them packed
+// (packHeld), taking lookupDur from lookupStart on and packDur from
+// packStart on, which the batch trace reports as its dedup_lookup and
+// compress stages; lookupErr is a lookup or pack that failed during the
+// fill, which the commit returns once before it retries that entry.
 type heldBatch struct {
 	tip         *ReqTrace
 	hashStart   time.Time
@@ -330,6 +341,9 @@ type heldBatch struct {
 	looked      int
 	lookupStart time.Time
 	lookupDur   time.Duration
+	packed      int
+	packStart   time.Time
+	packDur     time.Duration
 	lookupErr   error
 }
 
@@ -338,17 +352,17 @@ type heldBatch struct {
 // batch — is a pure function of bytes already in NIC memory: the pool's
 // helpers have fingerprinted most of the batch while it filled, and the
 // rest is hashed beside steps 3-10 of the batch before. The NIC starts the
-// tip, this goroutine commits the held batch — whose table lookups the
+// tip, this goroutine commits the held batch — whose lookups and packs the
 // fill's writes have already run, one per chunk — and only then does the
-// NIC detach the fill into the emptied slot and join its hashes. Nothing of
-// this batch's hashing runs after the call returns. A commit that fails
+// NIC detach the fill into the emptied slot and join its hashes. Nothing
+// of this batch's hashing runs after the call returns. A commit that fails
 // returns before the detach: the failed batch stays held, and the fill
 // stays attached and readable.
 //
-// The new batch's lookup cursor starts at its first entry. Its lookups run
-// as the next fill's writes buffer, and its commit waits for the next tip,
-// reads or not (the NIC answers them from both buffers), unless this is
-// Flush.
+// The new batch's cursors start at its first entry. Its lookups and packs
+// run as the next fill's writes buffer, and its commit waits for the next
+// tip, reads or not (the NIC answers them from both buffers), unless this
+// is Flush.
 func (s *Server) tipFIDRBatch(now bool) error {
 	if s.fnic.Buffered() == 0 {
 		return s.commitHeld()
@@ -358,7 +372,7 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	s.fnic.Tip()
 	if s.fnic.Held() {
 		s.ctr.overlapped.Inc()
-		if err := s.commitBatch(); err != nil {
+		if err := s.commitBatch(false); err != nil {
 			return err
 		}
 	}
@@ -369,6 +383,7 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	bs.flags = append(bs.flags[:0], make([]bool, n)...)
 	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, n)...)
 	clear(bs.firstClaim)
+	bs.metas = bs.metas[:0]
 	hashBytes := n * fingerprint.Size
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)
 	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
@@ -383,32 +398,34 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	return nil
 }
 
-// commitHeld commits the batch the NIC holds, if any. Flush and the
-// maintenance verbs, which look at the server past the NIC, call it first,
-// so they observe the state they would have observed had every batch been
-// committed by the write that tipped it; a read needs none of it, since
-// the NIC answers the held chunks itself. This is also what keeps the
-// held batch's early lookups exact: nothing else touches the table cache
-// between its hold and its commit. The read-outs that return no
+// commitHeld commits the batch the NIC holds, if any, and returns with no
+// container write in flight. Flush and the maintenance verbs, which look
+// at the server past the NIC, call it first, so they observe the state
+// they would have observed had every batch been committed by the write
+// that tipped it; a read needs none of it, since the NIC answers the held
+// chunks itself. This is also what keeps the held batch's early lookups
+// and packs exact: nothing else touches the table cache or the open
+// container between its hold and its commit. The read-outs that return no
 // error (Garbage, CapacityReport, ContainerHeatmap) drop its error: the
 // failed batch stays held, the read-out describes the state before it, and
 // the next tip, Flush or maintenance verb returns the error.
 func (s *Server) commitHeld() error {
-	if s.fnic == nil || !s.fnic.Held() {
-		return nil
-	}
 	if err := s.failIfCrashed(); err != nil {
 		return err
 	}
-	return s.commitBatch()
+	if s.fnic == nil || !s.fnic.Held() {
+		return s.reapSealed()
+	}
+	return s.commitBatch(true)
 }
 
 // commitBatch runs §5.3 steps 3-10 over the held batch, of whose steps 4-5
-// it runs only the lookups the fill left (normally none). Until
+// and 8 it runs only the lookups and packs the fill left (normally none),
+// then publishes it and hands writeSealed the sealed containers. Until
 // ScheduleBatch consumes it (step 7) a failure leaves it held, and the
-// next tip, Flush or maintenance verb tries again, from the lookup that
+// next tip, Flush or maintenance verb tries again, from the entry that
 // failed.
-func (s *Server) commitBatch() error {
+func (s *Server) commitBatch(wait bool) error {
 	entries := s.fnic.Head()
 	h := &s.held
 	bt := s.obs.beginLinked("batch", 0, h.tip)
@@ -426,7 +443,7 @@ func (s *Server) commitBatch() error {
 		s.transfer(devCacheHW, pcie.HostMemory, uint64(len(entries))*8)
 	}
 
-	// Steps 4-5: the lookups the fill left.
+	// Steps 4-5 and step 8's compress and pack: what the fill left.
 	if err := h.lookupErr; err != nil {
 		h.lookupErr = nil
 		return err
@@ -435,6 +452,9 @@ func (s *Server) commitBatch() error {
 		return err
 	}
 	bt.at(StageDedupLookup, h.lookupStart, h.lookupDur)
+	if err := s.packHeld(); err != nil {
+		return err
+	}
 	bs := &s.bs
 	flags, dupPBN, fpToPBN := bs.flags, bs.dupPBN, bs.fpToPBN
 	clear(fpToPBN)
@@ -457,35 +477,19 @@ func (s *Server) commitBatch() error {
 	}
 	s.transfer(devNIC, devComp, uniqueBytes)
 
-	// Step 8: the engine compresses and packs; only metadata reaches
-	// the host.
-	from := bt.start()
+	// Step 8: the engine packed the unique chunks in batch order while
+	// the next batch filled; only their metadata reaches the host.
+	from := s.obs.now()
 	if len(unique) > 0 {
-		// The compression-pipeline array runs the whole unique batch
-		// across the configured lanes; packing and table updates then
-		// commit strictly in batch order, so containers and ledgers are
-		// byte-identical at any lane count.
-		bs.datas = bs.datas[:0]
-		for i := range unique {
-			bs.datas = append(bs.datas, unique[i].Data)
-		}
-		rs, err := s.comp.CompressMany(bs.datas)
-		if err != nil {
-			return err
-		}
 		if err := s.crashPoint(CrashPrePack); err != nil {
 			return err
 		}
-		for ui, u := range unique {
-			meta, err := s.comp.Pack(u.LBA, u.FP, rs[ui].Data, len(u.Data))
-			if err != nil {
-				return err
-			}
+		for _, meta := range bs.metas {
 			pbn, err := s.recordUnique(meta)
 			if err != nil {
 				return err
 			}
-			fpToPBN[u.FP] = pbn
+			fpToPBN[meta.FP] = pbn
 		}
 		// Pack copied every chunk into a container; the NIC buffer
 		// memory handed over by ScheduleBatch is recycled here.
@@ -493,7 +497,8 @@ func (s *Server) commitBatch() error {
 			bufpool.Put(unique[i].Data)
 		}
 	}
-	bt.span(StageCompress, from)
+	h.packDur += s.obs.since(from)
+	bt.at(StageCompress, h.packStart, h.packDur)
 	metaBytes := uint64(len(unique)) * 16
 	s.transfer(devComp, pcie.HostMemory, metaBytes)
 	s.ledger.Mem(hostmodel.PathHostFPGA, metaBytes)
@@ -533,7 +538,7 @@ func (s *Server) commitBatch() error {
 	}
 
 	// Steps 9-10: sealed containers go engine -> data SSD peer-to-peer.
-	return s.writeSealed(bt)
+	return s.writeSealed(bt, wait)
 }
 
 // lookupHeld runs up to n of the held batch's remaining table lookups,
@@ -578,6 +583,32 @@ func (s *Server) lookupHeld(n int) error {
 	return err
 }
 
+// packHeld runs step 8 for the held batch up to its lookup cursor: each
+// first-claim unique is compressed from NIC memory and packed into the
+// open container on the caller, in batch order, its metadata kept in
+// bs.metas for the commit. One that fails stays unpacked, for a retry.
+func (s *Server) packHeld() error {
+	h, bs := &s.held, &s.bs
+	entries := s.fnic.Head()
+	for ; h.packed < h.looked; h.packed++ {
+		i := h.packed
+		if !bs.flags[i] {
+			continue
+		}
+		from := s.obs.now()
+		if h.packStart.IsZero() {
+			h.packStart = from
+		}
+		meta, err := s.comp.CompressPack(entries[i].LBA, entries[i].FP, s.fnic.HeldData(i))
+		h.packDur += s.obs.since(from)
+		if err != nil {
+			return err
+		}
+		bs.metas = append(bs.metas, meta)
+	}
+	return nil
+}
+
 // provisionalPBN marks a within-batch duplicate whose unique twin has not
 // been admitted yet.
 const provisionalPBN = ^uint64(0)
@@ -604,17 +635,6 @@ func (s *Server) commitTally() {
 	s.tl = tally{}
 }
 
-// admitUnique packs an already-compressed unique chunk (baseline path:
-// compressed data sits in host memory) and records its metadata.
-func (s *Server) admitUnique(lba uint64, fp fingerprint.FP, cdata []byte, rawSize int) error {
-	meta, err := s.comp.Pack(lba, fp, cdata, rawSize)
-	if err != nil {
-		return err
-	}
-	_, err = s.recordUnique(meta)
-	return err
-}
-
 // recordUnique updates the LBA-PBA table and the Hash-PBN cache for a
 // newly packed unique chunk, returning its PBN.
 func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
@@ -638,39 +658,31 @@ func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 	return pbn, nil
 }
 
-// writeSealed pushes sealed containers to the data SSDs. The baseline
-// holds container data in host memory (the SSD DMA-reads it out); FIDR
-// transfers engine -> SSD peer-to-peer under the switch.
-func (s *Server) writeSealed(tr *ReqTrace) error {
+// writeSealed ends every batch, Flush and Compact: it reaps the container
+// writes posted before, posts every container sealed since as one pool
+// job — run by a helper, or by whoever reaps it — and commits the WAL
+// records whose containers are on the data SSD. With wait the caller
+// writes and reaps them itself, leaving no write in flight.
+func (s *Server) writeSealed(tr *ReqTrace, wait bool) error {
 	s.commitTally()
 	defer s.syncCapacityGauges()
-	if _, ok := s.comp.NextSealed(); ok {
+	w := &s.sw
+	if len(w.posted) > 0 || len(s.comp.Sealed()) > 0 {
 		from := tr.start()
-		// A container leaves the engine's queue only once it is on the
-		// SSD: after a failed write it is still there, readable, and goes
-		// first at the next writeSealed.
-		for sc, ok := s.comp.NextSealed(); ok; sc, ok = s.comp.NextSealed() {
-			off := sc.Index * uint64(len(sc.Data))
-			if err := s.dataSSD.Write(off, sc.Data); err != nil {
-				return err
-			}
-			if err := s.crashPoint(CrashMidContainerFlush); err != nil {
-				return err
-			}
-			n := uint64(len(sc.Data))
-			if s.cfg.Arch == Baseline {
-				s.transfer(pcie.HostMemory, devDataSSD, n)
-				s.ledger.MemPayload(hostmodel.PathHostSSD, n)
+		err := s.reapSealed()
+		if err == nil && len(s.comp.Sealed()) > 0 {
+			w.posted = append(w.posted, s.comp.Sealed()...)
+			if wait {
+				s.writePosted(0)
+				err = s.reapSealed()
 			} else {
-				s.transfer(devComp, devDataSSD, n)
+				s.pool.Post(w.job, 1, s.comp.CompressLanes(), 1)
 			}
-			// Data-SSD queues live in host memory in both architectures;
-			// container writes are sequential and batched, so the stack
-			// cost is per container, not per chunk.
-			s.ledger.Count(hostmodel.EvDataSSDIO, 1)
-			s.comp.PopSealed()
 		}
 		tr.span(StageSSDIO, from)
+		if err != nil {
+			return err
+		}
 	}
 	// WAL fsync batching: one commit per batch, after the containers the
 	// staged records reference are on the data SSD.
@@ -681,6 +693,67 @@ func (s *Server) writeSealed(tr *ReqTrace) error {
 	err := s.walCommit()
 	tr.span(StageWALFsync, from)
 	return err
+}
+
+// sealedWrites is the round writeSealed last posted: the containers, oldest
+// first, that job's one item writes in order (writePosted); how many it
+// wrote; and the write error that stopped it, or one a read's reap left.
+type sealedWrites struct {
+	job     *lanes.Job
+	posted  []engine.SealedContainer
+	written int
+	err     error
+}
+
+// writePosted is the container-write job's item function, on whichever
+// goroutine claimed it; it touches only the data SSD and sw.
+func (s *Server) writePosted(int) {
+	w := &s.sw
+	for _, sc := range w.posted[w.written:] {
+		if err := s.dataSSD.Write(sc.Index*uint64(len(sc.Data)), sc.Data); err != nil {
+			w.err = err
+			return
+		}
+		w.written++
+	}
+}
+
+// reapSealed joins the posted round (running it if no helper claimed it)
+// and retires the written containers in order: ledgers, PopSealed, then
+// the crash point. The baseline's container data crosses host memory;
+// FIDR's goes engine -> SSD peer-to-peer. A failed write's container stays
+// queued, readable, first at the next writeSealed; its error returns once.
+func (s *Server) reapSealed() error {
+	w := &s.sw
+	if len(w.posted) > 0 {
+		w.job.Join()
+		for _, sc := range w.posted[:w.written] {
+			n := uint64(len(sc.Data))
+			if s.cfg.Arch == Baseline {
+				s.transfer(pcie.HostMemory, devDataSSD, n)
+				s.ledger.MemPayload(hostmodel.PathHostSSD, n)
+			} else {
+				s.transfer(devComp, devDataSSD, n)
+			}
+			// Data-SSD queues live in host memory in both architectures;
+			// the stack cost is per container, not per chunk.
+			s.ledger.Count(hostmodel.EvDataSSDIO, 1)
+			s.comp.PopSealed()
+			if err := s.crashPoint(CrashMidContainerFlush); err != nil {
+				w.posted, w.written = w.posted[:0], 0
+				return err
+			}
+		}
+		w.posted, w.written = w.posted[:0], 0
+	}
+	err := w.err
+	w.err = nil
+	return err
+}
+
+// inFlight reports whether container c is posted and not yet reaped.
+func (w *sealedWrites) inFlight(c uint64) bool {
+	return len(w.posted) > 0 && c >= w.posted[0].Index && c <= w.posted[len(w.posted)-1].Index
 }
 
 // --- WAL glue (no-ops when no WAL is attached) ---

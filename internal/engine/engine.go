@@ -82,6 +82,8 @@ type Compression struct {
 	scratch [][]byte
 	results []Compressed
 	errs    []error
+	// one is CompressPack's output buffer, recycled call after call.
+	one []byte
 
 	// Activity counters: read by Stats and, once attached, by "engine.*".
 	chunksIn, bytesIn, bytesCompressed metrics.Counter
@@ -140,33 +142,30 @@ func NewCompressionAt(comp blockcomp.Compressor, containerSize int, firstContain
 	return e, nil
 }
 
-// Compress runs the compression cores over one chunk without packing it.
-// Incompressible chunks fall back to their raw bytes. The baseline needs
-// this split: it compresses *predicted*-unique chunks speculatively but
-// packs only chunks that dedup validates as unique. The returned slice
-// is caller-owned (batched callers should prefer CompressMany, which
-// recycles output buffers).
-func (e *Compression) Compress(data []byte) (cdata []byte, raw bool, err error) {
+// CompressPack compresses one chunk on the caller into a recycled buffer
+// and packs it (raw if incompressible), returning its metadata; stats
+// count as on CompressMany.
+func (e *Compression) CompressPack(lba uint64, fp fingerprint.FP, data []byte) (ChunkMeta, error) {
 	if len(data) == 0 {
-		return nil, false, fmt.Errorf("engine: empty chunk")
+		return ChunkMeta{}, fmt.Errorf("engine: pack LBA %d: empty chunk", lba)
 	}
 	start := time.Now()
-	cdata, err = e.comp.Compress(data)
+	cdata, err := blockcomp.CompressAppend(e.comp, e.one[:0], data)
 	elapsed := uint64(time.Since(start))
 	e.busyNS.Add(elapsed)
 	e.laneBusyNS.Add(elapsed)
 	if err != nil {
-		return nil, false, fmt.Errorf("engine: compress: %w", err)
+		return ChunkMeta{}, fmt.Errorf("engine: compress: %w", err)
 	}
+	e.one = cdata
 	e.chunksIn.Inc()
 	e.bytesIn.Add(uint64(len(data)))
 	if len(cdata) >= len(data) {
 		e.rawStored.Inc()
-		e.bytesCompressed.Add(uint64(len(data)))
-		return data, true, nil
+		cdata = data
 	}
 	e.bytesCompressed.Add(uint64(len(cdata)))
-	return cdata, false, nil
+	return e.Pack(lba, fp, cdata, len(data))
 }
 
 // Compressed is one CompressMany result. Raw marks an incompressible
@@ -296,19 +295,13 @@ func (e *Compression) seal() {
 // end-of-workload path).
 func (e *Compression) Flush() { e.seal() }
 
-// NextSealed returns the oldest sealed container without removing it (the
-// data SSDs fetch it straight from engine memory over PCIe P2P). It stays
-// queued, and readable through ReadPending, until PopSealed says the write
-// succeeded — a failed write is simply retried by the next caller.
-func (e *Compression) NextSealed() (SealedContainer, bool) {
-	if len(e.sealed) == 0 {
-		return SealedContainer{}, false
-	}
-	return e.sealed[0], true
-}
+// Sealed returns the sealed containers, oldest first, as a view valid until
+// the next seal or PopSealed. Each stays queued, and readable through
+// ReadPending, until PopSealed says its write (P2P to an SSD) succeeded.
+func (e *Compression) Sealed() []SealedContainer { return e.sealed }
 
-// PopSealed drops the container NextSealed returned, now that it is on the
-// SSD, and recycles its buffer.
+// PopSealed drops the oldest sealed container, now that it is on the SSD,
+// and recycles its buffer.
 func (e *Compression) PopSealed() {
 	e.builder.Recycle(e.sealed[0].Data)
 	last := len(e.sealed) - 1
@@ -321,7 +314,7 @@ func (e *Compression) PopSealed() {
 // TakeSealed removes and returns all sealed containers at once, for a
 // caller whose writes cannot fail part-way. The caller owns the slice and
 // the buffers; nothing comes back to the builder, so a caller that writes
-// in a loop should prefer NextSealed / PopSealed, which recycle.
+// in a loop should prefer Sealed / PopSealed, which recycle.
 func (e *Compression) TakeSealed() []SealedContainer {
 	if len(e.sealed) == 0 {
 		return nil

@@ -305,7 +305,7 @@ func BenchmarkCompressLanes(b *testing.B) {
 // packAndWrite packs chunks whose ratios (and so compressed sizes) vary,
 // flushing part-way so the seals have unequal fill, and writes every
 // sealed container to dev. With recycle set it drains the queue the way
-// core.writeSealed does (NextSealed, write, PopSealed, which hands the
+// core's container writes do (Sealed, write, PopSealed, which hands the
 // buffer back to the builder); otherwise it takes fresh containers with
 // TakeSealed and never returns them. It returns how many containers it
 // wrote.
@@ -325,8 +325,8 @@ func packAndWrite(t *testing.T, e *Compression, dev *ssd.SSD, recycle bool) int 
 			}
 			return
 		}
-		for sc, ok := e.NextSealed(); ok; sc, ok = e.NextSealed() {
-			write(sc)
+		for len(e.Sealed()) > 0 {
+			write(e.Sealed()[0])
 			e.PopSealed()
 		}
 	}
@@ -374,9 +374,10 @@ func TestRecycleKeepsContainersIdentical(t *testing.T) {
 }
 
 // TestSealCycleNoAllocs: pack until a container seals, write it from the
-// sealed queue and pop it, as core.writeSealed does — once two buffers are
-// in circulation the cycle allocates nothing. (A warmed CompressMany round
-// allocates nothing either; the pool's round is pinned in package lanes.)
+// sealed queue and pop it, as core's container writes do — once two
+// buffers are in circulation the cycle allocates nothing. (A warmed
+// CompressMany round allocates nothing either; the pool's round is pinned
+// in package lanes.)
 func TestSealCycleNoAllocs(t *testing.T) {
 	const size = 16 << 10
 	e := newEngine(t, size)
@@ -387,10 +388,11 @@ func TestSealCycleNoAllocs(t *testing.T) {
 		}
 	}
 	in := mkIn(1, 0.5)
-	cdata, _, err := e.Compress(in.Data)
+	rs, err := e.CompressMany([][]byte{in.Data})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cdata := rs[0].Data
 	sealedN := 0
 	cycle := func() {
 		for before := e.OpenContainer(); e.OpenContainer() == before; {
@@ -398,7 +400,8 @@ func TestSealCycleNoAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for sc, ok := e.NextSealed(); ok; sc, ok = e.NextSealed() {
+		for len(e.Sealed()) > 0 {
+			sc := e.Sealed()[0]
 			// Containers wrap onto four slots so the device grows no pages.
 			if err := dev.Write(sc.Index%4*size, sc.Data); err != nil {
 				t.Fatal(err)
@@ -414,5 +417,45 @@ func TestSealCycleNoAllocs(t *testing.T) {
 	}
 	if sealedN < 20 {
 		t.Fatalf("only %d containers sealed", sealedN)
+	}
+}
+
+// TestCompressPackMatchesBatch: compressing and packing one chunk at a
+// time gives the metadata, stats and container bytes of a CompressMany
+// batch packed in order, incompressible chunks (stored raw) included.
+func TestCompressPackMatchesBatch(t *testing.T) {
+	const size = 16 << 10
+	var batch []chunkIn
+	for i := uint64(0); i < 40; i++ {
+		batch = append(batch, mkIn(i, []float64{0.5, 1.0, 0.2}[i%3]))
+	}
+	ref := newEngine(t, size)
+	want, err := compressBatch(ref, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, size)
+	for i, in := range batch {
+		got, err := e.CompressPack(in.LBA, in.FP, in.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[i] {
+			t.Fatalf("chunk %d: %+v, batch packed %+v", i, got, want[i])
+		}
+	}
+	if got, want := e.Stats(), ref.Stats(); got != want || got.RawStored == 0 {
+		t.Fatalf("stats %+v, batch %+v (want some raw)", got, want)
+	}
+	ref.Flush()
+	e.Flush()
+	got, exp := e.TakeSealed(), ref.TakeSealed()
+	if len(got) != len(exp) || len(got) < 2 {
+		t.Fatalf("%d containers, batch sealed %d (want several)", len(got), len(exp))
+	}
+	for i := range got {
+		if got[i].Index != exp[i].Index || !bytes.Equal(got[i].Data, exp[i].Data) {
+			t.Fatalf("container %d differs", i)
+		}
 	}
 }

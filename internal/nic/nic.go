@@ -312,6 +312,10 @@ func (n *FIDR) Head() []WriteEntry {
 	return n.back.view
 }
 
+// HeldData returns the bytes of the held batch's entry i, for the engine to
+// compress ahead of ScheduleBatch. Valid until that ScheduleBatch.
+func (n *FIDR) HeldData(i int) []byte { return n.back.entries[i].Data }
+
 // LookupRead serves a read from NIC memory if the LBA is buffered there,
 // returning the freshest data for that LBA: the filling buffer's, else the
 // held batch's.
