@@ -35,7 +35,7 @@ var batchAllocCeilings = []struct {
 var raceEnabled bool // set by race_test.go under -race
 
 // TestDuplicateBatchAllocCeiling: once the buffers a batch needs exist —
-// both NIC buffers and the chunk buffers, hash and flag scratch, claim maps,
+// both NIC buffers and their chunk arenas, hash and flag scratch, claim maps,
 // table-cache lines, LBA-table slots, the pool's jobs and entry function —
 // a batch of duplicates reuses all of them, with or without a read after
 // every write.

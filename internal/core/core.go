@@ -179,8 +179,11 @@ func (c *Config) Validate() error {
 			c.Chunking.Max, lbatable.MaxCSize)
 	}
 	// The NIC buffer holds a full batch of fixed chunks, and always
-	// several Max-size chunks so a stream write makes progress.
-	c.NICBufferBytes = max(c.NICBufferBytes, c.BatchChunks*c.ChunkSize, 4*c.Chunking.Max)
+	// several Max-size chunks so a stream write makes progress, but never
+	// more than a batch of Max-size chunks: each of its two buffers
+	// allocates this much at New, and a batch tips at BatchChunks.
+	c.NICBufferBytes = min(max(c.NICBufferBytes, c.BatchChunks*c.ChunkSize, 4*c.Chunking.Max),
+		c.BatchChunks*max(c.Chunking.Max, c.ChunkSize))
 	return nil
 }
 
@@ -365,7 +368,11 @@ type Server struct {
 	dataSSD  *ssd.SSD
 	tableSSD *ssd.SSD
 
-	batch []pending
+	// batch is the baseline's host request buffer; batchArena holds its
+	// chunk bytes back to back, each entry's data a capped view of it,
+	// allocated at New for one batch and emptied where the batch ends.
+	batch      []pending
+	batchArena []byte
 	// staged notes that the baseline batch's steps 1-4 have run.
 	staged bool
 	// held notes the batch the FIDR NIC holds (see heldBatch).
@@ -510,6 +517,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Arch == Baseline {
 		s.pnic = nic.NewPlain()
+		s.batchArena = make([]byte, 0, cfg.BatchChunks*max(cfg.Chunking.Max, cfg.ChunkSize))
 		s.pred = predictor.New(cfg.PredictorCapacity, ledger)
 		s.hashes = lanes.NewJob(lanes.Waited, s.hashPending)
 	} else {

@@ -142,3 +142,37 @@ func TestReadCacheEviction(t *testing.T) {
 		t.Fatal("cache aliases returned slices")
 	}
 }
+
+// TestReadCacheReusesBuffers: once the cache is full, a put that evicts
+// hands the LRU entry's element and buffer to the new chunk and allocates
+// nothing, and a re-put reuses its entry's buffer, reading back right
+// whether the chunk grew or shrank.
+func TestReadCacheReusesBuffers(t *testing.T) {
+	const capacity = 4
+	c := newReadCache(capacity)
+	chunk := bytes.Repeat([]byte{7}, 4096)
+	for lba := uint64(0); lba < capacity; lba++ {
+		c.put(lba, chunk)
+	}
+	lba := uint64(capacity)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.put(lba, chunk)
+		lba++
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("an evicting put allocates %.1f objects, want 0", allocs)
+	}
+	if c.order.Len() != capacity || len(c.index) != capacity {
+		t.Fatalf("cache holds %d entries, %d indexed; want %d", c.order.Len(), len(c.index), capacity)
+	}
+	if _, ok := c.get(lba - capacity - 1); ok {
+		t.Fatal("an evicted LBA still hits")
+	}
+	for _, size := range []int{1000, 4096, 16384, 3} {
+		want := bytes.Repeat([]byte{byte(size)}, size)
+		c.put(lba-1, want)
+		if got, ok := c.get(lba - 1); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("re-put of a %d-byte chunk read back %d bytes (hit %v)", size, len(got), ok)
+		}
+	}
+}

@@ -31,10 +31,9 @@ func cursorServer(t *testing.T, chunking chunk.Config, lanes int) *Server {
 // cursorWriter writes one-extent writes: a 4-KB chunk at the next LBA
 // under fixed chunking, a segment shorter than CDC's Min at the next
 // stream offset under CDC, so every batch holds BatchChunks chunks either
-// way. (A CDC segment that carries a fill past BatchChunks makes a longer
-// held batch, and the fill after it leaves its commit the lookups it did
-// not reach.) Seeds repeat, so batches hold duplicates of earlier batches
-// and of their own chunks, unless unique is set.
+// way, and a write that tips holds the tipping chunk only. Seeds repeat,
+// so batches hold duplicates of earlier batches and of their own chunks,
+// unless unique is set.
 type cursorWriter struct {
 	s       *Server
 	sh      *blockcomp.Shaper
@@ -141,6 +140,54 @@ func TestHeldLookupsRunDuringFill(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCDCSegmentsTipInsideFill: a CDC segment whose extents straddle a
+// batch boundary tips the batch at the extent that fills it, as the
+// baseline does, so no batch holds more than BatchChunks chunks and every
+// chunk buffered while a batch is held runs exactly one of its lookups:
+// a write raises the lookups by the chunks it buffered, whatever tips it
+// made, so no tip's commit found a lookup left to run. Counts only, at 1,
+// 2 and 4 lanes, over 20 000-byte segments of about five extents each.
+func TestCDCSegmentsTipInsideFill(t *testing.T) {
+	const batch, segments, segBytes = 8, 60, 20000
+	for _, lanes := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			s := cursorServer(t, testModes[1].chunking, lanes)
+			sh := blockcomp.NewShaper(0.5)
+			addr, straddled := uint64(0), 0
+			for i := uint64(0); i < segments; i++ {
+				held, before, filling := s.fnic.Held(), lookups(s), s.fnic.Buffered()
+				if err := s.Write(addr, sh.Make(i%17, segBytes)); err != nil {
+					t.Fatal(err)
+				}
+				addr += segBytes
+				chunks := uint64(len(s.cbounds))
+				if filling+int(chunks) > batch {
+					straddled++
+				}
+				if n := len(s.fnic.Head()); s.fnic.Held() && n != batch {
+					t.Fatalf("segment %d: held batch of %d chunks, want %d", i, n, batch)
+				}
+				if s.fnic.Buffered() >= batch {
+					t.Fatalf("segment %d left %d chunks filling, a full batch untipped", i, s.fnic.Buffered())
+				}
+				if got := lookups(s) - before; held && got != chunks {
+					t.Fatalf("segment %d buffered %d chunks and ran %d lookups, want %d", i, chunks, got, chunks)
+				}
+			}
+			if straddled < segments/4 {
+				t.Fatalf("only %d of %d segments straddled a batch boundary", straddled, segments)
+			}
+			if st := s.NICStats(); st.UniqueSent+st.DuplicateDrops != batch*st.BatchesMade {
+				t.Fatalf("%d batches scheduled %d chunks, want %d each", st.BatchesMade, st.UniqueSent+st.DuplicateDrops, batch)
+			}
+			// The filling chunks ran the held batch's first lookups.
+			if got, fill := lookups(s), uint64(s.fnic.Buffered()); got != committedChunks(s)+fill {
+				t.Fatalf("%d lookups, %d chunks committed; want %d more, one per filling chunk", got, committedChunks(s), fill)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"container/list"
-
-	"fidr/internal/bufpool"
-)
+import "container/list"
 
 // readCache is the §8 hot-block extension: an LRU of decompressed chunks
 // in host memory, consulted before the backend on FIDR reads. It absorbs
@@ -49,34 +45,27 @@ func (c *readCache) appendTo(dst []byte, lba uint64) ([]byte, bool) {
 	return append(dst, el.Value.(*readCacheEntry).data...), true
 }
 
-// put caches a chunk (copied), evicting the LRU entry when full.
+// put caches a chunk (copied). A re-put reuses its entry's buffer; when
+// the cache is full, the LRU entry's list element and buffer take the new
+// chunk, so a full cache allocates nothing.
 func (c *readCache) put(lba uint64, data []byte) {
 	if c == nil {
 		return
 	}
-	if el, ok := c.index[lba]; ok {
-		e := el.Value.(*readCacheEntry)
-		if len(e.data) == len(data) {
-			copy(e.data, data)
+	el, ok := c.index[lba]
+	if !ok {
+		if c.order.Len() < c.capacity {
+			el = c.order.PushFront(&readCacheEntry{})
 		} else {
-			bufpool.Put(e.data)
-			cp := bufpool.Get(len(data))
-			copy(cp, data)
-			e.data = cp
+			el = c.order.Back()
+			delete(c.index, el.Value.(*readCacheEntry).lba)
 		}
-		c.order.MoveToFront(el)
-		return
+		el.Value.(*readCacheEntry).lba = lba
+		c.index[lba] = el
 	}
-	cp := bufpool.Get(len(data))
-	copy(cp, data)
-	c.index[lba] = c.order.PushFront(&readCacheEntry{lba: lba, data: cp})
-	if c.order.Len() > c.capacity {
-		back := c.order.Back()
-		c.order.Remove(back)
-		evicted := back.Value.(*readCacheEntry)
-		delete(c.index, evicted.lba)
-		bufpool.Put(evicted.data)
-	}
+	e := el.Value.(*readCacheEntry)
+	e.data = append(e.data[:0], data...)
+	c.order.MoveToFront(el)
 }
 
 // invalidate drops a stale entry after an overwrite.
@@ -87,7 +76,6 @@ func (c *readCache) invalidate(lba uint64) {
 	if el, ok := c.index[lba]; ok {
 		c.order.Remove(el)
 		delete(c.index, lba)
-		bufpool.Put(el.Value.(*readCacheEntry).data)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"fidr/internal/bufpool"
 	"fidr/internal/engine"
 	"fidr/internal/fingerprint"
 	"fidr/internal/hostmodel"
@@ -51,9 +50,10 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	defer func() { s.activeReq = nil }()
 	// A commit that failed left its batch buffered (FIDR's in the full
 	// fill): it commits before this write's chunks join the buffer, and a
-	// write it refuses buffers and counts nothing. Only under fixed
-	// chunking does no batch grow past BatchChunks: a CDC segment's extents
-	// all join FIDR's fill before the tip check after the cut loop.
+	// write it refuses buffers and counts nothing. Both architectures tip
+	// as the chunk that fills a batch buffers, so no batch grows past
+	// BatchChunks; a tip that fails mid-segment returns with that
+	// segment's earlier chunks buffered.
 	var err error
 	switch {
 	case s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks:
@@ -87,9 +87,6 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 			return err
 		}
 		prev = b
-	}
-	if s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks {
-		return s.tipFIDRBatch(false)
 	}
 	return nil
 }
@@ -128,9 +125,10 @@ func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
 	s.ledger.Count(hostmodel.EvDMAChunk, 1)
 
-	cp := bufpool.Get(len(data))
-	copy(cp, data)
-	s.batch = append(s.batch, pending{lba: lba, data: cp})
+	off := len(s.batchArena)
+	s.batchArena = append(s.batchArena, data...)
+	end := len(s.batchArena)
+	s.batch = append(s.batch, pending{lba: lba, data: s.batchArena[off:end:end]})
 	tr.span(StageNICBuffer, from)
 	if len(s.batch) >= s.cfg.BatchChunks {
 		return s.processBaselineBatch()
@@ -272,12 +270,8 @@ func (s *Server) processBaselineBatch() error {
 	}
 	bt.add(StageDedupLookup, bt.since(from)-(compDur-compBefore))
 	bt.add(StageCompress, compDur)
-	// All chunk bytes are packed (containers copy) or dropped; recycle
-	// the batch's host buffers.
-	for i := range batch {
-		bufpool.Put(batch[i].data)
-	}
-	s.batch, s.staged = batch[:0], false
+	// All chunk bytes are packed (containers copy) or dropped.
+	s.batch, s.batchArena, s.staged = batch[:0], s.batchArena[:0], false
 	s.ctr.batches.Inc()
 	return s.writeSealed(bt, false)
 }
@@ -299,7 +293,8 @@ func (s *Server) hashPending(i int) {
 // Once buffered, the chunk pays for the held batch's next table lookup
 // (steps 4-5) and, if that flags a unique, its compress and pack (step 8),
 // so a full fill has run all of them by its tip; one that fails fails no
-// write, it stops the cursors and the next tip returns it.
+// write, it stops the cursors and the next tip returns it. The chunk that
+// fills the batch tips it.
 func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	s.rcache.invalidate(lba)
 	from := tr.start()
@@ -315,12 +310,18 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 		err = s.fnic.BufferWrite(lba, data)
 		tr.span(StageNICBuffer, from)
 	}
-	if err == nil && s.held.lookupErr == nil {
+	if err != nil {
+		return err
+	}
+	if s.held.lookupErr == nil {
 		if s.held.lookupErr = s.lookupHeld(1); s.held.lookupErr == nil {
 			s.held.lookupErr = s.packHeld()
 		}
 	}
-	return err
+	if s.fnic.Buffered() >= s.cfg.BatchChunks {
+		return s.tipFIDRBatch(false)
+	}
+	return nil
 }
 
 // heldBatch is the server's note on the batch the NIC holds between its
@@ -473,7 +474,7 @@ func (s *Server) commitBatch(wait bool) error {
 	s.ctr.batches.Inc()
 	var uniqueBytes uint64
 	for i := range unique {
-		uniqueBytes += uint64(len(unique[i].Data))
+		uniqueBytes += uint64(unique[i].Size)
 	}
 	s.transfer(devNIC, devComp, uniqueBytes)
 
@@ -490,11 +491,6 @@ func (s *Server) commitBatch(wait bool) error {
 				return err
 			}
 			fpToPBN[meta.FP] = pbn
-		}
-		// Pack copied every chunk into a container; the NIC buffer
-		// memory handed over by ScheduleBatch is recycled here.
-		for i := range unique {
-			bufpool.Put(unique[i].Data)
 		}
 	}
 	h.packDur += s.obs.since(from)

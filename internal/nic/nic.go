@@ -13,7 +13,9 @@
 //
 // The FIDR NIC double-buffers: one buffer fills while the other holds the
 // batch tipped before it, hashed and waiting for its commit; a read looks
-// in both, the filling one first (§5.3 read step 2). The SHA-core
+// in both, the filling one first (§5.3 read step 2). Each buffer owns its
+// chunk bytes: one arena, allocated at New, that every entry's Data views
+// and that ScheduleBatch empties when it consumes the buffer. The SHA-core
 // array is a hash job per buffer on the server's lanes.Pool: helpers hash
 // chunks as they arrive, Join's caller the rest.
 package nic
@@ -24,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"fidr/internal/bufpool"
 	"fidr/internal/fingerprint"
 	"fidr/internal/lanes"
 	"fidr/internal/metrics"
@@ -47,8 +48,9 @@ type WriteEntry struct {
 
 // Config configures a FIDR NIC.
 type Config struct {
-	// BufferBytes bounds the in-NIC chunk buffer (battery-backed NIC
-	// DRAM; writes are acked once buffered, §7.6.1).
+	// BufferBytes bounds each in-NIC chunk buffer (battery-backed NIC
+	// DRAM; writes are acked once buffered, §7.6.1); both allocate it
+	// whole at New.
 	BufferBytes int
 	// HashLanes is the modeled SHA-256 core count; <= 0 selects the
 	// GOMAXPROCS-derived default (lanes.Default), as in core.Config.
@@ -131,7 +133,11 @@ const wakeBacklog = 8
 // held batch.
 type buffer struct {
 	entries []WriteEntry
-	bytes   int
+	// arena holds the entries' chunk bytes back to back, each entry's Data
+	// a capped view of it. It is allocated at New with the buffer's whole
+	// capacity, so it never moves, and emptied with entries. Only the
+	// owner touches its header; a helper reads the bytes of posted entries.
+	arena []byte
 	// view is entries without the chunk bytes — what Head hands the host —
 	// rebuilt by Join, valid until the batch is consumed. Each buffer has
 	// its own, so the held batch's view survives the next batch's hashing.
@@ -148,8 +154,8 @@ type buffer struct {
 	mu  sync.Mutex
 }
 
-func newBuffer(chunks int) *buffer {
-	g := &buffer{index: make(map[uint64]int, max(chunks, 0))}
+func newBuffer(chunks, capBytes int) *buffer {
+	g := &buffer{arena: make([]byte, 0, capBytes), index: make(map[uint64]int, max(chunks, 0))}
 	g.job = lanes.NewJob(lanes.Ahead, g.hashEntry)
 	return g
 }
@@ -200,8 +206,8 @@ func New(cfg Config) (*FIDR, error) {
 	if cfg.BufferBytes < 4096 {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
-	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newBuffer(cfg.BatchChunks),
-		back: newBuffer(cfg.BatchChunks), pool: lanes.NewPool()}
+	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newBuffer(cfg.BatchChunks, cfg.BufferBytes),
+		back: newBuffer(cfg.BatchChunks, cfg.BufferBytes), pool: lanes.NewPool()}
 	n.SetHashLanes(cfg.HashLanes)
 	return n, nil
 }
@@ -224,26 +230,28 @@ func (n *FIDR) HashLanes() int { return n.hashLanes }
 // empty).
 func (n *FIDR) publishOccupancy() {
 	n.queueDepth.Set(float64(len(n.fill.entries) + len(n.back.entries)))
-	n.bufferedBytes.Set(float64(n.fill.bytes + n.back.bytes))
+	n.bufferedBytes.Set(float64(len(n.fill.arena) + len(n.back.arena)))
 }
 
 // BufferWrite accepts one chunk into the filling buffer. The data is
-// copied (the NIC owns its buffer memory). Returns ErrBufferFull when the
-// buffer cannot hold the chunk; the caller must drain a batch first. The
-// chunk is posted to the buffer's hash job (see wakeBacklog).
+// copied into the buffer's arena (the NIC owns its buffer memory). Returns
+// ErrBufferFull when the buffer cannot hold the chunk; the caller must
+// drain a batch first. The chunk is posted to the buffer's hash job (see
+// wakeBacklog).
 func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	g := n.fill
-	if g.bytes+len(data) > n.bufferCap {
+	off := len(g.arena)
+	if off+len(data) > n.bufferCap {
 		return ErrBufferFull
 	}
-	cp := bufpool.Get(len(data))
-	copy(cp, data)
+	// The copy runs outside mu: helpers read only posted entries' bytes.
+	g.arena = append(g.arena, data...)
+	end := len(g.arena)
 	g.mu.Lock()
-	g.entries = append(g.entries, WriteEntry{LBA: lba, Data: cp, Size: len(data)})
+	g.entries = append(g.entries, WriteEntry{LBA: lba, Data: g.arena[off:end:end], Size: len(data)})
 	g.mu.Unlock()
 	n.pool.Post(g.job, len(g.entries), n.hashLanes, wakeBacklog)
 	g.index[lba] = len(g.entries) - 1
-	g.bytes += len(data)
 	n.writes.Inc()
 	n.bytes.Add(uint64(len(data)))
 	n.publishOccupancy()
@@ -285,12 +293,8 @@ func (n *FIDR) Join() int {
 	n.fill, n.back, n.held = n.back, g, true
 	busy := g.job.Join()
 	if len(g.entries) > 0 {
-		var hashBytes uint64
-		for i := range g.entries {
-			hashBytes += uint64(len(g.entries[i].Data))
-		}
 		n.hashOps.Add(uint64(len(g.entries)))
-		n.hashBytes.Add(hashBytes)
+		n.hashBytes.Add(uint64(len(g.arena)))
 		n.busyNS.Add(uint64(time.Since(n.hashStart)))
 		n.hashLaneBusyNS.Add(uint64(busy))
 	}
@@ -342,9 +346,9 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 // reads after it. flags must align with the entries Head returned (or the
 // filling buffer's, when none is held); on the filling buffer it first
 // stops its hash job and waits for the hashes in flight, so no chunk is
-// recycled while one is read. The returned slice is NIC scratch, valid
-// until the next ScheduleBatch; the chunk buffers it points at are the
-// caller's.
+// overwritten while one is read. The returned slice is NIC scratch, valid
+// until the next ScheduleBatch; its Data are views of the emptied arena,
+// valid until the next BufferWrite.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	g := n.fill
 	if n.held {
@@ -358,18 +362,13 @@ func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	for i, isUnique := range flags {
 		if isUnique {
 			unique = append(unique, g.entries[i])
-		} else {
-			// Duplicates never leave the NIC; their buffer memory is
-			// recycled immediately. Unique chunks transfer ownership to
-			// the caller, who releases them after container packing.
-			bufpool.Put(g.entries[i].Data)
 		}
 	}
 	n.uniqueSent.Add(uint64(len(unique)))
 	n.dupDrops.Add(uint64(len(flags) - len(unique)))
 	n.batches.Inc()
 	n.unique = unique
-	g.entries, g.bytes = g.entries[:0], 0
+	g.entries, g.arena = g.entries[:0], g.arena[:0]
 	clear(g.index)
 	n.held = false
 	n.publishOccupancy()

@@ -58,22 +58,30 @@ func waitHelpersGone(t *testing.T) {
 	}
 }
 
+// moduleGoroutines counts the goroutines this module's code started. The
+// runtime and the testing package start and end goroutines of their own,
+// which runtime.NumGoroutine would count too.
+func moduleGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "\ncreated by fidr/")
+}
+
 // TestOneLaneStartsNoGoroutine: with one hash lane no pool helper starts,
 // so a mixed stream of buffered writes, tips,
-// reads and schedules leaves the goroutine count exactly where it was
-// after every call.
+// reads and schedules leaves the count of the module's goroutines exactly
+// where it was after every call.
 func TestOneLaneStartsNoGoroutine(t *testing.T) {
 	waitHelpersGone(t)
 	n, err := New(Config{BufferBytes: 1 << 20, HashLanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
+	base := moduleGoroutines()
 	step := 0
 	check := func(call string) {
 		t.Helper()
 		step++
-		if got := runtime.NumGoroutine(); got != base {
+		if got := moduleGoroutines(); got != base {
 			t.Fatalf("call %d (%s): %d goroutines, %d before the first call", step, call, got, base)
 		}
 	}
@@ -112,9 +120,10 @@ func TestOneLaneStartsNoGoroutine(t *testing.T) {
 
 // TestUntippedScheduleJoinsHashers: ScheduleBatch on a filling buffer that
 // pool helpers are hashing stops its hash job and waits for the hashes in
-// flight before it recycles a chunk. Every chunk here is a duplicate, so
-// its buffer goes back to the pool and the next BufferWrite overwrites it
-// at once; the race detector reports a helper still reading one. Tipped
+// flight before it empties the buffer's arena. Every chunk here is a
+// duplicate, and the emptied arena is what the next BufferWrite
+// overwrites at once; the race detector reports a helper still reading a
+// chunk there. Tipped
 // rounds in between check the hashes the same helpers write. Two lanes is
 // one helper beside the caller; four lets helpers contend for the cursor.
 func TestUntippedScheduleJoinsHashers(t *testing.T) {
@@ -164,6 +173,33 @@ func TestUntippedScheduleJoinsHashers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestFirstBatchAllocatesNoChunkBytes: each buffer's arena is allocated
+// at New, so a fresh NIC's first full batch of BufferWrites copies every
+// chunk into memory the NIC already holds and allocates less than a tenth
+// of the batch's chunk bytes. An arena grown on demand allocates them all.
+func TestFirstBatchAllocatesNoChunkBytes(t *testing.T) {
+	const batch = 64
+	n, err := New(Config{BufferBytes: batch * 4096, HashLanes: 1, BatchChunks: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := make([][]byte, batch)
+	for i := range chunks {
+		chunks[i] = chunkOf(uint64(i))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, c := range chunks {
+		if err := n.BufferWrite(uint64(i), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= batch*4096/10 {
+		t.Fatalf("the first batch of %d chunks allocated %d bytes, want < %d", batch, got, batch*4096/10)
 	}
 }
 

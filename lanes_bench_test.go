@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fidr/internal/blockcomp"
-	"fidr/internal/bufpool"
 	"fidr/internal/engine"
 	"fidr/internal/nic"
 )
@@ -44,12 +43,8 @@ func BenchmarkHashLanes(b *testing.B) {
 				}
 				fn.Tip()
 				fn.Join()
-				unique, err := fn.ScheduleBatch(flags)
-				if err != nil {
+				if _, err := fn.ScheduleBatch(flags); err != nil {
 					b.Fatal(err)
-				}
-				for _, u := range unique {
-					bufpool.Put(u.Data)
 				}
 			}
 		})
