@@ -202,28 +202,20 @@ const (
 	devDataSSD pcie.DeviceID = "dssd0"
 )
 
-// pending is one buffered, not-yet-processed client write.
-type pending struct {
-	lba  uint64
-	data []byte
-	// predictedUnique is the baseline predictor's guess.
-	predictedUnique bool
-	// fp and cdata are what the FPGA array returns for the chunk: its
-	// fingerprint and, if it was predicted unique, its compressed form.
-	fp    fingerprint.FP
-	cdata []byte
-}
-
-// batchScratch is the per-batch working set of commitBatch and
-// processBaselineBatch: re-zeroed at the start of a batch, dead at its end.
+// batchScratch is the working set of the batch under commit (heldBatch),
+// re-zeroed when a batch is put under commit (holdBatch), dead once it is
+// published.
 type batchScratch struct {
-	flags      []bool                      // FIDR: chunk i is a first-claim unique
-	dupPBN     []uint64                    // FIDR: chunk i's PBN if it is a duplicate
-	firstClaim map[fingerprint.FP]struct{} // FIDR: fingerprints claimed unique in this batch
-	fpToPBN    map[fingerprint.FP]uint64   // FIDR: PBN each admitted unique got
-	datas      [][]byte                    // baseline: CompressMany's input
-	metas      []engine.ChunkMeta          // FIDR: the packed uniques' metadata, in batch order
-	hashed     []pending                   // baseline: the batch the hash array works on
+	flags  []bool   // chunk i is a first-claim unique
+	dupPBN []uint64 // chunk i's PBN if it is a duplicate (provisionalPBN: of a first claim)
+	// claims maps each fingerprint claimed unique in the batch to the PBN
+	// its chunk took on admission, provisionalPBN until then.
+	claims map[fingerprint.FP]uint64
+	metas  []engine.ChunkMeta // the packed uniques' metadata, in batch order
+	// The baseline's FPGA round trip: CompressMany's input, and per chunk
+	// the compressed form of a predicted-unique one (nil otherwise).
+	datas [][]byte
+	cdata [][]byte
 }
 
 // Stats aggregates server-level counters.
@@ -353,8 +345,8 @@ type Server struct {
 	pred *predictor.Predictor
 	// pool runs every accelerator array of the server: the NIC's hash
 	// jobs and the engine's compress job, or the baseline's hashes — its
-	// FPGA hash array, over bs.hashed — and the data SSD's container
-	// writes (sw).
+	// FPGA hash array, over the host request buffer — and the data SSD's
+	// container writes (sw).
 	pool   *lanes.Pool
 	hashes *lanes.Job
 	sw     sealedWrites
@@ -369,13 +361,14 @@ type Server struct {
 	tableSSD *ssd.SSD
 
 	// batch is the baseline's host request buffer; batchArena holds its
-	// chunk bytes back to back, each entry's data a capped view of it,
-	// allocated at New for one batch and emptied where the batch ends.
-	batch      []pending
+	// chunk bytes back to back, each entry's Data a capped view of it,
+	// allocated at New for one batch and emptied once the batch is
+	// published.
+	batch      []nic.WriteEntry
 	batchArena []byte
 	// staged notes that the baseline batch's steps 1-4 have run.
 	staged bool
-	// held notes the batch the FIDR NIC holds (see heldBatch).
+	// held notes the batch under commit (see heldBatch).
 	held heldBatch
 	// bs is one batch's scratch, cread where fetchCompressed lands a
 	// chunk's compressed bytes; both are reused call after call.
@@ -527,9 +520,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.fnic.SetPool(pool)
-		s.bs.firstClaim = make(map[fingerprint.FP]struct{}, cfg.BatchChunks)
-		s.bs.fpToPBN = make(map[fingerprint.FP]uint64, cfg.BatchChunks)
 	}
+	s.bs.claims = make(map[fingerprint.FP]uint64, cfg.BatchChunks)
 	s.rcache = newReadCache(cfg.ReadCacheChunks)
 	s.ctr.fpCapacity.Set(float64(cfg.UniqueChunkCapacity))
 	return s, nil

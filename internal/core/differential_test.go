@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"fidr/internal/hostmodel"
 )
 
 // diffOps is the length of each differential stream.
@@ -142,5 +144,43 @@ func TestArchDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestArchDifferentialLBATableCharge: on a write-only stream, overwrites
+// and in-batch duplicates included, every architecture charges the host
+// one LBA-table op per chunk, so the three ledgers' LBA-table CPU agrees.
+func TestArchDifferentialLBATableCharge(t *testing.T) {
+	for _, mode := range testModes {
+		t.Run(mode.name, func(t *testing.T) {
+			var want uint64
+			for _, arch := range []Arch{Baseline, FIDRNicP2P, FIDRFull} {
+				tssd, dssd := walTestDevices()
+				cfg := walTestConfig(arch, tssd, dssd, nil)
+				cfg.Chunking = mode.chunking
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(46))
+				for op := 0; op < diffOps/2; op++ {
+					if err := s.Write(mode.addr(uint64(rng.Intn(200))), mode.payload(uint64(rng.Intn(90)))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				got := s.Ledger().Snapshot().CPUNanos[hostmodel.CompLBATable]
+				switch {
+				case got == 0:
+					t.Fatalf("%s charged no LBA-table CPU", arch)
+				case arch == Baseline:
+					want = got
+				case got != want:
+					t.Errorf("%s charged %v ns of LBA-table CPU, baseline %v", arch, got, want)
+				}
+			}
+		})
 	}
 }

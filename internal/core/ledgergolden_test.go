@@ -18,7 +18,11 @@ import (
 // runs and compressed bytes changed. Its FIDR cpu.data_ssd_io,
 // cpu.device_mgr and cpu.lba_table lines moved once, on purpose, when the
 // NIC began to answer reads from the held batch: those reads stopped
-// resolving their LBA and reading the data SSD.
+// resolving their LBA and reading the data SSD. Its baseline
+// cpu.table_content and FIDR cpu.lba_table lines moved once, on purpose,
+// when both architectures took one commit core: the baseline admits after
+// all of a batch's lookups, and FIDR charges one LBA-table op per chunk,
+// not two per unique.
 const ledgerGoldenPath = "testdata/ledger_golden.txt"
 
 // ledgerRuns renders the host ledger of each architecture, and of

@@ -130,7 +130,7 @@ func (s *Server) baselineRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, err
 	// Freshest data may still sit in the host request buffer.
 	from := tr.start()
 	for i := len(s.batch) - 1; i >= 0; i-- {
-		if data := s.batch[i].data; s.batch[i].lba == lba {
+		if data := s.batch[i].Data; s.batch[i].LBA == lba {
 			tr.span(StageNICBuffer, from)
 			s.ctr.readCacheHits.Inc()
 			// Buffer scan plus NIC send of the hit.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Point-in-time snapshots (extension). Deduplicated storage makes
@@ -48,14 +47,7 @@ func (s *Server) CreateSnapshot() (SnapshotID, error) {
 }
 
 // Snapshots lists existing snapshot ids in creation order.
-func (s *Server) Snapshots() []SnapshotID {
-	out := make([]SnapshotID, 0, len(s.snapshots))
-	for id := range s.snapshots {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *Server) Snapshots() []SnapshotID { return sortedKeys(s.snapshots) }
 
 // ReadSnapshot returns the chunk at lba as of the snapshot.
 func (s *Server) ReadSnapshot(id SnapshotID, lba uint64) ([]byte, error) {

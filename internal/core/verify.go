@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"fidr/internal/fingerprint"
 )
@@ -73,26 +75,25 @@ func (s *Server) Verify() (VerifyReport, error) {
 			rep.problemf("%s lba %d: content hash mismatch for pbn %d (stored data corrupted)", origin, lba, pbn)
 		}
 	}
-	live := s.lba.Mappings()
-	for lba, pbn := range live {
-		checkMapping("live", lba, pbn)
-	}
-	for id, snap := range s.snapshots {
-		for lba, pbn := range snap.mappings {
-			checkMapping(fmt.Sprintf("snapshot %d", id), lba, pbn)
+	// Mappings are walked in address order, snapshots in ID order, and
+	// holders counted per PBN, so the table-cache traffic and the order
+	// of Problems are the same on every run.
+	holders := make([]uint32, s.lba.Chunks())
+	walk := func(origin string, mappings map[uint64]uint64) {
+		for _, lba := range sortedKeys(mappings) {
+			pbn := mappings[lba]
+			checkMapping(origin, lba, pbn)
+			if pbn < uint64(len(holders)) {
+				holders[pbn]++
+			}
 		}
+	}
+	walk("live", s.lba.Mappings())
+	for _, id := range s.Snapshots() {
+		walk(fmt.Sprintf("snapshot %d", id), s.snapshots[id].mappings)
 	}
 
 	// Invariant 2: reference counts equal the number of holders.
-	holders := make(map[uint64]uint32)
-	for _, pbn := range live {
-		holders[pbn]++
-	}
-	for _, snap := range s.snapshots {
-		for _, pbn := range snap.mappings {
-			holders[pbn]++
-		}
-	}
 	for pbn := uint64(0); pbn < s.lba.Chunks(); pbn++ {
 		rep.ChunksChecked++
 		rc, err := s.lba.RefCount(pbn)
@@ -108,6 +109,7 @@ func (s *Server) Verify() (VerifyReport, error) {
 	// Invariant 3: the Hash-PBN table agrees — every referenced chunk's
 	// fingerprint must look up to that chunk.
 	for pbn, n := range holders {
+		pbn := uint64(pbn)
 		if n == 0 {
 			continue
 		}
@@ -160,4 +162,14 @@ func (s *Server) Verify() (VerifyReport, error) {
 		rep.problemf("container %d: orphaned data on data SSD beyond allocation frontier %d", c, open)
 	}
 	return rep, nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

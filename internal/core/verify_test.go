@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -93,5 +94,45 @@ func TestVerifyDetectsMediaCorruption(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("corruption reported oddly: %v", rep.Problems)
+	}
+}
+
+// TestVerifyIsDeterministic: Verify walks the mappings in address order
+// and counts holders per PBN, so two identically built servers see the
+// same table-cache and table-SSD traffic from it, snapshots included.
+func TestVerifyIsDeterministic(t *testing.T) {
+	for _, arch := range []Arch{Baseline, FIDRFull} {
+		var runs [2]string
+		for r := range runs {
+			tssd, dssd := walTestDevices()
+			cfg := walTestConfig(arch, tssd, dssd, nil)
+			cfg.CacheLines = 16
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := blockcomp.NewShaper(0.5)
+			for i := uint64(0); i < 900; i++ {
+				if err := s.Write(i%700, sh.Make(i%500, 4096)); err != nil {
+					t.Fatal(err)
+				}
+				if i == 450 {
+					if _, err := s.CreateSnapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rep, err := s.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("%v: %d problems, first: %s", arch, len(rep.Problems), rep.Problems[0])
+			}
+			runs[r] = fmt.Sprintf("%+v %+v", s.CacheStats(), s.TableSSDStats())
+		}
+		if runs[0] != runs[1] {
+			t.Fatalf("%v: Verify left %s on one server and %s on an identical one", arch, runs[0], runs[1])
+		}
 	}
 }

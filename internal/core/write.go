@@ -59,7 +59,7 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	case s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks:
 		err = s.tipFIDRBatch(false)
 	case s.staged || len(s.batch) >= s.cfg.BatchChunks:
-		err = s.processBaselineBatch()
+		err = s.processBaselineBatch(false)
 	}
 	if err != nil {
 		return err
@@ -101,7 +101,7 @@ func (s *Server) Flush() error {
 	var err error
 	switch s.cfg.Arch {
 	case Baseline:
-		err = s.processBaselineBatch()
+		err = s.processBaselineBatch(false)
 	default:
 		err = s.tipFIDRBatch(true)
 	}
@@ -128,43 +128,51 @@ func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	off := len(s.batchArena)
 	s.batchArena = append(s.batchArena, data...)
 	end := len(s.batchArena)
-	s.batch = append(s.batch, pending{lba: lba, data: s.batchArena[off:end:end]})
+	s.batch = append(s.batch, nic.WriteEntry{LBA: lba, Data: s.batchArena[off:end:end], Size: len(data)})
 	tr.span(StageNICBuffer, from)
 	if len(s.batch) >= s.cfg.BatchChunks {
-		return s.processBaselineBatch()
+		return s.processBaselineBatch(false)
 	}
 	return nil
 }
 
-// processBaselineBatch runs the §2.3 write flow over the buffered batch.
-// An entry leaves the buffer once its step 5 is done, so a failure leaves
-// the rest buffered and readable, and the next write or Flush retries it
-// from the entry that failed, without running steps 1-4 again once they
-// have run (staged).
-func (s *Server) processBaselineBatch() error {
+// processBaselineBatch runs the §2.3 write flow over the buffered batch:
+// steps 1-4 once (staged), then step 5's software table management as the
+// commit core (commitCore), whose pack step is the host packing what the
+// FPGA array compressed and repairing mispredictions. The batch leaves the
+// host request buffer whole, once published, so a failure leaves all of it
+// buffered and readable, and the next write, Flush or maintenance verb
+// resumes the commit at the entry that failed. With wait it returns with no
+// container write in flight.
+func (s *Server) processBaselineBatch(wait bool) error {
 	if len(s.batch) == 0 {
 		return nil
 	}
 	batch := s.batch
-	bt := s.obs.beginLinked("batch", batch[0].lba, s.activeReq)
+	bt := s.obs.beginLinked("batch", batch[0].LBA, s.activeReq)
 	defer bt.done()
-	var compDur time.Duration
+	bs := &s.bs
 	if !s.staged {
+		s.holdBatch(len(batch))
 		// 1. The unique-chunk predictor reads the buffered data and
 		// guesses which chunks are unique; the batch scheduler groups
-		// accordingly.
+		// accordingly. A predicted-unique chunk's cdata holds its bytes
+		// until step 3 replaces them with its compressed form.
 		from := bt.start()
+		bs.cdata = append(bs.cdata[:0], make([][]byte, len(batch))...)
+		datas, total := bs.datas[:0], uint64(0)
 		for i := range batch {
-			batch[i].predictedUnique = s.pred.Predict(batch[i].data)
+			if s.pred.Predict(batch[i].Data) {
+				bs.cdata[i] = batch[i].Data
+				datas = append(datas, batch[i].Data)
+			}
 			s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
+			total += uint64(batch[i].Size)
 		}
+		bs.datas = datas
 		bt.span(StageDedupLookup, from)
 
 		// 2. One-time transfer of the whole batch to the FPGA array.
-		var total uint64
-		for i := range batch {
-			total += uint64(len(batch[i].data))
-		}
 		s.transfer(pcie.HostMemory, devFPGA, total)
 		s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
 		s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(batch)))
@@ -173,35 +181,25 @@ func (s *Server) processBaselineBatch() error {
 		// caller and up to HashLanes-1 of the pool's helpers; the
 		// compression-pipeline array then compresses the predicted-unique
 		// chunks. Compressed results alias engine scratch, which stays
-		// valid until the next CompressMany call — every Pack in this
-		// batch, a retried commit's included, happens before that.
-		var backBytes uint64
-		t0 := bt.start()
-		s.bs.hashed = batch
+		// valid until the next CompressMany call — every pack of this
+		// batch, a resumed commit's included, happens before that.
+		from = bt.start()
 		s.pool.Run(s.hashes, len(batch), s.cfg.HashLanes)
-		s.bs.hashed = nil
-		bt.add(StageHash, bt.since(t0))
+		bt.span(StageHash, from)
 		if err := s.crashPoint(CrashPostHash); err != nil {
 			return err
 		}
-		backBytes += uint64(len(batch)) * fingerprint.Size
-		datas := s.bs.datas[:0]
-		for i := range batch {
-			if batch[i].predictedUnique {
-				datas = append(datas, batch[i].data)
-			}
-		}
-		s.bs.datas = datas
+		backBytes := uint64(len(batch)) * fingerprint.Size
 		if len(datas) > 0 {
-			t1 := bt.start()
+			from = bt.start()
 			rs, err := s.comp.CompressMany(datas)
 			if err != nil {
 				return err
 			}
-			compDur += bt.since(t1)
-			for i := range batch { // rs is in batch order of the predicted-unique chunks
-				if batch[i].predictedUnique {
-					batch[i].cdata = rs[0].Data
+			bt.span(StageCompress, from)
+			for i := range bs.cdata { // rs is in batch order of the predicted-unique chunks
+				if bs.cdata[i] != nil {
+					bs.cdata[i] = rs[0].Data
 					backBytes += uint64(len(rs[0].Data))
 					rs = rs[1:]
 				}
@@ -210,77 +208,25 @@ func (s *Server) processBaselineBatch() error {
 		// 4. Hashes and compressed predicted-uniques return to host memory.
 		s.transfer(devFPGA, pcie.HostMemory, backBytes)
 		s.ledger.MemPayload(hostmodel.PathHostFPGA, backBytes)
-		if err := s.crashPoint(CrashPrePack); err != nil {
-			return err
-		}
 		s.staged = true
 	}
 
 	// 5. Software table management validates predictions against the
-	// Hash-PBN table cache. Misprediction repair compresses inline; that
-	// time is charged to the compress span, not the lookup span.
-	from := bt.start()
-	compBefore := compDur
-	for ; len(s.batch) > 0; s.batch = s.batch[1:] {
-		p := &s.batch[0]
-		pbn, found, err := s.cache.Lookup(p.fp)
-		if err != nil {
-			return err
-		}
-		s.pred.Confirm(p.predictedUnique, !found)
-		if found {
-			// Duplicate: only the LBA-PBA table is updated. A
-			// wastefully compressed copy (false unique) is dropped.
-			s.ledger.Count(hostmodel.EvLBATableOp, 1)
-			if err := s.lba.MapLBA(p.lba, pbn); err != nil {
-				return err
-			}
-			s.walMapLBA(p.lba, pbn)
-			s.tl.dup(uint64(len(p.data)))
-			continue
-		}
-		if p.cdata != nil {
-			meta, err := s.comp.Pack(p.lba, p.fp, p.cdata, len(p.data))
-			if err == nil {
-				_, err = s.recordUnique(meta)
-			}
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		// Misprediction: a unique chunk was predicted duplicate and
-		// skipped compression; it takes another round trip through the
-		// FPGA array, which compresses it and the host packs it.
-		s.ctr.mispredictions.Inc()
-		s.transfer(pcie.HostMemory, devFPGA, uint64(len(p.data)))
-		s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(len(p.data)))
-		t0 := bt.start()
-		meta, err := s.comp.CompressPack(p.lba, p.fp, p.data)
-		if err != nil {
-			return err
-		}
-		compDur += bt.since(t0)
-		s.transfer(devFPGA, pcie.HostMemory, uint64(meta.CSize))
-		s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(meta.CSize))
-		s.ledger.Count(hostmodel.EvDMAChunk, 1)
-		if _, err := s.recordUnique(meta); err != nil {
-			return err
-		}
+	// Hash-PBN table cache.
+	if err := s.commitCore(batch, bt); err != nil {
+		return err
 	}
-	bt.add(StageDedupLookup, bt.since(from)-(compDur-compBefore))
-	bt.add(StageCompress, compDur)
-	// All chunk bytes are packed (containers copy) or dropped.
+	// Published: all chunk bytes are packed (containers copy) or dropped.
 	s.batch, s.batchArena, s.staged = batch[:0], s.batchArena[:0], false
 	s.ctr.batches.Inc()
-	return s.writeSealed(bt, false)
+	return s.writeSealed(bt, wait)
 }
 
 // hashPending is the baseline hash array's item function: it fingerprints
-// chunk i of the batch in flight.
+// chunk i of the host request buffer.
 func (s *Server) hashPending(i int) {
-	p := &s.bs.hashed[i]
-	p.fp = fingerprint.Of(p.data)
+	e := &s.batch[i]
+	e.FP = fingerprint.Of(e.Data)
 }
 
 // --- FIDR (§5.3) ---
@@ -314,8 +260,9 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 		return err
 	}
 	if s.held.lookupErr == nil {
-		if s.held.lookupErr = s.lookupHeld(1); s.held.lookupErr == nil {
-			s.held.lookupErr = s.packHeld()
+		entries := s.fnic.Head()
+		if s.held.lookupErr = s.resolveBatch(entries, 1); s.held.lookupErr == nil {
+			s.held.lookupErr = s.packBatch(entries)
 		}
 	}
 	if s.fnic.Buffered() >= s.cfg.BatchChunks {
@@ -324,17 +271,17 @@ func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
 	return nil
 }
 
-// heldBatch is the server's note on the batch the NIC holds between its
-// tip and its commit: the request that tipped it, under whose trace the
-// commit links whenever it runs; the span the tip waited in the NIC's Join
-// for the fingerprints the pool's helpers had not finished, which the
-// commit's batch trace reports once as its hash stage; and the cursors of
-// its table lookups and packs. looked of its entries have been looked up,
-// in batch order, into bs.flags and bs.dupPBN, and packed of them packed
-// (packHeld), taking lookupDur from lookupStart on and packDur from
-// packStart on, which the batch trace reports as its dedup_lookup and
-// compress stages; lookupErr is a lookup or pack that failed during the
-// fill, which the commit returns once before it retries that entry.
+// heldBatch notes the batch under commit — the FIDR NIC's held batch, or
+// the baseline's full host request buffer — with its commit core's four
+// cursors, each stopped at the entry whose step failed: looked entries are
+// resolved into bs.flags and bs.dupPBN, packed of them packed into
+// bs.metas, admitted of the metas admitted, mapped entries mapped. The
+// batch trace reports lookupDur from lookupStart on (resolve, admit, map)
+// as dedup_lookup and packDur from packStart on as compress. FIDR only:
+// tip is the request that tipped the batch, under whose trace its commit
+// links; hashStart and hashDur the tip's wait in the NIC's Join, reported
+// once as the hash stage; lookupErr a lookup or pack that failed during
+// the fill, which the commit returns once before retrying that entry.
 type heldBatch struct {
 	tip         *ReqTrace
 	hashStart   time.Time
@@ -345,7 +292,20 @@ type heldBatch struct {
 	packed      int
 	packStart   time.Time
 	packDur     time.Duration
+	admitted    int
+	mapped      int
 	lookupErr   error
+}
+
+// holdBatch puts a new batch of n chunks under commit: its cursors at its
+// first entry, its scratch zeroed.
+func (s *Server) holdBatch(n int) {
+	s.held = heldBatch{tip: s.activeReq}
+	bs := &s.bs
+	bs.flags = append(bs.flags[:0], make([]bool, n)...)
+	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, n)...)
+	clear(bs.claims)
+	bs.metas = bs.metas[:0]
 }
 
 // tipFIDRBatch runs when the filling buffer holds a batch (and, with now
@@ -377,19 +337,15 @@ func (s *Server) tipFIDRBatch(now bool) error {
 			return err
 		}
 	}
-	s.held = heldBatch{tip: s.activeReq, hashStart: s.obs.now()}
-	n := uint64(s.fnic.Join())
-	s.held.hashDur = s.obs.since(s.held.hashStart)
-	bs := &s.bs
-	bs.flags = append(bs.flags[:0], make([]bool, n)...)
-	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, n)...)
-	clear(bs.firstClaim)
-	bs.metas = bs.metas[:0]
-	hashBytes := n * fingerprint.Size
+	hashStart := s.obs.now()
+	n := s.fnic.Join()
+	s.holdBatch(n)
+	s.held.hashStart, s.held.hashDur = hashStart, s.obs.since(hashStart)
+	hashBytes := uint64(n) * fingerprint.Size
 	s.transfer(devNIC, pcie.HostMemory, hashBytes)
 	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
 	s.ledger.Count(hostmodel.EvDMABatch, 1)
-	s.ledger.Count(hostmodel.EvDeviceMgrChunk, n)
+	s.ledger.Count(hostmodel.EvDeviceMgrChunk, uint64(n))
 	if err := s.crashPoint(CrashPostHash); err != nil {
 		return err
 	}
@@ -399,33 +355,37 @@ func (s *Server) tipFIDRBatch(now bool) error {
 	return nil
 }
 
-// commitHeld commits the batch the NIC holds, if any, and returns with no
+// commitHeld commits the batch under commit, if any — the FIDR NIC's held
+// batch, or a baseline batch whose commit failed — and returns with no
 // container write in flight. Flush and the maintenance verbs, which look
 // at the server past the NIC, call it first, so they observe the state
 // they would have observed had every batch been committed by the write
-// that tipped it; a read needs none of it, since the NIC answers the held
-// chunks itself. This is also what keeps the held batch's early lookups
-// and packs exact: nothing else touches the table cache or the open
-// container between its hold and its commit. The read-outs that return no
-// error (Garbage, CapacityReport, ContainerHeatmap) drop its error: the
-// failed batch stays held, the read-out describes the state before it, and
-// the next tip, Flush or maintenance verb returns the error.
+// that tipped it; a read needs none of it, since the buffers answer the
+// held chunks themselves. This is also what keeps the held batch's early
+// lookups and packs exact: nothing else touches the table cache or the
+// open container between its hold and its commit. The read-outs that
+// return no error (Garbage, CapacityReport, ContainerHeatmap) drop its
+// error: the failed batch stays held, the read-out describes the state it
+// left, and the next tip, Flush or maintenance verb returns the error.
 func (s *Server) commitHeld() error {
 	if err := s.failIfCrashed(); err != nil {
 		return err
 	}
-	if s.fnic == nil || !s.fnic.Held() {
-		return s.reapSealed()
+	switch {
+	case s.fnic != nil && s.fnic.Held():
+		return s.commitBatch(true)
+	case s.staged || len(s.batch) >= s.cfg.BatchChunks:
+		return s.processBaselineBatch(true)
 	}
-	return s.commitBatch(true)
+	return s.reapSealed()
 }
 
-// commitBatch runs §5.3 steps 3-10 over the held batch, of whose steps 4-5
-// and 8 it runs only the lookups and packs the fill left (normally none),
-// then publishes it and hands writeSealed the sealed containers. Until
-// ScheduleBatch consumes it (step 7) a failure leaves it held, and the
-// next tip, Flush or maintenance verb tries again, from the entry that
-// failed.
+// commitBatch runs §5.3 steps 3-10 over the held batch: the commit core
+// runs what of steps 4-5 and 8 the fill left (normally none), admits the
+// uniques and maps every entry; then step 7's ScheduleBatch releases the
+// published batch from NIC memory, and writeSealed gets the sealed
+// containers. Until ScheduleBatch a failure leaves it held, and the next
+// tip, Flush or maintenance verb resumes it at the entry that failed.
 func (s *Server) commitBatch(wait bool) error {
 	entries := s.fnic.Head()
 	h := &s.held
@@ -443,34 +403,25 @@ func (s *Server) commitBatch(wait bool) error {
 		s.transfer(pcie.HostMemory, devCacheHW, uint64(len(entries))*8)
 		s.transfer(devCacheHW, pcie.HostMemory, uint64(len(entries))*8)
 	}
-
-	// Steps 4-5 and step 8's compress and pack: what the fill left.
 	if err := h.lookupErr; err != nil {
 		h.lookupErr = nil
 		return err
 	}
-	if err := s.lookupHeld(len(entries)); err != nil {
+	if err := s.commitCore(entries, bt); err != nil {
 		return err
 	}
-	bt.at(StageDedupLookup, h.lookupStart, h.lookupDur)
-	if err := s.packHeld(); err != nil {
-		return err
-	}
-	bs := &s.bs
-	flags, dupPBN, fpToPBN := bs.flags, bs.dupPBN, bs.fpToPBN
-	clear(fpToPBN)
 
 	// Step 6: uniqueness flags return to the NIC.
 	s.transfer(pcie.HostMemory, devNIC, uint64(len(entries)))
 	s.ledger.Mem(hostmodel.PathNICHost, uint64(len(entries)))
 
 	// Step 7: the NIC's compression scheduler builds a batch of unique
-	// chunks and sends it peer-to-peer to the Compression Engine.
-	unique, err := s.fnic.ScheduleBatch(flags)
+	// chunks and sends it peer-to-peer to the Compression Engine; the
+	// batch leaves NIC memory.
+	unique, err := s.fnic.ScheduleBatch(s.bs.flags)
 	if err != nil {
 		return err
 	}
-	// Consumed, the batch is never retried: it counts once, here.
 	s.ctr.batches.Inc()
 	var uniqueBytes uint64
 	for i := range unique {
@@ -480,73 +431,79 @@ func (s *Server) commitBatch(wait bool) error {
 
 	// Step 8: the engine packed the unique chunks in batch order while
 	// the next batch filled; only their metadata reaches the host.
-	from := s.obs.now()
-	if len(unique) > 0 {
-		if err := s.crashPoint(CrashPrePack); err != nil {
-			return err
-		}
-		for _, meta := range bs.metas {
-			pbn, err := s.recordUnique(meta)
-			if err != nil {
-				return err
-			}
-			fpToPBN[meta.FP] = pbn
-		}
-	}
-	h.packDur += s.obs.since(from)
-	bt.at(StageCompress, h.packStart, h.packDur)
 	metaBytes := uint64(len(unique)) * 16
 	s.transfer(devComp, pcie.HostMemory, metaBytes)
 	s.ledger.Mem(hostmodel.PathHostFPGA, metaBytes)
-
-	// Apply LBA mappings strictly in request order so that a later
-	// write to an LBA (unique or duplicate) wins over an earlier one in
-	// the same batch.
-	for i, e := range entries {
-		var pbn uint64
-		switch {
-		case flags[i]:
-			p, ok := fpToPBN[e.FP]
-			if !ok {
-				return fmt.Errorf("core: unique chunk %v was not admitted", e.FP)
-			}
-			pbn = p
-		case dupPBN[i] == provisionalPBN:
-			p, ok := fpToPBN[e.FP]
-			if !ok {
-				return fmt.Errorf("core: within-batch duplicate of %v lost its unique twin", e.FP)
-			}
-			pbn = p
-			s.tl.dup(uint64(e.Size))
-		default:
-			pbn = dupPBN[i]
-			s.tl.dup(uint64(e.Size))
-		}
-		s.ledger.Count(hostmodel.EvLBATableOp, 1)
-		if err := s.lba.MapLBA(e.LBA, pbn); err != nil {
-			return err
-		}
-		// Log every mapping — including ones AppendChunk already
-		// created — so replay reproduces same-LBA ordering exactly (a
-		// duplicate followed by a unique write of the same LBA must
-		// replay in that order).
-		s.walMapLBA(e.LBA, pbn)
-	}
 
 	// Steps 9-10: sealed containers go engine -> data SSD peer-to-peer.
 	return s.writeSealed(bt, wait)
 }
 
-// lookupHeld runs up to n of the held batch's remaining table lookups,
-// §5.3 steps 4-5, in batch order: host software scans the cached buckets
-// and determines uniqueness; duplicates will update only the LBA-PBA
-// table. Within-batch duplicates: the first occurrence claims uniqueness,
-// and later identical chunks must see it. firstClaim indexes claimed
-// fingerprints so the scan stays O(batch) instead of O(batch²). An entry
-// whose lookup fails stays unlooked, for the next call to retry.
-func (s *Server) lookupHeld(n int) error {
+// --- The commit core: one for both architectures ---
+
+// commitCore runs the table work of the batch under commit, entries, over
+// s.held's cursors, each step from where it stopped: resolve (the lookups
+// and first claims), pack (each first-claim unique), admit (each packed
+// unique, in batch order) and map (every entry, in request order). The
+// architectures differ only in where a step runs and in pack's source
+// (packChunk). A step that fails returns with the batch still buffered and
+// readable; the next call resumes at the entry that failed.
+func (s *Server) commitCore(entries []nic.WriteEntry, bt *ReqTrace) error {
 	h, bs := &s.held, &s.bs
-	entries := s.fnic.Head()
+	if err := s.resolveBatch(entries, len(entries)); err != nil {
+		return err
+	}
+	if err := s.packBatch(entries); err != nil {
+		return err
+	}
+	if h.admitted == 0 && len(bs.metas) > 0 {
+		if err := s.crashPoint(CrashPrePack); err != nil {
+			return err
+		}
+	}
+	from := s.obs.now()
+	for ; h.admitted < len(bs.metas); h.admitted++ {
+		if err := s.recordUnique(bs.metas[h.admitted]); err != nil {
+			return err
+		}
+	}
+	// Map strictly in request order so that a later write to an LBA
+	// (unique or duplicate) wins over an earlier one in the same batch.
+	for ; h.mapped < len(entries); h.mapped++ {
+		e := &entries[h.mapped]
+		pbn := bs.dupPBN[h.mapped]
+		if bs.flags[h.mapped] || pbn == provisionalPBN {
+			pbn = bs.claims[e.FP]
+		}
+		if err := s.lba.MapLBA(e.LBA, pbn); err != nil {
+			return err
+		}
+		s.ledger.Count(hostmodel.EvLBATableOp, 1)
+		if !bs.flags[h.mapped] {
+			s.tl.dup(uint64(e.Size))
+		}
+		// Log every mapping — including ones Append already created — so
+		// replay reproduces same-LBA ordering exactly (a duplicate
+		// followed by a unique write of the same LBA must replay in that
+		// order).
+		s.walMapLBA(e.LBA, pbn)
+	}
+	h.lookupDur += s.obs.since(from)
+	bt.at(StageDedupLookup, h.lookupStart, h.lookupDur)
+	bt.at(StageCompress, h.packStart, h.packDur)
+	return nil
+}
+
+// resolveBatch runs up to n of the batch's remaining table lookups (§5.3
+// steps 4-5, §2.3 step 5) in batch order: host software scans the cached
+// buckets and determines uniqueness; duplicates will update only the
+// LBA-PBA table. Within-batch duplicates: the first occurrence claims
+// uniqueness, and later identical chunks must see it. bs.claims indexes
+// claimed fingerprints so the scan stays O(batch) instead of O(batch²).
+// The baseline's predictor learns each outcome. An entry whose lookup
+// fails stays unresolved, for the next call to retry.
+func (s *Server) resolveBatch(entries []nic.WriteEntry, n int) error {
+	h, bs := &s.held, &s.bs
 	if h.looked >= len(entries) {
 		return nil
 	}
@@ -563,29 +520,29 @@ func (s *Server) lookupHeld(n int) error {
 		if pbn, found, err = s.cache.Lookup(fp); err != nil {
 			break
 		}
-		switch {
+		switch _, claimed := bs.claims[fp]; {
 		case found:
 			bs.dupPBN[i] = pbn
+		case claimed:
+			bs.dupPBN[i] = provisionalPBN
 		default:
-			if _, claimed := bs.firstClaim[fp]; claimed {
-				bs.dupPBN[i] = provisionalPBN
-			} else {
-				bs.flags[i] = true
-				bs.firstClaim[fp] = struct{}{}
-			}
+			bs.flags[i] = true
+			bs.claims[fp] = provisionalPBN
+		}
+		if s.pred != nil {
+			s.pred.Confirm(bs.cdata[i] != nil, bs.flags[i])
 		}
 	}
 	h.lookupDur += s.obs.since(from)
 	return err
 }
 
-// packHeld runs step 8 for the held batch up to its lookup cursor: each
-// first-claim unique is compressed from NIC memory and packed into the
-// open container on the caller, in batch order, its metadata kept in
-// bs.metas for the commit. One that fails stays unpacked, for a retry.
-func (s *Server) packHeld() error {
+// packBatch runs step 8 for the batch up to its lookup cursor: each
+// first-claim unique is packed into the open container on the caller, in
+// batch order, its metadata kept in bs.metas for the admit step. One that
+// fails stays unpacked, for a retry.
+func (s *Server) packBatch(entries []nic.WriteEntry) error {
 	h, bs := &s.held, &s.bs
-	entries := s.fnic.Head()
 	for ; h.packed < h.looked; h.packed++ {
 		i := h.packed
 		if !bs.flags[i] {
@@ -595,7 +552,7 @@ func (s *Server) packHeld() error {
 		if h.packStart.IsZero() {
 			h.packStart = from
 		}
-		meta, err := s.comp.CompressPack(entries[i].LBA, entries[i].FP, s.fnic.HeldData(i))
+		meta, err := s.packChunk(&entries[i], i)
 		h.packDur += s.obs.since(from)
 		if err != nil {
 			return err
@@ -605,8 +562,32 @@ func (s *Server) packHeld() error {
 	return nil
 }
 
-// provisionalPBN marks a within-batch duplicate whose unique twin has not
-// been admitted yet.
+// packChunk compresses and packs first-claim unique i, e. FIDR's engine
+// compresses it from NIC memory. The baseline's host packs what the FPGA
+// array compressed; a unique chunk predicted duplicate skipped compression
+// and takes another round trip through the array (misprediction repair).
+func (s *Server) packChunk(e *nic.WriteEntry, i int) (engine.ChunkMeta, error) {
+	if s.fnic != nil {
+		return s.comp.CompressPack(e.LBA, e.FP, s.fnic.HeldData(i))
+	}
+	if c := s.bs.cdata[i]; c != nil {
+		return s.comp.Pack(e.LBA, e.FP, c, e.Size)
+	}
+	s.ctr.mispredictions.Inc()
+	s.transfer(pcie.HostMemory, devFPGA, uint64(e.Size))
+	s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(e.Size))
+	meta, err := s.comp.CompressPack(e.LBA, e.FP, e.Data)
+	if err != nil {
+		return meta, err
+	}
+	s.transfer(devFPGA, pcie.HostMemory, uint64(meta.CSize))
+	s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(meta.CSize))
+	s.ledger.Count(hostmodel.EvDMAChunk, 1)
+	return meta, nil
+}
+
+// provisionalPBN marks a claimed fingerprint whose chunk has no PBN yet,
+// and a within-batch duplicate of it.
 const provisionalPBN = ^uint64(0)
 
 // tally accumulates a batch's dup/unique outcomes so the commit loops pay
@@ -631,16 +612,21 @@ func (s *Server) commitTally() {
 	s.tl = tally{}
 }
 
-// recordUnique updates the LBA-PBA table and the Hash-PBN cache for a
-// newly packed unique chunk, returning its PBN.
-func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
-	s.ledger.Count(hostmodel.EvLBATableOp, 1)
-	pbn, err := s.lba.Append(meta.LBA, meta.PBA)
-	if err != nil {
-		return 0, err
+// recordUnique admits a packed unique chunk: it takes the next PBN in the
+// LBA-PBA table, which maps the chunk's LBA to it, and indexes the chunk in
+// the Hash-PBN cache. A chunk whose insert failed keeps the PBN it took
+// (bs.claims), so the retry only inserts.
+func (s *Server) recordUnique(meta engine.ChunkMeta) error {
+	pbn := s.bs.claims[meta.FP]
+	if pbn == provisionalPBN {
+		var err error
+		if pbn, err = s.lba.Append(meta.LBA, meta.PBA); err != nil {
+			return err
+		}
+		s.bs.claims[meta.FP] = pbn
 	}
 	if err := s.cache.Insert(meta.FP, pbn); err != nil {
-		return 0, err
+		return err
 	}
 	for uint64(len(s.pbnFP)) <= pbn {
 		s.pbnFP = append(s.pbnFP, fingerprint.FP{})
@@ -651,7 +637,7 @@ func (s *Server) recordUnique(meta engine.ChunkMeta) (uint64, error) {
 	s.tl.uniques++
 	s.tl.stored += uint64(meta.CSize)
 	s.tl.compSaved += uint64(meta.RawSize - meta.CSize)
-	return pbn, nil
+	return nil
 }
 
 // writeSealed ends every batch, Flush and Compact: it reaps the container

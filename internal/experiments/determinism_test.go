@@ -110,7 +110,8 @@ func TestExtensionLaneDeterminism(t *testing.T) {
 // was taken (PR 19's tree). Every number in it is a count, a ratio or a
 // model projection — none is clocked — so a difference is a change in
 // behaviour, never noise. Do not regenerate the file to make a refactor
-// pass.
+// pass. Its Fig 12, 14 and 15 rows moved once, on purpose, when FIDR's
+// commit stopped charging a second LBA-table op per unique chunk.
 func TestScorecardGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/scorecard_ios2000.txt")
 	if err != nil {

@@ -100,11 +100,12 @@ type SSD struct {
 	// obsAccess is the access_ns histogram; nil until Instrument.
 	obsAccess *metrics.Histogram
 
-	// fault injection (tests): remaining IOs to fail and the error.
-	faultMu    sync.Mutex
-	failReads  int
-	failWrites int
-	faultErr   error
+	// fault injection (tests): IOs to let pass, then IOs to fail, and the
+	// error.
+	faultMu               sync.Mutex
+	skipReads, skipWrites int
+	failReads, failWrites int
+	faultErr              error
 }
 
 // New creates an SSD from cfg. With a BackingFile, contents live in a
@@ -172,21 +173,37 @@ func (s *SSD) InjectFaults(nReads, nWrites int, err error) {
 	s.faultMu.Lock()
 	defer s.faultMu.Unlock()
 	s.failReads, s.failWrites, s.faultErr = nReads, nWrites, err
+	s.skipReads, s.skipWrites = 0, 0
+}
+
+// InjectFaultAt makes only the nthRead-th read command and the nthWrite-th
+// write command from now fail with err (0 arms none), so a test can walk a
+// fault across every IO of an operation.
+func (s *SSD) InjectFaultAt(nthRead, nthWrite int, err error) {
+	s.faultMu.Lock()
+	defer s.faultMu.Unlock()
+	s.skipReads, s.failReads = max(nthRead-1, 0), min(max(nthRead, 0), 1)
+	s.skipWrites, s.failWrites = max(nthWrite-1, 0), min(max(nthWrite, 0), 1)
+	s.faultErr = err
 }
 
 // takeFault consumes one injected fault if armed.
 func (s *SSD) takeFault(write bool) error {
 	s.faultMu.Lock()
 	defer s.faultMu.Unlock()
-	if write && s.failWrites > 0 {
-		s.failWrites--
-		return s.faultErr
+	skip, fail := &s.skipReads, &s.failReads
+	if write {
+		skip, fail = &s.skipWrites, &s.failWrites
 	}
-	if !write && s.failReads > 0 {
-		s.failReads--
-		return s.faultErr
+	switch {
+	case *fail == 0:
+		return nil
+	case *skip > 0:
+		*skip--
+		return nil
 	}
-	return nil
+	*fail--
+	return s.faultErr
 }
 
 // Write stores data at byte offset off. The write may span pages and need

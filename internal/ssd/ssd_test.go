@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -488,5 +489,27 @@ func TestFileBackedBadPath(t *testing.T) {
 	cfg.BackingFile = "/nonexistent-dir-xyz/vol.img"
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unopenable backing file accepted")
+	}
+}
+
+// TestInjectFaultAt: only the armed read and write commands fail, each
+// counted from the arming on its own kind.
+func TestInjectFaultAt(t *testing.T) {
+	s := MustNew(testConfig())
+	s.InjectFaultAt(3, 2, bytes.ErrTooLarge)
+	var failed []string
+	for i := 0; i < 4; i++ {
+		if err := s.Write(0, make([]byte, 4096)); err != nil {
+			failed = append(failed, "w"+string(rune('1'+i)))
+		}
+		if _, err := s.Read(0, 4096); err != nil {
+			if !errors.Is(err, bytes.ErrTooLarge) {
+				t.Fatal(err)
+			}
+			failed = append(failed, "r"+string(rune('1'+i)))
+		}
+	}
+	if got := strings.Join(failed, " "); got != "w2 r3" {
+		t.Fatalf("failed commands %q, want the 2nd write and the 3rd read", got)
 	}
 }
