@@ -181,9 +181,10 @@ func (c *Config) Validate() error {
 	// The NIC buffer holds a full batch of fixed chunks, and always
 	// several Max-size chunks so a stream write makes progress, but never
 	// more than a batch of Max-size chunks: each of its two buffers
-	// allocates this much at New, and a batch tips at BatchChunks.
-	c.NICBufferBytes = min(max(c.NICBufferBytes, c.BatchChunks*c.ChunkSize, 4*c.Chunking.Max),
-		c.BatchChunks*max(c.Chunking.Max, c.ChunkSize))
+	// allocates this much at New, and a batch tips at BatchChunks. A tiny
+	// batch of small chunks still gets the smallest buffer nic.New takes.
+	c.NICBufferBytes = max(min(max(c.NICBufferBytes, c.BatchChunks*c.ChunkSize, 4*c.Chunking.Max),
+		c.BatchChunks*max(c.Chunking.Max, c.ChunkSize)), nic.MinBufferBytes)
 	return nil
 }
 
@@ -340,16 +341,17 @@ type Server struct {
 	ledger *hostmodel.Ledger
 	topo   *pcie.Topology
 
-	fnic *nic.FIDR
+	// wbuf is the write buffer, nic.FIDR's double buffer: FIDR's NIC
+	// memory, or the baseline's host request buffer. pnic counts the
+	// baseline NIC's DMA writes; FIDR's wbuf counts its own.
+	wbuf *nic.FIDR
 	pnic *nic.Plain
 	pred *predictor.Predictor
-	// pool runs every accelerator array of the server: the NIC's hash
-	// jobs and the engine's compress job, or the baseline's hashes — its
-	// FPGA hash array, over the host request buffer — and the data SSD's
-	// container writes (sw).
-	pool   *lanes.Pool
-	hashes *lanes.Job
-	sw     sealedWrites
+	// pool runs every accelerator array of the server: wbuf's hash jobs
+	// (the NIC's SHA cores, or the baseline's FPGA hash array), the
+	// engine's compress job and the data SSD's container writes (sw).
+	pool *lanes.Pool
+	sw   sealedWrites
 
 	comp   *engine.Compression
 	decomp *engine.Decompression
@@ -360,14 +362,6 @@ type Server struct {
 	dataSSD  *ssd.SSD
 	tableSSD *ssd.SSD
 
-	// batch is the baseline's host request buffer; batchArena holds its
-	// chunk bytes back to back, each entry's Data a capped view of it,
-	// allocated at New for one batch and emptied once the batch is
-	// published.
-	batch      []nic.WriteEntry
-	batchArena []byte
-	// staged notes that the baseline batch's steps 1-4 have run.
-	staged bool
 	// held notes the batch under commit (see heldBatch).
 	held heldBatch
 	// bs is one batch's scratch, cread where fetchCompressed lands a
@@ -508,19 +502,19 @@ func New(cfg Config) (*Server, error) {
 	if s.chunker, err = cfg.Chunking.NewChunker(); err != nil {
 		return nil, err
 	}
+	bufBytes := cfg.NICBufferBytes
 	if cfg.Arch == Baseline {
 		s.pnic = nic.NewPlain()
-		s.batchArena = make([]byte, 0, cfg.BatchChunks*max(cfg.Chunking.Max, cfg.ChunkSize))
 		s.pred = predictor.New(cfg.PredictorCapacity, ledger)
-		s.hashes = lanes.NewJob(lanes.Waited, s.hashPending)
-	} else {
-		s.fnic, err = nic.New(nic.Config{BufferBytes: cfg.NICBufferBytes, HashLanes: cfg.HashLanes,
-			BatchChunks: cfg.BatchChunks})
-		if err != nil {
-			return nil, err
-		}
-		s.fnic.SetPool(pool)
+		// The host request buffer holds a batch of Max-size chunks, so a
+		// batch tips at BatchChunks, never early on ErrBufferFull.
+		bufBytes = max(cfg.BatchChunks*max(cfg.Chunking.Max, cfg.ChunkSize), nic.MinBufferBytes)
 	}
+	s.wbuf, err = nic.New(nic.Config{BufferBytes: bufBytes, HashLanes: cfg.HashLanes, BatchChunks: cfg.BatchChunks})
+	if err != nil {
+		return nil, err
+	}
+	s.wbuf.SetPool(pool)
 	s.bs.claims = make(map[fingerprint.FP]uint64, cfg.BatchChunks)
 	s.rcache = newReadCache(cfg.ReadCacheChunks)
 	s.ctr.fpCapacity.Set(float64(cfg.UniqueChunkCapacity))
@@ -589,12 +583,13 @@ func (s *Server) PredictorStats() predictor.Stats {
 	return s.pred.Stats()
 }
 
-// NICStats returns FIDR NIC statistics (zero for the baseline).
+// NICStats returns NIC statistics: FIDR's every counter; the baseline
+// NIC's writes and bytes DMA'd to host memory, the rest zero.
 func (s *Server) NICStats() nic.Stats {
-	if s.fnic != nil {
-		return s.fnic.Stats()
+	if s.pnic != nil {
+		return s.pnic.Stats()
 	}
-	return s.pnic.Stats()
+	return s.wbuf.Stats()
 }
 
 // DataSSDStats and TableSSDStats expose device counters.

@@ -35,6 +35,15 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+	// A batch of small chunks smaller than the NIC's smallest buffer is a
+	// valid configuration: every architecture builds it.
+	for _, arch := range allArchs() {
+		cfg := DefaultConfig(arch)
+		cfg.ChunkSize, cfg.BatchChunks = 512, 4
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%s: 4 chunks of 512 bytes refused: %v", arch, err)
+		}
+	}
 }
 
 func TestWriteSizeValidation(t *testing.T) {

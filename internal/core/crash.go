@@ -23,7 +23,7 @@ const (
 	// CrashPostHash fires after batch fingerprinting, before the batch's
 	// dedup lookups: its chunk data is buffered, none of its metadata was
 	// touched. On FIDR the previous batch's commit may have run under this
-	// hash (tipFIDRBatch), so the crash comes after that commit; the hit
+	// hash (tipBatch), so the crash comes after that commit; the hit
 	// count is still one per tipped batch.
 	CrashPostHash CrashStage = iota
 	// CrashPrePack fires after compression, before table updates: the

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"fidr/internal/hostmodel"
+	"fidr/internal/ssd"
+	"fidr/internal/tablecache"
 )
 
 // diffOps is the length of each differential stream.
@@ -18,12 +20,15 @@ const diffOps = 3000
 // diffView is what one architecture leaves behind that the data plane
 // decides, and so must not depend on where the table work runs: the result
 // of every read, the dedup and compression outcome counts, the batch count,
-// the LBA->PBN map and the data SSD's container bytes. Read-path source
-// counts, memory paths, PCIe bytes and predictor counters are left out:
-// those are what the architectures differ in.
+// the LBA->PBN map, the data SSD's container bytes, and the table traffic:
+// the table cache's counts and the table SSD's IOs, which only the same
+// table operations in the same order reproduce. Read-path source counts,
+// memory paths, PCIe bytes and predictor counters are left out: those are
+// what the architectures differ in.
 type diffView struct {
 	reads      []string
 	counts     diffCounts
+	tables     diffTables
 	mappings   string
 	containers string
 }
@@ -32,6 +37,13 @@ type diffView struct {
 type diffCounts struct {
 	dups, uniques, stored, compSaved, batches uint64
 	reduction                                 float64
+}
+
+// diffTables is a diffView's table traffic; the table SSD's BusyDuration
+// is zeroed, leaving its IO and byte counts.
+type diffTables struct {
+	cache tablecache.Stats
+	ssd   ssd.Stats
 }
 
 // diffRun drives one seeded stream of writes (overwrites and duplicates,
@@ -93,6 +105,8 @@ func diffRun(t *testing.T, mode testMode, arch Arch, lanes int, seed int64) diff
 	st := s.Stats()
 	v.counts = diffCounts{st.DuplicateChunks, st.UniqueChunks, st.StoredBytes, st.CompressionSavedBytes,
 		st.BatchesProcessed, st.ReductionRatio()}
+	v.tables = diffTables{s.CacheStats(), s.TableSSDStats()}
+	v.tables.ssd.BusyDuration = 0
 	live := s.lba.Mappings()
 	lbas := make([]uint64, 0, len(live))
 	for lba := range live {
@@ -113,8 +127,9 @@ func diffRun(t *testing.T, mode testMode, arch Arch, lanes int, seed int64) diff
 // TestArchDifferential runs one seeded stream through the three
 // architectures, which differ only in where the table work runs, and
 // requires the data plane to agree: every read, the dedup and compression
-// counts, the reduction ratio, the batch count, the LBA->PBN map and the
-// data SSD's containers. Fixed and CDC chunking, at 1 and 2 lanes.
+// counts, the reduction ratio, the batch count, the table cache's and table
+// SSD's traffic, the LBA->PBN map and the data SSD's containers. Fixed and
+// CDC chunking, at 1 and 2 lanes.
 func TestArchDifferential(t *testing.T) {
 	for _, mode := range testModes {
 		for _, lanes := range []int{1, 2} {
@@ -141,6 +156,9 @@ func TestArchDifferential(t *testing.T) {
 					}
 					if got.counts != want.counts {
 						t.Errorf("%s: %+v, baseline %+v", arch, got.counts, want.counts)
+					}
+					if got.tables != want.tables {
+						t.Errorf("%s: table traffic %+v, baseline %+v", arch, got.tables, want.tables)
 					}
 				}
 			})

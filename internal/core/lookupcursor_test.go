@@ -13,10 +13,10 @@ import (
 	"fidr/internal/trace/span"
 )
 
-// cursorServer is overlapServerLanes under the given chunking.
-func cursorServer(t *testing.T, chunking chunk.Config, lanes int) *Server {
+// cursorServer is overlapServerLanes of arch under the given chunking.
+func cursorServer(t *testing.T, arch Arch, chunking chunk.Config, lanes int) *Server {
 	t.Helper()
-	cfg := DefaultConfig(FIDRFull)
+	cfg := DefaultConfig(arch)
 	cfg.BatchChunks = 8
 	cfg.ContainerSize = 64 << 10
 	cfg.Chunking = chunking
@@ -82,13 +82,13 @@ func TestHeldLookupsRunDuringFill(t *testing.T) {
 		for _, lanes := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/lanes%d", mode.name, lanes), func(t *testing.T) {
 				newWriter := func() *cursorWriter {
-					return &cursorWriter{s: cursorServer(t, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5)}
+					return &cursorWriter{s: cursorServer(t, FIDRFull, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5)}
 				}
 				w := newWriter()
 				s := w.s
 				tips := 0
 				for w.written < batches*batch {
-					held, before, committed := s.fnic.Held(), lookups(s), committedChunks(s)
+					held, before, committed := s.wbuf.Held(), lookups(s), committedChunks(s)
 					chunks := w.write(t)
 					want := uint64(0)
 					if held {
@@ -132,8 +132,8 @@ func TestHeldLookupsRunDuringFill(t *testing.T) {
 				if _, err := s.Compact(0); err != nil {
 					t.Fatal(err)
 				}
-				if got := lookups(s) - before; got != batch-partial || s.fnic.Held() {
-					t.Fatalf("Compact ran %d lookups, held %v; want %d and false", got, s.fnic.Held(), batch-partial)
+				if got := lookups(s) - before; got != batch-partial || s.wbuf.Held() {
+					t.Fatalf("Compact ran %d lookups, held %v; want %d and false", got, s.wbuf.Held(), batch-partial)
 				}
 				if got := lookups(s); got != committedChunks(s) || got != 2*batch {
 					t.Fatalf("after Compact: %d lookups, %d chunks committed; want %d each", got, committedChunks(s), 2*batch)
@@ -154,11 +154,11 @@ func TestCDCSegmentsTipInsideFill(t *testing.T) {
 	const batch, segments, segBytes = 8, 60, 20000
 	for _, lanes := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
-			s := cursorServer(t, testModes[1].chunking, lanes)
+			s := cursorServer(t, FIDRFull, testModes[1].chunking, lanes)
 			sh := blockcomp.NewShaper(0.5)
 			addr, straddled := uint64(0), 0
 			for i := uint64(0); i < segments; i++ {
-				held, before, filling := s.fnic.Held(), lookups(s), s.fnic.Buffered()
+				held, before, filling := s.wbuf.Held(), lookups(s), s.wbuf.Buffered()
 				if err := s.Write(addr, sh.Make(i%17, segBytes)); err != nil {
 					t.Fatal(err)
 				}
@@ -167,11 +167,11 @@ func TestCDCSegmentsTipInsideFill(t *testing.T) {
 				if filling+int(chunks) > batch {
 					straddled++
 				}
-				if n := len(s.fnic.Head()); s.fnic.Held() && n != batch {
+				if n := len(s.wbuf.Head()); s.wbuf.Held() && n != batch {
 					t.Fatalf("segment %d: held batch of %d chunks, want %d", i, n, batch)
 				}
-				if s.fnic.Buffered() >= batch {
-					t.Fatalf("segment %d left %d chunks filling, a full batch untipped", i, s.fnic.Buffered())
+				if s.wbuf.Buffered() >= batch {
+					t.Fatalf("segment %d left %d chunks filling, a full batch untipped", i, s.wbuf.Buffered())
 				}
 				if got := lookups(s) - before; held && got != chunks {
 					t.Fatalf("segment %d buffered %d chunks and ran %d lookups, want %d", i, chunks, got, chunks)
@@ -184,7 +184,7 @@ func TestCDCSegmentsTipInsideFill(t *testing.T) {
 				t.Fatalf("%d batches scheduled %d chunks, want %d each", st.BatchesMade, st.UniqueSent+st.DuplicateDrops, batch)
 			}
 			// The filling chunks ran the held batch's first lookups.
-			if got, fill := lookups(s), uint64(s.fnic.Buffered()); got != committedChunks(s)+fill {
+			if got, fill := lookups(s), uint64(s.wbuf.Buffered()); got != committedChunks(s)+fill {
 				t.Fatalf("%d lookups, %d chunks committed; want %d more, one per filling chunk", got, committedChunks(s), fill)
 			}
 		})
@@ -231,17 +231,17 @@ func TestLookupFaultDuringFill(t *testing.T) {
 				t.Fatalf("tipping write returned %v, want the media error", err)
 			}
 			i++
-			if committedChunks(s) != 0 || !s.fnic.Held() || s.fnic.Buffered() != int(batch) {
+			if committedChunks(s) != 0 || !s.wbuf.Held() || s.wbuf.Buffered() != int(batch) {
 				t.Fatalf("after the failed tip: %d chunks committed, held %v, %d filling; want 0, true, %d",
-					committedChunks(s), s.fnic.Held(), s.fnic.Buffered(), batch)
+					committedChunks(s), s.wbuf.Held(), s.wbuf.Buffered(), batch)
 			}
 			if err := write(i); err != nil {
 				t.Fatalf("write after the failed tip: %v", err)
 			}
 			i++
-			if committedChunks(s) != batch || !s.fnic.Held() || s.fnic.Buffered() != 1 {
+			if committedChunks(s) != batch || !s.wbuf.Held() || s.wbuf.Buffered() != 1 {
 				t.Fatalf("after the retried tip: %d chunks committed, held %v, %d filling; want %d, true, 1",
-					committedChunks(s), s.fnic.Held(), s.fnic.Buffered(), batch)
+					committedChunks(s), s.wbuf.Held(), s.wbuf.Buffered(), batch)
 			}
 		}
 		for ; i < 4*batch+3; i++ {
@@ -317,7 +317,7 @@ func TestBatchTraceKeepsFillLookups(t *testing.T) {
 // flagged counts the held batch's looked-up first-claim uniques.
 func flagged(s *Server) uint64 {
 	var n uint64
-	if s.fnic.Held() {
+	if s.wbuf.Held() {
 		for _, f := range s.bs.flags[:s.held.looked] {
 			if f {
 				n++
@@ -340,11 +340,11 @@ func TestHeldPacksRunDuringFill(t *testing.T) {
 	for _, mode := range testModes {
 		for _, lanes := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/lanes%d", mode.name, lanes), func(t *testing.T) {
-				w := &cursorWriter{s: cursorServer(t, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5)}
+				w := &cursorWriter{s: cursorServer(t, FIDRFull, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5)}
 				s := w.s
 				tips := 0
 				for w.written < batches*batch {
-					held := s.fnic.Held()
+					held := s.wbuf.Held()
 					c0, u0, f0 := s.EngineStats().ChunksIn, s.Stats().UniqueChunks, flagged(s)
 					w.write(t)
 					c1, u1, f1 := s.EngineStats().ChunksIn, s.Stats().UniqueChunks, flagged(s)

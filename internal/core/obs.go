@@ -394,11 +394,10 @@ func (s *Server) EnableObservability(reg *metrics.Registry) *metrics.Registry {
 	s.cache.Instrument(reg)
 	s.dataSSD.Instrument(reg)
 	s.tableSSD.Instrument(reg)
-	if s.fnic != nil {
-		s.fnic.Instrument(reg)
-	}
 	if s.pnic != nil {
 		s.pnic.Instrument(reg)
+	} else {
+		s.wbuf.Instrument(reg)
 	}
 	s.comp.Instrument(reg)
 	s.ledger.Instrument(reg)

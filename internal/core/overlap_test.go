@@ -295,8 +295,8 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 		s := overlapServer(t)
 		first := next
 		writeBatch(t, s, 3*batch+2)
-		if st := s.Stats(); st.BatchesProcessed != 2 || !s.fnic.Held() {
-			t.Fatalf("%d batches committed, held %v; want 2 and true", st.BatchesProcessed, s.fnic.Held())
+		if st := s.Stats(); st.BatchesProcessed != 2 || !s.wbuf.Held() {
+			t.Fatalf("%d batches committed, held %v; want 2 and true", st.BatchesProcessed, s.wbuf.Held())
 		}
 		// A read the filling buffer answers looks at nothing behind it.
 		if _, err := s.Read(next - 1); err != nil {
@@ -310,19 +310,19 @@ func TestDeferOnlyAcrossReadFreeFills(t *testing.T) {
 			if _, err := s.Read(first); err != nil {
 				t.Fatal(err)
 			}
-			if st := s.Stats(); st.BatchesProcessed != 2 || !s.fnic.Held() {
-				t.Fatalf("read %d: %d batches committed, held %v; want 2 and true", i, st.BatchesProcessed, s.fnic.Held())
+			if st := s.Stats(); st.BatchesProcessed != 2 || !s.wbuf.Held() {
+				t.Fatalf("read %d: %d batches committed, held %v; want 2 and true", i, st.BatchesProcessed, s.wbuf.Held())
 			}
 		}
 		// The buffer now filling saw that read, and its tip still commits
 		// only the held batch, under its hash; so does the tip after it.
 		writeBatch(t, s, batch-2)
-		if st := s.Stats(); st.BatchesProcessed != 3 || !s.fnic.Held() {
-			t.Fatalf("%d batches committed, held %v; want 3 and true", st.BatchesProcessed, s.fnic.Held())
+		if st := s.Stats(); st.BatchesProcessed != 3 || !s.wbuf.Held() {
+			t.Fatalf("%d batches committed, held %v; want 3 and true", st.BatchesProcessed, s.wbuf.Held())
 		}
 		writeBatch(t, s, batch)
-		if st := s.Stats(); st.BatchesProcessed != 4 || !s.fnic.Held() {
-			t.Fatalf("%d batches committed, held %v; want 4 and true", st.BatchesProcessed, s.fnic.Held())
+		if st := s.Stats(); st.BatchesProcessed != 4 || !s.wbuf.Held() {
+			t.Fatalf("%d batches committed, held %v; want 4 and true", st.BatchesProcessed, s.wbuf.Held())
 		}
 		if got := s.ctr.overlapped.Value(); got != 4 {
 			t.Fatalf("batches_overlapped = %d, want 4", got)
@@ -360,16 +360,16 @@ func TestHeldBatchAnswersReads(t *testing.T) {
 			write(lba, lba)
 		}
 		write(3, 100) // LBA 3 in the fill too
-		if !s.fnic.Held() || s.fnic.Buffered() != 1 {
-			t.Fatalf("%d lanes: held %v, %d chunks filling; want true and 1", lanes, s.fnic.Held(), s.fnic.Buffered())
+		if !s.wbuf.Held() || s.wbuf.Buffered() != 1 {
+			t.Fatalf("%d lanes: held %v, %d chunks filling; want true and 1", lanes, s.wbuf.Held(), s.wbuf.Buffered())
 		}
 		for _, lba := range []uint64{5, 3} { // the held batch's, then the fill's
 			before := s.Stats()
 			read(lba)
 			after := s.Stats()
-			if after.NICReadHits != before.NICReadHits+1 || after.BatchesProcessed != 0 || !s.fnic.Held() {
+			if after.NICReadHits != before.NICReadHits+1 || after.BatchesProcessed != 0 || !s.wbuf.Held() {
 				t.Fatalf("%d lanes: read of LBA %d: %d NIC hits, %d batches committed, held %v; want 1, 0 and true",
-					lanes, lba, after.NICReadHits-before.NICReadHits, after.BatchesProcessed, s.fnic.Held())
+					lanes, lba, after.NICReadHits-before.NICReadHits, after.BatchesProcessed, s.wbuf.Held())
 			}
 		}
 
@@ -487,9 +487,9 @@ func TestFaultDuringOverlappedCommit(t *testing.T) {
 			if !errors.Is(err, errMedia) {
 				t.Fatalf("tipping write returned %v, want the media error", err)
 			}
-			if s.ctr.overlapped.Value() != 2 || !s.fnic.Held() || s.fnic.Buffered() != int(batch) {
+			if s.ctr.overlapped.Value() != 2 || !s.wbuf.Held() || s.wbuf.Buffered() != int(batch) {
 				t.Fatalf("%d lanes: %d commits overlapped, held %v, %d chunks filling; want 2 (the failed one counted), true and %d",
-					lanes, s.ctr.overlapped.Value(), s.fnic.Held(), s.fnic.Buffered(), batch)
+					lanes, s.ctr.overlapped.Value(), s.wbuf.Held(), s.wbuf.Buffered(), batch)
 			}
 			if got := s.Stats().UniqueChunks; got != batch {
 				t.Fatalf("%d chunks committed, want %d: the failed commit must apply nothing", got, batch)
@@ -501,9 +501,9 @@ func TestFaultDuringOverlappedCommit(t *testing.T) {
 					t.Fatalf("write %d after the fault cleared: %v", i, err)
 				}
 			}
-			if got := s.Stats().UniqueChunks; got != 3*batch || !s.fnic.Held() || s.ctr.overlapped.Value() != 4 {
+			if got := s.Stats().UniqueChunks; got != 3*batch || !s.wbuf.Held() || s.ctr.overlapped.Value() != 4 {
 				t.Fatalf("%d lanes: %d chunks committed, held %v, %d overlapped; want %d, true, 4",
-					lanes, got, s.fnic.Held(), s.ctr.overlapped.Value(), 3*batch)
+					lanes, got, s.wbuf.Held(), s.ctr.overlapped.Value(), 3*batch)
 			}
 			wholeBatches(t, s, lanes)
 			check(t, s, i)
@@ -524,9 +524,9 @@ func TestFaultDuringOverlappedCommit(t *testing.T) {
 					// The commit that failed ran under a hash, after
 					// ScheduleBatch consumed its batch: nothing is held,
 					// and the full fill waits for the next write to tip it.
-					if s.ctr.overlapped.Value() == 0 || s.fnic.Held() || s.fnic.Buffered() != s.cfg.BatchChunks {
+					if s.ctr.overlapped.Value() == 0 || s.wbuf.Held() || s.wbuf.Buffered() != s.cfg.BatchChunks {
 						t.Fatalf("%d lanes: fault outside an overlapped commit: %d overlapped, held %v, %d chunks filling",
-							lanes, s.ctr.overlapped.Value(), s.fnic.Held(), s.fnic.Buffered())
+							lanes, s.ctr.overlapped.Value(), s.wbuf.Held(), s.wbuf.Buffered())
 					}
 				}
 			}

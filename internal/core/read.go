@@ -17,9 +17,9 @@ var ErrNotFound = fmt.Errorf("core: LBA not found")
 
 // Read returns the chunk most recently written at lba (§2.2 / §5.3 read
 // flows) in a fresh slice the caller owns. Data is served, in priority
-// order, from: the write buffer (NIC buffer in FIDR, host batch buffer in
-// the baseline), the engine's open container, or the data SSDs with
-// decompression.
+// order, from: the write buffer (NIC memory in FIDR, the host request
+// buffer in the baseline), the engine's open container, or the data SSDs
+// with decompression.
 func (s *Server) Read(lba uint64) ([]byte, error) {
 	return s.ReadAppend(nil, lba, nil)
 }
@@ -46,11 +46,27 @@ func (s *Server) ReadAppend(dst []byte, lba uint64, tc *TraceContext) ([]byte, e
 	s.activeReq = tr
 	defer func() { s.activeReq = nil }()
 
+	// Both flows search the write buffer first (§5.3 read step 2): the
+	// filling buffer, then the held batch, which in FIDR commits at the next
+	// tip whatever reads come first.
 	start := len(dst)
+	from := tr.start()
+	data, hit := s.wbuf.LookupRead(lba)
+	tr.span(StageNICBuffer, from)
 	var err error
-	if s.cfg.Arch == Baseline {
+	switch {
+	case hit && s.cfg.Arch == Baseline:
+		// Buffer lookup plus NIC send of the hit.
+		s.ctr.readCacheHits.Inc()
+		s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
+		s.transfer(pcie.HostMemory, devNIC, uint64(len(data)))
+		dst = append(dst, data...)
+	case hit:
+		s.ctr.nicReadHits.Inc()
+		dst = append(dst, data...)
+	case s.cfg.Arch == Baseline:
 		dst, err = s.baselineRead(dst, lba, tr)
-	} else {
+	default:
 		dst, err = s.fidrRead(dst, lba, tr)
 	}
 	if err != nil {
@@ -127,20 +143,7 @@ func ReadRange(st interface {
 // --- Baseline read (§2.3, Figure 2b) ---
 
 func (s *Server) baselineRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) {
-	// Freshest data may still sit in the host request buffer.
 	from := tr.start()
-	for i := len(s.batch) - 1; i >= 0; i-- {
-		if data := s.batch[i].Data; s.batch[i].LBA == lba {
-			tr.span(StageNICBuffer, from)
-			s.ctr.readCacheHits.Inc()
-			// Buffer scan plus NIC send of the hit.
-			s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
-			s.transfer(pcie.HostMemory, devNIC, uint64(len(data)))
-			return append(dst, data...), nil
-		}
-	}
-	tr.span(StageNICBuffer, from)
-	from = tr.start()
 	pba, err := s.resolve(lba)
 	if err != nil {
 		return nil, err
@@ -180,15 +183,6 @@ func (s *Server) baselineRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, err
 // --- FIDR read (§5.3, Figure 6b) ---
 
 func (s *Server) fidrRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) {
-	// Step 2: the NIC searches its buffers first, the filling one and the
-	// held batch, which commits at the next tip whatever reads come first.
-	from := tr.start()
-	if data, ok := s.fnic.LookupRead(lba); ok {
-		s.ctr.nicReadHits.Inc()
-		tr.span(StageNICBuffer, from)
-		return append(dst, data...), nil
-	}
-	tr.span(StageNICBuffer, from)
 	// §8 extension: hot-block read cache in host memory.
 	if out, ok := s.rcache.appendTo(dst, lba); ok {
 		n := uint64(len(out) - len(dst))
@@ -199,7 +193,7 @@ func (s *Server) fidrRead(dst []byte, lba uint64, tr *ReqTrace) ([]byte, error) 
 	}
 	// Steps 3-4: LBA goes to the host, which resolves the PBA.
 	s.transfer(devNIC, pcie.HostMemory, 8)
-	from = tr.start()
+	from := tr.start()
 	pba, err := s.resolve(lba)
 	if err != nil {
 		return nil, err

@@ -97,60 +97,73 @@ func TestCrashHaltsContainerWrites(t *testing.T) {
 // TestInFlightReadsFromSSD: a read of a chunk whose container write is in
 // flight waits for it and is answered by the data SSD, so every read-out
 // and read-path count equals a run whose container writes all finish
-// before the write that posted them returns. Fixed and CDC chunking, at
-// 1, 2 and 4 lanes.
+// before the write that posted them returns. Both architectures, fixed
+// and CDC chunking, at 1, 2 and 4 lanes.
 func TestInFlightReadsFromSSD(t *testing.T) {
 	const writes, lag = 400, 12
-	for _, mode := range testModes {
-		for _, lanes := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/lanes%d", mode.name, lanes), func(t *testing.T) {
-				run := func(sync bool) (string, int) {
-					w := &cursorWriter{s: cursorServer(t, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5), unique: true}
-					s := w.s
-					h := sha256.New()
-					var addrs []uint64
-					inFlight := 0
-					for len(addrs) < writes {
-						addrs = append(addrs, w.addr)
-						w.write(t)
-						if sync {
-							if err := s.reapSealed(); err != nil {
+	for _, arch := range []Arch{FIDRFull, Baseline} {
+		for _, mode := range testModes {
+			for _, lanes := range []int{1, 2, 4} {
+				t.Run(archSubtest(arch, mode, lanes), func(t *testing.T) {
+					run := func(sync bool) (string, int) {
+						w := &cursorWriter{s: cursorServer(t, arch, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5), unique: true}
+						s := w.s
+						h := sha256.New()
+						var addrs []uint64
+						inFlight := 0
+						for len(addrs) < writes {
+							addrs = append(addrs, w.addr)
+							w.write(t)
+							if sync {
+								if err := s.reapSealed(); err != nil {
+									t.Fatal(err)
+								}
+							}
+							if len(addrs) <= lag {
+								continue
+							}
+							at := addrs[len(addrs)-1-lag]
+							if pba, err := s.lba.ResolveLBA(at); err == nil && s.sw.inFlight(pba.Container) {
+								inFlight++
+							}
+							got, err := s.Read(at)
+							if err != nil {
 								t.Fatal(err)
 							}
+							h.Write(got)
 						}
-						if len(addrs) <= lag {
-							continue
-						}
-						at := addrs[len(addrs)-1-lag]
-						if pba, err := s.lba.ResolveLBA(at); err == nil && s.sw.inFlight(pba.Container) {
-							inFlight++
-						}
-						got, err := s.Read(at)
-						if err != nil {
-							t.Fatal(err)
-						}
-						h.Write(got)
+						st := s.Stats()
+						fmt.Fprintf(h, "%d %d %d %d\n", st.NICReadHits, st.PendingReads, st.ReadCacheHits, s.DataSSDStats().ReadIOs)
+						return hex.EncodeToString(h.Sum(nil)), inFlight
 					}
-					st := s.Stats()
-					fmt.Fprintf(h, "%d %d %d %d\n", st.NICReadHits, st.PendingReads, st.ReadCacheHits, s.DataSSDStats().ReadIOs)
-					return hex.EncodeToString(h.Sum(nil)), inFlight
-				}
-				got, inFlight := run(false)
-				want, _ := run(true)
-				if inFlight == 0 {
-					t.Fatal("no read met a container write in flight; the test exercised nothing")
-				}
-				if got != want {
-					t.Fatalf("%d reads met a write in flight: read-outs %s, with every write finished %s", inFlight, got, want)
-				}
-			})
+					got, inFlight := run(false)
+					want, _ := run(true)
+					if inFlight == 0 {
+						t.Fatal("no read met a container write in flight; the test exercised nothing")
+					}
+					if got != want {
+						t.Fatalf("%d reads met a write in flight: read-outs %s, with every write finished %s", inFlight, got, want)
+					}
+				})
+			}
 		}
 	}
 }
 
+// archSubtest names a subtest of arch, mode and lanes: "fixed/lanes1" for
+// FIDR-Full, "baseline/fixed/lanes1" for the baseline.
+func archSubtest(arch Arch, mode testMode, lanes int) string {
+	name := fmt.Sprintf("%s/lanes%d", mode.name, lanes)
+	if arch == Baseline {
+		name = "baseline/" + name
+	}
+	return name
+}
+
 // TestVerbsLeaveNoWriteInFlight: Flush, Compact, Checkpoint and Verify
 // each return with every sealed container on the data SSD, none posted
-// and none queued. Fixed and CDC chunking, at 1, 2 and 4 lanes.
+// and none queued. Both architectures, fixed and CDC chunking, at 1, 2
+// and 4 lanes.
 func TestVerbsLeaveNoWriteInFlight(t *testing.T) {
 	verbs := []struct {
 		name string
@@ -161,28 +174,30 @@ func TestVerbsLeaveNoWriteInFlight(t *testing.T) {
 		{"checkpoint", (*Server).Checkpoint},
 		{"verify", func(s *Server) error { _, err := s.Verify(); return err }},
 	}
-	for _, mode := range testModes {
-		for _, lanes := range []int{1, 2, 4} {
-			for _, verb := range verbs {
-				t.Run(fmt.Sprintf("%s/lanes%d/%s", mode.name, lanes, verb.name), func(t *testing.T) {
-					w := &cursorWriter{s: cursorServer(t, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5), unique: true}
-					s := w.s
-					for len(s.sw.posted) == 0 {
-						if w.n == 4000 {
-							t.Fatal("no container write was posted; test setup broken")
+	for _, arch := range []Arch{FIDRFull, Baseline} {
+		for _, mode := range testModes {
+			for _, lanes := range []int{1, 2, 4} {
+				for _, verb := range verbs {
+					t.Run(archSubtest(arch, mode, lanes)+"/"+verb.name, func(t *testing.T) {
+						w := &cursorWriter{s: cursorServer(t, arch, mode.chunking, lanes), sh: blockcomp.NewShaper(0.5), unique: true}
+						s := w.s
+						for len(s.sw.posted) == 0 {
+							if w.n == 4000 {
+								t.Fatal("no container write was posted; test setup broken")
+							}
+							w.write(t)
 						}
-						w.write(t)
-					}
-					if err := verb.run(s); err != nil {
-						t.Fatal(err)
-					}
-					if len(s.sw.posted) != 0 || len(s.comp.Sealed()) != 0 {
-						t.Fatalf("%d containers posted, %d sealed after %s", len(s.sw.posted), len(s.comp.Sealed()), verb.name)
-					}
-					if ios, sealed := s.DataSSDStats().WriteIOs, s.EngineStats().ContainersSealed; ios != sealed {
-						t.Fatalf("%d container writes for %d sealed containers", ios, sealed)
-					}
-				})
+						if err := verb.run(s); err != nil {
+							t.Fatal(err)
+						}
+						if len(s.sw.posted) != 0 || len(s.comp.Sealed()) != 0 {
+							t.Fatalf("%d containers posted, %d sealed after %s", len(s.sw.posted), len(s.comp.Sealed()), verb.name)
+						}
+						if ios, sealed := s.DataSSDStats().WriteIOs, s.EngineStats().ContainersSealed; ios != sealed {
+							t.Fatalf("%d container writes for %d sealed containers", ios, sealed)
+						}
+					})
+				}
 			}
 		}
 	}

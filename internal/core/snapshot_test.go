@@ -185,8 +185,8 @@ func TestSnapshotVerbsOnCrashedServer(t *testing.T) {
 			if err := tc.crash(s); !errors.Is(err, ErrCrashInjected) {
 				t.Fatalf("crash did not fire: %v", err)
 			}
-			if s.fnic.Held() != tc.held {
-				t.Fatalf("held %v after the crash, want %v", s.fnic.Held(), tc.held)
+			if s.wbuf.Held() != tc.held {
+				t.Fatalf("held %v after the crash, want %v", s.wbuf.Held(), tc.held)
 			}
 			if got, err := s.ReadSnapshot(id, 0); !errors.Is(err, ErrCrashInjected) {
 				t.Fatalf("ReadSnapshot on a crashed server: %d bytes, err %v", len(got), err)

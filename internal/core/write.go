@@ -19,9 +19,9 @@ import (
 // the chunk and data must be exactly one, so lba is its chunk index; under
 // CDC the unit is a byte, lba is the segment's stream byte offset and the
 // chunks are content-defined extents. A write whose last chunk's address
-// would pass 2^64-1 is refused whole. The chunks are buffered (host memory
-// for the baseline, NIC memory for FIDR) and processed when a full
-// accelerator batch accumulates.
+// would pass 2^64-1 is refused whole. The chunks are buffered in the write
+// buffer (host memory for the baseline, NIC memory for FIDR) and processed
+// when a full accelerator batch accumulates.
 func (s *Server) Write(lba uint64, data []byte) error {
 	return s.WriteTraced(lba, data, nil)
 }
@@ -49,20 +49,15 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 	s.activeReq = tr
 	defer func() { s.activeReq = nil }()
 	// A commit that failed left its batch buffered (FIDR's in the full
-	// fill): it commits before this write's chunks join the buffer, and a
-	// write it refuses buffers and counts nothing. Both architectures tip
-	// as the chunk that fills a batch buffers, so no batch grows past
-	// BatchChunks; a tip that fails mid-segment returns with that
-	// segment's earlier chunks buffered.
-	var err error
-	switch {
-	case s.fnic != nil && s.fnic.Buffered() >= s.cfg.BatchChunks:
-		err = s.tipFIDRBatch(false)
-	case s.staged || len(s.batch) >= s.cfg.BatchChunks:
-		err = s.processBaselineBatch(false)
-	}
-	if err != nil {
-		return err
+	// fill, the baseline's held): it commits before this write's chunks
+	// join the buffer, and a write it refuses buffers and counts nothing.
+	// Both architectures tip as the chunk that fills a batch buffers, so no
+	// batch grows past BatchChunks; a tip that fails mid-segment returns
+	// with that segment's earlier chunks buffered.
+	if s.wbuf.Buffered() >= s.cfg.BatchChunks || s.cfg.Arch == Baseline && s.wbuf.Held() {
+		if err := s.tipBatch(false); err != nil {
+			return err
+		}
 	}
 	s.ctr.writes.Inc()
 	s.ctr.clientBytes.Add(uint64(len(data)))
@@ -72,18 +67,11 @@ func (s *Server) WriteTraced(lba uint64, data []byte, tc *TraceContext) error {
 
 	// The one cut loop: the baseline's chunker is host software (its NIC
 	// DMA-writes raw bytes), FIDR's runs in the NIC; either way each chunk
-	// goes to the architecture's buffer under its own address.
+	// goes to the write buffer under its own address.
 	s.cbounds = s.chunker.AppendBoundaries(s.cbounds[:0], data)
 	prev := 0
 	for _, b := range s.cbounds {
-		at := lba + uint64(prev/unit)
-		var err error
-		if s.cfg.Arch == Baseline {
-			err = s.baselineWrite(at, data[prev:b], tr)
-		} else {
-			err = s.fidrWrite(at, data[prev:b], tr)
-		}
-		if err != nil {
+		if err := s.bufferChunk(lba+uint64(prev/unit), data[prev:b], tr); err != nil {
 			return err
 		}
 		prev = b
@@ -98,14 +86,7 @@ func (s *Server) Flush() error {
 	if err := s.failIfCrashed(); err != nil {
 		return err
 	}
-	var err error
-	switch s.cfg.Arch {
-	case Baseline:
-		err = s.processBaselineBatch(false)
-	default:
-		err = s.tipFIDRBatch(true)
-	}
-	if err != nil {
+	if err := s.tipBatch(true); err != nil {
 		return err
 	}
 	s.comp.Flush()
@@ -114,178 +95,75 @@ func (s *Server) Flush() error {
 	return s.writeSealed(tr, true)
 }
 
-// --- Baseline (extended CIDR, §2.3) ---
+// --- The write buffer: one for both architectures ---
 
-// baselineWrite buffers one chunk in the host request buffer.
-func (s *Server) baselineWrite(lba uint64, data []byte, tr *ReqTrace) error {
-	// NIC DMA-writes the client data into the host request buffer.
-	from := tr.start()
-	s.pnic.ReceiveWrite(data)
-	s.transfer(devNIC, pcie.HostMemory, uint64(len(data)))
-	s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
-	s.ledger.Count(hostmodel.EvDMAChunk, 1)
-
-	off := len(s.batchArena)
-	s.batchArena = append(s.batchArena, data...)
-	end := len(s.batchArena)
-	s.batch = append(s.batch, nic.WriteEntry{LBA: lba, Data: s.batchArena[off:end:end], Size: len(data)})
-	tr.span(StageNICBuffer, from)
-	if len(s.batch) >= s.cfg.BatchChunks {
-		return s.processBaselineBatch(false)
-	}
-	return nil
-}
-
-// processBaselineBatch runs the §2.3 write flow over the buffered batch:
-// steps 1-4 once (staged), then step 5's software table management as the
-// commit core (commitCore), whose pack step is the host packing what the
-// FPGA array compressed and repairing mispredictions. The batch leaves the
-// host request buffer whole, once published, so a failure leaves all of it
-// buffered and readable, and the next write, Flush or maintenance verb
-// resumes the commit at the entry that failed. With wait it returns with no
-// container write in flight.
-func (s *Server) processBaselineBatch(wait bool) error {
-	if len(s.batch) == 0 {
-		return nil
-	}
-	batch := s.batch
-	bt := s.obs.beginLinked("batch", batch[0].LBA, s.activeReq)
-	defer bt.done()
-	bs := &s.bs
-	if !s.staged {
-		s.holdBatch(len(batch))
-		// 1. The unique-chunk predictor reads the buffered data and
-		// guesses which chunks are unique; the batch scheduler groups
-		// accordingly. A predicted-unique chunk's cdata holds its bytes
-		// until step 3 replaces them with its compressed form.
-		from := bt.start()
-		bs.cdata = append(bs.cdata[:0], make([][]byte, len(batch))...)
-		datas, total := bs.datas[:0], uint64(0)
-		for i := range batch {
-			if s.pred.Predict(batch[i].Data) {
-				bs.cdata[i] = batch[i].Data
-				datas = append(datas, batch[i].Data)
-			}
-			s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
-			total += uint64(batch[i].Size)
-		}
-		bs.datas = datas
-		bt.span(StageDedupLookup, from)
-
-		// 2. One-time transfer of the whole batch to the FPGA array.
-		s.transfer(pcie.HostMemory, devFPGA, total)
-		s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
-		s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(batch)))
-
-		// 3. FPGA: the hash-core array fingerprints every chunk, on the
-		// caller and up to HashLanes-1 of the pool's helpers; the
-		// compression-pipeline array then compresses the predicted-unique
-		// chunks. Compressed results alias engine scratch, which stays
-		// valid until the next CompressMany call — every pack of this
-		// batch, a resumed commit's included, happens before that.
-		from = bt.start()
-		s.pool.Run(s.hashes, len(batch), s.cfg.HashLanes)
-		bt.span(StageHash, from)
-		if err := s.crashPoint(CrashPostHash); err != nil {
-			return err
-		}
-		backBytes := uint64(len(batch)) * fingerprint.Size
-		if len(datas) > 0 {
-			from = bt.start()
-			rs, err := s.comp.CompressMany(datas)
-			if err != nil {
-				return err
-			}
-			bt.span(StageCompress, from)
-			for i := range bs.cdata { // rs is in batch order of the predicted-unique chunks
-				if bs.cdata[i] != nil {
-					bs.cdata[i] = rs[0].Data
-					backBytes += uint64(len(rs[0].Data))
-					rs = rs[1:]
-				}
-			}
-		}
-		// 4. Hashes and compressed predicted-uniques return to host memory.
-		s.transfer(devFPGA, pcie.HostMemory, backBytes)
-		s.ledger.MemPayload(hostmodel.PathHostFPGA, backBytes)
-		s.staged = true
-	}
-
-	// 5. Software table management validates predictions against the
-	// Hash-PBN table cache.
-	if err := s.commitCore(batch, bt); err != nil {
-		return err
-	}
-	// Published: all chunk bytes are packed (containers copy) or dropped.
-	s.batch, s.batchArena, s.staged = batch[:0], s.batchArena[:0], false
-	s.ctr.batches.Inc()
-	return s.writeSealed(bt, wait)
-}
-
-// hashPending is the baseline hash array's item function: it fingerprints
-// chunk i of the host request buffer.
-func (s *Server) hashPending(i int) {
-	e := &s.batch[i]
-	e.FP = fingerprint.Of(e.Data)
-}
-
-// --- FIDR (§5.3) ---
-
-// fidrWrite runs the §5.3 write flow's first step for one chunk: the NIC
-// buffers it in battery-backed NIC memory and the client is acked at once.
-// When the buffer is full the batch tips and the chunk goes into the fresh
-// one. The chunk supersedes whatever the §8 read cache holds at its
-// address — a segment's interior extents included, not only its first.
-// Once buffered, the chunk pays for the held batch's next table lookup
-// (steps 4-5) and, if that flags a unique, its compress and pack (step 8),
-// so a full fill has run all of them by its tip; one that fails fails no
-// write, it stops the cursors and the next tip returns it. The chunk that
-// fills the batch tips it.
-func (s *Server) fidrWrite(lba uint64, data []byte, tr *ReqTrace) error {
+// bufferChunk runs the first step of both write flows for one chunk: the
+// baseline's NIC DMA-writes it into the host request buffer (§2.3), FIDR's
+// buffers it in battery-backed NIC memory (§5.3); either way the client is
+// acked at once, and the buffer's hash job fingerprints the chunk — on the
+// FPGA hash array or the NIC's SHA cores — as the batch fills. When the
+// buffer is full the batch tips and the chunk goes into the fresh one. The
+// chunk supersedes whatever the §8 read cache holds at its address — a
+// segment's interior extents included, not only its first. Once buffered,
+// the chunk pays for the held batch's next table lookup (steps 4-5) and, if
+// that flags a unique, its compress and pack (step 8), so a full fill has
+// run all of them by its tip; one that fails fails no write, it stops the
+// cursors and the next tip returns it. Only FIDR holds a batch during a
+// fill. The chunk that fills the batch tips it.
+func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
 	s.rcache.invalidate(lba)
 	from := tr.start()
-	err := s.fnic.BufferWrite(lba, data)
+	if s.cfg.Arch == Baseline {
+		s.pnic.ReceiveWrite(data)
+		s.transfer(devNIC, pcie.HostMemory, uint64(len(data)))
+		s.ledger.MemPayload(hostmodel.PathNICHost, uint64(len(data)))
+		s.ledger.Count(hostmodel.EvDMAChunk, 1)
+	}
+	err := s.wbuf.BufferWrite(lba, data)
 	tr.span(StageNICBuffer, from)
 	if err == nic.ErrBufferFull {
-		// Validate sizes the buffer for several Max-size chunks, so the
-		// retry into an empty buffer fits.
-		if err := s.tipFIDRBatch(false); err != nil {
+		// Validate sizes the NIC buffer for several Max-size chunks, and
+		// New the host request buffer for a batch of them, so the retry
+		// into an empty buffer fits.
+		if err := s.tipBatch(false); err != nil {
 			return err
 		}
 		from = tr.start()
-		err = s.fnic.BufferWrite(lba, data)
+		err = s.wbuf.BufferWrite(lba, data)
 		tr.span(StageNICBuffer, from)
 	}
 	if err != nil {
 		return err
 	}
 	if s.held.lookupErr == nil {
-		entries := s.fnic.Head()
+		entries := s.wbuf.Head()
 		if s.held.lookupErr = s.resolveBatch(entries, 1); s.held.lookupErr == nil {
 			s.held.lookupErr = s.packBatch(entries)
 		}
 	}
-	if s.fnic.Buffered() >= s.cfg.BatchChunks {
-		return s.tipFIDRBatch(false)
+	if s.wbuf.Buffered() >= s.cfg.BatchChunks {
+		return s.tipBatch(false)
 	}
 	return nil
 }
 
-// heldBatch notes the batch under commit — the FIDR NIC's held batch, or
-// the baseline's full host request buffer — with its commit core's four
-// cursors, each stopped at the entry whose step failed: looked entries are
-// resolved into bs.flags and bs.dupPBN, packed of them packed into
-// bs.metas, admitted of the metas admitted, mapped entries mapped. The
-// batch trace reports lookupDur from lookupStart on (resolve, admit, map)
-// as dedup_lookup and packDur from packStart on as compress. FIDR only:
-// tip is the request that tipped the batch, under whose trace its commit
-// links; hashStart and hashDur the tip's wait in the NIC's Join, reported
-// once as the hash stage; lookupErr a lookup or pack that failed during
-// the fill, which the commit returns once before retrying that entry.
+// heldBatch notes the batch under commit — the write buffer's held batch
+// — with its commit core's four cursors, each stopped at the entry whose
+// step failed: looked entries are resolved into bs.flags and bs.dupPBN,
+// packed of them packed into bs.metas, admitted of the metas admitted,
+// mapped entries mapped. tip is the request that tipped the batch, under
+// whose trace its commit links; hashStart and hashDur the tip's wait in the
+// buffer's Join, reported once as the hash stage. The batch trace reports
+// lookupDur from lookupStart on (resolve, admit, map) as dedup_lookup and
+// packDur from packStart on as compress. staged notes that the baseline's
+// steps 1-4 have run (stageBaseline). FIDR only: lookupErr a lookup or
+// pack that failed during the fill, which the commit returns once before
+// retrying that entry.
 type heldBatch struct {
 	tip         *ReqTrace
 	hashStart   time.Time
 	hashDur     time.Duration
+	staged      bool
 	looked      int
 	lookupStart time.Time
 	lookupDur   time.Duration
@@ -308,49 +186,55 @@ func (s *Server) holdBatch(n int) {
 	bs.metas = bs.metas[:0]
 }
 
-// tipFIDRBatch runs when the filling buffer holds a batch (and, with now
-// set, from Flush on whatever it holds). §5.3's step 2 — the NIC hashes the
-// batch — is a pure function of bytes already in NIC memory: the pool's
-// helpers have fingerprinted most of the batch while it filled, and the
-// rest is hashed beside steps 3-10 of the batch before. The NIC starts the
-// tip, this goroutine commits the held batch — whose lookups and packs the
-// fill's writes have already run, one per chunk — and only then does the
-// NIC detach the fill into the emptied slot and join its hashes. Nothing
-// of this batch's hashing runs after the call returns. A commit that fails
-// returns before the detach: the failed batch stays held, and the fill
-// stays attached and readable.
+// tipBatch runs when the filling buffer holds a batch (and, with now set,
+// from Flush on whatever it holds). The batch's hashing — §5.3's step 2 on
+// the NIC's SHA cores, §2.3's step 3 on the FPGA hash array — is a pure
+// function of bytes already in the buffer: the pool's helpers have
+// fingerprinted most of the batch while it filled. The buffer starts the
+// tip; with a batch held (FIDR) this goroutine commits it — its lookups
+// and packs the fill's writes have already run, one per chunk — while the
+// helpers hash the rest, and only then does the buffer detach the fill into
+// the emptied slot and join its hashes. Nothing of this batch's hashing
+// runs after the call returns. A commit that fails returns before the
+// detach: the failed batch stays held, and the fill stays attached and
+// readable.
 //
-// The new batch's cursors start at its first entry. Its lookups and packs
-// run as the next fill's writes buffer, and its commit waits for the next
-// tip, reads or not (the NIC answers them from both buffers), unless this
-// is Flush.
-func (s *Server) tipFIDRBatch(now bool) error {
-	if s.fnic.Buffered() == 0 {
+// The new batch's cursors start at its first entry. FIDR runs its lookups
+// and packs as the next fill's writes buffer, and its commit waits for the
+// next tip, reads or not (the NIC answers them from both buffers), unless
+// this is Flush. The baseline commits it here: it never holds a batch
+// across a fill.
+func (s *Server) tipBatch(now bool) error {
+	if s.wbuf.Buffered() == 0 {
 		return s.commitHeld()
 	}
-	// Step 2: NIC hash cores fingerprint the batch; only the hash
-	// values cross PCIe into host memory.
-	s.fnic.Tip()
-	if s.fnic.Held() {
+	s.wbuf.Tip()
+	if s.wbuf.Held() {
 		s.ctr.overlapped.Inc()
 		if err := s.commitBatch(false); err != nil {
 			return err
 		}
 	}
 	hashStart := s.obs.now()
-	n := s.fnic.Join()
+	n := s.wbuf.Join()
 	s.holdBatch(n)
 	s.held.hashStart, s.held.hashDur = hashStart, s.obs.since(hashStart)
-	hashBytes := uint64(n) * fingerprint.Size
-	s.transfer(devNIC, pcie.HostMemory, hashBytes)
-	s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
-	s.ledger.Count(hostmodel.EvDMABatch, 1)
-	s.ledger.Count(hostmodel.EvDeviceMgrChunk, uint64(n))
+	if s.cfg.Arch != Baseline {
+		// Only the hash values cross PCIe into host memory.
+		hashBytes := uint64(n) * fingerprint.Size
+		s.transfer(devNIC, pcie.HostMemory, hashBytes)
+		s.ledger.Mem(hostmodel.PathNICHost, hashBytes)
+		s.ledger.Count(hostmodel.EvDMABatch, 1)
+		s.ledger.Count(hostmodel.EvDeviceMgrChunk, uint64(n))
+	}
 	if err := s.crashPoint(CrashPostHash); err != nil {
 		return err
 	}
-	if now {
+	switch {
+	case now:
 		return s.commitHeld()
+	case s.cfg.Arch == Baseline:
+		return s.commitBatch(false)
 	}
 	return nil
 }
@@ -358,10 +242,10 @@ func (s *Server) tipFIDRBatch(now bool) error {
 // commitHeld commits the batch under commit, if any — the FIDR NIC's held
 // batch, or a baseline batch whose commit failed — and returns with no
 // container write in flight. Flush and the maintenance verbs, which look
-// at the server past the NIC, call it first, so they observe the state
-// they would have observed had every batch been committed by the write
-// that tipped it; a read needs none of it, since the buffers answer the
-// held chunks themselves. This is also what keeps the held batch's early
+// at the server past the write buffer, call it first, so they observe the
+// state they would have observed had every batch been committed by the
+// write that tipped it; a read needs none of it, since the buffer answers
+// the held chunks itself. This is also what keeps the held batch's early
 // lookups and packs exact: nothing else touches the table cache or the
 // open container between its hold and its commit. The read-outs that
 // return no error (Garbage, CapacityReport, ContainerHeatmap) drop its
@@ -371,35 +255,39 @@ func (s *Server) commitHeld() error {
 	if err := s.failIfCrashed(); err != nil {
 		return err
 	}
-	switch {
-	case s.fnic != nil && s.fnic.Held():
+	if s.wbuf.Held() {
 		return s.commitBatch(true)
-	case s.staged || len(s.batch) >= s.cfg.BatchChunks:
-		return s.processBaselineBatch(true)
 	}
 	return s.reapSealed()
 }
 
-// commitBatch runs §5.3 steps 3-10 over the held batch: the commit core
-// runs what of steps 4-5 and 8 the fill left (normally none), admits the
-// uniques and maps every entry; then step 7's ScheduleBatch releases the
-// published batch from NIC memory, and writeSealed gets the sealed
-// containers. Until ScheduleBatch a failure leaves it held, and the next
-// tip, Flush or maintenance verb resumes it at the entry that failed.
+// commitBatch runs the rest of the held batch's write flow: the baseline's
+// steps 1-4 once (stageBaseline), FIDR's step 3; then the commit core runs
+// what of the table lookups and packs the fill left (FIDR: normally none),
+// admits the uniques and maps every entry. Then the published batch leaves
+// the buffer — for FIDR step 7's ScheduleBatch, which sends its uniques to
+// the engine — and writeSealed gets the sealed containers. Until then a
+// failure leaves it held and readable, and the next tip (FIDR), write
+// (baseline), Flush or maintenance verb resumes it at the step that failed.
 func (s *Server) commitBatch(wait bool) error {
-	entries := s.fnic.Head()
+	entries := s.wbuf.Head()
 	h := &s.held
-	bt := s.obs.beginLinked("batch", 0, h.tip)
+	bt := s.obs.beginLinked("batch", entries[0].LBA, h.tip)
 	defer bt.done()
 	if !h.hashStart.IsZero() {
 		bt.at(StageHash, h.hashStart, h.hashDur)
 		h.hashStart = time.Time{}
 	}
-
-	// Step 3: the device manager sends bucket indexes to the Cache
-	// HW-Engine (full FIDR only; with software caching this stays on
-	// the host).
-	if s.cfg.Arch == FIDRFull {
+	switch s.cfg.Arch {
+	case Baseline:
+		if !h.staged {
+			if err := s.stageBaseline(entries, bt); err != nil {
+				return err
+			}
+		}
+	case FIDRFull:
+		// Step 3: the device manager sends bucket indexes to the Cache
+		// HW-Engine (with software caching this stays on the host).
 		s.transfer(pcie.HostMemory, devCacheHW, uint64(len(entries))*8)
 		s.transfer(devCacheHW, pcie.HostMemory, uint64(len(entries))*8)
 	}
@@ -410,33 +298,93 @@ func (s *Server) commitBatch(wait bool) error {
 	if err := s.commitCore(entries, bt); err != nil {
 		return err
 	}
+	if s.cfg.Arch != Baseline {
+		// Step 6: uniqueness flags return to the NIC.
+		s.transfer(pcie.HostMemory, devNIC, uint64(len(entries)))
+		s.ledger.Mem(hostmodel.PathNICHost, uint64(len(entries)))
+	}
 
-	// Step 6: uniqueness flags return to the NIC.
-	s.transfer(pcie.HostMemory, devNIC, uint64(len(entries)))
-	s.ledger.Mem(hostmodel.PathNICHost, uint64(len(entries)))
-
-	// Step 7: the NIC's compression scheduler builds a batch of unique
-	// chunks and sends it peer-to-peer to the Compression Engine; the
-	// batch leaves NIC memory.
-	unique, err := s.fnic.ScheduleBatch(s.bs.flags)
+	// Published: every chunk's bytes are packed (containers copy) or
+	// dropped, and the batch leaves the buffer whole. FIDR's step 7: the
+	// NIC's compression scheduler builds a batch of unique chunks and sends
+	// it peer-to-peer to the Compression Engine.
+	unique, err := s.wbuf.ScheduleBatch(s.bs.flags)
 	if err != nil {
 		return err
 	}
 	s.ctr.batches.Inc()
-	var uniqueBytes uint64
-	for i := range unique {
-		uniqueBytes += uint64(unique[i].Size)
+	if s.cfg.Arch != Baseline {
+		var uniqueBytes uint64
+		for i := range unique {
+			uniqueBytes += uint64(unique[i].Size)
+		}
+		s.transfer(devNIC, devComp, uniqueBytes)
+
+		// Step 8: the engine packed the unique chunks in batch order while
+		// the next batch filled; only their metadata reaches the host.
+		metaBytes := uint64(len(unique)) * 16
+		s.transfer(devComp, pcie.HostMemory, metaBytes)
+		s.ledger.Mem(hostmodel.PathHostFPGA, metaBytes)
 	}
-	s.transfer(devNIC, devComp, uniqueBytes)
 
-	// Step 8: the engine packed the unique chunks in batch order while
-	// the next batch filled; only their metadata reaches the host.
-	metaBytes := uint64(len(unique)) * 16
-	s.transfer(devComp, pcie.HostMemory, metaBytes)
-	s.ledger.Mem(hostmodel.PathHostFPGA, metaBytes)
-
-	// Steps 9-10: sealed containers go engine -> data SSD peer-to-peer.
+	// FIDR's steps 9-10: sealed containers go engine -> data SSD
+	// peer-to-peer (the baseline's cross host memory).
 	return s.writeSealed(bt, wait)
+}
+
+// stageBaseline runs §2.3 steps 1-4 over the held batch, once, before its
+// table work (step 5). The batch's fingerprints are the FPGA hash array's:
+// the buffer's hash job ran them as it filled and its Join finished them.
+func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
+	bs := &s.bs
+	// 1. The unique-chunk predictor reads the buffered data and guesses
+	// which chunks are unique; the batch scheduler groups accordingly. A
+	// predicted-unique chunk's cdata holds its bytes until step 3 replaces
+	// them with its compressed form.
+	from := bt.start()
+	bs.cdata = append(bs.cdata[:0], make([][]byte, len(entries))...)
+	datas, total := bs.datas[:0], uint64(0)
+	for i := range entries {
+		if data := s.wbuf.HeldData(i); s.pred.Predict(data) {
+			bs.cdata[i] = data
+			datas = append(datas, data)
+		}
+		s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
+		total += uint64(entries[i].Size)
+	}
+	bs.datas = datas
+	bt.span(StageDedupLookup, from)
+
+	// 2. One-time transfer of the whole batch to the FPGA array.
+	s.transfer(pcie.HostMemory, devFPGA, total)
+	s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
+	s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(entries)))
+
+	// 3. FPGA: the compression-pipeline array compresses the
+	// predicted-unique chunks. Compressed results alias engine scratch,
+	// which stays valid until the next CompressMany call — every pack of
+	// this batch, a resumed commit's included, happens before that.
+	backBytes := uint64(len(entries)) * fingerprint.Size
+	if len(datas) > 0 {
+		from = bt.start()
+		rs, err := s.comp.CompressMany(datas)
+		if err != nil {
+			return err
+		}
+		bt.span(StageCompress, from)
+		for i := range bs.cdata { // rs is in batch order of the predicted-unique chunks
+			if bs.cdata[i] != nil {
+				bs.cdata[i] = rs[0].Data
+				backBytes += uint64(len(rs[0].Data))
+				rs = rs[1:]
+			}
+		}
+	}
+	// 4. Hashes and compressed predicted-uniques return to host memory.
+	s.transfer(devFPGA, pcie.HostMemory, backBytes)
+	s.ledger.MemPayload(hostmodel.PathHostFPGA, backBytes)
+	s.held.staged = true
+	return nil
 }
 
 // --- The commit core: one for both architectures ---
@@ -567,8 +515,8 @@ func (s *Server) packBatch(entries []nic.WriteEntry) error {
 // array compressed; a unique chunk predicted duplicate skipped compression
 // and takes another round trip through the array (misprediction repair).
 func (s *Server) packChunk(e *nic.WriteEntry, i int) (engine.ChunkMeta, error) {
-	if s.fnic != nil {
-		return s.comp.CompressPack(e.LBA, e.FP, s.fnic.HeldData(i))
+	if s.cfg.Arch != Baseline {
+		return s.comp.CompressPack(e.LBA, e.FP, s.wbuf.HeldData(i))
 	}
 	if c := s.bs.cdata[i]; c != nil {
 		return s.comp.Pack(e.LBA, e.FP, c, e.Size)
@@ -576,7 +524,7 @@ func (s *Server) packChunk(e *nic.WriteEntry, i int) (engine.ChunkMeta, error) {
 	s.ctr.mispredictions.Inc()
 	s.transfer(pcie.HostMemory, devFPGA, uint64(e.Size))
 	s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(e.Size))
-	meta, err := s.comp.CompressPack(e.LBA, e.FP, e.Data)
+	meta, err := s.comp.CompressPack(e.LBA, e.FP, s.wbuf.HeldData(i))
 	if err != nil {
 		return meta, err
 	}

@@ -4,12 +4,18 @@
 //
 //   - Plain: the baseline's NIC. It terminates TCP/storage protocol in
 //     hardware but DMA-writes every client byte into host memory, where
-//     software takes over.
+//     software takes over; it only counts those writes.
 //   - FIDR: the paper's data-reduction NIC. It buffers client writes in
 //     NIC memory, hashes chunks with on-NIC SHA-256 cores as they arrive,
 //     answers reads that hit either in-NIC buffer, and schedules
 //     batches of unique chunks for direct P2P transfer to the Compression
 //     Engines — host memory sees only hash values and per-chunk flags.
+//
+// The FIDR NIC's double buffer also serves as the baseline's host request
+// buffer: the same fill, hash, tip, read lookup and release, in host
+// memory, its hash job standing for the FPGA hash array and its counters
+// unpublished (the baseline reports Plain's). The baseline commits each
+// batch right after its Join, so it holds one only after a failed commit.
 //
 // The FIDR NIC double-buffers: one buffer fills while the other holds the
 // batch tipped before it, hashed and waiting for its commit; a read looks
@@ -59,6 +65,9 @@ type Config struct {
 	// LBA index is sized for it at New. <= 0 leaves the indexes to grow.
 	BatchChunks int
 }
+
+// MinBufferBytes is the smallest Config.BufferBytes New accepts.
+const MinBufferBytes = 4096
 
 // ErrBufferFull is returned when the in-NIC buffer cannot accept a write.
 var ErrBufferFull = errors.New("nic: in-NIC buffer full")
@@ -203,7 +212,7 @@ type FIDR struct {
 
 // New creates a FIDR NIC from cfg.
 func New(cfg Config) (*FIDR, error) {
-	if cfg.BufferBytes < 4096 {
+	if cfg.BufferBytes < MinBufferBytes {
 		return nil, fmt.Errorf("nic: buffer capacity %d too small", cfg.BufferBytes)
 	}
 	n := &FIDR{bufferCap: cfg.BufferBytes, fill: newBuffer(cfg.BatchChunks, cfg.BufferBytes),
