@@ -20,8 +20,9 @@ import (
 type CrashStage int
 
 const (
-	// CrashPostHash fires after batch fingerprinting, before the batch's
-	// dedup lookups: its chunk data is buffered, none of its metadata was
+	// CrashPostHash fires at the batch's tip, once it is detached, before
+	// any of its dedup lookups: its chunk data is buffered and its
+	// fingerprints are written or being written, none of its metadata was
 	// touched. On FIDR the previous batch's commit may have run under this
 	// hash (tipBatch), so the crash comes after that commit; the hit
 	// count is still one per tipped batch.

@@ -394,9 +394,10 @@ func TestHeldBatchAnswersReads(t *testing.T) {
 
 // TestNothingRunsAfterWrite: no goroutine outlives the hashing of what is
 // buffered by more than a helper's idle spin. The server's pool helpers
-// exit once they have found nothing to claim for that long, and a tipping
-// write's Join waits for every hash of its batch, so after each write the
-// count returns to where it began.
+// outlive a write only while they hash chunks already buffered — the fill's
+// or the held batch's, which a tip leaves to them — and exit once they have
+// found nothing to claim for that long, so after each write the count
+// returns to where it began.
 func TestNothingRunsAfterWrite(t *testing.T) {
 	// Helpers of servers earlier tests built exit after their own idle
 	// spin; with one P they get to run only when this goroutine yields.
@@ -429,6 +430,43 @@ func TestNothingRunsAfterWrite(t *testing.T) {
 	}
 	if s.ctr.overlapped.Value() == 0 {
 		t.Fatal("no commit ran under a hash; the test exercised nothing")
+	}
+}
+
+// TestTipHashesNothing pins where a held batch is hashed, by counts, no
+// clock: on FIDR-Full with one hash lane no helper runs, the tipping write
+// hashes none of the batch it detached, and each of the next BatchChunks
+// writes hashes exactly one of its chunks — the one its lookup reads — so
+// the write that tips next finds the batch hashed but for its own chunk.
+func TestTipHashesNothing(t *testing.T) {
+	s := overlapServerLanes(t, 1)
+	batch := s.cfg.BatchChunks
+	sh := blockcomp.NewShaper(0.5)
+	lba := uint64(0)
+	write := func() {
+		t.Helper()
+		if err := s.Write(lba, sh.Make(lba%11, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		lba++
+	}
+	for range batch {
+		write()
+	}
+	for round := range uint64(4) {
+		if !s.wbuf.Held() || s.wbuf.HeldHashed() != 0 {
+			t.Fatalf("round %d: the tipping write hashed %d chunks of the batch it detached, want 0", round, s.wbuf.HeldHashed())
+		}
+		for k := 1; k < batch; k++ {
+			write()
+			if got := s.wbuf.HeldHashed(); got != k {
+				t.Fatalf("round %d: %d writes after the tip hashed %d held chunks, want %d", round, k, got, k)
+			}
+		}
+		write()
+		if got := s.Stats().BatchesProcessed; got != round+1 {
+			t.Fatalf("round %d: %d batches committed, want %d", round, got, round+1)
+		}
 	}
 }
 

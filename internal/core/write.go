@@ -152,16 +152,16 @@ func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
 // step failed: looked entries are resolved into bs.flags and bs.dupPBN,
 // packed of them packed into bs.metas, admitted of the metas admitted,
 // mapped entries mapped. tip is the request that tipped the batch, under
-// whose trace its commit links; hashStart and hashDur the tip's wait in the
-// buffer's Join, reported once as the hash stage. The batch trace reports
-// lookupDur from lookupStart on (resolve, admit, map) as dedup_lookup and
-// packDur from packStart on as compress. staged notes that the baseline's
+// whose trace its commit links. hashDur sums the time the batch's lookups
+// waited for their fingerprints (nic.FIDR.HeldFP). The batch trace reports
+// it once, from lookupStart, as the hash stage, lookupDur from lookupStart
+// on (resolve without those waits, admit, map) as dedup_lookup and packDur
+// from packStart on as compress. staged notes that the baseline's
 // steps 1-4 have run (stageBaseline). FIDR only: lookupErr a lookup or
 // pack that failed during the fill, which the commit returns once before
 // retrying that entry.
 type heldBatch struct {
 	tip         *ReqTrace
-	hashStart   time.Time
 	hashDur     time.Duration
 	staged      bool
 	looked      int
@@ -194,9 +194,10 @@ func (s *Server) holdBatch(n int) {
 // tip; with a batch held (FIDR) this goroutine commits it — its lookups
 // and packs the fill's writes have already run, one per chunk — while the
 // helpers hash the rest, and only then does the buffer detach the fill into
-// the emptied slot and join its hashes. Nothing of this batch's hashing
-// runs after the call returns. A commit that fails returns before the
-// detach: the failed batch stays held, and the fill stays attached and
+// the emptied slot. The tip hashes nothing itself: the helpers keep hashing
+// the batch after the call returns, and each of its lookups waits only for
+// its own fingerprint (resolveBatch). A commit that fails returns before
+// the detach: the failed batch stays held, and the fill stays attached and
 // readable.
 //
 // The new batch's cursors start at its first entry. FIDR runs its lookups
@@ -215,10 +216,8 @@ func (s *Server) tipBatch(now bool) error {
 			return err
 		}
 	}
-	hashStart := s.obs.now()
-	n := s.wbuf.Join()
+	n := s.wbuf.Detach()
 	s.holdBatch(n)
-	s.held.hashStart, s.held.hashDur = hashStart, s.obs.since(hashStart)
 	if s.cfg.Arch != Baseline {
 		// Only the hash values cross PCIe into host memory.
 		hashBytes := uint64(n) * fingerprint.Size
@@ -274,10 +273,6 @@ func (s *Server) commitBatch(wait bool) error {
 	h := &s.held
 	bt := s.obs.beginLinked("batch", entries[0].LBA, h.tip)
 	defer bt.done()
-	if !h.hashStart.IsZero() {
-		bt.at(StageHash, h.hashStart, h.hashDur)
-		h.hashStart = time.Time{}
-	}
 	switch s.cfg.Arch {
 	case Baseline:
 		if !h.staged {
@@ -334,7 +329,9 @@ func (s *Server) commitBatch(wait bool) error {
 
 // stageBaseline runs §2.3 steps 1-4 over the held batch, once, before its
 // table work (step 5). The batch's fingerprints are the FPGA hash array's:
-// the buffer's hash job ran them as it filled and its Join finished them.
+// the buffer's hash job ran most of them as it filled, and its helpers keep
+// hashing under the compression below until each lookup waits for its own
+// (resolveBatch).
 func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
 	bs := &s.bs
 	// 1. The unique-chunk predictor reads the buffered data and guesses
@@ -437,6 +434,7 @@ func (s *Server) commitCore(entries []nic.WriteEntry, bt *ReqTrace) error {
 		s.walMapLBA(e.LBA, pbn)
 	}
 	h.lookupDur += s.obs.since(from)
+	bt.at(StageHash, h.lookupStart, h.hashDur)
 	bt.at(StageDedupLookup, h.lookupStart, h.lookupDur)
 	bt.at(StageCompress, h.packStart, h.packDur)
 	return nil
@@ -448,8 +446,10 @@ func (s *Server) commitCore(entries []nic.WriteEntry, bt *ReqTrace) error {
 // LBA-PBA table. Within-batch duplicates: the first occurrence claims
 // uniqueness, and later identical chunks must see it. bs.claims indexes
 // claimed fingerprints so the scan stays O(batch) instead of O(batch²).
-// The baseline's predictor learns each outcome. An entry whose lookup
-// fails stays unresolved, for the next call to retry.
+// Each lookup first waits for its entry's fingerprint, which the write
+// buffer's helpers may still be hashing; the wait counts as hashDur, not
+// lookupDur. The baseline's predictor learns each outcome. An entry whose
+// lookup fails stays unresolved, for the next call to retry.
 func (s *Server) resolveBatch(entries []nic.WriteEntry, n int) error {
 	h, bs := &s.held, &s.bs
 	if h.looked >= len(entries) {
@@ -460,9 +460,11 @@ func (s *Server) resolveBatch(entries []nic.WriteEntry, n int) error {
 		h.lookupStart = from
 	}
 	var err error
+	var waited time.Duration
 	for end := min(h.looked+n, len(entries)); h.looked < end; h.looked++ {
 		i := h.looked
-		fp := entries[i].FP
+		fp, wait := s.wbuf.HeldFP(i)
+		waited += wait
 		var pbn uint64
 		var found bool
 		if pbn, found, err = s.cache.Lookup(fp); err != nil {
@@ -481,7 +483,8 @@ func (s *Server) resolveBatch(entries []nic.WriteEntry, n int) error {
 			s.pred.Confirm(bs.cdata[i] != nil, bs.flags[i])
 		}
 	}
-	h.lookupDur += s.obs.since(from)
+	h.hashDur += waited
+	h.lookupDur += max(s.obs.since(from)-waited, 0)
 	return err
 }
 

@@ -3,7 +3,8 @@
 // LZ77 pipelines and baseline hash array are jobs on its one Pool: the
 // job's caller and up to k−1 resident helpers claim items from the job's
 // cursor, each touching only its item's slot, so callers commit in item
-// order after a join that spins instead of parking (DESIGN §9).
+// order after a join that spins instead of parking, or wait for one item
+// while running the next ones themselves (RunNext; DESIGN §9).
 package lanes
 
 import (
@@ -71,13 +72,14 @@ type Job struct {
 	fn   func(i int)
 	prio int
 	// Under the pool's mu: the round's pool, items posted, next unclaimed,
-	// lanes (the caller plus lanes−1 helpers at once), the helpers' busy
-	// time, and whether the job is queued.
-	p        *Pool
-	n, next  int
-	lanes    int
-	busy     time.Duration
-	inQueue  bool
+	// lanes (the caller plus lanes−1 helpers at once), and whether the job
+	// is queued.
+	p       *Pool
+	n, next int
+	lanes   int
+	inQueue bool
+	// busy sums the round's item times, whoever ran them.
+	busy     atomic.Int64
 	inflight atomic.Int32 // items helpers claimed and have not finished
 }
 
@@ -161,17 +163,46 @@ func (p *Pool) helper() {
 		j.inflight.Add(1)
 		i := p.take(j, false)
 		p.mu.Unlock()
-		start := time.Now()
-		j.fn(i)
-		d := time.Since(start)
+		j.timed(i)
 		p.mu.Lock()
-		j.busy += d
 		j.inflight.Add(-1)
 	}
 }
 
+// timed runs item i and adds its time to the round's.
+func (j *Job) timed(i int) {
+	start := time.Now()
+	j.fn(i)
+	j.busy.Add(int64(time.Since(start)))
+}
+
 // admits reports whether another helper may work j. Called with mu held.
 func (j *Job) admits() bool { return int(j.inflight.Load()) < j.lanes-1 }
+
+// RunNext runs the next unclaimed item of j's open round on the caller
+// and reports whether there was one. The item is the caller's lane, not a
+// helper's: it leaves every helper lane free.
+func (j *Job) RunNext() bool { return j.claim(false) }
+
+// claim runs j's next unclaimed item, or with skip drops every item left
+// and reports false.
+func (j *Job) claim(skip bool) bool {
+	p := j.p
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	if j.next >= j.n {
+		p.mu.Unlock()
+		return false
+	}
+	i := p.take(j, skip)
+	p.mu.Unlock()
+	if !skip {
+		j.timed(i)
+	}
+	return !skip
+}
 
 // Join ends j's round: the caller runs what is unclaimed, in order, then
 // spins until the helpers' items in flight are done. It returns the sum of
@@ -181,31 +212,17 @@ func (j *Job) Join() time.Duration { return j.end(false) }
 // Stop ends j's round without running what is unclaimed.
 func (j *Job) Stop() { j.end(true) }
 
-func (j *Job) end(skip bool) (busy time.Duration) {
-	p := j.p
-	if p == nil {
-		return 0
+func (j *Job) end(skip bool) time.Duration {
+	for j.claim(skip) {
 	}
-	p.mu.Lock()
-	for j.next < j.n {
-		i := p.take(j, skip)
-		if skip {
-			break
-		}
-		p.mu.Unlock()
-		start := time.Now()
-		j.fn(i)
-		busy += time.Since(start)
-		p.mu.Lock()
-	}
-	p.mu.Unlock()
 	// At most one item per helper; the yield lets one on this P finish.
 	for j.inflight.Load() > 0 {
 		runtime.Gosched()
 	}
-	p.mu.Lock()
-	busy += j.busy
-	j.n, j.next, j.busy = 0, 0, 0
-	p.mu.Unlock()
-	return busy
+	if p := j.p; p != nil {
+		p.mu.Lock()
+		j.n, j.next = 0, 0
+		p.mu.Unlock()
+	}
+	return time.Duration(j.busy.Swap(0))
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var raceEnabled bool // set by race_test.go under -race
@@ -125,6 +126,36 @@ func TestPoolCoversEveryItemOnce(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(50, func() { p.Run(w, n, k) }); allocs != 0 {
 			t.Errorf("k=%d: %v allocs per warmed round, want 0", k, allocs)
+		}
+	}
+}
+
+// TestRunNextLeavesHelperLanes: an item the caller runs with RunNext is
+// the caller's lane, not a helper's. At two lanes the one helper must be
+// admitted while the caller runs an item: each item waits until the other
+// has started, so a caller's item counted as a helper's would keep the
+// helper out and both would wait. No clock bounds the test but a deadline
+// that only bounds how long a hang takes to report.
+func TestRunNextLeavesHelperLanes(t *testing.T) {
+	p := NewPool()
+	for round := 0; round < 50; round++ {
+		var started [2]atomic.Bool
+		j := NewJob(Ahead, func(i int) {
+			started[i].Store(true)
+			for deadline := time.Now().Add(10 * time.Second); !started[1-i].Load(); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					return
+				}
+			}
+		})
+		p.Post(j, 2, 2, 1)
+		ran := 0
+		for j.RunNext() {
+			ran++
+		}
+		j.Join()
+		if ran != 1 || !started[0].Load() || !started[1].Load() {
+			t.Fatalf("round %d: the caller ran %d items; both running at once: %v", round, ran, started[0].Load() && started[1].Load())
 		}
 	}
 }

@@ -15,21 +15,21 @@
 // buffer: the same fill, hash, tip, read lookup and release, in host
 // memory, its hash job standing for the FPGA hash array and its counters
 // unpublished (the baseline reports Plain's). The baseline commits each
-// batch right after its Join, so it holds one only after a failed commit.
+// batch right after its Detach, so it holds one only after a failed commit.
 //
 // The FIDR NIC double-buffers: one buffer fills while the other holds the
-// batch tipped before it, hashed and waiting for its commit; a read looks
-// in both, the filling one first (§5.3 read step 2). Each buffer owns its
-// chunk bytes: one arena, allocated at New, that every entry's Data views
-// and that ScheduleBatch empties when it consumes the buffer. The SHA-core
-// array is a hash job per buffer on the server's lanes.Pool: helpers hash
-// chunks as they arrive, Join's caller the rest.
+// batch tipped before it; a read looks in both, the filling one first
+// (§5.3 read step 2). The SHA-core array is a hash job per buffer on the
+// server's lanes.Pool: helpers hash chunks as they arrive and go on after
+// the tip, and the host's lookup of an entry (HeldFP) hashes what they
+// have not reached.
 package nic
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"fidr/internal/fingerprint"
@@ -47,8 +47,8 @@ type WriteEntry struct {
 	// bytes), so dedup accounting can attribute the right byte count per
 	// chunk under variable-size chunking.
 	Size int
-	// FP is the chunk fingerprint, complete for the whole batch once
-	// Join returns.
+	// FP is the chunk fingerprint: in a view Head returned, set for entry
+	// i once HeldFP(i) has returned; in ScheduleBatch's result, always.
 	FP fingerprint.FP
 }
 
@@ -61,8 +61,9 @@ type Config struct {
 	// HashLanes is the modeled SHA-256 core count; <= 0 selects the
 	// GOMAXPROCS-derived default (lanes.Default), as in core.Config.
 	HashLanes int
-	// BatchChunks is the chunk count a batch usually holds: each buffer's
-	// LBA index is sized for it at New. <= 0 leaves the indexes to grow.
+	// BatchChunks is the most chunks a buffer holds: each buffer's slot
+	// array and LBA index are sized for it at New, and a write past it is
+	// ErrBufferFull. <= 0 sizes them for BufferBytes/MinBufferBytes.
 	BatchChunks int
 }
 
@@ -93,10 +94,10 @@ type counters struct {
 	hashOps, hashBytes            metrics.Counter
 	readLookups, readHits         metrics.Counter
 	batches, uniqueSent, dupDrops metrics.Counter
-	// busyNS accumulates tip-to-join wall time; its windowed rate is the
-	// NIC's duty cycle in the sampler. hashLaneBusyNS sums the time of
-	// every hash, whichever goroutine ran it (it can exceed busyNS, which
-	// does not see the hashing done before a tip).
+	// busyNS sums each batch's wall time from its tip to its last
+	// fingerprint (0 if hashed before the tip): the sampler's duty cycle.
+	// hashLaneBusyNS sums every hash's time, whichever goroutine ran it
+	// (it can exceed busyNS, which does not see hashing before a tip).
 	busyNS, hashLaneBusyNS metrics.Counter
 	// Configured lane count and in-NIC buffer occupancy.
 	hashLanesG, queueDepth, bufferedBytes metrics.Gauge
@@ -138,72 +139,73 @@ func (c *counters) Instrument(reg *metrics.Registry) {
 // when none is resident: an eighth of the default 64-chunk batch.
 const wakeBacklog = 8
 
-// buffer is one half of the NIC's chunk memory: the filling buffer, or the
-// held batch.
+// epoch anchors the monotonic stamps of a buffer's tip and last hash.
+var epoch = time.Now()
+
+// slot is one buffered chunk. The owner writes its entry before posting
+// the slot to the buffer's hash job; the goroutine that claims it reads
+// the bytes, writes FP, then sets ready. Nothing reads FP before ready.
+type slot struct {
+	WriteEntry
+	ready atomic.Bool
+}
+
+// buffer is one half of the NIC's chunk memory: the fill or the held batch.
 type buffer struct {
-	entries []WriteEntry
-	// arena holds the entries' chunk bytes back to back, each entry's Data
-	// a capped view of it. It is allocated at New with the buffer's whole
-	// capacity, so it never moves, and emptied with entries. Only the
-	// owner touches its header; a helper reads the bytes of posted entries.
+	// slots[:n] are the buffered chunks, their Data capped views of arena,
+	// which holds the chunk bytes back to back. Both are allocated whole
+	// at New, so they never move, and are emptied together. Only the owner
+	// touches their headers; a helper reads and hashes posted slots.
+	slots []slot
+	n     int
 	arena []byte
-	// view is entries without the chunk bytes — what Head hands the host —
-	// rebuilt by Join, valid until the batch is consumed. Each buffer has
-	// its own, so the held batch's view survives the next batch's hashing.
+	// view is the entries without the chunk bytes, what Head hands the
+	// host: built by Detach, its FPs set by HeldFP.
 	view []WriteEntry
 	// index finds the most recent entry per LBA for the read fast path
-	// (§5.3 read step 2), from the first write until ScheduleBatch
-	// consumes the buffer.
+	// (§5.3 read step 2) until ScheduleBatch consumes the buffer.
 	index map[uint64]int
 
-	// job's item i fingerprints entries[i] on whichever goroutine claimed
-	// it; mu orders the owner's appends with its read of the chunk and
-	// write of the FP (the bytes are hashed outside it).
-	job *lanes.Job
-	mu  sync.Mutex
+	// job's item i hashes slot i. tipAt is when the last tip started,
+	// lastFP when a fingerprint was last written (either of two at once).
+	job    *lanes.Job
+	tipAt  int64
+	lastFP atomic.Int64
 }
 
 func newBuffer(chunks, capBytes int) *buffer {
-	g := &buffer{arena: make([]byte, 0, capBytes), index: make(map[uint64]int, max(chunks, 0))}
+	if chunks <= 0 {
+		chunks = capBytes / MinBufferBytes
+	}
+	g := &buffer{slots: make([]slot, chunks), arena: make([]byte, 0, capBytes),
+		index: make(map[uint64]int, chunks)}
 	g.job = lanes.NewJob(lanes.Ahead, g.hashEntry)
 	return g
 }
 
-// hashEntry fingerprints entry i.
+// hashEntry fingerprints slot i.
 func (g *buffer) hashEntry(i int) {
-	g.mu.Lock()
-	data := g.entries[i].Data
-	g.mu.Unlock()
-	fp := fingerprint.Of(data)
-	g.mu.Lock()
-	g.entries[i].FP = fp
-	g.mu.Unlock()
+	s := &g.slots[i]
+	s.FP = fingerprint.Of(s.Data)
+	s.ready.Store(true)
+	g.lastFP.Store(int64(time.Since(epoch)))
 }
 
-// FIDR is the data-reduction NIC.
-//
-// Its chunk memory is two buffers, swapped at each join. The filling
-// buffer takes writes; the pool's helpers hash it while it fills. The
-// other holds at most one batch: tipped and hashed, waiting for the
-// server's table lookup and ScheduleBatch. Both answer reads until
-// ScheduleBatch consumes them. Tip starts a batch's tip, and with a batch
-// held sets helpers on the fill's last chunks while the server commits the
-// held one; Join then detaches the fill into the emptied slot and finishes
-// its hashes. BufferBytes bounds each buffer.
+// FIDR is the data-reduction NIC. Its chunk memory is two buffers, swapped
+// at each Detach: the fill, and the batch held for the server's table
+// lookups until ScheduleBatch consumes it.
 type FIDR struct {
 	// bufferCap bounds one buffer's chunk bytes (the NIC's battery-backed
 	// DRAM; writes are acked once buffered, §7.6.1).
 	bufferCap int
 	// fill takes writes; back is the other buffer: the held batch while
-	// held is set, otherwise the empty spare the next Join swaps in.
+	// held is set, otherwise the empty spare the next Detach swaps in.
 	fill, back *buffer
 	held       bool
 	// hashLanes is the modeled SHA-256 core count: up to hashLanes-1 of
-	// the pool's helpers on a buffer, plus Join's caller. hashStart is
-	// when the last tip started.
+	// the pool's helpers on a buffer, plus the host caller of HeldFP.
 	hashLanes int
 	pool      *lanes.Pool
-	hashStart time.Time
 	// unique backs ScheduleBatch's result, valid until its next call.
 	unique []WriteEntry
 
@@ -235,32 +237,30 @@ func (n *FIDR) SetPool(p *lanes.Pool) { n.pool = p }
 func (n *FIDR) HashLanes() int { return n.hashLanes }
 
 // publishOccupancy sets the occupancy gauges: chunks and bytes in NIC
-// memory, the filling buffer and the held batch together (the spare is
-// empty).
+// memory, the fill and the held batch together (the spare is empty).
 func (n *FIDR) publishOccupancy() {
-	n.queueDepth.Set(float64(len(n.fill.entries) + len(n.back.entries)))
+	n.queueDepth.Set(float64(n.fill.n + n.back.n))
 	n.bufferedBytes.Set(float64(len(n.fill.arena) + len(n.back.arena)))
 }
 
 // BufferWrite accepts one chunk into the filling buffer. The data is
 // copied into the buffer's arena (the NIC owns its buffer memory). Returns
-// ErrBufferFull when the buffer cannot hold the chunk; the caller must
-// drain a batch first. The chunk is posted to the buffer's hash job (see
-// wakeBacklog).
+// ErrBufferFull when the buffer cannot hold the chunk's bytes or one more
+// chunk; the caller must drain a batch first. The chunk is posted to the
+// buffer's hash job (see wakeBacklog).
 func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 	g := n.fill
 	off := len(g.arena)
-	if off+len(data) > n.bufferCap {
+	if off+len(data) > n.bufferCap || g.n == len(g.slots) {
 		return ErrBufferFull
 	}
-	// The copy runs outside mu: helpers read only posted entries' bytes.
 	g.arena = append(g.arena, data...)
 	end := len(g.arena)
-	g.mu.Lock()
-	g.entries = append(g.entries, WriteEntry{LBA: lba, Data: g.arena[off:end:end], Size: len(data)})
-	g.mu.Unlock()
-	n.pool.Post(g.job, len(g.entries), n.hashLanes, wakeBacklog)
-	g.index[lba] = len(g.entries) - 1
+	g.slots[g.n].WriteEntry = WriteEntry{LBA: lba, Data: g.arena[off:end:end], Size: len(data)}
+	g.slots[g.n].ready.Store(false) // the round that hashed it last has ended
+	g.index[lba] = g.n
+	g.n++
+	n.pool.Post(g.job, g.n, n.hashLanes, wakeBacklog)
 	n.writes.Inc()
 	n.bytes.Add(uint64(len(data)))
 	n.publishOccupancy()
@@ -268,56 +268,50 @@ func (n *FIDR) BufferWrite(lba uint64, data []byte) error {
 }
 
 // Buffered returns the number of chunks in the filling buffer.
-func (n *FIDR) Buffered() int { return len(n.fill.entries) }
+func (n *FIDR) Buffered() int { return n.fill.n }
 
-// Held reports whether a batch is held: tipped and hashed, its
-// ScheduleBatch still to run.
+// Held reports whether a batch is held: tipped, its ScheduleBatch still
+// to run.
 func (n *FIDR) Held() bool { return n.held }
 
 // Tip starts the filling buffer's tip. With a batch held it also starts
 // helpers for the chunks the resident ones have not reached, so they hash
-// while the caller commits the held batch; Join follows once that batch
-// is consumed. A caller whose commit fails skips Join: the fill stays
+// while the caller commits the held batch; Detach follows once that batch
+// is consumed. A caller whose commit fails skips Detach: the fill stays
 // attached, and the next tip starts over.
 func (n *FIDR) Tip() {
-	n.hashStart = time.Now()
+	n.fill.tipAt = int64(time.Since(epoch))
 	if n.held {
-		n.pool.Post(n.fill.job, len(n.fill.entries), n.hashLanes, 1)
+		n.pool.Post(n.fill.job, n.fill.n, n.hashLanes, 1)
 	}
 }
 
-// Join detaches the filling buffer into the held slot, which must be
-// empty, and swaps the spare in for the writes that follow. It completes
-// the batch's hashes (lanes.Job.Join), commits the counters once, builds
-// the data-stripped view for Head and returns how many chunks the batch
-// holds. Every fingerprint is a pure function of its chunk, so the result
-// is byte-identical at any lane count and any arrival timing. busy_ns
-// covers tip to join. The held chunks keep answering reads, behind the
-// filling buffer, until ScheduleBatch consumes them.
-func (n *FIDR) Join() int {
+// Detach ends a tip: it moves the filling buffer into the held slot, which
+// must be empty, and swaps the spare in for the writes that follow. It
+// hashes nothing (HeldFP does), commits the counters once, builds the
+// data-stripped view for Head and returns how many chunks the batch holds.
+// The held chunks answer reads, behind the filling buffer, until
+// ScheduleBatch consumes them.
+func (n *FIDR) Detach() int {
 	if n.held {
-		panic("nic: Join with a batch held")
+		panic("nic: Detach with a batch held")
 	}
 	g := n.fill
 	n.fill, n.back, n.held = n.back, g, true
-	busy := g.job.Join()
-	if len(g.entries) > 0 {
-		n.hashOps.Add(uint64(len(g.entries)))
-		n.hashBytes.Add(uint64(len(g.arena)))
-		n.busyNS.Add(uint64(time.Since(n.hashStart)))
-		n.hashLaneBusyNS.Add(uint64(busy))
+	n.hashOps.Add(uint64(g.n))
+	n.hashBytes.Add(uint64(len(g.arena)))
+	g.view = g.view[:0]
+	for i := range g.n {
+		g.view = append(g.view, WriteEntry{LBA: g.slots[i].LBA, Size: g.slots[i].Size})
 	}
-	g.view = append(g.view[:0], g.entries...)
-	for i := range g.view {
-		g.view[i].Data = nil
-	}
-	return len(g.view)
+	return g.n
 }
 
-// Head returns the held batch's hashed, data-stripped entries — the
-// (LBA, fingerprint) pairs sent to the host, the only write-path data that
+// Head returns the held batch's data-stripped entries — the (LBA,
+// fingerprint) pairs sent to the host, the only write-path data that
 // touches host memory in FIDR, and what its ScheduleBatch flags must align
-// with — or nil when none is held. Valid until that ScheduleBatch.
+// with — or nil when none is held. Entry i's FP is set once HeldFP(i)
+// returned. Valid until that ScheduleBatch.
 func (n *FIDR) Head() []WriteEntry {
 	if !n.held {
 		return nil
@@ -325,9 +319,44 @@ func (n *FIDR) Head() []WriteEntry {
 	return n.back.view
 }
 
+// HeldFP returns the fingerprint of the held batch's entry i, sets it in
+// Head's view, and returns how long the call waited for it. An entry no
+// helper has claimed is hashed here, after the unclaimed ones before it;
+// while a helper hashes it, the caller hashes the batch's next unclaimed
+// chunks, yielding only when none is left. A fingerprint is a pure
+// function of its chunk: any lane count and timing give the same bytes.
+func (n *FIDR) HeldFP(i int) (fingerprint.FP, time.Duration) {
+	g := n.back
+	s := &g.slots[i]
+	var wait time.Duration
+	if !s.ready.Load() {
+		start := time.Now()
+		for !s.ready.Load() {
+			if !g.job.RunNext() {
+				runtime.Gosched()
+			}
+		}
+		wait = time.Since(start)
+	}
+	g.view[i].FP = s.FP
+	return s.FP, wait
+}
+
+// HeldHashed returns how many of the held batch's fingerprints are
+// written, whichever goroutine wrote them (0 with none held).
+func (n *FIDR) HeldHashed() int {
+	hashed := 0
+	for i := range n.back.n {
+		if n.back.slots[i].ready.Load() {
+			hashed++
+		}
+	}
+	return hashed
+}
+
 // HeldData returns the bytes of the held batch's entry i, for the engine to
 // compress ahead of ScheduleBatch. Valid until that ScheduleBatch.
-func (n *FIDR) HeldData(i int) []byte { return n.back.entries[i].Data }
+func (n *FIDR) HeldData(i int) []byte { return n.back.slots[i].Data }
 
 // LookupRead serves a read from NIC memory if the LBA is buffered there,
 // returning the freshest data for that LBA: the filling buffer's, else the
@@ -344,7 +373,7 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 		return nil, false
 	}
 	n.readHits.Inc()
-	return g.entries[i].Data, true
+	return g.slots[i].Data, true
 }
 
 // ScheduleBatch consumes the held batch — the filling buffer when none is
@@ -353,31 +382,37 @@ func (n *FIDR) LookupRead(lba uint64) ([]byte, bool) {
 // Engines. Duplicate chunks are dropped from NIC memory — they never cross
 // PCIe, which is FIDR's bandwidth win — and no chunk of the batch answers
 // reads after it. flags must align with the entries Head returned (or the
-// filling buffer's, when none is held); on the filling buffer it first
-// stops its hash job and waits for the hashes in flight, so no chunk is
-// overwritten while one is read. The returned slice is NIC scratch, valid
-// until the next ScheduleBatch; its Data are views of the emptied arena,
-// valid until the next BufferWrite.
+// filling buffer's). It joins the held batch's hash round, so every FP
+// returned is set, or stops the fill's, waiting for the hashes in flight
+// either way, so no chunk is overwritten while one is read. The result is
+// NIC scratch, valid until the next ScheduleBatch; its Data view the
+// emptied arena, valid until the next BufferWrite.
 func (n *FIDR) ScheduleBatch(flags []bool) ([]WriteEntry, error) {
 	g := n.fill
 	if n.held {
 		g = n.back
 	}
-	if len(flags) != len(g.entries) {
-		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), len(g.entries))
+	if len(flags) != g.n {
+		return nil, fmt.Errorf("nic: %d flags for %d buffered chunks", len(flags), g.n)
 	}
-	g.job.Stop()
+	if n.held {
+		n.hashLaneBusyNS.Add(uint64(g.job.Join()))
+		n.busyNS.Add(uint64(max(g.lastFP.Load()-g.tipAt, 0)))
+	} else {
+		g.job.Stop()
+	}
 	unique := n.unique[:0]
 	for i, isUnique := range flags {
 		if isUnique {
-			unique = append(unique, g.entries[i])
+			unique = append(unique, g.slots[i].WriteEntry)
 		}
 	}
 	n.uniqueSent.Add(uint64(len(unique)))
 	n.dupDrops.Add(uint64(len(flags) - len(unique)))
 	n.batches.Inc()
 	n.unique = unique
-	g.entries, g.arena = g.entries[:0], g.arena[:0]
+	g.n, g.arena = 0, g.arena[:0]
+	g.lastFP.Store(0)
 	clear(g.index)
 	n.held = false
 	n.publishOccupancy()

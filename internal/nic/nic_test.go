@@ -109,8 +109,10 @@ func TestOneLaneStartsNoGoroutine(t *testing.T) {
 		check("Tip")
 		n.LookupRead(lba - 1)
 		check("LookupRead")
-		got := n.Join()
-		check("Join")
+		got := n.Detach()
+		check("Detach")
+		n.HeldFP(got / 2)
+		check("HeldFP")
 		if _, err := n.ScheduleBatch(make([]bool, got)); err != nil {
 			t.Fatal(err)
 		}
@@ -143,9 +145,9 @@ func TestUntippedScheduleJoinsHashers(t *testing.T) {
 			}
 			if round%2 == 1 {
 				n.Tip()
-				got := n.Join()
-				for i, e := range n.Head() {
-					if e.FP != fingerprint.Of(chunkOf(first+uint64(i))) {
+				got := n.Detach()
+				for i := range got {
+					if fp, _ := n.HeldFP(i); fp != fingerprint.Of(chunkOf(first+uint64(i))) {
 						t.Fatalf("%d lanes, round %d: chunk %d of %d has a wrong fingerprint", k, round, i, got)
 					}
 				}
@@ -159,10 +161,7 @@ func TestUntippedScheduleJoinsHashers(t *testing.T) {
 			// goroutine yields).
 			g := n.fill
 			for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
-				g.mu.Lock()
-				hashed := g.entries[0].FP != fingerprint.FP{}
-				g.mu.Unlock()
-				if hashed {
+				if g.slots[0].ready.Load() {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -172,6 +171,46 @@ func TestUntippedScheduleJoinsHashers(t *testing.T) {
 			if _, err := n.ScheduleBatch(make([]bool, 64)); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestDetachHashesNothing: with one hash lane no helper runs, so a tip
+// and detach hash no chunk of the batch, and HeldFP(i) hashes exactly the
+// entries up to i, in order, each to fingerprint.Of of its bytes. The
+// ready flags are the count; no clock is read.
+func TestDetachHashesNothing(t *testing.T) {
+	const batch = 16
+	n, err := New(Config{BufferBytes: 1 << 20, HashLanes: 1, BatchChunks: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(0); round < 3; round++ {
+		for i := range uint64(batch) {
+			if err := n.BufferWrite(i, chunkOf(round*batch+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Tip()
+		if got := n.Detach(); got != batch {
+			t.Fatalf("round %d: detached %d chunks, want %d", round, got, batch)
+		}
+		if got := n.HeldHashed(); got != 0 {
+			t.Fatalf("round %d: tip and detach hashed %d chunks, want 0", round, got)
+		}
+		for _, i := range []int{0, 3, 4, 11, 15} {
+			fp, _ := n.HeldFP(i)
+			if fp != fingerprint.Of(chunkOf(round*batch+uint64(i))) || n.Head()[i].FP != fp {
+				t.Fatalf("round %d: entry %d has a wrong fingerprint", round, i)
+			}
+			for j := range batch {
+				if ready := n.back.slots[j].ready.Load(); ready != (j <= i) {
+					t.Fatalf("round %d: after HeldFP(%d) entry %d hashed %v", round, i, j, ready)
+				}
+			}
+		}
+		if _, err := n.ScheduleBatch(make([]bool, batch)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -238,9 +277,11 @@ func TestHashAllComputesSHA(t *testing.T) {
 	n.BufferWrite(10, a)
 	n.BufferWrite(20, b)
 	n.Tip()
-	if got := n.Join(); got != 2 {
-		t.Fatalf("join reported %d chunks", got)
+	if got := n.Detach(); got != 2 {
+		t.Fatalf("detach reported %d chunks", got)
 	}
+	n.HeldFP(0)
+	n.HeldFP(1)
 	entries := n.Head()
 	if len(entries) != 2 {
 		t.Fatalf("%d entries", len(entries))
@@ -259,7 +300,7 @@ func TestHashAllComputesSHA(t *testing.T) {
 	}
 	n.BufferWrite(30, a)
 	n.Tip()
-	n.Join()
+	n.Detach()
 	if st := n.Stats(); st.HashOps != 3 || st.HashBytes != 3*4096 {
 		t.Fatalf("hashed chunks re-hashed: %+v", st)
 	}
@@ -295,7 +336,7 @@ func TestHeldBatchAnswersReads(t *testing.T) {
 		n.BufferWrite(lba, old)
 	}
 	n.Tip()
-	n.Join()
+	n.Detach()
 	n.BufferWrite(2, fresh)
 	for _, c := range []struct {
 		lba  uint64
@@ -325,7 +366,7 @@ func TestScheduleBatchFiltersUniques(t *testing.T) {
 		n.BufferWrite(uint64(i), bytes.Repeat([]byte{byte(i)}, 4096))
 	}
 	n.Tip()
-	n.Join()
+	n.Detach()
 	batch, err := n.ScheduleBatch([]bool{true, false, true, false})
 	if err != nil {
 		t.Fatal(err)

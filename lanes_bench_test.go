@@ -13,7 +13,8 @@ import (
 // the clock); only the lane-array microbenchmarks live here.
 
 // BenchmarkHashLanes isolates the NIC SHA-core array: buffer a batch
-// (the pool's helpers hash it as it fills), tip it and join, drain. Scaling
+// (the pool's helpers hash it as it fills), tip and detach it, drain (the
+// drain joins the batch's hash round). Scaling
 // tracks the host's core count; results are byte-identical at every width.
 func BenchmarkHashLanes(b *testing.B) {
 	const batch = 64
@@ -42,7 +43,7 @@ func BenchmarkHashLanes(b *testing.B) {
 					}
 				}
 				fn.Tip()
-				fn.Join()
+				fn.Detach()
 				if _, err := fn.ScheduleBatch(flags); err != nil {
 					b.Fatal(err)
 				}
