@@ -19,6 +19,10 @@ import (
 // fig12, fig14, fig15, fig16, ablation-batch, ablation-readoffload,
 // ablation-readcache and scorecard sections moved once, on purpose, when
 // FIDR's commit stopped charging a second LBA-table op per unique chunk.
+// The ablation-scaleout section's host mem B/B at 2 and 4 groups moved
+// once, on purpose, when the commit core began to run each entry's lookup,
+// pack, admit and map before the next entry's lookup: each insert finds
+// the bucket line its own lookup loaded, so table-cache traffic fell.
 func TestArtifactsGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/artifacts_ios2000.txt")
 	if err != nil {

@@ -207,12 +207,8 @@ const (
 // re-zeroed when a batch is put under commit (holdBatch), dead once it is
 // published.
 type batchScratch struct {
-	flags  []bool   // chunk i is a first-claim unique
-	dupPBN []uint64 // chunk i's PBN if it is a duplicate (provisionalPBN: of a first claim)
-	// claims maps each fingerprint claimed unique in the batch to the PBN
-	// its chunk took on admission, provisionalPBN until then.
-	claims map[fingerprint.FP]uint64
-	metas  []engine.ChunkMeta // the packed uniques' metadata, in batch order
+	flags []bool   // chunk i is unique: its lookup found no entry
+	pbn   []uint64 // chunk i's PBN: the one its lookup found, or a unique's own
 	// The baseline's FPGA round trip: CompressMany's input, and per chunk
 	// the compressed form of a predicted-unique one (nil otherwise).
 	datas [][]byte
@@ -515,7 +511,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.wbuf.SetPool(pool)
-	s.bs.claims = make(map[fingerprint.FP]uint64, cfg.BatchChunks)
 	s.rcache = newReadCache(cfg.ReadCacheChunks)
 	s.ctr.fpCapacity.Set(float64(cfg.UniqueChunkCapacity))
 	return s, nil

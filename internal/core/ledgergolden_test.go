@@ -22,7 +22,12 @@ import (
 // cpu.table_content and FIDR cpu.lba_table lines moved once, on purpose,
 // when both architectures took one commit core: the baseline admits after
 // all of a batch's lookups, and FIDR charges one LBA-table op per chunk,
-// not two per unique.
+// not two per unique. Its four cpu.table_content lines moved once more, on
+// purpose, when the commit core began to run each entry's lookup, pack,
+// admit and map before the next entry's lookup: an in-batch duplicate now
+// finds its first occurrence already inserted, and its lookup's bucket
+// scan stops at that entry instead of scanning the bucket without it: one
+// more entry compared over the run.
 const ledgerGoldenPath = "testdata/ledger_golden.txt"
 
 // ledgerRuns renders the host ledger of each architecture, and of

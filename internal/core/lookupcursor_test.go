@@ -219,8 +219,8 @@ func TestLookupFaultDuringFill(t *testing.T) {
 				t.Fatalf("write that met the lookup fault returned %v", err)
 			}
 			i++
-			if !errors.Is(s.held.lookupErr, errMedia) {
-				t.Fatalf("the write's lookup did not meet the fault: %v", s.held.lookupErr)
+			if !errors.Is(s.held.fillErr, errMedia) {
+				t.Fatalf("the write's lookup did not meet the fault: %v", s.held.fillErr)
 			}
 			for ; i < 2*batch-1; i++ {
 				if err := write(i); err != nil {

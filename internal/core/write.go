@@ -105,9 +105,10 @@ func (s *Server) Flush() error {
 // buffer is full the batch tips and the chunk goes into the fresh one. The
 // chunk supersedes whatever the §8 read cache holds at its address — a
 // segment's interior extents included, not only its first. Once buffered,
-// the chunk pays for the held batch's next table lookup (steps 4-5) and, if
-// that flags a unique, its compress and pack (step 8), so a full fill has
-// run all of them by its tip; one that fails fails no write, it stops the
+// the chunk runs the held batch's next entry through the commit core — its
+// table lookup (steps 4-5), for a unique its compress, pack and admit
+// (step 8), and its mapping — so a full fill has run every entry by its
+// tip, which only publishes; a step that fails fails no write, it stops the
 // cursors and the next tip returns it. Only FIDR holds a batch during a
 // fill. The chunk that fills the batch tips it.
 func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
@@ -135,11 +136,8 @@ func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
 	if err != nil {
 		return err
 	}
-	if s.held.lookupErr == nil {
-		entries := s.wbuf.Head()
-		if s.held.lookupErr = s.resolveBatch(entries, 1); s.held.lookupErr == nil {
-			s.held.lookupErr = s.packBatch(entries)
-		}
+	if s.held.fillErr == nil {
+		s.held.fillErr = s.commitCore(s.wbuf.Head(), 1)
 	}
 	if s.wbuf.Buffered() >= s.cfg.BatchChunks {
 		return s.tipBatch(false)
@@ -149,17 +147,22 @@ func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
 
 // heldBatch notes the batch under commit — the write buffer's held batch
 // — with its commit core's four cursors, each stopped at the entry whose
-// step failed: looked entries are resolved into bs.flags and bs.dupPBN,
-// packed of them packed into bs.metas, admitted of the metas admitted,
-// mapped entries mapped. tip is the request that tipped the batch, under
-// whose trace its commit links. hashDur sums the time the batch's lookups
-// waited for their fingerprints (nic.FIDR.HeldFP). The batch trace reports
-// it once, from lookupStart, as the hash stage, lookupDur from lookupStart
-// on (resolve without those waits, admit, map) as dedup_lookup and packDur
-// from packStart on as compress. staged notes that the baseline's
-// steps 1-4 have run (stageBaseline). FIDR only: lookupErr a lookup or
-// pack that failed during the fill, which the commit returns once before
-// retrying that entry.
+// step failed: looked entries are resolved into bs.flags and bs.pbn,
+// packed entries packed, admitted entries admitted and mapped entries
+// mapped. An entry runs all four steps before the next entry's lookup, so
+// no cursor is more than one entry ahead of mapped. meta is the packed
+// metadata of the unique at the admit cursor; appended notes that it took
+// its PBN (bs.pbn) before its Hash-PBN insert failed, so the retry only
+// inserts; admitting that the batch reached its first admit (CrashPrePack).
+// tip is the request that tipped the batch, under whose trace its commit
+// links. hashDur sums the time the batch's lookups waited for their
+// fingerprints (nic.FIDR.HeldFP). The batch trace reports it once, from
+// lookupStart, as the hash stage, lookupDur from lookupStart on (lookup,
+// admit and map, without those waits) as dedup_lookup and packDur from
+// packStart on as compress; for FIDR all three are the fill's time. staged
+// notes that the baseline's steps 1-4 have run (stageBaseline). FIDR only:
+// fillErr a commit step that failed during the fill, which the commit
+// returns once before retrying that entry.
 type heldBatch struct {
 	tip         *ReqTrace
 	hashDur     time.Duration
@@ -172,7 +175,10 @@ type heldBatch struct {
 	packDur     time.Duration
 	admitted    int
 	mapped      int
-	lookupErr   error
+	meta        engine.ChunkMeta
+	appended    bool
+	admitting   bool
+	fillErr     error
 }
 
 // holdBatch puts a new batch of n chunks under commit: its cursors at its
@@ -181,9 +187,7 @@ func (s *Server) holdBatch(n int) {
 	s.held = heldBatch{tip: s.activeReq}
 	bs := &s.bs
 	bs.flags = append(bs.flags[:0], make([]bool, n)...)
-	bs.dupPBN = append(bs.dupPBN[:0], make([]uint64, n)...)
-	clear(bs.claims)
-	bs.metas = bs.metas[:0]
+	bs.pbn = append(bs.pbn[:0], make([]uint64, n)...)
 }
 
 // tipBatch runs when the filling buffer holds a batch (and, with now set,
@@ -191,20 +195,18 @@ func (s *Server) holdBatch(n int) {
 // the NIC's SHA cores, §2.3's step 3 on the FPGA hash array — is a pure
 // function of bytes already in the buffer: the pool's helpers have
 // fingerprinted most of the batch while it filled. The buffer starts the
-// tip; with a batch held (FIDR) this goroutine commits it — its lookups
-// and packs the fill's writes have already run, one per chunk — while the
-// helpers hash the rest, and only then does the buffer detach the fill into
-// the emptied slot. The tip hashes nothing itself: the helpers keep hashing
-// the batch after the call returns, and each of its lookups waits only for
-// its own fingerprint (resolveBatch). A commit that fails returns before
-// the detach: the failed batch stays held, and the fill stays attached and
-// readable.
+// tip; with a batch held (FIDR) this goroutine publishes it — the fill's
+// writes have already run its entries through the commit core, one per
+// chunk — and only then does the buffer detach the fill into the emptied
+// slot. The tip hashes nothing itself: the helpers keep hashing the batch
+// after the call returns, and each of its lookups waits only for its own
+// fingerprint (commitEntry). A commit that fails returns before the detach:
+// the failed batch stays held, and the fill stays attached and readable.
 //
-// The new batch's cursors start at its first entry. FIDR runs its lookups
-// and packs as the next fill's writes buffer, and its commit waits for the
-// next tip, reads or not (the NIC answers them from both buffers), unless
-// this is Flush. The baseline commits it here: it never holds a batch
-// across a fill.
+// The new batch's cursors start at its first entry. FIDR runs its entries
+// as the next fill's writes buffer, and publishes it at the next tip, reads
+// or not (the NIC answers them from both buffers), unless this is Flush.
+// The baseline commits it here: it never holds a batch across a fill.
 func (s *Server) tipBatch(now bool) error {
 	if s.wbuf.Buffered() == 0 {
 		return s.commitHeld()
@@ -246,7 +248,7 @@ func (s *Server) tipBatch(now bool) error {
 // write that tipped it; a read needs none of it, since the buffer answers
 // the held chunks itself. This is also what keeps the held batch's early
 // lookups and packs exact: nothing else touches the table cache or the
-// open container between its hold and its commit. The read-outs that
+// open container between its hold and its publication. The read-outs that
 // return no error (Garbage, CapacityReport, ContainerHeatmap) drop its
 // error: the failed batch stays held, the read-out describes the state it
 // left, and the next tip, Flush or maintenance verb returns the error.
@@ -262,12 +264,12 @@ func (s *Server) commitHeld() error {
 
 // commitBatch runs the rest of the held batch's write flow: the baseline's
 // steps 1-4 once (stageBaseline), FIDR's step 3; then the commit core runs
-// what of the table lookups and packs the fill left (FIDR: normally none),
-// admits the uniques and maps every entry. Then the published batch leaves
-// the buffer — for FIDR step 7's ScheduleBatch, which sends its uniques to
-// the engine — and writeSealed gets the sealed containers. Until then a
-// failure leaves it held and readable, and the next tip (FIDR), write
-// (baseline), Flush or maintenance verb resumes it at the step that failed.
+// whatever entries the fill left (FIDR: normally none; the baseline: all).
+// Then the published batch leaves the buffer — for FIDR step 7's
+// ScheduleBatch, which sends its uniques to the engine — and writeSealed
+// gets the sealed containers. Until then a failure leaves it held and
+// readable, and the next tip (FIDR), write (baseline), Flush or
+// maintenance verb resumes it at the step that failed.
 func (s *Server) commitBatch(wait bool) error {
 	entries := s.wbuf.Head()
 	h := &s.held
@@ -286,13 +288,16 @@ func (s *Server) commitBatch(wait bool) error {
 		s.transfer(pcie.HostMemory, devCacheHW, uint64(len(entries))*8)
 		s.transfer(devCacheHW, pcie.HostMemory, uint64(len(entries))*8)
 	}
-	if err := h.lookupErr; err != nil {
-		h.lookupErr = nil
+	if err := h.fillErr; err != nil {
+		h.fillErr = nil
 		return err
 	}
-	if err := s.commitCore(entries, bt); err != nil {
+	if err := s.commitCore(entries, len(entries)); err != nil {
 		return err
 	}
+	bt.at(StageHash, h.lookupStart, h.hashDur)
+	bt.at(StageDedupLookup, h.lookupStart, h.lookupDur)
+	bt.at(StageCompress, h.packStart, h.packDur)
 	if s.cfg.Arch != Baseline {
 		// Step 6: uniqueness flags return to the NIC.
 		s.transfer(pcie.HostMemory, devNIC, uint64(len(entries)))
@@ -331,7 +336,7 @@ func (s *Server) commitBatch(wait bool) error {
 // table work (step 5). The batch's fingerprints are the FPGA hash array's:
 // the buffer's hash job ran most of them as it filled, and its helpers keep
 // hashing under the compression below until each lookup waits for its own
-// (resolveBatch).
+// (commitEntry).
 func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
 	bs := &s.bs
 	// 1. The unique-chunk predictor reads the buffered data and guesses
@@ -386,134 +391,100 @@ func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
 
 // --- The commit core: one for both architectures ---
 
-// commitCore runs the table work of the batch under commit, entries, over
-// s.held's cursors, each step from where it stopped: resolve (the lookups
-// and first claims), pack (each first-claim unique), admit (each packed
-// unique, in batch order) and map (every entry, in request order). The
-// architectures differ only in where a step runs and in pack's source
-// (packChunk). A step that fails returns with the batch still buffered and
-// readable; the next call resumes at the entry that failed.
-func (s *Server) commitCore(entries []nic.WriteEntry, bt *ReqTrace) error {
-	h, bs := &s.held, &s.bs
-	if err := s.resolveBatch(entries, len(entries)); err != nil {
-		return err
-	}
-	if err := s.packBatch(entries); err != nil {
-		return err
-	}
-	if h.admitted == 0 && len(bs.metas) > 0 {
-		if err := s.crashPoint(CrashPrePack); err != nil {
-			return err
-		}
-	}
-	from := s.obs.now()
-	for ; h.admitted < len(bs.metas); h.admitted++ {
-		if err := s.recordUnique(bs.metas[h.admitted]); err != nil {
-			return err
-		}
-	}
-	// Map strictly in request order so that a later write to an LBA
-	// (unique or duplicate) wins over an earlier one in the same batch.
-	for ; h.mapped < len(entries); h.mapped++ {
-		e := &entries[h.mapped]
-		pbn := bs.dupPBN[h.mapped]
-		if bs.flags[h.mapped] || pbn == provisionalPBN {
-			pbn = bs.claims[e.FP]
-		}
-		if err := s.lba.MapLBA(e.LBA, pbn); err != nil {
-			return err
-		}
-		s.ledger.Count(hostmodel.EvLBATableOp, 1)
-		if !bs.flags[h.mapped] {
-			s.tl.dup(uint64(e.Size))
-		}
-		// Log every mapping — including ones Append already created — so
-		// replay reproduces same-LBA ordering exactly (a duplicate
-		// followed by a unique write of the same LBA must replay in that
-		// order).
-		s.walMapLBA(e.LBA, pbn)
-	}
-	h.lookupDur += s.obs.since(from)
-	bt.at(StageHash, h.lookupStart, h.hashDur)
-	bt.at(StageDedupLookup, h.lookupStart, h.lookupDur)
-	bt.at(StageCompress, h.packStart, h.packDur)
-	return nil
-}
-
-// resolveBatch runs up to n of the batch's remaining table lookups (§5.3
-// steps 4-5, §2.3 step 5) in batch order: host software scans the cached
-// buckets and determines uniqueness; duplicates will update only the
-// LBA-PBA table. Within-batch duplicates: the first occurrence claims
-// uniqueness, and later identical chunks must see it. bs.claims indexes
-// claimed fingerprints so the scan stays O(batch) instead of O(batch²).
-// Each lookup first waits for its entry's fingerprint, which the write
-// buffer's helpers may still be hashing; the wait counts as hashDur, not
-// lookupDur. The baseline's predictor learns each outcome. An entry whose
-// lookup fails stays unresolved, for the next call to retry.
-func (s *Server) resolveBatch(entries []nic.WriteEntry, n int) error {
-	h, bs := &s.held, &s.bs
-	if h.looked >= len(entries) {
+// commitCore runs up to n of the remaining entries of the batch under
+// commit, entries, through the commit core, one entry at a time
+// (commitEntry). The architectures differ only in where it runs and in
+// pack's source (packChunk). A step that fails returns with the batch still
+// buffered and readable; the next call resumes at the entry and step that
+// failed.
+func (s *Server) commitCore(entries []nic.WriteEntry, n int) error {
+	h := &s.held
+	if h.mapped >= len(entries) {
 		return nil
 	}
 	from := s.obs.now()
 	if h.lookupStart.IsZero() {
 		h.lookupStart = from
 	}
+	hashed, packed := h.hashDur, h.packDur
 	var err error
-	var waited time.Duration
-	for end := min(h.looked+n, len(entries)); h.looked < end; h.looked++ {
-		i := h.looked
-		fp, wait := s.wbuf.HeldFP(i)
-		waited += wait
-		var pbn uint64
-		var found bool
-		if pbn, found, err = s.cache.Lookup(fp); err != nil {
-			break
-		}
-		switch _, claimed := bs.claims[fp]; {
-		case found:
-			bs.dupPBN[i] = pbn
-		case claimed:
-			bs.dupPBN[i] = provisionalPBN
-		default:
-			bs.flags[i] = true
-			bs.claims[fp] = provisionalPBN
-		}
-		if s.pred != nil {
-			s.pred.Confirm(bs.cdata[i] != nil, bs.flags[i])
-		}
+	for end := min(h.mapped+n, len(entries)); err == nil && h.mapped < end; {
+		err = s.commitEntry(&entries[h.mapped], h.mapped)
 	}
-	h.hashDur += waited
-	h.lookupDur += max(s.obs.since(from)-waited, 0)
+	h.lookupDur += max(s.obs.since(from)-(h.hashDur-hashed)-(h.packDur-packed), 0)
 	return err
 }
 
-// packBatch runs step 8 for the batch up to its lookup cursor: each
-// first-claim unique is packed into the open container on the caller, in
-// batch order, its metadata kept in bs.metas for the admit step. One that
-// fails stays unpacked, for a retry.
-func (s *Server) packBatch(entries []nic.WriteEntry) error {
+// commitEntry runs entry i, e, from the step its cursors stopped at: the
+// table lookup (§5.3 steps 4-5, §2.3 step 5), which first waits for the
+// entry's fingerprint, which the write buffer's helpers may still be
+// hashing (the wait counts as hashDur); for a unique, its pack (step 8)
+// and admit (recordUnique); then the mapping of its LBA. An entry's insert
+// follows its own lookup, so its bucket is the one that lookup loaded, and
+// a later entry of the same content finds it in the table. The baseline's
+// predictor learns each lookup's outcome.
+func (s *Server) commitEntry(e *nic.WriteEntry, i int) error {
 	h, bs := &s.held, &s.bs
-	for ; h.packed < h.looked; h.packed++ {
-		i := h.packed
-		if !bs.flags[i] {
-			continue
-		}
-		from := s.obs.now()
-		if h.packStart.IsZero() {
-			h.packStart = from
-		}
-		meta, err := s.packChunk(&entries[i], i)
-		h.packDur += s.obs.since(from)
+	if h.looked == i {
+		fp, wait := s.wbuf.HeldFP(i)
+		h.hashDur += wait
+		pbn, found, err := s.cache.Lookup(fp)
 		if err != nil {
 			return err
 		}
-		bs.metas = append(bs.metas, meta)
+		bs.flags[i], bs.pbn[i] = !found, pbn
+		if s.pred != nil {
+			s.pred.Confirm(bs.cdata[i] != nil, !found)
+		}
+		h.looked++
 	}
+	if h.packed == i {
+		if bs.flags[i] {
+			from := s.obs.now()
+			if h.packStart.IsZero() {
+				h.packStart = from
+			}
+			meta, err := s.packChunk(e, i)
+			h.packDur += s.obs.since(from)
+			if err != nil {
+				return err
+			}
+			h.meta = meta
+		}
+		h.packed++
+	}
+	if h.admitted == i {
+		if bs.flags[i] {
+			if !h.admitting {
+				h.admitting = true
+				if err := s.crashPoint(CrashPrePack); err != nil {
+					return err
+				}
+			}
+			if err := s.recordUnique(i); err != nil {
+				return err
+			}
+		}
+		h.admitted++
+	}
+	// Mapping strictly in request order lets a later write to an LBA
+	// (unique or duplicate) win over an earlier one in the same batch.
+	if err := s.lba.MapLBA(e.LBA, bs.pbn[i]); err != nil {
+		return err
+	}
+	s.ledger.Count(hostmodel.EvLBATableOp, 1)
+	if !bs.flags[i] {
+		s.tl.dup(uint64(e.Size))
+	}
+	// Log every mapping — including ones Append already created — so
+	// replay reproduces same-LBA ordering exactly (a duplicate followed by
+	// a unique write of the same LBA must replay in that order).
+	s.walMapLBA(e.LBA, bs.pbn[i])
+	h.mapped++
 	return nil
 }
 
-// packChunk compresses and packs first-claim unique i, e. FIDR's engine
+// packChunk compresses and packs unique i, e. FIDR's engine
 // compresses it from NIC memory. The baseline's host packs what the FPGA
 // array compressed; a unique chunk predicted duplicate skipped compression
 // and takes another round trip through the array (misprediction repair).
@@ -537,10 +508,6 @@ func (s *Server) packChunk(e *nic.WriteEntry, i int) (engine.ChunkMeta, error) {
 	return meta, nil
 }
 
-// provisionalPBN marks a claimed fingerprint whose chunk has no PBN yet,
-// and a within-batch duplicate of it.
-const provisionalPBN = ^uint64(0)
-
 // tally accumulates a batch's dup/unique outcomes so the commit loops pay
 // no atomic per chunk; writeSealed, where every batch ends, adds it to the
 // server counters (a batch that failed first is counted with the next).
@@ -563,22 +530,24 @@ func (s *Server) commitTally() {
 	s.tl = tally{}
 }
 
-// recordUnique admits a packed unique chunk: it takes the next PBN in the
-// LBA-PBA table, which maps the chunk's LBA to it, and indexes the chunk in
-// the Hash-PBN cache. A chunk whose insert failed keeps the PBN it took
-// (bs.claims), so the retry only inserts.
-func (s *Server) recordUnique(meta engine.ChunkMeta) error {
-	pbn := s.bs.claims[meta.FP]
-	if pbn == provisionalPBN {
-		var err error
-		if pbn, err = s.lba.Append(meta.LBA, meta.PBA); err != nil {
+// recordUnique admits unique i, packed as held.meta: it takes the next PBN
+// in the LBA-PBA table into bs.pbn[i], which maps the chunk's LBA to it,
+// and indexes the chunk in the Hash-PBN cache. A chunk whose insert failed
+// keeps the PBN it took (held.appended), so the retry only inserts.
+func (s *Server) recordUnique(i int) error {
+	h, meta := &s.held, s.held.meta
+	if !h.appended {
+		pbn, err := s.lba.Append(meta.LBA, meta.PBA)
+		if err != nil {
 			return err
 		}
-		s.bs.claims[meta.FP] = pbn
+		s.bs.pbn[i], h.appended = pbn, true
 	}
+	pbn := s.bs.pbn[i]
 	if err := s.cache.Insert(meta.FP, pbn); err != nil {
 		return err
 	}
+	h.appended = false
 	for uint64(len(s.pbnFP)) <= pbn {
 		s.pbnFP = append(s.pbnFP, fingerprint.FP{})
 	}
