@@ -622,7 +622,8 @@ func (s *Server) writePosted(int) {
 
 // reapSealed joins the posted round (running it if no helper claimed it)
 // and retires the written containers in order: ledgers, PopSealed, then
-// the crash point. The baseline's container data crosses host memory;
+// the crash point. It does no per-byte work: PopSealed hands each buffer
+// back unwritten. The baseline's container data crosses host memory;
 // FIDR's goes engine -> SSD peer-to-peer. A failed write's container stays
 // queued, readable, first at the next writeSealed; its error returns once.
 func (s *Server) reapSealed() error {

@@ -301,7 +301,8 @@ func (e *Compression) Flush() { e.seal() }
 func (e *Compression) Sealed() []SealedContainer { return e.sealed }
 
 // PopSealed drops the oldest sealed container, now that it is on the SSD,
-// and recycles its buffer.
+// and hands its buffer back to the builder as it is: the next container
+// packed into it zeroes its own padding, so the pop touches no byte.
 func (e *Compression) PopSealed() {
 	e.builder.Recycle(e.sealed[0].Data)
 	last := len(e.sealed) - 1

@@ -306,9 +306,9 @@ func BenchmarkCompressLanes(b *testing.B) {
 // flushing part-way so the seals have unequal fill, and writes every
 // sealed container to dev. With recycle set it drains the queue the way
 // core's container writes do (Sealed, write, PopSealed, which hands the
-// buffer back to the builder); otherwise it takes fresh containers with
-// TakeSealed and never returns them. It returns how many containers it
-// wrote.
+// buffer back to the builder), filling each buffer with 0xFF between its
+// write and its pop; otherwise it takes fresh containers with TakeSealed
+// and never returns them. It returns how many containers it wrote.
 func packAndWrite(t *testing.T, e *Compression, dev *ssd.SSD, recycle bool) int {
 	t.Helper()
 	written := 0
@@ -326,7 +326,11 @@ func packAndWrite(t *testing.T, e *Compression, dev *ssd.SSD, recycle bool) int 
 			return
 		}
 		for len(e.Sealed()) > 0 {
-			write(e.Sealed()[0])
+			sc := e.Sealed()[0]
+			write(sc)
+			for j := range sc.Data {
+				sc.Data[j] = 0xFF
+			}
 			e.PopSealed()
 		}
 	}
@@ -349,9 +353,10 @@ func packAndWrite(t *testing.T, e *Compression, dev *ssd.SSD, recycle bool) int 
 	return written
 }
 
-// TestRecycleKeepsContainersIdentical: a recycled buffer once held another
-// container's chunks; re-zeroing it must leave every container on the SSD
-// — padding included — byte-identical to one packed into fresh buffers.
+// TestRecycleKeepsContainersIdentical: a recycled buffer comes back full
+// of 0xFF, not another container's chunks or zeroes; every container
+// packed into one must reach the SSD — padding included — byte-identical
+// to one packed into fresh buffers.
 func TestRecycleKeepsContainersIdentical(t *testing.T) {
 	const size = 16 << 10
 	var devs [2]*ssd.SSD

@@ -15,7 +15,8 @@ type Builder struct {
 	buf       []byte
 	used      int
 	count     int
-	// spare holds sealed buffers handed back by Recycle, already zeroed.
+	// spare holds sealed buffers handed back by Recycle, as they were:
+	// Append and Seal zero every byte a container's chunks leave unwritten.
 	spare [][]byte
 }
 
@@ -38,8 +39,10 @@ func align(n int) int {
 }
 
 // Append copies a compressed chunk into the container and returns its
-// container index and byte offset. The caller must check Fits first;
-// Append fails rather than splitting a chunk across containers.
+// container index and byte offset, and zeroes the alignment gap behind
+// it, so a recycled buffer's old bytes never reach the SSD. The caller
+// must check Fits first; Append fails rather than splitting a chunk
+// across containers.
 func (b *Builder) Append(cdata []byte) (container uint64, off uint32, err error) {
 	if len(cdata) == 0 {
 		return 0, 0, fmt.Errorf("lbatable: empty chunk")
@@ -48,8 +51,9 @@ func (b *Builder) Append(cdata []byte) (container uint64, off uint32, err error)
 		return 0, 0, fmt.Errorf("lbatable: chunk of %d bytes does not fit (used %d/%d)", len(cdata), b.used, b.size)
 	}
 	off = uint32(b.used)
-	copy(b.buf[b.used:], cdata)
+	end := b.used + copy(b.buf[b.used:], cdata)
 	b.used += align(len(cdata))
+	clear(b.buf[end:b.used])
 	b.count++
 	return b.container, off, nil
 }
@@ -74,17 +78,18 @@ func (b *Builder) Count() int { return b.count }
 // Container returns the index of the open container.
 func (b *Builder) Container() uint64 { return b.container }
 
-// Seal closes the current container and starts the next one. It returns
-// the sealed container's index and its full-size contents (zero padded),
-// ready for one sequential SSD write; the caller owns data until it hands
-// it back with Recycle, if ever. Sealing an empty container returns
-// ok=false and advances nothing.
+// Seal closes the current container and starts the next one. It zeroes
+// the unused tail and returns the sealed container's index and its
+// full-size contents (zero padded), ready for one sequential SSD write;
+// the caller owns data until it hands it back with Recycle, if ever.
+// Sealing an empty container returns ok=false and advances nothing.
 func (b *Builder) Seal() (container uint64, data []byte, ok bool) {
 	if b.count == 0 {
 		return 0, nil, false
 	}
 	container = b.container
 	data = b.buf
+	clear(data[b.used:])
 	b.container++
 	if n := len(b.spare); n > 0 {
 		b.buf, b.spare = b.spare[n-1], b.spare[:n-1]
@@ -97,13 +102,13 @@ func (b *Builder) Seal() (container uint64, data []byte, ok bool) {
 }
 
 // Recycle takes back a buffer Seal returned, once nothing reads it any
-// more. It is zeroed here, so padding is zero as in a fresh buffer and
-// containers on the SSD are byte-identical either way. The caller must not
+// more. It writes no byte of it: Append and Seal zero the padding of the
+// next container packed into it, so containers on the SSD are
+// byte-identical to ones packed into fresh buffers. The caller must not
 // touch data afterwards; a buffer of the wrong size is dropped.
 func (b *Builder) Recycle(data []byte) {
 	if len(data) != b.size {
 		return
 	}
-	clear(data)
 	b.spare = append(b.spare, data)
 }

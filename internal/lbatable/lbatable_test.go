@@ -238,6 +238,50 @@ func TestBuilderPacksAndSeals(t *testing.T) {
 	}
 }
 
+// TestRecycleTouchesNoByte: Recycle hands a buffer back as it is, and a
+// container packed into it (chunks whose sizes leave alignment gaps, then
+// an unused tail) seals to the same bytes as one packed into a fresh
+// buffer.
+func TestRecycleTouchesNoByte(t *testing.T) {
+	const size = 4096
+	chunks := [][]byte{
+		bytes.Repeat([]byte{1}, 100),
+		bytes.Repeat([]byte{2}, OffsetUnit+1),
+		bytes.Repeat([]byte{3}, 700),
+	}
+	pack := func(b *Builder) []byte {
+		t.Helper()
+		for _, c := range chunks {
+			if _, _, err := b.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, data, ok := b.Seal()
+		if !ok {
+			t.Fatal("seal failed")
+		}
+		return data
+	}
+	fresh, _ := NewBuilder(size, 0)
+	want := pack(fresh)
+
+	b, _ := NewBuilder(size, 0)
+	poison := bytes.Repeat([]byte{0xFF}, size)
+	spare := bytes.Clone(poison)
+	b.Recycle(spare)
+	if !bytes.Equal(spare, poison) {
+		t.Fatal("Recycle wrote the buffer")
+	}
+	pack(b) // the open buffer was fresh; the next one is spare
+	got := pack(b)
+	if &got[0] != &spare[0] {
+		t.Fatal("the second container was not packed into the recycled buffer")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a container packed into a recycled buffer differs from a fresh one")
+	}
+}
+
 func TestBuilderSealEmpty(t *testing.T) {
 	b, _ := NewBuilder(4096, 0)
 	if _, _, ok := b.Seal(); ok {
