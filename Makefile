@@ -89,11 +89,12 @@ check-doctor:
 	$(GO) test -v -run 'TestDoctorStall|TestAsyncQueueDepthCountsBlockingCallers|TestAsyncStuckQueueProbePerGroup|TestAsyncStartsNoGoroutine' .
 	$(GO) test -v -run 'TestDoctorE2E|TestDoctorDisabledRecorderE2E' ./cmd/fidrd
 
-# fuzz runs fifteen fuzzers for a bounded slice of CI time each: the fast
+# fuzz runs sixteen fuzzers for a bounded slice of CI time each: the fast
 # skip-ahead chunker must cut byte-identical boundaries to the reference
-# scalar on every input; WAL replay and recovery must survive any log
-# (torn, corrupt, reordered frames) applying a clean prefix or failing
-# typed; recovery from any checkpoint image must return a server or fail
+# scalar on every input; the WAL decoder must survive any log (torn,
+# corrupt, reordered frames) applying a clean prefix whose records
+# round-trip, without building a server, and recovery over any log must
+# apply that prefix or fail typed; recovery from any checkpoint image must return a server or fail
 # typed, with no length field sizing an allocation past the volume; the
 # LBA-snapshot decoder must never panic and must round-trip; the LZ
 # compressor must round-trip any input and its decoder must never panic
@@ -114,24 +115,29 @@ check-doctor:
 # the bundle lister doctor hands /debug/bundle to returns sorted,
 # distinct, non-empty names for any bytes; and the wire trace-context
 # decoder refuses short input and round-trips any longer input.
-# FUZZ_TIME extends the per-fuzzer budget locally.
+# FUZZ_TIME extends the per-fuzzer budget locally. FUZZ_MINIMIZE bounds
+# the shrinking of each new input to 100 runs: at Go's default (60 s),
+# shrinking one mutant of a multi-KB seed spent the whole budget of the
+# WAL and checkpoint fuzzers, which then ran under 100 execs.
 FUZZ_TIME ?= 30s
+FUZZ_MINIMIZE = 100x
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) ./internal/chunk
-	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointImage$$' -fuzztime $(FUZZ_TIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreTable$$' -fuzztime $(FUZZ_TIME) ./internal/lbatable
-	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
-	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
-	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompressAppend$$' -fuzztime $(FUZZ_TIME) ./internal/blockcomp
-	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
-	$(GO) test -run '^$$' -fuzz '^FuzzWriteRead$$' -fuzztime $(FUZZ_TIME) ./internal/proto
-	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime $(FUZZ_TIME) ./internal/proto
-	$(GO) test -run '^$$' -fuzz '^FuzzParseObjectives$$' -fuzztime $(FUZZ_TIME) ./internal/metrics
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsText$$' -fuzztime $(FUZZ_TIME) ./internal/metrics
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZ_TIME) ./internal/metrics/events
-	$(GO) test -run '^$$' -fuzz '^FuzzBundleSnapshots$$' -fuzztime $(FUZZ_TIME) ./internal/metrics/health
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime $(FUZZ_TIME) ./internal/trace/span
+	$(GO) test -run '^$$' -fuzz '^FuzzCDCEquivalence$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/chunk
+	$(GO) test -run '^$$' -fuzz '^FuzzWALFrames$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointImage$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreTable$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/lbatable
+	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/blockcomp
+	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/blockcomp
+	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompressAppend$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/blockcomp
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteRead$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzParseObjectives$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/metrics
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMetricsText$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/metrics
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/metrics/events
+	$(GO) test -run '^$$' -fuzz '^FuzzBundleSnapshots$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/metrics/health
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/trace/span
 
 # bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
 # call through the async front-end (idle group / callers meeting on the

@@ -4,27 +4,30 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"fidr/internal/blockcomp"
 	"fidr/internal/ssd"
 )
 
-// commitFaultWrites is the stream length of TestCommitFaultAtEveryTableIO:
-// three 8-chunk batches and a partial one.
+// commitFaultWrites is the stream length of TestCommitFaultAtEveryTableIO
+// and TestCommitFaultAtEveryCompress: three 8-chunk batches and a partial
+// one.
 const commitFaultWrites = 27
 
 // commitFaultRun writes the stream through a server of arch whose table
 // cache holds one line, so every lookup and insert of a bucket other than
 // the last reads the table SSD, and every dirty line's eviction writes it.
-// The nthRead-th table-SSD read and the nthWrite-th write fail (0: none).
-// Each write is one chunk — a 4-KB block, or under CDC a segment shorter
-// than Min — and every fourth repeats the chunk two writes back, a
-// duplicate in the same batch or the one before. It checks that every
+// The nthRead-th table-SSD read and the nthWrite-th write fail (0: none);
+// comp, if not nil, compresses and fails as it is set to. Each write is
+// one chunk — a 4-KB block, or under CDC a segment shorter than Min — and
+// every fourth repeats the chunk two writes back, a duplicate in the same
+// batch or the one before. It checks that every
 // chunk reads back after each failed call and after Flush, and that Verify
 // is clean, and returns how many calls failed, the server's stats with the
 // PBNs it allocated, and its table-SSD IO counts before Verify.
-func commitFaultRun(t *testing.T, arch Arch, mode testMode, nthRead, nthWrite int) (int, commitFaultStats, ssd.Stats) {
+func commitFaultRun(t *testing.T, arch Arch, mode testMode, nthRead, nthWrite int, comp *faultyLZ) (int, commitFaultStats, ssd.Stats) {
 	t.Helper()
 	tssd, dssd := walTestDevices()
 	cfg := DefaultConfig(arch)
@@ -33,6 +36,9 @@ func commitFaultRun(t *testing.T, arch Arch, mode testMode, nthRead, nthWrite in
 	cfg.BatchChunks = 8
 	cfg.Chunking = mode.chunking
 	cfg.TableSSD, cfg.DataSSD = tssd, dssd
+	if comp != nil {
+		cfg.Compressor = comp
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,13 +93,46 @@ func commitFaultRun(t *testing.T, arch Arch, mode testMode, nthRead, nthWrite in
 		t.Fatalf("read %d, write %d: %d problems, first: %s", nthRead, nthWrite, len(rep.Problems), rep.Problems[0])
 	}
 	st := s.Stats()
-	return faults, commitFaultStats{st.UniqueChunks, st.BatchesProcessed, s.lba.Chunks()}, io
+	return faults, commitFaultStats{st.UniqueChunks, st.BatchesProcessed, s.lba.Chunks(),
+		st.Mispredictions, s.PredictorStats().Predictions}, io
 }
 
 // commitFaultStats is what a fault must not change: the unique chunks, the
-// batches, and the PBNs allocated (a retried admit that took a second PBN
-// would leave the first dead).
-type commitFaultStats struct{ uniques, batches, pbns uint64 }
+// batches, the PBNs allocated (a retried admit that took a second PBN
+// would leave the first dead), and the baseline's mispredictions and
+// predictions (a retried batch is predicted once, a chunk mispredicted
+// once).
+type commitFaultStats struct{ uniques, batches, pbns, mispredictions, predictions uint64 }
+
+// faultyLZ is the LZ compressor whose nth Compress or CompressAppend call
+// fails (0: none); calls counts them all. The engine's lanes may call it
+// from several goroutines.
+type faultyLZ struct {
+	*blockcomp.LZ
+	nth   int64
+	calls atomic.Int64
+}
+
+func (z *faultyLZ) fail() error {
+	if z.calls.Add(1) == z.nth {
+		return errMedia
+	}
+	return nil
+}
+
+func (z *faultyLZ) Compress(src []byte) ([]byte, error) {
+	if err := z.fail(); err != nil {
+		return nil, err
+	}
+	return z.LZ.Compress(src)
+}
+
+func (z *faultyLZ) CompressAppend(dst, src []byte) ([]byte, error) {
+	if err := z.fail(); err != nil {
+		return nil, err
+	}
+	return z.LZ.CompressAppend(dst, src)
+}
 
 // TestCommitFaultAtEveryTableIO walks a table-SSD fault across every IO of
 // every commit — the lookups, the inserts and the dirty lines they evict —
@@ -106,12 +145,12 @@ func TestCommitFaultAtEveryTableIO(t *testing.T) {
 	for _, arch := range []Arch{Baseline, FIDRFull} {
 		for _, mode := range testModes {
 			t.Run(arch.String()+"/"+mode.name, func(t *testing.T) {
-				_, want, io := commitFaultRun(t, arch, mode, 0, 0)
+				_, want, io := commitFaultRun(t, arch, mode, 0, 0, nil)
 				if io.ReadIOs == 0 || io.WriteIOs == 0 {
 					t.Fatalf("the stream read the table SSD %d times and wrote it %d times", io.ReadIOs, io.WriteIOs)
 				}
 				check := func(nthRead, nthWrite int) {
-					faults, got, _ := commitFaultRun(t, arch, mode, nthRead, nthWrite)
+					faults, got, _ := commitFaultRun(t, arch, mode, nthRead, nthWrite, nil)
 					if faults != 1 {
 						t.Fatalf("read %d, write %d: %d calls returned the error, want 1", nthRead, nthWrite, faults)
 					}
@@ -124,6 +163,37 @@ func TestCommitFaultAtEveryTableIO(t *testing.T) {
 				}
 				for k := 1; k <= int(io.WriteIOs); k++ {
 					check(0, k)
+				}
+			})
+		}
+	}
+}
+
+// TestCommitFaultAtEveryCompress walks a compressor fault across every
+// compress call of the stream — the baseline's FPGA array (CompressMany),
+// FIDR's packs during the fill and in the commit — on Baseline and FIDR-Full, fixed and CDC: exactly one call
+// returns the error, every chunk reads back, Verify is clean, and the
+// unique, batch, PBN, misprediction and prediction counts are the
+// fault-free run's, so a retried batch is neither predicted nor
+// mispredicted twice.
+func TestCommitFaultAtEveryCompress(t *testing.T) {
+	for _, arch := range []Arch{Baseline, FIDRFull} {
+		for _, mode := range testModes {
+			t.Run(arch.String()+"/"+mode.name, func(t *testing.T) {
+				clean := &faultyLZ{LZ: blockcomp.NewLZ()}
+				_, want, _ := commitFaultRun(t, arch, mode, 0, 0, clean)
+				calls := clean.calls.Load()
+				if calls == 0 {
+					t.Fatal("the stream compressed nothing")
+				}
+				for k := int64(1); k <= calls; k++ {
+					faults, got, _ := commitFaultRun(t, arch, mode, 0, 0, &faultyLZ{LZ: blockcomp.NewLZ(), nth: k})
+					if faults != 1 {
+						t.Fatalf("compress %d of %d: %d calls returned the error, want 1", k, calls, faults)
+					}
+					if got != want {
+						t.Fatalf("compress %d of %d: %+v, want %+v", k, calls, got, want)
+					}
 				}
 			})
 		}

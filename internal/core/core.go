@@ -203,18 +203,6 @@ const (
 	devDataSSD pcie.DeviceID = "dssd0"
 )
 
-// batchScratch is the working set of the batch under commit (heldBatch),
-// re-zeroed when a batch is put under commit (holdBatch), dead once it is
-// published.
-type batchScratch struct {
-	flags []bool   // chunk i is unique: its lookup found no entry
-	pbn   []uint64 // chunk i's PBN: the one its lookup found, or a unique's own
-	// The baseline's FPGA round trip: CompressMany's input, and per chunk
-	// the compressed form of a predicted-unique one (nil otherwise).
-	datas [][]byte
-	cdata [][]byte
-}
-
 // Stats aggregates server-level counters.
 type Stats struct {
 	ClientWrites     uint64
@@ -358,11 +346,10 @@ type Server struct {
 	dataSSD  *ssd.SSD
 	tableSSD *ssd.SSD
 
-	// held notes the batch under commit (see heldBatch).
-	held heldBatch
-	// bs is one batch's scratch, cread where fetchCompressed lands a
-	// chunk's compressed bytes; both are reused call after call.
-	bs     batchScratch
+	// held is the batch under commit (see heldBatch), cread where
+	// fetchCompressed lands a chunk's compressed bytes; both are reused
+	// call after call.
+	held   heldBatch
 	cread  []byte
 	rcache *readCache
 	ctr    counters

@@ -27,12 +27,13 @@ const (
 	// hash (tipBatch), so the crash comes after that commit; the hit
 	// count is still one per tipped batch.
 	CrashPostHash CrashStage = iota
-	// CrashPrePack fires once per batch, before its first admit: its
-	// first unique is looked up, compressed and packed, no unique of the
-	// batch is in the tables yet, and only the duplicates before it are
-	// mapped (none of it durable). On FIDR it fires in the write of the
-	// next fill that runs that unique; on the baseline in the tip that
-	// commits the batch, after its FPGA round trip.
+	// CrashPrePack fires once per batch, as its first unique finishes its
+	// pack (commitEntry): that unique is looked up, compressed and packed,
+	// no unique of the batch is in the tables yet, and only the duplicates
+	// before it are mapped (none of it durable); a retried admit does not
+	// fire it again. On FIDR it fires in the write of the next fill that
+	// runs that unique; on the baseline in the tip that commits the batch,
+	// after its FPGA round trip.
 	CrashPrePack
 	// CrashMidContainerFlush fires between a sealed container's data-SSD
 	// write and the WAL commit that makes its metadata durable — the

@@ -37,18 +37,9 @@ func walSeedLog(f *testing.F, m testMode) []byte {
 	return append([]byte(nil), dev.buf...)
 }
 
-// FuzzWALReplay feeds arbitrary bytes to the log decoder and to recovery.
-// Whatever the log looks like — torn, corrupt, frames reordered or
-// duplicated, a wrong length header — opening and replaying it must not
-// panic; replay applies exactly the clean prefix (the bytes past the
-// first invalid frame never matter); every applied record re-encodes to
-// a frame that decodes to itself; and recovery over the log either
-// succeeds having applied that same prefix, or fails with one of the two
-// typed errors — never an untyped error, never a silently shorter replay.
-//
-// CI runs this bounded (make fuzz); run `go test -fuzz FuzzWALReplay
-// ./internal/core/` for an open-ended session.
-func FuzzWALReplay(f *testing.F) {
+// addWALSeeds seeds a WAL fuzzer with each mode's log, torn, corrupt,
+// reordered, with a wrong length header and with a duplicated prefix.
+func addWALSeeds(f *testing.F) {
 	for _, m := range testModes {
 		log := walSeedLog(f, m)
 		if len(log) < 4*walFrameSize {
@@ -73,22 +64,38 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, 3*walFrameSize))
+}
 
+// openWALBytes opens a log holding b and returns it with the records its
+// replay applies.
+func openWALBytes(t *testing.T, b []byte) (*WAL, []WALRecord) {
+	t.Helper()
+	dev := NewMemWALDevice()
+	dev.WriteAt(b, 0)
+	w, err := NewWAL(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []WALRecord
+	if _, err := w.Replay(0, func(r WALRecord) error { recs = append(recs, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return w, recs
+}
+
+// FuzzWALFrames feeds arbitrary bytes to the log decoder, with no server.
+// Whatever the log looks like — torn, corrupt, frames reordered or
+// duplicated, a wrong length header — opening and replaying it must not
+// panic; replay applies exactly the clean prefix (the bytes past the
+// first invalid frame never matter); and every applied record re-encodes
+// to a frame that decodes to itself.
+//
+// CI runs this bounded (make fuzz); run `go test -fuzz FuzzWALFrames
+// ./internal/core/` for an open-ended session.
+func FuzzWALFrames(f *testing.F) {
+	addWALSeeds(f)
 	f.Fuzz(func(t *testing.T, log []byte) {
-		open := func(b []byte) (*WAL, []WALRecord) {
-			dev := NewMemWALDevice()
-			dev.WriteAt(b, 0)
-			w, err := NewWAL(dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var recs []WALRecord
-			if _, err := w.Replay(0, func(r WALRecord) error { recs = append(recs, r); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			return w, recs
-		}
-		w, recs := open(log)
+		w, recs := openWALBytes(t, log)
 		prefix := w.Stats().DurableBytes
 		if prefix%walFrameSize != 0 || prefix > int64(len(log)) {
 			t.Fatalf("durable prefix %d of a %d-byte log", prefix, len(log))
@@ -103,10 +110,24 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("record %d does not survive re-encoding: %+v", i, r)
 			}
 		}
-		if _, again := open(log[:prefix]); len(again) != len(recs) {
+		if _, again := openWALBytes(t, log[:prefix]); len(again) != len(recs) {
 			t.Fatalf("replay of the clean prefix applied %d records, of the whole log %d", len(again), len(recs))
 		}
+	})
+}
 
+// FuzzWALReplay feeds arbitrary bytes to recovery: over any log, recovery
+// either succeeds having applied the records the log's replay applies, or
+// fails with one of the two typed errors — never an untyped error, never a
+// silently shorter replay. It builds a server per input; the decoder's own
+// properties are FuzzWALFrames'.
+//
+// CI runs this bounded (make fuzz); run `go test -fuzz FuzzWALReplay
+// ./internal/core/` for an open-ended session.
+func FuzzWALReplay(f *testing.F) {
+	addWALSeeds(f)
+	f.Fuzz(func(t *testing.T, log []byte) {
+		w, recs := openWALBytes(t, log)
 		tssd, dssd := walTestDevices()
 		r, err := RecoverServer(walTestConfig(FIDRFull, tssd, dssd, w))
 		switch {

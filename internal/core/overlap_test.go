@@ -547,9 +547,9 @@ func TestTipAdmitsNothing(t *testing.T) {
 				t.Fatalf("round %d: write %d of the fill mapped %d and admitted %d held entries, want 1 and 1", round, k, m, a)
 			}
 		}
-		if h := &s.held; !s.wbuf.Held() || h.looked+h.packed+h.admitted+h.mapped != 0 {
-			t.Fatalf("round %d: the tip left the batch it detached at cursors %d/%d/%d/%d, want none run",
-				round, h.looked, h.packed, h.admitted, h.mapped)
+		if h := &s.held; !s.wbuf.Held() || h.next != 0 || h.step != stepLookup {
+			t.Fatalf("round %d: the tip left the batch it detached at entry %d, step %d, want none run",
+				round, h.next, h.step)
 		}
 		if got := s.Stats().BatchesProcessed; got != round+1 {
 			t.Fatalf("round %d: %d batches committed, want %d", round, got, round+1)

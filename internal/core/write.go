@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"fidr/internal/engine"
@@ -109,8 +110,8 @@ func (s *Server) Flush() error {
 // table lookup (steps 4-5), for a unique its compress, pack and admit
 // (step 8), and its mapping — so a full fill has run every entry by its
 // tip, which only publishes; a step that fails fails no write, it stops the
-// cursors and the next tip returns it. Only FIDR holds a batch during a
-// fill. The chunk that fills the batch tips it.
+// batch at that step and the next tip returns it. Only FIDR holds a batch
+// during a fill. The chunk that fills the batch tips it.
 func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
 	s.rcache.invalidate(lba)
 	from := tr.start()
@@ -145,49 +146,58 @@ func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
 	return nil
 }
 
-// heldBatch notes the batch under commit — the write buffer's held batch
-// — with its commit core's four cursors, each stopped at the entry whose
-// step failed: looked entries are resolved into bs.flags and bs.pbn,
-// packed entries packed, admitted entries admitted and mapped entries
-// mapped. An entry runs all four steps before the next entry's lookup, so
-// no cursor is more than one entry ahead of mapped. meta is the packed
-// metadata of the unique at the admit cursor; appended notes that it took
-// its PBN (bs.pbn) before its Hash-PBN insert failed, so the retry only
-// inserts; admitting that the batch reached its first admit (CrashPrePack).
-// tip is the request that tipped the batch, under whose trace its commit
-// links. hashDur sums the time the batch's lookups waited for their
-// fingerprints (nic.FIDR.HeldFP). The batch trace reports it once, from
-// lookupStart, as the hash stage, lookupDur from lookupStart on (lookup,
-// admit and map, without those waits) as dedup_lookup and packDur from
-// packStart on as compress; for FIDR all three are the fill's time. staged
-// notes that the baseline's steps 1-4 have run (stageBaseline). FIDR only:
-// fillErr a commit step that failed during the fill, which the commit
-// returns once before retrying that entry.
+// commitStep is the step of the commit core (commitEntry) an entry runs.
+type commitStep uint8
+
+const (
+	stepLookup commitStep = iota
+	stepPack              // a unique's compress and pack
+	stepAppend            // a unique takes its PBN
+	stepInsert            // a unique's Hash-PBN insert and the rest of its admit
+	stepMap
+)
+
+// heldBatch is the batch under commit — the write buffer's held batch.
+// Its progress is one entry, next, and the step that entry runs next: a
+// step that fails leaves both, so the retry resumes there. flags[i] notes
+// that entry i's lookup found no entry (a unique); pbn is entry next's PBN
+// once its lookup (a duplicate) or its Append (a unique) has run, and meta
+// its packed metadata once its pack has. tip is the request that tipped
+// the batch, under whose trace its commit links. hashDur sums the time the
+// batch's lookups waited for their fingerprints (nic.FIDR.HeldFP). The
+// batch trace reports it once, from lookupStart, as the hash stage,
+// lookupDur from lookupStart on (lookup, admit and map, without those
+// waits) as dedup_lookup and packDur from packStart on as compress; for
+// FIDR all three are the fill's time. Baseline only (stageBaseline):
+// datas is CompressMany's input, cdata per entry the compressed form of a
+// predicted-unique one (nil otherwise) — steps 1-2 have run once it is
+// filled — and staged notes that steps 3-4 have. FIDR only: fillErr a
+// commit step that failed during the fill, which the commit returns once
+// before retrying that entry.
 type heldBatch struct {
 	tip         *ReqTrace
+	next        int
+	step        commitStep
+	pbn         uint64
+	meta        engine.ChunkMeta
+	flags       []bool
 	hashDur     time.Duration
-	staged      bool
-	looked      int
 	lookupStart time.Time
 	lookupDur   time.Duration
-	packed      int
 	packStart   time.Time
 	packDur     time.Duration
-	admitted    int
-	mapped      int
-	meta        engine.ChunkMeta
-	appended    bool
-	admitting   bool
+	datas       [][]byte
+	cdata       [][]byte
+	staged      bool
 	fillErr     error
 }
 
-// holdBatch puts a new batch of n chunks under commit: its cursors at its
-// first entry, its scratch zeroed.
+// holdBatch puts a new batch of n chunks under commit, at its first
+// entry's lookup, in the arrays of the batch before.
 func (s *Server) holdBatch(n int) {
-	s.held = heldBatch{tip: s.activeReq}
-	bs := &s.bs
-	bs.flags = append(bs.flags[:0], make([]bool, n)...)
-	bs.pbn = append(bs.pbn[:0], make([]uint64, n)...)
+	h := &s.held
+	*h = heldBatch{tip: s.activeReq, datas: h.datas[:0], cdata: h.cdata[:0],
+		flags: append(h.flags[:0], make([]bool, n)...)}
 }
 
 // tipBatch runs when the filling buffer holds a batch (and, with now set,
@@ -203,7 +213,7 @@ func (s *Server) holdBatch(n int) {
 // fingerprint (commitEntry). A commit that fails returns before the detach:
 // the failed batch stays held, and the fill stays attached and readable.
 //
-// The new batch's cursors start at its first entry. FIDR runs its entries
+// The new batch starts at its first entry. FIDR runs its entries
 // as the next fill's writes buffer, and publishes it at the next tip, reads
 // or not (the NIC answers them from both buffers), unless this is Flush.
 // The baseline commits it here: it never holds a batch across a fill.
@@ -308,7 +318,7 @@ func (s *Server) commitBatch(wait bool) error {
 	// dropped, and the batch leaves the buffer whole. FIDR's step 7: the
 	// NIC's compression scheduler builds a batch of unique chunks and sends
 	// it peer-to-peer to the Compression Engine.
-	unique, err := s.wbuf.ScheduleBatch(s.bs.flags)
+	unique, err := s.wbuf.ScheduleBatch(h.flags)
 	if err != nil {
 		return err
 	}
@@ -332,51 +342,54 @@ func (s *Server) commitBatch(wait bool) error {
 	return s.writeSealed(bt, wait)
 }
 
-// stageBaseline runs §2.3 steps 1-4 over the held batch, once, before its
-// table work (step 5). The batch's fingerprints are the FPGA hash array's:
-// the buffer's hash job ran most of them as it filled, and its helpers keep
-// hashing under the compression below until each lookup waits for its own
-// (commitEntry).
+// stageBaseline runs §2.3 steps 1-4 over the held batch before its table
+// work (step 5): steps 1-2 once, while the batch has no cdata, and steps
+// 3-4 until they succeed, so a retry after a failed compress neither
+// predicts nor transfers the batch again. The batch's fingerprints are the
+// FPGA hash array's: the buffer's hash job ran most of them as it filled,
+// and its helpers keep hashing under the compression below until each
+// lookup waits for its own (commitEntry).
 func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
-	bs := &s.bs
-	// 1. The unique-chunk predictor reads the buffered data and guesses
-	// which chunks are unique; the batch scheduler groups accordingly. A
-	// predicted-unique chunk's cdata holds its bytes until step 3 replaces
-	// them with its compressed form.
-	from := bt.start()
-	bs.cdata = append(bs.cdata[:0], make([][]byte, len(entries))...)
-	datas, total := bs.datas[:0], uint64(0)
-	for i := range entries {
-		if data := s.wbuf.HeldData(i); s.pred.Predict(data) {
-			bs.cdata[i] = data
-			datas = append(datas, data)
+	h := &s.held
+	if len(h.cdata) == 0 {
+		// 1. The unique-chunk predictor reads the buffered data and guesses
+		// which chunks are unique; the batch scheduler groups accordingly.
+		// A predicted-unique chunk's cdata holds its bytes until step 3
+		// replaces them with its compressed form.
+		from := bt.start()
+		h.cdata = append(h.cdata, make([][]byte, len(entries))...)
+		total := uint64(0)
+		for i := range entries {
+			if data := s.wbuf.HeldData(i); s.pred.Predict(data) {
+				h.cdata[i] = data
+				h.datas = append(h.datas, data)
+			}
+			s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
+			total += uint64(entries[i].Size)
 		}
-		s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
-		total += uint64(entries[i].Size)
-	}
-	bs.datas = datas
-	bt.span(StageDedupLookup, from)
+		bt.span(StageDedupLookup, from)
 
-	// 2. One-time transfer of the whole batch to the FPGA array.
-	s.transfer(pcie.HostMemory, devFPGA, total)
-	s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
-	s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(entries)))
+		// 2. One-time transfer of the whole batch to the FPGA array.
+		s.transfer(pcie.HostMemory, devFPGA, total)
+		s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
+		s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(entries)))
+	}
 
 	// 3. FPGA: the compression-pipeline array compresses the
 	// predicted-unique chunks. Compressed results alias engine scratch,
 	// which stays valid until the next CompressMany call — every pack of
 	// this batch, a resumed commit's included, happens before that.
 	backBytes := uint64(len(entries)) * fingerprint.Size
-	if len(datas) > 0 {
-		from = bt.start()
-		rs, err := s.comp.CompressMany(datas)
+	if len(h.datas) > 0 {
+		from := bt.start()
+		rs, err := s.comp.CompressMany(h.datas)
 		if err != nil {
 			return err
 		}
 		bt.span(StageCompress, from)
-		for i := range bs.cdata { // rs is in batch order of the predicted-unique chunks
-			if bs.cdata[i] != nil {
-				bs.cdata[i] = rs[0].Data
+		for i := range h.cdata { // rs is in batch order of the predicted-unique chunks
+			if h.cdata[i] != nil {
+				h.cdata[i] = rs[0].Data
 				backBytes += uint64(len(rs[0].Data))
 				rs = rs[1:]
 			}
@@ -385,7 +398,7 @@ func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
 	// 4. Hashes and compressed predicted-uniques return to host memory.
 	s.transfer(devFPGA, pcie.HostMemory, backBytes)
 	s.ledger.MemPayload(hostmodel.PathHostFPGA, backBytes)
-	s.held.staged = true
+	h.staged = true
 	return nil
 }
 
@@ -399,7 +412,7 @@ func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
 // failed.
 func (s *Server) commitCore(entries []nic.WriteEntry, n int) error {
 	h := &s.held
-	if h.mapped >= len(entries) {
+	if h.next >= len(entries) {
 		return nil
 	}
 	from := s.obs.now()
@@ -408,79 +421,93 @@ func (s *Server) commitCore(entries []nic.WriteEntry, n int) error {
 	}
 	hashed, packed := h.hashDur, h.packDur
 	var err error
-	for end := min(h.mapped+n, len(entries)); err == nil && h.mapped < end; {
-		err = s.commitEntry(&entries[h.mapped], h.mapped)
+	for end := min(h.next+n, len(entries)); err == nil && h.next < end; {
+		err = s.commitEntry(&entries[h.next])
 	}
 	h.lookupDur += max(s.obs.since(from)-(h.hashDur-hashed)-(h.packDur-packed), 0)
 	return err
 }
 
-// commitEntry runs entry i, e, from the step its cursors stopped at: the
-// table lookup (§5.3 steps 4-5, §2.3 step 5), which first waits for the
-// entry's fingerprint, which the write buffer's helpers may still be
-// hashing (the wait counts as hashDur); for a unique, its pack (step 8)
-// and admit (recordUnique); then the mapping of its LBA. An entry's insert
-// follows its own lookup, so its bucket is the one that lookup loaded, and
-// a later entry of the same content finds it in the table. The baseline's
-// predictor learns each lookup's outcome.
-func (s *Server) commitEntry(e *nic.WriteEntry, i int) error {
-	h, bs := &s.held, &s.bs
-	if h.looked == i {
+// commitEntry runs entry next, e, from the step it stopped at: the table
+// lookup (§5.3 steps 4-5, §2.3 step 5), which first waits for the entry's
+// fingerprint, which the write buffer's helpers may still be hashing (the
+// wait counts as hashDur); for a unique, its pack (step 8), at whose end
+// the batch's first unique fires CrashPrePack, then its admit: it takes
+// the next PBN in the LBA-PBA table, which maps the chunk's LBA to it, and
+// is indexed in the Hash-PBN cache; then the mapping of its LBA. An entry's
+// insert follows its own lookup, so its bucket is the one that lookup
+// loaded, and a later entry of the same content finds it in the table. The
+// baseline's predictor learns each lookup's outcome.
+func (s *Server) commitEntry(e *nic.WriteEntry) error {
+	h, i := &s.held, s.held.next
+	if h.step == stepLookup {
 		fp, wait := s.wbuf.HeldFP(i)
 		h.hashDur += wait
 		pbn, found, err := s.cache.Lookup(fp)
 		if err != nil {
 			return err
 		}
-		bs.flags[i], bs.pbn[i] = !found, pbn
+		h.flags[i], h.pbn, h.step = !found, pbn, stepMap
+		if !found {
+			h.step = stepPack
+		}
 		if s.pred != nil {
-			s.pred.Confirm(bs.cdata[i] != nil, !found)
+			s.pred.Confirm(h.cdata[i] != nil, !found)
 		}
-		h.looked++
 	}
-	if h.packed == i {
-		if bs.flags[i] {
-			from := s.obs.now()
-			if h.packStart.IsZero() {
-				h.packStart = from
-			}
-			meta, err := s.packChunk(e, i)
-			h.packDur += s.obs.since(from)
-			if err != nil {
-				return err
-			}
-			h.meta = meta
+	if h.step == stepPack {
+		from := s.obs.now()
+		if h.packStart.IsZero() {
+			h.packStart = from
 		}
-		h.packed++
-	}
-	if h.admitted == i {
-		if bs.flags[i] {
-			if !h.admitting {
-				h.admitting = true
-				if err := s.crashPoint(CrashPrePack); err != nil {
-					return err
-				}
-			}
-			if err := s.recordUnique(i); err != nil {
+		meta, err := s.packChunk(e, i)
+		h.packDur += s.obs.since(from)
+		if err != nil {
+			return err
+		}
+		h.meta, h.step = meta, stepAppend
+		if !slices.Contains(h.flags[:i], true) {
+			if err := s.crashPoint(CrashPrePack); err != nil {
 				return err
 			}
 		}
-		h.admitted++
+	}
+	if h.step == stepAppend {
+		pbn, err := s.lba.Append(h.meta.LBA, h.meta.PBA)
+		if err != nil {
+			return err
+		}
+		h.pbn, h.step = pbn, stepInsert
+	}
+	if h.step == stepInsert {
+		if err := s.cache.Insert(h.meta.FP, h.pbn); err != nil {
+			return err
+		}
+		for uint64(len(s.pbnFP)) <= h.pbn {
+			s.pbnFP = append(s.pbnFP, fingerprint.FP{})
+		}
+		s.pbnFP[h.pbn] = h.meta.FP
+		s.walAppend(h.meta, h.pbn)
+		s.fpLive++
+		s.tl.uniques++
+		s.tl.stored += uint64(h.meta.CSize)
+		s.tl.compSaved += uint64(h.meta.RawSize - h.meta.CSize)
+		h.step = stepMap
 	}
 	// Mapping strictly in request order lets a later write to an LBA
 	// (unique or duplicate) win over an earlier one in the same batch.
-	if err := s.lba.MapLBA(e.LBA, bs.pbn[i]); err != nil {
+	if err := s.lba.MapLBA(e.LBA, h.pbn); err != nil {
 		return err
 	}
 	s.ledger.Count(hostmodel.EvLBATableOp, 1)
-	if !bs.flags[i] {
+	if !h.flags[i] {
 		s.tl.dup(uint64(e.Size))
 	}
 	// Log every mapping — including ones Append already created — so
 	// replay reproduces same-LBA ordering exactly (a duplicate followed by
 	// a unique write of the same LBA must replay in that order).
-	s.walMapLBA(e.LBA, bs.pbn[i])
-	h.mapped++
+	s.walMapLBA(e.LBA, h.pbn)
+	h.next, h.step = i+1, stepLookup
 	return nil
 }
 
@@ -492,7 +519,7 @@ func (s *Server) packChunk(e *nic.WriteEntry, i int) (engine.ChunkMeta, error) {
 	if s.cfg.Arch != Baseline {
 		return s.comp.CompressPack(e.LBA, e.FP, s.wbuf.HeldData(i))
 	}
-	if c := s.bs.cdata[i]; c != nil {
+	if c := s.held.cdata[i]; c != nil {
 		return s.comp.Pack(e.LBA, e.FP, c, e.Size)
 	}
 	s.ctr.mispredictions.Inc()
@@ -528,36 +555,6 @@ func (s *Server) commitTally() {
 	s.ctr.storedBytes.Add(s.tl.stored)
 	s.ctr.compSaved.Add(s.tl.compSaved)
 	s.tl = tally{}
-}
-
-// recordUnique admits unique i, packed as held.meta: it takes the next PBN
-// in the LBA-PBA table into bs.pbn[i], which maps the chunk's LBA to it,
-// and indexes the chunk in the Hash-PBN cache. A chunk whose insert failed
-// keeps the PBN it took (held.appended), so the retry only inserts.
-func (s *Server) recordUnique(i int) error {
-	h, meta := &s.held, s.held.meta
-	if !h.appended {
-		pbn, err := s.lba.Append(meta.LBA, meta.PBA)
-		if err != nil {
-			return err
-		}
-		s.bs.pbn[i], h.appended = pbn, true
-	}
-	pbn := s.bs.pbn[i]
-	if err := s.cache.Insert(meta.FP, pbn); err != nil {
-		return err
-	}
-	h.appended = false
-	for uint64(len(s.pbnFP)) <= pbn {
-		s.pbnFP = append(s.pbnFP, fingerprint.FP{})
-	}
-	s.pbnFP[pbn] = meta.FP
-	s.walAppend(meta, pbn)
-	s.fpLive++
-	s.tl.uniques++
-	s.tl.stored += uint64(meta.CSize)
-	s.tl.compSaved += uint64(meta.RawSize - meta.CSize)
-	return nil
 }
 
 // writeSealed ends every batch, Flush and Compact: it reaps the container
