@@ -172,7 +172,8 @@ microbench:
 # outside benchmark/ (the "code volume" bar), fidrd's flag count (the
 # lines of the golden TestFlagSetGolden pins), then the non-test lines of
 # each package ROADMAP sizes (its own directory only; "." is the root
-# package).
+# package), and last the nic + lanes + engine sum that ROADMAP item 2
+# bounds.
 LOC_PKGS := internal/core internal/nic internal/lanes internal/engine internal/chunk \
 	internal/lbatable internal/proto internal/metrics internal/metrics/health \
 	internal/experiments .
@@ -182,6 +183,8 @@ loc:
 	@for p in $(LOC_PKGS); do \
 		printf '%6d %s\n' "$$(find $$p -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$p"; \
 	done
+	@printf '%6d %s\n' "$$(find internal/nic internal/lanes internal/engine -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" \
+		"internal/nic + internal/lanes + internal/engine"
 
 # check is the pre-commit bundle: tier-1 plus static analysis and the
 # race detector over the whole module.

@@ -92,17 +92,21 @@ func commitFaultRun(t *testing.T, arch Arch, mode testMode, nthRead, nthWrite in
 	if !rep.OK() {
 		t.Fatalf("read %d, write %d: %d problems, first: %s", nthRead, nthWrite, len(rep.Problems), rep.Problems[0])
 	}
-	st := s.Stats()
+	st, es := s.Stats(), s.EngineStats()
 	return faults, commitFaultStats{st.UniqueChunks, st.BatchesProcessed, s.lba.Chunks(),
-		st.Mispredictions, s.PredictorStats().Predictions}, io
+		st.Mispredictions, s.PredictorStats().Predictions, es.ChunksIn, es.BytesIn}, io
 }
 
 // commitFaultStats is what a fault must not change: the unique chunks, the
 // batches, the PBNs allocated (a retried admit that took a second PBN
-// would leave the first dead), and the baseline's mispredictions and
+// would leave the first dead), the baseline's mispredictions and
 // predictions (a retried batch is predicted once, a chunk mispredicted
-// once).
-type commitFaultStats struct{ uniques, batches, pbns, mispredictions, predictions uint64 }
+// once), and the chunks and bytes the engine compressed (a retry
+// compresses only the chunk that failed).
+type commitFaultStats struct {
+	uniques, batches, pbns, mispredictions, predictions uint64
+	compressed, compressedBytes                         uint64
+}
 
 // faultyLZ is the LZ compressor whose nth Compress or CompressAppend call
 // fails (0: none); calls counts them all. The engine's lanes may call it
@@ -170,12 +174,14 @@ func TestCommitFaultAtEveryTableIO(t *testing.T) {
 }
 
 // TestCommitFaultAtEveryCompress walks a compressor fault across every
-// compress call of the stream — the baseline's FPGA array (CompressMany),
-// FIDR's packs during the fill and in the commit — on Baseline and FIDR-Full, fixed and CDC: exactly one call
-// returns the error, every chunk reads back, Verify is clean, and the
-// unique, batch, PBN, misprediction and prediction counts are the
-// fault-free run's, so a retried batch is neither predicted nor
-// mispredicted twice.
+// compress call of the stream — the baseline's FPGA array (each predicted
+// unique's compress step), FIDR's packs during the fill and in the commit
+// — on Baseline and FIDR-Full, fixed and CDC: exactly one call returns the
+// error, every chunk reads back, Verify is clean, the unique, batch, PBN,
+// misprediction, prediction and engine counts are the fault-free run's,
+// so a retried batch is neither predicted nor mispredicted twice, and the
+// faulted run calls the compressor exactly once more than the clean run:
+// the retry compresses only the chunk that failed.
 func TestCommitFaultAtEveryCompress(t *testing.T) {
 	for _, arch := range []Arch{Baseline, FIDRFull} {
 		for _, mode := range testModes {
@@ -187,12 +193,16 @@ func TestCommitFaultAtEveryCompress(t *testing.T) {
 					t.Fatal("the stream compressed nothing")
 				}
 				for k := int64(1); k <= calls; k++ {
-					faults, got, _ := commitFaultRun(t, arch, mode, 0, 0, &faultyLZ{LZ: blockcomp.NewLZ(), nth: k})
+					comp := &faultyLZ{LZ: blockcomp.NewLZ(), nth: k}
+					faults, got, _ := commitFaultRun(t, arch, mode, 0, 0, comp)
 					if faults != 1 {
 						t.Fatalf("compress %d of %d: %d calls returned the error, want 1", k, calls, faults)
 					}
 					if got != want {
 						t.Fatalf("compress %d of %d: %+v, want %+v", k, calls, got, want)
+					}
+					if n := comp.calls.Load(); n != calls+1 {
+						t.Fatalf("compress %d of %d: %d compressor calls, want %d", k, calls, n, calls+1)
 					}
 				}
 			})

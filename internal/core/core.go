@@ -91,8 +91,8 @@ type Config struct {
 	// across this many worker goroutines. 0 selects a GOMAXPROCS-derived
 	// default. Results are byte-identical at any lane count.
 	HashLanes int
-	// CompressLanes is the modeled compression-pipeline count for the
-	// engine's lane array; same semantics as HashLanes.
+	// CompressLanes bounds the container-write round's lanes (0 as for
+	// HashLanes); every compress runs on the writer, one chunk at a time.
 	CompressLanes int
 	// Compressor is the block compressor; nil selects the LZ engine.
 	Compressor blockcomp.Compressor
@@ -331,9 +331,9 @@ type Server struct {
 	wbuf *nic.FIDR
 	pnic *nic.Plain
 	pred *predictor.Predictor
-	// pool runs every accelerator array of the server: wbuf's hash jobs
-	// (the NIC's SHA cores, or the baseline's FPGA hash array), the
-	// engine's compress job and the data SSD's container writes (sw).
+	// pool runs the server's jobs that fan out: wbuf's hash jobs (the
+	// NIC's SHA cores, or the baseline's FPGA hash array) and the data
+	// SSD's container-write round (sw).
 	pool *lanes.Pool
 	sw   sealedWrites
 
@@ -465,7 +465,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	comp.SetCompressLanes(cfg.CompressLanes)
 	pool := lanes.NewPool()
-	comp.SetPool(pool)
 
 	s := &Server{
 		cfg:      cfg,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -147,6 +148,8 @@ func (s *Server) bufferChunk(lba uint64, data []byte, tr *ReqTrace) error {
 }
 
 // commitStep is the step of the commit core (commitEntry) an entry runs.
+// The zero value is the lookup, where a FIDR entry starts; a baseline entry
+// starts two steps ahead of it.
 type commitStep uint8
 
 const (
@@ -155,6 +158,8 @@ const (
 	stepAppend            // a unique takes its PBN
 	stepInsert            // a unique's Hash-PBN insert and the rest of its admit
 	stepMap
+	stepPredict  // the baseline's steps 1-2, then stepCompress
+	stepCompress // the baseline's steps 3-4, then stepLookup
 )
 
 // heldBatch is the batch under commit — the write buffer's held batch.
@@ -162,18 +167,17 @@ const (
 // step that fails leaves both, so the retry resumes there. flags[i] notes
 // that entry i's lookup found no entry (a unique); pbn is entry next's PBN
 // once its lookup (a duplicate) or its Append (a unique) has run, and meta
-// its packed metadata once its pack has. tip is the request that tipped
-// the batch, under whose trace its commit links. hashDur sums the time the
-// batch's lookups waited for their fingerprints (nic.FIDR.HeldFP). The
-// batch trace reports it once, from lookupStart, as the hash stage,
-// lookupDur from lookupStart on (lookup, admit and map, without those
-// waits) as dedup_lookup and packDur from packStart on as compress; for
-// FIDR all three are the fill's time. Baseline only (stageBaseline):
-// datas is CompressMany's input, cdata per entry the compressed form of a
-// predicted-unique one (nil otherwise) — steps 1-2 have run once it is
-// filled — and staged notes that steps 3-4 have. FIDR only: fillErr a
-// commit step that failed during the fill, which the commit returns once
-// before retrying that entry.
+// its packed metadata once its pack has. Baseline only: cdata is entry
+// next's bytes once step 1 predicted it unique, its compressed form once
+// step 3 has run, and nil for a predicted duplicate. tip is the request
+// that tipped the batch, under whose trace its commit links. hashDur sums
+// the time the batch's lookups waited for their fingerprints
+// (nic.FIDR.HeldFP). The batch trace reports it once, from lookupStart, as
+// the hash stage, lookupDur from lookupStart on (prediction, lookup, admit
+// and map, without those waits) as dedup_lookup and packDur from
+// packStart on (the compresses) as compress; for FIDR all three are the
+// fill's time. FIDR only: fillErr a commit step that failed during the
+// fill, which the commit returns once before retrying that entry.
 type heldBatch struct {
 	tip         *ReqTrace
 	next        int
@@ -186,18 +190,24 @@ type heldBatch struct {
 	lookupDur   time.Duration
 	packStart   time.Time
 	packDur     time.Duration
-	datas       [][]byte
-	cdata       [][]byte
-	staged      bool
+	cdata       []byte
 	fillErr     error
 }
 
 // holdBatch puts a new batch of n chunks under commit, at its first
-// entry's lookup, in the arrays of the batch before.
+// entry's first step, in the flags array of the batch before.
 func (s *Server) holdBatch(n int) {
 	h := &s.held
-	*h = heldBatch{tip: s.activeReq, datas: h.datas[:0], cdata: h.cdata[:0],
-		flags: append(h.flags[:0], make([]bool, n)...)}
+	*h = heldBatch{tip: s.activeReq, step: s.firstStep(), flags: append(h.flags[:0], make([]bool, n)...)}
+}
+
+// firstStep is where each entry starts: the baseline's at its prediction,
+// FIDR's, which the NIC hashed and nothing predicts, at its lookup.
+func (s *Server) firstStep() commitStep {
+	if s.cfg.Arch == Baseline {
+		return stepPredict
+	}
+	return stepLookup
 }
 
 // tipBatch runs when the filling buffer holds a batch (and, with now set,
@@ -272,9 +282,9 @@ func (s *Server) commitHeld() error {
 	return s.reapSealed()
 }
 
-// commitBatch runs the rest of the held batch's write flow: the baseline's
-// steps 1-4 once (stageBaseline), FIDR's step 3; then the commit core runs
-// whatever entries the fill left (FIDR: normally none; the baseline: all).
+// commitBatch runs the rest of the held batch's write flow: FIDR's step 3,
+// then the commit core runs whatever entries the fill left (FIDR: normally
+// none; the baseline: all, each from its steps 1-4).
 // Then the published batch leaves the buffer — for FIDR step 7's
 // ScheduleBatch, which sends its uniques to the engine — and writeSealed
 // gets the sealed containers. Until then a failure leaves it held and
@@ -285,14 +295,7 @@ func (s *Server) commitBatch(wait bool) error {
 	h := &s.held
 	bt := s.obs.beginLinked("batch", entries[0].LBA, h.tip)
 	defer bt.done()
-	switch s.cfg.Arch {
-	case Baseline:
-		if !h.staged {
-			if err := s.stageBaseline(entries, bt); err != nil {
-				return err
-			}
-		}
-	case FIDRFull:
+	if s.cfg.Arch == FIDRFull {
 		// Step 3: the device manager sends bucket indexes to the Cache
 		// HW-Engine (with software caching this stays on the host).
 		s.transfer(pcie.HostMemory, devCacheHW, uint64(len(entries))*8)
@@ -342,66 +345,6 @@ func (s *Server) commitBatch(wait bool) error {
 	return s.writeSealed(bt, wait)
 }
 
-// stageBaseline runs §2.3 steps 1-4 over the held batch before its table
-// work (step 5): steps 1-2 once, while the batch has no cdata, and steps
-// 3-4 until they succeed, so a retry after a failed compress neither
-// predicts nor transfers the batch again. The batch's fingerprints are the
-// FPGA hash array's: the buffer's hash job ran most of them as it filled,
-// and its helpers keep hashing under the compression below until each
-// lookup waits for its own (commitEntry).
-func (s *Server) stageBaseline(entries []nic.WriteEntry, bt *ReqTrace) error {
-	h := &s.held
-	if len(h.cdata) == 0 {
-		// 1. The unique-chunk predictor reads the buffered data and guesses
-		// which chunks are unique; the batch scheduler groups accordingly.
-		// A predicted-unique chunk's cdata holds its bytes until step 3
-		// replaces them with its compressed form.
-		from := bt.start()
-		h.cdata = append(h.cdata, make([][]byte, len(entries))...)
-		total := uint64(0)
-		for i := range entries {
-			if data := s.wbuf.HeldData(i); s.pred.Predict(data) {
-				h.cdata[i] = data
-				h.datas = append(h.datas, data)
-			}
-			s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
-			total += uint64(entries[i].Size)
-		}
-		bt.span(StageDedupLookup, from)
-
-		// 2. One-time transfer of the whole batch to the FPGA array.
-		s.transfer(pcie.HostMemory, devFPGA, total)
-		s.ledger.MemPayload(hostmodel.PathHostFPGA, total)
-		s.ledger.Count(hostmodel.EvDMAChunk, uint64(len(entries)))
-	}
-
-	// 3. FPGA: the compression-pipeline array compresses the
-	// predicted-unique chunks. Compressed results alias engine scratch,
-	// which stays valid until the next CompressMany call — every pack of
-	// this batch, a resumed commit's included, happens before that.
-	backBytes := uint64(len(entries)) * fingerprint.Size
-	if len(h.datas) > 0 {
-		from := bt.start()
-		rs, err := s.comp.CompressMany(h.datas)
-		if err != nil {
-			return err
-		}
-		bt.span(StageCompress, from)
-		for i := range h.cdata { // rs is in batch order of the predicted-unique chunks
-			if h.cdata[i] != nil {
-				h.cdata[i] = rs[0].Data
-				backBytes += uint64(len(rs[0].Data))
-				rs = rs[1:]
-			}
-		}
-	}
-	// 4. Hashes and compressed predicted-uniques return to host memory.
-	s.transfer(devFPGA, pcie.HostMemory, backBytes)
-	s.ledger.MemPayload(hostmodel.PathHostFPGA, backBytes)
-	h.staged = true
-	return nil
-}
-
 // --- The commit core: one for both architectures ---
 
 // commitCore runs up to n of the remaining entries of the batch under
@@ -416,9 +359,7 @@ func (s *Server) commitCore(entries []nic.WriteEntry, n int) error {
 		return nil
 	}
 	from := s.obs.now()
-	if h.lookupStart.IsZero() {
-		h.lookupStart = from
-	}
+	h.lookupStart = cmp.Or(h.lookupStart, from)
 	hashed, packed := h.hashDur, h.packDur
 	var err error
 	for end := min(h.next+n, len(entries)); err == nil && h.next < end; {
@@ -428,7 +369,12 @@ func (s *Server) commitCore(entries []nic.WriteEntry, n int) error {
 	return err
 }
 
-// commitEntry runs entry next, e, from the step it stopped at: the table
+// commitEntry runs entry next, e, from the step it stopped at. A baseline
+// entry starts with §2.3 steps 1-2, its prediction and its transfer to the
+// FPGA array, and steps 3-4, a predicted unique's compress and the return
+// of its fingerprint and compressed bytes to host memory; a compress that
+// fails leaves the entry there, so the retry compresses only this chunk
+// and predicts nothing again. Then, for both architectures, the table
 // lookup (§5.3 steps 4-5, §2.3 step 5), which first waits for the entry's
 // fingerprint, which the write buffer's helpers may still be hashing (the
 // wait counts as hashDur); for a unique, its pack (step 8), at whose end
@@ -440,6 +386,38 @@ func (s *Server) commitCore(entries []nic.WriteEntry, n int) error {
 // baseline's predictor learns each lookup's outcome.
 func (s *Server) commitEntry(e *nic.WriteEntry) error {
 	h, i := &s.held, s.held.next
+	if h.step == stepPredict {
+		// The unique-chunk predictor reads the buffered chunk, the batch
+		// scheduler marks it for compression or not, and it crosses to the
+		// FPGA array.
+		if data := s.wbuf.HeldData(i); s.pred.Predict(data) {
+			h.cdata = data
+		}
+		s.ledger.Count(hostmodel.EvBatchSchedChunk, 1)
+		s.transfer(pcie.HostMemory, devFPGA, uint64(e.Size))
+		s.ledger.MemPayload(hostmodel.PathHostFPGA, uint64(e.Size))
+		s.ledger.Count(hostmodel.EvDMAChunk, 1)
+		h.step = stepCompress
+	}
+	if h.step == stepCompress {
+		// The array's compression pipelines compress a predicted unique;
+		// its hash and compressed bytes return to host memory.
+		back := uint64(fingerprint.Size)
+		if h.cdata != nil {
+			from := s.obs.now()
+			h.packStart = cmp.Or(h.packStart, from)
+			c, err := s.comp.Compress(h.cdata)
+			h.packDur += s.obs.since(from)
+			if err != nil {
+				return err
+			}
+			h.cdata = c.Data
+			back += uint64(len(c.Data))
+		}
+		s.transfer(devFPGA, pcie.HostMemory, back)
+		s.ledger.MemPayload(hostmodel.PathHostFPGA, back)
+		h.step = stepLookup
+	}
 	if h.step == stepLookup {
 		fp, wait := s.wbuf.HeldFP(i)
 		h.hashDur += wait
@@ -452,14 +430,12 @@ func (s *Server) commitEntry(e *nic.WriteEntry) error {
 			h.step = stepPack
 		}
 		if s.pred != nil {
-			s.pred.Confirm(h.cdata[i] != nil, !found)
+			s.pred.Confirm(h.cdata != nil, !found)
 		}
 	}
 	if h.step == stepPack {
 		from := s.obs.now()
-		if h.packStart.IsZero() {
-			h.packStart = from
-		}
+		h.packStart = cmp.Or(h.packStart, from)
 		meta, err := s.packChunk(e, i)
 		h.packDur += s.obs.since(from)
 		if err != nil {
@@ -507,7 +483,7 @@ func (s *Server) commitEntry(e *nic.WriteEntry) error {
 	// replay reproduces same-LBA ordering exactly (a duplicate followed by
 	// a unique write of the same LBA must replay in that order).
 	s.walMapLBA(e.LBA, h.pbn)
-	h.next, h.step = i+1, stepLookup
+	h.next, h.step, h.cdata = i+1, s.firstStep(), nil
 	return nil
 }
 
@@ -519,7 +495,7 @@ func (s *Server) packChunk(e *nic.WriteEntry, i int) (engine.ChunkMeta, error) {
 	if s.cfg.Arch != Baseline {
 		return s.comp.CompressPack(e.LBA, e.FP, s.wbuf.HeldData(i))
 	}
-	if c := s.held.cdata[i]; c != nil {
+	if c := s.held.cdata; c != nil {
 		return s.comp.Pack(e.LBA, e.FP, c, e.Size)
 	}
 	s.ctr.mispredictions.Inc()

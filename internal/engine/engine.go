@@ -12,8 +12,8 @@
 //
 // The engine is functional: it runs a real compressor and packs real
 // containers. Incompressible chunks are stored raw (CSize == chunk size
-// signals "raw" to the read path). The LZ77 pipeline array is a job on the
-// server's lanes.Pool, which helpers serve before any queued hash.
+// signals "raw" to the read path). Every chunk is compressed on the
+// caller, one at a time, as the commit core reaches it (DESIGN §9).
 package engine
 
 import (
@@ -69,21 +69,15 @@ type Compression struct {
 	// sealed containers wait in engine memory for P2P pickup.
 	sealed []SealedContainer
 
-	// compressLanes is the modeled LZ77-pipeline count (1 = serial). job
-	// is the pipelines' job on pool, bound once to compressOne; datas is
-	// the batch it works on.
+	// compressLanes is the modeled LZ77-pipeline count, which sizes the
+	// server's container-write round; every compress runs on the caller.
 	compressLanes int
-	pool          *lanes.Pool
-	job           *lanes.Job
-	datas         [][]byte
-	// scratch, results and errs are the batch's recycled per-slot output
-	// buffers and outcomes: slot i is touched only by whoever claimed
-	// item i, and they stay valid until the next CompressMany call.
+	// scratch and results are CompressMany's recycled per-slot output
+	// buffers and results, valid until its next call; one is Compress's
+	// and CompressPack's output buffer, recycled call after call.
 	scratch [][]byte
 	results []Compressed
-	errs    []error
-	// one is CompressPack's output buffer, recycled call after call.
-	one []byte
+	one     []byte
 
 	// Activity counters: read by Stats and, once attached, by "engine.*".
 	chunksIn, bytesIn, bytesCompressed metrics.Counter
@@ -116,9 +110,6 @@ func (e *Compression) SetCompressLanes(count int) {
 	e.lanesG.Set(float64(e.compressLanes))
 }
 
-// SetPool moves the pipelines onto p, their server's pool, between batches.
-func (e *Compression) SetPool(p *lanes.Pool) { e.pool = p }
-
 // CompressLanes returns the configured compression-lane count.
 func (e *Compression) CompressLanes() int { return e.compressLanes }
 
@@ -136,113 +127,80 @@ func NewCompressionAt(comp blockcomp.Compressor, containerSize int, firstContain
 	if err != nil {
 		return nil, err
 	}
-	e := &Compression{comp: comp, builder: b, pool: lanes.NewPool()}
-	e.job = lanes.NewJob(lanes.Waited, e.compressOne)
+	e := &Compression{comp: comp, builder: b}
 	e.SetCompressLanes(1)
 	return e, nil
 }
 
-// CompressPack compresses one chunk on the caller into a recycled buffer
-// and packs it (raw if incompressible), returning its metadata; stats
-// count as on CompressMany.
+// CompressPack compresses one chunk on the caller (Compress) and packs it,
+// raw if incompressible, returning its metadata.
 func (e *Compression) CompressPack(lba uint64, fp fingerprint.FP, data []byte) (ChunkMeta, error) {
-	if len(data) == 0 {
-		return ChunkMeta{}, fmt.Errorf("engine: pack LBA %d: empty chunk", lba)
-	}
-	start := time.Now()
-	cdata, err := blockcomp.CompressAppend(e.comp, e.one[:0], data)
-	elapsed := uint64(time.Since(start))
-	e.busyNS.Add(elapsed)
-	e.laneBusyNS.Add(elapsed)
+	c, err := e.Compress(data)
 	if err != nil {
-		return ChunkMeta{}, fmt.Errorf("engine: compress: %w", err)
+		return ChunkMeta{}, err
 	}
-	e.one = cdata
-	e.chunksIn.Inc()
-	e.bytesIn.Add(uint64(len(data)))
-	if len(cdata) >= len(data) {
-		e.rawStored.Inc()
-		cdata = data
-	}
-	e.bytesCompressed.Add(uint64(len(cdata)))
-	return e.Pack(lba, fp, cdata, len(data))
+	return e.Pack(lba, fp, c.Data, len(data))
 }
 
-// Compressed is one CompressMany result. Raw marks an incompressible
-// chunk stored as its original bytes; Data then aliases the caller's
-// input. Otherwise Data aliases engine-owned scratch that stays valid
-// only until the next CompressMany call — Pack (which copies into the
-// container) must run before then.
+// Compressed is one compress result. Raw marks an incompressible chunk
+// stored as its original bytes; Data then aliases the caller's input.
+// Otherwise Data aliases an engine-owned buffer, Compress's until the next
+// Compress or CompressPack, CompressMany's until the next CompressMany —
+// Pack (which copies into the container) must run before then.
 type Compressed struct {
 	Data []byte
 	Raw  bool
 }
 
-// CompressMany runs the compression-pipeline array over a batch of
-// chunks: the caller and the pool's helpers claim chunks in batch order,
-// each compressed into its slot's recycled output buffer, and stats are
-// committed strictly in batch order after the join. Output bytes, stats
-// and error selection (lowest failing index) are byte-identical to
-// compressing the batch serially. The returned slice, like the Data it
-// points at, is valid until the next CompressMany call.
-func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
-	if len(datas) == 0 {
-		return nil, nil
-	}
-	for len(e.scratch) < len(datas) {
-		e.scratch = append(e.scratch, nil)
-		e.results = append(e.results, Compressed{})
-		e.errs = append(e.errs, nil)
-	}
-	results, errs := e.results[:len(datas)], e.errs[:len(datas)]
-	clear(errs)
-	start := time.Now()
-	e.datas = datas
-	busy := e.pool.Run(e.job, len(datas), e.compressLanes)
-	e.datas = nil
-	e.busyNS.Add(uint64(time.Since(start)))
-	e.laneBusyNS.Add(uint64(busy))
-	// Counters commit once per batch, after the join; the lowest failing
-	// index wins and the chunks before it still count, as on the serial path.
-	var bytesIn, bytesOut, rawStored uint64
-	n := 0
-	for ; n < len(datas) && errs[n] == nil; n++ {
-		bytesIn += uint64(len(datas[n]))
-		bytesOut += uint64(len(results[n].Data))
-		if results[n].Raw {
-			rawStored++
-		}
-	}
-	e.chunksIn.Add(uint64(n))
-	e.bytesIn.Add(bytesIn)
-	e.bytesCompressed.Add(bytesOut)
-	e.rawStored.Add(rawStored)
-	if n < len(datas) {
-		return nil, errs[n]
-	}
-	return results, nil
+// Compress compresses one chunk on the caller into the buffer Compress and
+// CompressPack recycle, and counts it.
+func (e *Compression) Compress(data []byte) (Compressed, error) {
+	return e.compress(&e.one, data)
 }
 
-// compressOne is the pipelines' item function: it compresses chunk i of
-// the batch CompressMany is running into slot i's scratch, touching that
-// slot's scratch, result and error and nothing else.
-func (e *Compression) compressOne(i int) {
-	src := e.datas[i]
-	if len(src) == 0 {
-		e.errs[i] = fmt.Errorf("engine: chunk %d: empty chunk", i)
-		return
+// CompressMany compresses a batch of chunks in order, each into its slot's
+// recycled output buffer. The chunks before a failing one stay counted, as
+// if compressed one Compress at a time. The returned slice, like the Data
+// it points at, is valid until the next CompressMany call.
+func (e *Compression) CompressMany(datas [][]byte) ([]Compressed, error) {
+	for len(e.scratch) < len(datas) {
+		e.scratch = append(e.scratch, nil)
 	}
-	cdata, err := blockcomp.CompressAppend(e.comp, e.scratch[i][:0], src)
+	e.results = e.results[:0]
+	for i, data := range datas {
+		c, err := e.compress(&e.scratch[i], data)
+		if err != nil {
+			return nil, err
+		}
+		e.results = append(e.results, c)
+	}
+	return e.results, nil
+}
+
+// compress is the one compress body: it compresses data into *buf's
+// storage, keeps the grown buffer there, and counts the chunk.
+func (e *Compression) compress(buf *[]byte, data []byte) (Compressed, error) {
+	if len(data) == 0 {
+		return Compressed{}, fmt.Errorf("engine: empty chunk")
+	}
+	start := time.Now()
+	cdata, err := blockcomp.CompressAppend(e.comp, (*buf)[:0], data)
+	elapsed := uint64(time.Since(start))
+	e.busyNS.Add(elapsed)
+	e.laneBusyNS.Add(elapsed)
 	if err != nil {
-		e.errs[i] = fmt.Errorf("engine: chunk %d: compress: %w", i, err)
-		return
+		return Compressed{}, fmt.Errorf("engine: compress: %w", err)
 	}
-	e.scratch[i] = cdata
-	if len(cdata) >= len(src) {
-		e.results[i] = Compressed{Data: src, Raw: true}
-	} else {
-		e.results[i] = Compressed{Data: cdata}
+	*buf = cdata
+	e.chunksIn.Inc()
+	e.bytesIn.Add(uint64(len(data)))
+	c := Compressed{Data: cdata}
+	if len(cdata) >= len(data) {
+		e.rawStored.Inc()
+		c = Compressed{Data: data, Raw: true}
 	}
+	e.bytesCompressed.Add(uint64(len(c.Data)))
+	return c, nil
 }
 
 // Pack places an already-compressed chunk into the open container,

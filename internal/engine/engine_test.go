@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"fidr/internal/blockcomp"
@@ -32,9 +31,8 @@ func mkIn(seed uint64, ratio float64) chunkIn {
 	return chunkIn{LBA: seed, FP: fingerprint.Of(data), Data: data}
 }
 
-// compressBatch is the server's unique-batch step: the batch compresses
-// across the lane array (CompressMany), then packs into containers
-// strictly in batch order (Pack).
+// compressBatch compresses a batch of chunks in order (CompressMany), then
+// packs them into containers strictly in batch order (Pack).
 func compressBatch(e *Compression, batch []chunkIn) ([]ChunkMeta, error) {
 	datas := make([][]byte, len(batch))
 	for i := range batch {
@@ -278,27 +276,24 @@ func TestCompressManyEmptyChunkError(t *testing.T) {
 	}
 }
 
+// BenchmarkCompressLanes times CompressMany over a 64-chunk batch. Every
+// chunk is compressed on the caller, so there is no lane count to sweep.
 func BenchmarkCompressLanes(b *testing.B) {
 	sh := blockcomp.NewShaper(0.5)
 	var datas [][]byte
 	for i := uint64(0); i < 64; i++ {
 		datas = append(datas, sh.Make(i, 4096))
 	}
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
-			e, err := NewCompression(blockcomp.NewLZ(), 1<<30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.SetCompressLanes(n)
-			b.SetBytes(int64(len(datas) * 4096))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.CompressMany(datas); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e, err := NewCompression(blockcomp.NewLZ(), 1<<30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(datas) * 4096))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.CompressMany(datas); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -380,9 +375,7 @@ func TestRecycleKeepsContainersIdentical(t *testing.T) {
 
 // TestSealCycleNoAllocs: pack until a container seals, write it from the
 // sealed queue and pop it, as core's container writes do — once two
-// buffers are in circulation the cycle allocates nothing. (A warmed
-// CompressMany round allocates nothing either; the pool's round is pinned
-// in package lanes.)
+// buffers are in circulation the cycle allocates nothing.
 func TestSealCycleNoAllocs(t *testing.T) {
 	const size = 16 << 10
 	e := newEngine(t, size)

@@ -1,10 +1,11 @@
 // Package lanes is the work pool behind the paper's accelerator arrays,
-// and the lane count every array is sized by. A server's SHA-256 cores,
-// LZ77 pipelines and baseline hash array are jobs on its one Pool: the
-// job's caller and up to k−1 resident helpers claim items from the job's
-// cursor, each touching only its item's slot, so callers commit in item
-// order after a join that spins instead of parking, or wait for one item
-// while running the next ones themselves (RunNext; DESIGN §9).
+// and the lane count every array is sized by. A server's hash array (the
+// FIDR NIC's SHA-256 cores or the baseline's FPGA hash array) and its
+// container-write round are jobs on its one Pool: the job's caller and up
+// to k−1 resident helpers claim items from the job's cursor, each touching
+// only its item's slot, so callers commit in item order after a join that
+// spins instead of parking, or wait for one item while running the next
+// ones themselves (RunNext; DESIGN §9).
 package lanes
 
 import (
@@ -40,8 +41,9 @@ func Normalize(n int) int {
 const idleSpin = 15 * time.Microsecond
 
 // Job priorities: a helper takes the oldest queued job of the lowest.
-// Waited work is about to be joined (a compress batch); Ahead work is
-// done before its join is due (the NIC hashing a filling buffer).
+// Waited work is about to be joined (the container-write round, which the
+// next tip reaps); Ahead work is done before its join is due (the NIC
+// hashing a filling buffer).
 const (
 	Waited = iota
 	Ahead
@@ -107,13 +109,6 @@ func (p *Pool) Post(j *Job, n, lanes, backlog int) {
 		go p.help()
 	}
 	p.mu.Unlock()
-}
-
-// Run is one round of n items: Post, then Join. The caller takes the
-// first item at once, so a helper starts only for a second.
-func (p *Pool) Run(j *Job, n, lanes int) time.Duration {
-	p.Post(j, n, lanes, 2)
-	return j.Join()
 }
 
 func (p *Pool) setQueue(q []*Job) {

@@ -21,13 +21,20 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// run is one round of n items on p: Post, then Join. The caller takes the
+// first item at once, so a helper starts only for a second.
+func run(p *Pool, j *Job, n, lanes int) time.Duration {
+	p.Post(j, n, lanes, 2)
+	return j.Join()
+}
+
 func TestRunCoversEveryItemExactlyOnce(t *testing.T) {
 	p := NewPool()
 	for _, k := range []int{1, 2, 3, 8, 100} {
 		const n = 57
 		var hits [n]int32
 		j := NewJob(Waited, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		if busy := p.Run(j, n, k); busy < 0 {
+		if busy := run(p, j, n, k); busy < 0 {
 			t.Fatalf("k=%d: negative busy time %v", k, busy)
 		}
 		for i, h := range hits {
@@ -40,11 +47,11 @@ func TestRunCoversEveryItemExactlyOnce(t *testing.T) {
 
 func TestRunEmptyAndSingle(t *testing.T) {
 	p := NewPool()
-	if got := p.Run(NewJob(Waited, func(int) { t.Fatal("fn called for n=0") }), 0, 4); got != 0 {
+	if got := run(p, NewJob(Waited, func(int) { t.Fatal("fn called for n=0") }), 0, 4); got != 0 {
 		t.Fatalf("n=0 reported %v busy", got)
 	}
 	ran := 0
-	p.Run(NewJob(Waited, func(i int) {
+	run(p, NewJob(Waited, func(i int) {
 		if i != 0 {
 			t.Fatalf("single-item round ran item %d", i)
 		}
@@ -88,7 +95,7 @@ func TestPoolCoversEveryItemOnce(t *testing.T) {
 			for m := 1; m <= n; m++ {
 				p.Post(a, m, k, 1)
 				if m == n/2 {
-					p.Run(w, n, k)
+					run(p, w, n, k)
 					for i := range waited {
 						if waited[i] != 1 || waitedOut[i] != 3*i+1 {
 							t.Fatalf("k=%d round %d: waited item %d ran %d times, result %d", k, round, i, waited[i], waitedOut[i])
@@ -106,7 +113,7 @@ func TestPoolCoversEveryItemOnce(t *testing.T) {
 					}
 				}
 				// Give any helper that survived Stop the chance to run.
-				p.Run(w, n, k)
+				run(p, w, n, k)
 				for i := range ahead {
 					if got := atomic.LoadInt32(&ahead[i]); got != after[i] {
 						t.Fatalf("k=%d round %d: item %d ran after Stop returned", k, round, i)
@@ -124,7 +131,7 @@ func TestPoolCoversEveryItemOnce(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		if allocs := testing.AllocsPerRun(50, func() { p.Run(w, n, k) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { run(p, w, n, k) }); allocs != 0 {
 			t.Errorf("k=%d: %v allocs per warmed round, want 0", k, allocs)
 		}
 	}
