@@ -139,7 +139,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBundleSnapshots$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/metrics/health
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/trace/span
 
-# bench-go runs the layer microbenchmarks — accelerator lanes, a blocking
+# bench-go runs the layer microbenchmarks — the hash lanes, the engine's
+# compress loop over a 64-chunk batch (CompressMany, one row), a blocking
 # call through the async front-end (idle group / callers meeting on the
 # owner lock), the LZ kernel both ways (compression at the workloads'
 # 0.5 ratio and over random bytes), the table-cache probe (hit / miss
@@ -152,8 +153,10 @@ fuzz:
 BENCH_COUNT ?= 5
 bench-go:
 	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkHashLanes|BenchmarkCompressLanes|BenchmarkAsyncCall)$$' \
+		-bench '^(BenchmarkHashLanes|BenchmarkAsyncCall)$$' \
 		-benchmem -count $(BENCH_COUNT) .
+	$(GO) test -run '^$$' -bench '^BenchmarkCompressMany$$' \
+		-benchmem -count $(BENCH_COUNT) ./internal/engine
 	$(GO) test -run '^$$' \
 		-bench '^(BenchmarkLZCompress4K|BenchmarkLZCompress4KRandom|BenchmarkLZDecompress4K)$$' \
 		-benchmem -count $(BENCH_COUNT) ./internal/blockcomp

@@ -109,8 +109,8 @@ type commitFaultStats struct {
 }
 
 // faultyLZ is the LZ compressor whose nth Compress or CompressAppend call
-// fails (0: none); calls counts them all. The engine's lanes may call it
-// from several goroutines.
+// fails (0: none); calls counts them all. Every compress runs on the
+// writer, so one goroutine calls it at a time.
 type faultyLZ struct {
 	*blockcomp.LZ
 	nth   int64

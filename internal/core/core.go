@@ -91,8 +91,10 @@ type Config struct {
 	// across this many worker goroutines. 0 selects a GOMAXPROCS-derived
 	// default. Results are byte-identical at any lane count.
 	HashLanes int
-	// CompressLanes bounds the container-write round's lanes (0 as for
-	// HashLanes); every compress runs on the writer, one chunk at a time.
+	// CompressLanes only picks who writes sealed containers (0 as for
+	// HashLanes): at 1 the writer writes them when it reaps the round, at
+	// 2 or more one pool helper does (the round is one item, so every
+	// value past 2 acts as 2). Every compress runs on the writer.
 	CompressLanes int
 	// Compressor is the block compressor; nil selects the LZ engine.
 	Compressor blockcomp.Compressor

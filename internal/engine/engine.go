@@ -69,8 +69,8 @@ type Compression struct {
 	// sealed containers wait in engine memory for P2P pickup.
 	sealed []SealedContainer
 
-	// compressLanes is the modeled LZ77-pipeline count, which sizes the
-	// server's container-write round; every compress runs on the caller.
+	// compressLanes is kept only for the gauge and the server's container
+	// writes (1: the writer; more: a helper); no compress reads it.
 	compressLanes int
 	// scratch and results are CompressMany's recycled per-slot output
 	// buffers and results, valid until its next call; one is Compress's
@@ -103,8 +103,8 @@ func (e *Compression) Instrument(reg *metrics.Registry) {
 	reg.AttachGauge("engine.queue_depth", &e.queueDepth)
 }
 
-// SetCompressLanes sets the modeled compression-pipeline count; <= 0
-// selects the GOMAXPROCS-derived default. Results are byte-identical.
+// SetCompressLanes sets the lane count the server's container writes
+// read; <= 0 selects the GOMAXPROCS-derived default.
 func (e *Compression) SetCompressLanes(count int) {
 	e.compressLanes = lanes.Normalize(count)
 	e.lanesG.Set(float64(e.compressLanes))

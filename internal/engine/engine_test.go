@@ -276,9 +276,9 @@ func TestCompressManyEmptyChunkError(t *testing.T) {
 	}
 }
 
-// BenchmarkCompressLanes times CompressMany over a 64-chunk batch. Every
+// BenchmarkCompressMany times CompressMany over a 64-chunk batch. Every
 // chunk is compressed on the caller, so there is no lane count to sweep.
-func BenchmarkCompressLanes(b *testing.B) {
+func BenchmarkCompressMany(b *testing.B) {
 	sh := blockcomp.NewShaper(0.5)
 	var datas [][]byte
 	for i := uint64(0); i < 64; i++ {

@@ -293,8 +293,9 @@ func WithCacheFrac(f float64) func(*runOptions) {
 	return func(o *runOptions) { o.cacheFrac = f }
 }
 
-// WithLanes overrides the accelerator lane counts (hash cores and
-// compression pipelines). 0 selects the GOMAXPROCS-derived default.
+// WithLanes overrides the accelerator lane counts: hash cores, and
+// whether a pool helper writes sealed containers (compress > 1; every
+// compress runs on the writer). 0 selects the GOMAXPROCS-derived default.
 // Lane count changes wall time only: every rendered table, figure and
 // stats snapshot is byte-identical across lane counts.
 func WithLanes(hash, compress int) func(*runOptions) {

@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"fidr/internal/blockcomp"
-	"fidr/internal/engine"
 	"fidr/internal/nic"
 )
 
 // The four Table 3 workloads are measured by benchmark/ (harness outside
-// the clock); only the lane-array microbenchmarks live here.
+// the clock); only the hash-lane microbenchmark lives here (the engine
+// has no lanes: internal/engine BenchmarkCompressMany times its loop).
 
 // BenchmarkHashLanes isolates the NIC SHA-core array: buffer a batch
 // (the pool's helpers hash it as it fills), tip and detach it, drain (the
@@ -49,28 +49,5 @@ func BenchmarkHashLanes(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkCompressLanes isolates the compression-pipeline array over a
-// fixed unique batch. The engine compresses every chunk on the caller, so
-// there is no lane count to sweep: one row.
-func BenchmarkCompressLanes(b *testing.B) {
-	const batch = 64
-	sh := blockcomp.NewShaper(0.5)
-	datas := make([][]byte, batch)
-	for i := range datas {
-		datas[i] = sh.Make(uint64(i), 4096)
-	}
-	e, err := engine.NewCompression(blockcomp.NewLZ(), 1<<30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(batch * 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.CompressMany(datas); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
